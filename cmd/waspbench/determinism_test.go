@@ -46,10 +46,10 @@ func captureRun(t *testing.T, name string, workers int, duration time.Duration) 
 // TestAllExperimentsByteIdenticalAcrossWorkers is the whole-suite
 // extension of the PR 4 fig8/fig11 harness: `-experiment all` — every
 // figure, table, extension, and the chaos sweep — must render
-// byte-identically for the same seed no matter the worker-pool width.
-// This is the regression net under the columnar tick core: any hidden
-// map-order or scheduling nondeterminism in the flat hot path shows up
-// here as a diff.
+// byte-identically for the same seed no matter the worker-pool width, and
+// identically to the checked-in golden transcript. This is the regression
+// net under the engine: any hidden map-order or scheduling nondeterminism,
+// or an unintended change of behaviour, shows up here as a diff.
 func TestAllExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in -short mode")
@@ -65,6 +65,18 @@ func TestAllExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if seq != par {
 		t.Errorf("-experiment all output differs between -j 1 and -j 4 (%d vs %d bytes)", len(seq), len(par))
+	}
+	// The checked-in transcript pins the program's output across commits,
+	// not just across pool widths: a refactor that changes any figure has
+	// to re-baseline the golden on purpose.
+	golden, err := os.ReadFile("../../golden/all_seed1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != string(golden) {
+		t.Errorf("-experiment all -seed 1 differs from golden/all_seed1.txt (%d vs %d bytes); "+
+			"if intended, regenerate it with: go run ./cmd/waspbench -experiment all -seed 1 > golden/all_seed1.txt",
+			len(seq), len(golden))
 	}
 
 	// Same width, same seed → byte-identical replay.

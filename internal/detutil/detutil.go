@@ -12,7 +12,6 @@ package detutil
 
 import (
 	"cmp"
-	"slices"
 	"sort"
 )
 
@@ -35,41 +34,6 @@ func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, less func(a, b K) bool
 	}
 	sort.SliceStable(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 	return keys
-}
-
-// SortedKeysInto appends m's keys to buf in ascending order and returns
-// the extended slice. Pass a recycled buf[:0] to amortize the allocation
-// SortedKeys pays on every call — this is the variant for per-tick hot
-// paths (the engine and netsim call it every simulation step). Only the
-// appended region is sorted; any existing prefix of buf is left intact.
-func SortedKeysInto[M ~map[K]V, K cmp.Ordered, V any](m M, buf []K) []K {
-	start := len(buf)
-	for k := range m { //waspvet:unordered keys are sorted before return; this is the sanctioned helper
-		buf = append(buf, k)
-	}
-	slices.Sort(buf[start:])
-	return buf
-}
-
-// SortedKeysFuncInto is SortedKeysInto for struct keys with no natural
-// order, sorting the appended region stably by the given strict-weak less
-// function.
-func SortedKeysFuncInto[M ~map[K]V, K comparable, V any](m M, buf []K, less func(a, b K) bool) []K {
-	start := len(buf)
-	for k := range m { //waspvet:unordered keys are sorted before return; this is the sanctioned helper
-		buf = append(buf, k)
-	}
-	slices.SortStableFunc(buf[start:], func(a, b K) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
-	return buf
 }
 
 // KV is one map entry.

@@ -36,58 +36,6 @@ func TestSortedKeysFunc(t *testing.T) {
 	}
 }
 
-func TestSortedKeysInto(t *testing.T) {
-	m := map[string]int{"b": 2, "a": 1, "c": 3}
-	buf := make([]string, 0, 8)
-	got := SortedKeysInto(m, buf)
-	want := []string{"a", "b", "c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SortedKeysInto = %v, want %v", got, want)
-	}
-	// Reuse must not reallocate when capacity suffices, and must agree
-	// with SortedKeys.
-	again := SortedKeysInto(m, got[:0])
-	if &again[0] != &got[0] {
-		t.Fatal("SortedKeysInto reallocated despite sufficient capacity")
-	}
-	if !reflect.DeepEqual(again, SortedKeys(m)) {
-		t.Fatalf("SortedKeysInto = %v, want %v", again, SortedKeys(m))
-	}
-	// An existing prefix is preserved, with only the appended region
-	// sorted.
-	prefixed := SortedKeysInto(m, []string{"zz"})
-	if !reflect.DeepEqual(prefixed, []string{"zz", "a", "b", "c"}) {
-		t.Fatalf("SortedKeysInto with prefix = %v", prefixed)
-	}
-	if out := SortedKeysInto(map[string]int{}, nil); len(out) != 0 {
-		t.Fatalf("SortedKeysInto(empty) = %v, want empty", out)
-	}
-}
-
-func TestSortedKeysFuncInto(t *testing.T) {
-	type key struct{ a, b int }
-	m := map[key]string{
-		{2, 1}: "x",
-		{1, 9}: "y",
-		{1, 2}: "z",
-	}
-	less := func(p, q key) bool {
-		if p.a != q.a {
-			return p.a < q.a
-		}
-		return p.b < q.b
-	}
-	var buf []key
-	buf = SortedKeysFuncInto(m, buf[:0], less)
-	want := []key{{1, 2}, {1, 9}, {2, 1}}
-	if !reflect.DeepEqual(buf, want) {
-		t.Fatalf("SortedKeysFuncInto = %v, want %v", buf, want)
-	}
-	if again := SortedKeysFuncInto(m, buf[:0], less); !reflect.DeepEqual(again, SortedKeysFunc(m, less)) {
-		t.Fatalf("SortedKeysFuncInto = %v, want %v", again, SortedKeysFunc(m, less))
-	}
-}
-
 func TestSortedItems(t *testing.T) {
 	m := map[int]string{3: "c", 1: "a", 2: "b"}
 	got := SortedItems(m)

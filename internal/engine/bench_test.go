@@ -50,9 +50,7 @@ func benchRig(tb testing.TB) (*Engine, *vclock.Scheduler) {
 // warmTo advances the rig into steady state and drains the delivery log.
 func warmTo(tb testing.TB, eng *Engine, sched *vclock.Scheduler, until time.Duration) {
 	tb.Helper()
-	if err := sched.RunUntil(vclock.Time(until)); err != nil {
-		tb.Fatal(err)
-	}
+	runChecked(tb, eng, sched, until)
 	eng.TakeDeliveries()
 }
 
@@ -98,23 +96,6 @@ func BenchmarkTickAllocs(b *testing.B) {
 	eng.TakeDeliveries()
 }
 
-// BenchmarkSortedFlows measures the deterministic flow-order lookup the
-// tick performs before setting link demands.
-func BenchmarkSortedFlows(b *testing.B) {
-	eng, sched := benchRig(b)
-	warmTo(b, eng, sched, 40*time.Second)
-	if len(eng.flows) == 0 {
-		b.Fatal("no flows after warm-up")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := eng.sortedFlows(); len(got) == 0 {
-			b.Fatal("empty flow order")
-		}
-	}
-}
-
 // TestTickAllocsCeiling locks in the tick hot path's allocation ceiling.
 // The steady-state tick must stay allocation-free apart from the ticker
 // event chain, amortized queue/delivery growth, and occasional window
@@ -134,8 +115,8 @@ func TestTickAllocsCeiling(t *testing.T) {
 			eng.TakeDeliveries()
 		}
 	})
-	// Seed code sat at ~200 allocs/tick; the columnar hot path (reused
-	// ticker event, flat flow/group sweeps, epoch-cached fan-out) runs at
+	// Seed code sat at ~200 allocs/tick; the hot path (reused ticker
+	// event, flat flow/group sweeps, fan-out wired on the records) runs at
 	// ~2. The ceiling leaves room for amortized queue/delivery growth
 	// without letting per-tick map traffic ever creep back in.
 	const ceiling = 8

@@ -122,25 +122,24 @@ type group struct {
 	// fires only on the false→true transition (observability only).
 	bpActive bool
 
-	// Cached invariants of the group, set at construction (addGroup): the
-	// processing budget in events/s, the backpressure bound in events, the
-	// sink flag, and the effective selectivity. op and tasks never change
-	// after construction, so these never go stale.
+	// Invariants of (op, tasks), set at construction (newGroup) and never
+	// stale: the processing budget in events/s, the backpressure bound in
+	// events, the sink flag, and the effective selectivity.
 	cap     float64
 	bpLimit float64
 	isSink  bool
 	sigma   float64
-	// front caches frontOps membership (set at wiring rebuild, which
-	// always follows a refreshGoodputModel because both are triggered by
-	// the same structural mutations).
+
+	// Wiring, written only by rewire() (see store.go): whether the operator
+	// is fed directly by sources, the outbound send flows in flowKeyLess
+	// order, and the fan-out targets resolved for this sender.
 	front bool
-	// out lists the group's outbound send flows (set at wiring rebuild).
-	out []*edgeFlow
-	// fan caches fanPlans[op.ID] for fanOut, stamped by the topo
-	// generation so a mid-tick plan rebuild refreshes it on next use.
-	fan    []fanTarget
-	fanGen uint64
+	out   []*edgeFlow
+	fan   []fanSite
 }
+
+// key returns the group's position in the store order.
+func (g *group) key() groupKey { return groupKey{op: g.op.ID, site: g.site} }
 
 // suspended reports whether the group is withheld from processing by
 // either suspension source.
@@ -164,17 +163,22 @@ type flowKey struct {
 	toSite   topology.SiteID
 }
 
-// edgeFlow is the per-(edge, site-pair) sender queue plus its netsim flow
-// (nil for intra-site delivery).
+// edgeFlow is the per-(edge, site-pair) sender queue plus its netsim flow.
+// Flows exist only between distinct sites (same-site fan-out pushes
+// straight into the destination group), so flow is never nil.
 type edgeFlow struct {
 	key        flowKey
 	q          cohortQueue
 	flow       *netsim.Flow
 	eventBytes float64
 	latency    vclock.Time
-	// linkID indexes the engine's per-tick link capacity cache (assigned
-	// at wiring rebuild; every consumer runs behind ensureWiring).
-	linkID int32
+
+	// Wiring, written only by rewire(): the destination group, whether the
+	// sending operator is an ingest stage (deliveries count as transported
+	// past ingest), and the index into the engine's links/linkCaps tables.
+	dst      *group
+	srcFront bool
+	linkID   int32
 }
 
 // SinkDelivery is one tick's worth of events arriving at a sink.
@@ -191,12 +195,30 @@ type Engine struct {
 	net   *netsim.Network
 	sched *vclock.Scheduler
 
-	//waspvet:guardedby topoDirty
+	// The store (see store.go): the deployed plan, its task groups in
+	// groupKeyLess order and its inter-site flows in flowKeyLess order.
+	// Written only by setPlan/placeOp/setFlows, each of which bumps gen;
+	// rewire() re-derives everything below from them and stamps wired.
+	//waspvet:guardedby gen
 	plan *physical.Plan
-	//waspvet:guardedby topoDirty
-	groups map[groupKey]*group
-	//waspvet:guardedby flowsDirty,flowsEpoch
-	flows map[flowKey]*edgeFlow
+	//waspvet:guardedby gen
+	groups []*group
+	//waspvet:guardedby gen
+	flows []*edgeFlow
+	gen   uint64
+	wired uint64
+
+	// Wiring derived by rewire(): each stage's groups in topological order
+	// (views into groups), the source groups generate() feeds, the ingest
+	// operators, and the directed WAN links the flows use with their
+	// capacities at the current tick (refreshed at tick start and by
+	// rewire(); capacity is a pure function of site pair, time and faults,
+	// and nothing changes it mid-tick).
+	stages   [][]*group
+	srcs     []*group
+	frontOps map[plan.OpID]bool // operators fed directly by sources
+	links    []sitePair
+	linkCaps []float64
 
 	workloadFactor *trace.Trace
 	sourceFactors  map[plan.OpID]*trace.Trace
@@ -246,11 +268,9 @@ type Engine struct {
 	// of X's own branch), for the paper's processing-ratio metric (§8.3).
 	// "Processed" events are those transported past the ingest stages
 	// (the operators consuming sources directly) minus any later drops.
-	//waspvet:guardedby topoDirty
-	frontOps         map[plan.OpID]bool // operators fed directly by sources
-	transportedSrc   float64            // delivered past ingest, src equivalents
-	droppedSrcEquiv  float64            // all drops, src equivalents
-	droppedBeyondSrc float64            // drops after ingest, src equivalents
+	transportedSrc   float64 // delivered past ingest, src equivalents
+	droppedSrcEquiv  float64 // all drops, src equivalents
+	droppedBeyondSrc float64 // drops after ingest, src equivalents
 
 	// lastSample tracks the previous Sample time for rate computation.
 	lastSample vclock.Time
@@ -261,8 +281,8 @@ type Engine struct {
 	tel engineTel
 
 	// flight is the optional per-tick flight recorder (nil = zero
-	// overhead); fcols caches its column handles, rebuilt when the
-	// topo/flow cache generations move (see flight.go).
+	// overhead); fcols caches its column handles, rebuilt when gen moves
+	// (see flight.go).
 	flight *obs.FlightRecorder
 	fcols  flightCols
 
@@ -270,60 +290,8 @@ type Engine struct {
 	// harnesses may read it from another goroutine mid-run).
 	ticks atomic.Int64
 
-	// Tick hot-path caches and scratch buffers (see hotpath.go for the
-	// invalidation rules). topoErr remembers a StageIDs failure so cached
-	// paths mirror the uncached error behaviour exactly.
-	topoDirty   bool
-	topoErr     error
-	stageOrder  []plan.OpID
-	stageGroups [][]*group
-	srcGens     []srcGen
-	fanPlans    map[plan.OpID][]fanTarget
-	flowsDirty  bool
-	flowList    []*edgeFlow
-	outFlows    map[groupKey][]*edgeFlow
-	// topoGen/flowsGen count cache rebuilds so derived caches (the flight
-	// recorder's column handles) can detect structural change without a
-	// dirty flag of their own.
-	topoGen  uint64
-	flowsGen uint64
-	// flowsEpoch bumps on EVERY flow-set mutation (not just cache
-	// rebuilds), invalidating the fan plans' per-sender flow caches the
-	// moment a flow is added or torn down.
-	flowsEpoch uint64
-	flowKeyBuf []flowKey
-	popBuf     []cohort
-
-	// Columnar wiring (see hotpath.go): flat parallel arrays over flowList
-	// plus the canonical group list, rebuilt whenever topoGen/flowsGen
-	// move. The demand/delivery passes sweep these slices linearly instead
-	// of chasing map entries; rebuilds allocate fresh backing arrays so a
-	// snapshot captured earlier in a tick stays valid (same contract as
-	// the PR 4 caches).
-	wiringGen uint64
-	wTopoGen  uint64
-	wFlowsGen uint64
-	groupList []*group // all groups, groupKeyLess order
-	fNet      []*netsim.Flow
-	fBytes    []float64
-	fLatency  []vclock.Time
-	fFromSite []topology.SiteID
-	fToSite   []topology.SiteID
-	fDst      []*group // destination group (nil = vanished mid-reconfig)
-	fSrcFront []bool   // sending operator feeds straight past ingest
-	// Per-tick link capacity cache: flows carry a dense link id into
-	// linkCaps, refreshed once per (tick, wiring, fault) stamp — capacity
-	// is a pure function of (site pair, time, faults) and nothing changes
-	// it mid-tick.
-	linkPairs []sitePair
-	linkCaps  []float64
-	capsValid bool
-	capsAt    vclock.Time
-	capsGen   uint64 // wiringGen the caps were computed under
-	capsFault uint64 // net.LatencyGen the caps were computed under
-	// opFlows indexes flowList by sending operator (contiguous subslices:
-	// flowList sorts by from first), for Sample/QueueLen.
-	opFlows map[plan.OpID][]*edgeFlow
+	// popBuf is the tick's scratch buffer for popped cohorts.
+	popBuf []cohort
 	// latGen is the net.LatencyGen at the last flow-latency refresh; when
 	// the network reports a latency-affecting change (link fault set or
 	// cleared), every flow's cached latency is re-sampled.
@@ -354,8 +322,6 @@ func New(cfg Config, top *topology.Topology, net *netsim.Network, sched *vclock.
 		top:            top,
 		net:            net,
 		sched:          sched,
-		groups:         make(map[groupKey]*group),
-		flows:          make(map[flowKey]*edgeFlow),
 		sourceFactors:  make(map[plan.OpID]*trace.Trace),
 		stragglers:     make(map[groupKey]float64),
 		siteDown:       make([]bool, top.N()),
@@ -454,7 +420,7 @@ func (e *Engine) stragglerFactor(g *group) float64 {
 }
 
 // Deploy installs a validated physical plan, building task groups and
-// inter-site flows. Deploy may only be called once; use ReplacePlan for
+// inter-site flows. Deploy may only be called once; use BeginReplan for
 // plan switches.
 func (e *Engine) Deploy(p *physical.Plan) error {
 	if e.plan != nil {
@@ -463,29 +429,11 @@ func (e *Engine) Deploy(p *physical.Plan) error {
 	if err := p.Validate(e.top); err != nil {
 		return err
 	}
-	e.plan = p
+	e.setPlan(p)
 	e.buildGroups()
 	e.rebuildFlows()
-	e.refreshGoodputModel()
+	e.rewire()
 	return nil
-}
-
-// refreshGoodputModel recomputes the set of ingest operators (direct
-// source consumers) used by the goodput counters. Called whenever the
-// plan (graph) changes. group.front and fSrcFront cache frontOps
-// membership at wiring rebuild, so recomputing it must invalidate the
-// topo caches — every current caller happens to have set topoDirty
-// already, but the invalidation belongs with the mutation (caught by
-// waspvet's genbump check).
-func (e *Engine) refreshGoodputModel() {
-	e.frontOps = make(map[plan.OpID]bool)
-	g := e.plan.Graph
-	for _, id := range g.Sources() {
-		for _, d := range g.Downstream(id) {
-			e.frontOps[d] = true
-		}
-	}
-	e.topoDirty = true
 }
 
 // Start begins the tick loop on the scheduler.
@@ -506,58 +454,11 @@ func (e *Engine) Stop() {
 }
 
 // buildGroups constructs task groups for the current plan, preserving
-// nothing (fresh deployment).
+// nothing (fresh deployment: setPlan emptied the store).
 func (e *Engine) buildGroups() {
-	e.groups = make(map[groupKey]*group)
-	e.topoDirty = true
 	for _, id := range detutil.SortedKeys(e.plan.Stages) {
-		st := e.plan.Stages[id]
-		for _, site := range st.DistinctSites() {
-			n := 0
-			for _, s := range st.Sites {
-				if s == site {
-					n++
-				}
-			}
-			e.addGroup(id, site, n)
-		}
+		e.placeOp(id, e.plan.Stages[id].Sites)
 	}
-}
-
-func (e *Engine) addGroup(id plan.OpID, site topology.SiteID, tasks int) *group {
-	g := &group{op: e.plan.Graph.Operator(id), site: site, tasks: tasks}
-	if g.op.Window > 0 {
-		g.windowed = true
-	}
-	g.cap = g.capacity(e.cfg.SlotRate)
-	g.bpLimit = g.cap * e.cfg.BackpressureSec
-	g.isSink = g.op.Kind == plan.KindSink
-	g.sigma = g.op.Selectivity
-	if g.op.Kind == plan.KindSource {
-		g.sigma = 1
-	}
-	// front is best-effort here (frontOps may not be computed yet during
-	// Deploy); the wiring rebuild that precedes any hot-path use refreshes
-	// it. Setting it now keeps groups created mid-tick by finalizeReconfig
-	// correct for a fan-out in the same tick (the graph is unchanged
-	// there, so frontOps is current).
-	g.front = e.frontOps[g.op.ID]
-	e.groups[groupKey{op: id, site: site}] = g
-	e.topoDirty = true
-	return g
-}
-
-// opGroups returns the groups of one operator, ascending by site.
-//
-//waspvet:ordered ascending site index, stable across runs
-func (e *Engine) opGroups(id plan.OpID) []*group {
-	var out []*group
-	for s := 0; s < e.top.N(); s++ {
-		if g, ok := e.groups[groupKey{op: id, site: topology.SiteID(s)}]; ok {
-			out = append(out, g)
-		}
-	}
-	return out
 }
 
 // tickCount counts every simulation tick executed process-wide, across
@@ -589,36 +490,31 @@ func (e *Engine) tick(now vclock.Time) {
 	dtSec := time.Duration(dt).Seconds()
 	failed := now <= e.failedUntil
 
-	// 0. Refresh the columnar wiring and, when the network reports a
-	// latency-affecting change (link fault set/cleared), re-sample each
-	// flow's cached link latency.
-	e.ensureWiring() //waspvet:hotalloc amortized cold rebuild; no-op unless wiring generation moved
+	// 0. Structure only changes through the three mutators, each of which
+	// ends in rewire(). When the network reports a latency-affecting change
+	// (link fault set/cleared), re-sample each flow's cached link latency;
+	// link capacities are sampled once for the whole tick.
+	if e.wired != e.gen {
+		panic("engine: structural mutation without rewire")
+	}
 	if lg := e.net.LatencyGen(); lg != e.latGen {
 		e.latGen = lg
-		for i, f := range e.flowList {
+		for _, f := range e.flows {
 			f.latency = vclock.Time(e.net.Latency(f.key.fromSite, f.key.toSite))
-			e.fLatency[i] = f.latency
 		}
 	}
+	e.refreshLinkCaps()
 
-	// 1. Set flow demands from send queues and destination backpressure —
-	// a linear sweep over the flow columns. Flows touching a crashed site
-	// carry nothing: a dead sender has no queue left, and a dead receiver
-	// holds the sender's queue in place (backpressure) until the
-	// controller re-homes it. A nil destination group means the
-	// destination disappeared mid-reconfiguration: throttled.
-	flows := e.flowList
-	for i, f := range flows {
-		nf := e.fNet[i]
-		if nf == nil {
+	// 1. Set flow demands from send queues and destination backpressure.
+	// Flows touching a crashed site carry nothing: a dead sender has no
+	// queue left, and a dead receiver holds the sender's queue in place
+	// (backpressure) until the controller re-homes it.
+	for _, f := range e.flows {
+		if failed || e.siteDown[f.key.fromSite] || e.siteDown[f.key.toSite] || e.queueFull(f.dst) {
+			f.flow.SetDemand(0)
 			continue
 		}
-		if failed || e.siteDown[e.fFromSite[i]] ||
-			e.siteDown[e.fToSite[i]] || e.fDst[i] == nil || e.queueFull(e.fDst[i]) {
-			nf.SetDemand(0)
-			continue
-		}
-		nf.SetDemand(f.q.len() * e.fBytes[i] / dtSec)
+		f.flow.SetDemand(f.q.len() * f.eventBytes / dtSec)
 	}
 
 	// 2. Advance the network: fair-share allocation + bulk transfers.
@@ -626,19 +522,14 @@ func (e *Engine) tick(now vclock.Time) {
 
 	// 3. Deliver allocated flow volumes into destination input queues.
 	if !failed {
-		e.deliverFlows(flows, dtSec)
+		e.deliverFlows(dtSec)
 	}
 
 	// 4. External arrivals at sources (rates evaluated at tick start).
 	e.generate(now, now-dt, dtSec)
 
-	// 5. Process groups in topological order (cached; see hotpath.go).
-	e.ensureTopo() //waspvet:hotalloc amortized cold rebuild; no-op unless topoDirty
-	if e.topoErr != nil {
-		//waspvet:hotalloc fatal-path formatting; the panic ends the run
-		panic(fmt.Sprintf("engine: invalid plan at runtime: %v", e.topoErr))
-	}
-	for _, groups := range e.stageGroups {
+	// 5. Process groups in topological order.
+	for _, groups := range e.stages {
 		for _, g := range groups {
 			e.processGroup(g, now, dtSec, failed)
 		}
@@ -657,20 +548,8 @@ func (e *Engine) tick(now vclock.Time) {
 	}
 }
 
-// sortedFlows returns the engine's flows in deterministic key order, so
-// queue pushes and network allocations are replay-stable (map iteration
-// order must not leak into event order). The order is cached across ticks
-// and rebuilt only after the flow set changes; callers must treat the
-// returned slice as read-only.
-//
-//waspvet:ordered canonical flowKeyLess order, cached per epoch
-func (e *Engine) sortedFlows() []*edgeFlow {
-	e.ensureFlows()
-	return e.flowList
-}
-
-// flowKeyLess is the canonical flow ordering: by edge (from, to), then by
-// site pair. Every iteration over the flow map goes through it.
+// flowKeyLess is the canonical flow ordering, the order of Engine.flows:
+// by edge (from, to), then by site pair.
 func flowKeyLess(a, b flowKey) bool {
 	if a.from != b.from {
 		return a.from < b.from
@@ -684,7 +563,8 @@ func flowKeyLess(a, b flowKey) bool {
 	return a.toSite < b.toSite
 }
 
-// groupKeyLess is the canonical group ordering: by operator, then site.
+// groupKeyLess is the canonical group ordering, the order of
+// Engine.groups: by operator, then site.
 func groupKeyLess(a, b groupKey) bool {
 	if a.op != b.op {
 		return a.op < b.op
@@ -705,34 +585,24 @@ func (e *Engine) queueFull(g *group) bool {
 }
 
 // deliverFlows moves each flow's granted volume from its send queue into
-// the destination group, aging cohorts by the link latency. The flows
-// slice is the columnar snapshot captured at tick start — nothing
-// structural mutates between the demand pass and delivery.
+// the destination group, aging cohorts by the link latency.
 //
 //waspvet:hotpath
-func (e *Engine) deliverFlows(flows []*edgeFlow, dtSec float64) {
-	for i, f := range flows {
-		nf := e.fNet[i]
-		if nf == nil {
-			continue
-		}
-		granted := nf.Allocated() * dtSec / e.fBytes[i]
+func (e *Engine) deliverFlows(dtSec float64) {
+	for _, f := range e.flows {
+		granted := f.flow.Allocated() * dtSec / f.eventBytes
 		if granted <= 0 {
 			continue
 		}
-		if e.siteDown[e.fFromSite[i]] || e.siteDown[e.fToSite[i]] {
+		if e.siteDown[f.key.fromSite] || e.siteDown[f.key.toSite] {
 			continue
 		}
-		dst := e.fDst[i]
-		if dst == nil {
-			continue
-		}
-		lat := e.fLatency[i]
+		dst := f.dst
 		e.popBuf = f.q.popInto(granted, e.popBuf[:0])
 		for _, c := range e.popBuf {
-			dst.inQ.push(c.born-lat, c.count, c.worth, c.raw)
+			dst.inQ.push(c.born-f.latency, c.count, c.worth, c.raw)
 			dst.arrived += c.count
-			if e.fSrcFront[i] {
+			if f.srcFront {
 				e.transportedSrc += c.src()
 			}
 		}
@@ -745,18 +615,17 @@ func (e *Engine) deliverFlows(flows []*edgeFlow, dtSec float64) {
 //
 //waspvet:hotpath
 func (e *Engine) generate(now, start vclock.Time, dtSec float64) {
-	e.ensureTopo()                     //waspvet:hotalloc amortized cold rebuild; no-op unless topoDirty
 	base := e.workloadFactor.At(start) // same instant for every source
-	for _, sg := range e.srcGens {
+	for _, g := range e.srcs {
 		factor := base
-		if tr, ok := e.sourceFactors[sg.id]; ok {
+		if tr, ok := e.sourceFactors[g.op.ID]; ok {
 			factor *= tr.At(start)
 		}
-		count := sg.op.SourceRate * factor * dtSec
+		count := g.op.SourceRate * factor * dtSec
 		if count <= 0 {
 			continue
 		}
-		if e.siteDown[sg.g.site] {
+		if e.siteDown[g.site] {
 			// The ingest site is dead: external events keep arriving
 			// (reality does not pause) but nobody is there to accept
 			// them — they are lost, not queued.
@@ -764,8 +633,8 @@ func (e *Engine) generate(now, start vclock.Time, dtSec float64) {
 			e.lostSrcEquiv += count
 			continue
 		}
-		sg.g.inQ.push(now, count, 1, true)
-		sg.g.generated += count
+		g.inQ.push(now, count, 1, true)
+		g.generated += count
 		e.totalGenerated += count
 	}
 }
@@ -808,7 +677,7 @@ func (e *Engine) processGroup(g *group, now vclock.Time, dtSec float64, failed b
 	if e.cfg.DropLate {
 		for {
 			born, ok := g.inQ.oldestBorn()
-			if !ok || now-born <= e.failSafeSLO() {
+			if !ok || now-born <= vclock.Time(e.cfg.SLO) {
 				break
 			}
 			if !g.inQ.items[g.inQ.head].raw {
@@ -867,11 +736,6 @@ func (e *Engine) processGroup(g *group, now vclock.Time, dtSec float64, failed b
 		e.fireWindows(g, now)
 	}
 }
-
-// failSafeSLO returns the Degrade SLO.
-//
-//waspvet:hotpath
-func (e *Engine) failSafeSLO() vclock.Time { return vclock.Time(e.cfg.SLO) }
 
 // fireWindows emits every buffered window whose end has passed on the
 // virtual clock. Tumbling windows are aligned across the distributed
@@ -946,76 +810,38 @@ func windowStart(t vclock.Time, size time.Duration) vclock.Time {
 
 // fanOut distributes `count` output events born at `born`, each worth
 // `worth` source equivalents (raw or partial-result), to every downstream
-// operator, splitting across its sites by task share.
+// operator, splitting across its sites by task share: cross-site shares
+// join the flow's send queue, same-site shares land in the destination
+// group directly.
 //
 //waspvet:hotpath
 func (e *Engine) fanOut(g *group, born vclock.Time, count, worth float64, raw bool) {
-	e.ensureTopo() //waspvet:hotalloc amortized cold rebuild; no-op unless topoDirty
-	if g.fanGen != e.topoGen {
-		g.fan, g.fanGen = e.fanPlans[g.op.ID], e.topoGen
-	}
-	for _, ft := range g.fan {
-		for si := range ft.sites {
-			fs := &ft.sites[si]
-			n := count * fs.share
-			if n <= 0 {
-				continue
-			}
-			if fs.site == g.site {
-				dst := fs.dst
-				if dst == nil {
-					// The destination group vanished (crash teardown racing
-					// a window fire): the events die with it.
-					e.lostSrcEquiv += n * worth
-					continue
-				}
-				dst.inQ.push(born, n, worth, raw)
-				dst.arrived += n
-				if g.front {
-					e.transportedSrc += n * worth
-				}
-				continue
-			}
-			var f *edgeFlow
-			if fs.flowEpoch == e.flowsEpoch && int(g.site) < len(fs.flowBySrc) {
-				f = fs.flowBySrc[g.site]
-			}
-			if f == nil {
-				f = e.flows[flowKey{from: g.op.ID, to: ft.down, fromSite: g.site, toSite: fs.site}]
-				if f == nil {
-					//waspvet:hotalloc cold branch: first event on a new (edge, site-pair); flow persists across ticks
-					f = e.addFlow(g.op.ID, ft.down, g.site, fs.site) // bumps flowsEpoch
-				}
-				if fs.flowEpoch != e.flowsEpoch || fs.flowBySrc == nil {
-					if cap(fs.flowBySrc) < len(e.siteDown) {
-						//waspvet:hotalloc cold branch: per-sender flow cache grows once per topology size
-						fs.flowBySrc = make([]*edgeFlow, len(e.siteDown))
-					} else {
-						fs.flowBySrc = fs.flowBySrc[:len(e.siteDown)]
-						clear(fs.flowBySrc)
-					}
-					fs.flowEpoch = e.flowsEpoch
-				}
-				if int(g.site) < len(fs.flowBySrc) {
-					fs.flowBySrc[g.site] = f
-				}
-			}
-			f.q.push(born, n, worth, raw)
+	for i := range g.fan {
+		fs := &g.fan[i]
+		n := count * fs.share
+		if n <= 0 {
+			continue
+		}
+		if fs.flow != nil {
+			fs.flow.q.push(born, n, worth, raw)
+			continue
+		}
+		fs.dst.inQ.push(born, n, worth, raw)
+		fs.dst.arrived += n
+		if g.front {
+			e.transportedSrc += n * worth
 		}
 	}
 }
 
 // sendBlocked reports whether any of the group's send queues is over the
 // backpressure bound (measured in seconds of transmission at current link
-// capacity). ensureWiring runs first so flows added earlier in the same
-// tick (fan-out to a new site pair) are visible, exactly as the map-backed
-// index behaved.
+// capacity).
 //
 //waspvet:hotpath
 func (e *Engine) sendBlocked(g *group) bool {
-	e.ensureWiring() //waspvet:hotalloc amortized cold rebuild; no-op unless wiring generation moved
 	for _, f := range g.out {
-		linkCap := e.linkCap(f.linkID)
+		linkCap := e.linkCaps[f.linkID]
 		if linkCap <= 0 {
 			if !f.q.empty() {
 				return true
@@ -1030,24 +856,13 @@ func (e *Engine) sendBlocked(g *group) bool {
 	return false
 }
 
-// linkCap returns the capacity of the dense link id at the current tick,
-// recomputing the per-tick cache when the (time, wiring, fault) stamp
-// moved. Capacity at a fixed instant changes only through link faults
-// (tracked by net.LatencyGen) — traces are pure functions of time — so
-// the stamp is exact.
+// refreshLinkCaps samples every used link's capacity at the current tick.
 //
 //waspvet:hotpath
-func (e *Engine) linkCap(id int32) float64 {
-	if !e.capsValid || e.capsAt != e.lastNow || e.capsGen != e.wiringGen || e.capsFault != e.net.LatencyGen() {
-		e.capsValid = true
-		e.capsAt = e.lastNow
-		e.capsGen = e.wiringGen
-		e.capsFault = e.net.LatencyGen()
-		for i, p := range e.linkPairs {
-			e.linkCaps[i] = e.net.Capacity(p.from, p.to, e.lastNow)
-		}
+func (e *Engine) refreshLinkCaps() {
+	for i, p := range e.links {
+		e.linkCaps[i] = e.net.Capacity(p.from, p.to, e.lastNow)
 	}
-	return e.linkCaps[id]
 }
 
 // updateBackpressure refreshes each group's backpressure flag: a group is
@@ -1059,19 +874,14 @@ func (e *Engine) linkCap(id int32) float64 {
 //waspvet:hotpath
 func (e *Engine) updateBackpressure() {
 	if e.obs == nil {
-		e.ensureWiring() //waspvet:hotalloc amortized cold rebuild; no-op unless wiring generation moved
-		for _, g := range e.groupList {
+		for _, g := range e.groups {
 			if e.queueFull(g) || e.sendBlocked(g) {
 				g.backpressured = true
 			}
 		}
 		return
 	}
-	e.ensureTopo() //waspvet:hotalloc amortized cold rebuild; no-op unless topoDirty
-	if e.topoErr != nil {
-		return
-	}
-	for _, groups := range e.stageGroups {
+	for _, groups := range e.stages {
 		for _, g := range groups {
 			bp := e.queueFull(g) || e.sendBlocked(g)
 			if bp {

@@ -53,9 +53,16 @@ func threeSites(t *testing.T, linkMbps topology.Mbps) *topology.Topology {
 	return top
 }
 
-// pipelineRig deploys src(site0, rate ev/s, 100B events) → map(σ=1, site1)
-// → sink(site1).
+// pipelineRig deploys src(site0, rate ev/s, 100B events) → map(σ=1, cost 1,
+// site1) → sink(site1).
 func pipelineRig(t *testing.T, cfg Config, linkMbps topology.Mbps, rate float64) *rig {
+	t.Helper()
+	return pipelineRigCost(t, cfg, linkMbps, rate, 1)
+}
+
+// pipelineRigCost is pipelineRig with the map's CostPerEvent chosen: group
+// capacities are fixed at deployment, so the cost must be set before it.
+func pipelineRigCost(t *testing.T, cfg Config, linkMbps topology.Mbps, rate, mapCost float64) *rig {
 	t.Helper()
 	g := plan.NewGraph()
 	src := g.AddOperator(plan.Operator{
@@ -64,7 +71,7 @@ func pipelineRig(t *testing.T, cfg Config, linkMbps topology.Mbps, rate float64)
 	})
 	mp := g.AddOperator(plan.Operator{
 		Name: "map", Kind: plan.KindMap, Splittable: true,
-		Selectivity: 1, OutEventBytes: 100, CostPerEvent: 1,
+		Selectivity: 1, OutEventBytes: 100, CostPerEvent: mapCost,
 	})
 	snk := g.AddOperator(plan.Operator{Name: "sink", Kind: plan.KindSink, PinnedSite: 1})
 	g.MustConnect(src, mp)
@@ -92,9 +99,7 @@ func pipelineRig(t *testing.T, cfg Config, linkMbps topology.Mbps, rate float64)
 
 func (r *rig) run(t *testing.T, until time.Duration) {
 	t.Helper()
-	if err := r.sched.RunUntil(vclock.Time(until)); err != nil {
-		t.Fatal(err)
-	}
+	runChecked(t, r.eng, r.sched, until)
 }
 
 // meanDelayAfter averages sink delivery delays at or after `from`.
@@ -165,8 +170,7 @@ func TestComputeBottleneck(t *testing.T) {
 	// Default SlotRate 25000 but the map costs 5 units/event: its single
 	// task handles 5000 ev/s against a 20000 ev/s stream (4× overloaded);
 	// plenty of bandwidth, and the source (cost 1) keeps up fine.
-	r := pipelineRig(t, Config{}, 800, 20000)
-	r.g.Operator(r.ids[1]).CostPerEvent = 5
+	r := pipelineRigCost(t, Config{}, 800, 20000, 5)
 	r.run(t, 60*time.Second)
 	snap := r.eng.Sample()
 	mp := snap.Ops[r.ids[1]]

@@ -30,29 +30,28 @@ func (e *Engine) CrashSite(site topology.SiteID) {
 	}
 	e.siteDown[site] = true
 
+	// Float sums in a fixed order: groups by topological stage, then the
+	// site's outbound flows.
 	var lost, lostBeyond float64
-	if e.plan != nil {
-		if order, err := e.plan.StageIDs(); err == nil {
-			for _, id := range order {
-				g, ok := e.groups[groupKey{op: id, site: site}]
-				if !ok {
-					continue
-				}
-				l, lb := e.wipeGroup(g)
-				lost += l
-				lostBeyond += lb
-			}
-		}
-		for _, f := range e.sortedFlows() {
-			if f.key.fromSite != site {
+	for _, groups := range e.stages {
+		for _, g := range groups {
+			if g.site != site {
 				continue
 			}
-			beyond := e.pastIngest(f.key.from)
-			for _, c := range f.q.popAll() {
-				lost += c.src()
-				if beyond {
-					lostBeyond += c.src()
-				}
+			l, lb := e.wipeGroup(g)
+			lost += l
+			lostBeyond += lb
+		}
+	}
+	for _, f := range e.flows {
+		if f.key.fromSite != site {
+			continue
+		}
+		beyond := e.pastIngest(f.key.from)
+		for _, c := range f.q.popAll() {
+			lost += c.src()
+			if beyond {
+				lostBeyond += c.src()
 			}
 		}
 	}
@@ -175,8 +174,8 @@ const snapshotVersion = 1
 // SnapshotGroup captures the state of one task group for checkpointing.
 // Stateless groups produce a snapshot holding only the frontier.
 func (e *Engine) SnapshotGroup(op plan.OpID, site topology.SiteID) ([]byte, error) {
-	g, ok := e.groups[groupKey{op: op, site: site}]
-	if !ok {
+	g := e.group(op, site)
+	if g == nil {
 		return nil, fmt.Errorf("engine: no group for op %d at site %d", op, site)
 	}
 	if e.siteDown[site] {

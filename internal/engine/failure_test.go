@@ -112,7 +112,7 @@ func TestCrashedSiteOffersNoSlots(t *testing.T) {
 func TestSiteStragglerComposesWithOperatorStraggler(t *testing.T) {
 	r := pipelineRig(t, Config{}, 80, 1000)
 	mp := r.ids[1]
-	g := r.eng.groups[groupKey{op: mp, site: 1}]
+	g := r.eng.group(mp, 1)
 	if f := r.eng.stragglerFactor(g); f != 1 {
 		t.Fatalf("healthy factor = %v", f)
 	}

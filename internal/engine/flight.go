@@ -6,7 +6,6 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/plan"
-	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -15,14 +14,13 @@ import (
 // utilization of the engine's flows, the suspended-operator count, and the
 // network's in-flight bulk transfers. The warm path (recordFlight) writes
 // through cached column handles and performs zero allocations; the handle
-// cache is rebuilt — column creation, name formatting, index building, all
-// cold — only when the engine's topo/flow cache generations move, i.e.
-// after a deploy, reconfiguration, or re-plan changed the structure.
+// cache is rebuilt — column creation, name formatting, all cold — only
+// when the store generation moved, i.e. after a deploy, reconfiguration,
+// or re-plan changed the structure.
 
 // flightStage caches one stage's column handles plus the previous
 // cumulative processed count for per-tick rate deltas.
 type flightStage struct {
-	op      plan.OpID
 	backlog *obs.FlightColumn
 	rate    *obs.FlightColumn
 	// prevProcessed is the stage's cumulative processed count at the last
@@ -32,24 +30,16 @@ type flightStage struct {
 	prevProcessed float64
 }
 
-// flightLink caches one WAN link's column handle plus a per-tick
-// allocation accumulator (several flows can share a link).
-type flightLink struct {
-	from, to topology.SiteID
-	col      *obs.FlightColumn
-	alloc    float64
-}
-
-// flightCols is the engine's cached view of its flight-recorder columns.
+// flightCols is the engine's cached view of its flight-recorder columns:
+// stages parallels Engine.stages; links and linkAlloc (a per-tick
+// allocation accumulator, several flows can share a link) parallel
+// Engine.links.
 type flightCols struct {
-	topoGen  uint64 // generations the cache was built against
-	flowsGen uint64
-	built    bool
+	gen uint64 // store generation the cache was built against
 
-	stages []flightStage
-	links  []flightLink
-	// linkOf maps a flowList index to its links index (-1 = intra-site).
-	linkOf []int
+	stages    []flightStage
+	links     []*obs.FlightColumn
+	linkAlloc []float64
 
 	suspended *obs.FlightColumn
 	transfers *obs.FlightColumn
@@ -67,15 +57,10 @@ func (e *Engine) FlightRecorder() *obs.FlightRecorder { return e.flight }
 
 // recordFlight appends one row for the tick that just completed.
 // Zero-alloc on the warm path; rebuilds the column cache only after
-// structural changes.
+// structural changes (a deployed engine's gen is never zero).
 func (e *Engine) recordFlight(now vclock.Time, dtSec float64) {
-	e.ensureTopo()
-	e.ensureFlows()
-	if e.topoErr != nil {
-		return
-	}
 	fc := &e.fcols
-	if !fc.built || fc.topoGen != e.topoGen || fc.flowsGen != e.flowsGen {
+	if fc.gen != e.gen {
 		e.rebuildFlightCols()
 	}
 	e.flight.BeginTick(now)
@@ -85,7 +70,7 @@ func (e *Engine) recordFlight(now vclock.Time, dtSec float64) {
 		st := &fc.stages[i]
 		var backlog, processed float64
 		stageSuspended := false
-		for _, g := range e.stageGroups[i] {
+		for _, g := range e.stages[i] {
 			backlog += g.inQ.len()
 			processed += g.processed
 			if g.suspended() {
@@ -108,65 +93,44 @@ func (e *Engine) recordFlight(now vclock.Time, dtSec float64) {
 	fc.suspended.Set(float64(suspended))
 	fc.transfers.Set(float64(e.net.ActiveTransfers()))
 
-	for i := range fc.links {
-		fc.links[i].alloc = 0
+	clear(fc.linkAlloc)
+	for _, f := range e.flows {
+		fc.linkAlloc[f.linkID] += f.flow.Allocated()
 	}
-	for j, f := range e.flowList {
-		if li := fc.linkOf[j]; li >= 0 && f.flow != nil {
-			fc.links[li].alloc += f.flow.Allocated()
-		}
-	}
-	for i := range fc.links {
-		l := &fc.links[i]
-		if cap := e.net.Capacity(l.from, l.to, now); cap > 0 {
-			l.col.Set(l.alloc / cap)
+	for i, col := range fc.links {
+		if cap := e.linkCaps[i]; cap > 0 {
+			col.Set(fc.linkAlloc[i] / cap)
 		} else {
-			l.col.Set(0)
+			col.Set(0)
 		}
 	}
 }
 
 // rebuildFlightCols re-derives the column handle cache from the current
-// stage order and flow list. Cold path: runs once per structural change.
+// stages and link table. Cold path: runs once per structural change.
 func (e *Engine) rebuildFlightCols() {
 	fc := &e.fcols
-	fc.topoGen, fc.flowsGen, fc.built = e.topoGen, e.flowsGen, true
+	fc.gen = e.gen
 
 	fc.stages = fc.stages[:0]
-	for i, id := range e.stageOrder {
+	for _, groups := range e.stages {
+		id := int(groups[0].op.ID)
 		var processed float64
-		for _, g := range e.stageGroups[i] {
+		for _, g := range groups {
 			processed += g.processed
 		}
 		fc.stages = append(fc.stages, flightStage{
-			op:            id,
-			backlog:       e.flight.Column(fmt.Sprintf("stage%d.backlog", int(id))),
-			rate:          e.flight.Column(fmt.Sprintf("stage%d.rate", int(id))),
+			backlog:       e.flight.Column(fmt.Sprintf("stage%d.backlog", id)),
+			rate:          e.flight.Column(fmt.Sprintf("stage%d.rate", id)),
 			prevProcessed: processed,
 		})
 	}
 
 	fc.links = fc.links[:0]
-	fc.linkOf = fc.linkOf[:0]
-	seen := make(map[[2]topology.SiteID]int)
-	for _, f := range e.flowList {
-		if f.flow == nil {
-			fc.linkOf = append(fc.linkOf, -1)
-			continue
-		}
-		key := [2]topology.SiteID{f.key.fromSite, f.key.toSite}
-		li, ok := seen[key]
-		if !ok {
-			li = len(fc.links)
-			seen[key] = li
-			fc.links = append(fc.links, flightLink{
-				from: key[0],
-				to:   key[1],
-				col:  e.flight.Column(fmt.Sprintf("link%d-%d.util", int(key[0]), int(key[1]))),
-			})
-		}
-		fc.linkOf = append(fc.linkOf, li)
+	for _, l := range e.links {
+		fc.links = append(fc.links, e.flight.Column(fmt.Sprintf("link%d-%d.util", int(l.from), int(l.to))))
 	}
+	fc.linkAlloc = make([]float64, len(e.links))
 
 	fc.suspended = e.flight.Column("suspended_ops")
 	fc.transfers = e.flight.Column("inflight_transfers")

@@ -122,16 +122,14 @@ func TestAdaptPhaseEmission(t *testing.T) {
 
 	// Move the first stage that has a placement to the same sites (no-op
 	// placement, real transfer).
-	var op = eng.stageOrder[len(eng.stageOrder)-1]
+	op := eng.stages[len(eng.stages)-1][0].op.ID
 	st := eng.plan.Stages[op]
 	migs := []Migration{{FromSite: st.Sites[0], ToSite: st.Sites[0] + 1, Bytes: 5e6}}
 	done := false
 	if err := eng.Reconfigure(op, st.Sites, migs, func(vclock.Time) { done = true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.RunUntil(sched.Now() + vclock.Time(120*time.Second)); err != nil {
-		t.Fatal(err)
-	}
+	runChecked(t, eng, sched, time.Duration(sched.Now())+120*time.Second)
 	if !done {
 		t.Fatal("reconfiguration never completed")
 	}

@@ -1,36 +1,23 @@
 package engine
 
 import (
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// addFlow registers the inter-site flow for one (edge, site-pair),
-// creating its netsim flow when the pair crosses sites.
-func (e *Engine) addFlow(from, to plan.OpID, fromSite, toSite topology.SiteID) *edgeFlow {
-	key := flowKey{from: from, to: to, fromSite: fromSite, toSite: toSite}
-	if f, ok := e.flows[key]; ok {
-		return f
-	}
-	fromOp := e.plan.Graph.Operator(from)
-	eventBytes := fromOp.OutEventBytes
+// newFlow creates the send queue and netsim flow for one (edge, site-pair).
+func (e *Engine) newFlow(from, to plan.OpID, fromSite, toSite topology.SiteID) *edgeFlow {
+	eventBytes := e.plan.Graph.Operator(from).OutEventBytes
 	if eventBytes <= 0 {
 		eventBytes = 1
 	}
-	f := &edgeFlow{
-		key:        key,
+	return &edgeFlow{
+		key:        flowKey{from: from, to: to, fromSite: fromSite, toSite: toSite},
 		eventBytes: eventBytes,
 		latency:    vclock.Time(e.net.Latency(fromSite, toSite)),
+		flow:       e.net.AddFlow(fromSite, toSite),
 	}
-	if fromSite != toSite {
-		f.flow = e.net.AddFlow(fromSite, toSite)
-	}
-	e.flows[key] = f
-	e.flowsDirty = true
-	e.flowsEpoch++
-	return f
 }
 
 // rebuildFlows reconstructs the flow set for the current plan and group
@@ -40,45 +27,38 @@ func (e *Engine) addFlow(from, to plan.OpID, fromSite, toSite topology.SiteID) *
 // the α bandwidth headroom provisions for, §4.1).
 func (e *Engine) rebuildFlows() {
 	old := e.flows
-	e.flows = make(map[flowKey]*edgeFlow, len(old))
-	e.flowsDirty = true
-	e.flowsEpoch++
 
-	// Create the flow lattice for the current placement.
+	// Create the flow lattice for the current placement. The new netsim
+	// flows are added in this order, before any old one is released: that
+	// sequence fixes netsim's claimant order.
+	var lattice []*edgeFlow
 	for _, from := range e.plan.Graph.OperatorIDs() {
-		fromStage := e.plan.Stages[from]
-		for _, to := range e.plan.Graph.Downstream(from) {
-			toStage := e.plan.Stages[to]
-			for _, fs := range fromStage.DistinctSites() {
-				for _, ts := range toStage.DistinctSites() {
-					if fs == ts {
-						continue
+		for _, to := range e.plan.Graph.DownstreamView(from) {
+			for _, src := range e.opGroups(from) {
+				for _, dst := range e.opGroups(to) {
+					if src.site != dst.site {
+						lattice = append(lattice, e.newFlow(from, to, src.site, dst.site))
 					}
-					e.addFlow(from, to, fs, ts)
 				}
 			}
 		}
 	}
+	e.setFlows(lattice)
 
-	// Carry over queued cohorts (in deterministic key order) and release
-	// old netsim flows. Surviving flows must all be carried BEFORE any
-	// dead flow is re-homed: rehomeCohorts may push into a surviving
-	// flow's queue, and a carry after that would overwrite the queue and
-	// silently destroy the re-homed cohorts.
-	oldKeys := detutil.SortedKeysFunc(old, flowKeyLess)
-	for _, key := range oldKeys {
-		of := old[key]
-		if nf, ok := e.flows[key]; ok {
+	// Carry over queued cohorts and release old netsim flows. Surviving
+	// flows must all be carried BEFORE any dead flow is re-homed:
+	// rehomeCohorts may push into a surviving flow's queue, and a carry
+	// after that would overwrite the queue and silently destroy the
+	// re-homed cohorts.
+	for _, of := range old {
+		if nf := e.flow(of.key); nf != nil {
 			nf.q = of.q
 		}
-		if of.flow != nil {
-			e.net.RemoveFlow(of.flow)
-		}
+		e.net.RemoveFlow(of.flow)
 	}
-	for _, key := range oldKeys {
-		of := old[key]
-		if _, ok := e.flows[key]; !ok && !of.q.empty() {
-			e.rehomeCohorts(key, &of.q)
+	for _, of := range old {
+		if e.flow(of.key) == nil && !of.q.empty() {
+			e.rehomeCohorts(of.key, &of.q)
 		}
 	}
 }
@@ -90,12 +70,12 @@ func (e *Engine) rebuildFlows() {
 func (e *Engine) rehomeCohorts(key flowKey, q *cohortQueue) {
 	cohorts := q.popAll()
 
-	// Same edge, same sender site, any surviving destination (sorted by
+	// Same edge, same sender site, any surviving destination (ascending by
 	// destination for determinism).
 	var sameSender []*edgeFlow
-	for _, k := range detutil.SortedKeysFunc(e.flows, flowKeyLess) {
-		if k.from == key.from && k.to == key.to && k.fromSite == key.fromSite {
-			sameSender = append(sameSender, e.flows[k])
+	for _, f := range e.opFlows(key.from) {
+		if f.key.to == key.to && f.key.fromSite == key.fromSite {
+			sameSender = append(sameSender, f)
 		}
 	}
 	if len(sameSender) > 0 {
@@ -111,22 +91,19 @@ func (e *Engine) rehomeCohorts(key flowKey, q *cohortQueue) {
 	// Destination operator still exists somewhere: hand the cohorts to
 	// its groups directly (instant handover; the dominant reconfiguration
 	// cost — state migration — is modelled separately).
-	if toStage, ok := e.plan.Stages[key.to]; ok && len(toStage.Sites) > 0 {
-		groups := e.opGroups(key.to)
-		if len(groups) > 0 {
-			total := 0
-			for _, g := range groups {
-				total += g.tasks
-			}
-			for _, c := range cohorts {
-				for _, g := range groups {
-					share := c.count * float64(g.tasks) / float64(total)
-					g.inQ.push(c.born, share, c.worth, c.raw)
-					g.arrived += share
-				}
-			}
-			return
+	if groups := e.opGroups(key.to); len(groups) > 0 {
+		total := 0
+		for _, g := range groups {
+			total += g.tasks
 		}
+		for _, c := range cohorts {
+			for _, g := range groups {
+				share := c.count * float64(g.tasks) / float64(total)
+				g.inQ.push(c.born, share, c.worth, c.raw)
+				g.arrived += share
+			}
+		}
+		return
 	}
 
 	// Fall back: requeue at any group of the sending operator.

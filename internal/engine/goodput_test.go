@@ -185,17 +185,28 @@ func TestFullMoveSuspendsStage(t *testing.T) {
 	}
 }
 
-// refreshGoodputModel recomputes frontOps, which group.front and
-// fSrcFront cache at wiring-rebuild time — so it must leave the topo
-// caches dirty. Regression test for the invalidation the genbump check
-// caught: every caller happened to set topoDirty already, but the bump
-// belongs with the mutation.
-func TestRefreshGoodputModelInvalidatesTopo(t *testing.T) {
-	r := pipelineRig(t, Config{}, 1000, 100)
-	r.run(t, 100*time.Millisecond) // a few ticks rebuild and clear the caches
-	r.eng.topoDirty = false
-	r.eng.refreshGoodputModel()
-	if !r.eng.topoDirty {
-		t.Fatal("refreshGoodputModel left topoDirty false; stale group.front caches would survive")
+// Every store write bumps the generation, and the tick refuses to run on
+// a store no rewire() has stamped since: a mutator that forgets its
+// rewire() fails loudly at the next tick instead of reading stale wiring.
+func TestStoreWriteWithoutRewirePanics(t *testing.T) {
+	for name, write := range map[string]func(e *Engine){
+		"setPlan":  func(e *Engine) { e.setPlan(e.plan) },
+		"placeOp":  func(e *Engine) { e.placeOp(e.groups[0].op.ID, e.plan.Stages[e.groups[0].op.ID].Sites) },
+		"setFlows": func(e *Engine) { e.setFlows(e.flows) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := pipelineRig(t, Config{}, 1000, 100)
+			r.run(t, time.Second)
+			write(r.eng)
+			if err := r.eng.checkStore(); err == nil {
+				t.Fatal("checkStore accepted an unstamped store")
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("tick ran on a store mutated without rewire")
+				}
+			}()
+			r.run(t, 2*time.Second)
+		})
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/plan"
 )
 
@@ -44,8 +43,8 @@ func (c Conservation) Holds() bool {
 }
 
 // Conservation returns the engine's current source-equivalent balance.
-// Iteration is fully deterministic (sorted stages, ascending sites,
-// canonical flow order) so the float sums are replay-stable.
+// Iteration follows the store order (groups, then flows) so the float sums
+// are replay-stable.
 func (e *Engine) Conservation() Conservation {
 	c := Conservation{
 		Generated:  e.totalGenerated,
@@ -63,18 +62,13 @@ func (e *Engine) Conservation() Conservation {
 // pipeline: group input queues, window accumulators, and edge send queues.
 func (e *Engine) inFlightSrcEquiv() float64 {
 	var total float64
-	if e.plan == nil {
-		return 0
-	}
-	for _, id := range detutil.SortedKeys(e.plan.Stages) {
-		for _, g := range e.opGroups(id) {
-			total += g.inQ.srcTotal()
-			for i := range g.windows {
-				total += g.windows[i].srcTotal
-			}
+	for _, g := range e.groups {
+		total += g.inQ.srcTotal()
+		for i := range g.windows {
+			total += g.windows[i].srcTotal
 		}
 	}
-	for _, f := range e.sortedFlows() {
+	for _, f := range e.flows {
 		total += f.q.srcTotal()
 	}
 	return total
@@ -85,16 +79,10 @@ func (e *Engine) inFlightSrcEquiv() float64 {
 // state has none: every reconfiguration and re-plan either finished or
 // was aborted.
 func (e *Engine) SuspendedOps() []plan.OpID {
-	if e.plan == nil {
-		return nil
-	}
 	var out []plan.OpID
-	for _, id := range detutil.SortedKeys(e.plan.Stages) {
-		for _, g := range e.opGroups(id) {
-			if g.suspended() {
-				out = append(out, id)
-				break
-			}
+	for _, g := range e.groups {
+		if g.suspended() && (len(out) == 0 || out[len(out)-1] != g.op.ID) {
+			out = append(out, g.op.ID)
 		}
 	}
 	return out

@@ -128,8 +128,12 @@ func (e *Engine) Reconfiguring(op plan.OpID) bool {
 
 // progressReconfigs finalizes reconfigurations whose transfers completed
 // and advances the per-reconfiguration progress tracking that stall
-// detection (ReconfigStatuses) reads.
+// detection (ReconfigStatuses) reads. Finished reconfigurations leave the
+// pending list before any of them is finalized, so an onDone callback sees
+// a consistent list: it may reconfigure its own operator again, and a
+// Reconfigure of another operator is appended and kept.
 func (e *Engine) progressReconfigs(now vclock.Time) {
+	var finished []*reconfiguration
 	remaining := e.reconfigs[:0]
 	for _, rc := range e.reconfigs {
 		done := true
@@ -140,20 +144,23 @@ func (e *Engine) progressReconfigs(now vclock.Time) {
 				left += tr.Remaining()
 			}
 		}
-		if !done {
-			if left < rc.lastRemaining-1e-6 {
-				rc.lastRemaining = left
-				rc.lastProgressAt = now
-				if rc.firstProgressAt == 0 {
-					rc.firstProgressAt = now
-				}
-			}
-			remaining = append(remaining, rc)
+		if done {
+			finished = append(finished, rc)
 			continue
 		}
-		e.finalizeReconfig(rc, now)
+		if left < rc.lastRemaining-1e-6 {
+			rc.lastRemaining = left
+			rc.lastProgressAt = now
+			if rc.firstProgressAt == 0 {
+				rc.firstProgressAt = now
+			}
+		}
+		remaining = append(remaining, rc)
 	}
 	e.reconfigs = remaining
+	for _, rc := range finished {
+		e.finalizeReconfig(rc, now)
+	}
 }
 
 // ReconfigStatus describes one in-flight reconfiguration for the adapt
@@ -253,13 +260,11 @@ func (e *Engine) AbortReconfigure(op plan.OpID) error {
 }
 
 func (e *Engine) finalizeReconfig(rc *reconfiguration, now vclock.Time) {
-	old := e.opGroups(rc.op)
-
 	// Gather carried state: queued cohorts, window buffers, frontier.
 	var carriedQ []cohort
 	carriedWins := make(map[vclock.Time]*winAcc)
 	var frontier vclock.Time
-	for _, g := range old {
+	for _, g := range e.opGroups(rc.op) {
 		carriedQ = g.inQ.popAllInto(carriedQ)
 		for i := range g.windows {
 			w := &g.windows[i]
@@ -277,31 +282,13 @@ func (e *Engine) finalizeReconfig(rc *reconfiguration, now vclock.Time) {
 		if g.maxProcessedBorn > frontier {
 			frontier = g.maxProcessedBorn
 		}
-		delete(e.groups, groupKey{op: rc.op, site: g.site})
 	}
-	e.topoDirty = true // group set and stage placement are about to change
 
-	// Install the new placement on the plan.
-	e.plan.Stages[rc.op].Sites = append([]topology.SiteID(nil), rc.newSites...)
-
-	// Build the new groups and spread the carried state by task share.
-	perSite := make(map[topology.SiteID]int)
-	for _, s := range rc.newSites {
-		perSite[s]++
-	}
+	// Install the new placement and spread the carried state over the new
+	// groups by task share.
 	total := float64(len(rc.newSites))
-	var newGroups []*group
-	for s := 0; s < e.top.N(); s++ {
-		site := topology.SiteID(s)
-		n, ok := perSite[site]
-		if !ok {
-			continue
-		}
-		g := e.addGroup(rc.op, site, n)
+	for _, g := range e.placeOp(rc.op, rc.newSites) {
 		g.maxProcessedBorn = frontier
-		newGroups = append(newGroups, g)
-	}
-	for _, g := range newGroups {
 		share := float64(g.tasks) / total
 		for _, c := range carriedQ {
 			g.inQ.push(c.born, c.count*share, c.worth, c.raw)
@@ -315,7 +302,7 @@ func (e *Engine) finalizeReconfig(rc *reconfiguration, now vclock.Time) {
 		}
 	}
 	e.rebuildFlows()
-	e.refreshGoodputModel()
+	e.rewire()
 	if rc.span != nil {
 		e.tel.migSeconds.Observe((now - rc.startedAt).Seconds())
 		rc.span.Finish()
@@ -463,19 +450,12 @@ func (e *Engine) progressReplan(now vclock.Time) {
 		carry[newID] = c
 	}
 
-	// Tear down old flows.
-	for _, f := range e.sortedFlows() {
-		if f.flow != nil {
-			e.net.RemoveFlow(f.flow)
-		}
+	// Tear down the old flows, then install the new plan and its groups.
+	for _, f := range e.flows {
+		e.net.RemoveFlow(f.flow)
 	}
-	e.flows = make(map[flowKey]*edgeFlow)
-	e.flowsDirty = true
-	e.flowsEpoch++
-
-	// Install the new plan and groups.
-	e.plan = rp.newPlan
-	e.topoDirty = true
+	e.setFlows(nil)
+	e.setPlan(rp.newPlan)
 	e.buildGroups()
 	for newID, c := range carry {
 		groups := e.opGroups(newID)
@@ -504,7 +484,7 @@ func (e *Engine) progressReplan(now vclock.Time) {
 		}
 	}
 	e.rebuildFlows()
-	e.refreshGoodputModel()
+	e.rewire()
 	e.replan = nil
 	if rp.span != nil {
 		e.tel.replans.Inc()
@@ -520,28 +500,20 @@ func (e *Engine) progressReplan(now vclock.Time) {
 }
 
 // drained reports whether every in-flight cohort outside the carried
-// operators' custody has flowed out of the old pipeline: all
-
-// non-source input queues and all send queues are empty, and every
-// non-carried operator's window buffers have flushed. Window buffers of
-// non-carried windowed operators are force-fired once the queues empty —
-// the fluid-model equivalent of the paper's reconfiguration at the end of
-// the window interval.
+// operators' custody has flowed out of the old pipeline: all non-source
+// input queues and all send queues are empty, and every non-carried
+// operator's window buffers have flushed. Window buffers of non-carried
+// windowed operators are force-fired once the queues empty — the
+// fluid-model equivalent of the paper's reconfiguration at the end of the
+// window interval.
 func (e *Engine) drained(carry map[plan.OpID]plan.OpID) bool {
 	for _, f := range e.flows {
 		if !f.q.empty() {
 			return false
 		}
 	}
-	carriedOld := make(map[plan.OpID]bool, len(carry))
-	for oldID := range carry {
-		carriedOld[oldID] = true
-	}
-	for key, g := range e.groups {
-		if g.op.Kind == plan.KindSource || g.op.Kind == plan.KindSink || carriedOld[key.op] {
-			continue
-		}
-		if !g.inQ.empty() {
+	for _, g := range e.groups {
+		if !inCustody(g, carry) && !g.inQ.empty() {
 			return false
 		}
 	}
@@ -549,24 +521,27 @@ func (e *Engine) drained(carry map[plan.OpID]plan.OpID) bool {
 	// operators (window boundary reached). If anything fired, drain
 	// continues next tick.
 	fired := false
-	for _, id := range e.plan.Graph.OperatorIDs() {
-		if carriedOld[id] {
+	for _, g := range e.groups {
+		if _, ok := carry[g.op.ID]; ok {
 			continue
 		}
-		for _, g := range e.opGroups(id) {
-			if len(g.windows) == 0 {
-				continue
-			}
-			for i := range g.windows {
-				w := &g.windows[i]
-				g.emitted += w.count
-				e.fanOut(g, w.maxBorn, w.count, w.srcTotal/w.count, false)
-				fired = true
-			}
-			g.windows = g.windows[:0]
+		for i := range g.windows {
+			w := &g.windows[i]
+			g.emitted += w.count
+			e.fanOut(g, w.maxBorn, w.count, w.srcTotal/w.count, false)
+			fired = true
 		}
+		g.windows = g.windows[:0]
 	}
 	return !fired
+}
+
+// inCustody reports whether a group's input queue is exempt from the
+// re-plan drain: sources and sinks hold theirs across the switch, as do
+// the carried operators.
+func inCustody(g *group, carry map[plan.OpID]plan.OpID) bool {
+	_, carried := carry[g.op.ID]
+	return carried || g.op.Kind == plan.KindSource || g.op.Kind == plan.KindSink
 }
 
 // drainBacklog measures the in-flight volume still outside the carried
@@ -575,19 +550,13 @@ func (e *Engine) drained(carry map[plan.OpID]plan.OpID) bool {
 // watches it shrink to detect a stalled drain.
 func (e *Engine) drainBacklog(carry map[plan.OpID]plan.OpID) float64 {
 	var total float64
-	for _, key := range detutil.SortedKeysFunc(e.flows, flowKeyLess) {
-		total += e.flows[key].q.srcTotal()
+	for _, f := range e.flows {
+		total += f.q.srcTotal()
 	}
-	carriedOld := make(map[plan.OpID]bool, len(carry))
-	for oldID := range carry {
-		carriedOld[oldID] = true
-	}
-	for _, key := range detutil.SortedKeysFunc(e.groups, groupKeyLess) {
-		g := e.groups[key]
-		if g.op.Kind == plan.KindSource || g.op.Kind == plan.KindSink || carriedOld[key.op] {
-			continue
+	for _, g := range e.groups {
+		if !inCustody(g, carry) {
+			total += g.inQ.srcTotal()
 		}
-		total += g.inQ.srcTotal()
 	}
 	return total
 }
