@@ -226,6 +226,7 @@ func (c *Controller) solveAdditional(id plan.OpID, need, pPrime int, free []int)
 		OutputBytesPerSec: outBytes[id] * float64(max(len(consumers), 1)) * share,
 		Alpha:             c.cfg.Alpha,
 		Latency:           c.top.Latency,
+		LatencyRows:       c.top,
 		Bandwidth:         c.bandwidthNow,
 		Pinned:            plan.NoSite,
 	}

@@ -246,6 +246,7 @@ func measureSolve(top *topology.Topology, ingest []topology.SiteID, rate map[top
 		OutputBytesPerSec: inBytes * 0.02,
 		Alpha:             0.8,
 		Latency:           top.Latency,
+		LatencyRows:       top,
 		Bandwidth: func(from, to topology.SiteID) float64 {
 			return top.BaseBandwidth(from, to).BytesPerSec()
 		},

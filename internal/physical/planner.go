@@ -154,10 +154,8 @@ func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*pl
 			}
 			return nil, nil, err
 		}
-		delayVol, wan, err := estimateCost(e.plan, top, cfg.RateFactor, sc.Workspace)
-		if err != nil {
-			return nil, nil, err
-		}
+		// Schedule left this variant's expected rates in the workspace.
+		delayVol, wan := estimateCost(e.plan, top, sc.Workspace.rates.Bytes, sc.Workspace)
 		candidates = append(candidates, Candidate{
 			Variant:        e.variant,
 			Plan:           e.plan,
@@ -179,18 +177,20 @@ func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*pl
 // flow × link latency, in seconds·bytes/s) and total WAN consumption
 // (bytes/s) under even event partitioning.
 func EstimateCost(p *Plan, top *topology.Topology, rateFactor float64) (delayVolume, wanBytesPerSec float64, err error) {
-	return estimateCost(p, top, rateFactor, &Workspace{})
-}
-
-// estimateCost is EstimateCost with caller-owned scratch.
-func estimateCost(p *Plan, top *topology.Topology, rateFactor float64, ws *Workspace) (delayVolume, wanBytesPerSec float64, err error) {
 	if rateFactor == 0 {
 		rateFactor = 1
 	}
+	ws := &Workspace{}
 	if err := p.Graph.ExpectedRatesBuf(rateFactor, &ws.rates); err != nil {
 		return 0, 0, err
 	}
-	outBytes := ws.rates.Bytes
+	delayVolume, wanBytesPerSec = estimateCost(p, top, ws.rates.Bytes, ws)
+	return delayVolume, wanBytesPerSec, nil
+}
+
+// estimateCost is EstimateCost given the plan's expected per-operator
+// output rates (bytes/s), with caller-owned scratch.
+func estimateCost(p *Plan, top *topology.Topology, outBytes []float64, ws *Workspace) (delayVolume, wanBytesPerSec float64) {
 	for _, from := range p.Graph.OperatorIDs() {
 		ws.fromEPs, ws.tmp = p.Stages[from].AppendEndpoints(ws.fromEPs[:0], ws.tmp)
 		fromEPs := ws.fromEPs
@@ -208,5 +208,5 @@ func estimateCost(p *Plan, top *topology.Topology, rateFactor float64, ws *Works
 			}
 		}
 	}
-	return delayVolume, wanBytesPerSec, nil
+	return delayVolume, wanBytesPerSec
 }

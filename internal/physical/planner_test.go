@@ -230,3 +230,28 @@ func TestEstimateCostCountsOnlyCrossSite(t *testing.T) {
 		t.Fatalf("delayVolume = %v, want ~%v", delayVol, want)
 	}
 }
+
+// TestPlanCandidatesMatchEstimateCost: Session.Plan prices each variant
+// from the rates Schedule left in the workspace; the result must be what
+// EstimateCost computes from scratch at the same rate factor.
+func TestPlanCandidatesMatchEstimateCost(t *testing.T) {
+	top := fig5Topology(t)
+	g, spec := fig5Query(t)
+	for _, rateFactor := range []float64{0, 0.5, 1.7} {
+		cfg := PlannerConfig{ScheduleConfig: ScheduleConfig{RateFactor: rateFactor}}
+		_, all, err := PlanQuery(g, spec, top, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range all {
+			delayVol, wan, err := EstimateCost(c.Plan, top, rateFactor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.DelayVolume != delayVol || c.WANBytesPerSec != wan {
+				t.Fatalf("rate ×%v, %v: planned (%v, %v), EstimateCost (%v, %v)",
+					rateFactor, c.Variant.Tree, c.DelayVolume, c.WANBytesPerSec, delayVol, wan)
+			}
+		}
+	}
+}

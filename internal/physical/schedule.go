@@ -178,6 +178,7 @@ func solveStage(
 		OutputBytesPerSec: outputBytes,
 		Alpha:             cfg.Alpha,
 		Latency:           ws.latencyFn(top),
+		LatencyRows:       top,
 		Bandwidth:         cfg.Bandwidth,
 		Conservative:      cfg.Conservative,
 		Pinned:            pinned,

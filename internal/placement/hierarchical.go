@@ -1,22 +1,20 @@
 // Hierarchical two-level placement for planet-scale topologies.
 //
-// The exact solver in placement.go fills sites in global cost order after
-// computing a bandwidth bound for every site — O(m·E) linkBound
-// evaluations plus an m-site sort per stage, per plan variant, per
-// controller round. At hundreds to thousands of sites that dominates
-// re-planning. Following Benoit et al. (Resource Allocation Strategies
-// for In-Network Stream Processing), SolveHierarchical plans at two
-// levels: a coarse level scores each region by its cheapest member's
-// per-task cost (plus an aggregate-slots infeasibility check), and a
-// refinement level lazily merges the regions in that order — computing
-// full-fidelity per-site bandwidth bounds and a cost-sorted member list
-// only when a region's cheapest member becomes globally competitive.
-// Because a region's coarse cost lower-bounds all of its members, the
-// merge reproduces the flat solver's exact (cost, site) fill order:
-// SolveHierarchical returns the flat optimum and is feasible exactly
-// when Solve is, while touching bandwidth bounds for only the regions
-// the plan actually reaches. The ≤16-site oracle cross-validation test
-// pins both guarantees.
+// Both solvers share one kernel (costsInto, siteBound, fillPinned) and
+// both evaluate full-fidelity link bounds only for the sites the fill
+// reaches, the premise of Benoit et al. (Resource Allocation Strategies
+// for In-Network Stream Processing). They differ in how they find the
+// next-cheapest site: the exact solver in placement.go heapifies every
+// site with a free slot, SolveHierarchical plans at two levels. A coarse
+// level scores each region by its cheapest member's per-task cost (plus
+// an aggregate-slots infeasibility check), and a refinement level lazily
+// merges the regions in that order — computing per-site bandwidth bounds
+// and a cost-sorted member list only when a region's cheapest member
+// becomes globally competitive. Because a region's coarse cost
+// lower-bounds all of its members, the merge reproduces the flat solver's
+// exact (cost, site) fill order: SolveHierarchical returns the flat
+// optimum and is feasible exactly when Solve is. The differential tests
+// (reference_test.go, the ≤16-site oracle sweep) pin both guarantees.
 package placement
 
 import (
@@ -71,21 +69,6 @@ type HierScratch struct {
 	opened   []openSeg    // level-2 merge state over opened regions
 	tasks    []int
 	place    Placement
-	flat     Scratch // pinned-stage and fallback exact solves
-}
-
-// compareSiteCost orders sites by ascending per-task cost, site ID as the
-// deterministic tiebreak.
-//
-//waspvet:hotpath
-func compareSiteCost(a, b siteCost) int {
-	if a.cost != b.cost {
-		if a.cost < b.cost {
-			return -1
-		}
-		return 1
-	}
-	return int(a.site) - int(b.site)
 }
 
 // compareRegionCost orders regions by ascending representative cost,
@@ -164,10 +147,19 @@ func (pr *Problem) SolveHierarchicalInto(regions [][]topology.SiteID, hs *HierSc
 			return nil, err
 		}
 	}
+	if cap(hs.tasks) < pr.Sites {
+		hs.tasks = make([]int, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
+		hs.bound = make([]int, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
+		hs.seen = make([]bool, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
+	}
+	tasks := hs.tasks[:pr.Sites]
+	clear(tasks)
+	hs.place = Placement{TasksPerSite: tasks}
+	result := &hs.place
 	if pr.Pinned >= 0 {
-		// Pinned stages (sources, sinks) admit a single site; the exact
-		// solver handles them in O(m) without touching bandwidth bounds.
-		return pr.SolveInto(&hs.flat) //waspvet:hotalloc cold path: pinned stages bypass the two-level machinery
+		// Pinned stages (sources, sinks) admit a single site: O(E), no
+		// region machinery.
+		return pr.fillPinned(result)
 	}
 	p := float64(pr.Parallelism)
 	R := len(regions)
@@ -175,10 +167,8 @@ func (pr *Problem) SolveHierarchicalInto(regions [][]topology.SiteID, hs *HierSc
 	// Level 1 — coarse region model. Aggregate each region's slot
 	// capacity (an exact upper bound, used for the early infeasibility
 	// exit) and its objective coefficient: the cheapest member's
-	// per-task cost. Member costs are computed once here and reused
-	// verbatim by the refinement level, so the coarse pass adds no
-	// latency lookups over a flat solve while skipping its per-site
-	// bandwidth bounds and global sort.
+	// per-task cost. Member costs come from the shared kernel and are
+	// reused verbatim by the refinement level.
 	if cap(hs.regOrder) < R {
 		hs.regOrder = slices.Grow(hs.regOrder[:0], R) //waspvet:hotalloc cold branch: sized once per region count
 	}
@@ -186,14 +176,14 @@ func (pr *Problem) SolveHierarchicalInto(regions [][]topology.SiteID, hs *HierSc
 		hs.cost = make([]float64, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
 	}
 	cost := hs.cost[:pr.Sites]
+	pr.costsInto(cost, 0)
 	regOrder := hs.regOrder[:0]
 	totalSlots := 0
 	for r := 0; r < R; r++ {
 		minCost := 0.0
 		for i, s := range regions[r] {
 			totalSlots += pr.AvailableSlots[s]
-			c := pr.CostPerTask(s)
-			cost[s] = c
+			c := cost[s]
 			if i == 0 || c < minCost {
 				minCost = c
 			}
@@ -210,20 +200,9 @@ func (pr *Problem) SolveHierarchicalInto(regions [][]topology.SiteID, hs *HierSc
 	// per-site bounds (every endpoint, full parallelism for the shares)
 	// and true per-site costs, exactly as the flat solver would compute
 	// them, restricted to the region's members.
-	if cap(hs.tasks) < pr.Sites {
-		hs.tasks = make([]int, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
-		hs.bound = make([]int, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
-		hs.seen = make([]bool, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
-	}
-	tasks := hs.tasks[:pr.Sites]
 	bound := hs.bound[:pr.Sites]
 	seen := hs.seen[:pr.Sites]
-	for i := range tasks {
-		tasks[i] = 0
-		seen[i] = false
-	}
-	hs.place = Placement{TasksPerSite: tasks}
-	result := &hs.place
+	clear(seen)
 	remaining := pr.Parallelism
 
 	// Level 2 merge loop: regions open lazily in coarse-cost order, and
@@ -317,7 +296,7 @@ func (pr *Problem) SolveHierarchicalInto(regions [][]topology.SiteID, hs *HierSc
 			remaining -= n
 		}
 		if remaining > 0 {
-			return nil, fmt.Errorf("%w: %d of %d tasks unplaced", ErrInfeasible, remaining, pr.Parallelism) //waspvet:hotalloc error path ends the solve
+			return nil, pr.errUnplaced(remaining)
 		}
 	}
 	return result, nil

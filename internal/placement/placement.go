@@ -17,11 +17,9 @@
 package placement
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -65,6 +63,16 @@ type Problem struct {
 	// the currently available link capacity in bytes/s.
 	Latency   func(from, to topology.SiteID) time.Duration
 	Bandwidth func(from, to topology.SiteID) float64
+	// LatencyRows, when non-nil, is the topology whose Latency method the
+	// Latency hook is: the solvers then read its cached
+	// latency-in-seconds rows instead of calling the hook per (endpoint,
+	// site) pair. Optional; the answer is bit-identical either way. Ignored
+	// unless it has exactly Sites sites, and below
+	// DefaultHierarchicalThreshold sites: on a testbed-sized topology
+	// nearly every site hosts an endpoint sooner or later, so the rows
+	// would double the topology's footprint to save a few percent of a
+	// plan, where at planet scale a handful of rows serve a thousand sites.
+	LatencyRows *topology.Topology
 	// Conservative selects the literal reading of constraints (2)–(3):
 	// each link must carry the site's whole input/output share, i.e.
 	// (p[s]/p)·λ̂ < α·B for every upstream/downstream link. When false
@@ -176,6 +184,9 @@ func (pr *Problem) siteBound(site topology.SiteID, p float64) int {
 		return 0
 	}
 	bound := pr.AvailableSlots[site]
+	if bound <= 0 {
+		return 0 // no free slot: the link constraints cannot raise it
+	}
 	// Inbound constraints (2): for each upstream endpoint u ≠ s.
 	for _, u := range pr.Upstream {
 		if u.Site == site {
@@ -235,14 +246,61 @@ func linkBound(rate, capacity, p float64) int {
 //
 //waspvet:hotpath
 func (pr *Problem) CostPerTask(s topology.SiteID) float64 {
-	var c float64
+	var c [1]float64
+	pr.costsInto(c[:], s)
+	return c[0]
+}
+
+// costsInto sets dst[i] to the per-task cost of site first+i, the sum of
+// Weight × latency-in-seconds over the upstream endpoints in slice order
+// and then the downstream ones. It runs one sweep per endpoint: with
+// LatencyRows in effect a sweep is a multiply-add over a cached float row,
+// without it (small or hand-built problems) each term goes through the
+// Latency hook. Both add the same terms in the same order, so the costs — and
+// with them every placement — are bit-identical either way.
+//
+//waspvet:hotpath
+func (pr *Problem) costsInto(dst []float64, first topology.SiteID) {
+	clear(dst)
+	rows := pr.LatencyRows
+	if rows != nil && (rows.N() != pr.Sites || pr.Sites < DefaultHierarchicalThreshold) {
+		rows = nil
+	}
 	for _, u := range pr.Upstream {
-		c += u.Weight * pr.Latency(u.Site, s).Seconds() //waspvet:hotalloc Latency is a func field; callers install non-escaping hooks
+		if rows != nil {
+			addScaled(dst, u.Weight, rows.LatencySecondsFrom(u.Site)[first:])
+			continue
+		}
+		for i := range dst {
+			dst[i] += u.Weight * pr.hookSeconds(u.Site, first+topology.SiteID(i))
+		}
 	}
 	for _, d := range pr.Downstream {
-		c += d.Weight * pr.Latency(s, d.Site).Seconds() //waspvet:hotalloc Latency is a func field; callers install non-escaping hooks
+		if rows != nil {
+			addScaled(dst, d.Weight, rows.LatencySecondsTo(d.Site)[first:])
+			continue
+		}
+		for i := range dst {
+			dst[i] += d.Weight * pr.hookSeconds(first+topology.SiteID(i), d.Site)
+		}
 	}
-	return c
+}
+
+// hookSeconds reads one latency through the Latency hook, in seconds.
+//
+//waspvet:hotpath
+func (pr *Problem) hookSeconds(from, to topology.SiteID) float64 {
+	return pr.Latency(from, to).Seconds() //waspvet:hotalloc Latency is a func field; callers install non-escaping hooks
+}
+
+// addScaled adds w·row[i] to dst[i] for every element of dst.
+//
+//waspvet:hotpath
+func addScaled(dst []float64, w float64, row []float64) {
+	row = row[:len(dst)]
+	for i := range dst {
+		dst[i] += w * row[i]
+	}
 }
 
 // siteCost pairs a site with its per-task objective coefficient.
@@ -251,11 +309,46 @@ type siteCost struct {
 	cost float64
 }
 
+// compareSiteCost orders sites by ascending per-task cost, site ID as the
+// deterministic tiebreak.
+//
+//waspvet:hotpath
+func compareSiteCost(a, b siteCost) int {
+	if a.cost != b.cost {
+		if a.cost < b.cost {
+			return -1
+		}
+		return 1
+	}
+	return int(a.site) - int(b.site)
+}
+
+// siftDown restores the min-heap property (compareSiteCost order) below
+// index i.
+//
+//waspvet:hotpath
+func siftDown(h []siteCost, i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			return
+		}
+		if r := child + 1; r < len(h) && compareSiteCost(h[r], h[child]) < 0 {
+			child = r
+		}
+		if compareSiteCost(h[i], h[child]) <= 0 {
+			return
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+}
+
 // Scratch holds reusable buffers for SolveInto. The zero value is ready to
 // use; a single Scratch must not be shared across concurrent solves.
 type Scratch struct {
-	ub    []int
-	order []siteCost
+	cost  []float64
+	heap  []siteCost
 	tasks []int
 	place Placement
 }
@@ -270,43 +363,51 @@ func Solve(pr *Problem) (*Placement, error) {
 // with the same scratch; callers that retain it must copy. The adaptation
 // controller solves ~10^3 placement programs per round, so the hot path
 // reuses one scratch across all of them.
+//
+// Sites are taken in ascending (cost, site) order from a heap rather than
+// a full sort, and a site's bandwidth bound is evaluated only when the
+// fill reaches it: a solve costs O(m·E) float adds for the costs, O(m) for
+// the heap and O(log m + E) per visited site — O(E) in all when pinned.
 func (pr *Problem) SolveInto(sc *Scratch) (*Placement, error) {
-	ub, err := pr.upperBoundsInto(sc.ub)
-	if err != nil {
+	if err := pr.validate(); err != nil {
 		return nil, err
 	}
-	sc.ub = ub
-
-	order := sc.order[:0]
-	for s := 0; s < pr.Sites; s++ {
-		order = append(order, siteCost{site: topology.SiteID(s), cost: pr.CostPerTask(topology.SiteID(s))})
+	if cap(sc.tasks) < pr.Sites {
+		sc.tasks = make([]int, pr.Sites)
 	}
-	sc.order = order
-	slices.SortFunc(order, func(a, b siteCost) int {
-		if a.cost != b.cost {
-			return cmp.Compare(a.cost, b.cost)
-		}
-		return cmp.Compare(a.site, b.site)
-	})
-
-	tasks := sc.tasks[:0]
-	if cap(tasks) < pr.Sites {
-		tasks = make([]int, pr.Sites)
-	} else {
-		tasks = tasks[:pr.Sites]
-		for i := range tasks {
-			tasks[i] = 0
-		}
-	}
-	sc.tasks = tasks
+	tasks := sc.tasks[:pr.Sites]
+	clear(tasks)
 	sc.place = Placement{TasksPerSite: tasks}
 	result := &sc.place
-	remaining := pr.Parallelism
-	for _, cand := range order {
-		if remaining == 0 {
-			break
+	if pr.Pinned >= 0 {
+		return pr.fillPinned(result)
+	}
+
+	if cap(sc.cost) < pr.Sites {
+		sc.cost = make([]float64, pr.Sites)
+	}
+	cost := sc.cost[:pr.Sites]
+	pr.costsInto(cost, 0)
+	// A site without a free slot has bound 0 whatever its links allow.
+	h := sc.heap[:0]
+	for s, c := range cost {
+		if pr.AvailableSlots[s] > 0 {
+			h = append(h, siteCost{site: topology.SiteID(s), cost: c})
 		}
-		n := min(remaining, ub[cand.site])
+	}
+	sc.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+
+	p := float64(pr.Parallelism)
+	remaining := pr.Parallelism
+	for remaining > 0 && len(h) > 0 {
+		cand := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		n := min(remaining, pr.siteBound(cand.site, p))
 		if n <= 0 {
 			continue
 		}
@@ -315,8 +416,33 @@ func (pr *Problem) SolveInto(sc *Scratch) (*Placement, error) {
 		remaining -= n
 	}
 	if remaining > 0 {
-		return nil, fmt.Errorf("%w: %d of %d tasks unplaced", ErrInfeasible, remaining, pr.Parallelism)
+		return nil, pr.errUnplaced(remaining)
 	}
+	return result, nil
+}
+
+// errUnplaced is the verdict of a fill that ran out of sites.
+//
+//waspvet:hotpath
+func (pr *Problem) errUnplaced(remaining int) error {
+	return fmt.Errorf("%w: %d of %d tasks unplaced", ErrInfeasible, remaining, pr.Parallelism) //waspvet:hotalloc error path ends the solve
+}
+
+// fillPinned places a pinned stage into result (zeroed, pr.Sites long):
+// the pinned site is the only candidate, so its bound and cost are the
+// only ones evaluated.
+//
+//waspvet:hotpath
+func (pr *Problem) fillPinned(result *Placement) (*Placement, error) {
+	n := 0
+	if int(pr.Pinned) < pr.Sites {
+		n = min(pr.Parallelism, pr.siteBound(pr.Pinned, float64(pr.Parallelism)))
+	}
+	if n < pr.Parallelism {
+		return nil, pr.errUnplaced(pr.Parallelism - n)
+	}
+	result.TasksPerSite[pr.Pinned] = n
+	result.Cost += float64(n) * pr.CostPerTask(pr.Pinned)
 	return result, nil
 }
 

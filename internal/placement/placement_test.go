@@ -2,8 +2,15 @@ package placement
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -354,5 +361,65 @@ func TestPlacementHelpers(t *testing.T) {
 	}
 	if got := pl.String(); got != "{1:2 3:1}" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestProductionProblemsSetLatencyRows parses every non-test source file
+// of the module and requires each placement.Problem literal to set
+// LatencyRows, so no production solve takes the per-pair Latency fallback.
+// The stand-alone benchmark module is out of scope: it builds hand-made
+// problems on purpose.
+func TestProductionProblemsSetLatencyRows(t *testing.T) {
+	root := filepath.Join("..", "..")
+	var found []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "benchmark" || name == "testdata" || (strings.HasPrefix(name, ".") && path != root) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			sel, ok := lit.Type.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Problem" {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "placement" {
+				return true
+			}
+			rel, _ := filepath.Rel(root, path)
+			found = append(found, filepath.ToSlash(rel))
+			for _, elt := range lit.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "LatencyRows" {
+						return true
+					}
+				}
+			}
+			t.Errorf("%s: placement.Problem literal does not set LatencyRows", rel)
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"internal/adapt/actions.go", "internal/experiment/scale.go", "internal/physical/schedule.go"}
+	if slices.Sort(found); !slices.Equal(found, want) {
+		t.Errorf("placement.Problem is built in %v, want %v: update this list with the new constructor", found, want)
 	}
 }

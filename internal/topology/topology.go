@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -82,6 +83,14 @@ type Topology struct {
 	// topology is unregioned, e.g. the §8.2 testbed).
 	regionOf []RegionID
 	regions  [][]SiteID // region -> member sites, ascending
+
+	// Latency in float64 seconds, one row (from a site to every site) or
+	// column (from every site to a site) per entry, built on first use by
+	// LatencySecondsFrom/To. Only the handful of sites that host stream
+	// endpoints are ever asked for, so the cache stays far below the
+	// dense n×n table it indexes into.
+	secFrom []atomic.Pointer[[]float64]
+	secTo   []atomic.Pointer[[]float64]
 }
 
 // New assembles a topology from explicit matrices. Both matrices must be
@@ -107,7 +116,11 @@ func New(sites []Site, lat [][]time.Duration, bw [][]Mbps) (*Topology, error) {
 			}
 		}
 	}
-	return &Topology{sites: sites, lat: lat, bw: bw}, nil
+	return &Topology{
+		sites: sites, lat: lat, bw: bw,
+		secFrom: make([]atomic.Pointer[[]float64], n),
+		secTo:   make([]atomic.Pointer[[]float64], n),
+	}, nil
 }
 
 // NewRegioned is New for topologies carrying a region partition: regionOf
@@ -146,6 +159,8 @@ func NewRegioned(sites []Site, lat [][]time.Duration, bw [][]Mbps, regionOf []Re
 }
 
 // N returns the number of sites.
+//
+//waspvet:hotpath
 func (t *Topology) N() int { return len(t.sites) }
 
 // NumRegions returns the number of regions of the partition, or 0 when
@@ -204,6 +219,54 @@ func (t *Topology) TotalSlots() int {
 //
 //waspvet:hotpath
 func (t *Topology) Latency(from, to SiteID) time.Duration { return t.lat[from][to] }
+
+// LatencySecondsFrom returns Latency(from, s).Seconds() for every site s
+// as one contiguous row, so a placement solve sweeps plain floats instead
+// of converting a Duration per (endpoint, site) pair. The row is built on
+// first use, shared between callers and safe for concurrent use; it must
+// not be mutated.
+//
+//waspvet:hotpath
+func (t *Topology) LatencySecondsFrom(from SiteID) []float64 {
+	return t.seconds(&t.secFrom[from], from, false)
+}
+
+// LatencySecondsTo is the column counterpart of LatencySecondsFrom: element
+// s is Latency(s, to).Seconds().
+//
+//waspvet:hotpath
+func (t *Topology) LatencySecondsTo(to SiteID) []float64 {
+	return t.seconds(&t.secTo[to], to, true)
+}
+
+// seconds returns the row (or, transposed, the column) of site cached in
+// slot, building it on first use.
+//
+//waspvet:hotpath
+func (t *Topology) seconds(slot *atomic.Pointer[[]float64], site SiteID, transposed bool) []float64 {
+	if row := slot.Load(); row != nil {
+		return *row
+	}
+	return t.buildSeconds(slot, site, transposed) //waspvet:hotalloc cold branch: first use of this endpoint site
+}
+
+// buildSeconds fills one row or column of the seconds cache. Concurrent
+// builders compute identical values; the first to publish wins and the
+// others adopt its slice.
+func (t *Topology) buildSeconds(slot *atomic.Pointer[[]float64], site SiteID, transposed bool) []float64 {
+	row := make([]float64, len(t.sites))
+	for s := range row {
+		if transposed {
+			row[s] = t.lat[s][site].Seconds()
+		} else {
+			row[s] = t.lat[site][s].Seconds()
+		}
+	}
+	if !slot.CompareAndSwap(nil, &row) {
+		return *slot.Load()
+	}
+	return row
+}
 
 // BaseBandwidth returns the unloaded capacity of the from→to link.
 //

@@ -202,3 +202,37 @@ func TestGenerateWithMatchesWrapper(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencySecondsRows: the cached rows and columns hold exactly
+// Latency(...).Seconds(), keep direction on an asymmetric matrix, and are
+// built once.
+func TestLatencySecondsRows(t *testing.T) {
+	sites := []Site{{ID: 0, Slots: 1}, {ID: 1, Slots: 1}, {ID: 2, Slots: 1}}
+	lat := [][]time.Duration{
+		{500 * time.Microsecond, 7 * time.Millisecond, 1500*time.Millisecond + 1},
+		{9 * time.Millisecond, 500 * time.Microsecond, 33 * time.Millisecond},
+		{2 * time.Second, 1, 500 * time.Microsecond},
+	}
+	bw := [][]Mbps{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}}
+	top, err := New(sites, lat, bw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := SiteID(0); a < 3; a++ {
+		from, to := top.LatencySecondsFrom(a), top.LatencySecondsTo(a)
+		if len(from) != 3 || len(to) != 3 {
+			t.Fatalf("site %d: row/column lengths %d/%d, want 3", a, len(from), len(to))
+		}
+		for b := SiteID(0); b < 3; b++ {
+			if want := top.Latency(a, b).Seconds(); from[b] != want {
+				t.Errorf("LatencySecondsFrom(%d)[%d] = %v, want %v", a, b, from[b], want)
+			}
+			if want := top.Latency(b, a).Seconds(); to[b] != want {
+				t.Errorf("LatencySecondsTo(%d)[%d] = %v, want %v", a, b, to[b], want)
+			}
+		}
+		if again := top.LatencySecondsFrom(a); &again[0] != &from[0] {
+			t.Errorf("LatencySecondsFrom(%d) rebuilt its row", a)
+		}
+	}
+}
