@@ -17,6 +17,9 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/adapt"
 	"github.com/wasp-stream/wasp/internal/experiment"
+	"github.com/wasp-stream/wasp/internal/queries"
+	"github.com/wasp-stream/wasp/internal/stream"
+	"github.com/wasp-stream/wasp/internal/workload"
 )
 
 const benchSeed = 1
@@ -259,4 +262,43 @@ func BenchmarkEngineTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	_ = res
+}
+
+// benchRecord replays one 1 M-record batch, split round-robin over four
+// sources, through a fresh pipeline per iteration — the record-mode
+// counterpart of BenchmarkEngineTick (and the shape of the repository
+// benchmark's record_ysb_topk workload).
+func benchRecord(b *testing.B, events []stream.Event, build func() *queries.RecordPipeline) {
+	const sources = 4
+	streams := make([][]stream.Event, sources)
+	for i, e := range events {
+		streams[i%sources] = append(streams[i%sources], e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rp := build()
+		inputs := stream.Inputs{}
+		for s, src := range rp.Sources {
+			inputs[src] = streams[s]
+		}
+		if err := rp.Pipeline.Run(inputs, stream.RunConfig{WatermarkEvery: time.Second}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/record")
+}
+
+func BenchmarkRecordYSB(b *testing.B) {
+	ads := workload.GenerateYSB(workload.YSBConfig{Seed: benchSeed, Duration: 100 * time.Second})
+	benchRecord(b, workload.YSBStream(ads), func() *queries.RecordPipeline {
+		return queries.BuildYSBRecord(4, 10*time.Second)
+	})
+}
+
+func BenchmarkRecordTopK(b *testing.B) {
+	tweets := workload.GenerateTweets(workload.TwitterConfig{Seed: benchSeed, Diurnal: true, Duration: 100 * time.Second})
+	benchRecord(b, workload.TweetStream(tweets), func() *queries.RecordPipeline {
+		return queries.BuildTopKRecord(4, 10, 30*time.Second)
+	})
 }

@@ -24,8 +24,10 @@ const (
 	nodeSink
 )
 
+// edge is one resolved output of a node: Connect stores the consumer itself,
+// not its ID, so delivering a record looks nothing up.
 type edge struct {
-	to   NodeID
+	to   *pipelineNode
 	port int
 }
 
@@ -35,6 +37,9 @@ type pipelineNode struct {
 	kind    nodeKind
 	handler Handler
 	edges   []edge
+	// emit is this node's forward, bound once when the node is added; it is
+	// the Emit every handler call of this node receives.
+	emit Emit
 	// collected holds sink output.
 	collected []Event
 }
@@ -42,10 +47,13 @@ type pipelineNode struct {
 // Pipeline is a single-process DAG of stream operators with deterministic
 // execution: events are delivered depth-first in injection order and
 // watermarks propagate in topological order, so runs are exactly
-// repeatable. Pipeline is not safe for concurrent use.
+// repeatable. The DAG is its own dispatch table — edges hold their consumer
+// node and every node one Emit bound at construction — so a record crosses
+// an operator hop without a lookup or an allocation. Pipeline is not safe
+// for concurrent use.
 type Pipeline struct {
 	nodes []*pipelineNode
-	topo  []NodeID // cached topological order, invalidated on mutation
+	topo  []*pipelineNode // cached topological order, invalidated on mutation
 	wm    vclock.Time
 }
 
@@ -67,16 +75,19 @@ func (p *Pipeline) AddNode(name string, h Handler) NodeID {
 func (p *Pipeline) AddSink(name string) NodeID { return p.add(name, nodeSink, nil) }
 
 func (p *Pipeline) add(name string, kind nodeKind, h Handler) NodeID {
-	id := NodeID(len(p.nodes))
-	p.nodes = append(p.nodes, &pipelineNode{id: id, name: name, kind: kind, handler: h})
+	n := &pipelineNode{id: NodeID(len(p.nodes)), name: name, kind: kind, handler: h}
+	n.emit = n.forward
+	p.nodes = append(p.nodes, n)
 	p.topo = nil
-	return id
+	return n.id
 }
+
+func (p *Pipeline) known(id NodeID) bool { return id >= 0 && int(id) < len(p.nodes) }
 
 // Connect wires from→to delivering into the given input port of `to`
 // (port 0 for single-input operators; joins use ports 0 and 1).
 func (p *Pipeline) Connect(from, to NodeID, port int) error {
-	if int(from) >= len(p.nodes) || int(to) >= len(p.nodes) || from < 0 || to < 0 {
+	if !p.known(from) || !p.known(to) {
 		return fmt.Errorf("stream: connect %d->%d: unknown node", from, to)
 	}
 	if p.nodes[to].kind == nodeSource {
@@ -85,7 +96,7 @@ func (p *Pipeline) Connect(from, to NodeID, port int) error {
 	if p.nodes[from].kind == nodeSink {
 		return fmt.Errorf("stream: node %q is a sink and cannot produce output", p.nodes[from].name)
 	}
-	p.nodes[from].edges = append(p.nodes[from].edges, edge{to: to, port: port})
+	p.nodes[from].edges = append(p.nodes[from].edges, edge{to: p.nodes[to], port: port})
 	p.topo = nil
 	return nil
 }
@@ -104,29 +115,30 @@ func (p *Pipeline) Handler(id NodeID) Handler { return p.nodes[id].handler }
 // Inject delivers one event into a source node, flowing it through the
 // whole DAG depth-first.
 func (p *Pipeline) Inject(src NodeID, e Event) error {
+	if !p.known(src) {
+		return fmt.Errorf("stream: inject into %d: unknown node", src)
+	}
 	n := p.nodes[src]
 	if n.kind != nodeSource {
 		return fmt.Errorf("stream: node %q is not a source", n.name)
 	}
-	p.forward(n, e)
+	if _, err := p.topoOrder(); err != nil {
+		return err
+	}
+	n.forward(e)
 	return nil
 }
 
-func (p *Pipeline) forward(n *pipelineNode, e Event) {
+// forward hands one output of n to each consumer in connection order,
+// recursing through the consumer's handler before moving to the next
+// (depth-first). Connect admits no edge into a source.
+func (n *pipelineNode) forward(e Event) {
 	for _, ed := range n.edges {
-		p.deliver(ed.to, ed.port, e)
-	}
-}
-
-func (p *Pipeline) deliver(id NodeID, port int, e Event) {
-	n := p.nodes[id]
-	switch n.kind {
-	case nodeSink:
-		n.collected = append(n.collected, e)
-	case nodeOperator:
-		n.handler.OnEvent(port, e, func(out Event) { p.forward(n, out) })
-	case nodeSource:
-		panic("stream: event delivered to a source")
+		if to := ed.to; to.kind == nodeSink {
+			to.collected = append(to.collected, e)
+		} else {
+			to.handler.OnEvent(ed.port, e, to.emit)
+		}
 	}
 }
 
@@ -141,24 +153,22 @@ func (p *Pipeline) Watermark(wm vclock.Time) error {
 	if err != nil {
 		return err
 	}
-	for _, id := range order {
-		n := p.nodes[id]
-		if n.kind != nodeOperator {
-			continue
+	for _, n := range order {
+		if n.kind == nodeOperator {
+			n.handler.OnWatermark(wm, n.emit)
 		}
-		n.handler.OnWatermark(wm, func(out Event) { p.forward(n, out) })
 	}
 	return nil
 }
 
-func (p *Pipeline) topoOrder() ([]NodeID, error) {
+func (p *Pipeline) topoOrder() ([]*pipelineNode, error) {
 	if p.topo != nil {
 		return p.topo, nil
 	}
 	indeg := make([]int, len(p.nodes))
 	for _, n := range p.nodes {
 		for _, e := range n.edges {
-			indeg[e.to]++
+			indeg[e.to.id]++
 		}
 	}
 	var ready []NodeID
@@ -168,16 +178,16 @@ func (p *Pipeline) topoOrder() ([]NodeID, error) {
 		}
 	}
 	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-	var order []NodeID
+	var order []*pipelineNode
 	for len(ready) > 0 {
-		id := ready[0]
+		n := p.nodes[ready[0]]
 		ready = ready[1:]
-		order = append(order, id)
+		order = append(order, n)
 		var next []NodeID
-		for _, e := range p.nodes[id].edges {
-			indeg[e.to]--
-			if indeg[e.to] == 0 {
-				next = append(next, e.to)
+		for _, e := range n.edges {
+			indeg[e.to.id]--
+			if indeg[e.to.id] == 0 {
+				next = append(next, e.to.id)
 			}
 		}
 		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
@@ -210,65 +220,64 @@ type RunConfig struct {
 	WatermarkEvery time.Duration
 }
 
+// cursor is one source's position in Run's merge: the events not yet
+// delivered and the time of the first of them.
+type cursor struct {
+	src  *pipelineNode
+	rest []Event
+	head vclock.Time
+}
+
 // Run merges the input streams in event-time order (ties broken by source
 // ID), flows every event through the DAG with periodic watermarks, and
-// finishes with a MaxWatermark flushing all windows.
+// finishes with a MaxWatermark flushing all windows. Inputs are validated
+// before the first event is delivered.
 func (p *Pipeline) Run(inputs Inputs, cfg RunConfig) error {
 	if _, err := p.topoOrder(); err != nil {
 		return err
 	}
-	type cursor struct {
-		src NodeID
-		idx int
-	}
-	srcs := detutil.SortedKeys(inputs)
-	for _, src := range srcs {
-		evs := inputs[src]
-		if p.nodes[src].kind != nodeSource {
-			return fmt.Errorf("stream: input for non-source node %q", p.nodes[src].name)
+	// Cursors are in source-ID order, so the first minimum wins a tie.
+	cursors := make([]cursor, 0, len(inputs))
+	for _, src := range detutil.SortedKeys(inputs) {
+		if !p.known(src) {
+			return fmt.Errorf("stream: input for %d: unknown node", src)
+		}
+		n, evs := p.nodes[src], inputs[src]
+		if n.kind != nodeSource {
+			return fmt.Errorf("stream: input for non-source node %q", n.name)
 		}
 		for i := 1; i < len(evs); i++ {
 			if evs[i].Time < evs[i-1].Time {
-				return fmt.Errorf("stream: input for %q not time-ordered at %d", p.nodes[src].name, i)
+				return fmt.Errorf("stream: input for %q not time-ordered at %d", n.name, i)
 			}
+		}
+		if len(evs) > 0 {
+			cursors = append(cursors, cursor{src: n, rest: evs, head: evs[0].Time})
 		}
 	}
 
-	cursors := make([]cursor, len(srcs))
-	for i, s := range srcs {
-		cursors[i] = cursor{src: s}
-	}
-
-	nextWM := vclock.Time(0)
-	if cfg.WatermarkEvery > 0 {
-		nextWM = vclock.Time(cfg.WatermarkEvery)
-	}
-	for {
-		// Pick the earliest pending event across sources.
-		best := -1
-		for i, c := range cursors {
-			evs := inputs[c.src]
-			if c.idx >= len(evs) {
-				continue
-			}
-			if best == -1 || evs[c.idx].Time < inputs[cursors[best].src][cursors[best].idx].Time {
+	every := vclock.Time(cfg.WatermarkEvery)
+	nextWM := every
+	for len(cursors) > 0 {
+		best := 0
+		for i := 1; i < len(cursors); i++ {
+			if cursors[i].head < cursors[best].head {
 				best = i
 			}
 		}
-		if best == -1 {
-			break
-		}
 		c := &cursors[best]
-		e := inputs[c.src][c.idx]
-		c.idx++
-		for cfg.WatermarkEvery > 0 && e.Time >= nextWM {
+		e := c.rest[0]
+		for every > 0 && e.Time >= nextWM {
 			if err := p.Watermark(nextWM); err != nil {
 				return err
 			}
-			nextWM += vclock.Time(cfg.WatermarkEvery)
+			nextWM += every
 		}
-		if err := p.Inject(c.src, e); err != nil {
-			return err
+		c.src.forward(e)
+		if c.rest = c.rest[1:]; len(c.rest) > 0 {
+			c.head = c.rest[0].Time
+		} else {
+			cursors = append(cursors[:best], cursors[best+1:]...)
 		}
 	}
 	return p.Watermark(MaxWatermark)

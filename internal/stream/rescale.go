@@ -33,7 +33,7 @@ func (w *WindowAggregate) SplitByKey(n int) []*WindowAggregate {
 			p := parts[state.PartitionKey(key, n)]
 			pws := p.windows[start]
 			if pws == nil {
-				pws = &windowState{Accs: make(map[string]any), MaxTime: ws.MaxTime}
+				pws = newWindowState(ws.MaxTime)
 				p.windows[start] = pws
 			}
 			if ws.MaxTime > pws.MaxTime {
@@ -57,7 +57,7 @@ func (w *WindowAggregate) Merge(other *WindowAggregate) error {
 	for start, ows := range other.windows {
 		ws := w.windows[start]
 		if ws == nil {
-			ws = &windowState{Accs: make(map[string]any)}
+			ws = newWindowState(ows.MaxTime)
 			w.windows[start] = ws
 		}
 		if ows.MaxTime > ws.MaxTime {
@@ -92,7 +92,7 @@ func (t *WindowTopK) SplitByKey(n int) []*WindowTopK {
 			p := parts[state.PartitionKey(group, n)]
 			pw := p.windows[start]
 			if pw == nil {
-				pw = &topkWindow{Counts: make(map[string]map[string]int64), MaxTime: w.MaxTime}
+				pw = newTopKWindow(w.MaxTime)
 				p.windows[start] = pw
 			}
 			if w.MaxTime > pw.MaxTime {
@@ -115,7 +115,7 @@ func (t *WindowTopK) Merge(other *WindowTopK) {
 	for start, ow := range other.windows {
 		w := t.windows[start]
 		if w == nil {
-			w = &topkWindow{Counts: make(map[string]map[string]int64)}
+			w = newTopKWindow(ow.MaxTime)
 			t.windows[start] = w
 		}
 		if ow.MaxTime > w.MaxTime {

@@ -36,36 +36,28 @@ var (
 	_ Snapshotter = (*SlidingWindowAggregate)(nil)
 )
 
+// validate panics on a configuration no window grid exists for. It runs when
+// the window map is created: on the first event or on RestoreState.
 func (w *SlidingWindowAggregate) validate() {
 	if w.Slide <= 0 || w.Size <= 0 || w.Slide > w.Size || w.Size%w.Slide != 0 {
 		panic(fmt.Sprintf("stream: invalid sliding window size=%v slide=%v", w.Size, w.Slide))
 	}
 }
 
-// windowStarts returns the start times of every window containing t.
-func (w *SlidingWindowAggregate) windowStarts(t vclock.Time) []vclock.Time {
-	first := windowStart(t, w.Slide) // latest window start at or before t
-	n := int(w.Size / w.Slide)
-	starts := make([]vclock.Time, 0, n)
-	for i := 0; i < n; i++ {
-		s := first - vclock.Time(i)*vclock.Time(w.Slide)
-		if t >= s && t < s+vclock.Time(w.Size) {
-			starts = append(starts, s)
-		}
-	}
-	return starts
-}
-
-// OnEvent implements Handler.
+// OnEvent implements Handler. The windows containing e start every Slide
+// from the latest start at or before e.Time back to (exclusive) one Size
+// before it: exactly Size/Slide of them.
 func (w *SlidingWindowAggregate) OnEvent(_ int, e Event, emit Emit) {
-	w.validate()
 	if w.windows == nil {
+		w.validate()
 		w.windows = make(map[vclock.Time]*windowState)
 	}
-	for _, start := range w.windowStarts(e.Time) {
+	size, slide := vclock.Time(w.Size), vclock.Time(w.Slide)
+	latest := windowStart(e.Time, w.Slide)
+	for start := latest; start > latest-size; start -= slide {
 		ws := w.windows[start]
 		if ws == nil {
-			ws = &windowState{Accs: make(map[string]any)}
+			ws = newWindowState(e.Time)
 			w.windows[start] = ws
 		}
 		if e.Time > ws.MaxTime {
@@ -125,6 +117,7 @@ func (w *SlidingWindowAggregate) RestoreState(data []byte) error {
 	if windows == nil {
 		windows = make(map[vclock.Time]*windowState)
 	}
+	w.validate()
 	w.windows = windows
 	return nil
 }

@@ -8,8 +8,20 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
+
+// windowStarts lists, latest first, the windows OnEvent folds an event at t
+// into — read back from a probe operator's state, so the tests below hold
+// the production loop to the containment property.
+func (w *SlidingWindowAggregate) windowStarts(t vclock.Time) []vclock.Time {
+	probe := SlidingCount(w.Size, w.Slide)
+	probe.OnEvent(0, Event{Time: t}, nil)
+	starts := detutil.SortedKeys(probe.windows)
+	sort.Slice(starts, func(i, j int) bool { return starts[i] > starts[j] })
+	return starts
+}
 
 func TestSlidingWindowStarts(t *testing.T) {
 	w := SlidingCount(30*time.Second, 10*time.Second)

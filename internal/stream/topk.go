@@ -49,6 +49,12 @@ type topkWindow struct {
 	Counts map[string]map[string]int64
 }
 
+// newTopKWindow starts a window at the time of its first event (or of the
+// window it absorbs); see newWindowState.
+func newTopKWindow(maxTime vclock.Time) *topkWindow {
+	return &topkWindow{MaxTime: maxTime, Counts: make(map[string]map[string]int64)}
+}
+
 // OnEvent implements Handler.
 func (t *WindowTopK) OnEvent(_ int, e Event, emit Emit) {
 	if t.windows == nil {
@@ -57,7 +63,7 @@ func (t *WindowTopK) OnEvent(_ int, e Event, emit Emit) {
 	start := windowStart(e.Time, t.Size)
 	w := t.windows[start]
 	if w == nil {
-		w = &topkWindow{Counts: make(map[string]map[string]int64)}
+		w = newTopKWindow(e.Time)
 		t.windows[start] = w
 	}
 	if e.Time > w.MaxTime {

@@ -45,6 +45,13 @@ type windowState struct {
 	Accs    map[string]any
 }
 
+// newWindowState starts a window at the time of its first event (or of the
+// window it absorbs): a zero MaxTime would outrank every event time before
+// zero.
+func newWindowState(maxTime vclock.Time) *windowState {
+	return &windowState{MaxTime: maxTime, Accs: make(map[string]any)}
+}
+
 // windowStart returns the start of the tumbling window containing t.
 func windowStart(t vclock.Time, size time.Duration) vclock.Time {
 	if t < 0 {
@@ -62,7 +69,7 @@ func (w *WindowAggregate) OnEvent(_ int, e Event, emit Emit) {
 	start := windowStart(e.Time, w.Size)
 	ws := w.windows[start]
 	if ws == nil {
-		ws = &windowState{Accs: make(map[string]any)}
+		ws = newWindowState(e.Time)
 		w.windows[start] = ws
 	}
 	if e.Time > ws.MaxTime {

@@ -184,3 +184,47 @@ func TestWindowFlushOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// A window whose events all lie before time zero is stamped with its maximum
+// event time like any other (§8.3 convention), not with zero — whether
+// OnEvent, Merge or SplitByKey created it.
+func TestWindowMaxTimeNegativeEventTimes(t *testing.T) {
+	const base = -time.Hour
+	events := []Event{ev(base+time.Second, "us", "go"), ev(base+3*time.Second, "us", "go"), ev(base+2*time.Second, "fr", "go")}
+	count := func() *WindowAggregate {
+		w := Count(10 * time.Second)
+		collect(w, 0, events...)
+		return w
+	}
+	topk := func() *WindowTopK {
+		w := &WindowTopK{Size: 10 * time.Second, K: 1, TopicFn: func(e Event) string { return e.Value.(string) }}
+		collect(w, 0, events...)
+		return w
+	}
+	sliding := SlidingCount(10*time.Second, 5*time.Second)
+	collect(sliding, 0, events...)
+	mergedCount, mergedTopK := Count(10*time.Second), &WindowTopK{Size: 10 * time.Second, K: 1}
+	if err := mergedCount.Merge(count()); err != nil {
+		t.Fatal(err)
+	}
+	mergedTopK.Merge(topk())
+
+	for _, c := range []struct {
+		name string
+		h    Handler
+	}{
+		{"Count", count()}, {"SlidingCount", sliding}, {"WindowTopK", topk()},
+		{"Count.Merge", mergedCount}, {"WindowTopK.Merge", mergedTopK},
+		{"Count.SplitByKey", count().SplitByKey(1)[0]}, {"WindowTopK.SplitByKey", topk().SplitByKey(1)[0]},
+	} {
+		out := flush(c.h, MaxWatermark)
+		if len(out) == 0 {
+			t.Errorf("%s: nothing flushed", c.name)
+		}
+		for _, e := range out {
+			if want := vclock.Time(base + 3*time.Second); e.Time != want {
+				t.Errorf("%s: result %v stamped %v, want %v", c.name, e, e.Time, want)
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -94,6 +93,7 @@ func GenerateTweets(cfg TwitterConfig) []Tweet {
 func GenerateTweetsWith(rng *rand.Rand, cfg TwitterConfig) []Tweet {
 	c := cfg.withDefaults()
 	zipf := rand.NewZipf(rng, c.ZipfS, 1, uint64(c.Topics-1))
+	topics := newKeyTable("t%04d")
 
 	var totalWeight float64
 	for _, country := range c.Countries {
@@ -111,7 +111,7 @@ func GenerateTweetsWith(rng *rand.Rand, cfg TwitterConfig) []Tweet {
 			UserID:  rng.Int63n(1 << 20),
 			Country: country.Code,
 			Lang:    country.Lang,
-			Topic:   fmt.Sprintf("t%04d", zipf.Uint64()),
+			Topic:   topics.key(int64(zipf.Uint64())),
 			Time:    at,
 		})
 		at += interval

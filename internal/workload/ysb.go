@@ -112,13 +112,34 @@ func GenerateYSBWith(rng *rand.Rand, cfg YSBConfig) []AdEvent {
 	return events
 }
 
+// keyTable formats each distinct id once: a batch is millions of events over
+// a few hundred keys, and every event of a key shares the one string.
+type keyTable struct {
+	format string
+	keys   map[int64]string
+}
+
+func newKeyTable(format string) keyTable {
+	return keyTable{format: format, keys: make(map[int64]string)}
+}
+
+func (t keyTable) key(id int64) string {
+	k, ok := t.keys[id]
+	if !ok {
+		k = fmt.Sprintf(t.format, id)
+		t.keys[id] = k
+	}
+	return k
+}
+
 // YSBStream converts YSB events into stream events keyed by campaign.
 func YSBStream(events []AdEvent) []stream.Event {
+	campaigns := newKeyTable("c%d")
 	out := make([]stream.Event, len(events))
 	for i, e := range events {
 		out[i] = stream.Event{
 			Time:  e.Time,
-			Key:   fmt.Sprintf("c%d", e.CampaignID),
+			Key:   campaigns.key(e.CampaignID),
 			Value: e,
 		}
 	}
