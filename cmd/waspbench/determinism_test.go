@@ -31,7 +31,7 @@ func captureRun(t *testing.T, name string, workers int, duration time.Duration) 
 		_, err := io.Copy(&buf, r)
 		done <- err
 	}()
-	runErr := run(name, 1, duration, nil)
+	runErr := run(name, 1, duration)
 	w.Close()
 	os.Stdout = saved
 	if err := <-done; err != nil {

@@ -6,490 +6,215 @@
 //	waspbench -experiment all
 //	waspbench -experiment fig8 -seed 3
 //	waspbench -experiment fig11 -duration 30m
-//	waspbench -experiment all -j 4 -bench-json BENCH.json
+//	waspbench -experiment all -j 4
 //
-// Experiments: fig2 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 tab2
-// tab3, the extensions (adaptlat, straggler, ablation-alpha,
-// ablation-monitor, ablation-constraints, chaos, ctrlchaos, scale), or
-// "all". adaptlat
-// sweeps the adaptation cycle's per-phase latency
-// (detect/plan/halt/transfer/resume) across the three queries under the
-// full WASP policy with a mid-run site crash. Figures 8/9 and 11/12 share
+// The experiments table below is the list of experiments, in the order
+// "all" runs them; -h prints its ids. Figures 8/9 and 11/12 share
 // underlying runs; requesting either member executes the runs once and
-// prints the requested panels. "chaos" sweeps randomized fault schedules
-// over 8 seeds starting at -seed and checks the run-end invariants; its
-// output is byte-identical for the same seeds. "ctrlchaos" degrades the
-// control plane instead of the data plane — a telemetry-loss × partition
-// grid plus randomized mixed data+control schedules, judged by the
-// extended invariant set; it never runs under "all" (every "all"
-// experiment keeps the ideal controller). "scale" runs the planet-scale
-// trajectory sweep — GenerateScale topologies from 16 to 1000 sites with
-// millions of simulated users, hierarchical two-level placement, and a
-// mid-run straggler — printing the deterministic trajectory table; its
-// wall-clock measurements (warm placement-solve ms, ticks/sec per cell)
-// ride the -bench-json metrics map only.
+// prints the requested panels. adaptlat sweeps the adaptation cycle's
+// per-phase latency (detect/plan/halt/transfer/resume) across the three
+// queries under the full WASP policy with a mid-run site crash. "chaos"
+// sweeps randomized fault schedules over 8 seeds starting at -seed and
+// checks the run-end invariants. "scale" runs the planet-scale trajectory
+// sweep — GenerateScale topologies from 16 to 1000 sites with millions of
+// simulated users, hierarchical two-level placement, and a mid-run
+// straggler. "ctrlchaos" degrades the control plane instead of the data
+// plane — a telemetry-loss × partition grid plus randomized mixed
+// data+control schedules, judged by the extended invariant set. Every
+// experiment's output is byte-identical for the same seed.
 //
 // -j sets the experiment worker-pool width (default GOMAXPROCS): the
 // cells of each scenario grid run concurrently but results come back in
 // submission order, so the output is byte-identical for any -j.
-// -bench-json writes a machine-readable performance record — wall time,
-// simulation ticks, ticks/sec, and bytes/allocs per tick for every
-// experiment executed — for tracking the bench trajectory across commits.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"runtime"
+	"slices"
 	"strings"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/experiment"
 )
 
 func main() {
 	var (
-		name      = flag.String("experiment", "all", "experiment id (fig2..fig14, tab2, tab3, straggler, ablation-*, scale, all)")
-		seed      = flag.Int64("seed", 1, "deterministic seed for topology and traces")
-		duration  = flag.Duration("duration", 0, "override run duration (0 = paper default)")
-		workers   = flag.Int("j", 0, "experiment worker-pool width (0 = GOMAXPROCS / WASP_BENCH_PARALLEL)")
-		benchPath = flag.String("bench-json", "", "write a machine-readable bench record to this file")
+		name     = flag.String("experiment", "all", "experiment id: "+strings.Join(experimentIDs(), " ")+", or all")
+		seed     = flag.Int64("seed", 1, "deterministic seed for topology and traces")
+		duration = flag.Duration("duration", 0, "override run duration (0 = paper default)")
+		workers  = flag.Int("j", 0, "experiment worker-pool width (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *workers > 0 {
 		experiment.SetParallelism(*workers)
 	}
-	var rec *recorder
-	if *benchPath != "" {
-		rec = newRecorder(*seed, *duration)
-	}
-	if err := run(strings.ToLower(*name), *seed, *duration, rec); err != nil {
+	if err := run(strings.ToLower(*name), *seed, *duration); err != nil {
 		fmt.Fprintln(os.Stderr, "waspbench:", err)
 		os.Exit(1)
 	}
-	if rec != nil {
-		if err := rec.write(*benchPath); err != nil {
-			fmt.Fprintln(os.Stderr, "waspbench:", err)
-			os.Exit(1)
+}
+
+// An entry is one experiment: the ids that select it and the function
+// that runs it and renders what it prints. name is the id the user asked
+// for ("all" included), which an entry with several panels uses to pick
+// the ones to render. A sweep that checks invariants returns its table
+// together with the error.
+type entry struct {
+	ids []string
+	run func(name string, seed int64, duration time.Duration) (string, error)
+}
+
+// experiments lists every experiment in the order "all" runs them.
+var experiments = []entry{
+	{[]string{"fig2"}, func(string, int64, time.Duration) (string, error) { return experiment.Fig2(42), nil }},
+	{[]string{"fig7"}, func(_ string, seed int64, _ time.Duration) (string, error) { return experiment.Fig7(seed), nil }},
+	{[]string{"tab2", "table2"}, func(string, int64, time.Duration) (string, error) { return experiment.Table2(), nil }},
+	{[]string{"tab3", "table3"}, func(string, int64, time.Duration) (string, error) { return experiment.Table3(), nil }},
+	{[]string{"fig8", "fig9"}, func(name string, seed int64, d time.Duration) (string, error) {
+		runs, err := experiment.RunFig8(seed, d)
+		if err != nil {
+			return "", err
 		}
-		// Read the record straight back: a report that fails its own
-		// row validation must never enter the bench trajectory.
-		if _, err := loadBenchReport(*benchPath); err != nil {
-			fmt.Fprintln(os.Stderr, "waspbench:", err)
-			os.Exit(1)
+		return panels(name, "fig8", experiment.FormatFig8(runs, d), "fig9", experiment.FormatFig9(runs, d)), nil
+	}},
+	{[]string{"fig10"}, func(_ string, seed int64, d time.Duration) (string, error) {
+		runs, err := experiment.RunFig10(seed, d)
+		if err != nil {
+			return "", err
+		}
+		return experiment.FormatFig10(runs, d), nil
+	}},
+	{[]string{"fig11", "fig12"}, func(name string, seed int64, d time.Duration) (string, error) {
+		runs, err := experiment.RunFig11(seed, d)
+		if err != nil {
+			return "", err
+		}
+		return panels(name, "fig11", experiment.FormatFig11(runs, d), "fig12", experiment.FormatFig12(runs)), nil
+	}},
+	{[]string{"fig13"}, seeded(experiment.RunFig13, experiment.FormatFig13)},
+	{[]string{"fig14"}, seeded(experiment.RunFig14, experiment.FormatFig14)},
+	{[]string{"adaptlat"}, func(_ string, seed int64, d time.Duration) (string, error) {
+		runs, err := experiment.RunAdaptLat(seed, d)
+		if err != nil {
+			return "", err
+		}
+		return experiment.FormatAdaptLat(runs), nil
+	}},
+	{[]string{"straggler"}, seeded(experiment.RunStraggler, experiment.FormatStraggler)},
+	{[]string{"ablation-alpha"}, seeded(experiment.RunAlphaAblation, ablation("Ablation: bandwidth headroom α (§4.1)"))},
+	{[]string{"ablation-monitor"}, seeded(experiment.RunMonitorIntervalAblation, ablation("Ablation: monitoring interval (§8.2)"))},
+	{[]string{"chaos"}, func(_ string, seed int64, d time.Duration) (string, error) {
+		runs, err := experiment.RunChaos(seed, 8, d)
+		if err != nil {
+			return "", err
+		}
+		for _, r := range runs {
+			if len(r.Violations) > 0 {
+				err = fmt.Errorf("chaos: seed %d violated %d invariant(s)", r.Seed, len(r.Violations))
+				break
+			}
+		}
+		return experiment.FormatChaos(runs), err
+	}},
+	{[]string{"scale"}, func(_ string, seed int64, d time.Duration) (string, error) {
+		cells, err := experiment.RunScale(seed, d, nil)
+		if err != nil {
+			return "", err
+		}
+		return experiment.FormatScale(cells), nil
+	}},
+	{[]string{"ablation-constraints"}, seeded(experiment.RunConstraintAblation, ablation("Ablation: weighted vs conservative bandwidth constraints (actions = schedulable variants; mean delay column = plan cost)"))},
+	{[]string{"ctrlchaos"}, func(_ string, seed int64, d time.Duration) (string, error) {
+		res, err := experiment.RunCtrlChaos(seed, 8, d)
+		if err != nil {
+			return "", err
+		}
+		return experiment.FormatCtrlChaos(res), ctrlChaosViolation(res)
+	}},
+}
+
+// seeded is the run function of an experiment that depends on the seed
+// only: it has one duration, the paper's, and one panel.
+func seeded[T any](sweep func(seed int64) (T, error), format func(T) string) func(string, int64, time.Duration) (string, error) {
+	return func(_ string, seed int64, _ time.Duration) (string, error) {
+		result, err := sweep(seed)
+		if err != nil {
+			return "", err
+		}
+		return format(result), nil
+	}
+}
+
+// ablation renders an ablation sweep's rows under the given title.
+func ablation(title string) func([]experiment.AblationRow) string {
+	return func(rows []experiment.AblationRow) string { return experiment.FormatAblation(title, rows) }
+}
+
+// panels joins the rendered panels (id, text pairs) that name selects.
+func panels(name string, idText ...string) string {
+	var out []string
+	for i := 0; i < len(idText); i += 2 {
+		if name == "all" || name == idText[i] {
+			out = append(out, idText[i+1])
 		}
 	}
+	return strings.Join(out, "\n")
 }
 
-// benchRecord is the per-experiment entry of the -bench-json report.
-// Static (tickless) experiments — fig2/fig7/tab2/tab3 regenerate tables
-// from closed-form models without running the engine — carry no tick
-// metrics at all: the fields are omitted rather than emitted as zeros so
-// downstream tooling can never mistake "no ticks" for "infinitely slow".
-type benchRecord struct {
-	Experiment    string  `json:"experiment"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	Ticks         int64   `json:"ticks,omitempty"`
-	TicksPerSec   float64 `json:"ticks_per_sec,omitempty"`
-	BytesPerTick  float64 `json:"bytes_per_tick,omitempty"`
-	AllocsPerTick float64 `json:"allocs_per_tick,omitempty"`
-	// Metrics carries experiment-specific wall-clock measurements (e.g.
-	// the scale sweep's per-cell placement-solve ms) stashed via
-	// recorder.stash during the run.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// tickDriven reports whether the record measured an engine-driven
-// experiment (one that advanced simulation ticks).
-func (r benchRecord) tickDriven() bool { return r.Ticks > 0 }
-
-// benchReport is the full -bench-json document. One file per commit forms
-// the repository's bench trajectory.
-type benchReport struct {
-	Schema           string        `json:"schema"`
-	GoVersion        string        `json:"go_version"`
-	NumCPU           int           `json:"num_cpu"`
-	Parallelism      int           `json:"parallelism"`
-	Seed             int64         `json:"seed"`
-	DurationOverride string        `json:"duration_override,omitempty"`
-	Experiments      []benchRecord `json:"experiments"`
-	TotalWallSeconds float64       `json:"total_wall_seconds"`
-	TotalTicks       int64         `json:"total_ticks"`
-}
-
-// recorder accumulates per-experiment wall/tick/memory measurements. The
-// wall clock never feeds the simulation — experiments run on the virtual
-// clock — it only annotates the bench report.
-type recorder struct {
-	report benchReport
-	// pending holds metrics stashed by the currently-measured experiment;
-	// measure attaches them to the record it appends.
-	pending map[string]float64
-}
-
-// stash files experiment-specific metrics with the record of the
-// experiment currently under measure. A nil recorder discards them.
-func (r *recorder) stash(m map[string]float64) {
-	if r == nil || len(m) == 0 {
-		return
+// ctrlChaosViolation reports the first grid cell or seeded run that broke
+// an invariant.
+func ctrlChaosViolation(res experiment.CtrlChaosResult) error {
+	for _, c := range res.Cells {
+		if len(c.Violations) > 0 {
+			return fmt.Errorf("ctrlchaos: cell loss=%v part=%v violated %d invariant(s)", c.LossRate, c.PartitionFor, len(c.Violations))
+		}
 	}
-	if r.pending == nil {
-		r.pending = make(map[string]float64, len(m))
+	for _, r := range res.Runs {
+		if len(r.Violations) > 0 {
+			return fmt.Errorf("ctrlchaos: seed %d violated %d invariant(s)", r.Seed, len(r.Violations))
+		}
 	}
-	for k, v := range m {
-		r.pending[k] = v
-	}
-}
-
-func newRecorder(seed int64, duration time.Duration) *recorder {
-	r := &recorder{report: benchReport{
-		Schema:      "wasp-bench/v1",
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
-		Parallelism: experiment.Parallelism(),
-		Seed:        seed,
-	}}
-	if duration != 0 {
-		r.report.DurationOverride = duration.String()
-	}
-	return r
-}
-
-// measure runs fn and appends its wall time, tick count, and per-tick
-// allocation profile under the given experiment name. A nil recorder just
-// runs fn (no -bench-json).
-func (r *recorder) measure(name string, fn func() error) error {
-	if r == nil {
-		return fn()
-	}
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ticks0 := engine.TickCount()
-	//waspvet:wallclock bench-report timing only; experiments run on the virtual clock
-	start := time.Now()
-	if err := fn(); err != nil {
-		return err
-	}
-	//waspvet:wallclock bench-report timing only; experiments run on the virtual clock
-	wall := time.Since(start).Seconds()
-	ticks := engine.TickCount() - ticks0
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	rec := benchRecord{Experiment: name, WallSeconds: wall, Ticks: ticks, Metrics: r.pending}
-	r.pending = nil
-	if wall > 0 && ticks > 0 {
-		rec.TicksPerSec = float64(ticks) / wall
-	}
-	if ticks > 0 {
-		rec.BytesPerTick = float64(after.TotalAlloc-before.TotalAlloc) / float64(ticks)
-		rec.AllocsPerTick = float64(after.Mallocs-before.Mallocs) / float64(ticks)
-	}
-	r.report.Experiments = append(r.report.Experiments, rec)
-	r.report.TotalWallSeconds += wall
-	r.report.TotalTicks += ticks
 	return nil
 }
 
-func (r *recorder) write(path string) error {
-	data, err := json.MarshalIndent(r.report, "", "  ")
-	if err != nil {
-		return err
+// experimentIDs returns every id in table order.
+func experimentIDs() []string {
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.ids...)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return ids
 }
 
-// loadBenchReport reads a -bench-json document back and validates its
-// rows. A zero-tick row claiming per-tick metrics is corrupt (the old
-// encoder emitted ticks_per_sec:0/allocs_per_tick:0 for static
-// experiments, which poisoned trajectory comparisons); a tick-driven row
-// missing them is equally rejected.
-func loadBenchReport(path string) (*benchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// selected returns the entries name asks for: all of them for "all", the
+// one listing the id otherwise, none for an unknown name.
+func selected(name string) []entry {
+	if name == "all" {
+		return experiments
 	}
-	var report benchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if report.Schema != "wasp-bench/v1" {
-		return nil, fmt.Errorf("%s: unknown schema %q", path, report.Schema)
-	}
-	for _, e := range report.Experiments {
-		if e.tickDriven() {
-			if e.TicksPerSec <= 0 || e.BytesPerTick <= 0 || e.AllocsPerTick <= 0 {
-				return nil, fmt.Errorf("%s: tick-driven row %q missing per-tick metrics", path, e.Experiment)
-			}
-			continue
-		}
-		if e.TicksPerSec != 0 || e.BytesPerTick != 0 || e.AllocsPerTick != 0 {
-			return nil, fmt.Errorf("%s: tickless row %q carries per-tick metrics", path, e.Experiment)
+	for i, e := range experiments {
+		if slices.Contains(e.ids, name) {
+			return experiments[i : i+1]
 		}
 	}
-	for _, e := range report.Experiments {
-		for k, v := range e.Metrics {
-			if k == "" || math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%s: row %q has invalid metric %q = %v", path, e.Experiment, k, v)
-			}
-		}
-	}
-	return &report, nil
+	return nil
 }
 
-func run(name string, seed int64, duration time.Duration, rec *recorder) error {
-	wants := func(ids ...string) bool {
-		if name == "all" {
-			return true
-		}
-		for _, id := range ids {
-			if name == id {
-				return true
-			}
-		}
-		return false
+func run(name string, seed int64, duration time.Duration) error {
+	entries := selected(name)
+	if len(entries) == 0 {
+		return fmt.Errorf("unknown experiment %q (want one of: %s, all)", name, strings.Join(experimentIDs(), " "))
 	}
-	ran := false
-
-	if wants("fig2") {
-		if err := rec.measure("fig2", func() error {
-			fmt.Println(experiment.Fig2(42))
-			return nil
-		}); err != nil {
+	for _, e := range entries {
+		out, err := e.run(name, seed, duration)
+		if out != "" {
+			fmt.Println(out)
+		}
+		if err != nil {
 			return err
 		}
-		ran = true
-	}
-	if wants("fig7") {
-		if err := rec.measure("fig7", func() error {
-			fmt.Println(experiment.Fig7(seed))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("tab2", "table2") {
-		if err := rec.measure("tab2", func() error {
-			fmt.Println(experiment.Table2())
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("tab3", "table3") {
-		if err := rec.measure("tab3", func() error {
-			fmt.Println(experiment.Table3())
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig8", "fig9") {
-		if err := rec.measure("fig8", func() error {
-			runs, err := experiment.RunFig8(seed, duration)
-			if err != nil {
-				return err
-			}
-			if wants("fig8") {
-				fmt.Println(experiment.FormatFig8(runs, duration))
-			}
-			if wants("fig9") {
-				fmt.Println(experiment.FormatFig9(runs, duration))
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig10") {
-		if err := rec.measure("fig10", func() error {
-			runs, err := experiment.RunFig10(seed, duration)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatFig10(runs, duration))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig11", "fig12") {
-		if err := rec.measure("fig11", func() error {
-			runs, err := experiment.RunFig11(seed, duration)
-			if err != nil {
-				return err
-			}
-			if wants("fig11") {
-				fmt.Println(experiment.FormatFig11(runs, duration))
-			}
-			if wants("fig12") {
-				fmt.Println(experiment.FormatFig12(runs))
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig13") {
-		if err := rec.measure("fig13", func() error {
-			runs, err := experiment.RunFig13(seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatFig13(runs))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("fig14") {
-		if err := rec.measure("fig14", func() error {
-			runs, err := experiment.RunFig14(seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatFig14(runs))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("adaptlat") {
-		if err := rec.measure("adaptlat", func() error {
-			runs, err := experiment.RunAdaptLat(seed, duration)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatAdaptLat(runs))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("straggler") {
-		if err := rec.measure("straggler", func() error {
-			runs, err := experiment.RunStraggler(seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatStraggler(runs))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("ablation-alpha") {
-		if err := rec.measure("ablation-alpha", func() error {
-			rows, err := experiment.RunAlphaAblation(seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatAblation("Ablation: bandwidth headroom α (§4.1)", rows))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("ablation-monitor") {
-		if err := rec.measure("ablation-monitor", func() error {
-			rows, err := experiment.RunMonitorIntervalAblation(seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatAblation("Ablation: monitoring interval (§8.2)", rows))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("chaos") {
-		if err := rec.measure("chaos", func() error {
-			runs, err := experiment.RunChaos(seed, 8, duration)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatChaos(runs))
-			for _, r := range runs {
-				if len(r.Violations) > 0 {
-					return fmt.Errorf("chaos: seed %d violated %d invariant(s)", r.Seed, len(r.Violations))
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	// ctrlchaos runs only when asked for by name: it is the one experiment
-	// with a non-ideal control plane, and "all" must stay byte-identical
-	// to the ideal-controller output it has always produced.
-	if name == "ctrlchaos" {
-		if err := rec.measure("ctrlchaos", func() error {
-			res, err := experiment.RunCtrlChaos(seed, 8, duration)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatCtrlChaos(res))
-			for _, c := range res.Cells {
-				if len(c.Violations) > 0 {
-					return fmt.Errorf("ctrlchaos: cell loss=%v part=%v violated %d invariant(s)", c.LossRate, c.PartitionFor, len(c.Violations))
-				}
-			}
-			for _, r := range res.Runs {
-				if len(r.Violations) > 0 {
-					return fmt.Errorf("ctrlchaos: seed %d violated %d invariant(s)", r.Seed, len(r.Violations))
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("scale") {
-		if err := rec.measure("scale", func() error {
-			cells, err := experiment.RunScale(seed, duration, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatScale(cells))
-			rec.stash(experiment.ScaleMetrics(cells))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if wants("ablation-constraints") {
-		if err := rec.measure("ablation-constraints", func() error {
-			rows, err := experiment.RunConstraintAblation(seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatAblation("Ablation: weighted vs conservative bandwidth constraints (actions = schedulable variants; mean delay column = plan cost)", rows))
-			return nil
-		}); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", name)
 	}
 	return nil
 }

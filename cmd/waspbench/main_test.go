@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,136 +8,53 @@ import (
 
 func TestRunStaticExperiments(t *testing.T) {
 	for _, id := range []string{"fig2", "fig7", "tab2", "tab3", "table2"} {
-		if err := run(id, 1, 0, nil); err != nil {
+		if err := run(id, 1, 0); err != nil {
 			t.Errorf("run(%q): %v", id, err)
 		}
 	}
 }
 
+// TestRunUnknownExperiment: the error lists every id of the table, in
+// table order, and "all".
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("fig99", 1, 0, nil); err == nil {
+	err := run("fig99", 1, 0)
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	ids := experimentIDs()
+	if len(ids) < len(experiments) {
+		t.Fatalf("experimentIDs() = %v, fewer than the %d entries", ids, len(experiments))
+	}
+	if want := strings.Join(ids, " ") + ", all"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not list %q", err, want)
+	}
+}
+
+// TestExperimentTable: every id selects exactly its own entry, no id is
+// listed twice, and "all" — which is not an id — selects the whole table.
+func TestExperimentTable(t *testing.T) {
+	seen := map[string]bool{}
+	for i, e := range experiments {
+		if len(e.ids) == 0 || e.run == nil {
+			t.Fatalf("entry %d is incomplete: %+v", i, e.ids)
+		}
+		for _, id := range e.ids {
+			if seen[id] || id == "all" || id != strings.ToLower(id) {
+				t.Errorf("entry %d: bad or repeated id %q", i, id)
+			}
+			seen[id] = true
+			if got := selected(id); len(got) != 1 || &got[0] != &experiments[i] {
+				t.Errorf("selected(%q) does not resolve to entry %d", id, i)
+			}
+		}
+	}
+	if got := selected("all"); len(got) != len(experiments) {
+		t.Errorf(`selected("all") = %d entries, want %d`, len(got), len(experiments))
 	}
 }
 
 func TestRunShortenedDynamicExperiment(t *testing.T) {
-	if err := run("fig9", 1, 250*time.Second, nil); err != nil {
+	if err := run("fig9", 1, 250*time.Second); err != nil {
 		t.Fatalf("run(fig9): %v", err)
-	}
-}
-
-// TestBenchJSONRecord runs one shortened dynamic experiment under the
-// recorder and checks the written report carries plausible measurements:
-// simulation ticks were counted and per-tick costs are positive.
-func TestBenchJSONRecord(t *testing.T) {
-	rec := newRecorder(1, 250*time.Second)
-	if err := run("fig10", 1, 250*time.Second, rec); err != nil {
-		t.Fatalf("run(fig10): %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := rec.write(path); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report benchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("bench report is not valid JSON: %v", err)
-	}
-	if report.Schema != "wasp-bench/v1" {
-		t.Errorf("schema = %q, want wasp-bench/v1", report.Schema)
-	}
-	if len(report.Experiments) != 1 || report.Experiments[0].Experiment != "fig10" {
-		t.Fatalf("experiments = %+v, want one fig10 entry", report.Experiments)
-	}
-	e := report.Experiments[0]
-	if e.Ticks <= 0 || e.WallSeconds <= 0 || e.TicksPerSec <= 0 {
-		t.Errorf("implausible measurements: %+v", e)
-	}
-	if e.BytesPerTick <= 0 || e.AllocsPerTick <= 0 {
-		t.Errorf("per-tick memory profile missing: %+v", e)
-	}
-	if report.TotalTicks != e.Ticks {
-		t.Errorf("TotalTicks = %d, want %d", report.TotalTicks, e.Ticks)
-	}
-	if _, err := loadBenchReport(path); err != nil {
-		t.Errorf("loadBenchReport rejected a valid tick-driven report: %v", err)
-	}
-}
-
-// TestBenchJSONTicklessRows: static experiments never advance the engine,
-// so their rows must omit every tick metric instead of recording zeros —
-// a ticks_per_sec:0 row used to read as "infinitely slow" in trajectory
-// comparisons.
-func TestBenchJSONTicklessRows(t *testing.T) {
-	rec := newRecorder(1, 0)
-	for _, id := range []string{"fig2", "fig7", "tab2", "tab3"} {
-		if err := run(id, 1, 0, rec); err != nil {
-			t.Fatalf("run(%q): %v", id, err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := rec.write(path); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"ticks", "ticks_per_sec", "bytes_per_tick", "allocs_per_tick"} {
-		if strings.Contains(string(data), `"`+key+`"`) {
-			t.Errorf("tickless report contains %q:\n%s", key, data)
-		}
-	}
-	report, err := loadBenchReport(path)
-	if err != nil {
-		t.Fatalf("loadBenchReport rejected a valid tickless report: %v", err)
-	}
-	if len(report.Experiments) != 4 {
-		t.Fatalf("experiments = %d, want 4", len(report.Experiments))
-	}
-	for _, e := range report.Experiments {
-		if e.tickDriven() {
-			t.Errorf("static experiment %q recorded %d ticks", e.Experiment, e.Ticks)
-		}
-		if e.WallSeconds <= 0 {
-			t.Errorf("experiment %q has no wall time: %+v", e.Experiment, e)
-		}
-	}
-}
-
-// TestLoadBenchReportRejectsCorruptRows pins the reader's validation: a
-// zero-tick row claiming per-tick metrics (the pre-fix encoding) and a
-// tick-driven row missing them are both rejected.
-func TestLoadBenchReportRejectsCorruptRows(t *testing.T) {
-	write := func(t *testing.T, rec benchRecord) string {
-		t.Helper()
-		r := newRecorder(1, 0)
-		r.report.Experiments = append(r.report.Experiments, rec)
-		path := filepath.Join(t.TempDir(), "bench.json")
-		if err := r.write(path); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	zeroTick := write(t, benchRecord{Experiment: "tab2", WallSeconds: 0.1, TicksPerSec: 31337, AllocsPerTick: 4})
-	if _, err := loadBenchReport(zeroTick); err == nil {
-		t.Error("zero-tick row with per-tick metrics accepted")
-	}
-
-	gutted := write(t, benchRecord{Experiment: "fig10", WallSeconds: 0.1, Ticks: 6000})
-	if _, err := loadBenchReport(gutted); err == nil {
-		t.Error("tick-driven row without per-tick metrics accepted")
-	}
-
-	badSchema := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(badSchema, []byte(`{"schema":"wasp-bench/v0"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBenchReport(badSchema); err == nil {
-		t.Error("unknown schema accepted")
 	}
 }

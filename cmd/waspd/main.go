@@ -223,14 +223,9 @@ func run(opt options) error {
 
 	// One observer shared by the engine, the network simulator and the
 	// controller: the run's metrics, decision spans and action log all
-	// land here. The experiment runner binds it to the virtual clock; the
-	// wall clock only feeds the controller-round latency histogram, so
-	// the JSONL timeline stays deterministic for a fixed seed.
+	// land here. The experiment runner binds it to the virtual clock, so
+	// every export is deterministic for a fixed seed.
 	o := obs.New(func() vclock.Time { return 0 })
-	//waspvet:wallclock run-latency histogram only; never feeds the deterministic JSONL timeline
-	wallStart := time.Now()
-	//waspvet:wallclock measures real controller-round latency against wallStart above
-	o.SetWallClock(func() time.Duration { return time.Since(wallStart) })
 
 	sc := experiment.Scenario{
 		Name:          fmt.Sprintf("%s/%s", opt.query, policy),

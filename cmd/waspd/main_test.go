@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -161,5 +163,76 @@ func TestRunWritesObsFile(t *testing.T) {
 	}
 	if !strings.Contains(data, `"name":"diagnose"`) {
 		t.Errorf("obs file missing diagnosis evidence:\n%.500s", data)
+	}
+}
+
+// TestObsExportsDeterministic: every -obs-format, the Prometheus registry
+// dump included, is byte-identical across two runs of one seed.
+func TestObsExportsDeterministic(t *testing.T) {
+	for _, format := range []string{"jsonl", "prom", "audit"} {
+		var runs [2][]byte
+		for i := range runs {
+			opt := shortOpts()
+			opt.obsFormat = format
+			opt.obsOut = filepath.Join(t.TempDir(), "run."+format)
+			if err := run(opt); err != nil {
+				t.Fatalf("run(-obs-format %s): %v", format, err)
+			}
+			raw, err := os.ReadFile(opt.obsOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = raw
+		}
+		if len(runs[0]) == 0 || !bytes.Equal(runs[0], runs[1]) {
+			t.Errorf("-obs-format %s: %d vs %d bytes, want identical and non-empty", format, len(runs[0]), len(runs[1]))
+		}
+	}
+}
+
+// TestChaosViolationDumpsFlight is the post-mortem contract: a run whose
+// chaos invariants fail (site 8 stays down past the end) returns the
+// violation as its error — exit 1 — only after it has written the
+// observability record, with the chaos.violation event in it, and
+// auto-dumped the flight recording to wasp-flight.dump in the working
+// directory.
+func TestChaosViolationDumpsFlight(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+
+	err = run(options{
+		query: "topk", policy: "wasp", duration: 10 * time.Minute, seed: 7, rate: 10000,
+		workload: "1", bandwidth: "1", failFor: time.Minute,
+		ckptEvery: 30 * time.Second, chaosSeed: 7, flight: true,
+		faults: "crash@5m:site=8,for=30m",
+		obsOut: "forced.jsonl", obsFormat: "jsonl",
+	})
+	if err == nil || !strings.Contains(err.Error(), "invariant violation") {
+		t.Fatalf("run = %v, want a chaos invariant violation", err)
+	}
+	dump, err := os.ReadFile(filepath.Join(dir, autoFlightDump))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(dump, []byte(`{"flight":"wasp-flight/v1"`)) {
+		t.Errorf("flight dump starts %.60q, want a wasp-flight/v1 header", dump)
+	}
+	record, err := os.ReadFile(filepath.Join(dir, "forced.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(record, []byte(`"name":"chaos.violation"`)) {
+		t.Error("observability record has no chaos.violation event")
 	}
 }

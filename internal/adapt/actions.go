@@ -424,27 +424,13 @@ func (c *Controller) chooseScaleDown(id plan.OpID) ([]topology.SiteID, bool) {
 }
 
 // survivorsFeasible checks that a reduced placement still satisfies the
-// per-site bandwidth bounds at the current workload.
+// per-site bandwidth bounds at the current workload, by re-solving the
+// stage at exactly those sites.
 func (c *Controller) survivorsFeasible(id plan.OpID, sites []topology.SiteID) bool {
-	free := c.freeSlotsPlusOwn(id)
-	pl, err := c.reassignAtSites(id, sites, free)
-	if err != nil {
-		return false
-	}
-	_ = pl
-	return true
-}
-
-// reassignAtSites verifies the given explicit placement is within bounds
-// by solving at that parallelism and checking per-site capacity.
-func (c *Controller) reassignAtSites(id plan.OpID, sites []topology.SiteID, free []int) (*placement.Placement, error) {
 	clone := c.eng.Plan().Clone()
 	clone.Stages[id].Sites = append([]topology.SiteID(nil), sites...)
-	pl, err := physical.ReassignStage(clone, id, c.top, c.scheduleConfig(c.lastRateFactor), free)
-	if err != nil {
-		return nil, err
-	}
-	return pl, nil
+	_, err := physical.ReassignStage(clone, id, c.top, c.scheduleConfig(c.lastRateFactor), c.freeSlotsPlusOwn(id))
+	return err == nil
 }
 
 // buildMigrations computes the state transfers implied by moving the
@@ -468,11 +454,11 @@ func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID, s
 	var migs []engine.Migration
 	switch {
 	case len(removed) >= len(added):
-		migs = c.mapMigrations(removed, added, bytesPerTask, strategy, true)
+		migs = c.mapMigrations(removed, added, bytesPerTask, strategy)
 	default:
 		// Scale-out: moved tasks map one-to-one; extra tasks pull their
 		// partition from the best (or worst, per strategy) old site.
-		migs = c.mapMigrations(removed, added[:len(removed)], bytesPerTask, strategy, true)
+		migs = c.mapMigrations(removed, added[:len(removed)], bytesPerTask, strategy)
 		donors := uniqueSites(oldSites)
 		for _, dst := range added[len(removed):] {
 			src, ok := c.pickDonor(donors, dst, strategy)
@@ -494,16 +480,16 @@ func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID, s
 }
 
 // mapMigrations maps removed task sites to added task sites under the
-// strategy. When trim is true and |removed| > |added|, the surplus removed
-// tasks merge into the nearest surviving site.
-func (c *Controller) mapMigrations(removed, added []topology.SiteID, bytes float64, strategy MigrationStrategy, trim bool) []engine.Migration {
+// strategy. When |removed| > |added|, the surplus removed tasks merge into
+// the nearest surviving site.
+func (c *Controller) mapMigrations(removed, added []topology.SiteID, bytes float64, strategy MigrationStrategy) []engine.Migration {
 	var migs []engine.Migration
 	n := min(len(removed), len(added))
 	if n > 0 {
 		paired := c.pairSites(removed[:n], added[:n], bytes, strategy)
 		migs = append(migs, paired...)
 	}
-	if trim && len(removed) > len(added) {
+	if len(removed) > len(added) {
 		// Scale-down: surplus removed tasks merge into survivors.
 		survivors := uniqueSites(c.surviving(removed, added))
 		for _, src := range removed[len(added):] {

@@ -436,18 +436,7 @@ func (c *Controller) Round(now vclock.Time) {
 	// Failure recovery next: dead tasks outrank slow ones. This is also
 	// the backstop detector — degraded stages retry here every round.
 	c.RecoverDownSites()
-	wall := c.obs.Wall()
-	var wallStart time.Duration
-	if wall != nil {
-		wallStart = wall()
-	}
-	defer func() {
-		if wall != nil {
-			c.obs.Registry().Histogram("wasp_controller_round_seconds", roundLatencyBuckets).
-				Observe((wall() - wallStart).Seconds())
-		}
-		round.Finish()
-	}()
+	defer round.Finish()
 	// Let in-flight adaptations and failure outages settle first.
 	if c.eng.Replanning() || c.eng.Failed() {
 		round.Event("skip", obs.String("reason", c.settleReason()))

@@ -6,10 +6,6 @@ import (
 	"github.com/wasp-stream/wasp/internal/plan"
 )
 
-// roundLatencyBuckets cover the wall-clock cost of one controller round,
-// from microseconds (no bottleneck, small plan) up to a second.
-var roundLatencyBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1}
-
 // SetObserver replaces the controller's observer. NewController installs a
 // default one so Actions and the decision audit always exist; callers that
 // share one observer across engine, network and controller (the experiment
@@ -31,7 +27,6 @@ func (c *Controller) describeMetrics() {
 	r.Describe("wasp_controller_rounds_total", "Monitoring/adaptation rounds executed.")
 	r.Describe("wasp_controller_actions_total", "Adaptation actions performed, by kind.")
 	r.Describe("wasp_controller_rejects_total", "Figure-6 branches considered and rejected, by branch.")
-	r.Describe("wasp_controller_round_seconds", "Wall-clock latency of one controller round (requires SetWallClock).")
 	r.Describe("wasp_adapt_aborts_total", "In-flight adaptations aborted (doomed or stalled), by kind.")
 	r.Describe("wasp_adapt_rollbacks_total", "Operators rolled back after exhausting the retry budget.")
 	r.Describe("wasp_adapt_latency_seconds", "Virtual-clock duration of one adaptation phase (detect/plan/halt/transfer/resume), by phase.")

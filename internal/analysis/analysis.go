@@ -3,7 +3,8 @@
 // invariants at build time.
 //
 // The reproduction's core guarantee — same-seed runs are byte-identical
-// (CI double-runs waspd and byte-compares the JSONL) — is easy to break
+// (TestFaultInjectionObsDeterministic runs a fault scenario twice and
+// byte-compares the JSONL) — is easy to break
 // silently: a `time.Now` in a hot path, a map range feeding the
 // timeline, a reach for the global `math/rand`. Each invariant is
 // encoded as an Analyzer; `cmd/waspvet` runs the suite over the module
@@ -58,8 +59,8 @@ func (a *Analyzer) WaiverName() string {
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*ast.File
-	// PkgPath is the package's import path (used for per-package
-	// allowlists, e.g. wallclock exempts internal/vclock).
+	// PkgPath is the package's import path (keys the call graph's
+	// nodes and its per-package annotation errors).
 	PkgPath string
 	// Pkg and Info are nil when type-checking failed entirely; checks
 	// must degrade gracefully (skip type-dependent logic).

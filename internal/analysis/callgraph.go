@@ -167,18 +167,12 @@ func (g *CallGraph) addPackage(pass *Pass) {
 // and field writes. Function literals are attributed to the enclosing
 // declaration (conservative: the closure may run on any path).
 func (g *CallGraph) scanBody(pass *Pass, file *ast.File, node *CGNode, body *ast.BlockStmt, waived map[lineKey]map[string]bool) {
-	exemptWallclock := false
-	for _, suffix := range wallclockExemptSuffixes {
-		if strings.HasSuffix(pass.PkgPath, suffix) {
-			exemptWallclock = true
-		}
-	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if callee := calleeOf(pass.Info, n); callee != nil {
 				node.callees = append(node.callees, callee)
-				g.recordHazard(pass, node, n, callee, waived, exemptWallclock)
+				g.recordHazard(pass, node, n, callee, waived)
 			}
 			// delete(x.f, k) / clear(x.f) mutate the field in place.
 			if id, ok := unparen(n.Fun).(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 {
@@ -206,7 +200,7 @@ func (g *CallGraph) scanBody(pass *Pass, file *ast.File, node *CGNode, body *ast
 // recordHazard checks whether a resolved call is a direct determinism
 // hazard (wall-clock read, global rand draw) and records it on the node
 // unless the site carries the matching waiver.
-func (g *CallGraph) recordHazard(pass *Pass, node *CGNode, call *ast.CallExpr, callee *types.Func, waived map[lineKey]map[string]bool, exemptWallclock bool) {
+func (g *CallGraph) recordHazard(pass *Pass, node *CGNode, call *ast.CallExpr, callee *types.Func, waived map[lineKey]map[string]bool) {
 	pkg := callee.Pkg()
 	if pkg == nil {
 		return
@@ -214,7 +208,7 @@ func (g *CallGraph) recordHazard(pass *Pass, node *CGNode, call *ast.CallExpr, c
 	var tag string
 	switch pkg.Path() {
 	case "time":
-		if !exemptWallclock && wallclockFuncs[callee.Name()] && callee.Type().(*types.Signature).Recv() == nil {
+		if wallclockFuncs[callee.Name()] && callee.Type().(*types.Signature).Recv() == nil {
 			tag = hazardWallclock
 		}
 	case "math/rand", "math/rand/v2":

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"strings"
 )
 
 // wallclockFuncs are the package time functions that read or depend on
@@ -16,28 +15,19 @@ var wallclockFuncs = map[string]bool{
 	"NewTimer": true, "After": true, "AfterFunc": true,
 }
 
-// wallclockExemptSuffixes are package paths allowed to touch the wall
-// clock without a waiver: the virtual clock itself.
-var wallclockExemptSuffixes = []string{"internal/vclock"}
-
 func init() {
 	Register(&Analyzer{
 		Name: "wallclock",
-		Doc: "flags wall-clock reads (time.Now/Since/Sleep/Ticker/...) outside " +
-			"internal/vclock, both direct calls and calls to module functions " +
-			"that transitively reach one (call-graph closure); simulator code " +
-			"must use the virtual clock, and deliberate wall-clock sites " +
-			"(progress logging) carry a //waspvet:wallclock <reason> waiver",
+		Doc: "flags wall-clock reads (time.Now/Since/Sleep/Ticker/...) in every " +
+			"package, both direct calls and calls to module functions that " +
+			"transitively reach one (call-graph closure); simulator code " +
+			"must use the virtual clock, and a deliberate wall-clock site " +
+			"(the benchmark harness) carries a //waspvet:wallclock <reason> waiver",
 		Run: runWallclock,
 	})
 }
 
 func runWallclock(pass *Pass) []Diagnostic {
-	for _, suffix := range wallclockExemptSuffixes {
-		if strings.HasSuffix(pass.PkgPath, suffix) {
-			return nil
-		}
-	}
 	var diags []Diagnostic
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -461,19 +461,7 @@ func (e *Engine) buildGroups() {
 	}
 }
 
-// tickCount counts every simulation tick executed process-wide, across
-// all engines (experiment grids run many engines, possibly concurrently).
-// The waspbench -bench-json harness divides wall time and memory deltas by
-// the delta of this counter to report per-tick costs of a whole grid.
-var tickCount atomic.Int64
-
-// TickCount returns the number of simulation ticks executed by all engines
-// in this process since start.
-func TickCount() int64 { return tickCount.Load() }
-
 // Ticks returns the number of simulation ticks this engine has executed.
-// Unlike the process-wide TickCount, it never conflates engines running
-// concurrently under the experiment pool.
 func (e *Engine) Ticks() int64 { return e.ticks.Load() }
 
 // tick advances the simulation by one step ending at `now`.
@@ -484,7 +472,6 @@ func (e *Engine) tick(now vclock.Time) {
 	if dt <= 0 {
 		return
 	}
-	tickCount.Add(1)
 	e.ticks.Add(1)
 	e.lastNow = now
 	dtSec := time.Duration(dt).Seconds()

@@ -73,12 +73,9 @@ func TestFlightRecorderCapturesEngineState(t *testing.T) {
 	}
 }
 
-// TestPerEngineTickCounts guards the satellite: Engine.Ticks is a
-// per-instance counter while TickCount stays the process-wide aggregate
-// waspbench reads. Two engines ticking concurrently must each report
-// exactly their own ticks.
+// TestPerEngineTickCounts: Engine.Ticks is a per-instance counter. Two
+// engines ticking concurrently must each report exactly their own ticks.
 func TestPerEngineTickCounts(t *testing.T) {
-	base := TickCount()
 	engA, schedA := benchRig(t)
 	engB, schedB := benchRig(t)
 	a0, b0 := engA.Ticks(), engB.Ticks()
@@ -106,9 +103,6 @@ func TestPerEngineTickCounts(t *testing.T) {
 	// B ran twice as long on its own virtual clock, so it ticked ~2× more.
 	if db <= da {
 		t.Errorf("engine B ran longer but ticked less: a=%d b=%d", da, db)
-	}
-	if got := TickCount() - base; got < da+db {
-		t.Errorf("aggregate TickCount advanced %d, want >= %d (sum of per-engine)", got, da+db)
 	}
 }
 

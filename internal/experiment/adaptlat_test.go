@@ -117,3 +117,22 @@ func TestAdaptLatHistogramQuantiles(t *testing.T) {
 		t.Fatal("no phase accumulated any observations")
 	}
 }
+
+// TestAdaptLatSweepCoversEveryPhase: pooled over the three queries, the
+// sweep waspbench prints observes every phase of the adaptation cycle, so
+// no "all" row of its table is an empty quantile.
+func TestAdaptLatSweepCoversEveryPhase(t *testing.T) {
+	runs, err := RunAdaptLat(1, 8*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range AdaptPhases {
+		n := 0
+		for _, run := range runs {
+			n += len(run.Durations[phase])
+		}
+		if n == 0 {
+			t.Errorf("phase %s: no observation in any query:\n%s", phase, FormatAdaptLat(runs))
+		}
+	}
+}

@@ -8,28 +8,16 @@ package experiment
 // byte-identical to a sequential execution of the same seed.
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
 // poolWorkers is the process-wide worker-pool width. It defaults to
-// GOMAXPROCS and can be overridden by the WASP_BENCH_PARALLEL environment
-// variable (for `go test -bench` runs) or SetParallelism (the waspbench
-// -j flag).
+// GOMAXPROCS; SetParallelism (the waspbench -j flag) overrides it.
 var poolWorkers atomic.Int64
 
-func init() {
-	w := int64(runtime.GOMAXPROCS(0))
-	if s := os.Getenv("WASP_BENCH_PARALLEL"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v >= 1 {
-			w = int64(v)
-		}
-	}
-	poolWorkers.Store(w)
-}
+func init() { poolWorkers.Store(int64(runtime.GOMAXPROCS(0))) }
 
 // Parallelism reports the current experiment worker-pool width.
 func Parallelism() int { return int(poolWorkers.Load()) }
@@ -42,6 +30,11 @@ func SetParallelism(n int) {
 	}
 	poolWorkers.Store(int64(n))
 }
+
+// stopHook, when a test sets it, runs right after the pool closes its stop
+// channel: the close is otherwise invisible from outside runJobs, and a
+// test of the cancellation has to order its next step after it.
+var stopHook func()
 
 // runJobs executes the jobs on up to workers goroutines and returns their
 // results in submission order. Each job must be self-contained (no shared
@@ -91,7 +84,12 @@ func runJobs[T any](workers int, jobs []func() (T, error)) ([]T, error) {
 				r, err := jobs[i]()
 				if err != nil {
 					errs[i] = err
-					stopOnce.Do(func() { close(stop) })
+					stopOnce.Do(func() {
+						close(stop)
+						if stopHook != nil {
+							stopHook()
+						}
+					})
 					return
 				}
 				results[i] = r

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"errors"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -58,33 +56,24 @@ func TestRunJobsFirstErrorDeterministic(t *testing.T) {
 	}
 }
 
-// waitGoroutines polls (with Gosched, not the wall clock) until the live
-// goroutine count drops to at most n.
-func waitGoroutines(t *testing.T, n int) {
-	t.Helper()
-	for i := 0; i < 1_000_000; i++ {
-		if runtime.NumGoroutine() <= n {
-			return
-		}
-		runtime.Gosched()
-	}
-	t.Fatalf("goroutine count stuck at %d, want <= %d", runtime.NumGoroutine(), n)
-}
-
-// TestRunJobsCancellation checks the pool stops dispatching after the
-// first error and reaps every worker. Choreography on two workers:
-// job 0 errors once job 1 is in flight; the erroring worker exits
-// (observed via the goroutine count, which orders the stop signal before
-// anything that follows); only then is job 1 released, so the surviving
-// worker must see the closed stop channel and never claim jobs 2..63.
+// TestRunJobsCancellation checks the pool returns the first error, claims
+// no job after it, and returns only once its in-flight job has finished.
+// Choreography on two workers, channels only: job 0 fails once job 1 is in
+// flight; job 1 stays in flight until stopHook reports the stop channel
+// closed, so the surviving worker's next stop check must see it and jobs
+// 2..63 must never be claimed.
 func TestRunJobsCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	job1Running := make(chan struct{})
+	stopped := make(chan struct{})
 	gate := make(chan struct{})
-	var ranTail atomic.Int64
+	job1Done := make(chan struct{})
 
-	g0 := runtime.NumGoroutine()
+	stopHook = func() { close(stopped) }
+	defer func() { stopHook = nil }()
+
 	jobs := make([]func() (int, error), 64)
+	ranTail := make(chan int, len(jobs)) // holds every tail job, so none blocks
 	jobs[0] = func() (int, error) {
 		<-job1Running
 		return 0, boom
@@ -92,11 +81,12 @@ func TestRunJobsCancellation(t *testing.T) {
 	jobs[1] = func() (int, error) {
 		close(job1Running)
 		<-gate
+		close(job1Done)
 		return 1, nil
 	}
 	for i := 2; i < len(jobs); i++ {
 		jobs[i] = func() (int, error) {
-			ranTail.Add(1)
+			ranTail <- i
 			return i, nil
 		}
 	}
@@ -107,20 +97,19 @@ func TestRunJobsCancellation(t *testing.T) {
 		done <- err
 	}()
 
-	<-job1Running
-	// runJobs added the wrapper goroutine plus two workers. The erroring
-	// worker closes the stop channel and then exits, so once the count is
-	// back to g0+2 the cancellation signal is already visible.
-	waitGoroutines(t, g0+2)
+	<-stopped
 	close(gate)
-
 	if err := <-done; !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if n := ranTail.Load(); n != 0 {
-		t.Errorf("%d jobs past the failure still ran, want 0", n)
+	select {
+	case <-job1Done:
+	default:
+		t.Error("runJobs returned while job 1 was still in flight")
 	}
-	waitGoroutines(t, g0) // every pool goroutine reaped
+	if n := len(ranTail); n != 0 {
+		t.Errorf("%d jobs past the failure still ran (first: job %d), want 0", n, <-ranTail)
+	}
 }
 
 // TestParallelismClamp checks the knob's floor.

@@ -8,7 +8,6 @@ import (
 	"github.com/wasp-stream/wasp/internal/faults"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
-	"github.com/wasp-stream/wasp/internal/placement"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/trace"
 )
@@ -16,15 +15,12 @@ import (
 // The scale trajectory sweep: end-to-end runs on GenerateScale topologies
 // from the testbed's size up to 1000 sites, millions of simulated users
 // aggregated into region-fronting ingest sites, under the full WASP
-// policy with a mid-run site slowdown to force adaptation. Each cell also
-// micro-benchmarks the warm hierarchical placement solve at its topology
-// size — the wall-clock number the CI budget (and the README performance
-// table) tracks.
+// policy with a mid-run site slowdown to force adaptation.
 //
-// Everything printed by FormatScale is virtual-clock deterministic:
-// byte-identical for the same seed whatever the worker count. Wall-clock
-// measurements (ticks/sec, ms per placement solve) never reach stdout;
-// they ride the -bench-json metrics map.
+// Every field of a ScaleCell is virtual-clock deterministic, so
+// FormatScale is byte-identical for the same seed whatever the worker
+// count. Host-time cost at these sizes is the repository benchmark's
+// scale1000_surge workload (benchmark/README.md).
 
 // UserEventRate is each simulated user's contribution to its region's
 // ingest stream, in events/s — a planetary population of casual clients
@@ -47,9 +43,7 @@ var DefaultScaleShapes = []ScaleShape{
 	{50, 19, 4},
 }
 
-// ScaleCell is one completed cell of the sweep. SolveMillis and
-// TicksPerSec are wall-clock (machine-dependent) and excluded from
-// FormatScale's deterministic output.
+// ScaleCell is one completed cell of the sweep.
 type ScaleCell struct {
 	Regions, Edges, Sites, PMax int
 	// Users is the topology's total simulated user population.
@@ -65,12 +59,6 @@ type ScaleCell struct {
 	// AdaptP50 is the median end-to-end adaptation latency in virtual
 	// seconds: one cycle's detect→plan→halt→transfer→resume total.
 	AdaptP50 float64
-	// SolveMillis is the mean wall time of one warm hierarchical
-	// placement solve at this topology size (bench JSON only).
-	SolveMillis float64
-	// TicksPerSec is the cell's wall-clock simulation rate (bench JSON
-	// only).
-	TicksPerSec float64
 }
 
 // RunScale executes the sweep. duration 0 means 500 s per cell; nil
@@ -147,16 +135,11 @@ func runScaleCell(seed int64, duration time.Duration, sh ScaleShape) (ScaleCell,
 		Obs: o,
 	}
 
-	//waspvet:wallclock bench-report timing only; the run advances on the virtual clock
-	start := time.Now()
 	res, err := Run(sc)
 	if err != nil {
 		return ScaleCell{}, fmt.Errorf("scale %dx%d p%d: %w", sh.Regions, sh.Edges, sh.PMax, err)
 	}
-	//waspvet:wallclock bench-report timing only; the run advances on the virtual clock
-	wall := time.Since(start).Seconds()
-
-	cell := ScaleCell{
+	return ScaleCell{
 		Regions: sh.Regions, Edges: sh.Edges, Sites: top.N(), PMax: sh.PMax,
 		Users:        top.TotalUsers(),
 		InitialTasks: res.InitialTasks,
@@ -165,12 +148,7 @@ func runScaleCell(seed int64, duration time.Duration, sh ScaleShape) (ScaleCell,
 		Actions:      len(res.Actions),
 		ProcessedPct: res.ProcessedPct,
 		AdaptP50:     exactQuantile(cycleSeconds(o), 0.50),
-		SolveMillis:  measureSolve(top, ingest, rate),
-	}
-	if wall > 0 && res.Ticks > 0 {
-		cell.TicksPerSec = float64(res.Ticks) / wall
-	}
-	return cell, nil
+	}, nil
 }
 
 // cycleSeconds sums each adaptation cycle's phase durations into one
@@ -216,61 +194,8 @@ func slowFactorFor(pp *physical.Plan) float64 {
 	return min(max(f, 0.001), 0.9)
 }
 
-// measureSolve micro-benchmarks the warm hierarchical placement solve on
-// a representative stage program at this topology size: the aggregated
-// ingest streams flowing to the first hub. Wall-clock by design — the
-// result feeds only the bench JSON, never stdout.
-func measureSolve(top *topology.Topology, ingest []topology.SiteID, rate map[topology.SiteID]float64) float64 {
-	m := top.N()
-	slots := make([]int, m)
-	for s := 0; s < m; s++ {
-		slots[s] = top.Slots(topology.SiteID(s))
-	}
-	var ups []placement.Endpoint
-	var inBytes float64
-	for _, s := range ingest {
-		bytes := rate[s] * 240
-		inBytes += bytes
-		ups = append(ups, placement.Endpoint{Site: s, Weight: bytes})
-	}
-	for i := range ups {
-		ups[i].Weight /= inBytes
-	}
-	pr := &placement.Problem{
-		Sites:             m,
-		Parallelism:       min(64, top.TotalSlots()),
-		AvailableSlots:    slots,
-		Upstream:          ups,
-		Downstream:        []placement.Endpoint{{Site: 0, Weight: 1}},
-		InputBytesPerSec:  inBytes,
-		OutputBytesPerSec: inBytes * 0.02,
-		Alpha:             0.8,
-		Latency:           top.Latency,
-		LatencyRows:       top,
-		Bandwidth: func(from, to topology.SiteID) float64 {
-			return top.BaseBandwidth(from, to).BytesPerSec()
-		},
-		Pinned: -1,
-	}
-	regions := top.RegionSites()
-	hs := &placement.HierScratch{}
-	if _, err := pr.SolveHierarchicalInto(regions, hs); err != nil {
-		return -1 // infeasible fixture: surfaced as a negative metric
-	}
-	const iters = 100
-	//waspvet:wallclock bench-report timing only; measures the solver, not the simulation
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := pr.SolveHierarchicalInto(regions, hs); err != nil {
-			return -1
-		}
-	}
-	//waspvet:wallclock bench-report timing only; measures the solver, not the simulation
-	return time.Since(start).Seconds() * 1000 / iters
-}
-
-// FormatScale renders the deterministic columns of the sweep — identical
-// bytes for the same seed regardless of worker count or machine speed.
+// FormatScale renders the sweep — identical bytes for the same seed
+// regardless of worker count or machine speed.
 func FormatScale(cells []ScaleCell) string {
 	out := "Scale trajectory: hierarchical planning on GenerateScale topologies (WASP policy, mid-run site slowdown)\n"
 	var rows [][]string
@@ -288,16 +213,4 @@ func FormatScale(cells []ScaleCell) string {
 		})
 	}
 	return out + Table([]string{"sites", "shape", "p_max", "users", "tasks", "ticks", "actions", "adapt_p50_s", "processed_pct"}, rows)
-}
-
-// ScaleMetrics flattens the sweep's wall-clock measurements for the
-// -bench-json metrics map, keyed by cell.
-func ScaleMetrics(cells []ScaleCell) map[string]float64 {
-	out := make(map[string]float64, 2*len(cells))
-	for _, c := range cells {
-		key := fmt.Sprintf("sites%d_p%d", c.Sites, c.PMax)
-		out[key+".solve_ms"] = c.SolveMillis
-		out[key+".ticks_per_sec"] = c.TicksPerSec
-	}
-	return out
 }

@@ -12,8 +12,6 @@ var scaleTestShapes = []ScaleShape{{4, 3, 1}, {4, 3, 4}, {8, 7, 4}}
 
 // TestRunScaleDeterministic runs the sweep twice at different worker-pool
 // widths: FormatScale — everything the CLI prints — must be byte-identical.
-// Wall-clock fields (SolveMillis, TicksPerSec) are deliberately outside
-// the deterministic surface.
 func TestRunScaleDeterministic(t *testing.T) {
 	a, err := RunScale(3, 200*time.Second, scaleTestShapes)
 	if err != nil {
@@ -61,12 +59,5 @@ func TestRunScaleAdapts(t *testing.T) {
 		if !strings.Contains(out, col) {
 			t.Fatalf("FormatScale output missing column %q:\n%s", col, out)
 		}
-	}
-	m := ScaleMetrics(cells)
-	if v, ok := m["sites16_p4.solve_ms"]; !ok || v <= 0 {
-		t.Fatalf("ScaleMetrics solve_ms = %v (ok=%v), want > 0", v, ok)
-	}
-	if v, ok := m["sites16_p4.ticks_per_sec"]; !ok || v <= 0 {
-		t.Fatalf("ScaleMetrics ticks_per_sec = %v (ok=%v), want > 0", v, ok)
 	}
 }

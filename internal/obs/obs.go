@@ -6,9 +6,7 @@
 //
 // Everything is timestamped with vclock.Time, so instrumented runs stay
 // deterministic: two runs with the same seed produce byte-identical JSONL
-// timelines. The only optional wall-clock input is SetWallClock, which
-// feeds real controller-round latencies into the registry (and only the
-// registry) when a caller opts in.
+// timelines and registry dumps.
 //
 // Every entry point is nil-safe: a nil *Observer — and the nil metric
 // handles and spans it hands out — turns every call into a no-op, so
@@ -16,19 +14,14 @@
 // disabled, and no allocation happens.
 package obs
 
-import (
-	"time"
-
-	"github.com/wasp-stream/wasp/internal/vclock"
-)
+import "github.com/wasp-stream/wasp/internal/vclock"
 
 // Observer is the root of one run's observability state: it owns the
 // telemetry registry and the trace timeline (events and spans in emission
 // order). Observer is not safe for concurrent use; the simulation is
 // single-threaded by design.
 type Observer struct {
-	now  func() vclock.Time
-	wall func() time.Duration
+	now func() vclock.Time
 
 	reg      *Registry
 	nextID   uint64
@@ -59,24 +52,6 @@ func (o *Observer) Bind(now func() vclock.Time) {
 		return
 	}
 	o.now = now
-}
-
-// SetWallClock installs an optional real-time clock used to measure
-// controller-round latency into the registry. Leaving it unset keeps
-// every export fully deterministic.
-func (o *Observer) SetWallClock(wall func() time.Duration) {
-	if o == nil {
-		return
-	}
-	o.wall = wall
-}
-
-// Wall returns the wall clock (nil unless SetWallClock was called).
-func (o *Observer) Wall() func() time.Duration {
-	if o == nil {
-		return nil
-	}
-	return o.wall
 }
 
 // Now returns the observer's current virtual timestamp.

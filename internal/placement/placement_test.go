@@ -418,7 +418,7 @@ func TestProductionProblemsSetLatencyRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/adapt/actions.go", "internal/experiment/scale.go", "internal/physical/schedule.go"}
+	want := []string{"internal/adapt/actions.go", "internal/physical/schedule.go"}
 	if slices.Sort(found); !slices.Equal(found, want) {
 		t.Errorf("placement.Problem is built in %v, want %v: update this list with the new constructor", found, want)
 	}
