@@ -177,10 +177,10 @@ func BenchmarkFig13StateMigration(b *testing.B) {
 	}
 	b.Log("\n" + experiment.FormatFig13(runs))
 	for _, r := range runs {
-		if r.Strategy == adapt.MigrateNetworkAware {
+		if r.Strategy == experiment.MigrateNetworkAware {
 			b.ReportMetric(r.Overhead.Total().Seconds(), "wasp_overhead_s")
 		}
-		if r.Strategy == adapt.MigrateDistant {
+		if r.Strategy == experiment.MigrateDistant {
 			b.ReportMetric(r.Overhead.Total().Seconds(), "distant_overhead_s")
 		}
 	}

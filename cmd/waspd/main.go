@@ -177,16 +177,6 @@ func parseFactorList(flagName, s string) ([]float64, error) {
 	return factors, nil
 }
 
-// parseFactors converts a validated factor list into a step trace with the
-// given phase length.
-func parseFactors(s string, phase time.Duration) (*trace.Trace, error) {
-	factors, err := parseFactorList("factor list", s)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Steps(phase, factors...), nil
-}
-
 func run(opt options) error {
 	policy, err := parsePolicy(opt.policy)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
-	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -39,30 +38,6 @@ func TestParsePolicy(t *testing.T) {
 		if err != nil || got != tt.want {
 			t.Errorf("parsePolicy(%q) = %v, %v", tt.give, got, err)
 		}
-	}
-}
-
-func TestParseFactors(t *testing.T) {
-	tr, err := parseFactors("1, 2 ,0.5", 100*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		at   time.Duration
-		want float64
-	}{
-		{0, 1},
-		{150 * time.Second, 2},
-		{250 * time.Second, 0.5},
-		{999 * time.Second, 0.5},
-	}
-	for _, tt := range tests {
-		if got := tr.At(vclock.Time(tt.at)); got != tt.want {
-			t.Errorf("At(%v) = %v, want %v", tt.at, got, tt.want)
-		}
-	}
-	if _, err := parseFactors("1,x", time.Second); err == nil {
-		t.Error("bad factor accepted")
 	}
 }
 

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -65,5 +68,83 @@ func TestRootModuleNeverWaivesWallclock(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEveryOptionHasACaller: a configuration field no caller sets is a
+// constant that tests and benchmarks still have to cover as if it varied.
+// For each exported field of the three structs that configure a run's
+// mechanism — adapt.Config, engine.Config and physical.PlannerConfig (own
+// fields; the embedded ScheduleConfig is the scheduler's) — some non-test
+// file outside the declaring package must set it, by keyed composite
+// literal or by assignment through a selector. Fields are matched as
+// type-checker objects, not by name.
+func TestEveryOptionHasACaller(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module load in -short mode")
+	}
+	pkgs, err := loadTargets([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	structs := map[string]string{
+		"/internal/adapt":    "Config",
+		"/internal/engine":   "Config",
+		"/internal/physical": "PlannerConfig",
+	}
+	unset := map[*types.Var]string{}
+	for _, pkg := range pkgs {
+		for suffix, name := range structs {
+			if !strings.HasSuffix(pkg.PkgPath, suffix) {
+				continue
+			}
+			st, ok := pkg.Types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			if !ok {
+				t.Fatalf("%s.%s is not a struct", pkg.PkgPath, name)
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					unset[f] = pkg.Types.Name() + "." + name + "." + f.Name()
+				}
+			}
+			delete(structs, suffix)
+		}
+	}
+	if len(structs) != 0 {
+		t.Fatalf("config structs not found: %v", structs)
+	}
+	for _, pkg := range pkgs {
+		set := func(obj types.Object) {
+			if f, ok := obj.(*types.Var); ok && f.Pkg() != pkg.Types {
+				delete(unset, f)
+			}
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok {
+						set(pkg.Info.Uses[key])
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							if s := pkg.Info.Selections[sel]; s != nil {
+								set(s.Obj())
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var names []string
+	for _, name := range unset {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Errorf("%s: no non-test file outside its package sets it; make it a constant", name)
 	}
 }

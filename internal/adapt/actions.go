@@ -25,14 +25,13 @@ func (c *Controller) bandwidthNow(from, to topology.SiteID) float64 {
 
 // scheduleConfig builds the physical-layer config with live bandwidth and
 // the measured workload factor.
-func (c *Controller) scheduleConfig(rateFactor float64) physical.ScheduleConfig {
+func (c *Controller) scheduleConfig() physical.ScheduleConfig {
 	return physical.ScheduleConfig{
 		Alpha:              c.cfg.Alpha,
 		DefaultParallelism: 1,
-		RateFactor:         rateFactor,
+		RateFactor:         c.lastRateFactor,
 		Bandwidth:          c.bandwidthNow,
 		Workspace:          &c.ws,
-		HierarchicalSites:  c.cfg.HierarchicalSites,
 	}
 }
 
@@ -61,46 +60,58 @@ func (c *Controller) freeSlotsPlusOwn(id plan.OpID) []int {
 	return free
 }
 
-// previewReassign solves the re-assignment program for a stage and
-// estimates the migration overhead t_adapt = max |state|/B (§6.2),
-// without executing anything.
-func (c *Controller) previewReassign(id plan.OpID) (feasible bool, overhead vclock.Time) {
-	pl, err := physical.ReassignStage(c.eng.Plan(), id, c.top, c.scheduleConfig(c.lastRateFactor), c.freeSlotsPlusOwn(id))
-	if err != nil {
-		return false, 0
+// solveStage solves the both-sided placement program (Eq. 1–5) for one
+// running stage at the given parallelism; free must count the stage's own
+// slots as available. The chosen sites are copied out of the solver's
+// workspace at once, so the result stays valid across later solves.
+func (c *Controller) solveStage(id plan.OpID, parallelism int, free []int) ([]topology.SiteID, error) {
+	pp := c.eng.Plan()
+	if parallelism != pp.Stages[id].Parallelism() {
+		// ReassignStage reads the target parallelism off the stage's site
+		// list and nothing else of it: solve on a clone with placeholders.
+		pp = pp.Clone()
+		pp.Stages[id].Sites = make([]topology.SiteID, parallelism)
 	}
-	newSites := placementSites(pl)
-	_, bottleneck := c.buildMigrations(id, newSites, MigrateNetworkAware)
-	return true, bottleneck
+	pl, err := physical.ReassignStage(pp, id, c.top, c.scheduleConfig(), free)
+	if err != nil {
+		return nil, err
+	}
+	return placementSites(pl), nil
 }
 
-// tryReassign executes a task re-assignment if the program finds a
-// placement different from the current one.
-func (c *Controller) tryReassign(id plan.OpID) bool {
-	pl, err := physical.ReassignStage(c.eng.Plan(), id, c.top, c.scheduleConfig(c.lastRateFactor), c.freeSlotsPlusOwn(id))
+// previewReassign solves the re-assignment program for a stage at its
+// current parallelism and estimates the migration overhead
+// t_adapt = max |state|/B (§6.2), without executing anything.
+func (c *Controller) previewReassign(id plan.OpID) (newSites []topology.SiteID, overhead vclock.Time, err error) {
+	newSites, err = c.solveStage(id, c.eng.Parallelism(id), c.freeSlotsPlusOwn(id))
 	if err != nil {
-		c.reject("re-assign", "no placement found: "+err.Error())
-		return false
+		return nil, 0, err
 	}
-	newSites := placementSites(pl)
+	_, overhead = c.buildMigrations(id, newSites)
+	return newSites, overhead, nil
+}
+
+// tryReassign executes a previewed task re-assignment if it differs from
+// the current placement.
+func (c *Controller) tryReassign(id plan.OpID, newSites []topology.SiteID) bool {
 	if sameSites(newSites, c.eng.Plan().Stages[id].Sites) {
 		c.reject("re-assign", "solver kept the current placement")
 		return false
 	}
 	if c.reversalGuarded(id, newSites) {
 		c.reject("reversal-guard",
-			fmt.Sprintf("would undo a placement younger than %d rounds", c.cfg.ReversalGuardRounds),
+			fmt.Sprintf("would undo a placement younger than %d rounds", reversalGuardRounds),
 			obs.Int("op", int(id)))
 		return false
 	}
-	migs, bottleneck := c.buildMigrations(id, newSites, c.cfg.Migration)
-	if err := c.reconfigure(id, newSites, migs, nil); err != nil {
-		c.reject("re-assign", "engine: "+err.Error())
-		return false
-	}
-	c.record(ActionReassign, id, fmt.Sprintf("to %v, est transition %v", newSites, bottleneck))
-	return true
+	migs, bottleneck := c.buildMigrations(id, newSites)
+	return c.commit(ActionReassign, "re-assign", id, newSites, migs,
+		fmt.Sprintf("to %v, est transition %v", newSites, bottleneck), nil)
 }
+
+// drainTargetSec sizes post-backlog scale-ups so queues drain within
+// this horizon.
+const drainTargetSec = 60
 
 // scaleForCompute scales UP a compute-bound operator: p′ = ⌈λ̂I/λP·p⌉
 // (sized to also drain accumulated backlog within the drain target),
@@ -111,8 +122,8 @@ func (c *Controller) scaleForCompute(id plan.OpID, snap *metrics.Snapshot, expec
 	perTask := c.capacityOf(id, 1)
 
 	want := expectedIn[id]
-	if s.InputQueueLen > 0 && c.cfg.DrainTargetSec > 0 {
-		want += s.InputQueueLen / c.cfg.DrainTargetSec
+	if s.InputQueueLen > 0 {
+		want += s.InputQueueLen / drainTargetSec
 	}
 	pPrime := metrics.ScaleFactor(want, s.ProcessingRate, p)
 	if needed := int(math.Ceil(want / perTask)); needed > pPrime {
@@ -144,13 +155,9 @@ func (c *Controller) scaleForCompute(id plan.OpID, snap *metrics.Snapshot, expec
 			obs.Int("p_prime", pPrime))
 		return false
 	}
-	migs, bottleneck := c.buildMigrations(id, newSites, c.cfg.Migration)
-	if err := c.reconfigure(id, newSites, migs, nil); err != nil {
-		c.reject("scale-up", "engine: "+err.Error())
-		return false
-	}
-	c.record(ActionScaleUp, id, fmt.Sprintf("p %d→%d at %v, est transition %v", p, pPrime, newSites, bottleneck))
-	return true
+	migs, bottleneck := c.buildMigrations(id, newSites)
+	return c.commit(ActionScaleUp, "scale-up", id, newSites, migs,
+		fmt.Sprintf("p %d→%d at %v, est transition %v", p, pPrime, newSites, bottleneck), nil)
 }
 
 // placeScaleUp chooses sites for a scale-up to pPrime tasks: keep every
@@ -170,7 +177,7 @@ func (c *Controller) placeScaleUp(id plan.OpID, pPrime int) ([]topology.SiteID, 
 		}
 	}
 	if need == 0 {
-		sortSites(newSites)
+		slices.Sort(newSites)
 		return newSites, true
 	}
 	// Place the remainder anywhere feasible, sized by the share of the
@@ -180,7 +187,7 @@ func (c *Controller) placeScaleUp(id plan.OpID, pPrime int) ([]topology.SiteID, 
 		return nil, false
 	}
 	newSites = append(newSites, placementSites(pl)...)
-	sortSites(newSites)
+	slices.Sort(newSites)
 	return newSites, true
 }
 
@@ -230,9 +237,9 @@ func (c *Controller) solveAdditional(id plan.OpID, need, pPrime int, free []int)
 		Bandwidth:         c.bandwidthNow,
 		Pinned:            plan.NoSite,
 	}
-	// Same dispatch as the scheduler: exact below the hierarchical
+	// Same dispatch as the scheduler: exact below the default hierarchical
 	// threshold, two-level above it.
-	return c.ws.SolvePlacement(pr, c.top, c.cfg.HierarchicalSites)
+	return c.ws.SolvePlacement(pr, c.top, 0)
 }
 
 // scaleForNetwork scales OUT a network-bound operator: find the smallest
@@ -253,79 +260,33 @@ func (c *Controller) scaleForNetwork(id plan.OpID, expectedIn map[plan.OpID]floa
 		// Additive: keep the current tasks, place the extra ones.
 		if pl, err := c.solveAdditional(id, pPrime-p, pPrime, free); err == nil {
 			newSites := append(append([]topology.SiteID(nil), cur...), placementSites(pl)...)
-			sortSites(newSites)
-			migs, bottleneck := c.buildMigrations(id, newSites, c.cfg.Migration)
-			if err := c.reconfigure(id, newSites, migs, nil); err != nil {
-				c.reject("scale-out", "engine: "+err.Error())
-				return false
-			}
-			c.record(ActionScaleOut, id, fmt.Sprintf("p %d→%d at %v, est transition %v", p, pPrime, newSites, bottleneck))
-			return true
+			slices.Sort(newSites)
+			return c.commitScaleOut(id, p, newSites)
 		}
 	}
 	// No additive placement: re-place the whole stage at higher
 	// parallelism (may migrate existing tasks).
 	freeOwn := c.freeSlotsPlusOwn(id)
 	for pPrime := p + 1; pPrime <= c.cfg.PMax; pPrime++ {
-		pl, err := c.reassignAt(id, pPrime, freeOwn)
-		if err != nil {
-			continue
+		if newSites, err := c.solveStage(id, pPrime, freeOwn); err == nil {
+			return c.commitScaleOut(id, p, newSites)
 		}
-		newSites := placementSites(pl)
-		migs, bottleneck := c.buildMigrations(id, newSites, c.cfg.Migration)
-		if err := c.reconfigure(id, newSites, migs, nil); err != nil {
-			c.reject("scale-out", "engine: "+err.Error())
-			return false
-		}
-		c.record(ActionScaleOut, id, fmt.Sprintf("p %d→%d at %v, est transition %v", p, pPrime, newSites, bottleneck))
-		return true
 	}
 	c.reject("scale-out", fmt.Sprintf("no feasible placement for any p′ ≤ p_max %d (p′ > p_max or no slots)", c.cfg.PMax),
 		obs.Int("p", p), obs.Int("p_max", c.cfg.PMax))
 	return false
 }
 
-// scaleToPartition converts an over-expensive migration into a scale-out
-// that partitions the state across links (§8.7.2): find the smallest
-// p′ ≤ p_max whose estimated bottleneck transfer fits within t_max.
-func (c *Controller) scaleToPartition(id plan.OpID) bool {
-	p := c.eng.Parallelism(id)
-	free := c.freeSlotsPlusOwn(id)
-	for pPrime := p + 1; pPrime <= c.cfg.PMax; pPrime++ {
-		pl, err := c.reassignAt(id, pPrime, free)
-		if err != nil {
-			continue
-		}
-		newSites := placementSites(pl)
-		migs, bottleneck := c.buildMigrations(id, newSites, c.cfg.Migration)
-		if bottleneck > vclock.Time(c.cfg.TMax) && pPrime < c.cfg.PMax {
-			continue
-		}
-		if err := c.reconfigure(id, newSites, migs, nil); err != nil {
-			c.reject("scale-out", "engine: "+err.Error())
-			return false
-		}
-		c.record(ActionScaleOut, id, fmt.Sprintf("partitioned state: p %d→%d at %v, est transition %v", p, pPrime, newSites, bottleneck))
-		return true
-	}
-	c.reject("scale-out", fmt.Sprintf("no state-partitioning placement within t_max %v up to p_max %d", c.cfg.TMax, c.cfg.PMax))
-	return false
+// commitScaleOut executes a scale-out from p tasks to newSites.
+func (c *Controller) commitScaleOut(id plan.OpID, p int, newSites []topology.SiteID) bool {
+	migs, bottleneck := c.buildMigrations(id, newSites)
+	return c.commit(ActionScaleOut, "scale-out", id, newSites, migs,
+		fmt.Sprintf("p %d→%d at %v, est transition %v", p, len(newSites), newSites, bottleneck), nil)
 }
 
-// reassignAt solves the both-sided placement program for the stage at an
-// explicit parallelism.
-func (c *Controller) reassignAt(id plan.OpID, parallelism int, free []int) (*placement.Placement, error) {
-	pp := c.eng.Plan()
-	// Temporarily treat the stage as having the target parallelism by
-	// constructing the problem through ReassignStage on a shallow clone.
-	clone := pp.Clone()
-	clone.Stages[id].Sites = make([]topology.SiteID, parallelism)
-	for i := range clone.Stages[id].Sites {
-		// Placeholder sites; ReassignStage only reads the length.
-		clone.Stages[id].Sites[i] = pp.Stages[id].Sites[0]
-	}
-	return physical.ReassignStage(clone, id, c.top, c.scheduleConfig(c.lastRateFactor), free)
-}
+// scaleDownUtil triggers scale-down when the expected input would still
+// fit in (p−1) tasks at this utilization.
+const scaleDownUtil = 0.5
 
 // maybeScaleDown reclaims over-provisioned resources: one task per round,
 // only after two quiet rounds, only when the remaining tasks can absorb
@@ -353,44 +314,46 @@ func (c *Controller) maybeScaleDown(now vclock.Time, snap *metrics.Snapshot, exp
 		}
 		s := snap.Ops[id]
 		capacityMinusOne := c.capacityOf(id, p-1)
-		if expectedIn[id] >= c.cfg.ScaleDownUtil*capacityMinusOne {
+		if expectedIn[id] >= scaleDownUtil*capacityMinusOne {
 			continue
 		}
 		if s.InputQueueLen > c.capacityOf(id, p)*1.0 {
 			continue // still draining
 		}
 		if _, _, held := c.heldDown(id, now); held {
-			continue // backing off or cooling down; reclaim next round
-		}
-		if _, _, gated := c.ctrlGated(id, now); gated {
-			continue // no reclaiming on stale or quarantined evidence
+			// Backing off, cooling down, or seen through stale or
+			// quarantined evidence: reclaim next round.
+			continue
 		}
 		newSites, ok := c.chooseScaleDown(id)
 		if !ok {
 			continue
 		}
-		migs, _ := c.buildMigrations(id, newSites, c.cfg.Migration)
+		migs, _ := c.buildMigrations(id, newSites)
 		c.beginDecision(id, "over-provisioned",
 			obs.F64("lambda_in_hat", expectedIn[id]), obs.Int("p", p))
-		if err := c.reconfigure(id, newSites, migs, nil); err != nil {
-			c.reject("scale-down", "engine: "+err.Error())
-			c.endDecision(false)
-			continue
+		acted := c.commit(ActionScaleDown, "scale-down", id, newSites, migs,
+			fmt.Sprintf("p %d→%d at %v", p, p-1, newSites), nil)
+		c.endDecision(acted)
+		if acted {
+			return
 		}
-		c.record(ActionScaleDown, id, fmt.Sprintf("p %d→%d at %v", p, p-1, newSites))
-		c.endDecision(true)
-		return
 	}
 }
 
 // chooseScaleDown removes the task least co-located with the stage's
 // neighbours (§4.2: prioritize scaling down tasks that are not co-located
-// with upstream/downstream tasks), verifying the survivors remain within
-// the bandwidth bounds.
+// with upstream/downstream tasks), after verifying that one task fewer
+// still satisfies the bandwidth bounds at the current workload: the
+// placement program must have a solution at p−1.
 func (c *Controller) chooseScaleDown(id plan.OpID) ([]topology.SiteID, bool) {
 	pp := c.eng.Plan()
 	st := pp.Stages[id]
 	g := pp.Graph
+
+	if _, err := c.solveStage(id, len(st.Sites)-1, c.freeSlotsPlusOwn(id)); err != nil {
+		return nil, false
+	}
 
 	neighbour := make(map[topology.SiteID]bool)
 	for _, u := range g.Upstream(id) {
@@ -404,44 +367,32 @@ func (c *Controller) chooseScaleDown(id plan.OpID) ([]topology.SiteID, bool) {
 		}
 	}
 
-	// Candidate removal sites: non-co-located first, then largest groups.
+	// The victim's site: non-co-located first, then the largest group.
 	distinct := st.DistinctSites()
+	tasks := make(map[topology.SiteID]int, len(distinct))
+	for _, site := range st.Sites {
+		tasks[site]++
+	}
 	sort.Slice(distinct, func(i, j int) bool {
 		ni, nj := neighbour[distinct[i]], neighbour[distinct[j]]
 		if ni != nj {
 			return !ni // non-co-located first
 		}
-		return countSiteTasks(st.Sites, distinct[i]) > countSiteTasks(st.Sites, distinct[j])
+		return tasks[distinct[i]] > tasks[distinct[j]]
 	})
-
-	for _, victim := range distinct {
-		newSites := removeOneTask(st.Sites, victim)
-		if c.survivorsFeasible(id, newSites) {
-			return newSites, true
-		}
-	}
-	return nil, false
-}
-
-// survivorsFeasible checks that a reduced placement still satisfies the
-// per-site bandwidth bounds at the current workload, by re-solving the
-// stage at exactly those sites.
-func (c *Controller) survivorsFeasible(id plan.OpID, sites []topology.SiteID) bool {
-	clone := c.eng.Plan().Clone()
-	clone.Stages[id].Sites = append([]topology.SiteID(nil), sites...)
-	_, err := physical.ReassignStage(clone, id, c.top, c.scheduleConfig(c.lastRateFactor), c.freeSlotsPlusOwn(id))
-	return err == nil
+	return removeOneTask(st.Sites, distinct[0]), true
 }
 
 // buildMigrations computes the state transfers implied by moving the
 // stage from its current placement to newSites, plus the estimated
 // bottleneck transfer time at current link capacities. Each task holds
 // |state|/p′ after the move (balanced keyed state, §6.2); the
-// removed→added mapping follows the configured strategy (§5, §8.7.1).
-func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID, strategy MigrationStrategy) ([]engine.Migration, vclock.Time) {
+// removed→added mapping is network-aware (§5): it minimizes the slowest
+// transfer.
+func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID) ([]engine.Migration, vclock.Time) {
 	st := c.eng.Plan().Stages[id]
 	totalState := st.Op.StateBytes
-	if totalState <= 0 || strategy == MigrateNone {
+	if totalState <= 0 {
 		return nil, 0
 	}
 	oldSites := st.Sites
@@ -454,14 +405,14 @@ func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID, s
 	var migs []engine.Migration
 	switch {
 	case len(removed) >= len(added):
-		migs = c.mapMigrations(removed, added, bytesPerTask, strategy)
+		migs = c.mapMigrations(removed, added, bytesPerTask)
 	default:
 		// Scale-out: moved tasks map one-to-one; extra tasks pull their
-		// partition from the best (or worst, per strategy) old site.
-		migs = c.mapMigrations(removed, added[:len(removed)], bytesPerTask, strategy)
+		// partition from the old site with the most bandwidth to them.
+		migs = c.mapMigrations(removed, added[:len(removed)], bytesPerTask)
 		donors := uniqueSites(oldSites)
 		for _, dst := range added[len(removed):] {
-			src, ok := c.pickDonor(donors, dst, strategy)
+			src, ok := c.pickDonor(donors, dst)
 			if !ok {
 				continue
 			}
@@ -479,21 +430,19 @@ func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID, s
 	return migs, bottleneck
 }
 
-// mapMigrations maps removed task sites to added task sites under the
-// strategy. When |removed| > |added|, the surplus removed tasks merge into
-// the nearest surviving site.
-func (c *Controller) mapMigrations(removed, added []topology.SiteID, bytes float64, strategy MigrationStrategy) []engine.Migration {
+// mapMigrations maps removed task sites to added task sites. When
+// |removed| > |added|, the surplus removed tasks merge into the added
+// site they reach fastest.
+func (c *Controller) mapMigrations(removed, added []topology.SiteID, bytes float64) []engine.Migration {
 	var migs []engine.Migration
 	n := min(len(removed), len(added))
 	if n > 0 {
-		paired := c.pairSites(removed[:n], added[:n], bytes, strategy)
-		migs = append(migs, paired...)
+		migs = c.pairSites(removed[:n], added[:n], bytes)
 	}
 	if len(removed) > len(added) {
-		// Scale-down: surplus removed tasks merge into survivors.
-		survivors := uniqueSites(c.surviving(removed, added))
+		receivers := uniqueSites(added)
 		for _, src := range removed[len(added):] {
-			dst, ok := c.pickReceiver(survivors, src, strategy)
+			dst, ok := c.pickReceiver(receivers, src)
 			if !ok {
 				continue
 			}
@@ -503,27 +452,9 @@ func (c *Controller) mapMigrations(removed, added []topology.SiteID, bytes float
 	return migs
 }
 
-// surviving returns the sites of the stage's new placement (used as merge
-// targets during scale-down).
-func (c *Controller) surviving(removed, added []topology.SiteID) []topology.SiteID {
-	// Receivers are the sites that remain/appear; derive from the
-	// current stage placement minus removed plus added. For merge
-	// purposes any current site not fully removed qualifies; fall back
-	// to added sites.
-	if len(added) > 0 {
-		return added
-	}
-	// All current distinct sites are candidates: the engine keeps the
-	// non-removed tasks in place.
-	var out []topology.SiteID
-	for s := 0; s < c.top.N(); s++ {
-		out = append(out, topology.SiteID(s))
-	}
-	return out
-}
-
-// pairSites assigns each removed site to one added site per strategy.
-func (c *Controller) pairSites(removed, added []topology.SiteID, bytes float64, strategy MigrationStrategy) []engine.Migration {
+// pairSites assigns each removed site to one added site by solving the
+// minmax bottleneck assignment over estimated transfer times (§5).
+func (c *Controller) pairSites(removed, added []topology.SiteID, bytes float64) []engine.Migration {
 	now := c.sched.Now()
 	cost := make([][]float64, len(removed))
 	for i, src := range removed {
@@ -532,87 +463,44 @@ func (c *Controller) pairSites(removed, added []topology.SiteID, bytes float64, 
 			cost[i][j] = c.net.EstimateTransferTime(src, dst, bytes, now).Seconds()
 		}
 	}
-	assign := make([]int, len(removed))
-	switch strategy {
-	case MigrateNetworkAware:
-		a, _, err := matching.MinMax(cost)
-		if err != nil {
-			for i := range assign {
-				assign[i] = i
-			}
-		} else {
-			assign = a
-		}
-	case MigrateDistant:
-		// Greedy worst-link bijection.
-		used := make([]bool, len(added))
-		for i := range removed {
-			worst, worstCost := -1, -1.0
-			for j := range added {
-				if used[j] {
-					continue
-				}
-				if cost[i][j] > worstCost {
-					worst, worstCost = j, cost[i][j]
-				}
-			}
-			assign[i] = worst
-			used[worst] = true
-		}
-	default: // MigrateRandom: arbitrary (placement-order) pairing
+	assign, _, err := matching.MinMax(cost)
+	if err != nil {
+		assign = make([]int, len(removed))
 		for i := range assign {
 			assign[i] = i
 		}
 	}
 	migs := make([]engine.Migration, 0, len(removed))
 	for i, j := range assign {
-		if j < 0 {
-			continue
-		}
 		migs = append(migs, engine.Migration{FromSite: removed[i], ToSite: added[j], Bytes: bytes})
 	}
 	return migs
 }
 
-// pickDonor selects the source site for a new task's state partition.
-func (c *Controller) pickDonor(donors []topology.SiteID, dst topology.SiteID, strategy MigrationStrategy) (topology.SiteID, bool) {
-	return c.pickByBandwidth(donors, func(s topology.SiteID) float64 {
-		return c.bandwidthNow(s, dst)
-	}, strategy)
+// pickDonor selects the source site for a new task's state partition: the
+// donor with the most bandwidth to dst.
+func (c *Controller) pickDonor(donors []topology.SiteID, dst topology.SiteID) (topology.SiteID, bool) {
+	return widest(donors, func(s topology.SiteID) float64 { return c.bandwidthNow(s, dst) })
 }
 
-// pickReceiver selects the destination for a merged (scaled-down) state
-// partition.
-func (c *Controller) pickReceiver(receivers []topology.SiteID, src topology.SiteID, strategy MigrationStrategy) (topology.SiteID, bool) {
-	return c.pickByBandwidth(receivers, func(s topology.SiteID) float64 {
-		return c.bandwidthNow(src, s)
-	}, strategy)
+// pickReceiver selects the destination for a merged (scaled-down) or
+// restored state partition: the receiver with the most bandwidth from src.
+func (c *Controller) pickReceiver(receivers []topology.SiteID, src topology.SiteID) (topology.SiteID, bool) {
+	return widest(receivers, func(s topology.SiteID) float64 { return c.bandwidthNow(src, s) })
 }
 
-func (c *Controller) pickByBandwidth(sites []topology.SiteID, bw func(topology.SiteID) float64, strategy MigrationStrategy) (topology.SiteID, bool) {
+// widest returns the site with the highest bw; the first wins ties.
+func widest(sites []topology.SiteID, bw func(topology.SiteID) float64) (topology.SiteID, bool) {
 	if len(sites) == 0 {
 		return 0, false
 	}
-	switch strategy {
-	case MigrateNetworkAware:
-		best := sites[0]
-		for _, s := range sites[1:] {
-			if bw(s) > bw(best) {
-				best = s
-			}
+	best := sites[0]
+	for _, s := range sites[1:] {
+		if bw(s) > bw(best) {
+			best = s
 		}
-		return best, true
-	case MigrateDistant:
-		worst := sites[0]
-		for _, s := range sites[1:] {
-			if bw(s) < bw(worst) {
-				worst = s
-			}
-		}
-		return worst, true
-	default:
-		return sites[0], true
 	}
+	return best, true
 }
 
 // placementSites converts a solved placement into an ascending site list.
@@ -653,30 +541,9 @@ func sameSites(a, b []topology.SiteID) bool {
 }
 
 func uniqueSites(sites []topology.SiteID) []topology.SiteID {
-	seen := make(map[topology.SiteID]bool)
-	var out []topology.SiteID
-	for _, s := range sites {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sortSites(out)
-	return out
-}
-
-func sortSites(sites []topology.SiteID) {
-	slices.Sort(sites)
-}
-
-func countSiteTasks(sites []topology.SiteID, s topology.SiteID) int {
-	n := 0
-	for _, x := range sites {
-		if x == s {
-			n++
-		}
-	}
-	return n
+	out := slices.Clone(sites)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func removeOneTask(sites []topology.SiteID, victim topology.SiteID) []topology.SiteID {

@@ -16,6 +16,18 @@
 //   - over-provisioned operators scale DOWN one task per round;
 //   - state migrations are network-aware: the (S−S′)→(S′−S) mapping
 //     minimizes the slowest transfer (§5).
+//
+// What a caller can vary is the policy, not the mechanism (Config):
+//
+//	Policy               every caller (experiment.AdaptConfig; waspd -policy)
+//	Alpha                the α ablation (waspbench -experiment ablation-alpha)
+//	MonitorInterval      the monitoring ablation (ablation-monitor); the benchmark
+//	PMax                 the planet-scale runs (experiment scale, scale1000_surge)
+//	LongTermReplanEvery  the benchmark's paper16_dynamics long-term cells
+//
+// The policy's other thresholds and the mechanism's hold-downs are
+// constants next to the code that reads them, and the per-slot capacity is
+// read from the engine the controller drives.
 package adapt
 
 import (
@@ -76,24 +88,6 @@ func (p Policy) String() string {
 	}
 }
 
-// MigrationStrategy selects how migrating tasks are mapped to destination
-// sites (the §8.7.1 comparison).
-type MigrationStrategy int
-
-// Migration strategies.
-const (
-	// MigrateNetworkAware solves the minmax bottleneck assignment (§5).
-	MigrateNetworkAware MigrationStrategy = iota + 1
-	// MigrateRandom assigns destinations in arbitrary (placement) order,
-	// ignoring bandwidth.
-	MigrateRandom
-	// MigrateDistant deliberately picks the slowest links (worst case).
-	MigrateDistant
-	// MigrateNone skips state transfer entirely (accuracy loss; the "No
-	// Migrate" baseline).
-	MigrateNone
-)
-
 // ActionKind labels a performed adaptation.
 type ActionKind int
 
@@ -149,75 +143,23 @@ type ReplanSpec struct {
 	MaxVariants int
 }
 
-// Config parameterises the controller. Zero fields take the paper's
-// defaults (§8.2).
+// Config parameterises the controller: the policy arm and the §8.2
+// parameters the experiments vary. Zero fields take the paper's defaults.
+// Everything else the Figure-6 policy reads is a constant next to the code
+// that reads it (see the package comment).
 type Config struct {
 	Policy Policy
 	// Alpha is the bandwidth utilization threshold (default 0.8).
 	Alpha float64
 	// MonitorInterval is the adaptation period (default 40 s).
 	MonitorInterval time.Duration
-	// Tolerance is the relative slack for health checks (default 0.05).
-	Tolerance float64
 	// PMax caps per-operator parallelism (default 3).
 	PMax int
-	// TMax is the migration-overhead threshold t_max: re-assignments
-	// whose estimated transition exceeds it scale out and partition
-	// state instead (default 30 s).
-	TMax time.Duration
-	// SlotRate mirrors the engine's per-slot capacity for sizing
-	// decisions (default 25000).
-	SlotRate float64
-	// ScaleDownUtil triggers scale-down when expected input would still
-	// fit in (p−1) tasks at this utilization (default 0.5).
-	ScaleDownUtil float64
-	// QueueAlarmSec treats an operator as compute-bound when its input
-	// backlog exceeds this many seconds of processing (default 8 s).
-	QueueAlarmSec float64
-	// DrainTargetSec sizes post-backlog scale-ups so queues drain within
-	// this horizon (default 60 s).
-	DrainTargetSec float64
-	// Migration selects the state-migration mapping strategy (default
-	// network-aware).
-	Migration MigrationStrategy
-	// ForcePartition, with TMax, enables the §8.7.2 "Partitioned" mode:
-	// re-assignments exceeding TMax are converted into scale-outs that
-	// partition the state. The full WASP policy always does this;
-	// ForcePartition extends it to PolicyReassign for ablations.
-	ForcePartition bool
 	// LongTermReplanEvery, when > 0, periodically re-evaluates the query
 	// plan in the background even while the execution is healthy — the
 	// §6.2 treatment of long-term, predictable dynamics (e.g. the daily
 	// workload shift). Zero disables it.
 	LongTermReplanEvery time.Duration
-	// StallAfter is the no-progress deadline for in-flight adaptations: a
-	// reconfiguration whose transfers moved no bytes — or a re-plan whose
-	// drain shrank no backlog — for this long is aborted and retried
-	// (default 90 s).
-	StallAfter time.Duration
-	// RetryBudget caps abort→retry cycles per operator. Once exhausted the
-	// controller rolls back: the stage keeps its old placement and the
-	// operator is left alone for an extended backoff (default 3).
-	RetryBudget int
-	// RetryBackoff is the base delay before re-attempting an action after
-	// an abort, doubling with each failed attempt (default 20 s). The
-	// first abort retries immediately — backoff starts at the second.
-	RetryBackoff time.Duration
-	// ActionCooldown is the anti-flap hold-down: after an action on an
-	// operator completes, no further adaptation touches it until the
-	// cooldown passes (default 10 s).
-	ActionCooldown time.Duration
-	// ReversalGuardRounds refuses a re-assignment that would restore an
-	// operator's previous placement while the current one is younger than
-	// this many monitoring rounds — oscillating conditions otherwise flap
-	// state back and forth over the WAN (default 3).
-	ReversalGuardRounds int
-	// HierarchicalSites is passed through to the physical scheduler: the
-	// topology size at which the controller's placement programs switch
-	// to the hierarchical two-level planner. 0 selects
-	// placement.DefaultHierarchicalThreshold; negative forces the exact
-	// solver at every size.
-	HierarchicalSites int
 }
 
 func (c Config) withDefaults() Config {
@@ -230,47 +172,26 @@ func (c Config) withDefaults() Config {
 	if c.MonitorInterval == 0 {
 		c.MonitorInterval = 40 * time.Second
 	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.05
-	}
 	if c.PMax == 0 {
 		c.PMax = 3
 	}
-	if c.TMax == 0 {
-		c.TMax = 30 * time.Second
-	}
-	if c.SlotRate == 0 {
-		c.SlotRate = 25000
-	}
-	if c.ScaleDownUtil == 0 {
-		c.ScaleDownUtil = 0.5
-	}
-	if c.QueueAlarmSec == 0 {
-		c.QueueAlarmSec = 8
-	}
-	if c.DrainTargetSec == 0 {
-		c.DrainTargetSec = 60
-	}
-	if c.Migration == 0 {
-		c.Migration = MigrateNetworkAware
-	}
-	if c.StallAfter == 0 {
-		c.StallAfter = 90 * time.Second
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 3
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 20 * time.Second
-	}
-	if c.ActionCooldown == 0 {
-		c.ActionCooldown = 10 * time.Second
-	}
-	if c.ReversalGuardRounds == 0 {
-		c.ReversalGuardRounds = 3
-	}
 	return c
 }
+
+// Diagnosis and decision thresholds of the Figure-6 policy, fixed once as
+// the paper fixes t_max (§8.2); no experiment varies them.
+const (
+	// tolerance is the relative slack for health checks: an operator
+	// processing within 5 % of its expected input is healthy.
+	tolerance = 0.05
+	// queueAlarmSec treats an operator as compute-bound when its input
+	// backlog exceeds this many seconds of processing.
+	queueAlarmSec = 8
+	// tMax is the migration-overhead threshold t_max: re-assignments
+	// whose estimated transition exceeds it scale out and partition
+	// state instead (§6.2, §8.7.2).
+	tMax = 30 * time.Second
+)
 
 // Controller is WASP's Reconfiguration Manager + Global Metric Monitor.
 type Controller struct {
@@ -292,7 +213,6 @@ type Controller struct {
 	ticker         *vclock.Event
 	longTerm       *vclock.Event
 	actions        []Action
-	lastActionAt   vclock.Time
 	quietRounds    int
 	lastRateFactor float64
 
@@ -376,30 +296,35 @@ func (c *Controller) LongTermRound(now vclock.Time) {
 	}
 	sp := c.obs.StartSpan("controller.longterm", obs.String("policy", c.cfg.Policy.String()))
 	defer sp.Finish()
-	if c.eng.Replanning() || c.eng.Failed() {
-		sp.Event("skip", obs.String("reason", c.settleReason()))
+	if c.settling(sp) {
 		return
 	}
-	g := c.eng.Plan().Graph
-	for _, id := range g.OperatorIDs() {
+	c.tryReplan(c.eng.Plan().Graph.OperatorIDs()[0], "long-term background re-evaluation")
+}
+
+// settling reports whether a round must defer to in-flight work — a plan
+// switch, a failure outage, a reconfiguration, or a command still
+// traveling the control plane — and records which as a skip event on sp.
+func (c *Controller) settling(sp *obs.Span) bool {
+	if c.eng.Replanning() || c.eng.Failed() {
+		reason := "plan switch in progress"
+		if c.eng.Failed() {
+			reason = "failure outage in progress"
+		}
+		sp.Event("skip", obs.String("reason", reason))
+		return true
+	}
+	for _, id := range c.eng.Plan().Graph.OperatorIDs() {
 		if c.eng.Reconfiguring(id) {
 			sp.Event("skip", obs.String("reason", "reconfiguration in flight"), obs.Int("op", int(id)))
-			return
+			return true
 		}
 		if c.commandInFlight(id) {
 			sp.Event("skip", obs.String("reason", "command in flight"), obs.Int("op", int(id)))
-			return
+			return true
 		}
 	}
-	c.tryReplan(g.OperatorIDs()[0], "long-term background re-evaluation")
-}
-
-// settleReason names why a round defers to in-flight work.
-func (c *Controller) settleReason() string {
-	if c.eng.Failed() {
-		return "failure outage in progress"
-	}
-	return "plan switch in progress"
+	return false
 }
 
 // Actions returns the adaptations performed so far.
@@ -412,7 +337,6 @@ func (c *Controller) Actions() []Action {
 func (c *Controller) record(kind ActionKind, op plan.OpID, detail string) {
 	now := c.sched.Now()
 	c.actions = append(c.actions, Action{At: now, Kind: kind, Op: op, Detail: detail})
-	c.lastActionAt = now
 	c.quietRounds = 0
 	c.obs.Emit("action", obs.String("kind", kind.String()), obs.I64("op", int64(op)), obs.String("detail", detail))
 	c.obs.Registry().Counter("wasp_controller_actions_total", "kind", kind.String()).Inc()
@@ -438,23 +362,10 @@ func (c *Controller) Round(now vclock.Time) {
 	c.RecoverDownSites()
 	defer round.Finish()
 	// Let in-flight adaptations and failure outages settle first.
-	if c.eng.Replanning() || c.eng.Failed() {
-		round.Event("skip", obs.String("reason", c.settleReason()))
+	if c.settling(round) {
 		return
 	}
-	g := c.eng.Plan().Graph
-	for _, id := range g.OperatorIDs() {
-		if c.eng.Reconfiguring(id) {
-			round.Event("skip", obs.String("reason", "reconfiguration in flight"), obs.Int("op", int(id)))
-			return
-		}
-		if c.commandInFlight(id) {
-			round.Event("skip", obs.String("reason", "command in flight"), obs.Int("op", int(id)))
-			return
-		}
-	}
-
-	expectedIn, _, err := metrics.EstimateActual(g, snap)
+	expectedIn, _, err := metrics.EstimateActual(c.eng.Plan().Graph, snap)
 	if err != nil {
 		round.Event("skip", obs.String("reason", "workload estimate failed: "+err.Error()))
 		return
@@ -493,10 +404,6 @@ func (c *Controller) adaptBottleneck(now vclock.Time, snap *metrics.Snapshot, ex
 			c.reject(branch, reason, obs.Int("op", int(id)))
 			continue
 		}
-		if branch, reason, gated := c.ctrlGated(id, now); gated {
-			c.rejectGated(id, branch, reason)
-			continue
-		}
 		return c.act(now, id, cond, snap, expectedIn)
 	}
 	return false
@@ -512,12 +419,12 @@ func (c *Controller) adaptBottleneck(now vclock.Time, snap *metrics.Snapshot, ex
 func (c *Controller) diagnose(id plan.OpID, snap *metrics.Snapshot, expectedIn map[plan.OpID]float64) metrics.Condition {
 	s := snap.Ops[id]
 	capacity := c.capacityOf(id, s.Tasks)
-	sendHeavy := s.SendQueueLen > 2*maxFloat(s.OutputRate, 1)
-	if !sendHeavy && s.InputQueueLen > capacity*c.cfg.QueueAlarmSec {
+	sendHeavy := s.SendQueueLen > 2*max(s.OutputRate, 1)
+	if !sendHeavy && s.InputQueueLen > capacity*queueAlarmSec {
 		return metrics.ComputeConstrained
 	}
 	want := expectedIn[id]
-	if s.ProcessingRate >= want*(1-c.cfg.Tolerance) {
+	if s.ProcessingRate >= want*(1-tolerance) {
 		return metrics.Healthy
 	}
 	if sendHeavy {
@@ -531,13 +438,6 @@ func (c *Controller) diagnose(id plan.OpID, snap *metrics.Snapshot, expectedIn m
 	return metrics.NetworkConstrained
 }
 
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // capacityOf returns an operator's aggregate processing capacity in
 // events/s at the given parallelism.
 func (c *Controller) capacityOf(id plan.OpID, tasks int) float64 {
@@ -546,7 +446,7 @@ func (c *Controller) capacityOf(id plan.OpID, tasks int) float64 {
 	if cost <= 0 {
 		cost = 1
 	}
-	return float64(tasks) * c.cfg.SlotRate / cost
+	return float64(tasks) * c.eng.SlotRate() / cost
 }
 
 // act opens the decision span for one bottleneck operator and dispatches
@@ -570,23 +470,18 @@ func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condit
 	case PolicyReassign:
 		// Re-assignment only, still subject to the §6.2 overhead check:
 		// a placement whose state migration would exceed t_max is not an
-		// acceptable solution. With ForcePartition (the §8.7.2
-		// "Partitioned" mode) an over-budget migration converts into a
-		// scale-out that partitions the state; otherwise this arm simply
-		// does not adapt — the paper's t=600 behaviour.
-		feasible, overhead := c.previewReassign(id)
-		if !feasible {
+		// acceptable solution, and this arm then simply does not adapt —
+		// the paper's t=600 behaviour.
+		newSites, overhead, err := c.previewReassign(id)
+		if err != nil {
 			c.reject("re-assign", "no placement found at current parallelism")
 			return false
 		}
-		if overhead > vclock.Time(c.cfg.TMax) {
-			if c.cfg.ForcePartition {
-				return c.scaleToPartition(id)
-			}
+		if overhead > vclock.Time(tMax) {
 			c.rejectOverhead(overhead)
 			return false
 		}
-		return c.tryReassign(id)
+		return c.tryReassign(id, newSites)
 	case PolicyReplan:
 		return c.tryReplan(id, "bottleneck "+cond.String())
 	case PolicyScale:
@@ -596,16 +491,22 @@ func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condit
 		if cond == metrics.ComputeConstrained {
 			return c.scaleForCompute(id, snap, expectedIn)
 		}
-		feasible, overhead := c.previewReassign(id)
-		if feasible && overhead <= vclock.Time(c.cfg.TMax) {
-			if c.tryReassign(id) {
+		newSites, overhead, err := c.previewReassign(id)
+		if err == nil && overhead <= vclock.Time(tMax) {
+			if c.tryReassign(id, newSites) {
 				return true
 			}
 		}
 		if c.scaleForNetwork(id, expectedIn) {
 			return true
 		}
-		return c.tryReassign(id)
+		// Scaling failed too: this arm has no re-plan to fall back on, so
+		// it takes the re-assignment whatever its migration costs.
+		if err != nil {
+			c.reject("re-assign", "no placement found: "+err.Error())
+			return false
+		}
+		return c.tryReassign(id, newSites)
 	case PolicyWASP:
 		// Figure 6.
 		if cond == metrics.ComputeConstrained {
@@ -622,11 +523,17 @@ func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condit
 			c.reject("scale-out", "operator cannot be split")
 			return c.tryReplan(id, "operator cannot be split")
 		}
-		feasible, overhead := c.previewReassign(id)
-		if feasible && overhead <= vclock.Time(c.cfg.TMax) {
-			return c.tryReassign(id)
+		newSites, overhead, err := c.previewReassign(id)
+		if err != nil {
+			// No placement at the current parallelism: scale out, and
+			// re-plan if even that fails (p′ > p_max or no slots).
+			c.reject("re-assign", "no placement found at current parallelism")
+			if c.scaleForNetwork(id, expectedIn) {
+				return true
+			}
+			return c.tryReplan(id, "scale-out infeasible")
 		}
-		if feasible && overhead > vclock.Time(c.cfg.TMax) {
+		if overhead > vclock.Time(tMax) {
 			// Migration too expensive: scale out to partition state; if
 			// the parallelism cap blocks that, re-plan (Fig 6). Executing
 			// the over-budget migration is never an option — suspending
@@ -637,13 +544,7 @@ func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condit
 			}
 			return c.tryReplan(id, "migration over t_max and p at p_max")
 		}
-		// No placement at the current parallelism: scale out, and
-		// re-plan if even that fails (p′ > p_max or no slots).
-		c.reject("re-assign", "no placement found at current parallelism")
-		if c.scaleForNetwork(id, expectedIn) {
-			return true
-		}
-		return c.tryReplan(id, "scale-out infeasible")
+		return c.tryReassign(id, newSites)
 	default:
 		return false
 	}
@@ -652,7 +553,7 @@ func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condit
 // rejectOverhead records the §6.2 t_max rejection of a re-assignment.
 func (c *Controller) rejectOverhead(overhead vclock.Time) {
 	c.reject("re-assign",
-		fmt.Sprintf("migration overhead %v > t_max %v", time.Duration(overhead), c.cfg.TMax),
+		fmt.Sprintf("migration overhead %v > t_max %v", time.Duration(overhead), tMax),
 		obs.Dur("overhead", time.Duration(overhead)),
-		obs.Dur("t_max", c.cfg.TMax))
+		obs.Dur("t_max", tMax))
 }

@@ -223,33 +223,40 @@ func TestScaleDownAfterLoadDrops(t *testing.T) {
 }
 
 func TestMigrationStrategiesOrdering(t *testing.T) {
-	// Build a controller only to exercise buildMigrations: map at site 1
-	// moving to site 2; make 1→2 slow and 1→3 fast. Network-aware picks
-	// the fast destination when offered both, Distant picks the slow one.
+	// Build a controller only to exercise buildMigrations: map tasks at
+	// sites 0 and 1 moving to sites 2 and 3, with 1→2 slow and every other
+	// link fast. Of the two possible pairings only 0→2, 1→3 avoids the
+	// slow link; the network-aware mapping (§5) must pick the pairing whose
+	// slowest transfer is the brute-force minimum.
 	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP}, 1000, 1, 60e6)
+	tb.run(t, 10*time.Second)
+	if err := tb.eng.Reconfigure(tb.ids[1], sites(0, 1), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	tb.run(t, 20*time.Second)
 	tb.net.SetLinkFactor(1, 2, trace.Constant(0.1)) // 16 Mbps = 2 MB/s
-	// 1→3 stays 160 Mbps = 20 MB/s.
 
-	aware := tb.ctl
-	aware.cfg.Migration = MigrateNetworkAware
-	migsAware, bottleneckAware := aware.buildMigrations(tb.ids[1], sites(2, 3), MigrateNetworkAware)
-	if len(migsAware) != 2 {
-		t.Fatalf("aware migrations = %v", migsAware)
+	migs, bottleneck := tb.ctl.buildMigrations(tb.ids[1], sites(2, 3))
+	if len(migs) != 2 {
+		t.Fatalf("migrations = %v, want 2", migs)
 	}
-	_, bottleneckDistant := aware.buildMigrations(tb.ids[1], sites(2, 3), MigrateDistant)
-	if !(bottleneckAware <= bottleneckDistant) {
-		t.Fatalf("network-aware bottleneck %v > distant %v", bottleneckAware, bottleneckDistant)
+	est := func(from, to topology.SiteID) vclock.Time {
+		return vclock.Time(tb.net.EstimateTransferTime(from, to, 30e6, tb.sched.Now()))
 	}
-	migsNone, b := aware.buildMigrations(tb.ids[1], sites(2, 3), MigrateNone)
-	if len(migsNone) != 0 || b != 0 {
-		t.Fatalf("MigrateNone produced %v", migsNone)
+	straight := max(est(0, 2), est(1, 3))
+	crossed := max(est(0, 3), est(1, 2))
+	if straight >= crossed {
+		t.Fatalf("rig offers no choice: straight %v, crossed %v", straight, crossed)
+	}
+	if bottleneck != straight {
+		t.Fatalf("network-aware bottleneck %v, brute-force minimum %v (other pairing %v)", bottleneck, straight, crossed)
 	}
 }
 
 func TestBuildMigrationsScaleOutPartitionsState(t *testing.T) {
 	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP}, 1000, 1, 90e6)
 	// Scale out 1 → {1,2,3}: two new tasks each pull |state|/3 = 30 MB.
-	migs, _ := tb.ctl.buildMigrations(tb.ids[1], sites(1, 2, 3), MigrateNetworkAware)
+	migs, _ := tb.ctl.buildMigrations(tb.ids[1], sites(1, 2, 3))
 	if len(migs) != 2 {
 		t.Fatalf("migrations = %v, want 2", migs)
 	}
@@ -270,27 +277,6 @@ func TestDiagnoseThroughController(t *testing.T) {
 	// rate factor.
 	if got := len(tb.ctl.Actions()); got != 0 {
 		t.Fatalf("actions = %d", got)
-	}
-}
-
-func TestForcePartitionConvertsCostlyReassign(t *testing.T) {
-	// PolicyReassign with ForcePartition (the §8.7.2 "Partitioned" mode):
-	// when the chosen re-assignment's migration would exceed t_max, the
-	// controller must scale out and partition the state instead.
-	acfg := Config{
-		Policy:         PolicyReassign,
-		ForcePartition: true,
-		TMax:           5 * time.Second,
-	}
-	tb := newTestbed(t, engine.Config{}, acfg, 10000, 1, 400e6)
-	// Choke the inbound link so the map at site 1 is network-constrained;
-	// every candidate destination is reachable but migrating 400 MB over
-	// any single 20 MB/s link takes 20 s > t_max.
-	tb.net.SetLinkFactor(0, 1, trace.Constant(4.0/160.0))
-	tb.run(t, 400*time.Second)
-	actions := tb.ctl.Actions()
-	if !hasKind(actions, ActionScaleOut) {
-		t.Fatalf("ForcePartition did not scale out; actions = %v", kinds(actions))
 	}
 }
 

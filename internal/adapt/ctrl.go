@@ -5,18 +5,20 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/metrics"
-	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// Control-plane integration: with no plane attached (every pre-existing
-// entry point) the controller keeps its ideal model — instantaneous
-// global snapshots and same-tick actuation — and behaves byte-identically
-// to before the control plane existed. With a plane attached, telemetry
-// arrives merged/late/partial, actions travel as epoch-fenced commands,
-// and diagnosis refuses to act on evidence it cannot trust: stale inputs
-// and quarantined regions become reject branches instead of actions.
+// Control-plane integration: with no plane attached the controller runs
+// its ideal model — instantaneous global snapshots and same-tick
+// actuation. With a plane attached, telemetry arrives merged/late/partial,
+// actions travel as epoch-fenced commands, and diagnosis refuses to act on
+// evidence it cannot trust: stale inputs and quarantined regions become
+// reject branches instead of actions. The two models differ in what a
+// round sees (Sample resets and takes rates over the whole round, the
+// merger takes them over the last two site reports), so the fork is at
+// the edges — sampleSnapshot, freeSlots, the gates and reconfigure — and
+// everything between them is one path.
 
 // AttachControlPlane switches the controller from the ideal
 // instantaneous telemetry/actuation model to the impaired one. Must be
@@ -28,9 +30,9 @@ func (c *Controller) AttachControlPlane(p *ctrlplane.Plane) { c.plane = p }
 func (c *Controller) ControlPlane() *ctrlplane.Plane { return c.plane }
 
 // sampleSnapshot produces the round's monitoring snapshot. Ideal mode
-// samples the engine directly (resetting the per-group counters exactly
-// as before); impaired mode re-evaluates quarantine and merges whatever
-// site reports survived the WAN.
+// samples the engine directly, which resets the per-group counters;
+// impaired mode re-evaluates quarantine and merges whatever site reports
+// survived the WAN.
 func (c *Controller) sampleSnapshot(now vclock.Time) *metrics.Snapshot {
 	if c.plane == nil {
 		return c.eng.Sample()
@@ -62,11 +64,11 @@ func (c *Controller) superviseCommands(now vclock.Time) {
 	}
 }
 
-// ctrlGated reports whether control-plane visibility forbids acting on
-// the operator this round: its region is quarantined, or the evidence
-// about any of its sites is older than the staleness bound. Both are
-// recorded as obs reject branches so the decision trail shows *why* the
-// controller sat on its hands.
+// ctrlGated is the control-plane half of heldDown: visibility forbids
+// acting on the operator this round when its region is quarantined, or
+// the evidence about any of its sites is older than the staleness bound.
+// Both are recorded as obs reject branches so the decision trail shows
+// *why* the controller sat on its hands.
 func (c *Controller) ctrlGated(id plan.OpID, now vclock.Time) (branch, reason string, gated bool) {
 	if c.plane == nil {
 		return "", "", false
@@ -94,9 +96,4 @@ func (c *Controller) freeSlots() []int {
 		c.plane.MaskUnreachable(free, c.sched.Now())
 	}
 	return free
-}
-
-// rejectGated records a ctrlGated verdict against the current decision.
-func (c *Controller) rejectGated(id plan.OpID, branch, reason string) {
-	c.reject(branch, reason, obs.Int("op", int(id)))
 }

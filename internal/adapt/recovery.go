@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/detutil"
@@ -354,7 +355,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 		c.reject("scale-out", "no slots for replacement tasks; shrinking to survivors")
 		newSites = append([]topology.SiteID(nil), survivors...)
 	}
-	sortSites(newSites)
+	slices.Sort(newSites)
 
 	// State: freshest checkpoint per dead group, never from a down site.
 	// The restore bytes cross the WAN as a tracked transfer, so recovery
@@ -373,7 +374,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 			}
 			blobs = append(blobs, data)
 			restoreFrom = append(restoreFrom, ref)
-			dst, ok := c.pickReceiver(uniqueSites(newSites), ref.Site, c.cfg.Migration)
+			dst, ok := c.pickReceiver(uniqueSites(newSites), ref.Site)
 			if !ok {
 				continue
 			}
@@ -411,17 +412,14 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 			obs.Dur("recovery_time", time.Duration(doneAt-crashAt)))
 		c.obs.Registry().Counter("wasp_recoveries_total").Inc()
 	}
-	if err := c.reconfigure(id, newSites, migs, onDone); err != nil {
-		c.reject("re-assign", "engine: "+err.Error())
-		c.endDecision(false)
-		return false
-	}
-	delete(c.degraded, id)
 	detail := fmt.Sprintf("lost %d task(s) at %v; new placement %v, %d checkpoint(s) from %v",
 		lost, uniqueSites(deadSites), newSites, len(blobs), refSites(restoreFrom))
-	c.record(ActionRecover, id, detail)
-	c.endDecision(true)
-	return true
+	acted := c.commit(ActionRecover, "re-assign", id, newSites, migs, detail, onDone)
+	if acted {
+		delete(c.degraded, id)
+	}
+	c.endDecision(acted)
+	return acted
 }
 
 // degradeStage records (once per outage) that a stage runs degraded: its

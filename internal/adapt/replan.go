@@ -40,7 +40,7 @@ func (c *Controller) tryReplan(id plan.OpID, reason string) bool {
 		cur := c.replan.Current
 		admit = func(v *plan.Variant) bool { return v.AdmissibleFrom(cur) }
 	}
-	cfg := physical.PlannerConfig{ScheduleConfig: c.scheduleConfig(c.lastRateFactor)}
+	cfg := physical.PlannerConfig{ScheduleConfig: c.scheduleConfig()}
 	best, _, err := c.planSession.Plan(c.top, cfg, admit)
 	if err != nil {
 		c.reject("re-plan", "planner: "+err.Error())

@@ -15,11 +15,40 @@ import (
 // operations, not fire-and-forget. Every round the controller surveys the
 // in-flight ones, aborts those that are doomed (an endpoint site crashed,
 // the carrying link blacked out) or stalled (no transfer progress for
-// StallAfter), and retries with exponential backoff under a per-operator
+// stallAfter), and retries with exponential backoff under a per-operator
 // budget. An exhausted budget rolls back: the stage keeps the placement
 // the abort restored, and the operator is left alone for an extended
 // backoff. Completed actions stamp an anti-flap cooldown and a reversal
 // guard so oscillating conditions cannot thrash state over the WAN.
+
+// The hold-downs of that runtime. They are properties of the mechanism, not
+// of the policy a caller chooses, and are sized against the 40 s
+// monitoring round and the 30 s t_max (DESIGN.md §11 has the arithmetic).
+const (
+	// stallAfter is the no-progress deadline for in-flight adaptations: a
+	// reconfiguration whose transfers moved no bytes — or a re-plan whose
+	// drain shrank no backlog — for this long is aborted and retried.
+	// Three times t_max: an admitted migration is estimated to finish
+	// within t_max, so one silent for 90 s is not merely slow.
+	stallAfter = 90 * time.Second
+	// retryBudget caps abort→retry cycles per operator. Once exhausted the
+	// controller rolls back: the stage keeps its old placement and the
+	// operator is left alone for an extended backoff.
+	retryBudget = 3
+	// retryBackoff is the base delay before re-attempting an action after
+	// an abort, doubling with each failed attempt. The first abort retries
+	// immediately — backoff starts at the second.
+	retryBackoff = 20 * time.Second
+	// actionCooldown is the anti-flap hold-down: after an action on an
+	// operator completes, no further adaptation touches it until the
+	// cooldown passes.
+	actionCooldown = 10 * time.Second
+	// reversalGuardRounds refuses a re-assignment that would restore an
+	// operator's previous placement while the current one is younger than
+	// this many monitoring rounds — oscillating conditions otherwise flap
+	// state back and forth over the WAN.
+	reversalGuardRounds = 3
+)
 
 // retryState is the per-operator ledger of aborted adaptation attempts.
 type retryState struct {
@@ -35,7 +64,7 @@ func (c *Controller) superviseInFlight(now vclock.Time) {
 	// Command-channel supervision first: a command the plane just gave up
 	// on frees its operator for this round's recovery or diagnosis pass.
 	c.superviseCommands(now)
-	stall := vclock.Time(c.cfg.StallAfter)
+	stall := vclock.Time(stallAfter)
 	for _, st := range c.eng.ReconfigStatuses(stall) {
 		if !st.Doomed && !st.Stalled {
 			continue
@@ -54,7 +83,7 @@ func (c *Controller) superviseInFlight(now vclock.Time) {
 			c.obs.Emit("adapt.abort",
 				obs.String("what", "re-plan"),
 				obs.String("verdict", "stalled"),
-				obs.String("reason", fmt.Sprintf("drain made no progress for %v", c.cfg.StallAfter)))
+				obs.String("reason", fmt.Sprintf("drain made no progress for %v", stallAfter)))
 			c.obs.Registry().Counter("wasp_adapt_aborts_total", "what", "re-plan").Inc()
 		}
 	}
@@ -63,7 +92,7 @@ func (c *Controller) superviseInFlight(now vclock.Time) {
 // noteAborted records one aborted reconfiguration against the operator's
 // retry budget. The first abort retries immediately (the next recovery or
 // diagnosis pass may act at once — typically re-targeting around the
-// failure); later ones wait RetryBackoff·2^(attempt−2). Past the budget
+// failure); later ones wait retryBackoff·2^(attempt−2). Past the budget
 // the controller rolls back for an extended backoff of one more doubling.
 func (c *Controller) noteAborted(id plan.OpID, verdict, reason string, now vclock.Time) {
 	if c.retries == nil {
@@ -82,7 +111,7 @@ func (c *Controller) noteAborted(id plan.OpID, verdict, reason string, now vcloc
 		obs.String("reason", reason),
 		obs.Int("attempt", rs.attempts))
 	c.obs.Registry().Counter("wasp_adapt_aborts_total", "what", "reconfiguration").Inc()
-	if rs.attempts > c.cfg.RetryBudget {
+	if rs.attempts > retryBudget {
 		rs.nextTryAt = now + c.backoffAfter(rs.attempts)
 		c.obs.Emit("adapt.rollback",
 			obs.Int("op", int(id)),
@@ -101,21 +130,22 @@ func (c *Controller) noteAborted(id plan.OpID, verdict, reason string, now vcloc
 }
 
 // backoffAfter returns the exponential retry delay following the given
-// attempt count: RetryBackoff·2^(attempts−2), so the second abort waits
+// attempt count: retryBackoff·2^(attempts−2), so the second abort waits
 // one base period and each further abort doubles it.
 func (c *Controller) backoffAfter(attempts int) vclock.Time {
-	d := vclock.Time(c.cfg.RetryBackoff)
+	d := vclock.Time(retryBackoff)
 	for i := 2; i < attempts; i++ {
 		d *= 2
 	}
 	return d
 }
 
-// heldDown reports whether hysteresis forbids adapting the operator now:
-// either its retry ledger is backing off after aborts, or a recently
-// completed action's cooldown has not passed. Crash recovery is exempt
-// from the cooldown (dead tasks outrank anti-flap) but still honours the
-// retry backoff via retryHeld.
+// heldDown reports whether the operator may not be adapted now, and the
+// reject branch that says why: its retry ledger is backing off after
+// aborts, a recently completed action's cooldown has not passed, or the
+// control plane cannot vouch for its sites (ctrlGated). Crash recovery is
+// exempt from the cooldown (dead tasks outrank anti-flap) but still
+// honours the retry backoff via retryHeld.
 func (c *Controller) heldDown(id plan.OpID, now vclock.Time) (branch, reason string, held bool) {
 	if rs, until := c.retryHeld(id, now); rs {
 		return "retry-backoff", fmt.Sprintf("backing off until %v after aborted attempts", time.Duration(until)), true
@@ -123,7 +153,7 @@ func (c *Controller) heldDown(id plan.OpID, now vclock.Time) (branch, reason str
 	if until, ok := c.cooldown[id]; ok && now < until {
 		return "cooldown", fmt.Sprintf("action cooldown until %v", time.Duration(until)), true
 	}
-	return "", "", false
+	return c.ctrlGated(id, now)
 }
 
 // retryHeld reports whether the operator's retry ledger is in backoff.
@@ -134,8 +164,8 @@ func (c *Controller) retryHeld(id plan.OpID, now vclock.Time) (bool, vclock.Time
 	return false, 0
 }
 
-// reconfigure routes every controller-initiated placement change through
-// the engine while stamping the hysteresis bookkeeping at completion:
+// reconfigure routes a committed placement change through the engine
+// while stamping the hysteresis bookkeeping at completion:
 // the cooldown expiry, the placement the action replaced (for the
 // reversal guard), the round it landed, and a cleared retry ledger.
 func (c *Controller) reconfigure(id plan.OpID, newSites []topology.SiteID, migs []engine.Migration, onDone func(now vclock.Time)) error {
@@ -158,6 +188,19 @@ func (c *Controller) reconfigure(id plan.OpID, newSites []topology.SiteID, migs 
 	})
 }
 
+// commit is the controller's one way to move an operator, whatever the
+// reason — re-assignment, scaling in either direction, or crash recovery:
+// it hands the new placement and its state transfers to reconfigure and
+// either logs the action or rejects the branch with the engine's reason.
+func (c *Controller) commit(kind ActionKind, branch string, id plan.OpID, newSites []topology.SiteID, migs []engine.Migration, detail string, onDone func(now vclock.Time)) bool {
+	if err := c.reconfigure(id, newSites, migs, onDone); err != nil {
+		c.reject(branch, "engine: "+err.Error())
+		return false
+	}
+	c.record(kind, id, detail)
+	return true
+}
+
 // noteCompleted stamps the anti-flap state for one finished action.
 func (c *Controller) noteCompleted(id plan.OpID, oldSites []topology.SiteID, doneAt vclock.Time) {
 	if c.cooldown == nil {
@@ -165,7 +208,7 @@ func (c *Controller) noteCompleted(id plan.OpID, oldSites []topology.SiteID, don
 		c.prevSites = make(map[plan.OpID][]topology.SiteID)
 		c.placedAt = make(map[plan.OpID]int)
 	}
-	c.cooldown[id] = doneAt + vclock.Time(c.cfg.ActionCooldown)
+	c.cooldown[id] = doneAt + vclock.Time(actionCooldown)
 	c.prevSites[id] = oldSites
 	c.placedAt[id] = c.roundCount
 	delete(c.retries, id)
@@ -179,12 +222,12 @@ func (c *Controller) noteCompleted(id plan.OpID, oldSites []topology.SiteID, don
 
 // reversalGuarded reports whether moving the operator to newSites would
 // undo its most recent completed action while the resulting placement is
-// younger than ReversalGuardRounds monitoring rounds — the flap signature
+// younger than reversalGuardRounds monitoring rounds — the flap signature
 // (A→B under pressure, B→A the moment pressure lifts, repeat).
 func (c *Controller) reversalGuarded(id plan.OpID, newSites []topology.SiteID) bool {
 	prev, ok := c.prevSites[id]
 	if !ok || !sameSites(newSites, prev) {
 		return false
 	}
-	return c.roundCount-c.placedAt[id] < c.cfg.ReversalGuardRounds
+	return c.roundCount-c.placedAt[id] < reversalGuardRounds
 }

@@ -79,7 +79,7 @@ func TestDoomedReconfigurationAbortsAndStageResumes(t *testing.T) {
 }
 
 func TestStalledReplanAborts(t *testing.T) {
-	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP, StallAfter: 50 * time.Second}, 1000, 1, 0)
+	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP}, 1000, 1, 0)
 	tb.run(t, 20*time.Second)
 
 	// Black out the map→sink link, then immediately start a drain that can
@@ -111,7 +111,7 @@ func TestRetryBackoffEscalatesToRollback(t *testing.T) {
 	o := tb.ctl.Observer()
 	now := vclock.Time(100 * time.Second)
 
-	// Defaults: RetryBudget 3, RetryBackoff 20 s. First abort retries
+	// retryBudget 3, retryBackoff 20 s: the first abort retries
 	// immediately, later ones back off exponentially, the fourth rolls back.
 	tb.ctl.noteAborted(mp, "doomed", "test", now)
 	if _, _, held := tb.ctl.heldDown(mp, now); held {
@@ -126,7 +126,7 @@ func TestRetryBackoffEscalatesToRollback(t *testing.T) {
 		t.Fatal("backoff cleared before the base period")
 	}
 	if _, _, held := tb.ctl.heldDown(mp, now+vclock.Time(20*time.Second)); held {
-		t.Fatal("second abort backed off longer than RetryBackoff")
+		t.Fatal("second abort backed off longer than retryBackoff")
 	}
 	tb.ctl.noteAborted(mp, "stalled", "test", now)
 	if _, _, held := tb.ctl.heldDown(mp, now+vclock.Time(39*time.Second)); !held {
@@ -185,8 +185,8 @@ func TestReversalGuardRefusesFreshUndo(t *testing.T) {
 	if tb.ctl.reversalGuarded(mp, sites(2)) {
 		t.Fatal("non-reversal guarded")
 	}
-	// The guard ages out after ReversalGuardRounds (default 3) rounds.
-	tb.ctl.roundCount += tb.ctl.cfg.ReversalGuardRounds
+	// The guard ages out after reversalGuardRounds rounds.
+	tb.ctl.roundCount += reversalGuardRounds
 	if tb.ctl.reversalGuarded(mp, sites(1)) {
 		t.Fatal("reversal guard never aged out")
 	}

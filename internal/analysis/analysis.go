@@ -259,13 +259,3 @@ func importedPkg(pass *Pass, file *ast.File, ident *ast.Ident, path ...string) b
 	}
 	return false
 }
-
-// fileOf returns the *ast.File containing pos.
-func fileOf(pass *Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}

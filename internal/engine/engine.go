@@ -30,16 +30,9 @@ import (
 
 // Config parameterises an Engine. Zero fields take the listed defaults.
 type Config struct {
-	// Tick is the simulation step (default 250 ms). Smaller ticks give
-	// finer delay resolution at proportional cost.
-	Tick time.Duration
 	// SlotRate is the per-slot processing capacity in events/s for an
 	// operator with CostPerEvent 1 (default 25000).
 	SlotRate float64
-	// BackpressureSec bounds each queue at this many seconds of work at
-	// the consumer's capacity (default 4 s); full queues throttle
-	// upstream senders and producers.
-	BackpressureSec float64
 	// DropLate enables the Degrade baseline: events whose accumulated
 	// delay exceeds SLO are dropped instead of processed.
 	DropLate bool
@@ -48,20 +41,24 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Tick == 0 {
-		c.Tick = 250 * time.Millisecond
-	}
 	if c.SlotRate == 0 {
 		c.SlotRate = 25000
-	}
-	if c.BackpressureSec == 0 {
-		c.BackpressureSec = 4
 	}
 	if c.SLO == 0 {
 		c.SLO = 10 * time.Second
 	}
 	return c
 }
+
+const (
+	// tickEvery is the simulation step. Smaller ticks give finer delay
+	// resolution at proportional cost.
+	tickEvery = 250 * time.Millisecond
+	// backpressureSec bounds each queue at this many seconds of work at
+	// the consumer's capacity; full queues throttle upstream senders and
+	// producers.
+	backpressureSec = 4
+)
 
 // groupKey identifies a task group: all tasks of one operator at one site.
 type groupKey struct {
@@ -118,8 +115,9 @@ type group struct {
 	generated     float64 // sources: external events generated
 	backpressured bool
 
-	// bpActive tracks the backpressure edge for telemetry: an onset event
-	// fires only on the false→true transition (observability only).
+	// bpActive is the backpressure state as of the last tick: what
+	// SampleSites reports, and the edge an onset event fires on
+	// (false→true only).
 	bpActive bool
 
 	// Invariants of (op, tasks), set at construction (newGroup) and never
@@ -376,6 +374,10 @@ func (e *Engine) Plan() *physical.Plan { return e.plan }
 // Now returns the current virtual time.
 func (e *Engine) Now() vclock.Time { return e.sched.Now() }
 
+// SlotRate returns the per-slot processing capacity the engine runs with;
+// the controller sizes its scaling decisions from it.
+func (e *Engine) SlotRate() float64 { return e.cfg.SlotRate }
+
 // SetWorkloadFactor installs a global source-rate factor trace (scripted
 // workload dynamics).
 func (e *Engine) SetWorkloadFactor(tr *trace.Trace) {
@@ -442,7 +444,7 @@ func (e *Engine) Start() {
 		return
 	}
 	e.lastNow = e.sched.Now()
-	e.ticker = e.sched.Every(e.cfg.Tick, e.tick)
+	e.ticker = e.sched.Every(tickEvery, e.tick)
 }
 
 // Stop halts the tick loop.
@@ -560,7 +562,7 @@ func groupKeyLess(a, b groupKey) bool {
 }
 
 // queueFull applies the backpressure bound: a queue is full when it holds
-// more than BackpressureSec seconds of work at the group's capacity
+// more than backpressureSec seconds of work at the group's capacity
 // (precomputed as bpLimit at group construction).
 //
 //waspvet:hotpath
@@ -836,7 +838,7 @@ func (e *Engine) sendBlocked(g *group) bool {
 			continue
 		}
 		secondsQueued := f.q.len() * f.eventBytes / linkCap
-		if secondsQueued >= e.cfg.BackpressureSec {
+		if secondsQueued >= backpressureSec {
 			return true
 		}
 	}
@@ -854,27 +856,23 @@ func (e *Engine) refreshLinkCaps() {
 
 // updateBackpressure refreshes each group's backpressure flag: a group is
 // backpressured when its input queue or any of its send queues is at the
-// bound, so next tick's flow demands and processing observe it. With an
-// observer attached, groups are visited in deterministic order and each
-// false→true transition emits a backpressure.onset event.
+// bound, so next tick's flow demands and processing observe it. bpActive
+// tracks the live state for SampleSites; with an observer attached each
+// false→true transition also emits a backpressure.onset event.
 //
 //waspvet:hotpath
 func (e *Engine) updateBackpressure() {
-	if e.obs == nil {
-		for _, g := range e.groups {
-			if e.queueFull(g) || e.sendBlocked(g) {
-				g.backpressured = true
-			}
-		}
-		return
-	}
 	for _, groups := range e.stages {
 		for _, g := range groups {
 			bp := e.queueFull(g) || e.sendBlocked(g)
 			if bp {
 				g.backpressured = true
 			}
-			if bp && !g.bpActive {
+			if bp == g.bpActive {
+				continue
+			}
+			g.bpActive = bp
+			if bp && e.obs != nil {
 				//waspvet:hotalloc observer-gated edge-transition event, not per-tick steady state
 				e.obs.Emit("backpressure.onset",
 					obs.Int("op", int(g.op.ID)), obs.Int("site", int(g.site)),
@@ -882,7 +880,6 @@ func (e *Engine) updateBackpressure() {
 				//waspvet:hotalloc observer-gated edge-transition telemetry, not per-tick steady state
 				e.obs.Registry().Counter("wasp_backpressure_onsets_total", "op", opLabel(g.op.ID)).Inc()
 			}
-			g.bpActive = bp
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/netsim"
+	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -424,6 +425,39 @@ func TestSampleRates(t *testing.T) {
 	}
 	if snap.At != vclock.Time(50*time.Second) {
 		t.Fatalf("snapshot At = %v", snap.At)
+	}
+}
+
+// TestSampleSitesBackpressureWithoutObserver: what the controller sees must
+// not depend on whether anyone is watching. A 1 Mbps link under a
+// 10000 ev/s source backs the source's send queue up to the bound, so the
+// per-site reports an impaired control plane ships must carry the live
+// backpressure flag with no observer attached, exactly as they do with one.
+// No decision reads the flag today (adapt.diagnose does not), which is why
+// maintaining it unconditionally moves no experiment output.
+func TestSampleSitesBackpressureWithoutObserver(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		r := pipelineRig(t, Config{}, 1, 10000)
+		if observed {
+			r.eng.SetObserver(obs.New(r.sched.Now))
+		}
+		r.run(t, 120*time.Second)
+		sampled := false
+		for _, s := range r.eng.Sample().Ops {
+			sampled = sampled || s.Backpressure
+		}
+		if !sampled {
+			t.Fatalf("observed=%v: rig is not backpressured", observed)
+		}
+		reported := false
+		for _, rep := range r.eng.SampleSites() {
+			for _, oc := range rep.Ops {
+				reported = reported || oc.Backpressure
+			}
+		}
+		if !reported {
+			t.Errorf("observed=%v: SampleSites reports no backpressure on a backpressured pipeline", observed)
+		}
 	}
 }
 

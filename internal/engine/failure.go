@@ -215,29 +215,8 @@ func (e *Engine) RestoreOperatorState(op plan.OpID, data []byte) error {
 	if len(groups) == 0 {
 		return fmt.Errorf("engine: no live groups for op %d to restore into", op)
 	}
-	total := 0
-	for _, g := range groups {
-		total += g.tasks
-	}
-	var restored float64
-	for _, g := range groups {
-		share := float64(g.tasks) / float64(total)
-		if frontier > g.maxProcessedBorn {
-			g.maxProcessedBorn = frontier
-		}
-		if !g.windowed {
-			continue // stateless operator: only the frontier carries over
-		}
-		for _, w := range wins {
-			dst := g.winAt(w.start)
-			dst.count += w.count * share
-			dst.srcTotal += w.srcTotal * share
-			if w.maxBorn > dst.maxBorn {
-				dst.maxBorn = w.maxBorn
-			}
-			restored += w.srcTotal * share
-		}
-	}
+	state := carried{wins: wins, frontier: frontier}
+	restored := state.spread(groups)
 	// A restore can never bring back more than the crash destroyed: cap
 	// the credit so net loss (and goodput) stay honest under replay. The
 	// uncapped total is tracked separately — conservation checking must
@@ -257,14 +236,7 @@ func (e *Engine) RestoreOperatorState(op plan.OpID, data []byte) error {
 	return nil
 }
 
-// snapWin is one decoded window accumulator.
-type snapWin struct {
-	start           vclock.Time
-	count, srcTotal float64
-	maxBorn         vclock.Time
-}
-
-func decodeSnapshot(data []byte) ([]snapWin, vclock.Time, error) {
+func decodeSnapshot(data []byte) ([]winSlot, vclock.Time, error) {
 	if len(data) < 13 {
 		return nil, 0, fmt.Errorf("engine: snapshot truncated (%d bytes)", len(data))
 	}
@@ -276,14 +248,16 @@ func decodeSnapshot(data []byte) ([]snapWin, vclock.Time, error) {
 	if len(data) != 13+n*32 {
 		return nil, 0, fmt.Errorf("engine: snapshot length %d does not match %d windows", len(data), n)
 	}
-	wins := make([]snapWin, n)
+	wins := make([]winSlot, n)
 	off := 13
 	for i := range wins {
-		wins[i] = snapWin{
-			start:    vclock.Time(binary.BigEndian.Uint64(data[off:])),
-			count:    math.Float64frombits(binary.BigEndian.Uint64(data[off+8:])),
-			srcTotal: math.Float64frombits(binary.BigEndian.Uint64(data[off+16:])),
-			maxBorn:  vclock.Time(binary.BigEndian.Uint64(data[off+24:])),
+		wins[i] = winSlot{
+			start: vclock.Time(binary.BigEndian.Uint64(data[off:])),
+			winAcc: winAcc{
+				count:    math.Float64frombits(binary.BigEndian.Uint64(data[off+8:])),
+				srcTotal: math.Float64frombits(binary.BigEndian.Uint64(data[off+16:])),
+				maxBorn:  vclock.Time(binary.BigEndian.Uint64(data[off+24:])),
+			},
 		}
 		off += 32
 	}

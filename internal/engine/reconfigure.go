@@ -259,19 +259,31 @@ func (e *Engine) AbortReconfigure(op plan.OpID) error {
 	return nil
 }
 
-func (e *Engine) finalizeReconfig(rc *reconfiguration, now vclock.Time) {
-	// Gather carried state: queued cohorts, window buffers, frontier.
-	var carriedQ []cohort
-	carriedWins := make(map[vclock.Time]*winAcc)
-	var frontier vclock.Time
-	for _, g := range e.opGroups(rc.op) {
-		carriedQ = g.inQ.popAllInto(carriedQ)
+// carried is the state an operator takes across a change of its groups:
+// queued cohorts, window accumulators ascending by start, and the
+// event-time frontier. Reconfiguration, re-planning and checkpoint restore
+// all move state the same way — gather sums it over the groups being left,
+// spread re-deals it by task share over the groups it lands in.
+type carried struct {
+	q        []cohort
+	wins     []winSlot
+	frontier vclock.Time
+}
+
+// gather empties the groups' input queues and sums their windows (by
+// start) and frontiers (by max) into one carried value. The groups' window
+// buffers are left for the caller to drop with the groups.
+func gather(groups []*group) carried {
+	var c carried
+	acc := make(map[vclock.Time]*winAcc)
+	for _, g := range groups {
+		c.q = g.inQ.popAllInto(c.q)
 		for i := range g.windows {
 			w := &g.windows[i]
-			dst := carriedWins[w.start]
+			dst := acc[w.start]
 			if dst == nil {
 				dst = &winAcc{}
-				carriedWins[w.start] = dst
+				acc[w.start] = dst
 			}
 			dst.count += w.count
 			dst.srcTotal += w.srcTotal
@@ -279,28 +291,55 @@ func (e *Engine) finalizeReconfig(rc *reconfiguration, now vclock.Time) {
 				dst.maxBorn = w.maxBorn
 			}
 		}
-		if g.maxProcessedBorn > frontier {
-			frontier = g.maxProcessedBorn
+		if g.maxProcessedBorn > c.frontier {
+			c.frontier = g.maxProcessedBorn
 		}
 	}
+	for _, start := range detutil.SortedKeys(acc) {
+		c.wins = append(c.wins, winSlot{start: start, winAcc: *acc[start]})
+	}
+	return c
+}
 
-	// Install the new placement and spread the carried state over the new
-	// groups by task share.
-	total := float64(len(rc.newSites))
-	for _, g := range e.placeOp(rc.op, rc.newSites) {
-		g.maxProcessedBorn = frontier
-		share := float64(g.tasks) / total
-		for _, c := range carriedQ {
-			g.inQ.push(c.born, c.count*share, c.worth, c.raw)
+// spread deals the carried state over the groups, each taking its share
+// tasks/total of every cohort and (if windowed) every window, merged into
+// whatever it already holds, and all of the frontier. It returns the
+// source-equivalent window total handed out.
+func (c *carried) spread(groups []*group) (srcTotal float64) {
+	total := 0
+	for _, g := range groups {
+		total += g.tasks
+	}
+	for _, g := range groups {
+		share := float64(g.tasks) / float64(total)
+		for _, co := range c.q {
+			g.inQ.push(co.born, co.count*share, co.worth, co.raw)
 		}
-		if g.windowed {
-			for _, start := range detutil.SortedKeys(carriedWins) {
-				w := carriedWins[start]
-				g.windows = append(g.windows, winSlot{start: start,
-					winAcc: winAcc{count: w.count * share, srcTotal: w.srcTotal * share, maxBorn: w.maxBorn}})
+		if c.frontier > g.maxProcessedBorn {
+			g.maxProcessedBorn = c.frontier
+		}
+		if !g.windowed {
+			continue // stateless operator: only queue and frontier carry over
+		}
+		for i := range c.wins {
+			w := &c.wins[i]
+			dst := g.winAt(w.start)
+			dst.count += w.count * share
+			dst.srcTotal += w.srcTotal * share
+			if w.maxBorn > dst.maxBorn {
+				dst.maxBorn = w.maxBorn
 			}
+			srcTotal += w.srcTotal * share
 		}
 	}
+	return srcTotal
+}
+
+func (e *Engine) finalizeReconfig(rc *reconfiguration, now vclock.Time) {
+	// The old groups' queues, windows and frontier move to the new
+	// placement's groups.
+	state := gather(e.opGroups(rc.op))
+	state.spread(e.placeOp(rc.op, rc.newSites))
 	e.rebuildFlows()
 	e.rewire()
 	if rc.span != nil {
@@ -420,34 +459,9 @@ func (e *Engine) progressReplan(now vclock.Time) {
 	}
 
 	// Collect carried state keyed by the NEW operator IDs.
-	type carried struct {
-		q        []cohort
-		wins     map[vclock.Time]*winAcc
-		frontier vclock.Time
-	}
-	carry := make(map[plan.OpID]*carried)
+	carry := make(map[plan.OpID]carried, len(rp.carry))
 	for oldID, newID := range rp.carry {
-		c := &carried{wins: make(map[vclock.Time]*winAcc)}
-		for _, g := range e.opGroups(oldID) {
-			c.q = g.inQ.popAllInto(c.q)
-			for i := range g.windows {
-				w := &g.windows[i]
-				dst := c.wins[w.start]
-				if dst == nil {
-					dst = &winAcc{}
-					c.wins[w.start] = dst
-				}
-				dst.count += w.count
-				dst.srcTotal += w.srcTotal
-				if w.maxBorn > dst.maxBorn {
-					dst.maxBorn = w.maxBorn
-				}
-			}
-			if g.maxProcessedBorn > c.frontier {
-				c.frontier = g.maxProcessedBorn
-			}
-		}
-		carry[newID] = c
+		carry[newID] = gather(e.opGroups(oldID))
 	}
 
 	// Tear down the old flows, then install the new plan and its groups.
@@ -457,31 +471,8 @@ func (e *Engine) progressReplan(now vclock.Time) {
 	e.setFlows(nil)
 	e.setPlan(rp.newPlan)
 	e.buildGroups()
-	for newID, c := range carry {
-		groups := e.opGroups(newID)
-		if len(groups) == 0 {
-			continue
-		}
-		total := 0
-		for _, g := range groups {
-			total += g.tasks
-		}
-		for _, g := range groups {
-			share := float64(g.tasks) / float64(total)
-			for _, co := range c.q {
-				g.inQ.push(co.born, co.count*share, co.worth, co.raw)
-			}
-			if g.windowed {
-				for _, start := range detutil.SortedKeys(c.wins) {
-					w := c.wins[start]
-					g.windows = append(g.windows, winSlot{start: start,
-						winAcc: winAcc{count: w.count * share, srcTotal: w.srcTotal * share, maxBorn: w.maxBorn}})
-				}
-			}
-			if c.frontier > g.maxProcessedBorn {
-				g.maxProcessedBorn = c.frontier
-			}
-		}
+	for newID, state := range carry {
+		state.spread(e.opGroups(newID))
 	}
 	e.rebuildFlows()
 	e.rewire()

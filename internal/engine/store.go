@@ -113,7 +113,7 @@ func (e *Engine) newGroup(op plan.OpID, site topology.SiteID, tasks int) *group 
 	g := &group{op: e.plan.Graph.Operator(op), site: site, tasks: tasks}
 	g.windowed = g.op.Window > 0
 	g.cap = g.capacity(e.cfg.SlotRate)
-	g.bpLimit = g.cap * e.cfg.BackpressureSec
+	g.bpLimit = g.cap * backpressureSec
 	g.isSink = g.op.Kind == plan.KindSink
 	g.sigma = g.op.Selectivity
 	if g.op.Kind == plan.KindSource {

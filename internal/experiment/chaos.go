@@ -7,6 +7,7 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/adapt"
 	"github.com/wasp-stream/wasp/internal/chaos"
+	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/faults"
 	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -47,30 +48,44 @@ func RunChaos(baseSeed int64, n int, duration time.Duration) ([]ChaosRun, error)
 	if duration == 0 {
 		duration = chaosDuration
 	}
+	return chaosSeeds("chaos", baseSeed, n, duration, false)
+}
+
+// chaosSeeds runs one randomized fault schedule per seed in
+// [baseSeed, baseSeed+n) under the full WASP policy with 30 s
+// checkpointing and judges each run by the invariant checker. With ctrl
+// the run goes over a default WAN control plane and the schedule is
+// widened with the control fault kinds.
+func chaosSeeds(prefix string, baseSeed int64, n int, duration time.Duration, ctrl bool) ([]ChaosRun, error) {
 	jobs := make([]func() (ChaosRun, error), n)
 	for i := 0; i < n; i++ {
 		seed := baseSeed + int64(i)
 		jobs[i] = func() (ChaosRun, error) {
 			var schedule []faults.Fault
-			res, err := Run(Scenario{
-				Name:            fmt.Sprintf("chaos-seed-%d", seed),
+			sc := Scenario{
+				Name:            fmt.Sprintf("%s-seed-%d", prefix, seed),
 				Seed:            seed,
 				Duration:        duration,
 				Engine:          EngineConfig(adapt.PolicyWASP),
 				Adapt:           AdaptConfig(adapt.PolicyWASP),
 				CheckpointEvery: 30 * time.Second,
 				FaultsFor: func(pp *physical.Plan, top *topology.Topology) []faults.Fault {
-					schedule = chaos.Generate(seed, chaos.Config{
-						Sites:    top.N(),
-						Duration: duration,
-					})
+					cfg := chaos.Config{Sites: top.N(), Duration: duration}
+					if ctrl {
+						cfg.CtrlRegions = len(ctrlplane.Domains(top, ctrlplane.Config{}))
+					}
+					schedule = chaos.Generate(seed, cfg)
 					return schedule
 				},
-			})
+			}
+			if ctrl {
+				sc.Ctrl = &ctrlplane.Config{}
+			}
+			res, err := Run(sc)
 			if err != nil {
 				return ChaosRun{}, err
 			}
-			run := ChaosRun{
+			return ChaosRun{
 				Seed:         seed,
 				Faults:       schedule,
 				Actions:      len(res.Actions),
@@ -79,8 +94,7 @@ func RunChaos(baseSeed int64, n int, duration time.Duration) ([]ChaosRun, error)
 				ProcessedPct: res.ProcessedPct,
 				MaxRecovery:  res.Final.MaxRecovery,
 				Violations:   chaos.Check(*res.Final, ChaosRecoveryBound),
-			}
-			return run, nil
+			}, nil
 		}
 	}
 	return runJobs(Parallelism(), jobs)

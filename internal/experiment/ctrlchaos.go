@@ -86,7 +86,9 @@ func RunCtrlChaos(baseSeed int64, n int, duration time.Duration) (CtrlChaosResul
 	if err != nil {
 		return CtrlChaosResult{}, err
 	}
-	runs, err := runCtrlSeeds(baseSeed, n, duration)
+	// The randomized half: chaos schedules widened with the control fault
+	// kinds, judged by the full invariant set.
+	runs, err := chaosSeeds("ctrlchaos", baseSeed, n, duration, true)
 	if err != nil {
 		return CtrlChaosResult{}, err
 	}
@@ -165,49 +167,6 @@ func victimRegion(top *topology.Topology) int {
 		}
 	}
 	return 0
-}
-
-// runCtrlSeeds is the randomized half: chaos schedules widened with the
-// control fault kinds, judged by the full invariant set.
-func runCtrlSeeds(baseSeed int64, n int, duration time.Duration) ([]ChaosRun, error) {
-	jobs := make([]func() (ChaosRun, error), n)
-	for i := 0; i < n; i++ {
-		seed := baseSeed + int64(i)
-		jobs[i] = func() (ChaosRun, error) {
-			var schedule []faults.Fault
-			res, err := Run(Scenario{
-				Name:            fmt.Sprintf("ctrlchaos-seed-%d", seed),
-				Seed:            seed,
-				Duration:        duration,
-				Engine:          EngineConfig(adapt.PolicyWASP),
-				Adapt:           AdaptConfig(adapt.PolicyWASP),
-				CheckpointEvery: 30 * time.Second,
-				Ctrl:            &ctrlplane.Config{},
-				FaultsFor: func(pp *physical.Plan, top *topology.Topology) []faults.Fault {
-					schedule = chaos.Generate(seed, chaos.Config{
-						Sites:       top.N(),
-						Duration:    duration,
-						CtrlRegions: len(ctrlplane.Domains(top, ctrlplane.Config{})),
-					})
-					return schedule
-				},
-			})
-			if err != nil {
-				return ChaosRun{}, err
-			}
-			return ChaosRun{
-				Seed:         seed,
-				Faults:       schedule,
-				Actions:      len(res.Actions),
-				Aborts:       len(res.Obs.Events("adapt.abort")),
-				Recoveries:   len(res.Obs.Events("recovery.complete")),
-				ProcessedPct: res.ProcessedPct,
-				MaxRecovery:  res.Final.MaxRecovery,
-				Violations:   chaos.Check(*res.Final, ChaosRecoveryBound),
-			}, nil
-		}
-	}
-	return runJobs(Parallelism(), jobs)
 }
 
 // CtrlCommandsInRegion counts ctrl.command events issued in (from, to]

@@ -4,14 +4,31 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/adapt"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
+// MigrationStrategy selects how the migrating task's destination is
+// chosen (the §8.7.1 comparison arms).
+type MigrationStrategy int
+
+// Migration strategies.
+const (
+	// MigrateNetworkAware picks the highest-bandwidth feasible
+	// destination — WASP's §5 mapping.
+	MigrateNetworkAware MigrationStrategy = iota + 1
+	// MigrateRandom picks a destination ignoring bandwidth.
+	MigrateRandom
+	// MigrateDistant deliberately picks the slowest link (worst case).
+	MigrateDistant
+	// MigrateNone skips state transfer entirely (accuracy loss; the "No
+	// Migrate" baseline).
+	MigrateNone
+)
+
 // Fig13Run is one migration-strategy arm of §8.7.1.
 type Fig13Run struct {
-	Strategy adapt.MigrationStrategy
+	Strategy MigrationStrategy
 	Overhead Overhead
 	// Peak95 is the 95th-percentile delay during the adaptation window.
 	Peak95 float64
@@ -20,15 +37,15 @@ type Fig13Run struct {
 }
 
 // strategyName names a migration strategy for reports.
-func strategyName(s adapt.MigrationStrategy) string {
+func strategyName(s MigrationStrategy) string {
 	switch s {
-	case adapt.MigrateNone:
+	case MigrateNone:
 		return "No Migrate"
-	case adapt.MigrateNetworkAware:
+	case MigrateNetworkAware:
 		return "WASP"
-	case adapt.MigrateRandom:
+	case MigrateRandom:
 		return "Random"
-	case adapt.MigrateDistant:
+	case MigrateDistant:
 		return "Distant"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
@@ -49,8 +66,8 @@ func RunFig13(seed int64) ([]Fig13Run, error) {
 		runFor     = 500 * time.Second
 		threshold  = 3.0 // seconds: stabilization delay bound
 	)
-	strategies := []adapt.MigrationStrategy{
-		adapt.MigrateNone, adapt.MigrateNetworkAware, adapt.MigrateRandom, adapt.MigrateDistant,
+	strategies := []MigrationStrategy{
+		MigrateNone, MigrateNetworkAware, MigrateRandom, MigrateDistant,
 	}
 	jobs := make([]func() (Fig13Run, error), len(strategies))
 	for i, strat := range strategies {
@@ -68,7 +85,7 @@ func RunFig13(seed int64) ([]Fig13Run, error) {
 			}
 			dest := pickDest(dests, strat)
 			bytes := stateBytes
-			if strat == adapt.MigrateNone {
+			if strat == MigrateNone {
 				bytes = 0
 			}
 			doneAt, err := b.moveStage([]topology.SiteID{dest}, bytes)
@@ -93,11 +110,11 @@ func RunFig13(seed int64) ([]Fig13Run, error) {
 
 // pickDest selects the destination per strategy from candidates sorted by
 // descending migration bandwidth.
-func pickDest(dests []topology.SiteID, strat adapt.MigrationStrategy) topology.SiteID {
+func pickDest(dests []topology.SiteID, strat MigrationStrategy) topology.SiteID {
 	switch strat {
-	case adapt.MigrateDistant:
+	case MigrateDistant:
 		return dests[len(dests)-1]
-	case adapt.MigrateRandom:
+	case MigrateRandom:
 		return dests[len(dests)/2] // bandwidth-agnostic deterministic pick
 	default: // WASP network-aware and No Migrate (destination then moot)
 		return dests[0]

@@ -30,7 +30,7 @@ func EngineConfig(policy adapt.Policy) engine.Config {
 // policy, using the paper's §8.2 parameters (α=0.8, 40 s monitoring,
 // p_max=3).
 func AdaptConfig(policy adapt.Policy) adapt.Config {
-	return adapt.Config{Policy: policy, SlotRate: ExperimentSlotRate}
+	return adapt.Config{Policy: policy}
 }
 
 // QueryByName returns a query builder for "ysb", "topk", or "eoi".

@@ -191,14 +191,14 @@ func TestFig13Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byStrat := make(map[adapt.MigrationStrategy]Fig13Run)
+	byStrat := make(map[MigrationStrategy]Fig13Run)
 	for _, r := range runs {
 		byStrat[r.Strategy] = r
 	}
-	noMig := byStrat[adapt.MigrateNone].Overhead.Total()
-	waspO := byStrat[adapt.MigrateNetworkAware].Overhead.Total()
-	random := byStrat[adapt.MigrateRandom].Overhead.Total()
-	distant := byStrat[adapt.MigrateDistant].Overhead.Total()
+	noMig := byStrat[MigrateNone].Overhead.Total()
+	waspO := byStrat[MigrateNetworkAware].Overhead.Total()
+	random := byStrat[MigrateRandom].Overhead.Total()
+	distant := byStrat[MigrateDistant].Overhead.Total()
 	// Paper §8.7.1: No Migrate ~0 transition; network-aware migration
 	// beats the WAN-agnostic mappings.
 	if noMig > 5*time.Second {

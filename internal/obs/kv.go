@@ -63,20 +63,6 @@ func (v Val) IsZero() bool { return v.kind == kindNone }
 // Str returns the string value ("" for other kinds).
 func (v Val) Str() string { return v.str }
 
-// Float returns the numeric value as a float64 (0 for non-numeric kinds).
-func (v Val) Float() float64 {
-	switch v.kind {
-	case kindFloat:
-		return v.num
-	case kindInt:
-		return float64(v.i)
-	case kindDur:
-		return time.Duration(v.i).Seconds()
-	default:
-		return 0
-	}
-}
-
 // Int64 returns the integer value (0 for other kinds).
 func (v Val) Int64() int64 { return v.i }
 

@@ -22,10 +22,6 @@ type PlannerConfig struct {
 	// restricts enumeration to aggregation/join orders to stay
 	// tractable, §8.1). Zero means DefaultMaxVariants.
 	MaxVariants int
-	// WANWeight converts WAN consumption (bytes/s) into cost units when
-	// ranking candidates, trading delay against bandwidth use. Zero
-	// means DefaultWANWeight.
-	WANWeight float64
 }
 
 // DefaultMaxVariants bounds the combine-order enumeration: 105 covers all
@@ -33,10 +29,12 @@ type PlannerConfig struct {
 // prefix plus the left-deep and balanced heuristics.
 const DefaultMaxVariants = 105
 
-// DefaultWANWeight prices one byte/s of WAN traffic at 10 ns of delay
-// cost, making WAN consumption the decisive tie-break between plans with
-// comparable latency (the Fig 5 behaviour).
-const DefaultWANWeight = 10e-9
+// wanWeight converts WAN consumption (bytes/s) into cost units when
+// ranking candidates, trading delay against bandwidth use: one byte/s of
+// WAN traffic is priced at 10 ns of delay cost, making WAN consumption the
+// decisive tie-break between plans with comparable latency (the Fig 5
+// behaviour).
+const wanWeight = 10e-9
 
 // Candidate is one evaluated (logical variant, placement) pair.
 type Candidate struct {
@@ -135,10 +133,6 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 // the session and valid until the next Plan call; Clone any plan that
 // outlives the round.
 func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool) (*Candidate, []Candidate, error) {
-	wanWeight := cfg.WANWeight
-	if wanWeight == 0 {
-		wanWeight = DefaultWANWeight
-	}
 	sc := cfg.ScheduleConfig
 	if sc.Workspace == nil {
 		sc.Workspace = &s.ws
