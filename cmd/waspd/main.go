@@ -8,7 +8,7 @@
 //
 //	waspd -query topk -policy wasp -duration 25m \
 //	      -workload 1,2,1,1,1 -bandwidth 1,1,1,0.5,1
-//	waspd -query ysb -policy degrade -fail-at 9m -fail-for 1m
+//	waspd -query ysb -policy degrade -fault "outage@9m:for=1m"
 //	waspd -query topk -policy wasp -checkpoint-every 30s \
 //	      -fault "crash@5m:site=3,for=2m; linkslow@8m:from=0,to=9,factor=0.5,for=1m"
 //	waspd -query topk -policy wasp -obs-out run.jsonl
@@ -38,13 +38,14 @@
 // with -flight on auto-dumps to wasp-flight.dump. Feed the dump and the
 // JSONL record to wasptrace for post-mortem analysis.
 //
-// -fault injects partial failures from a semicolon-separated script (see
-// the faults package for the DSL): site crash+restart, link
-// blackout/degradation, and site-wide stragglers. -checkpoint-every
-// enables periodic localized checkpointing with replication; on a site
-// crash the controller re-places the dead tasks and restores their state
-// from the freshest surviving replica, so at most one checkpoint interval
-// of state is lost.
+// -fault injects failures from a semicolon-separated script (see the
+// faults package for the DSL): site crash+restart (crash), link blackout
+// and degradation (linkdown, linkslow), a slow site (slow) or a slow
+// operator at one site (opslow), and the §8.6 revocation of every
+// resource for a while (outage). -checkpoint-every enables periodic
+// localized checkpointing with replication; on a site crash the controller
+// re-places the dead tasks and restores their state from the freshest
+// surviving replica, so at most one checkpoint interval of state is lost.
 //
 // -ctrl routes site telemetry and controller commands over the simulated
 // WAN instead of the ideal in-process channel: reports age by link
@@ -86,8 +87,6 @@ type options struct {
 	workload   string
 	bandwidth  string
 	live       bool
-	failAt     time.Duration
-	failFor    time.Duration
 	faults     string
 	ctrl       bool
 	chaosSeed  int64
@@ -115,9 +114,7 @@ func main() {
 	flag.StringVar(&opt.workload, "workload", "1", "comma-separated workload factors, one per equal phase")
 	flag.StringVar(&opt.bandwidth, "bandwidth", "1", "comma-separated bandwidth factors, one per equal phase")
 	flag.BoolVar(&opt.live, "live", false, "use live per-link/per-source variation traces instead of phases")
-	flag.DurationVar(&opt.failAt, "fail-at", 0, "inject a full failure at this time (0 = none)")
-	flag.DurationVar(&opt.failFor, "fail-for", time.Minute, "failure outage length")
-	flag.StringVar(&opt.faults, "fault", "", "partial-fault script, e.g. \"crash@5m:site=3,for=2m; slow@8m:site=1,factor=0.5,for=1m\"")
+	flag.StringVar(&opt.faults, "fault", "", "fault script, e.g. \"crash@5m:site=3,for=2m; slow@8m:site=1,factor=0.5,for=1m; outage@12m:for=1m\"")
 	flag.BoolVar(&opt.ctrl, "ctrl", false, "route telemetry and controller commands over the simulated WAN control plane (auto-enabled by control-plane faults)")
 	flag.Int64Var(&opt.chaosSeed, "chaos-seed", 0, "generate a randomized fault schedule from this seed and check run-end invariants (0 = off)")
 	flag.DurationVar(&opt.ckptEvery, "checkpoint-every", 0, "checkpoint interval for crash recovery (0 = no checkpointing)")
@@ -262,9 +259,6 @@ func run(opt options) error {
 	}
 	if opt.flight {
 		sc.Flight = obs.NewFlightRecorder(obs.DefaultFlightCapacity)
-	}
-	if opt.failAt > 0 {
-		sc.FailAt, sc.FailFor = opt.failAt, opt.failFor
 	}
 	sc.Faults = fs
 	sc.CheckpointEvery = opt.ckptEvery

@@ -86,7 +86,6 @@ func shortOpts() options {
 		rate:      1000,
 		workload:  "1,2",
 		bandwidth: "1,1",
-		failFor:   time.Minute,
 		obsFormat: "jsonl",
 	}
 }
@@ -188,7 +187,7 @@ func TestChaosViolationDumpsFlight(t *testing.T) {
 
 	err = run(options{
 		query: "topk", policy: "wasp", duration: 10 * time.Minute, seed: 7, rate: 10000,
-		workload: "1", bandwidth: "1", failFor: time.Minute,
+		workload: "1", bandwidth: "1",
 		ckptEvery: 30 * time.Second, chaosSeed: 7, flight: true,
 		faults: "crash@5m:site=8,for=30m",
 		obsOut: "forced.jsonl", obsFormat: "jsonl",

@@ -73,12 +73,12 @@ func TestRootModuleNeverWaivesWallclock(t *testing.T) {
 
 // TestEveryOptionHasACaller: a configuration field no caller sets is a
 // constant that tests and benchmarks still have to cover as if it varied.
-// For each exported field of the three structs that configure a run's
-// mechanism — adapt.Config, engine.Config and physical.PlannerConfig (own
-// fields; the embedded ScheduleConfig is the scheduler's) — some non-test
-// file outside the declaring package must set it, by keyed composite
-// literal or by assignment through a selector. Fields are matched as
-// type-checker objects, not by name.
+// For each exported field of the structs that configure a run — its spec,
+// experiment.Scenario, and its mechanism's adapt.Config, engine.Config and
+// physical.PlannerConfig (own fields; the embedded ScheduleConfig is the
+// scheduler's) — some non-test file outside the declaring package must set
+// it, by keyed composite literal or by assignment through a selector.
+// Fields are matched as type-checker objects, not by name.
 func TestEveryOptionHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
@@ -88,9 +88,10 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	structs := map[string]string{
-		"/internal/adapt":    "Config",
-		"/internal/engine":   "Config",
-		"/internal/physical": "PlannerConfig",
+		"/internal/adapt":      "Config",
+		"/internal/engine":     "Config",
+		"/internal/experiment": "Scenario",
+		"/internal/physical":   "PlannerConfig",
 	}
 	unset := map[*types.Var]string{}
 	for _, pkg := range pkgs {

@@ -216,72 +216,3 @@ func TestReplanStallDetection(t *testing.T) {
 		t.Fatal("stall reported with detection disabled")
 	}
 }
-
-func TestHaltResumeIdempotent(t *testing.T) {
-	cases := []struct {
-		name string
-		ops  func(r *rig)
-	}{
-		{"halt-halt-resume", func(r *rig) {
-			r.eng.Halt(r.ids[1])
-			r.eng.Halt(r.ids[1]) // double halt must not deepen the hold
-			r.eng.Resume(r.ids[1])
-		}},
-		{"resume-without-halt", func(r *rig) {
-			r.eng.Resume(r.ids[1]) // resuming a running stage is a no-op
-		}},
-		{"halt-resume-resume", func(r *rig) {
-			r.eng.Halt(r.ids[1])
-			r.eng.Resume(r.ids[1])
-			r.eng.Resume(r.ids[1])
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := pipelineRig(t, Config{}, 800, 10000)
-			r.run(t, 10*time.Second)
-			tc.ops(r)
-			if got := r.eng.SuspendedOps(); len(got) != 0 {
-				t.Fatalf("SuspendedOps = %v, want none", got)
-			}
-			r.eng.Sample()
-			r.run(t, 30*time.Second)
-			if snap := r.eng.Sample(); snap.Ops[r.ids[1]].ProcessingRate <= 0 {
-				t.Fatal("stage idle after halt/resume sequence")
-			}
-		})
-	}
-}
-
-func TestResumeCannotReleaseAdaptSuspension(t *testing.T) {
-	r := pipelineRig(t, Config{}, 80, 10000)
-	r.run(t, 10*time.Second)
-
-	// A replan suspends the source via the adaptation hold; a stray
-	// Halt/Resume cycle on the source must not release the drain's hold.
-	if err := r.eng.BeginReplan(r.pp.Clone(), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	r.eng.Halt(r.ids[0])
-	r.eng.Resume(r.ids[0])
-	if got := r.eng.SuspendedOps(); len(got) != 1 || got[0] != r.ids[0] {
-		t.Fatalf("SuspendedOps = %v, want the source still held by the replan", got)
-	}
-	for _, g := range r.eng.opGroups(r.ids[0]) {
-		if !g.haltedAdapt || g.haltedManual {
-			t.Fatalf("source group haltedAdapt=%v haltedManual=%v, want true/false", g.haltedAdapt, g.haltedManual)
-		}
-	}
-	// Likewise during a reconfiguration of the map.
-	if err := r.eng.AbortReplan(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.eng.Reconfigure(r.ids[1], []topology.SiteID{2},
-		[]Migration{{FromSite: 1, ToSite: 2, Bytes: 50e6}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	r.eng.Resume(r.ids[1])
-	if got := r.eng.SuspendedOps(); len(got) != 1 || got[0] != r.ids[1] {
-		t.Fatalf("SuspendedOps = %v, want the map still held by the reconfiguration", got)
-	}
-}

@@ -99,13 +99,10 @@ type group struct {
 	// before it fire.
 	maxProcessedBorn vclock.Time
 
-	// Suspension is split into two independent flags so that a manual
-	// Halt/Resume (tests, operator control) can never release — or be
-	// released by — the suspension a reconfiguration or re-plan holds.
-	// Halt/Resume touch only haltedManual; Reconfigure/BeginReplan and
-	// their aborts touch only haltedAdapt. Both are idempotent.
-	haltedManual bool
-	haltedAdapt  bool
+	// suspended withholds the group from processing while a
+	// reconfiguration or re-plan moves it: set by Reconfigure/BeginReplan,
+	// cleared when they finalize or abort.
+	suspended bool
 
 	// Counters since the last Sample call.
 	arrived       float64
@@ -138,12 +135,6 @@ type group struct {
 
 // key returns the group's position in the store order.
 func (g *group) key() groupKey { return groupKey{op: g.op.ID, site: g.site} }
-
-// suspended reports whether the group is withheld from processing by
-// either suspension source.
-//
-//waspvet:hotpath
-func (g *group) suspended() bool { return g.haltedManual || g.haltedAdapt }
 
 // capacity returns the group's processing budget in events/s.
 func (g *group) capacity(slotRate float64) float64 {
@@ -653,7 +644,7 @@ func (e *Engine) processGroup(g *group, now vclock.Time, dtSec float64, failed b
 		}
 		return
 	}
-	if failed || g.suspended() {
+	if failed || g.suspended {
 		return
 	}
 

@@ -461,27 +461,6 @@ func TestSampleSitesBackpressureWithoutObserver(t *testing.T) {
 	}
 }
 
-func TestHaltResume(t *testing.T) {
-	r := pipelineRig(t, Config{}, 800, 10000)
-	r.run(t, 10*time.Second)
-	r.eng.Halt(r.ids[1])
-	r.eng.Sample()
-	r.run(t, 20*time.Second)
-	snap := r.eng.Sample()
-	if snap.Ops[r.ids[1]].ProcessingRate != 0 {
-		t.Fatal("halted stage processed events")
-	}
-	if r.eng.QueueLen(r.ids[1]) <= 0 {
-		t.Fatal("no queue at halted stage")
-	}
-	r.eng.Resume(r.ids[1])
-	r.run(t, 40*time.Second)
-	snap = r.eng.Sample()
-	if snap.Ops[r.ids[1]].ProcessingRate <= 0 {
-		t.Fatal("resumed stage idle")
-	}
-}
-
 func TestStateBytesAt(t *testing.T) {
 	r := pipelineRig(t, Config{}, 800, 10000)
 	r.eng.Plan().Stages[r.ids[1]].Op.StateBytes = 100e6

@@ -73,7 +73,7 @@ func (e *Engine) recordFlight(now vclock.Time, dtSec float64) {
 		for _, g := range e.stages[i] {
 			backlog += g.inQ.len()
 			processed += g.processed
-			if g.suspended() {
+			if g.suspended {
 				stageSuspended = true
 			}
 		}

@@ -81,7 +81,7 @@ func (e *Engine) inFlightSrcEquiv() float64 {
 func (e *Engine) SuspendedOps() []plan.OpID {
 	var out []plan.OpID
 	for _, g := range e.groups {
-		if g.suspended() && (len(out) == 0 || out[len(out)-1] != g.op.ID) {
+		if g.suspended && (len(out) == 0 || out[len(out)-1] != g.op.ID) {
 			out = append(out, g.op.ID)
 		}
 	}

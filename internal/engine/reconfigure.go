@@ -81,7 +81,7 @@ func (e *Engine) Reconfigure(op plan.OpID, newSites []topology.SiteID, migration
 	}
 	for _, g := range e.opGroups(op) {
 		if oldCount[g.site] > newCount[g.site] {
-			g.haltedAdapt = true
+			g.suspended = true
 		}
 	}
 	rc := &reconfiguration{
@@ -243,7 +243,7 @@ func (e *Engine) AbortReconfigure(op plan.OpID) error {
 		}
 	}
 	for _, g := range e.opGroups(op) {
-		g.haltedAdapt = false
+		g.suspended = false
 	}
 	e.reconfigs = append(e.reconfigs[:idx], e.reconfigs[idx+1:]...)
 	now := e.sched.Now()
@@ -422,7 +422,7 @@ func (e *Engine) BeginReplan(newPlan *physical.Plan, carry map[plan.OpID]plan.Op
 	// Suspend sources: backlog accumulates externally.
 	for _, id := range e.plan.Graph.Sources() {
 		for _, g := range e.opGroups(id) {
-			g.haltedAdapt = true
+			g.suspended = true
 		}
 	}
 	e.replan = &pendingReplan{
@@ -576,7 +576,7 @@ func (e *Engine) AbortReplan() error {
 	}
 	for _, id := range e.plan.Graph.Sources() {
 		for _, g := range e.opGroups(id) {
-			g.haltedAdapt = false
+			g.suspended = false
 		}
 	}
 	e.replan = nil
@@ -590,25 +590,4 @@ func (e *Engine) AbortReplan() error {
 			obs.Dur("age", time.Duration(now-rp.started)))
 	}
 	return nil
-}
-
-// Halt suspends processing for one operator's groups (used by tests and
-// by the adaptation layer for manual control). Idempotent: repeated
-// Halt calls are no-ops, and a manual halt never interferes with the
-// suspension an in-flight reconfiguration or re-plan holds — the two are
-// tracked separately, so Halt during a replan cannot corrupt the drain.
-func (e *Engine) Halt(op plan.OpID) {
-	for _, g := range e.opGroups(op) {
-		g.haltedManual = true
-	}
-}
-
-// Resume releases a Halt. Idempotent: resuming an operator that was
-// never halted is a no-op, and Resume only clears the manual flag — it
-// can never release the suspension held by an in-flight reconfiguration
-// or re-plan, so repeated Halt/Resume cycles during a replan are safe.
-func (e *Engine) Resume(op plan.OpID) {
-	for _, g := range e.opGroups(op) {
-		g.haltedManual = false
-	}
 }

@@ -14,8 +14,8 @@ package engine
 // a pointer or slice on the records themselves, written by exactly one
 // function, rewire(), which each mutator calls once when it is done and
 // which stamps wired = gen. The tick refuses to run on a store whose
-// stamp is stale. CrashSite/RestoreSite/InjectStraggler/Halt/Resume touch
-// per-group or per-site state only and are not structural.
+// stamp is stale. CrashSite/RestoreSite/InjectStraggler touch per-group or
+// per-site state only and are not structural.
 
 import (
 	"fmt"

@@ -5,14 +5,11 @@ import (
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
-	"github.com/wasp-stream/wasp/internal/engine"
-	"github.com/wasp-stream/wasp/internal/netsim"
+	"github.com/wasp-stream/wasp/internal/faults"
 	"github.com/wasp-stream/wasp/internal/physical"
-	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/queries"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/trace"
-	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 // Extension experiments beyond the paper's figures: the straggler dynamic
@@ -31,9 +28,9 @@ type StragglerRun struct {
 }
 
 // RunStraggler injects a slow node under the Top-K query: at t=200 s the
-// busiest combine's site degrades to 25% capacity for 400 s. WASP
-// diagnoses the compute bottleneck (§3.2) and scales the operator; the
-// No-Adapt arm rides it out.
+// busiest combine's tasks at its first site degrade to 25% capacity for
+// 400 s. WASP diagnoses the compute bottleneck (§3.2) and scales the
+// operator; the No-Adapt arm rides it out.
 func RunStraggler(seed int64) ([]StragglerRun, error) {
 	const (
 		duration    = 900 * time.Second
@@ -45,84 +42,31 @@ func RunStraggler(seed int64) ([]StragglerRun, error) {
 	jobs := make([]func() (StragglerRun, error), len(policies))
 	for i, policy := range policies {
 		jobs[i] = func() (StragglerRun, error) {
-			top := topology.Generate(topology.DefaultGenConfig(seed))
-			net := netsim.New(top)
-			sched := vclock.NewScheduler(nil)
-			qcfg := queries.Config{
-				SourceSites: top.SitesOfKind(topology.Edge),
-				SinkSite:    top.SitesOfKind(topology.DataCenter)[0],
-			}
-			q := queries.TopKTopics(qcfg)
-			best, _, err := physical.PlanQuery(q.Graph, q.Spec, top, physical.PlannerConfig{
-				ScheduleConfig: physical.ScheduleConfig{Alpha: 0.8, DefaultParallelism: 1},
-				MaxVariants:    40,
+			res, err := Run(Scenario{
+				Name:     fmt.Sprintf("straggler-%s", policy),
+				Seed:     seed,
+				Duration: duration,
+				Engine:   EngineConfig(policy),
+				Adapt:    AdaptConfig(policy),
+				FaultsFor: func(pp *physical.Plan, _ *topology.Topology) []faults.Fault {
+					id, _ := hottestMovable(pp)
+					if id < 0 {
+						return nil
+					}
+					return []faults.Fault{{
+						Kind: faults.OpSlow, At: straggleAt, For: straggleEnd - straggleAt,
+						Op: id, Site: pp.Stages[id].Sites[0], Factor: slowFactor,
+					}}
+				},
 			})
 			if err != nil {
 				return StragglerRun{}, err
-			}
-			eng := engine.New(EngineConfig(policy), top, net, sched)
-			if err := eng.Deploy(best.Plan); err != nil {
-				return StragglerRun{}, err
-			}
-			ctl := adapt.NewController(AdaptConfig(policy), eng, top, net, sched,
-				&adapt.ReplanSpec{Base: q.Graph, Spec: q.Spec, Current: best.Variant})
-
-			// Straggle the busiest operator: the combine with the highest
-			// expected input rate (a leaf combine consuming two raw branches).
-			inRate, _, _, err := best.Plan.Graph.ExpectedRates(1)
-			if err != nil {
-				return StragglerRun{}, err
-			}
-			rootID := best.Plan.Graph.Upstream(q.SinkOp)[0]
-			for _, id := range best.Plan.Graph.OperatorIDs() {
-				op := best.Plan.Graph.Operator(id)
-				if op.Kind == plan.KindSource || op.Kind == plan.KindSink {
-					continue
-				}
-				if inRate[id] > inRate[rootID] {
-					rootID = id
-				}
-			}
-			site := best.Plan.Stages[rootID].Sites[0]
-			sched.At(vclock.Time(straggleAt), func(vclock.Time) {
-				eng.InjectStraggler(rootID, site, slowFactor)
-			})
-			sched.At(vclock.Time(straggleEnd), func(vclock.Time) {
-				eng.InjectStraggler(rootID, site, 1)
-			})
-
-			var samples []WeightedDelay
-			collector := sched.Every(20*time.Second, func(vclock.Time) {
-				for _, d := range eng.TakeDeliveries() {
-					samples = append(samples, WeightedDelay{At: d.At, Delay: d.Delay.Seconds(), Weight: d.Count})
-				}
-			})
-			eng.Start()
-			ctl.Start()
-			if err := sched.RunUntil(vclock.Time(duration)); err != nil {
-				return StragglerRun{}, err
-			}
-			collector.Cancel()
-			for _, d := range eng.TakeDeliveries() {
-				samples = append(samples, WeightedDelay{At: d.At, Delay: d.Delay.Seconds(), Weight: d.Count})
-			}
-
-			gen, proc, _ := eng.Goodput()
-			pct := 100.0
-			if gen > 0 {
-				pct = 100 * proc / gen
 			}
 			return StragglerRun{
 				Policy: policy,
-				Result: &Result{
-					Name:         fmt.Sprintf("straggler-%s", policy),
-					Samples:      samples,
-					ProcessedPct: pct,
-					Actions:      ctl.Actions(),
-					Obs:          ctl.Observer(),
-				},
-				During: Mean(Window(samples, vclock.Time(straggleAt+100*time.Second), vclock.Time(straggleEnd))),
-				After:  Mean(Window(samples, vclock.Time(straggleEnd+100*time.Second), vclock.Time(duration))),
+				Result: res,
+				During: res.MeanDelayBetween(straggleAt+100*time.Second, straggleEnd),
+				After:  res.MeanDelayBetween(straggleEnd+100*time.Second, duration),
 			}, nil
 		}
 	}

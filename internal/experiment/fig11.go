@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
+	"github.com/wasp-stream/wasp/internal/faults"
 	"github.com/wasp-stream/wasp/internal/queries"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
@@ -39,8 +40,9 @@ func RunFig11(seed int64, duration time.Duration) ([]Fig11Run, error) {
 				Adapt:             AdaptConfig(policy),
 				PerSourceWorkload: true,
 				PerLinkBandwidth:  true,
-				FailAt:            duration * 3 / 10,
-				FailFor:           duration / 30,
+				Faults: []faults.Fault{{
+					Kind: faults.Outage, At: duration * 3 / 10, For: duration / 30,
+				}},
 			})
 			if err != nil {
 				return Fig11Run{}, fmt.Errorf("fig11 %s: %w", policy, err)

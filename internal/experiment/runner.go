@@ -64,13 +64,10 @@ type Scenario struct {
 	// trace to every directed link (§8.6).
 	PerLinkBandwidth bool
 
-	// FailAt/FailFor inject a full resource revocation (§8.6). Zero
-	// FailFor disables.
-	FailAt  time.Duration
-	FailFor time.Duration
-
-	// Faults injects partial failures — site crash+restart, link
-	// blackout/degradation, site-wide stragglers — at scripted times.
+	// Faults injects every scripted perturbation of the run — site
+	// crash+restart, link blackout/degradation, site and operator
+	// stragglers, the §8.6 full resource revocation, control-plane
+	// impairments — at scripted times.
 	Faults []faults.Fault
 	// FaultsFor computes additional faults once the initial plan is known,
 	// e.g. to crash whichever site hosts the stateful aggregate.
@@ -90,9 +87,6 @@ type Scenario struct {
 	SampleEvery time.Duration
 	// MaxVariants caps the combine-order enumeration (default 40).
 	MaxVariants int
-	// StateBytes, when > 0, overrides the stateful combine template's
-	// state size (the §8.7 experiments control it directly).
-	StateBytes float64
 
 	// Obs, when non-nil, is shared by the engine, the network and the
 	// controller: every telemetry series, decision span and adaptation
@@ -205,9 +199,6 @@ func Run(s Scenario) (*Result, error) {
 		RateForSite:   sc.RateForSite,
 	}
 	q := sc.Query(qcfg)
-	if sc.StateBytes > 0 {
-		q.Spec.Template.StateBytes = sc.StateBytes
-	}
 
 	plannerCfg := physical.PlannerConfig{
 		ScheduleConfig: physical.ScheduleConfig{Alpha: 0.8, DefaultParallelism: 1},
@@ -257,12 +248,6 @@ func Run(s Scenario) (*Result, error) {
 		ctl.AttachControlPlane(plane)
 		plane.Start()
 		defer plane.Stop()
-	}
-
-	if sc.FailFor > 0 {
-		sched.At(vclock.Time(sc.FailAt), func(vclock.Time) {
-			eng.Fail(vclock.Time(sc.FailFor))
-		})
 	}
 
 	if sc.CheckpointEvery > 0 {
