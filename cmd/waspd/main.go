@@ -188,6 +188,15 @@ func run(opt options) error {
 	default:
 		return fmt.Errorf("unknown -obs-format %q (want jsonl, prom or audit)", opt.obsFormat)
 	}
+	// A rate or duration the simulator cannot run (0 would silently mean the
+	// scenario default, NaN and Inf would flow into every printed figure)
+	// fails here, like a bad factor list, not mid-run.
+	if !(opt.rate > 0) || math.IsInf(opt.rate, 1) {
+		return fmt.Errorf("-rate: %v must be a finite positive number of events/s", opt.rate)
+	}
+	if opt.duration <= 0 {
+		return fmt.Errorf("-duration: %v must be positive", opt.duration)
+	}
 	// Validate both factor lists before anything runs (even in -live mode,
 	// where they are unused: a typo should not pass silently).
 	wFactors, err := parseFactorList("-workload", opt.workload)

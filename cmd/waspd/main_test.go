@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,6 +119,40 @@ func TestRunShortScenario(t *testing.T) {
 	bad.obsFormat = "xml"
 	if err := run(bad); err == nil {
 		t.Fatal("bad obs format accepted")
+	}
+}
+
+// TestRunRejectsUnrunnableRateAndDuration: a rate or duration that is not
+// finite and positive is an error naming the flag and the value, before
+// anything runs.
+func TestRunRejectsUnrunnableRateAndDuration(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -100} {
+		opt := shortOpts()
+		opt.rate = rate
+		err := run(opt)
+		if err == nil {
+			t.Errorf("-rate %v accepted", rate)
+			continue
+		}
+		for _, sub := range []string{"-rate", fmt.Sprint(rate)} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("-rate %v: error %q missing %q", rate, err, sub)
+			}
+		}
+	}
+	for _, d := range []time.Duration{0, -5 * time.Minute} {
+		opt := shortOpts()
+		opt.duration = d
+		err := run(opt)
+		if err == nil {
+			t.Errorf("-duration %v accepted", d)
+			continue
+		}
+		for _, sub := range []string{"-duration", d.String()} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("-duration %v: error %q missing %q", d, err, sub)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -73,12 +74,11 @@ func TestRootModuleNeverWaivesWallclock(t *testing.T) {
 
 // TestEveryOptionHasACaller: a configuration field no caller sets is a
 // constant that tests and benchmarks still have to cover as if it varied.
-// For each exported field of the structs that configure a run — its spec,
-// experiment.Scenario, and its mechanism's adapt.Config, engine.Config and
-// physical.PlannerConfig (own fields; the embedded ScheduleConfig is the
-// scheduler's) — some non-test file outside the declaring package must set
-// it, by keyed composite literal or by assignment through a selector.
-// Fields are matched as type-checker objects, not by name.
+// The structs that configure a run are found, not listed: every exported
+// struct under internal/ whose name ends in "Config", plus
+// experiment.Scenario. Each exported field of each must be set by a
+// non-test file outside the declaring package (see unsetOptions), or carry
+// a reason in optionExemptions.
 func TestEveryOptionHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
@@ -87,65 +87,155 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	structs := map[string]string{
-		"/internal/adapt":      "Config",
-		"/internal/engine":     "Config",
-		"/internal/experiment": "Scenario",
-		"/internal/physical":   "PlannerConfig",
+	unset := unsetOptions(pkgs)
+	for _, name := range unset {
+		if optionExemptions[name] == "" {
+			t.Errorf("%s: no non-test file outside its package sets it; make it a constant", name)
+		}
 	}
+	for name := range optionExemptions {
+		if !slices.Contains(unset, name) {
+			t.Errorf("%s: exempted but set (or gone); drop the exemption", name)
+		}
+	}
+}
+
+// optionExemptions maps a field unsetOptions reports to the reason it stays
+// a field.
+var optionExemptions = map[string]string{}
+
+// TestUnsetOptionIsReported runs the audit over a fixture whose Config has
+// one field set by an outside literal, one set through an exported
+// constructor an outside file calls, and one nobody sets: exactly the last
+// is reported, so the derived walk cannot silently match nothing.
+func TestUnsetOptionIsReported(t *testing.T) {
+	pkgs, err := loadTargets([]string{"testdata/internal/knobs", "testdata/internal/caller"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := unsetOptions(pkgs), []string{"knobs.Config.Unset"}; !slices.Equal(got, want) {
+		t.Fatalf("unsetOptions(fixture) = %v, want %v", got, want)
+	}
+}
+
+// unsetOptions returns, sorted, the pkg.Struct.Field name of every
+// exported field of a run-configuring struct that no file of another
+// package sets. A field is set by a keyed composite literal, by an
+// assignment through a selector, or — when an exported function of the
+// declaring package stores one of its parameters in the field
+// (DefaultScaleConfig(seed, regions, edges)) — by a call of that function.
+// Fields and functions are matched as type-checker objects, not by name;
+// an embedded struct's fields are audited where that struct is declared.
+func unsetOptions(pkgs []*analysis.Package) []string {
 	unset := map[*types.Var]string{}
+	// filledBy[fn] lists the fields fn assigns from its own parameters.
+	filledBy := map[types.Object][]*types.Var{}
 	for _, pkg := range pkgs {
-		for suffix, name := range structs {
-			if !strings.HasSuffix(pkg.PkgPath, suffix) {
+		if !strings.Contains(pkg.PkgPath, "/internal/") {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() {
 				continue
 			}
-			st, ok := pkg.Types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			if !strings.HasSuffix(name, "Config") && !(pkg.Types.Name() == "experiment" && name == "Scenario") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
 			if !ok {
-				t.Fatalf("%s.%s is not a struct", pkg.PkgPath, name)
+				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() && !f.Embedded() {
 					unset[f] = pkg.Types.Name() + "." + name + "." + f.Name()
 				}
 			}
-			delete(structs, suffix)
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Body == nil {
+					continue
+				}
+				obj := pkg.Info.Defs[fn.Name]
+				params := obj.Type().(*types.Signature).Params()
+				isParam := func(e ast.Expr) bool {
+					id, ok := e.(*ast.Ident)
+					if !ok {
+						return false
+					}
+					for i := 0; i < params.Len(); i++ {
+						if pkg.Info.Uses[id] == params.At(i) {
+							return true
+						}
+					}
+					return false
+				}
+				eachFieldStore(pkg, fn.Body, func(f *types.Var, value ast.Expr) {
+					if isParam(value) {
+						filledBy[obj] = append(filledBy[obj], f)
+					}
+				})
+			}
 		}
 	}
-	if len(structs) != 0 {
-		t.Fatalf("config structs not found: %v", structs)
-	}
 	for _, pkg := range pkgs {
-		set := func(obj types.Object) {
-			if f, ok := obj.(*types.Var); ok && f.Pkg() != pkg.Types {
+		set := func(f *types.Var) {
+			if f.Pkg() != pkg.Types {
 				delete(unset, f)
 			}
 		}
 		for _, file := range pkg.Files {
+			eachFieldStore(pkg, file, func(f *types.Var, _ ast.Expr) { set(f) })
 			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.KeyValueExpr:
-					if key, ok := n.Key.(*ast.Ident); ok {
-						set(pkg.Info.Uses[key])
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok {
-							if s := pkg.Info.Selections[sel]; s != nil {
-								set(s.Obj())
-							}
-						}
+				if id, ok := n.(*ast.Ident); ok {
+					for _, f := range filledBy[pkg.Info.Uses[id]] {
+						set(f)
 					}
 				}
 				return true
 			})
 		}
 	}
-	var names []string
+	names := make([]string, 0, len(unset))
 	for _, name := range unset {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		t.Errorf("%s: no non-test file outside its package sets it; make it a constant", name)
-	}
+	return names
+}
+
+// eachFieldStore calls visit for every struct field stored under root: a
+// keyed composite-literal element or an assignment through a selector,
+// with the expression stored (nil when it is one of a call's results).
+func eachFieldStore(pkg *analysis.Package, root ast.Node, visit func(f *types.Var, value ast.Expr)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if key, ok := n.Key.(*ast.Ident); ok {
+				if f, ok := pkg.Info.Uses[key].(*types.Var); ok && f.IsField() {
+					visit(f, n.Value)
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				if s := pkg.Info.Selections[sel]; s != nil {
+					if f, ok := s.Obj().(*types.Var); ok && f.IsField() {
+						var value ast.Expr // nil when one call fills several targets
+						if len(n.Rhs) == len(n.Lhs) {
+							value = n.Rhs[i]
+						}
+						visit(f, value)
+					}
+				}
+			}
+		}
+		return true
+	})
 }

@@ -1,18 +1,16 @@
-// Command waspvet runs the determinism & concurrency lint suite
-// (internal/analysis) over the module. v1 checks: wallclock, maprange,
-// globalrand, locksafe, leakygo. v2 adds an interprocedural call graph
-// (wallclock/globalrand become "transitively reaches" checks) plus
-// genbump (//waspvet:guardedby cache-invalidation contracts), hotalloc
-// (//waspvet:hotpath allocation audits) and floatorder (order-sensitive
-// float reductions beyond maps). It exits 1 when any non-waived
-// diagnostic is found, 2 on a load failure.
+// Command waspvet runs the determinism lint suite (internal/analysis)
+// over the module: wallclock and globalrand ("transitively reaches", over
+// an interprocedural call graph), maprange, floatorder (order-sensitive
+// float reductions beyond maps), genbump (//waspvet:guardedby
+// cache-invalidation contracts) and hotalloc (//waspvet:hotpath
+// allocation audits). It exits 1 when any non-waived diagnostic is found,
+// 2 on a load failure.
 //
 // Usage:
 //
 //	go run ./cmd/waspvet ./...          # whole module (the usual form)
 //	go run ./cmd/waspvet internal/adapt # specific package dirs
 //	go run ./cmd/waspvet -json ./...    # machine-readable, for CI
-//	go run ./cmd/waspvet -sarif out.sarif ./...  # SARIF 2.1.0 artifact
 //	go run ./cmd/waspvet -list          # describe the registered checks
 //	go run ./cmd/waspvet -check maprange,wallclock ./...
 package main
@@ -45,7 +43,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("waspvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
-	sarifOut := fs.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to this file (\"-\" for stdout)")
 	list := fs.Bool("list", false, "list registered checks and exit")
 	checks := fs.String("check", "", "comma-separated subset of checks to run (default: all)")
 	if err := fs.Parse(args); err != nil {
@@ -105,12 +102,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	if *sarifOut != "" {
-		if err := writeSARIF(*sarifOut, stdout, analyzers, out); err != nil {
-			fmt.Fprintf(stderr, "waspvet: %v\n", err)
-			return 2
-		}
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -121,7 +112,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stderr, "waspvet: %v\n", err)
 			return 2
 		}
-	} else if *sarifOut != "-" {
+	} else {
 		for _, d := range out {
 			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Col, d.Check, d.Message)
 		}
@@ -133,28 +124,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	return 0
-}
-
-// writeSARIF encodes the diagnostics as a SARIF 2.1.0 log to path
-// ("-" = stdout).
-func writeSARIF(path string, stdout *os.File, analyzers []*analysis.Analyzer, diags []jsonDiag) error {
-	sd := make([]analysis.SARIFDiag, len(diags))
-	for i, d := range diags {
-		sd[i] = analysis.SARIFDiag{File: d.File, Line: d.Line, Col: d.Col, Check: d.Check, Message: d.Message}
-	}
-	log := analysis.SARIFReport(analyzers, sd)
-	w := stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }
 
 // loadTargets resolves command-line package arguments. "./..." (or no

@@ -78,10 +78,9 @@ func (c *Controller) ctrlGated(id plan.OpID, now vclock.Time) (branch, reason st
 		return "quarantine",
 			fmt.Sprintf("region %d quarantined: no adaptation on its operators until re-admission", r), true
 	}
-	bound := c.plane.Config().MaxStaleness
-	if age := c.plane.StalestOf(sites, now); age > bound {
+	if age := c.plane.StalestOf(sites, now); age > ctrlplane.MaxStaleness {
 		return "stale-telemetry",
-			fmt.Sprintf("stalest site evidence is %v old, over the %v staleness bound", age, bound), true
+			fmt.Sprintf("stalest site evidence is %v old, over the %v staleness bound", age, ctrlplane.MaxStaleness), true
 	}
 	return "", "", false
 }

@@ -208,24 +208,24 @@ func TestRecoveryDefersInQuarantinedRegionThenProceeds(t *testing.T) {
 	tb, _ := recoveryBed(t, 8, 30*time.Second)
 	agg := tb.ids[1]
 
-	// Impaired control plane over the same rig: one quarantine domain per
-	// site (Regions: 4), controller co-located with the sink on site 3.
-	plane := ctrlplane.New(ctrlplane.Config{
-		ControllerSite: 3,
-		Regions:        4,
-		ReportEvery:    10 * time.Second,
-		PartitionAfter: 30 * time.Second,
-	}, tb.eng, tb.net, tb.top, tb.sched, tb.ctl.Observer())
+	// Impaired control plane over the same rig, controller co-located with
+	// the sink on site 3. The rig's uniform latencies cluster into two
+	// quarantine domains, {0, 2, 3} and site 1 on its own.
+	plane := ctrlplane.New(ctrlplane.Config{ControllerSite: 3},
+		tb.eng, tb.net, tb.top, tb.sched, tb.ctl.Observer())
 	tb.ctl.AttachControlPlane(plane)
 	plane.Start()
 	region := plane.RegionOfSite(1)
+	if got := plane.RegionSites(region); len(got) != 1 {
+		t.Fatalf("site 1 shares its quarantine domain: %v", got)
+	}
 
 	// t=100s: region of site 1 loses its control link. Quarantined once
-	// its silence passes 30s (the t=160s monitoring round).
+	// its silence passes 60s (the t=200s monitoring round).
 	tb.sched.At(100*time.Second, func(vclock.Time) { plane.SetRegionPartition(region, true) })
-	// t=200s: site 1 crashes inside the quarantined region.
-	crashAt(tb, 200*time.Second, 1)
-	tb.run(t, 240*time.Second)
+	// t=220s: site 1 crashes inside the quarantined region.
+	crashAt(tb, 220*time.Second, 1)
+	tb.run(t, 260*time.Second)
 
 	if !plane.SiteQuarantined(1) {
 		t.Fatal("region of site 1 not quarantined before the crash")
@@ -244,10 +244,10 @@ func TestRecoveryDefersInQuarantinedRegionThenProceeds(t *testing.T) {
 		t.Fatalf("degrade reason %q does not name the quarantine", reason)
 	}
 
-	// t=250s: the control link heals; heartbeats resume, the region is
+	// t=270s: the control link heals; heartbeats resume, the region is
 	// re-admitted, and the Round backstop re-enters the ladder.
-	tb.sched.At(250*time.Second, func(vclock.Time) { plane.SetRegionPartition(region, false) })
-	tb.run(t, 400*time.Second)
+	tb.sched.At(270*time.Second, func(vclock.Time) { plane.SetRegionPartition(region, false) })
+	tb.run(t, 420*time.Second)
 
 	if len(tb.ctl.Observer().Events("ctrl.readmit")) == 0 {
 		t.Fatal("no ctrl.readmit event after the control link healed")

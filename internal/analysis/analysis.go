@@ -1,6 +1,6 @@
 // Package analysis implements waspvet, a stdlib-only static-analysis
-// suite that enforces the simulator's determinism and concurrency
-// invariants at build time.
+// suite that enforces the simulator's determinism, cache-invalidation and
+// hot-path allocation invariants at build time.
 //
 // The reproduction's core guarantee — same-seed runs are byte-identical
 // (TestFaultInjectionObsDeterministic runs a fault scenario twice and

@@ -139,8 +139,6 @@ func sameFile(a, b string) bool {
 func TestWallclockFixture(t *testing.T)  { runFixture(t, "wallclock") }
 func TestGlobalrandFixture(t *testing.T) { runFixture(t, "globalrand") }
 func TestMaprangeFixture(t *testing.T)   { runFixture(t, "maprange") }
-func TestLocksafeFixture(t *testing.T)   { runFixture(t, "locksafe") }
-func TestLeakygoFixture(t *testing.T)    { runFixture(t, "leakygo") }
 func TestGenbumpFixture(t *testing.T)    { runFixture(t, "genbump") }
 func TestHotallocFixture(t *testing.T)   { runFixture(t, "hotalloc") }
 func TestFloatorderFixture(t *testing.T) { runFixture(t, "floatorder") }
@@ -302,7 +300,7 @@ func TestRegisteredAnalyzers(t *testing.T) {
 	for _, a := range All() {
 		names = append(names, a.Name)
 	}
-	want := []string{"floatorder", "genbump", "globalrand", "hotalloc", "leakygo", "locksafe", "maprange", "wallclock"}
+	want := []string{"floatorder", "genbump", "globalrand", "hotalloc", "maprange", "wallclock"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("registered analyzers = %v, want %v", names, want)
 	}

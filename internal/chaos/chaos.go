@@ -21,8 +21,6 @@ type Config struct {
 	// 3D/4, leaving the final quarter for recovery to settle — chaos tests
 	// that the system *recovers*, which needs a post-fault window.
 	Duration time.Duration
-	// MinFaults/MaxFaults bound the schedule size (defaults 3 and 6).
-	MinFaults, MaxFaults int
 	// CtrlRegions, when positive, widens the kind draw with the three
 	// control-plane faults (ctrldown over [0, CtrlRegions), telemloss,
 	// ctrldelay). Zero keeps the draw sequence — and therefore every
@@ -31,29 +29,18 @@ type Config struct {
 	CtrlRegions int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MinFaults == 0 {
-		c.MinFaults = 3
-	}
-	if c.MaxFaults == 0 {
-		c.MaxFaults = 6
-	}
-	if c.MaxFaults < c.MinFaults {
-		c.MaxFaults = c.MinFaults
-	}
-	return c
-}
+// minFaults and maxFaults bound the schedule size.
+const minFaults, maxFaults = 3, 6
 
 // Generate builds a randomized, validated fault schedule from the seed.
 // Candidates violating schedule coherence (overlapping faults on one
 // site/link, see faults.ValidateSchedule) are redrawn; the attempt budget
 // makes termination unconditional, so dense configs may come up short of
-// MinFaults. Every generated fault heals, so a correct runtime ends the
+// minFaults. Every generated fault heals, so a correct runtime ends the
 // run fully recovered.
 func Generate(seed int64, cfg Config) []faults.Fault {
-	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	want := cfg.MinFaults + rng.Intn(cfg.MaxFaults-cfg.MinFaults+1)
+	want := minFaults + rng.Intn(maxFaults-minFaults+1)
 	var out []faults.Fault
 	for attempts := 0; len(out) < want && attempts < 10*want; attempts++ {
 		f := randomFault(rng, cfg)

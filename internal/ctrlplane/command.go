@@ -198,11 +198,11 @@ func (p *Plane) Supervise(now vclock.Time) []Aborted {
 		if cmd.done || cmd.acked {
 			continue
 		}
-		if time.Duration(now-cmd.sentAt) < p.cfg.CommandTimeout {
+		if time.Duration(now-cmd.sentAt) < commandTimeout {
 			continue
 		}
 		cmd.attempts++
-		if cmd.attempts > p.cfg.CommandRetries {
+		if cmd.attempts > commandRetries {
 			if p.obs != nil {
 				p.obs.Emit("ctrl.command_timeout",
 					obs.Int("cmd", cmd.ID),

@@ -39,54 +39,36 @@ type Network interface {
 	Reachable(from, to topology.SiteID, now vclock.Time) bool
 }
 
-// Config parameterizes the impaired control plane. The zero value of each
-// field selects the documented default; a Plane is only ever constructed
-// when impairment is wanted (ideal mode is the absence of a Plane).
+// Config places the impaired control plane in a run; a Plane is only ever
+// constructed when impairment is wanted (ideal mode is the absence of a
+// Plane).
 type Config struct {
 	// ControllerSite hosts the controller; reports flow site→controller
 	// and commands controller→site over netsim links. The controller's
 	// own site reports locally (never dropped, intra-site latency).
 	ControllerSite topology.SiteID
-	// ReportEvery is the local-monitor report period (default 10s).
-	ReportEvery time.Duration
-	// MaxStaleness bounds the evidence age diagnosis may act on: ops
-	// whose sites are staler get a stale-telemetry reject instead of an
-	// action, and stale sites are masked out of placement (default 45s).
-	MaxStaleness time.Duration
-	// PartitionAfter is the silence threshold after which a region whose
-	// sites have ALL gone quiet is quarantined (default 60s).
-	PartitionAfter time.Duration
-	// CommandTimeout is how long the supervisor waits for a command ack
-	// before re-sending (default 30s).
-	CommandTimeout time.Duration
-	// CommandRetries is how many re-sends a command gets before the
-	// supervisor aborts it (default 3).
-	CommandRetries int
-	// Regions overrides the quarantine-domain count when the topology
-	// carries no region labels (default ⌈√N⌉, via ClusterRegions).
-	Regions int
 	// Seed drives the telemetry-loss coin flips (deterministic per run).
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.ReportEvery <= 0 {
-		c.ReportEvery = 10 * time.Second
-	}
-	if c.MaxStaleness <= 0 {
-		c.MaxStaleness = 45 * time.Second
-	}
-	if c.PartitionAfter <= 0 {
-		c.PartitionAfter = 60 * time.Second
-	}
-	if c.CommandTimeout <= 0 {
-		c.CommandTimeout = 30 * time.Second
-	}
-	if c.CommandRetries <= 0 {
-		c.CommandRetries = 3
-	}
-	return c
-}
+const (
+	// reportEvery is the local-monitor report period (§8.2: site reports
+	// every 10 s).
+	reportEvery = 10 * time.Second
+	// MaxStaleness bounds the evidence age diagnosis may act on: ops
+	// whose sites are staler get a stale-telemetry reject instead of an
+	// action, and stale sites are masked out of placement.
+	MaxStaleness = 45 * time.Second
+	// partitionAfter is the silence threshold after which a region whose
+	// sites have ALL gone quiet is quarantined.
+	partitionAfter = 60 * time.Second
+	// commandTimeout is how long the supervisor waits for a command ack
+	// before re-sending.
+	commandTimeout = 30 * time.Second
+	// commandRetries is how many re-sends a command gets before the
+	// supervisor aborts it.
+	commandRetries = 3
+)
 
 // Plane is one job's simulated control plane: a report ticker on the
 // telemetry side, an epoch-fenced command channel on the actuation side,
@@ -125,26 +107,21 @@ type Plane struct {
 	wrongActions int
 }
 
-// Domains returns the quarantine domains a plane with this config would
-// use: the topology's labeled regions when present, deterministic latency
+// Domains returns the quarantine domains a plane over top uses: the
+// topology's labeled regions when present, ⌈√N⌉ deterministic latency
 // clusters otherwise. Exported so fault schedules (the ctrlchaos sweep, a
 // -fault script author) can aim a ctrldown at a specific region without
 // re-deriving the clustering.
-func Domains(top *topology.Topology, cfg Config) [][]topology.SiteID {
+func Domains(top *topology.Topology, _ Config) [][]topology.SiteID {
 	if top.NumRegions() > 0 {
 		return top.RegionSites()
 	}
-	k := cfg.Regions
-	if k <= 0 {
-		k = int(math.Ceil(math.Sqrt(float64(top.N()))))
-	}
-	return topology.ClusterRegions(top, k)
+	return topology.ClusterRegions(top, int(math.Ceil(math.Sqrt(float64(top.N())))))
 }
 
 // New builds a plane over the run's topology, network and scheduler. The
 // observer may be nil (events and counters become no-ops).
 func New(cfg Config, sampler Sampler, net Network, top *topology.Topology, sched *vclock.Scheduler, o *obs.Observer) *Plane {
-	cfg = cfg.withDefaults()
 	p := &Plane{
 		cfg:         cfg,
 		sampler:     sampler,
@@ -187,12 +164,12 @@ func (p *Plane) describeMetrics() {
 	r.Describe("wasp_ctrl_quarantines_total", "Region quarantine entries.")
 }
 
-// Start arms the report ticker. Reports begin at now+ReportEvery.
+// Start arms the report ticker. Reports begin at now+reportEvery.
 func (p *Plane) Start() {
 	if p.ticker != nil {
 		return
 	}
-	p.ticker = p.sched.Every(p.cfg.ReportEvery, p.reportRound)
+	p.ticker = p.sched.Every(reportEvery, p.reportRound)
 }
 
 // Stop cancels the report ticker.
@@ -202,9 +179,6 @@ func (p *Plane) Stop() {
 		p.ticker = nil
 	}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (p *Plane) Config() Config { return p.cfg }
 
 // NumRegions returns the number of quarantine domains.
 func (p *Plane) NumRegions() int { return len(p.regions) }
@@ -314,10 +288,10 @@ func (p *Plane) readmit(r int, site topology.SiteID) {
 
 // UpdateQuarantine re-evaluates every region's silence at the start of a
 // monitoring round: a region whose sites have ALL been quiet longer than
-// PartitionAfter enters quarantine. Re-admission happens on report
+// partitionAfter enters quarantine. Re-admission happens on report
 // arrival (deliverReport), not here.
 func (p *Plane) UpdateQuarantine(now vclock.Time) {
-	if now <= vclock.Time(p.cfg.PartitionAfter) {
+	if now <= vclock.Time(partitionAfter) {
 		return // nobody has had time to report yet
 	}
 	for r, sites := range p.regions {
@@ -326,7 +300,7 @@ func (p *Plane) UpdateQuarantine(now vclock.Time) {
 		}
 		allStale := len(sites) > 0
 		for _, s := range sites {
-			if p.ageOf(s, now) <= p.cfg.PartitionAfter {
+			if p.ageOf(s, now) <= partitionAfter {
 				allStale = false
 				break
 			}
@@ -419,7 +393,7 @@ func (p *Plane) MaskUnreachable(free []int, now vclock.Time) {
 		if s == p.cfg.ControllerSite {
 			continue
 		}
-		if p.SiteQuarantined(s) || p.ageOf(s, now) > p.cfg.MaxStaleness {
+		if p.SiteQuarantined(s) || p.ageOf(s, now) > MaxStaleness {
 			free[i] = 0
 		}
 	}
@@ -433,5 +407,5 @@ func (p *Plane) WrongActions() int { return p.wrongActions }
 // String summarizes the plane for debugging.
 func (p *Plane) String() string {
 	return fmt.Sprintf("ctrlplane{regions=%d report=%v stale=%v partition=%v}",
-		len(p.regions), p.cfg.ReportEvery, p.cfg.MaxStaleness, p.cfg.PartitionAfter)
+		len(p.regions), reportEvery, MaxStaleness, partitionAfter)
 }

@@ -37,7 +37,7 @@ func (f *fakeNet) Reachable(from, to topology.SiteID, _ vclock.Time) bool {
 
 // rig builds a 4-site, 2-region topology (region 0 = {0,1} with the
 // controller on site 0; region 1 = {2,3}) with a 2s-latency WAN.
-func rig(t *testing.T, cfg Config) (*Plane, *fakeSampler, *fakeNet, *vclock.Scheduler) {
+func rig(t *testing.T) (*Plane, *fakeSampler, *fakeNet, *vclock.Scheduler) {
 	t.Helper()
 	const n = 4
 	sites := make([]topology.Site, n)
@@ -62,14 +62,14 @@ func rig(t *testing.T, cfg Config) (*Plane, *fakeSampler, *fakeNet, *vclock.Sche
 	smp := &fakeSampler{}
 	net := &fakeNet{lat: 2 * time.Second, down: map[[2]topology.SiteID]bool{}}
 	o := obs.New(sched.Now)
-	p := New(cfg, smp, net, top, sched, o)
+	p := New(Config{}, smp, net, top, sched, o)
 	return p, smp, net, sched
 }
 
 // Reports ride the WAN: a report generated at t carries its generation
 // stamp, arrives one link latency later, and ages from t, not arrival.
 func TestReportsAgeFromGeneration(t *testing.T) {
-	p, smp, _, sched := rig(t, Config{ReportEvery: 10 * time.Second})
+	p, smp, _, sched := rig(t)
 	smp.reports = []metrics.SiteReport{} // all sites idle → pure heartbeats
 	p.Start()
 	if err := sched.RunUntil(11 * time.Second); err != nil {
@@ -89,11 +89,11 @@ func TestReportsAgeFromGeneration(t *testing.T) {
 	}
 }
 
-// A region whose every site goes silent past PartitionAfter is
+// A region whose every site goes silent past partitionAfter is
 // quarantined; the first report back out re-admits it and bumps its
 // epoch.
 func TestQuarantineAndReadmitBumpsEpoch(t *testing.T) {
-	p, _, net, sched := rig(t, Config{ReportEvery: 10 * time.Second, PartitionAfter: 30 * time.Second})
+	p, _, net, sched := rig(t)
 	p.Start()
 
 	// Cut region 1 (sites 2, 3) off from the controller at t=20s.
@@ -133,7 +133,7 @@ func TestQuarantineAndReadmitBumpsEpoch(t *testing.T) {
 // delivery: its epoch no longer matches the region's, so the apply
 // closure never runs.
 func TestEpochFencing(t *testing.T) {
-	p, _, _, sched := rig(t, Config{ReportEvery: 10 * time.Second, PartitionAfter: 30 * time.Second})
+	p, _, _, sched := rig(t)
 	p.Start()
 
 	sched.At(20*time.Second, func(vclock.Time) { p.SetRegionPartition(1, true) })
@@ -181,7 +181,7 @@ func TestEpochFencing(t *testing.T) {
 // supervisor re-sends and the idempotent delivery path re-acks without
 // running apply a second time.
 func TestRetryIsIdempotent(t *testing.T) {
-	p, _, net, sched := rig(t, Config{CommandTimeout: 10 * time.Second})
+	p, _, net, sched := rig(t)
 	applies := 0
 
 	// Site 2 → controller is down (acks lost), controller → site 2 fine.
@@ -192,7 +192,7 @@ func TestRetryIsIdempotent(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.RunUntil(15 * time.Second); err != nil {
+	if err := sched.RunUntil(commandTimeout + 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if applies != 1 {
@@ -206,7 +206,7 @@ func TestRetryIsIdempotent(t *testing.T) {
 	// re-applying.
 	net.down[[2]topology.SiteID{2, 0}] = false
 	p.Supervise(sched.Now())
-	if err := sched.RunUntil(25 * time.Second); err != nil {
+	if err := sched.RunUntil(sched.Now() + 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if applies != 1 {
@@ -220,11 +220,11 @@ func TestRetryIsIdempotent(t *testing.T) {
 	}
 }
 
-// A command whose target stays unreachable is re-sent CommandRetries
+// A command whose target stays unreachable is re-sent commandRetries
 // times and then aborted, with Applied=false telling the controller the
 // actuation never ran.
 func TestAbortAfterRetryBudget(t *testing.T) {
-	p, _, _, sched := rig(t, Config{CommandTimeout: 10 * time.Second, CommandRetries: 2})
+	p, _, _, sched := rig(t)
 	p.SetRegionPartition(1, true)
 
 	if err := p.SendCommand(plan.OpID(3), "replan", []topology.SiteID{3}, func() error {
@@ -242,8 +242,8 @@ func TestAbortAfterRetryBudget(t *testing.T) {
 	}
 
 	var aborted []Aborted
-	for i := 0; i < 5; i++ {
-		if err := sched.RunUntil(sched.Now() + 12*time.Second); err != nil {
+	for i := 0; i < commandRetries+2; i++ {
+		if err := sched.RunUntil(sched.Now() + commandTimeout + 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		aborted = append(aborted, p.Supervise(sched.Now())...)
@@ -261,7 +261,7 @@ func TestAbortAfterRetryBudget(t *testing.T) {
 
 // An apply error resolves the command (reported, not retried forever).
 func TestApplyErrorResolves(t *testing.T) {
-	p, _, _, sched := rig(t, Config{})
+	p, _, _, sched := rig(t)
 	if err := p.SendCommand(plan.OpID(5), "reassign", []topology.SiteID{1}, func() error {
 		return errors.New("no slots")
 	}); err != nil {
@@ -278,10 +278,10 @@ func TestApplyErrorResolves(t *testing.T) {
 // MaskUnreachable zeroes quarantined and stale sites out of the free-slot
 // vector but never the controller's own site.
 func TestMaskUnreachable(t *testing.T) {
-	p, _, _, sched := rig(t, Config{ReportEvery: 10 * time.Second, MaxStaleness: 20 * time.Second, PartitionAfter: 30 * time.Second})
+	p, _, _, sched := rig(t)
 	p.Start()
 	sched.At(15*time.Second, func(vclock.Time) { p.SetRegionPartition(1, true) })
-	if err := sched.RunUntil(60 * time.Second); err != nil {
+	if err := sched.RunUntil(15*time.Second + partitionAfter + reportEvery); err != nil {
 		t.Fatal(err)
 	}
 	p.UpdateQuarantine(sched.Now())

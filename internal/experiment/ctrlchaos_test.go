@@ -86,10 +86,7 @@ func TestCtrlPartitionAcceptance(t *testing.T) {
 		Engine:          EngineConfig(adapt.PolicyWASP),
 		Adapt:           AdaptConfig(adapt.PolicyWASP),
 		CheckpointEvery: 30 * time.Second,
-		// A staleness bound under the report gap the partition opens
-		// before the first impaired monitoring round (~30 s at the 40 s
-		// round grid) closes the act-on-dead-evidence window entirely.
-		Ctrl: &ctrlplane.Config{MaxStaleness: 25 * time.Second},
+		Ctrl:            &ctrlplane.Config{},
 		FaultsFor: func(pp *physical.Plan, top *topology.Topology) []faults.Fault {
 			region = victimRegion(top)
 			regionSites = ctrlplane.Domains(top, ctrlplane.Config{})[region]

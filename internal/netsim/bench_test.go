@@ -96,14 +96,16 @@ func TestStepAllocsCeiling(t *testing.T) {
 	}
 }
 
-// tenKLinkNet loads a 101-site testbed with one flow per ordered site
+// tenKLinkNet loads a 101-site topology with one flow per ordered site
 // pair — 10,100 live links, the scale the incremental allocator is
 // specified against.
 func tenKLinkNet(tb testing.TB) (*Network, []*Flow) {
 	tb.Helper()
-	cfg := topology.DefaultGenConfig(1)
-	cfg.EdgeSites = 93 // 93 edge + 8 DC = 101 sites = 10,100 ordered pairs
-	top := topology.Generate(cfg)
+	// One region of a hub and 100 edge sites: 101 sites = 10,100 ordered pairs.
+	top, err := topology.GenerateScale(topology.DefaultScaleConfig(1, 1, 100))
+	if err != nil {
+		tb.Fatal(err)
+	}
 	n := New(top)
 	sites := top.N()
 	flows := make([]*Flow, 0, sites*(sites-1))

@@ -113,7 +113,7 @@ func TestScheduleParallelismAndSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ScheduleConfig{Parallelism: map[plan.OpID]int{1: 5}}
+	cfg := ScheduleConfig{DefaultParallelism: 5}
 	if err := Schedule(p, top, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestScheduleInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 sites × 1 slot = 4 slots total, but 3 stages need 1+9+1.
-	cfg := ScheduleConfig{Parallelism: map[plan.OpID]int{1: 9}}
+	cfg := ScheduleConfig{DefaultParallelism: 9}
 	err = Schedule(p, top, cfg)
 	if !errors.Is(err, placement.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)

@@ -58,7 +58,7 @@ func TestConcurrentSchedulesShareTopology(t *testing.T) {
 		var out [][]topology.SiteID
 		for i, hierSites := range []int{-1, 0} {
 			ws := &Workspace{}
-			cfg := ScheduleConfig{Parallelism: map[plan.OpID]int{1: 4}, HierarchicalSites: hierSites, Workspace: ws}
+			cfg := ScheduleConfig{DefaultParallelism: 4, HierarchicalSites: hierSites, Workspace: ws}
 			p := plans[i]
 			if err := Schedule(p, top, cfg); err != nil {
 				return nil, err
@@ -137,12 +137,12 @@ func TestScheduleHierarchicalMatchesExact(t *testing.T) {
 
 	for _, par := range []int{1, 4, 16} {
 		exact := build()
-		cfgExact := ScheduleConfig{Parallelism: map[plan.OpID]int{1: par}, HierarchicalSites: -1}
+		cfgExact := ScheduleConfig{DefaultParallelism: par, HierarchicalSites: -1}
 		if err := Schedule(exact, top, cfgExact); err != nil {
 			t.Fatalf("p=%d exact: %v", par, err)
 		}
 		hier := build()
-		cfgHier := ScheduleConfig{Parallelism: map[plan.OpID]int{1: par}}
+		cfgHier := ScheduleConfig{DefaultParallelism: par}
 		if err := Schedule(hier, top, cfgHier); err != nil {
 			t.Fatalf("p=%d hierarchical: %v", par, err)
 		}

@@ -12,11 +12,9 @@ import (
 type ScheduleConfig struct {
 	// Alpha is the bandwidth utilization threshold α (paper default 0.8).
 	Alpha float64
-	// DefaultParallelism applies to every unpinned stage unless
-	// overridden (paper §8.3 initializes all operators with p=1).
+	// DefaultParallelism applies to every unpinned stage (paper §8.3
+	// initializes all operators with p=1).
 	DefaultParallelism int
-	// Parallelism overrides per operator.
-	Parallelism map[plan.OpID]int
 	// RateFactor scales source rates when estimating stream rates.
 	RateFactor float64
 	// Bandwidth returns the currently available from→to link capacity in
@@ -60,9 +58,6 @@ func (cfg *ScheduleConfig) withDefaults(top *topology.Topology) ScheduleConfig {
 func (cfg *ScheduleConfig) parallelismFor(op *plan.Operator) int {
 	if op.PinnedSite != plan.NoSite {
 		return 1 // pinned endpoints run a single task at their site
-	}
-	if p, ok := cfg.Parallelism[op.ID]; ok {
-		return p
 	}
 	return cfg.DefaultParallelism
 }

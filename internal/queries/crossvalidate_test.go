@@ -143,13 +143,14 @@ func groupOf(at vclock.Time, size time.Duration, key string) group {
 
 // YSB: per-(window, campaign) counts equal a direct count of view events,
 // each result is stamped with the latest view of its window, and a batch
-// before time zero (YSBConfig.Start may be negative) is no different.
+// before time zero is no different.
 func TestYSBRecordCountsMatchDirectCount(t *testing.T) {
 	const window = 10 * time.Second
 	for _, start := range []time.Duration{0, -time.Hour} {
-		events := workload.GenerateYSB(workload.YSBConfig{
-			Seed: 29, Rate: 4000, Start: vclock.Time(start), Duration: 35 * time.Second,
-		})
+		events := workload.GenerateYSB(workload.YSBConfig{Seed: 29, Rate: 4000, Duration: 35 * time.Second})
+		for i := range events {
+			events[i].Time += vclock.Time(start)
+		}
 		want := map[group]int64{}
 		latest := map[vclock.Time]vclock.Time{}
 		for _, e := range events {

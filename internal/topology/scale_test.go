@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,17 +42,12 @@ func TestGenerateScaleDeterministic(t *testing.T) {
 }
 
 func TestGenerateScaleRegionStructure(t *testing.T) {
-	cfg := DefaultScaleConfig(7, 12, 7)
-	cfg.CoreDCs = 3
-	top, err := GenerateScale(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := top.N(), 12*8+3; got != want {
+	top := scaleShape(t, 7, 12, 7)
+	if got, want := top.N(), 12*8; got != want {
 		t.Fatalf("N = %d, want %d", got, want)
 	}
-	if got, want := top.NumRegions(), 13; got != want {
-		t.Fatalf("NumRegions = %d, want %d (12 + core)", got, want)
+	if got, want := top.NumRegions(), 12; got != want {
+		t.Fatalf("NumRegions = %d, want %d", got, want)
 	}
 	regions := top.RegionSites()
 	for r, members := range regions {
@@ -58,32 +56,21 @@ func TestGenerateScaleRegionStructure(t *testing.T) {
 				t.Fatalf("site %d listed in region %d but RegionOf = %d", s, r, top.RegionOf(s))
 			}
 		}
-	}
-	// Each geographic region leads with its hub (lowest ID, a DC); the
-	// last region is the core.
-	for r := 0; r < 12; r++ {
-		hub := top.Site(regions[r][0])
+		// Each region leads with its hub (lowest ID, a DC).
+		hub := top.Site(members[0])
 		if hub.Kind != DataCenter || !strings.HasSuffix(hub.Name, "-hub") {
 			t.Fatalf("region %d representative = %+v, want hub DC", r, hub)
 		}
-		if len(regions[r]) != 8 {
-			t.Fatalf("region %d has %d sites, want 8", r, len(regions[r]))
+		if len(members) != 8 {
+			t.Fatalf("region %d has %d sites, want 8", r, len(members))
 		}
 	}
-	if len(regions[12]) != 3 {
-		t.Fatalf("core region has %d sites, want 3", len(regions[12]))
-	}
-	for _, s := range regions[12] {
-		if top.Site(s).Kind != DataCenter || top.Site(s).Users != 0 {
-			t.Fatalf("core site %+v, want user-free DC", top.Site(s))
-		}
-	}
-	// Edge sites carry user populations within the configured bounds.
+	// Edge sites carry user populations within the profile's bounds.
 	users := 0
 	for _, s := range top.Sites() {
 		if s.Kind == Edge {
-			if s.Users < cfg.UsersPerEdgeMin || s.Users > cfg.UsersPerEdgeMax {
-				t.Fatalf("edge site %s has %d users, want [%d,%d]", s.Name, s.Users, cfg.UsersPerEdgeMin, cfg.UsersPerEdgeMax)
+			if s.Users < usersPerEdgeMin || s.Users > usersPerEdgeMax {
+				t.Fatalf("edge site %s has %d users, want [%d,%d]", s.Name, s.Users, usersPerEdgeMin, usersPerEdgeMax)
 			}
 			users += s.Users
 		}
@@ -102,11 +89,7 @@ func TestGenerateScaleMillionsOfUsers(t *testing.T) {
 }
 
 func TestGenerateScaleLatencyTiers(t *testing.T) {
-	cfg := DefaultScaleConfig(3, 8, 4)
-	top, err := GenerateScale(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := scaleShape(t, 3, 8, 4)
 	n := top.N()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -120,17 +103,17 @@ func TestGenerateScaleLatencyTiers(t *testing.T) {
 			}
 			switch {
 			case i == j:
-				if l != cfg.IntraSiteLat {
-					t.Fatalf("intra-site latency %v, want %v", l, cfg.IntraSiteLat)
+				if l != intraSiteLat {
+					t.Fatalf("intra-site latency %v, want %v", l, intraSiteLat)
 				}
 			case top.RegionOf(a) == top.RegionOf(b):
-				if l < cfg.RegionLatMin || l > cfg.RegionLatMax {
-					t.Fatalf("intra-region latency %v outside [%v,%v]", l, cfg.RegionLatMin, cfg.RegionLatMax)
+				if l < regionLatMin || l > regionLatMax {
+					t.Fatalf("intra-region latency %v outside [%v,%v]", l, regionLatMin, regionLatMax)
 				}
 			default:
 				// Inter-region: ring-distance interpolation with ±10% jitter.
-				lo := time.Duration(float64(cfg.InterLatMin) * 0.9)
-				hi := time.Duration(float64(cfg.InterLatMax) * 1.1)
+				lo := time.Duration(float64(interLatMin) * 0.9)
+				hi := time.Duration(float64(interLatMax) * 1.1)
 				if l < lo || l > hi {
 					t.Fatalf("inter-region latency %v outside [%v,%v]", l, lo, hi)
 				}
@@ -140,29 +123,43 @@ func TestGenerateScaleLatencyTiers(t *testing.T) {
 }
 
 func TestGenerateScaleDegenerateShapes(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*ScaleConfig)
+	for _, tc := range []struct {
+		name           string
+		regions, edges int
 	}{
-		{"zero regions", func(c *ScaleConfig) { c.Regions = 0 }},
-		{"negative edges", func(c *ScaleConfig) { c.EdgePerRegion = -1 }},
-		{"negative cores", func(c *ScaleConfig) { c.CoreDCs = -2 }},
-		{"single site", func(c *ScaleConfig) { c.Regions, c.EdgePerRegion = 1, 0 }},
-		{"inverted slot bounds", func(c *ScaleConfig) { c.EdgeSlotsMin, c.EdgeSlotsMax = 4, 2 }},
-		{"negative hub slots", func(c *ScaleConfig) { c.HubSlots = -1 }},
-		{"inverted user bounds", func(c *ScaleConfig) { c.UsersPerEdgeMin, c.UsersPerEdgeMax = 5000, 2000 }},
-		{"zero bandwidth tier", func(c *ScaleConfig) { c.EdgeBWMin, c.EdgeBWMax = 0, 0 }},
-		{"inverted bandwidth tier", func(c *ScaleConfig) { c.HubBWMin, c.HubBWMax = 400, 100 }},
-		{"negative latency", func(c *ScaleConfig) { c.InterLatMin = -time.Millisecond }},
-		{"inverted latency tier", func(c *ScaleConfig) { c.RegionLatMin, c.RegionLatMax = 20*time.Millisecond, 2*time.Millisecond }},
-		{"asymmetry >= 1", func(c *ScaleConfig) { c.AsymmetryMax = 1 }},
-	}
-	for _, tc := range cases {
-		cfg := DefaultScaleConfig(1, 4, 3)
-		tc.mutate(&cfg)
-		if _, err := GenerateScale(cfg); err == nil {
+		{"zero regions", 0, 3},
+		{"negative edges", 4, -1},
+		{"single site", 1, 0},
+	} {
+		if _, err := GenerateScale(DefaultScaleConfig(1, tc.regions, tc.edges)); err == nil {
 			t.Errorf("%s: want validation error, got nil", tc.name)
 		}
+	}
+}
+
+// dumpHash fingerprints everything a generator produces.
+func dumpHash(top *Topology) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%v\n%v\n%v\n%v\n", top.sites, top.lat, top.bw, top.regionOf)))
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestGeneratedTopologiesPinned holds both generators to their output bit
+// for bit: the golden file, the benchmark digests and every recorded
+// figure were produced on exactly these topologies.
+func TestGeneratedTopologiesPinned(t *testing.T) {
+	testbed := []string{"82f050c33d707b14", "83b1e3e9fa1d75cf", "0beb38b5f6591f61"}
+	scale4x3 := []string{"01bd82cd29fc66a8", "c7df3334ef1724aa", "e96f130a8f710a06"}
+	for i := range testbed {
+		seed := int64(i + 1)
+		if got := dumpHash(Generate(DefaultGenConfig(seed))); got != testbed[i] {
+			t.Errorf("Generate(DefaultGenConfig(%d)) = %s, want %s", seed, got, testbed[i])
+		}
+		if got := dumpHash(scaleShape(t, seed, 4, 3)); got != scale4x3[i] {
+			t.Errorf("GenerateScale(DefaultScaleConfig(%d, 4, 3)) = %s, want %s", seed, got, scale4x3[i])
+		}
+	}
+	if got, want := dumpHash(scaleShape(t, 1, 50, 19)), "d93e34aa9bc01898"; got != want {
+		t.Errorf("GenerateScale(DefaultScaleConfig(1, 50, 19)) = %s, want %s", got, want)
 	}
 }
 

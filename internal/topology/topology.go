@@ -316,104 +316,74 @@ func (t *Topology) LinkValues(class PairClass) (bws []Mbps, lats []time.Duration
 	return bws, lats
 }
 
-// GenConfig parameterises the testbed generator. The zero value is not
-// valid; use DefaultGenConfig.
+// GenConfig selects one generated testbed; use DefaultGenConfig.
 type GenConfig struct {
 	Seed int64
-
-	EdgeSites     int
-	EdgeSlotsMin  int
-	EdgeSlotsMax  int
-	DCSites       int
-	DCSlots       int
-	IntraSiteBW   Mbps          // effectively-unconstrained in-site fabric
-	IntraSiteLat  time.Duration //
-	DCBWMin       Mbps          // data-center↔data-center link range
-	DCBWMax       Mbps
-	DCLatMin      time.Duration
-	DCLatMax      time.Duration
-	EdgeBWMin     Mbps // any link touching an edge site
-	EdgeBWMax     Mbps
-	EdgeLatMin    time.Duration
-	EdgeLatMax    time.Duration
-	AsymmetryMax  float64 // reverse direction scaled by U[1-a, 1+a]
-	dcNamesSource []string
 }
 
-// DefaultGenConfig returns the paper's §8.2 testbed parameters: 8 edge
-// nodes (2–4 slots), 8 data-center nodes (8 slots); DC links follow the
-// EC2-derived Figure 7 distribution (tens to ~250 Mbps, up to ~300 ms);
-// edge links follow the public-Internet profile (average <10 Mbps per
-// Akamai, lower same-region latency).
+// DefaultGenConfig returns the configuration of the paper's §8.2 testbed
+// for a seed.
 func DefaultGenConfig(seed int64) GenConfig {
-	return GenConfig{
-		Seed:         seed,
-		EdgeSites:    8,
-		EdgeSlotsMin: 2,
-		EdgeSlotsMax: 4,
-		DCSites:      8,
-		DCSlots:      8,
-		IntraSiteBW:  10000,
-		IntraSiteLat: 500 * time.Microsecond,
-		DCBWMin:      40,
-		DCBWMax:      250,
-		DCLatMin:     20 * time.Millisecond,
-		DCLatMax:     300 * time.Millisecond,
-		EdgeBWMin:    2.5,
-		EdgeBWMax:    6,
-		EdgeLatMin:   5 * time.Millisecond,
-		EdgeLatMax:   60 * time.Millisecond,
-		AsymmetryMax: 0.3,
-		dcNamesSource: []string{
-			"oregon", "ohio", "ireland", "frankfurt",
-			"seoul", "singapore", "mumbai", "sao-paulo",
-		},
-	}
+	return GenConfig{Seed: seed}
 }
 
-// Generate builds a seeded random topology per cfg. It panics on a
-// structurally invalid configuration (experiment configs are constants).
-// The topology is a pure function of cfg (randomness comes from a fresh
-// source seeded with cfg.Seed).
+// The §8.2 testbed: 8 edge nodes (2–4 slots), 8 data-center nodes (8
+// slots); DC links follow the EC2-derived Figure 7 distribution (tens to
+// ~250 Mbps, up to ~300 ms); edge links follow the public-Internet profile
+// (average <10 Mbps per Akamai, lower same-region latency).
+const (
+	edgeSites = 8
+	dcSlots   = 8
+
+	dcBWMin, dcBWMax   Mbps = 40, 250 // data-center↔data-center links
+	dcLatMin, dcLatMax      = 20 * time.Millisecond, 300 * time.Millisecond
+
+	edgeBWMin, edgeBWMax   Mbps = 2.5, 6 // any link touching an edge site
+	edgeLatMin, edgeLatMax      = 5 * time.Millisecond, 60 * time.Millisecond
+)
+
+// dcNames names the testbed's data centers, one site each.
+var dcNames = [...]string{
+	"oregon", "ohio", "ireland", "frankfurt",
+	"seoul", "singapore", "mumbai", "sao-paulo",
+}
+
+// Shared by the testbed and the planet-scale generator.
+const (
+	edgeSlotsMin, edgeSlotsMax = 2, 4
+
+	intraSiteBW  Mbps = 10000 // effectively-unconstrained in-site fabric
+	intraSiteLat      = 500 * time.Microsecond
+
+	asymmetryMax = 0.3 // reverse direction scaled by U[1-a, 1+a]
+)
+
+// Generate builds the seeded random §8.2 testbed. The topology is a pure
+// function of cfg (randomness comes from a fresh source seeded with
+// cfg.Seed).
 func Generate(cfg GenConfig) *Topology {
-	return GenerateWith(rand.New(rand.NewSource(cfg.Seed)), cfg)
+	return GenerateWith(rand.New(rand.NewSource(cfg.Seed)))
 }
 
 // GenerateWith is Generate drawing from the caller's rng — for callers
-// that thread one seeded source through several generators. cfg.Seed is
-// ignored.
-func GenerateWith(rng *rand.Rand, cfg GenConfig) *Topology {
-	if cfg.EdgeSites < 0 || cfg.DCSites < 0 || cfg.EdgeSites+cfg.DCSites == 0 {
-		panic("topology: generator needs at least one site")
-	}
-	if cfg.EdgeSlotsMax < cfg.EdgeSlotsMin {
-		panic("topology: edge slot bounds inverted")
-	}
-	n := cfg.EdgeSites + cfg.DCSites
-
+// that thread one seeded source through several generators.
+func GenerateWith(rng *rand.Rand) *Topology {
+	n := len(dcNames) + edgeSites
 	sites := make([]Site, 0, n)
-	for i := 0; i < cfg.DCSites; i++ {
-		name := fmt.Sprintf("dc-%d", i+1)
-		if i < len(cfg.dcNamesSource) {
-			name = cfg.dcNamesSource[i]
-		}
+	for _, name := range dcNames {
 		sites = append(sites, Site{
 			ID:    SiteID(len(sites)),
 			Name:  name,
 			Kind:  DataCenter,
-			Slots: cfg.DCSlots,
+			Slots: dcSlots,
 		})
 	}
-	for i := 0; i < cfg.EdgeSites; i++ {
-		slots := cfg.EdgeSlotsMin
-		if cfg.EdgeSlotsMax > cfg.EdgeSlotsMin {
-			slots += rng.Intn(cfg.EdgeSlotsMax - cfg.EdgeSlotsMin + 1)
-		}
+	for i := 0; i < edgeSites; i++ {
 		sites = append(sites, Site{
 			ID:    SiteID(len(sites)),
 			Name:  fmt.Sprintf("edge-%d", i+1),
 			Kind:  Edge,
-			Slots: slots,
+			Slots: edgeSlotsMin + rng.Intn(edgeSlotsMax-edgeSlotsMin+1),
 		})
 	}
 
@@ -424,43 +394,30 @@ func GenerateWith(rng *rand.Rand, cfg GenConfig) *Topology {
 		bw[i] = make([]Mbps, n)
 	}
 	uniformDur := func(lo, hi time.Duration) time.Duration {
-		if hi <= lo {
-			return lo
-		}
 		return lo + time.Duration(rng.Int63n(int64(hi-lo)))
 	}
 	uniformBW := func(lo, hi Mbps) Mbps {
-		if hi <= lo {
-			return lo
-		}
 		return lo + Mbps(rng.Float64())*(hi-lo)
 	}
-	asym := func() float64 {
-		return 1 + (rng.Float64()*2-1)*cfg.AsymmetryMax
-	}
 	for i := 0; i < n; i++ {
-		lat[i][i] = cfg.IntraSiteLat
-		bw[i][i] = cfg.IntraSiteBW
+		lat[i][i] = intraSiteLat
+		bw[i][i] = intraSiteBW
 		for j := i + 1; j < n; j++ {
-			dcPair := sites[i].Kind == DataCenter && sites[j].Kind == DataCenter
 			var b Mbps
 			var l time.Duration
-			if dcPair {
-				b = uniformBW(cfg.DCBWMin, cfg.DCBWMax)
-				l = uniformDur(cfg.DCLatMin, cfg.DCLatMax)
+			if sites[i].Kind == DataCenter && sites[j].Kind == DataCenter {
+				b = uniformBW(dcBWMin, dcBWMax)
+				l = uniformDur(dcLatMin, dcLatMax)
 			} else {
-				b = uniformBW(cfg.EdgeBWMin, cfg.EdgeBWMax)
-				l = uniformDur(cfg.EdgeLatMin, cfg.EdgeLatMax)
+				b = uniformBW(edgeBWMin, edgeBWMax)
+				l = uniformDur(edgeLatMin, edgeLatMax)
 			}
 			bw[i][j] = b
 			lat[i][j] = l
-			// Reverse direction: correlated but asymmetric.
-			rb := Mbps(float64(b) * asym())
-			if rb < 0.1 {
-				rb = 0.1
-			}
-			bw[j][i] = rb
-			lat[j][i] = l // propagation delay is symmetric
+			// Reverse direction: correlated but asymmetric bandwidth;
+			// propagation delay is symmetric.
+			bw[j][i] = max(0.1, Mbps(float64(b)*(1+(rng.Float64()*2-1)*asymmetryMax)))
+			lat[j][i] = l
 		}
 	}
 

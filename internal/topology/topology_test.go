@@ -52,15 +52,14 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateLinkRanges(t *testing.T) {
-	cfg := DefaultGenConfig(3)
-	top := Generate(cfg)
+	top := Generate(DefaultGenConfig(3))
 	for i := 0; i < top.N(); i++ {
 		for j := 0; j < top.N(); j++ {
 			from, to := SiteID(i), SiteID(j)
 			bw := top.BaseBandwidth(from, to)
 			lat := top.Latency(from, to)
 			if i == j {
-				if bw != cfg.IntraSiteBW || lat != cfg.IntraSiteLat {
+				if bw != intraSiteBW || lat != intraSiteLat {
 					t.Fatalf("intra-site link %d has bw=%v lat=%v", i, bw, lat)
 				}
 				continue
@@ -73,14 +72,14 @@ func TestGenerateLinkRanges(t *testing.T) {
 			}
 			dcPair := top.Site(from).Kind == DataCenter && top.Site(to).Kind == DataCenter
 			if dcPair {
-				// Forward direction sampled from [DCBWMin, DCBWMax]; the
+				// Forward direction sampled from [dcBWMin, dcBWMax]; the
 				// reverse may be scaled by the asymmetry factor.
-				maxBW := Mbps(float64(cfg.DCBWMax) * (1 + cfg.AsymmetryMax))
+				maxBW := Mbps(float64(dcBWMax) * (1 + asymmetryMax))
 				if bw > maxBW {
 					t.Fatalf("dc link %d->%d bandwidth %v > %v", i, j, bw, maxBW)
 				}
 			} else {
-				maxBW := Mbps(float64(cfg.EdgeBWMax) * (1 + cfg.AsymmetryMax))
+				maxBW := Mbps(float64(edgeBWMax) * (1 + asymmetryMax))
 				if bw > maxBW {
 					t.Fatalf("edge link %d->%d bandwidth %v > %v", i, j, bw, maxBW)
 				}
@@ -183,9 +182,8 @@ func TestSitesReturnsCopy(t *testing.T) {
 }
 
 func TestGenerateWithMatchesWrapper(t *testing.T) {
-	cfg := DefaultGenConfig(9)
-	a := Generate(cfg)
-	b := GenerateWith(rand.New(rand.NewSource(9)), cfg)
+	a := Generate(DefaultGenConfig(9))
+	b := GenerateWith(rand.New(rand.NewSource(9)))
 	if a.N() != b.N() {
 		t.Fatalf("site count mismatch: %d vs %d", a.N(), b.N())
 	}

@@ -8,7 +8,7 @@ import "time"
 // Figure 2: mean around 110 Mbps, sampled every 5 minutes, with 25%–93%
 // deviation from the mean. Values are in Mbps.
 func Fig2Bandwidth(seed int64) *Trace {
-	walk := RandomWalk(WalkConfig{
+	walk := randomWalk(walkConfig{
 		Seed:     seed,
 		Start:    1.0,
 		Min:      0.07, // ~93% below mean
@@ -24,7 +24,7 @@ func Fig2Bandwidth(seed int64) *Trace {
 // LiveBandwidthFactor models the §8.6 live-environment pair-wise bandwidth
 // variation factor, which the paper reports ranging from 0.51 to 2.36.
 func LiveBandwidthFactor(seed int64, duration time.Duration) *Trace {
-	return RandomWalk(WalkConfig{
+	return randomWalk(walkConfig{
 		Seed:     seed,
 		Start:    1.0,
 		Min:      0.51,
@@ -38,7 +38,7 @@ func LiveBandwidthFactor(seed int64, duration time.Duration) *Trace {
 // LiveWorkloadFactor models the §8.6 random per-source workload variation
 // factor, which the paper reports ranging from 0.8 to 2.4.
 func LiveWorkloadFactor(seed int64, duration time.Duration) *Trace {
-	return RandomWalk(WalkConfig{
+	return randomWalk(walkConfig{
 		Seed:     seed,
 		Start:    1.0,
 		Min:      0.8,

@@ -114,12 +114,12 @@ func (tr *Trace) Summarize() Stats {
 	return s
 }
 
-// WalkConfig configures a bounded additive random walk used to model WAN
+// walkConfig configures a bounded additive random walk used to model WAN
 // bandwidth variation. Each Interval the factor moves by a uniform step in
 // [-MaxStep, +MaxStep]·(Max-Min) and is reflected back into [Min, Max].
 // The additive-with-reflection walk is drift-free, so the long-run mean
 // stays near the middle of the range.
-type WalkConfig struct {
+type walkConfig struct {
 	Seed     int64
 	Start    float64       // initial factor (e.g. 1.0)
 	Min, Max float64       // inclusive bounds for the factor
@@ -128,24 +128,24 @@ type WalkConfig struct {
 	Duration time.Duration // total trace length
 }
 
-// RandomWalk generates a bounded random-walk factor trace. It panics on an
+// randomWalk generates a bounded random-walk factor trace. It panics on an
 // invalid configuration (zero interval, inverted bounds), since
 // configurations are compile-time constants in experiments. The trace is
 // a pure function of cfg (randomness comes from a fresh source seeded
 // with cfg.Seed).
-func RandomWalk(cfg WalkConfig) *Trace {
-	return RandomWalkWith(rand.New(rand.NewSource(cfg.Seed)), cfg)
+func randomWalk(cfg walkConfig) *Trace {
+	return randomWalkWith(rand.New(rand.NewSource(cfg.Seed)), cfg)
 }
 
-// RandomWalkWith is RandomWalk drawing from the caller's rng — for
+// randomWalkWith is randomWalk drawing from the caller's rng — for
 // callers that thread one seeded source through several generators.
 // cfg.Seed is ignored.
-func RandomWalkWith(rng *rand.Rand, cfg WalkConfig) *Trace {
+func randomWalkWith(rng *rand.Rand, cfg walkConfig) *Trace {
 	if cfg.Interval <= 0 {
-		panic("trace: RandomWalk requires a positive interval")
+		panic("trace: randomWalk requires a positive interval")
 	}
 	if cfg.Min > cfg.Max {
-		panic("trace: RandomWalk bounds inverted")
+		panic("trace: randomWalk bounds inverted")
 	}
 	v := clamp(cfg.Start, cfg.Min, cfg.Max)
 	span := cfg.Max - cfg.Min

@@ -91,11 +91,11 @@ func TestScale(t *testing.T) {
 }
 
 func TestRandomWalkDeterministic(t *testing.T) {
-	cfg := WalkConfig{
+	cfg := walkConfig{
 		Seed: 7, Start: 1, Min: 0.5, Max: 2, MaxStep: 0.3,
 		Interval: time.Minute, Duration: time.Hour,
 	}
-	a, b := RandomWalk(cfg), RandomWalk(cfg)
+	a, b := randomWalk(cfg), randomWalk(cfg)
 	pa, pb := a.Points(), b.Points()
 	if len(pa) != len(pb) {
 		t.Fatalf("lengths differ: %d vs %d", len(pa), len(pb))
@@ -105,7 +105,7 @@ func TestRandomWalkDeterministic(t *testing.T) {
 			t.Fatalf("point %d differs: %v vs %v", i, pa[i], pb[i])
 		}
 	}
-	c := RandomWalk(WalkConfig{
+	c := randomWalk(walkConfig{
 		Seed: 8, Start: 1, Min: 0.5, Max: 2, MaxStep: 0.3,
 		Interval: time.Minute, Duration: time.Hour,
 	})
@@ -123,7 +123,7 @@ func TestRandomWalkDeterministic(t *testing.T) {
 
 func TestRandomWalkBounds(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
-		tr := RandomWalk(WalkConfig{
+		tr := randomWalk(walkConfig{
 			Seed: seed, Start: 1, Min: 0.51, Max: 2.36, MaxStep: 0.4,
 			Interval: time.Minute, Duration: 2 * time.Hour,
 		})
@@ -140,7 +140,7 @@ func TestRandomWalkBounds(t *testing.T) {
 }
 
 func TestRandomWalkPointCount(t *testing.T) {
-	tr := RandomWalk(WalkConfig{
+	tr := randomWalk(walkConfig{
 		Seed: 1, Start: 1, Min: 0.5, Max: 2, MaxStep: 0.1,
 		Interval: 5 * time.Minute, Duration: time.Hour,
 	})
@@ -233,12 +233,12 @@ func TestReflect(t *testing.T) {
 }
 
 func TestRandomWalkWithMatchesWrapper(t *testing.T) {
-	cfg := WalkConfig{
+	cfg := walkConfig{
 		Seed: 5, Start: 1, Min: 0.5, Max: 2, MaxStep: 0.3,
 		Interval: time.Minute, Duration: time.Hour,
 	}
-	a := RandomWalk(cfg)
-	b := RandomWalkWith(rand.New(rand.NewSource(5)), cfg)
+	a := randomWalk(cfg)
+	b := randomWalkWith(rand.New(rand.NewSource(5)), cfg)
 	if len(a.Points()) != len(b.Points()) {
 		t.Fatalf("point count mismatch: %d vs %d", a.Len(), b.Len())
 	}

@@ -29,50 +29,41 @@ type Country struct {
 	Lang      string
 }
 
-// DefaultCountries approximates the global Twitter geography reported by
+// countries approximates the global Twitter geography reported by
 // Leetaru et al. (cited in §2.2): a few countries dominate volume, spread
 // across time zones.
-func DefaultCountries() []Country {
-	return []Country{
-		{Code: "us", Weight: 0.30, UTCOffset: -6 * time.Hour, Lang: "en"},
-		{Code: "jp", Weight: 0.15, UTCOffset: 9 * time.Hour, Lang: "ja"},
-		{Code: "gb", Weight: 0.10, UTCOffset: 0, Lang: "en"},
-		{Code: "br", Weight: 0.10, UTCOffset: -3 * time.Hour, Lang: "pt"},
-		{Code: "id", Weight: 0.10, UTCOffset: 7 * time.Hour, Lang: "id"},
-		{Code: "in", Weight: 0.10, UTCOffset: 5*time.Hour + 30*time.Minute, Lang: "hi"},
-		{Code: "de", Weight: 0.08, UTCOffset: time.Hour, Lang: "de"},
-		{Code: "fr", Weight: 0.07, UTCOffset: time.Hour, Lang: "fr"},
-	}
+var countries = []Country{
+	{Code: "us", Weight: 0.30, UTCOffset: -6 * time.Hour, Lang: "en"},
+	{Code: "jp", Weight: 0.15, UTCOffset: 9 * time.Hour, Lang: "ja"},
+	{Code: "gb", Weight: 0.10, UTCOffset: 0, Lang: "en"},
+	{Code: "br", Weight: 0.10, UTCOffset: -3 * time.Hour, Lang: "pt"},
+	{Code: "id", Weight: 0.10, UTCOffset: 7 * time.Hour, Lang: "id"},
+	{Code: "in", Weight: 0.10, UTCOffset: 5*time.Hour + 30*time.Minute, Lang: "hi"},
+	{Code: "de", Weight: 0.08, UTCOffset: time.Hour, Lang: "de"},
+	{Code: "fr", Weight: 0.07, UTCOffset: time.Hour, Lang: "fr"},
 }
+
+// zipfS is the exponent of the Zipfian topic popularity.
+const zipfS = 1.2
 
 // TwitterConfig parameterises the tweet generator.
 type TwitterConfig struct {
 	Seed int64
-	// Countries and their weights (default DefaultCountries).
-	Countries []Country
-	// Topics is the topic vocabulary size; popularity is Zipfian
-	// (default 1000, s=1.2).
+	// Topics is the topic vocabulary size (default 1000); popularity is
+	// Zipfian.
 	Topics int
-	ZipfS  float64
 	// Rate is global tweets/s (default 10000).
 	Rate float64
 	// Diurnal applies the 2× day/night pattern per country's local time
 	// when true.
 	Diurnal bool
-	// Start and Duration bound the generated event times.
-	Start    vclock.Time
+	// Duration bounds the generated event times to [0, Duration).
 	Duration time.Duration
 }
 
 func (c TwitterConfig) withDefaults() TwitterConfig {
-	if len(c.Countries) == 0 {
-		c.Countries = DefaultCountries()
-	}
 	if c.Topics == 0 {
 		c.Topics = 1000
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.2
 	}
 	if c.Rate == 0 {
 		c.Rate = 10000
@@ -92,20 +83,20 @@ func GenerateTweets(cfg TwitterConfig) []Tweet {
 // cfg.Seed is ignored.
 func GenerateTweetsWith(rng *rand.Rand, cfg TwitterConfig) []Tweet {
 	c := cfg.withDefaults()
-	zipf := rand.NewZipf(rng, c.ZipfS, 1, uint64(c.Topics-1))
+	zipf := rand.NewZipf(rng, zipfS, 1, uint64(c.Topics-1))
 	topics := newKeyTable("t%04d")
 
 	var totalWeight float64
-	for _, country := range c.Countries {
+	for _, country := range countries {
 		totalWeight += country.Weight
 	}
 
 	n := int(c.Rate * c.Duration.Seconds())
 	tweets := make([]Tweet, 0, n)
 	interval := vclock.Time(float64(time.Second) / c.Rate)
-	at := c.Start
+	var at vclock.Time
 	for i := 0; i < n; i++ {
-		country := pickCountry(rng, c.Countries, totalWeight, at, c.Diurnal)
+		country := pickCountry(rng, totalWeight, at, c.Diurnal)
 		tweets = append(tweets, Tweet{
 			ID:      int64(i),
 			UserID:  rng.Int63n(1 << 20),
@@ -121,7 +112,7 @@ func GenerateTweetsWith(rng *rand.Rand, cfg TwitterConfig) []Tweet {
 
 // pickCountry samples a country by weight, modulated by each country's
 // local diurnal factor when enabled (day hours carry 2× the night volume).
-func pickCountry(rng *rand.Rand, countries []Country, totalWeight float64, at vclock.Time, diurnal bool) Country {
+func pickCountry(rng *rand.Rand, totalWeight float64, at vclock.Time, diurnal bool) Country {
 	if !diurnal {
 		x := rng.Float64() * totalWeight
 		for _, c := range countries {

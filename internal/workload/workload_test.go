@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -117,12 +118,15 @@ func TestDiurnalFactorShape(t *testing.T) {
 func TestGenerateTweetsDiurnalChangesVolumeMix(t *testing.T) {
 	// At 21:00 UTC the US (UTC-6) is at its local 15:00 peak while Japan
 	// (UTC+9) is at its local 06:00 low; at 09:00 UTC the roles reverse.
-	cfgDay := TwitterConfig{Seed: 3, Rate: 20000, Duration: 2 * time.Second, Diurnal: true,
-		Start: vclock.Time(21 * time.Hour)}
-	cfgNight := TwitterConfig{Seed: 3, Rate: 20000, Duration: 2 * time.Second, Diurnal: true,
-		Start: vclock.Time(9 * time.Hour)}
-	day := CountryShares(GenerateTweets(cfgDay))
-	night := CountryShares(GenerateTweets(cfgNight))
+	tweets := GenerateTweets(TwitterConfig{Seed: 3, Rate: 2, Duration: 24 * time.Hour, Diurnal: true})
+	hour := func(h int) map[string]float64 {
+		from := vclock.Time(time.Duration(h) * time.Hour)
+		to := from + vclock.Time(time.Hour)
+		lo := sort.Search(len(tweets), func(i int) bool { return tweets[i].Time >= from })
+		hi := sort.Search(len(tweets), func(i int) bool { return tweets[i].Time >= to })
+		return CountryShares(tweets[lo:hi])
+	}
+	day, night := hour(21), hour(9)
 	if !(day["us"] > night["us"]) {
 		t.Fatalf("us day share %v <= night share %v", day["us"], night["us"])
 	}

@@ -55,21 +55,18 @@ type YSBConfig struct {
 	// Campaigns is the number of ad campaigns (default 100; the paper
 	// notes YSB's key distribution is low).
 	Campaigns int
-	// AdsPerCampaign maps ads onto campaigns (default 10).
-	AdsPerCampaign int
 	// Rate is events/s (default 10000).
 	Rate float64
-	// Start and Duration bound the generated event times.
-	Start    vclock.Time
+	// Duration bounds the generated event times to [0, Duration).
 	Duration time.Duration
 }
+
+// adsPerCampaign maps ads onto campaigns.
+const adsPerCampaign = 10
 
 func (c YSBConfig) withDefaults() YSBConfig {
 	if c.Campaigns == 0 {
 		c.Campaigns = 100
-	}
-	if c.AdsPerCampaign == 0 {
-		c.AdsPerCampaign = 10
 	}
 	if c.Rate == 0 {
 		c.Rate = 10000
@@ -95,16 +92,16 @@ func GenerateYSBWith(rng *rand.Rand, cfg YSBConfig) []AdEvent {
 	n := int(c.Rate * c.Duration.Seconds())
 	events := make([]AdEvent, 0, n)
 	interval := vclock.Time(float64(time.Second) / c.Rate)
-	at := c.Start
+	var at vclock.Time
 	for i := 0; i < n; i++ {
-		adID := rng.Int63n(int64(c.Campaigns * c.AdsPerCampaign))
+		adID := rng.Int63n(int64(c.Campaigns * adsPerCampaign))
 		events = append(events, AdEvent{
 			UserID:     rng.Int63n(100000),
 			PageID:     rng.Int63n(10000),
 			AdID:       adID,
 			AdType:     adTypes[rng.Intn(len(adTypes))],
 			EventType:  AdEventType(rng.Intn(3) + 1),
-			CampaignID: adID / int64(c.AdsPerCampaign),
+			CampaignID: adID / adsPerCampaign,
 			Time:       at,
 		})
 		at += interval
