@@ -43,7 +43,7 @@ func BuildYSBRecord(nSources int, window time.Duration) *RecordPipeline {
 		join := p.AddNode("join-campaign", &stream.Map{
 			Fn: func(e stream.Event) stream.Event {
 				ad := e.Value.(workload.AdEvent)
-				return stream.Event{Time: e.Time, Key: e.Key, Value: ad.CampaignID}
+				return stream.Event{Time: e.Time, Key: e.Key, KeyID: e.KeyID, Value: ad.CampaignID}
 			},
 		})
 		p.MustConnect(src, fil, 0)
@@ -85,8 +85,9 @@ func BuildTopKRecord(nSources, k int, window time.Duration) *RecordPipeline {
 	topk := p.AddNode("topk", &stream.WindowTopK{
 		Size: window,
 		K:    k,
-		TopicFn: func(e stream.Event) string {
-			return e.Value.(workload.Tweet).Topic
+		TopicRef: func(e stream.Event) (string, uint32) {
+			tw := e.Value.(workload.Tweet)
+			return tw.Topic, tw.TopicID
 		},
 	})
 	sink := p.AddSink("topk-sink")

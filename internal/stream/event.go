@@ -21,6 +21,18 @@ type Event struct {
 	Time vclock.Time
 	// Key is the partitioning key (may be empty for unkeyed streams).
 	Key string
+	// KeyID is a dense id for Key, or 0 for none: a source that draws its
+	// keys from a table numbers them from 1 and every event of a key carries
+	// the same number. It saves keyed operators the hash of Key and nothing
+	// else — state is kept, moved and snapshotted by Key, an event without
+	// an id lands in the same accumulator as one with, and an operator that
+	// sees one id with two different keys panics rather than count them
+	// together, so the sources feeding one operator must share an id space.
+	// Ids are dense: one at or past MaxKeyID is ignored. An id goes where its
+	// key goes: Filter, Map and Union pass both on, KeyBy — which changes the
+	// key — drops the id, and the events a windowed operator or a join emits
+	// carry none.
+	KeyID uint32
 	// Value is the payload. Stateful operators that snapshot their state
 	// with gob require concrete Value types to be gob-registered.
 	Value any

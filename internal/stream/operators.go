@@ -21,7 +21,10 @@ func (f *Filter) OnEvent(_ int, e Event, emit Emit) {
 // OnWatermark implements Handler.
 func (f *Filter) OnWatermark(vclock.Time, Emit) {}
 
-// Map transforms each event 1:1. Stateless.
+// Map transforms each event 1:1. Stateless. An event's KeyID names its Key:
+// a Fn that returns its input under another Key must set KeyID to the new
+// key's id or to zero, or the next keyed operator panics on the id naming two
+// keys.
 type Map struct {
 	Fn func(Event) Event
 }
@@ -34,7 +37,8 @@ func (m *Map) OnEvent(_ int, e Event, emit Emit) { emit(m.Fn(e)) }
 // OnWatermark implements Handler.
 func (m *Map) OnWatermark(vclock.Time, Emit) {}
 
-// FlatMap transforms each event into zero or more events. Stateless.
+// FlatMap transforms each event into zero or more events. Stateless. What Map
+// says of Key and KeyID holds for every event Fn emits.
 type FlatMap struct {
 	Fn func(Event, Emit)
 }
@@ -47,7 +51,8 @@ func (f *FlatMap) OnEvent(_ int, e Event, emit Emit) { f.Fn(e, emit) }
 // OnWatermark implements Handler.
 func (f *FlatMap) OnWatermark(vclock.Time, Emit) {}
 
-// KeyBy re-keys the stream. Stateless.
+// KeyBy re-keys the stream. Stateless. The events it emits carry no KeyID: the
+// id they arrived with named the key they arrived with.
 type KeyBy struct {
 	KeyFn func(Event) string
 }
@@ -56,7 +61,7 @@ var _ Handler = (*KeyBy)(nil)
 
 // OnEvent implements Handler.
 func (k *KeyBy) OnEvent(_ int, e Event, emit Emit) {
-	e.Key = k.KeyFn(e)
+	e.Key, e.KeyID = k.KeyFn(e), 0
 	emit(e)
 }
 

@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/detutil"
+	"github.com/wasp-stream/wasp/internal/state"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -168,7 +172,10 @@ const maxEvents = 4000
 // are earlier nodes, so fan-out (a node chosen twice), two-port joins
 // (self-joins included), unions of up to three, window→window chains and
 // operators that emit from OnWatermark all occur, over inputs with time
-// ties across and within sources and, sometimes, negative event times.
+// ties across and within sources and, sometimes, negative event times. Every
+// other source's events carry their key's id, so each operator meets events
+// with an id and, downstream of a union, both kinds: one that passes an id on
+// under another key stops the run in the next keyed operator.
 func genDAG(e *entropy) dagSpec {
 	d := dagSpec{sources: 1 + e.intn(4), every: []time.Duration{time.Second, 0, 2 * time.Second}[e.intn(3)]}
 	nOps := 1 + e.intn(8)
@@ -217,7 +224,12 @@ func genDAG(e *entropy) dagSpec {
 		var evs []Event
 		for i := 0; i < perSource; i++ {
 			at += steps[e.intn(len(steps))]
-			evs = append(evs, Event{Time: at, Key: string(rune('a' + e.intn(3))), Value: e.intn(10)})
+			k := e.intn(3)
+			ev := Event{Time: at, Key: string(rune('a' + k)), Value: e.intn(10)}
+			if s%2 == 0 {
+				ev.KeyID = uint32(k + 1)
+			}
+			evs = append(evs, ev)
 		}
 		d.inputs = append(d.inputs, evs)
 	}
@@ -454,6 +466,680 @@ func FuzzPipelineMatchesReference(f *testing.F) {
 		d := genDAG(&entropy{data: data})
 		if err := checkDAG(d); err != nil {
 			t.Fatalf("%v\n%+v", err, d)
+		}
+	})
+}
+
+// The three keyed window operators as they were before their state moved to
+// the slot-indexed store: string-keyed maps per window, gob-encoded as they
+// stand. They are the oracle the store is held to, and — since windowState
+// and topkWindow are the snapshot wire types — their snapshots are what a
+// snapshot looked like on the wire before the store, iteration order and all.
+
+type refWindows map[vclock.Time]*windowState
+
+func (ws refWindows) at(start, t vclock.Time) *windowState {
+	w := ws[start]
+	if w == nil {
+		w = &windowState{MaxTime: t, Accs: make(map[string]any)}
+		ws[start] = w
+	}
+	if t > w.MaxTime {
+		w.MaxTime = t
+	}
+	return w
+}
+
+func (ws refWindows) fold(start vclock.Time, e Event, init func() any, add func(any, Event) any) {
+	w := ws.at(start, e.Time)
+	acc, ok := w.Accs[e.Key]
+	if !ok {
+		acc = init()
+	}
+	w.Accs[e.Key] = add(acc, e)
+}
+
+func (ws refWindows) flush(wm vclock.Time, size time.Duration, result func(string, any) any, emit Emit) {
+	for _, start := range detutil.SortedKeys(ws) {
+		if start+vclock.Time(size) > wm {
+			continue
+		}
+		w := ws[start]
+		for _, k := range detutil.SortedKeys(w.Accs) {
+			v := w.Accs[k]
+			if result != nil {
+				v = result(k, v)
+			}
+			emit(Event{Time: w.MaxTime, Key: k, Value: v})
+		}
+		delete(ws, start)
+	}
+}
+
+func (ws refWindows) size() int {
+	total := 0
+	for _, w := range ws {
+		total += len(w.Accs)
+	}
+	return total
+}
+
+func gobBytes(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// snapshot encodes the unnamed map type, as the operators did: a named type's
+// name is part of its gob definition.
+func (ws refWindows) snapshot() ([]byte, error) {
+	return gobBytes(map[vclock.Time]*windowState(ws))
+}
+
+func (ws *refWindows) restore(data []byte) error {
+	var windows refWindows
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&windows); err != nil {
+		return err
+	}
+	if windows == nil {
+		windows = refWindows{}
+	}
+	*ws = windows
+	return nil
+}
+
+type refWindowAggregate struct {
+	Size    time.Duration
+	Init    func() any
+	Add     func(acc any, e Event) any
+	Result  func(key string, acc any) any
+	windows refWindows
+}
+
+func (w *refWindowAggregate) OnEvent(_ int, e Event, _ Emit) {
+	if w.windows == nil {
+		w.windows = refWindows{}
+	}
+	w.windows.fold(windowStart(e.Time, w.Size), e, w.Init, w.Add)
+}
+
+func (w *refWindowAggregate) OnWatermark(wm vclock.Time, emit Emit) {
+	w.windows.flush(wm, w.Size, w.Result, emit)
+}
+func (w *refWindowAggregate) StateSize() int                 { return w.windows.size() }
+func (w *refWindowAggregate) SnapshotState() ([]byte, error) { return w.windows.snapshot() }
+func (w *refWindowAggregate) RestoreState(data []byte) error { return w.windows.restore(data) }
+
+func (w *refWindowAggregate) SplitByKey(n int) []*refWindowAggregate {
+	parts := make([]*refWindowAggregate, n)
+	for i := range parts {
+		parts[i] = &refWindowAggregate{Size: w.Size, Init: w.Init, Add: w.Add, Result: w.Result, windows: refWindows{}}
+	}
+	for start, ws := range w.windows {
+		for key, acc := range ws.Accs {
+			parts[state.PartitionKey(key, n)].windows.at(start, ws.MaxTime).Accs[key] = acc
+		}
+	}
+	w.windows = refWindows{}
+	return parts
+}
+
+func (w *refWindowAggregate) Merge(other *refWindowAggregate) error {
+	if w.windows == nil {
+		w.windows = refWindows{}
+	}
+	for start, ows := range other.windows {
+		ws := w.windows.at(start, ows.MaxTime)
+		for key, acc := range ows.Accs {
+			if _, exists := ws.Accs[key]; exists {
+				return fmt.Errorf("stream: merge collision on key %q in window %v", key, start)
+			}
+			ws.Accs[key] = acc
+		}
+	}
+	other.windows = refWindows{}
+	return nil
+}
+
+type refSlidingWindowAggregate struct {
+	Size, Slide time.Duration
+	Init        func() any
+	Add         func(acc any, e Event) any
+	Result      func(key string, acc any) any
+	windows     refWindows
+}
+
+func (w *refSlidingWindowAggregate) OnEvent(_ int, e Event, _ Emit) {
+	if w.windows == nil {
+		w.windows = refWindows{}
+	}
+	size, slide := vclock.Time(w.Size), vclock.Time(w.Slide)
+	latest := windowStart(e.Time, w.Slide)
+	for start := latest; start > latest-size; start -= slide {
+		w.windows.fold(start, e, w.Init, w.Add)
+	}
+}
+
+func (w *refSlidingWindowAggregate) OnWatermark(wm vclock.Time, emit Emit) {
+	w.windows.flush(wm, w.Size, w.Result, emit)
+}
+func (w *refSlidingWindowAggregate) StateSize() int                 { return w.windows.size() }
+func (w *refSlidingWindowAggregate) SnapshotState() ([]byte, error) { return w.windows.snapshot() }
+func (w *refSlidingWindowAggregate) RestoreState(data []byte) error { return w.windows.restore(data) }
+
+type refTopKWindows map[vclock.Time]*topkWindow
+
+func (ws refTopKWindows) at(start, t vclock.Time) *topkWindow {
+	w := ws[start]
+	if w == nil {
+		w = &topkWindow{MaxTime: t, Counts: make(map[string]map[string]int64)}
+		ws[start] = w
+	}
+	if t > w.MaxTime {
+		w.MaxTime = t
+	}
+	return w
+}
+
+type refWindowTopK struct {
+	Size    time.Duration
+	K       int
+	TopicFn func(Event) string
+	windows refTopKWindows
+}
+
+func (t *refWindowTopK) OnEvent(_ int, e Event, _ Emit) {
+	if t.windows == nil {
+		t.windows = refTopKWindows{}
+	}
+	w := t.windows.at(windowStart(e.Time, t.Size), e.Time)
+	topic := fmt.Sprint(e.Value)
+	if t.TopicFn != nil {
+		topic = t.TopicFn(e)
+	}
+	if w.Counts[e.Key] == nil {
+		w.Counts[e.Key] = make(map[string]int64)
+	}
+	w.Counts[e.Key][topic]++
+}
+
+func (t *refWindowTopK) OnWatermark(wm vclock.Time, emit Emit) {
+	for _, start := range detutil.SortedKeys(t.windows) {
+		if start+vclock.Time(t.Size) > wm {
+			continue
+		}
+		w := t.windows[start]
+		for _, g := range detutil.SortedKeys(w.Counts) {
+			emit(Event{Time: w.MaxTime, Key: g, Value: refTopK(w.Counts[g], t.K)})
+		}
+		delete(t.windows, start)
+	}
+}
+
+func refTopK(counts map[string]int64, k int) []TopicCount {
+	all := make([]TopicCount, 0, len(counts))
+	for _, topic := range detutil.SortedKeys(counts) {
+		all = append(all, TopicCount{Topic: topic, Count: counts[topic]})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Count != all[j].Count {
+			return all[i].Count > all[j].Count
+		}
+		return all[i].Topic < all[j].Topic
+	})
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
+}
+
+func (t *refWindowTopK) StateSize() int {
+	total := 0
+	for _, w := range t.windows {
+		for _, g := range w.Counts {
+			total += len(g)
+		}
+	}
+	return total
+}
+
+func (t *refWindowTopK) SnapshotState() ([]byte, error) {
+	return gobBytes(map[vclock.Time]*topkWindow(t.windows))
+}
+
+func (t *refWindowTopK) RestoreState(data []byte) error {
+	var windows refTopKWindows
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&windows); err != nil {
+		return err
+	}
+	if windows == nil {
+		windows = refTopKWindows{}
+	}
+	t.windows = windows
+	return nil
+}
+
+func (t *refWindowTopK) SplitByKey(n int) []*refWindowTopK {
+	parts := make([]*refWindowTopK, n)
+	for i := range parts {
+		parts[i] = &refWindowTopK{Size: t.Size, K: t.K, TopicFn: t.TopicFn, windows: refTopKWindows{}}
+	}
+	for start, w := range t.windows {
+		for group, counts := range w.Counts {
+			parts[state.PartitionKey(group, n)].windows.at(start, w.MaxTime).Counts[group] = counts
+		}
+	}
+	t.windows = refTopKWindows{}
+	return parts
+}
+
+func (t *refWindowTopK) Merge(other *refWindowTopK) {
+	if t.windows == nil {
+		t.windows = refTopKWindows{}
+	}
+	for start, ow := range other.windows {
+		w := t.windows.at(start, ow.MaxTime)
+		for group, counts := range ow.Counts {
+			if w.Counts[group] == nil {
+				w.Counts[group] = make(map[string]int64, len(counts))
+			}
+			for topic, c := range counts {
+				w.Counts[group][topic] += c
+			}
+		}
+	}
+	other.windows = refTopKWindows{}
+}
+
+// windowed is what the differential run needs of an operator, reference or
+// production.
+type windowed interface {
+	Handler
+	Snapshotter
+	StateSize() int
+}
+
+// storeKind is one operator configuration under test: how to build the
+// production operator and its reference, and how to rescale a pair.
+type storeKind struct {
+	name  string
+	fresh func(size time.Duration) (got, want windowed)
+	// rescale splits both operators n ways and merges the parts, taken from
+	// part `first` round, into fresh ones; nil where the operator has no
+	// SplitByKey.
+	rescale func(got, want windowed, size time.Duration, n, first int) (windowed, windowed, error)
+	// wire decodes a snapshot into the wire maps, for comparing state and
+	// not only behaviour.
+	wire func(data []byte) (any, error)
+}
+
+func countFns() (func() any, func(any, Event) any) {
+	return func() any { return int64(0) }, func(acc any, _ Event) any { return acc.(int64) + 1 }
+}
+
+// journalFns folds an event into a string that spells out the values seen,
+// in order: an accumulator that is not a number, and a fold that is not
+// commutative.
+func journalFns() (func() any, func(any, Event) any, func(string, any) any) {
+	return func() any { return "" },
+		func(acc any, e Event) any { return fmt.Sprint(acc, intOf(e.Value), ",") },
+		func(key string, acc any) any { return key + "=" + acc.(string) }
+}
+
+func decodeWire[W any](data []byte) (any, error) {
+	var m map[vclock.Time]*W
+	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m)
+	return m, err
+}
+
+func rescaleAggregates(mk func(time.Duration) (windowed, windowed)) func(windowed, windowed, time.Duration, int, int) (windowed, windowed, error) {
+	return func(got, want windowed, size time.Duration, n, first int) (windowed, windowed, error) {
+		gotParts, wantParts := got.(*WindowAggregate).SplitByKey(n), want.(*refWindowAggregate).SplitByKey(n)
+		if got.StateSize() != 0 {
+			return nil, nil, fmt.Errorf("SplitByKey(%d) left %d accumulators behind", n, got.StateSize())
+		}
+		g, w := mk(size)
+		for i := 0; i < n; i++ {
+			p := (first + i) % n
+			if gotParts[p].StateSize() != wantParts[p].StateSize() {
+				return nil, nil, fmt.Errorf("SplitByKey(%d) part %d holds %d accumulators, reference %d",
+					n, p, gotParts[p].StateSize(), wantParts[p].StateSize())
+			}
+			if err := g.(*WindowAggregate).Merge(gotParts[p]); err != nil {
+				return nil, nil, err
+			}
+			if err := w.(*refWindowAggregate).Merge(wantParts[p]); err != nil {
+				return nil, nil, err
+			}
+		}
+		return g, w, nil
+	}
+}
+
+// Ids deliberately unlike arrival order, so that an operator indexing state
+// by the raw id instead of the slot it translates to goes wrong.
+var (
+	storeKeys     = []string{"a", "b", "", "c", "dd", "e"}
+	storeKeyIDs   = []uint32{9, 4, 17, 2, 30, 11}
+	storeTopics   = []string{"go", "zig", "c", "ml", "nim"}
+	storeTopicIDs = []uint32{5, 3, 8, 1, 13}
+)
+
+// storeEventValue carries a topic (its index in storeTopics) and whether the
+// accessor may return its id.
+type storeEventValue struct {
+	topic  int
+	withID bool
+}
+
+// storeKey and storeTopic name key and topic i and give their ids: the few
+// above, which recur, and past them as many as a sequence cares to meet once.
+func storeKey(i int) (string, uint32) {
+	if i < len(storeKeys) {
+		return storeKeys[i], storeKeyIDs[i]
+	}
+	return fmt.Sprint("u", i), uint32(100 + i)
+}
+
+func storeTopic(i int) (string, uint32) {
+	if i < len(storeTopics) {
+		return storeTopics[i], storeTopicIDs[i]
+	}
+	return fmt.Sprint("t", i), uint32(100 + i)
+}
+
+func storeKinds() []storeKind {
+	count := func(size time.Duration) (windowed, windowed) {
+		init, add := countFns()
+		return Count(size), &refWindowAggregate{Size: size, Init: init, Add: add}
+	}
+	journal := func(size time.Duration) (windowed, windowed) {
+		init, add, result := journalFns()
+		return &WindowAggregate{Size: size, Init: init, Add: add, Result: result},
+			&refWindowAggregate{Size: size, Init: init, Add: add, Result: result}
+	}
+	structs := func(size time.Duration) (windowed, windowed) {
+		zero, grow := structFns()
+		return &WindowAggregate{Size: size, Init: zero, Add: grow}, &refWindowAggregate{Size: size, Init: zero, Add: grow}
+	}
+	topic := func(e Event) string {
+		name, _ := storeTopic(e.Value.(storeEventValue).topic)
+		return name
+	}
+	topk := func(ref bool) func(size time.Duration) (windowed, windowed) {
+		return func(size time.Duration) (windowed, windowed) {
+			got := &WindowTopK{Size: size, K: 2, TopicFn: topic}
+			if ref {
+				got.TopicRef = func(e Event) (string, uint32) {
+					v := e.Value.(storeEventValue)
+					name, id := storeTopic(v.topic)
+					if !v.withID {
+						id = 0
+					}
+					return name, id
+				}
+			}
+			return got, &refWindowTopK{Size: size, K: 2, TopicFn: topic}
+		}
+	}
+	rescaleTopK := func(mk func(time.Duration) (windowed, windowed)) func(windowed, windowed, time.Duration, int, int) (windowed, windowed, error) {
+		return func(got, want windowed, size time.Duration, n, first int) (windowed, windowed, error) {
+			gotParts, wantParts := got.(*WindowTopK).SplitByKey(n), want.(*refWindowTopK).SplitByKey(n)
+			if got.StateSize() != 0 {
+				return nil, nil, fmt.Errorf("SplitByKey(%d) left %d counters behind", n, got.StateSize())
+			}
+			g, w := mk(size)
+			for i := 0; i < n; i++ {
+				p := (first + i) % n
+				if gotParts[p].StateSize() != wantParts[p].StateSize() {
+					return nil, nil, fmt.Errorf("SplitByKey(%d) part %d holds %d counters, reference %d",
+						n, p, gotParts[p].StateSize(), wantParts[p].StateSize())
+				}
+				g.(*WindowTopK).Merge(gotParts[p])
+				w.(*refWindowTopK).Merge(wantParts[p])
+			}
+			return g, w, nil
+		}
+	}
+	return []storeKind{
+		{"count", count, rescaleAggregates(count), decodeWire[windowState]},
+		{"journal", journal, rescaleAggregates(journal), decodeWire[windowState]},
+		{"struct accumulators", structs, rescaleAggregates(structs), decodeWire[windowState]},
+		{"sliding count", func(size time.Duration) (windowed, windowed) {
+			init, add := countFns()
+			return SlidingCount(size, time.Second), &refSlidingWindowAggregate{Size: size, Slide: time.Second, Init: init, Add: add}
+		}, nil, decodeWire[windowState]},
+		{"sliding journal", func(size time.Duration) (windowed, windowed) {
+			init, add, result := journalFns()
+			return &SlidingWindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result},
+				&refSlidingWindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result}
+		}, nil, decodeWire[windowState]},
+		{"topk by TopicFn", topk(false), rescaleTopK(topk(false)), decodeWire[topkWindow]},
+		{"topk by TopicRef", topk(true), rescaleTopK(topk(true)), decodeWire[topkWindow]},
+	}
+}
+
+// refState is the reference's state in the wire maps' own types.
+func refState(want windowed) any {
+	switch w := want.(type) {
+	case *refWindowAggregate:
+		return map[vclock.Time]*windowState(w.windows)
+	case *refSlidingWindowAggregate:
+		return map[vclock.Time]*windowState(w.windows)
+	case *refWindowTopK:
+		return map[vclock.Time]*topkWindow(w.windows)
+	}
+	panic("unreachable")
+}
+
+// storeShapes are the situations the generated sequences must reach.
+var storeShapes = []string{"event with id", "event without id", "ids mixed within a run", "watermark",
+	"snapshot into a fresh operator", "snapshots exchanged with the reference", "split and merge",
+	"negative event times", "late event into a flushed window", "keys forgotten"}
+
+// churnBatch is how many keys and topics met once arrive with every event of
+// a sequence drawn to churn: enough that the tables outgrow the live windows
+// within the sequence and have something to forget.
+const churnBatch = 20
+
+// checkStore draws one operator kind and one sequence of operations from e,
+// applies it to the production operator and to the reference, and holds the
+// two to each other after every step: what they emit, how much state they
+// hold and — through the snapshot — what that state is. seen collects the
+// shapes the sequence reached.
+func checkStore(e *entropy, seen map[string]bool) error {
+	kinds := storeKinds()
+	kind := kinds[e.intn(len(kinds))]
+	size := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second}[e.intn(3)]
+	idMode := e.intn(3) // always, never, per event
+	churn, met := e.intn(3) == 0, len(storeKeys)
+	got, want := kind.fresh(size)
+
+	at := []vclock.Time{0, vclock.Time(-5 * time.Second)}[e.intn(2)]
+	steps := []vclock.Time{0, vclock.Time(time.Millisecond), vclock.Time(500 * time.Millisecond),
+		vclock.Time(time.Second), vclock.Time(3 * time.Second)}
+	flushed := vclock.Time(math.MinInt64)
+	withIDs, withoutIDs := false, false
+
+	same := func(step string) error {
+		if g, w := got.StateSize(), want.StateSize(); g != w {
+			return fmt.Errorf("%s: %s: StateSize %d, reference %d", kind.name, step, g, w)
+		}
+		data, err := got.SnapshotState()
+		if err != nil {
+			return fmt.Errorf("%s: %s: snapshot: %w", kind.name, step, err)
+		}
+		state, err := kind.wire(data)
+		if err != nil {
+			return fmt.Errorf("%s: %s: the stock decoder on a snapshot: %w", kind.name, step, err)
+		}
+		if ref := refState(want); reflect.ValueOf(state).Len()+reflect.ValueOf(ref).Len() > 0 && !reflect.DeepEqual(state, ref) {
+			return fmt.Errorf("%s: %s: state differs from the reference's", kind.name, step)
+		}
+		return nil
+	}
+	flush := func(step string, wm vclock.Time) error {
+		var g, w []Event
+		names := 0
+		for _, tab := range tables(got) {
+			names += len(tab.names)
+		}
+		got.OnWatermark(wm, func(e Event) { g = append(g, e) })
+		want.OnWatermark(wm, func(e Event) { w = append(w, e) })
+		if !reflect.DeepEqual(g, w) {
+			return fmt.Errorf("%s: %s: emitted\n%v\nreference\n%v", kind.name, step, g, w)
+		}
+		for _, tab := range tables(got) {
+			names -= len(tab.names)
+		}
+		if names > 0 {
+			seen["keys forgotten"] = true
+		}
+		flushed = max(flushed, wm)
+		return nil
+	}
+
+	nOps := 20 + e.intn(100)
+	for i := 0; i < nOps; i++ {
+		step := fmt.Sprint("step ", i)
+		op := e.intn(20)
+		if churn && op >= 17 && i%3 != 0 {
+			// A fresh operator has a fresh table: in a sequence that is to
+			// reach a census, two in three of them are a watermark instead.
+			op = 14
+		}
+		switch {
+		case op < 14:
+			at += steps[e.intn(len(steps))]
+			t := at
+			if e.intn(6) == 0 {
+				t -= vclock.Time(e.intn(9)) * vclock.Time(time.Second)
+			}
+			keys, topics := []int{e.intn(len(storeKeys))}, []int{e.intn(len(storeTopics))}
+			withID := idMode == 0 || (idMode == 2 && e.intn(2) == 0)
+			if churn {
+				// Every key is new, and so is every topic, which three keys share.
+				for n := 0; n < churnBatch; n++ {
+					keys, topics = append(keys, met+n), append(topics, met+n/3)
+				}
+				met += churnBatch
+			}
+			if withID {
+				withIDs = true
+				seen["event with id"] = true
+			} else {
+				withoutIDs = true
+				seen["event without id"] = true
+			}
+			if withIDs && withoutIDs {
+				seen["ids mixed within a run"] = true
+			}
+			if t < 0 {
+				seen["negative event times"] = true
+			}
+			if windowStart(t, size)+vclock.Time(size) <= flushed && flushed != MaxWatermark {
+				seen["late event into a flushed window"] = true
+			}
+			for n, k := range keys {
+				ev := Event{Time: t, Value: storeEventValue{topic: topics[n], withID: withID}}
+				ev.Key, ev.KeyID = storeKey(k)
+				if !withID {
+					ev.KeyID = 0
+				}
+				got.OnEvent(0, ev, nil)
+				// The reference never sees an id.
+				ev.KeyID = 0
+				want.OnEvent(0, ev, nil)
+			}
+			if g, w := got.StateSize(), want.StateSize(); g != w {
+				return fmt.Errorf("%s: %s: StateSize %d after %d events at %v, reference %d", kind.name, step, g, len(keys), t, w)
+			}
+		case op < 17:
+			wm := at - vclock.Time(e.intn(4))*vclock.Time(time.Second)
+			if e.intn(12) == 0 {
+				wm = MaxWatermark
+			}
+			seen["watermark"] = true
+			if err := flush(step, wm); err != nil {
+				return err
+			}
+		case op < 19:
+			if err := same(step); err != nil {
+				return err
+			}
+			gotData, err := got.SnapshotState()
+			if err != nil {
+				return err
+			}
+			wantData, err := want.SnapshotState()
+			if err != nil {
+				return err
+			}
+			if e.intn(2) == 0 {
+				// Each restores the other's bytes.
+				gotData, wantData = wantData, gotData
+				seen["snapshots exchanged with the reference"] = true
+			} else {
+				seen["snapshot into a fresh operator"] = true
+			}
+			got, want = kind.fresh(size)
+			if err := got.RestoreState(gotData); err != nil {
+				return fmt.Errorf("%s: %s: restore: %w", kind.name, step, err)
+			}
+			if err := want.RestoreState(wantData); err != nil {
+				return fmt.Errorf("%s: %s: reference restore: %w", kind.name, step, err)
+			}
+			if err := same(step + " restored"); err != nil {
+				return err
+			}
+		case kind.rescale != nil:
+			n := 1 + e.intn(5)
+			var err error
+			if got, want, err = kind.rescale(got, want, size, n, e.intn(n)); err != nil {
+				return fmt.Errorf("%s: %s: %w", kind.name, step, err)
+			}
+			seen["split and merge"] = true
+			if err := same(step + " rescaled"); err != nil {
+				return err
+			}
+		}
+	}
+	if err := same("end"); err != nil {
+		return err
+	}
+	return flush("end", MaxWatermark)
+}
+
+// TestWindowStoreMatchesReference is the differential sweep of the keyed
+// window operators against their map-based predecessors.
+func TestWindowStoreMatchesReference(t *testing.T) {
+	const instances = 1200
+	cover := map[string]int{}
+	for seed := int64(0); seed < instances; seed++ {
+		seen := map[string]bool{}
+		if err := checkStore(&entropy{data: seedBytes(seed)}, seen); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for shape := range seen {
+			cover[shape]++
+		}
+	}
+	for _, shape := range storeShapes {
+		if cover[shape] < instances/20 {
+			t.Errorf("only %d of %d sequences cover %q", cover[shape], instances, shape)
+		}
+	}
+}
+
+// FuzzWindowStoreMatchesReference lets the fuzzer drive the same generator:
+// the input bytes are the sequence's entropy.
+func FuzzWindowStoreMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 32; seed++ {
+		f.Add(seedBytes(seed)[:160])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := checkStore(&entropy{data: data}, map[string]bool{}); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

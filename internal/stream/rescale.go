@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 
-	"github.com/wasp-stream/wasp/internal/state"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -22,27 +21,12 @@ func (w *WindowAggregate) SplitByKey(n int) []*WindowAggregate {
 		panic(fmt.Sprintf("stream: SplitByKey(%d)", n))
 	}
 	parts := make([]*WindowAggregate, n)
-	for i := range parts {
+	for i, st := range w.state.split(n) {
 		parts[i] = &WindowAggregate{
 			Size: w.Size, Init: w.Init, Add: w.Add, Result: w.Result,
-			windows: make(map[vclock.Time]*windowState),
+			state: aggregate{store: st, counting: w.state.counting},
 		}
 	}
-	for start, ws := range w.windows {
-		for key, acc := range ws.Accs {
-			p := parts[state.PartitionKey(key, n)]
-			pws := p.windows[start]
-			if pws == nil {
-				pws = newWindowState(ws.MaxTime)
-				p.windows[start] = pws
-			}
-			if ws.MaxTime > pws.MaxTime {
-				pws.MaxTime = ws.MaxTime
-			}
-			pws.Accs[key] = acc
-		}
-	}
-	w.windows = make(map[vclock.Time]*windowState)
 	return parts
 }
 
@@ -51,86 +35,50 @@ func (w *WindowAggregate) SplitByKey(n int) []*WindowAggregate {
 // partitioning guarantees; a collision returns an error and leaves the
 // receiver partially merged.
 func (w *WindowAggregate) Merge(other *WindowAggregate) error {
-	if w.windows == nil {
-		w.windows = make(map[vclock.Time]*windowState)
-	}
-	for start, ows := range other.windows {
-		ws := w.windows[start]
-		if ws == nil {
-			ws = newWindowState(ows.MaxTime)
-			w.windows[start] = ws
+	return w.state.merge(&other.state.store, func(dst *aggAcc, had bool, src *aggAcc, key string, start vclock.Time) error {
+		if had {
+			return fmt.Errorf("stream: merge collision on key %q in window %v", key, start)
 		}
-		if ows.MaxTime > ws.MaxTime {
-			ws.MaxTime = ows.MaxTime
+		if err := w.state.put(dst, other.state.value(src)); err != nil {
+			return fmt.Errorf("stream: merge key %q in window %v: %w", key, start, err)
 		}
-		for key, acc := range ows.Accs {
-			if _, exists := ws.Accs[key]; exists {
-				return fmt.Errorf("stream: merge collision on key %q in window %v", key, start)
-			}
-			ws.Accs[key] = acc
-		}
-	}
-	other.windows = make(map[vclock.Time]*windowState)
-	return nil
+		return nil
+	})
 }
 
 // SplitByKey partitions the top-k operator's live per-group counters
 // across n fresh operators by group key hash. The receiver is left empty.
+// Every part starts from a copy of the topic table, so the counter rows
+// move as they are.
 func (t *WindowTopK) SplitByKey(n int) []*WindowTopK {
 	if n < 1 {
 		panic(fmt.Sprintf("stream: SplitByKey(%d)", n))
 	}
 	parts := make([]*WindowTopK, n)
-	for i := range parts {
+	for i, st := range t.groups.split(n) {
 		parts[i] = &WindowTopK{
-			Size: t.Size, K: t.K, TopicFn: t.TopicFn,
-			windows: make(map[vclock.Time]*topkWindow),
+			Size: t.Size, K: t.K, TopicFn: t.TopicFn, TopicRef: t.TopicRef,
+			groups: st, topics: t.topics.clone(),
 		}
 	}
-	for start, w := range t.windows {
-		for group, counts := range w.Counts {
-			p := parts[state.PartitionKey(group, n)]
-			pw := p.windows[start]
-			if pw == nil {
-				pw = newTopKWindow(w.MaxTime)
-				p.windows[start] = pw
-			}
-			if w.MaxTime > pw.MaxTime {
-				pw.MaxTime = w.MaxTime
-			}
-			pw.Counts[group] = counts
-		}
-	}
-	t.windows = make(map[vclock.Time]*topkWindow)
 	return parts
 }
 
 // Merge absorbs another top-k operator's counters. Unlike keyed
 // accumulators, topic counts are additive, so overlapping groups merge by
-// summation (partial counts from different tasks combine correctly).
+// summation (partial counts from different tasks combine correctly). The
+// two operators number topics independently: a row is added topic by topic,
+// each under the receiver's slot for the topic's name.
 func (t *WindowTopK) Merge(other *WindowTopK) {
-	if t.windows == nil {
-		t.windows = make(map[vclock.Time]*topkWindow)
+	slotOf := make([]int32, len(other.topics.names))
+	for topic, name := range other.topics.names {
+		slotOf[topic] = t.topics.intern(0, name)
 	}
-	for start, ow := range other.windows {
-		w := t.windows[start]
-		if w == nil {
-			w = newTopKWindow(ow.MaxTime)
-			t.windows[start] = w
+	// The error merge passes on is absorb's, and adding cannot fail.
+	_ = t.groups.merge(&other.groups, func(dst *topicRow, _ bool, src *topicRow, _ string, _ vclock.Time) error {
+		for topic, n := range src.counts {
+			dst.add(slotOf[topic], n)
 		}
-		if ow.MaxTime > w.MaxTime {
-			w.MaxTime = ow.MaxTime
-		}
-		for group, counts := range ow.Counts {
-			dst := w.Counts[group]
-			if dst == nil {
-				dst = make(map[string]int64, len(counts))
-				w.Counts[group] = dst
-			}
-			for topic, c := range counts {
-				dst[topic] += c
-			}
-		}
-	}
-	other.windows = make(map[vclock.Time]*topkWindow)
+		return nil
+	})
 }

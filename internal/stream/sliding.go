@@ -1,12 +1,9 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -28,7 +25,7 @@ type SlidingWindowAggregate struct {
 	Add    func(acc any, e Event) any
 	Result func(key string, acc any) any
 
-	windows map[vclock.Time]*windowState
+	state aggregate
 }
 
 var (
@@ -36,8 +33,9 @@ var (
 	_ Snapshotter = (*SlidingWindowAggregate)(nil)
 )
 
-// validate panics on a configuration no window grid exists for. It runs when
-// the window map is created: on the first event or on RestoreState.
+// validate panics on a configuration no window grid exists for. It runs
+// before the operator first holds state: on the first key's first event or
+// on RestoreState.
 func (w *SlidingWindowAggregate) validate() {
 	if w.Slide <= 0 || w.Size <= 0 || w.Slide > w.Size || w.Size%w.Slide != 0 {
 		panic(fmt.Sprintf("stream: invalid sliding window size=%v slide=%v", w.Size, w.Slide))
@@ -48,86 +46,42 @@ func (w *SlidingWindowAggregate) validate() {
 // from the latest start at or before e.Time back to (exclusive) one Size
 // before it: exactly Size/Slide of them.
 func (w *SlidingWindowAggregate) OnEvent(_ int, e Event, emit Emit) {
-	if w.windows == nil {
+	if len(w.state.keys.names) == 0 {
 		w.validate()
-		w.windows = make(map[vclock.Time]*windowState)
 	}
+	slot := w.state.keys.slot(e.KeyID, e.Key)
 	size, slide := vclock.Time(w.Size), vclock.Time(w.Slide)
 	latest := windowStart(e.Time, w.Slide)
 	for start := latest; start > latest-size; start -= slide {
-		ws := w.windows[start]
-		if ws == nil {
-			ws = newWindowState(e.Time)
-			w.windows[start] = ws
-		}
-		if e.Time > ws.MaxTime {
-			ws.MaxTime = e.Time
-		}
-		acc, ok := ws.Accs[e.Key]
-		if !ok {
-			acc = w.Init()
-		}
-		ws.Accs[e.Key] = w.Add(acc, e)
+		w.state.fold(start, slot, e, w.Init, w.Add)
 	}
 }
 
 // OnWatermark implements Handler: windows ending at or before wm emit in
 // ascending window order with sorted keys.
 func (w *SlidingWindowAggregate) OnWatermark(wm vclock.Time, emit Emit) {
-	for _, start := range detutil.SortedKeys(w.windows) {
-		if start+vclock.Time(w.Size) > wm {
-			continue
-		}
-		ws := w.windows[start]
-		for _, k := range detutil.SortedKeys(ws.Accs) {
-			v := ws.Accs[k]
-			if w.Result != nil {
-				v = w.Result(k, v)
-			}
-			emit(Event{Time: ws.MaxTime, Key: k, Value: v})
-		}
-		delete(w.windows, start)
-	}
+	w.state.flush(wm, w.Size, w.Result, emit)
 }
 
 // StateSize returns the number of live (window, key) accumulators.
-func (w *SlidingWindowAggregate) StateSize() int {
-	total := 0
-	for _, ws := range w.windows {
-		total += len(ws.Accs)
-	}
-	return total
-}
+func (w *SlidingWindowAggregate) StateSize() int { return w.state.size() }
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Snapshotter. The same state gives the same bytes.
 func (w *SlidingWindowAggregate) SnapshotState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w.windows); err != nil {
-		return nil, fmt.Errorf("sliding window snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return w.state.snapshot("sliding window")
 }
 
 // RestoreState implements Snapshotter.
 func (w *SlidingWindowAggregate) RestoreState(data []byte) error {
-	var windows map[vclock.Time]*windowState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&windows); err != nil {
-		return fmt.Errorf("sliding window restore: %w", err)
-	}
-	if windows == nil {
-		windows = make(map[vclock.Time]*windowState)
+	if err := w.state.restore(data, "sliding window"); err != nil {
+		return err
 	}
 	w.validate()
-	w.windows = windows
 	return nil
 }
 
-// SlidingCount returns a SlidingWindowAggregate counting events per key.
+// SlidingCount returns a SlidingWindowAggregate counting events per key, its
+// counts held as Count holds them: Init and Add are nil and unused.
 func SlidingCount(size, slide time.Duration) *SlidingWindowAggregate {
-	return &SlidingWindowAggregate{
-		Size:  size,
-		Slide: slide,
-		Init:  func() any { return int64(0) },
-		Add:   func(acc any, _ Event) any { return acc.(int64) + 1 },
-	}
+	return &SlidingWindowAggregate{Size: size, Slide: slide, state: aggregate{counting: true}}
 }

@@ -3,12 +3,12 @@ package stream
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -18,8 +18,11 @@ import (
 func (w *SlidingWindowAggregate) windowStarts(t vclock.Time) []vclock.Time {
 	probe := SlidingCount(w.Size, w.Slide)
 	probe.OnEvent(0, Event{Time: t}, nil)
-	starts := detutil.SortedKeys(probe.windows)
-	sort.Slice(starts, func(i, j int) bool { return starts[i] > starts[j] })
+	var starts []vclock.Time
+	for _, win := range probe.state.windows {
+		starts = append(starts, win.start)
+	}
+	slices.Reverse(starts)
 	return starts
 }
 

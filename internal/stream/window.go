@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -20,7 +18,14 @@ import (
 // events within a particular window", §8.3).
 //
 // WindowAggregate is stateful: it implements Snapshotter. Accumulator
-// values must be gob-registered concrete types.
+// values must be gob-registered concrete types; one that holds in an
+// interface of its own a struct, map or slice cannot be snapshotted
+// (SnapshotState says so; see mapWriter.take).
+//
+// State is kept per key the live windows hold, not per key ever met: a key
+// whose windows have all flushed is forgotten once such keys are most of the
+// table (see symtab), so a stream keyed by user or session holds the memory
+// of its live windows.
 type WindowAggregate struct {
 	// Size is the tumbling window length (must be > 0).
 	Size time.Duration
@@ -32,7 +37,7 @@ type WindowAggregate struct {
 	// nil, the accumulator itself is emitted.
 	Result func(key string, acc any) any
 
-	windows map[vclock.Time]*windowState
+	state aggregate
 }
 
 var (
@@ -40,16 +45,112 @@ var (
 	_ Snapshotter = (*WindowAggregate)(nil)
 )
 
-type windowState struct {
-	MaxTime vclock.Time
-	Accs    map[string]any
+// aggAcc is one accumulator of an aggregate: the caller's value or, in an
+// operator built by Count or SlidingCount, the count itself — which then
+// meets an interface only where it leaves the operator (a result, a
+// snapshot), not once per record.
+type aggAcc struct {
+	v any
+	n int64
 }
 
-// newWindowState starts a window at the time of its first event (or of the
-// window it absorbs): a zero MaxTime would outrank every event time before
-// zero.
-func newWindowState(maxTime vclock.Time) *windowState {
-	return &windowState{MaxTime: maxTime, Accs: make(map[string]any)}
+// aggregate is the state of a WindowAggregate or SlidingWindowAggregate.
+type aggregate struct {
+	store[aggAcc]
+	// counting says the accumulators are aggAcc.n and a record adds one;
+	// Init and Add are then nil and never called.
+	counting bool
+}
+
+// fold adds e to the accumulator of (start, slot).
+func (a *aggregate) fold(start vclock.Time, slot int32, e Event, init func() any, add func(any, Event) any) {
+	w := a.window(start, e.Time)
+	c := w.at(slot)
+	fresh := w.claim(c)
+	if a.counting {
+		c.acc.n++
+		return
+	}
+	if fresh {
+		c.acc.v = init()
+	}
+	c.acc.v = add(c.acc.v, e)
+}
+
+// value is the accumulator as callers, results and snapshots see it.
+func (a *aggregate) value(acc *aggAcc) any {
+	if a.counting {
+		return acc.n
+	}
+	return acc.v
+}
+
+// put stores v, an accumulator as value returned it — here or in another
+// operator, which may keep its accumulators the other way.
+func (a *aggregate) put(acc *aggAcc, v any) error {
+	if !a.counting {
+		acc.v = v
+		return nil
+	}
+	n, ok := v.(int64)
+	if !ok {
+		return fmt.Errorf("accumulator is %T, a counting operator's are int64", v)
+	}
+	acc.n = n
+	return nil
+}
+
+// flush emits the windows ending at or before wm in ascending window order
+// with keys sorted, so output order is deterministic.
+func (a *aggregate) flush(wm vclock.Time, size time.Duration, result func(string, any) any, emit Emit) {
+	a.store.flush(wm, size, func(w *window[aggAcc], key string, acc *aggAcc) {
+		v := a.value(acc)
+		if result != nil {
+			v = result(key, v)
+		}
+		emit(Event{Time: w.maxTime, Key: key, Value: v})
+	})
+}
+
+// snapshot writes the state in (window start, key) order.
+func (a *aggregate) snapshot(what string) ([]byte, error) {
+	out, err := newMapWriter[windowState]()
+	if err != nil {
+		return nil, fmt.Errorf("%s snapshot: %w", what, err)
+	}
+	// The accumulators go through the stock encoder in one call, in the
+	// order writeWindows writes their keys in.
+	values := make([]any, 0, a.size())
+	a.each(a.windows, func(_ *window[aggAcc], _ string, acc *aggAcc) {
+		values = append(values, a.value(acc))
+	})
+	encodings, err := out.interfaces(values)
+	if err != nil {
+		return nil, fmt.Errorf("%s snapshot: %w", what, err)
+	}
+	return writeWindows(out, &a.store, func(*aggAcc) { encodings = out.element(encodings) }), nil
+}
+
+// restore replaces the state with a snapshot's.
+func (a *aggregate) restore(data []byte, what string) error {
+	windows, err := decodeWindows[windowState](data, what)
+	if err != nil {
+		return err
+	}
+	fresh := aggregate{counting: a.counting}
+	for _, start := range detutil.SortedKeys(windows) {
+		ws := windows[start]
+		w := fresh.window(start, ws.MaxTime)
+		for _, key := range detutil.SortedKeys(ws.Accs) {
+			c := w.at(fresh.keys.intern(0, key))
+			w.claim(c)
+			if err := fresh.put(&c.acc, ws.Accs[key]); err != nil {
+				return fmt.Errorf("%s restore: key %q: %w", what, key, err)
+			}
+		}
+	}
+	*a = fresh
+	return nil
 }
 
 // windowStart returns the start of the tumbling window containing t.
@@ -63,83 +164,32 @@ func windowStart(t vclock.Time, size time.Duration) vclock.Time {
 
 // OnEvent implements Handler.
 func (w *WindowAggregate) OnEvent(_ int, e Event, emit Emit) {
-	if w.windows == nil {
-		w.windows = make(map[vclock.Time]*windowState)
-	}
-	start := windowStart(e.Time, w.Size)
-	ws := w.windows[start]
-	if ws == nil {
-		ws = newWindowState(e.Time)
-		w.windows[start] = ws
-	}
-	if e.Time > ws.MaxTime {
-		ws.MaxTime = e.Time
-	}
-	acc, ok := ws.Accs[e.Key]
-	if !ok {
-		acc = w.Init()
-	}
-	ws.Accs[e.Key] = w.Add(acc, e)
+	w.state.fold(windowStart(e.Time, w.Size), w.state.keys.slot(e.KeyID, e.Key), e, w.Init, w.Add)
 }
 
 // OnWatermark implements Handler: windows ending at or before wm are
 // flushed in ascending window order with keys sorted, so output order is
 // deterministic.
 func (w *WindowAggregate) OnWatermark(wm vclock.Time, emit Emit) {
-	for _, start := range detutil.SortedKeys(w.windows) {
-		if start+vclock.Time(w.Size) > wm {
-			continue
-		}
-		ws := w.windows[start]
-		for _, k := range detutil.SortedKeys(ws.Accs) {
-			v := ws.Accs[k]
-			if w.Result != nil {
-				v = w.Result(k, v)
-			}
-			emit(Event{Time: ws.MaxTime, Key: k, Value: v})
-		}
-		delete(w.windows, start)
-	}
+	w.state.flush(wm, w.Size, w.Result, emit)
 }
 
 // StateSize returns the number of live (window, key) accumulators.
-func (w *WindowAggregate) StateSize() int {
-	total := 0
-	for _, ws := range w.windows {
-		total += len(ws.Accs)
-	}
-	return total
-}
+func (w *WindowAggregate) StateSize() int { return w.state.size() }
 
-// SnapshotState implements Snapshotter.
-func (w *WindowAggregate) SnapshotState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w.windows); err != nil {
-		return nil, fmt.Errorf("window snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+// SnapshotState implements Snapshotter. The same state gives the same bytes.
+func (w *WindowAggregate) SnapshotState() ([]byte, error) { return w.state.snapshot("window") }
 
 // RestoreState implements Snapshotter.
-func (w *WindowAggregate) RestoreState(data []byte) error {
-	var windows map[vclock.Time]*windowState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&windows); err != nil {
-		return fmt.Errorf("window restore: %w", err)
-	}
-	if windows == nil {
-		windows = make(map[vclock.Time]*windowState)
-	}
-	w.windows = windows
-	return nil
-}
+func (w *WindowAggregate) RestoreState(data []byte) error { return w.state.restore(data, "window") }
 
-// Count returns a WindowAggregate counting events per key per window.
+// Count returns a WindowAggregate counting events per key per window. It
+// holds its counts as int64s, not in interfaces: Init and Add are nil and
+// setting them changes nothing — an aggregate that is to count differently
+// is a WindowAggregate literal. Result, snapshots, SplitByKey and Merge see
+// the counts as the int64 accumulators of such a literal.
 func Count(size time.Duration) *WindowAggregate {
-	return &WindowAggregate{
-		Size: size,
-		Init: func() any { return int64(0) },
-		Add:  func(acc any, _ Event) any { return acc.(int64) + 1 },
-	}
+	return &WindowAggregate{Size: size, state: aggregate{counting: true}}
 }
 
 // SumBy returns a WindowAggregate summing fn(event) per key per window.

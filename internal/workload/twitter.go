@@ -17,6 +17,11 @@ type Tweet struct {
 	Lang    string
 	Topic   string
 	Time    vclock.Time
+	// CountryID and TopicID are the stream key ids (see keyID) of Country
+	// and Topic; the generator fills them, and a tweet built without them
+	// (0: no id) is keyed by the strings alone.
+	CountryID uint32
+	TopicID   uint32
 }
 
 // Country captures the spatial skew of the synthetic Twitter trace: a
@@ -32,7 +37,7 @@ type Country struct {
 // countries approximates the global Twitter geography reported by
 // Leetaru et al. (cited in §2.2): a few countries dominate volume, spread
 // across time zones.
-var countries = []Country{
+var countries = [...]Country{
 	{Code: "us", Weight: 0.30, UTCOffset: -6 * time.Hour, Lang: "en"},
 	{Code: "jp", Weight: 0.15, UTCOffset: 9 * time.Hour, Lang: "ja"},
 	{Code: "gb", Weight: 0.10, UTCOffset: 0, Lang: "en"},
@@ -96,47 +101,54 @@ func GenerateTweetsWith(rng *rand.Rand, cfg TwitterConfig) []Tweet {
 	interval := vclock.Time(float64(time.Second) / c.Rate)
 	var at vclock.Time
 	for i := 0; i < n; i++ {
-		country := pickCountry(rng, totalWeight, at, c.Diurnal)
+		ci := pickCountry(rng, totalWeight, at, c.Diurnal)
+		// The rng order is the order below: the user id is drawn before the
+		// topic.
+		userID := rng.Int63n(1 << 20)
+		topic := int64(zipf.Uint64())
 		tweets = append(tweets, Tweet{
-			ID:      int64(i),
-			UserID:  rng.Int63n(1 << 20),
-			Country: country.Code,
-			Lang:    country.Lang,
-			Topic:   topics.key(int64(zipf.Uint64())),
-			Time:    at,
+			ID:        int64(i),
+			UserID:    userID,
+			Country:   countries[ci].Code,
+			Lang:      countries[ci].Lang,
+			Topic:     topics.key(topic),
+			Time:      at,
+			CountryID: keyID(int64(ci)),
+			TopicID:   keyID(topic),
 		})
 		at += interval
 	}
 	return tweets
 }
 
-// pickCountry samples a country by weight, modulated by each country's
-// local diurnal factor when enabled (day hours carry 2× the night volume).
-func pickCountry(rng *rand.Rand, totalWeight float64, at vclock.Time, diurnal bool) Country {
+// pickCountry samples a country (its index in countries) by weight,
+// modulated by each country's local diurnal factor when enabled (day hours
+// carry 2× the night volume).
+func pickCountry(rng *rand.Rand, totalWeight float64, at vclock.Time, diurnal bool) int {
 	if !diurnal {
 		x := rng.Float64() * totalWeight
-		for _, c := range countries {
+		for i, c := range countries {
 			x -= c.Weight
 			if x <= 0 {
-				return c
+				return i
 			}
 		}
-		return countries[len(countries)-1]
+		return len(countries) - 1
 	}
-	weights := make([]float64, len(countries))
+	var weights [len(countries)]float64
 	var sum float64
 	for i, c := range countries {
 		weights[i] = c.Weight * diurnalFactor(at, c.UTCOffset)
 		sum += weights[i]
 	}
 	x := rng.Float64() * sum
-	for i, c := range countries {
-		x -= weights[i]
+	for i, w := range weights {
+		x -= w
 		if x <= 0 {
-			return c
+			return i
 		}
 	}
-	return countries[len(countries)-1]
+	return len(countries) - 1
 }
 
 // diurnalFactor returns the 2×-day/1×-night raised-cosine factor for a
@@ -155,7 +167,7 @@ func diurnalFactor(at vclock.Time, utcOffset time.Duration) float64 {
 func TweetStream(tweets []Tweet) []stream.Event {
 	out := make([]stream.Event, len(tweets))
 	for i, tw := range tweets {
-		out[i] = stream.Event{Time: tw.Time, Key: tw.Country, Value: tw}
+		out[i] = stream.Event{Time: tw.Time, Key: tw.Country, KeyID: tw.CountryID, Value: tw}
 	}
 	return out
 }

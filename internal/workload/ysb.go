@@ -129,6 +129,19 @@ func (t keyTable) key(id int64) string {
 	return k
 }
 
+// keyID is the stream key id of the key a table formats raw as: raw+1. The
+// generators number campaigns, countries and topics from zero without gaps,
+// so the ids are dense; and because the id is a function of the key alone,
+// streams made from different batches (other seeds, other calls) agree on
+// it and can feed one operator. A raw id whose key id would fall outside
+// (0, stream.MaxKeyID) gets none.
+func keyID(raw int64) uint32 {
+	if raw < 0 || raw >= stream.MaxKeyID-1 {
+		return 0
+	}
+	return uint32(raw) + 1
+}
+
 // YSBStream converts YSB events into stream events keyed by campaign.
 func YSBStream(events []AdEvent) []stream.Event {
 	campaigns := newKeyTable("c%d")
@@ -137,6 +150,7 @@ func YSBStream(events []AdEvent) []stream.Event {
 		out[i] = stream.Event{
 			Time:  e.Time,
 			Key:   campaigns.key(e.CampaignID),
+			KeyID: keyID(e.CampaignID),
 			Value: e,
 		}
 	}
