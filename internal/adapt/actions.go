@@ -197,16 +197,17 @@ func (c *Controller) placeScaleUp(id plan.OpID, pPrime int) ([]topology.SiteID, 
 func (c *Controller) solveAdditional(id plan.OpID, need, pPrime int, free []int) (*placement.Placement, error) {
 	p := c.eng.Plan()
 	g := p.Graph
-	_, _, outBytes, err := g.ExpectedRates(c.lastRateFactor)
-	if err != nil {
+	if err := g.ExpectedRatesBuf(c.lastRateFactor, &c.rates); err != nil {
 		return nil, err
 	}
-	var ups []placement.Endpoint
+	outBytes := c.rates.Bytes
+	ups := c.ups[:0]
 	var inBytes float64
-	for _, u := range g.Upstream(id) {
+	for _, u := range g.UpstreamView(id) {
 		share := outBytes[u]
 		inBytes += share
-		for _, ep := range p.Stages[u].Endpoints() {
+		c.eps, c.tmp = p.Stages[u].AppendEndpoints(c.eps[:0], c.tmp)
+		for _, ep := range c.eps {
 			ups = append(ups, placement.Endpoint{Site: ep.Site, Weight: ep.Weight * share})
 		}
 	}
@@ -215,13 +216,15 @@ func (c *Controller) solveAdditional(id plan.OpID, need, pPrime int, free []int)
 			ups[i].Weight /= inBytes
 		}
 	}
-	var downs []placement.Endpoint
-	consumers := g.Downstream(id)
+	downs := c.downs[:0]
+	consumers := g.DownstreamView(id)
 	for _, d := range consumers {
-		for _, ep := range p.Stages[d].Endpoints() {
+		c.eps, c.tmp = p.Stages[d].AppendEndpoints(c.eps[:0], c.tmp)
+		for _, ep := range c.eps {
 			downs = append(downs, placement.Endpoint{Site: ep.Site, Weight: ep.Weight / float64(len(consumers))})
 		}
 	}
+	c.ups, c.downs = ups, downs
 	share := float64(need) / float64(pPrime)
 	pr := &placement.Problem{
 		Sites:             c.top.N(),

@@ -68,8 +68,10 @@ func FromLogical(g *plan.Graph) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Graph: g, Stages: make(map[plan.OpID]*Stage, g.Len())}
-	for _, id := range g.OperatorIDs() {
-		p.Stages[id] = &Stage{Op: g.Operator(id)}
+	stages := make([]Stage, g.Len())
+	for i, id := range g.OperatorIDs() {
+		stages[i].Op = g.Operator(id)
+		p.Stages[id] = &stages[i]
 	}
 	return p, nil
 }
@@ -99,9 +101,12 @@ func (p *Plan) TotalTasks() int {
 }
 
 // Validate checks the plan against a topology: every stage placed, every
-// site within slot capacity, pinned stages at their pinned site.
+// site within slot capacity, pinned stages at their pinned site. Stages are
+// checked in ascending operator ID, so a plan with several violations
+// always reports the same one.
 func (p *Plan) Validate(top *topology.Topology) error {
-	for id, st := range p.Stages {
+	for _, id := range p.Graph.OperatorIDs() {
+		st := p.Stages[id]
 		if len(st.Sites) == 0 {
 			return fmt.Errorf("physical: stage %q (op %d) not placed", st.Op.Name, id)
 		}
@@ -132,11 +137,10 @@ func (p *Plan) Validate(top *topology.Topology) error {
 func (p *Plan) Clone() *Plan {
 	g := p.Graph.Clone()
 	c := &Plan{Graph: g, Stages: make(map[plan.OpID]*Stage, len(p.Stages))}
-	for id, st := range p.Stages {
-		c.Stages[id] = &Stage{
-			Op:    g.Operator(id),
-			Sites: append([]topology.SiteID(nil), st.Sites...),
-		}
+	stages := make([]Stage, g.Len())
+	for i, id := range g.OperatorIDs() {
+		stages[i] = Stage{Op: g.Operator(id), Sites: append([]topology.SiteID(nil), p.Stages[id].Sites...)}
+		c.Stages[id] = &stages[i]
 	}
 	return c
 }

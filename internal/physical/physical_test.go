@@ -80,6 +80,23 @@ func TestFromLogicalAndValidate(t *testing.T) {
 	}
 }
 
+// TestValidateNamesTheLowestBadStage: the error text is what the benchmark
+// records for a failed plan check, so a plan with several unplaced stages
+// must always name the same one.
+func TestValidateNamesTheLowestBadStage(t *testing.T) {
+	top := testTopology(t, 4)
+	p, err := FromLogical(pipelineGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `physical: stage "src" (op 0) not placed`
+	for i := 0; i < 100; i++ {
+		if err := p.Validate(top); err == nil || err.Error() != want {
+			t.Fatalf("run %d: Validate = %v, want %s", i, err, want)
+		}
+	}
+}
+
 func TestSchedulePinsEndpoints(t *testing.T) {
 	top := testTopology(t, 4)
 	g := pipelineGraph(t)

@@ -3,7 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"strconv"
 
 	"github.com/wasp-stream/wasp/internal/detutil"
 )
@@ -21,14 +21,18 @@ func (s LeafSet) Has(i int) bool { return s&(1<<uint(i)) != 0 }
 func (s LeafSet) Count() int { return bits.OnesCount64(uint64(s)) }
 
 // String renders the set as e.g. "{0,2,3}".
-func (s LeafSet) String() string {
-	var parts []string
-	for i := 0; i < 64; i++ {
-		if s.Has(i) {
-			parts = append(parts, fmt.Sprintf("%d", i))
+func (s LeafSet) String() string { return string(s.appendTo(nil)) }
+
+// appendTo appends the String form to b.
+func (s LeafSet) appendTo(b []byte) []byte {
+	b = append(b, '{')
+	for rest := s; rest != 0; rest &= rest - 1 {
+		if rest != s {
+			b = append(b, ',')
 		}
+		b = strconv.AppendInt(b, int64(bits.TrailingZeros64(uint64(rest))), 10)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return append(b, '}')
 }
 
 // Tree is an unordered binary combine tree over leaf indices 0..k-1.
@@ -42,11 +46,15 @@ type Tree struct {
 func (t *Tree) IsLeaf() bool { return t.L == nil }
 
 // String renders the tree, e.g. "((0+1)+(2+3))".
-func (t *Tree) String() string {
+func (t *Tree) String() string { return string(t.appendTo(nil)) }
+
+func (t *Tree) appendTo(b []byte) []byte {
 	if t.IsLeaf() {
-		return fmt.Sprintf("%d", t.Leaf)
+		return strconv.AppendInt(b, int64(t.Leaf), 10)
 	}
-	return "(" + t.L.String() + "+" + t.R.String() + ")"
+	b = t.L.appendTo(append(b, '('))
+	b = t.R.appendTo(append(b, '+'))
+	return append(b, ')')
 }
 
 // internalSets appends the LeafSets of all internal (combine) nodes.
@@ -227,7 +235,10 @@ func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
 		return nil, fmt.Errorf("plan: tree covers %v, want all %d inputs", tree.Set, len(spec.Inputs))
 	}
 	g := base.Clone()
-	v := &Variant{Graph: g, Tree: tree, CombineNodes: make(map[OpID]LeafSet)}
+	v := &Variant{Graph: g, Tree: tree, CombineNodes: make(map[OpID]LeafSet, len(spec.Inputs)-1)}
+	// Node names reach the action log and the benchmark's digests: they are
+	// the bytes fmt.Sprintf("%s%s", Template.Name, set) gives, built in name.
+	name := append(make([]byte, 0, len(spec.Template.Name)+2+3*len(spec.Inputs)), spec.Template.Name...)
 
 	var build func(t *Tree) (OpID, error)
 	build = func(t *Tree) (OpID, error) {
@@ -246,7 +257,7 @@ func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
 			return 0, err
 		}
 		node := spec.Template
-		node.Name = fmt.Sprintf("%s%s", spec.Template.Name, t.Set)
+		node.Name = string(t.Set.appendTo(name))
 		// A combine node's state covers only its subtree's share of the
 		// keyed aggregation state.
 		node.StateBytes = spec.Template.StateBytes * float64(t.Set.Count()) / float64(len(spec.Inputs))

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/topology"
 )
 
@@ -107,11 +106,15 @@ type Operator struct {
 
 // Graph is a logical plan: a DAG of operators. The zero value is empty and
 // ready to use via AddOperator/Connect.
+//
+// The store is three slices indexed by OpID. IDs are handed out densely
+// and never reused, so len(ops) is the next ID; a removed operator leaves
+// a nil hole in ops (and nil edge lists) and live counts what is left.
 type Graph struct {
-	ops    map[OpID]*Operator
-	down   map[OpID][]OpID
-	up     map[OpID][]OpID
-	nextID OpID
+	ops  []*Operator
+	down [][]OpID
+	up   [][]OpID
+	live int
 
 	// Structure-derived caches, invalidated by every structural mutation
 	// (AddOperator/Connect/RemoveEdge/RemoveOperator). The planner asks
@@ -133,40 +136,41 @@ func (g *Graph) mutated() {
 }
 
 // NewGraph returns an empty logical plan.
-func NewGraph() *Graph {
-	return &Graph{
-		ops:  make(map[OpID]*Operator),
-		down: make(map[OpID][]OpID),
-		up:   make(map[OpID][]OpID),
-	}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // AddOperator inserts op into the graph, assigning and returning its ID.
 // The operator struct is copied; the caller's value is not retained.
 func (g *Graph) AddOperator(op Operator) OpID {
-	id := g.nextID
-	g.nextID++
+	id := OpID(len(g.ops))
 	op.ID = id
 	if op.Kind != KindSource && op.Kind != KindSink {
 		op.PinnedSite = NoSite
 	}
-	g.ops[id] = &op
+	g.ops = append(g.ops, &op)
+	g.down = append(g.down, nil)
+	g.up = append(g.up, nil)
+	g.live++
 	g.mutated()
 	return id
 }
 
 // Operator returns the operator with the given ID, or nil.
-func (g *Graph) Operator(id OpID) *Operator { return g.ops[id] }
+//
+//waspvet:hotpath
+func (g *Graph) Operator(id OpID) *Operator {
+	if uint(id) >= uint(len(g.ops)) {
+		return nil
+	}
+	return g.ops[id]
+}
 
 // Connect adds a dataflow edge from→to. Duplicate edges are rejected.
 func (g *Graph) Connect(from, to OpID) error {
-	if g.ops[from] == nil || g.ops[to] == nil {
+	if g.Operator(from) == nil || g.Operator(to) == nil {
 		return fmt.Errorf("plan: connect %d->%d: unknown operator", from, to)
 	}
-	for _, d := range g.down[from] {
-		if d == to {
-			return fmt.Errorf("plan: duplicate edge %d->%d", from, to)
-		}
+	if slices.Contains(g.down[from], to) {
+		return fmt.Errorf("plan: duplicate edge %d->%d", from, to)
 	}
 	g.down[from] = append(g.down[from], to)
 	g.up[to] = append(g.up[to], from)
@@ -185,36 +189,53 @@ func (g *Graph) MustConnect(from, to OpID) {
 // Downstream returns the IDs of the operators consuming op's output.
 //
 //waspvet:ordered edge-insertion order; plan construction is deterministic
-func (g *Graph) Downstream(id OpID) []OpID { return append([]OpID(nil), g.down[id]...) }
+func (g *Graph) Downstream(id OpID) []OpID { return append([]OpID(nil), g.DownstreamView(id)...) }
 
 // Upstream returns the IDs of the operators feeding op.
 //
 //waspvet:ordered edge-insertion order; plan construction is deterministic
-func (g *Graph) Upstream(id OpID) []OpID { return append([]OpID(nil), g.up[id]...) }
+func (g *Graph) Upstream(id OpID) []OpID { return append([]OpID(nil), g.UpstreamView(id)...) }
 
 // DownstreamView is Downstream without the defensive copy. The returned
 // slice aliases graph internals: read-only, valid until the next mutation.
 //
 //waspvet:ordered edge-insertion order; plan construction is deterministic
-func (g *Graph) DownstreamView(id OpID) []OpID { return g.down[id] }
+//waspvet:hotpath
+func (g *Graph) DownstreamView(id OpID) []OpID {
+	if uint(id) >= uint(len(g.down)) {
+		return nil
+	}
+	return g.down[id]
+}
 
 // UpstreamView is Upstream without the defensive copy. The returned slice
 // aliases graph internals: read-only, valid until the next mutation.
 //
 //waspvet:ordered edge-insertion order; plan construction is deterministic
-func (g *Graph) UpstreamView(id OpID) []OpID { return g.up[id] }
+//waspvet:hotpath
+func (g *Graph) UpstreamView(id OpID) []OpID {
+	if uint(id) >= uint(len(g.up)) {
+		return nil
+	}
+	return g.up[id]
+}
 
 // Len returns the number of operators.
-func (g *Graph) Len() int { return len(g.ops) }
+func (g *Graph) Len() int { return g.live }
 
 // OperatorIDs returns all operator IDs in ascending order. The returned
 // slice is cached; callers must not modify it.
 //
-//waspvet:ordered ascending operator ID (sorted keys)
+//waspvet:ordered ascending operator ID (index scan)
 func (g *Graph) OperatorIDs() []OpID {
 	if !g.idsValid {
-		g.idsCache = detutil.SortedKeys(g.ops)
-		g.idsValid = true
+		ids := make([]OpID, 0, g.live)
+		for id, op := range g.ops {
+			if op != nil {
+				ids = append(ids, OpID(id))
+			}
+		}
+		g.idsCache, g.idsValid = ids, true
 	}
 	return g.idsCache
 }
@@ -231,9 +252,9 @@ func (g *Graph) Sinks() []OpID { return g.byKind(KindSink) }
 
 func (g *Graph) byKind(k Kind) []OpID {
 	var out []OpID
-	for _, id := range g.OperatorIDs() {
-		if g.ops[id].Kind == k {
-			out = append(out, id)
+	for id, op := range g.ops {
+		if op != nil && op.Kind == k {
+			out = append(out, OpID(id))
 		}
 	}
 	return out
@@ -242,45 +263,44 @@ func (g *Graph) byKind(k Kind) []OpID {
 // TopoOrder returns the operators in a deterministic topological order
 // (ties broken by ascending ID). It returns an error if the graph has a
 // cycle. The returned slice is cached; callers must not modify it.
+//
+//waspvet:hotpath
 func (g *Graph) TopoOrder() ([]OpID, error) {
 	if !g.topoValid {
-		g.topoCache, g.topoErr = g.computeTopo()
+		g.topoCache, g.topoErr = g.computeTopo() //waspvet:hotalloc cold branch: once per structural mutation
 		g.topoValid = true
 	}
 	return g.topoCache, g.topoErr
 }
 
+// computeTopo is Kahn's algorithm always taking the smallest ready ID. One
+// buffer holds both lists: buf[:done] is the order so far and buf[done:]
+// the ready operators, ascending — so taking the smallest ready operator
+// is done++ and an unlocked one is inserted in place behind it.
 func (g *Graph) computeTopo() ([]OpID, error) {
-	indeg := make(map[OpID]int, len(g.ops))
-	for id := range g.ops {
-		indeg[id] = len(g.up[id])
-	}
-	var ready []OpID
-	for _, id := range detutil.SortedKeys(indeg) {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+	indeg := make([]int32, len(g.ops))
+	buf := make([]OpID, 0, g.live)
+	for id, op := range g.ops {
+		if op == nil {
+			continue
+		}
+		if indeg[id] = int32(len(g.up[id])); indeg[id] == 0 {
+			buf = append(buf, OpID(id))
 		}
 	}
-
-	order := make([]OpID, 0, len(g.ops))
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		order = append(order, id)
-		var unlocked []OpID
-		for _, d := range g.down[id] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				unlocked = append(unlocked, d)
+	done := 0
+	for ; done < len(buf); done++ {
+		for _, d := range g.down[buf[done]] {
+			if indeg[d]--; indeg[d] == 0 {
+				at, _ := slices.BinarySearch(buf[done+1:], d)
+				buf = slices.Insert(buf, done+1+at, d)
 			}
 		}
-		ready = append(ready, unlocked...)
-		slices.Sort(ready)
 	}
-	if len(order) != len(g.ops) {
-		return nil, fmt.Errorf("plan: graph has a cycle (%d of %d ordered)", len(order), len(g.ops))
+	if done != g.live {
+		return nil, fmt.Errorf("plan: graph has a cycle (%d of %d ordered)", done, g.live)
 	}
-	return order, nil
+	return buf, nil
 }
 
 // Validate checks structural invariants: acyclic; sources have no inputs
@@ -288,14 +308,16 @@ func (g *Graph) computeTopo() ([]OpID, error) {
 // every other operator has at least one input and one output; sources are
 // pinned to a site; selectivities and sizes are non-negative.
 func (g *Graph) Validate() error {
-	if len(g.ops) == 0 {
+	if g.live == 0 {
 		return fmt.Errorf("plan: empty graph")
 	}
 	if _, err := g.TopoOrder(); err != nil {
 		return err
 	}
-	for _, id := range g.OperatorIDs() {
-		op := g.ops[id]
+	for id, op := range g.ops {
+		if op == nil {
+			continue
+		}
 		nUp, nDown := len(g.up[id]), len(g.down[id])
 		switch op.Kind {
 		case KindSource:
@@ -330,25 +352,48 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the graph. Operator IDs are preserved.
+// Clone returns a deep copy of the graph. Operator IDs are preserved. The
+// copy is a fixed number of allocations whatever the graph's size: one
+// block of operators, one adjacency table, one block of edges. Each edge
+// list is capacity-limited to its own length, so an append to one (a
+// Connect on the clone) reallocates it instead of writing into the next.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	c.nextID = g.nextID
+	n := len(g.ops)
+	c := &Graph{ops: make([]*Operator, n), live: g.live}
+	block := make([]Operator, 0, g.live) // never grows: pointers into it stay valid
+	edges := 0
 	for id, op := range g.ops {
-		cp := *op
-		c.ops[id] = &cp
+		if op != nil {
+			block = append(block, *op)
+			c.ops[id] = &block[len(block)-1]
+			edges += len(g.down[id]) + len(g.up[id])
+		}
 	}
-	for id, ds := range g.down {
-		c.down[id] = append([]OpID(nil), ds...)
-	}
-	for id, us := range g.up {
-		c.up[id] = append([]OpID(nil), us...)
+	adj := make([][]OpID, 2*n)
+	c.down, c.up = adj[:n:n], adj[n:]
+	pool := make([]OpID, edges)
+	for id := range g.ops {
+		c.down[id], pool = carve(pool, g.down[id])
+		c.up[id], pool = carve(pool, g.up[id])
 	}
 	return c
 }
 
+// carve copies ids into the front of pool and returns that copy, capacity-
+// limited to its length, and the rest of the pool. No ids gives nil.
+func carve(pool, ids []OpID) (copied, rest []OpID) {
+	if len(ids) == 0 {
+		return nil, pool
+	}
+	n := copy(pool, ids)
+	return pool[:n:n], pool[n:]
+}
+
 // RemoveEdge deletes the from→to edge if present.
 func (g *Graph) RemoveEdge(from, to OpID) {
+	if g.Operator(from) == nil || g.Operator(to) == nil {
+		return
+	}
 	g.down[from] = removeID(g.down[from], to)
 	g.up[to] = removeID(g.up[to], from)
 	g.mutated()
@@ -356,15 +401,17 @@ func (g *Graph) RemoveEdge(from, to OpID) {
 
 // RemoveOperator deletes an operator and all its edges.
 func (g *Graph) RemoveOperator(id OpID) {
-	for _, d := range append([]OpID(nil), g.down[id]...) {
-		g.RemoveEdge(id, d)
+	if g.Operator(id) == nil {
+		return
 	}
-	for _, u := range append([]OpID(nil), g.up[id]...) {
-		g.RemoveEdge(u, id)
+	for _, d := range g.down[id] {
+		g.up[d] = removeID(g.up[d], id)
 	}
-	delete(g.ops, id)
-	delete(g.down, id)
-	delete(g.up, id)
+	for _, u := range g.up[id] {
+		g.down[u] = removeID(g.down[u], id)
+	}
+	g.ops[id], g.down[id], g.up[id] = nil, nil, nil
+	g.live--
 	g.mutated()
 }
 
@@ -381,43 +428,26 @@ func removeID(ids []OpID, id OpID) []OpID {
 // StatefulOperators returns the IDs of all stateful operators, ascending.
 func (g *Graph) StatefulOperators() []OpID {
 	var out []OpID
-	for _, id := range g.OperatorIDs() {
-		if g.ops[id].Stateful {
-			out = append(out, id)
+	for id, op := range g.ops {
+		if op != nil && op.Stateful {
+			out = append(out, OpID(id))
 		}
 	}
 	return out
 }
 
-// ExpectedRates computes the steady-state expected input/output event rate
-// and output byte rate of every operator from the source rates and
-// per-operator selectivities — the λ̂ model of §3.3 applied to the logical
-// plan. rateFactor scales all source rates (workload dynamics).
+// ExpectedRates is ExpectedRatesBuf returning per-operator maps, for callers
+// outside the planning loop.
 func (g *Graph) ExpectedRates(rateFactor float64) (inRate, outRate, outBytes map[OpID]float64, err error) {
-	order, err := g.TopoOrder()
-	if err != nil {
+	var buf RateBuf
+	if err := g.ExpectedRatesBuf(rateFactor, &buf); err != nil {
 		return nil, nil, nil, err
 	}
-	inRate = make(map[OpID]float64, len(order))
-	outRate = make(map[OpID]float64, len(order))
-	outBytes = make(map[OpID]float64, len(order))
-	for _, id := range order {
-		op := g.ops[id]
-		var in float64
-		if op.Kind == KindSource {
-			in = op.SourceRate * rateFactor
-		} else {
-			for _, u := range g.up[id] {
-				in += outRate[u]
-			}
-		}
-		inRate[id] = in
-		sigma := op.Selectivity
-		if op.Kind == KindSource {
-			sigma = 1
-		}
-		outRate[id] = in * sigma
-		outBytes[id] = outRate[id] * op.OutEventBytes
+	inRate = make(map[OpID]float64, g.live)
+	outRate = make(map[OpID]float64, g.live)
+	outBytes = make(map[OpID]float64, g.live)
+	for _, id := range g.OperatorIDs() {
+		inRate[id], outRate[id], outBytes[id] = buf.In[id], buf.Out[id], buf.Bytes[id]
 	}
 	return inRate, outRate, outBytes, nil
 }
@@ -429,17 +459,18 @@ type RateBuf struct {
 	In, Out, Bytes []float64
 }
 
-// ExpectedRatesBuf is ExpectedRates computing into caller-owned buffers,
-// resized and zeroed as needed — the planner evaluates ~10^2 variants per
-// re-planning round and the per-variant rate maps dominated its allocation
-// profile. The accumulation order matches ExpectedRates exactly, so the
-// computed values are bit-identical.
+// ExpectedRatesBuf computes the steady-state expected input/output event
+// rate and output byte rate of every operator from the source rates and
+// per-operator selectivities — the λ̂ model of §3.3 applied to the logical
+// plan. rateFactor scales all source rates (workload dynamics). It computes
+// into caller-owned buffers, resized and zeroed as needed: the planner
+// evaluates ~10^2 variants per re-planning round.
 func (g *Graph) ExpectedRatesBuf(rateFactor float64, buf *RateBuf) error {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return err
 	}
-	n := int(g.nextID)
+	n := len(g.ops)
 	buf.In = growZero(buf.In, n)
 	buf.Out = growZero(buf.Out, n)
 	buf.Bytes = growZero(buf.Bytes, n)
