@@ -4,9 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 )
 
 // adaptPhases is the §6.2 adaptation-cycle order. Phases absent from the
@@ -87,7 +85,8 @@ func cmdLatency(args []string) error {
 	return nil
 }
 
-// latencySamples groups adapt.latency durations (seconds) by phase.
+// latencySamples groups adapt.latency durations by phase: obs writes a
+// duration attr as float seconds.
 func latencySamples(entries []entry) map[string][]float64 {
 	out := make(map[string][]float64)
 	for _, ev := range flatten(entries) {
@@ -98,7 +97,7 @@ func latencySamples(entries []entry) map[string][]float64 {
 		if phase == "" {
 			continue
 		}
-		out[phase] = append(out[phase], durSeconds(ev))
+		out[phase] = append(out[phase], ev.num("dur"))
 	}
 	return out
 }
@@ -114,23 +113,9 @@ func latencyKindSamples(entries []entry) map[string][]float64 {
 		if phase == "" || kind == "" {
 			continue
 		}
-		out[phase+"/"+kind] = append(out[phase+"/"+kind], durSeconds(ev))
+		out[phase+"/"+kind] = append(out[phase+"/"+kind], ev.num("dur"))
 	}
 	return out
-}
-
-// durSeconds reads the dur attr: obs writes time.Duration values as
-// strings like "1m30s"; fall back to a numeric seconds attr.
-func durSeconds(ev entry) float64 {
-	if s := ev.str("dur"); s != "" {
-		if d, err := time.ParseDuration(s); err == nil {
-			return d.Seconds()
-		}
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			return f
-		}
-	}
-	return ev.num("dur")
 }
 
 func latencyRow(label string, samples []float64) []string {

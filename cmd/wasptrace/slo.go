@@ -72,7 +72,7 @@ func cmdSLO(args []string) error {
 			continue
 		}
 		recoveries++
-		down := recoveryDowntime(ev)
+		down := ev.num("recovery_time")
 		if down > worstDown {
 			worstDown, worstDownAt = down, ev.T
 		}
@@ -106,22 +106,6 @@ func cmdSLO(args []string) error {
 		fmt.Printf("\nchaos: %d invariant violation(s) recorded — see `wasptrace timeline`\n", violations)
 	}
 	return nil
-}
-
-// recoveryDowntime extracts the downtime seconds from a recovery.complete
-// event, whichever attr spelling the run used.
-func recoveryDowntime(ev entry) float64 {
-	for _, key := range []string{"recovery_time", "downtime", "dur"} {
-		if s := ev.str(key); s != "" {
-			if d, err := time.ParseDuration(s); err == nil {
-				return d.Seconds()
-			}
-		}
-		if f := ev.num(key); f > 0 {
-			return f
-		}
-	}
-	return 0
 }
 
 // fmtPct renders a fraction as a percentage: 0.0525 → "5.25%".

@@ -1,7 +1,6 @@
 // Command waspvet runs the determinism lint suite (internal/analysis)
-// over the module: wallclock and globalrand ("transitively reaches", over
-// an interprocedural call graph), maprange, floatorder (order-sensitive
-// float reductions beyond maps), genbump (//waspvet:guardedby
+// over the module: wallclock ("transitively reaches", over an
+// interprocedural call graph), maprange, genbump (//waspvet:guardedby
 // cache-invalidation contracts) and hotalloc (//waspvet:hotpath
 // allocation audits). It exits 1 when any non-waived diagnostic is found,
 // 2 on a load failure.
@@ -76,8 +75,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	// Build every pass up front, then the module-wide call graph that the
-	// interprocedural checks (transitive wallclock/globalrand, genbump,
-	// hotalloc) consume.
+	// interprocedural checks (transitive wallclock, genbump, hotalloc)
+	// consume.
 	passes := make([]*analysis.Pass, len(pkgs))
 	for i, pkg := range pkgs {
 		passes[i] = pkg.Pass()

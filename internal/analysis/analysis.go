@@ -6,8 +6,7 @@
 // (TestFaultInjectionObsDeterministic runs a fault scenario twice and
 // byte-compares the JSONL) — is easy to break
 // silently: a `time.Now` in a hot path, a map range feeding the
-// timeline, a reach for the global `math/rand`. Each invariant is
-// encoded as an Analyzer; `cmd/waspvet` runs the suite over the module
+// timeline. Each invariant is encoded as an Analyzer; `cmd/waspvet` runs the suite over the module
 // and fails on any non-waived diagnostic.
 //
 // # Waivers
@@ -68,9 +67,8 @@ type Pass struct {
 	Info *types.Info
 	// Graph is the interprocedural call graph over every package of the
 	// run (set by cmd/waspvet and the fixture harness after loading).
-	// Nil disables the interprocedural layers: wallclock/globalrand fall
-	// back to direct-call detection, genbump and hotalloc report
-	// nothing.
+	// Nil disables the interprocedural layers: wallclock falls back to
+	// direct-call detection, genbump and hotalloc report nothing.
 	Graph *CallGraph
 }
 
@@ -152,9 +150,9 @@ func parseWaivers(pass *Pass, analyzers []*Analyzer) ([]waiver, []Diagnostic) {
 				reason = strings.TrimSpace(reason)
 				p := pass.Fset.Position(c.Pos())
 				if annotationTags[tag] {
-					// Contract annotations (hotpath, guardedby, ordered)
-					// share the //waspvet: prefix but are not waivers; the
-					// argument-bearing ones must carry their argument.
+					// Contract annotations (hotpath, guardedby) share the
+					// //waspvet: prefix but are not waivers; guardedby must
+					// carry its argument.
 					if tag != "hotpath" && reason == "" {
 						diags = append(diags, Diagnostic{Pos: c.Pos(), Check: "waiver",
 							Message: fmt.Sprintf("waspvet:%s annotation requires an argument", tag)})
@@ -229,24 +227,19 @@ func Apply(pass *Pass, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// importedPkg reports whether ident resolves to the named import path
-// (e.g. "time", "math/rand"). With type info it resolves precisely via
-// PkgName objects; without, it falls back to matching the file's import
-// spec names.
-func importedPkg(pass *Pass, file *ast.File, ident *ast.Ident, path ...string) bool {
-	want := map[string]bool{}
-	for _, p := range path {
-		want[p] = true
-	}
+// importedPkg reports whether ident resolves to the import path (e.g.
+// "time"). With type info it resolves precisely via PkgName objects;
+// without, it falls back to matching the file's import spec names.
+func importedPkg(pass *Pass, file *ast.File, ident *ast.Ident, path string) bool {
 	if pass.Info != nil {
 		if obj, ok := pass.Info.Uses[ident]; ok {
 			pn, ok := obj.(*types.PkgName)
-			return ok && want[pn.Imported().Path()]
+			return ok && pn.Imported().Path() == path
 		}
 	}
 	for _, imp := range file.Imports {
 		p := strings.Trim(imp.Path.Value, `"`)
-		if !want[p] {
+		if p != path {
 			continue
 		}
 		name := p[strings.LastIndex(p, "/")+1:]

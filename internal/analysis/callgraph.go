@@ -10,16 +10,16 @@ import (
 
 // The interprocedural layer: a conservative static call graph over the
 // offline-loaded packages, built from go/types alone (no x/tools). It is
-// what upgrades wallclock and globalrand from "direct call" checks to
-// "transitively reaches" checks, and what gives genbump and hotalloc
-// their "in this function or a transitive callee" semantics.
+// what upgrades wallclock from a "direct call" check to a "transitively
+// reaches" check, and what gives genbump and hotalloc their "in this
+// function or a transitive callee" semantics.
 //
 // Soundness stance (see DESIGN.md §9): the graph resolves static calls
 // only — named functions, methods with a statically known receiver type,
 // and generic instantiations (normalized to their origin declaration).
 // Dynamic dispatch (interface methods, stored func values) produces no
 // edge; hotalloc compensates by flagging dynamic calls inside hot paths,
-// and the reachability checks are therefore under-approximate across
+// and the reachability check is therefore under-approximate across
 // such calls, never wrong about the edges they do report. Function
 // literals are attributed to their enclosing declaration: a call made
 // inside a closure defined in F counts as a call from F, which
@@ -39,28 +39,9 @@ import (
 //	    named guard field (a generation counter, epoch, or dirty flag).
 //	    Guards name a sibling field, or Type.field for a field of
 //	    another struct in the same package.
-//	//waspvet:ordered <reason>
-//	    on a function declaration: the function's returned collection is
-//	    in canonical (deterministic, seed-stable) order; floatorder
-//	    accepts reductions over its results.
 var annotationTags = map[string]bool{
 	"hotpath":   true,
 	"guardedby": true,
-	"ordered":   true,
-}
-
-// hazardTags are the reachability families the graph tracks: direct call
-// sites recorded per function, minus waived ones, closed transitively by
-// Reaches.
-const (
-	hazardWallclock  = "wallclock"
-	hazardGlobalrand = "globalrand"
-)
-
-// A hazard is one direct hazardous call site inside a function.
-type hazard struct {
-	pos  token.Pos
-	desc string // e.g. "time.Now"
 }
 
 // fieldWrite is one write of a struct field inside a function body:
@@ -74,14 +55,14 @@ type fieldWrite struct {
 type CGNode struct {
 	Obj     *types.Func
 	PkgPath string
-	// Hot and Ordered mirror //waspvet:hotpath and //waspvet:ordered
-	// annotations on the declaration.
-	Hot     bool
-	Ordered bool
+	// Hot mirrors a //waspvet:hotpath annotation on the declaration.
+	Hot bool
 
 	callees []*types.Func
-	hazards map[string][]hazard
-	writes  []fieldWrite
+	// clock is the function's first non-waived wall-clock read ("time.Now"),
+	// or "": what Reaches closes transitively.
+	clock  string
+	writes []fieldWrite
 }
 
 // guardSpec records one //waspvet:guardedby annotation: the guarded
@@ -100,7 +81,7 @@ type CallGraph struct {
 	// fields), keyed by package path; genbump surfaces them.
 	annotErrs map[string][]Diagnostic
 
-	reachMemo  map[*types.Func]map[string]string
+	reachMemo  map[*types.Func]string
 	writesMemo map[*types.Func]map[*types.Var]bool
 }
 
@@ -113,7 +94,7 @@ func BuildCallGraph(passes []*Pass) *CallGraph {
 		nodes:      map[*types.Func]*CGNode{},
 		guarded:    map[*types.Var]*guardSpec{},
 		annotErrs:  map[string][]Diagnostic{},
-		reachMemo:  map[*types.Func]map[string]string{},
+		reachMemo:  map[*types.Func]string{},
 		writesMemo: map[*types.Func]map[*types.Var]bool{},
 	}
 	for _, pass := range passes {
@@ -149,13 +130,7 @@ func (g *CallGraph) addPackage(pass *Pass) {
 			if !ok {
 				continue
 			}
-			node := &CGNode{
-				Obj:     fn,
-				PkgPath: pass.PkgPath,
-				Hot:     hasAnnotation(fd.Doc, "hotpath"),
-				Ordered: hasAnnotation(fd.Doc, "ordered"),
-				hazards: map[string][]hazard{},
-			}
+			node := &CGNode{Obj: fn, PkgPath: pass.PkgPath, Hot: hasAnnotation(fd.Doc, "hotpath")}
 			g.nodes[fn] = node
 			g.scanBody(pass, file, node, fd.Body, waived)
 		}
@@ -172,7 +147,7 @@ func (g *CallGraph) scanBody(pass *Pass, file *ast.File, node *CGNode, body *ast
 		case *ast.CallExpr:
 			if callee := calleeOf(pass.Info, n); callee != nil {
 				node.callees = append(node.callees, callee)
-				g.recordHazard(pass, node, n, callee, waived)
+				g.recordClock(pass, node, n, callee, waived)
 			}
 			// delete(x.f, k) / clear(x.f) mutate the field in place.
 			if id, ok := unparen(n.Fun).(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 {
@@ -197,54 +172,34 @@ func (g *CallGraph) scanBody(pass *Pass, file *ast.File, node *CGNode, body *ast
 	})
 }
 
-// recordHazard checks whether a resolved call is a direct determinism
-// hazard (wall-clock read, global rand draw) and records it on the node
-// unless the site carries the matching waiver.
-func (g *CallGraph) recordHazard(pass *Pass, node *CGNode, call *ast.CallExpr, callee *types.Func, waived map[lineKey]map[string]bool) {
+// recordClock checks whether a resolved call reads the wall clock and
+// records it on the node unless the site carries a wallclock waiver.
+func (g *CallGraph) recordClock(pass *Pass, node *CGNode, call *ast.CallExpr, callee *types.Func, waived map[lineKey]map[string]bool) {
 	pkg := callee.Pkg()
-	if pkg == nil {
-		return
-	}
-	var tag string
-	switch pkg.Path() {
-	case "time":
-		if wallclockFuncs[callee.Name()] && callee.Type().(*types.Signature).Recv() == nil {
-			tag = hazardWallclock
-		}
-	case "math/rand", "math/rand/v2":
-		if !globalrandAllowed[callee.Name()] && callee.Type().(*types.Signature).Recv() == nil {
-			tag = hazardGlobalrand
-		}
-	}
-	if tag == "" {
+	if pkg == nil || pkg.Path() != "time" || !wallclockFuncs[callee.Name()] || callee.Type().(*types.Signature).Recv() != nil {
 		return
 	}
 	p := pass.Fset.Position(call.Pos())
-	if tags := waived[lineKey{p.Filename, p.Line}]; tags != nil && tags[tag] {
+	if waived[lineKey{p.Filename, p.Line}]["wallclock"] {
 		return
 	}
-	node.hazards[tag] = append(node.hazards[tag], hazard{
-		pos:  call.Pos(),
-		desc: pkg.Name() + "." + callee.Name(),
-	})
+	if node.clock == "" {
+		node.clock = "time." + callee.Name()
+	}
 }
 
 // Reaches reports whether fn (or any transitive static callee) contains
-// a non-waived direct hazard of the given tag, returning a call chain
-// description ("a → b → time.Now") for the diagnostic. Cycles are
-// handled by treating in-progress nodes as non-reaching.
-func (g *CallGraph) Reaches(fn *types.Func, tag string) (string, bool) {
-	fn = origin(fn)
-	visiting := map[*types.Func]bool{}
-	chain := g.reach(fn, tag, visiting)
+// a non-waived wall-clock read, returning a call chain description
+// ("a → b → time.Now") for the diagnostic. Cycles are handled by treating
+// in-progress nodes as non-reaching.
+func (g *CallGraph) Reaches(fn *types.Func) (string, bool) {
+	chain := g.reach(origin(fn), map[*types.Func]bool{})
 	return chain, chain != ""
 }
 
-func (g *CallGraph) reach(fn *types.Func, tag string, visiting map[*types.Func]bool) string {
-	if memo, ok := g.reachMemo[fn]; ok {
-		if chain, ok := memo[tag]; ok {
-			return chain
-		}
+func (g *CallGraph) reach(fn *types.Func, visiting map[*types.Func]bool) string {
+	if chain, ok := g.reachMemo[fn]; ok {
+		return chain
 	}
 	if visiting[fn] {
 		return ""
@@ -254,11 +209,11 @@ func (g *CallGraph) reach(fn *types.Func, tag string, visiting map[*types.Func]b
 
 	chain := ""
 	if node := g.nodes[fn]; node != nil {
-		if hz := node.hazards[tag]; len(hz) > 0 {
-			chain = fn.Name() + " → " + hz[0].desc
+		if node.clock != "" {
+			chain = fn.Name() + " → " + node.clock
 		} else {
 			for _, callee := range node.callees {
-				if sub := g.reach(callee, tag, visiting); sub != "" {
+				if sub := g.reach(callee, visiting); sub != "" {
 					chain = fn.Name() + " → " + sub
 					break
 				}
@@ -268,12 +223,7 @@ func (g *CallGraph) reach(fn *types.Func, tag string, visiting map[*types.Func]b
 	// Memoize only settled results: a "" computed while part of a cycle
 	// is provisional, but hazards discovered are final.
 	if chain != "" || len(visiting) == 1 {
-		memo := g.reachMemo[fn]
-		if memo == nil {
-			memo = map[string]string{}
-			g.reachMemo[fn] = memo
-		}
-		memo[tag] = chain
+		g.reachMemo[fn] = chain
 	}
 	return chain
 }

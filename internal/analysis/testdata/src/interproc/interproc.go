@@ -1,13 +1,10 @@
-// Fixture for the interprocedural (call-graph) layer: wall-clock and
-// global-rand hazards laundered through helpers are reported at the
-// laundering call sites with the offending chain — the pattern the v1
-// direct-call checks miss. Waived hazard sites must not propagate.
+// Fixture for the interprocedural (call-graph) layer: wall-clock reads
+// laundered through helpers are reported at the laundering call sites with
+// the offending chain — the pattern the v1 direct-call check misses. Waived
+// sites must not propagate.
 package interproc
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 func stamp() int64 {
 	return time.Now().UnixNano() // want "time.Now reads the wall clock"
@@ -29,19 +26,11 @@ func waivedStamp() int64 {
 // usesWaived must stay silent: a waived hazard does not propagate.
 func usesWaived() int64 { return waivedStamp() }
 
-func roll() int {
-	return rand.Intn(6) // want "rand.Intn draws from the global source"
-}
+// A time.Time method named like a clock read (After) reads no clock — no
+// hazard at any depth.
+func later(a, b time.Time) bool { return a.After(b) }
 
-func launderRoll() int {
-	return roll() // want "call to roll transitively reaches the global rand source"
-}
-
-// seeded randomness resolves through an injected *rand.Rand — no hazard
-// at any depth.
-func seeded(r *rand.Rand) int { return r.Intn(6) }
-
-func usesSeeded(r *rand.Rand) int { return seeded(r) }
+func usesLater(a, b time.Time) bool { return later(a, b) }
 
 // mutual recursion must terminate, and the hazard inside the cycle is
 // still found from outside it.

@@ -35,7 +35,7 @@ func runWallclock(pass *Pass) []Diagnostic {
 			if !ok {
 				return true
 			}
-			if d, ok := transitiveHazard(pass, call, hazardWallclock, "the wall clock"); ok {
+			if d, ok := transitiveWallclock(pass, call); ok {
 				diags = append(diags, d)
 				return true
 			}
@@ -62,11 +62,11 @@ func runWallclock(pass *Pass) []Diagnostic {
 	return diags
 }
 
-// transitiveHazard upgrades a direct-call check to "transitively
+// transitiveWallclock upgrades the direct-call check to "transitively
 // reaches": a call to a module function whose static call-graph closure
-// contains a non-waived hazard of the given tag is itself a diagnostic,
-// reported at the laundering call site with the offending chain.
-func transitiveHazard(pass *Pass, call *ast.CallExpr, tag, what string) (Diagnostic, bool) {
+// contains a non-waived wall-clock read is itself a diagnostic, reported at
+// the laundering call site with the offending chain.
+func transitiveWallclock(pass *Pass, call *ast.CallExpr) (Diagnostic, bool) {
 	if pass.Graph == nil || pass.Info == nil {
 		return Diagnostic{}, false
 	}
@@ -74,14 +74,14 @@ func transitiveHazard(pass *Pass, call *ast.CallExpr, tag, what string) (Diagnos
 	if callee == nil || pass.Graph.Node(callee) == nil {
 		return Diagnostic{}, false
 	}
-	chain, ok := pass.Graph.Reaches(callee, tag)
+	chain, ok := pass.Graph.Reaches(callee)
 	if !ok {
 		return Diagnostic{}, false
 	}
 	return Diagnostic{
 		Pos:   call.Pos(),
-		Check: tag,
-		Message: fmt.Sprintf("call to %s transitively reaches %s (%s); plumb the determinism-safe "+
-			"substitute through, or waive with //waspvet:%s <reason>", callee.Name(), what, chain, tag),
+		Check: "wallclock",
+		Message: fmt.Sprintf("call to %s transitively reaches the wall clock (%s); plumb the virtual "+
+			"clock through, or waive with //waspvet:wallclock <reason>", callee.Name(), chain),
 	}, true
 }

@@ -136,11 +136,9 @@ func (q *cohortQueue) popHead() (cohort, bool) {
 	return c, true
 }
 
-// popAll drains the queue exactly, returning every remaining cohort. It
-// iterates the item slice rather than popping by count so accumulated
-// float error in total can never leave cohorts behind.
-//
-//waspvet:ordered FIFO arrival order, deterministic under the virtual clock
+// popAll drains the queue exactly, returning every remaining cohort in FIFO
+// arrival order. It iterates the item slice rather than popping by count so
+// accumulated float error in total can never leave cohorts behind.
 func (q *cohortQueue) popAll() []cohort { return q.popAllInto(nil) }
 
 // popAllInto is popAll appending into a caller-supplied buffer.

@@ -54,8 +54,6 @@ func (e *Engine) group(op plan.OpID, site topology.SiteID) *group {
 
 // opGroups returns the groups of one operator, ascending by site: a view
 // into the store, valid until the next structural mutation.
-//
-//waspvet:ordered ascending site index, stable across runs
 func (e *Engine) opGroups(op plan.OpID) []*group {
 	lo, hi := e.groupIndex(groupKey{op: op}), e.groupIndex(groupKey{op: op + 1})
 	return e.groups[lo:hi:hi]
@@ -76,8 +74,6 @@ func (e *Engine) flow(k flowKey) *edgeFlow {
 
 // opFlows returns the flows sent by one operator in flowKeyLess order: a
 // view into the store, valid until the next structural mutation.
-//
-//waspvet:ordered canonical flowKeyLess order
 func (e *Engine) opFlows(op plan.OpID) []*edgeFlow {
 	lo, hi := e.flowIndex(flowKey{from: op}), e.flowIndex(flowKey{from: op + 1})
 	return e.flows[lo:hi:hi]

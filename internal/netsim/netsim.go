@@ -602,8 +602,6 @@ func (n *Network) solveLink(l *linkState, start vclock.Time, dtSec float64) {
 // activeLinks returns the links with at least one claimant, sorted by
 // (from, to). The slice is cached and rebuilt only after membership
 // changes; telemetry iterates it so float accumulation is replay-stable.
-//
-//waspvet:ordered sorted by (from, to) link key
 func (n *Network) activeLinks() []*linkState {
 	if n.activeDirty {
 		n.activeDirty = false

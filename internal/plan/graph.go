@@ -186,20 +186,17 @@ func (g *Graph) MustConnect(from, to OpID) {
 	}
 }
 
-// Downstream returns the IDs of the operators consuming op's output.
-//
-//waspvet:ordered edge-insertion order; plan construction is deterministic
+// Downstream returns the IDs of the operators consuming op's output, in
+// the order the edges were added.
 func (g *Graph) Downstream(id OpID) []OpID { return append([]OpID(nil), g.DownstreamView(id)...) }
 
-// Upstream returns the IDs of the operators feeding op.
-//
-//waspvet:ordered edge-insertion order; plan construction is deterministic
+// Upstream returns the IDs of the operators feeding op, in the order the
+// edges were added.
 func (g *Graph) Upstream(id OpID) []OpID { return append([]OpID(nil), g.UpstreamView(id)...) }
 
 // DownstreamView is Downstream without the defensive copy. The returned
 // slice aliases graph internals: read-only, valid until the next mutation.
 //
-//waspvet:ordered edge-insertion order; plan construction is deterministic
 //waspvet:hotpath
 func (g *Graph) DownstreamView(id OpID) []OpID {
 	if uint(id) >= uint(len(g.down)) {
@@ -211,7 +208,6 @@ func (g *Graph) DownstreamView(id OpID) []OpID {
 // UpstreamView is Upstream without the defensive copy. The returned slice
 // aliases graph internals: read-only, valid until the next mutation.
 //
-//waspvet:ordered edge-insertion order; plan construction is deterministic
 //waspvet:hotpath
 func (g *Graph) UpstreamView(id OpID) []OpID {
 	if uint(id) >= uint(len(g.up)) {
@@ -225,8 +221,6 @@ func (g *Graph) Len() int { return g.live }
 
 // OperatorIDs returns all operator IDs in ascending order. The returned
 // slice is cached; callers must not modify it.
-//
-//waspvet:ordered ascending operator ID (index scan)
 func (g *Graph) OperatorIDs() []OpID {
 	if !g.idsValid {
 		ids := make([]OpID, 0, g.live)
@@ -241,13 +235,9 @@ func (g *Graph) OperatorIDs() []OpID {
 }
 
 // Sources returns the IDs of all KindSource operators, ascending.
-//
-//waspvet:ordered ascending operator ID
 func (g *Graph) Sources() []OpID { return g.byKind(KindSource) }
 
 // Sinks returns the IDs of all KindSink operators, ascending.
-//
-//waspvet:ordered ascending operator ID
 func (g *Graph) Sinks() []OpID { return g.byKind(KindSink) }
 
 func (g *Graph) byKind(k Kind) []OpID {

@@ -1,9 +1,8 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/detutil"
@@ -34,16 +33,11 @@ var (
 	_ Snapshotter = (*WindowJoin)(nil)
 )
 
-type joinWindow struct {
-	// Sides buffers events per key per side.
-	Sides [2]map[string][]Event
-}
+// joinWindow buffers one window's events per side per key.
+type joinWindow [2]map[string][]Event
 
 func newJoinWindow() *joinWindow {
-	return &joinWindow{Sides: [2]map[string][]Event{
-		make(map[string][]Event),
-		make(map[string][]Event),
-	}}
+	return &joinWindow{make(map[string][]Event), make(map[string][]Event)}
 }
 
 // OnEvent implements Handler.
@@ -61,7 +55,7 @@ func (j *WindowJoin) OnEvent(port int, e Event, emit Emit) {
 		j.windows[start] = w
 	}
 	other := 1 - port
-	for _, o := range w.Sides[other][e.Key] {
+	for _, o := range w[other][e.Key] {
 		l, r := e, o
 		if port == 1 {
 			l, r = o, e
@@ -78,7 +72,7 @@ func (j *WindowJoin) OnEvent(port int, e Event, emit Emit) {
 		}
 		emit(Event{Time: t, Key: e.Key, Value: v})
 	}
-	w.Sides[port][e.Key] = append(w.Sides[port][e.Key], e)
+	w[port][e.Key] = append(w[port][e.Key], e)
 }
 
 // OnWatermark implements Handler: expired window buffers are dropped.
@@ -94,8 +88,8 @@ func (j *WindowJoin) OnWatermark(wm vclock.Time, _ Emit) {
 func (j *WindowJoin) StateSize() int {
 	total := 0
 	for _, w := range j.windows {
-		for side := range w.Sides {
-			for _, evs := range w.Sides[side] {
+		for side := range w {
+			for _, evs := range w[side] {
 				total += len(evs)
 			}
 		}
@@ -103,23 +97,45 @@ func (j *WindowJoin) StateSize() int {
 	return total
 }
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Snapshotter: windows and keys are written in
+// ascending order, each key with its two side buffers, so the same state
+// gives the same bytes.
 func (j *WindowJoin) SnapshotState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(j.windows); err != nil {
-		return nil, fmt.Errorf("join snapshot: %w", err)
+	windows := make([]wireWindow[[2][]Event], 0, len(j.windows))
+	for _, start := range detutil.SortedKeys(j.windows) {
+		sides := j.windows[start]
+		keys := append(detutil.SortedKeys(sides[0]), detutil.SortedKeys(sides[1])...)
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		w := wireWindow[[2][]Event]{Start: start, Keys: keys, Vals: make([][2][]Event, len(keys))}
+		for i, key := range keys {
+			w.Vals[i] = [2][]Event{sides[0][key], sides[1][key]}
+		}
+		windows = append(windows, w)
 	}
-	return buf.Bytes(), nil
+	return encodeSnapshot(windows, "join")
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Snapshotter. A key listed twice in one window is
+// an error.
 func (j *WindowJoin) RestoreState(data []byte) error {
-	var windows map[vclock.Time]*joinWindow
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&windows); err != nil {
-		return fmt.Errorf("join restore: %w", err)
+	in, err := decodeSnapshot[[2][]Event](data, "join")
+	if err != nil {
+		return err
 	}
-	if windows == nil {
-		windows = make(map[vclock.Time]*joinWindow)
+	windows := make(map[vclock.Time]*joinWindow, len(in))
+	for _, ww := range in {
+		w := windows[ww.Start]
+		if w == nil {
+			w = newJoinWindow()
+			windows[ww.Start] = w
+		}
+		for i, key := range ww.Keys {
+			if _, dup := w[0][key]; dup {
+				return fmt.Errorf("join restore: key %q listed twice in window %v", key, ww.Start)
+			}
+			w[0][key], w[1][key] = ww.Vals[i][0], ww.Vals[i][1]
+		}
 	}
 	j.windows = windows
 	return nil

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -95,6 +97,31 @@ func TestWindowJoinSnapshotRestore(t *testing.T) {
 	j2.OnEvent(1, ev(2*time.Second, "k", "R"), func(e Event) { out = append(out, e) })
 	if len(out) != 1 {
 		t.Fatalf("restored join did not match: %v", out)
+	}
+}
+
+// TestJoinSnapshotIsStable: the same join state gives the same bytes, and a
+// restored join snapshots to the bytes it was restored from.
+func TestJoinSnapshotIsStable(t *testing.T) {
+	j := &WindowJoin{Size: 10 * time.Second}
+	for i := 0; i < 200; i++ {
+		j.OnEvent(i%2, ev(time.Duration(i%30)*time.Second, fmt.Sprint("k", (i*37)%50), i), func(Event) {})
+	}
+	first, err := j.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if again, _ := j.SnapshotState(); !bytes.Equal(again, first) {
+			t.Fatalf("snapshot %d of one unchanged join differs from the first", i+2)
+		}
+	}
+	back := &WindowJoin{Size: 10 * time.Second}
+	if err := back.RestoreState(first); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := back.SnapshotState(); err != nil || !bytes.Equal(again, first) {
+		t.Errorf("snapshot, restore, snapshot changed the bytes (%v)", err)
 	}
 }
 

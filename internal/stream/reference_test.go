@@ -471,17 +471,22 @@ func FuzzPipelineMatchesReference(f *testing.F) {
 }
 
 // The three keyed window operators as they were before their state moved to
-// the slot-indexed store: string-keyed maps per window, gob-encoded as they
-// stand. They are the oracle the store is held to, and — since windowState
-// and topkWindow are the snapshot wire types — their snapshots are what a
-// snapshot looked like on the wire before the store, iteration order and all.
+// the slot-indexed store: string-keyed maps per window. They are the oracle
+// the store is held to. Their snapshots sort the maps into the operators'
+// wire form, so that each side restores the other's bytes.
 
-type refWindows map[vclock.Time]*windowState
+// refWindow is one window of a WindowAggregate or SlidingWindowAggregate.
+type refWindow struct {
+	MaxTime vclock.Time
+	Accs    map[string]any
+}
 
-func (ws refWindows) at(start, t vclock.Time) *windowState {
+type refWindows map[vclock.Time]*refWindow
+
+func (ws refWindows) at(start, t vclock.Time) *refWindow {
 	w := ws[start]
 	if w == nil {
-		w = &windowState{MaxTime: t, Accs: make(map[string]any)}
+		w = &refWindow{MaxTime: t, Accs: make(map[string]any)}
 		ws[start] = w
 	}
 	if t > w.MaxTime {
@@ -530,19 +535,29 @@ func gobBytes(v any) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// snapshot encodes the unnamed map type, as the operators did: a named type's
-// name is part of its gob definition.
 func (ws refWindows) snapshot() ([]byte, error) {
-	return gobBytes(map[vclock.Time]*windowState(ws))
+	out := make([]wireWindow[any], 0, len(ws))
+	for _, start := range detutil.SortedKeys(ws) {
+		w := wireWindow[any]{Start: start, MaxTime: ws[start].MaxTime}
+		for _, kv := range detutil.SortedItems(ws[start].Accs) {
+			w.Keys, w.Vals = append(w.Keys, kv.K), append(w.Vals, kv.V)
+		}
+		out = append(out, w)
+	}
+	return gobBytes(out)
 }
 
 func (ws *refWindows) restore(data []byte) error {
-	var windows refWindows
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&windows); err != nil {
+	var in []wireWindow[any]
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
 		return err
 	}
-	if windows == nil {
-		windows = refWindows{}
+	windows := refWindows{}
+	for _, w := range in {
+		rw := windows.at(w.Start, w.MaxTime)
+		for i, key := range w.Keys {
+			rw.Accs[key] = w.Vals[i]
+		}
 	}
 	*ws = windows
 	return nil
@@ -627,12 +642,19 @@ func (w *refSlidingWindowAggregate) StateSize() int                 { return w.w
 func (w *refSlidingWindowAggregate) SnapshotState() ([]byte, error) { return w.windows.snapshot() }
 func (w *refSlidingWindowAggregate) RestoreState(data []byte) error { return w.windows.restore(data) }
 
-type refTopKWindows map[vclock.Time]*topkWindow
+// refTopKWindow is one window of a WindowTopK: Counts maps group → topic →
+// count.
+type refTopKWindow struct {
+	MaxTime vclock.Time
+	Counts  map[string]map[string]int64
+}
 
-func (ws refTopKWindows) at(start, t vclock.Time) *topkWindow {
+type refTopKWindows map[vclock.Time]*refTopKWindow
+
+func (ws refTopKWindows) at(start, t vclock.Time) *refTopKWindow {
 	w := ws[start]
 	if w == nil {
-		w = &topkWindow{MaxTime: t, Counts: make(map[string]map[string]int64)}
+		w = &refTopKWindow{MaxTime: t, Counts: make(map[string]map[string]int64)}
 		ws[start] = w
 	}
 	if t > w.MaxTime {
@@ -704,18 +726,36 @@ func (t *refWindowTopK) StateSize() int {
 }
 
 func (t *refWindowTopK) SnapshotState() ([]byte, error) {
-	return gobBytes(map[vclock.Time]*topkWindow(t.windows))
+	out := make([]wireWindow[wireTopics], 0, len(t.windows))
+	for _, start := range detutil.SortedKeys(t.windows) {
+		w := wireWindow[wireTopics]{Start: start, MaxTime: t.windows[start].MaxTime}
+		for _, group := range detutil.SortedItems(t.windows[start].Counts) {
+			var row wireTopics
+			for _, kv := range detutil.SortedItems(group.V) {
+				row.Topics, row.Counts = append(row.Topics, kv.K), append(row.Counts, kv.V)
+			}
+			w.Keys, w.Vals = append(w.Keys, group.K), append(w.Vals, row)
+		}
+		out = append(out, w)
+	}
+	return gobBytes(out)
 }
 
 func (t *refWindowTopK) RestoreState(data []byte) error {
-	var windows refTopKWindows
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&windows); err != nil {
+	var in []wireWindow[wireTopics]
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
 		return err
 	}
-	if windows == nil {
-		windows = refTopKWindows{}
+	t.windows = refTopKWindows{}
+	for _, w := range in {
+		rw := t.windows.at(w.Start, w.MaxTime)
+		for i, group := range w.Keys {
+			rw.Counts[group] = make(map[string]int64, len(w.Vals[i].Topics))
+			for n, topic := range w.Vals[i].Topics {
+				rw.Counts[group][topic] = w.Vals[i].Counts[n]
+			}
+		}
 	}
-	t.windows = windows
 	return nil
 }
 
@@ -768,9 +808,6 @@ type storeKind struct {
 	// part `first` round, into fresh ones; nil where the operator has no
 	// SplitByKey.
 	rescale func(got, want windowed, size time.Duration, n, first int) (windowed, windowed, error)
-	// wire decodes a snapshot into the wire maps, for comparing state and
-	// not only behaviour.
-	wire func(data []byte) (any, error)
 }
 
 func countFns() (func() any, func(any, Event) any) {
@@ -784,12 +821,6 @@ func journalFns() (func() any, func(any, Event) any, func(string, any) any) {
 	return func() any { return "" },
 		func(acc any, e Event) any { return fmt.Sprint(acc, intOf(e.Value), ",") },
 		func(key string, acc any) any { return key + "=" + acc.(string) }
-}
-
-func decodeWire[W any](data []byte) (any, error) {
-	var m map[vclock.Time]*W
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m)
-	return m, err
 }
 
 func rescaleAggregates(mk func(time.Duration) (windowed, windowed)) func(windowed, windowed, time.Duration, int, int) (windowed, windowed, error) {
@@ -902,34 +933,21 @@ func storeKinds() []storeKind {
 		}
 	}
 	return []storeKind{
-		{"count", count, rescaleAggregates(count), decodeWire[windowState]},
-		{"journal", journal, rescaleAggregates(journal), decodeWire[windowState]},
-		{"struct accumulators", structs, rescaleAggregates(structs), decodeWire[windowState]},
+		{"count", count, rescaleAggregates(count)},
+		{"journal", journal, rescaleAggregates(journal)},
+		{"struct accumulators", structs, rescaleAggregates(structs)},
 		{"sliding count", func(size time.Duration) (windowed, windowed) {
 			init, add := countFns()
 			return SlidingCount(size, time.Second), &refSlidingWindowAggregate{Size: size, Slide: time.Second, Init: init, Add: add}
-		}, nil, decodeWire[windowState]},
+		}, nil},
 		{"sliding journal", func(size time.Duration) (windowed, windowed) {
 			init, add, result := journalFns()
 			return &SlidingWindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result},
 				&refSlidingWindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result}
-		}, nil, decodeWire[windowState]},
-		{"topk by TopicFn", topk(false), rescaleTopK(topk(false)), decodeWire[topkWindow]},
-		{"topk by TopicRef", topk(true), rescaleTopK(topk(true)), decodeWire[topkWindow]},
+		}, nil},
+		{"topk by TopicFn", topk(false), rescaleTopK(topk(false))},
+		{"topk by TopicRef", topk(true), rescaleTopK(topk(true))},
 	}
-}
-
-// refState is the reference's state in the wire maps' own types.
-func refState(want windowed) any {
-	switch w := want.(type) {
-	case *refWindowAggregate:
-		return map[vclock.Time]*windowState(w.windows)
-	case *refSlidingWindowAggregate:
-		return map[vclock.Time]*windowState(w.windows)
-	case *refWindowTopK:
-		return map[vclock.Time]*topkWindow(w.windows)
-	}
-	panic("unreachable")
 }
 
 // storeShapes are the situations the generated sequences must reach.
@@ -969,11 +987,11 @@ func checkStore(e *entropy, seen map[string]bool) error {
 		if err != nil {
 			return fmt.Errorf("%s: %s: snapshot: %w", kind.name, step, err)
 		}
-		state, err := kind.wire(data)
+		ref, err := want.SnapshotState()
 		if err != nil {
-			return fmt.Errorf("%s: %s: the stock decoder on a snapshot: %w", kind.name, step, err)
+			return fmt.Errorf("%s: %s: reference snapshot: %w", kind.name, step, err)
 		}
-		if ref := refState(want); reflect.ValueOf(state).Len()+reflect.ValueOf(ref).Len() > 0 && !reflect.DeepEqual(state, ref) {
+		if !bytes.Equal(data, ref) {
 			return fmt.Errorf("%s: %s: state differs from the reference's", kind.name, step)
 		}
 		return nil
@@ -1088,6 +1106,9 @@ func checkStore(e *entropy, seen map[string]bool) error {
 			}
 			if err := want.RestoreState(wantData); err != nil {
 				return fmt.Errorf("%s: %s: reference restore: %w", kind.name, step, err)
+			}
+			if again, err := got.SnapshotState(); err != nil || !bytes.Equal(again, gotData) {
+				return fmt.Errorf("%s: %s: snapshot, restore, snapshot changed the bytes (%v)", kind.name, step, err)
 			}
 			if err := same(step + " restored"); err != nil {
 				return err

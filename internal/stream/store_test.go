@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -333,168 +332,118 @@ func structFns() (func() any, func(any, Event) any) {
 	}
 }
 
-// TestSnapshotRefusesWhatItCannotLayDown: an accumulator with an interface
-// inside that holds a struct makes the stock encoder define the struct in the
-// middle of the value. The snapshot is an error then, not a stream that will
-// not restore; the same accumulator holding a number snapshots and restores.
-func TestSnapshotRefusesWhatItCannotLayDown(t *testing.T) {
+// TestSnapshotRoundTripsStructInInterface: an accumulator holding in an
+// interface a struct, which the stock encoder defines in the middle of the
+// value, snapshots and restores, and the restored operator flushes what the
+// original does.
+func TestSnapshotRoundTripsStructInInterface(t *testing.T) {
 	hold := func(v any) *WindowAggregate {
 		w := &WindowAggregate{Size: time.Second, Init: func() any { return nestAcc{} }, Add: func(any, Event) any { return nestAcc{V: v} }}
 		w.OnEvent(0, Event{Key: "a"}, nil)
 		w.OnEvent(0, Event{Key: "b"}, nil)
 		return w
 	}
-	if data, err := hold(snapAcc{N: 1}).SnapshotState(); err == nil {
-		t.Errorf("a struct inside an interface inside the accumulator snapshotted to %d bytes", len(data))
-	}
-	data, err := hold(int64(7)).SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := &WindowAggregate{Size: time.Second}
-	if err := back.RestoreState(data); err != nil {
-		t.Fatal(err)
-	}
-	want := []Event{{Key: "a", Value: nestAcc{V: int64(7)}}, {Key: "b", Value: nestAcc{V: int64(7)}}}
-	if got := flush(back, MaxWatermark); !reflect.DeepEqual(got, want) {
-		t.Errorf("restored %v, want %v", got, want)
+	for _, v := range []any{snapAcc{N: 1, Name: "x", Parts: []float64{0.5}}, int64(7)} {
+		orig := hold(v)
+		data, err := orig.SnapshotState()
+		if err != nil {
+			t.Fatalf("%T: %v", v, err)
+		}
+		back := &WindowAggregate{Size: time.Second}
+		if err := back.RestoreState(data); err != nil {
+			t.Fatalf("%T: %v", v, err)
+		}
+		want := []Event{{Key: "a", Value: nestAcc{V: v}}, {Key: "b", Value: nestAcc{V: v}}}
+		if got := flush(back, MaxWatermark); !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: restored %v, want %v", v, got, want)
+		}
+		if got := flush(orig, MaxWatermark); !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: original %v, want %v", v, got, want)
+		}
 	}
 }
 
-// TestSnapshotIsTheStockEncoding holds the hand-laid stream to encoding/gob,
-// so that a Go release that changes the layout fails here and not in a
-// restore. Where the stock encoder has no order to choose — one window, one
-// key, one topic — the snapshot is what it writes, byte for byte: at a zero,
-// a positive and a negative start, with one-byte and multi-byte lengths (a
-// 300-byte key and topic, a count of 300), and with accumulators that are
-// counts and nil. And whatever the state — 200 windows, 200 keys in one — the
-// snapshot is as long as the stock encoding of the same maps, which holds the
-// same entries in another order, and decodes to them. Accumulators that are
-// structs (their message itself past one length byte) are the one case where
-// the bytes differ: the type's definition goes ahead of the value, not into
-// the middle of it, and the snapshot is held to what the stock decoder reads.
-func TestSnapshotIsTheStockEncoding(t *testing.T) {
-	init, add := countFns()
-	null, keep := func() any { return nil }, func(acc any, _ Event) any { return acc }
+// FuzzSnapshotRestore feeds arbitrary bytes to the restore of every
+// Snapshotter. A restore never panics, and whatever one accepts, the
+// operator snapshots to bytes that restore and snapshot to themselves.
+func FuzzSnapshotRestore(f *testing.F) {
 	zero, grow := structFns()
-	const structs = 2 // the pair below whose accumulators are snapAccs
-	for _, at := range []vclock.Time{0, vclock.Time(3 * time.Second), vclock.Time(-3 * time.Second)} {
-		for _, word := range []string{"k", strings.Repeat("long", 75)} {
-			pairs := [][2]windowed{
-				{Count(time.Second), &refWindowAggregate{Size: time.Second, Init: init, Add: add}},
-				{&WindowAggregate{Size: time.Second, Init: null, Add: keep}, &refWindowAggregate{Size: time.Second, Init: null, Add: keep}},
-				{&WindowAggregate{Size: time.Second, Init: zero, Add: grow}, &refWindowAggregate{Size: time.Second, Init: zero, Add: grow}},
-				{&WindowTopK{Size: time.Second, K: 1}, &refWindowTopK{Size: time.Second, K: 1}},
-			}
-			for i, p := range pairs {
-				for n := 0; n < 300; n++ {
-					p[0].OnEvent(0, Event{Time: at, Key: word, Value: word + " topic"}, nil)
-					p[1].OnEvent(0, Event{Time: at, Key: word, Value: word + " topic"}, nil)
-				}
-				got, err := p[0].SnapshotState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _ := p[1].SnapshotState()
-				if i == structs {
-					// The stock encoder splits the value to define snapAcc
-					// where it first meets one; the snapshot defines it ahead.
-					if state, err := decodeWire[windowState](got); err != nil || !reflect.DeepEqual(state, refState(p[1])) {
-						t.Errorf("struct accumulators, %d-byte key at %v: the stock decoder reads other maps than the reference holds (%v)", len(word), at, err)
-					}
-					continue
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("pair %d, %d-byte key at %v:\n%x\nstock encoder:\n%x", i, len(word), at, got, want)
-				}
-			}
+	ops := []struct {
+		name  string
+		fresh func() Snapshotter
+	}{
+		{"count", func() Snapshotter { return Count(time.Second) }},
+		{"aggregate", func() Snapshotter { return &WindowAggregate{Size: time.Second, Init: zero, Add: grow} }},
+		{"sliding count", func() Snapshotter { return SlidingCount(2*time.Second, time.Second) }},
+		{"topk", func() Snapshotter { return &WindowTopK{Size: time.Second, K: 2} }},
+		{"join", func() Snapshotter { return &WindowJoin{Size: time.Second} }},
+	}
+	for _, op := range ops {
+		s := op.fresh()
+		for i := 0; i < 12; i++ {
+			s.(Handler).OnEvent(i%2, ev(time.Duration(i)*300*time.Millisecond, fmt.Sprint("k", i%3), fmt.Sprint("t", i%4)), func(Event) {})
 		}
-	}
-	empty, err := Count(time.Second).SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := (&refWindowAggregate{windows: refWindows{}}).SnapshotState(); !bytes.Equal(empty, want) {
-		t.Errorf("empty operator:\n%x\nstock encoder:\n%x", empty, want)
-	}
-
-	// wide fills an operator with 200 windows and, in one of them, 200 keys of
-	// four topics each.
-	wide := func(op windowed) windowed {
-		for i := 0; i < 200; i++ {
-			op.OnEvent(0, Event{Time: vclock.Time(i-100) * vclock.Time(time.Second), Key: "k", Value: i}, nil)
-			for topic := 0; topic < 4; topic++ {
-				op.OnEvent(0, Event{Key: fmt.Sprint("key", i), Value: topic}, nil)
-			}
-		}
-		return op
-	}
-	c, _, k := fiftyKeys()
-	for i, p := range [][3]windowed{
-		{c, &refWindowAggregate{}, nil},
-		{k, &refWindowTopK{}, nil},
-		{wide(Count(time.Second)), &refWindowAggregate{}, wide(&refWindowAggregate{Size: time.Second, Init: init, Add: add})},
-		{wide(&WindowAggregate{Size: time.Second, Init: zero, Add: grow}), &refWindowAggregate{}, wide(&refWindowAggregate{Size: time.Second, Init: zero, Add: grow})},
-		{wide(&WindowTopK{Size: time.Second, K: 1}), &refWindowTopK{}, wide(&refWindowTopK{Size: time.Second, K: 1})},
-	} {
-		got, err := p[0].SnapshotState()
+		data, err := s.SnapshotState()
 		if err != nil {
-			t.Fatal(err)
+			f.Fatalf("%s: %v", op.name, err)
 		}
-		if err := p[1].RestoreState(got); err != nil {
-			t.Fatal(err)
-		}
-		if want, _ := p[1].SnapshotState(); len(got) != len(want) && i != 3 { // 3: snapAccs, which the stock encoder splits the value for
-			t.Errorf("case %d: snapshot is %d bytes, the stock encoding of the same maps %d", i, len(got), len(want))
-		}
-		if p[2] != nil && !reflect.DeepEqual(refState(p[1]), refState(p[2])) {
-			t.Errorf("case %d: the stock decoder reads other maps out of the snapshot than the same events make", i)
-		}
+		f.Add(data)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, op := range ops {
+			s := op.fresh()
+			if s.RestoreState(data) != nil {
+				continue
+			}
+			first, err := s.SnapshotState()
+			if err != nil {
+				t.Fatalf("%s: snapshot of a restored state: %v", op.name, err)
+			}
+			again := op.fresh()
+			if err := again.RestoreState(first); err != nil {
+				t.Fatalf("%s: its own snapshot does not restore: %v", op.name, err)
+			}
+			if second, err := again.SnapshotState(); err != nil || !bytes.Equal(first, second) {
+				t.Fatalf("%s: snapshot, restore, snapshot changed the bytes (%v)", op.name, err)
+			}
+		}
+	})
 }
 
-// TestRestoreParentSnapshots restores snapshots taken by the commit before
-// the store (string-keyed maps, gob-encoded in map order) and holds the
-// flush to the sink that commit's own restore-and-flush produced.
-func TestRestoreParentSnapshots(t *testing.T) {
+// TestRestoreRejectsMalformedWindows: a key listed twice in one window, and
+// a window with more keys than values, are restore errors that leave the
+// operator's state as it was.
+func TestRestoreRejectsMalformedWindows(t *testing.T) {
+	wire := func(v any) []byte {
+		data, err := gobBytes(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	one, two := []string{"a"}, []string{"a", "a"}
 	for name, c := range map[string]struct {
-		op   windowed
-		wire func([]byte) (any, error)
+		op           windowed
+		twice, short []byte
 	}{
-		"window_aggregate": {Count(10 * time.Second), decodeWire[windowState]},
-		"window_topk":      {&WindowTopK{Size: 30 * time.Second, K: 3}, decodeWire[topkWindow]},
+		"count": {Count(time.Second),
+			wire([]wireWindow[any]{{Keys: two, Vals: []any{int64(1), int64(2)}}}),
+			wire([]wireWindow[any]{{Keys: two, Vals: []any{int64(1)}}})},
+		"topk": {&WindowTopK{Size: time.Second, K: 1},
+			wire([]wireWindow[wireTopics]{{Keys: two, Vals: make([]wireTopics, 2)}}),
+			wire([]wireWindow[wireTopics]{{Keys: one, Vals: []wireTopics{{Topics: one}}}})},
+		"join": {&WindowJoin{Size: time.Second},
+			wire([]wireWindow[[2][]Event]{{Keys: one, Vals: make([][2][]Event, 1)}, {Keys: one, Vals: make([][2][]Event, 1)}}),
+			wire([]wireWindow[[2][]Event]{{Keys: two}})},
 	} {
-		op := c.op
-		blob, err := os.ReadFile("testdata/" + name + ".parent.gob")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile("testdata/" + name + ".parent.sink")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := op.RestoreState(blob); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		again, err := op.SnapshotState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Type ids are numbered per process, so the two streams are compared
-		// as what the stock decoder makes of them.
-		theirs, err := c.wire(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ours, err := c.wire(again); err != nil || !reflect.DeepEqual(ours, theirs) {
-			t.Errorf("%s: a snapshot of the restored operator does not decode to the parent's maps (%v)", name, err)
-		}
-		var got strings.Builder
-		for _, e := range flush(op, MaxWatermark) {
-			fmt.Fprintln(&got, e)
-		}
-		if got.String() != string(want) {
-			t.Errorf("%s: restored and flushed\n%s\nthe parent's sink\n%s", name, got.String(), want)
+		c.op.OnEvent(0, Event{Key: "b"}, nil)
+		for what, data := range map[string][]byte{"key listed twice": c.twice, "keys without values": c.short} {
+			if err := c.op.RestoreState(data); err == nil {
+				t.Errorf("%s: %s restored", name, what)
+			}
+			if n := c.op.StateSize(); n != 1 {
+				t.Errorf("%s: a failed restore (%s) left %d state entries, want 1", name, what, n)
+			}
 		}
 	}
 }

@@ -205,41 +205,43 @@ func (t *WindowTopK) StateSize() int {
 	return total
 }
 
+// wireTopics is the snapshot of one (window, group) row: its topics in
+// ascending order beside their counts.
+type wireTopics struct {
+	Topics []string
+	Counts []int64
+}
+
 // SnapshotState implements Snapshotter: windows, groups and topics are
 // written in ascending order, so the same state gives the same bytes.
 func (t *WindowTopK) SnapshotState() ([]byte, error) {
-	out, err := newMapWriter[topkWindow]()
-	if err != nil {
-		return nil, fmt.Errorf("topk snapshot: %w", err)
-	}
-	return writeWindows(out, &t.groups, func(row *topicRow) {
-		out.uint(uint64(row.live))
+	return snapshotStore(&t.groups, "topk", func(row *topicRow) wireTopics {
+		w := wireTopics{Topics: make([]string, 0, row.live), Counts: make([]int64, 0, row.live)}
 		for _, topic := range t.topics.sorted() {
 			if int(topic) < len(row.counts) && row.counts[topic] != 0 {
-				out.string(t.topics.names[topic])
-				out.int(row.counts[topic])
+				w.Topics = append(w.Topics, t.topics.names[topic])
+				w.Counts = append(w.Counts, row.counts[topic])
 			}
 		}
-	}), nil
+		return w
+	})
 }
 
 // RestoreState implements Snapshotter.
 func (t *WindowTopK) RestoreState(data []byte) error {
-	windows, err := decodeWindows[topkWindow](data, "topk")
+	var topics symtab
+	groups, err := restoreStore(data, "topk", func(row *topicRow, w wireTopics) error {
+		if len(w.Topics) != len(w.Counts) {
+			return fmt.Errorf("%d topics and %d counts", len(w.Topics), len(w.Counts))
+		}
+		for i, topic := range w.Topics {
+			row.add(topics.intern(0, topic), w.Counts[i])
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	t.groups, t.topics = store[topicRow]{}, symtab{}
-	for _, start := range detutil.SortedKeys(windows) {
-		w := t.groups.window(start, windows[start].MaxTime)
-		for _, group := range detutil.SortedKeys(windows[start].Counts) {
-			c := w.at(t.groups.keys.intern(0, group))
-			w.claim(c)
-			counts := windows[start].Counts[group]
-			for _, topic := range detutil.SortedKeys(counts) {
-				c.acc.add(t.topics.intern(0, topic), counts[topic])
-			}
-		}
-	}
+	t.groups, t.topics = groups, topics
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -18,9 +17,9 @@ import (
 // events within a particular window", §8.3).
 //
 // WindowAggregate is stateful: it implements Snapshotter. Accumulator
-// values must be gob-registered concrete types; one that holds in an
-// interface of its own a struct, map or slice cannot be snapshotted
-// (SnapshotState says so; see mapWriter.take).
+// values must be gob-registered concrete types, and hold no map if the same
+// state is to give the same snapshot bytes (gob writes a map in its
+// iteration order).
 //
 // State is kept per key the live windows hold, not per key ever met: a key
 // whose windows have all flushed is forgotten once such keys are most of the
@@ -112,44 +111,18 @@ func (a *aggregate) flush(wm vclock.Time, size time.Duration, result func(string
 	})
 }
 
-// snapshot writes the state in (window start, key) order.
+// snapshot writes the state, each accumulator as value gives it.
 func (a *aggregate) snapshot(what string) ([]byte, error) {
-	out, err := newMapWriter[windowState]()
-	if err != nil {
-		return nil, fmt.Errorf("%s snapshot: %w", what, err)
-	}
-	// The accumulators go through the stock encoder in one call, in the
-	// order writeWindows writes their keys in.
-	values := make([]any, 0, a.size())
-	a.each(a.windows, func(_ *window[aggAcc], _ string, acc *aggAcc) {
-		values = append(values, a.value(acc))
-	})
-	encodings, err := out.interfaces(values)
-	if err != nil {
-		return nil, fmt.Errorf("%s snapshot: %w", what, err)
-	}
-	return writeWindows(out, &a.store, func(*aggAcc) { encodings = out.element(encodings) }), nil
+	return snapshotStore(&a.store, what, a.value)
 }
 
 // restore replaces the state with a snapshot's.
 func (a *aggregate) restore(data []byte, what string) error {
-	windows, err := decodeWindows[windowState](data, what)
+	s, err := restoreStore(data, what, a.put)
 	if err != nil {
 		return err
 	}
-	fresh := aggregate{counting: a.counting}
-	for _, start := range detutil.SortedKeys(windows) {
-		ws := windows[start]
-		w := fresh.window(start, ws.MaxTime)
-		for _, key := range detutil.SortedKeys(ws.Accs) {
-			c := w.at(fresh.keys.intern(0, key))
-			w.claim(c)
-			if err := fresh.put(&c.acc, ws.Accs[key]); err != nil {
-				return fmt.Errorf("%s restore: key %q: %w", what, key, err)
-			}
-		}
-	}
-	*a = fresh
+	a.store = s
 	return nil
 }
 

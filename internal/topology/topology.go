@@ -176,12 +176,10 @@ func (t *Topology) RegionOf(id SiteID) RegionID {
 	return t.regionOf[id]
 }
 
-// RegionSites returns the region partition as per-region member lists
-// (ascending site IDs; the first member of a generated region is its hub),
-// or nil when the topology is unregioned. The returned slices are shared
-// and must not be mutated.
-//
-//waspvet:ordered regions ascend by region index, members by site ID
+// RegionSites returns the region partition as per-region member lists in
+// region-index order (ascending site IDs; the first member of a generated
+// region is its hub), or nil when the topology is unregioned. The returned
+// slices are shared and must not be mutated.
 func (t *Topology) RegionSites() [][]SiteID { return t.regions }
 
 // TotalUsers returns the total simulated user population across sites.
