@@ -87,15 +87,27 @@ func planQuery(base *plan.Graph, spec *plan.CombineSpec, top *topology.Topology,
 // bandwidth and workload dozens of times per run, and re-expanding ~10^2
 // variant graphs each round dominated its allocation profile.
 //
-// The cached plans are REUSED across Plan calls: Schedule overwrites
-// their stage placements in place each round. A caller that adopts a
-// candidate's Plan beyond the current round (e.g. deploying it to the
-// engine) must Clone it first, or the next round's Schedule will mutate
-// the adopted plan under the engine's feet.
+// Every variant is the base graph plus combine nodes whose ids follow
+// every base id, and the topological order takes the smallest ready id, so
+// the stages no combine node feeds lead every variant's order, in the same
+// order, and solve the same placement programs. A round places that shared
+// prefix once and schedules only each variant's combine suffix.
+//
+// The cached plans are REUSED across Plan calls: each round overwrites
+// their stage placements in place. A caller that adopts a candidate's Plan
+// beyond the current round (e.g. deploying it to the engine) must Clone it
+// first, or the next round will mutate the adopted plan under the engine's
+// feet.
 type Session struct {
 	entries []sessionEntry
-	cands   []Candidate // reused result buffer, re-sliced per Plan call
-	ws      Workspace   // scratch shared by every Plan call's scheduling
+	// prefix is how many leading stages every variant's topological order
+	// shares, none of them a combine node.
+	prefix int
+	// prefixAvail is the free slots left once a round has placed the
+	// prefix: each variant's suffix starts from a copy.
+	prefixAvail []int
+	cands       []Candidate // reused result buffer, re-sliced per Plan call
+	ws          Workspace   // scratch shared by every Plan call's scheduling
 }
 
 // sessionEntry is one cached (variant, plan skeleton) pair.
@@ -113,6 +125,7 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 	}
 	trees := plan.EnumerateTrees(len(spec.Inputs), maxVariants)
 	s := &Session{entries: make([]sessionEntry, 0, len(trees))}
+	var first []plan.OpID
 	for _, tree := range trees {
 		v, err := spec.Expand(base, tree)
 		if err != nil {
@@ -122,34 +135,76 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 		if err != nil {
 			return nil, fmt.Errorf("variant %v: %w", tree, err)
 		}
+		order, err := p.StageIDs()
+		if err != nil {
+			return nil, fmt.Errorf("variant %v: %w", tree, err)
+		}
+		if first == nil {
+			first, s.prefix = order, len(order)
+		}
+		n := 0
+		for n < s.prefix && order[n] == first[n] {
+			if _, combine := v.CombineNodes[order[n]]; combine {
+				break
+			}
+			n++
+		}
+		s.prefix = n
 		s.entries = append(s.entries, sessionEntry{variant: v, plan: p})
 	}
 	return s, nil
 }
 
-// Plan runs one planning round over the cached variants: schedule each
-// admissible variant against the current topology/bandwidth, estimate its
-// cost, and rank. The returned candidates (and their Plans) are owned by
-// the session and valid until the next Plan call; Clone any plan that
-// outlives the round.
+// Plan runs one planning round over the cached variants: place the shared
+// prefix once, then schedule each admissible variant's suffix against the
+// current topology/bandwidth, estimate its cost, and rank. The returned
+// candidates (and their Plans) are owned by the session and valid until
+// the next Plan call; Clone any plan that outlives the round.
 func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool) (*Candidate, []Candidate, error) {
-	sc := cfg.ScheduleConfig
+	sc := cfg.ScheduleConfig.withDefaults(top)
 	if sc.Workspace == nil {
 		sc.Workspace = &s.ws
 	}
+	ws := sc.Workspace
 	candidates := s.cands[:0]
+	var first *Plan // the admissible variant the prefix was placed on
 	for _, e := range s.entries {
 		if admit != nil && !admit(e.variant) {
 			continue
 		}
-		if err := Schedule(e.plan, top, sc); err != nil {
+		order, err := e.plan.StageIDs()
+		if err != nil {
+			return nil, nil, err
+		}
+		if first == nil {
+			if err := beginSchedule(e.plan, order, top, sc); err != nil {
+				return nil, nil, err
+			}
+			if err := placeStages(e.plan, order[:s.prefix], top, sc); err != nil {
+				if errors.Is(err, placement.ErrInfeasible) {
+					break // every variant shares the prefix: none is schedulable
+				}
+				return nil, nil, err
+			}
+			first = e.plan
+			s.prefixAvail = append(s.prefixAvail[:0], ws.avail...)
+		} else {
+			if err := e.plan.Graph.ExpectedRatesBuf(sc.RateFactor, &ws.rates); err != nil {
+				return nil, nil, err
+			}
+			for _, id := range order[:s.prefix] {
+				st := e.plan.Stages[id]
+				st.Sites = append(st.Sites[:0], first.Stages[id].Sites...)
+			}
+			ws.avail = append(ws.avail[:0], s.prefixAvail...)
+		}
+		if err := placeStages(e.plan, order[s.prefix:], top, sc); err != nil {
 			if errors.Is(err, placement.ErrInfeasible) {
 				continue // variant not schedulable under current bandwidth
 			}
 			return nil, nil, err
 		}
-		// Schedule left this variant's expected rates in the workspace.
-		delayVol, wan := estimateCost(e.plan, top, sc.Workspace.rates.Bytes, sc.Workspace)
+		delayVol, wan := estimateCost(e.plan, top, ws.rates.Bytes, ws)
 		candidates = append(candidates, Candidate{
 			Variant:        e.variant,
 			Plan:           e.plan,

@@ -69,51 +69,67 @@ func (cfg *ScheduleConfig) parallelismFor(op *plan.Operator) int {
 // (wrapping placement.ErrInfeasible) if any stage cannot be placed.
 func Schedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) error {
 	c := cfg.withDefaults(top)
-	ws := c.Workspace
-	if ws == nil {
-		ws = &Workspace{}
-		c.Workspace = ws
+	if c.Workspace == nil {
+		c.Workspace = &Workspace{}
 	}
 	order, err := p.StageIDs()
 	if err != nil {
 		return err
 	}
+	if err := beginSchedule(p, order, top, c); err != nil {
+		return err
+	}
+	return placeStages(p, order, top, c)
+}
+
+// beginSchedule readies the workspace to place p's stages: ws.rates holds
+// p's expected rates and ws.avail every site's slots, less the slots that
+// p's pinned stages reserve so that free stages placed earlier in
+// topological order cannot exhaust them. A pin outside the topology is an
+// error naming the stage, not a wrapped placement.ErrInfeasible: no
+// bandwidth or slot count can make such a plan schedulable.
+func beginSchedule(p *Plan, order []plan.OpID, top *topology.Topology, c ScheduleConfig) error {
+	ws := c.Workspace
 	if err := p.Graph.ExpectedRatesBuf(c.RateFactor, &ws.rates); err != nil {
 		return err
 	}
-	outBytes := ws.rates.Bytes
-
 	avail := ws.avail[:0]
 	for s := 0; s < top.N(); s++ {
 		avail = append(avail, top.Slots(topology.SiteID(s)))
 	}
 	ws.avail = avail
-	// Reserve the slots pinned stages will need, so that free stages
-	// scheduled earlier in topological order cannot exhaust them.
 	for _, id := range order {
 		op := p.Stages[id].Op
-		if op.PinnedSite != plan.NoSite {
-			avail[op.PinnedSite] -= c.parallelismFor(op)
+		if op.PinnedSite == plan.NoSite {
+			continue
 		}
+		if op.PinnedSite < 0 || int(op.PinnedSite) >= top.N() {
+			return fmt.Errorf("physical: stage %q pinned to site %d, outside the %d-site topology", op.Name, op.PinnedSite, top.N())
+		}
+		avail[op.PinnedSite] -= c.parallelismFor(op)
 	}
+	return nil
+}
 
-	for _, id := range order {
+// placeStages places the given stages of p in order against the
+// workspace's rates and free slots (see beginSchedule), taking each
+// placement's slots out of ws.avail.
+func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleConfig) error {
+	ws := c.Workspace
+	for _, id := range ids {
 		st := p.Stages[id]
 		par := c.parallelismFor(st.Op)
 		if par < 1 {
 			return fmt.Errorf("physical: stage %q parallelism %d < 1", st.Op.Name, par)
 		}
 		if st.Op.PinnedSite != plan.NoSite {
-			avail[st.Op.PinnedSite] += par // release this stage's own reservation
+			ws.avail[st.Op.PinnedSite] += par // release this stage's own reservation
 		}
-		pl, err := solveStage(p, id, par, avail, top, c, outBytes, outBytes[id], nil)
+		pl, err := solveStage(p, id, par, ws.avail, top, c, ws.rates.Bytes, ws.rates.Bytes[id], nil)
 		if err != nil {
 			return fmt.Errorf("schedule stage %q: %w", st.Op.Name, err)
 		}
-		st.Sites = appendPlacement(st.Sites[:0], pl)
-		for s, n := range pl.TasksPerSite {
-			avail[s] -= n
-		}
+		st.Sites = takePlacement(st.Sites[:0], pl, ws.avail)
 	}
 	return nil
 }
@@ -181,10 +197,15 @@ func solveStage(
 	return ws.SolvePlacement(&ws.pr, top, cfg.HierarchicalSites)
 }
 
-// appendPlacement converts p[s] counts into a site list appended to dst,
-// ascending by site, deterministic.
-func appendPlacement(dst []topology.SiteID, pl *placement.Placement) []topology.SiteID {
+// takePlacement converts p[s] counts into a site list appended to dst,
+// ascending by site, deterministic, and takes the tasks' slots out of
+// avail in the same walk over the sites.
+func takePlacement(dst []topology.SiteID, pl *placement.Placement, avail []int) []topology.SiteID {
 	for s, n := range pl.TasksPerSite {
+		if n == 0 {
+			continue
+		}
+		avail[s] -= n
 		for i := 0; i < n; i++ {
 			dst = append(dst, topology.SiteID(s))
 		}

@@ -34,6 +34,30 @@ func BenchmarkNewSession(b *testing.B) {
 	}
 }
 
+var candidatesSink []Candidate
+
+// BenchmarkSessionPlan is one warm planning round of ysb8's 40 variants on
+// a 16-site testbed: the request plan_storm serves most.
+func BenchmarkSessionPlan(b *testing.B) {
+	q := ysb8()
+	s, err := NewSession(q.Graph, q.Spec, paperVariants)
+	if err != nil {
+		b.Fatal(err)
+	}
+	top := topology.Generate(topology.DefaultGenConfig(1))
+	if _, _, err := s.Plan(top, PlannerConfig{}, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		_, all, err := s.Plan(top, PlannerConfig{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		candidatesSink = all
+	}
+}
+
 // TestNewSessionAllocs holds session construction — 40 variant graphs,
 // each cloned, expanded, validated and staged — under a ceiling about a
 // fifth above what the slice store measures (2,859; the map store with

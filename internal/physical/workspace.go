@@ -10,10 +10,11 @@ import (
 )
 
 // Workspace holds reusable scratch buffers for repeated Schedule,
-// ReassignStage and cost-estimation calls. The controller schedules ~10^2
-// plan variants per re-planning round, every round of the run; without
-// buffer reuse the per-stage endpoint lists, rate buffers and placement
-// programs dominated the steady-state allocation profile.
+// ReassignStage and cost-estimation calls. A re-planning round, every
+// round of the run, places the variants' shared prefix once and then
+// schedules the combine suffix of each of up to ~10^2 plan variants;
+// without buffer reuse the per-stage endpoint lists, rate buffers and
+// placement programs dominated the steady-state allocation profile.
 //
 // The zero value is ready to use. A Workspace is NOT safe for concurrent
 // use; parallel experiment jobs must each use their own (or leave
