@@ -10,8 +10,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"time"
 
@@ -22,18 +25,53 @@ import (
 )
 
 func main() {
+	os.Exit(runMain(os.Args[1:], os.Stderr))
+}
+
+// runMain parses and checks the flags, then plans. A value that is not a
+// plan request exits 2, as flag does for a malformed one; a planning
+// failure exits 1.
+func runMain(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("waspplan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		query = flag.String("query", "topk", "query: ysb | topk | eoi")
-		seed  = flag.Int64("seed", 1, "topology seed")
-		top   = flag.Int("top", 5, "how many candidate plans to show")
-		max   = flag.Int("max-variants", 40, "combine-order enumeration cap")
-		rate  = flag.Float64("rate", 10000, "events/s per source")
+		query = fs.String("query", "topk", "query: ysb | topk | eoi")
+		seed  = fs.Int64("seed", 1, "topology seed")
+		top   = fs.Int("top", 5, "how many candidate plans to show")
+		max   = fs.Int("max-variants", 40, "combine-order enumeration cap")
+		rate  = fs.Float64("rate", 10000, "events/s per source")
 	)
-	flag.Parse()
-	if err := run(*query, *seed, *top, *max, *rate); err != nil {
-		fmt.Fprintln(os.Stderr, "waspplan:", err)
-		os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if err := checkFlags(*top, *max, *rate); err != nil {
+		fmt.Fprintln(stderr, "waspplan:", err)
+		return 2
+	}
+	if err := run(*query, *seed, *top, *max, *rate); err != nil {
+		fmt.Fprintln(stderr, "waspplan:", err)
+		return 1
+	}
+	return 0
+}
+
+// checkFlags rejects a value that asks for no plan: a rate that is not a
+// finite positive number of events/s, or fewer than one variant to
+// enumerate or candidate to show.
+func checkFlags(top, maxVariants int, rate float64) error {
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("-rate: %v must be a finite positive number of events/s", rate)
+	}
+	if maxVariants < 1 {
+		return fmt.Errorf("-max-variants: %d must be at least 1", maxVariants)
+	}
+	if top < 1 {
+		return fmt.Errorf("-top: %d must be at least 1", top)
+	}
+	return nil
 }
 
 func run(query string, seed int64, top, maxVariants int, rate float64) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -13,6 +14,15 @@ func cmdSLO(args []string) error {
 	recoverySLO := fs.Duration("slo-recovery", 2*time.Minute, "recovery-time budget per failure")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if r := *ratioFloor; math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+		return fmt.Errorf("slo: -slo-ratio: %v must be a finite ratio >= 0", r)
+	}
+	if b := *budget; !(b >= 0 && b <= 1) {
+		return fmt.Errorf("slo: -budget: %v must be a fraction in [0, 1]", b)
+	}
+	if *recoverySLO <= 0 {
+		return fmt.Errorf("slo: -slo-recovery: %v must be positive", *recoverySLO)
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("slo: want exactly one input file, got %d", fs.NArg())

@@ -219,6 +219,41 @@ func TestSLOReport(t *testing.T) {
 	}
 }
 
+// TestSLORejectsValuesThatAreNotBudgets: a floor that is not a finite
+// ratio, a budget outside [0, 1] or a recovery budget that is not positive
+// is a usage error (exit 2, not diff's 1) naming the flag and the value.
+func TestSLORejectsValuesThatAreNotBudgets(t *testing.T) {
+	path := fixtureJSONL(t)
+	for _, args := range [][]string{
+		{"-slo-ratio", "NaN"},
+		{"-slo-ratio", "+Inf"},
+		{"-slo-ratio", "-0.5"},
+		{"-budget", "2"},
+		{"-budget", "-0.1"},
+		{"-budget", "NaN"},
+		{"-slo-recovery", "0s"},
+		{"-slo-recovery", "-1m0s"},
+	} {
+		var err error
+		out := capture(t, func() error {
+			err = cmdSLO(append(args, path))
+			return nil
+		})
+		if err == nil {
+			t.Errorf("%v accepted:\n%s", args, out)
+			continue
+		}
+		if _, isDiff := err.(diffError); isDiff {
+			t.Errorf("%v: %v exits 1, want 2", args, err)
+		}
+		for _, sub := range args {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%v: error %q does not name %q", args, err, sub)
+			}
+		}
+	}
+}
+
 func TestDiffExitSemantics(t *testing.T) {
 	a := fixtureJSONL(t)
 	same := capture(t, func() error { return cmdDiff([]string{a, a}) })

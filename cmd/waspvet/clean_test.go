@@ -207,6 +207,266 @@ func unsetOptions(pkgs []*analysis.Package) []string {
 	return names
 }
 
+// TestEveryDeclarationIsReached: a function, method or type under internal/
+// that no binary reaches is a second entry point that tests keep alive, and
+// it has to be read and maintained as if something ran it. The walk is
+// derived, not listed (see unreachedDecls). Each declaration it reports
+// must be deleted or carry a reason in reachExemptions; an exemption that
+// something reaches anyway, or that names nothing, fails too.
+func TestEveryDeclarationIsReached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module load in -short mode")
+	}
+	pkgs, err := loadTargets([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exempt := make([]string, 0, len(reachExemptions))
+	for name := range reachExemptions {
+		exempt = append(exempt, name)
+	}
+	for _, name := range unreachedDecls(pkgs, exempt) {
+		t.Errorf("%s: no binary reaches it; delete it", name)
+	}
+	bare := unreachedDecls(pkgs, nil)
+	for name := range reachExemptions {
+		if !slices.Contains(bare, name) {
+			t.Errorf("%s: exempted but reached (or gone); drop the exemption", name)
+		}
+	}
+}
+
+// reachExemptions maps a declaration unreachedDecls reports to the reason
+// it stays: each is a capability DESIGN.md lists, or a reading a test
+// compares against its reference, that only tests exercise today.
+var reachExemptions = map[string]string{
+	"stream.WindowJoin":                       "record-mode windowed join, DESIGN.md §2 row 9",
+	"stream.SlidingWindowAggregate":           "record-mode sliding windows, DESIGN.md §2 row 9",
+	"stream.SlidingCount":                     "record-mode sliding windows, DESIGN.md §2 row 9",
+	"stream.KeyBy":                            "record-mode re-keying, DESIGN.md §2 row 9",
+	"stream.FlatMap":                          "record-mode flat map, DESIGN.md §2 row 9",
+	"stream.WindowAggregate.SplitByKey":       "record-mode rescale, DESIGN.md §2 row 10; ROADMAP's record-vs-tick check rescales through it",
+	"stream.WindowAggregate.Merge":            "record-mode rescale, DESIGN.md §2 row 10; ROADMAP's record-vs-tick check rescales through it",
+	"stream.WindowTopK.SplitByKey":            "record-mode rescale, DESIGN.md §2 row 10; ROADMAP's record-vs-tick check rescales through it",
+	"stream.WindowTopK.Merge":                 "record-mode rescale, DESIGN.md §2 row 10; ROADMAP's record-vs-tick check rescales through it",
+	"stream.WindowTopK.StateSize":             "TestWindowStoreMatchesReference compares it against the reference after every step",
+	"stream.WindowJoin.StateSize":             "TestWindowStoreMatchesReference compares it against the reference after every step",
+	"stream.SlidingWindowAggregate.StateSize": "TestWindowStoreMatchesReference compares it against the reference after every step",
+	"queries.BuildEOIRecord":                  "the EoI record-mode pipeline, DESIGN.md §2 row 15",
+	"plan.PushDownFilters":                    "filter push-down, DESIGN.md §2 row 5",
+	"experiment.RunRecovery":                  "the §8.6 recovery sweep; DESIGN.md §8 and README cite its table",
+	"experiment.FormatRecovery":               "prints the §8.6 recovery sweep's table that DESIGN.md §8 and README cite",
+}
+
+// TestUnreachedDeclarationIsReported runs the walk over a fixture with one
+// function its main calls, one that only an unreached function calls, one
+// nothing calls, and a type used only through its String method: exactly
+// the two unreached functions are reported, so the derived walk cannot
+// silently match nothing, nor drop a method an interface dispatches to.
+func TestUnreachedDeclarationIsReported(t *testing.T) {
+	pkgs, err := loadTargets([]string{"testdata/internal/reach", "testdata/cmd/reach"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := unreachedDecls(pkgs, nil), []string{"reach.Chained", "reach.Unused"}; !slices.Equal(got, want) {
+		t.Fatalf("unreachedDecls(fixture) = %v, want %v", got, want)
+	}
+}
+
+// stdInterfaces are the standard-library interfaces module values are
+// passed as, by package path and name: their method names count as
+// interface methods.
+var stdInterfaces = [][2]string{
+	{"fmt", "Stringer"},
+	{"sort", "Interface"},
+	{"container/heap", "Interface"},
+	{"io", "Writer"},
+	{"go/types", "Importer"},
+}
+
+// unreachedDecls returns, sorted, the pkg.Name or pkg.Type.Method name of
+// every func, method and type declared in a package under internal/ that
+// no root reaches. The roots are every declaration of a package outside
+// internal/, every init, every package-level const and var (an iota
+// placeholder is used through its value, not its name; a blank
+// var _ I = (*T)(nil) keeps I but not T), and the declarations extra
+// names. A reached declaration reaches every object its syntax refers to
+// (types.Info.Uses, generic instances through Origin). A method is reached
+// once its receiver type is and either a reached declaration selects it or
+// its name is a method of an interface — one the module declares or one of
+// stdInterfaces — so interface dispatch never leaves a live method
+// unreached.
+func unreachedDecls(pkgs []*analysis.Package, extra []string) []string {
+	type decl struct {
+		pkg  *analysis.Package
+		node ast.Node
+	}
+	// byName and nodes hold every candidate: an internal func, method or
+	// type, by name and by object.
+	byName := map[string]types.Object{}
+	nodes := map[types.Object]decl{}
+	methods := map[*types.TypeName][]*types.Func{}
+	ifaceMethods := map[string]bool{"Error": true}
+	var roots []decl
+
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaceMethods[it.Method(i).Name()] = true
+			}
+		}
+	}
+	imported := map[*types.Package]bool{}
+	var importAll func(p *types.Package)
+	importAll = func(p *types.Package) {
+		if !imported[p] {
+			imported[p] = true
+			for _, q := range p.Imports() {
+				importAll(q)
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		importAll(pkg.Types)
+		internal := strings.Contains(pkg.PkgPath, "/internal/")
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					addIface(pkg.Info.TypeOf(it))
+				}
+				return true
+			})
+			for _, d := range file.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := pkg.Info.Defs[d.Name].(*types.Func)
+					name := pkg.Types.Name() + "."
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+						tn := recvTypeName(recv.Type())
+						methods[tn] = append(methods[tn], fn)
+						name += tn.Name() + "."
+					}
+					if !internal || (d.Recv == nil && d.Name.Name == "init") {
+						roots = append(roots, decl{pkg, d})
+						continue
+					}
+					nodes[fn], byName[name+fn.Name()] = decl{pkg, d}, fn
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok && isBlank(vs) {
+							// var _ I = (*T)(nil) asserts that T implements I:
+							// it keeps I, not T.
+							if vs.Type != nil {
+								roots = append(roots, decl{pkg, vs.Type})
+							}
+							continue
+						}
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok || !internal {
+							roots = append(roots, decl{pkg, spec})
+							continue
+						}
+						tn := pkg.Info.Defs[ts.Name]
+						name := pkg.Types.Name() + "." + tn.Name()
+						nodes[tn], byName[name] = decl{pkg, ts}, tn
+					}
+				}
+			}
+		}
+	}
+	for p := range imported {
+		for _, std := range stdInterfaces {
+			if p.Path() == std[0] {
+				addIface(p.Scope().Lookup(std[1]).Type())
+			}
+		}
+	}
+
+	reached := map[types.Object]bool{}
+	selected := map[*types.Func]bool{}
+	var queue []decl
+	var reach, mark func(obj types.Object)
+	reach = func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				selected[fn] = true
+				if tn := recvTypeName(recv.Type()); tn == nil || !reached[tn] {
+					return
+				}
+			}
+		}
+		mark(obj)
+	}
+	mark = func(obj types.Object) {
+		d, ok := nodes[obj]
+		if !ok || reached[obj] {
+			return
+		}
+		reached[obj] = true
+		queue = append(queue, d)
+		if tn, ok := obj.(*types.TypeName); ok {
+			for _, m := range methods[tn] {
+				if selected[m] || ifaceMethods[m.Name()] {
+					mark(m)
+				}
+			}
+		}
+	}
+	for _, name := range extra {
+		if obj, ok := byName[name]; ok {
+			mark(obj)
+		}
+	}
+	queue = append(queue, roots...)
+	for len(queue) > 0 {
+		d := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				switch obj := d.pkg.Info.Uses[id].(type) {
+				case *types.Func:
+					reach(obj.Origin())
+				case *types.TypeName:
+					reach(obj)
+				}
+			}
+			return true
+		})
+	}
+
+	var out []string
+	for name, obj := range byName {
+		if !reached[obj] {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// isBlank reports whether every name the spec declares is _.
+func isBlank(vs *ast.ValueSpec) bool {
+	for _, id := range vs.Names {
+		if id.Name != "_" {
+			return false
+		}
+	}
+	return true
+}
+
+// recvTypeName is the declared named type of a method receiver (through a
+// pointer and a generic instance), or nil for a method of an unnamed
+// interface.
+func recvTypeName(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
 // eachFieldStore calls visit for every struct field stored under root: a
 // keyed composite-literal element or an assignment through a selector,
 // with the expression stored (nil when it is one of a call's results).

@@ -60,30 +60,32 @@ func (c *Controller) freeSlotsPlusOwn(id plan.OpID) []int {
 	return free
 }
 
-// solveStage solves the both-sided placement program (Eq. 1–5) for one
-// running stage at the given parallelism; free must count the stage's own
-// slots as available. The chosen sites are copied out of the solver's
-// workspace at once, so the result stays valid across later solves.
-func (c *Controller) solveStage(id plan.OpID, parallelism int, free []int) ([]topology.SiteID, error) {
-	pp := c.eng.Plan()
-	if parallelism != pp.Stages[id].Parallelism() {
-		// ReassignStage reads the target parallelism off the stage's site
-		// list and nothing else of it: solve on a clone with placeholders.
-		pp = pp.Clone()
-		pp.Stages[id].Sites = make([]topology.SiteID, parallelism)
-	}
-	pl, err := physical.ReassignStage(pp, id, c.top, c.scheduleConfig(), free)
+// placeTasks solves the both-sided placement program (Eq. 1–5) for n tasks
+// of a running stage that carry share of its streams (physical.PlaceTasks)
+// in the free slots; re-placing the whole stage at parallelism n is share
+// 1, with free counting the stage's own slots as available. The chosen
+// sites are copied out of the solver's workspace at once, so the result
+// stays valid across later solves.
+func (c *Controller) placeTasks(id plan.OpID, n int, share float64, free []int) ([]topology.SiteID, error) {
+	pl, err := physical.PlaceTasks(c.eng.Plan(), id, n, share, c.top, c.scheduleConfig(), free)
 	if err != nil {
 		return nil, err
 	}
 	return placementSites(pl), nil
 }
 
+// placeAdditional places need extra tasks of a stage that will end at
+// parallelism pPrime, each new task carrying a 1/pPrime share of the
+// streams.
+func (c *Controller) placeAdditional(id plan.OpID, need, pPrime int, free []int) ([]topology.SiteID, error) {
+	return c.placeTasks(id, need, float64(need)/float64(pPrime), free)
+}
+
 // previewReassign solves the re-assignment program for a stage at its
 // current parallelism and estimates the migration overhead
 // t_adapt = max |state|/B (§6.2), without executing anything.
 func (c *Controller) previewReassign(id plan.OpID) (newSites []topology.SiteID, overhead vclock.Time, err error) {
-	newSites, err = c.solveStage(id, c.eng.Parallelism(id), c.freeSlotsPlusOwn(id))
+	newSites, err = c.placeTasks(id, c.eng.Parallelism(id), 1, c.freeSlotsPlusOwn(id))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -182,67 +184,13 @@ func (c *Controller) placeScaleUp(id plan.OpID, pPrime int) ([]topology.SiteID, 
 	}
 	// Place the remainder anywhere feasible, sized by the share of the
 	// stream the new tasks will carry.
-	pl, err := c.solveAdditional(id, need, pPrime, free)
+	added, err := c.placeAdditional(id, need, pPrime, free)
 	if err != nil {
 		return nil, false
 	}
-	newSites = append(newSites, placementSites(pl)...)
+	newSites = append(newSites, added...)
 	slices.Sort(newSites)
 	return newSites, true
-}
-
-// solveAdditional places `need` extra tasks of a stage that will end at
-// total parallelism pPrime, using the stage's upstream/downstream
-// endpoints and each new task's 1/pPrime share of the streams.
-func (c *Controller) solveAdditional(id plan.OpID, need, pPrime int, free []int) (*placement.Placement, error) {
-	p := c.eng.Plan()
-	g := p.Graph
-	if err := g.ExpectedRatesBuf(c.lastRateFactor, &c.rates); err != nil {
-		return nil, err
-	}
-	outBytes := c.rates.Bytes
-	ups := c.ups[:0]
-	var inBytes float64
-	for _, u := range g.UpstreamView(id) {
-		share := outBytes[u]
-		inBytes += share
-		c.eps, c.tmp = p.Stages[u].AppendEndpoints(c.eps[:0], c.tmp)
-		for _, ep := range c.eps {
-			ups = append(ups, placement.Endpoint{Site: ep.Site, Weight: ep.Weight * share})
-		}
-	}
-	if inBytes > 0 {
-		for i := range ups {
-			ups[i].Weight /= inBytes
-		}
-	}
-	downs := c.downs[:0]
-	consumers := g.DownstreamView(id)
-	for _, d := range consumers {
-		c.eps, c.tmp = p.Stages[d].AppendEndpoints(c.eps[:0], c.tmp)
-		for _, ep := range c.eps {
-			downs = append(downs, placement.Endpoint{Site: ep.Site, Weight: ep.Weight / float64(len(consumers))})
-		}
-	}
-	c.ups, c.downs = ups, downs
-	share := float64(need) / float64(pPrime)
-	pr := &placement.Problem{
-		Sites:             c.top.N(),
-		Parallelism:       need,
-		AvailableSlots:    free,
-		Upstream:          ups,
-		Downstream:        downs,
-		InputBytesPerSec:  inBytes * share,
-		OutputBytesPerSec: outBytes[id] * float64(max(len(consumers), 1)) * share,
-		Alpha:             c.cfg.Alpha,
-		Latency:           c.top.Latency,
-		LatencyRows:       c.top,
-		Bandwidth:         c.bandwidthNow,
-		Pinned:            plan.NoSite,
-	}
-	// Same dispatch as the scheduler: exact below the default hierarchical
-	// threshold, two-level above it.
-	return c.ws.SolvePlacement(pr, c.top, 0)
 }
 
 // scaleForNetwork scales OUT a network-bound operator: find the smallest
@@ -261,8 +209,8 @@ func (c *Controller) scaleForNetwork(id plan.OpID, expectedIn map[plan.OpID]floa
 	free := c.freeSlots()
 	for pPrime := p + 1; pPrime <= c.cfg.PMax; pPrime++ {
 		// Additive: keep the current tasks, place the extra ones.
-		if pl, err := c.solveAdditional(id, pPrime-p, pPrime, free); err == nil {
-			newSites := append(append([]topology.SiteID(nil), cur...), placementSites(pl)...)
+		if added, err := c.placeAdditional(id, pPrime-p, pPrime, free); err == nil {
+			newSites := append(append([]topology.SiteID(nil), cur...), added...)
 			slices.Sort(newSites)
 			return c.commitScaleOut(id, p, newSites)
 		}
@@ -271,7 +219,7 @@ func (c *Controller) scaleForNetwork(id plan.OpID, expectedIn map[plan.OpID]floa
 	// parallelism (may migrate existing tasks).
 	freeOwn := c.freeSlotsPlusOwn(id)
 	for pPrime := p + 1; pPrime <= c.cfg.PMax; pPrime++ {
-		if newSites, err := c.solveStage(id, pPrime, freeOwn); err == nil {
+		if newSites, err := c.placeTasks(id, pPrime, 1, freeOwn); err == nil {
 			return c.commitScaleOut(id, p, newSites)
 		}
 	}
@@ -354,7 +302,7 @@ func (c *Controller) chooseScaleDown(id plan.OpID) ([]topology.SiteID, bool) {
 	st := pp.Stages[id]
 	g := pp.Graph
 
-	if _, err := c.solveStage(id, len(st.Sites)-1, c.freeSlotsPlusOwn(id)); err != nil {
+	if _, err := c.placeTasks(id, len(st.Sites)-1, 1, c.freeSlotsPlusOwn(id)); err != nil {
 		return nil, false
 	}
 

@@ -40,7 +40,6 @@ import (
 	"github.com/wasp-stream/wasp/internal/netsim"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
-	"github.com/wasp-stream/wasp/internal/placement"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -206,11 +205,6 @@ type Controller struct {
 	// ws holds the controller's placement scratch (plus the hierarchical
 	// planner's region cache) reused across every monitoring round.
 	ws physical.Workspace
-	// Scratch of solveAdditional, the scale path's own placement program:
-	// λ̂ buffers, the stage's weighted endpoints and AppendEndpoints' two.
-	rates           plan.RateBuf
-	ups, downs, eps []placement.Endpoint
-	tmp             []topology.SiteID
 
 	// planSession caches the re-plan search space (variant graphs and plan
 	// skeletons) across rounds; built lazily on the first tryReplan.

@@ -26,9 +26,6 @@ import (
 // caller (experiment runner), not the controller.
 func (c *Controller) AttachControlPlane(p *ctrlplane.Plane) { c.plane = p }
 
-// ControlPlane returns the attached plane (nil in ideal mode).
-func (c *Controller) ControlPlane() *ctrlplane.Plane { return c.plane }
-
 // sampleSnapshot produces the round's monitoring snapshot. Ideal mode
 // samples the engine directly, which resets the per-group counters;
 // impaired mode re-evaluates quarantine and merges whatever site reports

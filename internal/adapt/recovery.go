@@ -52,7 +52,7 @@ func NewRecoveryManager(job string, interval time.Duration, eng *engine.Engine, 
 		store:      store,
 		registered: make(map[string]state.Target),
 	}
-	rm.coord = state.NewManualCoordinator(store, rm.onCheckpointError)
+	rm.coord = state.NewCoordinator(store, rm.onCheckpointError)
 	return rm
 }
 
@@ -334,12 +334,12 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	var newSites []topology.SiteID
 	placed := 0
 	for k := lost; k >= 1; k-- {
-		pl, err := c.solveAdditional(id, k, len(survivors)+k, c.freeSlots())
+		added, err := c.placeAdditional(id, k, len(survivors)+k, c.freeSlots())
 		if err != nil {
 			c.reject("re-assign", fmt.Sprintf("no placement for %d replacement tasks: %v", k, err))
 			continue
 		}
-		newSites = append(append([]topology.SiteID(nil), survivors...), placementSites(pl)...)
+		newSites = append(append([]topology.SiteID(nil), survivors...), added...)
 		placed = k
 		break
 	}

@@ -111,7 +111,7 @@ func TestRecoveryReplacesCrashedSiteAndRestoresState(t *testing.T) {
 	}
 	// Checkpoints at epochs 30/60/90 s exist, with the replica on a
 	// surviving site (the restore source).
-	if len(rm.Store().Refs()) == 0 {
+	if _, _, ok := rm.Latest(agg, 1, nil); !ok {
 		t.Fatal("no checkpoints were written")
 	}
 	ref, _, ok := rm.Latest(agg, 1, []topology.SiteID{1})
@@ -216,7 +216,7 @@ func TestRecoveryDefersInQuarantinedRegionThenProceeds(t *testing.T) {
 	tb.ctl.AttachControlPlane(plane)
 	plane.Start()
 	region := plane.RegionOfSite(1)
-	if got := plane.RegionSites(region); len(got) != 1 {
+	if got := ctrlplane.Domains(tb.top, ctrlplane.Config{})[region]; len(got) != 1 {
 		t.Fatalf("site 1 shares its quarantine domain: %v", got)
 	}
 

@@ -125,12 +125,12 @@ func TestTryReplanNoOpWhenAlreadyBest(t *testing.T) {
 
 func TestCarryMapCoversBaseAndCommonCombines(t *testing.T) {
 	g, spec := combineQuery(t)
-	cur, err := spec.Expand(g, plan.BalancedTree(4))
+	cur, err := spec.Expand(g, enumeratedTree(t, 4, "((0+1)+(2+3))"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same structure with swapped siblings: all combine LeafSets match.
-	next, err := spec.Expand(g, plan.BalancedTree(4))
+	next, err := spec.Expand(g, enumeratedTree(t, 4, "((0+1)+(2+3))"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCarryMapCoversBaseAndCommonCombines(t *testing.T) {
 
 	// The left-deep tree shares the {0,1} combine and the root with the
 	// balanced tree: 5 base ops + 2 common combines carry over.
-	other, err := spec.Expand(g, plan.LeftDeepTree([]int{0, 1, 2, 3}))
+	other, err := spec.Expand(g, enumeratedTree(t, 4, "(((0+1)+2)+3)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +161,9 @@ func TestCarryMapCoversBaseAndCommonCombines(t *testing.T) {
 
 func TestSameTree(t *testing.T) {
 	g, spec := combineQuery(t)
-	a, _ := spec.Expand(g, plan.BalancedTree(4))
-	b, _ := spec.Expand(g, plan.BalancedTree(4))
-	ld, _ := spec.Expand(g, plan.LeftDeepTree([]int{0, 1, 2, 3}))
+	a, _ := spec.Expand(g, enumeratedTree(t, 4, "((0+1)+(2+3))"))
+	b, _ := spec.Expand(g, enumeratedTree(t, 4, "((0+1)+(2+3))"))
+	ld, _ := spec.Expand(g, enumeratedTree(t, 4, "(((0+1)+2)+3)"))
 	if !sameTree(a, b) {
 		t.Fatal("identical structures judged different")
 	}
@@ -188,8 +188,7 @@ func TestPolicyWASPReplansUnsplittableOperator(t *testing.T) {
 	tb.run(t, 30*time.Second)
 	tb.ctl.lastRateFactor = 1
 
-	combineID := tb.eng.Plan().Graph.Sinks()[0]
-	ups := tb.eng.Plan().Graph.Upstream(combineID)
+	ups := tb.eng.Plan().Graph.Upstream(rs.Spec.Output)
 	acted := tb.ctl.act(tb.sched.Now(), ups[0], metrics.NetworkConstrained, nil, map[plan.OpID]float64{})
 	if !acted {
 		t.Fatal("unsplittable network-bound op: no action")
@@ -230,4 +229,17 @@ func TestLongTermBackgroundReplan(t *testing.T) {
 		t.Fatalf("background re-plan never fired; actions = %v", kinds(ctl.Actions()))
 	}
 	ctl.Stop()
+}
+
+// enumeratedTree returns the combine tree over k leaves that renders as s,
+// from plan.EnumerateTrees.
+func enumeratedTree(t *testing.T, k int, s string) *plan.Tree {
+	t.Helper()
+	for _, tree := range plan.EnumerateTrees(k, 0) {
+		if tree.String() == s {
+			return tree
+		}
+	}
+	t.Fatalf("no tree over %d leaves renders as %s", k, s)
+	return nil
 }

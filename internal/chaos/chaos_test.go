@@ -75,6 +75,38 @@ func TestGenerateRespectsSizeBounds(t *testing.T) {
 	}
 }
 
+// FuzzGenerateRoundTrips: for any seed, topology size in [2, 1000],
+// duration in [1 s, 48 h] and control-plane region count in [0, 8], every
+// generated fault passes Fault.Validate, the schedule passes
+// faults.ValidateSchedule, and each fault's String form parses back to
+// exactly that fault — so a generated schedule can always be replayed as a
+// -fault script.
+func FuzzGenerateRoundTrips(f *testing.F) {
+	f.Add(int64(1), uint16(8), uint32(900), uint8(0))
+	f.Add(int64(7), uint16(0), uint32(0), uint8(3))
+	f.Add(int64(42), uint16(998), uint32(48*3600-1), uint8(8))
+	f.Fuzz(func(t *testing.T, seed int64, sites uint16, secs uint32, regions uint8) {
+		cfg := Config{
+			Sites:       2 + int(sites)%999,
+			Duration:    time.Duration(1+secs%(48*3600)) * time.Second,
+			CtrlRegions: int(regions) % 9,
+		}
+		fs := Generate(seed, cfg)
+		for i, fault := range fs {
+			if err := fault.Validate(); err != nil {
+				t.Fatalf("%+v: fault %d invalid: %v", cfg, i, err)
+			}
+			got, err := faults.Parse(fault.String())
+			if err != nil || !reflect.DeepEqual(got, []faults.Fault{fault}) {
+				t.Fatalf("%+v: fault %d %q parses to %v, %v", cfg, i, fault.String(), got, err)
+			}
+		}
+		if err := faults.ValidateSchedule(fs); err != nil {
+			t.Fatalf("%+v: schedule incoherent: %v", cfg, err)
+		}
+	})
+}
+
 // cleanStats is a run-end state with every invariant satisfied.
 func cleanStats() RunStats {
 	return RunStats{

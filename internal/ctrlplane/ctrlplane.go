@@ -15,7 +15,6 @@ package ctrlplane
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -107,16 +106,12 @@ type Plane struct {
 	wrongActions int
 }
 
-// Domains returns the quarantine domains a plane over top uses: the
-// topology's labeled regions when present, ⌈√N⌉ deterministic latency
-// clusters otherwise. Exported so fault schedules (the ctrlchaos sweep, a
+// Domains returns the quarantine domains a plane over top uses
+// (topology.Domains). Exported so fault schedules (the ctrlchaos sweep, a
 // -fault script author) can aim a ctrldown at a specific region without
 // re-deriving the clustering.
 func Domains(top *topology.Topology, _ Config) [][]topology.SiteID {
-	if top.NumRegions() > 0 {
-		return top.RegionSites()
-	}
-	return topology.ClusterRegions(top, int(math.Ceil(math.Sqrt(float64(top.N())))))
+	return topology.Domains(top)
 }
 
 // New builds a plane over the run's topology, network and scheduler. The
@@ -190,9 +185,6 @@ func (p *Plane) RegionOfSite(s topology.SiteID) int {
 	}
 	return p.regionOf[int(s)]
 }
-
-// RegionSites returns the sites of one quarantine domain.
-func (p *Plane) RegionSites(r int) []topology.SiteID { return p.regions[r] }
 
 // SetRegionPartition injects or heals a ctrldown fault: while down, the
 // region's telemetry cannot reach the controller and the controller's
@@ -330,11 +322,6 @@ func (p *Plane) ageOf(s topology.SiteID, now vclock.Time) time.Duration {
 	return age
 }
 
-// Age exposes a site's evidence age (ok=false: never reported).
-func (p *Plane) Age(s topology.SiteID, now vclock.Time) (time.Duration, bool) {
-	return p.merger.Age(s, now)
-}
-
 // StalestOf returns the worst evidence age across a set of sites.
 func (p *Plane) StalestOf(sites []topology.SiteID, now vclock.Time) time.Duration {
 	var worst time.Duration
@@ -379,9 +366,6 @@ func (p *Plane) QuarantinedRegions() []int {
 	}
 	return out
 }
-
-// Epoch returns a region's current epoch (bumped on every re-admission).
-func (p *Plane) Epoch(r int) int { return p.epoch[r] }
 
 // MaskUnreachable zeroes the free-slot count of every site the controller
 // must not place work on: sites in quarantined regions, and sites whose

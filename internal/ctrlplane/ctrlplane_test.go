@@ -77,13 +77,13 @@ func TestReportsAgeFromGeneration(t *testing.T) {
 	}
 	// Round fired at t=10s; remote site 3's heartbeat is still in flight
 	// (arrives 12s), the controller's own site already landed (1ms).
-	if _, ok := p.Age(3, sched.Now()); ok {
+	if _, ok := p.merger.Age(3, sched.Now()); ok {
 		t.Fatal("remote heartbeat arrived before one WAN latency elapsed")
 	}
 	if err := sched.RunUntil(13 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	age, ok := p.Age(3, sched.Now())
+	age, ok := p.merger.Age(3, sched.Now())
 	if !ok || age != 3*time.Second {
 		t.Fatalf("Age(3) = %v, %v; want 3s (generated at 10s, now 13s), true", age, ok)
 	}
@@ -111,7 +111,7 @@ func TestQuarantineAndReadmitBumpsEpoch(t *testing.T) {
 	if got := p.QuarantinedRegions(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("QuarantinedRegions() = %v; want [1]", got)
 	}
-	if p.Epoch(1) != 0 {
+	if p.epoch[1] != 0 {
 		t.Fatalf("epoch bumped on quarantine entry; want bump on re-admission only")
 	}
 
@@ -124,8 +124,8 @@ func TestQuarantineAndReadmitBumpsEpoch(t *testing.T) {
 	if p.SiteQuarantined(2) {
 		t.Fatal("region 1 still quarantined after reports resumed")
 	}
-	if p.Epoch(1) != 1 {
-		t.Fatalf("Epoch(1) = %d after re-admission; want 1", p.Epoch(1))
+	if p.epoch[1] != 1 {
+		t.Fatalf("Epoch(1) = %d after re-admission; want 1", p.epoch[1])
 	}
 }
 
@@ -157,8 +157,8 @@ func TestEpochFencing(t *testing.T) {
 	if err := sched.RunUntil(200 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if p.Epoch(1) != 1 {
-		t.Fatalf("Epoch(1) = %d; want 1 after re-admission", p.Epoch(1))
+	if p.epoch[1] != 1 {
+		t.Fatalf("Epoch(1) = %d; want 1 after re-admission", p.epoch[1])
 	}
 	for i := 0; i < 8; i++ { // drain the supervisor's retry schedule
 		p.Supervise(sched.Now())

@@ -35,19 +35,3 @@ func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, less func(a, b K) bool
 	sort.SliceStable(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 	return keys
 }
-
-// KV is one map entry.
-type KV[K comparable, V any] struct {
-	K K
-	V V
-}
-
-// SortedItems returns m's entries ordered by ascending key.
-func SortedItems[M ~map[K]V, K cmp.Ordered, V any](m M) []KV[K, V] {
-	items := make([]KV[K, V], 0, len(m))
-	for k, v := range m { //waspvet:unordered items are sorted before return; this is the sanctioned helper
-		items = append(items, KV[K, V]{K: k, V: v})
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].K < items[j].K })
-	return items
-}

@@ -36,15 +36,6 @@ func TestSortedKeysFunc(t *testing.T) {
 	}
 }
 
-func TestSortedItems(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	got := SortedItems(m)
-	want := []KV[int, string]{{1, "a"}, {2, "b"}, {3, "c"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SortedItems = %v, want %v", got, want)
-	}
-}
-
 // Two walks of the same map must observe identical order — the whole
 // point of the helpers.
 func TestIterationStable(t *testing.T) {

@@ -362,9 +362,6 @@ func (e *Engine) SetObserver(o *obs.Observer) {
 // Plan returns the currently deployed physical plan (nil before Deploy).
 func (e *Engine) Plan() *physical.Plan { return e.plan }
 
-// Now returns the current virtual time.
-func (e *Engine) Now() vclock.Time { return e.sched.Now() }
-
 // SlotRate returns the per-slot processing capacity the engine runs with;
 // the controller sizes its scaling decisions from it.
 func (e *Engine) SlotRate() float64 { return e.cfg.SlotRate }

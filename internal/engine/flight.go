@@ -52,9 +52,6 @@ func (e *Engine) SetFlightRecorder(f *obs.FlightRecorder) {
 	e.fcols = flightCols{}
 }
 
-// FlightRecorder returns the attached recorder (nil when detached).
-func (e *Engine) FlightRecorder() *obs.FlightRecorder { return e.flight }
-
 // recordFlight appends one row for the tick that just completed.
 // Zero-alloc on the warm path; rebuilds the column cache only after
 // structural changes (a deployed engine's gen is never zero).

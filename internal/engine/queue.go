@@ -91,12 +91,9 @@ func (q *cohortQueue) oldestBorn() (vclock.Time, bool) {
 	return q.items[q.head].born, true
 }
 
-// pop removes up to n events from the head, returning the removed cohorts
-// in FIFO order.
-func (q *cohortQueue) pop(n float64) []cohort { return q.popInto(n, nil) }
-
-// popInto is pop appending into a caller-supplied buffer, so per-tick
-// callers can recycle one scratch slice instead of allocating per pop.
+// popInto removes up to n events from the head, appending the removed
+// cohorts to out in FIFO order, so per-tick callers can recycle one
+// scratch slice instead of allocating per pop.
 //
 //waspvet:hotpath
 func (q *cohortQueue) popInto(n float64, out []cohort) []cohort {

@@ -19,7 +19,7 @@ func TestQueuePushPopFIFO(t *testing.T) {
 	if q.len() != 60 {
 		t.Fatalf("len = %v", q.len())
 	}
-	out := q.pop(25)
+	out := q.popInto(25, nil)
 	if len(out) != 2 || out[0].count != 10 || out[1].count != 15 {
 		t.Fatalf("pop = %+v", out)
 	}
@@ -34,7 +34,7 @@ func TestQueuePushPopFIFO(t *testing.T) {
 func TestQueuePartialPopPreservesWorthAndRaw(t *testing.T) {
 	var q cohortQueue
 	q.push(at(time.Second), 10, 3.5, false)
-	out := q.pop(4)
+	out := q.popInto(4, nil)
 	if len(out) != 1 || out[0].worth != 3.5 || out[0].raw != false {
 		t.Fatalf("partial pop lost metadata: %+v", out)
 	}
@@ -117,7 +117,7 @@ func TestQueueCompaction(t *testing.T) {
 		q.push(vclock.Time(i)*vclock.Time(time.Second), 1, 1, true)
 	}
 	for i := 0; i < 299; i++ {
-		q.pop(1)
+		q.popInto(1, nil)
 	}
 	if q.head >= len(q.items) && q.len() > 0 {
 		t.Fatal("inconsistent queue after compaction")
@@ -143,7 +143,7 @@ func TestQueueFractionalPopDrift(t *testing.T) {
 		q.push(at(time.Duration(i)*time.Millisecond), 1000.1, 1, true)
 	}
 	for i := 1; q.head < len(q.items); i++ {
-		q.pop(333.000000301 * float64(i%7+1) / 3)
+		q.popInto(333.000000301*float64(i%7+1)/3, nil)
 	}
 	if !q.empty() {
 		t.Fatalf("drained queue not empty: total=%v", q.total)
@@ -175,7 +175,7 @@ func TestQueueConservationProperty(t *testing.T) {
 			pushedCount += count
 			pushedSrc += count * worth
 			if popEvery > 0 && i%int(popEvery%5+1) == 0 {
-				for _, out := range q.pop(count / 2) {
+				for _, out := range q.popInto(count/2, nil) {
 					poppedCount += out.count
 					poppedSrc += out.src()
 				}

@@ -5,7 +5,6 @@ import (
 	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
-	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 // Sample aggregates and resets the per-operator counters accumulated since
@@ -133,35 +132,6 @@ func (e *Engine) Goodput() (generated, processed, dropped float64) {
 	return e.totalGenerated, processed, e.droppedSrcEquiv
 }
 
-// QueueLen returns the events queued at one operator across input and
-// send queues.
-func (e *Engine) QueueLen(op plan.OpID) float64 {
-	var total float64
-	for _, g := range e.opGroups(op) {
-		total += g.inQ.len()
-	}
-	for _, f := range e.opFlows(op) {
-		total += f.q.len()
-	}
-	return total
-}
-
-// StateBytesAt estimates the operator state held at one site: the
-// operator's modelled total state size split across tasks by even key
-// partitioning (§6.2: |state|/p per task).
-func (e *Engine) StateBytesAt(op plan.OpID, site topology.SiteID) float64 {
-	st, ok := e.plan.Stages[op]
-	if !ok || st.Op.StateBytes <= 0 {
-		return 0
-	}
-	p := st.Parallelism()
-	if p == 0 {
-		return 0
-	}
-	tasksHere := countSites(st.Sites, site)
-	return st.Op.StateBytes * float64(tasksHere) / float64(p)
-}
-
 // Parallelism returns the current parallelism of an operator.
 func (e *Engine) Parallelism(op plan.OpID) int {
 	st, ok := e.plan.Stages[op]
@@ -187,27 +157,4 @@ func (e *Engine) FreeSlots() []int {
 		free[s] = e.top.Slots(topology.SiteID(s)) - used[s]
 	}
 	return free
-}
-
-// OldestQueuedBorn returns the generation time of the oldest event queued
-// anywhere in the pipeline (ok=false when nothing is queued) — a direct
-// measure of worst-case pending delay.
-func (e *Engine) OldestQueuedBorn() (vclock.Time, bool) {
-	oldest := vclock.Time(0)
-	found := false
-	consider := func(b vclock.Time, ok bool) {
-		if ok && (!found || b < oldest) {
-			oldest = b
-			found = true
-		}
-	}
-	for _, g := range e.groups {
-		b, ok := g.inQ.oldestBorn()
-		consider(b, ok)
-	}
-	for _, f := range e.flows {
-		b, ok := f.q.oldestBorn()
-		consider(b, ok)
-	}
-	return oldest, found
 }

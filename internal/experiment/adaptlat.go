@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
-	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/faults"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
@@ -143,13 +142,4 @@ func FormatAdaptLat(runs []AdaptLatRun) string {
 		})
 	}
 	return out + Table([]string{"query", "phase", "n", "p50", "p95", "p99"}, rows)
-}
-
-// AdaptLatHistogramQuantiles reads the p50/p95/p99 of one phase from a
-// run's wasp_adapt_latency_seconds series — the bucketed estimate the
-// JSONL/Prom exports carry, as opposed to FormatAdaptLat's exact raw
-// quantiles.
-func AdaptLatHistogramQuantiles(o *obs.Observer, phase string) (p50, p95, p99 float64, count uint64) {
-	h := o.Registry().Histogram("wasp_adapt_latency_seconds", engine.AdaptLatencyBuckets, "phase", phase)
-	return h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Count()
 }

@@ -95,29 +95,6 @@ func TestAdaptLatencyJSONLDeterministic(t *testing.T) {
 	}
 }
 
-// TestAdaptLatHistogramQuantiles checks the bucketed quantile readout the
-// waspbench table consumes.
-func TestAdaptLatHistogramQuantiles(t *testing.T) {
-	o := runAdaptLatScenario(t)
-	sawAny := false
-	for _, phase := range AdaptPhases {
-		p50, p95, p99, n := AdaptLatHistogramQuantiles(o, phase)
-		if n == 0 {
-			continue
-		}
-		sawAny = true
-		if math.IsNaN(p50) || math.IsNaN(p95) || math.IsNaN(p99) {
-			t.Errorf("phase %s: NaN quantiles with %d observations", phase, n)
-		}
-		if p50 > p99+1e-9 {
-			t.Errorf("phase %s: p50 %v > p99 %v", phase, p50, p99)
-		}
-	}
-	if !sawAny {
-		t.Fatal("no phase accumulated any observations")
-	}
-}
-
 // TestAdaptLatSweepCoversEveryPhase: pooled over the three queries, the
 // sweep waspbench prints observes every phase of the adaptation cycle, so
 // no "all" row of its table is an empty quantile.

@@ -9,7 +9,6 @@ import (
 	"github.com/wasp-stream/wasp/internal/chaos"
 	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/faults"
-	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -167,32 +166,6 @@ func victimRegion(top *topology.Topology) int {
 		}
 	}
 	return 0
-}
-
-// CtrlCommandsInRegion counts ctrl.command events issued in (from, to]
-// whose target sites intersect the region's site set — the "actions
-// aimed at a dark region" the staleness gate and quarantine exist to
-// prevent. Exported for the acceptance test and wasptrace.
-func CtrlCommandsInRegion(o *obs.Observer, region []topology.SiteID, from, to vclock.Time) int {
-	inRegion := make(map[int]bool, len(region))
-	for _, s := range region {
-		inRegion[int(s)] = true
-	}
-	count := 0
-	for _, ev := range o.Events("ctrl.command") {
-		if ev.At <= from || ev.At > to {
-			continue
-		}
-		// The sites attr is fmt.Sprint of a []SiteID: "[3 7 12]".
-		for _, part := range strings.Fields(strings.Trim(ev.Get("sites").Str(), "[]")) {
-			var s int
-			if _, err := fmt.Sscanf(part, "%d", &s); err == nil && inRegion[s] {
-				count++
-				break
-			}
-		}
-	}
-	return count
 }
 
 // FormatCtrlChaos renders the study byte-deterministically: the grid

@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
 	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/faults"
+	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -102,7 +105,7 @@ func TestCtrlPartitionAcceptance(t *testing.T) {
 	onset := vclock.Time(ctrlPartitionAt)
 	heal := onset + vclock.Time(partFor)
 
-	if n := CtrlCommandsInRegion(res.Obs, regionSites, onset, heal); n != 0 {
+	if n := commandsInRegion(res.Obs, regionSites, onset, heal); n != 0 {
 		t.Errorf("%d command(s) issued into partitioned region %d during the partition, want 0", n, region)
 	}
 	quarantined := false
@@ -136,4 +139,29 @@ func TestCtrlPartitionAcceptance(t *testing.T) {
 	if res.ProcessedPct < 80 {
 		t.Errorf("ProcessedPct = %.1f, want >= 80 (goodput collapsed under control-plane degradation)", res.ProcessedPct)
 	}
+}
+
+// commandsInRegion counts ctrl.command events issued in (from, to] whose
+// target sites intersect the region's site set — the "actions aimed at a
+// dark region" the staleness gate and quarantine exist to prevent.
+func commandsInRegion(o *obs.Observer, region []topology.SiteID, from, to vclock.Time) int {
+	inRegion := make(map[int]bool, len(region))
+	for _, s := range region {
+		inRegion[int(s)] = true
+	}
+	count := 0
+	for _, ev := range o.Events("ctrl.command") {
+		if ev.At <= from || ev.At > to {
+			continue
+		}
+		// The sites attr is fmt.Sprint of a []SiteID: "[3 7 12]".
+		for _, part := range strings.Fields(strings.Trim(ev.Get("sites").Str(), "[]")) {
+			var s int
+			if _, err := fmt.Sscanf(part, "%d", &s); err == nil && inRegion[s] {
+				count++
+				break
+			}
+		}
+	}
+	return count
 }

@@ -66,26 +66,6 @@ func Mean(samples []WeightedDelay) float64 {
 	return sum / w
 }
 
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	X float64 // delay (seconds)
-	F float64 // cumulative fraction
-}
-
-// CDF computes the weighted empirical CDF sampled at `points` evenly
-// spaced quantiles (plus the max).
-func CDF(samples []WeightedDelay, points int) []CDFPoint {
-	if len(samples) == 0 || points < 2 {
-		return nil
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		f := float64(i) / float64(points)
-		out = append(out, CDFPoint{X: Percentile(samples, f), F: f})
-	}
-	return out
-}
-
 // Window filters samples to [from, to).
 func Window(samples []WeightedDelay, from, to vclock.Time) []WeightedDelay {
 	var out []WeightedDelay

@@ -47,25 +47,6 @@ func TestMeanAndWindow(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	samples := []WeightedDelay{wd(0, 1, 1), wd(0, 2, 1), wd(0, 3, 1), wd(0, 4, 1)}
-	cdf := CDF(samples, 4)
-	if len(cdf) != 4 {
-		t.Fatalf("CDF points = %d", len(cdf))
-	}
-	if cdf[3].X != 4 || cdf[3].F != 1 {
-		t.Fatalf("CDF tail = %+v", cdf[3])
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].X < cdf[i-1].X {
-			t.Fatal("CDF not monotone")
-		}
-	}
-	if CDF(nil, 4) != nil {
-		t.Fatal("empty CDF not nil")
-	}
-}
-
 func TestBucketize(t *testing.T) {
 	samples := []WeightedDelay{
 		wd(time.Second, 2, 1),

@@ -171,12 +171,3 @@ func ScaleFactor(expectedIn, processingRate float64, p int) int {
 // implementation-defined once the quotient exceeds the int range, and no
 // real deployment approaches this anyway.
 const maxParallelism = 1 << 30
-
-// ProcessingRatio is the paper's quality metric (§8.3): processed rate
-// over actual source rate across an interval; 1.0 means the query kept up.
-func ProcessingRatio(processed, generated float64) float64 {
-	if generated <= 0 {
-		return 1
-	}
-	return processed / generated
-}

@@ -191,12 +191,3 @@ func TestScaleFactor(t *testing.T) {
 		t.Fatalf("ScaleFactor(1e19,1,1) = %d, want positive", got)
 	}
 }
-
-func TestProcessingRatio(t *testing.T) {
-	if got := ProcessingRatio(860, 1000); got != 0.86 {
-		t.Fatalf("ProcessingRatio = %v", got)
-	}
-	if got := ProcessingRatio(0, 0); got != 1 {
-		t.Fatalf("zero-workload ratio = %v, want 1", got)
-	}
-}

@@ -91,11 +91,6 @@ func (m *ReportMerger) Age(site topology.SiteID, now vclock.Time) (time.Duration
 	return time.Duration(now - h.last.At), true
 }
 
-// Sites returns the sites heard from at least once, ascending.
-func (m *ReportMerger) Sites() []topology.SiteID {
-	return detutil.SortedKeys(m.sites)
-}
-
 // Snapshot merges the last report per site into one monitoring snapshot.
 // Sites that never reported contribute nothing: their queues, tasks and
 // rates are invisible to the controller, which is exactly the partial

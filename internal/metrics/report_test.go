@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -25,8 +26,8 @@ func TestMergerEmptyFirstReport(t *testing.T) {
 	if len(snap.Ops) != 0 {
 		t.Fatalf("empty heartbeat produced operator samples: %+v", snap.Ops)
 	}
-	if got := m.Sites(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Sites() = %v; want [3]", got)
+	if got := detutil.SortedKeys(m.sites); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("sites heard from = %v; want [3]", got)
 	}
 
 	// A later real report computes rates over the full window since the
@@ -80,8 +81,8 @@ func TestMergerNeverReportingSite(t *testing.T) {
 	if _, ok := m.Age(topology.SiteID(7), secs(100)); ok {
 		t.Fatal("Age for a never-reporting site returned ok=true")
 	}
-	if got := m.Sites(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Sites() = %v; want just [1]", got)
+	if got := detutil.SortedKeys(m.sites); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("sites heard from = %v; want just [1]", got)
 	}
 }
 

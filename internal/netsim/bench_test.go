@@ -147,7 +147,7 @@ func TestStepAllocsCeiling10kLinks(t *testing.T) {
 	i := 0
 	avg = testing.AllocsPerRun(50, func() {
 		f := flows[i%len(flows)]
-		f.SetDemand(f.Demand() + 1)
+		f.SetDemand(f.demand + 1)
 		i++
 		now += vclock.Time(dt)
 		n.Step(now, dt)

@@ -83,11 +83,6 @@ func (f *Flow) SetDemand(bytesPerSec float64) {
 	}
 }
 
-// Demand returns the currently requested rate in bytes/s.
-//
-//waspvet:hotpath
-func (f *Flow) Demand() float64 { return f.demand }
-
 // Allocated returns the rate in bytes/s granted at the last Step.
 //
 //waspvet:hotpath
@@ -102,7 +97,6 @@ type Transfer struct {
 	remaining float64 // bytes
 	done      bool
 	canceled  bool
-	doneAt    vclock.Time
 	allocated float64 // bytes/s granted at last Step
 	link      *linkState
 }
@@ -113,19 +107,8 @@ func (t *Transfer) Done() bool { return t.done }
 // Canceled reports whether the transfer was canceled before completing.
 func (t *Transfer) Canceled() bool { return t.canceled }
 
-// DoneAt returns the virtual time the transfer completed (zero if not yet).
-func (t *Transfer) DoneAt() vclock.Time { return t.doneAt }
-
 // Remaining returns the bytes still to be delivered.
 func (t *Transfer) Remaining() float64 { return t.remaining }
-
-// Total returns the transfer's payload size in bytes.
-func (t *Transfer) Total() float64 { return t.total }
-
-// Allocated returns the rate in bytes/s granted at the last Step.
-//
-//waspvet:hotpath
-func (t *Transfer) Allocated() float64 { return t.allocated }
 
 // Network emulates all WAN links between the sites of a topology.
 // Not safe for concurrent use; the simulation is single-threaded.
@@ -329,11 +312,6 @@ func (n *Network) Capacity(from, to topology.SiteID, now vclock.Time) float64 {
 // the deliverability test for telemetry reports and commands.
 func (n *Network) Reachable(from, to topology.SiteID, now vclock.Time) bool {
 	return n.Capacity(from, to, now) > 0
-}
-
-// CapacityMbps returns Capacity converted to Mbps, for reporting.
-func (n *Network) CapacityMbps(from, to topology.SiteID, now vclock.Time) topology.Mbps {
-	return topology.Mbps(n.Capacity(from, to, now) * 8 / 1e6)
 }
 
 // Latency returns the one-way from→to latency. An injected link fault
@@ -544,7 +522,6 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 		if t.remaining <= t.total*transferEps {
 			t.remaining = 0
 			t.done = true
-			t.doneAt = now
 			t.allocated = 0
 			delete(n.transfers, t.id)
 			if l := t.link; l != nil {

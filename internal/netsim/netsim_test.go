@@ -43,9 +43,6 @@ func TestCapacityStatic(t *testing.T) {
 	if got, want := n.Capacity(0, 1, 0), 10e6; got != want {
 		t.Fatalf("Capacity = %v, want %v", got, want)
 	}
-	if got := n.CapacityMbps(0, 1, 0); got != 80 {
-		t.Fatalf("CapacityMbps = %v, want 80", got)
-	}
 }
 
 func TestGlobalFactorHalvesBandwidth(t *testing.T) {
@@ -161,14 +158,14 @@ func TestTransferCompletes(t *testing.T) {
 	if !tr.Done() {
 		t.Fatal("transfer did not complete")
 	}
-	if got, want := tr.DoneAt(), vclock.Time(3*time.Second); got != want {
-		t.Fatalf("DoneAt = %v, want %v", got, want)
+	if want := vclock.Time(3 * time.Second); now != want {
+		t.Fatalf("done at %v, want %v", now, want)
 	}
 	if tr.Remaining() != 0 {
 		t.Fatalf("Remaining = %v, want 0", tr.Remaining())
 	}
-	if tr.Total() != 30e6 {
-		t.Fatalf("Total = %v, want 3e7", tr.Total())
+	if tr.total != 30e6 {
+		t.Fatalf("total = %v, want 3e7", tr.total)
 	}
 }
 
@@ -181,7 +178,7 @@ func TestTransferContendsWithFlow(t *testing.T) {
 	if got := f.Allocated(); got != 5e6 {
 		t.Fatalf("flow Allocated = %v, want 5e6 (its demand < fair share)", got)
 	}
-	if got := tr.Allocated(); got != 5e6 {
+	if got := tr.allocated; got != 5e6 {
 		t.Fatalf("transfer Allocated = %v, want the leftover 5e6", got)
 	}
 }
@@ -214,8 +211,8 @@ func TestNegativeDemandTreatedAsZero(t *testing.T) {
 	n := New(twoSite(t))
 	f := n.AddFlow(0, 1)
 	f.SetDemand(-5)
-	if f.Demand() != 0 {
-		t.Fatalf("Demand = %v, want 0", f.Demand())
+	if f.demand != 0 {
+		t.Fatalf("demand = %v, want 0", f.demand)
 	}
 }
 

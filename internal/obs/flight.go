@@ -101,24 +101,6 @@ func (c *FlightColumn) Set(v float64) {
 	c.buf[c.fr.pos] = v
 }
 
-// Add accumulates into the column's value for the current row (rows start
-// at 0) — for columns folding several contributors, e.g. the flows sharing
-// one WAN link. Allocation-free.
-func (c *FlightColumn) Add(v float64) {
-	if c == nil || c.fr.pos < 0 {
-		return
-	}
-	c.buf[c.fr.pos] += v
-}
-
-// Name returns the column's name.
-func (c *FlightColumn) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Len returns the number of retained rows (at most the capacity).
 func (f *FlightRecorder) Len() int {
 	if f == nil {
@@ -128,15 +110,6 @@ func (f *FlightRecorder) Len() int {
 		return f.rows
 	}
 	return f.capacity
-}
-
-// Rows returns the total rows recorded since creation, including
-// overwritten ones.
-func (f *FlightRecorder) Rows() int {
-	if f == nil {
-		return 0
-	}
-	return f.rows
 }
 
 // FlightSchema identifies the dump format in its header line.

@@ -13,8 +13,7 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.BeginTick(0)
 	f.Column("x").Set(1)
-	f.Column("x").Add(1)
-	if f.Len() != 0 || f.Rows() != 0 {
+	if f.Len() != 0 {
 		t.Fatal("nil recorder must report zero rows")
 	}
 	if err := f.Dump(&bytes.Buffer{}); err != nil {
@@ -29,11 +28,10 @@ func TestFlightRecorderRecordsAndDumps(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		f.BeginTick(vclock.Time(i) * vclock.Time(time.Second))
 		a.Set(float64(i))
-		b.Add(1)
-		b.Add(0.5)
+		b.Set(1.5)
 	}
-	if f.Len() != 3 || f.Rows() != 3 {
-		t.Fatalf("Len=%d Rows=%d, want 3/3", f.Len(), f.Rows())
+	if f.Len() != 3 || f.rows != 3 {
+		t.Fatalf("Len=%d rows=%d, want 3/3", f.Len(), f.rows)
 	}
 	var buf bytes.Buffer
 	if err := f.Dump(&buf); err != nil {
@@ -59,8 +57,8 @@ func TestFlightRecorderWrapKeepsNewestRows(t *testing.T) {
 		f.BeginTick(vclock.Time(i) * vclock.Time(time.Second))
 		c.Set(float64(i))
 	}
-	if f.Len() != 4 || f.Rows() != 10 {
-		t.Fatalf("Len=%d Rows=%d, want 4/10", f.Len(), f.Rows())
+	if f.Len() != 4 || f.rows != 10 {
+		t.Fatalf("Len=%d rows=%d, want 4/10", f.Len(), f.rows)
 	}
 	var buf bytes.Buffer
 	if err := f.Dump(&buf); err != nil {
@@ -81,9 +79,9 @@ func TestFlightRecorderWrapKeepsNewestRows(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderZeroFillsNewRow guards the semantics Set/Add rely on:
-// every BeginTick starts all columns at zero, even after a wrap over old
-// values.
+// TestFlightRecorderZeroFillsNewRow: every BeginTick starts all columns
+// at zero, even after a wrap over old values, so a column nothing sets in a
+// tick reads 0.
 func TestFlightRecorderZeroFillsNewRow(t *testing.T) {
 	f := NewFlightRecorder(2)
 	c := f.Column("v")
@@ -116,7 +114,6 @@ func TestFlightRecorderTickAllocs(t *testing.T) {
 		f.BeginTick(now)
 		for _, c := range cols {
 			c.Set(1.5)
-			c.Add(0.25)
 		}
 	})
 	if avg != 0 {

@@ -57,9 +57,6 @@ func Bool(k string, v bool) KV { return KV{Key: k, Val: Val{kind: kindBool, b: v
 // rendered human-readably ("12.5s") in the audit.
 func Dur(k string, v time.Duration) KV { return KV{Key: k, Val: Val{kind: kindDur, i: int64(v)}} }
 
-// IsZero reports whether the value is unset.
-func (v Val) IsZero() bool { return v.kind == kindNone }
-
 // Str returns the string value ("" for other kinds).
 func (v Val) Str() string { return v.str }
 

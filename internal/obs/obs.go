@@ -233,16 +233,3 @@ func (s *Span) Finish() {
 		s.o.cur = s.parent
 	}
 }
-
-// Get returns the value of the named span attribute (zero Val if absent).
-func (s *Span) Get(key string) Val {
-	if s == nil {
-		return Val{}
-	}
-	for _, kv := range s.Attrs {
-		if kv.Key == key {
-			return kv.Val
-		}
-	}
-	return Val{}
-}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sort"
 	"strings"
 )
@@ -140,14 +139,6 @@ func (g *Gauge) Set(v float64) {
 	g.v = v
 }
 
-// Value returns the last set value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram is a fixed-bucket cumulative histogram: bounds are the
 // inclusive upper edges, ascending; observations above the last bound
 // land in the implicit +Inf bucket.
@@ -191,65 +182,4 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.count++
 	h.sum += v
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts,
-// Prometheus-style: the target rank is located in its bucket and linearly
-// interpolated between the bucket's bounds, assuming uniform spread. The
-// first bucket interpolates from 0; a rank landing in the +Inf bucket
-// reports the highest finite bound (the histogram cannot resolve beyond
-// it). An empty (or nil) histogram reports NaN.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.count == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(h.bounds) {
-			// +Inf bucket: report the largest finite bound, or the mean
-			// when the histogram has no finite bounds at all.
-			if len(h.bounds) == 0 {
-				return h.sum / float64(h.count)
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		frac := (rank - (cum - float64(c))) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	if len(h.bounds) == 0 {
-		return h.sum / float64(h.count)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }

@@ -1,91 +1,47 @@
 package obs
 
 import (
-	"math"
+	"slices"
 	"testing"
 )
 
-func TestHistogramQuantileEmpty(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{1, 2, 4})
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if v := h.Quantile(q); !math.IsNaN(v) {
-			t.Errorf("empty histogram Quantile(%v) = %v, want NaN", q, v)
-		}
-	}
-	var nilH *Histogram
-	if v := nilH.Quantile(0.5); !math.IsNaN(v) {
-		t.Errorf("nil histogram Quantile = %v, want NaN", v)
-	}
-}
-
 // Observations landing exactly on a bucket bound must count into that
-// bucket (bounds are inclusive upper edges), and the quantile of a
-// single-bound bucket interpolates within it.
+// bucket (bounds are inclusive upper edges).
 func TestHistogramExactBoundObservations(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", []float64{1, 2, 4})
 	h.Observe(1) // exactly on the first bound → first bucket
 	h.Observe(2) // exactly on the second bound → second bucket
-	if got := h.Count(); got != 2 {
-		t.Fatalf("Count = %d, want 2", got)
+	if got, want := h.counts, []uint64{1, 1, 0, 0}; !slices.Equal(got, want) {
+		t.Fatalf("buckets = %v, want %v", got, want)
 	}
-	if got := h.Sum(); got != 3 {
-		t.Fatalf("Sum = %v, want 3", got)
-	}
-	// q=0.5 → rank 1 lands in the first bucket [0,1]; uniform-spread
-	// interpolation puts it at the bucket's upper edge.
-	if got := h.Quantile(0.5); got != 1 {
-		t.Errorf("Quantile(0.5) = %v, want 1", got)
-	}
-	// q=1 → rank 2 lands in (1,2].
-	if got := h.Quantile(1); got != 2 {
-		t.Errorf("Quantile(1) = %v, want 2", got)
+	if h.count != 2 || h.sum != 3 {
+		t.Fatalf("count=%d sum=%v, want 2/3", h.count, h.sum)
 	}
 }
 
-// Observations above the last bound land in the implicit +Inf bucket; the
-// quantile there clamps to the highest finite bound.
+// Observations above the last bound land in the implicit +Inf bucket.
 func TestHistogramInfBucket(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", []float64{1, 2})
 	h.Observe(100)
 	h.Observe(200)
-	if got := h.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile(0.5) = %v, want clamp to last bound 2", got)
+	if got, want := h.counts, []uint64{0, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("buckets = %v, want %v", got, want)
 	}
-	if got := h.Quantile(0.99); got != 2 {
-		t.Errorf("Quantile(0.99) = %v, want clamp to last bound 2", got)
-	}
-	if got := h.Sum(); got != 300 {
-		t.Errorf("Sum = %v, want 300", got)
+	if h.sum != 300 {
+		t.Errorf("sum = %v, want 300", h.sum)
 	}
 }
 
-// A histogram created with no bounds puts everything in +Inf; Quantile
-// falls back to the mean rather than inventing a bound.
+// A histogram created with no bounds puts everything in +Inf.
 func TestHistogramNoBounds(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", nil)
 	h.Observe(2)
 	h.Observe(4)
-	if got := h.Quantile(0.5); got != 3 {
-		t.Errorf("Quantile on boundless histogram = %v, want mean 3", got)
-	}
-}
-
-func TestHistogramQuantileInterpolates(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{10, 20})
-	for i := 0; i < 10; i++ {
-		h.Observe(15) // all in (10,20]
-	}
-	// rank q*10 interpolates linearly across (10,20].
-	if got := h.Quantile(0.5); got != 15 {
-		t.Errorf("Quantile(0.5) = %v, want 15", got)
-	}
-	if got := h.Quantile(0.9); math.Abs(got-19) > 1e-9 {
-		t.Errorf("Quantile(0.9) = %v, want 19", got)
+	if got, want := h.counts, []uint64{2}; !slices.Equal(got, want) {
+		t.Errorf("buckets of a boundless histogram = %v, want %v", got, want)
 	}
 }
 
@@ -101,20 +57,18 @@ func TestHistogramLabelSeriesSeparation(t *testing.T) {
 	if a == b {
 		t.Fatal("distinct label sets returned the same histogram")
 	}
-	if a.Count() != 2 || b.Count() != 1 {
-		t.Fatalf("counts = %d/%d, want 2/1", a.Count(), b.Count())
+	if a.count != 2 || b.count != 1 {
+		t.Fatalf("counts = %d/%d, want 2/1", a.count, b.count)
 	}
 	// Re-fetching with the same labels (nil bounds: first creation wins)
 	// returns the same series.
 	if again := r.Histogram("wasp_adapt_latency_seconds", nil, "phase", "halt"); again != a {
 		t.Fatal("re-fetch with same labels returned a different histogram")
 	}
-	if got := a.Quantile(0.5); got != 0.5 {
-		t.Errorf("series a Quantile(0.5) = %v, want 0.5", got)
+	if got, want := a.counts, []uint64{2, 0, 0}; !slices.Equal(got, want) {
+		t.Errorf("series a buckets = %v, want %v", got, want)
 	}
-	// b's one observation sits in (1,10]; rank 0.5 interpolates to the
-	// bucket midpoint.
-	if got := b.Quantile(0.5); got != 5.5 {
-		t.Errorf("series b Quantile(0.5) = %v, want 5.5", got)
+	if got, want := b.counts, []uint64{0, 1, 0}; !slices.Equal(got, want) {
+		t.Errorf("series b buckets = %v, want %v", got, want)
 	}
 }

@@ -16,16 +16,6 @@ import (
 	"github.com/wasp-stream/wasp/internal/topology"
 )
 
-// TaskID identifies one task: the Index-th parallel instance of the stage
-// executing logical operator Op.
-type TaskID struct {
-	Op    plan.OpID
-	Index int
-}
-
-// String renders e.g. "op3#1".
-func (t TaskID) String() string { return fmt.Sprintf("op%d#%d", t.Op, t.Index) }
-
 // Stage is the physical execution of one logical operator.
 type Stage struct {
 	// Op points at the operator in the plan's logical graph.
@@ -36,15 +26,6 @@ type Stage struct {
 
 // Parallelism returns the stage's task count.
 func (s *Stage) Parallelism() int { return len(s.Sites) }
-
-// TasksPerSite aggregates the stage's placement as p[s].
-func (s *Stage) TasksPerSite(numSites int) []int {
-	out := make([]int, numSites)
-	for _, site := range s.Sites {
-		out[site]++
-	}
-	return out
-}
 
 // DistinctSites returns the sites hosting at least one task, ascending.
 func (s *Stage) DistinctSites() []topology.SiteID {
@@ -145,18 +126,12 @@ func (p *Plan) Clone() *Plan {
 	return c
 }
 
-// Endpoints summarises a stage's placement as weighted per-site endpoints,
-// weighting each site by its share of the stage's tasks (even event
-// partitioning, §7).
-func (s *Stage) Endpoints() []placement.Endpoint {
-	out, _ := s.AppendEndpoints(nil, nil)
-	return out
-}
-
-// AppendEndpoints is Endpoints with caller-provided scratch: endpoints are
-// appended to dst and the site-sorting buffer is grown from tmp. Both are
-// returned for reuse. The planner calls this per stage pair per variant
-// per round; the scratch keeps it allocation-free at steady state.
+// AppendEndpoints summarises a stage's placement as weighted per-site
+// endpoints, weighting each site by its share of the stage's tasks (even
+// event partitioning, §7). Endpoints are appended to dst and the
+// site-sorting buffer is grown from tmp; both are returned for reuse. The
+// planner calls this per stage pair per variant per round; the scratch
+// keeps it allocation-free at steady state.
 func (s *Stage) AppendEndpoints(dst []placement.Endpoint, tmp []topology.SiteID) ([]placement.Endpoint, []topology.SiteID) {
 	if len(s.Sites) == 0 {
 		return dst, tmp

@@ -165,17 +165,13 @@ func TestStageHelpers(t *testing.T) {
 	if st.Parallelism() != 3 {
 		t.Fatalf("Parallelism = %d", st.Parallelism())
 	}
-	tps := st.TasksPerSite(4)
-	if tps[0] != 1 || tps[2] != 2 {
-		t.Fatalf("TasksPerSite = %v", tps)
-	}
 	ds := st.DistinctSites()
 	if len(ds) != 2 || ds[0] != 0 || ds[1] != 2 {
 		t.Fatalf("DistinctSites = %v", ds)
 	}
-	eps := st.Endpoints()
+	eps, _ := st.AppendEndpoints(nil, nil)
 	if len(eps) != 2 || eps[0].Weight != 1.0/3 || eps[1].Weight != 2.0/3 {
-		t.Fatalf("Endpoints = %v", eps)
+		t.Fatalf("AppendEndpoints = %v", eps)
 	}
 }
 
@@ -223,20 +219,32 @@ func TestReassignStageUsesDownstream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Total() != 1 {
-		t.Fatalf("reassigned placement %v, want 1 task", pl)
-	}
 	// With uniform latencies, sites 0 and 1 are both optimal (0.05 s);
 	// anything else would cost 0.1 s.
-	best := pl.Sites()[0]
-	if best != 0 && best != 1 {
-		t.Fatalf("reassigned to %d, want 0 or 1", best)
+	if got := pl.String(); got != "{0:1}" && got != "{1:1}" {
+		t.Fatalf("reassigned placement %v, want 1 task at site 0 or 1", got)
 	}
 }
 
-func TestTaskIDString(t *testing.T) {
-	id := TaskID{Op: 3, Index: 1}
-	if got := id.String(); got != "op3#1" {
-		t.Fatalf("String = %q", got)
+// TestPlaceTasksSharesTheStream: tasks placed beside kept ones carry only
+// their share of the stage's streams, so a link too thin for the whole
+// stream can still take them.
+func TestPlaceTasksSharesTheStream(t *testing.T) {
+	top := testTopology(t, 4)
+	p, _ := FromLogical(pipelineGraph(t))
+	if err := Schedule(p, top, ScheduleConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	free := []int{0, 0, 4, 4}             // away from the source and the sink only
+	cfg := ScheduleConfig{RateFactor: 15} // 15 MB/s against 10 MB/s of α-headroom per link
+	if _, err := PlaceTasks(p, 1, 1, 1, top, cfg, free); !errors.Is(err, placement.ErrInfeasible) {
+		t.Fatalf("the whole stream over one link: err = %v, want ErrInfeasible", err)
+	}
+	pl, err := PlaceTasks(p, 1, 1, 0.5, top, cfg, free)
+	if err != nil {
+		t.Fatalf("half the stream: %v", err)
+	}
+	if got := pl.String(); got != "{2:1}" {
+		t.Fatalf("half the stream placed at %s, want {2:1}", got)
 	}
 }

@@ -25,8 +25,8 @@ type PlannerConfig struct {
 }
 
 // DefaultMaxVariants bounds the combine-order enumeration: 105 covers all
-// orders for up to 5 inputs; beyond that the planner evaluates a capped
-// prefix plus the left-deep and balanced heuristics.
+// orders for up to 5 inputs; beyond that the planner evaluates only the
+// first 105 trees of plan.EnumerateTrees' canonical order.
 const DefaultMaxVariants = 105
 
 // wanWeight converts WAN consumption (bytes/s) into cost units when
@@ -55,28 +55,11 @@ type Candidate struct {
 // sorted by cost. The base graph should already be logically optimized
 // (plan.PushDownFilters).
 func PlanQuery(base *plan.Graph, spec *plan.CombineSpec, top *topology.Topology, cfg PlannerConfig) (*Candidate, []Candidate, error) {
-	return planQuery(base, spec, top, cfg, nil)
-}
-
-// ReplanQuery is PlanQuery restricted to variants that can take over the
-// current variant's state: every stateful combine sub-plan of `current`
-// must appear in the candidate (§4.3). Pass requireAdmissible=false for
-// stateless executions (or tumbling-window boundary switches), where any
-// variant is acceptable.
-func ReplanQuery(base *plan.Graph, spec *plan.CombineSpec, current *plan.Variant, requireAdmissible bool, top *topology.Topology, cfg PlannerConfig) (*Candidate, []Candidate, error) {
-	var filter func(v *plan.Variant) bool
-	if requireAdmissible && current != nil {
-		filter = func(v *plan.Variant) bool { return v.AdmissibleFrom(current) }
-	}
-	return planQuery(base, spec, top, cfg, filter)
-}
-
-func planQuery(base *plan.Graph, spec *plan.CombineSpec, top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool) (*Candidate, []Candidate, error) {
 	s, err := NewSession(base, spec, cfg.MaxVariants)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.Plan(top, cfg, admit)
+	return s.Plan(top, cfg, nil)
 }
 
 // Session caches everything about one query's plan search space that does

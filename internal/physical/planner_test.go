@@ -167,7 +167,7 @@ func findCombineConsuming(v *plan.Variant, leaf int) plan.OpID {
 	bestID := plan.OpID(-1)
 	bestCount := 1 << 30
 	for id, set := range v.CombineNodes {
-		if set.Has(leaf) && set.Count() < bestCount {
+		if set&(1<<uint(leaf)) != 0 && set.Count() < bestCount {
 			bestID = id
 			bestCount = set.Count()
 		}
@@ -175,15 +175,22 @@ func findCombineConsuming(v *plan.Variant, leaf int) plan.OpID {
 	return bestID
 }
 
+// TestReplanQueryAdmissibility re-plans through a session restricted to
+// the variants that can take over the current one's state (§4.3), the way
+// the controller re-plans.
 func TestReplanQueryAdmissibility(t *testing.T) {
 	top := fig5Topology(t)
 	g, spec := fig5Query(t)
 	// Current plan: balanced ((0+1)+(2+3)).
-	current, err := spec.Expand(g, plan.BalancedTree(4))
+	current, err := spec.Expand(g, enumeratedTree(t, 4, "((0+1)+(2+3))"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, all, err := ReplanQuery(g, spec, current, true, top, PlannerConfig{})
+	s, err := NewSession(g, spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, all, err := s.Plan(top, PlannerConfig{}, func(v *plan.Variant) bool { return v.AdmissibleFrom(current) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +207,27 @@ func TestReplanQueryAdmissibility(t *testing.T) {
 		t.Fatal("no admissible candidate")
 	}
 	// Non-admissible mode returns strictly more candidates.
-	_, allFree, err := ReplanQuery(g, spec, current, false, top, PlannerConfig{})
+	restricted := len(all)
+	_, allFree, err := s.Plan(top, PlannerConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(allFree) <= len(all) {
-		t.Fatalf("unrestricted re-plan found %d <= restricted %d", len(allFree), len(all))
+	if len(allFree) <= restricted {
+		t.Fatalf("unrestricted re-plan found %d <= restricted %d", len(allFree), restricted)
 	}
+}
+
+// enumeratedTree returns the combine tree over k leaves that renders as s,
+// from plan.EnumerateTrees.
+func enumeratedTree(t *testing.T, k int, s string) *plan.Tree {
+	t.Helper()
+	for _, tree := range plan.EnumerateTrees(k, 0) {
+		if tree.String() == s {
+			return tree
+		}
+	}
+	t.Fatalf("no tree over %d leaves renders as %s", k, s)
+	return nil
 }
 
 func TestEstimateCostCountsOnlyCrossSite(t *testing.T) {

@@ -57,7 +57,7 @@ func refSchedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) (int, erro
 		if st.Op.PinnedSite != plan.NoSite {
 			avail[st.Op.PinnedSite] += par
 		}
-		pl, err := solveStage(p, id, par, avail, top, c, outBytes, outBytes[id], nil)
+		pl, err := solveStage(p, id, par, 1, avail, top, c, outBytes, outBytes[id], nil)
 		if err != nil {
 			return i, fmt.Errorf("schedule stage %q: %w", st.Op.Name, err)
 		}

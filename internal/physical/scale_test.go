@@ -85,7 +85,7 @@ func TestConcurrentSchedulesShareTopology(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, pl.Sites())
+			out = append(out, takePlacement(nil, pl, make([]int, top.N())))
 		}
 		return out, nil
 	}

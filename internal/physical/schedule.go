@@ -30,7 +30,7 @@ type ScheduleConfig struct {
 	Workspace *Workspace
 	// HierarchicalSites is the topology size at which per-stage placement
 	// switches from the exact solver to the hierarchical two-level
-	// planner (placement.SolveHierarchical). 0 selects
+	// planner (placement.Problem.SolveHierarchicalInto). 0 selects
 	// placement.DefaultHierarchicalThreshold; negative forces the exact
 	// solver at every size.
 	HierarchicalSites int
@@ -125,7 +125,7 @@ func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleCon
 		if st.Op.PinnedSite != plan.NoSite {
 			ws.avail[st.Op.PinnedSite] += par // release this stage's own reservation
 		}
-		pl, err := solveStage(p, id, par, ws.avail, top, c, ws.rates.Bytes, ws.rates.Bytes[id], nil)
+		pl, err := solveStage(p, id, par, 1, ws.avail, top, c, ws.rates.Bytes, ws.rates.Bytes[id], nil)
 		if err != nil {
 			return fmt.Errorf("schedule stage %q: %w", st.Op.Name, err)
 		}
@@ -134,21 +134,22 @@ func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleCon
 	return nil
 }
 
-// solveStage builds and solves the placement problem for one stage given
-// the current deployments of its neighbours. downstreamOverride, when
-// non-nil, supplies downstream endpoints (used by re-assignment, which
-// considers both sides); during initial scheduling downstream stages are
-// not yet placed and the side is empty.
+// solveStage builds and solves the placement problem for parallelism
+// tasks of one stage, carrying share of its input stream, given the
+// current deployments of its upstream neighbours. downs supplies the
+// downstream endpoints (PlaceTasks considers both sides); during initial
+// scheduling downstream stages are not yet placed and the side is empty.
 func solveStage(
 	p *Plan,
 	id plan.OpID,
 	parallelism int,
+	share float64,
 	avail []int,
 	top *topology.Topology,
 	cfg ScheduleConfig,
 	outBytes []float64,
 	outputBytes float64,
-	downstreamOverride []placement.Endpoint,
+	downs []placement.Endpoint,
 ) (*placement.Placement, error) {
 	st := p.Stages[id]
 	ws := cfg.Workspace
@@ -157,11 +158,11 @@ func solveStage(
 	var inBytes float64
 	for _, u := range p.Graph.UpstreamView(id) {
 		uStage := p.Stages[u]
-		share := outBytes[u]
-		inBytes += share
+		rate := outBytes[u]
+		inBytes += rate
 		ws.eps, ws.tmp = uStage.AppendEndpoints(ws.eps[:0], ws.tmp)
 		for _, ep := range ws.eps {
-			ups = append(ups, placement.Endpoint{Site: ep.Site, Weight: ep.Weight * share})
+			ups = append(ups, placement.Endpoint{Site: ep.Site, Weight: ep.Weight * rate})
 		}
 	}
 	ws.ups = ups
@@ -171,8 +172,6 @@ func solveStage(
 			ups[i].Weight /= inBytes
 		}
 	}
-
-	downs := downstreamOverride
 
 	pinned := plan.NoSite
 	if st.Op.PinnedSite != plan.NoSite {
@@ -185,7 +184,7 @@ func solveStage(
 		AvailableSlots:    avail,
 		Upstream:          ups,
 		Downstream:        downs,
-		InputBytesPerSec:  inBytes,
+		InputBytesPerSec:  inBytes * share,
 		OutputBytesPerSec: outputBytes,
 		Alpha:             cfg.Alpha,
 		Latency:           ws.latencyFn(top),
@@ -215,11 +214,30 @@ func takePlacement(dst []topology.SiteID, pl *placement.Placement, avail []int) 
 
 // ReassignStage re-solves the placement of a single already-running stage
 // considering BOTH its upstream and downstream deployments (§4.1) at the
-// stage's current parallelism. freeSlots must count the stage's own slots
-// as available. It returns the new placement without mutating the plan.
+// stage's current parallelism: PlaceTasks with n = p and share = 1.
+// freeSlots must count the stage's own slots as available.
 func ReassignStage(
 	p *Plan,
 	id plan.OpID,
+	top *topology.Topology,
+	cfg ScheduleConfig,
+	freeSlots []int,
+) (*placement.Placement, error) {
+	return PlaceTasks(p, id, p.Stages[id].Parallelism(), 1, top, cfg, freeSlots)
+}
+
+// PlaceTasks solves the placement program (Eq. 1–5) for n tasks of an
+// already-running stage that carry share of its input and output streams,
+// against BOTH its upstream and downstream deployments (§4.1): a whole
+// stage re-placed at some parallelism (share 1), or the tasks a scale-out
+// or a recovery adds beside the ones kept (share n/p′). freeSlots holds the
+// slots the n tasks may take. It returns the new placement without
+// mutating the plan; the placement aliases the workspace's scratch.
+func PlaceTasks(
+	p *Plan,
+	id plan.OpID,
+	n int,
+	share float64,
 	top *topology.Topology,
 	cfg ScheduleConfig,
 	freeSlots []int,
@@ -234,7 +252,6 @@ func ReassignStage(
 		return nil, err
 	}
 	outBytes := ws.rates.Bytes
-	st := p.Stages[id]
 
 	// Downstream endpoints weighted by each consumer's share of this
 	// stage's total outbound traffic. Every consumer receives the full
@@ -253,7 +270,7 @@ func ReassignStage(
 		}
 	}
 	ws.toEPs = downs
-	outputBytes := outBytes[id] * float64(len(consumers))
+	outputBytes := outBytes[id] * float64(len(consumers)) * share
 
-	return solveStage(p, id, st.Parallelism(), freeSlots, top, c, outBytes, outputBytes, downs)
+	return solveStage(p, id, n, share, freeSlots, top, c, outBytes, outputBytes, downs)
 }

@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"math"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/placement"
@@ -53,18 +52,12 @@ func (ws *Workspace) latencyFn(top *topology.Topology) func(from, to topology.Si
 	return ws.lat
 }
 
-// regionsFor returns the cached region partition for the topology: its
-// own region structure when it has one (GenerateScale topologies), else
-// a deterministic ~√N-way latency clustering.
+// regionsFor returns the topology's region partition (topology.Domains),
+// cached per topology.
 func (ws *Workspace) regionsFor(top *topology.Topology) [][]topology.SiteID {
 	if ws.regionsTop != top {
 		ws.regionsTop = top
-		if top.NumRegions() > 0 {
-			ws.regions = top.RegionSites()
-		} else {
-			k := int(math.Ceil(math.Sqrt(float64(top.N()))))
-			ws.regions = topology.ClusterRegions(top, k)
-		}
+		ws.regions = topology.Domains(top)
 	}
 	return ws.regions
 }

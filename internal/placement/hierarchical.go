@@ -5,15 +5,15 @@
 // reaches, the premise of Benoit et al. (Resource Allocation Strategies
 // for In-Network Stream Processing). They differ in how they find the
 // next-cheapest site: the exact solver in placement.go heapifies every
-// site with a free slot, SolveHierarchical plans at two levels. A coarse
+// site with a free slot, SolveHierarchicalInto plans at two levels. A coarse
 // level scores each region by its cheapest member's per-task cost (plus
 // an aggregate-slots infeasibility check), and a refinement level lazily
 // merges the regions in that order — computing per-site bandwidth bounds
 // and a cost-sorted member list only when a region's cheapest member
 // becomes globally competitive. Because a region's coarse cost
 // lower-bounds all of its members, the merge reproduces the flat solver's
-// exact (cost, site) fill order: SolveHierarchical returns the flat
-// optimum and is feasible exactly when Solve is. The differential tests
+// exact (cost, site) fill order: SolveHierarchicalInto returns the flat
+// optimum and is feasible exactly when SolveInto is. The differential tests
 // (reference_test.go, the ≤16-site oracle sweep) pin both guarantees.
 package placement
 
@@ -85,13 +85,6 @@ func compareRegionCost(a, b regionCost) int {
 	return a.region - b.region
 }
 
-// SolveHierarchical solves pr with the two-level planner over the given
-// region partition (e.g. topology.RegionSites or topology.ClusterRegions
-// output). Allocates fresh scratch; hot callers use SolveHierarchicalInto.
-func SolveHierarchical(pr *Problem, regions [][]topology.SiteID) (*Placement, error) {
-	return pr.SolveHierarchicalInto(regions, &HierScratch{})
-}
-
 // rebuildRegions validates the partition and rebuilds the site→region
 // lookup. Cold path: runs once per (regions, problem-size) pair.
 func (hs *HierScratch) rebuildRegions(regions [][]topology.SiteID, sites int) error {
@@ -131,9 +124,11 @@ func (hs *HierScratch) rebuildRegions(regions [][]topology.SiteID, sites int) er
 	return nil
 }
 
-// SolveHierarchicalInto is SolveHierarchical with caller-owned scratch.
-// The returned Placement aliases the scratch's buffers and is valid only
-// until the next solve with the same scratch. Like SolveInto, warm
+// SolveHierarchicalInto solves pr with the two-level planner over the
+// given region partition (e.g. topology.RegionSites or
+// topology.ClusterRegions output), in caller-owned scratch. The returned
+// Placement aliases the scratch's buffers and is valid only until the next
+// solve with the same scratch. Like SolveInto, warm
 // re-solves are allocation-free; the adapt controller re-plans big
 // topologies through this path every monitoring round.
 //

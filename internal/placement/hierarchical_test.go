@@ -53,8 +53,8 @@ func scaleProblem(top *topology.Topology, rng *rand.Rand) *Problem {
 // observed gap is zero; the 10% assertion is the contract being pinned.
 func checkAgainstOracle(t *testing.T, label string, pr *Problem, regions [][]topology.SiteID) {
 	t.Helper()
-	exact, exactErr := Solve(pr)
-	hier, hierErr := SolveHierarchical(pr, regions)
+	exact, exactErr := pr.SolveInto(&Scratch{})
+	hier, hierErr := pr.SolveHierarchicalInto(regions, &HierScratch{})
 	if (exactErr == nil) != (hierErr == nil) {
 		t.Fatalf("%s: feasibility diverges: exact err %v, hierarchical err %v", label, exactErr, hierErr)
 	}
@@ -64,10 +64,10 @@ func checkAgainstOracle(t *testing.T, label string, pr *Problem, regions [][]top
 		}
 		return
 	}
-	if got := hier.Total(); got != pr.Parallelism {
+	if got := total(hier); got != pr.Parallelism {
 		t.Fatalf("%s: hierarchical placed %d of %d tasks", label, got, pr.Parallelism)
 	}
-	ub, err := pr.UpperBounds()
+	ub, err := upperBounds(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestSolveHierarchicalPinned(t *testing.T) {
 	pr.InputBytesPerSec = 1e3
 	pr.OutputBytesPerSec = 1e3
 	pr.Pinned = 4 // r1-hub: 16 slots
-	exact, err := Solve(pr)
+	exact, err := pr.SolveInto(&Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := SolveHierarchical(pr, top.RegionSites())
+	hier, err := pr.SolveHierarchicalInto(top.RegionSites(), &HierScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSolveHierarchicalBadRegions(t *testing.T) {
 		{"missing site", [][]topology.SiteID{{0, 1}, {2}}},
 	}
 	for _, tc := range cases {
-		if _, err := SolveHierarchical(pr, tc.regions); !errors.Is(err, ErrBadRegions) {
+		if _, err := pr.SolveHierarchicalInto(tc.regions, &HierScratch{}); !errors.Is(err, ErrBadRegions) {
 			t.Errorf("%s: err = %v, want ErrBadRegions", tc.name, err)
 		}
 	}

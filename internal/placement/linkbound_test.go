@@ -65,7 +65,7 @@ func TestUpperBoundsUseHugeLinkSentinel(t *testing.T) {
 	pr := baseProblem(2, 3)
 	pr.InputBytesPerSec = 1e-12
 	pr.OutputBytesPerSec = 1e-12
-	ub, err := pr.UpperBounds()
+	ub, err := upperBounds(pr)
 	if err != nil {
 		t.Fatal(err)
 	}

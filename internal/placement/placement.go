@@ -12,7 +12,7 @@
 // Because every bandwidth constraint involves a single variable p[s], the
 // integer program is separable: each site has an independent upper bound
 // and the linear objective is minimized exactly by filling sites in
-// ascending cost order. Solve is therefore exact; the test suite verifies
+// ascending cost order. SolveInto is therefore exact; the test suite verifies
 // it against an exhaustive reference on randomized instances.
 package placement
 
@@ -93,26 +93,6 @@ type Placement struct {
 	Cost float64
 }
 
-// Sites returns the IDs of sites hosting at least one task, ascending.
-func (p *Placement) Sites() []topology.SiteID {
-	var out []topology.SiteID
-	for s, n := range p.TasksPerSite {
-		if n > 0 {
-			out = append(out, topology.SiteID(s))
-		}
-	}
-	return out
-}
-
-// Total returns the number of placed tasks.
-func (p *Placement) Total() int {
-	total := 0
-	for _, n := range p.TasksPerSite {
-		total += n
-	}
-	return total
-}
-
 // String renders the non-empty sites, e.g. "{2:1 5:3}".
 func (p *Placement) String() string {
 	s := "{"
@@ -147,31 +127,6 @@ func (pr *Problem) validate() error {
 		return errors.New("placement: nil latency/bandwidth functions")
 	}
 	return nil
-}
-
-// UpperBounds computes the per-site maximum task count implied by the slot
-// and bandwidth constraints. Exported for the adaptation policy, which
-// uses the bounds to size scale-out decisions.
-func (pr *Problem) UpperBounds() ([]int, error) {
-	return pr.upperBoundsInto(nil)
-}
-
-// upperBoundsInto is UpperBounds writing into buf when it has capacity.
-func (pr *Problem) upperBoundsInto(buf []int) ([]int, error) {
-	if err := pr.validate(); err != nil {
-		return nil, err
-	}
-	p := float64(pr.Parallelism)
-	ub := buf[:0]
-	if cap(ub) < pr.Sites {
-		ub = make([]int, pr.Sites)
-	} else {
-		ub = ub[:pr.Sites]
-	}
-	for s := 0; s < pr.Sites; s++ {
-		ub[s] = pr.siteBound(topology.SiteID(s), p)
-	}
-	return ub, nil
 }
 
 // siteBound is the per-site upper bound implied by the slot and bandwidth
@@ -230,7 +185,7 @@ func linkBound(rate, capacity, p float64) int {
 		// near-zero rates with fat intra-site links, driving `bound`
 		// past 2^63 where the float→int conversion is
 		// implementation-defined. 1e15 still dominates any slot count it
-		// is min-ed against, and sums safely in MaxFeasibleParallelism.
+		// is min-ed against.
 		return int(1e15)
 	}
 	// Largest integer strictly below `bound`: floor for fractional bounds,
@@ -353,14 +308,10 @@ type Scratch struct {
 	place Placement
 }
 
-// Solve returns an exact optimal placement, or ErrInfeasible.
-func Solve(pr *Problem) (*Placement, error) {
-	return pr.SolveInto(&Scratch{})
-}
-
-// SolveInto is Solve with caller-owned scratch. The returned Placement
-// aliases the scratch's buffers and is valid only until the next SolveInto
-// with the same scratch; callers that retain it must copy. The adaptation
+// SolveInto returns an exact optimal placement, or ErrInfeasible, built in
+// caller-owned scratch. The returned Placement aliases the scratch's
+// buffers and is valid only until the next SolveInto with the same
+// scratch; callers that retain it must copy. The adaptation
 // controller solves ~10^3 placement programs per round, so the hot path
 // reuses one scratch across all of them.
 //
@@ -444,20 +395,4 @@ func (pr *Problem) fillPinned(result *Placement) (*Placement, error) {
 	result.TasksPerSite[pr.Pinned] = n
 	result.Cost += float64(n) * pr.CostPerTask(pr.Pinned)
 	return result, nil
-}
-
-// MaxFeasibleParallelism returns the largest total task count the
-// constraints admit (Σ_s ub[s] evaluated with the given parallelism used
-// for the bandwidth shares). The adaptation policy uses it to size
-// scale-outs.
-func (pr *Problem) MaxFeasibleParallelism() (int, error) {
-	ub, err := pr.UpperBounds()
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, b := range ub {
-		total += b
-	}
-	return total, nil
 }

@@ -70,22 +70,22 @@ func TestSolvePrefersColocation(t *testing.T) {
 	// With uniform inter-site latency, sites 0 (upstream) and 1
 	// (downstream) have cost 50ms each; everything else costs 100ms.
 	pr := baseProblem(4, 2)
-	pl, err := Solve(pr)
+	pl, err := pr.SolveInto(&Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.TasksPerSite[0]+pl.TasksPerSite[1] != 2 {
 		t.Fatalf("placement %v does not co-locate with endpoints", pl)
 	}
-	if pl.Total() != 2 {
-		t.Fatalf("Total = %d, want 2", pl.Total())
+	if total(pl) != 2 {
+		t.Fatalf("Total = %d, want 2", total(pl))
 	}
 }
 
 func TestSolveRespectsSlotCapacity(t *testing.T) {
 	pr := baseProblem(3, 6)
 	pr.AvailableSlots = []int{1, 2, 8}
-	pl, err := Solve(pr)
+	pl, err := pr.SolveInto(&Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +94,15 @@ func TestSolveRespectsSlotCapacity(t *testing.T) {
 			t.Fatalf("site %d over capacity: %d > %d", s, n, pr.AvailableSlots[s])
 		}
 	}
-	if pl.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", pl.Total())
+	if total(pl) != 6 {
+		t.Fatalf("Total = %d, want 6", total(pl))
 	}
 }
 
 func TestSolveInfeasibleSlots(t *testing.T) {
 	pr := baseProblem(2, 10)
 	pr.AvailableSlots = []int{2, 2}
-	_, err := Solve(pr)
+	_, err := pr.SolveInto(&Scratch{})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -130,7 +130,7 @@ func TestBandwidthConstraintLimitsShare(t *testing.T) {
 		Bandwidth:         bwFn,
 		Pinned:            -1,
 	}
-	ub, err := pr.UpperBounds()
+	ub, err := upperBounds(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,17 +138,17 @@ func TestBandwidthConstraintLimitsShare(t *testing.T) {
 		t.Fatalf("ub[2] = %d, want 0 (bandwidth-bound)", ub[2])
 	}
 	// Only 1+2 slots remain elsewhere: infeasible for p=4.
-	if _, err := Solve(pr); !errors.Is(err, ErrInfeasible) {
+	if _, err := pr.SolveInto(&Scratch{}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	// Raising the link capacity restores feasibility.
 	bw[0][2] = 100e6
-	pl, err := Solve(pr)
+	pl, err := pr.SolveInto(&Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Total() != 4 {
-		t.Fatalf("Total = %d, want 4", pl.Total())
+	if total(pl) != 4 {
+		t.Fatalf("Total = %d, want 4", total(pl))
 	}
 }
 
@@ -173,16 +173,16 @@ func TestStrictInequalityOnBound(t *testing.T) {
 func TestPinnedPlacement(t *testing.T) {
 	pr := baseProblem(4, 2)
 	pr.Pinned = 3
-	pl, err := Solve(pr)
+	pl, err := pr.SolveInto(&Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.TasksPerSite[3] != 2 || pl.Total() != 2 {
+	if pl.TasksPerSite[3] != 2 || total(pl) != 2 {
 		t.Fatalf("pinned placement = %v", pl)
 	}
 	pr.Pinned = 2
 	pr.AvailableSlots[2] = 1
-	if _, err := Solve(pr); !errors.Is(err, ErrInfeasible) {
+	if _, err := pr.SolveInto(&Scratch{}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible for over-pinned site", err)
 	}
 }
@@ -208,12 +208,12 @@ func TestConservativeModeTighter(t *testing.T) {
 		Bandwidth:        bwFn,
 		Pinned:           -1,
 	}
-	ubW, err := pr.UpperBounds()
+	ubW, err := upperBounds(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr.Conservative = true
-	ubC, err := pr.UpperBounds()
+	ubC, err := upperBounds(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,29 +237,31 @@ func TestCostPerTask(t *testing.T) {
 func TestValidation(t *testing.T) {
 	pr := baseProblem(2, 1)
 	pr.Alpha = 1.5
-	if _, err := Solve(pr); err == nil {
+	if _, err := pr.SolveInto(&Scratch{}); err == nil {
 		t.Fatal("alpha out of range accepted")
 	}
 	pr = baseProblem(2, 0)
-	if _, err := Solve(pr); err == nil {
+	if _, err := pr.SolveInto(&Scratch{}); err == nil {
 		t.Fatal("zero parallelism accepted")
 	}
 	pr = baseProblem(2, 1)
 	pr.AvailableSlots = []int{1}
-	if _, err := Solve(pr); err == nil {
+	if _, err := pr.SolveInto(&Scratch{}); err == nil {
 		t.Fatal("mismatched slots accepted")
 	}
 }
 
+// The largest parallelism the constraints admit is the sum of the per-site
+// bounds: here the slots, 1+2+3.
 func TestMaxFeasibleParallelism(t *testing.T) {
-	pr := baseProblem(3, 2)
+	pr := baseProblem(3, 6)
 	pr.AvailableSlots = []int{1, 2, 3}
-	got, err := pr.MaxFeasibleParallelism()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := pr.SolveInto(&Scratch{}); err != nil {
+		t.Fatalf("parallelism 6: %v", err)
 	}
-	if got != 6 {
-		t.Fatalf("MaxFeasibleParallelism = %d, want 6", got)
+	pr.Parallelism = 7
+	if _, err := pr.SolveInto(&Scratch{}); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("parallelism 7: err = %v, want ErrInfeasible", err)
 	}
 }
 
@@ -329,12 +331,12 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			Bandwidth:         bwFn,
 			Pinned:            -1,
 		}
-		ub, err := pr.UpperBounds()
+		ub, err := upperBounds(pr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, feasible := bruteForce(pr, ub)
-		pl, err := Solve(pr)
+		pl, err := pr.SolveInto(&Scratch{})
 		if !feasible {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("trial %d: err = %v, want ErrInfeasible", trial, err)
@@ -352,13 +354,6 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 
 func TestPlacementHelpers(t *testing.T) {
 	pl := &Placement{TasksPerSite: []int{0, 2, 0, 1}}
-	sites := pl.Sites()
-	if len(sites) != 2 || sites[0] != 1 || sites[1] != 3 {
-		t.Fatalf("Sites = %v", sites)
-	}
-	if pl.Total() != 3 {
-		t.Fatalf("Total = %d", pl.Total())
-	}
 	if got := pl.String(); got != "{1:2 3:1}" {
 		t.Fatalf("String = %q", got)
 	}
@@ -418,8 +413,30 @@ func TestProductionProblemsSetLatencyRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/adapt/actions.go", "internal/physical/schedule.go"}
+	want := []string{"internal/physical/schedule.go"}
 	if slices.Sort(found); !slices.Equal(found, want) {
 		t.Errorf("placement.Problem is built in %v, want %v: update this list with the new constructor", found, want)
 	}
+}
+
+// upperBounds is the per-site bound siteBound implies at the problem's own
+// parallelism.
+func upperBounds(pr *Problem) ([]int, error) {
+	if err := pr.validate(); err != nil {
+		return nil, err
+	}
+	ub := make([]int, pr.Sites)
+	for s := range ub {
+		ub[s] = pr.siteBound(topology.SiteID(s), float64(pr.Parallelism))
+	}
+	return ub, nil
+}
+
+// total is the number of tasks pl places.
+func total(pl *Placement) int {
+	n := 0
+	for _, k := range pl.TasksPerSite {
+		n += k
+	}
+	return n
 }

@@ -280,7 +280,7 @@ func TestSolveMatchesReference(t *testing.T) {
 		default:
 			// The cheapest cost, whether several sites share it, and whether
 			// one of them has free slots but a zero bandwidth bound.
-			ub, err := pr.UpperBounds()
+			ub, err := upperBounds(pr)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,9 +14,6 @@ import (
 // node with that LeafSet (§4.3).
 type LeafSet uint64
 
-// Has reports whether leaf index i is in the set.
-func (s LeafSet) Has(i int) bool { return s&(1<<uint(i)) != 0 }
-
 // Count returns the number of leaves in the set.
 func (s LeafSet) Count() int { return bits.OnesCount64(uint64(s)) }
 
@@ -55,16 +52,6 @@ func (t *Tree) appendTo(b []byte) []byte {
 	b = t.L.appendTo(append(b, '('))
 	b = t.R.appendTo(append(b, '+'))
 	return append(b, ')')
-}
-
-// internalSets appends the LeafSets of all internal (combine) nodes.
-func (t *Tree) internalSets(out []LeafSet) []LeafSet {
-	if t.IsLeaf() {
-		return out
-	}
-	out = append(out, t.Set)
-	out = t.L.internalSets(out)
-	return t.R.internalSets(out)
 }
 
 // leaf returns a leaf node for index i.
@@ -166,35 +153,6 @@ func (e *treeEnum) build(s LeafSet, limit int64) []*Tree {
 		e.memo[s] = ts
 	}
 	return ts
-}
-
-// LeftDeepTree builds the left-deep tree combining leaves in the given
-// order: ((order[0]+order[1])+order[2])+...
-func LeftDeepTree(order []int) *Tree {
-	if len(order) == 0 {
-		panic("plan: LeftDeepTree needs at least one leaf")
-	}
-	t := leaf(order[0])
-	for _, i := range order[1:] {
-		t = combine(t, leaf(i))
-	}
-	return t
-}
-
-// BalancedTree builds a balanced tree over leaves 0..k-1.
-func BalancedTree(k int) *Tree {
-	if k < 1 {
-		panic("plan: BalancedTree needs at least one leaf")
-	}
-	var build func(lo, hi int) *Tree
-	build = func(lo, hi int) *Tree {
-		if hi-lo == 1 {
-			return leaf(lo)
-		}
-		mid := (lo + hi) / 2
-		return combine(build(lo, mid), build(mid, hi))
-	}
-	return build(0, k)
 }
 
 // CombineSpec describes a commutative, associative n-way combine (e.g. a

@@ -6,9 +6,6 @@ import (
 
 func TestLeafSet(t *testing.T) {
 	s := LeafSet(0b1011)
-	if !s.Has(0) || !s.Has(1) || s.Has(2) || !s.Has(3) {
-		t.Fatalf("Has wrong for %v", s)
-	}
 	if s.Count() != 3 {
 		t.Fatalf("Count = %d, want 3", s.Count())
 	}
@@ -105,7 +102,7 @@ func eagerEnumerateTrees(k, max int) []*Tree {
 
 func trailingLeaf(s LeafSet) int {
 	for i := 0; i < 64; i++ {
-		if s.Has(i) {
+		if s&(1<<uint(i)) != 0 {
 			return i
 		}
 	}
@@ -157,18 +154,40 @@ func TestEnumerateTreesPanicsOutOfRange(t *testing.T) {
 	EnumerateTrees(0, 0)
 }
 
+// The enumeration includes the left-deep and the balanced combine order.
 func TestLeftDeepAndBalancedTrees(t *testing.T) {
-	ld := LeftDeepTree([]int{0, 1, 2, 3})
-	if got := ld.String(); got != "(((0+1)+2)+3)" {
-		t.Fatalf("LeftDeepTree = %q", got)
+	found := map[string]LeafSet{}
+	for _, tree := range EnumerateTrees(4, 0) {
+		found[tree.String()] = tree.Set
 	}
-	b := BalancedTree(4)
-	if got := b.String(); got != "((0+1)+(2+3))" {
-		t.Fatalf("BalancedTree = %q", got)
+	for _, tree := range []*Tree{leftDeep(0, 1, 2, 3), balanced(4)} {
+		if set, ok := found[tree.String()]; !ok || set != 0b1111 {
+			t.Errorf("EnumerateTrees(4) lacks %v (set %v, found %v)", tree, set, ok)
+		}
 	}
-	if b.Set != 0b1111 {
-		t.Fatalf("BalancedTree Set = %v", b.Set)
+}
+
+// leftDeep builds the left-deep tree combining leaves in the given order:
+// ((order[0]+order[1])+order[2])+...
+func leftDeep(order ...int) *Tree {
+	t := leaf(order[0])
+	for _, i := range order[1:] {
+		t = combine(t, leaf(i))
 	}
+	return t
+}
+
+// balanced builds a balanced tree over leaves 0..k-1.
+func balanced(k int) *Tree {
+	var build func(lo, hi int) *Tree
+	build = func(lo, hi int) *Tree {
+		if hi-lo == 1 {
+			return leaf(lo)
+		}
+		mid := (lo + hi) / 2
+		return combine(build(lo, mid), build(mid, hi))
+	}
+	return build(0, k)
 }
 
 // fig5Base builds the base graph of the paper's Figure 5: four sources at
@@ -199,7 +218,7 @@ func fig5Base(t *testing.T) (*Graph, *CombineSpec) {
 
 func TestExpandBuildsValidGraph(t *testing.T) {
 	base, spec := fig5Base(t)
-	v, err := spec.Expand(base, BalancedTree(4))
+	v, err := spec.Expand(base, balanced(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +248,11 @@ func TestExpandBuildsValidGraph(t *testing.T) {
 
 func TestExpandRejectsBadInput(t *testing.T) {
 	base, spec := fig5Base(t)
-	if _, err := spec.Expand(base, BalancedTree(3)); err == nil {
+	if _, err := spec.Expand(base, balanced(3)); err == nil {
 		t.Fatal("Expand accepted tree over wrong leaf count")
 	}
 	bad := &CombineSpec{Inputs: spec.Inputs[:1], Output: spec.Output, Template: spec.Template}
-	if _, err := bad.Expand(base, BalancedTree(1)); err == nil {
+	if _, err := bad.Expand(base, balanced(1)); err == nil {
 		t.Fatal("Expand accepted single-input spec")
 	}
 }
@@ -241,7 +260,7 @@ func TestExpandRejectsBadInput(t *testing.T) {
 func TestAdmissibleFromStatefulSubplans(t *testing.T) {
 	base, spec := fig5Base(t)
 	// Plan 1 (Fig 5): ((A+B)+(C+D)) — stateful nodes {0,1}, {2,3}, {0,1,2,3}.
-	p1, err := spec.Expand(base, BalancedTree(4))
+	p1, err := spec.Expand(base, balanced(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +285,7 @@ func TestAdmissibleFromStatefulSubplans(t *testing.T) {
 	// With a stateless template every plan is admissible.
 	stateless := *spec
 	stateless.Template.Stateful = false
-	q1, err := stateless.Expand(base, BalancedTree(4))
+	q1, err := stateless.Expand(base, balanced(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +300,7 @@ func TestAdmissibleFromStatefulSubplans(t *testing.T) {
 
 func TestStatefulLeafSets(t *testing.T) {
 	base, spec := fig5Base(t)
-	v, err := spec.Expand(base, BalancedTree(4))
+	v, err := spec.Expand(base, balanced(4))
 	if err != nil {
 		t.Fatal(err)
 	}

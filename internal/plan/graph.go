@@ -235,15 +235,10 @@ func (g *Graph) OperatorIDs() []OpID {
 }
 
 // Sources returns the IDs of all KindSource operators, ascending.
-func (g *Graph) Sources() []OpID { return g.byKind(KindSource) }
-
-// Sinks returns the IDs of all KindSink operators, ascending.
-func (g *Graph) Sinks() []OpID { return g.byKind(KindSink) }
-
-func (g *Graph) byKind(k Kind) []OpID {
+func (g *Graph) Sources() []OpID {
 	var out []OpID
 	for id, op := range g.ops {
-		if op != nil && op.Kind == k {
+		if op != nil && op.Kind == KindSource {
 			out = append(out, OpID(id))
 		}
 	}

@@ -235,9 +235,6 @@ func TestSourcesSinksStateful(t *testing.T) {
 	if got := g.Sources(); len(got) != 2 || got[0] != s1 || got[1] != s2 {
 		t.Fatalf("Sources = %v", got)
 	}
-	if got := g.Sinks(); len(got) != 1 || got[0] != snk {
-		t.Fatalf("Sinks = %v", got)
-	}
 	if got := g.StatefulOperators(); len(got) != 1 || got[0] != agg {
 		t.Fatalf("StatefulOperators = %v", got)
 	}

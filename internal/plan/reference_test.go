@@ -337,7 +337,7 @@ func refExpand(spec *CombineSpec, base *refGraph, tree *Tree) (*refGraph, map[Op
 func refLeafSetString(s LeafSet) string {
 	out := "{"
 	for i, first := 0, true; i < 64; i++ {
-		if s.Has(i) {
+		if s&(1<<uint(i)) != 0 {
 			if !first {
 				out += ","
 			}

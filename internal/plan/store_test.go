@@ -320,7 +320,7 @@ func TestStringsMatchFmt(t *testing.T) {
 			t.Fatalf("Tree.String() = %q, fmt gives %q", got, want)
 		}
 	}
-	if got, want := LeftDeepTree([]int{11, 3, 15, 0}).String(), "(((11+3)+15)+0)"; got != want {
+	if got, want := leftDeep(11, 3, 15, 0).String(), "(((11+3)+15)+0)"; got != want {
 		t.Errorf("Tree.String() = %q, want %q", got, want)
 	}
 }

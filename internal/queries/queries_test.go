@@ -2,6 +2,7 @@ package queries
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -166,7 +167,7 @@ func TestTopKRecordMatchesOracle(t *testing.T) {
 		t.Fatalf("countries %d != oracle %d", len(got), len(byCountry))
 	}
 	for country, counts := range byCountry {
-		want := stream.TopK(counts, 5)
+		want := topK(counts, 5)
 		if !reflect.DeepEqual(got[country], want) {
 			t.Fatalf("country %s: got %v, want %v", country, got[country], want)
 		}
@@ -200,4 +201,20 @@ func TestEOIRecordFilters(t *testing.T) {
 	if want == 0 {
 		t.Fatal("oracle empty — filter too strict for a meaningful test")
 	}
+}
+
+// topK returns the k highest-count topics from counts, ties broken by topic
+// name ascending.
+func topK(counts map[string]int64, k int) []stream.TopicCount {
+	all := make([]stream.TopicCount, 0, len(counts))
+	for topic, n := range counts {
+		all = append(all, stream.TopicCount{Topic: topic, Count: n})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Count != all[j].Count {
+			return all[i].Count > all[j].Count
+		}
+		return all[i].Topic < all[j].Topic
+	})
+	return all[:min(k, len(all))]
 }

@@ -2,11 +2,9 @@ package state
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/topology"
-	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 // Target is one stateful task the coordinator checkpoints.
@@ -27,41 +25,22 @@ type Target struct {
 	Snapshot func() ([]byte, error)
 }
 
-// Coordinator periodically snapshots registered targets into a Store on
-// the virtual clock — WASP's Checkpoint Coordinator. Targets can be
+// Coordinator snapshots registered targets into a Store, one round per
+// Checkpoint call — WASP's Checkpoint Coordinator. The recovery manager
+// owns the checkpoint cadence and calls Checkpoint on it. Targets can be
 // re-registered when tasks move between sites. The zero value is not
 // usable; use NewCoordinator. Not safe for concurrent use (the simulation
 // is single-threaded).
 type Coordinator struct {
-	store    *Store
-	interval time.Duration
-	targets  map[string]*Target
-	epoch    int64
-	ticker   *vclock.Event
-	onError  func(error)
+	store   *Store
+	targets map[string]*Target
+	epoch   int64
+	onError func(error)
 }
 
-// NewCoordinator creates a coordinator checkpointing every interval on the
-// given scheduler. onError observes snapshot failures (nil means they are
-// silently skipped for that round).
-func NewCoordinator(sched *vclock.Scheduler, store *Store, interval time.Duration, onError func(error)) *Coordinator {
-	if interval <= 0 {
-		panic("state: non-positive checkpoint interval")
-	}
-	c := &Coordinator{
-		store:    store,
-		interval: interval,
-		targets:  make(map[string]*Target),
-		onError:  onError,
-	}
-	c.ticker = sched.Every(interval, func(vclock.Time) { c.Checkpoint() })
-	return c
-}
-
-// NewManualCoordinator creates a coordinator with no periodic ticker:
-// checkpoint rounds run only when Checkpoint is called. The recovery
-// manager uses this to own the checkpoint cadence itself.
-func NewManualCoordinator(store *Store, onError func(error)) *Coordinator {
+// NewCoordinator creates a coordinator over store. onError observes
+// snapshot failures (nil means they are silently skipped for that round).
+func NewCoordinator(store *Store, onError func(error)) *Coordinator {
 	return &Coordinator{
 		store:   store,
 		targets: make(map[string]*Target),
@@ -120,13 +99,5 @@ func (c *Coordinator) Checkpoint() {
 				c.onError(err)
 			}
 		}
-	}
-}
-
-// Stop cancels the periodic checkpointing (a no-op for manual
-// coordinators).
-func (c *Coordinator) Stop() {
-	if c.ticker != nil {
-		c.ticker.Cancel()
 	}
 }

@@ -4,15 +4,14 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-	"time"
 
+	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/topology"
-	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 func TestStorePutLatest(t *testing.T) {
 	s := NewStore()
-	if _, _, ok := s.Latest("j", "op", 0); ok {
+	if _, _, ok := s.LatestExcluding("j", "op", 0); ok {
 		t.Fatal("empty store returned a snapshot")
 	}
 	if err := s.Put(Ref{Job: "j", Operator: "op", Task: 0, Epoch: 1, Site: 2}, []byte("v1")); err != nil {
@@ -21,9 +20,9 @@ func TestStorePutLatest(t *testing.T) {
 	if err := s.Put(Ref{Job: "j", Operator: "op", Task: 0, Epoch: 2, Site: 2}, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	ref, data, ok := s.Latest("j", "op", 0)
+	ref, data, ok := s.LatestExcluding("j", "op", 0)
 	if !ok || string(data) != "v2" || ref.Epoch != 2 {
-		t.Fatalf("Latest = (%+v, %q, %v)", ref, data, ok)
+		t.Fatalf("LatestExcluding() = (%+v, %q, %v)", ref, data, ok)
 	}
 	if ref.Size != 2 {
 		t.Fatalf("Size = %d, want 2", ref.Size)
@@ -71,7 +70,7 @@ func TestStoreLatestExcluding(t *testing.T) {
 	if !ok || string(data) != "e2@4" || ref.Epoch != 2 || ref.Site != 4 {
 		t.Fatalf("LatestExcluding(0) = (%+v, %q, %v)", ref, data, ok)
 	}
-	// No exclusions behaves like Latest.
+	// With no exclusions: the most recent snapshot.
 	ref, _, ok = s.LatestExcluding("j", "op", 2)
 	if !ok || ref.Epoch != 3 || ref.Site != 0 {
 		t.Fatalf("LatestExcluding() = (%+v, %v)", ref, ok)
@@ -84,8 +83,7 @@ func TestStoreLatestExcluding(t *testing.T) {
 
 // The critical recovery case: every copy of the task's state lived on the
 // site that died. Restoring from it would be restoring from nothing —
-// LatestExcluding must say so rather than hand back a dead ref the way
-// Latest does.
+// LatestExcluding must say so rather than hand back a dead ref.
 func TestStoreLatestExcludingOnlyCopyOnDeadSite(t *testing.T) {
 	s := NewStore()
 	for e := int64(1); e <= 3; e++ {
@@ -93,8 +91,8 @@ func TestStoreLatestExcludingOnlyCopyOnDeadSite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok := s.Latest("j", "agg", 0); !ok {
-		t.Fatal("Latest lost the snapshots")
+	if _, _, ok := s.LatestExcluding("j", "agg", 0); !ok {
+		t.Fatal("LatestExcluding() lost the snapshots")
 	}
 	if ref, _, ok := s.LatestExcluding("j", "agg", 0, 5); ok {
 		t.Fatalf("LatestExcluding(5) returned %+v although the only copies were at site 5", ref)
@@ -105,6 +103,8 @@ func TestStoreLatestExcludingOnlyCopyOnDeadSite(t *testing.T) {
 	}
 }
 
+// The latest snapshot held at one site is the latest once every other
+// site is excluded: a localized restore reads no copy from elsewhere.
 func TestStoreLatestAtSite(t *testing.T) {
 	s := NewStore()
 	mustPut := func(epoch int64, site int, v string) {
@@ -117,16 +117,16 @@ func TestStoreLatestAtSite(t *testing.T) {
 	mustPut(2, 1, "at1")
 	mustPut(3, 1, "at1b")
 
-	ref, data, ok := s.LatestAt("j", "op", 1, 0)
+	ref, data, ok := s.LatestExcluding("j", "op", 1, 1)
 	if !ok || string(data) != "at0" || ref.Epoch != 1 {
-		t.Fatalf("LatestAt(0) = (%+v, %q, %v)", ref, data, ok)
+		t.Fatalf("latest at site 0 = (%+v, %q, %v)", ref, data, ok)
 	}
-	ref, data, ok = s.LatestAt("j", "op", 1, 1)
+	ref, data, ok = s.LatestExcluding("j", "op", 1, 0)
 	if !ok || string(data) != "at1b" || ref.Epoch != 3 {
-		t.Fatalf("LatestAt(1) = (%+v, %q, %v)", ref, data, ok)
+		t.Fatalf("latest at site 1 = (%+v, %q, %v)", ref, data, ok)
 	}
-	if _, _, ok := s.LatestAt("j", "op", 1, 7); ok {
-		t.Fatal("LatestAt for unused site returned data")
+	if _, _, ok := s.LatestExcluding("j", "op", 1, 0, 1); ok {
+		t.Fatal("latest at a site holding no copy returned data")
 	}
 }
 
@@ -138,12 +138,12 @@ func TestStorePrune(t *testing.T) {
 		}
 	}
 	s.Prune("j", "op", 0, 4)
-	refs := s.Refs()
+	refs := storedRefs(s)
 	if len(refs) != 2 || refs[0].Epoch != 4 || refs[1].Epoch != 5 {
 		t.Fatalf("after prune refs = %v", refs)
 	}
 	s.Prune("j", "op", 0, 100)
-	if len(s.Refs()) != 0 {
+	if len(storedRefs(s)) != 0 {
 		t.Fatal("prune-all left snapshots")
 	}
 }
@@ -166,50 +166,21 @@ func TestStoreCopiesData(t *testing.T) {
 	data := []byte("orig")
 	_ = s.Put(Ref{Job: "j", Operator: "op", Epoch: 1}, data)
 	data[0] = 'X'
-	_, got, _ := s.Latest("j", "op", 0)
+	_, got, _ := s.LatestExcluding("j", "op", 0)
 	if string(got) != "orig" {
 		t.Fatal("store aliased caller data")
 	}
 	got[0] = 'Y'
-	_, got2, _ := s.Latest("j", "op", 0)
+	_, got2, _ := s.LatestExcluding("j", "op", 0)
 	if string(got2) != "orig" {
 		t.Fatal("store leaked internal data")
 	}
 }
 
-func TestCoordinatorPeriodicCheckpoints(t *testing.T) {
-	sched := vclock.NewScheduler(nil)
-	store := NewStore()
-	c := NewCoordinator(sched, store, 30*time.Second, nil)
-	val := []byte("s0")
-	c.Register(Target{
-		Job: "q", Operator: "agg", Task: 0, Site: 3,
-		Snapshot: func() ([]byte, error) { return val, nil },
-	})
-	if err := sched.RunUntil(65 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Epoch(); got != 2 {
-		t.Fatalf("Epoch = %d, want 2", got)
-	}
-	ref, data, ok := store.Latest("q", "agg", 0)
-	if !ok || string(data) != "s0" || ref.Site != 3 {
-		t.Fatalf("Latest = (%+v, %q, %v)", ref, data, ok)
-	}
-	c.Stop()
-	if err := sched.RunUntil(10 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Epoch(); got != 2 {
-		t.Fatalf("checkpoints continued after Stop: epoch %d", got)
-	}
-}
-
 func TestCoordinatorErrorHandling(t *testing.T) {
-	sched := vclock.NewScheduler(nil)
 	store := NewStore()
 	var errs []error
-	c := NewCoordinator(sched, store, time.Second, func(err error) { errs = append(errs, err) })
+	c := NewCoordinator(store, func(err error) { errs = append(errs, err) })
 	c.Register(Target{
 		Job: "q", Operator: "bad", Task: 0,
 		Snapshot: func() ([]byte, error) { return nil, errors.New("boom") },
@@ -218,16 +189,14 @@ func TestCoordinatorErrorHandling(t *testing.T) {
 	if len(errs) != 1 {
 		t.Fatalf("errs = %v", errs)
 	}
-	if _, _, ok := store.Latest("q", "bad", 0); ok {
+	if _, _, ok := store.LatestExcluding("q", "bad", 0); ok {
 		t.Fatal("failed snapshot was stored")
 	}
-	c.Stop()
 }
 
 func TestCoordinatorReRegisterMovesSite(t *testing.T) {
-	sched := vclock.NewScheduler(nil)
 	store := NewStore()
-	c := NewCoordinator(sched, store, time.Second, nil)
+	c := NewCoordinator(store, nil)
 	mk := func(site int) Target {
 		return Target{
 			Job: "q", Operator: "op", Task: 0, Site: topoSite(site),
@@ -241,11 +210,10 @@ func TestCoordinatorReRegisterMovesSite(t *testing.T) {
 	if c.Targets() != 1 {
 		t.Fatalf("Targets = %d, want 1 (re-register replaces)", c.Targets())
 	}
-	ref, _, _ := store.Latest("q", "op", 0)
+	ref, _, _ := store.LatestExcluding("q", "op", 0)
 	if ref.Site != 5 {
 		t.Fatalf("latest site = %v, want 5", ref.Site)
 	}
-	c.Stop()
 }
 
 // Regression: Checkpoint used to iterate the targets map directly, so
@@ -257,7 +225,7 @@ func TestCoordinatorReRegisterMovesSite(t *testing.T) {
 func TestCoordinatorCheckpointDeterministicOrder(t *testing.T) {
 	run := func() (errs []string, refs []Ref) {
 		store := NewStore()
-		c := NewManualCoordinator(store, func(err error) { errs = append(errs, err.Error()) })
+		c := NewCoordinator(store, func(err error) { errs = append(errs, err.Error()) })
 		for i := 0; i < 8; i++ {
 			i := i
 			tgt := Target{
@@ -270,7 +238,7 @@ func TestCoordinatorCheckpointDeterministicOrder(t *testing.T) {
 			c.Register(tgt)
 		}
 		c.Checkpoint()
-		return errs, store.Refs()
+		return errs, storedRefs(store)
 	}
 
 	wantErrs := []string{
@@ -290,14 +258,14 @@ func TestCoordinatorCheckpointDeterministicOrder(t *testing.T) {
 
 func TestCoordinatorReplicatesCheckpoints(t *testing.T) {
 	store := NewStore()
-	c := NewManualCoordinator(store, func(err error) { t.Fatal(err) })
+	c := NewCoordinator(store, func(err error) { t.Fatal(err) })
 	c.Register(Target{
 		Job: "q", Operator: "agg", Task: 0, Site: 3,
 		Replicas: []topology.SiteID{1, 3}, // the duplicate of site 3 must be skipped
 		Snapshot: func() ([]byte, error) { return []byte("s"), nil },
 	})
 	c.Checkpoint()
-	refs := store.Refs()
+	refs := storedRefs(store)
 	if len(refs) != 2 {
 		t.Fatalf("refs = %v, want primary + one replica", refs)
 	}
@@ -312,14 +280,12 @@ func TestCoordinatorReplicatesCheckpoints(t *testing.T) {
 }
 
 func TestCoordinatorUnregister(t *testing.T) {
-	sched := vclock.NewScheduler(nil)
-	c := NewCoordinator(sched, NewStore(), time.Second, nil)
+	c := NewCoordinator(NewStore(), nil)
 	c.Register(Target{Job: "q", Operator: "op", Task: 0, Snapshot: func() ([]byte, error) { return nil, nil }})
 	c.Unregister("q", "op", 0)
 	if c.Targets() != 0 {
 		t.Fatalf("Targets = %d after Unregister", c.Targets())
 	}
-	c.Stop()
 }
 
 func TestPartitionKeyProperties(t *testing.T) {
@@ -357,3 +323,15 @@ func TestPartitionKeySpreads(t *testing.T) {
 
 // topoSite converts an int to a topology.SiteID for test brevity.
 func topoSite(i int) topology.SiteID { return topology.SiteID(i) }
+
+// storedRefs returns the refs of every stored snapshot, ordered by task key
+// then epoch.
+func storedRefs(s *Store) []Ref {
+	var out []Ref
+	for _, k := range detutil.SortedKeys(s.snaps) {
+		for _, e := range s.snaps[k] {
+			out = append(out, e.ref)
+		}
+	}
+	return out
+}

@@ -1,7 +1,7 @@
 // Package state implements WASP's local state management (§5): operator
 // state snapshots, a site-local checkpoint store (states are checkpointed
 // to the site where the task runs, never over the WAN), a checkpoint
-// coordinator driving periodic snapshots on the virtual clock, and the
+// coordinator that snapshots every registered task in one round, and the
 // key-hash partitioner used when state is split across scaled-out tasks.
 package state
 
@@ -10,7 +10,6 @@ import (
 	"hash/fnv"
 	"sync"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/topology"
 )
 
@@ -81,45 +80,12 @@ func (s *Store) Put(ref Ref, data []byte) error {
 	return nil
 }
 
-// Latest returns the most recent snapshot for a task, if any.
-func (s *Store) Latest(job, operator string, task int) (Ref, []byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := Ref{Job: job, Operator: operator, Task: task}.taskKey()
-	es := s.snaps[key]
-	if len(es) == 0 {
-		return Ref{}, nil, false
-	}
-	e := es[len(es)-1]
-	out := make([]byte, len(e.data))
-	copy(out, e.data)
-	return e.ref, out, true
-}
-
-// LatestAt returns the most recent snapshot for a task stored at the given
-// site (a localized restore: a recovering task may only read local
-// checkpoints without a WAN transfer).
-func (s *Store) LatestAt(job, operator string, task int, site topology.SiteID) (Ref, []byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := Ref{Job: job, Operator: operator, Task: task}.taskKey()
-	es := s.snaps[key]
-	for i := len(es) - 1; i >= 0; i-- {
-		if es[i].ref.Site == site {
-			out := make([]byte, len(es[i].data))
-			copy(out, es[i].data)
-			return es[i].ref, out, true
-		}
-	}
-	return Ref{}, nil, false
-}
-
 // LatestExcluding returns the most recent snapshot for a task that is
-// NOT stored at any of the excluded sites. Recovery after a site crash
-// must use this: Latest/LatestAt would happily return a ref hosted on
-// the dead site, whose bytes are gone with it. ok=false means every
-// surviving copy (if any) was on an excluded site — the task's state is
-// lost and it must restart empty.
+// NOT stored at any of the excluded sites (with none excluded, the most
+// recent snapshot). Recovery after a site crash excludes the dead site,
+// whose bytes are gone with it. ok=false means every surviving copy (if
+// any) was on an excluded site — the task's state is lost and it must
+// restart empty.
 func (s *Store) LatestExcluding(job, operator string, task int, excluded ...topology.SiteID) (Ref, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -156,20 +122,6 @@ func (s *Store) Prune(job, operator string, task int, keepEpoch int64) {
 		return
 	}
 	s.snaps[key] = kept
-}
-
-// Refs returns the refs of all stored snapshots, ordered by task key then
-// epoch — for inspection and tests.
-func (s *Store) Refs() []Ref {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Ref
-	for _, k := range detutil.SortedKeys(s.snaps) {
-		for _, e := range s.snaps[k] {
-			out = append(out, e.ref)
-		}
-	}
-	return out
 }
 
 // BytesAt reports the total checkpoint bytes stored at one site.

@@ -135,18 +135,6 @@ func TestWindowJoinBadPortPanics(t *testing.T) {
 	j.OnEvent(2, ev(0, "k", nil), func(Event) {})
 }
 
-func TestTopKFunction(t *testing.T) {
-	counts := map[string]int64{"a": 5, "b": 9, "c": 5, "d": 1}
-	got := TopK(counts, 3)
-	want := []TopicCount{{"b", 9}, {"a", 5}, {"c", 5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("TopK = %v, want %v", got, want)
-	}
-	if got := TopK(counts, 10); len(got) != 4 {
-		t.Fatalf("TopK with k>n = %v", got)
-	}
-}
-
 func TestWindowTopK(t *testing.T) {
 	tk := &WindowTopK{
 		Size:    30 * time.Second,

@@ -108,30 +108,10 @@ func (p *Pipeline) MustConnect(from, to NodeID, port int) {
 	}
 }
 
-// Handler returns the operator handler at the given node (nil for sources
-// and sinks) — used for state snapshot/restore.
-func (p *Pipeline) Handler(id NodeID) Handler { return p.nodes[id].handler }
-
-// Inject delivers one event into a source node, flowing it through the
-// whole DAG depth-first.
-func (p *Pipeline) Inject(src NodeID, e Event) error {
-	if !p.known(src) {
-		return fmt.Errorf("stream: inject into %d: unknown node", src)
-	}
-	n := p.nodes[src]
-	if n.kind != nodeSource {
-		return fmt.Errorf("stream: node %q is not a source", n.name)
-	}
-	if _, err := p.topoOrder(); err != nil {
-		return err
-	}
-	n.forward(e)
-	return nil
-}
-
 // forward hands one output of n to each consumer in connection order,
 // recursing through the consumer's handler before moving to the next
-// (depth-first). Connect admits no edge into a source.
+// (depth-first). Run forwards each input event from its source node.
+// Connect admits no edge into a source.
 func (n *pipelineNode) forward(e Event) {
 	for _, ed := range n.edges {
 		if to := ed.to; to.kind == nodeSink {

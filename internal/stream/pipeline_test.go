@@ -193,22 +193,9 @@ func TestPipelineDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestHandlerAccessor(t *testing.T) {
-	p := NewPipeline()
-	src := p.AddSource("s")
-	f := &Filter{Pred: func(Event) bool { return true }}
-	op := p.AddNode("f", f)
-	if p.Handler(src) != nil {
-		t.Fatal("source has a handler")
-	}
-	if p.Handler(op) != Handler(f) {
-		t.Fatal("Handler did not return the operator")
-	}
-}
-
 // Mutating a pipeline after it has delivered events must reach the next
 // event and the next watermark: a consumer and an operator added after a Run
-// are not left out by anything Run or Inject prepared.
+// are not left out by anything Run prepared.
 func TestConnectAfterRunTakesEffect(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
@@ -216,10 +203,7 @@ func TestConnectAfterRunTakesEffect(t *testing.T) {
 	first := p.AddSink("first")
 	p.MustConnect(src, m, 0)
 	p.MustConnect(m, first, 0)
-	if err := p.Inject(src, ev(time.Second, "k", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Watermark(vclock.Time(2 * time.Second)); err != nil {
+	if err := p.Run(Inputs{src: {ev(time.Second, "k", 1)}}, RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -229,10 +213,7 @@ func TestConnectAfterRunTakesEffect(t *testing.T) {
 	counted := p.AddSink("counted")
 	p.MustConnect(m, cnt, 0)
 	p.MustConnect(cnt, counted, 0)
-	if err := p.Inject(src, ev(3*time.Second, "k", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Watermark(MaxWatermark); err != nil {
+	if err := p.Run(Inputs{src: {ev(3*time.Second, "k", 10)}}, RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.SinkEvents(first); len(got) != 2 || got[1].Value != 11 {
@@ -242,38 +223,27 @@ func TestConnectAfterRunTakesEffect(t *testing.T) {
 		t.Fatalf("sink connected after the first event = %v, want the second event only", got)
 	}
 	if got := p.SinkEvents(counted); len(got) != 1 || got[0].Value != int64(1) {
-		t.Fatalf("operator added after the first watermark flushed %v, want one count of 1", got)
+		t.Fatalf("operator added after the first run flushed %v, want one count of 1", got)
 	}
 }
 
-// reinjector emits its input, injects a copy into another source of the same
-// pipeline, and emits again.
-type reinjector struct {
-	p    *Pipeline
-	into NodeID
-}
+// emitTwice emits its input, then a copy keyed "again".
+type emitTwice struct{}
 
-func (r *reinjector) OnEvent(_ int, e Event, emit Emit) {
+func (emitTwice) OnEvent(_ int, e Event, emit Emit) {
 	emit(e)
-	nested := e
-	nested.Key = "nested"
-	if err := r.p.Inject(r.into, nested); err != nil {
-		panic(err)
-	}
 	e.Key = "again"
 	emit(e)
 }
-func (r *reinjector) OnWatermark(vclock.Time, Emit) {}
+func (emitTwice) OnWatermark(vclock.Time, Emit) {}
 
 // A handler's emits are delivered depth-first: everything downstream of one
-// emit — both consumers of a fan-out, and an Inject made from inside the
-// handler while Run is delivering — completes before the next emit starts.
+// emit — both consumers of a fan-out — completes before the next emit
+// starts.
 func TestEmitTwiceKeepsDepthFirstOrder(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
-	side := p.AddSource("side")
-	re := &reinjector{p: p, into: side}
-	h := p.AddNode("reinject", re)
+	h := p.AddNode("twice", emitTwice{})
 	tag := func(prefix string) *Map {
 		return &Map{Fn: func(e Event) Event { e.Key = prefix + e.Key; return e }}
 	}
@@ -285,7 +255,6 @@ func TestEmitTwiceKeepsDepthFirstOrder(t *testing.T) {
 	p.MustConnect(h, right, 0)
 	p.MustConnect(left, out, 0)
 	p.MustConnect(right, out, 0)
-	p.MustConnect(side, out, 0)
 	if err := p.Run(Inputs{src: {ev(time.Second, "first", 1)}}, RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -293,15 +262,15 @@ func TestEmitTwiceKeepsDepthFirstOrder(t *testing.T) {
 	for _, e := range p.SinkEvents(out) {
 		got = append(got, e.Key)
 	}
-	want := []string{"L:first", "R:first", "nested", "L:again", "R:again"}
+	want := []string{"L:first", "R:first", "L:again", "R:again"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivery order %v, want %v", got, want)
 	}
 }
 
-// A NodeID that names no node is an error from Run and Inject, as it is from
-// Connect, and Run delivers nothing before it has checked every input.
-func TestRunAndInjectRejectUnknownNode(t *testing.T) {
+// A NodeID that names no node is an error from Run, as it is from Connect,
+// and Run delivers nothing before it has checked every input.
+func TestRunRejectsUnknownNode(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
 	other := p.AddSource("other")
@@ -310,9 +279,6 @@ func TestRunAndInjectRejectUnknownNode(t *testing.T) {
 	p.MustConnect(other, snk, 0)
 	ok := []Event{ev(time.Second, "a", 1)}
 	for _, id := range []NodeID{99, -1} {
-		if err := p.Inject(id, ok[0]); err == nil {
-			t.Fatalf("Inject into node %d accepted", id)
-		}
 		if err := p.Run(Inputs{src: ok, id: ok}, RunConfig{}); err == nil {
 			t.Fatalf("Run with input for node %d accepted", id)
 		}
@@ -326,7 +292,7 @@ func TestRunAndInjectRejectUnknownNode(t *testing.T) {
 	}
 }
 
-func TestInjectRejectsCycle(t *testing.T) {
+func TestRunRejectsCycle(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
 	a := p.AddNode("a", &Union{})
@@ -334,8 +300,8 @@ func TestInjectRejectsCycle(t *testing.T) {
 	p.MustConnect(src, a, 0)
 	p.MustConnect(a, b, 0)
 	p.MustConnect(b, a, 0)
-	if err := p.Inject(src, ev(0, "k", 1)); err == nil {
-		t.Fatal("Inject into a cyclic pipeline accepted")
+	if err := p.Run(Inputs{src: {ev(0, "k", 1)}}, RunConfig{}); err == nil {
+		t.Fatal("Run over a cyclic pipeline accepted")
 	}
 }
 
@@ -347,7 +313,7 @@ func (d *discard) OnEvent(int, Event, Emit)      { d.n++ }
 func (d *discard) OnWatermark(vclock.Time, Emit) {}
 
 // A record crossing operator hops allocates nothing: no closure per hop, no
-// lookup per edge.
+// lookup per edge. Run hands each input event to its source's forward.
 func TestDispatchAllocs(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
@@ -361,11 +327,8 @@ func TestDispatchAllocs(t *testing.T) {
 	p.MustConnect(m, u, 0)
 	p.MustConnect(u, d, 0)
 	e := ev(time.Second, "k", 1)
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := p.Inject(src, e); err != nil {
-			t.Fatal(err)
-		}
-	})
+	from := p.nodes[src]
+	allocs := testing.AllocsPerRun(1000, func() { from.forward(e) })
 	if allocs != 0 || end.n == 0 {
 		t.Fatalf("%v allocs per record over four hops (%d delivered), want 0", allocs, end.n)
 	}

@@ -488,7 +488,11 @@ func TestCountMovesToAnEquivalentAggregate(t *testing.T) {
 			}
 		}
 	}
-	sum := SumBy(time.Second, func(Event) float64 { return 1 })
+	sum := &WindowAggregate{
+		Size: time.Second,
+		Init: func() any { return float64(0) },
+		Add:  func(acc any, _ Event) any { return acc.(float64) + 1 },
+	}
 	sum.OnEvent(0, Event{Key: "a"}, nil)
 	snap, err := sum.SnapshotState()
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -182,20 +181,6 @@ func (t *WindowTopK) rank(row *topicRow) []TopicCount {
 		top = slices.Insert(top, at, c)
 	}
 	return top
-}
-
-// TopK returns the k highest-count topics from counts, ties broken by
-// topic name ascending.
-func TopK(counts map[string]int64, k int) []TopicCount {
-	all := make([]TopicCount, 0, len(counts))
-	for _, topic := range detutil.SortedKeys(counts) {
-		all = append(all, TopicCount{Topic: topic, Count: counts[topic]})
-	}
-	slices.SortFunc(all, compareTopics)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
 }
 
 // StateSize returns the number of live (window, group, topic) counters.

@@ -164,12 +164,3 @@ func (w *WindowAggregate) RestoreState(data []byte) error { return w.state.resto
 func Count(size time.Duration) *WindowAggregate {
 	return &WindowAggregate{Size: size, state: aggregate{counting: true}}
 }
-
-// SumBy returns a WindowAggregate summing fn(event) per key per window.
-func SumBy(size time.Duration, fn func(Event) float64) *WindowAggregate {
-	return &WindowAggregate{
-		Size: size,
-		Init: func() any { return float64(0) },
-		Add:  func(acc any, e Event) any { return acc.(float64) + fn(e) },
-	}
-}

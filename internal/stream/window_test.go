@@ -64,8 +64,13 @@ func TestCountAggregates(t *testing.T) {
 	}
 }
 
+// A WindowAggregate literal sums a field per key per window.
 func TestSumBy(t *testing.T) {
-	s := SumBy(10*time.Second, func(e Event) float64 { return float64(e.Value.(int)) })
+	s := &WindowAggregate{
+		Size: 10 * time.Second,
+		Init: func() any { return float64(0) },
+		Add:  func(acc any, e Event) any { return acc.(float64) + float64(e.Value.(int)) },
+	}
 	collect(s, 0, ev(1*time.Second, "x", 2), ev(2*time.Second, "x", 3))
 	out := flush(s, MaxWatermark)
 	if len(out) != 1 || out[0].Value.(float64) != 5 {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -145,6 +146,17 @@ func GenerateScale(cfg ScaleConfig) (*Topology, error) {
 		}
 	}
 	return NewRegioned(sites, lat, bw, regionOf)
+}
+
+// Domains partitions t into the regions that the hierarchical placement
+// planner solves over and the control plane quarantines: the topology's
+// labelled regions when it has them (GenerateScale topologies), else ⌈√N⌉
+// ClusterRegions latency clusters.
+func Domains(t *Topology) [][]SiteID {
+	if t.NumRegions() > 0 {
+		return t.RegionSites()
+	}
+	return ClusterRegions(t, int(math.Ceil(math.Sqrt(float64(t.N())))))
 }
 
 // ClusterRegions partitions an arbitrary topology into k latency

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -51,11 +52,6 @@ func TestGenerateScaleRegionStructure(t *testing.T) {
 	}
 	regions := top.RegionSites()
 	for r, members := range regions {
-		for _, s := range members {
-			if top.RegionOf(s) != RegionID(r) {
-				t.Fatalf("site %d listed in region %d but RegionOf = %d", s, r, top.RegionOf(s))
-			}
-		}
 		// Each region leads with its hub (lowest ID, a DC).
 		hub := top.Site(members[0])
 		if hub.Kind != DataCenter || !strings.HasSuffix(hub.Name, "-hub") {
@@ -67,7 +63,7 @@ func TestGenerateScaleRegionStructure(t *testing.T) {
 	}
 	// Edge sites carry user populations within the profile's bounds.
 	users := 0
-	for _, s := range top.Sites() {
+	for _, s := range top.sites {
 		if s.Kind == Edge {
 			if s.Users < usersPerEdgeMin || s.Users > usersPerEdgeMax {
 				t.Fatalf("edge site %s has %d users, want [%d,%d]", s.Name, s.Users, usersPerEdgeMin, usersPerEdgeMax)
@@ -91,6 +87,7 @@ func TestGenerateScaleMillionsOfUsers(t *testing.T) {
 func TestGenerateScaleLatencyTiers(t *testing.T) {
 	top := scaleShape(t, 3, 8, 4)
 	n := top.N()
+	regionOf := regionIDs(top)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			a, b := SiteID(i), SiteID(j)
@@ -106,7 +103,7 @@ func TestGenerateScaleLatencyTiers(t *testing.T) {
 				if l != intraSiteLat {
 					t.Fatalf("intra-site latency %v, want %v", l, intraSiteLat)
 				}
-			case top.RegionOf(a) == top.RegionOf(b):
+			case regionOf[a] == regionOf[b]:
 				if l < regionLatMin || l > regionLatMax {
 					t.Fatalf("intra-region latency %v outside [%v,%v]", l, regionLatMin, regionLatMax)
 				}
@@ -139,8 +136,23 @@ func TestGenerateScaleDegenerateShapes(t *testing.T) {
 
 // dumpHash fingerprints everything a generator produces.
 func dumpHash(top *Topology) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%v\n%v\n%v\n%v\n", top.sites, top.lat, top.bw, top.regionOf)))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%v\n%v\n%v\n%v\n", top.sites, top.lat, top.bw, regionIDs(top))))
 	return hex.EncodeToString(sum[:8])
+}
+
+// regionIDs is every site's region ID under the partition (nil when the
+// topology is unregioned).
+func regionIDs(top *Topology) []RegionID {
+	if top.regions == nil {
+		return nil
+	}
+	out := make([]RegionID, top.N())
+	for r, members := range top.regions {
+		for _, s := range members {
+			out[s] = RegionID(r)
+		}
+	}
+	return out
 }
 
 // TestGeneratedTopologiesPinned holds both generators to their output bit
@@ -165,7 +177,7 @@ func TestGeneratedTopologiesPinned(t *testing.T) {
 
 func TestNewRegionedValidation(t *testing.T) {
 	base := Generate(DefaultGenConfig(1))
-	sites := base.Sites()
+	sites := slices.Clone(base.sites)
 	n := len(sites)
 	lat := make([][]time.Duration, n)
 	bw := make([][]Mbps, n)

@@ -26,9 +26,6 @@ type Mbps float64
 //waspvet:hotpath
 func (b Mbps) BytesPerSec() float64 { return float64(b) * 1e6 / 8 }
 
-// MBPerSec converts a bandwidth to megabytes per second.
-func (b Mbps) MBPerSec() float64 { return float64(b) / 8 }
-
 // SiteID identifies a site within a Topology (dense, 0-based).
 type SiteID int
 
@@ -79,10 +76,10 @@ type Topology struct {
 	lat   [][]time.Duration // lat[from][to]
 	bw    [][]Mbps          // bw[from][to], base capacity
 
-	// Region partition (planet-scale topologies only; nil when the
-	// topology is unregioned, e.g. the §8.2 testbed).
-	regionOf []RegionID
-	regions  [][]SiteID // region -> member sites, ascending
+	// Region partition, region -> member sites ascending (planet-scale
+	// topologies only; nil when the topology is unregioned, e.g. the §8.2
+	// testbed).
+	regions [][]SiteID
 
 	// Latency in float64 seconds, one row (from a site to every site) or
 	// column (from every site to a site) per entry, built on first use by
@@ -153,7 +150,6 @@ func NewRegioned(sites []Site, lat [][]time.Duration, bw [][]Mbps, regionOf []Re
 			return nil, fmt.Errorf("topology: region %d is empty (IDs must be dense)", r)
 		}
 	}
-	t.regionOf = append([]RegionID(nil), regionOf...)
 	t.regions = regions
 	return t, nil
 }
@@ -166,15 +162,6 @@ func (t *Topology) N() int { return len(t.sites) }
 // NumRegions returns the number of regions of the partition, or 0 when
 // the topology is unregioned.
 func (t *Topology) NumRegions() int { return len(t.regions) }
-
-// RegionOf returns the region hosting site id, or -1 when the topology is
-// unregioned.
-func (t *Topology) RegionOf(id SiteID) RegionID {
-	if t.regionOf == nil {
-		return -1
-	}
-	return t.regionOf[id]
-}
 
 // RegionSites returns the region partition as per-region member lists in
 // region-index order (ascending site IDs; the first member of a generated
@@ -189,13 +176,6 @@ func (t *Topology) TotalUsers() int {
 		total += s.Users
 	}
 	return total
-}
-
-// Sites returns a copy of the site list.
-func (t *Topology) Sites() []Site {
-	out := make([]Site, len(t.sites))
-	copy(out, t.sites)
-	return out
 }
 
 // Site returns the site with the given ID.

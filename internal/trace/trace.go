@@ -1,14 +1,13 @@
 // Package trace generates the deterministic, seeded time-series that drive
 // WASP experiments: WAN bandwidth variation (paper Fig 2), live-environment
-// bandwidth/workload variation factors (§8.6), scripted step dynamics
-// (§8.4–8.5), and diurnal workload patterns (§2.2).
+// bandwidth/workload variation factors (§8.6) and scripted step dynamics
+// (§8.4–8.5).
 //
 // A Trace is a piecewise-constant function of virtual time. All generators
 // are pure functions of their seed, so experiments replay exactly.
 package trace
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -28,18 +27,6 @@ type Point struct {
 type Trace struct {
 	points  []Point // sorted by T ascending
 	Default float64 // value before the first point / for an empty trace
-}
-
-// New builds a trace from points, which must be sorted by strictly
-// increasing time.
-func New(points ...Point) (*Trace, error) {
-	for i := 1; i < len(points); i++ {
-		if points[i].T <= points[i-1].T {
-			return nil, fmt.Errorf("trace: points not strictly increasing at index %d (%v <= %v)",
-				i, points[i].T, points[i-1].T)
-		}
-	}
-	return &Trace{points: points}, nil
 }
 
 // Constant returns a trace that always evaluates to v.
@@ -171,25 +158,6 @@ func Steps(interval time.Duration, factors ...float64) *Trace {
 		def = factors[0]
 	}
 	return &Trace{points: pts, Default: def}
-}
-
-// Diurnal builds a day/night workload pattern: a raised cosine with the
-// given period whose peak/trough ratio is `ratio` (the paper cites Twitter
-// day hours carrying 2× the night workload). Mean value is 1. The trace is
-// sampled every `interval`.
-func Diurnal(period, interval, duration time.Duration, ratio float64) *Trace {
-	if ratio < 1 {
-		panic("trace: Diurnal ratio must be >= 1")
-	}
-	// peak = 2r/(r+1), trough = 2/(r+1) so that peak/trough = r, mean = 1.
-	amp := (ratio - 1) / (ratio + 1)
-	var pts []Point
-	for t := vclock.Time(0); t <= duration; t += interval {
-		phase := 2 * math.Pi * float64(t) / float64(period)
-		v := 1 - amp*math.Cos(phase) // trough at t=0 (night), peak mid-period
-		pts = append(pts, Point{T: t, V: v})
-	}
-	return &Trace{points: pts, Default: 1}
 }
 
 func clamp(v, lo, hi float64) float64 {

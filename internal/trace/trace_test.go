@@ -19,27 +19,12 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestNewRejectsUnsorted(t *testing.T) {
-	_, err := New(Point{T: time.Second, V: 1}, Point{T: time.Second, V: 2})
-	if err == nil {
-		t.Fatal("New with duplicate times did not error")
-	}
-	_, err = New(Point{T: 2 * time.Second, V: 1}, Point{T: time.Second, V: 2})
-	if err == nil {
-		t.Fatal("New with decreasing times did not error")
-	}
-}
-
 func TestAtPiecewiseConstant(t *testing.T) {
-	tr, err := New(
-		Point{T: 10 * time.Second, V: 1},
-		Point{T: 20 * time.Second, V: 2},
-		Point{T: 30 * time.Second, V: 3},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Default = -1
+	tr := &Trace{Default: -1, points: []Point{
+		{T: 10 * time.Second, V: 1},
+		{T: 20 * time.Second, V: 2},
+		{T: 30 * time.Second, V: 3},
+	}}
 	tests := []struct {
 		at   vclock.Time
 		want float64
@@ -146,18 +131,6 @@ func TestRandomWalkPointCount(t *testing.T) {
 	})
 	if got, want := tr.Len(), 13; got != want { // t=0,5,...,60
 		t.Fatalf("Len = %d, want %d", got, want)
-	}
-}
-
-func TestDiurnalMeanAndRatio(t *testing.T) {
-	tr := Diurnal(24*time.Hour, 10*time.Minute, 24*time.Hour, 2)
-	st := tr.Summarize()
-	if math.Abs(st.Mean-1) > 0.02 {
-		t.Fatalf("Diurnal mean = %v, want ~1", st.Mean)
-	}
-	ratio := st.Max / st.Min
-	if math.Abs(ratio-2) > 0.05 {
-		t.Fatalf("Diurnal peak/trough = %v, want ~2", ratio)
 	}
 }
 

@@ -6,7 +6,6 @@ package vclock
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"time"
 )
@@ -14,10 +13,6 @@ import (
 // Time is an instant on the virtual time line, expressed as the elapsed
 // duration since the start of the simulation (virtual epoch 0).
 type Time = time.Duration
-
-// ErrStopped is returned by Run* methods when the scheduler was stopped
-// explicitly via Stop.
-var ErrStopped = errors.New("vclock: scheduler stopped")
 
 // Clock is a virtual clock. The zero value is ready to use and reads 0.
 // Clock is not safe for concurrent use; the simulation is single-threaded
@@ -29,16 +24,8 @@ type Clock struct {
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Advance moves the clock forward by d. It panics if d is negative, since
+// advanceTo moves the clock to t. It panics if t is in the past, since
 // virtual time is monotone.
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("vclock: negative advance %v", d))
-	}
-	c.now += d
-}
-
-// advanceTo moves the clock to t, which must not be in the past.
 func (c *Clock) advanceTo(t Time) {
 	if t < c.now {
 		panic(fmt.Sprintf("vclock: advanceTo %v before now %v", t, c.now))
@@ -59,9 +46,6 @@ type Event struct {
 // or already-canceled event is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
 
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Scheduler is a deterministic discrete-event scheduler driving a Clock.
 // Events scheduled for the same instant fire in the order they were
 // scheduled. The zero value is not usable; use NewScheduler.
@@ -69,7 +53,6 @@ type Scheduler struct {
 	clock   *Clock
 	queue   eventQueue
 	nextSeq uint64
-	stopped bool
 }
 
 // NewScheduler returns a Scheduler driving the given clock. If clock is
@@ -80,9 +63,6 @@ func NewScheduler(clock *Clock) *Scheduler {
 	}
 	return &Scheduler{clock: clock}
 }
-
-// Clock returns the clock driven by this scheduler.
-func (s *Scheduler) Clock() *Clock { return s.clock }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.clock.Now() }
@@ -99,11 +79,6 @@ func (s *Scheduler) At(t Time, fn func(now Time)) *Event {
 	return ev
 }
 
-// After schedules fn to run d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, fn func(now Time)) *Event {
-	return s.At(s.clock.Now()+d, fn)
-}
-
 // Every schedules fn to run every interval, starting at now+interval, until
 // the returned Event is canceled. fn observes the fire time.
 func (s *Scheduler) Every(interval time.Duration, fn func(now Time)) *Event {
@@ -113,8 +88,8 @@ func (s *Scheduler) Every(interval time.Duration, fn func(now Time)) *Event {
 	// The ticker is represented by a proxy event whose Cancel stops the
 	// chain. One heap event is reused for every firing: re-arming from
 	// inside the callback is safe because the event has already been
-	// popped, and it takes the exact seq the per-firing After used to
-	// take, so event ordering is unchanged. The proxy is never in the
+	// popped, and it takes the next seq, so it fires after every event
+	// already scheduled for the same instant. The proxy is never in the
 	// heap, so a long-lived ticker costs two allocations total instead of
 	// one per firing.
 	proxy := &Event{}
@@ -141,14 +116,6 @@ func (s *Scheduler) Every(interval time.Duration, fn func(now Time)) *Event {
 	return proxy
 }
 
-// Stop makes the currently running Run/RunUntil return ErrStopped after the
-// in-flight event completes.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Pending reports the number of events waiting to fire (including canceled
-// ones not yet reaped).
-func (s *Scheduler) Pending() int { return s.queue.Len() }
-
 // Step fires the next pending event, advancing the clock to its time. It
 // returns false if no events are pending.
 func (s *Scheduler) Step() bool {
@@ -166,13 +133,9 @@ func (s *Scheduler) Step() bool {
 
 // RunUntil fires events in order until the virtual clock would pass t, then
 // advances the clock exactly to t. Events scheduled for t itself do fire.
-// It returns ErrStopped if Stop was called.
+// It always returns nil.
 func (s *Scheduler) RunUntil(t Time) error {
-	s.stopped = false
 	for s.queue.Len() > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
 		next := s.queue[0]
 		if next.canceled {
 			heap.Pop(&s.queue)
@@ -183,23 +146,8 @@ func (s *Scheduler) RunUntil(t Time) error {
 		}
 		s.Step()
 	}
-	if s.stopped {
-		return ErrStopped
-	}
 	if t > s.clock.Now() {
 		s.clock.advanceTo(t)
-	}
-	return nil
-}
-
-// Run fires all pending events (including ones scheduled while running)
-// until the queue drains. It returns ErrStopped if Stop was called.
-func (s *Scheduler) Run() error {
-	s.stopped = false
-	for s.Step() {
-		if s.stopped {
-			return ErrStopped
-		}
 	}
 	return nil
 }

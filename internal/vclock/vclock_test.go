@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -13,23 +12,16 @@ func TestClockZeroValue(t *testing.T) {
 	}
 }
 
-func TestClockAdvance(t *testing.T) {
-	var c Clock
-	c.Advance(3 * time.Second)
-	c.Advance(500 * time.Millisecond)
-	if got, want := c.Now(), 3500*time.Millisecond; got != want {
-		t.Fatalf("Now() = %v, want %v", got, want)
-	}
-}
-
+// The clock never moves backwards.
 func TestClockAdvanceNegativePanics(t *testing.T) {
+	var c Clock
+	c.advanceTo(5 * time.Second)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
+			t.Fatal("advanceTo(1s) at 5s did not panic")
 		}
 	}()
-	var c Clock
-	c.Advance(-time.Second)
+	c.advanceTo(time.Second)
 }
 
 func TestSchedulerFiresInTimeOrder(t *testing.T) {
@@ -38,8 +30,8 @@ func TestSchedulerFiresInTimeOrder(t *testing.T) {
 	s.At(3*time.Second, func(Time) { order = append(order, 3) })
 	s.At(1*time.Second, func(Time) { order = append(order, 1) })
 	s.At(2*time.Second, func(Time) { order = append(order, 2) })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := s.RunUntil(3 * time.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -59,8 +51,8 @@ func TestSchedulerSameInstantFIFO(t *testing.T) {
 		i := i
 		s.At(time.Second, func(Time) { order = append(order, i) })
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := s.RunUntil(time.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
 	for i := 0; i < 10; i++ {
 		if order[i] != i {
@@ -71,7 +63,9 @@ func TestSchedulerSameInstantFIFO(t *testing.T) {
 
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler(nil)
-	s.Clock().Advance(5 * time.Second)
+	if err := s.RunUntil(5 * time.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("At(past) did not panic")
@@ -85,8 +79,8 @@ func TestEventCancel(t *testing.T) {
 	fired := false
 	ev := s.At(time.Second, func(Time) { fired = true })
 	ev.Cancel()
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := s.RunUntil(time.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
 	if fired {
 		t.Fatal("canceled event fired")
@@ -127,20 +121,6 @@ func TestRunUntilInclusiveBoundary(t *testing.T) {
 	}
 }
 
-func TestAfterUsesCurrentTime(t *testing.T) {
-	s := NewScheduler(nil)
-	var at Time
-	s.At(time.Second, func(Time) {
-		s.After(2*time.Second, func(now Time) { at = now })
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if want := 3 * time.Second; at != want {
-		t.Fatalf("nested After fired at %v, want %v", at, want)
-	}
-}
-
 func TestEveryTicksAndCancels(t *testing.T) {
 	s := NewScheduler(nil)
 	var ticks []Time
@@ -175,36 +155,9 @@ func TestEveryNonPositivePanics(t *testing.T) {
 	s.Every(0, func(Time) {})
 }
 
-func TestStop(t *testing.T) {
-	s := NewScheduler(nil)
-	count := 0
-	s.Every(time.Second, func(Time) {
-		count++
-		if count == 5 {
-			s.Stop()
-		}
-	})
-	err := s.RunUntil(time.Hour)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("RunUntil err = %v, want ErrStopped", err)
-	}
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-}
-
 func TestStepOnEmptyQueue(t *testing.T) {
 	s := NewScheduler(nil)
 	if s.Step() {
 		t.Fatal("Step on empty queue returned true")
-	}
-}
-
-func TestPending(t *testing.T) {
-	s := NewScheduler(nil)
-	s.At(time.Second, func(Time) {})
-	s.At(2*time.Second, func(Time) {})
-	if got := s.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
 	}
 }
