@@ -12,10 +12,7 @@
 //	waspd -query topk -policy wasp -checkpoint-every 30s \
 //	      -fault "crash@5m:site=3,for=2m; linkslow@8m:from=0,to=9,factor=0.5,for=1m"
 //	waspd -query topk -policy wasp -obs-out run.jsonl
-//	waspd -query topk -policy wasp -obs-out metrics.prom -obs-format prom
 //	waspd -query topk -policy wasp -chaos-seed 3 -flight -obs-out run.jsonl
-//	waspd -query topk -policy wasp -flight-dump flight.dump
-//	waspd -query topk -policy wasp -v
 //	waspd -query topk -policy wasp -scale-regions 50 -scale-edges 19
 //
 // -scale-regions/-scale-edges replace the testbed with a GenerateScale
@@ -24,19 +21,21 @@
 // the simulated user population (-rate is ignored), and deployments above
 // the hierarchical threshold plan through the two-level placement path.
 //
-// The -obs-out file captures the run's full observability record: the
-// telemetry registry plus the decision-trace timeline (every controller
-// round, the per-operator diagnosis evidence, the Figure-6 branch taken
-// and the branches rejected, and the migrations/re-plans each decision
-// started). -obs-format selects JSONL events (jsonl), a Prometheus text
-// exposition dump (prom), or the human-readable decision audit (audit);
-// "-" writes to stdout. -v prints the decision audit after the run.
+// -obs-out writes the run artifact (obs.WriteRun; "-" = stdout): the
+// decision-trace timeline (every controller round, the per-operator
+// diagnosis evidence, the Figure-6 branch taken and the branches
+// rejected, and the migrations/re-plans each decision started), the
+// telemetry registry's final series, and — with -flight, which records
+// one row of per-stage/per-link engine state per simulation tick into a
+// fixed-capacity ring — the flight recording. wasptrace reads it: its
+// prom, audit, flight, timeline, latency and slo reports are views of the
+// one file. A chaos-invariant failure with -flight on and no -obs-out
+// writes the artifact to wasp-run.jsonl.
 //
-// -flight records one row of per-stage/per-link engine state per
-// simulation tick into a fixed-capacity ring; -flight-dump writes it to a
-// file after the run (implying -flight), and a chaos-invariant failure
-// with -flight on auto-dumps to wasp-flight.dump. Feed the dump and the
-// JSONL record to wasptrace for post-mortem analysis.
+// A flag value that is not a run (an unknown policy or query, a rate,
+// duration or factor that is not a finite positive number, a fault
+// script that does not parse, half a -scale-* pair) exits 2 naming the
+// flag, before anything runs; a run failure or a chaos violation exits 1.
 //
 // -fault injects failures from a semicolon-separated script (see the
 // faults package for the DSL): site crash+restart (crash), link blackout
@@ -56,9 +55,10 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -74,7 +74,6 @@ import (
 	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/trace"
-	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 // options carries every flag of one waspd invocation.
@@ -92,45 +91,60 @@ type options struct {
 	chaosSeed  int64
 	ckptEvery  time.Duration
 	obsOut     string
-	obsFormat  string
 	flight     bool
-	flightDump string
-	verbose    bool
 	scaleReg   int
 	scaleEdges int
 }
 
-// autoFlightDump is where a chaos-invariant failure dumps the flight
-// recorder when -flight is on but no -flight-dump path was given.
-const autoFlightDump = "wasp-flight.dump"
+// autoRunOut is where a chaos-invariant failure writes the run artifact
+// when -flight is on but no -obs-out path was given.
+const autoRunOut = "wasp-run.jsonl"
 
 func main() {
-	var opt options
-	flag.StringVar(&opt.query, "query", "topk", "query: ysb | topk | eoi")
-	flag.StringVar(&opt.policy, "policy", "wasp", "policy: none | degrade | reassign | scale | replan | wasp")
-	flag.DurationVar(&opt.duration, "duration", 25*time.Minute, "virtual run duration")
-	flag.Int64Var(&opt.seed, "seed", 1, "deterministic seed")
-	flag.Float64Var(&opt.rate, "rate", 10000, "initial events/s per source")
-	flag.StringVar(&opt.workload, "workload", "1", "comma-separated workload factors, one per equal phase")
-	flag.StringVar(&opt.bandwidth, "bandwidth", "1", "comma-separated bandwidth factors, one per equal phase")
-	flag.BoolVar(&opt.live, "live", false, "use live per-link/per-source variation traces instead of phases")
-	flag.StringVar(&opt.faults, "fault", "", "fault script, e.g. \"crash@5m:site=3,for=2m; slow@8m:site=1,factor=0.5,for=1m; outage@12m:for=1m\"")
-	flag.BoolVar(&opt.ctrl, "ctrl", false, "route telemetry and controller commands over the simulated WAN control plane (auto-enabled by control-plane faults)")
-	flag.Int64Var(&opt.chaosSeed, "chaos-seed", 0, "generate a randomized fault schedule from this seed and check run-end invariants (0 = off)")
-	flag.DurationVar(&opt.ckptEvery, "checkpoint-every", 0, "checkpoint interval for crash recovery (0 = no checkpointing)")
-	flag.StringVar(&opt.obsOut, "obs-out", "", "write the observability record to this file (\"-\" = stdout)")
-	flag.StringVar(&opt.obsFormat, "obs-format", "jsonl", "observability output format: jsonl | prom | audit")
-	flag.BoolVar(&opt.flight, "flight", false, "record per-tick engine state into a flight-recorder ring (auto-dumped on chaos invariant failure)")
-	flag.StringVar(&opt.flightDump, "flight-dump", "", "write the flight recording to this file after the run (implies -flight)")
-	flag.BoolVar(&opt.verbose, "v", false, "print the decision audit after the run")
-	flag.IntVar(&opt.scaleReg, "scale-regions", 0, "deploy on a GenerateScale topology with this many regions instead of the §8.2 testbed (requires -scale-edges)")
-	flag.IntVar(&opt.scaleEdges, "scale-edges", 0, "edge sites per region for -scale-regions")
-	flag.Parse()
-	if err := run(opt); err != nil {
-		fmt.Fprintln(os.Stderr, "waspd:", err)
-		os.Exit(1)
-	}
+	os.Exit(runMain(os.Args[1:], os.Stderr))
 }
+
+// runMain parses the flags and runs. A value that is not a run exits 2,
+// as flag does for a malformed one; a run failure or a chaos violation
+// exits 1.
+func runMain(args []string, stderr io.Writer) int {
+	var opt options
+	fs := flag.NewFlagSet("waspd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&opt.query, "query", "topk", "query: ysb | topk | eoi")
+	fs.StringVar(&opt.policy, "policy", "wasp", "policy: none | degrade | reassign | scale | replan | wasp")
+	fs.DurationVar(&opt.duration, "duration", 25*time.Minute, "virtual run duration")
+	fs.Int64Var(&opt.seed, "seed", 1, "deterministic seed")
+	fs.Float64Var(&opt.rate, "rate", 10000, "initial events/s per source")
+	fs.StringVar(&opt.workload, "workload", "1", "comma-separated workload factors, one per equal phase")
+	fs.StringVar(&opt.bandwidth, "bandwidth", "1", "comma-separated bandwidth factors, one per equal phase")
+	fs.BoolVar(&opt.live, "live", false, "use live per-link/per-source variation traces instead of phases")
+	fs.StringVar(&opt.faults, "fault", "", "fault script, e.g. \"crash@5m:site=3,for=2m; slow@8m:site=1,factor=0.5,for=1m; outage@12m:for=1m\"")
+	fs.BoolVar(&opt.ctrl, "ctrl", false, "route telemetry and controller commands over the simulated WAN control plane (auto-enabled by control-plane faults)")
+	fs.Int64Var(&opt.chaosSeed, "chaos-seed", 0, "generate a randomized fault schedule from this seed and check run-end invariants (0 = off)")
+	fs.DurationVar(&opt.ckptEvery, "checkpoint-every", 0, "checkpoint interval for crash recovery (0 = no checkpointing)")
+	fs.StringVar(&opt.obsOut, "obs-out", "", "write the run artifact to this file (\"-\" = stdout)")
+	fs.BoolVar(&opt.flight, "flight", false, "record per-tick engine state into the run artifact's flight ring (written to "+autoRunOut+" on a chaos violation without -obs-out)")
+	fs.IntVar(&opt.scaleReg, "scale-regions", 0, "deploy on a GenerateScale topology with this many regions instead of the §8.2 testbed (requires -scale-edges)")
+	fs.IntVar(&opt.scaleEdges, "scale-edges", 0, "edge sites per region for -scale-regions")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := run(opt); err != nil {
+		fmt.Fprintln(stderr, "waspd:", err)
+		if errors.As(err, new(badValue)) {
+			return 2
+		}
+		return 1
+	}
+	return 0
+}
+
+// badValue is a flag value that is not a run, found before anything runs.
+type badValue struct{ error }
 
 func parsePolicy(s string) (adapt.Policy, error) {
 	switch strings.ToLower(s) {
@@ -177,39 +191,37 @@ func parseFactorList(flagName, s string) ([]float64, error) {
 func run(opt options) error {
 	policy, err := parsePolicy(opt.policy)
 	if err != nil {
-		return err
+		return badValue{fmt.Errorf("-policy: %w", err)}
 	}
 	builder, err := experiment.QueryByName(opt.query)
 	if err != nil {
-		return err
-	}
-	switch opt.obsFormat {
-	case "jsonl", "prom", "audit":
-	default:
-		return fmt.Errorf("unknown -obs-format %q (want jsonl, prom or audit)", opt.obsFormat)
+		return badValue{fmt.Errorf("-query: %w", err)}
 	}
 	// A rate or duration the simulator cannot run (0 would silently mean the
 	// scenario default, NaN and Inf would flow into every printed figure)
 	// fails here, like a bad factor list, not mid-run.
 	if !(opt.rate > 0) || math.IsInf(opt.rate, 1) {
-		return fmt.Errorf("-rate: %v must be a finite positive number of events/s", opt.rate)
+		return badValue{fmt.Errorf("-rate: %v must be a finite positive number of events/s", opt.rate)}
 	}
 	if opt.duration <= 0 {
-		return fmt.Errorf("-duration: %v must be positive", opt.duration)
+		return badValue{fmt.Errorf("-duration: %v must be positive", opt.duration)}
 	}
 	// Validate both factor lists before anything runs (even in -live mode,
 	// where they are unused: a typo should not pass silently).
 	wFactors, err := parseFactorList("-workload", opt.workload)
 	if err != nil {
-		return err
+		return badValue{err}
 	}
 	bFactors, err := parseFactorList("-bandwidth", opt.bandwidth)
 	if err != nil {
-		return err
+		return badValue{err}
 	}
 	fs, err := faults.Parse(opt.faults)
 	if err != nil {
-		return fmt.Errorf("-fault: %w", err)
+		return badValue{fmt.Errorf("-fault: %w", err)}
+	}
+	if (opt.scaleReg != 0 || opt.scaleEdges != 0) && (opt.scaleReg <= 0 || opt.scaleEdges <= 0) {
+		return badValue{fmt.Errorf("-scale-regions and -scale-edges must both be positive (got %d, %d)", opt.scaleReg, opt.scaleEdges)}
 	}
 	// Control-plane faults only make sense against an impaired control
 	// plane, so a ctrldown/telemloss/ctrldelay script implies -ctrl.
@@ -221,8 +233,6 @@ func run(opt options) error {
 	// controller: the run's metrics, decision spans and action log all
 	// land here. The experiment runner binds it to the virtual clock, so
 	// every export is deterministic for a fixed seed.
-	o := obs.New(func() vclock.Time { return 0 })
-
 	sc := experiment.Scenario{
 		Name:          fmt.Sprintf("%s/%s", opt.query, policy),
 		Seed:          opt.seed,
@@ -231,12 +241,9 @@ func run(opt options) error {
 		RatePerSource: opt.rate,
 		Engine:        experiment.EngineConfig(policy),
 		Adapt:         experiment.AdaptConfig(policy),
-		Obs:           o,
+		Obs:           obs.New(nil),
 	}
-	if opt.scaleReg > 0 || opt.scaleEdges > 0 {
-		if opt.scaleReg <= 0 || opt.scaleEdges <= 0 {
-			return fmt.Errorf("-scale-regions and -scale-edges must both be positive (got %d, %d)", opt.scaleReg, opt.scaleEdges)
-		}
+	if opt.scaleReg > 0 {
 		top, err := topology.GenerateScale(topology.DefaultScaleConfig(opt.seed, opt.scaleReg, opt.scaleEdges))
 		if err != nil {
 			return err
@@ -255,16 +262,9 @@ func run(opt options) error {
 		sc.PerLinkBandwidth = true
 		sc.PerSourceWorkload = true
 	} else {
-		phases := len(wFactors)
-		if len(bFactors) > phases {
-			phases = len(bFactors)
-		}
-		phase := opt.duration / time.Duration(phases)
+		phase := opt.duration / time.Duration(max(len(wFactors), len(bFactors)))
 		sc.Workload = trace.Steps(phase, wFactors...)
 		sc.Bandwidth = trace.Steps(phase, bFactors...)
-	}
-	if opt.flightDump != "" {
-		opt.flight = true
 	}
 	if opt.flight {
 		sc.Flight = obs.NewFlightRecorder(obs.DefaultFlightCapacity)
@@ -333,9 +333,9 @@ func run(opt options) error {
 		experiment.Fmt(res.DelayPercentile(0.95)),
 		experiment.Fmt(res.DelayPercentile(0.99)))
 
-	// The chaos verdict is computed before the exports but returned last,
-	// so a violated run still writes its observability record and — the
-	// post-mortem contract — its flight dump.
+	// The chaos verdict is computed before the artifact is written but
+	// returned last, so a violated run still writes its artifact — with
+	// -flight, the post-mortem contract, even without -obs-out.
 	var chaosErr error
 	if opt.chaosSeed != 0 {
 		violations := chaos.Check(*res.Final, experiment.ChaosRecoveryBound)
@@ -348,75 +348,32 @@ func run(opt options) error {
 				fmt.Printf("  FAIL %s\n", v)
 			}
 			chaosErr = fmt.Errorf("chaos: %d invariant violation(s)", len(violations))
-			if sc.Flight != nil && opt.flightDump == "" {
-				opt.flightDump = autoFlightDump
-				fmt.Printf("chaos: dumping flight recording to %s\n", opt.flightDump)
+			if sc.Flight != nil && opt.obsOut == "" {
+				opt.obsOut = autoRunOut
+				fmt.Printf("chaos: writing the run artifact to %s\n", opt.obsOut)
 			}
 		}
 	}
-
-	if opt.verbose {
-		fmt.Println("\nDecision audit:")
-		if err := res.Obs.WriteAudit(os.Stdout); err != nil {
-			return err
-		}
-	}
 	if opt.obsOut != "" {
-		if err := writeObs(res.Obs, opt.obsOut, opt.obsFormat); err != nil {
-			return err
-		}
-	}
-	if opt.flightDump != "" {
-		if err := writeFlight(sc.Flight, opt.flightDump); err != nil {
+		if err := writeRun(opt.obsOut, res.Obs, sc.Flight); err != nil {
 			return err
 		}
 	}
 	return chaosErr
 }
 
-// writeFlight dumps the flight recording to a file ("-" = stdout).
-func writeFlight(f *obs.FlightRecorder, path string) error {
-	out := os.Stdout
-	if path != "-" {
-		file, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		out = file
+// writeRun writes the run artifact to a file ("-" = stdout).
+func writeRun(path string, o *obs.Observer, f *obs.FlightRecorder) error {
+	if path == "-" {
+		return obs.WriteRun(os.Stdout, o, f)
 	}
-	w := bufio.NewWriter(out)
-	if err := f.Dump(w); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// writeObs exports the run's observability record in the chosen format.
-func writeObs(o *obs.Observer, path, format string) error {
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	w := bufio.NewWriter(out)
-	var err error
-	switch format {
-	case "jsonl":
-		err = o.WriteJSONL(w)
-	case "prom":
-		err = o.WriteProm(w)
-	case "audit":
-		err = o.WriteAudit(w)
-	default:
-		return fmt.Errorf("unknown obs format %q", format)
-	}
+	file, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	return w.Flush()
+	if err := obs.WriteRun(file, o, f); err != nil {
+		file.Close()
+		return err
+	}
+	return file.Close()
 }

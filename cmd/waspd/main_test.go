@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
+	"github.com/wasp-stream/wasp/internal/obs"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -88,7 +89,6 @@ func shortOpts() options {
 		rate:      1000,
 		workload:  "1,2",
 		bandwidth: "1,1",
-		obsFormat: "jsonl",
 	}
 }
 
@@ -113,12 +113,6 @@ func TestRunShortScenario(t *testing.T) {
 	bad.workload = "1,x"
 	if err := run(bad); err == nil {
 		t.Fatal("bad workload factors accepted")
-	}
-
-	bad = shortOpts()
-	bad.obsFormat = "xml"
-	if err := run(bad); err == nil {
-		t.Fatal("bad obs format accepted")
 	}
 }
 
@@ -176,36 +170,33 @@ func TestRunWritesObsFile(t *testing.T) {
 	}
 }
 
-// TestObsExportsDeterministic: every -obs-format, the Prometheus registry
-// dump included, is byte-identical across two runs of one seed.
+// TestObsExportsDeterministic: the run artifact — timeline, registry and
+// flight ring — is byte-identical across two runs of one seed.
 func TestObsExportsDeterministic(t *testing.T) {
-	for _, format := range []string{"jsonl", "prom", "audit"} {
-		var runs [2][]byte
-		for i := range runs {
-			opt := shortOpts()
-			opt.obsFormat = format
-			opt.obsOut = filepath.Join(t.TempDir(), "run."+format)
-			if err := run(opt); err != nil {
-				t.Fatalf("run(-obs-format %s): %v", format, err)
-			}
-			raw, err := os.ReadFile(opt.obsOut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs[i] = raw
+	var runs [2][]byte
+	for i := range runs {
+		opt := shortOpts()
+		opt.flight = true
+		opt.obsOut = filepath.Join(t.TempDir(), "run.jsonl")
+		if err := run(opt); err != nil {
+			t.Fatalf("run: %v", err)
 		}
-		if len(runs[0]) == 0 || !bytes.Equal(runs[0], runs[1]) {
-			t.Errorf("-obs-format %s: %d vs %d bytes, want identical and non-empty", format, len(runs[0]), len(runs[1]))
+		raw, err := os.ReadFile(opt.obsOut)
+		if err != nil {
+			t.Fatal(err)
 		}
+		runs[i] = raw
+	}
+	if len(runs[0]) == 0 || !bytes.Equal(runs[0], runs[1]) {
+		t.Errorf("%d vs %d bytes, want identical and non-empty", len(runs[0]), len(runs[1]))
 	}
 }
 
 // TestChaosViolationDumpsFlight is the post-mortem contract: a run whose
-// chaos invariants fail (site 8 stays down past the end) returns the
-// violation as its error — exit 1 — only after it has written the
-// observability record, with the chaos.violation event in it, and
-// auto-dumped the flight recording to wasp-flight.dump in the working
-// directory.
+// chaos invariants fail (site 8 stays down past the end) exits 1 only
+// after it has written the run artifact — with the chaos.violation event
+// and the flight ring in it — to wasp-run.jsonl in the working directory,
+// though no -obs-out was given.
 func TestChaosViolationDumpsFlight(t *testing.T) {
 	dir := t.TempDir()
 	wd, err := os.Getwd()
@@ -221,28 +212,55 @@ func TestChaosViolationDumpsFlight(t *testing.T) {
 		}
 	})
 
-	err = run(options{
-		query: "topk", policy: "wasp", duration: 10 * time.Minute, seed: 7, rate: 10000,
-		workload: "1", bandwidth: "1",
-		ckptEvery: 30 * time.Second, chaosSeed: 7, flight: true,
-		faults: "crash@5m:site=8,for=30m",
-		obsOut: "forced.jsonl", obsFormat: "jsonl",
-	})
-	if err == nil || !strings.Contains(err.Error(), "invariant violation") {
-		t.Fatalf("run = %v, want a chaos invariant violation", err)
+	var stderr bytes.Buffer
+	code := runMain([]string{"-query", "topk", "-duration", "10m", "-seed", "7",
+		"-checkpoint-every", "30s", "-chaos-seed", "7", "-flight",
+		"-fault", "crash@5m:site=8,for=30m"}, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "invariant violation") {
+		t.Fatalf("runMain = %d (%s), want 1 and a chaos invariant violation", code, stderr.String())
 	}
-	dump, err := os.ReadFile(filepath.Join(dir, autoFlightDump))
+	file, err := os.Open(filepath.Join(dir, autoRunOut))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(dump, []byte(`{"flight":"wasp-flight/v1"`)) {
-		t.Errorf("flight dump starts %.60q, want a wasp-flight/v1 header", dump)
-	}
-	record, err := os.ReadFile(filepath.Join(dir, "forced.jsonl"))
+	defer file.Close()
+	o, f, err := obs.ReadRun(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(record, []byte(`"name":"chaos.violation"`)) {
-		t.Error("observability record has no chaos.violation event")
+	if len(o.Events("chaos.violation")) == 0 {
+		t.Error("run artifact has no chaos.violation event")
+	}
+	if f.Len() == 0 {
+		t.Error("run artifact has no flight rows")
+	}
+}
+
+// TestRejectsValuesThatAreNotRuns: a flag value no run can have exits 2
+// naming the flag, before anything runs, as does a flag that does not
+// exist; exit 1 stays for run failures and chaos violations.
+func TestRejectsValuesThatAreNotRuns(t *testing.T) {
+	for _, args := range [][]string{
+		{"-policy", "bogus"},
+		{"-query", "nope"},
+		{"-rate", "NaN"},
+		{"-rate", "0"},
+		{"-duration", "0s"},
+		{"-workload", "1,x"},
+		{"-bandwidth", "1,-1"},
+		{"-fault", "crash@5m:site=3,for=2m,bogus=1"},
+		{"-scale-regions", "3"},
+		{"-scale-edges", "-1"},
+		{"-obs-format", "prom"},
+		{"-flight-dump", "f.dump"},
+		{"-v"},
+	} {
+		var stderr bytes.Buffer
+		if code := runMain(args, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), args[0]) {
+			t.Errorf("%v: stderr %q does not name the flag", args, stderr.String())
+		}
 	}
 }

@@ -1,14 +1,15 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
+	"maps"
 	"reflect"
-	"sort"
 	"strings"
+
+	"github.com/wasp-stream/wasp/internal/detutil"
+	"github.com/wasp-stream/wasp/internal/obs"
 )
 
 // maxDiffDetail caps how many differing lines get a field-level breakdown
@@ -24,21 +25,17 @@ func cmdDiff(args []string) error {
 		return fmt.Errorf("diff: want exactly two input files, got %d", fs.NArg())
 	}
 	pathA, pathB := fs.Arg(0), fs.Arg(1)
-	linesA, err := readLines(pathA)
+	linesA, err := runLines(pathA)
 	if err != nil {
 		return err
 	}
-	linesB, err := readLines(pathB)
+	linesB, err := runLines(pathB)
 	if err != nil {
 		return err
 	}
 
-	n := len(linesA)
-	if len(linesB) > n {
-		n = len(linesB)
-	}
 	var differing int
-	for i := 0; i < n; i++ {
+	for i := 0; i < max(len(linesA), len(linesB)); i++ {
 		var a, b string
 		if i < len(linesA) {
 			a = linesA[i]
@@ -75,27 +72,18 @@ func cmdDiff(args []string) error {
 	return diffError{n: differing}
 }
 
-// readLines loads a file as trimmed lines, dropping trailing blanks so a
-// missing final newline never counts as a difference.
-func readLines(path string) ([]string, error) {
-	f, err := os.Open(path)
+// runLines reads a run artifact and returns the lines WriteRun writes
+// for it: the file's own lines, once the reader has accepted them.
+func runLines(path string) ([]string, error) {
+	o, f, err := readRun(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var out []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		out = append(out, strings.TrimRight(sc.Text(), "\r"))
-	}
-	if err := sc.Err(); err != nil {
+	var b strings.Builder
+	if err := obs.WriteRun(&b, o, f); err != nil {
 		return nil, err
 	}
-	for len(out) > 0 && out[len(out)-1] == "" {
-		out = out[:len(out)-1]
-	}
-	return out, nil
+	return strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n"), nil
 }
 
 // fieldDiff compares two JSON lines field by field. Non-JSON lines fall
@@ -105,29 +93,19 @@ func fieldDiff(a, b string) []string {
 	if json.Unmarshal([]byte(a), &objA) != nil || json.Unmarshal([]byte(b), &objB) != nil {
 		return []string{"a: " + clip(a), "b: " + clip(b)}
 	}
-	keys := make(map[string]bool)
-	for k := range objA { //waspvet:unordered keys are sorted below before use
-		keys[k] = true
-	}
-	for k := range objB { //waspvet:unordered keys are sorted below before use
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys { //waspvet:unordered keys are sorted on the next line
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
+	keys := maps.Clone(objA)
+	maps.Copy(keys, objB)
 	var out []string
-	for _, k := range sorted {
+	for _, k := range detutil.SortedKeys(keys) {
 		va, okA := objA[k]
 		vb, okB := objB[k]
 		switch {
 		case !okA:
-			out = append(out, fmt.Sprintf("%s: only in b: %s", k, clip(fmtVal(vb))))
+			out = append(out, fmt.Sprintf("%s: only in b: %s", k, clip(fmtJSON(vb))))
 		case !okB:
-			out = append(out, fmt.Sprintf("%s: only in a: %s", k, clip(fmtVal(va))))
+			out = append(out, fmt.Sprintf("%s: only in a: %s", k, clip(fmtJSON(va))))
 		case !reflect.DeepEqual(va, vb):
-			out = append(out, fmt.Sprintf("%s: %s != %s", k, clip(fmtVal(va)), clip(fmtVal(vb))))
+			out = append(out, fmt.Sprintf("%s: %s != %s", k, clip(fmtJSON(va)), clip(fmtJSON(vb))))
 		}
 	}
 	if len(out) == 0 {
@@ -135,6 +113,21 @@ func fieldDiff(a, b string) []string {
 		out = []string{"a: " + clip(a), "b: " + clip(b)}
 	}
 	return out
+}
+
+// fmtJSON prints one JSON field value compactly and deterministically.
+func fmtJSON(v interface{}) string {
+	switch x := v.(type) {
+	case string:
+		return x
+	case float64:
+		return fmtFloat(x)
+	case nil:
+		return "null"
+	default:
+		b, _ := json.Marshal(x) // a decoded JSON value always encodes
+		return string(b)
+	}
 }
 
 // clip bounds one value's printout so a huge span line stays readable.

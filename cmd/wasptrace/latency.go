@@ -3,8 +3,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+
+	"github.com/wasp-stream/wasp/internal/detutil"
+	"github.com/wasp-stream/wasp/internal/obs"
 )
 
 // adaptPhases is the §6.2 adaptation-cycle order. Phases absent from the
@@ -16,14 +20,11 @@ func cmdLatency(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("latency: want exactly one input file, got %d", fs.NArg())
-	}
-	entries, err := loadTimeline(fs.Arg(0))
+	o, _, err := load(fs)
 	if err != nil {
 		return err
 	}
-	samples := latencySamples(entries)
+	samples, kinds := latencySamples(o)
 	total := 0
 	for _, s := range samples {
 		total += len(s)
@@ -34,88 +35,52 @@ func cmdLatency(args []string) error {
 		return nil
 	}
 
+	// Any phase name outside the canonical cycle still shows up, after it.
 	var rows [][]string
-	for _, phase := range adaptPhases {
+	phases := slices.Clone(adaptPhases)
+	for _, phase := range detutil.SortedKeys(samples) {
+		if !slices.Contains(adaptPhases, phase) {
+			phases = append(phases, phase)
+		}
+	}
+	for _, phase := range phases {
 		rows = append(rows, latencyRow(phase, samples[phase]))
-	}
-	// Any phase name outside the canonical cycle still shows up.
-	var extra []string
-	for phase := range samples { //waspvet:unordered names are sorted on the next line
-		extra = append(extra, phase)
-	}
-	sort.Strings(extra)
-	for _, phase := range extra {
-		known := false
-		for _, p := range adaptPhases {
-			if p == phase {
-				known = true
-				break
-			}
-		}
-		if !known {
-			rows = append(rows, latencyRow(phase, samples[phase]))
-		}
 	}
 	fmt.Print(table([]string{"phase", "n", "min", "p50", "p95", "p99", "max"}, rows))
 
 	// Per-(phase, kind) breakdown separates reconfigure from replan and
 	// recovery-driven cycles.
-	kinds := latencyKindSamples(entries)
-	if len(kinds) > 1 {
-		var keys []string
-		for k := range kinds { //waspvet:unordered keys are sorted on the next line
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var krows [][]string
-		for _, phase := range adaptPhases {
-			for _, k := range keys {
-				if !strings.HasPrefix(k, phase+"/") {
-					continue
-				}
-				r := latencyRow(k, kinds[k])
-				krows = append(krows, r)
+	var krows [][]string
+	for _, phase := range adaptPhases {
+		for _, k := range detutil.SortedKeys(kinds) {
+			if strings.HasPrefix(k, phase+"/") {
+				krows = append(krows, latencyRow(k, kinds[k]))
 			}
 		}
-		if len(krows) > 0 {
-			fmt.Println()
-			fmt.Print(table([]string{"phase/kind", "n", "min", "p50", "p95", "p99", "max"}, krows))
-		}
+	}
+	if len(kinds) > 1 && len(krows) > 0 {
+		fmt.Println()
+		fmt.Print(table([]string{"phase/kind", "n", "min", "p50", "p95", "p99", "max"}, krows))
 	}
 	return nil
 }
 
-// latencySamples groups adapt.latency durations by phase: obs writes a
-// duration attr as float seconds.
-func latencySamples(entries []entry) map[string][]float64 {
-	out := make(map[string][]float64)
-	for _, ev := range flatten(entries) {
-		if ev.Name != "adapt.latency" {
-			continue
-		}
-		phase := ev.str("phase")
+// latencySamples groups adapt.latency durations, in seconds, by phase
+// and by "phase/kind".
+func latencySamples(o *obs.Observer) (byPhase, byKind map[string][]float64) {
+	byPhase, byKind = make(map[string][]float64), make(map[string][]float64)
+	for _, ev := range o.Events("adapt.latency") {
+		phase, kind := ev.Get("phase").Str(), ev.Get("kind").Str()
 		if phase == "" {
 			continue
 		}
-		out[phase] = append(out[phase], ev.num("dur"))
-	}
-	return out
-}
-
-// latencyKindSamples groups durations by "phase/kind".
-func latencyKindSamples(entries []entry) map[string][]float64 {
-	out := make(map[string][]float64)
-	for _, ev := range flatten(entries) {
-		if ev.Name != "adapt.latency" {
-			continue
+		d, _ := ev.Get("dur").Num()
+		byPhase[phase] = append(byPhase[phase], d)
+		if kind != "" {
+			byKind[phase+"/"+kind] = append(byKind[phase+"/"+kind], d)
 		}
-		phase, kind := ev.str("phase"), ev.str("kind")
-		if phase == "" || kind == "" {
-			continue
-		}
-		out[phase+"/"+kind] = append(out[phase+"/"+kind], ev.num("dur"))
 	}
-	return out
+	return byPhase, byKind
 }
 
 func latencyRow(label string, samples []float64) []string {

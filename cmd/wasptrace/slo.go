@@ -24,14 +24,11 @@ func cmdSLO(args []string) error {
 	if *recoverySLO <= 0 {
 		return fmt.Errorf("slo: -slo-recovery: %v must be positive", *recoverySLO)
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("slo: want exactly one input file, got %d", fs.NArg())
-	}
-	entries, err := loadTimeline(fs.Arg(0))
+	o, _, err := load(fs)
 	if err != nil {
 		return err
 	}
-	events := flatten(entries)
+	events := flatten(o, false)
 
 	// Goodput SLO: fraction of goodput.sample events whose ratio dipped
 	// below the floor, measured against the error budget.
@@ -43,12 +40,12 @@ func cmdSLO(args []string) error {
 			continue
 		}
 		samples++
-		r := ev.num("ratio")
+		r, _ := ev.Get("ratio").Num()
 		if r < *ratioFloor {
 			violating++
 		}
 		if r < worst {
-			worst, worstAt = r, ev.T
+			worst, worstAt = r, ev.At.Seconds()
 		}
 	}
 	fmt.Printf("goodput SLO: ratio >= %s in >= %s of samples\n", fmtFloat(*ratioFloor), fmtPct(1-*budget))
@@ -82,9 +79,9 @@ func cmdSLO(args []string) error {
 			continue
 		}
 		recoveries++
-		down := ev.num("recovery_time")
+		down, _ := ev.Get("recovery_time").Num()
 		if down > worstDown {
-			worstDown, worstDownAt = down, ev.T
+			worstDown, worstDownAt = down, ev.At.Seconds()
 		}
 		if down > recoverySLO.Seconds() {
 			late++
@@ -106,13 +103,7 @@ func cmdSLO(args []string) error {
 
 	// Chaos invariants piggyback on the report: any chaos.violation event
 	// is an automatic SLO failure worth surfacing here.
-	var violations int
-	for _, ev := range events {
-		if ev.Name == "chaos.violation" {
-			violations++
-		}
-	}
-	if violations > 0 {
+	if violations := len(o.Events("chaos.violation")); violations > 0 {
 		fmt.Printf("\nchaos: %d invariant violation(s) recorded — see `wasptrace timeline`\n", violations)
 	}
 	return nil

@@ -3,8 +3,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"sort"
 	"strings"
+
+	"github.com/wasp-stream/wasp/internal/obs"
 )
 
 // lane is one row of the ASCII gantt: a label, the event names it tracks,
@@ -27,8 +28,7 @@ var timelineLanes = []lane{
 		"ctrl.quarantine": 'Q', "ctrl.readmit": 'q',
 	}},
 	{"faults", map[string]byte{
-		"fault.site_crash": 'F', "fault.site_restore": 'h', "fault.link_down": 'F',
-		"fault.link_restore": 'h', "fault.link_degrade": 'f', "fault.straggle": 'f',
+		"fault.site_crash": 'F', "fault.site_restore": 'h',
 		"fault.inject": 'F', "fault.heal": 'h', "engine.fail": 'F',
 	}},
 	{"violations", map[string]byte{"chaos.violation": '!'}},
@@ -39,8 +39,7 @@ var timelineLanes = []lane{
 var detailNames = map[string]bool{
 	"action": true, "adapt.abort": true, "adapt.retry": true, "adapt.rollback": true,
 	"recovery.detected": true, "recovery.complete": true, "recovery.degraded": true,
-	"fault.site_crash": true, "fault.site_restore": true, "fault.link_down": true,
-	"fault.link_restore": true, "fault.link_degrade": true, "fault.straggle": true,
+	"fault.site_crash": true, "fault.site_restore": true,
 	"fault.inject": true, "fault.heal": true, "engine.fail": true,
 	"chaos.violation": true, "engine.reconfigure_aborted": true, "engine.replan_aborted": true,
 	"ctrl.quarantine": true, "ctrl.readmit": true, "ctrl.command_timeout": true,
@@ -53,68 +52,36 @@ func cmdTimeline(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("timeline: want exactly one input file, got %d", fs.NArg())
-	}
-	path := fs.Arg(0)
-	flight, err := isFlightDump(path)
+	o, _, err := load(fs)
 	if err != nil {
 		return err
 	}
-	if flight {
-		return flightSummary(path, *width)
-	}
-	entries, err := loadTimeline(path)
-	if err != nil {
-		return err
-	}
-	return renderGantt(entries, *width)
+	renderGantt(o, *width)
+	return nil
 }
 
 // renderGantt paints the run's spans and events into per-lane buckets.
-func renderGantt(entries []entry, width int) error {
-	if width < 10 {
-		width = 10
-	}
-	end := endOf(entries)
+func renderGantt(o *obs.Observer, width int) {
+	width = max(width, 10)
+	end := endOf(o)
 	if end <= 0 {
 		fmt.Println("timeline: empty run (no timestamped entries)")
-		return nil
+		return
 	}
 	// Spans count as events at their start for lane marking, so the
 	// rounds lane (controller.round spans) fills in.
-	events := flatten(entries)
-	for _, e := range entries {
-		if e.Type == "span" {
-			events = append(events, e)
-		}
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].T < events[j].T })
-	bucket := func(t float64) int {
-		i := int(t / end * float64(width))
-		if i >= width {
-			i = width - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		return i
-	}
+	events := flatten(o, true)
+	bucket := func(t float64) int { return min(max(int(t/end*float64(width)), 0), width-1) }
 
 	fmt.Printf("timeline: %s .. %s (%d buckets of %s)\n\n",
 		fmtSeconds(0), fmtSeconds(end), width, fmtSeconds(end/float64(width)))
 
 	labelW := 0
 	for _, l := range timelineLanes {
-		if len(l.label) > labelW {
-			labelW = len(l.label)
-		}
+		labelW = max(labelW, len(l.label))
 	}
 	for _, l := range timelineLanes {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = '.'
-		}
+		row := []byte(strings.Repeat(".", width))
 		n := 0
 		for _, ev := range events {
 			mark, ok := l.names[ev.Name]
@@ -122,7 +89,7 @@ func renderGantt(entries []entry, width int) error {
 				continue
 			}
 			n++
-			b := bucket(ev.T)
+			b := bucket(ev.At.Seconds())
 			// Later (more severe, by lane map construction) marks win; a
 			// bucket already holding a mark keeps the first one except
 			// that lowercase yields to uppercase.
@@ -144,16 +111,14 @@ func renderGantt(entries []entry, width int) error {
 		if !detailNames[ev.Name] {
 			continue
 		}
-		rows = append(rows, []string{fmtSeconds(ev.T), ev.Name, attrString(ev)})
+		rows = append(rows, []string{fmtSeconds(ev.At.Seconds()), ev.Name, attrString(ev)})
 	}
+	fmt.Println()
 	if len(rows) > 0 {
-		fmt.Println()
 		fmt.Print(table([]string{"t", "event", "detail"}, rows))
 	} else {
-		fmt.Println()
 		fmt.Println("no actions, faults, or violations recorded")
 	}
-	return nil
 }
 
 // fmtSeconds renders a virtual timestamp compactly.
@@ -161,30 +126,36 @@ func fmtSeconds(s float64) string {
 	return fmtFloat(s) + "s"
 }
 
-// flightSummary renders a flight dump: per-column min/mean/max/last plus
-// an ASCII sparkline over the retained window.
-func flightSummary(path string, width int) error {
-	hdr, rows, err := loadFlight(path)
+// flightTrend is the width of a flight column's sparkline.
+const flightTrend = 36
+
+// cmdFlight renders the artifact's flight recording: per-column
+// min/mean/max/last plus an ASCII sparkline over the retained window.
+func cmdFlight(args []string) error {
+	fs := flag.NewFlagSet("flight", flag.ContinueOnError)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	_, f, err := load(fs)
 	if err != nil {
 		return err
 	}
+	if f == nil {
+		return fmt.Errorf("flight: %s holds no flight recording (the run had no -flight)", fs.Arg(0))
+	}
+	t, names, vals := f.Window()
 	fmt.Printf("flight: %s — capacity %d, %d rows recorded, %d retained\n",
-		path, hdr.Capacity, hdr.Rows, len(rows))
-	if len(rows) == 0 {
+		fs.Arg(0), f.Capacity(), f.Recorded(), len(t))
+	if len(t) == 0 {
 		return nil
 	}
-	fmt.Printf("window: %s .. %s\n\n", fmtSeconds(rows[0].T), fmtSeconds(rows[len(rows)-1].T))
+	fmt.Printf("window: %s .. %s\n\n", fmtSeconds(t[0].Seconds()), fmtSeconds(t[len(t)-1].Seconds()))
 
 	var out [][]string
-	for ci, col := range hdr.Columns {
-		vals := make([]float64, len(rows))
-		for ri, r := range rows {
-			if ci < len(r.V) {
-				vals[ri] = r.V[ci]
-			}
-		}
-		mn, mx, sum := vals[0], vals[0], 0.0
-		for _, v := range vals {
+	for ci, col := range names {
+		vs := vals[ci]
+		mn, mx, sum := vs[0], vs[0], 0.0
+		for _, v := range vs {
 			if v < mn {
 				mn = v
 			}
@@ -194,8 +165,8 @@ func flightSummary(path string, width int) error {
 			sum += v
 		}
 		out = append(out, []string{
-			col, fmtFloat(mn), fmtFloat(sum / float64(len(vals))), fmtFloat(mx),
-			fmtFloat(vals[len(vals)-1]), sparkline(vals, mn, mx, width/2),
+			col, fmtFloat(mn), fmtFloat(sum / float64(len(vs))), fmtFloat(mx),
+			fmtFloat(vs[len(vs)-1]), sparkline(vs, mn, mx, flightTrend),
 		})
 	}
 	fmt.Print(table([]string{"column", "min", "mean", "max", "last", "trend"}, out))
@@ -207,23 +178,13 @@ const sparkLevels = " .:-=+*#"
 
 // sparkline compresses a series into w glyphs, scaled to [mn, mx].
 func sparkline(vals []float64, mn, mx float64, w int) string {
-	if w < 8 {
-		w = 8
-	}
-	if len(vals) < w {
-		w = len(vals)
-	}
+	w = min(max(w, 8), len(vals))
 	out := make([]byte, w)
 	span := mx - mn
 	per := float64(len(vals)) / float64(w)
 	for i := 0; i < w; i++ {
-		lo, hi := int(float64(i)*per), int(float64(i+1)*per)
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		if lo >= hi {
-			lo = hi - 1
-		}
+		hi := min(int(float64(i+1)*per), len(vals))
+		lo := min(int(float64(i)*per), hi-1)
 		var bucketMax float64
 		for _, v := range vals[lo:hi] {
 			if v > bucketMax {
@@ -235,13 +196,7 @@ func sparkline(vals []float64, mn, mx float64, w int) string {
 			continue
 		}
 		level := int((bucketMax - mn) / span * float64(len(sparkLevels)-1))
-		if level < 0 {
-			level = 0
-		}
-		if level >= len(sparkLevels) {
-			level = len(sparkLevels) - 1
-		}
-		out[i] = sparkLevels[level]
+		out[i] = sparkLevels[min(max(level, 0), len(sparkLevels)-1)]
 	}
 	return "[" + string(out) + "]"
 }

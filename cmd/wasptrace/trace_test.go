@@ -13,11 +13,15 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// fixtureJSONL writes a small but representative obs timeline — spans,
-// actions, faults, adapt.latency, goodput samples, a recovery, and a
-// violation — and returns its path.
+// fixtureJSONL writes the run artifact of a small but representative run
+// — spans, actions, faults, adapt.latency, goodput samples, a recovery, a
+// violation, and no flight recording — and returns its path.
 func fixtureJSONL(t *testing.T) string {
 	t.Helper()
+	return writeFixture(t, fixtureObserver(), nil)
+}
+
+func fixtureObserver() *obs.Observer {
 	now := vclock.Time(0)
 	o := obs.New(func() vclock.Time { return now })
 
@@ -55,9 +59,16 @@ func fixtureJSONL(t *testing.T) string {
 	now = 300 * time.Second
 	o.Emit("ctrl.readmit", obs.Int("region", 1), obs.Int("epoch", 2))
 	o.Emit("ctrl.command_fenced", obs.Int("cmd", 1), obs.Int("epoch", 1), obs.Int("current", 2))
+	o.Registry().Counter("wasp_controller_rounds_total").Inc()
+	return o
+}
 
+// writeFixture writes a run artifact through obs.WriteRun, so the reports
+// are tested against the true format, not a hand-copy.
+func writeFixture(t *testing.T, o *obs.Observer, f *obs.FlightRecorder) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := o.WriteJSONL(&buf); err != nil {
+	if err := obs.WriteRun(&buf, o, f); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.jsonl")
@@ -67,8 +78,8 @@ func fixtureJSONL(t *testing.T) string {
 	return path
 }
 
-// fixtureFlight writes a real flight dump through obs.FlightRecorder so
-// the parser is tested against the true format, not a hand-copy.
+// fixtureFlight writes the artifact of the fixture run with a flight ring
+// of capacity 8 that recorded 12 ticks.
 func fixtureFlight(t *testing.T) string {
 	t.Helper()
 	f := obs.NewFlightRecorder(8)
@@ -79,15 +90,7 @@ func fixtureFlight(t *testing.T) string {
 		backlog.Set(float64(i * 100))
 		rate.Set(float64(1000 + i))
 	}
-	var buf bytes.Buffer
-	if err := f.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "flight.dump")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeFixture(t, fixtureObserver(), f)
 }
 
 // capture runs fn with stdout redirected and returns what it printed.
@@ -112,36 +115,42 @@ func capture(t *testing.T, fn func() error) string {
 	return string(out)
 }
 
-func TestFlightSniffing(t *testing.T) {
-	jf, ff := fixtureJSONL(t), fixtureFlight(t)
-	if got, err := isFlightDump(jf); err != nil || got {
-		t.Fatalf("isFlightDump(jsonl) = %v, %v; want false, nil", got, err)
+// TestFlightSectionIsOptional: an artifact holds a flight ring only when
+// the run recorded one, and flight says so, as a usage error, when not.
+func TestFlightSectionIsOptional(t *testing.T) {
+	if _, f, err := readRun(fixtureJSONL(t)); err != nil || f != nil {
+		t.Fatalf("readRun(no flight) = %v, %v; want nil, nil", f, err)
 	}
-	if got, err := isFlightDump(ff); err != nil || !got {
-		t.Fatalf("isFlightDump(flight) = %v, %v; want true, nil", got, err)
+	if _, f, err := readRun(fixtureFlight(t)); err != nil || f == nil {
+		t.Fatalf("readRun(flight) = %v, %v; want a recorder, nil", f, err)
+	}
+	err := cmdFlight([]string{fixtureJSONL(t)})
+	if _, isDiff := err.(diffError); err == nil || isDiff || !strings.Contains(err.Error(), "no flight recording") {
+		t.Fatalf("flight of a run without one = %v, want a usage error", err)
 	}
 }
 
 func TestLoadFlightRoundTrip(t *testing.T) {
-	hdr, rows, err := loadFlight(fixtureFlight(t))
+	_, f, err := readRun(fixtureFlight(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Capacity != 8 || hdr.Rows != 12 {
-		t.Fatalf("header = %+v; want capacity 8, rows 12", hdr)
+	if f.Capacity() != 8 || f.Recorded() != 12 {
+		t.Fatalf("ring: capacity %d, recorded %d; want 8, 12", f.Capacity(), f.Recorded())
 	}
-	if len(hdr.Columns) != 2 || hdr.Columns[0] != "stage0.backlog" {
-		t.Fatalf("columns = %v", hdr.Columns)
+	ticks, names, vals := f.Window()
+	if len(names) != 2 || names[0] != "stage0.backlog" {
+		t.Fatalf("columns = %v", names)
 	}
-	if len(rows) != 8 {
-		t.Fatalf("retained %d rows; want 8 (ring capacity)", len(rows))
+	if len(ticks) != 8 {
+		t.Fatalf("retained %d rows; want 8 (ring capacity)", len(ticks))
 	}
 	// Oldest-first after the wrap: ticks 4..11.
-	if rows[0].T != 4 || rows[7].T != 11 {
-		t.Fatalf("row times %v..%v; want 4..11", rows[0].T, rows[7].T)
+	if ticks[0] != 4*time.Second || ticks[7] != 11*time.Second {
+		t.Fatalf("row times %v..%v; want 4s..11s", ticks[0], ticks[7])
 	}
-	if rows[7].V[0] != 1100 {
-		t.Fatalf("last backlog = %v; want 1100", rows[7].V[0])
+	if vals[0][7] != 1100 {
+		t.Fatalf("last backlog = %v; want 1100", vals[0][7])
 	}
 }
 
@@ -170,12 +179,12 @@ func TestTimelineJSONLDeterministicAndComplete(t *testing.T) {
 
 func TestTimelineFlightSummary(t *testing.T) {
 	path := fixtureFlight(t)
-	run := func() string { return capture(t, func() error { return cmdTimeline([]string{path}) }) }
+	run := func() string { return capture(t, func() error { return cmdFlight([]string{path}) }) }
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("flight summary not deterministic:\n%s\n----\n%s", a, b)
 	}
-	for _, want := range []string{"capacity 8", "stage0.backlog", "stage0.rate", "trend"} {
+	for _, want := range []string{"capacity 8, 12 rows recorded, 8 retained", "window: 4s .. 11s", "stage0.backlog", "stage0.rate", "trend"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("flight summary missing %q:\n%s", want, a)
 		}
@@ -288,6 +297,56 @@ func TestDiffExitSemantics(t *testing.T) {
 	}
 	if !strings.Contains(out, "differs") {
 		t.Errorf("diff output missing field detail:\n%s", out)
+	}
+}
+
+// TestViewsMatchTheLiveObserver: prom and audit print exactly what the
+// run's own exporters print — the audit's durations included, which the
+// artifact carries as seconds.
+func TestViewsMatchTheLiveObserver(t *testing.T) {
+	o := fixtureObserver()
+	path := writeFixture(t, o, nil)
+	for _, v := range []struct {
+		name string
+		view func(*obs.Observer, io.Writer) error
+	}{{"prom", (*obs.Observer).WriteProm}, {"audit", (*obs.Observer).WriteAudit}} {
+		var want strings.Builder
+		if err := v.view(o, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got := capture(t, func() error { return cmdView(v.name, []string{path}, v.view) }); got != want.String() {
+			t.Errorf("%s view:\n%s\nwant\n%s", v.name, got, want.String())
+		}
+	}
+	if got := capture(t, func() error { return cmdView("audit", []string{path}, (*obs.Observer).WriteAudit) }); !strings.Contains(got, "silence=1m10s") {
+		t.Errorf("audit lost the duration typing:\n%s", got)
+	}
+}
+
+// TestSubcommandsWantOneArtifact: a missing or extra file argument, or a
+// file that is not a run artifact, is a usage error (exit 2, not diff's 1).
+func TestSubcommandsWantOneArtifact(t *testing.T) {
+	path := fixtureJSONL(t)
+	notRun := filepath.Join(t.TempDir(), "timeline.jsonl")
+	if err := os.WriteFile(notRun, []byte(`{"t":1,"type":"event","name":"x","attrs":{}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmds := map[string]func([]string) error{
+		"timeline": cmdTimeline, "latency": cmdLatency, "slo": cmdSLO, "flight": cmdFlight,
+		"prom":  func(args []string) error { return cmdView("prom", args, (*obs.Observer).WriteProm) },
+		"audit": func(args []string) error { return cmdView("audit", args, (*obs.Observer).WriteAudit) },
+	}
+	for _, name := range []string{"timeline", "latency", "slo", "prom", "audit", "flight"} {
+		for _, args := range [][]string{{}, {path, path}, {notRun}} {
+			var err error
+			capture(t, func() error {
+				err = cmds[name](args)
+				return nil
+			})
+			if _, isDiff := err.(diffError); err == nil || isDiff {
+				t.Errorf("%s %v = %v, want a usage error", name, args, err)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -273,6 +274,143 @@ func TestUnreachedDeclarationIsReported(t *testing.T) {
 	}
 }
 
+// TestEveryConsumedEventIsEmitted: an event or span name that a report or
+// a count looks up but nothing emits is a lane, a table row or a total
+// that can never fill. The names are derived, not listed (see eventNames).
+func TestEveryConsumedEventIsEmitted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module load in -short mode")
+	}
+	pkgs, err := loadTargets([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted, consumed := eventNames(pkgs)
+	if len(emitted) == 0 || len(consumed) == 0 {
+		t.Fatalf("found %d emitted and %d consumed names; the walk matches nothing", len(emitted), len(consumed))
+	}
+	for _, name := range consumed {
+		if !emitted[name] {
+			t.Errorf("%s: looked up, but no code emits it", name)
+		}
+	}
+}
+
+// eventNames returns the event and span names the module's non-test code
+// emits, and, sorted, the names it looks up. A name is emitted when it is
+// the constant first argument of an obs Emit, StartSpan, StartAsync or
+// Span.Event call, or of a call to a function that passes that parameter
+// on as such an argument (faults' strike). A name is looked up when it is
+// the constant argument of an Observer.Events call, or a key of
+// wasptrace's timelineLanes or detailNames table.
+func eventNames(pkgs []*analysis.Package) (emitted map[string]bool, consumed []string) {
+	emitted = map[string]bool{}
+	lookups := map[string]bool{}
+	// forwards[fn] is the index of the parameter fn passes on as a name.
+	forwards := map[types.Object]int{}
+	name := func(pkg *analysis.Package, e ast.Expr) (string, bool) {
+		if v := pkg.Info.Types[e].Value; v != nil && v.Kind() == constant.String {
+			return constant.StringVal(v), true
+		}
+		return "", false
+	}
+	obsCall := func(pkg *analysis.Package, call *ast.CallExpr) string {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || len(call.Args) == 0 {
+			return ""
+		}
+		fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "/internal/obs") {
+			return ""
+		}
+		return fn.Name()
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				params := pkg.Info.Defs[fd.Name].Type().(*types.Signature).Params()
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					switch obsCall(pkg, call) {
+					case "Emit", "StartSpan", "StartAsync", "Event":
+						if s, ok := name(pkg, call.Args[0]); ok {
+							emitted[s] = true
+						} else if id, ok := call.Args[0].(*ast.Ident); ok {
+							for i := 0; i < params.Len(); i++ {
+								if pkg.Info.Uses[id] == params.At(i) {
+									forwards[pkg.Info.Defs[fd.Name]] = i
+								}
+							}
+						}
+					case "Events":
+						if s, ok := name(pkg, call.Args[0]); ok {
+							lookups[s] = true
+						}
+					}
+					return true
+				})
+			}
+			if strings.HasSuffix(pkg.PkgPath, "/cmd/wasptrace") {
+				for _, d := range file.Decls {
+					gd, ok := d.(*ast.GenDecl)
+					if !ok {
+						continue
+					}
+					for _, spec := range gd.Specs {
+						vs, ok := spec.(*ast.ValueSpec)
+						if !ok || len(vs.Names) != 1 || (vs.Names[0].Name != "timelineLanes" && vs.Names[0].Name != "detailNames") {
+							continue
+						}
+						ast.Inspect(vs, func(n ast.Node) bool {
+							if kv, ok := n.(*ast.KeyValueExpr); ok {
+								if s, ok := name(pkg, kv.Key); ok {
+									lookups[s] = true
+								}
+							}
+							return true
+						})
+					}
+				}
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				var callee *ast.Ident
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					callee = fun
+				case *ast.SelectorExpr:
+					callee = fun.Sel
+				}
+				if i, ok := forwards[pkg.Info.Uses[callee]]; ok && i < len(call.Args) {
+					if s, ok := name(pkg, call.Args[i]); ok {
+						emitted[s] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	for s := range lookups {
+		consumed = append(consumed, s)
+	}
+	sort.Strings(consumed)
+	return emitted, consumed
+}
+
 // stdInterfaces are the standard-library interfaces module values are
 // passed as, by package path and name: their method names count as
 // interface methods.
@@ -282,6 +420,8 @@ var stdInterfaces = [][2]string{
 	{"container/heap", "Interface"},
 	{"io", "Writer"},
 	{"go/types", "Importer"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
 }
 
 // unreachedDecls returns, sorted, the pkg.Name or pkg.Type.Method name of

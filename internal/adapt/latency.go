@@ -1,10 +1,7 @@
 package adapt
 
 import (
-	"time"
-
 	"github.com/wasp-stream/wasp/internal/engine"
-	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
@@ -13,8 +10,8 @@ import (
 // decomposed into the paper's detect→plan→halt→transfer→resume cycle and
 // each phase's virtual-clock duration lands in the per-phase
 // wasp_adapt_latency_seconds histogram plus an adapt.latency timeline
-// event (the same series the engine feeds halt/transfer into from
-// finalizeReconfig/progressReplan):
+// event, both through engine.EmitAdaptPhase, which the engine also feeds
+// halt/transfer into from finalizeReconfig/progressReplan:
 //
 //   - detect: first unhealthy diagnosis of the operator (or the crash
 //     instant, for recovery) → the action being recorded. Monitoring is
@@ -28,20 +25,6 @@ import (
 //     completion (see engine.finalizeReconfig).
 //   - resume: action completion → the first monitoring round that
 //     diagnoses the operator healthy again.
-
-// emitPhase records one phase duration for an operator's adaptation.
-func (c *Controller) emitPhase(phase, kind string, op plan.OpID, d vclock.Time) {
-	if d < 0 {
-		d = 0
-	}
-	c.obs.Emit("adapt.latency",
-		obs.String("phase", phase),
-		obs.String("kind", kind),
-		obs.Int("op", int(op)),
-		obs.Dur("dur", time.Duration(d)))
-	c.obs.Registry().Histogram("wasp_adapt_latency_seconds", engine.AdaptLatencyBuckets, "phase", phase).
-		Observe(d.Seconds())
-}
 
 // noteDetect stamps the start of an operator's detect phase, keeping the
 // earliest stamp across consecutive unhealthy rounds (and letting
@@ -61,7 +44,7 @@ func (c *Controller) noteDetect(id plan.OpID, at vclock.Time) {
 // passed without an action, so no cycle to attribute it to.
 func (c *Controller) noteHealthy(id plan.OpID, now vclock.Time) {
 	if doneAt, ok := c.awaitResume[id]; ok {
-		c.emitPhase("resume", "reconfigure", id, now-doneAt)
+		engine.EmitAdaptPhase(c.obs, "resume", "reconfigure", id, now-doneAt)
 		delete(c.awaitResume, id)
 	}
 	delete(c.detectAt, id)
@@ -72,8 +55,8 @@ func (c *Controller) noteHealthy(id plan.OpID, now vclock.Time) {
 // to now; plan is instantaneous on the virtual clock.
 func (c *Controller) notePhasesForAction(kind ActionKind, op plan.OpID, now vclock.Time) {
 	if t, ok := c.detectAt[op]; ok {
-		c.emitPhase("detect", kind.String(), op, now-t)
+		engine.EmitAdaptPhase(c.obs, "detect", kind.String(), op, now-t)
 		delete(c.detectAt, op)
 	}
-	c.emitPhase("plan", kind.String(), op, 0)
+	engine.EmitAdaptPhase(c.obs, "plan", kind.String(), op, 0)
 }

@@ -75,6 +75,25 @@ func TestAdaptLatencyPhases(t *testing.T) {
 	}
 }
 
+// TestAdaptLatencyHelpOnPrivateObserver: a controller whose observer the
+// engine does not share still exports its detect/plan/resume histogram
+// under one HELP text, because the one phase emitter describes the series
+// it creates.
+func TestAdaptLatencyHelpOnPrivateObserver(t *testing.T) {
+	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP}, 9000, 5, 40e6)
+	tb.run(t, 600*time.Second)
+	var b strings.Builder
+	if err := tb.ctl.Observer().WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = "# HELP wasp_adapt_latency_seconds Virtual-clock duration of one adaptation phase (detect/plan/halt/transfer/resume), by phase.\n" +
+		"# TYPE wasp_adapt_latency_seconds histogram\n" +
+		`wasp_adapt_latency_seconds_bucket{phase="detect",le="0.25"}`
+	if !strings.Contains(b.String(), want) || strings.Count(b.String(), "# HELP wasp_adapt_latency_seconds ") != 1 {
+		t.Errorf("private observer's phase histogram lacks its one HELP line:\n%s", b.String())
+	}
+}
+
 // promCount reads one histogram series' _count from o's Prometheus export.
 func promCount(t *testing.T, o *obs.Observer, series string) int {
 	t.Helper()

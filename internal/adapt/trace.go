@@ -29,7 +29,6 @@ func (c *Controller) describeMetrics() {
 	r.Describe("wasp_controller_rejects_total", "Figure-6 branches considered and rejected, by branch.")
 	r.Describe("wasp_adapt_aborts_total", "In-flight adaptations aborted (doomed or stalled), by kind.")
 	r.Describe("wasp_adapt_rollbacks_total", "Operators rolled back after exhausting the retry budget.")
-	r.Describe("wasp_adapt_latency_seconds", "Virtual-clock duration of one adaptation phase (detect/plan/halt/transfer/resume), by phase.")
 }
 
 // beginDecision opens the decision span for one bottleneck operator. All

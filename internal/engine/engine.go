@@ -348,7 +348,6 @@ func (e *Engine) SetObserver(o *obs.Observer) {
 	r.Describe("wasp_replans_total", "Plan switches completed.")
 	r.Describe("wasp_failures_total", "Full-outage failures injected.")
 	r.Describe("wasp_site_crashes_total", "Site crashes injected.")
-	r.Describe("wasp_adapt_latency_seconds", "Virtual-clock duration of one adaptation phase (detect/plan/halt/transfer/resume), by phase.")
 	e.tel = engineTel{
 		sinkDelay:  r.Histogram("wasp_sink_delay_seconds", []float64{0.5, 1, 2, 5, 10, 20, 40, 80, 160, 320}),
 		migBytes:   r.Counter("wasp_migration_bytes_total"),

@@ -133,30 +133,29 @@ func (e *Engine) rebuildFlightCols() {
 	fc.transfers = e.flight.Column("inflight_transfers")
 }
 
-// AdaptLatencyBuckets are the bucket bounds (virtual seconds) of the
-// wasp_adapt_latency_seconds histograms shared by the engine's
-// halt/transfer phases and the adapt layer's detect/plan/resume phases.
-// The low end resolves sub-tick phases (the plan phase is instantaneous on
-// the virtual clock); the top covers a recovery that waits out a multi-
-// minute backoff.
-var AdaptLatencyBuckets = []float64{0.25, 0.5, 1, 2, 5, 10, 20, 40, 80, 160, 320, 640}
+// adaptLatencyBuckets are the bucket bounds (virtual seconds) of the
+// wasp_adapt_latency_seconds histograms. The low end resolves sub-tick
+// phases (the plan phase is instantaneous on the virtual clock); the top
+// covers a recovery that waits out a multi-minute backoff.
+var adaptLatencyBuckets = []float64{0.25, 0.5, 1, 2, 5, 10, 20, 40, 80, 160, 320, 640}
 
-// emitAdaptPhase records one phase of an adaptation's latency: an
+// EmitAdaptPhase records one phase of an adaptation's latency on o: an
 // adapt.latency timeline event plus an observation in the per-phase
-// wasp_adapt_latency_seconds histogram. kind names the mechanism
-// ("reconfigure", "replan"); op is -1 for whole-plan operations.
-func (e *Engine) emitAdaptPhase(phase, kind string, op plan.OpID, d vclock.Time) {
-	if e.obs == nil {
+// wasp_adapt_latency_seconds histogram. The engine records the halt and
+// transfer phases through it, the controller detect, plan and resume.
+// kind names the mechanism ("reconfigure", "replan", or the controller's
+// action); op is -1 for whole-plan operations.
+func EmitAdaptPhase(o *obs.Observer, phase, kind string, op plan.OpID, d vclock.Time) {
+	if o == nil {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
-	e.obs.Emit("adapt.latency",
+	d = max(d, 0)
+	o.Emit("adapt.latency",
 		obs.String("phase", phase),
 		obs.String("kind", kind),
 		obs.Int("op", int(op)),
 		obs.Dur("dur", time.Duration(d)))
-	e.obs.Registry().Histogram("wasp_adapt_latency_seconds", AdaptLatencyBuckets, "phase", phase).
-		Observe(d.Seconds())
+	r := o.Registry()
+	r.Describe("wasp_adapt_latency_seconds", "Virtual-clock duration of one adaptation phase (detect/plan/halt/transfer/resume), by phase.")
+	r.Histogram("wasp_adapt_latency_seconds", adaptLatencyBuckets, "phase", phase).Observe(d.Seconds())
 }

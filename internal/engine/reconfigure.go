@@ -352,8 +352,8 @@ func (e *Engine) finalizeReconfig(rc *reconfiguration, now vclock.Time) {
 	if haltEnd == 0 {
 		haltEnd = now
 	}
-	e.emitAdaptPhase("halt", "reconfigure", rc.op, haltEnd-rc.startedAt)
-	e.emitAdaptPhase("transfer", "reconfigure", rc.op, now-haltEnd)
+	EmitAdaptPhase(e.obs, "halt", "reconfigure", rc.op, haltEnd-rc.startedAt)
+	EmitAdaptPhase(e.obs, "transfer", "reconfigure", rc.op, now-haltEnd)
 	if rc.finished != nil {
 		rc.finished(now)
 	}
@@ -484,7 +484,7 @@ func (e *Engine) progressReplan(now vclock.Time) {
 	// The whole drain-then-switch is one halt phase: sources stay suspended
 	// until the old pipeline empties, and the swap itself is instantaneous
 	// on the virtual clock — no transfer phase. op -1 = whole-plan action.
-	e.emitAdaptPhase("halt", "replan", -1, now-rp.started)
+	EmitAdaptPhase(e.obs, "halt", "replan", -1, now-rp.started)
 	if rp.finished != nil {
 		rp.finished(now)
 	}

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -21,105 +24,63 @@ func (o *Observer) WriteAudit(w io.Writer) error {
 			children[e.span.Parent] = append(children[e.span.Parent], e.span)
 		}
 	}
+	// A write error sticks in bw and surfaces at Flush.
+	bw := bufio.NewWriter(w)
 	for _, e := range o.timeline {
 		switch {
 		case e.ev != nil:
-			if err := writeAuditEvent(w, *e.ev, 0); err != nil {
-				return err
-			}
-		case e.span != nil && e.span.Parent == 0:
-			if err := writeAuditSpan(w, e.span, children, 0); err != nil {
-				return err
-			}
+			writeAuditEvent(bw, *e.ev, 0)
+		case e.span.Parent == 0:
+			writeAuditSpan(bw, e.span, children, 0)
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 func auditIndent(depth int) string {
-	const pad = "                                "
-	n := 2 * depth
-	if n > len(pad) {
-		n = len(pad)
-	}
-	return pad[:n]
+	return strings.Repeat("  ", min(depth, 16))
 }
 
-func writeAuditSpan(w io.Writer, sp *Span, children map[uint64][]*Span, depth int) error {
+func writeAuditSpan(w io.Writer, sp *Span, children map[uint64][]*Span, depth int) {
 	dur := ""
 	if sp.Ended && sp.End > sp.Start {
 		dur = fmt.Sprintf(" (+%s)", time.Duration(sp.End-sp.Start))
 	} else if !sp.Ended {
 		dur = " (unfinished)"
 	}
-	if _, err := fmt.Fprintf(w, "%st=%7.1fs %s%s%s\n",
-		auditIndent(depth), sp.Start.Seconds(), sp.Name, formatAttrs(sp.Attrs), dur); err != nil {
-		return err
-	}
+	fmt.Fprintf(w, "%st=%7.1fs %s%s%s\n", auditIndent(depth), sp.Start.Seconds(), sp.Name, formatAttrs(sp.Attrs), dur)
 	// Interleave the span's events and child spans in time order; events
 	// within one instant keep emission order, and a child span starting at
 	// the same instant as an event follows the events recorded before it.
 	kids := children[sp.ID]
 	ei, ki := 0, 0
 	for ei < len(sp.Events) || ki < len(kids) {
-		takeEvent := ki >= len(kids) ||
-			(ei < len(sp.Events) && sp.Events[ei].At <= kids[ki].Start)
-		if takeEvent {
-			if err := writeAuditEvent(w, sp.Events[ei], depth+1); err != nil {
-				return err
-			}
+		if ki >= len(kids) || (ei < len(sp.Events) && sp.Events[ei].At <= kids[ki].Start) {
+			writeAuditEvent(w, sp.Events[ei], depth+1)
 			ei++
-			continue
+		} else {
+			writeAuditSpan(w, kids[ki], children, depth+1)
+			ki++
 		}
-		if err := writeAuditSpan(w, kids[ki], children, depth+1); err != nil {
-			return err
-		}
-		ki++
 	}
-	return nil
 }
 
-func writeAuditEvent(w io.Writer, ev Event, depth int) error {
+func writeAuditEvent(w io.Writer, ev Event, depth int) {
 	switch ev.Name {
 	case "reject":
-		_, err := fmt.Fprintf(w, "%s✗ %s — %s%s\n",
-			auditIndent(depth), ev.Get("branch").Text(), ev.Get("reason").Text(),
-			formatAttrs(dropKeys(ev.Attrs, "branch", "reason")))
-		return err
+		rest := slices.DeleteFunc(slices.Clone(ev.Attrs), func(kv KV) bool { return kv.Key == "branch" || kv.Key == "reason" })
+		fmt.Fprintf(w, "%s✗ %s — %s%s\n", auditIndent(depth), ev.Get("branch").Text(), ev.Get("reason").Text(), formatAttrs(rest))
 	case "action":
-		_, err := fmt.Fprintf(w, "%s✓ %s op=%s: %s\n",
-			auditIndent(depth), ev.Get("kind").Text(), ev.Get("op").Text(), ev.Get("detail").Text())
-		return err
+		fmt.Fprintf(w, "%s✓ %s op=%s: %s\n", auditIndent(depth), ev.Get("kind").Text(), ev.Get("op").Text(), ev.Get("detail").Text())
 	default:
-		_, err := fmt.Fprintf(w, "%s· %s%s\n", auditIndent(depth), ev.Name, formatAttrs(ev.Attrs))
-		return err
+		fmt.Fprintf(w, "%s· %s%s\n", auditIndent(depth), ev.Name, formatAttrs(ev.Attrs))
 	}
 }
 
 func formatAttrs(attrs []KV) string {
-	if len(attrs) == 0 {
-		return ""
-	}
 	out := ""
 	for _, kv := range attrs {
 		out += " " + kv.Key + "=" + kv.Val.Text()
-	}
-	return out
-}
-
-func dropKeys(attrs []KV, keys ...string) []KV {
-	var out []KV
-	for _, kv := range attrs {
-		skip := false
-		for _, k := range keys {
-			if kv.Key == k {
-				skip = true
-				break
-			}
-		}
-		if !skip {
-			out = append(out, kv)
-		}
 	}
 	return out
 }

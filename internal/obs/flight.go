@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"io"
-	"strconv"
-
-	"github.com/wasp-stream/wasp/internal/vclock"
-)
+import "github.com/wasp-stream/wasp/internal/vclock"
 
 // FlightRecorder is the run's black box: a fixed-capacity, struct-of-arrays
 // ring buffer of per-tick samples. The engine begins one row per simulation
@@ -17,24 +12,23 @@ import (
 // operation and happens off the tick path (at attach time and after
 // structural plan changes).
 //
-// When the buffer wraps, the oldest rows are overwritten: a dump always
-// holds the last Len() ticks before the dump — exactly what a post-mortem
-// of a failed run needs. All methods are nil-safe, mirroring the rest of
-// the obs package: a nil *FlightRecorder (recording disabled) turns every
-// call into a no-op.
+// When the buffer wraps, the oldest rows are overwritten: the run artifact
+// (WriteRun) always holds the last Len() ticks of the run — exactly what
+// a post-mortem of a failed run needs. All methods are nil-safe, mirroring
+// the rest of the obs package: a nil *FlightRecorder (recording disabled)
+// turns every call into a no-op.
 type FlightRecorder struct {
 	capacity int
 	rows     int // rows recorded since creation (monotone)
 	pos      int // ring slot of the current row
 	t        []vclock.Time
 
-	cols   []*FlightColumn // creation order == dump column order
+	cols   []*FlightColumn // creation order == artifact column order
 	byName map[string]*FlightColumn
 }
 
-// FlightColumn is one named series of the flight recorder. The zero slot
-// of every row is 0; Set overwrites and Add accumulates within the
-// current row.
+// FlightColumn is one named series of the flight recorder. Every row
+// starts at 0; Set overwrites the current row's value.
 type FlightColumn struct {
 	name string
 	buf  []float64
@@ -112,67 +106,44 @@ func (f *FlightRecorder) Len() int {
 	return f.capacity
 }
 
-// FlightSchema identifies the dump format in its header line.
-const FlightSchema = "wasp-flight/v1"
-
-// Dump writes the retained rows, oldest first, as JSON lines: a header
-//
-//	{"flight":"wasp-flight/v1","capacity":4096,"rows":900,"columns":[...]}
-//
-// followed by one row per retained tick:
-//
-//	{"t":12.5,"v":[...]}
-//
-// where v holds the column values in header order. Floats use the same
-// shortest round-trip encoding as the JSONL timeline, so same-seed dumps
-// are byte-identical.
-func (f *FlightRecorder) Dump(w io.Writer) error {
+// Capacity returns the ring size: how many of the newest rows it retains.
+func (f *FlightRecorder) Capacity() int {
 	if f == nil {
-		return nil
+		return 0
 	}
-	buf := make([]byte, 0, 512)
-	buf = append(buf, `{"flight":`...)
-	buf = appendJSONString(buf, FlightSchema)
-	buf = append(buf, `,"capacity":`...)
-	buf = strconv.AppendInt(buf, int64(f.capacity), 10)
-	buf = append(buf, `,"rows":`...)
-	buf = strconv.AppendInt(buf, int64(f.rows), 10)
-	buf = append(buf, `,"columns":[`...)
-	for i, c := range f.cols {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONString(buf, c.name)
-	}
-	buf = append(buf, ']', '}', '\n')
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
+	return f.capacity
+}
 
-	n := f.Len()
-	start := 0
+// Recorded returns the number of rows recorded since creation, retained
+// or not.
+func (f *FlightRecorder) Recorded() int {
+	if f == nil {
+		return 0
+	}
+	return f.rows
+}
+
+// Window returns the retained rows oldest first: their tick times and, per
+// column in creation order, its name and its values.
+func (f *FlightRecorder) Window() (t []vclock.Time, names []string, vals [][]float64) {
+	if f == nil {
+		return nil, nil, nil
+	}
+	n, start := f.Len(), 0
 	if f.rows > f.capacity {
 		start = f.pos + 1 // oldest retained row
 	}
-	for i := 0; i < n; i++ {
-		slot := start + i
-		if slot >= f.capacity {
-			slot -= f.capacity
-		}
-		buf = buf[:0]
-		buf = append(buf, `{"t":`...)
-		buf = appendTime(buf, f.t[slot])
-		buf = append(buf, `,"v":[`...)
-		for j, c := range f.cols {
-			if j > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONFloat(buf, c.buf[slot])
-		}
-		buf = append(buf, ']', '}', '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
+	slot := func(i int) int { return (start + i) % f.capacity }
+	t = make([]vclock.Time, n)
+	for i := range t {
+		t[i] = f.t[slot(i)]
 	}
-	return nil
+	for _, c := range f.cols {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = c.buf[slot(i)]
+		}
+		names, vals = append(names, c.name), append(vals, v)
+	}
+	return t, names, vals
 }

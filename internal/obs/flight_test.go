@@ -9,15 +9,27 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
+// flightLines writes f as a run artifact's flight section and returns its
+// lines: the flight header, then one line per retained row.
+func flightLines(t *testing.T, f *FlightRecorder) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteRun(&buf, nil, f); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	return lines[1:] // past the run header
+}
+
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.BeginTick(0)
 	f.Column("x").Set(1)
-	if f.Len() != 0 {
+	if f.Len() != 0 || f.Capacity() != 0 || f.Recorded() != 0 {
 		t.Fatal("nil recorder must report zero rows")
 	}
-	if err := f.Dump(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	if ts, names, vals := f.Window(); ts != nil || names != nil || vals != nil {
+		t.Fatal("nil recorder has a window")
 	}
 }
 
@@ -33,19 +45,15 @@ func TestFlightRecorderRecordsAndDumps(t *testing.T) {
 	if f.Len() != 3 || f.rows != 3 {
 		t.Fatalf("Len=%d rows=%d, want 3/3", f.Len(), f.rows)
 	}
-	var buf bytes.Buffer
-	if err := f.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	lines := flightLines(t, f)
 	if len(lines) != 4 {
-		t.Fatalf("dump has %d lines, want header + 3 rows:\n%s", len(lines), buf.String())
+		t.Fatalf("flight section has %d lines, want header + 3 rows:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
-	wantHeader := `{"flight":"wasp-flight/v1","capacity":8,"rows":3,"columns":["a","b"]}`
+	wantHeader := `{"type":"flight","capacity":8,"rows":3,"columns":["a","b"]}`
 	if lines[0] != wantHeader {
 		t.Fatalf("header = %s\nwant     %s", lines[0], wantHeader)
 	}
-	if lines[2] != `{"t":1,"v":[1,1.5]}` {
+	if lines[2] != `{"type":"tick","t":1,"v":[1,1.5]}` {
 		t.Fatalf("row 1 = %s", lines[2])
 	}
 }
@@ -60,17 +68,13 @@ func TestFlightRecorderWrapKeepsNewestRows(t *testing.T) {
 	if f.Len() != 4 || f.rows != 10 {
 		t.Fatalf("Len=%d rows=%d, want 4/10", f.Len(), f.rows)
 	}
-	var buf bytes.Buffer
-	if err := f.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	lines := flightLines(t, f)
 	// Oldest retained row first: ticks 6, 7, 8, 9.
 	want := []string{
-		`{"t":6,"v":[6]}`,
-		`{"t":7,"v":[7]}`,
-		`{"t":8,"v":[8]}`,
-		`{"t":9,"v":[9]}`,
+		`{"type":"tick","t":6,"v":[6]}`,
+		`{"type":"tick","t":7,"v":[7]}`,
+		`{"type":"tick","t":8,"v":[8]}`,
+		`{"type":"tick","t":9,"v":[9]}`,
 	}
 	for i, w := range want {
 		if lines[i+1] != w {
@@ -90,12 +94,8 @@ func TestFlightRecorderZeroFillsNewRow(t *testing.T) {
 	f.BeginTick(1)
 	c.Set(8)
 	f.BeginTick(2) // wraps onto the slot holding 7; must read 0 if unset
-	var buf bytes.Buffer
-	if err := f.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `{"t":2e-09,"v":[0]}`) {
-		t.Fatalf("wrapped row not zero-filled:\n%s", buf.String())
+	if lines := flightLines(t, f); lines[2] != `{"type":"tick","t":2e-09,"v":[0]}` {
+		t.Fatalf("wrapped row not zero-filled:\n%s", strings.Join(lines, "\n"))
 	}
 }
 
@@ -129,12 +129,7 @@ func TestFlightRecorderLateColumnReadsZeroForOldRows(t *testing.T) {
 	late := f.Column("late") // created after a row was recorded
 	f.BeginTick(1)
 	late.Set(2)
-	var buf bytes.Buffer
-	if err := f.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if lines[1] != `{"t":0,"v":[1,0]}` {
+	if lines := flightLines(t, f); lines[1] != `{"type":"tick","v":[1,0]}` {
 		t.Fatalf("pre-creation row = %s, want late column zero", lines[1])
 	}
 }

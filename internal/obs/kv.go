@@ -71,6 +71,20 @@ func (v Val) Duration() time.Duration {
 	return time.Duration(v.i)
 }
 
+// Num returns a numeric value, a duration in seconds, and whether the
+// value is numeric.
+func (v Val) Num() (float64, bool) {
+	switch v.kind {
+	case kindFloat:
+		return v.num, true
+	case kindInt:
+		return float64(v.i), true
+	case kindDur:
+		return time.Duration(v.i).Seconds(), true
+	}
+	return 0, false
+}
+
 // Text renders the value for the human-readable audit.
 func (v Val) Text() string {
 	switch v.kind {

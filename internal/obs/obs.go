@@ -1,8 +1,10 @@
 // Package obs is WASP's dependency-free observability layer: a telemetry
 // registry (counters, gauges, fixed-bucket histograms), span-based
-// decision tracing for the §6.2 adaptation policy, and exporters — a
-// JSONL event/span timeline, a Prometheus text-exposition dump, and a
-// human-readable decision audit.
+// decision tracing for the §6.2 adaptation policy, a per-tick flight
+// recorder, and one run artifact that holds all three (WriteRun, read
+// back by ReadRun). The JSONL event/span timeline, the Prometheus
+// text-exposition dump and the human-readable decision audit are views
+// of an observer, live or read back.
 //
 // Everything is timestamped with vclock.Time, so instrumented runs stay
 // deterministic: two runs with the same seed produce byte-identical JSONL
@@ -40,8 +42,7 @@ type entry struct {
 // allowed (timestamps read 0) and can be bound later with Bind — the
 // experiment runner binds the observer to its scheduler on startup.
 func New(now func() vclock.Time) *Observer {
-	o := &Observer{now: now, reg: NewRegistry()}
-	return o
+	return &Observer{now: now, reg: NewRegistry()}
 }
 
 // Bind installs the virtual clock the observer timestamps with. Callers
@@ -132,6 +133,14 @@ func (o *Observer) Timeline() []entry {
 		return nil
 	}
 	return o.timeline
+}
+
+// Walk calls fn for every timeline entry in emission order: a top-level
+// event (sp nil) or a span (ev nil), whose own events are sp.Events.
+func (o *Observer) Walk(fn func(ev *Event, sp *Span)) {
+	for _, e := range o.Timeline() {
+		fn(e.ev, e.span)
+	}
 }
 
 // Events returns the top-level and in-span events with the given name, in

@@ -1,13 +1,13 @@
 package obs
 
 import (
+	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-
-	"github.com/wasp-stream/wasp/internal/detutil"
 )
 
 // WriteProm dumps the registry in the Prometheus text exposition format
@@ -18,101 +18,58 @@ func (o *Observer) WriteProm(w io.Writer) error {
 	if o == nil {
 		return nil
 	}
-	return o.reg.WriteProm(w)
-}
-
-// WriteProm writes the registry's instruments in Prometheus text format.
-func (r *Registry) WriteProm(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	type series struct {
-		name string
-		key  string
-		emit func(io.Writer) error
-	}
+	r := o.reg
+	type series struct{ name, key, kind string }
 	var all []series
-
-	for _, key := range detutil.SortedKeys(r.counters) {
-		c := r.counters[key]
-		all = append(all, series{name: c.name, key: key, emit: func(w io.Writer) error {
-			_, err := fmt.Fprintf(w, "%s %s\n", c.series, formatFloat(c.v))
-			return err
-		}})
+	for key, c := range r.counters { //waspvet:unordered sorted below
+		all = append(all, series{c.name, key, "counter"})
 	}
-	for _, key := range detutil.SortedKeys(r.gauges) {
-		g := r.gauges[key]
-		all = append(all, series{name: g.name, key: key, emit: func(w io.Writer) error {
-			_, err := fmt.Fprintf(w, "%s %s\n", g.series, formatFloat(g.v))
-			return err
-		}})
+	for key, g := range r.gauges { //waspvet:unordered sorted below
+		all = append(all, series{g.name, key, "gauge"})
 	}
-	for _, key := range detutil.SortedKeys(r.hists) {
-		h := r.hists[key]
-		all = append(all, series{name: h.name, key: key, emit: func(w io.Writer) error {
-			return writePromHistogram(w, h)
-		}})
+	for key, h := range r.hists { //waspvet:unordered sorted below
+		all = append(all, series{h.name, key, "histogram"})
 	}
-
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].name != all[j].name {
-			return all[i].name < all[j].name
-		}
-		return all[i].key < all[j].key
+	slices.SortFunc(all, func(a, b series) int {
+		return cmp.Or(cmp.Compare(a.name, b.name), cmp.Compare(a.key, b.key), cmp.Compare(a.kind, b.kind))
 	})
 
-	kinds := make(map[string]string)
-	for _, c := range r.counters {
-		kinds[c.name] = "counter"
-	}
-	for _, g := range r.gauges {
-		kinds[g.name] = "gauge"
-	}
-	for _, h := range r.hists {
-		kinds[h.name] = "histogram"
-	}
-
+	// A write error sticks in bw and surfaces at Flush.
+	bw := bufio.NewWriter(w)
 	lastName := ""
 	for _, s := range all {
 		if s.name != lastName {
 			lastName = s.name
 			if help, ok := r.help[s.name]; ok {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", s.name, help); err != nil {
-					return err
-				}
+				fmt.Fprintf(bw, "# HELP %s %s\n", s.name, help)
 			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.name, kinds[s.name]); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, "# TYPE %s %s\n", s.name, s.kind)
 		}
-		if err := s.emit(w); err != nil {
-			return err
+		switch s.kind {
+		case "counter":
+			fmt.Fprintf(bw, "%s %s\n", s.key, formatFloat(r.counters[s.key].v))
+		case "gauge":
+			fmt.Fprintf(bw, "%s %s\n", s.key, formatFloat(r.gauges[s.key].v))
+		default:
+			writePromHistogram(bw, r.hists[s.key])
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // writePromHistogram writes the cumulative bucket series plus _sum and
 // _count for one histogram series.
-func writePromHistogram(w io.Writer, h *Histogram) error {
+func writePromHistogram(w io.Writer, h *Histogram) {
 	base, labels := splitSeries(h.series)
 	var cum uint64
 	for i, bound := range h.bounds {
 		cum += h.counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			base, withLabel(labels, "le", formatFloat(bound)), cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "%s_bucket%s %d\n", base, withLabel(labels, "le", formatFloat(bound)), cum)
 	}
 	cum += h.counts[len(h.bounds)]
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", base, withLabel(labels, "le", "+Inf"), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", base, labels, formatFloat(h.sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", base, labels, h.count)
-	return err
+	fmt.Fprintf(w, "%s_bucket%s %d\n", base, withLabel(labels, "le", "+Inf"), cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", base, labels, formatFloat(h.sum))
+	fmt.Fprintf(w, "%s_count%s %d\n", base, labels, h.count)
 }
 
 // splitSeries splits `name{labels}` into name and `{labels}` (labels may
