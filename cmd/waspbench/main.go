@@ -26,11 +26,17 @@
 // -j sets the experiment worker-pool width (default GOMAXPROCS): the
 // cells of each scenario grid run concurrently but results come back in
 // submission order, so the output is byte-identical for any -j.
+//
+// A flag value that is not a run (an unknown experiment, a negative
+// -duration or -j) exits 2 naming the flag, before anything runs; a run
+// failure or an invariant violation exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -40,20 +46,47 @@ import (
 )
 
 func main() {
-	var (
-		name     = flag.String("experiment", "all", "experiment id: "+strings.Join(experimentIDs(), " ")+", or all")
-		seed     = flag.Int64("seed", 1, "deterministic seed for topology and traces")
-		duration = flag.Duration("duration", 0, "override run duration (0 = paper default)")
-		workers  = flag.Int("j", 0, "experiment worker-pool width (0 = GOMAXPROCS)")
-	)
-	flag.Parse()
-	if *workers > 0 {
-		experiment.SetParallelism(*workers)
+	os.Exit(runMain(os.Args[1:], os.Stderr))
+}
+
+// badValue is a flag value that is not a run, found before anything runs.
+type badValue struct{ error }
+
+// runMain parses the flags and runs. A value that is not a run exits 2,
+// as flag does for a malformed one; a run failure exits 1.
+func runMain(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("waspbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("experiment", "all", "experiment id: "+strings.Join(experimentIDs(), " ")+", or all")
+	seed := fs.Int64("seed", 1, "deterministic seed for topology and traces")
+	duration := fs.Duration("duration", 0, "override run duration (0 = paper default)")
+	workers := fs.Int("j", 0, "experiment worker-pool width (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if err := run(strings.ToLower(*name), *seed, *duration); err != nil {
-		fmt.Fprintln(os.Stderr, "waspbench:", err)
-		os.Exit(1)
+	var err error
+	switch {
+	case *duration < 0:
+		err = badValue{fmt.Errorf("-duration: %v must not be negative (0 = paper default)", *duration)}
+	case *workers < 0:
+		err = badValue{fmt.Errorf("-j: %d must not be negative (0 = GOMAXPROCS)", *workers)}
+	default:
+		if *workers > 0 {
+			experiment.SetParallelism(*workers)
+		}
+		err = run(strings.ToLower(*name), *seed, *duration)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "waspbench:", err)
+		if errors.As(err, new(badValue)) {
+			return 2
+		}
+		return 1
+	}
+	return 0
 }
 
 // An entry is one experiment: the ids that select it and the function
@@ -205,7 +238,7 @@ func selected(name string) []entry {
 func run(name string, seed int64, duration time.Duration) error {
 	entries := selected(name)
 	if len(entries) == 0 {
-		return fmt.Errorf("unknown experiment %q (want one of: %s, all)", name, strings.Join(experimentIDs(), " "))
+		return badValue{fmt.Errorf("-experiment: unknown experiment %q (want one of: %s, all)", name, strings.Join(experimentIDs(), " "))}
 	}
 	for _, e := range entries {
 		out, err := e.run(name, seed, duration)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -50,6 +51,37 @@ func TestExperimentTable(t *testing.T) {
 	}
 	if got := selected("all"); len(got) != len(experiments) {
 		t.Errorf(`selected("all") = %d entries, want %d`, len(got), len(experiments))
+	}
+}
+
+// TestRejectsValuesThatAreNotRuns: a flag value no run can have exits 2
+// naming the flag, before anything runs, as does a flag that does not
+// exist; exit 1 stays for run failures.
+func TestRejectsValuesThatAreNotRuns(t *testing.T) {
+	for _, tt := range []struct {
+		flag string
+		args []string
+	}{
+		{"-experiment", []string{"-experiment", "fig99"}},
+		{"-duration", []string{"-experiment", "chaos", "-duration", "-1s"}},
+		{"-duration", []string{"-experiment", "ctrlchaos", "-duration", "-1s"}},
+		{"-duration", []string{"-experiment", "fig10", "-duration", "-5m"}},
+		{"-j", []string{"-j", "-3"}},
+		{"-duration", []string{"-duration", "soon"}},
+		{"-seed", []string{"-seed", "x"}},
+		{"-bogus", []string{"-bogus"}},
+	} {
+		var stderr bytes.Buffer
+		if code := runMain(tt.args, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tt.args, code)
+		}
+		if !strings.Contains(stderr.String(), tt.flag) {
+			t.Errorf("%v: stderr %q does not name %s", tt.args, stderr.String(), tt.flag)
+		}
+	}
+	var stderr bytes.Buffer
+	if code := runMain([]string{"-experiment", "tab2"}, &stderr); code != 0 {
+		t.Errorf("-experiment tab2: exit %d (%s), want 0", code, stderr.String())
 	}
 }
 

@@ -47,7 +47,7 @@
 // surviving replica, so at most one checkpoint interval of state is lost.
 //
 // -ctrl routes site telemetry and controller commands over the simulated
-// WAN instead of the ideal in-process channel: reports age by link
+// WAN instead of the local in-process plane: reports age by link
 // latency, the controller gates diagnosis on evidence staleness, silent
 // regions are quarantined and epoch-fenced on re-admission. The flag is
 // implied by any control-plane fault in -fault (ctrldown, telemloss,

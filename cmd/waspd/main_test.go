@@ -170,6 +170,47 @@ func TestRunWritesObsFile(t *testing.T) {
 	}
 }
 
+// TestCtrlArtifactCarriesOperatorSeries: the per-operator series are
+// recorded once per controller round whichever control plane the run
+// has, so a -ctrl artifact carries exactly the series the same run
+// without -ctrl does.
+func TestCtrlArtifactCarriesOperatorSeries(t *testing.T) {
+	series := func(ctrl bool) map[string]int {
+		opt := shortOpts()
+		opt.ctrl = ctrl
+		opt.obsOut = filepath.Join(t.TempDir(), "run.jsonl")
+		if err := run(opt); err != nil {
+			t.Fatalf("run(ctrl=%v): %v", ctrl, err)
+		}
+		file, err := os.Open(opt.obsOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer file.Close()
+		o, _, err := obs.ReadRun(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prom strings.Builder
+		if err := o.WriteProm(&prom); err != nil {
+			t.Fatal(err)
+		}
+		n := map[string]int{}
+		for _, line := range strings.Split(prom.String(), "\n") {
+			if name, _, ok := strings.Cut(line, "{"); ok && !strings.HasPrefix(line, "#") {
+				n[name]++
+			}
+		}
+		return n
+	}
+	ideal, wan := series(false), series(true)
+	for _, name := range []string{"wasp_events_processed_total", "wasp_operator_tasks"} {
+		if wan[name] == 0 || wan[name] != ideal[name] {
+			t.Errorf("%s: %d series with -ctrl, %d without; want the same, non-zero", name, wan[name], ideal[name])
+		}
+	}
+}
+
 // TestObsExportsDeterministic: the run artifact — timeline, registry and
 // flight ring — is byte-identical across two runs of one seed.
 func TestObsExportsDeterministic(t *testing.T) {

@@ -237,8 +237,9 @@ type Controller struct {
 	detectAt    map[plan.OpID]vclock.Time
 	awaitResume map[plan.OpID]vclock.Time
 
-	// plane, when non-nil, routes telemetry and commands over the
-	// simulated WAN control plane (ctrl.go). Nil keeps the ideal model.
+	// plane carries telemetry in and commands out (ctrl.go): the local
+	// plane NewController builds, or the WAN plane AttachControlPlane
+	// swaps in.
 	plane *ctrlplane.Plane
 
 	obs      *obs.Observer
@@ -256,6 +257,7 @@ func NewController(cfg Config, eng *engine.Engine, top *topology.Topology, net *
 		net:    net,
 		sched:  sched,
 		replan: replan,
+		plane:  ctrlplane.NewLocal(eng),
 	}
 	c.SetObserver(obs.New(sched.Now))
 	return c
@@ -319,7 +321,7 @@ func (c *Controller) settling(sp *obs.Span) bool {
 			sp.Event("skip", obs.String("reason", "reconfiguration in flight"), obs.Int("op", int(id)))
 			return true
 		}
-		if c.commandInFlight(id) {
+		if c.plane.CommandInFlight(id) {
 			sp.Event("skip", obs.String("reason", "command in flight"), obs.Int("op", int(id)))
 			return true
 		}

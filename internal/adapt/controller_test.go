@@ -163,8 +163,8 @@ func TestWASPReassignsNetworkBottleneck(t *testing.T) {
 			t.Fatalf("map still at constrained site 1: %v", newSites)
 		}
 	}
-	// Recovered throughput. Sample at a time not aligned with the
-	// controller's own 40 s monitoring rounds (which reset counters).
+	// Recovered throughput, sampled at a time not aligned with the
+	// controller's own 40 s monitoring rounds.
 	tb.eng.Sample()
 	tb.run(t, 610*time.Second)
 	snap := tb.eng.Sample()

@@ -9,56 +9,25 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// Control-plane integration: with no plane attached the controller runs
-// its ideal model — instantaneous global snapshots and same-tick
-// actuation. With a plane attached, telemetry arrives merged/late/partial,
-// actions travel as epoch-fenced commands, and diagnosis refuses to act on
-// evidence it cannot trust: stale inputs and quarantined regions become
-// reject branches instead of actions. The two models differ in what a
-// round sees (Sample resets and takes rates over the whole round, the
-// merger takes them over the last two site reports), so the fork is at
-// the edges — sampleSnapshot, freeSlots, the gates and reconfigure — and
-// everything between them is one path.
+// Control-plane integration: every round reads per-site reports and sends
+// actuations through c.plane, whatever its transport. NewController's
+// local plane pulls reports at each round and applies commands inline, so
+// its evidence is always current and no gate below fires. A WAN plane
+// delivers reports late, partially or not at all; there stale inputs and
+// quarantined regions become reject branches instead of actions.
 
-// AttachControlPlane switches the controller from the ideal
-// instantaneous telemetry/actuation model to the impaired one. Must be
-// called before Start; the plane's report ticker is managed by the
-// caller (experiment runner), not the controller.
+// AttachControlPlane swaps the controller's local plane for a WAN one.
+// Must be called before Start; the plane's report ticker is managed by
+// the caller (experiment runner), not the controller.
 func (c *Controller) AttachControlPlane(p *ctrlplane.Plane) { c.plane = p }
 
-// sampleSnapshot produces the round's monitoring snapshot. Ideal mode
-// samples the engine directly, which resets the per-group counters;
-// impaired mode re-evaluates quarantine and merges whatever site reports
-// survived the WAN.
+// sampleSnapshot produces the round's monitoring snapshot and records the
+// engine's per-operator registry series, once per round.
 func (c *Controller) sampleSnapshot(now vclock.Time) *metrics.Snapshot {
-	if c.plane == nil {
-		return c.eng.Sample()
-	}
 	c.plane.UpdateQuarantine(now)
-	return c.plane.Snapshot(now)
-}
-
-// commandInFlight reports whether an actuation command for the operator
-// is still traveling the control plane (sent, not yet acked or aborted).
-func (c *Controller) commandInFlight(id plan.OpID) bool {
-	return c.plane != nil && c.plane.CommandInFlight(id)
-}
-
-// superviseCommands re-sends overdue commands and folds the ones the
-// plane gave up on into the controller's abort/retry ledger — the same
-// ledger engine-side aborts use, so backoff and rollback semantics are
-// shared.
-func (c *Controller) superviseCommands(now vclock.Time) {
-	if c.plane == nil {
-		return
-	}
-	for _, ab := range c.plane.Supervise(now) {
-		reason := "command lost in the control plane before reaching its target"
-		if ab.Applied {
-			reason = "command applied but its ack never returned"
-		}
-		c.noteAborted(ab.Op, "command-timeout", reason, now)
-	}
+	snap := c.plane.Snapshot(now)
+	c.eng.RecordTelemetry()
+	return snap
 }
 
 // ctrlGated is the control-plane half of heldDown: visibility forbids
@@ -67,9 +36,6 @@ func (c *Controller) superviseCommands(now vclock.Time) {
 // Both are recorded as obs reject branches so the decision trail shows
 // *why* the controller sat on its hands.
 func (c *Controller) ctrlGated(id plan.OpID, now vclock.Time) (branch, reason string, gated bool) {
-	if c.plane == nil {
-		return "", "", false
-	}
 	sites := uniqueSites(c.eng.Plan().Stages[id].Sites)
 	if r, q := c.plane.QuarantinedRegionOf(sites); q {
 		return "quarantine",
@@ -88,8 +54,6 @@ func (c *Controller) ctrlGated(id plan.OpID, now vclock.Time) (branch, reason st
 // not heard from is not a migration target.
 func (c *Controller) freeSlots() []int {
 	free := c.eng.FreeSlots()
-	if c.plane != nil {
-		c.plane.MaskUnreachable(free, c.sched.Now())
-	}
+	c.plane.MaskUnreachable(free, c.sched.Now())
 	return free
 }

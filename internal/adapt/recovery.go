@@ -246,7 +246,7 @@ func (c *Controller) RecoverDownSites() {
 		if c.eng.Reconfiguring(id) {
 			continue // recovery (or another adaptation) already in flight
 		}
-		if c.commandInFlight(id) {
+		if c.plane.CommandInFlight(id) {
 			continue // an actuation command is still traveling the control plane
 		}
 		if held, until := c.retryHeld(id, c.sched.Now()); held {
@@ -316,13 +316,11 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	// controller can neither command the survivors there nor trust its
 	// picture of the region. Defer — the Round backstop re-enters this
 	// ladder every round and proceeds once the region is re-admitted.
-	if c.plane != nil {
-		if r, q := c.plane.QuarantinedRegionOf(uniqueSites(st.Sites)); q {
-			c.degradeStage(id, "quarantine-deferred",
-				fmt.Sprintf("region %d quarantined; recovery deferred until re-admission", r))
-			c.endDecision(false)
-			return false
-		}
+	if r, q := c.plane.QuarantinedRegionOf(uniqueSites(st.Sites)); q {
+		c.degradeStage(id, "quarantine-deferred",
+			fmt.Sprintf("region %d quarantined; recovery deferred until re-admission", r))
+		c.endDecision(false)
+		return false
 	}
 
 	// Rung 1: replace the lost tasks on live sites — all of them if slots

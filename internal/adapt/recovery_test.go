@@ -227,7 +227,7 @@ func TestRecoveryDefersInQuarantinedRegionThenProceeds(t *testing.T) {
 	crashAt(tb, 220*time.Second, 1)
 	tb.run(t, 260*time.Second)
 
-	if !plane.SiteQuarantined(1) {
+	if _, q := plane.QuarantinedRegionOf([]topology.SiteID{1}); !q {
 		t.Fatal("region of site 1 not quarantined before the crash")
 	}
 	if hasKind(tb.ctl.Actions(), ActionRecover) {

@@ -62,8 +62,16 @@ type retryState struct {
 // would otherwise wait on a transfer that can never finish).
 func (c *Controller) superviseInFlight(now vclock.Time) {
 	// Command-channel supervision first: a command the plane just gave up
-	// on frees its operator for this round's recovery or diagnosis pass.
-	c.superviseCommands(now)
+	// on frees its operator for this round's recovery or diagnosis pass,
+	// and joins the abort/retry ledger engine-side aborts use, so backoff
+	// and rollback semantics are shared.
+	for _, ab := range c.plane.Supervise(now) {
+		reason := "command lost in the control plane before reaching its target"
+		if ab.Applied {
+			reason = "command applied but its ack never returned"
+		}
+		c.noteAborted(ab.Op, "command-timeout", reason, now)
+	}
 	stall := vclock.Time(stallAfter)
 	for _, st := range c.eng.ReconfigStatuses(stall) {
 		if !st.Doomed && !st.Stalled {
@@ -168,6 +176,11 @@ func (c *Controller) retryHeld(id plan.OpID, now vclock.Time) (bool, vclock.Time
 // while stamping the hysteresis bookkeeping at completion:
 // the cooldown expiry, the placement the action replaced (for the
 // reversal guard), the round it landed, and a cleared retry ledger.
+//
+// The actuation is a command to the new placement's coordination site.
+// A local plane applies it inline and returns the engine's error; on a
+// WAN plane nil only means "launched" — application happens at delivery
+// (if ever), and the ack timeout path feeds noteAborted.
 func (c *Controller) reconfigure(id plan.OpID, newSites []topology.SiteID, migs []engine.Migration, onDone func(now vclock.Time)) error {
 	oldSites := append([]topology.SiteID(nil), c.eng.Plan().Stages[id].Sites...)
 	wrapped := func(doneAt vclock.Time) {
@@ -176,13 +189,6 @@ func (c *Controller) reconfigure(id plan.OpID, newSites []topology.SiteID, migs 
 			onDone(doneAt)
 		}
 	}
-	if c.plane == nil {
-		return c.eng.Reconfigure(id, newSites, migs, wrapped)
-	}
-	// Impaired mode: the actuation is a command that must reach the new
-	// placement's coordination site before the engine acts. SendCommand
-	// returning nil only means "launched" — application happens at
-	// delivery (if ever), and the ack timeout path feeds noteAborted.
 	return c.plane.SendCommand(id, "reconfigure", uniqueSites(newSites), func() error {
 		return c.eng.Reconfigure(id, newSites, migs, wrapped)
 	})

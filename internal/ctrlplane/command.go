@@ -44,8 +44,13 @@ type Aborted struct {
 // SendCommand issues one epoch-numbered command whose apply closure runs
 // when (if) the command reaches its target site. The target is the
 // command's coordination site: the first (lowest) site of the new
-// placement. At most one command may be in flight per operator.
+// placement. At most one command may be in flight per operator. On a
+// local plane the command arrives at once: apply runs inline and its
+// error is SendCommand's.
 func (p *Plane) SendCommand(op plan.OpID, kind string, sites []topology.SiteID, apply func() error) error {
+	if p.local {
+		return apply()
+	}
 	if c, ok := p.pendingByOp[op]; ok && !c.done {
 		return fmt.Errorf("ctrlplane: command %d still in flight for op %d", c.ID, op)
 	}

@@ -1,20 +1,17 @@
-// Package ctrlplane simulates WASP's control plane as a first-class WAN
-// tenant: per-site telemetry reports and controller commands travel the
-// same netsim links as data flows, so they arrive late, arrive out of
-// order, or never arrive at all. The controller side merges whatever
-// reports made it through (keeping the last report per site with an age),
-// quarantines a region once every one of its sites has gone silent past a
-// partition threshold, and re-admits the region — bumping its epoch so
-// zombie commands issued against the old view are fenced — when reports
-// resume.
-//
-// With no Plane constructed (every pre-existing entry point), the
-// controller keeps its ideal instantaneous-snapshot path and behavior is
-// byte-identical to before this package existed.
+// Package ctrlplane carries WASP's control plane: per-site telemetry
+// reports in, folded through one metrics.ReportMerger, and controller
+// commands out. Every controller holds a Plane; only the transport varies.
+// A local plane (NewLocal) pulls a fresh report per site at each Snapshot
+// and applies commands inline, with no quarantine domains and no ctrl.*
+// events or wasp_ctrl_* series. A WAN plane (New) is a first-class netsim
+// tenant: reports and commands ride the data links, so they arrive late,
+// out of order, or never. It quarantines a region once all its sites have
+// gone silent past a partition threshold, and re-admits the region —
+// bumping its epoch so zombie commands issued against the old view are
+// fenced — when reports resume.
 package ctrlplane
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -25,8 +22,8 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// Sampler provides per-site telemetry reports. Implemented by
-// *engine.Engine (SampleSites); a fake suffices for tests.
+// Sampler provides one telemetry report per site, ascending, an idle
+// site's empty: *engine.Engine (SampleSites), or a fake in tests.
 type Sampler interface {
 	SampleSites() []metrics.SiteReport
 }
@@ -38,9 +35,7 @@ type Network interface {
 	Reachable(from, to topology.SiteID, now vclock.Time) bool
 }
 
-// Config places the impaired control plane in a run; a Plane is only ever
-// constructed when impairment is wanted (ideal mode is the absence of a
-// Plane).
+// Config places a WAN control plane in a run.
 type Config struct {
 	// ControllerSite hosts the controller; reports flow site→controller
 	// and commands controller→site over netsim links. The controller's
@@ -69,16 +64,15 @@ const (
 	commandRetries = 3
 )
 
-// Plane is one job's simulated control plane: a report ticker on the
-// telemetry side, an epoch-fenced command channel on the actuation side,
-// and the controller-visible state (merged snapshot, per-site ages,
-// quarantine set) in between. All scheduling rides the virtual clock, so
-// every run is deterministic per seed.
+// Plane is one job's control plane: the controller-visible state (merged
+// snapshot, per-site ages, quarantine set) between telemetry and commands.
+// A WAN plane's report ticker and command channel ride the virtual clock,
+// so every run is deterministic per seed.
 type Plane struct {
+	local   bool // NewLocal's transport
 	cfg     Config
 	sampler Sampler
 	net     Network
-	top     *topology.Topology
 	sched   *vclock.Scheduler
 	obs     *obs.Observer
 	rng     *rand.Rand
@@ -114,14 +108,19 @@ func Domains(top *topology.Topology, _ Config) [][]topology.SiteID {
 	return topology.Domains(top)
 }
 
-// New builds a plane over the run's topology, network and scheduler. The
-// observer may be nil (events and counters become no-ops).
+// NewLocal builds the zero-delay, zero-loss plane of a controller that
+// shares the engine's process.
+func NewLocal(sampler Sampler) *Plane {
+	return &Plane{local: true, sampler: sampler, merger: metrics.NewReportMerger()}
+}
+
+// New builds a WAN plane over the run's topology, network and scheduler.
+// The observer may be nil (events and counters become no-ops).
 func New(cfg Config, sampler Sampler, net Network, top *topology.Topology, sched *vclock.Scheduler, o *obs.Observer) *Plane {
 	p := &Plane{
 		cfg:         cfg,
 		sampler:     sampler,
 		net:         net,
-		top:         top,
 		sched:       sched,
 		obs:         o,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
@@ -204,25 +203,15 @@ func (p *Plane) SetLossRate(rate float64) { p.lossRate = rate }
 // control-plane message in both directions.
 func (p *Plane) SetExtraDelay(d time.Duration) { p.extraDelay = d }
 
-// reportRound generates one report per site and launches each across the
-// WAN. Sites are visited in ascending order, so the loss RNG consumes a
-// deterministic draw sequence. Every site heartbeats, not just the ones
-// hosting tasks: the sampler only covers sites with deployed operators,
-// and an idle site that never reported would look permanently silent —
-// its region would be quarantined at the first threshold crossing and
-// never re-admitted (and masked out of placement forever).
+// reportRound takes one report per site and launches each across the WAN.
+// Sites are visited in ascending order, so the loss RNG consumes a
+// deterministic draw sequence. Every site reports, not just the ones
+// hosting tasks: an idle site that never reported would look permanently
+// silent — its region would be quarantined at the first threshold
+// crossing and never re-admitted (and masked out of placement forever).
 func (p *Plane) reportRound(now vclock.Time) {
 	ctrl := p.cfg.ControllerSite
-	sampled := p.sampler.SampleSites()
-	bySite := make(map[topology.SiteID]metrics.SiteReport, len(sampled))
-	for _, rep := range sampled {
-		bySite[rep.Site] = rep
-	}
-	for s := 0; s < p.top.N(); s++ {
-		rep, ok := bySite[topology.SiteID(s)]
-		if !ok {
-			rep = metrics.SiteReport{Site: topology.SiteID(s), At: now} // idle-site heartbeat
-		}
+	for _, rep := range p.sampler.SampleSites() {
 		site := rep.Site
 		if site != ctrl {
 			if r := p.regionOf[int(site)]; r >= 0 && p.ctrlDown[r] {
@@ -313,8 +302,12 @@ func (p *Plane) UpdateQuarantine(now vclock.Time) {
 }
 
 // ageOf is the site's evidence age; a site that never reported is as old
-// as the run itself.
+// as the run itself. A local plane can pull a fresh report at any moment,
+// so its evidence has no age.
 func (p *Plane) ageOf(s topology.SiteID, now vclock.Time) time.Duration {
+	if p.local {
+		return 0
+	}
 	age, ok := p.merger.Age(s, now)
 	if !ok {
 		return time.Duration(now)
@@ -333,16 +326,17 @@ func (p *Plane) StalestOf(sites []topology.SiteID, now vclock.Time) time.Duratio
 	return worst
 }
 
-// Snapshot merges the freshest report per site into one monitoring-round
-// snapshot — the controller's (partial, delayed) view of the job.
+// Snapshot merges the freshest reports per site into the controller's
+// view of the job: a local plane first pulls a report from every site (so
+// its rates run from the previous Snapshot), a WAN plane merges whatever
+// its ticker delivered.
 func (p *Plane) Snapshot(now vclock.Time) *metrics.Snapshot {
+	if p.local {
+		for _, rep := range p.sampler.SampleSites() {
+			p.merger.Absorb(rep)
+		}
+	}
 	return p.merger.Snapshot(now)
-}
-
-// SiteQuarantined reports whether a site's region is quarantined.
-func (p *Plane) SiteQuarantined(s topology.SiteID) bool {
-	r := p.RegionOfSite(s)
-	return r >= 0 && p.quarantined[r]
 }
 
 // QuarantinedRegionOf returns the first quarantined region among the
@@ -377,7 +371,7 @@ func (p *Plane) MaskUnreachable(free []int, now vclock.Time) {
 		if s == p.cfg.ControllerSite {
 			continue
 		}
-		if p.SiteQuarantined(s) || p.ageOf(s, now) > MaxStaleness {
+		if r := p.RegionOfSite(s); (r >= 0 && p.quarantined[r]) || p.ageOf(s, now) > MaxStaleness {
 			free[i] = 0
 		}
 	}
@@ -387,9 +381,3 @@ func (p *Plane) MaskUnreachable(free []int, now vclock.Time) {
 // active control partition — the "controller acted on a region it could
 // not actually see" metric the ctrlchaos sweep reports.
 func (p *Plane) WrongActions() int { return p.wrongActions }
-
-// String summarizes the plane for debugging.
-func (p *Plane) String() string {
-	return fmt.Sprintf("ctrlplane{regions=%d report=%v stale=%v partition=%v}",
-		len(p.regions), reportEvery, MaxStaleness, partitionAfter)
-}

@@ -12,11 +12,82 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// fakeSampler returns whatever the test staged; the plane heartbeats the
-// remaining sites itself.
-type fakeSampler struct{ reports []metrics.SiteReport }
+// fakeSampler reports n sites stamped with the scheduler's time: site 0
+// carries whatever counters the test staged, every other site is idle
+// (an empty heartbeat).
+type fakeSampler struct {
+	n     int
+	now   func() vclock.Time
+	site0 []metrics.OpCounters
+}
 
-func (f *fakeSampler) SampleSites() []metrics.SiteReport { return f.reports }
+func (f *fakeSampler) SampleSites() []metrics.SiteReport {
+	reps := make([]metrics.SiteReport, f.n)
+	for s := range reps {
+		reps[s] = metrics.SiteReport{Site: topology.SiteID(s), At: f.now()}
+	}
+	reps[0].Ops = f.site0
+	return reps
+}
+
+// A local plane pulls a report per site at each Snapshot, so its rates
+// run from the previous Snapshot; its evidence never ages, so no site is
+// stale or masked however long the gap; a command applies inline with
+// the apply error as the result; and it records nothing.
+func TestLocalPlane(t *testing.T) {
+	sched := vclock.NewScheduler(&vclock.Clock{})
+	smp := &fakeSampler{n: 3, now: sched.Now}
+	p := NewLocal(smp)
+
+	smp.site0 = []metrics.OpCounters{{Op: 1, Incarnation: 1, Processed: 400}}
+	if err := sched.RunUntil(40 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	p.Snapshot(sched.Now())
+	smp.site0 = []metrics.OpCounters{{Op: 1, Incarnation: 1, Processed: 1000}}
+	if err := sched.RunUntil(100 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Snapshot(sched.Now()).Ops[1].ProcessingRate; got != 10 {
+		t.Errorf("ProcessingRate = %v; want 10 (600 events over the 60s since the last Snapshot)", got)
+	}
+
+	later := sched.Now() + vclock.Time(10*time.Minute)
+	p.UpdateQuarantine(later)
+	if age := p.StalestOf([]topology.SiteID{0, 1, 2}, later); age != 0 {
+		t.Errorf("StalestOf = %v; want 0 (a local plane's evidence has no age)", age)
+	}
+	free := []int{4, 4, 4}
+	p.MaskUnreachable(free, later)
+	if free[0] != 4 || free[1] != 4 || free[2] != 4 {
+		t.Errorf("free = %v; a local plane masks nothing", free)
+	}
+	if p.NumRegions() != 0 || len(p.QuarantinedRegions()) != 0 {
+		t.Errorf("local plane has %d regions, %v quarantined; want none", p.NumRegions(), p.QuarantinedRegions())
+	}
+
+	applied := 0
+	if err := p.SendCommand(plan.OpID(1), "reassign", []topology.SiteID{2}, func() error {
+		applied++
+		return nil
+	}); err != nil || applied != 1 {
+		t.Fatalf("SendCommand = %v with %d applies; want nil after one inline apply", err, applied)
+	}
+	if err := p.SendCommand(plan.OpID(1), "reassign", nil, func() error {
+		return errors.New("engine: empty placement")
+	}); err == nil || err.Error() != "engine: empty placement" {
+		t.Errorf("SendCommand error = %v; want the apply error", err)
+	}
+	if p.CommandInFlight(1) || p.UnackedCommands() != 0 || len(p.Supervise(later)) != 0 {
+		t.Error("a local command left something in flight")
+	}
+}
+
+// quarantined reports whether site s's region is quarantined.
+func quarantined(p *Plane, s topology.SiteID) bool {
+	_, q := p.QuarantinedRegionOf([]topology.SiteID{s})
+	return q
+}
 
 // fakeNet is a uniform-latency network with per-pair reachability holes.
 type fakeNet struct {
@@ -37,7 +108,7 @@ func (f *fakeNet) Reachable(from, to topology.SiteID, _ vclock.Time) bool {
 
 // rig builds a 4-site, 2-region topology (region 0 = {0,1} with the
 // controller on site 0; region 1 = {2,3}) with a 2s-latency WAN.
-func rig(t *testing.T) (*Plane, *fakeSampler, *fakeNet, *vclock.Scheduler) {
+func rig(t *testing.T) (*Plane, *fakeNet, *vclock.Scheduler) {
 	t.Helper()
 	const n = 4
 	sites := make([]topology.Site, n)
@@ -59,18 +130,16 @@ func rig(t *testing.T) (*Plane, *fakeSampler, *fakeNet, *vclock.Scheduler) {
 		t.Fatal(err)
 	}
 	sched := vclock.NewScheduler(&vclock.Clock{})
-	smp := &fakeSampler{}
 	net := &fakeNet{lat: 2 * time.Second, down: map[[2]topology.SiteID]bool{}}
 	o := obs.New(sched.Now)
-	p := New(Config{}, smp, net, top, sched, o)
-	return p, smp, net, sched
+	p := New(Config{}, &fakeSampler{n: n, now: sched.Now}, net, top, sched, o)
+	return p, net, sched
 }
 
 // Reports ride the WAN: a report generated at t carries its generation
 // stamp, arrives one link latency later, and ages from t, not arrival.
 func TestReportsAgeFromGeneration(t *testing.T) {
-	p, smp, _, sched := rig(t)
-	smp.reports = []metrics.SiteReport{} // all sites idle → pure heartbeats
+	p, _, sched := rig(t)
 	p.Start()
 	if err := sched.RunUntil(11 * time.Second); err != nil {
 		t.Fatal(err)
@@ -93,7 +162,7 @@ func TestReportsAgeFromGeneration(t *testing.T) {
 // quarantined; the first report back out re-admits it and bumps its
 // epoch.
 func TestQuarantineAndReadmitBumpsEpoch(t *testing.T) {
-	p, _, net, sched := rig(t)
+	p, _, sched := rig(t)
 	p.Start()
 
 	// Cut region 1 (sites 2, 3) off from the controller at t=20s.
@@ -102,10 +171,10 @@ func TestQuarantineAndReadmitBumpsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.UpdateQuarantine(sched.Now())
-	if !p.SiteQuarantined(2) || !p.SiteQuarantined(3) {
+	if !quarantined(p, 2) || !quarantined(p, 3) {
 		t.Fatalf("region 1 not quarantined after %v of silence", sched.Now()-20*time.Second)
 	}
-	if p.SiteQuarantined(0) || p.SiteQuarantined(1) {
+	if quarantined(p, 0) || quarantined(p, 1) {
 		t.Fatal("region 0 quarantined despite reporting")
 	}
 	if got := p.QuarantinedRegions(); len(got) != 1 || got[0] != 1 {
@@ -117,11 +186,10 @@ func TestQuarantineAndReadmitBumpsEpoch(t *testing.T) {
 
 	// Heal; the next report round re-admits the region.
 	p.SetRegionPartition(1, false)
-	_ = net
 	if err := sched.RunUntil(115 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if p.SiteQuarantined(2) {
+	if quarantined(p, 2) {
 		t.Fatal("region 1 still quarantined after reports resumed")
 	}
 	if p.epoch[1] != 1 {
@@ -133,7 +201,7 @@ func TestQuarantineAndReadmitBumpsEpoch(t *testing.T) {
 // delivery: its epoch no longer matches the region's, so the apply
 // closure never runs.
 func TestEpochFencing(t *testing.T) {
-	p, _, _, sched := rig(t)
+	p, _, sched := rig(t)
 	p.Start()
 
 	sched.At(20*time.Second, func(vclock.Time) { p.SetRegionPartition(1, true) })
@@ -181,7 +249,7 @@ func TestEpochFencing(t *testing.T) {
 // supervisor re-sends and the idempotent delivery path re-acks without
 // running apply a second time.
 func TestRetryIsIdempotent(t *testing.T) {
-	p, _, net, sched := rig(t)
+	p, net, sched := rig(t)
 	applies := 0
 
 	// Site 2 → controller is down (acks lost), controller → site 2 fine.
@@ -224,7 +292,7 @@ func TestRetryIsIdempotent(t *testing.T) {
 // times and then aborted, with Applied=false telling the controller the
 // actuation never ran.
 func TestAbortAfterRetryBudget(t *testing.T) {
-	p, _, _, sched := rig(t)
+	p, _, sched := rig(t)
 	p.SetRegionPartition(1, true)
 
 	if err := p.SendCommand(plan.OpID(3), "replan", []topology.SiteID{3}, func() error {
@@ -261,7 +329,7 @@ func TestAbortAfterRetryBudget(t *testing.T) {
 
 // An apply error resolves the command (reported, not retried forever).
 func TestApplyErrorResolves(t *testing.T) {
-	p, _, _, sched := rig(t)
+	p, _, sched := rig(t)
 	if err := p.SendCommand(plan.OpID(5), "reassign", []topology.SiteID{1}, func() error {
 		return errors.New("no slots")
 	}); err != nil {
@@ -278,7 +346,7 @@ func TestApplyErrorResolves(t *testing.T) {
 // MaskUnreachable zeroes quarantined and stale sites out of the free-slot
 // vector but never the controller's own site.
 func TestMaskUnreachable(t *testing.T) {
-	p, _, _, sched := rig(t)
+	p, _, sched := rig(t)
 	p.Start()
 	sched.At(15*time.Second, func(vclock.Time) { p.SetRegionPartition(1, true) })
 	if err := sched.RunUntil(15*time.Second + partitionAfter + reportEvery); err != nil {

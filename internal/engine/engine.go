@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/detutil"
+	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/netsim"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
@@ -104,13 +105,11 @@ type group struct {
 	// cleared when they finalize or abort.
 	suspended bool
 
-	// Counters since the last Sample call.
-	arrived       float64
-	processed     float64
-	emitted       float64
-	dropped       float64
-	generated     float64 // sources: external events generated
-	backpressured bool
+	// incarnation is the store generation newGroup built the group in (a
+	// group re-created at the same site always has a later one), and the
+	// event counters only grow after it: SampleSites reports both.
+	incarnation uint64
+	eventCounts
 
 	// bpActive is the backpressure state as of the last tick: what
 	// SampleSites reports, and the edge an onset event fires on
@@ -131,6 +130,23 @@ type group struct {
 	front bool
 	out   []*edgeFlow
 	fan   []fanSite
+}
+
+// eventCounts are one group's event counters, monotone since newGroup.
+type eventCounts struct {
+	arrived   float64
+	processed float64
+	emitted   float64
+	dropped   float64
+	generated float64 // sources: external events generated
+}
+
+func (c *eventCounts) add(o eventCounts) {
+	c.arrived += o.arrived
+	c.processed += o.processed
+	c.emitted += o.emitted
+	c.dropped += o.dropped
+	c.generated += o.generated
 }
 
 // key returns the group's position in the store order.
@@ -261,8 +277,13 @@ type Engine struct {
 	droppedSrcEquiv  float64 // all drops, src equivalents
 	droppedBeyondSrc float64 // drops after ingest, src equivalents
 
-	// lastSample tracks the previous Sample time for rate computation.
-	lastSample vclock.Time
+	// retired sums, per operator, the counters of the groups the store
+	// dropped (RecordTelemetry's totals); siteOff and reports are reused by
+	// SampleSites; sampled is the merger behind Sample.
+	retired map[plan.OpID]eventCounts
+	siteOff []int
+	reports []metrics.SiteReport
+	sampled *metrics.ReportMerger
 
 	// obs is the optional observability hookup (nil = zero overhead); tel
 	// caches the registry instruments the hot path touches.
@@ -316,6 +337,10 @@ func New(cfg Config, top *topology.Topology, net *netsim.Network, sched *vclock.
 		siteDown:       make([]bool, top.N()),
 		siteStrag:      make([]float64, top.N()),
 		workloadFactor: trace.Constant(1),
+		retired:        make(map[plan.OpID]eventCounts),
+		siteOff:        make([]int, top.N()+1),
+		reports:        make([]metrics.SiteReport, top.N()),
+		sampled:        metrics.NewReportMerger(),
 	}
 	for i := range e.siteStrag {
 		e.siteStrag[i] = 1
@@ -677,7 +702,6 @@ func (e *Engine) processGroup(g *group, now vclock.Time, dtSec float64, failed b
 	// Downstream fan-out is blocked while any send queue is full: the
 	// group stops processing (backpressure propagates upstream).
 	if e.sendBlocked(g) {
-		g.backpressured = true
 		return
 	}
 
@@ -852,9 +876,6 @@ func (e *Engine) updateBackpressure() {
 	for _, groups := range e.stages {
 		for _, g := range groups {
 			bp := e.queueFull(g) || e.sendBlocked(g)
-			if bp {
-				g.backpressured = true
-			}
 			if bp == g.bpActive {
 				continue
 			}

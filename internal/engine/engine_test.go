@@ -2,9 +2,12 @@ package engine
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/netsim"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
@@ -311,7 +314,7 @@ func TestReconfigureScaleOut(t *testing.T) {
 		t.Fatalf("parallelism = %d, want 2", got)
 	}
 	// Both sites now receive half the stream each.
-	r.eng.Sample() // reset counters
+	r.eng.Sample() // open the rate window
 	r.run(t, 40*time.Second)
 	snap := r.eng.Sample()
 	mp := snap.Ops[r.ids[1]]
@@ -409,7 +412,7 @@ func TestBeginReplanSwitchesPlanWithoutLoss(t *testing.T) {
 func TestSampleRates(t *testing.T) {
 	r := pipelineRig(t, Config{}, 800, 10000)
 	r.run(t, 10*time.Second)
-	r.eng.Sample() // reset
+	r.eng.Sample() // open the rate window
 	r.run(t, 50*time.Second)
 	snap := r.eng.Sample()
 	src := snap.Ops[r.ids[0]]
@@ -431,7 +434,7 @@ func TestSampleRates(t *testing.T) {
 // TestSampleSitesBackpressureWithoutObserver: what the controller sees must
 // not depend on whether anyone is watching. A 1 Mbps link under a
 // 10000 ev/s source backs the source's send queue up to the bound, so the
-// per-site reports an impaired control plane ships must carry the live
+// per-site reports a control plane carries must hold the live
 // backpressure flag with no observer attached, exactly as they do with one.
 // No decision reads the flag today (adapt.diagnose does not), which is why
 // maintaining it unconditionally moves no experiment output.
@@ -458,6 +461,46 @@ func TestSampleSitesBackpressureWithoutObserver(t *testing.T) {
 		if !reported {
 			t.Errorf("observed=%v: SampleSites reports no backpressure on a backpressured pipeline", observed)
 		}
+	}
+}
+
+// TestSampleSitesReportsEverySite: one report per site, ascending, with
+// each site's operators ascending and an idle site's report empty; group
+// counters only grow, and a group a reconfiguration re-creates reports a
+// new incarnation.
+func TestSampleSitesReportsEverySite(t *testing.T) {
+	r := pipelineRig(t, Config{}, 800, 10000)
+	src, mp, snk := r.ids[0], r.ids[1], r.ids[2]
+	layout := func(reps []metrics.SiteReport) [][]plan.OpID {
+		out := make([][]plan.OpID, len(reps))
+		for s, rep := range reps {
+			if rep.Site != topology.SiteID(s) {
+				t.Fatalf("report %d is for site %d", s, rep.Site)
+			}
+			for _, oc := range rep.Ops {
+				out[s] = append(out[s], oc.Op)
+			}
+		}
+		return out
+	}
+	r.run(t, 10*time.Second)
+	before := slices.Clone(r.eng.SampleSites()) // the next call reuses the slice
+	if got, want := layout(before), [][]plan.OpID{{src}, {mp, snk}, nil}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("operators by site = %v, want %v", got, want)
+	}
+	if err := r.eng.Reconfigure(mp, []topology.SiteID{1, 2}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, 20*time.Second)
+	after := r.eng.SampleSites()
+	if got, want := layout(after), [][]plan.OpID{{src}, {mp, snk}, {mp}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("operators by site after scale-out = %v, want %v", got, want)
+	}
+	if b, a := before[0].Ops[0], after[0].Ops[0]; a.Incarnation != b.Incarnation || a.Generated <= b.Generated {
+		t.Errorf("source group: incarnation %d→%d, generated %v→%v; want the same group, counting on", b.Incarnation, a.Incarnation, b.Generated, a.Generated)
+	}
+	if b, a := before[1].Ops[0], after[1].Ops[0]; a.Incarnation == b.Incarnation {
+		t.Errorf("re-placed map group kept incarnation %d", a.Incarnation)
 	}
 }
 

@@ -24,9 +24,7 @@ type flightStage struct {
 	backlog *obs.FlightColumn
 	rate    *obs.FlightColumn
 	// prevProcessed is the stage's cumulative processed count at the last
-	// recorded tick. Sample() resets the underlying counters every
-	// monitoring round, so a negative delta means "reset happened" and the
-	// current count IS the delta.
+	// recorded tick (group counters only grow between cache rebuilds).
 	prevProcessed float64
 }
 
@@ -78,14 +76,10 @@ func (e *Engine) recordFlight(now vclock.Time, dtSec float64) {
 			suspended++
 		}
 		st.backlog.Set(backlog)
-		delta := processed - st.prevProcessed
-		if delta < 0 {
-			delta = processed // Sample() reset the counters this tick
+		if dtSec > 0 {
+			st.rate.Set((processed - st.prevProcessed) / dtSec)
 		}
 		st.prevProcessed = processed
-		if dtSec > 0 {
-			st.rate.Set(delta / dtSec)
-		}
 	}
 	fc.suspended.Set(float64(suspended))
 	fc.transfers.Set(float64(e.net.ActiveTransfers()))

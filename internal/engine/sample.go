@@ -1,85 +1,78 @@
 package engine
 
 import (
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/metrics"
+	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 )
 
-// Sample aggregates and resets the per-operator counters accumulated since
-// the previous Sample, producing one monitoring-round snapshot (the Local
-// Metric Monitor → Global Metric Monitor path, §3.1).
+// Sample folds one SampleSites round into the engine's own merger: rates
+// since the previous Sample call, for callers that drive an engine with
+// no controller (a controller reads the reports through its plane).
 func (e *Engine) Sample() *metrics.Snapshot {
-	now := e.sched.Now()
-	interval := (now - e.lastSample).Seconds()
-	if interval <= 0 {
-		interval = 1
+	for _, rep := range e.SampleSites() {
+		e.sampled.Absorb(rep)
 	}
-	e.lastSample = now
-
-	snap := &metrics.Snapshot{At: now, Ops: make(map[plan.OpID]metrics.OperatorSample)}
-	for _, id := range detutil.SortedKeys(e.plan.Stages) {
-		st := e.plan.Stages[id]
-		s := metrics.OperatorSample{Op: id, Tasks: st.Parallelism()}
-		var processed, emitted, dropped, generated float64
-		for _, g := range e.opGroups(id) {
-			s.ProcessingRate += g.processed / interval
-			s.OutputRate += g.emitted / interval
-			s.ArrivalRate += g.arrived / interval
-			s.SourceRate += g.generated / interval
-			s.InputQueueLen += g.inQ.len()
-			s.Backpressure = s.Backpressure || g.backpressured
-			processed += g.processed
-			emitted += g.emitted
-			dropped += g.dropped
-			generated += g.generated
-			g.processed, g.emitted, g.arrived, g.generated, g.dropped = 0, 0, 0, 0, 0
-			g.backpressured = false
-		}
-		for _, f := range e.opFlows(id) {
-			s.SendQueueLen += f.q.len()
-		}
-		s.QueueLen = s.InputQueueLen + s.SendQueueLen
-		snap.Ops[id] = s
-		e.recordOpTelemetry(id, s, processed, emitted, dropped, generated)
-	}
-	return snap
+	return e.sampled.Snapshot(e.sched.Now())
 }
 
-// recordOpTelemetry folds one operator's per-round aggregates into the
-// registry. Called once per monitoring round per operator; a nil observer
-// makes it a no-op.
-func (e *Engine) recordOpTelemetry(id plan.OpID, s metrics.OperatorSample, processed, emitted, dropped, generated float64) {
+// RecordTelemetry sets the per-operator registry series: event totals
+// since deployment (live plus retired groups) and the queue and
+// parallelism gauges. A nil observer makes it a no-op.
+func (e *Engine) RecordTelemetry() {
 	if e.obs == nil {
 		return
 	}
 	r := e.obs.Registry()
-	op := opLabel(id)
-	r.Counter("wasp_events_processed_total", "op", op).Add(processed)
-	r.Counter("wasp_events_emitted_total", "op", op).Add(emitted)
-	r.Counter("wasp_events_dropped_total", "op", op).Add(dropped)
-	r.Counter("wasp_events_generated_total", "op", op).Add(generated)
-	r.Gauge("wasp_input_queue_events", "op", op).Set(s.InputQueueLen)
-	r.Gauge("wasp_send_queue_events", "op", op).Set(s.SendQueueLen)
-	r.Gauge("wasp_operator_tasks", "op", op).Set(float64(s.Tasks))
+	for _, groups := range e.stages {
+		id := groups[0].op.ID
+		total := e.retired[id]
+		var inQ, sendQ, tasks float64
+		for _, g := range groups {
+			total.add(g.eventCounts)
+			inQ += g.inQ.len()
+			for _, f := range g.out {
+				sendQ += f.q.len()
+			}
+			tasks += float64(g.tasks)
+		}
+		op := opLabel(id)
+		setTotal(r.Counter("wasp_events_processed_total", "op", op), total.processed)
+		setTotal(r.Counter("wasp_events_emitted_total", "op", op), total.emitted)
+		setTotal(r.Counter("wasp_events_dropped_total", "op", op), total.dropped)
+		setTotal(r.Counter("wasp_events_generated_total", "op", op), total.generated)
+		r.Gauge("wasp_input_queue_events", "op", op).Set(inQ)
+		r.Gauge("wasp_send_queue_events", "op", op).Set(sendQ)
+		r.Gauge("wasp_operator_tasks", "op", op).Set(tasks)
+	}
 }
 
-// SampleSites builds one telemetry report per site currently hosting
-// tasks — the per-site Local Metric Monitor view that an impaired control
-// plane ships over the WAN. Counters are reported *cumulatively* and are
-// NOT reset: a run whose controller consumes merged site reports must not
-// also call Sample (the two share the same underlying counters, and
-// Sample's reset would corrupt the deltas the merger computes). Queue
-// lengths and backpressure are instantaneous at generation time; the
-// backpressure flag is the live edge state (bpActive), not the
-// since-last-Sample latch.
+// setTotal advances a counter to a running total.
+func setTotal(c *obs.Counter, total float64) { c.Add(total - c.Value()) }
+
+// SampleSites builds one Local Metric Monitor report per site, ascending;
+// an idle site's is empty, its heartbeat. Counters are cumulative since
+// each group's creation and carry its incarnation; queues and
+// backpressure (bpActive) are instantaneous. The next call reuses the
+// returned slice but not the Ops it points into.
 func (e *Engine) SampleSites() []metrics.SiteReport {
 	now := e.sched.Now()
-	perSite := make(map[topology.SiteID][]metrics.OpCounters)
+	// Bucket the groups, in (op, site) order, by site: each site's slice
+	// comes out ascending by op.
+	off := e.siteOff
+	clear(off)
+	for _, g := range e.groups {
+		off[g.site+1]++
+	}
+	for s := 1; s < len(off); s++ {
+		off[s] += off[s-1]
+	}
+	ops := make([]metrics.OpCounters, len(e.groups))
 	for _, g := range e.groups {
 		oc := metrics.OpCounters{
 			Op:            g.op.ID,
+			Incarnation:   g.incarnation,
 			Arrived:       g.arrived,
 			Processed:     g.processed,
 			Emitted:       g.emitted,
@@ -91,13 +84,16 @@ func (e *Engine) SampleSites() []metrics.SiteReport {
 		for _, f := range g.out {
 			oc.SendQueueLen += f.q.len()
 		}
-		perSite[g.site] = append(perSite[g.site], oc)
+		ops[off[g.site]] = oc
+		off[g.site]++
 	}
-	reports := make([]metrics.SiteReport, 0, len(perSite))
-	for _, s := range detutil.SortedKeys(perSite) {
-		// Ops arrive ascending: groups sort by operator first, and an
-		// operator has at most one group per site.
-		reports = append(reports, metrics.SiteReport{Site: s, At: now, Ops: perSite[s]})
+	// Filling advanced each site's offset to its end, the next one's start.
+	reports := e.reports
+	start := 0
+	for s := range reports {
+		end := off[s]
+		reports[s] = metrics.SiteReport{Site: topology.SiteID(s), At: now, Ops: ops[start:end:end]}
+		start = end
 	}
 	return reports
 }
@@ -141,20 +137,15 @@ func (e *Engine) Parallelism(op plan.OpID) int {
 	return st.Parallelism()
 }
 
-// SlotsUsed reports slots occupied per site by the current plan.
-func (e *Engine) SlotsUsed() []int { return e.plan.SlotsUsed(e.top.N()) }
-
 // FreeSlots reports slots still available per site. Crashed sites offer
 // none: placement (and therefore recovery) must route around them.
 func (e *Engine) FreeSlots() []int {
-	used := e.SlotsUsed()
+	used := e.plan.SlotsUsed(e.top.N())
 	free := make([]int, e.top.N())
 	for s := range free {
-		if e.siteDown[s] {
-			free[s] = 0
-			continue
+		if !e.siteDown[s] {
+			free[s] = e.top.Slots(topology.SiteID(s)) - used[s]
 		}
-		free[s] = e.top.Slots(topology.SiteID(s)) - used[s]
 	}
 	return free
 }

@@ -82,8 +82,19 @@ func (e *Engine) opFlows(op plan.OpID) []*edgeFlow {
 // setPlan installs p as the deployed plan with no groups: groups belong to
 // the plan they were built for.
 func (e *Engine) setPlan(p *physical.Plan) {
+	e.retire(e.groups)
 	e.plan, e.groups = p, nil
 	e.gen++
+}
+
+// retire folds the counters of groups leaving the store into their
+// operators' retired totals.
+func (e *Engine) retire(gs []*group) {
+	for _, g := range gs {
+		c := e.retired[g.op.ID]
+		c.add(g.eventCounts)
+		e.retired[g.op.ID] = c
+	}
 }
 
 // placeOp installs a placement for one operator: the stage's Sites and, in
@@ -100,13 +111,14 @@ func (e *Engine) placeOp(op plan.OpID, sites []topology.SiteID) []*group {
 		gs[i] = e.newGroup(op, site, countSites(sites, site))
 	}
 	lo, hi := e.groupIndex(groupKey{op: op}), e.groupIndex(groupKey{op: op + 1})
+	e.retire(e.groups[lo:hi])
 	e.groups = slices.Concat(e.groups[:lo], gs, e.groups[hi:])
 	e.gen++
 	return gs
 }
 
 func (e *Engine) newGroup(op plan.OpID, site topology.SiteID, tasks int) *group {
-	g := &group{op: e.plan.Graph.Operator(op), site: site, tasks: tasks}
+	g := &group{op: e.plan.Graph.Operator(op), site: site, tasks: tasks, incarnation: e.gen}
 	g.windowed = g.op.Window > 0
 	g.cap = g.capacity(e.cfg.SlotRate)
 	g.bpLimit = g.cap * backpressureSec

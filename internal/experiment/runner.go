@@ -78,9 +78,8 @@ type Scenario struct {
 	CheckpointEvery time.Duration
 
 	// Ctrl, when non-nil, routes the controller's telemetry and commands
-	// over the simulated WAN control plane (ctrlplane) instead of the
-	// ideal instantaneous model. Nil — the default for every existing
-	// entry point — keeps runs byte-identical to the ideal controller.
+	// over the simulated WAN control plane (ctrlplane.New) instead of the
+	// controller's local plane.
 	Ctrl *ctrlplane.Config
 
 	// SampleEvery sets the series bucket width (default 20 s).

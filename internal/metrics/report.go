@@ -3,20 +3,19 @@ package metrics
 import (
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 // OpCounters is one operator's share of a site telemetry report. Event
-// counters are *cumulative* since the operator's tasks started on the
-// site — rates are computed controller-side from deltas between
-// consecutive reports, so a lost report degrades resolution instead of
-// losing events, and a counter that moves backwards betrays a task
-// restart (the site crashed and came back with fresh groups).
+// counters are *cumulative* since the reporting task group was created —
+// rates come controller-side from deltas between consecutive reports, so
+// a lost report degrades resolution instead of losing events. A changed
+// Incarnation means the group was re-created and counts from zero again.
 type OpCounters struct {
-	Op plan.OpID
+	Op          plan.OpID
+	Incarnation uint64
 	// Cumulative event counters.
 	Arrived   float64
 	Processed float64
@@ -44,51 +43,47 @@ type SiteReport struct {
 // siteHistory keeps the two most recent reports from one site: rates come
 // from the delta between them.
 type siteHistory struct {
-	last    SiteReport
-	prev    SiteReport
-	hasPrev bool
+	last, prev     SiteReport
+	heard, hasPrev bool
 }
 
 // ReportMerger folds per-site reports into controller-side snapshots. It
-// keeps the last report per site (with its age) and computes per-operator
-// rates from cumulative-counter deltas, detecting counter resets the same
-// way the flight recorder does: a negative delta means the counter
-// restarted from zero, so the current value *is* the delta.
+// keeps the last two reports per site, dense by SiteID, and computes
+// per-operator rates from cumulative-counter deltas between them.
 type ReportMerger struct {
-	sites map[topology.SiteID]*siteHistory
+	sites []siteHistory
+	ops   int // operators in the last snapshot: the next one's size hint
 }
 
 // NewReportMerger returns an empty merger: every site starts unheard-from.
-func NewReportMerger() *ReportMerger {
-	return &ReportMerger{sites: make(map[topology.SiteID]*siteHistory)}
-}
+func NewReportMerger() *ReportMerger { return &ReportMerger{} }
 
 // Absorb folds one received report into the merger. Reports that are not
 // newer than the site's last absorbed report are discarded: delivery
 // delays can reorder reports in flight, and rates must be computed over a
 // forward interval.
 func (m *ReportMerger) Absorb(rep SiteReport) {
-	h, ok := m.sites[rep.Site]
-	if !ok {
-		m.sites[rep.Site] = &siteHistory{last: rep}
-		return
+	if n := int(rep.Site) + 1; n > len(m.sites) {
+		m.sites = append(m.sites, make([]siteHistory, n-len(m.sites))...)
 	}
-	if rep.At <= h.last.At {
-		return
+	h := &m.sites[rep.Site]
+	switch {
+	case !h.heard:
+		h.last, h.heard = rep, true
+	case rep.At > h.last.At:
+		h.prev, h.hasPrev = h.last, true
+		h.last = rep
 	}
-	h.prev, h.hasPrev = h.last, true
-	h.last = rep
 }
 
 // Age returns how old the site's freshest evidence is at time now.
 // ok=false means the site has never reported — callers must treat it as
 // infinitely stale, not fresh.
 func (m *ReportMerger) Age(site topology.SiteID, now vclock.Time) (time.Duration, bool) {
-	h, ok := m.sites[site]
-	if !ok {
+	if site < 0 || int(site) >= len(m.sites) || !m.sites[site].heard {
 		return 0, false
 	}
-	return time.Duration(now - h.last.At), true
+	return time.Duration(now - m.sites[site].last.At), true
 }
 
 // Snapshot merges the last report per site into one monitoring snapshot.
@@ -96,27 +91,38 @@ func (m *ReportMerger) Age(site topology.SiteID, now vclock.Time) (time.Duration
 // rates are invisible to the controller, which is exactly the partial
 // view a partitioned control plane has. Gauges come from each site's last
 // report; rates are deltas between its last two reports (or since the
-// run start for a site's first report).
+// run start for a site's first report). An operator the previous report
+// lacks, or reported under another incarnation, counts from zero.
 func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
-	snap := &Snapshot{At: now, Ops: make(map[plan.OpID]OperatorSample)}
-	for _, site := range detutil.SortedKeys(m.sites) {
-		h := m.sites[site]
-		interval := intervalSeconds(h)
-		prevOps := make(map[plan.OpID]OpCounters, len(h.prev.Ops))
-		if h.hasPrev {
-			for _, oc := range h.prev.Ops {
-				prevOps[oc.Op] = oc
-			}
+	snap := &Snapshot{At: now, Ops: make(map[plan.OpID]OperatorSample, m.ops)}
+	for i := range m.sites {
+		h := &m.sites[i]
+		if len(h.last.Ops) == 0 {
+			continue // unheard, or a heartbeat: nothing to merge
 		}
+		interval := h.last.At.Seconds()
+		var prev []OpCounters
+		if h.hasPrev {
+			interval = (h.last.At - h.prev.At).Seconds()
+			prev = h.prev.Ops
+		}
+		// Both op lists ascend by Op: walk them with two pointers.
+		j := 0
 		for _, oc := range h.last.Ops {
+			for j < len(prev) && prev[j].Op < oc.Op {
+				j++
+			}
+			var base OpCounters
+			if j < len(prev) && prev[j].Op == oc.Op && prev[j].Incarnation == oc.Incarnation {
+				base = prev[j]
+			}
 			s := snap.Ops[oc.Op]
 			s.Op = oc.Op
-			prev := prevOps[oc.Op] // zero value when site first reported the op
 			if interval > 0 {
-				s.ArrivalRate += counterDelta(oc.Arrived, prev.Arrived) / interval
-				s.ProcessingRate += counterDelta(oc.Processed, prev.Processed) / interval
-				s.OutputRate += counterDelta(oc.Emitted, prev.Emitted) / interval
-				s.SourceRate += counterDelta(oc.Generated, prev.Generated) / interval
+				s.ArrivalRate += (oc.Arrived - base.Arrived) / interval
+				s.ProcessingRate += (oc.Processed - base.Processed) / interval
+				s.OutputRate += (oc.Emitted - base.Emitted) / interval
+				s.SourceRate += (oc.Generated - base.Generated) / interval
 			}
 			s.InputQueueLen += oc.InputQueueLen
 			s.SendQueueLen += oc.SendQueueLen
@@ -126,25 +132,6 @@ func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
 			snap.Ops[oc.Op] = s
 		}
 	}
+	m.ops = len(snap.Ops)
 	return snap
-}
-
-// intervalSeconds is the rate window for one site: last-to-previous
-// report spacing, or since the virtual-clock origin for a first report.
-func intervalSeconds(h *siteHistory) float64 {
-	if h.hasPrev {
-		return (h.last.At - h.prev.At).Seconds()
-	}
-	return h.last.At.Seconds()
-}
-
-// counterDelta applies the flight recorder's reset-detection idiom: a
-// cumulative counter that moved backwards restarted from zero (task
-// restart after a crash), so the current value is the whole delta.
-func counterDelta(cur, prev float64) float64 {
-	d := cur - prev
-	if d < 0 {
-		d = cur
-	}
-	return d
 }
