@@ -31,7 +31,8 @@ type cohort struct {
 //waspvet:hotpath
 func (c cohort) src() float64 { return c.count * c.worth }
 
-// cohortQueue is a FIFO of cohorts with O(1) amortized push/pop.
+// cohortQueue is a FIFO of cohorts with O(1) amortized push/pop. It holds
+// events exactly when it holds cohorts.
 type cohortQueue struct {
 	items []cohort
 	head  int
@@ -57,7 +58,8 @@ func (q *cohortQueue) push(born vclock.Time, count, worth float64, raw bool) {
 	q.items = append(q.items, cohort{born: born, count: count, worth: worth, raw: raw})
 }
 
-// len returns the number of queued events.
+// len returns the number of queued events, an O(1) running sum that is
+// positive exactly when the queue is non-empty (see settle).
 //
 //waspvet:hotpath
 func (q *cohortQueue) len() float64 { return q.total }
@@ -74,18 +76,19 @@ func (q *cohortQueue) srcTotal() float64 {
 	return total
 }
 
-// empty reports whether the queue holds no events.
+// empty reports whether the queue holds no cohorts. No event-count
+// threshold may call a queue empty: a cohort of 1e-10 events can stand for
+// 1e12 source events (σ shrinks count at every combine level).
 //
 //waspvet:hotpath
-func (q *cohortQueue) empty() bool { return q.total <= 1e-9 }
+func (q *cohortQueue) empty() bool { return q.head >= len(q.items) }
 
 // oldestBorn returns the generation time of the head cohort, or ok=false
-// when empty. The head-bound check guards against float residue in total
-// making empty() disagree with the item slice.
+// when empty.
 //
 //waspvet:hotpath
 func (q *cohortQueue) oldestBorn() (vclock.Time, bool) {
-	if q.empty() || q.head >= len(q.items) {
+	if q.empty() {
 		return 0, false
 	}
 	return q.items[q.head].born, true
@@ -93,13 +96,17 @@ func (q *cohortQueue) oldestBorn() (vclock.Time, bool) {
 
 // popInto removes up to n events from the head, appending the removed
 // cohorts to out in FIFO order, so per-tick callers can recycle one
-// scratch slice instead of allocating per pop.
+// scratch slice instead of allocating per pop. A head cohort that exceeds
+// the remaining budget by no more than a tolerance relative to n is popped
+// whole, so float residue in a budget sized from len() does not leave a
+// sliver that trails its cohort by one tick.
 //
 //waspvet:hotpath
 func (q *cohortQueue) popInto(n float64, out []cohort) []cohort {
-	for n > 1e-9 && q.head < len(q.items) {
+	tol := 1e-9 * n
+	for n > tol && !q.empty() {
 		c := &q.items[q.head]
-		if c.count <= n+1e-9 {
+		if c.count <= n+tol {
 			out = append(out, *c)
 			n -= c.count
 			q.total -= c.count
@@ -112,30 +119,29 @@ func (q *cohortQueue) popInto(n float64, out []cohort) []cohort {
 		n = 0
 	}
 	q.compact()
-	q.resync()
+	q.settle()
 	return out
 }
 
 // popHead removes and returns the head cohort regardless of its size
-// (ok=false when empty). Used by shedding paths, where pop's fractional
-// epsilon handling could otherwise spin on sub-epsilon head cohorts.
+// (ok=false when empty). The Degrade shedder uses it to drop whole
+// cohorts, whatever the budget.
 //
 //waspvet:hotpath
 func (q *cohortQueue) popHead() (cohort, bool) {
-	if q.head >= len(q.items) {
+	if q.empty() {
 		return cohort{}, false
 	}
 	c := q.items[q.head]
 	q.head++
 	q.total -= c.count
 	q.compact()
-	q.resync()
+	q.settle()
 	return c, true
 }
 
 // popAll drains the queue exactly, returning every remaining cohort in FIFO
-// arrival order. It iterates the item slice rather than popping by count so
-// accumulated float error in total can never leave cohorts behind.
+// arrival order.
 func (q *cohortQueue) popAll() []cohort { return q.popAllInto(nil) }
 
 // popAllInto is popAll appending into a caller-supplied buffer.
@@ -151,17 +157,19 @@ func (q *cohortQueue) popAllInto(out []cohort) []cohort {
 	return out
 }
 
-// resync re-establishes the invariant that total is the sum of the live
-// items. Repeated fractional pops accumulate floating-point error in
-// total; on a large queue the residue can exceed the 1e-9 epsilon even
-// when every cohort has been consumed, making empty() report non-empty
-// while head == len(items) — and oldestBorn index out of range. When the
-// item slice is drained, total is exactly zero by construction.
+// settle keeps total a positive running sum while cohorts remain: exactly
+// zero once the items run out, and re-summed from them only when a pop's
+// subtraction left it ≤ 0 while cohorts remain (a 1e-14-event cohort whose
+// push vanished into the rounding of a 1000-event one).
 //
 //waspvet:hotpath
-func (q *cohortQueue) resync() {
-	if q.head >= len(q.items) || q.total < 1e-9 {
-		q.total = 0
+func (q *cohortQueue) settle() {
+	if q.total > 0 && !q.empty() {
+		return
+	}
+	q.total = 0
+	for i := q.head; i < len(q.items); i++ {
+		q.total += q.items[i].count
 	}
 }
 

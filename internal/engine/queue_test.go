@@ -88,8 +88,8 @@ func TestQueuePopHead(t *testing.T) {
 	if q.len() != 5 {
 		t.Fatalf("len after popHead = %v", q.len())
 	}
-	// popHead must make progress even on sub-epsilon cohorts (the spin
-	// bug the Degrade shedder once hit).
+	// popHead must make progress on cohorts of any size, however few
+	// events they hold (the spin bug the Degrade shedder once hit).
 	for i := 0; i < 3; i++ {
 		q.popHead()
 	}
@@ -129,15 +129,15 @@ func TestQueueCompaction(t *testing.T) {
 }
 
 // Regression: repeated fractional pops accumulate floating-point error in
-// total. On a large queue the residue can exceed the 1e-9 epsilon once
-// every cohort is consumed, so empty() used to report non-empty with
-// head == len(items) — and oldestBorn indexed out of range.
+// total. On a large queue the residue once outlived every cohort, so an
+// empty() that read total reported non-empty with head == len(items) — and
+// oldestBorn indexed out of range.
 func TestQueueFractionalPopDrift(t *testing.T) {
 	// Many small cohorts popped in uneven fractions: the additions into
 	// total round differently than the mixed whole-cohort/fractional
-	// subtractions out of it, so after full drainage the old code left
-	// total ≈ 1.8e-7 with head == len(items). The invariant
-	// total == sum(items) must be restored exactly.
+	// subtractions out of it, so after full drainage total would read
+	// ≈ 1.8e-7 with head == len(items). A drained queue must read empty
+	// and total exactly zero.
 	var q cohortQueue
 	for i := 0; i < 5000; i++ {
 		q.push(at(time.Duration(i)*time.Millisecond), 1000.1, 1, true)
@@ -145,19 +145,68 @@ func TestQueueFractionalPopDrift(t *testing.T) {
 	for i := 1; q.head < len(q.items); i++ {
 		q.popInto(333.000000301*float64(i%7+1)/3, nil)
 	}
-	if !q.empty() {
+	if !q.empty() || q.total != 0 {
 		t.Fatalf("drained queue not empty: total=%v", q.total)
 	}
 	if _, ok := q.oldestBorn(); ok {
 		t.Fatal("oldestBorn on drained queue returned ok")
 	}
-	// The queue must remain usable after the resync.
+	// The queue must remain usable once drained.
 	q.push(at(time.Hour), 5, 2, false)
 	if q.len() != 5 {
 		t.Fatalf("len after reuse = %v", q.len())
 	}
 	if born, ok := q.oldestBorn(); !ok || born != at(time.Hour) {
 		t.Fatalf("oldestBorn after reuse = %v, %v", born, ok)
+	}
+}
+
+// Regression: an upper-tree YSB cohort (σ = 0.004 at every combine level)
+// carries 4.27e-10 events worth 6.9e21 source events each, ~2.9e12 source
+// events in all. A queue that judged custody by an absolute event-count
+// threshold read it as empty, so a finalizing reconfiguration dropped it
+// and a flow sized its demand at zero.
+func TestQueueTinyCohortIsCustody(t *testing.T) {
+	var q cohortQueue
+	q.push(at(time.Second), 4.27e-10, 6.9e21, false)
+	if q.empty() || q.len() <= 0 {
+		t.Fatalf("tiny cohort not held: empty=%v len=%v", q.empty(), q.len())
+	}
+	if born, ok := q.oldestBorn(); !ok || born != at(time.Second) {
+		t.Fatalf("oldestBorn = %v, %v", born, ok)
+	}
+	out := q.popInto(q.len(), nil)
+	if len(out) != 1 || out[0].count != 4.27e-10 || out[0].worth != 6.9e21 {
+		t.Fatalf("popInto(len()) = %+v", out)
+	}
+	if !q.empty() || q.len() != 0 {
+		t.Fatalf("queue not drained: empty=%v len=%v", q.empty(), q.len())
+	}
+}
+
+// Regression: when a large cohort is popped whole, subtracting its count
+// from total leaves only the rounding of the large sum: ~1.02e-12 for the
+// 1e-12 events queued behind it, and exactly 0 for 1e-14 events, whose
+// push vanished into that rounding. Total must stay positive while any
+// cohort remains, and a pop sized from it must drain the queue.
+func TestQueueTinyCohortBehindLargeDrains(t *testing.T) {
+	for _, tiny := range []float64{1e-12, 1e-14} {
+		var q cohortQueue
+		q.push(at(time.Second), 1000.1, 1, true)
+		q.push(at(2*time.Second), tiny, 5e11, false)
+		if out := q.popInto(1000.1, nil); len(out) != 1 || out[0].count != 1000.1 {
+			t.Fatalf("tiny=%v: popInto(1000.1) = %+v", tiny, out)
+		}
+		if q.empty() || q.len() <= 0 {
+			t.Fatalf("tiny=%v: cohort behind the popped one lost: empty=%v len=%v", tiny, q.empty(), q.len())
+		}
+		out := q.popInto(q.len(), nil)
+		if len(out) != 1 || out[0].count != tiny || out[0].worth != 5e11 {
+			t.Fatalf("tiny=%v: popInto(len()) = %+v", tiny, out)
+		}
+		if !q.empty() || q.len() != 0 {
+			t.Fatalf("tiny=%v: queue not drained: empty=%v len=%v", tiny, q.empty(), q.len())
+		}
 	}
 }
 

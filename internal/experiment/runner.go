@@ -155,6 +155,11 @@ type Result struct {
 	Final *chaos.RunStats
 }
 
+// tickHook, when non-nil, runs after every engine tick of every Run with
+// the run's name and engine. Only tests set it, to check conservation at
+// every tick; when it is nil Run schedules nothing extra.
+var tickHook func(run string, eng *engine.Engine, now vclock.Time)
+
 // Run executes one scenario and collects its result.
 func Run(s Scenario) (*Result, error) {
 	sc := s.withDefaults()
@@ -301,6 +306,11 @@ func Run(s Scenario) (*Result, error) {
 	sampler := sched.Every(sc.SampleEvery, collect)
 
 	eng.Start()
+	if tickHook != nil {
+		// Armed right after the engine at the engine's 250 ms period, so at
+		// every instant it fires just after the tick.
+		sched.Every(250*time.Millisecond, func(now vclock.Time) { tickHook(sc.Name, eng, now) })
+	}
 	ctl.Start()
 	if err := sched.RunUntil(vclock.Time(sc.Duration)); err != nil {
 		return nil, err
