@@ -98,8 +98,8 @@ func BenchmarkTickAllocs(b *testing.B) {
 
 // TestTickAllocsCeiling locks in the tick hot path's allocation ceiling.
 // The steady-state tick must stay allocation-free apart from the ticker
-// event chain, amortized queue/delivery growth, and occasional window
-// accumulator churn.
+// event chain, amortized queue growth, and occasional window accumulator
+// churn.
 func TestTickAllocsCeiling(t *testing.T) {
 	eng, sched := benchRig(t)
 	warmTo(t, eng, sched, 40*time.Second)
@@ -117,10 +117,44 @@ func TestTickAllocsCeiling(t *testing.T) {
 	})
 	// Seed code sat at ~200 allocs/tick; the hot path (reused ticker
 	// event, flat flow/group sweeps, fan-out wired on the records) runs at
-	// ~2. The ceiling leaves room for amortized queue/delivery growth
-	// without letting per-tick map traffic ever creep back in.
+	// ~2. The ceiling leaves room for amortized queue growth without
+	// letting per-tick map traffic ever creep back in.
 	const ceiling = 8
 	if avg > ceiling {
 		t.Errorf("engine tick allocates %.1f objects/op, want <= %d", avg, ceiling)
+	}
+}
+
+// TestDeliveryBufferReused pins TakeDeliveries' buffer reuse: whole
+// collect periods — 80 ticks, then TakeDeliveries, as experiment.Run's
+// collect does every virtual 20 s — allocate nothing once the buffer has
+// grown to a period's deliveries. It measures whole periods because
+// AllocsPerRun's integer division reads a few regrowth allocations spread
+// over 80 ticks as zero per tick, and three at a time because the Top-K
+// windows fire every 30 s: three periods are one full firing cycle. The
+// warm-up is longer than the other ceilings' because the cohort queues keep
+// growing their rings, now and then, for the first ~15 virtual minutes.
+func TestDeliveryBufferReused(t *testing.T) {
+	eng, sched := benchRig(t)
+	warmTo(t, eng, sched, 20*time.Minute)
+	now := sched.Now()
+	delivered := 0
+	periods := func() {
+		for p := 0; p < 3; p++ {
+			for i := 0; i < 80; i++ {
+				now += vclock.Time(250 * time.Millisecond)
+				if err := sched.RunUntil(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			delivered += len(eng.TakeDeliveries())
+		}
+	}
+	periods() // grow the buffer to a period's deliveries
+	if avg := testing.AllocsPerRun(5, periods); avg != 0 {
+		t.Errorf("three collect periods allocate %.1f objects, want 0", avg)
+	}
+	if delivered == 0 {
+		t.Fatal("no collect period delivered anything")
 	}
 }

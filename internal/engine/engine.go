@@ -215,19 +215,22 @@ type Engine struct {
 
 	// Wiring derived by rewire(): each stage's groups in topological order
 	// (views into groups), the source groups generate() feeds, the ingest
-	// operators, and the directed WAN links the flows use with their
-	// capacities at the current tick (refreshed at tick start and by
-	// rewire(); capacity is a pure function of site pair, time and faults,
-	// and nothing changes it mid-tick).
+	// operators, and the directed WAN links the flows use — one netsim
+	// flow per link, whose From/To name it and whose Capacity samples it —
+	// with their capacities at the current tick (refreshed at tick start
+	// and by rewire(); capacity is a pure function of site pair, time and
+	// faults, and nothing changes it mid-tick).
 	stages   [][]*group
 	srcs     []*group
 	frontOps map[plan.OpID]bool // operators fed directly by sources
-	links    []sitePair
+	links    []*netsim.Flow
 	linkCaps []float64
 
 	workloadFactor *trace.Trace
-	sourceFactors  map[plan.OpID]*trace.Trace
-	stragglers     map[groupKey]float64 // capacity factor per (op, site)
+	// sourceFactors holds the per-source rate traces indexed by OpID (nil =
+	// none). Source ids are base-graph ids, identical in every variant.
+	sourceFactors []*trace.Trace
+	stragglers    map[groupKey]float64 // capacity factor per (op, site)
 
 	ticker  *vclock.Event
 	lastNow vclock.Time
@@ -332,7 +335,6 @@ func New(cfg Config, top *topology.Topology, net *netsim.Network, sched *vclock.
 		top:            top,
 		net:            net,
 		sched:          sched,
-		sourceFactors:  make(map[plan.OpID]*trace.Trace),
 		stragglers:     make(map[groupKey]float64),
 		siteDown:       make([]bool, top.N()),
 		siteStrag:      make([]float64, top.N()),
@@ -400,8 +402,11 @@ func (e *Engine) SetWorkloadFactor(tr *trace.Trace) {
 }
 
 // SetSourceFactor installs a per-source rate factor trace, multiplied with
-// the global factor.
+// the global factor. A nil trace clears it.
 func (e *Engine) SetSourceFactor(op plan.OpID, tr *trace.Trace) {
+	for int(op) >= len(e.sourceFactors) {
+		e.sourceFactors = append(e.sourceFactors, nil)
+	}
 	e.sourceFactors[op] = tr
 }
 
@@ -619,8 +624,8 @@ func (e *Engine) generate(now, start vclock.Time, dtSec float64) {
 	base := e.workloadFactor.At(start) // same instant for every source
 	for _, g := range e.srcs {
 		factor := base
-		if tr, ok := e.sourceFactors[g.op.ID]; ok {
-			factor *= tr.At(start)
+		if id := int(g.op.ID); id < len(e.sourceFactors) && e.sourceFactors[id] != nil {
+			factor *= e.sourceFactors[id].At(start)
 		}
 		count := g.op.SourceRate * factor * dtSec
 		if count <= 0 {
@@ -860,8 +865,8 @@ func (e *Engine) sendBlocked(g *group) bool {
 //
 //waspvet:hotpath
 func (e *Engine) refreshLinkCaps() {
-	for i, p := range e.links {
-		e.linkCaps[i] = e.net.Capacity(p.from, p.to, e.lastNow)
+	for i, f := range e.links {
+		e.linkCaps[i] = f.Capacity(e.lastNow)
 	}
 }
 

@@ -147,6 +147,22 @@ func TestSteadyStateLowDelayAndConservation(t *testing.T) {
 	}
 }
 
+// TestSetSourceFactorNilClears: a nil per-source trace clears the factor,
+// as SetWorkloadFactor(nil) does, instead of panicking in the next tick.
+func TestSetSourceFactorNilClears(t *testing.T) {
+	r := pipelineRig(t, Config{}, 80, 10000)
+	r.eng.SetSourceFactor(r.ids[0], trace.Constant(0.5))
+	r.run(t, 10*time.Second)
+	halved, _, _ := r.eng.Totals()
+	r.eng.SetSourceFactor(r.ids[0], nil)
+	r.run(t, 20*time.Second)
+	total, _, _ := r.eng.Totals()
+	// 10 s at half of 10000 ev/s, then 10 s at the full rate.
+	if math.Abs(halved-50000) > 1 || math.Abs(total-halved-100000) > 1 {
+		t.Fatalf("generated %v then %v, want 50000 then 100000", halved, total-halved)
+	}
+}
+
 func TestNetworkBottleneckGrowsDelay(t *testing.T) {
 	// 40000 ev/s × 100 B = 4 MB/s over a 8 Mbps (1 MB/s) link: 4× over.
 	r := pipelineRig(t, Config{}, 8, 40000)

@@ -119,7 +119,7 @@ func (e *Engine) rebuildFlightCols() {
 
 	fc.links = fc.links[:0]
 	for _, l := range e.links {
-		fc.links = append(fc.links, e.flight.Column(fmt.Sprintf("link%d-%d.util", int(l.from), int(l.to))))
+		fc.links = append(fc.links, e.flight.Column(fmt.Sprintf("link%d-%d.util", int(l.From), int(l.To))))
 	}
 	fc.linkAlloc = make([]float64, len(e.links))
 

@@ -100,10 +100,12 @@ func (e *Engine) SampleSites() []metrics.SiteReport {
 
 // TakeDeliveries returns and clears the per-tick sink delivery records
 // accumulated since the last call — the raw series behind every delay
-// figure.
+// figure. The engine keeps the backing array and refills it from the next
+// tick on, so the returned slice is valid only until the engine's next
+// tick: copy out what must outlive it.
 func (e *Engine) TakeDeliveries() []SinkDelivery {
 	out := e.deliveries
-	e.deliveries = nil
+	e.deliveries = out[:0]
 	return out
 }
 

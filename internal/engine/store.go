@@ -200,7 +200,7 @@ func (e *Engine) rewire() {
 		if !ok {
 			id = int32(len(e.links))
 			linkIDs[pair] = id
-			e.links = append(e.links, pair)
+			e.links = append(e.links, f.flow)
 		}
 		f.linkID = id
 	}

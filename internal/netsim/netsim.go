@@ -30,13 +30,26 @@ type linkKey struct {
 	from, to topology.SiteID
 }
 
-// linkState is the dense per-link record: its claimants in fair-share
-// order (flows ascending by registration id, then transfers ascending by
-// id — the tie-break order the allocation is deterministic under) and the
-// dirty flag that schedules a re-solve.
+// linkState is the dense per-link record: its capacity inputs, its
+// claimants in fair-share order (flows ascending by registration id, then
+// transfers ascending by id — the tie-break order the allocation is
+// deterministic under) and the dirty flag that schedules a re-solve.
 type linkState struct {
 	id  int
 	key linkKey
+	// base is the topology's bytes/s for the pair, read when the link is
+	// created (the topology is immutable).
+	base float64
+	// factor is the per-link bandwidth trace (nil = none): capacity can
+	// move between steps without any event, so a traced link re-solves
+	// whenever it has claimants.
+	//waspvet:guardedby dirty
+	factor *trace.Trace
+	// fault is the injected fault factor in [0, 1), applied while faulted.
+	//waspvet:guardedby dirty,Network.latencyGen
+	fault float64
+	//waspvet:guardedby dirty,Network.latencyGen
+	faulted bool
 	//waspvet:guardedby dirty,Network.activeDirty
 	flows []*Flow
 	//waspvet:guardedby dirty,Network.activeDirty
@@ -44,10 +57,6 @@ type linkState struct {
 	// dirty marks that an allocation input changed since the last solve;
 	// the link sits in Network.dirtyIDs exactly when set.
 	dirty bool
-	// traced marks a per-link bandwidth trace: capacity can move between
-	// steps without any event, so the link re-solves whenever it has
-	// claimants.
-	traced bool
 }
 
 //waspvet:hotpath
@@ -88,6 +97,12 @@ func (f *Flow) SetDemand(bytesPerSec float64) {
 //waspvet:hotpath
 func (f *Flow) Allocated() float64 { return f.allocated }
 
+// Capacity returns the capacity of the flow's link at time now, in
+// bytes/s: Network.Capacity(f.From, f.To, now) without the pair lookup.
+//
+//waspvet:hotpath
+func (f *Flow) Capacity(now vclock.Time) float64 { return f.net.capacity(f.link, now) }
+
 // Transfer is a bulk state-migration transfer. It consumes all bandwidth
 // the fair-share allocation grants it until its payload is delivered.
 type Transfer struct {
@@ -116,17 +131,14 @@ type Network struct {
 	top *topology.Topology
 	//waspvet:guardedby globalInit
 	globalFactor *trace.Trace
-	//waspvet:guardedby linkState.dirty
-	linkFactors map[linkKey]*trace.Trace
-	//waspvet:guardedby latencyGen,linkState.dirty
-	linkFaults map[linkKey]float64
-	flows      map[int]*Flow
-	transfers  map[int]*Transfer
-	nextID     int
+	flows        map[int]*Flow
+	transfers    map[int]*Transfer
+	nextID       int
 
 	// Dense link registry. linkIdx is consulted only on cold paths
-	// (flow/transfer attach, fault injection); the hot path works off the
-	// dense slice and the sparse dirty list.
+	// (flow/transfer attach, fault and trace installation, the pair-keyed
+	// Capacity and Latency); the hot path works off the dense slice, the
+	// sparse dirty list and each Flow's link pointer.
 	links   []*linkState
 	linkIdx map[linkKey]int
 	// dirtyIDs lists the links whose allocation inputs changed since the
@@ -177,8 +189,6 @@ func New(top *topology.Topology) *Network {
 	return &Network{
 		top:          top,
 		globalFactor: trace.Constant(1),
-		linkFactors:  make(map[linkKey]*trace.Trace),
-		linkFaults:   make(map[linkKey]float64),
 		flows:        make(map[int]*Flow),
 		transfers:    make(map[int]*Transfer),
 		linkIdx:      make(map[linkKey]int),
@@ -191,14 +201,25 @@ func (n *Network) Topology() *topology.Topology { return n.top }
 // link returns the dense link state for a site pair, creating it on first
 // use (cold path: attach, fault, trace installation).
 func (n *Network) link(from, to topology.SiteID) *linkState {
-	k := linkKey{from, to}
-	if i, ok := n.linkIdx[k]; ok {
-		return n.links[i]
+	if l := n.lookup(from, to); l != nil {
+		return l
 	}
-	l := &linkState{id: len(n.links), key: k}
+	k := linkKey{from, to}
+	l := &linkState{id: len(n.links), key: k, base: n.top.BaseBandwidth(from, to).BytesPerSec()}
 	n.linkIdx[k] = l.id
 	n.links = append(n.links, l)
 	return l
+}
+
+// lookup returns the link state for a site pair, nil if the pair has never
+// carried a claimant, a fault or a trace.
+//
+//waspvet:hotpath
+func (n *Network) lookup(from, to topology.SiteID) *linkState {
+	if i, ok := n.linkIdx[linkKey{from, to}]; ok {
+		return n.links[i]
+	}
+	return nil
 }
 
 // markDirty schedules a link for re-solving at the next Step.
@@ -246,11 +267,10 @@ func (n *Network) SetGlobalFactor(tr *trace.Trace) {
 }
 
 // SetLinkFactor installs a per-link factor trace for from→to, multiplied
-// with the global factor.
+// with the global factor. A nil trace clears it.
 func (n *Network) SetLinkFactor(from, to topology.SiteID, tr *trace.Trace) {
-	n.linkFactors[linkKey{from, to}] = tr
 	l := n.link(from, to)
-	l.traced = tr != nil
+	l.factor = tr
 	n.markDirty(l)
 }
 
@@ -263,8 +283,9 @@ func (n *Network) SetLinkFault(from, to topology.SiteID, factor float64) {
 		n.ClearLinkFault(from, to)
 		return
 	}
-	n.linkFaults[linkKey{from, to}] = math.Max(factor, 0)
-	n.markDirty(n.link(from, to))
+	l := n.link(from, to)
+	l.fault, l.faulted = math.Max(factor, 0), true
+	n.markDirty(l)
 	n.latencyGen++
 	if n.obs != nil {
 		n.obs.Emit("fault.link",
@@ -275,11 +296,12 @@ func (n *Network) SetLinkFault(from, to topology.SiteID, factor float64) {
 
 // ClearLinkFault heals an injected link fault.
 func (n *Network) ClearLinkFault(from, to topology.SiteID) {
-	if _, ok := n.linkFaults[linkKey{from, to}]; !ok {
+	l := n.lookup(from, to)
+	if l == nil || !l.faulted {
 		return
 	}
-	delete(n.linkFaults, linkKey{from, to})
-	n.markDirty(n.link(from, to))
+	l.fault, l.faulted = 0, false
+	n.markDirty(l)
 	n.latencyGen++
 	if n.obs != nil {
 		n.obs.Emit("fault.link_healed",
@@ -288,22 +310,33 @@ func (n *Network) ClearLinkFault(from, to topology.SiteID) {
 }
 
 // Capacity returns the from→to link capacity at time now, in bytes/s,
-// after applying dynamics factors.
+// after applying dynamics factors. Per-tick callers holding a Flow on the
+// link use Flow.Capacity, which skips the pair lookup.
+func (n *Network) Capacity(from, to topology.SiteID, now vclock.Time) float64 {
+	if l := n.lookup(from, to); l != nil {
+		return n.capacity(l, now)
+	}
+	// A pair that never carried a claimant, a fault or a trace.
+	idle := linkState{key: linkKey{from, to}, base: n.top.BaseBandwidth(from, to).BytesPerSec()}
+	return n.capacity(&idle, now)
+}
+
+// capacity is one link's capacity at time now: base × global factor ×
+// per-link trace × fault, in that order.
 //
 //waspvet:hotpath
-func (n *Network) Capacity(from, to topology.SiteID, now vclock.Time) float64 {
-	base := n.top.BaseBandwidth(from, to).BytesPerSec()
-	if from == to {
-		return base // intra-site fabric is not subject to WAN dynamics
+func (n *Network) capacity(l *linkState, now vclock.Time) float64 {
+	if l.key.from == l.key.to {
+		return l.base // intra-site fabric is not subject to WAN dynamics
 	}
 	f := n.globalFactor.At(now)
-	if lt, ok := n.linkFactors[linkKey{from, to}]; ok {
-		f *= lt.At(now)
+	if l.factor != nil {
+		f *= l.factor.At(now)
 	}
-	if ff, ok := n.linkFaults[linkKey{from, to}]; ok {
-		f *= ff
+	if l.faulted {
+		f *= l.fault
 	}
-	return base * f
+	return l.base * f
 }
 
 // Reachable reports whether the from→to path can carry any traffic at
@@ -325,8 +358,8 @@ func (n *Network) Reachable(from, to topology.SiteID, now vclock.Time) bool {
 //waspvet:hotpath
 func (n *Network) Latency(from, to topology.SiteID) time.Duration {
 	base := n.top.Latency(from, to)
-	if ff, ok := n.linkFaults[linkKey{from, to}]; ok && ff > 0 && ff < 1 {
-		return time.Duration(float64(base) / ff)
+	if l := n.lookup(from, to); l != nil && l.faulted && l.fault > 0 {
+		return time.Duration(float64(base) / l.fault)
 	}
 	return base
 }
@@ -490,7 +523,7 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 		}
 	}
 	for _, l := range n.links {
-		if l.traced && l.claimantCount() > 0 {
+		if l.factor != nil && l.claimantCount() > 0 {
 			n.markDirty(l)
 		}
 	}
@@ -565,8 +598,7 @@ func (n *Network) solveLink(l *linkState, start vclock.Time, dtSec float64) {
 		cs = append(cs, claimant{demand: t.remaining / dtSec, transfer: t})
 	}
 	n.sc.claimants = cs
-	capacity := n.Capacity(l.key.from, l.key.to, start)
-	alloc := n.fairShareInto(capacity, cs)
+	alloc := n.fairShareInto(n.capacity(l, start), cs)
 	for i, c := range cs {
 		if c.flow != nil {
 			c.flow.allocated = alloc[i]
@@ -604,7 +636,7 @@ func (n *Network) activeLinks() []*linkState {
 func (n *Network) recordStepTelemetry(start vclock.Time, dtSec float64) {
 	var granted, unmet float64
 	for _, l := range n.activeLinks() {
-		capacity := n.Capacity(l.key.from, l.key.to, start)
+		capacity := n.capacity(l, start)
 		var linkGranted float64
 		for _, f := range l.flows {
 			linkGranted += f.allocated

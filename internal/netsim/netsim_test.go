@@ -72,6 +72,27 @@ func TestLinkFactorComposesWithGlobal(t *testing.T) {
 	}
 }
 
+// TestSetLinkFactorNilClears: a nil per-link trace clears the factor, as
+// SetGlobalFactor(nil) does, instead of panicking when capacity is read.
+func TestSetLinkFactorNilClears(t *testing.T) {
+	n := New(twoSite(t))
+	f := n.AddFlow(0, 1)
+	f.SetDemand(20e6)
+	n.SetLinkFactor(0, 1, trace.Constant(0.5))
+	step(n, time.Second)
+	if got := f.Allocated(); got != 5e6 {
+		t.Fatalf("traced Allocated = %v, want 5e6", got)
+	}
+	n.SetLinkFactor(0, 1, nil)
+	if got := n.Capacity(0, 1, time.Second); got != 10e6 {
+		t.Fatalf("cleared Capacity = %v, want 1e7", got)
+	}
+	step(n, 2*time.Second)
+	if got := f.Allocated(); got != 10e6 {
+		t.Fatalf("cleared Allocated = %v, want 1e7", got)
+	}
+}
+
 func TestSingleFlowGetsItsDemand(t *testing.T) {
 	n := New(twoSite(t))
 	f := n.AddFlow(0, 1)

@@ -8,7 +8,13 @@ import "time"
 // Figure 2: mean around 110 Mbps, sampled every 5 minutes, with 25%–93%
 // deviation from the mean. Values are in Mbps.
 func Fig2Bandwidth(seed int64) *Trace {
-	walk := randomWalk(walkConfig{
+	return randomWalk(fig2Walk(seed)).Scale(fig2MeanMbps)
+}
+
+const fig2MeanMbps = 110
+
+func fig2Walk(seed int64) walkConfig {
+	return walkConfig{
 		Seed:     seed,
 		Start:    1.0,
 		Min:      0.07, // ~93% below mean
@@ -16,15 +22,17 @@ func Fig2Bandwidth(seed int64) *Trace {
 		MaxStep:  0.40,
 		Interval: 5 * time.Minute,
 		Duration: 24 * time.Hour,
-	})
-	const meanMbps = 110
-	return walk.Scale(meanMbps)
+	}
 }
 
 // LiveBandwidthFactor models the §8.6 live-environment pair-wise bandwidth
 // variation factor, which the paper reports ranging from 0.51 to 2.36.
 func LiveBandwidthFactor(seed int64, duration time.Duration) *Trace {
-	return randomWalk(walkConfig{
+	return randomWalk(liveBandwidthWalk(seed, duration))
+}
+
+func liveBandwidthWalk(seed int64, duration time.Duration) walkConfig {
+	return walkConfig{
 		Seed:     seed,
 		Start:    1.0,
 		Min:      0.51,
@@ -32,13 +40,17 @@ func LiveBandwidthFactor(seed int64, duration time.Duration) *Trace {
 		MaxStep:  0.30,
 		Interval: time.Minute,
 		Duration: duration,
-	})
+	}
 }
 
 // LiveWorkloadFactor models the §8.6 random per-source workload variation
 // factor, which the paper reports ranging from 0.8 to 2.4.
 func LiveWorkloadFactor(seed int64, duration time.Duration) *Trace {
-	return randomWalk(walkConfig{
+	return randomWalk(liveWorkloadWalk(seed, duration))
+}
+
+func liveWorkloadWalk(seed int64, duration time.Duration) walkConfig {
+	return walkConfig{
 		Seed:     seed,
 		Start:    1.0,
 		Min:      0.8,
@@ -46,5 +58,5 @@ func LiveWorkloadFactor(seed int64, duration time.Duration) *Trace {
 		MaxStep:  0.35,
 		Interval: time.Minute,
 		Duration: duration,
-	})
+	}
 }

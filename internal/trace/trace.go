@@ -10,6 +10,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -115,13 +116,22 @@ type walkConfig struct {
 	Duration time.Duration // total trace length
 }
 
+// walkRNGs recycles randomWalk's generators. A source's state is 607
+// words, and a live-variation run draws a walk per link and per source:
+// re-seeding a pooled generator re-initialises that state in place instead
+// of allocating it again.
+var walkRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // randomWalk generates a bounded random-walk factor trace. It panics on an
 // invalid configuration (zero interval, inverted bounds), since
 // configurations are compile-time constants in experiments. The trace is
-// a pure function of cfg (randomness comes from a fresh source seeded
-// with cfg.Seed).
+// a pure function of cfg: its generator is re-seeded with cfg.Seed, which
+// leaves it in the state a fresh rand.NewSource(cfg.Seed) starts in.
 func randomWalk(cfg walkConfig) *Trace {
-	return randomWalkWith(rand.New(rand.NewSource(cfg.Seed)), cfg)
+	rng := walkRNGs.Get().(*rand.Rand)
+	defer walkRNGs.Put(rng)
+	rng.Seed(cfg.Seed)
+	return randomWalkWith(rng, cfg)
 }
 
 // randomWalkWith is randomWalk drawing from the caller's rng — for
@@ -136,7 +146,7 @@ func randomWalkWith(rng *rand.Rand, cfg walkConfig) *Trace {
 	}
 	v := clamp(cfg.Start, cfg.Min, cfg.Max)
 	span := cfg.Max - cfg.Min
-	var pts []Point
+	pts := make([]Point, 0, max(cfg.Duration/cfg.Interval+1, 0))
 	for t := vclock.Time(0); t <= cfg.Duration; t += cfg.Interval {
 		pts = append(pts, Point{T: t, V: v})
 		step := (rng.Float64()*2 - 1) * cfg.MaxStep * span

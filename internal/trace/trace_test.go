@@ -3,6 +3,8 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -220,4 +222,51 @@ func TestRandomWalkWithMatchesWrapper(t *testing.T) {
 			t.Fatalf("point %d differs: %+v vs %+v", i, p, q)
 		}
 	}
+}
+
+// TestPooledWalkMatchesFreshSource pins randomWalk's pooled generator:
+// re-seeding a recycled rand.Rand must reproduce a fresh
+// rand.NewSource(seed) point for point, also while several goroutines draw
+// walks from the pool at once (run under -race -count=10 to shake the
+// pool's reuse order).
+func TestPooledWalkMatchesFreshSource(t *testing.T) {
+	const duration = 3 * time.Hour
+	presets := []struct {
+		name  string
+		got   func(seed int64) *Trace
+		fresh func(seed int64) *Trace
+	}{
+		{"LiveBandwidthFactor",
+			func(seed int64) *Trace { return LiveBandwidthFactor(seed, duration) },
+			func(seed int64) *Trace { return freshWalk(liveBandwidthWalk(seed, duration)) }},
+		{"LiveWorkloadFactor",
+			func(seed int64) *Trace { return LiveWorkloadFactor(seed, duration) },
+			func(seed int64) *Trace { return freshWalk(liveWorkloadWalk(seed, duration)) }},
+		{"Fig2Bandwidth",
+			Fig2Bandwidth,
+			func(seed int64) *Trace { return freshWalk(fig2Walk(seed)).Scale(fig2MeanMbps) }},
+	}
+	const workers, seedsPerWorker = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < seedsPerWorker; i++ {
+				seed := int64(w*seedsPerWorker+i) * 7919
+				for _, p := range presets {
+					got, want := p.got(seed), p.fresh(seed)
+					if got.Default != want.Default || !slices.Equal(got.Points(), want.Points()) {
+						t.Errorf("%s(seed %d): pooled walk differs from a fresh source", p.name, seed)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// freshWalk is randomWalk as it was before pooling: a new source per walk.
+func freshWalk(cfg walkConfig) *Trace {
+	return randomWalkWith(rand.New(rand.NewSource(cfg.Seed)), cfg)
 }
