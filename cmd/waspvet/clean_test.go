@@ -417,7 +417,6 @@ func eventNames(pkgs []*analysis.Package) (emitted map[string]bool, consumed []s
 var stdInterfaces = [][2]string{
 	{"fmt", "Stringer"},
 	{"sort", "Interface"},
-	{"container/heap", "Interface"},
 	{"io", "Writer"},
 	{"go/types", "Importer"},
 	{"encoding/json", "Marshaler"},

@@ -1,11 +1,11 @@
 package adapt
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/plan"
@@ -29,8 +29,19 @@ type RecoveryManager struct {
 	coord    *state.Coordinator
 	obs      *obs.Observer
 
-	ticker     *vclock.Event
-	registered map[string]state.Target
+	ticker *vclock.Event
+	// pairs is the (stateful op, live site) list the coordinator's targets
+	// were registered from; next is the scratch list each round derives
+	// into, swapped in when it differs.
+	pairs, next []taskPair
+}
+
+// taskPair is one checkpoint target: a stateful operator's task group at a
+// live site. The pair determines the whole state.Target — its key, site,
+// replica and snapshot closure.
+type taskPair struct {
+	op   plan.OpID
+	site topology.SiteID
 }
 
 // NewRecoveryManager wires checkpointing for one deployed engine. store may
@@ -44,13 +55,12 @@ func NewRecoveryManager(job string, interval time.Duration, eng *engine.Engine, 
 		store = state.NewStore()
 	}
 	rm := &RecoveryManager{
-		job:        job,
-		interval:   interval,
-		eng:        eng,
-		top:        top,
-		sched:      sched,
-		store:      store,
-		registered: make(map[string]state.Target),
+		job:      job,
+		interval: interval,
+		eng:      eng,
+		top:      top,
+		sched:    sched,
+		store:    store,
 	}
 	rm.coord = state.NewCoordinator(store, rm.onCheckpointError)
 	return rm
@@ -89,8 +99,8 @@ func (rm *RecoveryManager) Stop() {
 	}
 }
 
-// CheckpointRound re-registers targets against the current placement (tasks
-// move between rounds) and snapshots them all.
+// CheckpointRound syncs the targets with the current placement (tasks move
+// between rounds) and snapshots them all.
 func (rm *RecoveryManager) CheckpointRound(now vclock.Time) {
 	rm.refreshTargets()
 	rm.coord.Checkpoint()
@@ -120,46 +130,56 @@ func stateful(op *plan.Operator) bool {
 
 // refreshTargets syncs the coordinator's target set with the engine's
 // current task groups: one target per (stateful op, live site), task keyed
-// by site so per-group snapshots stay addressable after moves.
+// by site so per-group snapshots stay addressable after moves. It derives
+// the pair list into a reused slice and touches the coordinator only when
+// the list differs from last round's — a scale, re-plan, crash or restart.
 func (rm *RecoveryManager) refreshTargets() {
-	desired := make(map[string]state.Target)
 	pp := rm.eng.Plan()
 	order, err := pp.Graph.TopoOrder()
 	if err != nil {
 		return
 	}
+	next := rm.next[:0]
 	for _, id := range order {
-		op := pp.Graph.Operator(id)
-		if !stateful(op) {
+		if !stateful(pp.Graph.Operator(id)) {
 			continue
 		}
-		id := id
-		for _, site := range pp.Stages[id].DistinctSites() {
-			if rm.eng.SiteDown(site) {
-				continue
+		start := len(next)
+		for _, site := range pp.Stages[id].Sites {
+			if !rm.eng.SiteDown(site) {
+				next = append(next, taskPair{op: id, site: site})
 			}
-			site := site
-			t := state.Target{
-				Job:      rm.job,
-				Operator: opName(id),
-				Task:     int(site),
-				Site:     site,
-				Replicas: []topology.SiteID{rm.replicaFor(site)},
-				Snapshot: func() ([]byte, error) { return rm.eng.SnapshotGroup(id, site) },
-			}
-			desired[fmt.Sprintf("%s/%d", t.Operator, t.Task)] = t
+		}
+		// A stage may run several tasks per site: one target per site.
+		slices.SortFunc(next[start:], func(a, b taskPair) int { return cmp.Compare(a.site, b.site) })
+		next = next[:start+len(slices.Compact(next[start:]))]
+	}
+	rm.next = next
+	if slices.Equal(next, rm.pairs) {
+		return
+	}
+	for _, p := range rm.pairs {
+		if !slices.Contains(next, p) {
+			rm.coord.Unregister(rm.job, opName(p.op), int(p.site))
 		}
 	}
-	for _, key := range detutil.SortedKeys(rm.registered) {
-		if _, ok := desired[key]; !ok {
-			t := rm.registered[key]
-			rm.coord.Unregister(t.Job, t.Operator, t.Task)
-			delete(rm.registered, key)
+	for _, p := range next {
+		if !slices.Contains(rm.pairs, p) {
+			rm.coord.Register(rm.target(p))
 		}
 	}
-	for _, key := range detutil.SortedKeys(desired) {
-		rm.coord.Register(desired[key])
-		rm.registered[key] = desired[key]
+	rm.pairs, rm.next = next, rm.pairs
+}
+
+// target builds the checkpoint target of one (op, site) pair.
+func (rm *RecoveryManager) target(p taskPair) state.Target {
+	return state.Target{
+		Job:      rm.job,
+		Operator: opName(p.op),
+		Task:     int(p.site),
+		Site:     p.site,
+		Replicas: []topology.SiteID{rm.replicaFor(p.site)},
+		Snapshot: func() ([]byte, error) { return rm.eng.SnapshotGroup(p.op, p.site) },
 	}
 }
 

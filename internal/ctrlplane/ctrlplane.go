@@ -96,8 +96,20 @@ type Plane struct {
 	cmds        []*Command
 	pendingByOp map[plan.OpID]*Command
 
+	// free holds the in-flight report slots not on the wire.
+	free []*inflight
+
 	ticker       *vclock.Event
 	wrongActions int
+}
+
+// inflight is one report crossing the WAN: a copy of the report in buffers
+// the slot owns, the event that delivers it, and deliver bound to the slot
+// once. A slot returns to the plane's free list when its report arrives.
+type inflight struct {
+	rep     metrics.SiteReport
+	ev      vclock.Event
+	deliver func(vclock.Time)
 }
 
 // Domains returns the quarantine domains a plane over top uses
@@ -209,6 +221,8 @@ func (p *Plane) SetExtraDelay(d time.Duration) { p.extraDelay = d }
 // hosting tasks: an idle site that never reported would look permanently
 // silent — its region would be quarantined at the first threshold
 // crossing and never re-admitted (and masked out of placement forever).
+// A report that survives the drop checks is copied into an in-flight slot,
+// since the sampler reuses its reports at the next round.
 func (p *Plane) reportRound(now vclock.Time) {
 	ctrl := p.cfg.ControllerSite
 	for _, rep := range p.sampler.SampleSites() {
@@ -231,8 +245,26 @@ func (p *Plane) reportRound(now vclock.Time) {
 		if site != ctrl {
 			delay += p.extraDelay
 		}
-		p.sched.At(now+delay, func(vclock.Time) { p.deliverReport(rep) })
+		f := p.slot()
+		f.rep.Site, f.rep.At = rep.Site, rep.At
+		f.rep.Ops = append(f.rep.Ops[:0], rep.Ops...)
+		p.sched.Schedule(&f.ev, now+delay, f.deliver)
 	}
+}
+
+// slot takes a free in-flight slot, making one when none is free.
+func (p *Plane) slot() *inflight {
+	if n := len(p.free); n > 0 {
+		f := p.free[n-1]
+		p.free = p.free[:n-1]
+		return f
+	}
+	f := &inflight{}
+	f.deliver = func(vclock.Time) {
+		p.deliverReport(f.rep)
+		p.free = append(p.free, f)
+	}
+	return f
 }
 
 func (p *Plane) dropReport(reason string) {

@@ -2,6 +2,8 @@ package ctrlplane
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -110,6 +112,13 @@ func (f *fakeNet) Reachable(from, to topology.SiteID, _ vclock.Time) bool {
 // controller on site 0; region 1 = {2,3}) with a 2s-latency WAN.
 func rig(t *testing.T) (*Plane, *fakeNet, *vclock.Scheduler) {
 	t.Helper()
+	sched := vclock.NewScheduler(&vclock.Clock{})
+	return rigWith(t, sched, &fakeSampler{n: 4, now: sched.Now})
+}
+
+// rigWith is rig over the given scheduler and sampler.
+func rigWith(t *testing.T, sched *vclock.Scheduler, smp Sampler) (*Plane, *fakeNet, *vclock.Scheduler) {
+	t.Helper()
 	const n = 4
 	sites := make([]topology.Site, n)
 	lat := make([][]time.Duration, n)
@@ -129,11 +138,106 @@ func rig(t *testing.T) (*Plane, *fakeNet, *vclock.Scheduler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := vclock.NewScheduler(&vclock.Clock{})
 	net := &fakeNet{lat: 2 * time.Second, down: map[[2]topology.SiteID]bool{}}
 	o := obs.New(sched.Now)
-	p := New(Config{}, &fakeSampler{n: n, now: sched.Now}, net, top, sched, o)
+	p := New(Config{}, smp, net, top, sched, o)
 	return p, net, sched
+}
+
+// reusingSampler reports 4 sites the way the engine does: one report
+// slice and one Ops buffer, both rewritten in place at every call. Every
+// site runs ops 1 and 2 with counters that grow with the clock, so a
+// report read after the next call carries the wrong numbers.
+type reusingSampler struct {
+	now  func() vclock.Time
+	reps []metrics.SiteReport
+	ops  []metrics.OpCounters
+}
+
+func newReusingSampler(now func() vclock.Time) *reusingSampler {
+	return &reusingSampler{now: now, reps: make([]metrics.SiteReport, 4), ops: make([]metrics.OpCounters, 8)}
+}
+
+func (r *reusingSampler) SampleSites() []metrics.SiteReport {
+	now := r.now()
+	for s := range r.reps {
+		ops := r.ops[2*s : 2*s+2 : 2*s+2]
+		for i := range ops {
+			v := now.Seconds() * float64(100*(s+1)+10*i)
+			ops[i] = metrics.OpCounters{Op: plan.OpID(i + 1), Incarnation: 1, Arrived: v, Processed: v, InputQueueLen: v / 7, Tasks: s + 1}
+		}
+		r.reps[s] = metrics.SiteReport{Site: topology.SiteID(s), At: now, Ops: ops}
+	}
+	return r.reps
+}
+
+// copyingSampler deep-copies every report of the sampler it wraps into
+// fresh memory: the reference a plane that copies what it keeps must match.
+type copyingSampler struct{ Sampler }
+
+func (c copyingSampler) SampleSites() []metrics.SiteReport {
+	reps := slices.Clone(c.Sampler.SampleSites())
+	for i := range reps {
+		reps[i].Ops = slices.Clone(reps[i].Ops)
+	}
+	return reps
+}
+
+// A report in flight must not see the sampler's next round: under a
+// ctrldelay longer than reportEvery two rounds are on the wire at once,
+// and the plane over a reusing sampler must merge exactly what the plane
+// over deep copies merges.
+func TestInFlightReportsOwnTheirOps(t *testing.T) {
+	run := func(copying bool) []*metrics.Snapshot {
+		sched := vclock.NewScheduler(&vclock.Clock{})
+		var smp Sampler = newReusingSampler(sched.Now)
+		if copying {
+			smp = copyingSampler{smp}
+		}
+		p, _, _ := rigWith(t, sched, smp)
+		p.SetExtraDelay(25 * time.Second)
+		p.Start()
+		var snaps []*metrics.Snapshot
+		for at := 5 * time.Second; at <= 200*time.Second; at += 5 * time.Second {
+			if err := sched.RunUntil(at); err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, p.Snapshot(sched.Now()))
+		}
+		return snaps
+	}
+	got, want := run(false), run(true)
+	if len(want[len(want)-1].Ops) == 0 {
+		t.Fatal("no report reached the controller")
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("snapshot at %v differs from the deep-copy reference:\n got %+v\nwant %+v", want[i].At, got[i], want[i])
+		}
+	}
+}
+
+// Once its in-flight slots and the merger's buffers exist, a WAN report
+// round allocates nothing: not per report sent, nor per report delivered.
+func TestReportRoundAllocatesNothing(t *testing.T) {
+	sched := vclock.NewScheduler(&vclock.Clock{})
+	p, _, _ := rigWith(t, sched, newReusingSampler(sched.Now))
+	p.Start()
+	if err := sched.RunUntil(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	before := p.obs.Registry().Counter("wasp_ctrl_reports_total").Value()
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := sched.RunUntil(sched.Now() + reportEvery); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if delivered := p.obs.Registry().Counter("wasp_ctrl_reports_total").Value() - before; delivered < 20*4 {
+		t.Fatalf("%v reports delivered over 21 rounds; want every site's every round", delivered)
+	}
+	if allocs != 0 {
+		t.Fatalf("a WAN report round of 4 reports allocates %v times; want 0", allocs)
+	}
 }
 
 // Reports ride the WAN: a report generated at t carries its generation

@@ -281,12 +281,13 @@ type Engine struct {
 	droppedBeyondSrc float64 // drops after ingest, src equivalents
 
 	// retired sums, per operator, the counters of the groups the store
-	// dropped (RecordTelemetry's totals); siteOff and reports are reused by
-	// SampleSites; sampled is the merger behind Sample.
-	retired map[plan.OpID]eventCounts
-	siteOff []int
-	reports []metrics.SiteReport
-	sampled *metrics.ReportMerger
+	// dropped (RecordTelemetry's totals); siteOff, reports and reportOps
+	// are reused by SampleSites; sampled is the merger behind Sample.
+	retired   map[plan.OpID]eventCounts
+	siteOff   []int
+	reports   []metrics.SiteReport
+	reportOps []metrics.OpCounters
+	sampled   *metrics.ReportMerger
 
 	// obs is the optional observability hookup (nil = zero overhead); tel
 	// caches the registry instruments the hot path touches.

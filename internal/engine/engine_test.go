@@ -30,7 +30,7 @@ type rig struct {
 
 // threeSites builds sites 0,1,2 (8 slots each): links linkMbps in all
 // directions, 1 ms intra, 40 ms inter latency.
-func threeSites(t *testing.T, linkMbps topology.Mbps) *topology.Topology {
+func threeSites(t testing.TB, linkMbps topology.Mbps) *topology.Topology {
 	t.Helper()
 	const n = 3
 	sites := make([]topology.Site, n)
@@ -500,7 +500,11 @@ func TestSampleSitesReportsEverySite(t *testing.T) {
 		return out
 	}
 	r.run(t, 10*time.Second)
-	before := slices.Clone(r.eng.SampleSites()) // the next call reuses the slice
+	// The next call reuses the reports and their Ops: keep deep copies.
+	before := slices.Clone(r.eng.SampleSites())
+	for i := range before {
+		before[i].Ops = slices.Clone(before[i].Ops)
+	}
 	if got, want := layout(before), [][]plan.OpID{{src}, {mp, snk}, nil}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("operators by site = %v, want %v", got, want)
 	}

@@ -171,6 +171,12 @@ func (e *Engine) Lost() (lost, restored float64) {
 //	  i64 start · f64 count · f64 srcTotal · i64 maxBorn
 const snapshotVersion = 1
 
+// worthSlack is the relative rounding a window's worth (srcTotal/count)
+// may carry beyond its operator's path products: the engine sums
+// count×worth terms into srcTotal one cohort at a time, and restores and
+// reconfigurations scale both by a task share.
+const worthSlack = 1e-6
+
 // SnapshotGroup captures the state of one task group for checkpointing.
 // Stateless groups produce a snapshot holding only the frontier.
 func (e *Engine) SnapshotGroup(op plan.OpID, site topology.SiteID) ([]byte, error) {
@@ -204,6 +210,9 @@ func (e *Engine) SnapshotGroup(op plan.OpID, site topology.SiteID) ([]byte, erro
 func (e *Engine) RestoreOperatorState(op plan.OpID, data []byte) error {
 	wins, frontier, err := decodeSnapshot(data)
 	if err != nil {
+		return err
+	}
+	if err := e.checkRestorable(op, wins); err != nil {
 		return err
 	}
 	var groups []*group
@@ -251,7 +260,7 @@ func decodeSnapshot(data []byte) ([]winSlot, vclock.Time, error) {
 	wins := make([]winSlot, n)
 	off := 13
 	for i := range wins {
-		wins[i] = winSlot{
+		w := winSlot{
 			start: vclock.Time(binary.BigEndian.Uint64(data[off:])),
 			winAcc: winAcc{
 				count:    math.Float64frombits(binary.BigEndian.Uint64(data[off+8:])),
@@ -259,7 +268,82 @@ func decodeSnapshot(data []byte) ([]winSlot, vclock.Time, error) {
 				maxBorn:  vclock.Time(binary.BigEndian.Uint64(data[off+24:])),
 			},
 		}
+		// A group only ever holds windows with events in them, each worth
+		// a non-negative number of source events: anything else is not a
+		// state SnapshotGroup writes, and restoring it would corrupt the
+		// conservation balance. The comparisons are written so NaN fails.
+		if !(w.count > 0 && w.count <= math.MaxFloat64) ||
+			!(w.srcTotal >= 0 && w.srcTotal <= math.MaxFloat64) {
+			return nil, 0, fmt.Errorf("engine: snapshot window %d has count %v, source total %v", i, w.count, w.srcTotal)
+		}
+		wins[i] = w
 		off += 32
 	}
 	return wins, frontier, nil
+}
+
+// checkRestorable rejects decoded windows that no checkpoint of op taken
+// in this engine can hold. Each window's worth must lie within the
+// products of 1/σ along op's paths from the sources (worthRange). And the
+// windows together cannot hold more source events than were in flight,
+// which is at most what was generated plus what restores reinjected.
+func (e *Engine) checkRestorable(op plan.OpID, wins []winSlot) error {
+	if len(wins) == 0 {
+		return nil
+	}
+	lo, hi := e.worthRange(op)
+	c := e.Conservation()
+	limit := c.Generated + c.Reinjected + c.Eps()
+	var total float64
+	for i := range wins {
+		w := &wins[i]
+		if worth := w.srcTotal / w.count; !(worth >= lo/(1+worthSlack) && worth <= hi*(1+worthSlack)) {
+			return fmt.Errorf("engine: snapshot window %d is worth %v source events per event, outside op %d's [%v, %v]", i, worth, op, lo, hi)
+		}
+		total += w.srcTotal
+	}
+	if total > limit {
+		return fmt.Errorf("engine: snapshot windows hold %v source events, more than the %v generated and reinjected", total, limit)
+	}
+	return nil
+}
+
+// worthRange returns the smallest and largest worth, in source events per
+// event, that an output event of op can carry in the deployed graph: the
+// products of 1/σ along its paths from the sources, op's own σ included,
+// divided in the order the engine divides them. Sources emit worth 1. A
+// path through an operator with σ ≤ 0 carries no events and is skipped,
+// so an op no path reaches gets the empty range (+Inf, 0).
+func (e *Engine) worthRange(op plan.OpID) (lo, hi float64) {
+	g := e.plan.Graph
+	order, err := g.TopoOrder()
+	if err != nil {
+		return math.Inf(1), 0
+	}
+	type span struct{ lo, hi float64 }
+	reach := make(map[plan.OpID]span, len(order))
+	for _, id := range order {
+		o := g.Operator(id)
+		switch {
+		case o.Kind == plan.KindSource:
+			reach[id] = span{1, 1}
+		case o.Selectivity > 0:
+			in := span{math.Inf(1), 0}
+			for _, u := range g.UpstreamView(id) {
+				if s, ok := reach[u]; ok {
+					in = span{min(in.lo, s.lo), max(in.hi, s.hi)}
+				}
+			}
+			if in.hi > 0 {
+				reach[id] = span{in.lo / o.Selectivity, in.hi / o.Selectivity}
+			}
+		}
+		if id == op {
+			break
+		}
+	}
+	if s, ok := reach[op]; ok {
+		return s.lo, s.hi
+	}
+	return math.Inf(1), 0
 }

@@ -153,8 +153,8 @@ func queueOpBytes(kind byte, count, worth float64) []byte {
 // queue is non-empty, and pushed events and source equivalents equal the
 // popped ones plus what the queue still holds.
 func FuzzQueueMatchesReference(f *testing.F) {
-	// An upper-tree YSB cohort (4.27e-10 events; worth capped at the
-	// decoder's 1e15) drained by a pop of len().
+	// An upper-tree YSB cohort (4.27e-10 events worth 1e15 each) drained
+	// by a pop of len().
 	f.Add(append(queueOpBytes(0, 4.27e-10, 1e15), 1, 100))
 	// A 1e-12-event cohort behind a 1000.1-event one popped whole, then a
 	// pop of len().

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/plan"
@@ -55,7 +57,8 @@ func setTotal(c *obs.Counter, total float64) { c.Add(total - c.Value()) }
 // an idle site's is empty, its heartbeat. Counters are cumulative since
 // each group's creation and carry its incarnation; queues and
 // backpressure (bpActive) are instantaneous. The next call reuses the
-// returned slice but not the Ops it points into.
+// returned reports and their Ops: a caller that keeps a report past it
+// copies the report's Ops (metrics.ReportMerger.Absorb does).
 func (e *Engine) SampleSites() []metrics.SiteReport {
 	now := e.sched.Now()
 	// Bucket the groups, in (op, site) order, by site: each site's slice
@@ -68,7 +71,8 @@ func (e *Engine) SampleSites() []metrics.SiteReport {
 	for s := 1; s < len(off); s++ {
 		off[s] += off[s-1]
 	}
-	ops := make([]metrics.OpCounters, len(e.groups))
+	ops := slices.Grow(e.reportOps[:0], len(e.groups))[:len(e.groups)]
+	e.reportOps = ops
 	for _, g := range e.groups {
 		oc := metrics.OpCounters{
 			Op:            g.op.ID,

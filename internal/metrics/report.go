@@ -41,7 +41,8 @@ type SiteReport struct {
 }
 
 // siteHistory keeps the two most recent reports from one site: rates come
-// from the delta between them.
+// from the delta between them. Each report's Ops is a buffer the history
+// owns; the two are swapped as a newer report arrives.
 type siteHistory struct {
 	last, prev     SiteReport
 	heard, hasPrev bool
@@ -61,7 +62,8 @@ func NewReportMerger() *ReportMerger { return &ReportMerger{} }
 // Absorb folds one received report into the merger. Reports that are not
 // newer than the site's last absorbed report are discarded: delivery
 // delays can reorder reports in flight, and rates must be computed over a
-// forward interval.
+// forward interval. The merger copies what it keeps and holds no memory of
+// the caller's after the call, so rep.Ops may be reused at once.
 func (m *ReportMerger) Absorb(rep SiteReport) {
 	if n := int(rep.Site) + 1; n > len(m.sites) {
 		m.sites = append(m.sites, make([]siteHistory, n-len(m.sites))...)
@@ -69,11 +71,14 @@ func (m *ReportMerger) Absorb(rep SiteReport) {
 	h := &m.sites[rep.Site]
 	switch {
 	case !h.heard:
-		h.last, h.heard = rep, true
+		h.heard = true
 	case rep.At > h.last.At:
-		h.prev, h.hasPrev = h.last, true
-		h.last = rep
+		h.prev, h.last, h.hasPrev = h.last, h.prev, true
+	default:
+		return
 	}
+	h.last.Site, h.last.At = rep.Site, rep.At
+	h.last.Ops = append(h.last.Ops[:0], rep.Ops...)
 }
 
 // Age returns how old the site's freshest evidence is at time now.

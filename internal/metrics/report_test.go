@@ -13,6 +13,25 @@ import (
 
 func secs(s int) vclock.Time { return vclock.Time(s) * vclock.Time(time.Second) }
 
+// The merger owns what it keeps: a sender that reuses a report's Ops
+// buffer after Absorb — the engine's SampleSites does — changes nothing
+// the merger reports, for the last report and the one before it alike.
+func TestMergerCopiesReportOps(t *testing.T) {
+	m := NewReportMerger()
+	ops := []OpCounters{{Op: 1, Incarnation: 1, Arrived: 100, Processed: 100, InputQueueLen: 5, Tasks: 1}}
+	m.Absorb(SiteReport{Site: 0, At: secs(10), Ops: ops})
+	ops[0].Arrived, ops[0].Processed, ops[0].InputQueueLen = 300, 300, 7
+	m.Absorb(SiteReport{Site: 0, At: secs(20), Ops: ops})
+	want := m.Snapshot(secs(20))
+	if got := want.Ops[1].ArrivalRate; got != 20 {
+		t.Fatalf("ArrivalRate = %v; want 20 (200 events over 10s)", got)
+	}
+	ops[0] = OpCounters{Op: 9, Arrived: 1e9, Processed: 1e9, InputQueueLen: 1e6, Tasks: 40}
+	if got := m.Snapshot(secs(20)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("mutating absorbed Ops changed the snapshot:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // An empty first report (the idle-site heartbeat) must register the site
 // as heard-from — resetting its age — while contributing nothing to the
 // merged snapshot.

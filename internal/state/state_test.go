@@ -327,9 +327,14 @@ func topoSite(i int) topology.SiteID { return topology.SiteID(i) }
 // storedRefs returns the refs of every stored snapshot, ordered by task key
 // then epoch.
 func storedRefs(s *Store) []Ref {
+	names := make(map[string]taskKey, len(s.snaps))
+	for _, es := range s.snaps {
+		k := es[0].ref.taskKey()
+		names[k.String()] = k
+	}
 	var out []Ref
-	for _, k := range detutil.SortedKeys(s.snaps) {
-		for _, e := range s.snaps[k] {
+	for _, name := range detutil.SortedKeys(names) {
+		for _, e := range s.snaps[names[name]] {
 			out = append(out, e.ref)
 		}
 	}

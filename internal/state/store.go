@@ -8,6 +8,7 @@ package state
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"sync"
 
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -29,8 +30,18 @@ type Ref struct {
 	Size int64
 }
 
-func (r Ref) taskKey() string {
-	return fmt.Sprintf("%s/%s/%d", r.Job, r.Operator, r.Task)
+// taskKey identifies one task's checkpoint history.
+type taskKey struct {
+	job, operator string
+	task          int
+}
+
+func (r Ref) taskKey() taskKey { return taskKey{r.Job, r.Operator, r.Task} }
+
+// String is the "job/operator/task" form errors name a task by, and the
+// order the coordinator visits its targets in.
+func (k taskKey) String() string {
+	return k.job + "/" + k.operator + "/" + strconv.Itoa(k.task)
 }
 
 // Store is an in-memory, site-aware checkpoint store. It retains every
@@ -38,9 +49,11 @@ func (r Ref) taskKey() string {
 type Store struct {
 	mu sync.Mutex
 	// snaps maps task key → epoch-ascending snapshots.
-	snaps map[string][]entry
+	snaps map[taskKey][]entry
 }
 
+// entry is one stored copy. Copies of the same round at different sites
+// may share data; nothing writes to it after the put.
 type entry struct {
 	ref  Ref
 	data []byte
@@ -48,14 +61,21 @@ type entry struct {
 
 // NewStore returns an empty checkpoint store.
 func NewStore() *Store {
-	return &Store{snaps: make(map[string][]entry)}
+	return &Store{snaps: make(map[taskKey][]entry)}
 }
 
-// Put stores a snapshot. Epochs for a task must be non-decreasing; a
-// repeat of the current epoch is allowed only at a site that does not
-// already hold it (checkpoint replication writes the same round to the
-// task's own site and to replica sites).
+// Put stores a copy of a snapshot. Epochs for a task must be
+// non-decreasing; a repeat of the current epoch is allowed only at a site
+// that does not already hold it (checkpoint replication writes the same
+// round to the task's own site and to replica sites).
 func (s *Store) Put(ref Ref, data []byte) error {
+	return s.put(ref, append([]byte(nil), data...))
+}
+
+// put is Put taking ownership of data: the store keeps the slice itself,
+// so the caller must not write to it again. The coordinator passes one
+// snapshot to every site of a round this way.
+func (s *Store) put(ref Ref, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := ref.taskKey()
@@ -73,10 +93,8 @@ func (s *Store) Put(ref Ref, data []byte) error {
 			}
 		}
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	ref.Size = int64(len(data))
-	s.snaps[key] = append(es, entry{ref: ref, data: cp})
+	s.snaps[key] = append(es, entry{ref: ref, data: data})
 	return nil
 }
 

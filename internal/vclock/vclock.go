@@ -2,10 +2,17 @@
 // discrete-event scheduler. All WASP experiments run on virtual time so that
 // 1500+ seconds of query execution replay in milliseconds, fully
 // deterministically for a given seed.
+//
+// The scheduler keeps its pending events in a binary min-heap of *Event
+// ordered by (fire time, scheduling sequence), sifted in place with no
+// interface dispatch. Every scheduling call takes the
+// next sequence number, so events for the same instant fire in the order
+// they were scheduled. At allocates an Event per call; a caller that fires
+// the same kind of event over and over can own its Events and re-arm each
+// with Schedule once it has fired, which allocates nothing.
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -33,13 +40,14 @@ func (c *Clock) advanceTo(t Time) {
 	c.now = t
 }
 
-// Event is a scheduled callback on the virtual timeline.
+// Event is a scheduled callback on the virtual timeline. The zero value is
+// an unscheduled event, ready for Schedule.
 type Event struct {
 	at       Time
 	seq      uint64 // tie-break so same-time events fire in schedule order
 	fn       func(now Time)
 	canceled bool
-	index    int // heap index, -1 once popped
+	queued   bool // in the heap; a canceled event stays queued until popped
 }
 
 // Cancel prevents a pending event from firing. Canceling an already-fired
@@ -70,12 +78,27 @@ func (s *Scheduler) Now() Time { return s.clock.Now() }
 // At schedules fn to run at virtual time t. Scheduling in the past panics.
 // The returned Event may be used to cancel.
 func (s *Scheduler) At(t Time, fn func(now Time)) *Event {
+	return s.Schedule(&Event{}, t, fn)
+}
+
+// Schedule arms the caller-owned event ev to run fn at virtual time t and
+// returns it: At without the allocation. ev must not be queued — it is
+// either new (the zero Event) or has already fired, and an event re-armed
+// from inside its own callback has already been dequeued. A canceled event
+// stays queued until the clock reaches its time, so it cannot be re-armed
+// before then. Re-arming clears a cancel and takes the next sequence
+// number, exactly as a fresh At would. Scheduling in the past or re-arming
+// a queued event panics.
+func (s *Scheduler) Schedule(ev *Event, t Time, fn func(now Time)) *Event {
 	if t < s.clock.Now() {
 		panic(fmt.Sprintf("vclock: schedule at %v before now %v", t, s.clock.Now()))
 	}
-	ev := &Event{at: t, seq: s.nextSeq, fn: fn}
+	if ev.queued {
+		panic(fmt.Sprintf("vclock: schedule at %v of an event still queued for %v", t, ev.at))
+	}
+	*ev = Event{at: t, seq: s.nextSeq, fn: fn}
 	s.nextSeq++
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return ev
 }
 
@@ -86,23 +109,14 @@ func (s *Scheduler) Every(interval time.Duration, fn func(now Time)) *Event {
 		panic(fmt.Sprintf("vclock: non-positive interval %v", interval))
 	}
 	// The ticker is represented by a proxy event whose Cancel stops the
-	// chain. One heap event is reused for every firing: re-arming from
-	// inside the callback is safe because the event has already been
+	// chain. One heap event is re-armed for every firing: re-arming from
+	// inside the callback is allowed because the event has already been
 	// popped, and it takes the next seq, so it fires after every event
 	// already scheduled for the same instant. The proxy is never in the
-	// heap, so a long-lived ticker costs two allocations total instead of
-	// one per firing.
-	proxy := &Event{}
-	ev := &Event{index: -1}
-	arm := func() {
-		ev.at = s.clock.Now() + interval
-		ev.seq = s.nextSeq
-		s.nextSeq++
-		ev.canceled = false
-		heap.Push(&s.queue, ev)
-		proxy.at = ev.at
-	}
-	ev.fn = func(now Time) {
+	// heap, so a long-lived ticker allocates once, not once per firing.
+	proxy, ev := &Event{}, &Event{}
+	var tick func(now Time)
+	tick = func(now Time) {
 		if proxy.canceled {
 			return
 		}
@@ -110,17 +124,17 @@ func (s *Scheduler) Every(interval time.Duration, fn func(now Time)) *Event {
 		if proxy.canceled {
 			return
 		}
-		arm()
+		proxy.at = s.Schedule(ev, now+interval, tick).at
 	}
-	arm()
+	proxy.at = s.Schedule(ev, s.clock.Now()+interval, tick).at
 	return proxy
 }
 
 // Step fires the next pending event, advancing the clock to its time. It
 // returns false if no events are pending.
 func (s *Scheduler) Step() bool {
-	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*Event)
+	for len(s.queue) > 0 {
+		ev := s.queue.pop()
 		if ev.canceled {
 			continue
 		}
@@ -135,10 +149,10 @@ func (s *Scheduler) Step() bool {
 // advances the clock exactly to t. Events scheduled for t itself do fire.
 // It always returns nil.
 func (s *Scheduler) RunUntil(t Time) error {
-	for s.queue.Len() > 0 {
+	for len(s.queue) > 0 {
 		next := s.queue[0]
 		if next.canceled {
-			heap.Pop(&s.queue)
+			s.queue.pop()
 			continue
 		}
 		if next.at > t {
@@ -152,36 +166,63 @@ func (s *Scheduler) RunUntil(t Time) error {
 	return nil
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
+// eventQueue is a binary min-heap ordered by (at, seq). seq is unique, so
+// the order is total and every valid heap pops the same sequence.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a fires before b.
+func before(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// push adds ev, moving parents down into the hole until ev fits.
+func (q *eventQueue) push(ev *Event) {
+	ev.queued = true
+	h := append(*q, ev)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !before(ev, h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = ev
+	*q = h
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest event, moving the last leaf down
+// from the root into place. The queue must not be empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	top.queued = false
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && before(h[r], h[c]) {
+				c = r
+			}
+			if !before(h[c], last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
