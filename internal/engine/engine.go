@@ -100,9 +100,9 @@ type group struct {
 	// before it fire.
 	maxProcessedBorn vclock.Time
 
-	// suspended withholds the group from processing while a
-	// reconfiguration or re-plan moves it: set by Reconfigure/BeginReplan,
-	// cleared when they finalize or abort.
+	// suspended withholds the group from processing while a pending
+	// reconfiguration or re-plan holds it. Written only by hold(), which
+	// derives it from e.reconfigs and e.replan.
 	suspended bool
 
 	// incarnation is the store generation newGroup built the group in (a

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/detutil"
@@ -26,8 +27,11 @@ type Migration struct {
 // the stage is suspended until every state transfer completes (§4.1: halt,
 // instantiate new tasks, resume).
 type reconfiguration struct {
-	op        plan.OpID
-	newSites  []topology.SiteID
+	op       plan.OpID
+	newSites []topology.SiteID
+	// halted lists the sites whose group loses tasks: hold() suspends the
+	// operator's groups there until the reconfiguration finalizes or aborts.
+	halted    []topology.SiteID
 	transfers []*netsim.Transfer
 	startedAt vclock.Time
 	finished  func(now vclock.Time)
@@ -68,28 +72,20 @@ func (e *Engine) Reconfigure(op plan.OpID, newSites []topology.SiteID, migration
 		}
 	}
 
-	// Suspend only the groups at sites losing tasks: pure scale-outs keep
-	// the existing tasks processing while new tasks receive their state
-	// partitions; full moves suspend everything (§4.1).
-	newCount := make(map[topology.SiteID]int)
-	for _, s := range newSites {
-		newCount[s]++
-	}
-	oldCount := make(map[topology.SiteID]int)
-	for _, s := range st.Sites {
-		oldCount[s]++
-	}
-	for _, g := range e.opGroups(op) {
-		if oldCount[g.site] > newCount[g.site] {
-			g.suspended = true
-		}
-	}
 	rc := &reconfiguration{
 		op:             op,
 		newSites:       append([]topology.SiteID(nil), newSites...),
 		startedAt:      e.sched.Now(),
 		finished:       onDone,
 		lastProgressAt: e.sched.Now(),
+	}
+	// Halt only the groups at sites losing tasks: pure scale-outs keep the
+	// existing tasks processing while new tasks receive their state
+	// partitions; full moves halt everything (§4.1).
+	for _, g := range e.opGroups(op) {
+		if countSites(st.Sites, g.site) > countSites(newSites, g.site) {
+			rc.halted = append(rc.halted, g.site)
+		}
 	}
 	var migBytes float64
 	for _, m := range migrations {
@@ -112,7 +108,33 @@ func (e *Engine) Reconfigure(op plan.OpID, newSites []topology.SiteID, migration
 		e.tel.migBytes.Add(migBytes)
 	}
 	e.reconfigs = append(e.reconfigs, rc)
+	e.hold()
 	return nil
+}
+
+// hold derives every suspension from the pending changes, and is the only
+// writer of group.suspended: a group is held while a pending
+// reconfiguration of its operator halts its site, and a source is held
+// while a re-plan is pending. Reconfigure, AbortReconfigure, BeginReplan,
+// AbortReplan and rewire (which ends every structural change) call it.
+func (e *Engine) hold() {
+	for _, g := range e.groups {
+		g.suspended = false
+	}
+	for _, rc := range e.reconfigs {
+		for _, g := range e.opGroups(rc.op) {
+			if slices.Contains(rc.halted, g.site) {
+				g.suspended = true
+			}
+		}
+	}
+	if e.replan != nil {
+		for _, id := range e.plan.Graph.Sources() {
+			for _, g := range e.opGroups(id) {
+				g.suspended = true
+			}
+		}
+	}
 }
 
 // Reconfiguring reports whether the given stage has a pending
@@ -242,10 +264,8 @@ func (e *Engine) AbortReconfigure(op plan.OpID) error {
 			e.net.CancelTransfer(tr)
 		}
 	}
-	for _, g := range e.opGroups(op) {
-		g.suspended = false
-	}
 	e.reconfigs = append(e.reconfigs[:idx], e.reconfigs[idx+1:]...)
+	e.hold()
 	now := e.sched.Now()
 	if rc.span != nil {
 		rc.span.SetAttrs(obs.Bool("aborted", true))
@@ -419,12 +439,6 @@ func (e *Engine) BeginReplan(newPlan *physical.Plan, carry map[plan.OpID]plan.Op
 			return fmt.Errorf("engine: carry target op %d not in new plan", newID)
 		}
 	}
-	// Suspend sources: backlog accumulates externally.
-	for _, id := range e.plan.Graph.Sources() {
-		for _, g := range e.opGroups(id) {
-			g.suspended = true
-		}
-	}
 	e.replan = &pendingReplan{
 		newPlan:        newPlan,
 		carry:          carry,
@@ -438,6 +452,7 @@ func (e *Engine) BeginReplan(newPlan *physical.Plan, carry map[plan.OpID]plan.Op
 			obs.Int("carried_ops", len(carry)),
 			obs.Int("new_stages", len(newPlan.Stages)))
 	}
+	e.hold()
 	return nil
 }
 
@@ -474,9 +489,9 @@ func (e *Engine) progressReplan(now vclock.Time) {
 	for newID, state := range carry {
 		state.spread(e.opGroups(newID))
 	}
+	e.replan = nil
 	e.rebuildFlows()
 	e.rewire()
-	e.replan = nil
 	if rp.span != nil {
 		e.tel.replans.Inc()
 		rp.span.Finish()
@@ -574,12 +589,8 @@ func (e *Engine) AbortReplan() error {
 	if rp == nil {
 		return errors.New("engine: no re-plan in progress")
 	}
-	for _, id := range e.plan.Graph.Sources() {
-		for _, g := range e.opGroups(id) {
-			g.suspended = false
-		}
-	}
 	e.replan = nil
+	e.hold()
 	now := e.sched.Now()
 	if rp.span != nil {
 		rp.span.SetAttrs(obs.Bool("aborted", true))

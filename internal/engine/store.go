@@ -206,6 +206,7 @@ func (e *Engine) rewire() {
 	}
 	e.linkCaps = make([]float64, len(e.links))
 	e.refreshLinkCaps()
+	e.hold()
 
 	e.wired = e.gen
 }
