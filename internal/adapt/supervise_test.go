@@ -82,12 +82,15 @@ func TestStalledReplanAborts(t *testing.T) {
 	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP}, 1000, 1, 0)
 	tb.run(t, 20*time.Second)
 
-	// Black out the map→sink link, then immediately start a drain that can
-	// never finish: the in-flight backlog has no path out. (Starting the
-	// re-plan before the first monitoring round matters — diagnosis pauses
-	// during a re-plan, but an earlier round would re-assign the map off
-	// the dead link and let the drain complete.)
-	tb.net.SetLinkFault(1, 3, 0)
+	// Black out the source→map link, then immediately start a drain that
+	// can never finish: the map is not carried, so the drain waits on the
+	// backlog queued for it, which has no path out. (A dead link into a
+	// carried operator would not stall it: the switch hands that queue
+	// over. Starting the re-plan before the first monitoring round
+	// matters — diagnosis pauses during a re-plan, but an earlier round
+	// would re-assign the map off the dead link and let the drain
+	// complete.)
+	tb.net.SetLinkFault(0, 1, 0)
 	carry := map[plan.OpID]plan.OpID{tb.ids[0]: tb.ids[0], tb.ids[2]: tb.ids[2]}
 	if err := tb.eng.BeginReplan(tb.eng.Plan().Clone(), carry, nil); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/netsim"
+	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/trace"
@@ -214,5 +216,118 @@ func TestReplanStallDetection(t *testing.T) {
 	}
 	if r.eng.ReplanStalled(0) {
 		t.Fatal("stall reported with detection disabled")
+	}
+}
+
+// chainRig deploys src(site 0, rate ev/s) → a → b → sink(site 2) with
+// 100-byte events over linkMbps links: a and b (σ=1) run at the given
+// sites and per-event costs, so a cost of 25 is a 1000 ev/s group.
+func chainRig(t *testing.T, linkMbps topology.Mbps, rate float64, aSite, bSite topology.SiteID, aCost, bCost float64) *rig {
+	t.Helper()
+	g := plan.NewGraph()
+	src := g.AddOperator(plan.Operator{
+		Name: "src", Kind: plan.KindSource, PinnedSite: 0,
+		Selectivity: 1, OutEventBytes: 100, SourceRate: rate,
+	})
+	a := g.AddOperator(plan.Operator{
+		Name: "a", Kind: plan.KindMap, Selectivity: 1, OutEventBytes: 100, CostPerEvent: aCost,
+	})
+	b := g.AddOperator(plan.Operator{
+		Name: "b", Kind: plan.KindMap, Selectivity: 1, OutEventBytes: 100, CostPerEvent: bCost,
+	})
+	snk := g.AddOperator(plan.Operator{Name: "sink", Kind: plan.KindSink, PinnedSite: 2})
+	g.MustConnect(src, a)
+	g.MustConnect(a, b)
+	g.MustConnect(b, snk)
+	top := threeSites(t, linkMbps)
+	net := netsim.New(top)
+	sched := vclock.NewScheduler(nil)
+	eng := New(Config{}, top, net, sched)
+	pp, err := physical.FromLogical(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp.Stages[src].Sites = []topology.SiteID{0}
+	pp.Stages[a].Sites = []topology.SiteID{aSite}
+	pp.Stages[b].Sites = []topology.SiteID{bSite}
+	pp.Stages[snk].Sites = []topology.SiteID{2}
+	if err := eng.Deploy(pp); err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	return &rig{top: top, net: net, sched: sched, eng: eng, g: g, ids: []plan.OpID{src, a, b, snk}, pp: pp}
+}
+
+// replanConserving starts a re-plan to a copy of the deployed plan that
+// carries the source, the sink and the carried operator, then steps the
+// engine until the switch completes or `within` elapses, checking the
+// store (holds included) and the source-equivalent balance after every
+// tick. It returns how long the switch took.
+func replanConserving(t *testing.T, r *rig, carried plan.OpID, within time.Duration) time.Duration {
+	t.Helper()
+	carry := map[plan.OpID]plan.OpID{r.ids[0]: r.ids[0], carried: carried, r.ids[3]: r.ids[3]}
+	start := r.sched.Now()
+	done := vclock.Time(-1)
+	if err := r.eng.BeginReplan(r.pp.Clone(), carry, func(now vclock.Time) { done = now }); err != nil {
+		t.Fatal(err)
+	}
+	for done < 0 && r.sched.Now() < start+vclock.Time(within) && r.sched.Step() {
+		if err := r.eng.checkStore(); err != nil {
+			t.Fatalf("t=%v: %v", time.Duration(r.sched.Now()), err)
+		}
+		if c := r.eng.Conservation(); !c.Holds() {
+			t.Fatalf("t=%v: conservation residual %v > eps %v", time.Duration(r.sched.Now()), c.Residual(), c.Eps())
+		}
+	}
+	if done < 0 {
+		t.Fatalf("re-plan not done %v after it began (stalled=%v)", within, r.eng.ReplanStalled(vclock.Time(30*time.Second)))
+	}
+	if got := r.eng.SuspendedOps(); len(got) != 0 {
+		t.Fatalf("SuspendedOps = %v after the switch, want none", got)
+	}
+	return time.Duration(done - start)
+}
+
+// A carried operator whose queue is far over its backpressure bound (a
+// same-site source feeds it past the bound) must not keep refilling the
+// flow into the operator the re-plan drains: the switch holds it, the
+// drain completes, and its backlog crosses the switch intact.
+func TestReplanHoldsCarriedBacklog(t *testing.T) {
+	r := chainRig(t, 80, 10000, 0, 1, 25, 1)
+	r.run(t, 20*time.Second)
+	a := r.eng.opGroups(r.ids[1])[0]
+	if a.inQ.len() < 10*a.bpLimit {
+		t.Fatalf("carried queue %v not far over its bound %v", a.inQ.len(), a.bpLimit)
+	}
+	before := a.inQ.srcTotal()
+	took := replanConserving(t, r, r.ids[1], 60*time.Second)
+	if took > 5*time.Second {
+		t.Fatalf("re-plan took %v; only one link hop of backlog was outside custody", took)
+	}
+	if after := r.eng.opGroups(r.ids[1])[0].inQ.srcTotal(); math.Abs(after-before) > 1e-6*before {
+		t.Fatalf("carried backlog %v after the switch, want the %v held before it", after, before)
+	}
+}
+
+// A drained operator sending into a carried operator whose queue is full
+// must not be blocked by it: the flow into the carried operator is held,
+// the drained operator empties its own queue into it, and the switch hands
+// the held flow to the carried operator.
+func TestReplanDrainPassesFullCarriedDestination(t *testing.T) {
+	r := chainRig(t, 8, 10000, 0, 1, 1, 25)
+	r.run(t, 20*time.Second)
+	a, b := r.eng.opGroups(r.ids[1])[0], r.eng.opGroups(r.ids[2])[0]
+	if !r.eng.queueFull(b) || !r.eng.sendBlocked(a) || a.inQ.len() < 1e5 {
+		t.Fatalf("setup: carried queue full=%v, sender blocked=%v with %v queued; want a blocked backlog",
+			r.eng.queueFull(b), r.eng.sendBlocked(a), a.inQ.len())
+	}
+	inFlight := a.inQ.srcTotal() + b.inQ.srcTotal() + r.eng.opFlows(r.ids[1])[0].q.srcTotal()
+	took := replanConserving(t, r, r.ids[2], 60*time.Second)
+	if took > 15*time.Second {
+		t.Fatalf("re-plan took %v; the drained operator's backlog is 6 s of its capacity", took)
+	}
+	b = r.eng.opGroups(r.ids[2])[0]
+	if got := b.inQ.srcTotal(); got < 0.9*inFlight {
+		t.Fatalf("carried queue %v after the switch, want most of the %v queued before it", got, inFlight)
 	}
 }

@@ -184,6 +184,11 @@ type edgeFlow struct {
 	dst      *group
 	srcFront bool
 	linkID   int32
+
+	// held marks a flow into a group in a pending re-plan's custody: the
+	// drain neither waits on it nor lets it block its sender, and the
+	// switch hands its queue to the destination. Written only by hold().
+	held bool
 }
 
 // SinkDelivery is one tick's worth of events arriving at a sink.
@@ -604,14 +609,21 @@ func (e *Engine) deliverFlows(dtSec float64) {
 		if e.siteDown[f.key.fromSite] || e.siteDown[f.key.toSite] {
 			continue
 		}
-		dst := f.dst
 		e.popBuf = f.q.popInto(granted, e.popBuf[:0])
-		for _, c := range e.popBuf {
-			dst.inQ.push(c.born-f.latency, c.count, c.worth, c.raw)
-			dst.arrived += c.count
-			if f.srcFront {
-				e.transportedSrc += c.src()
-			}
+		e.deliver(f)
+	}
+}
+
+// deliver pushes the cohorts in popBuf, just popped from f's send queue,
+// into f's destination group, aging them by the link latency.
+//
+//waspvet:hotpath
+func (e *Engine) deliver(f *edgeFlow) {
+	for _, c := range e.popBuf {
+		f.dst.inQ.push(c.born-f.latency, c.count, c.worth, c.raw)
+		f.dst.arrived += c.count
+		if f.srcFront {
+			e.transportedSrc += c.src()
 		}
 	}
 }
@@ -842,11 +854,15 @@ func (e *Engine) fanOut(g *group, born vclock.Time, count, worth float64, raw bo
 
 // sendBlocked reports whether any of the group's send queues is over the
 // backpressure bound (measured in seconds of transmission at current link
-// capacity).
+// capacity). A held flow never blocks: its destination has stopped
+// consuming until the re-plan switch hands the queue over.
 //
 //waspvet:hotpath
 func (e *Engine) sendBlocked(g *group) bool {
 	for _, f := range g.out {
+		if f.held {
+			continue
+		}
 		linkCap := e.linkCaps[f.linkID]
 		if linkCap <= 0 {
 			if !f.q.empty() {

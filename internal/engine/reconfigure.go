@@ -113,13 +113,17 @@ func (e *Engine) Reconfigure(op plan.OpID, newSites []topology.SiteID, migration
 }
 
 // hold derives every suspension from the pending changes, and is the only
-// writer of group.suspended: a group is held while a pending
-// reconfiguration of its operator halts its site, and a source is held
-// while a re-plan is pending. Reconfigure, AbortReconfigure, BeginReplan,
-// AbortReplan and rewire (which ends every structural change) call it.
+// writer of group.suspended and edgeFlow.held. A group is held while a
+// pending reconfiguration of its operator halts its site. While a re-plan
+// is pending, every group in the switch's custody is held (sinks excepted:
+// processGroup serves them before it looks at the hold), and so is every
+// flow into one: the switch hands those flows to their destination's
+// carried state. Reconfigure, AbortReconfigure, BeginReplan, AbortReplan
+// and rewire (which ends every structural change) call it.
 func (e *Engine) hold() {
+	rp := e.replan
 	for _, g := range e.groups {
-		g.suspended = false
+		g.suspended = rp != nil && !g.isSink && rp.inCustody(g)
 	}
 	for _, rc := range e.reconfigs {
 		for _, g := range e.opGroups(rc.op) {
@@ -128,12 +132,8 @@ func (e *Engine) hold() {
 			}
 		}
 	}
-	if e.replan != nil {
-		for _, id := range e.plan.Graph.Sources() {
-			for _, g := range e.opGroups(id) {
-				g.suspended = true
-			}
-		}
+	for _, f := range e.flows {
+		f.held = rp != nil && rp.inCustody(f.dst)
 	}
 }
 
@@ -406,9 +406,8 @@ type pendingReplan struct {
 	finished func(now vclock.Time)
 	span     *obs.Span
 
-	// Drain-progress tracking for stall detection: the in-flight backlog
-	// outside the carried operators' custody at the last tick it shrank,
-	// and when that was.
+	// Drain-progress tracking for stall detection: the drain backlog at
+	// the last tick it shrank, and when that was.
 	lastBacklog    float64
 	lastProgressAt vclock.Time
 }
@@ -444,15 +443,15 @@ func (e *Engine) BeginReplan(newPlan *physical.Plan, carry map[plan.OpID]plan.Op
 		carry:          carry,
 		started:        e.sched.Now(),
 		finished:       onDone,
-		lastBacklog:    e.drainBacklog(carry),
 		lastProgressAt: e.sched.Now(),
 	}
+	e.hold()
+	e.replan.lastBacklog = e.drainBacklog(e.replan)
 	if e.obs != nil {
 		e.replan.span = e.obs.StartAsync("engine.replan",
 			obs.Int("carried_ops", len(carry)),
 			obs.Int("new_stages", len(newPlan.Stages)))
 	}
-	e.hold()
 	return nil
 }
 
@@ -465,15 +464,23 @@ func (e *Engine) progressReplan(now vclock.Time) {
 	if rp == nil {
 		return
 	}
-	if !e.drained(rp.carry) {
-		if backlog := e.drainBacklog(rp.carry); backlog < rp.lastBacklog-1e-6 {
+	if !e.drained(rp) {
+		if backlog := e.drainBacklog(rp); backlog < rp.lastBacklog {
 			rp.lastBacklog = backlog
 			rp.lastProgressAt = now
 		}
 		return
 	}
 
-	// Collect carried state keyed by the NEW operator IDs.
+	// Hand every held flow to its destination (an instant hand-over, as
+	// rehomeCohorts gives a surviving destination), then collect carried
+	// state keyed by the NEW operator IDs.
+	for _, f := range e.flows {
+		if f.held {
+			e.popBuf = f.q.popAllInto(e.popBuf[:0])
+			e.deliver(f)
+		}
+	}
 	carry := make(map[plan.OpID]carried, len(rp.carry))
 	for oldID, newID := range rp.carry {
 		carry[newID] = gather(e.opGroups(oldID))
@@ -505,21 +512,20 @@ func (e *Engine) progressReplan(now vclock.Time) {
 	}
 }
 
-// drained reports whether every in-flight cohort outside the carried
-// operators' custody has flowed out of the old pipeline: all non-source
-// input queues and all send queues are empty, and every non-carried
-// operator's window buffers have flushed. Window buffers of non-carried
-// windowed operators are force-fired once the queues empty — the
-// fluid-model equivalent of the paper's reconfiguration at the end of the
-// window interval.
-func (e *Engine) drained(carry map[plan.OpID]plan.OpID) bool {
+// drained reports whether every in-flight cohort outside the switch's
+// custody has flowed out of the old pipeline: the input queues of the
+// groups it drains and the send queues it does not hold are empty, and
+// every non-carried operator's window buffers have flushed. Those windows
+// are force-fired once the queues empty — the fluid-model equivalent of
+// the paper's reconfiguration at the end of the window interval.
+func (e *Engine) drained(rp *pendingReplan) bool {
 	for _, f := range e.flows {
-		if !f.q.empty() {
+		if !f.held && !f.q.empty() {
 			return false
 		}
 	}
 	for _, g := range e.groups {
-		if !inCustody(g, carry) && !g.inQ.empty() {
+		if !rp.inCustody(g) && !g.inQ.empty() {
 			return false
 		}
 	}
@@ -528,7 +534,7 @@ func (e *Engine) drained(carry map[plan.OpID]plan.OpID) bool {
 	// continues next tick.
 	fired := false
 	for _, g := range e.groups {
-		if _, ok := carry[g.op.ID]; ok {
+		if rp.inCustody(g) {
 			continue
 		}
 		for i := range g.windows {
@@ -542,26 +548,34 @@ func (e *Engine) drained(carry map[plan.OpID]plan.OpID) bool {
 	return !fired
 }
 
-// inCustody reports whether a group's input queue is exempt from the
-// re-plan drain: sources and sinks hold theirs across the switch, as do
-// the carried operators.
-func inCustody(g *group, carry map[plan.OpID]plan.OpID) bool {
-	_, carried := carry[g.op.ID]
-	return carried || g.op.Kind == plan.KindSource || g.op.Kind == plan.KindSink
+// inCustody reports whether the switch carries a group instead of draining
+// it: sources hold the external backlog, and the carried operators keep
+// their queues and windows. hold() suspends them for the whole drain, so
+// nothing in custody feeds the part of the plan that drains.
+func (rp *pendingReplan) inCustody(g *group) bool {
+	_, carried := rp.carry[g.op.ID]
+	return carried || g.op.Kind == plan.KindSource
 }
 
-// drainBacklog measures the in-flight volume still outside the carried
-// operators' custody: cohorts queued at non-carried, non-source/sink
-// groups plus everything sitting in edge send queues. progressReplan
-// watches it shrink to detect a stalled drain.
-func (e *Engine) drainBacklog(carry map[plan.OpID]plan.OpID) float64 {
+// drainBacklog measures the volume the drain still waits on, in source
+// equivalents: the input queues and windows of the groups outside custody
+// plus every send queue not held. Nothing in custody refills it, so it
+// only falls while the drain moves; progressReplan watches it to detect a
+// stalled drain.
+func (e *Engine) drainBacklog(rp *pendingReplan) float64 {
 	var total float64
 	for _, f := range e.flows {
-		total += f.q.srcTotal()
+		if !f.held {
+			total += f.q.srcTotal()
+		}
 	}
 	for _, g := range e.groups {
-		if !inCustody(g, carry) {
-			total += g.inQ.srcTotal()
+		if rp.inCustody(g) {
+			continue
+		}
+		total += g.inQ.srcTotal()
+		for i := range g.windows {
+			total += g.windows[i].srcTotal
 		}
 	}
 	return total

@@ -19,7 +19,8 @@ func (e *Engine) checkStore() error {
 	if e.wired != e.gen {
 		return fmt.Errorf("store gen %d, wiring stamped %d", e.gen, e.wired)
 	}
-	ref := &Engine{cfg: e.cfg, top: e.top, net: e.net, plan: e.plan, lastNow: e.lastNow}
+	ref := &Engine{cfg: e.cfg, top: e.top, net: e.net, plan: e.plan, lastNow: e.lastNow,
+		reconfigs: e.reconfigs, replan: e.replan}
 	groupAt := make(map[*group]int, len(e.groups)) // reference record → store position
 	for i, g := range e.groups {
 		if i > 0 && !groupKeyLess(e.groups[i-1].key(), g.key()) {
@@ -77,11 +78,17 @@ func (e *Engine) checkStore() error {
 		if !sameGroup(f.dst, want.dst) || f.srcFront != want.srcFront || f.linkID != want.linkID {
 			return fmt.Errorf("flow %+v wiring differs from a fresh rewire", f.key)
 		}
+		if f.held != want.held {
+			return fmt.Errorf("flow %+v held=%v, the pending changes give %v", f.key, f.held, want.held)
+		}
 	}
 	for i, g := range e.groups {
 		want := ref.groups[i]
 		if g.front != want.front || !slices.EqualFunc(g.out, want.out, sameFlow) {
 			return fmt.Errorf("group %+v front/out differ from a fresh rewire", g.key())
+		}
+		if g.suspended != want.suspended {
+			return fmt.Errorf("group %+v suspended=%v, the pending changes give %v", g.key(), g.suspended, want.suspended)
 		}
 		sameFan := func(got, want fanSite) bool {
 			return got.share == want.share && sameGroup(got.dst, want.dst) && sameFlow(got.flow, want.flow)

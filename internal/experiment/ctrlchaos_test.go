@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
+	"github.com/wasp-stream/wasp/internal/chaos"
 	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/faults"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
+	"github.com/wasp-stream/wasp/internal/queries"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
@@ -164,4 +166,40 @@ func commandsInRegion(o *obs.Observer, region []topology.SiteID, from, to vclock
 		}
 	}
 	return count
+}
+
+// TestCtrlChaosCell306Settles replays the generated ctrl-chaos cell whose
+// re-plan never finished: its carried maps, queued far over their
+// backpressure bound, kept feeding the drain, so the drain neither
+// completed nor stalled and the run ended with the sources suspended. A
+// re-plan now holds what it carries, so the run must end settled.
+func TestCtrlChaosCell306Settles(t *testing.T) {
+	const cs = 1253619946
+	const duration = 900 * time.Second
+	top := topology.Generate(topology.DefaultGenConfig(cs))
+	res, err := Run(Scenario{
+		Name:            "ctrlchaos-306",
+		Seed:            cs,
+		Duration:        duration,
+		Query:           queries.TopKTopics,
+		RatePerSource:   10000,
+		Topology:        top,
+		Engine:          EngineConfig(adapt.PolicyWASP),
+		Adapt:           AdaptConfig(adapt.PolicyWASP),
+		SampleEvery:     20 * time.Second,
+		MaxVariants:     40,
+		CheckpointEvery: 30 * time.Second,
+		Ctrl:            &ctrlplane.Config{},
+		Faults: chaos.Generate(cs, chaos.Config{
+			Sites:       top.N(),
+			Duration:    duration,
+			CtrlRegions: len(ctrlplane.Domains(top, ctrlplane.Config{})),
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := chaos.Check(*res.Final, ChaosRecoveryBound); len(v) != 0 {
+		t.Fatalf("violations %v (replanning=%v, suspended %v)", v, res.Final.Replanning, res.Final.SuspendedOps)
+	}
 }
