@@ -3,6 +3,7 @@ package main
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -272,6 +273,170 @@ func TestUnreachedDeclarationIsReported(t *testing.T) {
 	if got, want := unreachedDecls(pkgs, nil), []string{"reach.Chained", "reach.Unused"}; !slices.Equal(got, want) {
 		t.Fatalf("unreachedDecls(fixture) = %v, want %v", got, want)
 	}
+}
+
+// TestEveryFieldIsRead: a struct field that code writes and nothing reads
+// is state the program maintains for no one — every writer pays for it
+// and every reader of the code has to find out it is dead. The walk is
+// derived, not listed (see unreadFields), over every non-test file of the
+// module, benchmark/ included as a reader. Each field it reports must be
+// deleted or carry a reason in fieldExemptions, under its own name or its
+// type's; an exemption that covers nothing the walk reports fails too.
+func TestEveryFieldIsRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module load in -short mode")
+	}
+	pkgs, err := loadTargets([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, name := range unreadFields(pkgs) {
+		typ := name[:strings.LastIndex(name, ".")]
+		switch {
+		case fieldExemptions[name] != "":
+			used[name] = true
+		case fieldExemptions[typ] != "":
+			used[typ] = true
+		default:
+			t.Errorf("%s: written but never read by non-test code; delete it", name)
+		}
+	}
+	for name := range fieldExemptions {
+		if !used[name] {
+			t.Errorf("%s: exempted but read (or gone); drop the exemption", name)
+		}
+	}
+}
+
+// fieldExemptions maps a field unreadFields reports, or its type (every
+// field of it), to the reason it stays.
+var fieldExemptions = map[string]string{
+	"workload.AdEvent":       "the YSB event schema: the generator fills every field a YSB event carries, the queries read the ones they key on",
+	"workload.Tweet":         "the tweet schema of the Twitter trace: the generator fills every field, the queries read the ones they key on",
+	"experiment.Result.Name": "benchmark/drive.go builds Results with it; it goes with the next change to benchmark/",
+	"metrics.Snapshot.At":    "the stamp of ReportMerger.Snapshot(now), which benchmark/ calls with a time; it goes with the next change to benchmark/",
+}
+
+// TestUnreadFieldIsReported runs the audit over a fixture with a field that
+// is read, one that is only assigned and incremented, one read only as
+// part of a comparable map key, and one that is only stored through a
+// composite literal: exactly the write-only two are reported, so the
+// derived walk cannot silently match nothing.
+func TestUnreadFieldIsReported(t *testing.T) {
+	pkgs, err := loadTargets([]string{"testdata/internal/fields"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"fields.Counter.stored", "fields.Counter.written"}
+	if got := unreadFields(pkgs); !slices.Equal(got, want) {
+		t.Fatalf("unreadFields(fixture) = %v, want %v", got, want)
+	}
+}
+
+// unreadFields returns, sorted as pkg.Type.Field, every struct field
+// declared outside benchmark/ that no non-test code reads. A read is any
+// use of the field that is not the whole target of an =, op= or ++/--
+// statement; a keyed composite-literal element is a store. Every field of
+// a struct type that is compared with == or != or used as a map key is
+// read, all at once. Fields are matched as type-checker objects, generic
+// instances through Origin; embedded fields are skipped (their promoted
+// fields are audited where they are declared). A field of an unnamed
+// struct is named after the declaration that holds it.
+func unreadFields(pkgs []*analysis.Package) []string {
+	names := map[*types.Var]string{}
+	for _, pkg := range pkgs {
+		if strings.Contains(pkg.PkgPath+"/", "/benchmark/") {
+			continue
+		}
+		for _, file := range pkg.Files {
+			var outer []string
+			ast.Inspect(file, func(n ast.Node) bool {
+				if n == nil {
+					outer = outer[:len(outer)-1]
+					return true
+				}
+				name := ""
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					name = n.Name.Name
+				case *ast.FuncDecl:
+					name = n.Name.Name
+				case *ast.ValueSpec:
+					name = n.Names[0].Name
+				case *ast.StructType:
+					for _, fl := range n.Fields.List {
+						for _, id := range fl.Names {
+							if f, ok := pkg.Info.Defs[id].(*types.Var); ok && id.Name != "_" {
+								names[f] = pkg.Types.Name() + "." + outerName(outer) + "." + id.Name
+							}
+						}
+					}
+				}
+				outer = append(outer, name)
+				return true
+			})
+		}
+	}
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				f := u.Field(i).Origin()
+				if _, ok := names[f]; ok {
+					delete(names, f)
+					readAll(f.Type())
+				}
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			stored := map[ast.Expr]bool{}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, lhs := range n.Lhs {
+							stored[ast.Unparen(lhs)] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					stored[ast.Unparen(n.X)] = true
+				case *ast.SelectorExpr:
+					if s := pkg.Info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !stored[n] {
+						delete(names, s.Obj().(*types.Var).Origin())
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(pkg.Info.TypeOf(n.X))
+					}
+				case *ast.MapType:
+					readAll(pkg.Info.TypeOf(n.Key))
+				}
+				return true
+			})
+		}
+	}
+	out := make([]string, 0, len(names))
+	for _, name := range names {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// outerName is the innermost named declaration on the walk's stack.
+func outerName(stack []string) string {
+	for i := len(stack) - 1; i >= 0; i-- {
+		if stack[i] != "" {
+			return stack[i]
+		}
+	}
+	return "?"
 }
 
 // TestEveryConsumedEventIsEmitted: an event or span name that a report or

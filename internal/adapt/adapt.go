@@ -121,12 +121,11 @@ func (k ActionKind) String() string {
 	}
 }
 
-// Action is one adaptation the controller performed.
+// Action is one adaptation the controller performed. Its time, operator
+// and detail are on the observer's "action" event, which the action log
+// (Observer.WriteActionLog) prints.
 type Action struct {
-	At     vclock.Time
-	Kind   ActionKind
-	Op     plan.OpID
-	Detail string
+	Kind ActionKind
 }
 
 // ReplanSpec gives the controller what it needs to re-plan a query: the
@@ -338,7 +337,7 @@ func (c *Controller) Actions() []Action {
 
 func (c *Controller) record(kind ActionKind, op plan.OpID, detail string) {
 	now := c.sched.Now()
-	c.actions = append(c.actions, Action{At: now, Kind: kind, Op: op, Detail: detail})
+	c.actions = append(c.actions, Action{Kind: kind})
 	c.quietRounds = 0
 	c.obs.Emit("action", obs.String("kind", kind.String()), obs.I64("op", int64(op)), obs.String("detail", detail))
 	c.obs.Registry().Counter("wasp_controller_actions_total", "kind", kind.String()).Inc()

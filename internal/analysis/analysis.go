@@ -61,9 +61,8 @@ type Pass struct {
 	// PkgPath is the package's import path (keys the call graph's
 	// nodes and its per-package annotation errors).
 	PkgPath string
-	// Pkg and Info are nil when type-checking failed entirely; checks
-	// must degrade gracefully (skip type-dependent logic).
-	Pkg  *types.Package
+	// Info is nil when type-checking failed entirely; checks must
+	// degrade gracefully (skip type-dependent logic).
 	Info *types.Info
 	// Graph is the interprocedural call graph over every package of the
 	// run (set by cmd/waspvet and the fixture harness after loading).
@@ -119,11 +118,9 @@ func Lookup(name string) (*Analyzer, bool) {
 
 // waiver is one parsed //waspvet:<tag> <reason> comment.
 type waiver struct {
-	tag    string
-	reason string
-	pos    token.Pos
-	line   int
-	file   string
+	tag  string
+	line int
+	file string
 }
 
 // WaiverPrefix introduces a waiver comment.
@@ -170,7 +167,7 @@ func parseWaivers(pass *Pass, analyzers []*Analyzer) ([]waiver, []Diagnostic) {
 					diags = append(diags, Diagnostic{Pos: c.Pos(), Check: "waiver",
 						Message: fmt.Sprintf("waspvet:%s waiver requires a reason string", tag)})
 				default:
-					ws = append(ws, waiver{tag: tag, reason: reason, pos: c.Pos(), line: p.Line, file: p.Filename})
+					ws = append(ws, waiver{tag: tag, line: p.Line, file: p.Filename})
 				}
 			}
 		}

@@ -53,8 +53,6 @@ type fieldWrite struct {
 
 // CGNode is one function in the call graph.
 type CGNode struct {
-	Obj     *types.Func
-	PkgPath string
 	// Hot mirrors a //waspvet:hotpath annotation on the declaration.
 	Hot bool
 
@@ -66,9 +64,8 @@ type CGNode struct {
 }
 
 // guardSpec records one //waspvet:guardedby annotation: the guarded
-// field and its resolved guard fields.
+// field's resolved guard fields.
 type guardSpec struct {
-	field  *types.Var
 	guards []*types.Var
 	names  []string // guard names as written, for diagnostics
 }
@@ -130,7 +127,7 @@ func (g *CallGraph) addPackage(pass *Pass) {
 			if !ok {
 				continue
 			}
-			node := &CGNode{Obj: fn, PkgPath: pass.PkgPath, Hot: hasAnnotation(fd.Doc, "hotpath")}
+			node := &CGNode{Hot: hasAnnotation(fd.Doc, "hotpath")}
 			g.nodes[fn] = node
 			g.scanBody(pass, file, node, fd.Body, waived)
 		}
@@ -309,7 +306,7 @@ func (g *CallGraph) collectGuarded(pass *Pass) {
 			if !ok {
 				continue
 			}
-			gs := &guardSpec{field: v}
+			gs := &guardSpec{}
 			for _, guardName := range strings.Split(spec, ",") {
 				guardName = strings.TrimSpace(guardName)
 				if guardName == "" {

@@ -16,7 +16,6 @@ import (
 // A Package is one loaded (parsed + best-effort type-checked) package
 // directory, ready to run analyzers over.
 type Package struct {
-	Dir     string
 	PkgPath string
 	Fset    *token.FileSet
 	Files   []*ast.File
@@ -29,7 +28,7 @@ type Package struct {
 
 // Pass converts the loaded package into an analyzer pass.
 func (p *Package) Pass() *Pass {
-	return &Pass{Fset: p.Fset, Files: p.Files, PkgPath: p.PkgPath, Pkg: p.Types, Info: p.Info}
+	return &Pass{Fset: p.Fset, Files: p.Files, PkgPath: p.PkgPath, Info: p.Info}
 }
 
 // A Loader parses and type-checks packages of a single module without
@@ -174,7 +173,7 @@ func (l *Loader) load(dir, pkgPath string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 
-	pkg := &Package{Dir: dir, PkgPath: pkgPath, Fset: l.Fset, Files: files}
+	pkg := &Package{PkgPath: pkgPath, Fset: l.Fset, Files: files}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},

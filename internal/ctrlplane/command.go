@@ -18,7 +18,6 @@ import (
 type Command struct {
 	ID     int
 	Op     plan.OpID
-	Kind   string
 	Target topology.SiteID
 	Sites  []topology.SiteID
 	Epoch  int
@@ -37,7 +36,6 @@ type Command struct {
 // reached the site (command lost), which decides retry vs rollback.
 type Aborted struct {
 	Op      plan.OpID
-	Kind    string
 	Applied bool
 }
 
@@ -67,7 +65,6 @@ func (p *Plane) SendCommand(op plan.OpID, kind string, sites []topology.SiteID, 
 	cmd := &Command{
 		ID:       len(p.cmds),
 		Op:       op,
-		Kind:     kind,
 		Target:   target,
 		Sites:    append([]topology.SiteID(nil), sites...),
 		Epoch:    p.epochOfSite(target),
@@ -216,7 +213,7 @@ func (p *Plane) Supervise(now vclock.Time) []Aborted {
 					obs.Bool("applied", cmd.applied))
 			}
 			p.resolve(cmd)
-			aborted = append(aborted, Aborted{Op: cmd.Op, Kind: cmd.Kind, Applied: cmd.applied})
+			aborted = append(aborted, Aborted{Op: cmd.Op, Applied: cmd.applied})
 			continue
 		}
 		if p.obs != nil {

@@ -268,8 +268,6 @@ type Engine struct {
 	replan    *pendingReplan
 
 	// Sink accounting.
-	sinkArrived       float64
-	sinkDelaySum      float64 // seconds·events
 	deliveries        []SinkDelivery
 	totalGenerated    float64
 	totalDelivered    float64
@@ -673,8 +671,6 @@ func (e *Engine) processGroup(g *group, now vclock.Time, dtSec float64, failed b
 		e.popBuf = g.inQ.popAllInto(e.popBuf[:0])
 		for _, c := range e.popBuf {
 			delay := now - c.born
-			e.sinkArrived += c.count
-			e.sinkDelaySum += delay.Seconds() * c.count
 			e.totalDelivered += c.count
 			e.deliveredSrcEquiv += c.src()
 			g.processed += c.count

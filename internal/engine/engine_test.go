@@ -197,7 +197,7 @@ func TestComputeBottleneck(t *testing.T) {
 	if mp.ProcessingRate > 5500 {
 		t.Fatalf("map processing rate %v above slot capacity 5000", mp.ProcessingRate)
 	}
-	if mp.QueueLen <= 0 && !mp.Backpressure {
+	if mp.InputQueueLen+mp.SendQueueLen <= 0 && !mp.Backpressure {
 		t.Fatal("no queueing or backpressure under compute bottleneck")
 	}
 	ds := r.eng.TakeDeliveries()

@@ -443,7 +443,7 @@ func FuzzRestoreOperatorState(f *testing.F) {
 		for s := 6; s <= 65; s++ {
 			r.run(t, time.Duration(s)*time.Second)
 			c := r.eng.Conservation()
-			for _, v := range []float64{c.Generated, c.Delivered, c.Dropped, c.Lost, c.Restored, c.Reinjected, c.InFlight} {
+			for _, v := range []float64{c.Generated, c.Delivered, c.Dropped, c.Lost, c.Reinjected, c.InFlight} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("t=%ds: non-finite balance %+v", s, c)
 				}

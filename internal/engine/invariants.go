@@ -10,23 +10,21 @@ import (
 // accounting, for end-of-run invariant checking (internal/chaos). Every
 // source event generated must end up delivered at a sink, dropped by a
 // shedding policy, destroyed by a crash, or still in flight; checkpoint
-// restores reinject replayed state on top, which the balance credits back.
+// restores reinject replayed state on top, which the balance adds back.
 type Conservation struct {
 	Generated  float64 // source events created (including those lost at down ingest sites)
 	Delivered  float64 // source equivalents that reached a sink
 	Dropped    float64 // source equivalents shed by degradation policies
 	Lost       float64 // source equivalents destroyed by crashes
-	Restored   float64 // crash losses credited back by checkpoint restores (capped at Lost)
-	Reinjected float64 // uncapped total reinjected by restores (≥ Restored under replay)
+	Reinjected float64 // total reinjected by checkpoint restores
 	InFlight   float64 // source equivalents still queued in groups, windows, and send queues
 }
 
 // Residual is the conservation imbalance; zero (within Eps) when the
-// accounting closes. Restores are at-least-once, so the reinjected surplus
-// beyond the restored credit re-enters the pipeline and is discounted:
+// accounting closes. Restores are at-least-once: all they reinject
+// re-enters the pipeline on top of what was generated:
 //
-//	Delivered + Dropped + (Lost − Restored) + InFlight
-//	    − Generated − (Reinjected − Restored) ≈ 0
+//	Delivered + Dropped + Lost + InFlight − Generated − Reinjected ≈ 0
 func (c Conservation) Residual() float64 {
 	return c.Delivered + c.Dropped + c.Lost + c.InFlight - c.Generated - c.Reinjected
 }
@@ -51,7 +49,6 @@ func (e *Engine) Conservation() Conservation {
 		Delivered:  e.deliveredSrcEquiv,
 		Dropped:    e.droppedSrcEquiv,
 		Lost:       e.lostSrcEquiv,
-		Restored:   e.restoredSrcEquiv,
 		Reinjected: e.reinjectedSrcEquiv,
 	}
 	c.InFlight = e.inFlightSrcEquiv()

@@ -191,7 +191,6 @@ func (e *Engine) progressReconfigs(now vclock.Time) {
 // (no transfer progress for at least the caller's deadline).
 type ReconfigStatus struct {
 	Op      plan.OpID
-	Age     vclock.Time // time since the reconfiguration started
 	Doomed  bool
 	Stalled bool
 	Reason  string // why it is doomed/stalled ("" when healthy)
@@ -208,7 +207,7 @@ func (e *Engine) ReconfigStatuses(stallAfter vclock.Time) []ReconfigStatus {
 	now := e.sched.Now()
 	out := make([]ReconfigStatus, 0, len(e.reconfigs))
 	for _, rc := range e.reconfigs {
-		st := ReconfigStatus{Op: rc.op, Age: now - rc.startedAt}
+		st := ReconfigStatus{Op: rc.op}
 		for _, tr := range rc.transfers {
 			if tr.Done() {
 				continue

@@ -22,8 +22,7 @@ var AdaptPhases = []string{"detect", "plan", "halt", "transfer", "resume"}
 // the full WASP policy under the fig8 dynamics plus a mid-run site crash,
 // with every phase duration captured in the run's observer.
 type AdaptLatRun struct {
-	Query  string
-	Result *Result
+	Query string
 	// Durations holds the raw per-phase virtual durations (seconds), in
 	// emission order, pulled from the run's adapt.latency events.
 	Durations map[string][]float64
@@ -49,7 +48,7 @@ func RunAdaptLat(seed int64, duration time.Duration) ([]AdaptLatRun, error) {
 				return AdaptLatRun{}, err
 			}
 			o := obs.New(nil)
-			res, err := Run(Scenario{
+			_, err = Run(Scenario{
 				Name:            fmt.Sprintf("adaptlat-%s", qname),
 				Seed:            seed,
 				Duration:        duration,
@@ -70,7 +69,7 @@ func RunAdaptLat(seed int64, duration time.Duration) ([]AdaptLatRun, error) {
 			if err != nil {
 				return AdaptLatRun{}, fmt.Errorf("adaptlat %s: %w", qname, err)
 			}
-			return AdaptLatRun{Query: qname, Result: res, Durations: phaseSeconds(o)}, nil
+			return AdaptLatRun{Query: qname, Durations: phaseSeconds(o)}, nil
 		}
 	}
 	return runJobs(Parallelism(), jobs)

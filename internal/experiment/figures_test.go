@@ -32,7 +32,7 @@ func TestRunnerBasics(t *testing.T) {
 	if res.ProcessedPct < 95 {
 		t.Fatalf("healthy run processed only %.1f%%", res.ProcessedPct)
 	}
-	if len(res.Ratio) == 0 || len(res.Parallelism) == 0 || len(res.Delay) == 0 {
+	if len(res.Ratio) == 0 || len(res.Parallelism) == 0 {
 		t.Fatal("missing series")
 	}
 	if res.InitialTasks <= 0 {

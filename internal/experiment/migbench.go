@@ -24,9 +24,9 @@ type migBench struct {
 	sched *vclock.Scheduler
 	eng   *engine.Engine
 
-	srcOp, stageOp, sinkOp plan.OpID
-	srcSite                topology.SiteID
-	sinkSite               topology.SiteID
+	stageOp  plan.OpID
+	srcSite  topology.SiteID
+	sinkSite topology.SiteID
 
 	samples []WeightedDelay
 }
@@ -69,7 +69,7 @@ func newMigBench(seed int64, stateBytes float64) (*migBench, error) {
 	eng.Start()
 	return &migBench{
 		top: top, net: net, sched: sched, eng: eng,
-		srcOp: src, stageOp: stage, sinkOp: sink,
+		stageOp: stage,
 		srcSite: srcSite, sinkSite: sinkSite,
 	}, nil
 }

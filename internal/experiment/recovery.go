@@ -30,7 +30,6 @@ type RecoveryRun struct {
 	// sources/sinks on the crashed site always ride out the outage and are
 	// not counted.
 	Degraded bool
-	Actions  int
 }
 
 // movableDegraded reports whether any "recovery.degraded" event hit the
@@ -121,7 +120,6 @@ func RunRecovery(seed int64) ([]RecoveryRun, error) {
 				NetLost:         res.Lost - res.Restored,
 				ProcessedPct:    res.ProcessedPct,
 				Degraded:        movableDegraded(res),
-				Actions:         len(res.Actions),
 			}
 			for _, a := range res.Actions {
 				if a.Kind == adapt.ActionRecover {

@@ -121,8 +121,6 @@ func (s Scenario) withDefaults() Scenario {
 // Result carries everything a figure needs from one run.
 type Result struct {
 	Name string
-	// Delay is the bucket-averaged sink delay over time (seconds).
-	Delay []TimePoint
 	// Ratio is the processing ratio over time (§8.3).
 	Ratio []TimePoint
 	// Parallelism is the total extra tasks over time, relative to the
@@ -320,7 +318,6 @@ func Run(s Scenario) (*Result, error) {
 	eng.Stop()
 	collect(sched.Now())
 
-	res.Delay = Bucketize(res.Samples, vclock.Time(sc.SampleEvery))
 	res.Generated, res.Delivered, res.Dropped = eng.Totals()
 	_, processed, _ := eng.Goodput()
 	if res.Generated > 0 {

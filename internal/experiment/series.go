@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -73,34 +72,6 @@ func Window(samples []WeightedDelay, from, to vclock.Time) []WeightedDelay {
 		if s.At >= from && s.At < to {
 			out = append(out, s)
 		}
-	}
-	return out
-}
-
-// Bucketize averages samples into fixed-width time buckets (weighted),
-// producing the "average delay over time" series of the figures. Buckets
-// with no deliveries are omitted.
-func Bucketize(samples []WeightedDelay, width vclock.Time) []TimePoint {
-	if width <= 0 || len(samples) == 0 {
-		return nil
-	}
-	type acc struct{ sum, w float64 }
-	buckets := make(map[vclock.Time]*acc)
-	for _, s := range samples {
-		b := (s.At / width) * width
-		a := buckets[b]
-		if a == nil {
-			a = &acc{}
-			buckets[b] = a
-		}
-		a.sum += s.Delay * s.Weight
-		a.w += s.Weight
-	}
-	keys := detutil.SortedKeys(buckets)
-	out := make([]TimePoint, 0, len(keys))
-	for _, k := range keys {
-		a := buckets[k]
-		out = append(out, TimePoint{T: k, V: a.sum / a.w})
 	}
 	return out
 }

@@ -47,24 +47,6 @@ func TestMeanAndWindow(t *testing.T) {
 	}
 }
 
-func TestBucketize(t *testing.T) {
-	samples := []WeightedDelay{
-		wd(time.Second, 2, 1),
-		wd(2*time.Second, 4, 1),
-		wd(11*time.Second, 10, 2),
-	}
-	series := Bucketize(samples, vclock.Time(10*time.Second))
-	if len(series) != 2 {
-		t.Fatalf("series = %v", series)
-	}
-	if series[0].V != 3 {
-		t.Fatalf("bucket 0 = %v, want 3", series[0].V)
-	}
-	if series[1].T != vclock.Time(10*time.Second) || series[1].V != 10 {
-		t.Fatalf("bucket 1 = %+v", series[1])
-	}
-}
-
 func TestSeriesValueAt(t *testing.T) {
 	series := []TimePoint{
 		{T: vclock.Time(10 * time.Second), V: 1},

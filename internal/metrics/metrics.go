@@ -17,7 +17,6 @@ import (
 // summed over all of its tasks (the paper aggregates task metrics per
 // operator).
 type OperatorSample struct {
-	Op plan.OpID
 	// ProcessingRate λP: events/s actually processed.
 	ProcessingRate float64
 	// OutputRate λO: events/s emitted.
@@ -30,9 +29,6 @@ type OperatorSample struct {
 	// Backpressure reports whether any task throttled its upstreams
 	// during the interval.
 	Backpressure bool
-	// QueueLen is the total events queued at the operator (input plus
-	// send queues) at sample time.
-	QueueLen float64
 	// InputQueueLen is the events waiting in the operator's input
 	// queues: large values indicate the operator itself cannot keep up
 	// (compute-bound); small values with depressed arrivals indicate the

@@ -129,8 +129,8 @@ func TestEstimateActualSeesThroughBackpressure(t *testing.T) {
 	// processed 400 ev/s with measured σ=0.3, but the source actually
 	// generates 2000 ev/s.
 	snap := &Snapshot{Ops: map[plan.OpID]OperatorSample{
-		ids[0]: {Op: ids[0], SourceRate: 2000, OutputRate: 400},
-		ids[1]: {Op: ids[1], ProcessingRate: 400, OutputRate: 120, ArrivalRate: 400},
+		ids[0]: {SourceRate: 2000, OutputRate: 400},
+		ids[1]: {ProcessingRate: 400, OutputRate: 120, ArrivalRate: 400},
 	}}
 	in, out, err := EstimateActual(g, snap)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestEstimateActualSeesThroughBackpressure(t *testing.T) {
 func TestEstimateActualFallsBackToModelSelectivity(t *testing.T) {
 	g, ids := chain(t)
 	snap := &Snapshot{Ops: map[plan.OpID]OperatorSample{
-		ids[0]: {Op: ids[0], SourceRate: 1000},
+		ids[0]: {SourceRate: 1000},
 		// filter has no sample (idle): model σ=0.5 applies.
 	}}
 	_, out, err := EstimateActual(g, snap)

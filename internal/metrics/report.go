@@ -122,7 +122,6 @@ func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
 				base = prev[j]
 			}
 			s := snap.Ops[oc.Op]
-			s.Op = oc.Op
 			if interval > 0 {
 				s.ArrivalRate += (oc.Arrived - base.Arrived) / interval
 				s.ProcessingRate += (oc.Processed - base.Processed) / interval
@@ -131,7 +130,6 @@ func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
 			}
 			s.InputQueueLen += oc.InputQueueLen
 			s.SendQueueLen += oc.SendQueueLen
-			s.QueueLen = s.InputQueueLen + s.SendQueueLen
 			s.Tasks += oc.Tasks
 			s.Backpressure = s.Backpressure || oc.Backpressure
 			snap.Ops[oc.Op] = s

@@ -106,7 +106,7 @@ func TestMergerRestartPastOldTotal(t *testing.T) {
 		{Op: plan.OpID(3), Incarnation: 9, Arrived: 1600, Processed: 1200, Emitted: 600},
 	}})
 	s := m.Snapshot(secs(80)).Ops[plan.OpID(3)]
-	want := OperatorSample{Op: 3, ArrivalRate: 40, ProcessingRate: 30, OutputRate: 15}
+	want := OperatorSample{ArrivalRate: 40, ProcessingRate: 30, OutputRate: 15}
 	if s != want {
 		t.Errorf("re-placed operator sample = %+v; want %+v (new counts / 40s)", s, want)
 	}
@@ -200,7 +200,6 @@ func (m *refMerger) Snapshot(now vclock.Time) *Snapshot {
 		}
 		for _, oc := range h.last.Ops {
 			s := snap.Ops[oc.Op]
-			s.Op = oc.Op
 			prev := prevOps[oc.Op]
 			if prev.Incarnation != oc.Incarnation {
 				prev = OpCounters{} // a re-created group counts from zero
@@ -213,7 +212,6 @@ func (m *refMerger) Snapshot(now vclock.Time) *Snapshot {
 			}
 			s.InputQueueLen += oc.InputQueueLen
 			s.SendQueueLen += oc.SendQueueLen
-			s.QueueLen = s.InputQueueLen + s.SendQueueLen
 			s.Tasks += oc.Tasks
 			s.Backpressure = s.Backpressure || oc.Backpressure
 			snap.Ops[oc.Op] = s

@@ -63,9 +63,8 @@ func seriesKey(name string, labels []string) string {
 // Counter is a monotone accumulator. The zero value of the pointer (nil)
 // is a valid no-op instrument.
 type Counter struct {
-	name   string
-	series string
-	v      float64
+	name string
+	v    float64
 }
 
 // Counter returns (creating if needed) the counter for name with the
@@ -77,7 +76,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	key := seriesKey(name, labels)
 	c, ok := r.counters[key]
 	if !ok {
-		c = &Counter{name: name, series: key}
+		c = &Counter{name: name}
 		r.counters[key] = c
 	}
 	return c
@@ -109,9 +108,8 @@ func (c *Counter) Value() float64 {
 
 // Gauge is a set-to-current-value instrument.
 type Gauge struct {
-	name   string
-	series string
-	v      float64
+	name string
+	v    float64
 }
 
 // Gauge returns (creating if needed) the gauge for name with the given
@@ -123,7 +121,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	key := seriesKey(name, labels)
 	g, ok := r.gauges[key]
 	if !ok {
-		g = &Gauge{name: name, series: key}
+		g = &Gauge{name: name}
 		r.gauges[key] = g
 	}
 	return g

@@ -237,9 +237,9 @@ func (rd *runReader) line(b []byte) error {
 	case "help":
 		r.Describe(l.Name, l.Text)
 	case "counter":
-		r.counters[l.Series] = &Counter{name: name, series: l.Series, v: l.Value.get()}
+		r.counters[l.Series] = &Counter{name: name, v: l.Value.get()}
 	case "gauge":
-		r.gauges[l.Series] = &Gauge{name: name, series: l.Series, v: l.Value.get()}
+		r.gauges[l.Series] = &Gauge{name: name, v: l.Value.get()}
 	case "histogram":
 		if len(l.Counts) != len(l.Bounds)+1 {
 			return fmt.Errorf("histogram %s: %d counts for %d bounds", l.Series, len(l.Counts), len(l.Bounds))

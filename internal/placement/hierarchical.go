@@ -44,7 +44,6 @@ type regionCost struct {
 // openSeg is one opened region in the level-2 merge: its cost-sorted
 // feasible members live in HierScratch.order[pos:end].
 type openSeg struct {
-	region   int
 	pos, end int
 }
 
@@ -243,7 +242,7 @@ func (pr *Problem) SolveHierarchicalInto(regions [][]topology.SiteID, hs *HierSc
 			}
 			hs.order = order
 			slices.SortFunc(order[start:], compareSiteCost)
-			opened = append(opened, openSeg{region: rc.region, pos: start, end: len(order)})
+			opened = append(opened, openSeg{pos: start, end: len(order)})
 			hs.opened = opened
 			continue
 		}

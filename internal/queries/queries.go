@@ -30,15 +30,11 @@ type Query struct {
 	Spec *plan.CombineSpec
 	// SourceOps lists the source operator IDs, in site order.
 	SourceOps []plan.OpID
-	// SinkOp is the query sink.
-	SinkOp plan.OpID
 	// Stateful reports whether the query maintains operator state.
 	Stateful bool
 
 	// Table 3 metadata.
-	StateDesc    string
-	OperatorDesc string
-	DatasetDesc  string
+	StateDesc string
 }
 
 // Config parameterises query construction.
@@ -113,15 +109,12 @@ func YSBCampaign(cfg Config) *Query {
 		},
 	}
 	return &Query{
-		Name:         "ysb-campaign",
-		Graph:        g,
-		Spec:         spec,
-		SourceOps:    sources,
-		SinkOp:       sink,
-		Stateful:     true,
-		StateDesc:    "<10 MB",
-		OperatorDesc: "filter, map, window, join",
-		DatasetDesc:  "YSB synthetic data",
+		Name:      "ysb-campaign",
+		Graph:     g,
+		Spec:      spec,
+		SourceOps: sources,
+		Stateful:  true,
+		StateDesc: "<10 MB",
 	}
 }
 
@@ -170,15 +163,12 @@ func TopKTopics(cfg Config) *Query {
 		},
 	}
 	return &Query{
-		Name:         "topk-topics",
-		Graph:        g,
-		Spec:         spec,
-		SourceOps:    sources,
-		SinkOp:       topk, // the finalizer consumes the combine output
-		Stateful:     true,
-		StateDesc:    "~100 MB",
-		OperatorDesc: "filter, map, union, window, reduce",
-		DatasetDesc:  "Twitter trace (scaled)",
+		Name:      "topk-topics",
+		Graph:     g,
+		Spec:      spec,
+		SourceOps: sources,
+		Stateful:  true,
+		StateDesc: "~100 MB",
 	}
 }
 
@@ -215,15 +205,12 @@ func EventsOfInterest(cfg Config) *Query {
 		},
 	}
 	return &Query{
-		Name:         "events-of-interest",
-		Graph:        g,
-		Spec:         spec,
-		SourceOps:    sources,
-		SinkOp:       sink,
-		Stateful:     false,
-		StateDesc:    "0 MB",
-		OperatorDesc: "filter, union, project",
-		DatasetDesc:  "Twitter trace (scaled)",
+		Name:      "events-of-interest",
+		Graph:     g,
+		Spec:      spec,
+		SourceOps: sources,
+		Stateful:  false,
+		StateDesc: "0 MB",
 	}
 }
 
