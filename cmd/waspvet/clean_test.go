@@ -378,16 +378,17 @@ func unreadFields(pkgs []*analysis.Package) []string {
 			})
 		}
 	}
+	// readAll reads every field a comparison of a t value compares.
 	var readAll func(t types.Type)
 	readAll = func(t types.Type) {
+		if t == nil {
+			return
+		}
 		switch u := t.Underlying().(type) {
 		case *types.Struct:
 			for i := 0; i < u.NumFields(); i++ {
-				f := u.Field(i).Origin()
-				if _, ok := names[f]; ok {
-					delete(names, f)
-					readAll(f.Type())
-				}
+				delete(names, u.Field(i).Origin())
+				readAll(u.Field(i).Type())
 			}
 		case *types.Array:
 			readAll(u.Elem())

@@ -395,9 +395,9 @@ func (e *Engine) Fail(outage vclock.Time) {
 // Failed reports whether the engine is currently in a failure outage.
 func (e *Engine) Failed() bool { return e.sched.Now() <= e.failedUntil }
 
-// pendingReplan tracks an in-flight plan switch: sources are suspended,
-// the old pipeline drains, then the new plan takes over with carried
-// state.
+// pendingReplan tracks an in-flight plan switch: what the switch carries
+// is held, the rest of the old pipeline drains, then the new plan takes
+// over with the carried state.
 type pendingReplan struct {
 	newPlan  *physical.Plan
 	carry    map[plan.OpID]plan.OpID // old op → new op for state carryover
@@ -412,11 +412,12 @@ type pendingReplan struct {
 }
 
 // BeginReplan initiates a query re-plan (§4.3): source emission is
-// suspended (external events keep queueing), the in-flight events drain
-// through the old plan, and once empty the new physical plan takes over.
-// carry maps old operator IDs to new ones for every operator whose state
-// and backlog must survive (sources, sinks, and common stateful
-// sub-plans). The drain-then-switch models the paper's window-boundary
+// suspended (external events keep queueing), and so is every carried
+// operator; the other in-flight events drain through the old plan, and
+// once they are out the new physical plan takes over. carry maps old
+// operator IDs to new ones for every operator whose state and backlog
+// must survive (sources, sinks, and common stateful sub-plans). The
+// drain-then-switch models the paper's window-boundary
 // reconfiguration and is what makes re-planning the highest-overhead
 // technique (Table 2).
 func (e *Engine) BeginReplan(newPlan *physical.Plan, carry map[plan.OpID]plan.OpID, onDone func(now vclock.Time)) error {
@@ -593,7 +594,8 @@ func (e *Engine) ReplanStalled(stallAfter vclock.Time) bool {
 }
 
 // AbortReplan cancels the in-flight plan switch and resumes the old plan:
-// sources are released and the old pipeline keeps running unchanged. No
+// sources and carried operators are released and the old pipeline keeps
+// running unchanged. No
 // state was moved yet — the switch only happens after the drain completes
 // — so nothing needs requeueing. The re-plan's onDone callback is never
 // invoked. Returns an error if no re-plan is in progress.

@@ -14,8 +14,11 @@ package engine
 // a pointer or slice on the records themselves, written by exactly one
 // function, rewire(), which each mutator calls once when it is done and
 // which stamps wired = gen. The tick refuses to run on a store whose
-// stamp is stale. CrashSite/RestoreSite/InjectStraggler touch per-group or
-// per-site state only and are not structural.
+// stamp is stale. The holds on the records (group.suspended,
+// edgeFlow.held) are derived the same way, by hold() from the pending
+// reconfigurations and re-plan; rewire() ends with it. CrashSite,
+// RestoreSite and InjectStraggler touch per-group or per-site state only
+// and are not structural.
 
 import (
 	"fmt"
