@@ -112,7 +112,7 @@ func runMain(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("waspd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&opt.query, "query", "topk", "query: ysb | topk | eoi")
-	fs.StringVar(&opt.policy, "policy", "wasp", "policy: none | degrade | reassign | scale | replan | wasp")
+	fs.StringVar(&opt.policy, "policy", "wasp", "policy: "+strings.Join(adapt.PolicyNames(), " | "))
 	fs.DurationVar(&opt.duration, "duration", 25*time.Minute, "virtual run duration")
 	fs.Int64Var(&opt.seed, "seed", 1, "deterministic seed")
 	fs.Float64Var(&opt.rate, "rate", 10000, "initial events/s per source")
@@ -146,25 +146,6 @@ func runMain(args []string, stderr io.Writer) int {
 // badValue is a flag value that is not a run, found before anything runs.
 type badValue struct{ error }
 
-func parsePolicy(s string) (adapt.Policy, error) {
-	switch strings.ToLower(s) {
-	case "none", "no-adapt":
-		return adapt.PolicyNone, nil
-	case "degrade":
-		return adapt.PolicyDegrade, nil
-	case "reassign", "re-assign":
-		return adapt.PolicyReassign, nil
-	case "scale":
-		return adapt.PolicyScale, nil
-	case "replan", "re-plan":
-		return adapt.PolicyReplan, nil
-	case "wasp":
-		return adapt.PolicyWASP, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", s)
-	}
-}
-
 // parseFactorList validates one comma-separated factor list up front,
 // naming the flag, the offending token and its 1-based position so a bad
 // 25-minute invocation fails immediately instead of mid-run.
@@ -189,7 +170,7 @@ func parseFactorList(flagName, s string) ([]float64, error) {
 }
 
 func run(opt options) error {
-	policy, err := parsePolicy(opt.policy)
+	policy, err := adapt.ParsePolicy(opt.policy)
 	if err != nil {
 		return badValue{fmt.Errorf("-policy: %w", err)}
 	}

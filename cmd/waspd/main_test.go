@@ -10,39 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/adapt"
 	"github.com/wasp-stream/wasp/internal/obs"
 )
-
-func TestParsePolicy(t *testing.T) {
-	tests := []struct {
-		give    string
-		want    adapt.Policy
-		wantErr bool
-	}{
-		{give: "wasp", want: adapt.PolicyWASP},
-		{give: "WASP", want: adapt.PolicyWASP},
-		{give: "none", want: adapt.PolicyNone},
-		{give: "no-adapt", want: adapt.PolicyNone},
-		{give: "degrade", want: adapt.PolicyDegrade},
-		{give: "re-assign", want: adapt.PolicyReassign},
-		{give: "scale", want: adapt.PolicyScale},
-		{give: "replan", want: adapt.PolicyReplan},
-		{give: "bogus", wantErr: true},
-	}
-	for _, tt := range tests {
-		got, err := parsePolicy(tt.give)
-		if tt.wantErr {
-			if err == nil {
-				t.Errorf("parsePolicy(%q) accepted", tt.give)
-			}
-			continue
-		}
-		if err != nil || got != tt.want {
-			t.Errorf("parsePolicy(%q) = %v, %v", tt.give, got, err)
-		}
-	}
-}
 
 func TestParseFactorList(t *testing.T) {
 	got, err := parseFactorList("-workload", "1, 2 ,0.5")

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
+	"go/scanner"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -587,6 +590,129 @@ var stdInterfaces = [][2]string{
 	{"go/types", "Importer"},
 	{"encoding/json", "Marshaler"},
 	{"encoding/json", "Unmarshaler"},
+}
+
+// TestDesignReferencesResolve: a "DESIGN.md §n" that names no section sends
+// the reader to the wrong page. Every such reference (or "DESIGN §n") in
+// README.md, EXPERIMENTS.md, DESIGN.md itself and the comments of every Go
+// file outside benchmark/ must name a "## n." heading of DESIGN.md, and a
+// quoted title right after it — README's §10 "Record-mode dispatch" — must
+// begin a "###" heading inside that section. CHANGES.md is history and is
+// not read.
+func TestDesignReferencesResolve(t *testing.T) {
+	root := filepath.Join("..", "..")
+	read := func(name string) string {
+		b, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	texts := map[string]string{}
+	for _, name := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		texts[name] = read(name)
+	}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() && (rel == "benchmark" || rel != "." && strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			texts[rel] = goComments(read(rel))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, stale := staleDesignRefs(texts["DESIGN.md"], texts)
+	if refs == 0 {
+		t.Fatal("found no DESIGN references; the pattern matches nothing")
+	}
+	for _, s := range stale {
+		t.Error(s)
+	}
+}
+
+// TestStaleDesignReferenceIsReported runs the audit over a two-section
+// fixture: a missing section and a title from the wrong section are
+// reported; a bare section, a title cited by its prefix and a title
+// wrapped across lines are not.
+func TestStaleDesignReferenceIsReported(t *testing.T) {
+	design := "# D\n## 1. One\n### Alpha (a.go)\n## 2. Two\n### Beta\n"
+	texts := map[string]string{"doc.md": `See DESIGN.md §1 "Alpha", DESIGN §2,
+DESIGN.md
+§3, ` + "`DESIGN.md` §2" + ` "Alpha" and DESIGN.md §1 "Alpha
+(a.go)".`}
+	refs, stale := staleDesignRefs(design, texts)
+	want := []string{`doc.md: DESIGN.md §3: no "## 3." section`, `doc.md: DESIGN.md §2 "Alpha": no "### Alpha" heading in section 2`}
+	if refs != 5 || !slices.Equal(stale, want) {
+		t.Fatalf("staleDesignRefs(fixture) = %d, %q; want 5, %q", refs, stale, want)
+	}
+}
+
+// designRef matches a DESIGN section reference and the quoted title that
+// may follow it, wrapped or not.
+var designRef = regexp.MustCompile("DESIGN(?:\\.md)?`?\\s*§\\s?(\\d+)(?:\\s+\"([^\"]{1,80})\")?")
+
+// staleDesignRefs counts the DESIGN references in texts (keyed by file
+// name) and returns, in file-name order, one message for each whose
+// section or title design does not have.
+func staleDesignRefs(design string, texts map[string]string) (refs int, stale []string) {
+	titles := map[string][]string{} // section number → its ### headings
+	section := ""
+	for _, line := range strings.Split(design, "\n") {
+		if rest, ok := strings.CutPrefix(line, "## "); ok {
+			num, _, _ := strings.Cut(rest, ".")
+			section = num
+			titles[section] = []string{}
+		} else if rest, ok := strings.CutPrefix(line, "### "); ok && section != "" {
+			titles[section] = append(titles[section], rest)
+		}
+	}
+	names := make([]string, 0, len(texts))
+	for name := range texts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, m := range designRef.FindAllStringSubmatch(texts[name], -1) {
+			refs++
+			m[2] = strings.Join(strings.Fields(m[2]), " ") // a title may wrap
+			heads, ok := titles[m[1]]
+			switch {
+			case !ok:
+				stale = append(stale, fmt.Sprintf("%s: DESIGN.md §%s: no \"## %s.\" section", name, m[1], m[1]))
+			case m[2] != "" && !slices.ContainsFunc(heads, func(h string) bool { return strings.HasPrefix(h, m[2]) }):
+				stale = append(stale, fmt.Sprintf("%s: DESIGN.md §%s %q: no \"### %s\" heading in section %s", name, m[1], m[2], m[2], m[1]))
+			}
+		}
+	}
+	return refs, stale
+}
+
+// goComments returns the text of a Go file's comments, one comment per
+// line, without their markers.
+func goComments(src string) string {
+	fset := token.NewFileSet()
+	var sc scanner.Scanner
+	sc.Init(fset.AddFile("", -1, len(src)), []byte(src), nil, scanner.ScanComments)
+	var b strings.Builder
+	for {
+		_, tok, lit := sc.Scan()
+		if tok == token.EOF {
+			return b.String()
+		}
+		if tok == token.COMMENT {
+			lit = strings.TrimPrefix(lit, "//")
+			lit = strings.TrimSuffix(strings.TrimPrefix(lit, "/*"), "*/")
+			b.WriteString(lit)
+			b.WriteByte('\n')
+		}
+	}
 }
 
 // unreachedDecls returns, sorted, the pkg.Name or pkg.Type.Method name of

@@ -136,17 +136,17 @@ func (c *Controller) scaleForCompute(id plan.OpID, snap *metrics.Snapshot, expec
 	}
 	if pPrime <= p {
 		// Already at the cap (p′ > p_max): re-planning is the remaining
-		// lever (Fig 6) — but only the full WASP policy may switch plans.
+		// lever (Fig 6) — for a policy that may pull it.
 		c.reject("scale-up", fmt.Sprintf("p′ %d ≤ p %d (p_max %d)", pPrime, p, c.cfg.PMax),
 			obs.Int("p_prime", pPrime), obs.Int("p", p), obs.Int("p_max", c.cfg.PMax))
-		if c.cfg.Policy == PolicyWASP {
+		if c.policy.replan {
 			return c.tryReplan(id, "compute-bound at p_max")
 		}
 		return false
 	}
 	if !c.eng.Plan().Graph.Operator(id).Splittable {
 		c.reject("scale-up", "operator cannot be split")
-		if c.cfg.Policy == PolicyWASP {
+		if c.policy.replan {
 			return c.tryReplan(id, "compute-bound unsplittable operator")
 		}
 		return false
@@ -243,7 +243,7 @@ const scaleDownUtil = 0.5
 // only after two quiet rounds, only when the remaining tasks can absorb
 // the stream with headroom (§4.2).
 func (c *Controller) maybeScaleDown(now vclock.Time, snap *metrics.Snapshot, expectedIn map[plan.OpID]float64) {
-	if c.cfg.Policy != PolicyScale && c.cfg.Policy != PolicyWASP {
+	if !c.policy.scale {
 		return
 	}
 	if c.quietRounds < 2 {

@@ -17,6 +17,12 @@
 //   - state migrations are network-aware: the (S−S′)→(S′−S) mapping
 //     minimizes the slowest transfer (§5).
 //
+// Each policy, a §8.5 comparison arm, is a row of policyTable: its names and
+// the levers (re-assign, scale, re-plan) it may pull; dispatch's switch
+// orders the levers per arm. What the controller remembers of an operator
+// (cooldown, replaced placement, retry attempts, latency windows, the
+// degraded flag) is one opState in a ledger indexed by operator id.
+//
 // What a caller can vary is the policy, not the mechanism (Config):
 //
 //	Policy               every caller (experiment.AdaptConfig; waspd -policy)
@@ -32,6 +38,8 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/ctrlplane"
@@ -68,24 +76,63 @@ const (
 	PolicyWASP
 )
 
+// policyRow is one row of policyTable: the names a policy goes by —
+// names[0] is what String prints, the rest are aliases ParsePolicy also
+// accepts — and the Figure-6 levers it may pull.
+type policyRow struct {
+	names                   []string
+	reassign, scale, replan bool
+}
+
+// adapts reports whether the policy may pull any lever.
+func (r policyRow) adapts() bool { return r.reassign || r.scale || r.replan }
+
+// policyTable has one row per Policy. Which lever a bottleneck gets first
+// is dispatch's switch.
+var policyTable = [...]policyRow{
+	PolicyNone:     {names: []string{"no-adapt", "none"}},
+	PolicyDegrade:  {names: []string{"degrade"}},
+	PolicyReassign: {names: []string{"re-assign", "reassign"}, reassign: true},
+	PolicyScale:    {names: []string{"scale"}, reassign: true, scale: true},
+	PolicyReplan:   {names: []string{"re-plan", "replan"}, replan: true},
+	PolicyWASP:     {names: []string{"wasp"}, reassign: true, scale: true, replan: true},
+}
+
+// row returns the policy's table row, or the empty row (no names, no
+// levers) for a value outside the table.
+func (p Policy) row() policyRow {
+	if p < 0 || int(p) >= len(policyTable) {
+		return policyRow{}
+	}
+	return policyTable[p]
+}
+
 // String names the policy.
 func (p Policy) String() string {
-	switch p {
-	case PolicyNone:
-		return "no-adapt"
-	case PolicyDegrade:
-		return "degrade"
-	case PolicyReassign:
-		return "re-assign"
-	case PolicyScale:
-		return "scale"
-	case PolicyReplan:
-		return "re-plan"
-	case PolicyWASP:
-		return "wasp"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+	if r := p.row(); len(r.names) > 0 {
+		return r.names[0]
 	}
+	return fmt.Sprintf("Policy(%d)", int(p))
+}
+
+// ParsePolicy returns the policy one of the table's names (any case) names.
+func ParsePolicy(s string) (Policy, error) {
+	name := strings.ToLower(s)
+	for p, r := range policyTable {
+		if slices.Contains(r.names, name) {
+			return Policy(p), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q", s)
+}
+
+// PolicyNames lists every name ParsePolicy accepts, in table order.
+func PolicyNames() []string {
+	var out []string
+	for _, r := range policyTable {
+		out = append(out, r.names...)
+	}
+	return out
 }
 
 // ActionKind labels a performed adaptation.
@@ -101,31 +148,21 @@ const (
 	ActionRecover
 )
 
-// String names the action kind.
-func (k ActionKind) String() string {
-	switch k {
-	case ActionReassign:
-		return "re-assign"
-	case ActionScaleUp:
-		return "scale-up"
-	case ActionScaleOut:
-		return "scale-out"
-	case ActionScaleDown:
-		return "scale-down"
-	case ActionReplan:
-		return "re-plan"
-	case ActionRecover:
-		return "recover"
-	default:
-		return fmt.Sprintf("ActionKind(%d)", int(k))
-	}
+var actionNames = [...]string{
+	ActionReassign:  "re-assign",
+	ActionScaleUp:   "scale-up",
+	ActionScaleOut:  "scale-out",
+	ActionScaleDown: "scale-down",
+	ActionReplan:    "re-plan",
+	ActionRecover:   "recover",
 }
 
-// Action is one adaptation the controller performed. Its time, operator
-// and detail are on the observer's "action" event, which the action log
-// (Observer.WriteActionLog) prints.
-type Action struct {
-	Kind ActionKind
+// String names the action kind.
+func (k ActionKind) String() string {
+	if k > 0 && int(k) < len(actionNames) {
+		return actionNames[k]
+	}
+	return fmt.Sprintf("ActionKind(%d)", int(k))
 }
 
 // ReplanSpec gives the controller what it needs to re-plan a query: the
@@ -195,6 +232,7 @@ const (
 // Controller is WASP's Reconfiguration Manager + Global Metric Monitor.
 type Controller struct {
 	cfg    Config
+	policy policyRow // cfg.Policy's row of policyTable
 	eng    *engine.Engine
 	top    *topology.Topology
 	net    *netsim.Network
@@ -211,30 +249,15 @@ type Controller struct {
 
 	ticker         *vclock.Event
 	longTerm       *vclock.Event
-	actions        []Action
+	actions        []ActionKind
 	quietRounds    int
+	roundCount     int // monitoring rounds seen (the reversal guard's clock)
 	lastRateFactor float64
 
 	recovery  *RecoveryManager
 	crashedAt map[topology.SiteID]vclock.Time
-	degraded  map[plan.OpID]bool
 
-	// Fault-tolerant adaptation state (supervise.go): monitoring rounds
-	// seen, per-operator anti-flap bookkeeping stamped when an action
-	// completes (cooldown expiry, the placement it replaced and the round
-	// it landed), and the per-operator retry ledger for aborted actions.
-	roundCount int
-	cooldown   map[plan.OpID]vclock.Time
-	prevSites  map[plan.OpID][]topology.SiteID
-	placedAt   map[plan.OpID]int
-	retries    map[plan.OpID]*retryState
-
-	// Adaptation-latency phase windows (latency.go): when each operator's
-	// current unhealthy streak began (detect phase start), and when a
-	// completed action started waiting for its first healthy diagnosis
-	// (resume phase start).
-	detectAt    map[plan.OpID]vclock.Time
-	awaitResume map[plan.OpID]vclock.Time
+	ledger []opState // indexed by plan.OpID, grown when written (op)
 
 	// plane carries telemetry in and commands out (ctrl.go): the local
 	// plane NewController builds, or the WAN plane AttachControlPlane
@@ -245,12 +268,57 @@ type Controller struct {
 	decision *obs.Span
 }
 
+// opState is the controller's memory of one operator; the zero value is
+// an operator it has never acted on. A window whose zero stamp could not
+// be told apart from "closed" has its own flag.
+type opState struct {
+	// Anti-flap state, stamped when an action completes (supervise.go): the
+	// cooldown, and for the reversal guard the placement the action
+	// replaced and the round it landed in.
+	completed     bool
+	cooldownUntil vclock.Time
+	prevSites     []topology.SiteID
+	placedRound   int
+
+	attempts  int         // aborts since the last completed action
+	nextTryAt vclock.Time // retry backoff: no adaptation before this
+
+	// Latency windows (latency.go): the start of the current unhealthy
+	// streak, and the completion awaiting its first healthy diagnosis.
+	detecting  bool
+	detectAt   vclock.Time
+	resuming   bool
+	resumeFrom vclock.Time
+
+	degraded bool // recovery found no placement this outage, and said so
+}
+
+// op returns the operator's ledger entry for writing, growing the ledger
+// to cover it.
+func (c *Controller) op(id plan.OpID) *opState {
+	if int(id) >= len(c.ledger) {
+		c.ledger = append(c.ledger, make([]opState, int(id)+1-len(c.ledger))...)
+	}
+	return &c.ledger[id]
+}
+
+// opAt returns the operator's ledger entry for reading: the zero record
+// past the end of the ledger and for wholePlan.
+func (c *Controller) opAt(id plan.OpID) opState {
+	if id < 0 || int(id) >= len(c.ledger) {
+		return opState{}
+	}
+	return c.ledger[id]
+}
+
 // NewController wires a controller to a deployed engine. replan may be nil
 // for queries without a re-orderable combine group (re-planning then falls
 // back to re-assignment).
 func NewController(cfg Config, eng *engine.Engine, top *topology.Topology, net *netsim.Network, sched *vclock.Scheduler, replan *ReplanSpec) *Controller {
+	cfg = cfg.withDefaults()
 	c := &Controller{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
+		policy: cfg.Policy.row(),
 		eng:    eng,
 		top:    top,
 		net:    net,
@@ -292,7 +360,7 @@ func (c *Controller) Stop() {
 // periodic re-planning rather than reactive adaptation). A switch only
 // happens when a strictly better schedulable variant exists.
 func (c *Controller) LongTermRound(now vclock.Time) {
-	if c.cfg.Policy != PolicyWASP && c.cfg.Policy != PolicyReplan {
+	if !c.policy.replan {
 		return
 	}
 	sp := c.obs.StartSpan("controller.longterm", obs.String("policy", c.cfg.Policy.String()))
@@ -300,7 +368,7 @@ func (c *Controller) LongTermRound(now vclock.Time) {
 	if c.settling(sp) {
 		return
 	}
-	c.tryReplan(c.eng.Plan().Graph.OperatorIDs()[0], "long-term background re-evaluation")
+	c.tryReplan(wholePlan, "long-term background re-evaluation")
 }
 
 // settling reports whether a round must defer to in-flight work — a plan
@@ -328,27 +396,25 @@ func (c *Controller) settling(sp *obs.Span) bool {
 	return false
 }
 
-// Actions returns the adaptations performed so far.
-func (c *Controller) Actions() []Action {
-	out := make([]Action, len(c.actions))
-	copy(out, c.actions)
-	return out
+// Actions returns the kind of each adaptation so far; the observer's
+// "action" events (Observer.WriteActionLog) carry time, operator, detail.
+func (c *Controller) Actions() []ActionKind {
+	return append([]ActionKind{}, c.actions...)
 }
 
 func (c *Controller) record(kind ActionKind, op plan.OpID, detail string) {
-	now := c.sched.Now()
-	c.actions = append(c.actions, Action{Kind: kind})
+	c.actions = append(c.actions, kind)
 	c.quietRounds = 0
 	c.obs.Emit("action", obs.String("kind", kind.String()), obs.I64("op", int64(op)), obs.String("detail", detail))
 	c.obs.Registry().Counter("wasp_controller_actions_total", "kind", kind.String()).Inc()
-	c.notePhasesForAction(kind, op, now)
+	c.notePhasesForAction(kind, op, c.sched.Now())
 }
 
 // Round runs one monitoring + adaptation round (normally driven by the
 // internal ticker; exported for tests and manual stepping).
 func (c *Controller) Round(now vclock.Time) {
 	snap := c.sampleSnapshot(now)
-	if c.cfg.Policy == PolicyNone || c.cfg.Policy == PolicyDegrade {
+	if !c.policy.adapts() {
 		return
 	}
 	c.roundCount++

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,30 +98,13 @@ func (tb *testbed) run(t *testing.T, until time.Duration) {
 	}
 }
 
-func kinds(actions []Action) []ActionKind {
-	out := make([]ActionKind, len(actions))
-	for i, a := range actions {
-		out[i] = a.Kind
-	}
-	return out
-}
-
-func hasKind(actions []Action, k ActionKind) bool {
-	for _, a := range actions {
-		if a.Kind == k {
-			return true
-		}
-	}
-	return false
-}
-
 func TestWASPScalesUpComputeBottleneck(t *testing.T) {
 	// Map capacity per task = 25000/5 = 5000 ev/s against 9000 ev/s.
 	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP}, 9000, 5, 0)
 	tb.run(t, 400*time.Second)
 	actions := tb.ctl.Actions()
-	if !hasKind(actions, ActionScaleUp) {
-		t.Fatalf("no scale-up; actions = %v", kinds(actions))
+	if !slices.Contains(actions, ActionScaleUp) {
+		t.Fatalf("no scale-up; actions = %v", actions)
 	}
 	if got := tb.eng.Parallelism(tb.ids[1]); got < 2 {
 		t.Fatalf("map parallelism = %d, want >= 2", got)
@@ -154,8 +138,8 @@ func TestWASPReassignsNetworkBottleneck(t *testing.T) {
 	tb.net.SetLinkFactor(0, 1, trace.Constant(4.0/160.0))
 	tb.run(t, 500*time.Second)
 	actions := tb.ctl.Actions()
-	if !hasKind(actions, ActionReassign) {
-		t.Fatalf("no re-assignment; actions = %v", kinds(actions))
+	if !slices.Contains(actions, ActionReassign) {
+		t.Fatalf("no re-assignment; actions = %v", actions)
 	}
 	newSites := tb.eng.Plan().Stages[tb.ids[1]].Sites
 	for _, s := range newSites {
@@ -193,8 +177,8 @@ func TestScaleOutWhenEveryLinkConstrained(t *testing.T) {
 	}
 	tb.run(t, 600*time.Second)
 	actions := tb.ctl.Actions()
-	if !hasKind(actions, ActionScaleOut) {
-		t.Fatalf("no scale-out; actions = %v", kinds(actions))
+	if !slices.Contains(actions, ActionScaleOut) {
+		t.Fatalf("no scale-out; actions = %v", actions)
 	}
 	if got := tb.eng.Parallelism(tb.ids[1]); got < 2 {
 		t.Fatalf("map parallelism = %d, want >= 2", got)
@@ -214,8 +198,8 @@ func TestScaleDownAfterLoadDrops(t *testing.T) {
 		t.Fatalf("setup failed: map parallelism = %d, want >= 2", got)
 	}
 	tb.run(t, 900*time.Second)
-	if !hasKind(tb.ctl.Actions(), ActionScaleDown) {
-		t.Fatalf("no scale-down; actions = %v", kinds(tb.ctl.Actions()))
+	if !slices.Contains(tb.ctl.Actions(), ActionScaleDown) {
+		t.Fatalf("no scale-down; actions = %v", tb.ctl.Actions())
 	}
 	if got := tb.eng.Parallelism(tb.ids[1]); got != 1 {
 		t.Fatalf("map parallelism = %d, want 1 after scale-down", got)
@@ -289,8 +273,8 @@ func TestScaleDownRemovesNonColocatedTaskFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.run(t, 400*time.Second)
-	if !hasKind(tb.ctl.Actions(), ActionScaleDown) {
-		t.Fatalf("no scale-down; actions = %v", kinds(tb.ctl.Actions()))
+	if !slices.Contains(tb.ctl.Actions(), ActionScaleDown) {
+		t.Fatalf("no scale-down; actions = %v", tb.ctl.Actions())
 	}
 	st := tb.eng.Plan().Stages[tb.ids[1]]
 	if len(st.Sites) != 1 || st.Sites[0] != 0 {

@@ -30,11 +30,8 @@ import (
 // earliest stamp across consecutive unhealthy rounds (and letting
 // recovery back-date it to the crash instant).
 func (c *Controller) noteDetect(id plan.OpID, at vclock.Time) {
-	if c.detectAt == nil {
-		c.detectAt = make(map[plan.OpID]vclock.Time)
-	}
-	if prev, ok := c.detectAt[id]; !ok || at < prev {
-		c.detectAt[id] = at
+	if o := c.op(id); !o.detecting || at < o.detectAt {
+		o.detecting, o.detectAt = true, at
 	}
 }
 
@@ -43,20 +40,21 @@ func (c *Controller) noteDetect(id plan.OpID, at vclock.Time) {
 // back at speed), and any stale detect stamp clears — the condition
 // passed without an action, so no cycle to attribute it to.
 func (c *Controller) noteHealthy(id plan.OpID, now vclock.Time) {
-	if doneAt, ok := c.awaitResume[id]; ok {
-		engine.EmitAdaptPhase(c.obs, "resume", "reconfigure", id, now-doneAt)
-		delete(c.awaitResume, id)
+	o := c.op(id)
+	if o.resuming {
+		engine.EmitAdaptPhase(c.obs, "resume", "reconfigure", id, now-o.resumeFrom)
+		o.resuming = false
 	}
-	delete(c.detectAt, id)
+	o.detecting = false
 }
 
 // notePhasesForAction emits the detect and plan phases for an action
 // being recorded: detect spans the first unhealthy diagnosis (or crash)
 // to now; plan is instantaneous on the virtual clock.
 func (c *Controller) notePhasesForAction(kind ActionKind, op plan.OpID, now vclock.Time) {
-	if t, ok := c.detectAt[op]; ok {
-		engine.EmitAdaptPhase(c.obs, "detect", kind.String(), op, now-t)
-		delete(c.detectAt, op)
+	if o := c.opAt(op); o.detecting {
+		engine.EmitAdaptPhase(c.obs, "detect", kind.String(), op, now-o.detectAt)
+		c.op(op).detecting = false
 	}
 	engine.EmitAdaptPhase(c.obs, "plan", kind.String(), op, 0)
 }

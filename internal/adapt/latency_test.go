@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,8 +41,8 @@ func TestAdaptLatencyPhases(t *testing.T) {
 	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP}, 9000, 5, 40e6)
 	tb.eng.SetObserver(tb.ctl.Observer())
 	tb.run(t, 600*time.Second)
-	if !hasKind(tb.ctl.Actions(), ActionScaleUp) {
-		t.Fatalf("no scale-up happened; actions = %v", kinds(tb.ctl.Actions()))
+	if !slices.Contains(tb.ctl.Actions(), ActionScaleUp) {
+		t.Fatalf("no scale-up happened; actions = %v", tb.ctl.Actions())
 	}
 
 	phases := phaseDurations(tb.ctl.Observer())

@@ -237,11 +237,13 @@ func (c *Controller) OnSiteCrash(site topology.SiteID) {
 func (c *Controller) RecoverDownSites() {
 	down := c.eng.DownSites()
 	if len(down) == 0 {
-		c.degraded = nil
+		for i := range c.ledger {
+			c.ledger[i].degraded = false
+		}
 		return
 	}
-	if c.cfg.Policy == PolicyNone || c.cfg.Policy == PolicyDegrade {
-		return // these arms never re-place; the engine drops/stalls
+	if !c.policy.adapts() {
+		return // a policy without levers never re-places; the engine drops/stalls
 	}
 	downSet := make(map[topology.SiteID]bool, len(down))
 	for _, s := range down {
@@ -260,7 +262,7 @@ func (c *Controller) RecoverDownSites() {
 			}
 		}
 		if hit == 0 {
-			delete(c.degraded, id)
+			c.op(id).degraded = false
 			continue
 		}
 		if c.eng.Reconfiguring(id) {
@@ -269,7 +271,7 @@ func (c *Controller) RecoverDownSites() {
 		if c.plane.CommandInFlight(id) {
 			continue // an actuation command is still traveling the control plane
 		}
-		if held, until := c.retryHeld(id, c.sched.Now()); held {
+		if until := c.opAt(id).nextTryAt; c.sched.Now() < until {
 			// Aborted recovery attempts back off exponentially; the Round
 			// backstop re-enters here once the ledger clears. Cooldown does
 			// not apply — dead tasks outrank anti-flap.
@@ -380,7 +382,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	// time includes the state-transfer cost.
 	var migs []engine.Migration
 	var blobs [][]byte
-	var restoreFrom []state.Ref
+	var restoreFrom []topology.SiteID
 	if c.recovery != nil && stateful(op) {
 		perTask := st.Op.StateBytes / float64(max(len(newSites), 1))
 		for _, ds := range uniqueSites(deadSites) {
@@ -391,7 +393,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 				continue
 			}
 			blobs = append(blobs, data)
-			restoreFrom = append(restoreFrom, ref)
+			restoreFrom = append(restoreFrom, ref.Site)
 			dst, ok := c.pickReceiver(uniqueSites(newSites), ref.Site)
 			if !ok {
 				continue
@@ -431,10 +433,10 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 		c.obs.Registry().Counter("wasp_recoveries_total").Inc()
 	}
 	detail := fmt.Sprintf("lost %d task(s) at %v; new placement %v, %d checkpoint(s) from %v",
-		lost, uniqueSites(deadSites), newSites, len(blobs), refSites(restoreFrom))
+		lost, uniqueSites(deadSites), newSites, len(blobs), restoreFrom)
 	acted := c.commit(ActionRecover, "re-assign", id, newSites, migs, detail, onDone)
 	if acted {
-		delete(c.degraded, id)
+		c.op(id).degraded = false
 	}
 	c.endDecision(acted)
 	return acted
@@ -447,21 +449,11 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 // feasible placement for live work).
 func (c *Controller) degradeStage(id plan.OpID, rung, reason string) {
 	c.reject("re-assign", reason)
-	if c.degraded[id] {
+	o := c.op(id)
+	if o.degraded {
 		return
 	}
-	if c.degraded == nil {
-		c.degraded = make(map[plan.OpID]bool)
-	}
-	c.degraded[id] = true
+	o.degraded = true
 	c.obs.Emit("recovery.degraded",
 		obs.Int("op", int(id)), obs.String("rung", rung), obs.String("reason", reason))
-}
-
-func refSites(refs []state.Ref) []topology.SiteID {
-	out := make([]topology.SiteID, 0, len(refs))
-	for _, r := range refs {
-		out = append(out, r.Site)
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -91,8 +92,8 @@ func TestRecoveryReplacesCrashedSiteAndRestoresState(t *testing.T) {
 	crashAt(tb, 100*time.Second, 1)
 	tb.run(t, 150*time.Second)
 
-	if !hasKind(tb.ctl.Actions(), ActionRecover) {
-		t.Fatalf("no recover action; actions = %v", kinds(tb.ctl.Actions()))
+	if !slices.Contains(tb.ctl.Actions(), ActionRecover) {
+		t.Fatalf("no recover action; actions = %v", tb.ctl.Actions())
 	}
 	for _, s := range tb.eng.Plan().Stages[agg].Sites {
 		if s == 1 {
@@ -141,8 +142,8 @@ func TestRecoveryDegradesWithoutPlacementThenResumesOnRestart(t *testing.T) {
 		tb.ctl.OnSiteCrash(1)
 	})
 	tb.run(t, 200*time.Second)
-	if hasKind(tb.ctl.Actions(), ActionRecover) {
-		t.Fatalf("recovered with zero free slots; actions = %v", kinds(tb.ctl.Actions()))
+	if slices.Contains(tb.ctl.Actions(), ActionRecover) {
+		t.Fatalf("recovered with zero free slots; actions = %v", tb.ctl.Actions())
 	}
 	if got := tb.eng.Plan().Stages[agg].Sites; len(got) != 1 || got[0] != 1 {
 		t.Fatalf("degraded stage was re-placed: %v", got)
@@ -164,8 +165,8 @@ func TestRecoveryLeavesPinnedSinkDegraded(t *testing.T) {
 	snk := tb.ids[2]
 	crashAt(tb, 100*time.Second, 3)
 	tb.run(t, 250*time.Second)
-	if hasKind(tb.ctl.Actions(), ActionRecover) {
-		t.Fatalf("pinned sink was re-placed; actions = %v", kinds(tb.ctl.Actions()))
+	if slices.Contains(tb.ctl.Actions(), ActionRecover) {
+		t.Fatalf("pinned sink was re-placed; actions = %v", tb.ctl.Actions())
 	}
 	if got := tb.eng.Plan().Stages[snk].Sites; len(got) != 1 || got[0] != 3 {
 		t.Fatalf("pinned sink moved: %v", got)
@@ -187,8 +188,8 @@ func TestRecoveryWithoutCheckpointsStillReplaces(t *testing.T) {
 	agg := tb.ids[1]
 	crashAt(tb, 100*time.Second, 1)
 	tb.run(t, 200*time.Second)
-	if !hasKind(tb.ctl.Actions(), ActionRecover) {
-		t.Fatalf("no recover action; actions = %v", kinds(tb.ctl.Actions()))
+	if !slices.Contains(tb.ctl.Actions(), ActionRecover) {
+		t.Fatalf("no recover action; actions = %v", tb.ctl.Actions())
 	}
 	for _, s := range tb.eng.Plan().Stages[agg].Sites {
 		if s == 1 {
@@ -230,8 +231,8 @@ func TestRecoveryDefersInQuarantinedRegionThenProceeds(t *testing.T) {
 	if _, q := plane.QuarantinedRegionOf([]topology.SiteID{1}); !q {
 		t.Fatal("region of site 1 not quarantined before the crash")
 	}
-	if hasKind(tb.ctl.Actions(), ActionRecover) {
-		t.Fatalf("recovered into a quarantined region; actions = %v", kinds(tb.ctl.Actions()))
+	if slices.Contains(tb.ctl.Actions(), ActionRecover) {
+		t.Fatalf("recovered into a quarantined region; actions = %v", tb.ctl.Actions())
 	}
 	deferred := tb.ctl.Observer().Events("recovery.degraded")
 	if len(deferred) == 0 {
@@ -255,8 +256,8 @@ func TestRecoveryDefersInQuarantinedRegionThenProceeds(t *testing.T) {
 	if got := plane.QuarantinedRegions(); len(got) != 0 {
 		t.Fatalf("regions still quarantined at end: %v", got)
 	}
-	if !hasKind(tb.ctl.Actions(), ActionRecover) {
-		t.Fatalf("no recovery after re-admission; actions = %v", kinds(tb.ctl.Actions()))
+	if !slices.Contains(tb.ctl.Actions(), ActionRecover) {
+		t.Fatalf("no recovery after re-admission; actions = %v", tb.ctl.Actions())
 	}
 	for _, s := range tb.eng.Plan().Stages[agg].Sites {
 		if s == 1 {

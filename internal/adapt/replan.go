@@ -10,11 +10,17 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
+// wholePlan is the operator id of an action on the whole plan rather than
+// one bottleneck — the long-term re-plan — as the engine's re-plan halt
+// phase also names it. The ledger keeps no entry for it.
+const wholePlan plan.OpID = -1
+
 // tryReplan re-evaluates the logical + physical plan jointly (§4.3). For
 // executions with stateful combine operators, only variants containing
 // common sub-plans over the stateful operators are admissible; the state
 // (and queued backlog) of surviving operators carries over. It reports
-// whether a plan switch was initiated.
+// whether a plan switch was initiated. id is the bottleneck that triggered
+// it, or wholePlan.
 func (c *Controller) tryReplan(id plan.OpID, reason string) bool {
 	if c.replan == nil || c.replan.Spec == nil || c.replan.Current == nil {
 		c.reject("re-plan", "no re-plan spec (no re-orderable combine group)")
@@ -59,7 +65,9 @@ func (c *Controller) tryReplan(id plan.OpID, reason string) bool {
 		c.replan.Current = newVariant
 		// Stamp the anti-flap cooldown on the operator that triggered the
 		// switch so the next round does not immediately re-adapt it.
-		c.noteCompleted(id, nil, doneAt)
+		if id != wholePlan {
+			c.noteCompleted(id, nil, doneAt)
+		}
 	}); err != nil {
 		c.reject("re-plan", "engine: "+err.Error())
 		return false
@@ -75,15 +83,8 @@ func (c *Controller) tryReplan(id plan.OpID, reason string) bool {
 func (c *Controller) carryMap(cur, next *plan.Variant) map[plan.OpID]plan.OpID {
 	carry := make(map[plan.OpID]plan.OpID)
 	// Base operators: same IDs across variants.
-	curCombine := make(map[plan.OpID]bool, len(cur.CombineNodes))
-	for opID := range cur.CombineNodes {
-		curCombine[opID] = true
-	}
 	for _, opID := range cur.Graph.OperatorIDs() {
-		if curCombine[opID] {
-			continue
-		}
-		if next.Graph.Operator(opID) != nil {
+		if _, combine := cur.CombineNodes[opID]; !combine && next.Graph.Operator(opID) != nil {
 			carry[opID] = opID
 		}
 	}

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func TestTryReplanSwitchesToBetterVariant(t *testing.T) {
 	if !tb.ctl.tryReplan(0, "test") {
 		t.Fatal("tryReplan refused to switch off the worst candidate")
 	}
-	if !hasKind(tb.ctl.Actions(), ActionReplan) {
+	if !slices.Contains(tb.ctl.Actions(), ActionReplan) {
 		t.Fatal("no re-plan action recorded")
 	}
 	if !tb.eng.Replanning() {
@@ -193,8 +194,8 @@ func TestPolicyWASPReplansUnsplittableOperator(t *testing.T) {
 	if !acted {
 		t.Fatal("unsplittable network-bound op: no action")
 	}
-	if !hasKind(tb.ctl.Actions(), ActionReplan) {
-		t.Fatalf("expected re-plan, got %v", kinds(tb.ctl.Actions()))
+	if !slices.Contains(tb.ctl.Actions(), ActionReplan) {
+		t.Fatalf("expected re-plan, got %v", tb.ctl.Actions())
 	}
 }
 
@@ -225,8 +226,20 @@ func TestLongTermBackgroundReplan(t *testing.T) {
 	if err := sched.RunUntil(vclock.Time(12 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if !hasKind(ctl.Actions(), ActionReplan) {
-		t.Fatalf("background re-plan never fired; actions = %v", kinds(ctl.Actions()))
+	if !slices.Contains(ctl.Actions(), ActionReplan) {
+		t.Fatalf("background re-plan never fired; actions = %v", ctl.Actions())
+	}
+	// The switch is on the whole plan, not on an operator: its action
+	// names the whole-plan id, and it stamps no operator's ledger entry.
+	for _, ev := range ctl.Observer().Events("action") {
+		if op := ev.Get("op").Int64(); ev.Get("kind").Str() == "re-plan" && op != -1 {
+			t.Errorf("long-term re-plan blames op %d, want -1", op)
+		}
+	}
+	for id, o := range ctl.ledger {
+		if o.completed || o.resuming {
+			t.Errorf("op %d: ledger %+v after a long-term re-plan", id, o)
+		}
 	}
 	ctl.Stop()
 }

@@ -50,12 +50,6 @@ const (
 	reversalGuardRounds = 3
 )
 
-// retryState is the per-operator ledger of aborted adaptation attempts.
-type retryState struct {
-	attempts  int         // aborts since the last completed action
-	nextTryAt vclock.Time // no adaptation on this operator before this
-}
-
 // superviseInFlight aborts doomed and stalled in-flight adaptations and
 // advances their retry ledgers. Runs at the top of every Round, before
 // recovery and diagnosis (both of which skip reconfiguring operators and
@@ -103,73 +97,46 @@ func (c *Controller) superviseInFlight(now vclock.Time) {
 // failure); later ones wait retryBackoff·2^(attempt−2). Past the budget
 // the controller rolls back for an extended backoff of one more doubling.
 func (c *Controller) noteAborted(id plan.OpID, verdict, reason string, now vclock.Time) {
-	if c.retries == nil {
-		c.retries = make(map[plan.OpID]*retryState)
-	}
-	rs := c.retries[id]
-	if rs == nil {
-		rs = &retryState{}
-		c.retries[id] = rs
-	}
-	rs.attempts++
+	o := c.op(id)
+	o.attempts++
 	c.obs.Emit("adapt.abort",
 		obs.String("what", "reconfiguration"),
 		obs.Int("op", int(id)),
 		obs.String("verdict", verdict),
 		obs.String("reason", reason),
-		obs.Int("attempt", rs.attempts))
+		obs.Int("attempt", o.attempts))
 	c.obs.Registry().Counter("wasp_adapt_aborts_total", "what", "reconfiguration").Inc()
-	if rs.attempts > retryBudget {
-		rs.nextTryAt = now + c.backoffAfter(rs.attempts)
+	if o.attempts > 1 {
+		o.nextTryAt = now + vclock.Time(retryBackoff<<(o.attempts-2))
+	}
+	if o.attempts > retryBudget {
 		c.obs.Emit("adapt.rollback",
 			obs.Int("op", int(id)),
-			obs.Int("attempts", rs.attempts),
-			obs.Dur("hold_off", time.Duration(rs.nextTryAt-now)))
+			obs.Int("attempts", o.attempts),
+			obs.Dur("hold_off", time.Duration(o.nextTryAt-now)))
 		c.obs.Registry().Counter("wasp_adapt_rollbacks_total").Inc()
 		return
 	}
-	if rs.attempts > 1 {
-		rs.nextTryAt = now + c.backoffAfter(rs.attempts)
-	}
 	c.obs.Emit("adapt.retry",
 		obs.Int("op", int(id)),
-		obs.Int("attempt", rs.attempts),
-		obs.Dur("next_try_in", time.Duration(rs.nextTryAt-now)))
-}
-
-// backoffAfter returns the exponential retry delay following the given
-// attempt count: retryBackoff·2^(attempts−2), so the second abort waits
-// one base period and each further abort doubles it.
-func (c *Controller) backoffAfter(attempts int) vclock.Time {
-	d := vclock.Time(retryBackoff)
-	for i := 2; i < attempts; i++ {
-		d *= 2
-	}
-	return d
+		obs.Int("attempt", o.attempts),
+		obs.Dur("next_try_in", time.Duration(o.nextTryAt-now)))
 }
 
 // heldDown reports whether the operator may not be adapted now, and the
-// reject branch that says why: its retry ledger is backing off after
-// aborts, a recently completed action's cooldown has not passed, or the
-// control plane cannot vouch for its sites (ctrlGated). Crash recovery is
-// exempt from the cooldown (dead tasks outrank anti-flap) but still
-// honours the retry backoff via retryHeld.
+// reject branch that says why: it is backing off after aborts, a recently
+// completed action's cooldown has not passed, or the control plane cannot
+// vouch for its sites (ctrlGated). Crash recovery is exempt from the
+// cooldown (dead tasks outrank anti-flap) but still honours the backoff.
 func (c *Controller) heldDown(id plan.OpID, now vclock.Time) (branch, reason string, held bool) {
-	if rs, until := c.retryHeld(id, now); rs {
-		return "retry-backoff", fmt.Sprintf("backing off until %v after aborted attempts", time.Duration(until)), true
+	o := c.opAt(id)
+	if now < o.nextTryAt {
+		return "retry-backoff", fmt.Sprintf("backing off until %v after aborted attempts", time.Duration(o.nextTryAt)), true
 	}
-	if until, ok := c.cooldown[id]; ok && now < until {
-		return "cooldown", fmt.Sprintf("action cooldown until %v", time.Duration(until)), true
+	if o.completed && now < o.cooldownUntil {
+		return "cooldown", fmt.Sprintf("action cooldown until %v", time.Duration(o.cooldownUntil)), true
 	}
 	return c.ctrlGated(id, now)
-}
-
-// retryHeld reports whether the operator's retry ledger is in backoff.
-func (c *Controller) retryHeld(id plan.OpID, now vclock.Time) (bool, vclock.Time) {
-	if rs := c.retries[id]; rs != nil && now < rs.nextTryAt {
-		return true, rs.nextTryAt
-	}
-	return false, 0
 }
 
 // reconfigure routes a committed placement change through the engine
@@ -207,23 +174,18 @@ func (c *Controller) commit(kind ActionKind, branch string, id plan.OpID, newSit
 	return true
 }
 
-// noteCompleted stamps the anti-flap state for one finished action.
+// noteCompleted stamps the anti-flap state for one finished action, clears
+// the retry ledger, and opens the resume-phase window: it closes at the
+// first monitoring round that diagnoses the operator healthy again
+// (latency.go).
 func (c *Controller) noteCompleted(id plan.OpID, oldSites []topology.SiteID, doneAt vclock.Time) {
-	if c.cooldown == nil {
-		c.cooldown = make(map[plan.OpID]vclock.Time)
-		c.prevSites = make(map[plan.OpID][]topology.SiteID)
-		c.placedAt = make(map[plan.OpID]int)
-	}
-	c.cooldown[id] = doneAt + vclock.Time(actionCooldown)
-	c.prevSites[id] = oldSites
-	c.placedAt[id] = c.roundCount
-	delete(c.retries, id)
-	// Open the resume-phase window: it closes at the first monitoring round
-	// that diagnoses the operator healthy again (latency.go).
-	if c.awaitResume == nil {
-		c.awaitResume = make(map[plan.OpID]vclock.Time)
-	}
-	c.awaitResume[id] = doneAt
+	o := c.op(id)
+	o.completed = true
+	o.cooldownUntil = doneAt + vclock.Time(actionCooldown)
+	o.prevSites = oldSites
+	o.placedRound = c.roundCount
+	o.attempts, o.nextTryAt = 0, 0
+	o.resuming, o.resumeFrom = true, doneAt
 }
 
 // reversalGuarded reports whether moving the operator to newSites would
@@ -231,9 +193,6 @@ func (c *Controller) noteCompleted(id plan.OpID, oldSites []topology.SiteID, don
 // younger than reversalGuardRounds monitoring rounds — the flap signature
 // (A→B under pressure, B→A the moment pressure lifts, repeat).
 func (c *Controller) reversalGuarded(id plan.OpID, newSites []topology.SiteID) bool {
-	prev, ok := c.prevSites[id]
-	if !ok || !sameSites(newSites, prev) {
-		return false
-	}
-	return c.roundCount-c.placedAt[id] < reversalGuardRounds
+	o := c.opAt(id)
+	return o.completed && c.roundCount-o.placedRound < reversalGuardRounds && sameSites(newSites, o.prevSites)
 }

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -149,7 +150,7 @@ func TestRetryBackoffEscalatesToRollback(t *testing.T) {
 
 	// A completed action clears the ledger.
 	tb.ctl.noteCompleted(mp, sites(1), now)
-	if rs, _ := tb.ctl.retryHeld(mp, now+1); rs {
+	if o := tb.ctl.opAt(mp); o.attempts != 0 || now+1 < o.nextTryAt {
 		t.Fatal("completed action did not clear the retry ledger")
 	}
 }
@@ -266,8 +267,8 @@ func TestLadderRungUpstreamDown(t *testing.T) {
 	if !found {
 		t.Fatalf("no upstream-down reject reason; rejects = %v", reasons)
 	}
-	if hasKind(tb.ctl.Actions(), ActionRecover) {
-		t.Fatalf("recovered a stage with no live upstream; actions = %v", kinds(tb.ctl.Actions()))
+	if slices.Contains(tb.ctl.Actions(), ActionRecover) {
+		t.Fatalf("recovered a stage with no live upstream; actions = %v", tb.ctl.Actions())
 	}
 }
 
@@ -292,7 +293,7 @@ func TestLadderRungNoPlacement(t *testing.T) {
 	if !found {
 		t.Fatalf("no no-placement reject reason; rejects = %v", reasons)
 	}
-	if hasKind(tb.ctl.Actions(), ActionRecover) {
-		t.Fatalf("recovered with zero free slots; actions = %v", kinds(tb.ctl.Actions()))
+	if slices.Contains(tb.ctl.Actions(), ActionRecover) {
+		t.Fatalf("recovered with zero free slots; actions = %v", tb.ctl.Actions())
 	}
 }

@@ -152,14 +152,14 @@ func formatPhased(runs []Fig8Run, duration time.Duration, title string, metric f
 	return title + "\n" + Table(header, rows)
 }
 
-func summarizeActions(actions []adapt.Action) string {
+func summarizeActions(actions []adapt.ActionKind) string {
 	if len(actions) == 0 {
 		return "-"
 	}
 	counts := make(map[adapt.ActionKind]int)
 	order := []adapt.ActionKind{adapt.ActionReassign, adapt.ActionScaleUp, adapt.ActionScaleOut, adapt.ActionScaleDown, adapt.ActionReplan}
-	for _, a := range actions {
-		counts[a.Kind]++
+	for _, k := range actions {
+		counts[k]++
 	}
 	var parts []string
 	for _, k := range order {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
@@ -121,11 +122,7 @@ func RunRecovery(seed int64) ([]RecoveryRun, error) {
 				ProcessedPct:    res.ProcessedPct,
 				Degraded:        movableDegraded(res),
 			}
-			for _, a := range res.Actions {
-				if a.Kind == adapt.ActionRecover {
-					run.Recovered = true
-				}
-			}
+			run.Recovered = slices.Contains(res.Actions, adapt.ActionRecover)
 			for _, ev := range res.Obs.Events("recovery.complete") {
 				if rt := ev.Get("recovery_time").Duration(); rt > run.RecoveryTime {
 					run.RecoveryTime = rt

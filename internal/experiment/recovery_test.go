@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -126,13 +127,7 @@ func TestFaultInjectionObsDeterministic(t *testing.T) {
 			t.Errorf("timeline missing %s", want)
 		}
 	}
-	recovered := false
-	for _, act := range res.Actions {
-		if act.Kind == adapt.ActionRecover {
-			recovered = true
-		}
-	}
-	if !recovered {
+	if !slices.Contains(res.Actions, adapt.ActionRecover) {
 		t.Fatal("no recover action under injected site crash")
 	}
 	if res.Restored <= 0 {

@@ -136,8 +136,8 @@ type Result struct {
 	// Lost/Restored account crash-lost source-equivalent events and the
 	// share clawed back from checkpoints.
 	Lost, Restored float64
-	// Actions is the adaptation log.
-	Actions []adapt.Action
+	// Actions is the kind of each adaptation, in order.
+	Actions []adapt.ActionKind
 	// Obs is the run's observer (the scenario's, or the controller's
 	// run-private default) — the decision audit and action log behind
 	// Actions.
