@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"strings"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/stream"
@@ -110,7 +111,7 @@ func BuildEOIRecord(nSources int, lang string, topicPrefix string) *RecordPipeli
 				if lang != "" && tw.Lang != lang {
 					return false
 				}
-				return topicPrefix == "" || hasPrefix(tw.Topic, topicPrefix)
+				return topicPrefix == "" || strings.HasPrefix(tw.Topic, topicPrefix)
 			},
 		})
 		p.MustConnect(src, fil, 0)
@@ -127,8 +128,4 @@ func BuildEOIRecord(nSources int, lang string, topicPrefix string) *RecordPipeli
 	p.MustConnect(union, proj, 0)
 	p.MustConnect(proj, sink, 0)
 	return &RecordPipeline{Pipeline: p, Sources: srcs, Sink: sink}
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }

@@ -25,10 +25,13 @@ const (
 )
 
 // edge is one resolved output of a node: Connect stores the consumer itself,
-// not its ID, so delivering a record looks nothing up.
+// not its ID, so delivering a record looks nothing up. A compiled edge may
+// carry a guard: the Filter it was fused through, whose Pred the event must
+// pass before it is delivered.
 type edge struct {
-	to   *pipelineNode
-	port int
+	to    *pipelineNode
+	port  int
+	guard *Filter
 }
 
 type pipelineNode struct {
@@ -36,7 +39,12 @@ type pipelineNode struct {
 	name    string
 	kind    nodeKind
 	handler Handler
-	edges   []edge
+	// edges is the declared graph, as Connect wired it.
+	//waspvet:guardedby Pipeline.topo
+	edges []edge
+	// out is what forward walks: edges compiled with the topological order
+	// (see compile). It aliases edges where there is nothing to splice.
+	out []edge
 	// emit is this node's forward, bound once when the node is added; it is
 	// the Emit every handler call of this node receives.
 	emit Emit
@@ -49,12 +57,16 @@ type pipelineNode struct {
 // watermarks propagate in topological order, so runs are exactly
 // repeatable. The DAG is its own dispatch table — edges hold their consumer
 // node and every node one Emit bound at construction — so a record crosses
-// an operator hop without a lookup or an allocation. Pipeline is not safe
-// for concurrent use.
+// an operator hop without a lookup or an allocation, and Unions and
+// single-consumer Filters are compiled out of the hops. Pipeline is not
+// safe for concurrent use.
 type Pipeline struct {
+	//waspvet:guardedby topo
 	nodes []*pipelineNode
-	topo  []*pipelineNode // cached topological order, invalidated on mutation
-	wm    vclock.Time
+	// topo is the cached topological order; each node's out is compiled with
+	// it. add and Connect reset it.
+	topo []*pipelineNode
+	wm   vclock.Time
 }
 
 // NewPipeline returns an empty pipeline.
@@ -110,10 +122,14 @@ func (p *Pipeline) MustConnect(from, to NodeID, port int) {
 
 // forward hands one output of n to each consumer in connection order,
 // recursing through the consumer's handler before moving to the next
-// (depth-first). Run forwards each input event from its source node.
-// Connect admits no edge into a source.
+// (depth-first). An edge whose guard rejects the event delivers nothing.
+// Run forwards each input event from its source node. Connect admits no
+// edge into a source.
 func (n *pipelineNode) forward(e Event) {
-	for _, ed := range n.edges {
+	for _, ed := range n.out {
+		if ed.guard != nil && !ed.guard.Pred(e) {
+			continue
+		}
 		if to := ed.to; to.kind == nodeSink {
 			to.collected = append(to.collected, e)
 		} else {
@@ -177,8 +193,53 @@ func (p *Pipeline) topoOrder() ([]*pipelineNode, error) {
 	if len(order) != len(p.nodes) {
 		return nil, fmt.Errorf("stream: pipeline has a cycle")
 	}
+	for i := len(order) - 1; i >= 0; i-- {
+		order[i].compile()
+	}
 	p.topo = order
 	return order, nil
+}
+
+// compile derives n.out from n.edges; every consumer's out must already be
+// compiled, so topoOrder visits nodes in reverse topological order. Two
+// rules, neither of which changes what any handler sees or in what order:
+//   - an edge into a *Union becomes that Union's own out, since Union
+//     forwards every input unchanged to all of its consumers;
+//   - an edge into a *Filter whose out is one unguarded edge becomes that
+//     edge guarded by the Filter, since Filter emits its input to it exactly
+//     when Pred holds. Pred is read through the pointer on every event, so
+//     replacing it takes effect at once.
+//
+// A node with nothing to splice keeps out aliased to edges.
+func (n *pipelineNode) compile() {
+	n.out = n.edges
+	for i, ed := range n.edges {
+		// Capacity i, so a splice copies edges[:i] and never writes into
+		// edges.
+		if out, spliced := ed.splice(n.edges[:i:i]); spliced {
+			for _, ed := range n.edges[i+1:] {
+				if out, spliced = ed.splice(out); !spliced {
+					out = append(out, ed)
+				}
+			}
+			n.out = out
+			return
+		}
+	}
+}
+
+// splice appends to out what ed becomes in its producer's out when a rule
+// applies to its consumer, and reports whether one did.
+func (ed edge) splice(out []edge) ([]edge, bool) {
+	switch h := ed.to.handler.(type) {
+	case *Union:
+		return append(out, ed.to.out...), true
+	case *Filter:
+		if next := ed.to.out; len(next) == 1 && next[0].guard == nil {
+			return append(out, edge{to: next[0].to, port: next[0].port, guard: h}), true
+		}
+	}
+	return out, false
 }
 
 // SinkEvents returns the events collected at a sink so far.

@@ -195,7 +195,9 @@ func TestPipelineDeterministicReplay(t *testing.T) {
 
 // Mutating a pipeline after it has delivered events must reach the next
 // event and the next watermark: a consumer and an operator added after a Run
-// are not left out by anything Run prepared.
+// are not left out by anything Run prepared, a Filter and a Union added
+// after it are compiled into the next Run's dispatch, and a fused Filter's
+// new Pred decides the next event.
 func TestConnectAfterRunTakesEffect(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
@@ -213,6 +215,13 @@ func TestConnectAfterRunTakesEffect(t *testing.T) {
 	counted := p.AddSink("counted")
 	p.MustConnect(m, cnt, 0)
 	p.MustConnect(cnt, counted, 0)
+	odd := &Filter{Pred: func(e Event) bool { return e.Value.(int)%2 == 1 }}
+	f := p.AddNode("odd", odd)
+	u := p.AddNode("union", &Union{})
+	filtered := p.AddSink("filtered")
+	p.MustConnect(m, f, 0)
+	p.MustConnect(f, u, 0)
+	p.MustConnect(u, filtered, 0)
 	if err := p.Run(Inputs{src: {ev(3*time.Second, "k", 10)}}, RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +233,21 @@ func TestConnectAfterRunTakesEffect(t *testing.T) {
 	}
 	if got := p.SinkEvents(counted); len(got) != 1 || got[0].Value != int64(1) {
 		t.Fatalf("operator added after the first run flushed %v, want one count of 1", got)
+	}
+	if got := p.SinkEvents(filtered); len(got) != 1 || got[0].Value != 11 {
+		t.Fatalf("filter and union added after the first run passed %v, want the second event only", got)
+	}
+
+	if out := p.nodes[m].out; out[len(out)-1] != (edge{to: p.nodes[filtered], guard: odd}) {
+		t.Fatalf("map's last edge %+v, want the filtered sink guarded by the odd filter", out[len(out)-1])
+	}
+	odd.Pred = func(e Event) bool { return e.Value.(int) > 100 }
+	in := []Event{ev(5*time.Second, "k", 20), ev(6*time.Second, "k", 200)}
+	if err := p.Run(Inputs{src: in}, RunConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.SinkEvents(filtered); len(got) != 2 || got[1].Value != 201 {
+		t.Fatalf("filter whose Pred was replaced after a run passed %v, want 11 then 201", got)
 	}
 }
 
@@ -313,11 +337,14 @@ func (d *discard) OnEvent(int, Event, Emit)      { d.n++ }
 func (d *discard) OnWatermark(vclock.Time, Emit) {}
 
 // A record crossing operator hops allocates nothing: no closure per hop, no
-// lookup per edge. Run hands each input event to its source's forward.
+// lookup per edge. Run hands each input event to its source's forward. The
+// four declared hops compile to two: the filter rides the source's edge as
+// its guard and the union is spliced out of the map's.
 func TestDispatchAllocs(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
-	f := p.AddNode("filter", &Filter{Pred: func(Event) bool { return true }})
+	filter := &Filter{Pred: func(Event) bool { return true }}
+	f := p.AddNode("filter", filter)
 	m := p.AddNode("map", &Map{Fn: func(e Event) Event { return e }})
 	u := p.AddNode("union", &Union{})
 	end := &discard{}
@@ -326,8 +353,18 @@ func TestDispatchAllocs(t *testing.T) {
 	p.MustConnect(f, m, 0)
 	p.MustConnect(m, u, 0)
 	p.MustConnect(u, d, 0)
-	e := ev(time.Second, "k", 1)
+	// Watermark compiles the dispatch, as Run does before its first event.
+	if err := p.Watermark(0); err != nil {
+		t.Fatal(err)
+	}
 	from := p.nodes[src]
+	if want := []edge{{to: p.nodes[m], guard: filter}}; !reflect.DeepEqual(from.out, want) {
+		t.Fatalf("source dispatches to %v, want one edge to the map guarded by the filter", from.out)
+	}
+	if want := []edge{{to: p.nodes[d]}}; !reflect.DeepEqual(p.nodes[m].out, want) {
+		t.Fatalf("map dispatches to %v, want the discard node past the union", p.nodes[m].out)
+	}
+	e := ev(time.Second, "k", 1)
 	allocs := testing.AllocsPerRun(1000, func() { from.forward(e) })
 	if allocs != 0 || end.n == 0 {
 		t.Fatalf("%v allocs per record over four hops (%d delivered), want 0", allocs, end.n)

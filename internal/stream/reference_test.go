@@ -171,11 +171,15 @@ const maxEvents = 4000
 // genDAG draws a DAG of up to four sources and eight operators whose inputs
 // are earlier nodes, so fan-out (a node chosen twice), two-port joins
 // (self-joins included), unions of up to three, window→window chains and
-// operators that emit from OnWatermark all occur, over inputs with time
-// ties across and within sources and, sometimes, negative event times. Every
-// other source's events carry their key's id, so each operator meets events
-// with an id and, downstream of a union, both kinds: one that passes an id on
-// under another key stops the run in the next keyed operator.
+// operators that emit from OnWatermark all occur. Filters and Unions, the
+// operators Pipeline compiles out of its dispatch, are drawn twice as often
+// as the rest, and an input is the node just before its operator two times
+// in three, so chains of them (union into union, filter into filter, either
+// into a join) occur too. Inputs have time ties across and within sources
+// and, sometimes, negative event times. Every other source's events carry
+// their key's id, so each operator meets events with an id and, downstream
+// of a union, both kinds: one that passes an id on under another key stops
+// the run in the next keyed operator.
 func genDAG(e *entropy) dagSpec {
 	d := dagSpec{sources: 1 + e.intn(4), every: []time.Duration{time.Second, 0, 2 * time.Second}[e.intn(3)]}
 	nOps := 1 + e.intn(8)
@@ -185,7 +189,13 @@ func genDAG(e *entropy) dagSpec {
 		bound = append(bound, perSource)
 	}
 	for i := 0; i < nOps; i++ {
-		op := opSpec{kind: e.intn(opKinds), param: e.intn(3), tap: e.intn(4) == 0}
+		op := opSpec{kind: e.intn(opKinds + 2), param: e.intn(3), tap: e.intn(4) == 0}
+		switch op.kind {
+		case opKinds:
+			op.kind = opFilter
+		case opKinds + 1:
+			op.kind = opUnion
+		}
 		fanIn := 1
 		switch op.kind {
 		case opJoin:
@@ -195,7 +205,10 @@ func genDAG(e *entropy) dagSpec {
 		}
 		in := 0
 		for k := 0; k < fanIn; k++ {
-			from := e.intn(len(bound))
+			from := len(bound) - 1
+			if e.intn(3) == 0 {
+				from = e.intn(len(bound))
+			}
 			op.inputs = append(op.inputs, from)
 			in += bound[from]
 		}
@@ -381,7 +394,9 @@ func checkDAG(d dagSpec) error {
 func TestPipelineMatchesReference(t *testing.T) {
 	const instances = 3000
 	shapes := []string{"fan-out", "two-port join", "union of three", "window→window chain",
-		"flat-map", "two emits per input", "emit from OnWatermark", "negative event times"}
+		"flat-map", "two emits per input", "emit from OnWatermark", "negative event times",
+		"union into union", "filter into filter", "filter with two consumers",
+		"filter or union into a join", "union into a sink"}
 	cover := map[string]int{}
 	for seed := int64(0); seed < instances; seed++ {
 		d := genDAG(&entropy{data: seedBytes(seed)})
@@ -389,11 +404,14 @@ func TestPipelineMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: %v\n%+v", seed, err, d)
 		}
 		consumers := make([]int, d.sources+len(d.ops))
-		windowed := func(node int) bool {
+		kind := func(node int) int {
 			if node < d.sources {
-				return false
+				return -1
 			}
-			k := d.ops[node-d.sources].kind
+			return d.ops[node-d.sources].kind
+		}
+		windowed := func(node int) bool {
+			k := kind(node)
 			return k == opCount || k == opSliding || k == opTopK
 		}
 		seen := map[string]bool{}
@@ -402,6 +420,14 @@ func TestPipelineMatchesReference(t *testing.T) {
 				consumers[from]++
 				if windowed(from) && windowed(d.sources+i) {
 					seen["window→window chain"] = true
+				}
+				switch {
+				case kind(from) == opUnion && op.kind == opUnion:
+					seen["union into union"] = true
+				case kind(from) == opFilter && op.kind == opFilter:
+					seen["filter into filter"] = true
+				case (kind(from) == opFilter || kind(from) == opUnion) && op.kind == opJoin:
+					seen["filter or union into a join"] = true
 				}
 			}
 			if op.tap {
@@ -420,9 +446,16 @@ func TestPipelineMatchesReference(t *testing.T) {
 				seen["emit from OnWatermark"] = true
 			}
 		}
-		for _, n := range consumers {
+		for node, n := range consumers {
 			if n >= 2 {
 				seen["fan-out"] = true
+			}
+			if n >= 2 && kind(node) == opFilter {
+				seen["filter with two consumers"] = true
+			}
+			// A node that feeds no operator, or is tapped, feeds a sink.
+			if kind(node) == opUnion && (n == 0 || d.ops[node-d.sources].tap) {
+				seen["union into a sink"] = true
 			}
 		}
 		if len(d.inputs[0]) > 0 && d.inputs[0][0].Time < 0 {
@@ -435,6 +468,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 		}
 	}
 	for _, name := range shapes {
+		t.Logf("%4d of %d instances cover %q", cover[name], instances, name)
 		if cover[name] < instances/20 {
 			t.Errorf("only %d of %d instances cover %q", cover[name], instances, name)
 		}
