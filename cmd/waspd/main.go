@@ -32,10 +32,11 @@
 // one file. A chaos-invariant failure with -flight on and no -obs-out
 // writes the artifact to wasp-run.jsonl.
 //
-// A flag value that is not a run (an unknown policy or query, a rate,
-// duration or factor that is not a finite positive number, a fault
-// script that does not parse, half a -scale-* pair) exits 2 naming the
-// flag, before anything runs; a run failure or a chaos violation exits 1.
+// A flag value that is not a run (an unknown policy or query, a rate or
+// factor that is not a finite positive number, a duration shorter than
+// one engine tick, a fault script that does not parse, half a -scale-*
+// pair) exits 2 naming the flag, before anything runs; a run failure or a
+// chaos violation exits 1.
 //
 // -fault injects failures from a semicolon-separated script (see the
 // faults package for the DSL): site crash+restart (crash), link blackout
@@ -68,6 +69,7 @@ import (
 	"github.com/wasp-stream/wasp/internal/adapt"
 	"github.com/wasp-stream/wasp/internal/chaos"
 	"github.com/wasp-stream/wasp/internal/ctrlplane"
+	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/experiment"
 	"github.com/wasp-stream/wasp/internal/faults"
 	"github.com/wasp-stream/wasp/internal/obs"
@@ -184,8 +186,10 @@ func run(opt options) error {
 	if !(opt.rate > 0) || math.IsInf(opt.rate, 1) {
 		return badValue{fmt.Errorf("-rate: %v must be a finite positive number of events/s", opt.rate)}
 	}
-	if opt.duration <= 0 {
-		return badValue{fmt.Errorf("-duration: %v must be positive", opt.duration)}
+	if opt.duration < engine.TickEvery {
+		// Shorter than one engine tick, a run would process nothing and
+		// still report every event processed.
+		return badValue{fmt.Errorf("-duration: %v is shorter than one engine tick (%v)", opt.duration, engine.TickEvery)}
 	}
 	// Validate both factor lists before anything runs (even in -live mode,
 	// where they are unused: a typo should not pass silently).

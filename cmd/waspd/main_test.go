@@ -85,9 +85,9 @@ func TestRunShortScenario(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnrunnableRateAndDuration: a rate or duration that is not
-// finite and positive is an error naming the flag and the value, before
-// anything runs.
+// TestRunRejectsUnrunnableRateAndDuration: a rate that is not finite and
+// positive, or a duration shorter than one engine tick, is an error naming
+// the flag and the value, before anything runs.
 func TestRunRejectsUnrunnableRateAndDuration(t *testing.T) {
 	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -100} {
 		opt := shortOpts()
@@ -103,7 +103,7 @@ func TestRunRejectsUnrunnableRateAndDuration(t *testing.T) {
 			}
 		}
 	}
-	for _, d := range []time.Duration{0, -5 * time.Minute} {
+	for _, d := range []time.Duration{0, -5 * time.Minute, time.Nanosecond, 249 * time.Millisecond} {
 		opt := shortOpts()
 		opt.duration = d
 		err := run(opt)

@@ -52,9 +52,9 @@ func (c Config) withDefaults() Config {
 }
 
 const (
-	// tickEvery is the simulation step. Smaller ticks give finer delay
-	// resolution at proportional cost.
-	tickEvery = 250 * time.Millisecond
+	// TickEvery is the simulation step: a run shorter than one tick runs
+	// none. Smaller ticks give finer delay resolution at proportional cost.
+	TickEvery = 250 * time.Millisecond
 	// backpressureSec bounds each queue at this many seconds of work at
 	// the consumer's capacity; full queues throttle upstream senders and
 	// producers.
@@ -231,11 +231,12 @@ type Engine struct {
 	links    []*netsim.Flow
 	linkCaps []float64
 
-	workloadFactor *trace.Trace
-	// sourceFactors holds the per-source rate traces indexed by OpID (nil =
-	// none). Source ids are base-graph ids, identical in every variant.
-	sourceFactors []*trace.Trace
-	stragglers    map[groupKey]float64 // capacity factor per (op, site)
+	// workloadFactor and sourceFactors read the global and per-source rate
+	// traces. sourceFactors is indexed by OpID (a nil trace = none); source
+	// ids are base-graph ids, identical in every variant.
+	workloadFactor trace.Cursor
+	sourceFactors  []trace.Cursor
+	stragglers     map[groupKey]float64 // capacity factor per (op, site)
 
 	ticker  *vclock.Event
 	lastNow vclock.Time
@@ -342,7 +343,7 @@ func New(cfg Config, top *topology.Topology, net *netsim.Network, sched *vclock.
 		stragglers:     make(map[groupKey]float64),
 		siteDown:       make([]bool, top.N()),
 		siteStrag:      make([]float64, top.N()),
-		workloadFactor: trace.Constant(1),
+		workloadFactor: trace.NewCursor(trace.Constant(1)),
 		retired:        make(map[plan.OpID]eventCounts),
 		siteOff:        make([]int, top.N()+1),
 		reports:        make([]metrics.SiteReport, top.N()),
@@ -402,16 +403,16 @@ func (e *Engine) SetWorkloadFactor(tr *trace.Trace) {
 	if tr == nil {
 		tr = trace.Constant(1)
 	}
-	e.workloadFactor = tr
+	e.workloadFactor = trace.NewCursor(tr)
 }
 
 // SetSourceFactor installs a per-source rate factor trace, multiplied with
 // the global factor. A nil trace clears it.
 func (e *Engine) SetSourceFactor(op plan.OpID, tr *trace.Trace) {
 	for int(op) >= len(e.sourceFactors) {
-		e.sourceFactors = append(e.sourceFactors, nil)
+		e.sourceFactors = append(e.sourceFactors, trace.Cursor{})
 	}
-	e.sourceFactors[op] = tr
+	e.sourceFactors[op] = trace.NewCursor(tr)
 }
 
 // InjectStraggler degrades the processing capacity of an operator's tasks
@@ -465,7 +466,7 @@ func (e *Engine) Start() {
 		return
 	}
 	e.lastNow = e.sched.Now()
-	e.ticker = e.sched.Every(tickEvery, e.tick)
+	e.ticker = e.sched.Every(TickEvery, e.tick)
 }
 
 // Stop halts the tick loop.
@@ -635,7 +636,7 @@ func (e *Engine) generate(now, start vclock.Time, dtSec float64) {
 	base := e.workloadFactor.At(start) // same instant for every source
 	for _, g := range e.srcs {
 		factor := base
-		if id := int(g.op.ID); id < len(e.sourceFactors) && e.sourceFactors[id] != nil {
+		if id := int(g.op.ID); id < len(e.sourceFactors) && e.sourceFactors[id].Trace() != nil {
 			factor *= e.sourceFactors[id].At(start)
 		}
 		count := g.op.SourceRate * factor * dtSec

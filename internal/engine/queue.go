@@ -173,11 +173,19 @@ func (q *cohortQueue) settle() {
 	}
 }
 
-// compact reclaims consumed head space once it dominates the backing
-// array.
+// compact reclaims consumed head space: a drained queue rewinds to the
+// start of its backing array, so a queue that is emptied every tick
+// reuses the same slots instead of appending past them until the next
+// regrowth; otherwise the live cohorts move down once the consumed head
+// dominates the array.
 //
 //waspvet:hotpath
 func (q *cohortQueue) compact() {
+	if q.empty() {
+		q.items = q.items[:0]
+		q.head = 0
+		return
+	}
 	if q.head > 64 && q.head*2 >= len(q.items) {
 		n := copy(q.items, q.items[q.head:])
 		q.items = q.items[:n]

@@ -150,8 +150,9 @@ func queueOpBytes(kind byte, count, worth float64) []byte {
 // arbitrary push/popInto/popHead/popAll sequences. After every operation
 // the popped cohorts agree (born, raw and worth exactly, count within
 // 1e-9 relative), empty() agrees, len() is positive exactly when the
-// queue is non-empty, and pushed events and source equivalents equal the
-// popped ones plus what the queue still holds.
+// queue is non-empty, a pop that empties the queue leaves it rewound to
+// the start of its backing array, and pushed events and source
+// equivalents equal the popped ones plus what the queue still holds.
 func FuzzQueueMatchesReference(f *testing.F) {
 	// An upper-tree YSB cohort (4.27e-10 events worth 1e15 each) drained
 	// by a pop of len().
@@ -204,6 +205,9 @@ func FuzzQueueMatchesReference(f *testing.F) {
 			}
 			if (q.len() > 0) != !q.empty() {
 				t.Fatalf("op %d %x: len() = %v with empty() = %v", i, op.source, q.len(), q.empty())
+			}
+			if op.kind != 0 && q.empty() && (q.head != 0 || len(q.items) != 0) {
+				t.Fatalf("op %d %x: drained queue not rewound: head %d, %d items", i, op.source, q.head, len(q.items))
 			}
 			if _, ok := q.oldestBorn(); ok == q.empty() {
 				t.Fatalf("op %d %x: oldestBorn ok = %v with empty() = %v", i, op.source, ok, q.empty())

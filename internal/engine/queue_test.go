@@ -128,6 +128,22 @@ func TestQueueCompaction(t *testing.T) {
 	}
 }
 
+// TestQueueRewindsWhenDrained: a queue that one cohort passes through per
+// tick (pushed, then popped by budget) reuses its first slot instead of
+// appending past the consumed head and regrowing the array.
+func TestQueueRewindsWhenDrained(t *testing.T) {
+	var q cohortQueue
+	for i := 0; i < 10_000; i++ {
+		q.push(vclock.Time(i)*vclock.Time(250*time.Millisecond), 3, 1, true)
+		if out := q.popInto(3, nil); len(out) != 1 || !q.empty() {
+			t.Fatalf("tick %d: popped %+v, empty() = %v", i, out, q.empty())
+		}
+	}
+	if c := cap(q.items); c != 1 {
+		t.Fatalf("cap(items) = %d after 10000 drained ticks, want 1", c)
+	}
+}
+
 // Regression: repeated fractional pops accumulate floating-point error in
 // total. On a large queue the residue once outlived every cohort, so an
 // empty() that read total reported non-empty with head == len(items) — and

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
@@ -277,7 +278,13 @@ func Run(s Scenario) (*Result, error) {
 	var lastGen, lastProcessed float64
 
 	collect := func(now vclock.Time) {
-		for _, d := range eng.TakeDeliveries() {
+		ds := eng.TakeDeliveries()
+		if len(res.Samples)+len(ds) > cap(res.Samples) {
+			// At least double, where append grows a long slice by a
+			// quarter: every regrowth copies all the samples so far.
+			res.Samples = slices.Grow(res.Samples, cap(res.Samples)+len(ds))
+		}
+		for _, d := range ds {
 			res.Samples = append(res.Samples, WeightedDelay{
 				At: d.At, Delay: d.Delay.Seconds(), Weight: d.Count,
 			})
@@ -305,9 +312,9 @@ func Run(s Scenario) (*Result, error) {
 
 	eng.Start()
 	if tickHook != nil {
-		// Armed right after the engine at the engine's 250 ms period, so at
-		// every instant it fires just after the tick.
-		sched.Every(250*time.Millisecond, func(now vclock.Time) { tickHook(sc.Name, eng, now) })
+		// Armed right after the engine at the engine's period, so at every
+		// instant it fires just after the tick.
+		sched.Every(engine.TickEvery, func(now vclock.Time) { tickHook(sc.Name, eng, now) })
 	}
 	ctl.Start()
 	if err := sched.RunUntil(vclock.Time(sc.Duration)); err != nil {

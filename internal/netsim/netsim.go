@@ -40,11 +40,13 @@ type linkState struct {
 	// base is the topology's bytes/s for the pair, read when the link is
 	// created (the topology is immutable).
 	base float64
-	// factor is the per-link bandwidth trace (nil = none): capacity can
-	// move between steps without any event, so a traced link re-solves
-	// whenever it has claimants.
+	// factor reads the per-link bandwidth trace (a nil trace = none):
+	// capacity can move between steps without any event, so Step compares
+	// its value at each step start with solvedFactor, the value the link
+	// was last solved with, and re-solves the link when they differ.
 	//waspvet:guardedby dirty
-	factor *trace.Trace
+	factor       trace.Cursor
+	solvedFactor float64
 	// fault is the injected fault factor in [0, 1), applied while faulted.
 	//waspvet:guardedby dirty,Network.latencyGen
 	fault float64
@@ -130,7 +132,7 @@ func (t *Transfer) Remaining() float64 { return t.remaining }
 type Network struct {
 	top *topology.Topology
 	//waspvet:guardedby globalInit
-	globalFactor *trace.Trace
+	globalFactor trace.Cursor
 	flows        map[int]*Flow
 	transfers    map[int]*Transfer
 	nextID       int
@@ -144,6 +146,10 @@ type Network struct {
 	// dirtyIDs lists the links whose allocation inputs changed since the
 	// last Step (each appears once; linkState.dirty is the guard bit).
 	dirtyIDs []int
+	// traced lists the links with a per-link bandwidth trace, in the order
+	// SetLinkFactor installed them: the only links Step checks for
+	// trace-driven capacity movement.
+	traced []*linkState
 	// transferList holds the in-flight transfers ascending by id — the
 	// deterministic progression order — without re-sorting map keys.
 	transferList []*Transfer
@@ -188,7 +194,7 @@ type stepScratch struct {
 func New(top *topology.Topology) *Network {
 	return &Network{
 		top:          top,
-		globalFactor: trace.Constant(1),
+		globalFactor: trace.NewCursor(trace.Constant(1)),
 		flows:        make(map[int]*Flow),
 		transfers:    make(map[int]*Transfer),
 		linkIdx:      make(map[linkKey]int),
@@ -262,7 +268,7 @@ func (n *Network) SetGlobalFactor(tr *trace.Trace) {
 	if tr == nil {
 		tr = trace.Constant(1)
 	}
-	n.globalFactor = tr
+	n.globalFactor = trace.NewCursor(tr)
 	n.globalInit = false // force a full re-solve at the next Step
 }
 
@@ -270,7 +276,13 @@ func (n *Network) SetGlobalFactor(tr *trace.Trace) {
 // with the global factor. A nil trace clears it.
 func (n *Network) SetLinkFactor(from, to topology.SiteID, tr *trace.Trace) {
 	l := n.link(from, to)
-	l.factor = tr
+	switch was := l.factor.Trace() != nil; {
+	case tr != nil && !was:
+		n.traced = append(n.traced, l)
+	case tr == nil && was:
+		n.traced = slices.DeleteFunc(n.traced, func(t *linkState) bool { return t == l })
+	}
+	l.factor = trace.NewCursor(tr)
 	n.markDirty(l)
 }
 
@@ -330,7 +342,7 @@ func (n *Network) capacity(l *linkState, now vclock.Time) float64 {
 		return l.base // intra-site fabric is not subject to WAN dynamics
 	}
 	f := n.globalFactor.At(now)
-	if l.factor != nil {
+	if l.factor.Trace() != nil {
 		f *= l.factor.At(now)
 	}
 	if l.faulted {
@@ -494,11 +506,12 @@ type claimant struct {
 //
 // A link is re-solved when: a flow's demand changed (SetDemand compares),
 // a claimant arrived or departed, a fault was set or cleared, the link
-// carries a transfer (its demand falls as it progresses), it has a
-// per-link bandwidth trace, or the global bandwidth factor moved (all
-// active links). Skipping the rest is exact, not approximate: the
-// allocation is a pure function of capacity, demands, and claimant order,
-// so unchanged inputs reproduce the stored outputs bit-for-bit.
+// carries a transfer (its demand falls as it progresses), its per-link
+// bandwidth trace's value at the step start differs from the one it was
+// last solved with, or the global bandwidth factor moved (all active
+// links). Skipping the rest is exact, not approximate: the allocation is a
+// pure function of capacity, demands, and claimant order, so unchanged
+// inputs reproduce the stored outputs bit-for-bit.
 //
 //waspvet:hotpath
 func (n *Network) Step(now vclock.Time, dt time.Duration) {
@@ -510,8 +523,9 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 	dtSec := dt.Seconds()
 
 	// Capacity-driven invalidation. The global factor applies to every
-	// link; per-link traces can move a single link's capacity between any
-	// two steps, so traced links with claimants always re-solve.
+	// link; a per-link trace moves one link's capacity, so a traced link
+	// with claimants re-solves when its factor left the value it was last
+	// solved with.
 	g := n.globalFactor.At(start)
 	if !n.globalInit || g != n.globalLast {
 		n.globalInit = true
@@ -522,8 +536,8 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 			}
 		}
 	}
-	for _, l := range n.links {
-		if l.factor != nil && l.claimantCount() > 0 {
+	for _, l := range n.traced {
+		if l.claimantCount() > 0 && l.factor.At(start) != l.solvedFactor {
 			n.markDirty(l)
 		}
 	}
@@ -598,6 +612,9 @@ func (n *Network) solveLink(l *linkState, start vclock.Time, dtSec float64) {
 		cs = append(cs, claimant{demand: t.remaining / dtSec, transfer: t})
 	}
 	n.sc.claimants = cs
+	if l.factor.Trace() != nil {
+		l.solvedFactor = l.factor.At(start)
+	}
 	alloc := n.fairShareInto(n.capacity(l, start), cs)
 	for i, c := range cs {
 		if c.flow != nil {

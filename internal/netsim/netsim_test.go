@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -90,6 +91,36 @@ func TestSetLinkFactorNilClears(t *testing.T) {
 	step(n, 2*time.Second)
 	if got := f.Allocated(); got != 10e6 {
 		t.Fatalf("cleared Allocated = %v, want 1e7", got)
+	}
+}
+
+// TestTracedLinkResolvedOnlyWhenFactorMoves: a steady flow on a link with a
+// 1-minute Steps trace, stepped every 250 ms (240 Steps a piece), is
+// re-solved at the breakpoints where the factor moves and at no other
+// Step. The test plants a sentinel allocation after every Step; a re-solve
+// overwrites it.
+func TestTracedLinkResolvedOnlyWhenFactorMoves(t *testing.T) {
+	n := New(twoSite(t))
+	f := n.AddFlow(0, 1)
+	f.SetDemand(30e6)
+	n.SetLinkFactor(0, 1, trace.Steps(time.Minute, 0.5, 1, 1, 2))
+	const dt = 250 * time.Millisecond
+	var solvedAt []vclock.Time
+	for now := vclock.Time(dt); now <= 4*time.Minute; now += dt {
+		f.allocated = -1
+		n.Step(now, dt)
+		if f.allocated != -1 {
+			solvedAt = append(solvedAt, now-dt)
+		}
+		if want := n.Capacity(0, 1, now-dt); f.allocated != -1 && f.allocated != want {
+			t.Fatalf("step from %v: Allocated %v, want the capacity %v", now-dt, f.allocated, want)
+		}
+	}
+	// The first Step solves the flow's arrival; the factor then moves at 1
+	// and 3 minutes but not at 2 (1 → 1).
+	want := []vclock.Time{0, time.Minute, 3 * time.Minute}
+	if !slices.Equal(solvedAt, want) {
+		t.Fatalf("re-solved at %d step starts, first %v; want %v", len(solvedAt), solvedAt[:min(len(solvedAt), 6)], want)
 	}
 }
 

@@ -5,9 +5,11 @@ package netsim
 // recomputes each capacity (base × global × per-link trace × fault) when
 // asked, and runs a full max-min solve on every loaded link on every Step.
 // The two are driven in lockstep by fuzz-decoded flow, demand, transfer,
-// fault and trace operations (nil traces included), and must agree exactly
-// after every Step: skipping a link whose inputs did not change is only
-// correct if it reproduces the stored allocation bit for bit.
+// fault and trace operations (nil traces included, trace pieces shorter and
+// longer than a step), and must agree exactly after every Step: skipping a
+// link whose inputs did not change is only correct if it reproduces the
+// stored allocation bit for bit. Capacity probes at earlier and later
+// times between Steps move the trace cursors as cold callers do.
 
 import (
 	"math"
@@ -190,25 +192,32 @@ func (s *opStream) next() byte {
 
 func (s *opStream) pick(vals []float64) float64 { return vals[int(s.next())%len(vals)] }
 
+func (s *opStream) pickTime(vals []time.Duration) time.Duration {
+	return vals[int(s.next())%len(vals)]
+}
+
 func (s *opStream) pair() linkKey {
 	return linkKey{topology.SiteID(s.next() % 3), topology.SiteID(s.next() % 3)}
 }
 
 // factorTrace decodes nil (one time in four) or a step trace of one to
-// three factors, zero included.
+// four factors, zero and repeats included, whose pieces run from shorter
+// than the shortest step to longer than the longest.
 func (s *opStream) factorTrace() *trace.Trace {
 	b := s.next()
 	if b%4 == 0 {
 		return nil
 	}
-	factors := make([]float64, 1+int(b/4)%3)
+	factors := make([]float64, 1+int(b>>2)%4)
 	for i := range factors {
 		factors[i] = s.pick([]float64{0, 0.1, 0.5, 1, 1.5, 2.36})
 	}
-	return trace.Steps(time.Duration(1+int(b/16)%3)*500*time.Millisecond, factors...)
+	return trace.Steps(refPieces[int(b>>4)%len(refPieces)], factors...)
 }
 
 var (
+	refPieces    = []time.Duration{time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond, time.Second, 1500 * time.Millisecond, time.Minute}
+	refProbes    = []time.Duration{-time.Hour, -time.Minute, -750 * time.Millisecond, -1, 0, 1, 250 * time.Millisecond, time.Minute, time.Hour}
 	refDemands   = []float64{-5, 0, 1, 1e3, 1e5, 1e6, 2.5e6, 5e6, 1e7, 3e7}
 	refPayloads  = []float64{0, 1e-7, 1, 1e4, 1e6, 5e6, 1e8, 1e12}
 	refFaultVals = []float64{-0.5, 0, 0.1, 0.25, 0.5, 0.9, 1, 2}
@@ -220,7 +229,14 @@ func FuzzStepMatchesReference(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 4, 0, 1, 2, 0, 8, 9, 1, 9, 1, 9, 2, 4, 0}) // a transfer beside a flow
 	f.Add([]byte{0, 2, 0, 2, 0, 8, 5, 2, 0, 3, 9, 0, 6, 2, 0, 9, 1}) // fault set and healed
 	f.Add([]byte{0, 0, 2, 2, 0, 6, 7, 0, 2, 5, 9, 0, 7, 0, 2, 0, 9, 2})
-	f.Add([]byte{0, 1, 0, 2, 0, 9, 8, 13, 2, 9, 0, 8, 0, 9, 1, 1, 0, 9, 0})
+	f.Add([]byte{0, 1, 0, 2, 0, 9, 8, 3, 2, 9, 0, 8, 0, 9, 1, 1, 0, 9, 0})
+	// A traced link cleared under a saturating flow.
+	f.Add([]byte{0, 0, 1, 2, 0, 9, 0, 7, 0, 1, 1, 2, 9, 0, 7, 0, 1, 0, 9, 0})
+	// A traced link whose factor falls from 1 to 0 under a saturating flow.
+	f.Add([]byte{0, 0, 1, 2, 0, 9, 0, 7, 0, 1, 0x25, 3, 0, 9, 0, 9, 0, 9, 1})
+	// Capacity probes before, between and after Steps over 1 ms pieces.
+	f.Add([]byte{0, 0, 1, 2, 0, 8, 0, 8, 0x0d, 2, 5, 4, 0, 7, 0, 1, 0x0d, 3, 0, 5, 1,
+		10, 0, 0, 9, 1, 10, 5, 1, 0, 1, 10, 2, 0, 9, 2, 10, 7, 0, 10, 3, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		top := refTopology(t)
 		net, ref := New(top), newRefNet(top)
@@ -231,7 +247,7 @@ func FuzzStepMatchesReference(f *testing.F) {
 		)
 		s := opStream(data)
 		for ops := 0; len(s) > 0 && ops < 400; ops++ {
-			switch s.next() % 10 {
+			switch s.next() % 11 {
 			case 0: // add a flow
 				k := s.pair()
 				flows = append(flows, net.AddFlow(k.from, k.to))
@@ -289,6 +305,19 @@ func FuzzStepMatchesReference(f *testing.F) {
 				net.Step(now, dt)
 				ref.step(now, dt)
 				compareWithReference(t, net, ref, flows, transfers, now)
+			case 10: // read a capacity at an earlier or later time, as a cold caller does
+				at := now + s.pickTime(refProbes)
+				if b := s.next(); b%2 == 0 && len(flows) > 0 {
+					i := int(b/2) % len(flows)
+					if got, want := flows[i].Capacity(at), ref.capacity(ref.flows[i].key, at); got != want {
+						t.Fatalf("t=%v flow %d %v: Flow.Capacity(%v) %v, reference %v", now, i, ref.flows[i].key, at, got, want)
+					}
+					continue
+				}
+				k := s.pair()
+				if got, want := net.Capacity(k.from, k.to, at), ref.capacity(k, at); got != want {
+					t.Fatalf("t=%v %v: Capacity(%v) %v, reference %v", now, k, at, got, want)
+				}
 			}
 		}
 	})

@@ -39,7 +39,14 @@ func Constant(v float64) *Trace {
 //
 //waspvet:hotpath
 func (tr *Trace) At(t vclock.Time) float64 {
-	// Binary search for the last point with T <= t.
+	return tr.valueBefore(tr.search(t))
+}
+
+// search returns the index of the first point with T > t: the value at t
+// is that of the point before it, or Default when there is none.
+//
+//waspvet:hotpath
+func (tr *Trace) search(t vclock.Time) int {
 	lo, hi := 0, len(tr.points)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -49,10 +56,61 @@ func (tr *Trace) At(t vclock.Time) float64 {
 			hi = mid
 		}
 	}
-	if lo == 0 {
+	return lo
+}
+
+// valueBefore returns the value held just before points[i]: the value of
+// points[i-1], or Default for i == 0.
+//
+//waspvet:hotpath
+func (tr *Trace) valueBefore(i int) float64 {
+	if i == 0 {
 		return tr.Default
 	}
-	return tr.points[lo-1].V
+	return tr.points[i-1].V
+}
+
+// Cursor evaluates one trace at a run of nearby times. It remembers the
+// piece [from, until) that held the value it last returned, so At costs
+// O(1) while t stays inside that piece and binary-searches only when t
+// leaves it — a 250 ms tick reads a 1-minute trace piece 240 times.
+//
+// The cursor is the caller's state, never the trace's: scenarios running
+// concurrently share *Trace values, so each reader keeps its own Cursor.
+// The zero Cursor has no trace; At must not be called on it.
+type Cursor struct {
+	tr          *Trace
+	v           float64
+	from, until vclock.Time // the piece holding v; from == until before the first At
+}
+
+// NewCursor returns a cursor over tr (nil = no trace: Trace reports nil
+// and At must not be called).
+func NewCursor(tr *Trace) Cursor { return Cursor{tr: tr} }
+
+// Trace returns the trace the cursor reads, nil if it has none.
+//
+//waspvet:hotpath
+func (c *Cursor) Trace() *Trace { return c.tr }
+
+// At returns the trace value at virtual time t, bit for bit what
+// Trace.At(t) returns, for times in any order.
+//
+//waspvet:hotpath
+func (c *Cursor) At(t vclock.Time) float64 {
+	if c.from <= t && t < c.until {
+		return c.v
+	}
+	i := c.tr.search(t)
+	c.v = c.tr.valueBefore(i)
+	c.from, c.until = math.MinInt64, math.MaxInt64
+	if i > 0 {
+		c.from = c.tr.points[i-1].T
+	}
+	if i < len(c.tr.points) {
+		c.until = c.tr.points[i].T
+	}
+	return c.v
 }
 
 // Points returns a copy of the trace's sample points.
