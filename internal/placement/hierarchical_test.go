@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -182,6 +183,76 @@ func TestSolveHierarchicalBadRegions(t *testing.T) {
 	}
 }
 
+// TestSolveHierarchicalNegativeSlots: a site over-committed by pinned
+// reservations (negative free slots, as physical.beginSchedule can leave
+// them) counts as no slots in the hierarchical solver's aggregate verdict,
+// as it does in the flat fill, so both place this instance.
+func TestSolveHierarchicalNegativeSlots(t *testing.T) {
+	pr := baseProblem(2, 2)
+	pr.AvailableSlots = []int{-1, 2}
+	exact, err := pr.SolveInto(&Scratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, err := pr.SolveHierarchicalInto([][]topology.SiteID{{0}, {1}}, &HierScratch{})
+	if err != nil {
+		t.Fatalf("SolveHierarchicalInto: %v; SolveInto placed %v", err, exact)
+	}
+	if got, want := hier.String(), "{1:2}"; got != want || exact.String() != want {
+		t.Fatalf("placements %v (hierarchical) and %v (exact), want %v", hier, exact, want)
+	}
+	pr.Parallelism = 3
+	if _, err := pr.SolveHierarchicalInto([][]topology.SiteID{{0}, {1}}, &HierScratch{}); err == nil || err.Error() != "placement: no feasible placement: 2 slots for 3 tasks" {
+		t.Fatalf("three tasks on two free slots: err = %v", err)
+	}
+}
+
+// TestHierarchicalScratchAcrossPartitions reuses one scratch over several
+// partitions of one topology, then over the same partitions, in reverse,
+// of a second topology with the same endpoints, the rows view in effect:
+// the cached region minima belong to one (partition, topology) pair, and
+// a stale row would bound the wrong regions.
+func TestHierarchicalScratchAcrossPartitions(t *testing.T) {
+	hs, sc := &HierScratch{}, &Scratch{}
+	var partitions [][][]topology.SiteID
+	var first *Problem
+	for seed := int64(1); seed <= 2; seed++ {
+		top, err := topology.GenerateScale(topology.DefaultScaleConfig(seed, 5, 19))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := scaleProblem(top, rand.New(rand.NewSource(seed)))
+		pr.Parallelism = 8
+		if first == nil {
+			first = pr
+			partitions = append(partitions, top.RegionSites())
+			for _, k := range []int{1, 3, 10, top.N()} {
+				partitions = append(partitions, topology.ClusterRegions(top, k))
+			}
+		} else {
+			pr.Upstream, pr.Downstream = first.Upstream, first.Downstream
+			slices.Reverse(partitions)
+		}
+		for round := 0; round < 2; round++ {
+			for i, regions := range partitions {
+				want, wantErr := pr.SolveInto(sc)
+				if wantErr != nil {
+					t.Fatal(wantErr)
+				}
+				wantTasks := slices.Clone(want.TasksPerSite)
+				got, err := pr.SolveHierarchicalInto(regions, hs)
+				if err != nil {
+					t.Fatalf("seed %d round %d partition %d: %v", seed, round, i, err)
+				}
+				if !slices.Equal(got.TasksPerSite, wantTasks) || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+					t.Fatalf("seed %d round %d partition %d (%d regions): tasks %v cost %v, exact %v cost %v",
+						seed, round, i, len(regions), got.TasksPerSite, got.Cost, wantTasks, want.Cost)
+				}
+			}
+		}
+	}
+}
+
 // thousandSiteInstance is the shared 1000-site fixture for the warm-solve
 // alloc ceilings, the solve budget and the 1kSites benchmarks. Like the
 // production constructors it reads latency through the rows view.
@@ -246,9 +317,35 @@ func TestHierarchicalWarmSolveAllocs(t *testing.T) { checkWarmAllocs(t, "hierarc
 
 func TestFlatWarmSolveAllocs(t *testing.T) { checkWarmAllocs(t, "exact") }
 
-// solveBudget is the ceiling on one warm 1000-site solve: 20× the slowest
-// of the four, BenchmarkExactSolve1kSites/free at ~8.5 µs (hierarchical
-// free ~5.5 µs, both pinned ~0.09 µs).
+// fixtureOpenedRegions is how many of the 1000-site fixture's 50 regions a
+// warm free hierarchical solve opens: the two whose bounds are at most
+// the cost of the cheapest site.
+const fixtureOpenedRegions = 2
+
+// TestHierarchicalSolveOpensFewRegions holds the level-1 bounds to their
+// payoff, with and without the rows view. The equality oracles cannot see
+// a bound that quietly degrades to "open every region"; this test can.
+func TestHierarchicalSolveOpensFewRegions(t *testing.T) {
+	free, regions := thousandSiteInstance(t)
+	for _, rows := range []*topology.Topology{free.LatencyRows, nil} {
+		pr := *free
+		pr.LatencyRows = rows
+		hs := &HierScratch{}
+		for warm := 0; warm < 2; warm++ {
+			if _, err := pr.SolveHierarchicalInto(regions, hs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if opened := len(regions) - len(hs.heap); opened > fixtureOpenedRegions {
+			t.Errorf("rows %v: warm free solve opens %d of %d regions, want at most %d", rows != nil, opened, len(regions), fixtureOpenedRegions)
+		}
+	}
+}
+
+// solveBudget is the ceiling on one warm 1000-site solve: about 10× the
+// slowest of the four, BenchmarkExactSolve1kSites/free at 11–18 µs on a
+// shared 2-CPU Xeon host (hierarchical free ~4.3 µs, both pinned
+// ~0.1–0.2 µs).
 const solveBudget = 170 * time.Microsecond
 
 // TestThousandSiteSolveBudget holds every warm 1000-site solve under

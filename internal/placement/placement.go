@@ -66,12 +66,14 @@ type Problem struct {
 	// LatencyRows, when non-nil, is the topology whose Latency method the
 	// Latency hook is: the solvers then read its cached
 	// latency-in-seconds rows instead of calling the hook per (endpoint,
-	// site) pair. Optional; the answer is bit-identical either way. Ignored
-	// unless it has exactly Sites sites, and below
+	// site) pair, and the hierarchical solver caches its region minima of
+	// those rows across solves. Optional; the answer is bit-identical
+	// either way. Ignored unless it has exactly Sites sites, and below
 	// DefaultHierarchicalThreshold sites: on a testbed-sized topology
 	// nearly every site hosts an endpoint sooner or later, so the rows
-	// would double the topology's footprint to save a few percent of a
-	// plan, where at planet scale a handful of rows serve a thousand sites.
+	// double the topology's footprint (+8–17 % peak RSS on a benchmark
+	// that keeps 800 testbeds resident), where at planet scale a handful
+	// of rows serve a thousand sites.
 	LatencyRows *topology.Topology
 	// Conservative selects the literal reading of constraints (2)–(3):
 	// each link must carry the site's whole input/output share, i.e.
@@ -126,8 +128,30 @@ func (pr *Problem) validate() error {
 	if pr.Latency == nil || pr.Bandwidth == nil {
 		return errors.New("placement: nil latency/bandwidth functions")
 	}
+	if !finiteNonNegative(pr.InputBytesPerSec) {
+		return fmt.Errorf("placement: InputBytesPerSec %v, want finite and >= 0", pr.InputBytesPerSec)
+	}
+	if !finiteNonNegative(pr.OutputBytesPerSec) {
+		return fmt.Errorf("placement: OutputBytesPerSec %v, want finite and >= 0", pr.OutputBytesPerSec)
+	}
+	// Costs are Σ Weight × latency: a NaN weight would leave them
+	// unordered, and the hierarchical solver's region bounds are sound
+	// only for finite weights >= 0.
+	for i, u := range pr.Upstream {
+		if !finiteNonNegative(u.Weight) {
+			return fmt.Errorf("placement: Upstream[%d].Weight %v, want finite and >= 0", i, u.Weight)
+		}
+	}
+	for i, d := range pr.Downstream {
+		if !finiteNonNegative(d.Weight) {
+			return fmt.Errorf("placement: Downstream[%d].Weight %v, want finite and >= 0", i, d.Weight)
+		}
+	}
 	return nil
 }
+
+// finiteNonNegative reports whether x is a number in [0, +Inf).
+func finiteNonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // siteBound is the per-site upper bound implied by the slot and bandwidth
 // constraints, evaluated with parallelism p for the bandwidth shares. It
@@ -206,21 +230,30 @@ func (pr *Problem) CostPerTask(s topology.SiteID) float64 {
 	return c[0]
 }
 
+// rowsView returns LatencyRows when its cached seconds rows are in effect:
+// it has exactly Sites sites, at least DefaultHierarchicalThreshold of
+// them.
+//
+//waspvet:hotpath
+func (pr *Problem) rowsView() *topology.Topology {
+	if rows := pr.LatencyRows; rows != nil && rows.N() == pr.Sites && pr.Sites >= DefaultHierarchicalThreshold {
+		return rows
+	}
+	return nil
+}
+
 // costsInto sets dst[i] to the per-task cost of site first+i, the sum of
 // Weight × latency-in-seconds over the upstream endpoints in slice order
-// and then the downstream ones. It runs one sweep per endpoint: with
-// LatencyRows in effect a sweep is a multiply-add over a cached float row,
+// and then the downstream ones. It runs one sweep per endpoint: with the
+// rows view in effect a sweep is a multiply-add over a cached float row,
 // without it (small or hand-built problems) each term goes through the
-// Latency hook. Both add the same terms in the same order, so the costs — and
-// with them every placement — are bit-identical either way.
+// Latency hook. Both add the same terms in the same order, so the costs —
+// and with them every placement — are bit-identical either way.
 //
 //waspvet:hotpath
 func (pr *Problem) costsInto(dst []float64, first topology.SiteID) {
 	clear(dst)
-	rows := pr.LatencyRows
-	if rows != nil && (rows.N() != pr.Sites || pr.Sites < DefaultHierarchicalThreshold) {
-		rows = nil
-	}
+	rows := pr.rowsView()
 	for _, u := range pr.Upstream {
 		if rows != nil {
 			addScaled(dst, u.Weight, rows.LatencySecondsFrom(u.Site)[first:])

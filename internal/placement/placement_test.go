@@ -249,6 +249,39 @@ func TestValidation(t *testing.T) {
 	if _, err := pr.SolveInto(&Scratch{}); err == nil {
 		t.Fatal("mismatched slots accepted")
 	}
+	// Weights and rates must be finite and >= 0: a NaN cost leaves the
+	// fill order undefined, and the hierarchical solver's region bounds
+	// hold only for such weights. The error names the field.
+	for _, tc := range []struct {
+		field string
+		set   func(pr *Problem, v float64)
+	}{
+		{"Upstream[0].Weight", func(pr *Problem, v float64) { pr.Upstream[0].Weight = v }},
+		{"Downstream[1].Weight", func(pr *Problem, v float64) {
+			pr.Downstream = append(pr.Downstream, Endpoint{Site: 0, Weight: v})
+		}},
+		{"InputBytesPerSec", func(pr *Problem, v float64) { pr.InputBytesPerSec = v }},
+		{"OutputBytesPerSec", func(pr *Problem, v float64) { pr.OutputBytesPerSec = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+			pr := baseProblem(2, 1)
+			tc.set(pr, v)
+			_, err := pr.SolveInto(&Scratch{})
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %v: SolveInto err = %v, want one naming the field", tc.field, v, err)
+			}
+			_, herr := pr.SolveHierarchicalInto([][]topology.SiteID{{0}, {1}}, &HierScratch{})
+			if herr == nil || err == nil || herr.Error() != err.Error() {
+				t.Errorf("%s = %v: SolveHierarchicalInto err = %v, want %v", tc.field, v, herr, err)
+			}
+		}
+	}
+	// Zero weights and rates are valid.
+	pr = baseProblem(2, 1)
+	pr.Upstream[0].Weight, pr.InputBytesPerSec, pr.OutputBytesPerSec = 0, 0, 0
+	if _, err := pr.SolveInto(&Scratch{}); err != nil {
+		t.Fatalf("zero weight and rates refused: %v", err)
+	}
 }
 
 // The largest parallelism the constraints admit is the sum of the per-site

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,7 +75,8 @@ func referenceSolve(pr *Problem) (*Placement, error) {
 
 // referenceHierarchical is the hierarchical solver's contract over a valid
 // partition: the flat answer, except that a free stage short of slots in
-// aggregate is refused before any site is looked at.
+// aggregate (a site with a negative count, over-committed by pinned
+// reservations, counting as none) is refused with the aggregate verdict.
 func referenceHierarchical(pr *Problem) (*Placement, error) {
 	if err := pr.validate(); err != nil {
 		return nil, err
@@ -82,7 +84,7 @@ func referenceHierarchical(pr *Problem) (*Placement, error) {
 	if pr.Pinned < 0 {
 		total := 0
 		for _, n := range pr.AvailableSlots {
-			total += n
+			total += max(n, 0)
 		}
 		if total < pr.Parallelism {
 			return nil, fmt.Errorf("%w: %d slots for %d tasks", ErrInfeasible, total, pr.Parallelism)
@@ -117,12 +119,15 @@ type instance struct {
 // view applies — built to hit the fill's corner cases:
 // latencies from a five-value palette (cost ties, broken by site ID),
 // asymmetric directions, dead links (zero bound, often on the cheapest
-// site), full sites, repeated endpoint sites, unnormalised weights,
-// Conservative, pinned sites short of slots, and parallelism around the
-// total slot count (infeasible about a third of the time).
+// site), full and over-committed (negative) sites, repeated endpoint
+// sites, unnormalised weights, Conservative, pinned sites short of slots,
+// parallelism around the total slot count (infeasible about a third of
+// the time), and now and then a weight or rate validate must refuse.
 func genInstance(e *entropy) instance {
 	// Shape first, link matrices last: a short fuzz input still decides
 	// every structural choice and leaves the tail of the matrices zero.
+	// The rare draws fire on the last value of their range, so exhausted
+	// input never makes one.
 	m := 1 + e.intn(20)
 	if e.intn(4) == 0 {
 		m += DefaultHierarchicalThreshold // large enough for the rows view to be in effect
@@ -132,8 +137,11 @@ func genInstance(e *entropy) instance {
 	total := 0
 	for i := range sites {
 		slots[i] = e.intn(5)
-		total += slots[i]
-		sites[i] = topology.Site{ID: topology.SiteID(i), Slots: slots[i]}
+		if slots[i] == 0 && e.intn(4) == 3 {
+			slots[i] = -1 // over-committed: pinned reservations beyond the site's slots
+		}
+		total += max(slots[i], 0)
+		sites[i] = topology.Site{ID: topology.SiteID(i), Slots: max(slots[i], 0)}
 	}
 	endpoints := func() []Endpoint {
 		eps := make([]Endpoint, e.intn(4))
@@ -157,6 +165,16 @@ func genInstance(e *entropy) instance {
 	if e.intn(4) == 0 {
 		pr.Pinned = topology.SiteID(e.intn(m + 1)) // m itself: a site that does not exist
 		pr.Parallelism = 1 + e.intn(4)
+	}
+	if e.intn(24) == 23 { // a weight or rate validate must refuse
+		fields := []*float64{&pr.InputBytesPerSec, &pr.OutputBytesPerSec}
+		for i := range pr.Upstream {
+			fields = append(fields, &pr.Upstream[i].Weight)
+		}
+		for i := range pr.Downstream {
+			fields = append(fields, &pr.Downstream[i].Weight)
+		}
+		*fields[e.intn(len(fields))] = []float64{math.NaN(), math.Inf(1), -0.25}[e.intn(3)]
 	}
 	regionOf := make([]int, m)
 	k := 1 + e.intn(m)
@@ -220,7 +238,8 @@ func sameAnswer(want *Placement, wantErr error, got *Placement, gotErr error) er
 }
 
 // checkInstance holds both solvers, with and without the rows view, to the
-// reference. The scratches are shared across instances on purpose: a warm
+// reference, and the hierarchical solver's region bounds to their
+// contract. The scratches are shared across instances on purpose: a warm
 // scratch must not leak one solve's state into the next.
 func checkInstance(in instance, sc *Scratch, hs *HierScratch) error {
 	flat, flatErr := referenceSolve(in.pr)
@@ -234,6 +253,31 @@ func checkInstance(in instance, sc *Scratch, hs *HierScratch) error {
 		got, err = in.pr.SolveHierarchicalInto(in.regions, hs)
 		if diff := sameAnswer(hier, hierErr, got, err); diff != nil {
 			return fmt.Errorf("SolveHierarchicalInto (rows %v): %w", rows != nil, diff)
+		}
+		if in.pr.validate() == nil {
+			if err := checkRegionBounds(in, hs); err != nil {
+				return fmt.Errorf("region bounds (rows %v): %w", rows != nil, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkRegionBounds requires no region's level-1 bound to exceed the
+// costsInto cost of any of its members, compared as float64 values with
+// no tolerance: the merge reproduces the flat fill order only if the
+// bound holds bit for bit. hs must have just solved in.pr over
+// in.regions.
+func checkRegionBounds(in instance, hs *HierScratch) error {
+	lb := in.pr.regionBounds(in.regions, hs)
+	var cost [1]float64
+	for r, members := range in.regions {
+		for _, s := range members {
+			in.pr.costsInto(cost[:], s)
+			if !(lb[r] <= cost[0]) {
+				return fmt.Errorf("region %d bound %v (%#x) above site %d cost %v (%#x)",
+					r, lb[r], math.Float64bits(lb[r]), s, cost[0], math.Float64bits(cost[0]))
+			}
 		}
 	}
 	return nil
@@ -260,7 +304,7 @@ func seedBytes(seed int64) []byte {
 func TestSolveMatchesReference(t *testing.T) {
 	const instances = 4000
 	sc, hs := &Scratch{}, &HierScratch{}
-	var infeasible, pinned, pinnedShort, tieBroken, deadCheapest, downstream, conservative int
+	var infeasible, pinned, pinnedShort, tieBroken, deadCheapest, downstream, conservative, overCommitted, rejected int
 	for seed := int64(0); seed < instances; seed++ {
 		in := genInstance(&entropy{data: seedBytes(seed)})
 		if err := checkInstance(in, sc, hs); err != nil {
@@ -269,7 +313,12 @@ func TestSolveMatchesReference(t *testing.T) {
 		pr := in.pr
 		pr.LatencyRows = nil
 		_, refErr := referenceSolve(pr)
+		if slices.Min(pr.AvailableSlots) < 0 {
+			overCommitted++
+		}
 		switch {
+		case pr.validate() != nil:
+			rejected++
 		case pr.Pinned >= 0:
 			pinned++
 			if refErr != nil {
@@ -314,6 +363,7 @@ func TestSolveMatchesReference(t *testing.T) {
 		"infeasible": infeasible, "pinned": pinned, "pinned short of slots": pinnedShort,
 		"cost ties at the cheapest site": tieBroken, "cheapest site with a zero bound": deadCheapest,
 		"downstream side": downstream, "conservative": conservative,
+		"a site with negative free slots": overCommitted, "a weight or rate validate refuses": rejected,
 	} {
 		if n < instances/100 {
 			t.Errorf("only %d of %d instances cover %q", n, instances, name)
@@ -326,6 +376,21 @@ func TestSolveMatchesReference(t *testing.T) {
 func FuzzSolveMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seedBytes(seed)[:128])
+	}
+	// One seed per field validate checks a float of, so the corpus starts
+	// from each rejection.
+	for _, field := range []string{"InputBytesPerSec", "OutputBytesPerSec", "Upstream[", "Downstream["} {
+		found := false
+		for seed := int64(32); seed < 4096 && !found; seed++ {
+			data := seedBytes(seed)[:128]
+			err := genInstance(&entropy{data: data}).pr.validate()
+			if found = err != nil && strings.Contains(err.Error(), field); found {
+				f.Add(data)
+			}
+		}
+		if !found {
+			f.Fatalf("no generated instance has a %s that validate refuses", field)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := genInstance(&entropy{data: data})
