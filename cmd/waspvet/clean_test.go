@@ -278,6 +278,85 @@ func TestUnreachedDeclarationIsReported(t *testing.T) {
 	}
 }
 
+// TestNoOpIDKeyedMaps: per-operator data has one representation, a slice
+// indexed by plan.OpID, as the logical plan, the physical stages, the
+// re-plan carry, the rate estimates and the controller's ledger hold it. A
+// map keyed by OpID brings sorted-key walks and presence checks back, so
+// non-test root-module code declares none outside opIDMapExemptions.
+func TestNoOpIDKeyedMaps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module load in -short mode")
+	}
+	pkgs, err := loadTargets([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range opIDMaps(pkgs) {
+		if opIDMapExemptions[m.typ] == "" {
+			t.Errorf("%s: %s; index a slice by plan.OpID instead", m.pos, m.typ)
+		}
+	}
+}
+
+// opIDMapExemptions maps a map type opIDMaps reports to the reason it
+// stays a map.
+var opIDMapExemptions = map[string]string{
+	"map[plan.OpID]metrics.OperatorSample": "metrics.Snapshot.Ops: the report merger never learns the graph's ID bound, and a WAN snapshot can lack operators",
+}
+
+// TestOpIDKeyedMapIsReported runs the audit over a fixture with two maps
+// keyed by OpID, one keyed by int and valued by OpID, and a slice indexed
+// by OpID: exactly the first two are reported.
+func TestOpIDKeyedMapIsReported(t *testing.T) {
+	pkgs, err := loadTargets([]string{"testdata/internal/opmaps"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range opIDMaps(pkgs) {
+		got = append(got, fmt.Sprintf("%d: %s", m.pos.Line, m.typ))
+	}
+	if want := []string{"9: map[plan.OpID]float64", "15: map[plan.OpID]int", "16: map[plan.OpID]int"}; !slices.Equal(got, want) {
+		t.Fatalf("opIDMaps(fixture) = %q, want %q", got, want)
+	}
+}
+
+// opIDMap is one map type written with a plan.OpID key.
+type opIDMap struct {
+	pos token.Position
+	typ string // qualified by package name: map[plan.OpID]float64
+}
+
+// opIDMaps returns, in source order, every map type a non-test file of
+// pkgs outside benchmark/ writes with a plan.OpID key.
+func opIDMaps(pkgs []*analysis.Package) []opIDMap {
+	var out []opIDMap
+	qual := func(p *types.Package) string { return p.Name() }
+	for _, pkg := range pkgs {
+		if strings.HasSuffix(pkg.PkgPath, "/benchmark") {
+			continue
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				mt, ok := n.(*ast.MapType)
+				if !ok {
+					return true
+				}
+				m, ok := pkg.Info.TypeOf(mt).(*types.Map)
+				if !ok {
+					return true
+				}
+				if key, ok := m.Key().(*types.Named); ok && key.Obj().Name() == "OpID" &&
+					key.Obj().Pkg() != nil && strings.HasSuffix(key.Obj().Pkg().Path(), "/internal/plan") {
+					out = append(out, opIDMap{pos: pkg.Fset.Position(mt.Pos()), typ: types.TypeString(m, qual)})
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
 // TestEveryFieldIsRead: a struct field that code writes and nothing reads
 // is state the program maintains for no one — every writer pays for it
 // and every reader of the code has to find out it is dead. The walk is

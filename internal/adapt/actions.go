@@ -118,7 +118,7 @@ const drainTargetSec = 60
 // scaleForCompute scales UP a compute-bound operator: p′ = ⌈λ̂I/λP·p⌉
 // (sized to also drain accumulated backlog within the drain target),
 // preferring free slots at the operator's current sites.
-func (c *Controller) scaleForCompute(id plan.OpID, snap *metrics.Snapshot, expectedIn map[plan.OpID]float64) bool {
+func (c *Controller) scaleForCompute(id plan.OpID, snap *metrics.Snapshot, expectedIn []float64) bool {
 	s := snap.Ops[id]
 	p := c.eng.Parallelism(id)
 	perTask := c.capacityOf(id, 1)
@@ -171,7 +171,7 @@ func (c *Controller) placeScaleUp(id plan.OpID, pPrime int) ([]topology.SiteID, 
 	need := pPrime - len(newSites)
 	free := c.freeSlots()
 
-	for _, site := range st.DistinctSites() {
+	for _, site := range physical.DistinctSites(st.Sites) {
 		for need > 0 && free[site] > 0 {
 			newSites = append(newSites, site)
 			free[site]--
@@ -199,7 +199,7 @@ func (c *Controller) placeScaleUp(id plan.OpID, pPrime int) ([]topology.SiteID, 
 // kept in place (they continue processing while the new tasks receive
 // their state partitions); only if no additive placement exists does the
 // whole stage get re-placed at the higher parallelism.
-func (c *Controller) scaleForNetwork(id plan.OpID, expectedIn map[plan.OpID]float64) bool {
+func (c *Controller) scaleForNetwork(id plan.OpID, expectedIn []float64) bool {
 	p := c.eng.Parallelism(id)
 	if !c.eng.Plan().Graph.Operator(id).Splittable {
 		c.reject("scale-out", "operator cannot be split")
@@ -242,7 +242,7 @@ const scaleDownUtil = 0.5
 // maybeScaleDown reclaims over-provisioned resources: one task per round,
 // only after two quiet rounds, only when the remaining tasks can absorb
 // the stream with headroom (§4.2).
-func (c *Controller) maybeScaleDown(now vclock.Time, snap *metrics.Snapshot, expectedIn map[plan.OpID]float64) {
+func (c *Controller) maybeScaleDown(now vclock.Time, snap *metrics.Snapshot, expectedIn []float64) {
 	if !c.policy.scale {
 		return
 	}
@@ -308,18 +308,18 @@ func (c *Controller) chooseScaleDown(id plan.OpID) ([]topology.SiteID, bool) {
 
 	neighbour := make(map[topology.SiteID]bool)
 	for _, u := range g.Upstream(id) {
-		for _, site := range pp.Stages[u].DistinctSites() {
+		for _, site := range pp.Stages[u].Sites {
 			neighbour[site] = true
 		}
 	}
 	for _, d := range g.Downstream(id) {
-		for _, site := range pp.Stages[d].DistinctSites() {
+		for _, site := range pp.Stages[d].Sites {
 			neighbour[site] = true
 		}
 	}
 
 	// The victim's site: non-co-located first, then the largest group.
-	distinct := st.DistinctSites()
+	distinct := physical.DistinctSites(st.Sites)
 	tasks := make(map[topology.SiteID]int, len(distinct))
 	for _, site := range st.Sites {
 		tasks[site]++
@@ -361,7 +361,7 @@ func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID) (
 		// Scale-out: moved tasks map one-to-one; extra tasks pull their
 		// partition from the old site with the most bandwidth to them.
 		migs = c.mapMigrations(removed, added[:len(removed)], bytesPerTask)
-		donors := uniqueSites(oldSites)
+		donors := physical.DistinctSites(oldSites)
 		for _, dst := range added[len(removed):] {
 			src, ok := c.pickDonor(donors, dst)
 			if !ok {
@@ -391,7 +391,7 @@ func (c *Controller) mapMigrations(removed, added []topology.SiteID, bytes float
 		migs = c.pairSites(removed[:n], added[:n], bytes)
 	}
 	if len(removed) > len(added) {
-		receivers := uniqueSites(added)
+		receivers := physical.DistinctSites(added)
 		for _, src := range removed[len(added):] {
 			dst, ok := c.pickReceiver(receivers, src)
 			if !ok {
@@ -489,12 +489,6 @@ func placementDiff(oldSites, newSites []topology.SiteID) (removed, added []topol
 func sameSites(a, b []topology.SiteID) bool {
 	r, ad := placementDiff(a, b)
 	return len(r) == 0 && len(ad) == 0
-}
-
-func uniqueSites(sites []topology.SiteID) []topology.SiteID {
-	out := slices.Clone(sites)
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 func removeOneTask(sites []topology.SiteID, victim topology.SiteID) []topology.SiteID {

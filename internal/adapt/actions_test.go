@@ -72,13 +72,6 @@ func TestSameSites(t *testing.T) {
 	}
 }
 
-func TestUniqueSites(t *testing.T) {
-	got := uniqueSites(sites(3, 1, 3, 2, 1))
-	if !equalSites(got, sites(1, 2, 3)) {
-		t.Fatalf("uniqueSites = %v", got)
-	}
-}
-
 func TestRemoveOneTask(t *testing.T) {
 	got := removeOneTask(sites(1, 2, 2, 3), 2)
 	if !equalSites(got, sites(1, 2, 3)) {

@@ -449,7 +449,7 @@ func (c *Controller) Round(now vclock.Time) {
 
 // adaptBottleneck finds the first unhealthy operator in topological order
 // and applies the policy's action. It reports whether an action was taken.
-func (c *Controller) adaptBottleneck(now vclock.Time, snap *metrics.Snapshot, expectedIn map[plan.OpID]float64) bool {
+func (c *Controller) adaptBottleneck(now vclock.Time, snap *metrics.Snapshot, expectedIn []float64) bool {
 	g := c.eng.Plan().Graph
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -483,7 +483,7 @@ func (c *Controller) adaptBottleneck(now vclock.Time, snap *metrics.Snapshot, ex
 // operator whose *send* queues are backed up is not itself the bottleneck
 // — the constrained link manifests at its downstream consumer, which this
 // round flags as network-constrained instead.
-func (c *Controller) diagnose(id plan.OpID, snap *metrics.Snapshot, expectedIn map[plan.OpID]float64) metrics.Condition {
+func (c *Controller) diagnose(id plan.OpID, snap *metrics.Snapshot, expectedIn []float64) metrics.Condition {
 	s := snap.Ops[id]
 	capacity := c.capacityOf(id, s.Tasks)
 	sendHeavy := s.SendQueueLen > 2*max(s.OutputRate, 1)
@@ -520,7 +520,7 @@ func (c *Controller) capacityOf(id plan.OpID, tasks int) float64 {
 // the policy decision (Fig 6). Everything the policy does — actions taken,
 // branches rejected, the migrations and plan switches started — nests
 // under this span in the audit trail.
-func (c *Controller) act(now vclock.Time, id plan.OpID, cond metrics.Condition, snap *metrics.Snapshot, expectedIn map[plan.OpID]float64) bool {
+func (c *Controller) act(now vclock.Time, id plan.OpID, cond metrics.Condition, snap *metrics.Snapshot, expectedIn []float64) bool {
 	op := c.eng.Plan().Graph.Operator(id)
 	c.beginDecision(id, cond.String(),
 		obs.Bool("stateful", op.Stateful),
@@ -532,7 +532,7 @@ func (c *Controller) act(now vclock.Time, id plan.OpID, cond metrics.Condition, 
 }
 
 // dispatch runs the policy's decision tree for one bottleneck operator.
-func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condition, op *plan.Operator, snap *metrics.Snapshot, expectedIn map[plan.OpID]float64) bool {
+func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condition, op *plan.Operator, snap *metrics.Snapshot, expectedIn []float64) bool {
 	switch c.cfg.Policy {
 	case PolicyReassign:
 		// Re-assignment only, still subject to the §6.2 overhead check:

@@ -183,7 +183,7 @@ func TestScaleOutWhenEveryLinkConstrained(t *testing.T) {
 	if got := tb.eng.Parallelism(tb.ids[1]); got < 2 {
 		t.Fatalf("map parallelism = %d, want >= 2", got)
 	}
-	distinct := tb.eng.Plan().Stages[tb.ids[1]].DistinctSites()
+	distinct := physical.DistinctSites(tb.eng.Plan().Stages[tb.ids[1]].Sites)
 	if len(distinct) < 2 {
 		t.Fatalf("scale-out did not spread across sites: %v", distinct)
 	}
@@ -301,7 +301,7 @@ func TestDiagnoseSendHeavySkipsUpstreamOp(t *testing.T) {
 	}
 }
 
-func metricsEstimate(tb *testbed, snap *metrics.Snapshot) (map[plan.OpID]float64, map[plan.OpID]float64, error) {
+func metricsEstimate(tb *testbed, snap *metrics.Snapshot) ([]float64, []float64, error) {
 	in, out, err := metrics.EstimateActual(tb.eng.Plan().Graph, snap)
 	return in, out, err
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/metrics"
+	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
@@ -36,7 +37,7 @@ func (c *Controller) sampleSnapshot(now vclock.Time) *metrics.Snapshot {
 // Both are recorded as obs reject branches so the decision trail shows
 // *why* the controller sat on its hands.
 func (c *Controller) ctrlGated(id plan.OpID, now vclock.Time) (branch, reason string, gated bool) {
-	sites := uniqueSites(c.eng.Plan().Stages[id].Sites)
+	sites := physical.DistinctSites(c.eng.Plan().Stages[id].Sites)
 	if r, q := c.plane.QuarantinedRegionOf(sites); q {
 		return "quarantine",
 			fmt.Sprintf("region %d quarantined: no adaptation on its operators until re-admission", r), true

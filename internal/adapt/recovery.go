@@ -8,6 +8,7 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/obs"
+	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/state"
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -338,7 +339,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	// controller can neither command the survivors there nor trust its
 	// picture of the region. Defer — the Round backstop re-enters this
 	// ladder every round and proceeds once the region is re-admitted.
-	if r, q := c.plane.QuarantinedRegionOf(uniqueSites(st.Sites)); q {
+	if r, q := c.plane.QuarantinedRegionOf(physical.DistinctSites(st.Sites)); q {
 		c.degradeStage(id, "quarantine-deferred",
 			fmt.Sprintf("region %d quarantined; recovery deferred until re-admission", r))
 		c.endDecision(false)
@@ -385,7 +386,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	var restoreFrom []topology.SiteID
 	if c.recovery != nil && stateful(op) {
 		perTask := st.Op.StateBytes / float64(max(len(newSites), 1))
-		for _, ds := range uniqueSites(deadSites) {
+		for _, ds := range physical.DistinctSites(deadSites) {
 			ref, data, ok := c.recovery.Latest(id, int(ds), down)
 			if !ok {
 				c.obs.Emit("recovery.no_checkpoint",
@@ -394,7 +395,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 			}
 			blobs = append(blobs, data)
 			restoreFrom = append(restoreFrom, ref.Site)
-			dst, ok := c.pickReceiver(uniqueSites(newSites), ref.Site)
+			dst, ok := c.pickReceiver(physical.DistinctSites(newSites), ref.Site)
 			if !ok {
 				continue
 			}
@@ -407,7 +408,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	}
 
 	crashAt := c.sched.Now()
-	for _, ds := range uniqueSites(deadSites) {
+	for _, ds := range physical.DistinctSites(deadSites) {
 		if at, ok := c.crashedAt[ds]; ok && at < crashAt {
 			crashAt = at
 		}
@@ -433,7 +434,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 		c.obs.Registry().Counter("wasp_recoveries_total").Inc()
 	}
 	detail := fmt.Sprintf("lost %d task(s) at %v; new placement %v, %d checkpoint(s) from %v",
-		lost, uniqueSites(deadSites), newSites, len(blobs), restoreFrom)
+		lost, physical.DistinctSites(deadSites), newSites, len(blobs), restoreFrom)
 	acted := c.commit(ActionRecover, "re-assign", id, newSites, migs, detail, onDone)
 	if acted {
 		c.op(id).degraded = false

@@ -30,7 +30,7 @@ func refTargets(rm *RecoveryManager) map[string]state.Target {
 		if !stateful(op) {
 			continue
 		}
-		for _, site := range pp.Stages[id].DistinctSites() {
+		for _, site := range physical.DistinctSites(pp.Stages[id].Sites) {
 			if rm.eng.SiteDown(site) {
 				continue
 			}
@@ -145,7 +145,7 @@ func TestRegistryMatchesReference(t *testing.T) {
 		pp.Stages[mp].Sites = []topology.SiteID{0}
 		pp.Stages[agg2].Sites = []topology.SiteID{2, 3}
 		pp.Stages[snk2].Sites = []topology.SiteID{3}
-		carry := map[plan.OpID]plan.OpID{src: src2, agg: agg2, snk: snk2}
+		carry := carryOf(3, src, src2, agg, agg2, snk, snk2)
 		if err := tb.eng.BeginReplan(pp, carry, nil); err != nil {
 			t.Errorf("re-plan: %v", err)
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
+	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -76,26 +76,22 @@ func (c *Controller) tryReplan(id plan.OpID, reason string) bool {
 	return true
 }
 
-// carryMap maps old operator IDs to new ones for every operator whose
-// backlog and state must survive a plan switch: all base-graph operators
-// (identical IDs in every variant, since Expand clones the base) and the
-// combine nodes whose LeafSets appear in both variants.
-func (c *Controller) carryMap(cur, next *plan.Variant) map[plan.OpID]plan.OpID {
-	carry := make(map[plan.OpID]plan.OpID)
-	// Base operators: same IDs across variants.
-	for _, opID := range cur.Graph.OperatorIDs() {
-		if _, combine := cur.CombineNodes[opID]; !combine && next.Graph.Operator(opID) != nil {
-			carry[opID] = opID
-		}
-	}
-	// Combine nodes: match by LeafSet.
-	bySet := make(map[plan.LeafSet]plan.OpID, len(next.CombineNodes))
-	for opID, set := range next.CombineNodes {
-		bySet[set] = opID
-	}
-	for opID, set := range cur.CombineNodes {
-		if newID, ok := bySet[set]; ok {
-			carry[opID] = newID
+// carryMap gives, indexed by old operator ID, the new ID of every
+// operator whose backlog and state must survive a plan switch: all
+// base-graph operators (identical IDs in every variant, since Expand
+// clones the base) and the combine nodes whose LeafSets appear in both
+// variants. Every other old ID maps to engine.NotCarried.
+func (c *Controller) carryMap(cur, next *plan.Variant) []plan.OpID {
+	carry := make([]plan.OpID, len(cur.CombineNodes))
+	for old, set := range cur.CombineNodes {
+		id := plan.OpID(old)
+		carry[old] = engine.NotCarried
+		if set != 0 {
+			if i := slices.Index(next.CombineNodes, set); i >= 0 {
+				carry[old] = plan.OpID(i)
+			}
+		} else if cur.Graph.Operator(id) != nil && next.Graph.Operator(id) != nil {
+			carry[old] = id
 		}
 	}
 	return carry
@@ -104,24 +100,12 @@ func (c *Controller) carryMap(cur, next *plan.Variant) map[plan.OpID]plan.OpID {
 // sameTree reports whether two variants have identical combine structure
 // (the set of internal LeafSets determines an unordered tree uniquely).
 func sameTree(a, b *plan.Variant) bool {
-	if len(a.CombineNodes) != len(b.CombineNodes) {
-		return false
-	}
-	as := leafSets(a)
-	bs := leafSets(b)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(leafSets(a), leafSets(b))
 }
 
+// leafSets returns the variant's combine-node LeafSets, ascending.
 func leafSets(v *plan.Variant) []plan.LeafSet {
-	out := make([]plan.LeafSet, 0, len(v.CombineNodes))
-	for _, id := range detutil.SortedKeys(v.CombineNodes) {
-		out = append(out, v.CombineNodes[id])
-	}
+	out := slices.DeleteFunc(slices.Clone(v.CombineNodes), func(s plan.LeafSet) bool { return s == 0 })
 	slices.Sort(out)
 	return out
 }

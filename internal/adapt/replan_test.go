@@ -138,13 +138,19 @@ func TestCarryMapCoversBaseAndCommonCombines(t *testing.T) {
 	c := &Controller{}
 	carry := c.carryMap(cur, next)
 	// 4 sources + 1 sink + 3 matching combines = 8 entries.
-	if len(carry) != 8 {
-		t.Fatalf("carry entries = %d, want 8 (%v)", len(carry), carry)
+	if n := carriedOps(carry); n != 8 {
+		t.Fatalf("carried ops = %d, want 8 (%v)", n, carry)
 	}
-	// Base ops map to themselves.
+	// Base ops map to themselves, combine nodes to the node with their
+	// LeafSet.
 	for _, id := range g.OperatorIDs() {
 		if carry[id] != id {
 			t.Fatalf("base op %d mapped to %d", id, carry[id])
+		}
+	}
+	for old, set := range cur.CombineNodes {
+		if set != 0 && next.CombineNodes[carry[old]] != set {
+			t.Fatalf("combine %v (op %d) mapped to op %d", set, old, carry[old])
 		}
 	}
 
@@ -155,9 +161,33 @@ func TestCarryMapCoversBaseAndCommonCombines(t *testing.T) {
 		t.Fatal(err)
 	}
 	carry = c.carryMap(cur, other)
-	if len(carry) != 7 {
-		t.Fatalf("carry entries = %d, want 7 (%v)", len(carry), carry)
+	if n := carriedOps(carry); n != 7 {
+		t.Fatalf("carried ops = %d, want 7 (%v)", n, carry)
 	}
+}
+
+// carriedOps counts the old operators a carry takes across the switch.
+func carriedOps(carry []plan.OpID) int {
+	n := 0
+	for _, id := range carry {
+		if id != engine.NotCarried {
+			n++
+		}
+	}
+	return n
+}
+
+// carryOf returns a BeginReplan carry over old IDs [0, n) that takes each
+// (old, new) pair of pairs and carries every other old ID nowhere.
+func carryOf(n int, pairs ...plan.OpID) []plan.OpID {
+	carry := make([]plan.OpID, n)
+	for i := range carry {
+		carry[i] = engine.NotCarried
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		carry[pairs[i]] = pairs[i+1]
+	}
+	return carry
 }
 
 func TestSameTree(t *testing.T) {
@@ -190,7 +220,7 @@ func TestPolicyWASPReplansUnsplittableOperator(t *testing.T) {
 	tb.ctl.lastRateFactor = 1
 
 	ups := tb.eng.Plan().Graph.Upstream(rs.Spec.Output)
-	acted := tb.ctl.act(tb.sched.Now(), ups[0], metrics.NetworkConstrained, nil, map[plan.OpID]float64{})
+	acted := tb.ctl.act(tb.sched.Now(), ups[0], metrics.NetworkConstrained, nil, make([]float64, tb.eng.Plan().Graph.IDBound()))
 	if !acted {
 		t.Fatal("unsplittable network-bound op: no action")
 	}

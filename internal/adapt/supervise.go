@@ -6,6 +6,7 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/obs"
+	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -156,7 +157,7 @@ func (c *Controller) reconfigure(id plan.OpID, newSites []topology.SiteID, migs 
 			onDone(doneAt)
 		}
 	}
-	return c.plane.SendCommand(id, "reconfigure", uniqueSites(newSites), func() error {
+	return c.plane.SendCommand(id, "reconfigure", physical.DistinctSites(newSites), func() error {
 		return c.eng.Reconfigure(id, newSites, migs, wrapped)
 	})
 }

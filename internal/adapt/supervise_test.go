@@ -8,7 +8,6 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/obs"
-	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -92,7 +91,7 @@ func TestStalledReplanAborts(t *testing.T) {
 	// would re-assign the map off the dead link and let the drain
 	// complete.)
 	tb.net.SetLinkFault(0, 1, 0)
-	carry := map[plan.OpID]plan.OpID{tb.ids[0]: tb.ids[0], tb.ids[2]: tb.ids[2]}
+	carry := carryOf(3, tb.ids[0], tb.ids[0], tb.ids[2], tb.ids[2])
 	if err := tb.eng.BeginReplan(tb.eng.Plan().Clone(), carry, nil); err != nil {
 		t.Fatal(err)
 	}

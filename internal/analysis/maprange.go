@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -14,9 +15,10 @@ func init() {
 		Waiver: "unordered",
 		Doc: "flags `for range` over a map whose body has an order-sensitive " +
 			"effect (appends to an outer slice, accumulates floats, writes " +
-			"fields/slice elements of outer values, sends on a channel, or " +
+			"fields/slice elements of outer values, sends on a channel, " +
 			"calls statement-level mutators on engine/adapt/state/obs/netsim " +
-			"values); iterate detutil.SortedKeys instead, or waive a genuinely " +
+			"values, or returns a result built from the range key or value); " +
+			"iterate detutil.SortedKeys instead, or waive a genuinely " +
 			"order-insensitive body with //waspvet:unordered <reason>",
 		Run: runMaprange,
 	})
@@ -95,6 +97,43 @@ func mapRangeHazard(pass *Pass, rng *ast.RangeStmt) string {
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok {
 				hazard = mutatorCallHazard(pass, call, local)
+			}
+		}
+		return hazard == ""
+	})
+	if hazard == "" {
+		hazard = returnHazard(pass, rng)
+	}
+	return hazard
+}
+
+// returnHazard finds a return whose results use the range key or value:
+// the loop then answers with whichever entry Go visits first. A return
+// inside a function literal leaves only the literal and does not count.
+func returnHazard(pass *Pass, rng *ast.RangeStmt) string {
+	var vars []types.Object
+	for _, e := range []ast.Expr{rng.Key, rng.Value} {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" && pass.Info.ObjectOf(id) != nil {
+			vars = append(vars, pass.Info.ObjectOf(id))
+		}
+	}
+	uses := func(e ast.Expr) (found bool) {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && slices.Contains(vars, pass.Info.ObjectOf(id)) {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	hazard := ""
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			if slices.ContainsFunc(n.Results, uses) {
+				hazard = "returns a result built from the range key or value (the first entry visited wins)"
 			}
 		}
 		return hazard == ""

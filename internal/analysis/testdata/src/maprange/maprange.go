@@ -1,6 +1,10 @@
 // Fixture for the maprange check: order-sensitive map-range bodies are
-// flagged; per-key writes, loop-local state, and waived ranges are not.
+// flagged, returns of the first entry visited included; per-key writes,
+// loop-local state, returns that name no entry or leave only a function
+// literal, and waived ranges are not.
 package maprange
+
+import "fmt"
 
 func badAppend(m map[string]int) []string {
 	var keys []string
@@ -67,4 +71,41 @@ func waivedCollect(m map[string]int) []string {
 		keys = append(keys, k)
 	}
 	return keys
+}
+
+func badReturnKey(m map[int]bool) (int, bool) {
+	for k, ok := range m { // want "returns a result built from the range key or value"
+		if !ok {
+			return k, false
+		}
+	}
+	return 0, true
+}
+
+func badReturnValue(m map[string]int) error {
+	for _, v := range m { // want "returns a result built from the range key or value"
+		if v < 0 {
+			return fmt.Errorf("negative %d", v)
+		}
+	}
+	return nil
+}
+
+// A return that names no entry answers the same in any visit order.
+func fineReturnConstant(m map[string]int) bool {
+	for _, v := range m {
+		if v < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// A return inside a function literal leaves only the literal.
+func fineReturnInLiteral(m map[string]int) int {
+	total := 0
+	for k := range m {
+		total += func() int { return len(k) }()
+	}
+	return total
 }

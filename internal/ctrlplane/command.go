@@ -49,8 +49,11 @@ func (p *Plane) SendCommand(op plan.OpID, kind string, sites []topology.SiteID, 
 	if p.local {
 		return apply()
 	}
-	if c, ok := p.pendingByOp[op]; ok && !c.done {
+	if c := p.inFlight(op); c != nil {
 		return fmt.Errorf("ctrlplane: command %d still in flight for op %d", c.ID, op)
+	}
+	if op < 0 {
+		return fmt.Errorf("ctrlplane: command for op %d names no operator", op)
 	}
 	if len(sites) == 0 {
 		return fmt.Errorf("ctrlplane: command for op %d has no target sites", op)
@@ -72,7 +75,8 @@ func (p *Plane) SendCommand(op plan.OpID, kind string, sites []topology.SiteID, 
 		issuedAt: now,
 	}
 	p.cmds = append(p.cmds, cmd)
-	p.pendingByOp[op] = cmd
+	p.latest = append(p.latest, make([]*Command, max(0, int(op)+1-len(p.latest)))...)
+	p.latest[op] = cmd
 	for _, s := range cmd.Sites {
 		if r := p.RegionOfSite(s); r >= 0 && p.ctrlDown[r] {
 			p.wrongActions++
@@ -141,7 +145,7 @@ func (p *Plane) deliverCommand(cmd *Command, now vclock.Time) {
 				obs.Int("epoch", cmd.Epoch),
 				obs.Int("current_epoch", p.epochOfSite(cmd.Target)))
 		}
-		p.resolve(cmd)
+		cmd.done = true
 		return
 	}
 	if !cmd.applied {
@@ -153,7 +157,7 @@ func (p *Plane) deliverCommand(cmd *Command, now vclock.Time) {
 					obs.Int("op", int(cmd.Op)),
 					obs.String("err", err.Error()))
 			}
-			p.resolve(cmd)
+			cmd.done = true
 			return
 		}
 	}
@@ -181,14 +185,15 @@ func (p *Plane) deliverAck(cmd *Command, now vclock.Time) {
 			obs.Int("op", int(cmd.Op)),
 			obs.Dur("rtt", time.Duration(now-cmd.issuedAt)))
 	}
-	p.resolve(cmd)
+	cmd.done = true
 }
 
-func (p *Plane) resolve(cmd *Command) {
-	cmd.done = true
-	if c, ok := p.pendingByOp[cmd.Op]; ok && c == cmd {
-		delete(p.pendingByOp, cmd.Op)
+// inFlight returns op's un-resolved command, or nil.
+func (p *Plane) inFlight(op plan.OpID) *Command {
+	if uint(op) < uint(len(p.latest)) && p.latest[op] != nil && !p.latest[op].done {
+		return p.latest[op]
 	}
+	return nil
 }
 
 // Supervise re-sends every command whose ack is overdue and aborts those
@@ -212,7 +217,7 @@ func (p *Plane) Supervise(now vclock.Time) []Aborted {
 					obs.Int("attempts", cmd.attempts),
 					obs.Bool("applied", cmd.applied))
 			}
-			p.resolve(cmd)
+			cmd.done = true
 			aborted = append(aborted, Aborted{Op: cmd.Op, Applied: cmd.applied})
 			continue
 		}
@@ -231,8 +236,7 @@ func (p *Plane) Supervise(now vclock.Time) []Aborted {
 // CommandInFlight reports whether an un-resolved command exists for op:
 // the controller must not stack a second actuation on it.
 func (p *Plane) CommandInFlight(op plan.OpID) bool {
-	c, ok := p.pendingByOp[op]
-	return ok && !c.done
+	return p.inFlight(op) != nil
 }
 
 // UnackedCommands counts commands still awaiting an ack (aborted ones are

@@ -17,7 +17,6 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/obs"
-	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
@@ -93,8 +92,8 @@ type Plane struct {
 	quarantinedAt []vclock.Time
 	epoch         []int
 
-	cmds        []*Command
-	pendingByOp map[plan.OpID]*Command
+	cmds   []*Command
+	latest []*Command // by OpID: each operator's latest command
 
 	// free holds the in-flight report slots not on the wire.
 	free []*inflight
@@ -130,14 +129,13 @@ func NewLocal(sampler Sampler) *Plane {
 // The observer may be nil (events and counters become no-ops).
 func New(cfg Config, sampler Sampler, net Network, top *topology.Topology, sched *vclock.Scheduler, o *obs.Observer) *Plane {
 	p := &Plane{
-		cfg:         cfg,
-		sampler:     sampler,
-		net:         net,
-		sched:       sched,
-		obs:         o,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		merger:      metrics.NewReportMerger(),
-		pendingByOp: make(map[plan.OpID]*Command),
+		cfg:     cfg,
+		sampler: sampler,
+		net:     net,
+		sched:   sched,
+		obs:     o,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		merger:  metrics.NewReportMerger(),
 	}
 	p.regions = Domains(top, cfg)
 	p.regionOf = make([]int, top.N())

@@ -431,6 +431,27 @@ func TestAbortAfterRetryBudget(t *testing.T) {
 	}
 }
 
+// A command names an operator: a negative op is refused before anything
+// is sent, and CommandInFlight answers false for any op without one.
+func TestCommandNeedsAnOperator(t *testing.T) {
+	p, _, _ := rig(t)
+	err := p.SendCommand(plan.OpID(-1), "reassign", []topology.SiteID{1}, func() error {
+		t.Fatal("apply ran for a negative op")
+		return nil
+	})
+	if err == nil || err.Error() != "ctrlplane: command for op -1 names no operator" {
+		t.Fatalf("SendCommand(-1) = %v", err)
+	}
+	for _, op := range []plan.OpID{-1, 0, 1 << 20} {
+		if p.CommandInFlight(op) {
+			t.Fatalf("CommandInFlight(%d) with no command sent", op)
+		}
+	}
+	if p.UnackedCommands() != 0 {
+		t.Fatal("a refused command counts as unacked")
+	}
+}
+
 // An apply error resolves the command (reported, not retried forever).
 func TestApplyErrorResolves(t *testing.T) {
 	p, _, sched := rig(t)

@@ -197,7 +197,7 @@ func TestAbortReplanReleasesSources(t *testing.T) {
 func TestReplanStallDetection(t *testing.T) {
 	r := pipelineRig(t, Config{}, 80, 10000)
 	r.run(t, 20*time.Second)
-	carry := map[plan.OpID]plan.OpID{r.ids[0]: r.ids[0], r.ids[2]: r.ids[2]}
+	carry := carryOf(3, r.ids[0], r.ids[0], r.ids[2], r.ids[2])
 
 	// Crash the map's site first: the drain backlog can never flow out.
 	r.eng.CrashSite(1)
@@ -265,7 +265,7 @@ func chainRig(t *testing.T, linkMbps topology.Mbps, rate float64, aSite, bSite t
 // tick. It returns how long the switch took.
 func replanConserving(t *testing.T, r *rig, carried plan.OpID, within time.Duration) time.Duration {
 	t.Helper()
-	carry := map[plan.OpID]plan.OpID{r.ids[0]: r.ids[0], carried: carried, r.ids[3]: r.ids[3]}
+	carry := carryOf(4, r.ids[0], r.ids[0], carried, carried, r.ids[3], r.ids[3])
 	start := r.sched.Now()
 	done := vclock.Time(-1)
 	if err := r.eng.BeginReplan(r.pp.Clone(), carry, func(now vclock.Time) { done = now }); err != nil {

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/netsim"
 	"github.com/wasp-stream/wasp/internal/obs"
@@ -227,7 +226,7 @@ type Engine struct {
 	// faults, and nothing changes it mid-tick).
 	stages   [][]*group
 	srcs     []*group
-	frontOps map[plan.OpID]bool // operators fed directly by sources
+	frontOps []bool // by OpID: operators fed directly by sources
 	links    []*netsim.Flow
 	linkCaps []float64
 
@@ -287,7 +286,7 @@ type Engine struct {
 	// retired sums, per operator, the counters of the groups the store
 	// dropped (RecordTelemetry's totals); siteOff, reports and reportOps
 	// are reused by SampleSites; sampled is the merger behind Sample.
-	retired   map[plan.OpID]eventCounts
+	retired   []eventCounts // by OpID, as long as the largest plan's Stages
 	siteOff   []int
 	reports   []metrics.SiteReport
 	reportOps []metrics.OpCounters
@@ -344,7 +343,6 @@ func New(cfg Config, top *topology.Topology, net *netsim.Network, sched *vclock.
 		siteDown:       make([]bool, top.N()),
 		siteStrag:      make([]float64, top.N()),
 		workloadFactor: trace.NewCursor(trace.Constant(1)),
-		retired:        make(map[plan.OpID]eventCounts),
 		siteOff:        make([]int, top.N()+1),
 		reports:        make([]metrics.SiteReport, top.N()),
 		sampled:        metrics.NewReportMerger(),
@@ -480,7 +478,7 @@ func (e *Engine) Stop() {
 // buildGroups constructs task groups for the current plan, preserving
 // nothing (fresh deployment: setPlan emptied the store).
 func (e *Engine) buildGroups() {
-	for _, id := range detutil.SortedKeys(e.plan.Stages) {
+	for _, id := range e.plan.Graph.OperatorIDs() {
 		e.placeOp(id, e.plan.Stages[id].Sites)
 	}
 }

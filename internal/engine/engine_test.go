@@ -399,7 +399,7 @@ func TestBeginReplanSwitchesPlanWithoutLoss(t *testing.T) {
 	pp2.Stages[snk2].Sites = []topology.SiteID{1}
 
 	var doneAt vclock.Time
-	carry := map[plan.OpID]plan.OpID{r.ids[0]: src2, r.ids[2]: snk2}
+	carry := carryOf(3, r.ids[0], src2, r.ids[2], snk2)
 	if err := r.eng.BeginReplan(pp2, carry, func(now vclock.Time) { doneAt = now }); err != nil {
 		t.Fatal(err)
 	}
@@ -559,19 +559,96 @@ func TestBeginReplanValidation(t *testing.T) {
 	if err := r.eng.BeginReplan(bad, nil, nil); err == nil {
 		t.Fatal("invalid new plan accepted")
 	}
-	// Carry map referencing unknown ops must be rejected.
+	// A carry referencing unknown ops must be rejected, naming the lowest
+	// bad old ID whatever else is wrong.
 	good := r.pp.Clone()
-	if err := r.eng.BeginReplan(good, map[plan.OpID]plan.OpID{99: 0}, nil); err == nil {
-		t.Fatal("bad carry source accepted")
+	for _, c := range []struct {
+		carry []plan.OpID
+		want  string
+	}{
+		{carryOf(100, 99, 0), "engine: carry source op 99 not in current plan"},
+		{carryOf(1, 0, 99), "engine: carry target op 99 not in new plan"},
+		{carryOf(1, 0, -2), "engine: carry target op -2 not in new plan"},
+		{carryOf(100, 2, 7, 1, 8, 99, 0), "engine: carry target op 8 not in new plan"},
+		{carryOf(100, 0, 0, 99, 0, 98, 0), "engine: carry source op 98 not in current plan"},
+	} {
+		if err := r.eng.BeginReplan(good, c.carry, nil); err == nil || err.Error() != c.want {
+			t.Fatalf("carry %v: error %v, want %q", c.carry, err, c.want)
+		}
 	}
-	if err := r.eng.BeginReplan(good, map[plan.OpID]plan.OpID{0: 99}, nil); err == nil {
-		t.Fatal("bad carry target accepted")
-	}
-	if err := r.eng.BeginReplan(good, map[plan.OpID]plan.OpID{0: 0}, nil); err != nil {
+	if err := r.eng.BeginReplan(good, carryOf(1, 0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.eng.BeginReplan(good, nil, nil); err == nil {
 		t.Fatal("concurrent re-plan accepted")
+	}
+}
+
+// carryOf returns a BeginReplan carry over old IDs [0, n) that takes each
+// (old, new) pair of pairs and carries every other old ID nowhere.
+func carryOf(n int, pairs ...plan.OpID) []plan.OpID {
+	carry := make([]plan.OpID, n)
+	for i := range carry {
+		carry[i] = NotCarried
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		carry[pairs[i]] = pairs[i+1]
+	}
+	return carry
+}
+
+// TestReplanShortCarry: IDs past the end of a carry are not carried. The
+// switch holds the source and the one carried map, drains the other map
+// through the old plan, and completes without loss.
+func TestReplanShortCarry(t *testing.T) {
+	r := chainRig(t, 80, 1000, 1, 1, 1, 1)
+	r.run(t, 20*time.Second)
+	done := false
+	if err := r.eng.BeginReplan(r.pp.Clone(), []plan.OpID{r.ids[0], r.ids[1]}, func(vclock.Time) { done = true }); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.eng.SuspendedOps(), r.ids[:2]; !slices.Equal(got, want) {
+		t.Fatalf("SuspendedOps = %v during the re-plan, want %v", got, want)
+	}
+	r.eng.SetWorkloadFactor(trace.Steps(0, 0))
+	r.run(t, 120*time.Second)
+	if !done {
+		t.Fatal("re-plan with a short carry never completed")
+	}
+	if generated, delivered, _ := r.eng.Totals(); math.Abs(delivered-generated) > 1 {
+		t.Fatalf("short-carry re-plan lost events: delivered %v of %v", delivered, generated)
+	}
+}
+
+// TestReplanSpanCountsOperators: the engine.replan span reports the
+// operators carried and the new plan's operators, not the lengths of the
+// carry or of Stages, which NotCarried entries and holes pad.
+func TestReplanSpanCountsOperators(t *testing.T) {
+	r := pipelineRig(t, Config{}, 80, 1000)
+	o := obs.New(r.sched.Now)
+	r.eng.SetObserver(o)
+	g2 := r.g.Clone()
+	g2.RemoveOperator(g2.AddOperator(plan.Operator{Name: "gone", Kind: plan.KindMap}))
+	pp2, err := physical.FromLogical(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range g2.OperatorIDs() {
+		pp2.Stages[id].Sites = slices.Clone(r.pp.Stages[id].Sites)
+	}
+	if err := r.eng.BeginReplan(pp2, carryOf(4, r.ids[0], r.ids[0], r.ids[2], r.ids[2]), nil); err != nil {
+		t.Fatal(err)
+	}
+	attrs := map[string]int64{}
+	o.Walk(func(_ *obs.Event, sp *obs.Span) {
+		if sp != nil && sp.Name == "engine.replan" {
+			for _, kv := range sp.Attrs {
+				attrs[kv.Key] = kv.Val.Int64()
+			}
+		}
+	})
+	if attrs["carried_ops"] != 2 || attrs["new_stages"] != 3 {
+		t.Fatalf("engine.replan attrs %v, want carried_ops 2 and new_stages 3 (Stages has %d entries)", attrs, len(pp2.Stages))
 	}
 }
 

@@ -320,8 +320,9 @@ func (e *Engine) worthRange(op plan.OpID) (lo, hi float64) {
 	if err != nil {
 		return math.Inf(1), 0
 	}
+	// A reached op's hi is positive: the zero span marks one no path reaches.
 	type span struct{ lo, hi float64 }
-	reach := make(map[plan.OpID]span, len(order))
+	reach := make([]span, g.IDBound())
 	for _, id := range order {
 		o := g.Operator(id)
 		switch {
@@ -330,7 +331,7 @@ func (e *Engine) worthRange(op plan.OpID) (lo, hi float64) {
 		case o.Selectivity > 0:
 			in := span{math.Inf(1), 0}
 			for _, u := range g.UpstreamView(id) {
-				if s, ok := reach[u]; ok {
+				if s := reach[u]; s.hi > 0 {
 					in = span{min(in.lo, s.lo), max(in.hi, s.hi)}
 				}
 			}
@@ -342,8 +343,8 @@ func (e *Engine) worthRange(op plan.OpID) (lo, hi float64) {
 			break
 		}
 	}
-	if s, ok := reach[op]; ok {
-		return s.lo, s.hi
+	if uint(op) < uint(len(reach)) && reach[op].hi > 0 {
+		return reach[op].lo, reach[op].hi
 	}
 	return math.Inf(1), 0
 }

@@ -59,8 +59,8 @@ func (e *Engine) Reconfigure(op plan.OpID, newSites []topology.SiteID, migration
 	if e.plan == nil {
 		return errors.New("engine: not deployed")
 	}
-	st, ok := e.plan.Stages[op]
-	if !ok {
+	st := e.plan.Stage(op)
+	if st == nil {
 		return fmt.Errorf("engine: unknown operator %d", op)
 	}
 	if len(newSites) == 0 {
@@ -400,7 +400,7 @@ func (e *Engine) Failed() bool { return e.sched.Now() <= e.failedUntil }
 // over with the carried state.
 type pendingReplan struct {
 	newPlan  *physical.Plan
-	carry    map[plan.OpID]plan.OpID // old op → new op for state carryover
+	carry    []plan.OpID // by old OpID: the new op its state carries to, or NotCarried
 	started  vclock.Time
 	finished func(now vclock.Time)
 	span     *obs.Span
@@ -411,16 +411,21 @@ type pendingReplan struct {
 	lastProgressAt vclock.Time
 }
 
+// NotCarried marks, in a re-plan's carry, an old operator whose state and
+// backlog the switch drains instead of carrying.
+const NotCarried plan.OpID = -1
+
 // BeginReplan initiates a query re-plan (§4.3): source emission is
 // suspended (external events keep queueing), and so is every carried
 // operator; the other in-flight events drain through the old plan, and
-// once they are out the new physical plan takes over. carry maps old
-// operator IDs to new ones for every operator whose state and backlog
-// must survive (sources, sinks, and common stateful sub-plans). The
+// once they are out the new physical plan takes over. carry, indexed by
+// old operator ID, gives the new ID of every operator whose state and
+// backlog must survive (sources, sinks, and common stateful sub-plans) and
+// NotCarried for the rest; IDs past its end are not carried. The
 // drain-then-switch models the paper's window-boundary
 // reconfiguration and is what makes re-planning the highest-overhead
 // technique (Table 2).
-func (e *Engine) BeginReplan(newPlan *physical.Plan, carry map[plan.OpID]plan.OpID, onDone func(now vclock.Time)) error {
+func (e *Engine) BeginReplan(newPlan *physical.Plan, carry []plan.OpID, onDone func(now vclock.Time)) error {
 	if e.plan == nil {
 		return errors.New("engine: not deployed")
 	}
@@ -430,13 +435,17 @@ func (e *Engine) BeginReplan(newPlan *physical.Plan, carry map[plan.OpID]plan.Op
 	if err := newPlan.Validate(e.top); err != nil {
 		return fmt.Errorf("engine: new plan invalid: %w", err)
 	}
+	kept := 0
 	for oldID, newID := range carry {
-		if _, ok := e.plan.Stages[oldID]; !ok {
+		switch {
+		case newID == NotCarried:
+			continue
+		case e.plan.Stage(plan.OpID(oldID)) == nil:
 			return fmt.Errorf("engine: carry source op %d not in current plan", oldID)
-		}
-		if _, ok := newPlan.Stages[newID]; !ok {
+		case newPlan.Stage(newID) == nil:
 			return fmt.Errorf("engine: carry target op %d not in new plan", newID)
 		}
+		kept++
 	}
 	e.replan = &pendingReplan{
 		newPlan:        newPlan,
@@ -449,8 +458,8 @@ func (e *Engine) BeginReplan(newPlan *physical.Plan, carry map[plan.OpID]plan.Op
 	e.replan.lastBacklog = e.drainBacklog(e.replan)
 	if e.obs != nil {
 		e.replan.span = e.obs.StartAsync("engine.replan",
-			obs.Int("carried_ops", len(carry)),
-			obs.Int("new_stages", len(newPlan.Stages)))
+			obs.Int("carried_ops", kept),
+			obs.Int("new_stages", newPlan.Graph.Len()))
 	}
 	return nil
 }
@@ -481,9 +490,11 @@ func (e *Engine) progressReplan(now vclock.Time) {
 			e.deliver(f)
 		}
 	}
-	carry := make(map[plan.OpID]carried, len(rp.carry))
+	states := make([]carried, len(rp.carry))
 	for oldID, newID := range rp.carry {
-		carry[newID] = gather(e.opGroups(oldID))
+		if newID != NotCarried {
+			states[oldID] = gather(e.opGroups(plan.OpID(oldID)))
+		}
 	}
 
 	// Tear down the old flows, then install the new plan and its groups.
@@ -493,8 +504,10 @@ func (e *Engine) progressReplan(now vclock.Time) {
 	e.setFlows(nil)
 	e.setPlan(rp.newPlan)
 	e.buildGroups()
-	for newID, state := range carry {
-		state.spread(e.opGroups(newID))
+	for oldID, newID := range rp.carry {
+		if newID != NotCarried {
+			states[oldID].spread(e.opGroups(newID))
+		}
 	}
 	e.replan = nil
 	e.rebuildFlows()
@@ -553,8 +566,8 @@ func (e *Engine) drained(rp *pendingReplan) bool {
 // their queues and windows. hold() suspends them for the whole drain, so
 // nothing in custody feeds the part of the plan that drains.
 func (rp *pendingReplan) inCustody(g *group) bool {
-	_, carried := rp.carry[g.op.ID]
-	return carried || g.op.Kind == plan.KindSource
+	id := g.op.ID
+	return int(id) < len(rp.carry) && rp.carry[id] != NotCarried || g.op.Kind == plan.KindSource
 }
 
 // drainBacklog measures the volume the drain still waits on, in source

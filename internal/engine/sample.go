@@ -136,11 +136,7 @@ func (e *Engine) Goodput() (generated, processed, dropped float64) {
 
 // Parallelism returns the current parallelism of an operator.
 func (e *Engine) Parallelism(op plan.OpID) int {
-	st, ok := e.plan.Stages[op]
-	if !ok {
-		return 0
-	}
-	return st.Parallelism()
+	return e.plan.Stage(op).Parallelism()
 }
 
 // FreeSlots reports slots still available per site. Crashed sites offer

@@ -87,6 +87,7 @@ func (e *Engine) opFlows(op plan.OpID) []*edgeFlow {
 func (e *Engine) setPlan(p *physical.Plan) {
 	e.retire(e.groups)
 	e.plan, e.groups = p, nil
+	e.retired = append(e.retired, make([]eventCounts, max(0, len(p.Stages)-len(e.retired)))...)
 	e.gen++
 }
 
@@ -94,9 +95,7 @@ func (e *Engine) setPlan(p *physical.Plan) {
 // operators' retired totals.
 func (e *Engine) retire(gs []*group) {
 	for _, g := range gs {
-		c := e.retired[g.op.ID]
-		c.add(g.eventCounts)
-		e.retired[g.op.ID] = c
+		e.retired[g.op.ID].add(g.eventCounts)
 	}
 }
 
@@ -106,9 +105,8 @@ func (e *Engine) retire(gs []*group) {
 // groups. The store gets a fresh backing array, so views taken before the
 // call stay coherent (if stale).
 func (e *Engine) placeOp(op plan.OpID, sites []topology.SiteID) []*group {
-	st := e.plan.Stages[op]
-	st.Sites = sites
-	distinct := st.DistinctSites()
+	e.plan.Stages[op].Sites = sites
+	distinct := physical.DistinctSites(sites)
 	gs := make([]*group, len(distinct))
 	for i, site := range distinct {
 		gs[i] = e.newGroup(op, site, countSites(sites, site))
@@ -158,7 +156,7 @@ func (e *Engine) rewire() {
 	}
 	// Sources are pinned to one site: a single group takes the arrivals.
 	e.srcs = nil
-	e.frontOps = make(map[plan.OpID]bool)
+	e.frontOps = append(e.frontOps[:0], make([]bool, len(e.plan.Stages))...)
 	for _, id := range graph.Sources() {
 		e.srcs = append(e.srcs, e.opGroups(id)[0])
 		for _, d := range graph.DownstreamView(id) {

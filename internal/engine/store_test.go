@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -67,7 +66,7 @@ func (e *Engine) checkStore() error {
 	if !sameGroups(e.srcs, ref.srcs) {
 		return fmt.Errorf("srcs differ from a fresh rewire")
 	}
-	if !maps.Equal(e.frontOps, ref.frontOps) {
+	if !slices.Equal(e.frontOps, ref.frontOps) {
 		return fmt.Errorf("frontOps %v, fresh rewire gives %v", e.frontOps, ref.frontOps)
 	}
 	if !slices.Equal(e.links, ref.links) || len(e.linkCaps) != len(e.links) {

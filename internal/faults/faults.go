@@ -406,7 +406,7 @@ func (in *Injector) Schedule(sched *vclock.Scheduler, fs []Fault) error {
 					return fmt.Errorf("faults: %s: %s %d outside the topology [0,%d)", f.Kind, p.key, int(*x), n)
 				}
 			case *plan.OpID:
-				if _, deployed := in.eng.Plan().Stages[*x]; !deployed {
+				if in.eng.Plan().Stage(*x) == nil {
 					return fmt.Errorf("faults: %s: %s %d is not a stage of the deployed plan", f.Kind, p.key, int(*x))
 				}
 			}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"slices"
@@ -201,7 +202,13 @@ func deployRig(t *testing.T) (*engine.Engine, *netsim.Network, *vclock.Scheduler
 	snk := g.AddOperator(plan.Operator{Name: "sink", Kind: plan.KindSink, PinnedSite: 1})
 	g.MustConnect(src, mp)
 	g.MustConnect(mp, snk)
+	return deployGraph(t, g)
+}
 
+// deployGraph deploys g over three 80 Mbps sites, all on the virtual
+// clock: each pinned operator at its site, every other one at site 1.
+func deployGraph(t *testing.T, g *plan.Graph) (*engine.Engine, *netsim.Network, *vclock.Scheduler) {
+	t.Helper()
 	const n = 3
 	sites := make([]topology.Site, n)
 	lat := make([][]time.Duration, n)
@@ -231,9 +238,13 @@ func deployRig(t *testing.T) (*engine.Engine, *netsim.Network, *vclock.Scheduler
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp.Stages[src].Sites = []topology.SiteID{0}
-	pp.Stages[mp].Sites = []topology.SiteID{1}
-	pp.Stages[snk].Sites = []topology.SiteID{1}
+	for _, id := range g.OperatorIDs() {
+		site := g.Operator(id).PinnedSite
+		if site == plan.NoSite {
+			site = 1
+		}
+		pp.Stages[id].Sites = []topology.SiteID{site}
+	}
 	if err := eng.Deploy(pp); err != nil {
 		t.Fatal(err)
 	}
@@ -384,6 +395,39 @@ func TestScheduleRejectsSitesOutsideTopology(t *testing.T) {
 		if err := inj.Schedule(sched, []Fault{f}); err == nil {
 			t.Errorf("%s: scheduled on a deployment that has no such site or operator", f)
 		}
+	}
+}
+
+// TestScheduleRejectsOpsOutsideThePlan: an op= that names no stage of the
+// deployed plan — negative, past the end of its stages, or the ID of the
+// filter PushDownFilters removed — is refused, and always with one text.
+func TestScheduleRejectsOpsOutsideThePlan(t *testing.T) {
+	g := plan.NewGraph()
+	src := g.AddOperator(plan.Operator{
+		Name: "src", Kind: plan.KindSource, PinnedSite: 0,
+		Selectivity: 1, OutEventBytes: 100, SourceRate: 1000,
+	})
+	un := g.AddOperator(plan.Operator{Name: "union", Kind: plan.KindUnion, Selectivity: 1, OutEventBytes: 100})
+	removed := g.AddOperator(plan.Operator{Name: "filter", Kind: plan.KindFilter, Selectivity: 0.5, OutEventBytes: 100})
+	snk := g.AddOperator(plan.Operator{Name: "sink", Kind: plan.KindSink, PinnedSite: 1})
+	g.MustConnect(src, un)
+	g.MustConnect(un, removed)
+	g.MustConnect(removed, snk)
+	if plan.PushDownFilters(g) == 0 || g.Operator(removed) != nil {
+		t.Fatal("the filter was not pushed below the union")
+	}
+	eng, net, sched := deployGraph(t, g)
+	inj := NewInjector(eng, net, nil)
+	for _, op := range []plan.OpID{-1, plan.OpID(g.IDBound()), removed} {
+		f := Fault{Kind: OpSlow, At: time.Second, For: time.Second, Op: op, Site: 1, Factor: 0.5}
+		want := fmt.Sprintf("faults: %s: op %d is not a stage of the deployed plan", f.Kind, op)
+		if err := inj.Schedule(sched, []Fault{f}); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", f, err, want)
+		}
+	}
+	ok := Fault{Kind: OpSlow, At: time.Second, For: time.Second, Op: un, Site: 1, Factor: 0.5}
+	if err := inj.Schedule(sched, []Fault{ok}); err != nil {
+		t.Errorf("%s: %v", ok, err)
 	}
 }
 

@@ -113,14 +113,15 @@ func Diagnose(s OperatorSample, upstreamOut float64, tol float64) Condition {
 // using each operator's *measured* selectivity from the snapshot (falling
 // back to the plan's modelled selectivity for idle operators) and the
 // actual source generation rates. This is what adaptation decisions use
-// instead of backpressure-distorted observed rates.
-func EstimateActual(g *plan.Graph, snap *Snapshot) (inRate, outRate map[plan.OpID]float64, err error) {
+// instead of backpressure-distorted observed rates. The rates are indexed
+// by OpID.
+func EstimateActual(g *plan.Graph, snap *Snapshot) (inRate, outRate []float64, err error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, nil, err
 	}
-	inRate = make(map[plan.OpID]float64, len(order))
-	outRate = make(map[plan.OpID]float64, len(order))
+	inRate = make([]float64, g.IDBound())
+	outRate = make([]float64, g.IDBound())
 	for _, id := range order {
 		op := g.Operator(id)
 		sample := snap.Ops[id]
@@ -131,7 +132,7 @@ func EstimateActual(g *plan.Graph, snap *Snapshot) (inRate, outRate map[plan.OpI
 			outRate[id] = in // sources emit what they generate
 			continue
 		}
-		for _, u := range g.Upstream(id) {
+		for _, u := range g.UpstreamView(id) {
 			in += outRate[u]
 		}
 		inRate[id] = in

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/placement"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -24,22 +23,27 @@ type Stage struct {
 	Sites []topology.SiteID
 }
 
-// Parallelism returns the stage's task count.
-func (s *Stage) Parallelism() int { return len(s.Sites) }
+// Parallelism returns the stage's task count, 0 for a nil stage.
+func (s *Stage) Parallelism() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.Sites)
+}
 
 // DistinctSites returns the sites hosting at least one task, ascending.
-func (s *Stage) DistinctSites() []topology.SiteID {
-	seen := make(map[topology.SiteID]bool)
-	for _, site := range s.Sites {
-		seen[site] = true
-	}
-	return detutil.SortedKeys(seen)
+func DistinctSites(sites []topology.SiteID) []topology.SiteID {
+	out := slices.Clone(sites)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Plan is a physical plan over a logical graph.
 type Plan struct {
-	Graph  *plan.Graph
-	Stages map[plan.OpID]*Stage
+	Graph *plan.Graph
+	// Stages is indexed by OpID, nil at an ID with no operator (a hole
+	// PushDownFilters left).
+	Stages []*Stage
 }
 
 // FromLogical creates an unplaced physical plan: one stage per logical
@@ -48,13 +52,31 @@ func FromLogical(g *plan.Graph) (*Plan, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{Graph: g, Stages: make(map[plan.OpID]*Stage, g.Len())}
+	return newPlan(g, nil), nil
+}
+
+// newPlan lays out one stage per operator of g in one block, copying each
+// stage's sites from the same operator's stage in from when from is
+// non-nil.
+func newPlan(g *plan.Graph, from *Plan) *Plan {
+	p := &Plan{Graph: g, Stages: make([]*Stage, g.IDBound())}
 	stages := make([]Stage, g.Len())
 	for i, id := range g.OperatorIDs() {
 		stages[i].Op = g.Operator(id)
+		if from != nil {
+			stages[i].Sites = append([]topology.SiteID(nil), from.Stages[id].Sites...)
+		}
 		p.Stages[id] = &stages[i]
 	}
-	return p, nil
+	return p
+}
+
+// Stage returns operator id's stage, or nil when id names none.
+func (p *Plan) Stage(id plan.OpID) *Stage {
+	if uint(id) >= uint(len(p.Stages)) {
+		return nil
+	}
+	return p.Stages[id]
 }
 
 // StageIDs returns the plan's operator IDs in topological order.
@@ -64,8 +86,8 @@ func (p *Plan) StageIDs() ([]plan.OpID, error) { return p.Graph.TopoOrder() }
 // stages.
 func (p *Plan) SlotsUsed(numSites int) []int {
 	used := make([]int, numSites)
-	for _, st := range p.Stages {
-		for _, site := range st.Sites {
+	for _, id := range p.Graph.OperatorIDs() {
+		for _, site := range p.Stages[id].Sites {
 			used[site]++
 		}
 	}
@@ -76,7 +98,7 @@ func (p *Plan) SlotsUsed(numSites int) []int {
 func (p *Plan) TotalTasks() int {
 	total := 0
 	for _, st := range p.Stages {
-		total += len(st.Sites)
+		total += st.Parallelism()
 	}
 	return total
 }
@@ -115,16 +137,7 @@ func (p *Plan) Validate(top *topology.Topology) error {
 
 // Clone deep-copies the plan (sharing the logical graph's operator structs
 // via a cloned graph).
-func (p *Plan) Clone() *Plan {
-	g := p.Graph.Clone()
-	c := &Plan{Graph: g, Stages: make(map[plan.OpID]*Stage, len(p.Stages))}
-	stages := make([]Stage, g.Len())
-	for i, id := range g.OperatorIDs() {
-		stages[i] = Stage{Op: g.Operator(id), Sites: append([]topology.SiteID(nil), p.Stages[id].Sites...)}
-		c.Stages[id] = &stages[i]
-	}
-	return c
-}
+func (p *Plan) Clone() *Plan { return newPlan(p.Graph.Clone(), p) }
 
 // AppendEndpoints summarises a stage's placement as weighted per-site
 // endpoints, weighting each site by its share of the stage's tasks (even

@@ -127,7 +127,7 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 		}
 		n := 0
 		for n < s.prefix && order[n] == first[n] {
-			if _, combine := v.CombineNodes[order[n]]; combine {
+			if v.CombineNodes[order[n]] != 0 {
 				break
 			}
 			n++

@@ -168,7 +168,7 @@ func findCombineConsuming(v *plan.Variant, leaf int) plan.OpID {
 	bestCount := 1 << 30
 	for id, set := range v.CombineNodes {
 		if set&(1<<uint(leaf)) != 0 && set.Count() < bestCount {
-			bestID = id
+			bestID = plan.OpID(id)
 			bestCount = set.Count()
 		}
 	}

@@ -348,8 +348,8 @@ func TestVariantsShareTheBasePrefix(t *testing.T) {
 				var first []plan.OpID
 				for _, e := range s.entries {
 					g := e.variant.Graph
-					for id := range e.variant.CombineNodes {
-						if id < plan.OpID(q.Graph.Len()) {
+					for id, set := range e.variant.CombineNodes {
+						if set != 0 && id < q.Graph.Len() {
 							t.Fatalf("%s, %s: combine node %d below base id %d", name, e.variant.Tree, id, q.Graph.Len())
 						}
 					}
@@ -362,7 +362,7 @@ func TestVariantsShareTheBasePrefix(t *testing.T) {
 					fed := make([]bool, g.Len())
 					var free []plan.OpID
 					for i, id := range order {
-						_, fed[id] = e.variant.CombineNodes[id]
+						fed[id] = e.variant.CombineNodes[id] != 0
 						for _, u := range g.UpstreamView(id) {
 							fed[id] = fed[id] || fed[u]
 						}

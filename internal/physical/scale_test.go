@@ -146,7 +146,7 @@ func TestScheduleHierarchicalMatchesExact(t *testing.T) {
 		if err := Schedule(hier, top, cfgHier); err != nil {
 			t.Fatalf("p=%d hierarchical: %v", par, err)
 		}
-		for id := range exact.Stages {
+		for _, id := range exact.Graph.OperatorIDs() {
 			if !reflect.DeepEqual(exact.Stages[id].Sites, hier.Stages[id].Sites) {
 				t.Fatalf("p=%d stage %d diverges: exact %v, hierarchical %v",
 					par, id, exact.Stages[id].Sites, hier.Stages[id].Sites)
@@ -181,7 +181,7 @@ func TestSolvePlacementClusteredFallback(t *testing.T) {
 	if err := Schedule(hier, top, ScheduleConfig{HierarchicalSites: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for id := range exact.Stages {
+	for _, id := range exact.Graph.OperatorIDs() {
 		if !reflect.DeepEqual(exact.Stages[id].Sites, hier.Stages[id].Sites) {
 			t.Fatalf("stage %d diverges: exact %v, clustered hierarchical %v",
 				id, exact.Stages[id].Sites, hier.Stages[id].Sites)

@@ -3,9 +3,8 @@ package plan
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
-
-	"github.com/wasp-stream/wasp/internal/detutil"
 )
 
 // LeafSet is a bitmask over the input indices of a CombineSpec. Each
@@ -177,8 +176,9 @@ type CombineSpec struct {
 type Variant struct {
 	Graph *Graph
 	Tree  *Tree
-	// CombineNodes maps each generated combine operator to its LeafSet.
-	CombineNodes map[OpID]LeafSet
+	// CombineNodes holds, indexed by OpID, each generated combine
+	// operator's LeafSet; 0 marks an operator that is not a combine node.
+	CombineNodes []LeafSet
 }
 
 // Expand instantiates the combine tree into a copy of the base graph,
@@ -193,7 +193,7 @@ func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
 		return nil, fmt.Errorf("plan: tree covers %v, want all %d inputs", tree.Set, len(spec.Inputs))
 	}
 	g := base.Clone()
-	v := &Variant{Graph: g, Tree: tree, CombineNodes: make(map[OpID]LeafSet, len(spec.Inputs)-1)}
+	v := &Variant{Graph: g, Tree: tree, CombineNodes: make([]LeafSet, g.IDBound(), g.IDBound()+len(spec.Inputs)-1)}
 	// Node names reach the action log and the benchmark's digests: they are
 	// the bytes fmt.Sprintf("%s%s", Template.Name, set) gives, built in name.
 	name := append(make([]byte, 0, len(spec.Template.Name)+2+3*len(spec.Inputs)), spec.Template.Name...)
@@ -220,7 +220,7 @@ func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
 		// keyed aggregation state.
 		node.StateBytes = spec.Template.StateBytes * float64(t.Set.Count()) / float64(len(spec.Inputs))
 		id := g.AddOperator(node)
-		v.CombineNodes[id] = t.Set
+		v.CombineNodes = append(v.CombineNodes, t.Set) // at index id: Expand adds no other operator
 		if err := g.Connect(lid, id); err != nil {
 			return 0, err
 		}
@@ -244,9 +244,9 @@ func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
 // nodes — the sub-plans whose state must be preserved by any re-planning.
 func (v *Variant) StatefulLeafSets() []LeafSet {
 	var out []LeafSet
-	for _, id := range detutil.SortedKeys(v.CombineNodes) {
-		if v.Graph.Operator(id).Stateful {
-			out = append(out, v.CombineNodes[id])
+	for id, set := range v.CombineNodes {
+		if set != 0 && v.Graph.Operator(OpID(id)).Stateful {
+			out = append(out, set)
 		}
 	}
 	return out
@@ -257,12 +257,8 @@ func (v *Variant) StatefulLeafSets() []LeafSet {
 // must appear, with the same LeafSet, in v (§4.3 — "only consider plans
 // that comprise common sub-plans covering the stateful operators").
 func (v *Variant) AdmissibleFrom(cur *Variant) bool {
-	have := make(map[LeafSet]bool, len(v.CombineNodes))
-	for _, set := range v.CombineNodes {
-		have[set] = true
-	}
 	for _, need := range cur.StatefulLeafSets() {
-		if !have[need] {
+		if !slices.Contains(v.CombineNodes, need) {
 			return false
 		}
 	}

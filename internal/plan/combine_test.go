@@ -229,7 +229,13 @@ func TestExpandBuildsValidGraph(t *testing.T) {
 	if got := v.Graph.Len(); got != 8 {
 		t.Fatalf("expanded graph Len = %d, want 8", got)
 	}
-	if got := len(v.CombineNodes); got != 3 {
+	got := 0
+	for _, set := range v.CombineNodes {
+		if set != 0 {
+			got++
+		}
+	}
+	if got != 3 {
 		t.Fatalf("combine nodes = %d, want 3", got)
 	}
 	// The sink consumes exactly the root combine.

@@ -219,6 +219,10 @@ func (g *Graph) UpstreamView(id OpID) []OpID {
 // Len returns the number of operators.
 func (g *Graph) Len() int { return g.live }
 
+// IDBound returns the next ID AddOperator would hand out: every ID the
+// graph ever used is below it, so it sizes a slice indexed by OpID.
+func (g *Graph) IDBound() int { return len(g.ops) }
+
 // OperatorIDs returns all operator IDs in ascending order. The returned
 // slice is cached; callers must not modify it.
 func (g *Graph) OperatorIDs() []OpID {
@@ -421,20 +425,12 @@ func (g *Graph) StatefulOperators() []OpID {
 	return out
 }
 
-// ExpectedRates is ExpectedRatesBuf returning per-operator maps, for callers
-// outside the planning loop.
-func (g *Graph) ExpectedRates(rateFactor float64) (inRate, outRate, outBytes map[OpID]float64, err error) {
+// ExpectedRates is ExpectedRatesBuf into fresh slices indexed by OpID, for
+// callers outside the planning loop.
+func (g *Graph) ExpectedRates(rateFactor float64) (inRate, outRate, outBytes []float64, err error) {
 	var buf RateBuf
-	if err := g.ExpectedRatesBuf(rateFactor, &buf); err != nil {
-		return nil, nil, nil, err
-	}
-	inRate = make(map[OpID]float64, g.live)
-	outRate = make(map[OpID]float64, g.live)
-	outBytes = make(map[OpID]float64, g.live)
-	for _, id := range g.OperatorIDs() {
-		inRate[id], outRate[id], outBytes[id] = buf.In[id], buf.Out[id], buf.Bytes[id]
-	}
-	return inRate, outRate, outBytes, nil
+	err = g.ExpectedRatesBuf(rateFactor, &buf)
+	return buf.In, buf.Out, buf.Bytes, err
 }
 
 // RateBuf holds reusable output buffers for ExpectedRatesBuf. The slices

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -50,8 +49,8 @@ func (p *storePair) compare(where string) error {
 	if g.Len() != r.Len() {
 		return fmt.Errorf("%s: Len = %d, reference %d", where, g.Len(), r.Len())
 	}
-	if len(g.ops) != int(r.nextID) {
-		return fmt.Errorf("%s: next id = %d, reference %d", where, len(g.ops), r.nextID)
+	if g.IDBound() != int(r.nextID) {
+		return fmt.Errorf("%s: next id = %d, reference %d", where, g.IDBound(), r.nextID)
 	}
 	if !slices.Equal(g.OperatorIDs(), r.OperatorIDs()) {
 		return fmt.Errorf("%s: OperatorIDs = %v, reference %v", where, g.OperatorIDs(), r.OperatorIDs())
@@ -351,8 +350,12 @@ func CheckExpandMatchesReference(t *testing.T, base *Graph, spec *CombineSpec, t
 			t.Fatalf("tree %v: operator %d is %q with %v state bytes, reference %q with %v", tree, id, got.Name, got.StateBytes, want.Name, want.StateBytes)
 		}
 	}
-	if !reflect.DeepEqual(v.CombineNodes, nodes) {
-		t.Fatalf("tree %v: CombineNodes = %v, reference %v", tree, v.CombineNodes, nodes)
+	want := make([]LeafSet, r.nextID)
+	for id, set := range nodes {
+		want[id] = set
+	}
+	if !slices.Equal(v.CombineNodes, want) {
+		t.Fatalf("tree %v: CombineNodes = %v, reference %v", tree, v.CombineNodes, want)
 	}
 	return v
 }
