@@ -3,6 +3,7 @@ package adapt
 import (
 	"testing"
 
+	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/topology"
 )
 
@@ -69,6 +70,19 @@ func TestSameSites(t *testing.T) {
 	}
 	if sameSites(sites(1, 2), sites(1, 2, 2)) {
 		t.Fatal("different multiplicities judged equal")
+	}
+}
+
+// The controller dedups a stage's task sites with physical.DistinctSites
+// before judging a placement, so repeated sites must collapse in order.
+func TestUniqueSites(t *testing.T) {
+	in := sites(3, 1, 3, 2, 1)
+	got := physical.DistinctSites(in)
+	if !equalSites(got, sites(1, 2, 3)) {
+		t.Fatalf("DistinctSites = %v", got)
+	}
+	if !equalSites(in, sites(3, 1, 3, 2, 1)) {
+		t.Fatalf("DistinctSites modified its input: %v", in)
 	}
 }
 
