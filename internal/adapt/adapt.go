@@ -325,6 +325,9 @@ func NewController(cfg Config, eng *engine.Engine, top *topology.Topology, net *
 		sched:  sched,
 		replan: replan,
 		plane:  ctrlplane.NewLocal(eng),
+		// A crash before the first monitoring round plans at the
+		// configured rates.
+		lastRateFactor: 1,
 	}
 	c.SetObserver(obs.New(sched.Now))
 	return c

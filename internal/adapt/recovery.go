@@ -1,7 +1,6 @@
 package adapt
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -24,25 +23,21 @@ type RecoveryManager struct {
 	job      string
 	interval time.Duration
 	eng      *engine.Engine
-	top      *topology.Topology
 	sched    *vclock.Scheduler
 	store    *state.Store
-	coord    *state.Coordinator
 	obs      *obs.Observer
 
 	ticker *vclock.Event
-	// pairs is the (stateful op, live site) list the coordinator's targets
-	// were registered from; next is the scratch list each round derives
-	// into, swapped in when it differs.
-	pairs, next []taskPair
-}
-
-// taskPair is one checkpoint target: a stateful operator's task group at a
-// live site. The pair determines the whole state.Target — its key, site,
-// replica and snapshot closure.
-type taskPair struct {
-	op   plan.OpID
-	site topology.SiteID
+	// epoch is the last completed checkpoint round; targets is the number
+	// of task groups it visited.
+	epoch   int64
+	targets int
+	// opNames caches opName by OpID, grown as deployed graphs grow;
+	// replicas is each site's replica site (the topology is immutable).
+	opNames  []string
+	replicas []topology.SiteID
+	// sites is the round's scratch for one stage's distinct sites.
+	sites []topology.SiteID
 }
 
 // NewRecoveryManager wires checkpointing for one deployed engine. store may
@@ -55,16 +50,14 @@ func NewRecoveryManager(job string, interval time.Duration, eng *engine.Engine, 
 	if store == nil {
 		store = state.NewStore()
 	}
-	rm := &RecoveryManager{
+	return &RecoveryManager{
 		job:      job,
 		interval: interval,
 		eng:      eng,
-		top:      top,
 		sched:    sched,
 		store:    store,
+		replicas: replicaSites(top),
 	}
-	rm.coord = state.NewCoordinator(store, rm.onCheckpointError)
-	return rm
 }
 
 // SetObserver routes checkpoint/recovery events to a shared observer.
@@ -100,16 +93,58 @@ func (rm *RecoveryManager) Stop() {
 	}
 }
 
-// CheckpointRound syncs the targets with the current placement (tasks move
-// between rounds) and snapshots them all.
+// CheckpointRound snapshots every task group of the deployed plan's
+// stateful operators on a live site: one target per (operator, site),
+// task keyed by site so per-group snapshots stay addressable after moves.
+// Targets are visited by ascending OpID, then ascending site.
 func (rm *RecoveryManager) CheckpointRound(now vclock.Time) {
-	rm.refreshTargets()
-	rm.coord.Checkpoint()
+	pp := rm.eng.Plan()
+	for len(rm.opNames) < len(pp.Stages) {
+		rm.opNames = append(rm.opNames, opName(plan.OpID(len(rm.opNames))))
+	}
+	rm.epoch++
+	rm.targets = 0
+	for _, id := range pp.Graph.OperatorIDs() {
+		if !stateful(pp.Graph.Operator(id)) {
+			continue
+		}
+		// A stage may run several tasks per site: one target per site.
+		rm.sites = append(rm.sites[:0], pp.Stages[id].Sites...)
+		slices.Sort(rm.sites)
+		for _, site := range slices.Compact(rm.sites) {
+			if !rm.eng.SiteDown(site) {
+				rm.targets++
+				rm.checkpoint(id, site)
+			}
+		}
+	}
 	if rm.obs != nil {
 		rm.obs.Emit("checkpoint.round",
-			obs.I64("epoch", rm.coord.Epoch()),
-			obs.Int("targets", rm.coord.Targets()))
+			obs.I64("epoch", rm.epoch),
+			obs.Int("targets", rm.targets))
 		rm.obs.Registry().Counter("wasp_checkpoints_total").Inc()
+	}
+}
+
+// checkpoint snapshots one task group into the store at its site and at
+// the site's replica; both copies share the snapshot's bytes.
+func (rm *RecoveryManager) checkpoint(id plan.OpID, site topology.SiteID) {
+	ref := state.Ref{Job: rm.job, Operator: rm.opNames[id], Task: int(site), Epoch: rm.epoch, Site: site}
+	data, err := rm.eng.SnapshotGroup(id, site)
+	if err != nil {
+		rm.onCheckpointError(fmt.Errorf("checkpoint %s/%s/%d epoch %d: %w", ref.Job, ref.Operator, ref.Task, rm.epoch, err))
+		return
+	}
+	rm.put(ref, data)
+	if r := rm.replicas[site]; r != site {
+		ref.Site = r
+		rm.put(ref, data)
+	}
+}
+
+func (rm *RecoveryManager) put(ref state.Ref, data []byte) {
+	if err := rm.store.PutOwned(ref, data); err != nil {
+		rm.onCheckpointError(err)
 	}
 }
 
@@ -129,76 +164,28 @@ func stateful(op *plan.Operator) bool {
 	return op.Stateful || op.Window > 0
 }
 
-// refreshTargets syncs the coordinator's target set with the engine's
-// current task groups: one target per (stateful op, live site), task keyed
-// by site so per-group snapshots stay addressable after moves. It derives
-// the pair list into a reused slice and touches the coordinator only when
-// the list differs from last round's — a scale, re-plan, crash or restart.
-func (rm *RecoveryManager) refreshTargets() {
-	pp := rm.eng.Plan()
-	order, err := pp.Graph.TopoOrder()
-	if err != nil {
-		return
-	}
-	next := rm.next[:0]
-	for _, id := range order {
-		if !stateful(pp.Graph.Operator(id)) {
-			continue
-		}
-		start := len(next)
-		for _, site := range pp.Stages[id].Sites {
-			if !rm.eng.SiteDown(site) {
-				next = append(next, taskPair{op: id, site: site})
-			}
-		}
-		// A stage may run several tasks per site: one target per site.
-		slices.SortFunc(next[start:], func(a, b taskPair) int { return cmp.Compare(a.site, b.site) })
-		next = next[:start+len(slices.Compact(next[start:]))]
-	}
-	rm.next = next
-	if slices.Equal(next, rm.pairs) {
-		return
-	}
-	for _, p := range rm.pairs {
-		if !slices.Contains(next, p) {
-			rm.coord.Unregister(rm.job, opName(p.op), int(p.site))
+// replicaSites gives every site its deterministic replica: the lowest-ID
+// data-center site that is not the site itself, falling back to the
+// lowest-ID other site (single-DC topologies), and to the site itself in
+// a one-site topology.
+func replicaSites(top *topology.Topology) []topology.SiteID {
+	dcs := top.SitesOfKind(topology.DataCenter)
+	out := make([]topology.SiteID, top.N())
+	for i := range out {
+		site := topology.SiteID(i)
+		out[i] = site
+		switch {
+		case len(dcs) > 0 && dcs[0] != site:
+			out[i] = dcs[0]
+		case len(dcs) > 1:
+			out[i] = dcs[1]
+		case site != 0:
+			out[i] = 0
+		case len(out) > 1:
+			out[i] = 1
 		}
 	}
-	for _, p := range next {
-		if !slices.Contains(rm.pairs, p) {
-			rm.coord.Register(rm.target(p))
-		}
-	}
-	rm.pairs, rm.next = next, rm.pairs
-}
-
-// target builds the checkpoint target of one (op, site) pair.
-func (rm *RecoveryManager) target(p taskPair) state.Target {
-	return state.Target{
-		Job:      rm.job,
-		Operator: opName(p.op),
-		Task:     int(p.site),
-		Site:     p.site,
-		Replicas: []topology.SiteID{rm.replicaFor(p.site)},
-		Snapshot: func() ([]byte, error) { return rm.eng.SnapshotGroup(p.op, p.site) },
-	}
-}
-
-// replicaFor picks the deterministic replica site for a primary: the
-// lowest-ID data-center site that is not the primary, falling back to the
-// lowest-ID other site (single-DC topologies).
-func (rm *RecoveryManager) replicaFor(primary topology.SiteID) topology.SiteID {
-	for _, s := range rm.top.SitesOfKind(topology.DataCenter) {
-		if s != primary {
-			return s
-		}
-	}
-	for i := 0; i < rm.top.N(); i++ {
-		if topology.SiteID(i) != primary {
-			return topology.SiteID(i)
-		}
-	}
-	return primary
+	return out
 }
 
 // Latest finds the freshest checkpoint for one task group that is NOT
@@ -349,9 +336,6 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	// Rung 1: replace the lost tasks on live sites — all of them if slots
 	// allow, otherwise as many as fit. FreeSlots already reports zero for
 	// down sites, so the placement program cannot pick them.
-	if c.lastRateFactor == 0 {
-		c.lastRateFactor = 1 // crash before the first monitoring round
-	}
 	var newSites []topology.SiteID
 	placed := 0
 	for k := lost; k >= 1; k-- {

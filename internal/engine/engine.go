@@ -175,7 +175,6 @@ type edgeFlow struct {
 	q          cohortQueue
 	flow       *netsim.Flow
 	eventBytes float64
-	latency    vclock.Time
 
 	// Wiring, written only by rewire(): the destination group, whether the
 	// sending operator is an ingest stage (deliveries count as transported
@@ -309,10 +308,6 @@ type Engine struct {
 
 	// popBuf is the tick's scratch buffer for popped cohorts.
 	popBuf []cohort
-	// latGen is the net.LatencyGen at the last flow-latency refresh; when
-	// the network reports a latency-affecting change (link fault set or
-	// cleared), every flow's cached latency is re-sampled.
-	latGen uint64
 }
 
 // sitePair is one directed WAN link used by at least one flow.
@@ -500,17 +495,9 @@ func (e *Engine) tick(now vclock.Time) {
 	failed := now <= e.failedUntil
 
 	// 0. Structure only changes through the three mutators, each of which
-	// ends in rewire(). When the network reports a latency-affecting change
-	// (link fault set/cleared), re-sample each flow's cached link latency;
-	// link capacities are sampled once for the whole tick.
+	// ends in rewire(). Link capacities are sampled once for the whole tick.
 	if e.wired != e.gen {
 		panic("engine: structural mutation without rewire")
-	}
-	if lg := e.net.LatencyGen(); lg != e.latGen {
-		e.latGen = lg
-		for _, f := range e.flows {
-			f.latency = vclock.Time(e.net.Latency(f.key.fromSite, f.key.toSite))
-		}
 	}
 	e.refreshLinkCaps()
 
@@ -612,12 +599,13 @@ func (e *Engine) deliverFlows(dtSec float64) {
 }
 
 // deliver pushes the cohorts in popBuf, just popped from f's send queue,
-// into f's destination group, aging them by the link latency.
+// into f's destination group, aging them by the link's current latency.
 //
 //waspvet:hotpath
 func (e *Engine) deliver(f *edgeFlow) {
+	latency := vclock.Time(f.flow.Latency())
 	for _, c := range e.popBuf {
-		f.dst.inQ.push(c.born-f.latency, c.count, c.worth, c.raw)
+		f.dst.inQ.push(c.born-latency, c.count, c.worth, c.raw)
 		f.dst.arrived += c.count
 		if f.srcFront {
 			e.transportedSrc += c.src()

@@ -9,10 +9,10 @@ import (
 )
 
 // TestLinkSlowShiftsDeliveryLatency is the regression test for the stale
-// flow-latency bug: addFlow samples net.Latency once at flow creation, so
-// without the LatencyGen-driven refresh a linkslow fault (or its heal)
-// left existing flows delivering at the original latency forever. The
-// 0→1 link (base 40 ms) is degraded to 25% mid-run, which inflates its
+// flow-latency bug: flows once sampled net.Latency at creation, so a
+// linkslow fault (or its heal) left existing flows delivering at the
+// original latency forever; delivery now reads the link's current
+// latency. The 0→1 link (base 40 ms) is degraded to 25% mid-run, which inflates its
 // effective latency 4× (to 160 ms); sink delivery delays must shift up by
 // roughly the added 120 ms while the fault holds and return to baseline
 // after the heal.

@@ -3,7 +3,6 @@ package engine
 import (
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
-	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 // newFlow creates the send queue and netsim flow for one (edge, site-pair).
@@ -15,7 +14,6 @@ func (e *Engine) newFlow(from, to plan.OpID, fromSite, toSite topology.SiteID) *
 	return &edgeFlow{
 		key:        flowKey{from: from, to: to, fromSite: fromSite, toSite: toSite},
 		eventBytes: eventBytes,
-		latency:    vclock.Time(e.net.Latency(fromSite, toSite)),
 		flow:       e.net.AddFlow(fromSite, toSite),
 	}
 }

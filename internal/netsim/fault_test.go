@@ -64,6 +64,36 @@ func TestLinkFaultInflatesLatency(t *testing.T) {
 	}
 }
 
+// Flow.Latency reads the flow's link: it follows a fault and its heal,
+// keeps the base latency through a blackout, and a flow added to an
+// already-degraded link starts at the degraded latency.
+func TestFlowLatencyFollowsLinkFaults(t *testing.T) {
+	n := New(twoSite(t))
+	base := n.Latency(0, 1)
+	slow := time.Duration(float64(base) / 0.25)
+	f := n.AddFlow(0, 1)
+	check := func(when string, f *Flow, want time.Duration) {
+		t.Helper()
+		if got := f.Latency(); got != want {
+			t.Fatalf("%s: Flow.Latency = %v, want %v", when, got, want)
+		}
+		if got := n.Latency(f.From, f.To); got != want {
+			t.Fatalf("%s: Network.Latency = %v, want %v", when, got, want)
+		}
+	}
+	check("before a fault", f, base)
+	n.SetLinkFault(0, 1, 0.25)
+	check("degraded", f, slow)
+	n.SetLinkFault(0, 1, 0)
+	check("blackout", f, base)
+	n.ClearLinkFault(0, 1)
+	check("healed", f, base)
+
+	n.SetLinkFault(0, 1, 0.25)
+	check("added to a degraded link", n.AddFlow(0, 1), slow)
+	check("reverse direction", n.AddFlow(1, 0), n.Latency(1, 0))
+}
+
 func TestLinkFaultStacksWithDynamicsAndClamps(t *testing.T) {
 	n := New(twoSite(t))
 	n.SetGlobalFactor(trace.Constant(0.5))

@@ -48,10 +48,14 @@ type linkState struct {
 	factor       trace.Cursor
 	solvedFactor float64
 	// fault is the injected fault factor in [0, 1), applied while faulted.
-	//waspvet:guardedby dirty,Network.latencyGen
+	//waspvet:guardedby dirty
 	fault float64
-	//waspvet:guardedby dirty,Network.latencyGen
+	//waspvet:guardedby dirty
 	faulted bool
+	// latency is the link's current one-way latency: the topology's value,
+	// inflated while a fault degrades the link (see setFault). Set
+	// when the link is created and by every fault change.
+	latency time.Duration
 	//waspvet:guardedby dirty,Network.activeDirty
 	flows []*Flow
 	//waspvet:guardedby dirty,Network.activeDirty
@@ -104,6 +108,12 @@ func (f *Flow) Allocated() float64 { return f.allocated }
 //
 //waspvet:hotpath
 func (f *Flow) Capacity(now vclock.Time) float64 { return f.net.capacity(f.link, now) }
+
+// Latency returns the current one-way latency of the flow's link:
+// Network.Latency(f.From, f.To) without the pair lookup.
+//
+//waspvet:hotpath
+func (f *Flow) Latency() time.Duration { return f.link.latency }
 
 // Transfer is a bulk state-migration transfer. It consumes all bandwidth
 // the fair-share allocation grants it until its payload is delivered.
@@ -164,10 +174,6 @@ type Network struct {
 	globalLast float64
 	globalInit bool
 
-	// latencyGen counts link-latency changes (fault set/clear); consumers
-	// caching Latency() results re-sample when it moves.
-	latencyGen uint64
-
 	// Optional telemetry (nil = zero overhead). Instrument handles are
 	// cached because Step runs every simulation tick.
 	obs          *obs.Observer
@@ -211,7 +217,12 @@ func (n *Network) link(from, to topology.SiteID) *linkState {
 		return l
 	}
 	k := linkKey{from, to}
-	l := &linkState{id: len(n.links), key: k, base: n.top.BaseBandwidth(from, to).BytesPerSec()}
+	l := &linkState{
+		id:      len(n.links),
+		key:     k,
+		base:    n.top.BaseBandwidth(from, to).BytesPerSec(),
+		latency: n.top.Latency(from, to),
+	}
 	n.linkIdx[k] = l.id
 	n.links = append(n.links, l)
 	return l
@@ -295,10 +306,7 @@ func (n *Network) SetLinkFault(from, to topology.SiteID, factor float64) {
 		n.ClearLinkFault(from, to)
 		return
 	}
-	l := n.link(from, to)
-	l.fault, l.faulted = math.Max(factor, 0), true
-	n.markDirty(l)
-	n.latencyGen++
+	n.setFault(n.link(from, to), math.Max(factor, 0), true)
 	if n.obs != nil {
 		n.obs.Emit("fault.link",
 			obs.Int("from", int(from)), obs.Int("to", int(to)),
@@ -312,13 +320,26 @@ func (n *Network) ClearLinkFault(from, to topology.SiteID) {
 	if l == nil || !l.faulted {
 		return
 	}
-	l.fault, l.faulted = 0, false
-	n.markDirty(l)
-	n.latencyGen++
+	n.setFault(l, 0, false)
 	if n.obs != nil {
 		n.obs.Emit("fault.link_healed",
 			obs.Int("from", int(from)), obs.Int("to", int(to)))
 	}
+}
+
+// setFault sets a link's fault state and the latency it implies: a factor
+// f in (0,1) inflates the base latency by 1/f (congestion and
+// retransmission on the degraded path), and healing restores the base
+// value. A blackout (f == 0) keeps the base latency — capacity zero
+// already stops all delivery, and an infinite latency would poison
+// consumers that precompute delivery offsets for when the link heals.
+func (n *Network) setFault(l *linkState, fault float64, faulted bool) {
+	l.fault, l.faulted = fault, faulted
+	l.latency = n.top.Latency(l.key.from, l.key.to)
+	if faulted && fault > 0 {
+		l.latency = time.Duration(float64(l.latency) / fault)
+	}
+	n.markDirty(l)
 }
 
 // Capacity returns the from→to link capacity at time now, in bytes/s,
@@ -360,28 +381,17 @@ func (n *Network) Reachable(from, to topology.SiteID, now vclock.Time) bool {
 }
 
 // Latency returns the one-way from→to latency. An injected link fault
-// degrades propagation along with capacity: a factor f in (0,1) inflates
-// the base latency by 1/f (congestion and retransmission on the degraded
-// path), and healing restores the base value. A blackout (f == 0) keeps
-// the base latency — capacity zero already stops all delivery, and an
-// infinite latency would poison consumers that precompute delivery
-// offsets for when the link heals.
+// degrades propagation along with capacity (see setFault). Per-tick
+// callers holding a Flow on the link use Flow.Latency, which skips the
+// pair lookup.
 //
 //waspvet:hotpath
 func (n *Network) Latency(from, to topology.SiteID) time.Duration {
-	base := n.top.Latency(from, to)
-	if l := n.lookup(from, to); l != nil && l.faulted && l.fault > 0 {
-		return time.Duration(float64(base) / l.fault)
+	if l := n.lookup(from, to); l != nil {
+		return l.latency
 	}
-	return base
+	return n.top.Latency(from, to)
 }
-
-// LatencyGen returns a counter that advances whenever a link's effective
-// latency may have changed (fault injected or healed). Consumers caching
-// Latency() results refresh when the value moves.
-//
-//waspvet:hotpath
-func (n *Network) LatencyGen() uint64 { return n.latencyGen }
 
 // AddFlow registers a persistent flow on the from→to link with zero
 // initial demand.

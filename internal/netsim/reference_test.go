@@ -234,6 +234,8 @@ func FuzzStepMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 9, 0, 7, 0, 1, 1, 2, 9, 0, 7, 0, 1, 0, 9, 0})
 	// A traced link whose factor falls from 1 to 0 under a saturating flow.
 	f.Add([]byte{0, 0, 1, 2, 0, 9, 0, 7, 0, 1, 0x25, 3, 0, 9, 0, 9, 0, 9, 1})
+	// A flow added to a link already degraded, stepped, healed and stepped.
+	f.Add([]byte{5, 0, 1, 3, 0, 0, 1, 2, 0, 9, 0, 9, 0, 6, 0, 1, 9, 1})
 	// Capacity probes before, between and after Steps over 1 ms pieces.
 	f.Add([]byte{0, 0, 1, 2, 0, 8, 0, 8, 0x0d, 2, 5, 4, 0, 7, 0, 1, 0x0d, 3, 0, 5, 1,
 		10, 0, 0, 9, 1, 10, 5, 1, 0, 1, 10, 2, 0, 9, 2, 10, 7, 0, 10, 3, 1, 1, 0})
@@ -324,7 +326,8 @@ func FuzzStepMatchesReference(f *testing.F) {
 }
 
 // compareWithReference checks every flow's allocation and capacity, every
-// transfer's progress, and Capacity/Latency on every site pair.
+// live flow's latency, every transfer's progress, and Capacity/Latency on
+// every site pair.
 func compareWithReference(t *testing.T, net *Network, ref *refNet, flows []*Flow, transfers []*Transfer, now vclock.Time) {
 	t.Helper()
 	for i, f := range flows {
@@ -334,6 +337,12 @@ func compareWithReference(t *testing.T, net *Network, ref *refNet, flows []*Flow
 		}
 		if got, want := f.Capacity(now), ref.capacity(rf.key, now); got != want {
 			t.Fatalf("t=%v flow %d %v: Flow.Capacity %v, reference %v", now, i, rf.key, got, want)
+		}
+		if rf.removed {
+			continue
+		}
+		if got, want := f.Latency(), ref.latency(rf.key); got != want {
+			t.Fatalf("t=%v flow %d %v: Flow.Latency %v, reference %v", now, i, rf.key, got, want)
 		}
 	}
 	live := 0

@@ -10,8 +10,8 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// Integration: the checkpoint coordinator snapshots a live record-mode
-// windowed operator every 30 s of virtual time; after a crash, a fresh operator
+// Integration: a checkpoint round snapshots a live record-mode windowed
+// operator into the store at its site every 30 s of virtual time; after a crash, a fresh operator
 // restored from the latest local checkpoint resumes and produces exactly
 // the results the original would have (events since the checkpoint are
 // replayed — the paper's localized checkpoint/restore path, §5).
@@ -20,11 +20,17 @@ func TestCheckpointRestoreResumesWindowedAggregation(t *testing.T) {
 	store := state.NewStore()
 
 	counter := stream.Count(10 * time.Second)
-	coord := state.NewCoordinator(store, func(err error) { t.Fatal(err) })
-	ticker := sched.Every(30*time.Second, func(vclock.Time) { coord.Checkpoint() })
-	coord.Register(state.Target{
-		Job: "q", Operator: "count", Task: 0, Site: 2,
-		Snapshot: counter.SnapshotState,
+	var epoch int64
+	ticker := sched.Every(30*time.Second, func(vclock.Time) {
+		epoch++
+		data, err := counter.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// SnapshotState returns fresh memory, so the store may keep it.
+		if err := store.PutOwned(state.Ref{Job: "q", Operator: "count", Task: 0, Epoch: epoch, Site: 2}, data); err != nil {
+			t.Fatal(err)
+		}
 	})
 
 	// Feed events 0..59 s on a virtual-time schedule: one per second.
@@ -39,8 +45,8 @@ func TestCheckpointRestoreResumesWindowedAggregation(t *testing.T) {
 	if err := sched.RunUntil(45 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if coord.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", coord.Epoch())
+	if epoch != 1 {
+		t.Fatalf("epoch = %d, want 1", epoch)
 	}
 
 	// Crash: recover a fresh operator from the latest checkpoint, which is

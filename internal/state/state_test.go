@@ -1,7 +1,6 @@
 package state
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -174,117 +173,6 @@ func TestStoreCopiesData(t *testing.T) {
 	_, got2, _ := s.LatestExcluding("j", "op", 0)
 	if string(got2) != "orig" {
 		t.Fatal("store leaked internal data")
-	}
-}
-
-func TestCoordinatorErrorHandling(t *testing.T) {
-	store := NewStore()
-	var errs []error
-	c := NewCoordinator(store, func(err error) { errs = append(errs, err) })
-	c.Register(Target{
-		Job: "q", Operator: "bad", Task: 0,
-		Snapshot: func() ([]byte, error) { return nil, errors.New("boom") },
-	})
-	c.Checkpoint()
-	if len(errs) != 1 {
-		t.Fatalf("errs = %v", errs)
-	}
-	if _, _, ok := store.LatestExcluding("q", "bad", 0); ok {
-		t.Fatal("failed snapshot was stored")
-	}
-}
-
-func TestCoordinatorReRegisterMovesSite(t *testing.T) {
-	store := NewStore()
-	c := NewCoordinator(store, nil)
-	mk := func(site int) Target {
-		return Target{
-			Job: "q", Operator: "op", Task: 0, Site: topoSite(site),
-			Snapshot: func() ([]byte, error) { return []byte("x"), nil },
-		}
-	}
-	c.Register(mk(0))
-	c.Checkpoint()
-	c.Register(mk(5)) // task migrated
-	c.Checkpoint()
-	if c.Targets() != 1 {
-		t.Fatalf("Targets = %d, want 1 (re-register replaces)", c.Targets())
-	}
-	ref, _, _ := store.LatestExcluding("q", "op", 0)
-	if ref.Site != 5 {
-		t.Fatalf("latest site = %v, want 5", ref.Site)
-	}
-}
-
-// Regression: Checkpoint used to iterate the targets map directly, so
-// Go's randomized map order leaked into the onError sequence and the
-// Store.Put order — a determinism hole in a repo whose same-seed JSONL
-// is byte-identical by contract. With a failing target in the mix, the
-// error position varied run to run. Rounds must now visit targets in
-// sorted key order every time.
-func TestCoordinatorCheckpointDeterministicOrder(t *testing.T) {
-	run := func() (errs []string, refs []Ref) {
-		store := NewStore()
-		c := NewCoordinator(store, func(err error) { errs = append(errs, err.Error()) })
-		for i := 0; i < 8; i++ {
-			i := i
-			tgt := Target{
-				Job: "q", Operator: "op", Task: i, Site: topoSite(i),
-				Snapshot: func() ([]byte, error) { return []byte{byte(i)}, nil },
-			}
-			if i == 2 || i == 6 {
-				tgt.Snapshot = func() ([]byte, error) { return nil, errors.New("disk gone") }
-			}
-			c.Register(tgt)
-		}
-		c.Checkpoint()
-		return errs, storedRefs(store)
-	}
-
-	wantErrs := []string{
-		"checkpoint q/op/2 epoch 1: disk gone",
-		"checkpoint q/op/6 epoch 1: disk gone",
-	}
-	for trial := 0; trial < 20; trial++ {
-		errs, refs := run()
-		if len(errs) != len(wantErrs) || errs[0] != wantErrs[0] || errs[1] != wantErrs[1] {
-			t.Fatalf("trial %d: error order %v, want %v", trial, errs, wantErrs)
-		}
-		if len(refs) != 6 {
-			t.Fatalf("trial %d: %d refs stored, want 6", trial, len(refs))
-		}
-	}
-}
-
-func TestCoordinatorReplicatesCheckpoints(t *testing.T) {
-	store := NewStore()
-	c := NewCoordinator(store, func(err error) { t.Fatal(err) })
-	c.Register(Target{
-		Job: "q", Operator: "agg", Task: 0, Site: 3,
-		Replicas: []topology.SiteID{1, 3}, // the duplicate of site 3 must be skipped
-		Snapshot: func() ([]byte, error) { return []byte("s"), nil },
-	})
-	c.Checkpoint()
-	refs := storedRefs(store)
-	if len(refs) != 2 {
-		t.Fatalf("refs = %v, want primary + one replica", refs)
-	}
-	if refs[0].Site != 3 || refs[1].Site != 1 || refs[0].Epoch != 1 || refs[1].Epoch != 1 {
-		t.Fatalf("refs = %v", refs)
-	}
-	// The replica is what survives the primary site's death.
-	ref, data, ok := store.LatestExcluding("q", "agg", 0, 3)
-	if !ok || ref.Site != 1 || string(data) != "s" {
-		t.Fatalf("LatestExcluding(3) = (%+v, %q, %v)", ref, data, ok)
-	}
-}
-
-func TestCoordinatorUnregister(t *testing.T) {
-	c := NewCoordinator(NewStore(), nil)
-	c.Register(Target{Job: "q", Operator: "op", Task: 0, Snapshot: func() ([]byte, error) { return nil, nil }})
-	c.Unregister("q", "op", 0)
-	if c.Targets() != 0 {
-		t.Fatalf("Targets = %d after Unregister", c.Targets())
 	}
 }
 

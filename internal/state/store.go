@@ -1,8 +1,9 @@
-// Package state implements WASP's local state management (§5): operator
-// state snapshots, a site-local checkpoint store (states are checkpointed
-// to the site where the task runs, never over the WAN), a checkpoint
-// coordinator that snapshots every registered task in one round, and the
-// key-hash partitioner used when state is split across scaled-out tasks.
+// Package state implements WASP's local state management (§5): a
+// site-local checkpoint store (states are checkpointed to the site where
+// the task runs, never over the WAN) and the key-hash partitioner used
+// when state is split across scaled-out tasks. The checkpoint rounds that
+// fill the store run in the recovery manager (internal/adapt), which
+// snapshots every stateful task of the deployed plan.
 package state
 
 import (
@@ -38,8 +39,7 @@ type taskKey struct {
 
 func (r Ref) taskKey() taskKey { return taskKey{r.Job, r.Operator, r.Task} }
 
-// String is the "job/operator/task" form errors name a task by, and the
-// order the coordinator visits its targets in.
+// String is the "job/operator/task" form errors name a task by.
 func (k taskKey) String() string {
 	return k.job + "/" + k.operator + "/" + strconv.Itoa(k.task)
 }
@@ -69,13 +69,13 @@ func NewStore() *Store {
 // that does not already hold it (checkpoint replication writes the same
 // round to the task's own site and to replica sites).
 func (s *Store) Put(ref Ref, data []byte) error {
-	return s.put(ref, append([]byte(nil), data...))
+	return s.PutOwned(ref, append([]byte(nil), data...))
 }
 
-// put is Put taking ownership of data: the store keeps the slice itself,
-// so the caller must not write to it again. The coordinator passes one
-// snapshot to every site of a round this way.
-func (s *Store) put(ref Ref, data []byte) error {
+// PutOwned is Put taking ownership of data: the store keeps the slice
+// itself, so the caller must not write to it again. A checkpoint round
+// stores one snapshot at the task's site and at its replica this way.
+func (s *Store) PutOwned(ref Ref, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := ref.taskKey()
