@@ -275,3 +275,86 @@ func TestRecordPathAllocs(t *testing.T) {
 		}
 	}
 }
+
+// consumers reads the compiled dispatch of a pipeline node through
+// reflection, since it is unexported: the name of the node each edge of its
+// out delivers to.
+func consumers(p *stream.Pipeline, id stream.NodeID) []string {
+	out := reflect.ValueOf(p).Elem().FieldByName("nodes").Index(int(id)).Elem().FieldByName("out")
+	names := make([]string, out.Len())
+	for i := range names {
+		names[i] = out.Index(i).FieldByName("to").Elem().FieldByName("name").String()
+	}
+	return names
+}
+
+// Every source of the YSB and top-k pipelines dispatches straight into the
+// windowed operator: the filter, YSB's join map and the union ride that one
+// edge. And the records of a warm pipeline allocate nothing: a run of many
+// records allocates what a run of a few does over the same windows, keys and
+// topics (the counts stay under 256, which Go boxes without allocating).
+func TestRecordQueriesCompileToOneHop(t *testing.T) {
+	ads := func(perCampaign int) []stream.Event {
+		var evs []workload.AdEvent
+		for i := 0; i < perCampaign; i++ {
+			for c := int64(0); c < 8; c++ {
+				at := vclock.Time(i) * vclock.Time(time.Millisecond)
+				evs = append(evs, workload.AdEvent{CampaignID: c, EventType: workload.AdView, Time: at},
+					workload.AdEvent{CampaignID: c, EventType: workload.AdClick, Time: at})
+			}
+		}
+		return workload.YSBStream(evs)
+	}
+	tweets := func(perTopic int) []stream.Event {
+		var evs []workload.Tweet
+		for i := 0; i < perTopic; i++ {
+			at := vclock.Time(i) * vclock.Time(time.Millisecond)
+			for c, country := range []string{"us", "fr", ""} {
+				for n, topic := range []string{"go", "zig", "ml"} {
+					evs = append(evs, workload.Tweet{Country: country, CountryID: uint32(c + 1),
+						Topic: topic, TopicID: uint32(n + 1), Time: at})
+				}
+			}
+		}
+		return workload.TweetStream(evs)
+	}
+	for _, c := range []struct {
+		name, op string
+		build    func() *RecordPipeline
+		events   func(int) []stream.Event
+	}{
+		{"ysb", "count10s", func() *RecordPipeline { return BuildYSBRecord(4, 10*time.Second) }, ads},
+		{"topk", "topk", func() *RecordPipeline { return BuildTopKRecord(4, 2, 30*time.Second) }, tweets},
+	} {
+		rp := c.build()
+		split := func(events []stream.Event) stream.Inputs {
+			inputs := stream.Inputs{}
+			for i, e := range events {
+				src := rp.Sources[i%len(rp.Sources)]
+				inputs[src] = append(inputs[src], e)
+			}
+			return inputs
+		}
+		run := func(inputs stream.Inputs) {
+			// No periodic watermarks: every run after the first starts at
+			// the MaxWatermark the one before it ended with.
+			if err := rp.Pipeline.Run(inputs, stream.RunConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		few, many := c.events(1), c.events(200)
+		run(split(few))
+		for _, src := range rp.Sources {
+			if got := consumers(rp.Pipeline, src); !reflect.DeepEqual(got, []string{c.op}) {
+				t.Errorf("%s: a source dispatches to %v, want one edge into %s", c.name, got, c.op)
+			}
+		}
+		fewIn, manyIn := split(few), split(many)
+		perFew := testing.AllocsPerRun(20, func() { run(fewIn) })
+		perMany := testing.AllocsPerRun(20, func() { run(manyIn) })
+		if perMany != perFew {
+			t.Errorf("%s: a run of %d records allocates %v times, one of %d records %v: %.4f allocations per extra record, want 0",
+				c.name, len(many), perMany, len(few), perFew, (perMany-perFew)/float64(len(many)-len(few)))
+		}
+	}
+}

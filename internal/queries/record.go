@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"fmt"
 	"strings"
 	"time"
 
@@ -43,8 +44,14 @@ func BuildYSBRecord(nSources int, window time.Duration) *RecordPipeline {
 		// would be equivalent).
 		join := p.AddNode("join-campaign", &stream.Map{
 			Fn: func(e stream.Event) stream.Event {
-				ad := e.Value.(workload.AdEvent)
-				return stream.Event{Time: e.Time, Key: e.Key, KeyID: e.KeyID, Value: ad.CampaignID}
+				// A type switch copies the boxed event once, a type
+				// assertion twice.
+				switch ad := e.Value.(type) {
+				case workload.AdEvent:
+					e.Value = ad.CampaignID
+					return e
+				}
+				panic(fmt.Sprintf("queries: YSB input value is %T, not workload.AdEvent", e.Value))
 			},
 		})
 		p.MustConnect(src, fil, 0)
@@ -61,7 +68,8 @@ func BuildYSBRecord(nSources int, window time.Duration) *RecordPipeline {
 
 // BuildTopKRecord builds the record-mode Top-K Popular Topics pipeline:
 // filter(geo-tagged) → 30 s windowed top-k topics per country. Inputs are
-// workload.Tweet streams keyed by country.
+// workload.Tweet streams keyed by country, so a tweet is geo-tagged when its
+// key is not empty.
 func BuildTopKRecord(nSources, k int, window time.Duration) *RecordPipeline {
 	if window <= 0 {
 		window = 30 * time.Second
@@ -75,9 +83,7 @@ func BuildTopKRecord(nSources, k int, window time.Duration) *RecordPipeline {
 	for i := 0; i < nSources; i++ {
 		src := p.AddSource("tweet-src")
 		fil := p.AddNode("filter-geo", &stream.Filter{
-			Pred: func(e stream.Event) bool {
-				return e.Value.(workload.Tweet).Country != ""
-			},
+			Pred: func(e stream.Event) bool { return e.Key != "" },
 		})
 		p.MustConnect(src, fil, 0)
 		p.MustConnect(fil, union, 0)
@@ -87,8 +93,13 @@ func BuildTopKRecord(nSources, k int, window time.Duration) *RecordPipeline {
 		Size: window,
 		K:    k,
 		TopicRef: func(e stream.Event) (string, uint32) {
-			tw := e.Value.(workload.Tweet)
-			return tw.Topic, tw.TopicID
+			// A type switch copies the boxed tweet once, a type assertion
+			// twice.
+			switch tw := e.Value.(type) {
+			case workload.Tweet:
+				return tw.Topic, tw.TopicID
+			}
+			panic(fmt.Sprintf("queries: top-k input value is %T, not workload.Tweet", e.Value))
 		},
 	})
 	sink := p.AddSink("topk-sink")

@@ -26,12 +26,14 @@ const (
 
 // edge is one resolved output of a node: Connect stores the consumer itself,
 // not its ID, so delivering a record looks nothing up. A compiled edge may
-// carry a guard: the Filter it was fused through, whose Pred the event must
-// pass before it is delivered.
+// carry a guard, the Filter it was fused through, whose Pred the event must
+// pass before it is delivered, and a Map it was fused through, whose Fn the
+// event is delivered through after the guard.
 type edge struct {
 	to    *pipelineNode
 	port  int
 	guard *Filter
+	fn    *Map
 }
 
 type pipelineNode struct {
@@ -58,8 +60,8 @@ type pipelineNode struct {
 // repeatable. The DAG is its own dispatch table — edges hold their consumer
 // node and every node one Emit bound at construction — so a record crosses
 // an operator hop without a lookup or an allocation, and Unions and
-// single-consumer Filters are compiled out of the hops. Pipeline is not
-// safe for concurrent use.
+// single-consumer Filters and Maps are compiled out of the hops. Pipeline
+// is not safe for concurrent use.
 type Pipeline struct {
 	//waspvet:guardedby topo
 	nodes []*pipelineNode
@@ -122,18 +124,23 @@ func (p *Pipeline) MustConnect(from, to NodeID, port int) {
 
 // forward hands one output of n to each consumer in connection order,
 // recursing through the consumer's handler before moving to the next
-// (depth-first). An edge whose guard rejects the event delivers nothing.
-// Run forwards each input event from its source node. Connect admits no
-// edge into a source.
+// (depth-first). An edge whose guard rejects the event delivers nothing; an
+// edge that carries a Map delivers what its Fn makes of the event. Run
+// forwards each input event from its source node. Connect admits no edge
+// into a source.
 func (n *pipelineNode) forward(e Event) {
 	for _, ed := range n.out {
 		if ed.guard != nil && !ed.guard.Pred(e) {
 			continue
 		}
+		out := e
+		if ed.fn != nil {
+			out = ed.fn.Fn(e)
+		}
 		if to := ed.to; to.kind == nodeSink {
-			to.collected = append(to.collected, e)
+			to.collected = append(to.collected, out)
 		} else {
-			to.handler.OnEvent(ed.port, e, to.emit)
+			to.handler.OnEvent(ed.port, out, to.emit)
 		}
 	}
 }
@@ -201,14 +208,21 @@ func (p *Pipeline) topoOrder() ([]*pipelineNode, error) {
 }
 
 // compile derives n.out from n.edges; every consumer's out must already be
-// compiled, so topoOrder visits nodes in reverse topological order. Two
-// rules, neither of which changes what any handler sees or in what order:
+// compiled, so topoOrder visits nodes in reverse topological order. Three
+// rules, none of which changes what any handler sees or in what order:
 //   - an edge into a *Union becomes that Union's own out, since Union
 //     forwards every input unchanged to all of its consumers;
 //   - an edge into a *Filter whose out is one unguarded edge becomes that
 //     edge guarded by the Filter, since Filter emits its input to it exactly
-//     when Pred holds. Pred is read through the pointer on every event, so
-//     replacing it takes effect at once.
+//     when Pred holds;
+//   - an edge into a *Map whose out is one edge with neither a guard nor a
+//     Map becomes that edge carrying the Map, since Map emits Fn of its
+//     input to it exactly once.
+//
+// So a Filter's edge may carry the Map fused below it, and forward applies
+// the guard before Fn, as the declared graph does. Pred and Fn are read
+// through their pointers on every event, so replacing one takes effect at
+// once.
 //
 // A node with nothing to splice keeps out aliased to edges.
 func (n *pipelineNode) compile() {
@@ -236,7 +250,15 @@ func (ed edge) splice(out []edge) ([]edge, bool) {
 		return append(out, ed.to.out...), true
 	case *Filter:
 		if next := ed.to.out; len(next) == 1 && next[0].guard == nil {
-			return append(out, edge{to: next[0].to, port: next[0].port, guard: h}), true
+			fused := next[0]
+			fused.guard = h
+			return append(out, fused), true
+		}
+	case *Map:
+		if next := ed.to.out; len(next) == 1 && next[0].guard == nil && next[0].fn == nil {
+			fused := next[0]
+			fused.fn = h
+			return append(out, fused), true
 		}
 	}
 	return out, false
@@ -256,8 +278,9 @@ type Inputs map[NodeID][]Event
 // RunConfig controls Run.
 type RunConfig struct {
 	// WatermarkEvery injects a watermark each time event time crosses a
-	// multiple of this interval. Zero disables periodic watermarks (a
-	// final MaxWatermark is always injected).
+	// multiple of this interval, up to the last multiple that is a
+	// vclock.Time. Zero disables periodic watermarks (a final MaxWatermark
+	// is always injected).
 	WatermarkEvery time.Duration
 }
 
@@ -311,6 +334,11 @@ func (p *Pipeline) Run(inputs Inputs, cfg RunConfig) error {
 		for every > 0 && e.Time >= nextWM {
 			if err := p.Watermark(nextWM); err != nil {
 				return err
+			}
+			if nextWM > MaxWatermark-every {
+				// The next multiple is past the last representable time:
+				// only the final MaxWatermark is left to inject.
+				every = 0
 			}
 			nextWM += every
 		}

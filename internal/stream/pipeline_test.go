@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -197,7 +198,7 @@ func TestPipelineDeterministicReplay(t *testing.T) {
 // event and the next watermark: a consumer and an operator added after a Run
 // are not left out by anything Run prepared, a Filter and a Union added
 // after it are compiled into the next Run's dispatch, and a fused Filter's
-// new Pred decides the next event.
+// new Pred and a fused Map's new Fn decide the next event.
 func TestConnectAfterRunTakesEffect(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
@@ -215,6 +216,11 @@ func TestConnectAfterRunTakesEffect(t *testing.T) {
 	counted := p.AddSink("counted")
 	p.MustConnect(m, cnt, 0)
 	p.MustConnect(cnt, counted, 0)
+	double := &Map{Fn: func(e Event) Event { e.Value = e.Value.(int) * 2; return e }}
+	dm := p.AddNode("double", double)
+	doubled := p.AddSink("doubled")
+	p.MustConnect(m, dm, 0)
+	p.MustConnect(dm, doubled, 0)
 	odd := &Filter{Pred: func(e Event) bool { return e.Value.(int)%2 == 1 }}
 	f := p.AddNode("odd", odd)
 	u := p.AddNode("union", &Union{})
@@ -237,17 +243,63 @@ func TestConnectAfterRunTakesEffect(t *testing.T) {
 	if got := p.SinkEvents(filtered); len(got) != 1 || got[0].Value != 11 {
 		t.Fatalf("filter and union added after the first run passed %v, want the second event only", got)
 	}
+	if got := p.SinkEvents(doubled); len(got) != 1 || got[0].Value != 22 {
+		t.Fatalf("map added after the first run delivered %v, want 22 only", got)
+	}
 
-	if out := p.nodes[m].out; out[len(out)-1] != (edge{to: p.nodes[filtered], guard: odd}) {
-		t.Fatalf("map's last edge %+v, want the filtered sink guarded by the odd filter", out[len(out)-1])
+	if out := p.nodes[m].out; out[len(out)-1] != (edge{to: p.nodes[filtered], guard: odd}) ||
+		out[len(out)-2] != (edge{to: p.nodes[doubled], fn: double}) {
+		t.Fatalf("map's last edges %+v, want the doubled sink carrying the double map, then the filtered sink guarded by the odd filter", out)
 	}
 	odd.Pred = func(e Event) bool { return e.Value.(int) > 100 }
+	double.Fn = func(e Event) Event { e.Value = e.Value.(int) * 3; return e }
 	in := []Event{ev(5*time.Second, "k", 20), ev(6*time.Second, "k", 200)}
 	if err := p.Run(Inputs{src: in}, RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.SinkEvents(filtered); len(got) != 2 || got[1].Value != 201 {
 		t.Fatalf("filter whose Pred was replaced after a run passed %v, want 11 then 201", got)
+	}
+	if got := p.SinkEvents(doubled); len(got) != 3 || got[1].Value != 63 || got[2].Value != 603 {
+		t.Fatalf("map whose Fn was replaced after a run delivered %v, want 22, 63, 603", got)
+	}
+}
+
+// watermarks counts the watermarks it observes and passes events on.
+type watermarks struct{ n int }
+
+func (w *watermarks) OnEvent(_ int, e Event, emit Emit) { emit(e) }
+func (w *watermarks) OnWatermark(vclock.Time, Emit)     { w.n++ }
+
+// Periodic watermarks stop at the last multiple of WatermarkEvery that is a
+// vclock.Time: an event just short of MaxWatermark is delivered, counted and
+// flushed by the final MaxWatermark, where the next multiple once wrapped to a
+// negative time and Run failed on a regressing watermark.
+func TestRunWatermarkEveryNearMaxTime(t *testing.T) {
+	p := NewPipeline()
+	src := p.AddSource("s")
+	seen := &watermarks{}
+	w := p.AddNode("watermarks", seen)
+	cnt := p.AddNode("count", Count(10*time.Second))
+	raw := p.AddSink("raw")
+	counted := p.AddSink("counted")
+	p.MustConnect(src, w, 0)
+	p.MustConnect(w, raw, 0)
+	p.MustConnect(w, cnt, 0)
+	p.MustConnect(cnt, counted, 0)
+	at := vclock.Time(math.MaxInt64 - 10)
+	if err := p.Run(Inputs{src: {{Time: at, Key: "k"}}}, RunConfig{WatermarkEvery: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.SinkEvents(raw); len(got) != 1 || got[0].Time != at {
+		t.Fatalf("delivered %v, want the one event", got)
+	}
+	if got := p.SinkEvents(counted); len(got) != 1 || got[0].Value != int64(1) || got[0].Time != at {
+		t.Fatalf("counted %v, want one count of 1 at the event's time", got)
+	}
+	// Every hour up to the event, then the final MaxWatermark.
+	if want := int(at/vclock.Time(time.Hour)) + 1; seen.n != want {
+		t.Fatalf("%d watermarks, want %d", seen.n, want)
 	}
 }
 
@@ -338,14 +390,16 @@ func (d *discard) OnWatermark(vclock.Time, Emit) {}
 
 // A record crossing operator hops allocates nothing: no closure per hop, no
 // lookup per edge. Run hands each input event to its source's forward. The
-// four declared hops compile to two: the filter rides the source's edge as
-// its guard and the union is spliced out of the map's.
+// four declared hops compile to one: the union is spliced out of the map's
+// edge, the map rides the filter's, and the filter rides the source's as its
+// guard.
 func TestDispatchAllocs(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
 	filter := &Filter{Pred: func(Event) bool { return true }}
 	f := p.AddNode("filter", filter)
-	m := p.AddNode("map", &Map{Fn: func(e Event) Event { return e }})
+	mapper := &Map{Fn: func(e Event) Event { return e }}
+	m := p.AddNode("map", mapper)
 	u := p.AddNode("union", &Union{})
 	end := &discard{}
 	d := p.AddNode("discard", end)
@@ -358,15 +412,12 @@ func TestDispatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	from := p.nodes[src]
-	if want := []edge{{to: p.nodes[m], guard: filter}}; !reflect.DeepEqual(from.out, want) {
-		t.Fatalf("source dispatches to %v, want one edge to the map guarded by the filter", from.out)
-	}
-	if want := []edge{{to: p.nodes[d]}}; !reflect.DeepEqual(p.nodes[m].out, want) {
-		t.Fatalf("map dispatches to %v, want the discard node past the union", p.nodes[m].out)
+	if want := []edge{{to: p.nodes[d], guard: filter, fn: mapper}}; !reflect.DeepEqual(from.out, want) {
+		t.Fatalf("source dispatches to %v, want one edge to the discard node guarded by the filter and carrying the map", from.out)
 	}
 	e := ev(time.Second, "k", 1)
 	allocs := testing.AllocsPerRun(1000, func() { from.forward(e) })
 	if allocs != 0 || end.n == 0 {
-		t.Fatalf("%v allocs per record over four hops (%d delivered), want 0", allocs, end.n)
+		t.Fatalf("%v allocs per record over four declared hops (%d delivered), want 0", allocs, end.n)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -81,7 +82,8 @@ type step struct {
 
 // schedule is Run's contract written out: events in time order, ties to the
 // smaller source ID and then to input order, a watermark at every multiple
-// of `every` an event reaches, MaxWatermark last.
+// of `every` an event reaches up to the last multiple that is a vclock.Time,
+// MaxWatermark last.
 func schedule(inputs Inputs, every time.Duration) []step {
 	var events []step
 	for _, src := range detutil.SortedKeys(inputs) {
@@ -95,6 +97,9 @@ func schedule(inputs Inputs, every time.Duration) []step {
 	for _, s := range events {
 		for every > 0 && s.e.Time >= next {
 			steps = append(steps, step{src: -1, wm: next})
+			if next > MaxWatermark-vclock.Time(every) {
+				every = 0
+			}
 			next += vclock.Time(every)
 		}
 		steps = append(steps, s)
@@ -171,15 +176,15 @@ const maxEvents = 4000
 // genDAG draws a DAG of up to four sources and eight operators whose inputs
 // are earlier nodes, so fan-out (a node chosen twice), two-port joins
 // (self-joins included), unions of up to three, window→window chains and
-// operators that emit from OnWatermark all occur. Filters and Unions, the
-// operators Pipeline compiles out of its dispatch, are drawn twice as often
-// as the rest, and an input is the node just before its operator two times
-// in three, so chains of them (union into union, filter into filter, either
-// into a join) occur too. Inputs have time ties across and within sources
-// and, sometimes, negative event times. Every other source's events carry
-// their key's id, so each operator meets events with an id and, downstream
-// of a union, both kinds: one that passes an id on under another key stops
-// the run in the next keyed operator.
+// operators that emit from OnWatermark all occur. Filters, Maps and Unions,
+// the operators Pipeline compiles out of its dispatch, are drawn twice as
+// often as the rest, and an input is the node just before its operator two
+// times in three, so chains of them (union into union, filter into filter or
+// map, map into map or union, any of them into a join) occur too. Inputs have
+// time ties across and within sources and, sometimes, negative event times.
+// Every other source's events carry their key's id, so each operator meets
+// events with an id and, downstream of a union, both kinds: one that passes
+// an id on under another key stops the run in the next keyed operator.
 func genDAG(e *entropy) dagSpec {
 	d := dagSpec{sources: 1 + e.intn(4), every: []time.Duration{time.Second, 0, 2 * time.Second}[e.intn(3)]}
 	nOps := 1 + e.intn(8)
@@ -189,12 +194,14 @@ func genDAG(e *entropy) dagSpec {
 		bound = append(bound, perSource)
 	}
 	for i := 0; i < nOps; i++ {
-		op := opSpec{kind: e.intn(opKinds + 2), param: e.intn(3), tap: e.intn(4) == 0}
+		op := opSpec{kind: e.intn(opKinds + 3), param: e.intn(3), tap: e.intn(4) == 0}
 		switch op.kind {
 		case opKinds:
 			op.kind = opFilter
 		case opKinds + 1:
 			op.kind = opUnion
+		case opKinds + 2:
+			op.kind = opMap
 		}
 		fanIn := 1
 		switch op.kind {
@@ -396,7 +403,8 @@ func TestPipelineMatchesReference(t *testing.T) {
 	shapes := []string{"fan-out", "two-port join", "union of three", "window→window chain",
 		"flat-map", "two emits per input", "emit from OnWatermark", "negative event times",
 		"union into union", "filter into filter", "filter with two consumers",
-		"filter or union into a join", "union into a sink"}
+		"filter or union into a join", "union into a sink", "filter into map", "map into map",
+		"map with two consumers", "map into a union", "map into a sink"}
 	cover := map[string]int{}
 	for seed := int64(0); seed < instances; seed++ {
 		d := genDAG(&entropy{data: seedBytes(seed)})
@@ -428,6 +436,12 @@ func TestPipelineMatchesReference(t *testing.T) {
 					seen["filter into filter"] = true
 				case (kind(from) == opFilter || kind(from) == opUnion) && op.kind == opJoin:
 					seen["filter or union into a join"] = true
+				case kind(from) == opFilter && op.kind == opMap:
+					seen["filter into map"] = true
+				case kind(from) == opMap && op.kind == opMap:
+					seen["map into map"] = true
+				case kind(from) == opMap && op.kind == opUnion:
+					seen["map into a union"] = true
 				}
 			}
 			if op.tap {
@@ -453,9 +467,16 @@ func TestPipelineMatchesReference(t *testing.T) {
 			if n >= 2 && kind(node) == opFilter {
 				seen["filter with two consumers"] = true
 			}
+			if n >= 2 && kind(node) == opMap {
+				seen["map with two consumers"] = true
+			}
 			// A node that feeds no operator, or is tapped, feeds a sink.
-			if kind(node) == opUnion && (n == 0 || d.ops[node-d.sources].tap) {
+			sunk := node >= d.sources && (n == 0 || d.ops[node-d.sources].tap)
+			if sunk && kind(node) == opUnion {
 				seen["union into a sink"] = true
+			}
+			if sunk && kind(node) == opMap {
+				seen["map into a sink"] = true
 			}
 		}
 		if len(d.inputs[0]) > 0 && d.inputs[0][0].Time < 0 {
@@ -973,7 +994,8 @@ func storeKinds() []storeKind {
 // storeShapes are the situations the generated sequences must reach.
 var storeShapes = []string{"event with id", "event without id", "ids mixed within a run", "watermark",
 	"snapshot into a fresh operator", "snapshots exchanged with the reference", "split and merge",
-	"negative event times", "late event into a flushed window", "keys forgotten"}
+	"negative event times", "late event into a flushed window", "keys forgotten",
+	"event into a live window before the last"}
 
 // churnBatch is how many keys and topics met once arrive with every event of
 // a sequence drawn to churn: enough that the tables outgrow the live windows
@@ -1078,6 +1100,9 @@ func checkStore(e *entropy, seen map[string]bool) error {
 			if windowStart(t, size)+vclock.Time(size) <= flushed && flushed != MaxWatermark {
 				seen["late event into a flushed window"] = true
 			}
+			if intoEarlierWindow(got, t, size) {
+				seen["event into a live window before the last"] = true
+			}
 			for n, k := range keys {
 				ev := Event{Time: t, Value: storeEventValue{topic: topics[n], withID: withID}}
 				ev.Key, ev.KeyID = storeKey(k)
@@ -1149,6 +1174,24 @@ func checkStore(e *entropy, seen map[string]bool) error {
 		return err
 	}
 	return flush("end", MaxWatermark)
+}
+
+// intoEarlierWindow reports whether an event at t falls in a live window of a
+// tumbling operator that is not its last: the branch of store.tumbling that
+// searches the windows, where the last one's bounds do not hold the event.
+func intoEarlierWindow(op windowed, t vclock.Time, size time.Duration) bool {
+	var starts []vclock.Time
+	switch op := op.(type) {
+	case *WindowAggregate:
+		for _, w := range op.state.windows {
+			starts = append(starts, w.start)
+		}
+	case *WindowTopK:
+		for _, w := range op.groups.windows {
+			starts = append(starts, w.start)
+		}
+	}
+	return len(starts) > 1 && slices.Contains(starts[:len(starts)-1], windowStart(t, size))
 }
 
 // TestWindowStoreMatchesReference is the differential sweep of the keyed

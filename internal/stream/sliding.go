@@ -53,7 +53,7 @@ func (w *SlidingWindowAggregate) OnEvent(_ int, e Event, emit Emit) {
 	size, slide := vclock.Time(w.Size), vclock.Time(w.Slide)
 	latest := windowStart(e.Time, w.Slide)
 	for start := latest; start > latest-size; start -= slide {
-		w.state.fold(start, slot, e, w.Init, w.Add)
+		w.state.fold(w.state.window(start, e.Time), slot, e, w.Init, w.Add)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"time"
 
@@ -226,6 +227,28 @@ func (s *store[A]) window(start, t vclock.Time) *window[A] {
 		w.maxTime = t
 	}
 	return w
+}
+
+// tumbling returns the window of the size-long tumbling grid that holds t,
+// creating it if need be, and raises its maxTime to t. A record nearly always
+// falls in the last window, so that one is tried first, by comparing t with
+// its bounds; only a record outside it pays windowStart's division and the
+// search. The window at math.MinInt64 may be cut short (see windowStart), so
+// it is not tried.
+//
+//waspvet:hotpath
+func (s *store[A]) tumbling(t vclock.Time, size time.Duration) *window[A] {
+	if n := len(s.windows); n > 0 {
+		// t-w.start is taken unsigned: it is exact for any t at or past the
+		// start, where the signed difference may overflow.
+		if w := &s.windows[n-1]; t >= w.start && w.start != math.MinInt64 && uint64(t-w.start) < uint64(size) {
+			if t > w.maxTime {
+				w.maxTime = t
+			}
+			return w
+		}
+	}
+	return s.window(windowStart(t, size), t)
 }
 
 func (s *store[A]) open(i int, start, t vclock.Time) {

@@ -82,7 +82,7 @@ func (r *topicRow) add(topic int32, n int64) {
 // OnEvent implements Handler.
 func (t *WindowTopK) OnEvent(_ int, e Event, emit Emit) {
 	topic := t.topics.slot(t.topic(e))
-	w := t.groups.window(windowStart(e.Time, t.Size), e.Time)
+	w := t.groups.tumbling(e.Time, t.Size)
 	c := w.at(t.groups.keys.slot(e.KeyID, e.Key))
 	w.claim(c)
 	c.acc.add(topic, 1)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -61,9 +62,9 @@ type aggregate struct {
 	counting bool
 }
 
-// fold adds e to the accumulator of (start, slot).
-func (a *aggregate) fold(start vclock.Time, slot int32, e Event, init func() any, add func(any, Event) any) {
-	w := a.window(start, e.Time)
+// fold adds e to the accumulator of slot in w, a window of a's store that
+// holds e.
+func (a *aggregate) fold(w *window[aggAcc], slot int32, e Event, init func() any, add func(any, Event) any) {
 	c := w.at(slot)
 	fresh := w.claim(c)
 	if a.counting {
@@ -126,18 +127,27 @@ func (a *aggregate) restore(data []byte, what string) error {
 	return nil
 }
 
-// windowStart returns the start of the tumbling window containing t.
+// windowStart returns the start of the tumbling window containing t: the
+// greatest multiple of size at or before t. Where that multiple lies before
+// the earliest vclock.Time, the grid's first window is cut short there and
+// starts at math.MinInt64.
+//
+//waspvet:hotpath
 func windowStart(t vclock.Time, size time.Duration) vclock.Time {
-	if t < 0 {
-		// Floor division for negative times.
-		return ((t - vclock.Time(size) + 1) / vclock.Time(size)) * vclock.Time(size)
+	r := t % vclock.Time(size)
+	if r < 0 {
+		r += vclock.Time(size)
+		if t < math.MinInt64+r {
+			return math.MinInt64
+		}
 	}
-	return (t / vclock.Time(size)) * vclock.Time(size)
+	return t - r
 }
 
 // OnEvent implements Handler.
 func (w *WindowAggregate) OnEvent(_ int, e Event, emit Emit) {
-	w.state.fold(windowStart(e.Time, w.Size), w.state.keys.slot(e.KeyID, e.Key), e, w.Init, w.Add)
+	slot := w.state.keys.slot(e.KeyID, e.Key)
+	w.state.fold(w.state.tumbling(e.Time, w.Size), slot, e, w.Init, w.Add)
 }
 
 // OnWatermark implements Handler: windows ending at or before wm are

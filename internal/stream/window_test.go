@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"math"
+	"math/big"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -9,6 +11,22 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
+// floorStart is windowStart's contract computed without overflow: the
+// greatest multiple of size at or before t, or math.MinInt64 where that
+// multiple is not a vclock.Time.
+func floorStart(t vclock.Time, size time.Duration) vclock.Time {
+	tt := big.NewInt(int64(t))
+	start := new(big.Int).Sub(tt, new(big.Int).Mod(tt, big.NewInt(int64(size))))
+	if !start.IsInt64() {
+		return math.MinInt64
+	}
+	return vclock.Time(start.Int64())
+}
+
+// windowStart floors, at the ends of the time axis too, and the lookup the
+// tumbling operators make agrees with it whatever the last live window is:
+// the window holding t, one either side of it, the first of the time axis
+// (cut short at math.MinInt64), the last, or none.
 func TestWindowStart(t *testing.T) {
 	size := 10 * time.Second
 	tests := []struct {
@@ -23,6 +41,39 @@ func TestWindowStart(t *testing.T) {
 	for _, tt := range tests {
 		if got := windowStart(vclock.Time(tt.at), size); got != vclock.Time(tt.want) {
 			t.Errorf("windowStart(%v) = %v, want %v", tt.at, got, tt.want)
+		}
+	}
+
+	times := []vclock.Time{math.MinInt64, math.MinInt64 + 5, -1, 0, math.MaxInt64}
+	sizes := []time.Duration{1, 3, 7, 4096, 10 * time.Second, time.Hour, math.MaxInt64}
+	for _, size := range sizes {
+		for _, at := range times {
+			want := floorStart(at, size)
+			got := windowStart(at, size)
+			if got != want {
+				t.Errorf("windowStart(%d, %d) = %d, want %d", at, size, got, want)
+				continue
+			}
+			if got > at || uint64(at-got) >= uint64(size) {
+				t.Errorf("windowStart(%d, %d) = %d: the window does not hold the time", at, size, got)
+			}
+			lasts := [][]vclock.Time{nil, {want}, {math.MinInt64}, {floorStart(math.MaxInt64, size)}}
+			if want > math.MinInt64+vclock.Time(size) {
+				lasts = append(lasts, []vclock.Time{want - vclock.Time(size)})
+			}
+			if want < math.MaxInt64-vclock.Time(size) {
+				lasts = append(lasts, []vclock.Time{want, want + vclock.Time(size)})
+			}
+			for _, starts := range lasts {
+				var s store[aggAcc]
+				for _, start := range starts {
+					s.window(start, start)
+				}
+				if w := s.tumbling(at, size); w.start != want || w.maxTime < at {
+					t.Errorf("size %d, windows at %v: tumbling(%d) gave the window at %d (maxTime %d), want %d",
+						size, starts, at, w.start, w.maxTime, want)
+				}
+			}
 		}
 	}
 }
