@@ -799,7 +799,9 @@ func (g *group) winAt(start vclock.Time) *winAcc {
 	return &g.windows[lo].winAcc
 }
 
-// windowStart mirrors stream.windowStart for the fluid model.
+// windowStart is the start of the tumbling window holding t in the fluid
+// model. It truncates toward zero, which is the floor only because tick
+// time is never negative.
 //
 //waspvet:hotpath
 func windowStart(t vclock.Time, size time.Duration) vclock.Time {

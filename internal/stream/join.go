@@ -2,10 +2,8 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -17,7 +15,8 @@ import (
 //
 // Emitted events carry Time = max of the two joined events' times.
 // WindowJoin is stateful and implements Snapshotter; event Values must be
-// gob-registered.
+// gob-registered. Its buffers are window state like WindowAggregate's,
+// keyed by slot and forgotten with their keys.
 type WindowJoin struct {
 	// Size is the tumbling window length (must be > 0).
 	Size time.Duration
@@ -25,7 +24,8 @@ type WindowJoin struct {
 	// output value. If nil, the output value is the pair [2]any{l, r}.
 	Merge func(l, r Event) any
 
-	windows map[vclock.Time]*joinWindow
+	// buffers holds each (window, key)'s events, by the port they came in on.
+	buffers store[[2][]Event]
 }
 
 var (
@@ -33,36 +33,18 @@ var (
 	_ Snapshotter = (*WindowJoin)(nil)
 )
 
-// joinWindow buffers one window's events per side per key.
-type joinWindow [2]map[string][]Event
-
-func newJoinWindow() *joinWindow {
-	return &joinWindow{make(map[string][]Event), make(map[string][]Event)}
-}
-
 // OnEvent implements Handler.
 func (j *WindowJoin) OnEvent(port int, e Event, emit Emit) {
 	if port != 0 && port != 1 {
 		panic(fmt.Sprintf("stream: WindowJoin received port %d", port))
 	}
-	if j.windows == nil {
-		j.windows = make(map[vclock.Time]*joinWindow)
-	}
-	start := windowStart(e.Time, j.Size)
-	w := j.windows[start]
-	if w == nil {
-		w = newJoinWindow()
-		j.windows[start] = w
-	}
-	other := 1 - port
-	for _, o := range w[other][e.Key] {
+	w := j.buffers.tumbling(e.Time, j.Size)
+	c := w.at(j.buffers.keys.slot(e.KeyID, e.Key))
+	w.claim(c)
+	for _, o := range c.acc[1-port] {
 		l, r := e, o
 		if port == 1 {
 			l, r = o, e
-		}
-		t := l.Time
-		if r.Time > t {
-			t = r.Time
 		}
 		var v any
 		if j.Merge != nil {
@@ -70,73 +52,40 @@ func (j *WindowJoin) OnEvent(port int, e Event, emit Emit) {
 		} else {
 			v = [2]any{l.Value, r.Value}
 		}
-		emit(Event{Time: t, Key: e.Key, Value: v})
+		emit(Event{Time: max(l.Time, r.Time), Key: e.Key, Value: v})
 	}
-	w[port][e.Key] = append(w[port][e.Key], e)
+	c.acc[port] = append(c.acc[port], e)
 }
 
 // OnWatermark implements Handler: expired window buffers are dropped.
 func (j *WindowJoin) OnWatermark(wm vclock.Time, _ Emit) {
-	for _, start := range detutil.SortedKeys(j.windows) {
-		if start+vclock.Time(j.Size) <= wm {
-			delete(j.windows, start)
-		}
-	}
+	j.buffers.flush(wm, j.Size, nil)
 }
 
 // StateSize returns the number of buffered events across live windows.
 func (j *WindowJoin) StateSize() int {
 	total := 0
-	for _, w := range j.windows {
-		for side := range w {
-			for _, evs := range w[side] {
-				total += len(evs)
-			}
-		}
-	}
+	j.buffers.each(j.buffers.windows, func(_ *window[[2][]Event], _ string, sides *[2][]Event) {
+		total += len(sides[0]) + len(sides[1])
+	})
 	return total
 }
 
-// SnapshotState implements Snapshotter: windows and keys are written in
-// ascending order, each key with its two side buffers, so the same state
-// gives the same bytes.
+// SnapshotState implements Snapshotter: each key's two side buffers, in the
+// store's wire form, so the same state gives the same bytes.
 func (j *WindowJoin) SnapshotState() ([]byte, error) {
-	windows := make([]wireWindow[[2][]Event], 0, len(j.windows))
-	for _, start := range detutil.SortedKeys(j.windows) {
-		sides := j.windows[start]
-		keys := append(detutil.SortedKeys(sides[0]), detutil.SortedKeys(sides[1])...)
-		slices.Sort(keys)
-		keys = slices.Compact(keys)
-		w := wireWindow[[2][]Event]{Start: start, Keys: keys, Vals: make([][2][]Event, len(keys))}
-		for i, key := range keys {
-			w.Vals[i] = [2][]Event{sides[0][key], sides[1][key]}
-		}
-		windows = append(windows, w)
-	}
-	return encodeSnapshot(windows, "join")
+	return snapshotStore(&j.buffers, "join", func(sides *[2][]Event) [2][]Event { return *sides })
 }
 
-// RestoreState implements Snapshotter. A key listed twice in one window is
-// an error.
+// RestoreState implements Snapshotter.
 func (j *WindowJoin) RestoreState(data []byte) error {
-	in, err := decodeSnapshot[[2][]Event](data, "join")
+	s, err := restoreStore(data, "join", func(sides *[2][]Event, v [2][]Event) error {
+		*sides = v
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	windows := make(map[vclock.Time]*joinWindow, len(in))
-	for _, ww := range in {
-		w := windows[ww.Start]
-		if w == nil {
-			w = newJoinWindow()
-			windows[ww.Start] = w
-		}
-		for i, key := range ww.Keys {
-			if _, dup := w[0][key]; dup {
-				return fmt.Errorf("join restore: key %q listed twice in window %v", key, ww.Start)
-			}
-			w[0][key], w[1][key] = ww.Vals[i][0], ww.Vals[i][1]
-		}
-	}
-	j.windows = windows
+	j.buffers = s
 	return nil
 }

@@ -510,12 +510,21 @@ func FuzzPipelineMatchesReference(f *testing.F) {
 	})
 }
 
-// The three keyed window operators as they were before their state moved to
+// The four keyed window operators as they were before their state moved to
 // the slot-indexed store: string-keyed maps per window. They are the oracle
 // the store is held to. Their snapshots sort the maps into the operators'
 // wire form, so that each side restores the other's bytes.
 
-// refWindow is one window of a WindowAggregate or SlidingWindowAggregate.
+// refWindowEnd is where the window starting at start ends: start+size or,
+// where that sum wraps, the end of the time axis.
+func refWindowEnd(start vclock.Time, size time.Duration) vclock.Time {
+	if end := start + vclock.Time(size); end >= start {
+		return end
+	}
+	return math.MaxInt64
+}
+
+// refWindow is one window of a WindowAggregate.
 type refWindow struct {
 	MaxTime vclock.Time
 	Accs    map[string]any
@@ -546,7 +555,7 @@ func (ws refWindows) fold(start vclock.Time, e Event, init func() any, add func(
 
 func (ws refWindows) flush(wm vclock.Time, size time.Duration, result func(string, any) any, emit Emit) {
 	for _, start := range detutil.SortedKeys(ws) {
-		if start+vclock.Time(size) > wm {
+		if refWindowEnd(start, size) > wm {
 			continue
 		}
 		w := ws[start]
@@ -604,18 +613,30 @@ func (ws *refWindows) restore(data []byte) error {
 }
 
 type refWindowAggregate struct {
-	Size    time.Duration
-	Init    func() any
-	Add     func(acc any, e Event) any
-	Result  func(key string, acc any) any
-	windows refWindows
+	Size, Slide time.Duration
+	Init        func() any
+	Add         func(acc any, e Event) any
+	Result      func(key string, acc any) any
+	windows     refWindows
 }
 
 func (w *refWindowAggregate) OnEvent(_ int, e Event, _ Emit) {
 	if w.windows == nil {
 		w.windows = refWindows{}
 	}
-	w.windows.fold(windowStart(e.Time, w.Size), e, w.Init, w.Add)
+	if w.Slide == 0 {
+		w.windows.fold(windowStart(e.Time, w.Size), e, w.Init, w.Add)
+		return
+	}
+	// Window i back starts i slides before the latest, unless that is before
+	// the start of the time axis.
+	latest := windowStart(e.Time, w.Slide)
+	for i := range uint64(w.Size / w.Slide) {
+		if uint64(latest-math.MinInt64) < i*uint64(w.Slide) {
+			break
+		}
+		w.windows.fold(latest-vclock.Time(i)*vclock.Time(w.Slide), e, w.Init, w.Add)
+	}
 }
 
 func (w *refWindowAggregate) OnWatermark(wm vclock.Time, emit Emit) {
@@ -628,7 +649,7 @@ func (w *refWindowAggregate) RestoreState(data []byte) error { return w.windows.
 func (w *refWindowAggregate) SplitByKey(n int) []*refWindowAggregate {
 	parts := make([]*refWindowAggregate, n)
 	for i := range parts {
-		parts[i] = &refWindowAggregate{Size: w.Size, Init: w.Init, Add: w.Add, Result: w.Result, windows: refWindows{}}
+		parts[i] = &refWindowAggregate{Size: w.Size, Slide: w.Slide, Init: w.Init, Add: w.Add, Result: w.Result, windows: refWindows{}}
 	}
 	for start, ws := range w.windows {
 		for key, acc := range ws.Accs {
@@ -655,32 +676,6 @@ func (w *refWindowAggregate) Merge(other *refWindowAggregate) error {
 	other.windows = refWindows{}
 	return nil
 }
-
-type refSlidingWindowAggregate struct {
-	Size, Slide time.Duration
-	Init        func() any
-	Add         func(acc any, e Event) any
-	Result      func(key string, acc any) any
-	windows     refWindows
-}
-
-func (w *refSlidingWindowAggregate) OnEvent(_ int, e Event, _ Emit) {
-	if w.windows == nil {
-		w.windows = refWindows{}
-	}
-	size, slide := vclock.Time(w.Size), vclock.Time(w.Slide)
-	latest := windowStart(e.Time, w.Slide)
-	for start := latest; start > latest-size; start -= slide {
-		w.windows.fold(start, e, w.Init, w.Add)
-	}
-}
-
-func (w *refSlidingWindowAggregate) OnWatermark(wm vclock.Time, emit Emit) {
-	w.windows.flush(wm, w.Size, w.Result, emit)
-}
-func (w *refSlidingWindowAggregate) StateSize() int                 { return w.windows.size() }
-func (w *refSlidingWindowAggregate) SnapshotState() ([]byte, error) { return w.windows.snapshot() }
-func (w *refSlidingWindowAggregate) RestoreState(data []byte) error { return w.windows.restore(data) }
 
 // refTopKWindow is one window of a WindowTopK: Counts maps group → topic →
 // count.
@@ -727,7 +722,7 @@ func (t *refWindowTopK) OnEvent(_ int, e Event, _ Emit) {
 
 func (t *refWindowTopK) OnWatermark(wm vclock.Time, emit Emit) {
 	for _, start := range detutil.SortedKeys(t.windows) {
-		if start+vclock.Time(t.Size) > wm {
+		if refWindowEnd(start, t.Size) > wm {
 			continue
 		}
 		w := t.windows[start]
@@ -832,6 +827,100 @@ func (t *refWindowTopK) Merge(other *refWindowTopK) {
 	other.windows = refTopKWindows{}
 }
 
+// refJoinWindow is one window of a WindowJoin: Sides[port] maps key → the
+// events that came in on the port.
+type refJoinWindow struct {
+	MaxTime vclock.Time
+	Sides   [2]map[string][]Event
+}
+
+type refWindowJoin struct {
+	Size    time.Duration
+	windows map[vclock.Time]*refJoinWindow
+}
+
+func (j *refWindowJoin) at(start, t vclock.Time) *refJoinWindow {
+	if j.windows == nil {
+		j.windows = make(map[vclock.Time]*refJoinWindow)
+	}
+	w := j.windows[start]
+	if w == nil {
+		w = &refJoinWindow{MaxTime: t, Sides: [2]map[string][]Event{{}, {}}}
+		j.windows[start] = w
+	}
+	if t > w.MaxTime {
+		w.MaxTime = t
+	}
+	return w
+}
+
+func (j *refWindowJoin) OnEvent(port int, e Event, emit Emit) {
+	w := j.at(windowStart(e.Time, j.Size), e.Time)
+	for _, o := range w.Sides[1-port][e.Key] {
+		l, r := e, o
+		if port == 1 {
+			l, r = o, e
+		}
+		t := l.Time
+		if r.Time > t {
+			t = r.Time
+		}
+		emit(Event{Time: t, Key: e.Key, Value: [2]any{l.Value, r.Value}})
+	}
+	w.Sides[port][e.Key] = append(w.Sides[port][e.Key], e)
+}
+
+func (j *refWindowJoin) OnWatermark(wm vclock.Time, _ Emit) {
+	for _, start := range detutil.SortedKeys(j.windows) {
+		if refWindowEnd(start, j.Size) <= wm {
+			delete(j.windows, start)
+		}
+	}
+}
+
+func (j *refWindowJoin) StateSize() int {
+	total := 0
+	for _, w := range j.windows {
+		for side := range w.Sides {
+			for _, evs := range w.Sides[side] {
+				total += len(evs)
+			}
+		}
+	}
+	return total
+}
+
+func (j *refWindowJoin) SnapshotState() ([]byte, error) {
+	out := make([]wireWindow[[2][]Event], 0, len(j.windows))
+	for _, start := range detutil.SortedKeys(j.windows) {
+		sides := j.windows[start].Sides
+		keys := append(detutil.SortedKeys(sides[0]), detutil.SortedKeys(sides[1])...)
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		w := wireWindow[[2][]Event]{Start: start, MaxTime: j.windows[start].MaxTime, Keys: keys, Vals: make([][2][]Event, len(keys))}
+		for i, key := range keys {
+			w.Vals[i] = [2][]Event{sides[0][key], sides[1][key]}
+		}
+		out = append(out, w)
+	}
+	return gobBytes(out)
+}
+
+func (j *refWindowJoin) RestoreState(data []byte) error {
+	var in []wireWindow[[2][]Event]
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
+		return err
+	}
+	j.windows = nil
+	for _, ww := range in {
+		w := j.at(ww.Start, ww.MaxTime)
+		for i, key := range ww.Keys {
+			w.Sides[0][key], w.Sides[1][key] = ww.Vals[i][0], ww.Vals[i][1]
+		}
+	}
+	return nil
+}
+
 // windowed is what the differential run needs of an operator, reference or
 // production.
 type windowed interface {
@@ -844,6 +933,7 @@ type windowed interface {
 // production operator and its reference, and how to rescale a pair.
 type storeKind struct {
 	name  string
+	ports int // the input ports events arrive on
 	fresh func(size time.Duration) (got, want windowed)
 	// rescale splits both operators n ways and merges the parts, taken from
 	// part `first` round, into fresh ones; nil where the operator has no
@@ -898,11 +988,13 @@ var (
 )
 
 // storeEventValue carries a topic (its index in storeTopics) and whether the
-// accessor may return its id.
+// accessor may return its id. A join snapshots it.
 type storeEventValue struct {
-	topic  int
-	withID bool
+	Topic  int
+	WithID bool
 }
+
+func init() { gob.Register(storeEventValue{}) }
 
 // storeKey and storeTopic name key and topic i and give their ids: the few
 // above, which recur, and past them as many as a sequence cares to meet once.
@@ -935,7 +1027,7 @@ func storeKinds() []storeKind {
 		return &WindowAggregate{Size: size, Init: zero, Add: grow}, &refWindowAggregate{Size: size, Init: zero, Add: grow}
 	}
 	topic := func(e Event) string {
-		name, _ := storeTopic(e.Value.(storeEventValue).topic)
+		name, _ := storeTopic(e.Value.(storeEventValue).Topic)
 		return name
 	}
 	topk := func(ref bool) func(size time.Duration) (windowed, windowed) {
@@ -944,8 +1036,8 @@ func storeKinds() []storeKind {
 			if ref {
 				got.TopicRef = func(e Event) (string, uint32) {
 					v := e.Value.(storeEventValue)
-					name, id := storeTopic(v.topic)
-					if !v.withID {
+					name, id := storeTopic(v.Topic)
+					if !v.WithID {
 						id = 0
 					}
 					return name, id
@@ -973,21 +1065,27 @@ func storeKinds() []storeKind {
 			return g, w, nil
 		}
 	}
+	slidingCount := func(size time.Duration) (windowed, windowed) {
+		init, add := countFns()
+		return SlidingCount(size, time.Second), &refWindowAggregate{Size: size, Slide: time.Second, Init: init, Add: add}
+	}
+	slidingJournal := func(size time.Duration) (windowed, windowed) {
+		init, add, result := journalFns()
+		return &WindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result},
+			&refWindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result}
+	}
+	join := func(size time.Duration) (windowed, windowed) {
+		return &WindowJoin{Size: size}, &refWindowJoin{Size: size}
+	}
 	return []storeKind{
-		{"count", count, rescaleAggregates(count)},
-		{"journal", journal, rescaleAggregates(journal)},
-		{"struct accumulators", structs, rescaleAggregates(structs)},
-		{"sliding count", func(size time.Duration) (windowed, windowed) {
-			init, add := countFns()
-			return SlidingCount(size, time.Second), &refSlidingWindowAggregate{Size: size, Slide: time.Second, Init: init, Add: add}
-		}, nil},
-		{"sliding journal", func(size time.Duration) (windowed, windowed) {
-			init, add, result := journalFns()
-			return &SlidingWindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result},
-				&refSlidingWindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result}
-		}, nil},
-		{"topk by TopicFn", topk(false), rescaleTopK(topk(false))},
-		{"topk by TopicRef", topk(true), rescaleTopK(topk(true))},
+		{"count", 1, count, rescaleAggregates(count)},
+		{"journal", 1, journal, rescaleAggregates(journal)},
+		{"struct accumulators", 1, structs, rescaleAggregates(structs)},
+		{"sliding count", 1, slidingCount, rescaleAggregates(slidingCount)},
+		{"sliding journal", 1, slidingJournal, rescaleAggregates(slidingJournal)},
+		{"topk by TopicFn", 1, topk(false), rescaleTopK(topk(false))},
+		{"topk by TopicRef", 1, topk(true), rescaleTopK(topk(true))},
+		{"join", 2, join, nil},
 	}
 }
 
@@ -995,7 +1093,8 @@ func storeKinds() []storeKind {
 var storeShapes = []string{"event with id", "event without id", "ids mixed within a run", "watermark",
 	"snapshot into a fresh operator", "snapshots exchanged with the reference", "split and merge",
 	"negative event times", "late event into a flushed window", "keys forgotten",
-	"event into a live window before the last"}
+	"event into a live window before the last", "window at the start of the axis", "window at the end of the axis",
+	"event emitted by OnEvent"}
 
 // churnBatch is how many keys and topics met once arrive with every event of
 // a sequence drawn to churn: enough that the tables outgrow the live windows
@@ -1015,7 +1114,21 @@ func checkStore(e *entropy, seen map[string]bool) error {
 	churn, met := e.intn(3) == 0, len(storeKeys)
 	got, want := kind.fresh(size)
 
-	at := []vclock.Time{0, vclock.Time(-5 * time.Second)}[e.intn(2)]
+	// A sequence may start at either end of the time axis, where times
+	// saturate instead of wrapping.
+	at := []vclock.Time{0, vclock.Time(-5 * time.Second), math.MaxInt64 - vclock.Time(30*time.Second), math.MinInt64 + 3}[e.intn(4)]
+	later := func(t, d vclock.Time) vclock.Time {
+		if t > math.MaxInt64-d {
+			return math.MaxInt64
+		}
+		return t + d
+	}
+	earlier := func(t, d vclock.Time) vclock.Time {
+		if t < math.MinInt64+d {
+			return math.MinInt64
+		}
+		return t - d
+	}
 	steps := []vclock.Time{0, vclock.Time(time.Millisecond), vclock.Time(500 * time.Millisecond),
 		vclock.Time(time.Second), vclock.Time(3 * time.Second)}
 	flushed := vclock.Time(math.MinInt64)
@@ -1070,11 +1183,12 @@ func checkStore(e *entropy, seen map[string]bool) error {
 		}
 		switch {
 		case op < 14:
-			at += steps[e.intn(len(steps))]
+			at = later(at, steps[e.intn(len(steps))])
 			t := at
 			if e.intn(6) == 0 {
-				t -= vclock.Time(e.intn(9)) * vclock.Time(time.Second)
+				t = earlier(t, vclock.Time(e.intn(9))*vclock.Time(time.Second))
 			}
+			port := e.intn(kind.ports)
 			keys, topics := []int{e.intn(len(storeKeys))}, []int{e.intn(len(storeTopics))}
 			withID := idMode == 0 || (idMode == 2 && e.intn(2) == 0)
 			if churn {
@@ -1097,28 +1211,40 @@ func checkStore(e *entropy, seen map[string]bool) error {
 			if t < 0 {
 				seen["negative event times"] = true
 			}
-			if windowStart(t, size)+vclock.Time(size) <= flushed && flushed != MaxWatermark {
+			if start := windowStart(t, size); refWindowEnd(start, size) <= flushed && flushed != MaxWatermark {
 				seen["late event into a flushed window"] = true
+			}
+			if start := windowStart(t, size); start == math.MinInt64 {
+				seen["window at the start of the axis"] = true
+			} else if refWindowEnd(start, size) == math.MaxInt64 {
+				seen["window at the end of the axis"] = true
 			}
 			if intoEarlierWindow(got, t, size) {
 				seen["event into a live window before the last"] = true
 			}
+			var g, w []Event
 			for n, k := range keys {
-				ev := Event{Time: t, Value: storeEventValue{topic: topics[n], withID: withID}}
+				ev := Event{Time: t, Value: storeEventValue{Topic: topics[n], WithID: withID}}
 				ev.Key, ev.KeyID = storeKey(k)
 				if !withID {
 					ev.KeyID = 0
 				}
-				got.OnEvent(0, ev, nil)
-				// The reference never sees an id.
-				ev.KeyID = 0
-				want.OnEvent(0, ev, nil)
+				// The reference reads no id, but gets it: a join holds the
+				// events themselves.
+				got.OnEvent(port, ev, func(out Event) { g = append(g, out) })
+				want.OnEvent(port, ev, func(out Event) { w = append(w, out) })
+			}
+			if len(g) > 0 {
+				seen["event emitted by OnEvent"] = true
+			}
+			if !reflect.DeepEqual(g, w) {
+				return fmt.Errorf("%s: %s: %d events at %v emitted\n%v\nreference\n%v", kind.name, step, len(keys), t, g, w)
 			}
 			if g, w := got.StateSize(), want.StateSize(); g != w {
 				return fmt.Errorf("%s: %s: StateSize %d after %d events at %v, reference %d", kind.name, step, g, len(keys), t, w)
 			}
 		case op < 17:
-			wm := at - vclock.Time(e.intn(4))*vclock.Time(time.Second)
+			wm := earlier(at, vclock.Time(e.intn(4))*vclock.Time(time.Second))
 			if e.intn(12) == 0 {
 				wm = MaxWatermark
 			}
@@ -1183,7 +1309,14 @@ func intoEarlierWindow(op windowed, t vclock.Time, size time.Duration) bool {
 	var starts []vclock.Time
 	switch op := op.(type) {
 	case *WindowAggregate:
+		if op.Slide != 0 {
+			return false
+		}
 		for _, w := range op.state.windows {
+			starts = append(starts, w.start)
+		}
+	case *WindowJoin:
+		for _, w := range op.buffers.windows {
 			starts = append(starts, w.start)
 		}
 	case *WindowTopK:
@@ -1209,6 +1342,7 @@ func TestWindowStoreMatchesReference(t *testing.T) {
 		}
 	}
 	for _, shape := range storeShapes {
+		t.Logf("%4d of %d sequences cover %q", cover[shape], instances, shape)
 		if cover[shape] < instances/20 {
 			t.Errorf("only %d of %d sequences cover %q", cover[shape], instances, shape)
 		}

@@ -23,7 +23,7 @@ func (w *WindowAggregate) SplitByKey(n int) []*WindowAggregate {
 	parts := make([]*WindowAggregate, n)
 	for i, st := range w.state.split(n) {
 		parts[i] = &WindowAggregate{
-			Size: w.Size, Init: w.Init, Add: w.Add, Result: w.Result,
+			Size: w.Size, Slide: w.Slide, Init: w.Init, Add: w.Add, Result: w.Result,
 			state: aggregate{store: st, counting: w.state.counting},
 		}
 	}

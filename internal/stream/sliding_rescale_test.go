@@ -15,7 +15,7 @@ import (
 // windowStarts lists, latest first, the windows OnEvent folds an event at t
 // into — read back from a probe operator's state, so the tests below hold
 // the production loop to the containment property.
-func (w *SlidingWindowAggregate) windowStarts(t vclock.Time) []vclock.Time {
+func (w *WindowAggregate) windowStarts(t vclock.Time) []vclock.Time {
 	probe := SlidingCount(w.Size, w.Slide)
 	probe.OnEvent(0, Event{Time: t}, nil)
 	var starts []vclock.Time
@@ -80,7 +80,7 @@ func TestSlidingWindowMatchesTumblingWhenSlideEqualsSize(t *testing.T) {
 }
 
 func TestSlidingWindowSnapshotRestore(t *testing.T) {
-	mk := func() *SlidingWindowAggregate { return SlidingCount(20*time.Second, 10*time.Second) }
+	mk := func() *WindowAggregate { return SlidingCount(20*time.Second, 10*time.Second) }
 	a := mk()
 	collect(a, 0, ev(5*time.Second, "x", nil), ev(15*time.Second, "y", nil))
 	snap, err := a.SnapshotState()

@@ -260,23 +260,26 @@ func (s *store[A]) open(i int, start, t vclock.Time) {
 // due is the number of windows ending at or before wm: the first so many.
 func (s *store[A]) due(wm vclock.Time, size time.Duration) int {
 	due := 0
-	for due < len(s.windows) && s.windows[due].start+vclock.Time(size) <= wm {
+	for due < len(s.windows) && windowEnd(s.windows[due].start, size) <= wm {
 		due++
 	}
 	return due
 }
 
-// flush hands every live cell of the windows ending at or before wm to fn,
-// in ascending (window, key) order, and drops those windows. It is also
-// where the symbol table forgets: memory and the cost of a flush follow the
-// keys the windows hold, not the keys the operator has ever met.
+// flush hands every live cell of the windows ending at or before wm to fn
+// (if fn is not nil), in ascending (window, key) order, and drops those
+// windows. It is also where the symbol table forgets: memory and the cost of
+// a flush follow the keys the windows hold, not the keys the operator has
+// ever met.
 func (s *store[A]) flush(wm vclock.Time, size time.Duration, fn func(w *window[A], key string, acc *A)) {
 	due := s.due(wm, size)
 	var used []bool
 	if due > 0 && s.keys.overgrown() {
 		used = s.inUse()
 	}
-	s.each(s.windows[:due], fn)
+	if fn != nil {
+		s.each(s.windows[:due], fn)
+	}
 	s.windows = slices.Delete(s.windows, 0, due)
 	if used != nil {
 		if to := s.keys.forget(used); to != nil {

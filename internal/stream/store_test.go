@@ -33,6 +33,7 @@ func TestKeyIDNamingTwoKeysPanics(t *testing.T) {
 		"count":   Count(time.Second),
 		"sliding": SlidingCount(2*time.Second, time.Second),
 		"topk":    &WindowTopK{Size: time.Second, K: 1},
+		"join":    &WindowJoin{Size: time.Second},
 	}
 	for name, op := range ops {
 		op.OnEvent(0, Event{Key: "us", KeyID: 3}, nil)
@@ -67,7 +68,7 @@ func TestKeyByDropsTheKeyID(t *testing.T) {
 	init, add := countFns()
 	for name, p := range map[string][2]windowed{
 		"count":   {Count(4 * time.Second), &refWindowAggregate{Size: 4 * time.Second, Init: init, Add: add}},
-		"sliding": {SlidingCount(4*time.Second, 2*time.Second), &refSlidingWindowAggregate{Size: 4 * time.Second, Slide: 2 * time.Second, Init: init, Add: add}},
+		"sliding": {SlidingCount(4*time.Second, 2*time.Second), &refWindowAggregate{Size: 4 * time.Second, Slide: 2 * time.Second, Init: init, Add: add}},
 		"topk":    {&WindowTopK{Size: 4 * time.Second, K: 2}, &refWindowTopK{Size: 4 * time.Second, K: 2}},
 	} {
 		rekeyed := collect(&KeyBy{KeyFn: func(e Event) string { return e.Value.(string) }}, 0, in...)
@@ -106,8 +107,8 @@ func tables(op windowed) []*symtab {
 	switch op := op.(type) {
 	case *WindowAggregate:
 		return []*symtab{&op.state.keys}
-	case *SlidingWindowAggregate:
-		return []*symtab{&op.state.keys}
+	case *WindowJoin:
+		return []*symtab{&op.buffers.keys}
 	case *WindowTopK:
 		return []*symtab{&op.groups.keys, &op.topics}
 	}
@@ -122,8 +123,8 @@ func widest(op windowed) int {
 		for _, w := range op.state.windows {
 			n = max(n, len(w.cells))
 		}
-	case *SlidingWindowAggregate:
-		for _, w := range op.state.windows {
+	case *WindowJoin:
+		for _, w := range op.buffers.windows {
 			n = max(n, len(w.cells))
 		}
 	case *WindowTopK:
@@ -155,7 +156,7 @@ func TestStoreFollowsLiveKeys(t *testing.T) {
 	}{
 		"count":   {Count(time.Second), &refWindowAggregate{Size: time.Second, Init: init, Add: add}, 1},
 		"journal": {&WindowAggregate{Size: time.Second, Init: jInit, Add: jAdd, Result: jResult}, &refWindowAggregate{Size: time.Second, Init: jInit, Add: jAdd, Result: jResult}, 1},
-		"sliding": {SlidingCount(4*time.Second, time.Second), &refSlidingWindowAggregate{Size: 4 * time.Second, Slide: time.Second, Init: init, Add: add}, 4},
+		"sliding": {SlidingCount(4*time.Second, time.Second), &refWindowAggregate{Size: 4 * time.Second, Slide: time.Second, Init: init, Add: add}, 4},
 		"topk":    {&WindowTopK{Size: time.Second, K: 2, TopicFn: topic}, &refWindowTopK{Size: time.Second, K: 2, TopicFn: topic}, 1},
 		"topk by id": {&WindowTopK{Size: time.Second, K: 2, TopicRef: func(e Event) (string, uint32) {
 			var id uint32
@@ -247,7 +248,7 @@ func TestStoreFollowsLiveKeys(t *testing.T) {
 
 // fiftyKeys fills the operators with one state each: several windows, fifty
 // keys, five topics.
-func fiftyKeys() (*WindowAggregate, *SlidingWindowAggregate, *WindowTopK) {
+func fiftyKeys() (*WindowAggregate, *WindowAggregate, *WindowTopK) {
 	c, s, k := Count(10*time.Second), SlidingCount(20*time.Second, 10*time.Second), &WindowTopK{Size: 10 * time.Second, K: 3}
 	for i := 0; i < 400; i++ {
 		// Keys arrive in an order that is not their sorted one.

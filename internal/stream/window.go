@@ -8,9 +8,12 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// WindowAggregate is a keyed tumbling-window incremental aggregation: for
-// each (window, key) it folds events into an accumulator and emits one
-// result event when the watermark passes the window end.
+// WindowAggregate is a keyed window incremental aggregation: for each
+// (window, key) it folds events into an accumulator and emits one result
+// event when the watermark passes the window end. Windows tumble, or with
+// Slide set they start every Slide and overlap, so each event counts in
+// Size/Slide of them (aligned windows, as in Flink's sliding event-time
+// windows).
 //
 // Emitted events carry the window's maximum observed event time as their
 // Time — the paper's convention for measuring windowed-aggregation delay
@@ -27,8 +30,11 @@ import (
 // table (see symtab), so a stream keyed by user or session holds the memory
 // of its live windows.
 type WindowAggregate struct {
-	// Size is the tumbling window length (must be > 0).
+	// Size is the window length (must be > 0).
 	Size time.Duration
+	// Slide is the interval windows start at: 0 for tumbling windows, else
+	// 0 < Slide ≤ Size with Size%Slide == 0.
+	Slide time.Duration
 	// Init produces a fresh accumulator for a new (window, key).
 	Init func() any
 	// Add folds an event into the accumulator, returning the new value.
@@ -54,7 +60,7 @@ type aggAcc struct {
 	n int64
 }
 
-// aggregate is the state of a WindowAggregate or SlidingWindowAggregate.
+// aggregate is the state of a WindowAggregate.
 type aggregate struct {
 	store[aggAcc]
 	// counting says the accumulators are aggAcc.n and a record adds one;
@@ -100,33 +106,6 @@ func (a *aggregate) put(acc *aggAcc, v any) error {
 	return nil
 }
 
-// flush emits the windows ending at or before wm in ascending window order
-// with keys sorted, so output order is deterministic.
-func (a *aggregate) flush(wm vclock.Time, size time.Duration, result func(string, any) any, emit Emit) {
-	a.store.flush(wm, size, func(w *window[aggAcc], key string, acc *aggAcc) {
-		v := a.value(acc)
-		if result != nil {
-			v = result(key, v)
-		}
-		emit(Event{Time: w.maxTime, Key: key, Value: v})
-	})
-}
-
-// snapshot writes the state, each accumulator as value gives it.
-func (a *aggregate) snapshot(what string) ([]byte, error) {
-	return snapshotStore(&a.store, what, a.value)
-}
-
-// restore replaces the state with a snapshot's.
-func (a *aggregate) restore(data []byte, what string) error {
-	s, err := restoreStore(data, what, a.put)
-	if err != nil {
-		return err
-	}
-	a.store = s
-	return nil
-}
-
 // windowStart returns the start of the tumbling window containing t: the
 // greatest multiple of size at or before t. Where that multiple lies before
 // the earliest vclock.Time, the grid's first window is cut short there and
@@ -144,27 +123,87 @@ func windowStart(t vclock.Time, size time.Duration) vclock.Time {
 	return t - r
 }
 
+// windowEnd returns the end of the size-long window starting at start: the
+// first instant past it. Where that lies past the latest vclock.Time, the
+// window is cut short there, as windowStart cuts the first one, and ends at
+// math.MaxInt64, so only MaxWatermark flushes it.
+func windowEnd(start vclock.Time, size time.Duration) vclock.Time {
+	if start > math.MaxInt64-vclock.Time(size) {
+		return math.MaxInt64
+	}
+	return start + vclock.Time(size)
+}
+
+// validate panics on a sliding configuration no window grid exists for. It
+// runs before the operator first holds state: on the first key's first event
+// or on RestoreState.
+func (w *WindowAggregate) validate() {
+	if w.Slide != 0 && (w.Slide < 0 || w.Size <= 0 || w.Slide > w.Size || w.Size%w.Slide != 0) {
+		panic(fmt.Sprintf("stream: invalid sliding window size=%v slide=%v", w.Size, w.Slide))
+	}
+}
+
 // OnEvent implements Handler.
 func (w *WindowAggregate) OnEvent(_ int, e Event, emit Emit) {
+	if w.Slide != 0 {
+		w.slide(e)
+		return
+	}
 	slot := w.state.keys.slot(e.KeyID, e.Key)
 	w.state.fold(w.state.tumbling(e.Time, w.Size), slot, e, w.Init, w.Add)
+}
+
+// slide folds e into the windows holding it: Size/Slide of them, starting
+// every Slide back from the latest start at or before e.Time, but none before
+// the start of the time axis.
+func (w *WindowAggregate) slide(e Event) {
+	if len(w.state.keys.names) == 0 {
+		w.validate()
+	}
+	slot := w.state.keys.slot(e.KeyID, e.Key)
+	slide := vclock.Time(w.Slide)
+	start := windowStart(e.Time, w.Slide)
+	for n := w.Size / w.Slide; ; n-- {
+		w.state.fold(w.state.window(start, e.Time), slot, e, w.Init, w.Add)
+		if n == 1 || start < math.MinInt64+slide {
+			return
+		}
+		start -= slide
+	}
 }
 
 // OnWatermark implements Handler: windows ending at or before wm are
 // flushed in ascending window order with keys sorted, so output order is
 // deterministic.
 func (w *WindowAggregate) OnWatermark(wm vclock.Time, emit Emit) {
-	w.state.flush(wm, w.Size, w.Result, emit)
+	w.state.flush(wm, w.Size, func(win *window[aggAcc], key string, acc *aggAcc) {
+		v := w.state.value(acc)
+		if w.Result != nil {
+			v = w.Result(key, v)
+		}
+		emit(Event{Time: win.maxTime, Key: key, Value: v})
+	})
 }
 
 // StateSize returns the number of live (window, key) accumulators.
 func (w *WindowAggregate) StateSize() int { return w.state.size() }
 
-// SnapshotState implements Snapshotter. The same state gives the same bytes.
-func (w *WindowAggregate) SnapshotState() ([]byte, error) { return w.state.snapshot("window") }
+// SnapshotState implements Snapshotter: each accumulator as value gives it.
+// The same state gives the same bytes.
+func (w *WindowAggregate) SnapshotState() ([]byte, error) {
+	return snapshotStore(&w.state.store, "window", w.state.value)
+}
 
 // RestoreState implements Snapshotter.
-func (w *WindowAggregate) RestoreState(data []byte) error { return w.state.restore(data, "window") }
+func (w *WindowAggregate) RestoreState(data []byte) error {
+	s, err := restoreStore(data, "window", w.state.put)
+	if err != nil {
+		return err
+	}
+	w.state.store = s
+	w.validate()
+	return nil
+}
 
 // Count returns a WindowAggregate counting events per key per window. It
 // holds its counts as int64s, not in interfaces: Init and Add are nil and
@@ -173,4 +212,9 @@ func (w *WindowAggregate) RestoreState(data []byte) error { return w.state.resto
 // the counts as the int64 accumulators of such a literal.
 func Count(size time.Duration) *WindowAggregate {
 	return &WindowAggregate{Size: size, state: aggregate{counting: true}}
+}
+
+// SlidingCount is Count over sliding windows.
+func SlidingCount(size, slide time.Duration) *WindowAggregate {
+	return &WindowAggregate{Size: size, Slide: slide, state: aggregate{counting: true}}
 }

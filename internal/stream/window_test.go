@@ -26,7 +26,9 @@ func floorStart(t vclock.Time, size time.Duration) vclock.Time {
 // windowStart floors, at the ends of the time axis too, and the lookup the
 // tumbling operators make agrees with it whatever the last live window is:
 // the window holding t, one either side of it, the first of the time axis
-// (cut short at math.MinInt64), the last, or none.
+// (cut short at math.MinInt64), the last, or none. The window is flushed by
+// the first watermark at its end, which for the last window of the axis is
+// cut short to math.MaxInt64.
 func TestWindowStart(t *testing.T) {
 	size := 10 * time.Second
 	tests := []struct {
@@ -74,6 +76,73 @@ func TestWindowStart(t *testing.T) {
 						size, starts, at, w.start, w.maxTime, want)
 				}
 			}
+			end := new(big.Int).Add(big.NewInt(int64(want)), big.NewInt(int64(size)))
+			if !end.IsInt64() {
+				end.SetInt64(math.MaxInt64)
+			}
+			var s store[aggAcc]
+			s.tumbling(at, size)
+			if got := windowEnd(want, size); got != vclock.Time(end.Int64()) {
+				t.Errorf("windowEnd(%d, %d) = %d, want %d", want, size, got, end)
+			}
+			if s.due(vclock.Time(end.Int64())-1, size) != 0 || s.due(vclock.Time(end.Int64()), size) != 1 {
+				t.Errorf("size %d: the window at %d is not due exactly from %d", size, want, end)
+			}
+		}
+	}
+}
+
+// TestWindowAtTheEndsOfTheAxis: the windows at either end of the time axis
+// hold their events, and the last is flushed once, by MaxWatermark only — in
+// every keyed window operator.
+func TestWindowAtTheEndsOfTheAxis(t *testing.T) {
+	const first, last = vclock.Time(math.MinInt64), vclock.Time(math.MaxInt64)
+	type step struct {
+		port int
+		e    Event
+		wm   bool // a watermark at e.Time instead of an event
+	}
+	in := func(port int, at vclock.Time, key string, v any) step {
+		return step{port: port, e: Event{Time: at, Key: key, Value: v}}
+	}
+	wm := func(at vclock.Time) step { return step{e: Event{Time: at}, wm: true} }
+	topic := func(e Event) string { return e.Value.(string) }
+	for _, c := range []struct {
+		name  string
+		op    windowed
+		steps []step
+		want  []Event
+	}{
+		{"Count", Count(10 * time.Second),
+			[]step{in(0, last-5, "k", nil), wm(last - 5), in(0, last-4, "k", nil), wm(last - 1), wm(MaxWatermark)},
+			[]Event{{Time: last - 4, Key: "k", Value: int64(2)}}},
+		{"SlidingCount", SlidingCount(10*time.Second, 5*time.Second),
+			[]step{in(0, first+3, "k", nil), wm(first + 3), wm(MaxWatermark)},
+			[]Event{{Time: first + 3, Key: "k", Value: int64(1)}}},
+		{"WindowJoin", &WindowJoin{Size: 10 * time.Second},
+			[]step{in(0, last-5, "k", "L"), wm(last - 5), in(1, last-4, "k", "R"), wm(last - 1), wm(MaxWatermark)},
+			[]Event{{Time: last - 4, Key: "k", Value: [2]any{"L", "R"}}}},
+		{"WindowTopK", &WindowTopK{Size: 10 * time.Second, K: 1, TopicFn: topic},
+			[]step{in(0, last-5, "us", "go"), wm(last - 5), in(0, last-4, "us", "go"), wm(last - 1), wm(MaxWatermark)},
+			[]Event{{Time: last - 4, Key: "us", Value: []TopicCount{{Topic: "go", Count: 2}}}}},
+	} {
+		var out []Event
+		emit := func(e Event) { out = append(out, e) }
+		for i, s := range c.steps {
+			if s.wm {
+				before := len(out)
+				if c.op.OnWatermark(s.e.Time, emit); s.e.Time != MaxWatermark && len(out) > before {
+					t.Errorf("%s: the watermark at %d flushed %v", c.name, s.e.Time, out[before:])
+				}
+				continue
+			}
+			c.op.OnEvent(s.port, s.e, emit)
+			if i == 0 && c.op.StateSize() != 1 {
+				t.Errorf("%s: an event at %d left %d state entries, want 1", c.name, s.e.Time, c.op.StateSize())
+			}
+		}
+		if !reflect.DeepEqual(out, c.want) || c.op.StateSize() != 0 {
+			t.Errorf("%s: emitted %v and kept %d state entries, want %v and none", c.name, out, c.op.StateSize(), c.want)
 		}
 	}
 }
