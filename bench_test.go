@@ -104,7 +104,7 @@ func BenchmarkFig9ProcessingRatio(b *testing.B) {
 }
 
 func BenchmarkFig10TechniqueComparison(b *testing.B) {
-	var runs []experiment.Fig10Run
+	var runs []experiment.PolicyRun
 	for i := 0; i < b.N; i++ {
 		var err error
 		runs, err = experiment.RunFig10(benchSeed, 0)
@@ -127,11 +127,11 @@ func BenchmarkFig10TechniqueComparison(b *testing.B) {
 // them), memoized the same way as fig8Runs.
 var (
 	fig11Once  sync.Once
-	fig11Cache []experiment.Fig11Run
+	fig11Cache []experiment.PolicyRun
 	fig11Err   error
 )
 
-func fig11Runs(b *testing.B) []experiment.Fig11Run {
+func fig11Runs(b *testing.B) []experiment.PolicyRun {
 	b.Helper()
 	fig11Once.Do(func() {
 		fig11Cache, fig11Err = experiment.RunFig11(benchSeed, 0)
@@ -143,7 +143,7 @@ func fig11Runs(b *testing.B) []experiment.Fig11Run {
 }
 
 func BenchmarkFig11LiveEnvironment(b *testing.B) {
-	var runs []experiment.Fig11Run
+	var runs []experiment.PolicyRun
 	for i := 0; i < b.N; i++ {
 		runs = fig11Runs(b)
 	}
@@ -151,7 +151,7 @@ func BenchmarkFig11LiveEnvironment(b *testing.B) {
 }
 
 func BenchmarkFig12QualityTradeoff(b *testing.B) {
-	var runs []experiment.Fig11Run
+	var runs []experiment.PolicyRun
 	for i := 0; i < b.N; i++ {
 		runs = fig11Runs(b)
 	}

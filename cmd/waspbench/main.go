@@ -27,9 +27,10 @@
 // cells of each scenario grid run concurrently but results come back in
 // submission order, so the output is byte-identical for any -j.
 //
-// A flag value that is not a run (an unknown experiment, a negative
-// -duration or -j) exits 2 naming the flag, before anything runs; a run
-// failure or an invariant violation exits 1.
+// A flag value that is not a run (an unknown experiment, a negative -j, a
+// -duration that is negative or shorter than one engine tick) exits 2
+// naming the flag, before anything runs; a run failure or an invariant
+// violation exits 1.
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/experiment"
 )
 
@@ -71,6 +73,8 @@ func runMain(args []string, stderr io.Writer) int {
 	switch {
 	case *duration < 0:
 		err = badValue{fmt.Errorf("-duration: %v must not be negative (0 = paper default)", *duration)}
+	case *duration > 0 && *duration < engine.TickEvery:
+		err = badValue{fmt.Errorf("-duration: %v is shorter than one engine tick (%v; 0 = paper default)", *duration, engine.TickEvery)}
 	case *workers < 0:
 		err = badValue{fmt.Errorf("-j: %d must not be negative (0 = GOMAXPROCS)", *workers)}
 	default:

@@ -66,6 +66,8 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 		{"-duration", []string{"-experiment", "chaos", "-duration", "-1s"}},
 		{"-duration", []string{"-experiment", "ctrlchaos", "-duration", "-1s"}},
 		{"-duration", []string{"-experiment", "fig10", "-duration", "-5m"}},
+		{"-duration", []string{"-experiment", "fig11", "-duration", "1ns"}},
+		{"-duration", []string{"-experiment", "chaos", "-duration", "1ns"}},
 		{"-j", []string{"-j", "-3"}},
 		{"-duration", []string{"-duration", "soon"}},
 		{"-seed", []string{"-seed", "x"}},

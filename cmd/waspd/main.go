@@ -34,9 +34,9 @@
 //
 // A flag value that is not a run (an unknown policy or query, a rate or
 // factor that is not a finite positive number, a duration shorter than
-// one engine tick, a fault script that does not parse, half a -scale-*
-// pair) exits 2 naming the flag, before anything runs; a run failure or a
-// chaos violation exits 1.
+// one engine tick, a negative checkpoint interval, a fault script that
+// does not parse, half a -scale-* pair) exits 2 naming the flag, before
+// anything runs; a run failure or a chaos violation exits 1.
 //
 // -fault injects failures from a semicolon-separated script (see the
 // faults package for the DSL): site crash+restart (crash), link blackout
@@ -191,6 +191,9 @@ func run(opt options) error {
 		// still report every event processed.
 		return badValue{fmt.Errorf("-duration: %v is shorter than one engine tick (%v)", opt.duration, engine.TickEvery)}
 	}
+	if opt.ckptEvery < 0 {
+		return badValue{fmt.Errorf("-checkpoint-every: %v must not be negative (0 = no checkpointing)", opt.ckptEvery)}
+	}
 	// Validate both factor lists before anything runs (even in -live mode,
 	// where they are unused: a typo should not pass silently).
 	wFactors, err := parseFactorList("-workload", opt.workload)
@@ -264,17 +267,7 @@ func run(opt options) error {
 	}
 	if opt.chaosSeed != 0 {
 		sc.FaultsFor = func(_ *physical.Plan, top *topology.Topology) []faults.Fault {
-			ccfg := chaos.Config{
-				Sites:    top.N(),
-				Duration: opt.duration,
-			}
-			if opt.ctrl {
-				// Widen the fault mix with control-plane kinds; the
-				// region count must match what the plane will use so
-				// ctrldown targets resolve to real regions.
-				ccfg.CtrlRegions = len(ctrlplane.Domains(top, ctrlplane.Config{}))
-			}
-			schedule := chaos.Generate(opt.chaosSeed, ccfg)
+			schedule := experiment.ChaosSchedule(opt.chaosSeed, top, opt.duration, opt.ctrl)
 			fmt.Printf("chaos schedule (seed %d): %s\n", opt.chaosSeed, experiment.FaultScript(schedule))
 			return schedule
 		}

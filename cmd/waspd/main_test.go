@@ -256,6 +256,7 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 		{"-rate", "NaN"},
 		{"-rate", "0"},
 		{"-duration", "0s"},
+		{"-checkpoint-every", "-1s"},
 		{"-workload", "1,x"},
 		{"-bandwidth", "1,-1"},
 		{"-fault", "crash@5m:site=3,for=2m,bogus=1"},

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/wasp-stream/wasp/internal/analysis"
@@ -48,6 +49,25 @@ func TestModuleIsWaspvetClean(t *testing.T) {
 	}
 }
 
+// The whole module, loaded once (about 2 s) for every audit below: they
+// only read the packages.
+var (
+	moduleOnce sync.Once
+	modulePkgs []*analysis.Package
+	moduleErr  error
+)
+
+// modulePackages returns the packages of "./...", loading them on first
+// use.
+func modulePackages(t *testing.T) []*analysis.Package {
+	t.Helper()
+	moduleOnce.Do(func() { modulePkgs, moduleErr = loadTargets([]string{"./..."}) })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return modulePkgs
+}
+
 // TestRootModuleNeverWaivesWallclock: the root module's non-test code has
 // no reason to read the host clock — runs advance on internal/vclock and
 // host time is measured only by the stand-alone benchmark module — so it
@@ -57,10 +77,7 @@ func TestRootModuleNeverWaivesWallclock(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
-	pkgs, err := loadTargets([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := modulePackages(t)
 	for _, pkg := range pkgs {
 		if strings.HasSuffix(pkg.PkgPath, "/benchmark") {
 			continue
@@ -88,10 +105,7 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
-	pkgs, err := loadTargets([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := modulePackages(t)
 	unset := unsetOptions(pkgs)
 	for _, name := range unset {
 		if optionExemptions[name] == "" {
@@ -222,10 +236,7 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
-	pkgs, err := loadTargets([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := modulePackages(t)
 	exempt := make([]string, 0, len(reachExemptions))
 	for name := range reachExemptions {
 		exempt = append(exempt, name)
@@ -285,10 +296,7 @@ func TestNoOpIDKeyedMaps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
-	pkgs, err := loadTargets([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := modulePackages(t)
 	for _, m := range opIDMaps(pkgs) {
 		if opIDMapExemptions[m.typ] == "" {
 			t.Errorf("%s: %s; index a slice by plan.OpID instead", m.pos, m.typ)
@@ -366,10 +374,7 @@ func TestEveryFieldIsRead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
-	pkgs, err := loadTargets([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := modulePackages(t)
 	used := map[string]bool{}
 	for _, name := range unreadFields(pkgs) {
 		typ := name[:strings.LastIndex(name, ".")]
@@ -527,10 +532,7 @@ func TestEveryConsumedEventIsEmitted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
-	pkgs, err := loadTargets([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := modulePackages(t)
 	emitted, consumed := eventNames(pkgs)
 	if len(emitted) == 0 || len(consumed) == 0 {
 		t.Fatalf("found %d emitted and %d consumed names; the walk matches nothing", len(emitted), len(consumed))

@@ -52,13 +52,14 @@ func Generate(seed int64, cfg Config) []faults.Fault {
 	return out
 }
 
-// randomFault draws one candidate fault. Times are truncated to whole
-// seconds and factors to two decimals so rendered schedules stay short
-// and byte-stable.
+// randomFault draws one candidate fault. Times are truncated to the
+// schedule's grain and factors to two decimals so rendered schedules stay
+// short and byte-stable.
 func randomFault(rng *rand.Rand, cfg Config) faults.Fault {
 	d := cfg.Duration
+	g := grain(d)
 	at := d/10 + time.Duration(rng.Int63n(int64(d/2-d/10)+1))
-	at = at.Truncate(time.Second)
+	at = at.Truncate(g)
 	forMin, forMax := d/20, d/4
 	if healBy := 3*d/4 - at; forMax > healBy {
 		forMax = healBy
@@ -70,9 +71,9 @@ func randomFault(rng *rand.Rand, cfg Config) faults.Fault {
 	if forMax > forMin {
 		dur += time.Duration(rng.Int63n(int64(forMax - forMin)))
 	}
-	dur = dur.Truncate(time.Second)
+	dur = dur.Truncate(g)
 	if dur <= 0 {
-		dur = time.Second
+		dur = g
 	}
 
 	f := faults.Fault{At: at, For: dur}
@@ -106,6 +107,19 @@ func randomFault(rng *rand.Rand, cfg Config) faults.Fault {
 		f.Delay = time.Duration(1+rng.Intn(5)) * time.Second
 	}
 	return f
+}
+
+// grain is the unit generated times are truncated to: the largest power
+// of ten up to a second that divides D/10 and is at most D/20. A strike
+// drawn in [D/10, D/2] then stays there and a fault drawn at least D/20
+// long stays at least one grain long, so Config.Duration's window holds;
+// a whole multiple of 10 s from 20 s up keeps whole seconds.
+func grain(d time.Duration) time.Duration {
+	g := time.Second
+	for g > 1 && (d/10%g != 0 || g > d/20) {
+		g /= 10
+	}
+	return g
 }
 
 // randomFactor draws a degradation factor in [0.2, 0.8], two decimals.

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -25,39 +26,53 @@ func TestGenerateIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateSchedulesAreCoherent: every generated schedule validates,
+// strikes its victims inside the topology, and keeps the documented
+// window — strike in [D/10, D/2], heal by 3D/4 — at short durations too,
+// where D/10 is not whole seconds or D/20 is under a second.
 func TestGenerateSchedulesAreCoherent(t *testing.T) {
-	d := 900 * time.Second
-	cfg := Config{Sites: 8, Duration: d}
-	for seed := int64(1); seed <= 50; seed++ {
-		fs := Generate(seed, cfg)
-		if len(fs) < 1 {
-			t.Fatalf("seed %d: empty schedule", seed)
-		}
-		if err := faults.ValidateSchedule(fs); err != nil {
-			t.Fatalf("seed %d: generated schedule incoherent: %v", seed, err)
-		}
-		for i, f := range fs {
-			if err := f.Validate(); err != nil {
-				t.Fatalf("seed %d fault %d: %v", seed, i, err)
+	for _, d := range []time.Duration{time.Second, 3 * time.Second, 25 * time.Second, 900 * time.Second} {
+		cfg := Config{Sites: 8, Duration: d}
+		for seed := int64(1); seed <= 50; seed++ {
+			fs := Generate(seed, cfg)
+			if len(fs) < 1 {
+				t.Fatalf("D=%v seed %d: empty schedule", d, seed)
 			}
-			if f.At < d/10 || f.At > d/2 {
-				t.Fatalf("seed %d fault %d strikes at %v, want within [%v, %v]", seed, i, f.At, d/10, d/2)
+			if err := faults.ValidateSchedule(fs); err != nil {
+				t.Fatalf("D=%v seed %d: generated schedule incoherent: %v", d, seed, err)
 			}
-			if f.For <= 0 {
-				t.Fatalf("seed %d fault %d is permanent; every chaos fault must heal", seed, i)
-			}
-			if heal := f.At + f.For; heal > 3*d/4 {
-				t.Fatalf("seed %d fault %d heals at %v, after the %v deadline", seed, i, heal, 3*d/4)
-			}
-			if f.Kind == faults.SiteCrash || f.Kind == faults.SiteSlow {
-				if int(f.Site) < 0 || int(f.Site) >= cfg.Sites {
-					t.Fatalf("seed %d fault %d victim site %d outside topology", seed, i, f.Site)
+			for i, f := range fs {
+				if err := f.Validate(); err != nil {
+					t.Fatalf("D=%v seed %d fault %d: %v", d, seed, i, err)
 				}
-			} else if f.From == f.To {
-				t.Fatalf("seed %d fault %d is a self-link", seed, i)
+				if err := checkWindow(f, d); err != nil {
+					t.Fatalf("D=%v seed %d fault %d: %v", d, seed, i, err)
+				}
+				if f.Kind == faults.SiteCrash || f.Kind == faults.SiteSlow {
+					if int(f.Site) < 0 || int(f.Site) >= cfg.Sites {
+						t.Fatalf("D=%v seed %d fault %d victim site %d outside topology", d, seed, i, f.Site)
+					}
+				} else if f.From == f.To {
+					t.Fatalf("D=%v seed %d fault %d is a self-link", d, seed, i)
+				}
 			}
 		}
 	}
+}
+
+// checkWindow reports a fault that strikes outside [d/10, d/2], never
+// heals, or heals after 3d/4.
+func checkWindow(f faults.Fault, d time.Duration) error {
+	if f.At < d/10 || f.At > d/2 {
+		return fmt.Errorf("strikes at %v, want within [%v, %v]", f.At, d/10, d/2)
+	}
+	if f.For <= 0 {
+		return fmt.Errorf("is permanent; every chaos fault must heal")
+	}
+	if heal := f.At + f.For; heal > 3*d/4 {
+		return fmt.Errorf("heals at %v, after the %v deadline", heal, 3*d/4)
+	}
+	return nil
 }
 
 func TestGenerateRespectsSizeBounds(t *testing.T) {
@@ -80,7 +95,7 @@ func TestGenerateRespectsSizeBounds(t *testing.T) {
 // generated fault passes Fault.Validate, the schedule passes
 // faults.ValidateSchedule, and each fault's String form parses back to
 // exactly that fault — so a generated schedule can always be replayed as a
-// -fault script.
+// -fault script — and every fault keeps the window of Config.Duration.
 func FuzzGenerateRoundTrips(f *testing.F) {
 	f.Add(int64(1), uint16(8), uint32(900), uint8(0))
 	f.Add(int64(7), uint16(0), uint32(0), uint8(3))
@@ -95,6 +110,9 @@ func FuzzGenerateRoundTrips(f *testing.F) {
 		for i, fault := range fs {
 			if err := fault.Validate(); err != nil {
 				t.Fatalf("%+v: fault %d invalid: %v", cfg, i, err)
+			}
+			if err := checkWindow(fault, cfg.Duration); err != nil {
+				t.Fatalf("%+v: fault %d %v", cfg, i, err)
 			}
 			got, err := faults.Parse(fault.String())
 			if err != nil || !reflect.DeepEqual(got, []faults.Fault{fault}) {

@@ -40,39 +40,35 @@ func RunAdaptLat(seed int64, duration time.Duration) ([]AdaptLatRun, error) {
 	}
 	phase := duration / 5
 	qnames := []string{"ysb", "topk", "eoi"}
-	jobs := make([]func() (AdaptLatRun, error), len(qnames))
-	for i, qname := range qnames {
-		jobs[i] = func() (AdaptLatRun, error) {
-			builder, err := QueryByName(qname)
-			if err != nil {
-				return AdaptLatRun{}, err
-			}
-			o := obs.New(nil)
-			_, err = Run(Scenario{
-				Name:            fmt.Sprintf("adaptlat-%s", qname),
-				Seed:            seed,
-				Duration:        duration,
-				Query:           builder,
-				Engine:          EngineConfig(adapt.PolicyWASP),
-				Adapt:           AdaptConfig(adapt.PolicyWASP),
-				Workload:        trace.Steps(phase, 1, 2, 1, 1, 1),
-				Bandwidth:       trace.Steps(phase, 1, 1, 1, 0.5, 1),
-				CheckpointEvery: 30 * time.Second,
-				FaultsFor: func(pp *physical.Plan, top *topology.Topology) []faults.Fault {
-					return []faults.Fault{{
-						Kind: faults.SiteCrash, At: 2 * phase, For: phase,
-						Site: crashTargetSite(pp),
-					}}
-				},
-				Obs: o,
-			})
-			if err != nil {
-				return AdaptLatRun{}, fmt.Errorf("adaptlat %s: %w", qname, err)
-			}
-			return AdaptLatRun{Query: qname, Durations: phaseSeconds(o)}, nil
+	return sweep(qnames, func(qname string) (AdaptLatRun, error) {
+		builder, err := QueryByName(qname)
+		if err != nil {
+			return AdaptLatRun{}, err
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		o := obs.New(nil)
+		_, err = Run(Scenario{
+			Name:            fmt.Sprintf("adaptlat-%s", qname),
+			Seed:            seed,
+			Duration:        duration,
+			Query:           builder,
+			Engine:          EngineConfig(adapt.PolicyWASP),
+			Adapt:           AdaptConfig(adapt.PolicyWASP),
+			Workload:        trace.Steps(phase, 1, 2, 1, 1, 1),
+			Bandwidth:       trace.Steps(phase, 1, 1, 1, 0.5, 1),
+			CheckpointEvery: 30 * time.Second,
+			FaultsFor: func(pp *physical.Plan, top *topology.Topology) []faults.Fault {
+				return []faults.Fault{{
+					Kind: faults.SiteCrash, At: 2 * phase, For: phase,
+					Site: crashTargetSite(pp),
+				}}
+			},
+			Obs: o,
+		})
+		if err != nil {
+			return AdaptLatRun{}, fmt.Errorf("adaptlat %s: %w", qname, err)
+		}
+		return AdaptLatRun{Query: qname, Durations: phaseSeconds(o)}, nil
+	})
 }
 
 // phaseSeconds extracts every adapt.latency event's duration, grouped by

@@ -57,47 +57,54 @@ func RunChaos(baseSeed int64, n int, duration time.Duration) ([]ChaosRun, error)
 // the run goes over a default WAN control plane and the schedule is
 // widened with the control fault kinds.
 func chaosSeeds(prefix string, baseSeed int64, n int, duration time.Duration, ctrl bool) ([]ChaosRun, error) {
-	jobs := make([]func() (ChaosRun, error), n)
-	for i := 0; i < n; i++ {
-		seed := baseSeed + int64(i)
-		jobs[i] = func() (ChaosRun, error) {
-			var schedule []faults.Fault
-			sc := Scenario{
-				Name:            fmt.Sprintf("%s-seed-%d", prefix, seed),
-				Seed:            seed,
-				Duration:        duration,
-				Engine:          EngineConfig(adapt.PolicyWASP),
-				Adapt:           AdaptConfig(adapt.PolicyWASP),
-				CheckpointEvery: 30 * time.Second,
-				FaultsFor: func(pp *physical.Plan, top *topology.Topology) []faults.Fault {
-					cfg := chaos.Config{Sites: top.N(), Duration: duration}
-					if ctrl {
-						cfg.CtrlRegions = len(ctrlplane.Domains(top, ctrlplane.Config{}))
-					}
-					schedule = chaos.Generate(seed, cfg)
-					return schedule
-				},
-			}
-			if ctrl {
-				sc.Ctrl = &ctrlplane.Config{}
-			}
-			res, err := Run(sc)
-			if err != nil {
-				return ChaosRun{}, err
-			}
-			return ChaosRun{
-				Seed:         seed,
-				Faults:       schedule,
-				Actions:      len(res.Actions),
-				Aborts:       len(res.Obs.Events("adapt.abort")),
-				Recoveries:   len(res.Obs.Events("recovery.complete")),
-				ProcessedPct: res.ProcessedPct,
-				MaxRecovery:  res.Final.MaxRecovery,
-				Violations:   chaos.Check(*res.Final, ChaosRecoveryBound),
-			}, nil
-		}
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = baseSeed + int64(i)
 	}
-	return runJobs(Parallelism(), jobs)
+	return sweep(seeds, func(seed int64) (ChaosRun, error) {
+		var schedule []faults.Fault
+		sc := Scenario{
+			Name:            fmt.Sprintf("%s-seed-%d", prefix, seed),
+			Seed:            seed,
+			Duration:        duration,
+			Engine:          EngineConfig(adapt.PolicyWASP),
+			Adapt:           AdaptConfig(adapt.PolicyWASP),
+			CheckpointEvery: 30 * time.Second,
+			FaultsFor: func(_ *physical.Plan, top *topology.Topology) []faults.Fault {
+				schedule = ChaosSchedule(seed, top, duration, ctrl)
+				return schedule
+			},
+		}
+		if ctrl {
+			sc.Ctrl = &ctrlplane.Config{}
+		}
+		res, err := Run(sc)
+		if err != nil {
+			return ChaosRun{}, err
+		}
+		return ChaosRun{
+			Seed:         seed,
+			Faults:       schedule,
+			Actions:      len(res.Actions),
+			Aborts:       len(res.Obs.Events("adapt.abort")),
+			Recoveries:   len(res.Obs.Events("recovery.complete")),
+			ProcessedPct: res.ProcessedPct,
+			MaxRecovery:  res.Final.MaxRecovery,
+			Violations:   chaos.Check(*res.Final, ChaosRecoveryBound),
+		}, nil
+	})
+}
+
+// ChaosSchedule generates seed's randomized fault schedule on top for a
+// run of duration (chaos.Generate). With ctrl the draw is widened with the
+// control fault kinds, over the regions a default WAN control plane forms
+// on top, so every ctrldown target is a region the plane has.
+func ChaosSchedule(seed int64, top *topology.Topology, duration time.Duration, ctrl bool) []faults.Fault {
+	cfg := chaos.Config{Sites: top.N(), Duration: duration}
+	if ctrl {
+		cfg.CtrlRegions = len(ctrlplane.Domains(top, ctrlplane.Config{}))
+	}
+	return chaos.Generate(seed, cfg)
 }
 
 // FormatChaos renders the chaos sweep: one row per seed plus, for any

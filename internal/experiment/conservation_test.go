@@ -61,7 +61,7 @@ func checkConservationEveryTick(t *testing.T) map[string]*tickRecord {
 func TestConservationEveryTick(t *testing.T) {
 	runs := checkConservationEveryTick(t)
 	const duration = 1500 * time.Second
-	var jobs []func() (struct{}, error)
+	var scenarios []Scenario
 	for _, qname := range []string{"ysb", "topk", "eoi"} {
 		builder, err := QueryByName(qname)
 		if err != nil {
@@ -69,24 +69,25 @@ func TestConservationEveryTick(t *testing.T) {
 		}
 		for _, policy := range []adapt.Policy{adapt.PolicyWASP, adapt.PolicyNone} {
 			for seed := int64(1); seed <= 12; seed++ {
-				name := fmt.Sprintf("%s/%s/%d", qname, policy, seed)
-				jobs = append(jobs, func() (struct{}, error) {
-					_, err := Run(Scenario{
-						Name:      name,
-						Seed:      seed,
-						Duration:  duration,
-						Query:     builder,
-						Engine:    EngineConfig(policy),
-						Adapt:     AdaptConfig(policy),
-						Workload:  trace.Steps(duration/5, 1, 2, 1, 1, 1),
-						Bandwidth: trace.Steps(duration/5, 1, 1, 1, 0.5, 1),
-					})
-					return struct{}{}, err
+				scenarios = append(scenarios, Scenario{
+					Name:      fmt.Sprintf("%s/%s/%d", qname, policy, seed),
+					Seed:      seed,
+					Duration:  duration,
+					Query:     builder,
+					Engine:    EngineConfig(policy),
+					Adapt:     AdaptConfig(policy),
+					Workload:  trace.Steps(duration/5, 1, 2, 1, 1, 1),
+					Bandwidth: trace.Steps(duration/5, 1, 1, 1, 0.5, 1),
 				})
 			}
 		}
 	}
-	if _, err := runJobs(Parallelism(), jobs); err != nil {
+	// Drop each Result as its run ends: the hook has already recorded
+	// everything the test checks.
+	if _, err := sweep(scenarios, func(sc Scenario) (struct{}, error) {
+		_, err := Run(sc)
+		return struct{}{}, err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunChaos(1, 8, 0); err != nil {

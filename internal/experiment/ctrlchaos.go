@@ -72,16 +72,19 @@ func RunCtrlChaos(baseSeed int64, n int, duration time.Duration) (CtrlChaosResul
 	}
 	losses := []float64{0, 0.25, 0.5}
 	parts := []time.Duration{60 * time.Second, 120 * time.Second, 180 * time.Second}
-	var jobs []func() (CtrlChaosCell, error)
+	type impairment struct {
+		loss float64
+		part time.Duration
+	}
+	var grid []impairment
 	for _, loss := range losses {
 		for _, part := range parts {
-			loss, part := loss, part
-			jobs = append(jobs, func() (CtrlChaosCell, error) {
-				return runCtrlCell(baseSeed, duration, loss, part)
-			})
+			grid = append(grid, impairment{loss, part})
 		}
 	}
-	cells, err := runJobs(Parallelism(), jobs)
+	cells, err := sweep(grid, func(im impairment) (CtrlChaosCell, error) {
+		return runCtrlCell(baseSeed, duration, im.loss, im.part)
+	})
 	if err != nil {
 		return CtrlChaosResult{}, err
 	}

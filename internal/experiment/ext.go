@@ -39,38 +39,34 @@ func RunStraggler(seed int64) ([]StragglerRun, error) {
 		slowFactor  = 0.25
 	)
 	policies := []adapt.Policy{adapt.PolicyNone, adapt.PolicyWASP}
-	jobs := make([]func() (StragglerRun, error), len(policies))
-	for i, policy := range policies {
-		jobs[i] = func() (StragglerRun, error) {
-			res, err := Run(Scenario{
-				Name:     fmt.Sprintf("straggler-%s", policy),
-				Seed:     seed,
-				Duration: duration,
-				Engine:   EngineConfig(policy),
-				Adapt:    AdaptConfig(policy),
-				FaultsFor: func(pp *physical.Plan, _ *topology.Topology) []faults.Fault {
-					id, _ := hottestMovable(pp)
-					if id < 0 {
-						return nil
-					}
-					return []faults.Fault{{
-						Kind: faults.OpSlow, At: straggleAt, For: straggleEnd - straggleAt,
-						Op: id, Site: pp.Stages[id].Sites[0], Factor: slowFactor,
-					}}
-				},
-			})
-			if err != nil {
-				return StragglerRun{}, err
-			}
-			return StragglerRun{
-				Policy: policy,
-				Result: res,
-				During: res.MeanDelayBetween(straggleAt+100*time.Second, straggleEnd),
-				After:  res.MeanDelayBetween(straggleEnd+100*time.Second, duration),
-			}, nil
+	return sweep(policies, func(policy adapt.Policy) (StragglerRun, error) {
+		res, err := Run(Scenario{
+			Name:     fmt.Sprintf("straggler-%s", policy),
+			Seed:     seed,
+			Duration: duration,
+			Engine:   EngineConfig(policy),
+			Adapt:    AdaptConfig(policy),
+			FaultsFor: func(pp *physical.Plan, _ *topology.Topology) []faults.Fault {
+				id, _ := hottestMovable(pp)
+				if id < 0 {
+					return nil
+				}
+				return []faults.Fault{{
+					Kind: faults.OpSlow, At: straggleAt, For: straggleEnd - straggleAt,
+					Op: id, Site: pp.Stages[id].Sites[0], Factor: slowFactor,
+				}}
+			},
+		})
+		if err != nil {
+			return StragglerRun{}, err
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		return StragglerRun{
+			Policy: policy,
+			Result: res,
+			During: res.MeanDelayBetween(straggleAt+100*time.Second, straggleEnd),
+			After:  res.MeanDelayBetween(straggleEnd+100*time.Second, duration),
+		}, nil
+	})
 }
 
 // FormatStraggler renders the straggler extension results.
@@ -102,35 +98,8 @@ type AblationRow struct {
 // setting it too high magnifies mis-estimation; too low over-constrains
 // placements. The workload is the fig8 Top-K scenario.
 func RunAlphaAblation(seed int64) ([]AblationRow, error) {
-	alphas := []float64{0.5, 0.65, 0.8, 0.9, 0.95}
-	jobs := make([]func() (AblationRow, error), len(alphas))
-	for i, alpha := range alphas {
-		jobs[i] = func() (AblationRow, error) {
-			acfg := AdaptConfig(adapt.PolicyWASP)
-			acfg.Alpha = alpha
-			res, err := Run(Scenario{
-				Name:      fmt.Sprintf("alpha-%.2f", alpha),
-				Seed:      seed,
-				Duration:  1000 * time.Second,
-				Query:     queries.TopKTopics,
-				Engine:    EngineConfig(adapt.PolicyWASP),
-				Adapt:     acfg,
-				Workload:  trace.Steps(200*time.Second, 1, 2, 1, 1, 1),
-				Bandwidth: trace.Steps(200*time.Second, 1, 1, 1, 0.5, 1),
-			})
-			if err != nil {
-				return AblationRow{}, err
-			}
-			return AblationRow{
-				Label:     fmt.Sprintf("α=%.2f", alpha),
-				MeanDelay: Mean(res.Samples),
-				P95Delay:  res.DelayPercentile(0.95),
-				Actions:   len(res.Actions),
-				Processed: res.ProcessedPct,
-			}, nil
-		}
-	}
-	return runJobs(Parallelism(), jobs)
+	return ablate(seed, []float64{0.5, 0.65, 0.8, 0.9, 0.95}, "alpha-%.2f", "α=%.2f",
+		func(cfg *adapt.Config, alpha float64) { cfg.Alpha = alpha })
 }
 
 // RunMonitorIntervalAblation sweeps the monitoring interval (§8.2 sets
@@ -138,34 +107,40 @@ func RunAlphaAblation(seed int64) ([]AblationRow, error) {
 // but risks thrashing; longer leaves bottlenecks unattended.
 func RunMonitorIntervalAblation(seed int64) ([]AblationRow, error) {
 	intervals := []time.Duration{10 * time.Second, 20 * time.Second, 40 * time.Second, 80 * time.Second, 160 * time.Second}
-	jobs := make([]func() (AblationRow, error), len(intervals))
-	for i, interval := range intervals {
-		jobs[i] = func() (AblationRow, error) {
-			acfg := AdaptConfig(adapt.PolicyWASP)
-			acfg.MonitorInterval = interval
-			res, err := Run(Scenario{
-				Name:      fmt.Sprintf("monitor-%v", interval),
-				Seed:      seed,
-				Duration:  1000 * time.Second,
-				Query:     queries.TopKTopics,
-				Engine:    EngineConfig(adapt.PolicyWASP),
-				Adapt:     acfg,
-				Workload:  trace.Steps(200*time.Second, 1, 2, 1, 1, 1),
-				Bandwidth: trace.Steps(200*time.Second, 1, 1, 1, 0.5, 1),
-			})
-			if err != nil {
-				return AblationRow{}, err
-			}
-			return AblationRow{
-				Label:     interval.String(),
-				MeanDelay: Mean(res.Samples),
-				P95Delay:  res.DelayPercentile(0.95),
-				Actions:   len(res.Actions),
-				Processed: res.ProcessedPct,
-			}, nil
+	return ablate(seed, intervals, "monitor-%v", "%v",
+		func(cfg *adapt.Config, interval time.Duration) { cfg.MonitorInterval = interval })
+}
+
+// ablate runs the full WASP policy on the fig8 Top-K scenario (1000 s,
+// five 200 s phases: the workload doubles in the second, the bandwidth
+// halves in the fourth) once per value, with set applying the value to
+// the controller configuration. run and label format each value into its
+// run name and its row label.
+func ablate[V any](seed int64, values []V, run, label string, set func(*adapt.Config, V)) ([]AblationRow, error) {
+	return sweep(values, func(v V) (AblationRow, error) {
+		acfg := AdaptConfig(adapt.PolicyWASP)
+		set(&acfg, v)
+		res, err := Run(Scenario{
+			Name:      fmt.Sprintf(run, v),
+			Seed:      seed,
+			Duration:  1000 * time.Second,
+			Query:     queries.TopKTopics,
+			Engine:    EngineConfig(adapt.PolicyWASP),
+			Adapt:     acfg,
+			Workload:  trace.Steps(200*time.Second, 1, 2, 1, 1, 1),
+			Bandwidth: trace.Steps(200*time.Second, 1, 1, 1, 0.5, 1),
+		})
+		if err != nil {
+			return AblationRow{}, err
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		return AblationRow{
+			Label:     fmt.Sprintf(label, v),
+			MeanDelay: Mean(res.Samples),
+			P95Delay:  res.DelayPercentile(0.95),
+			Actions:   len(res.Actions),
+			Processed: res.ProcessedPct,
+		}, nil
+	})
 }
 
 // RunConstraintAblation compares the weighted per-endpoint reading of the
@@ -174,36 +149,32 @@ func RunMonitorIntervalAblation(seed int64) ([]AblationRow, error) {
 // cost on the Top-K query.
 func RunConstraintAblation(seed int64) ([]AblationRow, error) {
 	arms := []bool{false, true}
-	jobs := make([]func() (AblationRow, error), len(arms))
-	for i, conservative := range arms {
-		jobs[i] = func() (AblationRow, error) {
-			// Regenerate the (deterministic) topology per arm so concurrent
-			// jobs share nothing.
-			top := topology.Generate(topology.DefaultGenConfig(seed))
-			qcfg := queries.Config{
-				SourceSites: top.SitesOfKind(topology.Edge),
-				SinkSite:    top.SitesOfKind(topology.DataCenter)[0],
-			}
-			q := queries.TopKTopics(qcfg)
-			_, all, err := physical.PlanQuery(q.Graph, q.Spec, top, physical.PlannerConfig{
-				ScheduleConfig: physical.ScheduleConfig{
-					Alpha: 0.8, DefaultParallelism: 1, Conservative: conservative,
-				},
-				MaxVariants: 40,
-			})
-			label := "weighted"
-			if conservative {
-				label = "conservative"
-			}
-			row := AblationRow{Label: label}
-			if err == nil {
-				row.Actions = len(all) // schedulable variants
-				row.MeanDelay = all[0].Cost
-			}
-			return row, nil
+	return sweep(arms, func(conservative bool) (AblationRow, error) {
+		// Regenerate the (deterministic) topology per arm so concurrent
+		// jobs share nothing.
+		top := topology.Generate(topology.DefaultGenConfig(seed))
+		qcfg := queries.Config{
+			SourceSites: top.SitesOfKind(topology.Edge),
+			SinkSite:    top.SitesOfKind(topology.DataCenter)[0],
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		q := queries.TopKTopics(qcfg)
+		_, all, err := physical.PlanQuery(q.Graph, q.Spec, top, physical.PlannerConfig{
+			ScheduleConfig: physical.ScheduleConfig{
+				Alpha: 0.8, DefaultParallelism: 1, Conservative: conservative,
+			},
+			MaxVariants: 40,
+		})
+		label := "weighted"
+		if conservative {
+			label = "conservative"
+		}
+		row := AblationRow{Label: label}
+		if err == nil {
+			row.Actions = len(all) // schedulable variants
+			row.MeanDelay = all[0].Cost
+		}
+		return row, nil
+	})
 }
 
 // FormatAblation renders a sweep as a table.

@@ -10,8 +10,9 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// Fig10Run is one policy arm of the §8.5 technique comparison.
-type Fig10Run struct {
+// PolicyRun is one policy arm of a technique comparison: §8.5's Figure 10
+// and §8.6's Figures 11 and 12.
+type PolicyRun struct {
 	Policy adapt.Policy
 	Result *Result
 }
@@ -20,7 +21,7 @@ type Fig10Run struct {
 // factors {1,2,2,1,1} and bandwidth factors {1,1,0.5,0.5,1} across five
 // equal phases, comparing No Adapt, Re-assign only, Scale (re-assign then
 // scale), and Re-plan only. duration 0 means the paper's 1500 s.
-func RunFig10(seed int64, duration time.Duration) ([]Fig10Run, error) {
+func RunFig10(seed int64, duration time.Duration) ([]PolicyRun, error) {
 	if duration == 0 {
 		duration = 1500 * time.Second
 	}
@@ -28,31 +29,27 @@ func RunFig10(seed int64, duration time.Duration) ([]Fig10Run, error) {
 	policies := []adapt.Policy{
 		adapt.PolicyNone, adapt.PolicyReassign, adapt.PolicyScale, adapt.PolicyReplan,
 	}
-	jobs := make([]func() (Fig10Run, error), len(policies))
-	for i, policy := range policies {
-		jobs[i] = func() (Fig10Run, error) {
-			res, err := Run(Scenario{
-				Name:      fmt.Sprintf("fig10-%s", policy),
-				Seed:      seed,
-				Duration:  duration,
-				Query:     queries.TopKTopics,
-				Engine:    EngineConfig(policy),
-				Adapt:     AdaptConfig(policy),
-				Workload:  trace.Steps(phase, 1, 2, 2, 1, 1),
-				Bandwidth: trace.Steps(phase, 1, 1, 0.5, 0.5, 1),
-			})
-			if err != nil {
-				return Fig10Run{}, fmt.Errorf("fig10 %s: %w", policy, err)
-			}
-			return Fig10Run{Policy: policy, Result: res}, nil
+	return sweep(policies, func(policy adapt.Policy) (PolicyRun, error) {
+		res, err := Run(Scenario{
+			Name:      fmt.Sprintf("fig10-%s", policy),
+			Seed:      seed,
+			Duration:  duration,
+			Query:     queries.TopKTopics,
+			Engine:    EngineConfig(policy),
+			Adapt:     AdaptConfig(policy),
+			Workload:  trace.Steps(phase, 1, 2, 2, 1, 1),
+			Bandwidth: trace.Steps(phase, 1, 1, 0.5, 0.5, 1),
+		})
+		if err != nil {
+			return PolicyRun{}, fmt.Errorf("fig10 %s: %w", policy, err)
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		return PolicyRun{Policy: policy, Result: res}, nil
+	})
 }
 
 // FormatFig10 renders the three panels of Figure 10: the delay CDF, the
 // average delay per phase, and the parallelism changes over time.
-func FormatFig10(runs []Fig10Run, duration time.Duration) string {
+func FormatFig10(runs []PolicyRun, duration time.Duration) string {
 	if duration == 0 {
 		duration = 1500 * time.Second
 	}

@@ -11,51 +11,41 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// Fig11Run is one policy arm of the §8.6 live-environment experiment.
-type Fig11Run struct {
-	Policy adapt.Policy
-	Result *Result
-}
-
 // RunFig11 executes the §8.6 live experiment on the Top-K query: per-link
 // bandwidth variation traces (0.51–2.36×), independent per-source workload
 // traces (0.8–2.4×), and a full resource revocation at t=0.3·duration for
 // duration/30 (the paper's 540 s failure with a 60 s outage in an 1800 s
 // run), comparing No Adapt, Degrade, and full WASP. duration 0 means
 // 1800 s.
-func RunFig11(seed int64, duration time.Duration) ([]Fig11Run, error) {
+func RunFig11(seed int64, duration time.Duration) ([]PolicyRun, error) {
 	if duration == 0 {
 		duration = 1800 * time.Second
 	}
 	policies := []adapt.Policy{adapt.PolicyNone, adapt.PolicyDegrade, adapt.PolicyWASP}
-	jobs := make([]func() (Fig11Run, error), len(policies))
-	for i, policy := range policies {
-		jobs[i] = func() (Fig11Run, error) {
-			res, err := Run(Scenario{
-				Name:              fmt.Sprintf("fig11-%s", policy),
-				Seed:              seed,
-				Duration:          duration,
-				Query:             queries.TopKTopics,
-				Engine:            EngineConfig(policy),
-				Adapt:             AdaptConfig(policy),
-				PerSourceWorkload: true,
-				PerLinkBandwidth:  true,
-				Faults: []faults.Fault{{
-					Kind: faults.Outage, At: duration * 3 / 10, For: duration / 30,
-				}},
-			})
-			if err != nil {
-				return Fig11Run{}, fmt.Errorf("fig11 %s: %w", policy, err)
-			}
-			return Fig11Run{Policy: policy, Result: res}, nil
+	return sweep(policies, func(policy adapt.Policy) (PolicyRun, error) {
+		res, err := Run(Scenario{
+			Name:              fmt.Sprintf("fig11-%s", policy),
+			Seed:              seed,
+			Duration:          duration,
+			Query:             queries.TopKTopics,
+			Engine:            EngineConfig(policy),
+			Adapt:             AdaptConfig(policy),
+			PerSourceWorkload: true,
+			PerLinkBandwidth:  true,
+			Faults: []faults.Fault{{
+				Kind: faults.Outage, At: duration * 3 / 10, For: duration / 30,
+			}},
+		})
+		if err != nil {
+			return PolicyRun{}, fmt.Errorf("fig11 %s: %w", policy, err)
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		return PolicyRun{Policy: policy, Result: res}, nil
+	})
 }
 
 // FormatFig11 renders Figure 11(b) and 11(c): average delay over time and
 // parallelism changes, with the failure window marked.
-func FormatFig11(runs []Fig11Run, duration time.Duration) string {
+func FormatFig11(runs []PolicyRun, duration time.Duration) string {
 	if duration == 0 {
 		duration = 1800 * time.Second
 	}
@@ -113,7 +103,7 @@ func FormatFig11(runs []Fig11Run, duration time.Duration) string {
 
 // FormatFig12 renders the quality/delay trade-off (Figure 12): percentage
 // of processed events and the delay distribution per policy.
-func FormatFig12(runs []Fig11Run) string {
+func FormatFig12(runs []PolicyRun) string {
 	out := "Figure 12(a): average processed events (%)\n"
 	var rows [][]string
 	for _, run := range runs {

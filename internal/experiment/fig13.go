@@ -69,43 +69,39 @@ func RunFig13(seed int64) ([]Fig13Run, error) {
 	strategies := []MigrationStrategy{
 		MigrateNone, MigrateNetworkAware, MigrateRandom, MigrateDistant,
 	}
-	jobs := make([]func() (Fig13Run, error), len(strategies))
-	for i, strat := range strategies {
-		jobs[i] = func() (Fig13Run, error) {
-			b, err := newMigBench(seed, stateBytes)
-			if err != nil {
-				return Fig13Run{}, err
-			}
-			if err := b.runUntil(adaptAt); err != nil {
-				return Fig13Run{}, err
-			}
-			dests := b.candidateDests(b.sched.Now())
-			if len(dests) == 0 {
-				return Fig13Run{}, fmt.Errorf("fig13: no feasible destination")
-			}
-			dest := pickDest(dests, strat)
-			bytes := stateBytes
-			if strat == MigrateNone {
-				bytes = 0
-			}
-			doneAt, err := b.moveStage([]topology.SiteID{dest}, bytes)
-			if err != nil {
-				return Fig13Run{}, err
-			}
-			if err := b.runUntil(runFor); err != nil {
-				return Fig13Run{}, err
-			}
-			overhead := measureOverhead(b.samples, vclock.Time(adaptAt), *doneAt, threshold)
-			window := Window(b.samples, vclock.Time(adaptAt), vclock.Time(runFor))
-			return Fig13Run{
-				Strategy: strat,
-				Overhead: overhead,
-				Peak95:   Percentile(window, 0.95),
-				Samples:  b.samples,
-			}, nil
+	return sweep(strategies, func(strat MigrationStrategy) (Fig13Run, error) {
+		b, err := newMigBench(seed, stateBytes)
+		if err != nil {
+			return Fig13Run{}, err
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		if err := b.runUntil(adaptAt); err != nil {
+			return Fig13Run{}, err
+		}
+		dests := b.candidateDests(b.sched.Now())
+		if len(dests) == 0 {
+			return Fig13Run{}, fmt.Errorf("fig13: no feasible destination")
+		}
+		dest := pickDest(dests, strat)
+		bytes := stateBytes
+		if strat == MigrateNone {
+			bytes = 0
+		}
+		doneAt, err := b.moveStage([]topology.SiteID{dest}, bytes)
+		if err != nil {
+			return Fig13Run{}, err
+		}
+		if err := b.runUntil(runFor); err != nil {
+			return Fig13Run{}, err
+		}
+		overhead := measureOverhead(b.samples, vclock.Time(adaptAt), *doneAt, threshold)
+		window := Window(b.samples, vclock.Time(adaptAt), vclock.Time(runFor))
+		return Fig13Run{
+			Strategy: strat,
+			Overhead: overhead,
+			Peak95:   Percentile(window, 0.95),
+			Samples:  b.samples,
+		}, nil
+	})
 }
 
 // pickDest selects the destination per strategy from candidates sorted by

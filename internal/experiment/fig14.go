@@ -42,68 +42,64 @@ func RunFig14(seed int64) ([]Fig14Run, error) {
 			cells = append(cells, cell{partitioned: partitioned, sizeMB: sizeMB})
 		}
 	}
-	jobs := make([]func() (Fig14Run, error), len(cells))
-	for i, c := range cells {
-		jobs[i] = func() (Fig14Run, error) {
-			partitioned, sizeMB := c.partitioned, c.sizeMB
-			b, err := newMigBench(seed, float64(sizeMB)*1e6)
-			if err != nil {
-				return Fig14Run{}, err
-			}
-			if err := b.runUntil(adaptAt); err != nil {
-				return Fig14Run{}, err
-			}
-			now := b.sched.Now()
-			dests := b.candidateDests(now)
-			if len(dests) == 0 {
-				return Fig14Run{}, fmt.Errorf("fig14: no feasible destination")
-			}
-			cur := b.eng.Plan().Stages[b.stageOp].Sites[0]
-
-			parts := 1
-			if partitioned && sizeMB > 0 {
-				// Grow the partition count until each partition's transfer
-				// over its own link fits within t_max (or we run out of
-				// destinations / hit the parallelism cap).
-				for parts < maxParts && parts < len(dests) {
-					worst := time.Duration(0)
-					per := float64(sizeMB) * 1e6 / float64(parts)
-					for _, d := range dests[:parts] {
-						t := b.net.EstimateTransferTime(cur, d, per, now)
-						if t > worst {
-							worst = t
-						}
-					}
-					if worst <= tMax {
-						break
-					}
-					parts++
-				}
-			}
-			chosen := append([]topology.SiteID(nil), dests[:parts]...)
-			doneAt, err := b.moveStage(chosen, float64(sizeMB)*1e6/float64(parts))
-			if err != nil {
-				return Fig14Run{}, err
-			}
-			if err := b.runUntil(runFor); err != nil {
-				return Fig14Run{}, err
-			}
-			done := *doneAt
-			if done == 0 {
-				done = vclock.Time(adaptAt) // zero-byte move completes next tick
-			}
-			overhead := measureOverhead(b.samples, vclock.Time(adaptAt), done, threshold)
-			window := Window(b.samples, vclock.Time(adaptAt), vclock.Time(runFor))
-			return Fig14Run{
-				StateMB:     sizeMB,
-				Partitioned: partitioned,
-				Overhead:    overhead,
-				Delay95:     Percentile(window, 0.95),
-				Parts:       parts,
-			}, nil
+	return sweep(cells, func(c cell) (Fig14Run, error) {
+		partitioned, sizeMB := c.partitioned, c.sizeMB
+		b, err := newMigBench(seed, float64(sizeMB)*1e6)
+		if err != nil {
+			return Fig14Run{}, err
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		if err := b.runUntil(adaptAt); err != nil {
+			return Fig14Run{}, err
+		}
+		now := b.sched.Now()
+		dests := b.candidateDests(now)
+		if len(dests) == 0 {
+			return Fig14Run{}, fmt.Errorf("fig14: no feasible destination")
+		}
+		cur := b.eng.Plan().Stages[b.stageOp].Sites[0]
+
+		parts := 1
+		if partitioned && sizeMB > 0 {
+			// Grow the partition count until each partition's transfer
+			// over its own link fits within t_max (or we run out of
+			// destinations / hit the parallelism cap).
+			for parts < maxParts && parts < len(dests) {
+				worst := time.Duration(0)
+				per := float64(sizeMB) * 1e6 / float64(parts)
+				for _, d := range dests[:parts] {
+					t := b.net.EstimateTransferTime(cur, d, per, now)
+					if t > worst {
+						worst = t
+					}
+				}
+				if worst <= tMax {
+					break
+				}
+				parts++
+			}
+		}
+		chosen := append([]topology.SiteID(nil), dests[:parts]...)
+		doneAt, err := b.moveStage(chosen, float64(sizeMB)*1e6/float64(parts))
+		if err != nil {
+			return Fig14Run{}, err
+		}
+		if err := b.runUntil(runFor); err != nil {
+			return Fig14Run{}, err
+		}
+		done := *doneAt
+		if done == 0 {
+			done = vclock.Time(adaptAt) // zero-byte move completes next tick
+		}
+		overhead := measureOverhead(b.samples, vclock.Time(adaptAt), done, threshold)
+		window := Window(b.samples, vclock.Time(adaptAt), vclock.Time(runFor))
+		return Fig14Run{
+			StateMB:     sizeMB,
+			Partitioned: partitioned,
+			Overhead:    overhead,
+			Delay95:     Percentile(window, 0.95),
+			Parts:       parts,
+		}, nil
+	})
 }
 
 // FormatFig14 renders the 95th-percentile delay and overhead breakdown

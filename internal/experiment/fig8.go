@@ -80,26 +80,22 @@ func RunFig8(seed int64, duration time.Duration) ([]Fig8Run, error) {
 			cells = append(cells, cell{qname: qname, builder: builder, policy: policy})
 		}
 	}
-	jobs := make([]func() (Fig8Run, error), len(cells))
-	for i, c := range cells {
-		jobs[i] = func() (Fig8Run, error) {
-			res, err := Run(Scenario{
-				Name:      fmt.Sprintf("fig8-%s-%s", c.qname, c.policy),
-				Seed:      seed,
-				Duration:  duration,
-				Query:     c.builder,
-				Engine:    EngineConfig(c.policy),
-				Adapt:     AdaptConfig(c.policy),
-				Workload:  trace.Steps(phase, 1, 2, 1, 1, 1),
-				Bandwidth: trace.Steps(phase, 1, 1, 1, 0.5, 1),
-			})
-			if err != nil {
-				return Fig8Run{}, fmt.Errorf("%s/%s: %w", c.qname, c.policy, err)
-			}
-			return Fig8Run{Query: c.qname, Policy: c.policy, Result: res}, nil
+	return sweep(cells, func(c cell) (Fig8Run, error) {
+		res, err := Run(Scenario{
+			Name:      fmt.Sprintf("fig8-%s-%s", c.qname, c.policy),
+			Seed:      seed,
+			Duration:  duration,
+			Query:     c.builder,
+			Engine:    EngineConfig(c.policy),
+			Adapt:     AdaptConfig(c.policy),
+			Workload:  trace.Steps(phase, 1, 2, 1, 1, 1),
+			Bandwidth: trace.Steps(phase, 1, 1, 1, 0.5, 1),
+		})
+		if err != nil {
+			return Fig8Run{}, fmt.Errorf("%s/%s: %w", c.qname, c.policy, err)
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		return Fig8Run{Query: c.qname, Policy: c.policy, Result: res}, nil
+	})
 }
 
 // phaseBounds returns the five phase windows of a fig8/fig10-style run.

@@ -2,10 +2,10 @@ package experiment
 
 // Parallel experiment execution. Every cell of a scenario grid builds its
 // own topology, network, virtual clock, engine, and observer, so the §8
-// sweeps are embarrassingly parallel: runJobs fans the cells out over a
-// bounded worker pool and hands the results back in submission order,
-// which keeps the rendered tables — and the obs JSONL each run carries —
-// byte-identical to a sequential execution of the same seed.
+// sweeps are embarrassingly parallel: sweep fans the cells out over a
+// bounded worker pool and hands the results back in cell order, which
+// keeps the rendered tables — and the obs JSONL each run carries —
+// byte-identical whatever the pool width.
 
 import (
 	"runtime"
@@ -23,7 +23,7 @@ func init() { poolWorkers.Store(int64(runtime.GOMAXPROCS(0))) }
 func Parallelism() int { return int(poolWorkers.Load()) }
 
 // SetParallelism sets the worker-pool width for subsequent scenario grids.
-// Values below 1 are clamped to 1 (sequential).
+// Values below 1 are clamped to 1 (one worker, cells run one at a time).
 func SetParallelism(n int) {
 	if n < 1 {
 		n = 1
@@ -32,42 +32,28 @@ func SetParallelism(n int) {
 }
 
 // stopHook, when a test sets it, runs right after the pool closes its stop
-// channel: the close is otherwise invisible from outside runJobs, and a
-// test of the cancellation has to order its next step after it.
+// channel: the close is otherwise invisible from outside sweep, and a test
+// of the cancellation has to order its next step after it.
 var stopHook func()
 
-// runJobs executes the jobs on up to workers goroutines and returns their
-// results in submission order. Each job must be self-contained (no shared
+// sweep runs fn over every cell on up to Parallelism() workers and returns
+// the results in cell order. Each call must be self-contained (no shared
 // mutable state); the simulation inside is deterministic, so the returned
-// slice is identical whatever the worker count.
+// slice is identical whatever the pool width.
 //
-// On failure the pool stops dispatching, lets in-flight jobs finish, and
-// returns the error of the lowest-indexed failed job. Dispatch order makes
-// that deterministic too: jobs are claimed in index order, so every job
+// On failure the pool stops dispatching, lets in-flight cells finish, and
+// returns the error of the lowest-indexed failed cell. Dispatch order makes
+// that deterministic too: cells are claimed in index order, so every cell
 // below the first failure has already started and runs to completion —
 // the minimal error index cannot depend on scheduling.
-func runJobs[T any](workers int, jobs []func() (T, error)) ([]T, error) {
-	results := make([]T, len(jobs))
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i, job := range jobs {
-			r, err := job()
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-
-	errs := make([]error, len(jobs))
+func sweep[C, T any](cells []C, fn func(C) (T, error)) ([]T, error) {
+	results := make([]T, len(cells))
+	errs := make([]error, len(cells))
 	var next atomic.Int64
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(Parallelism(), len(cells)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -78,10 +64,10 @@ func runJobs[T any](workers int, jobs []func() (T, error)) ([]T, error) {
 				default:
 				}
 				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				if i >= len(cells) {
 					return
 				}
-				r, err := jobs[i]()
+				r, err := fn(cells[i])
 				if err != nil {
 					errs[i] = err
 					stopOnce.Do(func() {

@@ -6,15 +6,23 @@ import (
 	"time"
 )
 
-// TestRunJobsSubmissionOrder checks results come back indexed by
-// submission order whatever the worker count.
+// withParallelism sets the pool width for the rest of the test.
+func withParallelism(t *testing.T, n int) {
+	old := Parallelism()
+	t.Cleanup(func() { SetParallelism(old) })
+	SetParallelism(n)
+}
+
+// TestRunJobsSubmissionOrder checks sweep returns results indexed by cell
+// order whatever the pool width.
 func TestRunJobsSubmissionOrder(t *testing.T) {
+	cells := make([]int, 33)
+	for i := range cells {
+		cells[i] = i
+	}
 	for _, workers := range []int{1, 2, 7, 64} {
-		jobs := make([]func() (int, error), 33)
-		for i := range jobs {
-			jobs[i] = func() (int, error) { return i * i, nil }
-		}
-		got, err := runJobs(workers, jobs)
+		withParallelism(t, workers)
+		got, err := sweep(cells, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -26,29 +34,30 @@ func TestRunJobsSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestRunJobsFirstErrorDeterministic checks that when several jobs fail,
-// the reported error is always the lowest-indexed one: every job below the
-// first failure is dispatched before it, so the minimal error index cannot
-// depend on goroutine scheduling.
+// TestRunJobsFirstErrorDeterministic checks that when several cells fail,
+// the reported error is always the lowest-indexed one: every cell below
+// the first failure is dispatched before it, so the minimal error index
+// cannot depend on goroutine scheduling.
 func TestRunJobsFirstErrorDeterministic(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
+	cells := make([]int, 16)
+	for i := range cells {
+		cells[i] = i
+	}
 	for _, workers := range []int{1, 2, 8} {
+		withParallelism(t, workers)
 		for trial := 0; trial < 20; trial++ {
-			jobs := make([]func() (int, error), 16)
-			for i := range jobs {
-				jobs[i] = func() (int, error) {
-					switch i {
-					case 3:
-						return 0, errLow
-					case 5:
-						return 0, errHigh
-					default:
-						return i, nil
-					}
+			_, err := sweep(cells, func(i int) (int, error) {
+				switch i {
+				case 3:
+					return 0, errLow
+				case 5:
+					return 0, errHigh
+				default:
+					return i, nil
 				}
-			}
-			_, err := runJobs(workers, jobs)
+			})
 			if !errors.Is(err, errLow) {
 				t.Fatalf("workers=%d trial=%d: err = %v, want %v", workers, trial, err, errLow)
 			}
@@ -56,12 +65,12 @@ func TestRunJobsFirstErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunJobsCancellation checks the pool returns the first error, claims
-// no job after it, and returns only once its in-flight job has finished.
-// Choreography on two workers, channels only: job 0 fails once job 1 is in
-// flight; job 1 stays in flight until stopHook reports the stop channel
-// closed, so the surviving worker's next stop check must see it and jobs
-// 2..63 must never be claimed.
+// TestRunJobsCancellation checks sweep returns the first error, claims no
+// cell after it, and returns only once its in-flight cell has finished.
+// Choreography on two workers, channels only: cell 0 fails once cell 1 is
+// in flight; cell 1 stays in flight until stopHook reports the stop
+// channel closed, so the surviving worker's next stop check must see it
+// and cells 2..63 must never be claimed.
 func TestRunJobsCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	job1Running := make(chan struct{})
@@ -71,21 +80,24 @@ func TestRunJobsCancellation(t *testing.T) {
 
 	stopHook = func() { close(stopped) }
 	defer func() { stopHook = nil }()
+	withParallelism(t, 2)
 
-	jobs := make([]func() (int, error), 64)
-	ranTail := make(chan int, len(jobs)) // holds every tail job, so none blocks
-	jobs[0] = func() (int, error) {
-		<-job1Running
-		return 0, boom
+	cells := make([]int, 64)
+	for i := range cells {
+		cells[i] = i
 	}
-	jobs[1] = func() (int, error) {
-		close(job1Running)
-		<-gate
-		close(job1Done)
-		return 1, nil
-	}
-	for i := 2; i < len(jobs); i++ {
-		jobs[i] = func() (int, error) {
+	ranTail := make(chan int, len(cells)) // holds every tail cell, so none blocks
+	fn := func(i int) (int, error) {
+		switch i {
+		case 0:
+			<-job1Running
+			return 0, boom
+		case 1:
+			close(job1Running)
+			<-gate
+			close(job1Done)
+			return 1, nil
+		default:
 			ranTail <- i
 			return i, nil
 		}
@@ -93,7 +105,7 @@ func TestRunJobsCancellation(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := runJobs(2, jobs)
+		_, err := sweep(cells, fn)
 		done <- err
 	}()
 
@@ -105,10 +117,10 @@ func TestRunJobsCancellation(t *testing.T) {
 	select {
 	case <-job1Done:
 	default:
-		t.Error("runJobs returned while job 1 was still in flight")
+		t.Error("sweep returned while cell 1 was still in flight")
 	}
 	if n := len(ranTail); n != 0 {
-		t.Errorf("%d jobs past the failure still ran (first: job %d), want 0", n, <-ranTail)
+		t.Errorf("%d cells past the failure still ran (first: cell %d), want 0", n, <-ranTail)
 	}
 }
 
@@ -176,10 +188,11 @@ func TestFig11ParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunJobsEmpty covers the zero-job edge.
+// TestRunJobsEmpty covers the zero-cell edge.
 func TestRunJobsEmpty(t *testing.T) {
-	got, err := runJobs[int](4, nil)
+	withParallelism(t, 4)
+	got, err := sweep(nil, func(int) (int, error) { return 0, errors.New("called") })
 	if err != nil || len(got) != 0 {
-		t.Fatalf("runJobs(4, nil) = %v, %v", got, err)
+		t.Fatalf("sweep(nil) = %v, %v", got, err)
 	}
 }

@@ -94,44 +94,40 @@ func RunRecovery(seed int64) ([]RecoveryRun, error) {
 		outage   = 300 * time.Second
 	)
 	intervals := []time.Duration{0, 10 * time.Second, 30 * time.Second, 60 * time.Second, 120 * time.Second}
-	jobs := make([]func() (RecoveryRun, error), len(intervals))
-	for i, interval := range intervals {
-		jobs[i] = func() (RecoveryRun, error) {
-			res, err := Run(Scenario{
-				Name:            fmt.Sprintf("recovery-ckpt-%v", interval),
-				Seed:            seed,
-				Duration:        duration,
-				Engine:          EngineConfig(adapt.PolicyWASP),
-				Adapt:           AdaptConfig(adapt.PolicyWASP),
-				CheckpointEvery: interval,
-				FaultsFor: func(pp *physical.Plan, top *topology.Topology) []faults.Fault {
-					return []faults.Fault{{
-						Kind: faults.SiteCrash, At: crashAt, For: outage,
-						Site: crashTargetSite(pp),
-					}}
-				},
-			})
-			if err != nil {
-				return RecoveryRun{}, err
-			}
-			run := RecoveryRun{
-				CheckpointEvery: interval,
-				Lost:            res.Lost,
-				Restored:        res.Restored,
-				NetLost:         res.Lost - res.Restored,
-				ProcessedPct:    res.ProcessedPct,
-				Degraded:        movableDegraded(res),
-			}
-			run.Recovered = slices.Contains(res.Actions, adapt.ActionRecover)
-			for _, ev := range res.Obs.Events("recovery.complete") {
-				if rt := ev.Get("recovery_time").Duration(); rt > run.RecoveryTime {
-					run.RecoveryTime = rt
-				}
-			}
-			return run, nil
+	return sweep(intervals, func(interval time.Duration) (RecoveryRun, error) {
+		res, err := Run(Scenario{
+			Name:            fmt.Sprintf("recovery-ckpt-%v", interval),
+			Seed:            seed,
+			Duration:        duration,
+			Engine:          EngineConfig(adapt.PolicyWASP),
+			Adapt:           AdaptConfig(adapt.PolicyWASP),
+			CheckpointEvery: interval,
+			FaultsFor: func(pp *physical.Plan, top *topology.Topology) []faults.Fault {
+				return []faults.Fault{{
+					Kind: faults.SiteCrash, At: crashAt, For: outage,
+					Site: crashTargetSite(pp),
+				}}
+			},
+		})
+		if err != nil {
+			return RecoveryRun{}, err
 		}
-	}
-	return runJobs(Parallelism(), jobs)
+		run := RecoveryRun{
+			CheckpointEvery: interval,
+			Lost:            res.Lost,
+			Restored:        res.Restored,
+			NetLost:         res.Lost - res.Restored,
+			ProcessedPct:    res.ProcessedPct,
+			Degraded:        movableDegraded(res),
+		}
+		run.Recovered = slices.Contains(res.Actions, adapt.ActionRecover)
+		for _, ev := range res.Obs.Events("recovery.complete") {
+			if rt := ev.Get("recovery_time").Duration(); rt > run.RecoveryTime {
+				run.RecoveryTime = rt
+			}
+		}
+		return run, nil
+	})
 }
 
 // FormatRecovery renders the failure-recovery sweep.

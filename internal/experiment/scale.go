@@ -70,13 +70,9 @@ func RunScale(seed int64, duration time.Duration, shapes []ScaleShape) ([]ScaleC
 	if shapes == nil {
 		shapes = DefaultScaleShapes
 	}
-	jobs := make([]func() (ScaleCell, error), len(shapes))
-	for i, sh := range shapes {
-		jobs[i] = func() (ScaleCell, error) {
-			return runScaleCell(seed, duration, sh)
-		}
-	}
-	return runJobs(Parallelism(), jobs)
+	return sweep(shapes, func(sh ScaleShape) (ScaleCell, error) {
+		return runScaleCell(seed, duration, sh)
+	})
 }
 
 // IngestPlan aggregates the topology's user population into at most 8
