@@ -49,6 +49,32 @@ func TestModuleIsWaspvetClean(t *testing.T) {
 	}
 }
 
+// TestTypeErrorFailsTheLoad: a package that does not type-check is a load
+// failure, not a package to lint. run exits 2, prints no diagnostics — not
+// even for the wall-clock read beside the error — and names the type
+// error's file:line:col.
+func TestTypeErrorFailsTheLoad(t *testing.T) {
+	dir := t.TempDir()
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	code := run([]string{"-json", "testdata/internal/broken"}, stdout, stderr)
+	out, _ := os.ReadFile(stdout.Name())
+	msg, _ := os.ReadFile(stderr.Name())
+	want := "broken.go:10:36: undefined: undefinedThing"
+	if code != 2 || len(out) != 0 || !strings.Contains(string(msg), want) {
+		t.Fatalf("waspvet on a package with a type error exited %d, printed %q and reported %q; want 2, nothing and %q",
+			code, out, msg, want)
+	}
+}
+
 // The whole module, loaded once (about 2 s) for every audit below: they
 // only read the packages.
 var (
@@ -79,7 +105,7 @@ func TestRootModuleNeverWaivesWallclock(t *testing.T) {
 	}
 	pkgs := modulePackages(t)
 	for _, pkg := range pkgs {
-		if strings.HasSuffix(pkg.PkgPath, "/benchmark") {
+		if strings.HasSuffix(pkg.Types.Path(), "/benchmark") {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -150,7 +176,7 @@ func unsetOptions(pkgs []*analysis.Package) []string {
 	// filledBy[fn] lists the fields fn assigns from its own parameters.
 	filledBy := map[types.Object][]*types.Var{}
 	for _, pkg := range pkgs {
-		if !strings.Contains(pkg.PkgPath, "/internal/") {
+		if !strings.Contains(pkg.Types.Path(), "/internal/") {
 			continue
 		}
 		scope := pkg.Types.Scope()
@@ -339,7 +365,7 @@ func opIDMaps(pkgs []*analysis.Package) []opIDMap {
 	var out []opIDMap
 	qual := func(p *types.Package) string { return p.Name() }
 	for _, pkg := range pkgs {
-		if strings.HasSuffix(pkg.PkgPath, "/benchmark") {
+		if strings.HasSuffix(pkg.Types.Path(), "/benchmark") {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -431,7 +457,7 @@ func TestUnreadFieldIsReported(t *testing.T) {
 func unreadFields(pkgs []*analysis.Package) []string {
 	names := map[*types.Var]string{}
 	for _, pkg := range pkgs {
-		if strings.Contains(pkg.PkgPath+"/", "/benchmark/") {
+		if strings.Contains(pkg.Types.Path()+"/", "/benchmark/") {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -605,7 +631,7 @@ func eventNames(pkgs []*analysis.Package) (emitted map[string]bool, consumed []s
 					return true
 				})
 			}
-			if strings.HasSuffix(pkg.PkgPath, "/cmd/wasptrace") {
+			if strings.HasSuffix(pkg.Types.Path(), "/cmd/wasptrace") {
 				for _, d := range file.Decls {
 					gd, ok := d.(*ast.GenDecl)
 					if !ok {
@@ -838,7 +864,7 @@ func unreachedDecls(pkgs []*analysis.Package, extra []string) []string {
 	}
 	for _, pkg := range pkgs {
 		importAll(pkg.Types)
-		internal := strings.Contains(pkg.PkgPath, "/internal/")
+		internal := strings.Contains(pkg.Types.Path(), "/internal/")
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				if it, ok := n.(*ast.InterfaceType); ok {

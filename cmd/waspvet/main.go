@@ -3,14 +3,15 @@
 // interprocedural call graph), maprange, genbump (//waspvet:guardedby
 // cache-invalidation contracts) and hotalloc (//waspvet:hotpath
 // allocation audits). It exits 1 when any non-waived diagnostic is found,
-// 2 on a load failure.
+// 2 on a load failure: a package that does not parse or type-check is
+// reported by file:line:col and not analysed.
 //
 // Usage:
 //
 //	go run ./cmd/waspvet ./...          # whole module (the usual form)
 //	go run ./cmd/waspvet internal/adapt # specific package dirs
 //	go run ./cmd/waspvet -json ./...    # machine-readable, for CI
-//	go run ./cmd/waspvet -list          # describe the registered checks
+//	go run ./cmd/waspvet -list          # describe the checks
 //	go run ./cmd/waspvet -check maprange,wallclock ./...
 package main
 
@@ -42,7 +43,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("waspvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
-	list := fs.Bool("list", false, "list registered checks and exit")
+	list := fs.Bool("list", false, "list the checks and exit")
 	checks := fs.String("check", "", "comma-separated subset of checks to run (default: all)")
 	if err := fs.Parse(args); err != nil {
 		return 2

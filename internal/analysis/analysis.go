@@ -53,21 +53,14 @@ func (a *Analyzer) WaiverName() string {
 	return a.Name
 }
 
-// A Pass carries one parsed (and, when the loader succeeded,
-// type-checked) package through the analyzer suite.
+// A Pass carries one parsed and type-checked package through the
+// analyzer suite.
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*ast.File
-	// PkgPath is the package's import path (keys the call graph's
-	// nodes and its per-package annotation errors).
-	PkgPath string
-	// Info is nil when type-checking failed entirely; checks must
-	// degrade gracefully (skip type-dependent logic).
-	Info *types.Info
+	Info  *types.Info
 	// Graph is the interprocedural call graph over every package of the
-	// run (set by cmd/waspvet and the fixture harness after loading).
-	// Nil disables the interprocedural layers: wallclock falls back to
-	// direct-call detection, genbump and hotalloc report nothing.
+	// run, set by cmd/waspvet and the fixture harness after loading.
 	Graph *CallGraph
 }
 
@@ -83,58 +76,44 @@ func (d Diagnostic) Position(fset *token.FileSet) token.Position {
 	return fset.Position(d.Pos)
 }
 
-// registry of self-registered analyzers (each check file registers
-// itself from init).
-var registry = map[string]*Analyzer{}
+// suite is every analyzer, in name order.
+var suite = []*Analyzer{genbump, hotalloc, maprange, wallclock}
 
-// Register adds an analyzer to the suite. It panics on a duplicate
-// name — registration happens only from init functions.
-func Register(a *Analyzer) {
-	if _, dup := registry[a.Name]; dup {
-		panic(fmt.Sprintf("analysis: duplicate analyzer %q", a.Name))
-	}
-	registry[a.Name] = a
-}
+// All returns every analyzer, sorted by name. Callers must not modify
+// the slice.
+func All() []*Analyzer { return suite }
 
-// All returns every registered analyzer, sorted by name.
-func All() []*Analyzer {
-	names := make([]string, 0, len(registry))
-	for n := range registry { //waspvet:unordered names are sorted on the next line
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Analyzer, len(names))
-	for i, n := range names {
-		out[i] = registry[n]
-	}
-	return out
-}
-
-// Lookup returns the analyzer with the given name, if registered.
+// Lookup returns the analyzer with the given name.
 func Lookup(name string) (*Analyzer, bool) {
-	a, ok := registry[name]
-	return a, ok
-}
-
-// waiver is one parsed //waspvet:<tag> <reason> comment.
-type waiver struct {
-	tag  string
-	line int
-	file string
+	for _, a := range suite {
+		if a.Name == name {
+			return a, true
+		}
+	}
+	return nil, false
 }
 
 // WaiverPrefix introduces a waiver comment.
 const WaiverPrefix = "//waspvet:"
 
-// parseWaivers extracts every waiver comment in the pass, returning the
-// waivers plus diagnostics for malformed ones (missing reason, unknown
-// tag). Known tags are the waiver names of the analyzers being applied.
-func parseWaivers(pass *Pass, analyzers []*Analyzer) ([]waiver, []Diagnostic) {
+// waiverKey is one waived (file, line, tag): a waiver covers its own
+// line (trailing comment) and the line below it (comment above the
+// flagged statement).
+type waiverKey struct {
+	file string
+	line int
+	tag  string
+}
+
+// waivedLines indexes the pass's waiver comments by covered line and
+// returns diagnostics for malformed ones (missing reason, unknown tag).
+// Known tags are the waiver names of the analyzers being applied.
+func waivedLines(pass *Pass, analyzers []*Analyzer) (map[waiverKey]bool, []Diagnostic) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.WaiverName()] = true
 	}
-	var ws []waiver
+	waived := map[waiverKey]bool{}
 	var diags []Diagnostic
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
@@ -167,45 +146,24 @@ func parseWaivers(pass *Pass, analyzers []*Analyzer) ([]waiver, []Diagnostic) {
 					diags = append(diags, Diagnostic{Pos: c.Pos(), Check: "waiver",
 						Message: fmt.Sprintf("waspvet:%s waiver requires a reason string", tag)})
 				default:
-					ws = append(ws, waiver{tag: tag, line: p.Line, file: p.Filename})
+					waived[waiverKey{p.Filename, p.Line, tag}] = true
+					waived[waiverKey{p.Filename, p.Line + 1, tag}] = true
 				}
 			}
 		}
 	}
-	return ws, diags
+	return waived, diags
 }
 
 // Apply runs the analyzers over one package and returns the surviving
 // diagnostics: raw findings minus waived ones, plus waiver-syntax
 // errors, sorted by position.
 func Apply(pass *Pass, analyzers []*Analyzer) []Diagnostic {
-	waivers, diags := parseWaivers(pass, analyzers)
-	// Index: file:line -> set of waived tags. A waiver covers its own
-	// line (trailing comment) and the line below it (comment above the
-	// flagged statement).
-	type key struct {
-		file string
-		line int
-	}
-	waived := map[key]map[string]bool{}
-	add := func(k key, tag string) {
-		if waived[k] == nil {
-			waived[k] = map[string]bool{}
-		}
-		waived[k][tag] = true
-	}
-	for _, w := range waivers {
-		add(key{w.file, w.line}, w.tag)
-		add(key{w.file, w.line + 1}, w.tag)
-	}
-	byWaiver := map[string]string{}
-	for _, a := range analyzers {
-		byWaiver[a.Name] = a.WaiverName()
-	}
+	waived, diags := waivedLines(pass, analyzers)
 	for _, a := range analyzers {
 		for _, d := range a.Run(pass) {
 			p := pass.Fset.Position(d.Pos)
-			if tags := waived[key{p.Filename, p.Line}]; tags != nil && tags[byWaiver[d.Check]] {
+			if waived[waiverKey{p.Filename, p.Line, a.WaiverName()}] {
 				continue
 			}
 			diags = append(diags, d)
@@ -224,28 +182,9 @@ func Apply(pass *Pass, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// importedPkg reports whether ident resolves to the import path (e.g.
-// "time"). With type info it resolves precisely via PkgName objects;
-// without, it falls back to matching the file's import spec names.
-func importedPkg(pass *Pass, file *ast.File, ident *ast.Ident, path string) bool {
-	if pass.Info != nil {
-		if obj, ok := pass.Info.Uses[ident]; ok {
-			pn, ok := obj.(*types.PkgName)
-			return ok && pn.Imported().Path() == path
-		}
-	}
-	for _, imp := range file.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p != path {
-			continue
-		}
-		name := p[strings.LastIndex(p, "/")+1:]
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == ident.Name {
-			return true
-		}
-	}
-	return false
+// importedPkg reports whether ident names the imported package path
+// (e.g. "time").
+func importedPkg(pass *Pass, ident *ast.Ident, path string) bool {
+	pn, ok := pass.Info.Uses[ident].(*types.PkgName)
+	return ok && pn.Imported().Path() == path
 }

@@ -284,7 +284,7 @@ func TestWaiverMissingTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := &Pass{Fset: fset, Files: []*ast.File{f}, PkgPath: "fixture/bare"}
+	pass := &Pass{Fset: fset, Files: []*ast.File{f}}
 	diags := Apply(pass, All())
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "missing check tag") {
 		t.Fatalf("got %v, want one missing-check-tag diagnostic", diags)

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -74,30 +75,21 @@ type guardSpec struct {
 type CallGraph struct {
 	nodes   map[*types.Func]*CGNode
 	guarded map[*types.Var]*guardSpec
-	// annotErrs collects malformed annotations (unresolvable guard
-	// fields), keyed by package path; genbump surfaces them.
-	annotErrs map[string][]Diagnostic
 
 	reachMemo  map[*types.Func]string
 	writesMemo map[*types.Func]map[*types.Var]bool
 }
 
 // BuildCallGraph constructs the interprocedural index over the given
-// passes. Packages without type information contribute nothing (their
-// functions simply have no node — every graph consumer degrades to the
-// intraprocedural behaviour there).
+// passes.
 func BuildCallGraph(passes []*Pass) *CallGraph {
 	g := &CallGraph{
 		nodes:      map[*types.Func]*CGNode{},
 		guarded:    map[*types.Var]*guardSpec{},
-		annotErrs:  map[string][]Diagnostic{},
 		reachMemo:  map[*types.Func]string{},
 		writesMemo: map[*types.Func]map[*types.Var]bool{},
 	}
 	for _, pass := range passes {
-		if pass.Info == nil {
-			continue
-		}
 		g.addPackage(pass)
 	}
 	return g
@@ -116,7 +108,7 @@ func (g *CallGraph) Node(fn *types.Func) *CGNode {
 // edges, direct hazards (minus waived sites), field writes, function
 // annotations, and guardedby field annotations.
 func (g *CallGraph) addPackage(pass *Pass) {
-	waived := waivedLines(pass)
+	waived, _ := waivedLines(pass, All())
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -132,13 +124,14 @@ func (g *CallGraph) addPackage(pass *Pass) {
 			g.scanBody(pass, file, node, fd.Body, waived)
 		}
 	}
-	g.collectGuarded(pass)
+	guarded, _ := guardSpecs(pass)
+	maps.Copy(g.guarded, guarded)
 }
 
 // scanBody walks one function body recording call edges, direct hazards
 // and field writes. Function literals are attributed to the enclosing
 // declaration (conservative: the closure may run on any path).
-func (g *CallGraph) scanBody(pass *Pass, file *ast.File, node *CGNode, body *ast.BlockStmt, waived map[lineKey]map[string]bool) {
+func (g *CallGraph) scanBody(pass *Pass, file *ast.File, node *CGNode, body *ast.BlockStmt, waived map[waiverKey]bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -171,13 +164,13 @@ func (g *CallGraph) scanBody(pass *Pass, file *ast.File, node *CGNode, body *ast
 
 // recordClock checks whether a resolved call reads the wall clock and
 // records it on the node unless the site carries a wallclock waiver.
-func (g *CallGraph) recordClock(pass *Pass, node *CGNode, call *ast.CallExpr, callee *types.Func, waived map[lineKey]map[string]bool) {
+func (g *CallGraph) recordClock(pass *Pass, node *CGNode, call *ast.CallExpr, callee *types.Func, waived map[waiverKey]bool) {
 	pkg := callee.Pkg()
 	if pkg == nil || pkg.Path() != "time" || !wallclockFuncs[callee.Name()] || callee.Type().(*types.Signature).Recv() != nil {
 		return
 	}
 	p := pass.Fset.Position(call.Pos())
-	if waived[lineKey{p.Filename, p.Line}]["wallclock"] {
+	if waived[waiverKey{p.Filename, p.Line, "wallclock"}] {
 		return
 	}
 	if node.clock == "" {
@@ -262,40 +255,31 @@ func (g *CallGraph) transitiveWrites(fn *types.Func, visiting map[*types.Func]bo
 	return out
 }
 
-// collectGuarded parses //waspvet:guardedby annotations on the struct
-// fields of one package and resolves the named guard fields.
-func (g *CallGraph) collectGuarded(pass *Pass) {
+// guardSpecs parses the //waspvet:guardedby annotations on the struct
+// fields of one package and resolves the named guard fields, returning
+// a diagnostic for each guard name that resolves to no field.
+func guardSpecs(pass *Pass) (map[*types.Var]*guardSpec, []Diagnostic) {
 	// First index every struct's fields by (type name, field name).
-	type structInfo struct {
-		fields map[string]*types.Var
-	}
-	structs := map[string]*structInfo{}
+	structs := map[string]map[string]*types.Var{}
 	forEachStructField(pass, func(typeName string, f *ast.Field) {
-		si := structs[typeName]
-		if si == nil {
-			si = &structInfo{fields: map[string]*types.Var{}}
-			structs[typeName] = si
+		if structs[typeName] == nil {
+			structs[typeName] = map[string]*types.Var{}
 		}
 		for _, name := range f.Names {
 			if v, ok := pass.Info.Defs[name].(*types.Var); ok {
-				si.fields[name.Name] = v
+				structs[typeName][name.Name] = v
 			}
 		}
 	})
-
-	resolve := func(owner string, name string) *types.Var {
+	resolve := func(owner, name string) *types.Var {
 		if typ, field, ok := strings.Cut(name, "."); ok {
-			if si := structs[typ]; si != nil {
-				return si.fields[field]
-			}
-			return nil
+			return structs[typ][field]
 		}
-		if si := structs[owner]; si != nil {
-			return si.fields[name]
-		}
-		return nil
+		return structs[owner][name]
 	}
 
+	guarded := map[*types.Var]*guardSpec{}
+	var errs []Diagnostic
 	forEachStructField(pass, func(typeName string, f *ast.Field) {
 		spec := fieldAnnotation(f, "guardedby")
 		if spec == "" {
@@ -314,7 +298,7 @@ func (g *CallGraph) collectGuarded(pass *Pass) {
 				}
 				guard := resolve(typeName, guardName)
 				if guard == nil {
-					g.annotErrs[pass.PkgPath] = append(g.annotErrs[pass.PkgPath], Diagnostic{
+					errs = append(errs, Diagnostic{
 						Pos:   f.Pos(),
 						Check: "genbump",
 						Message: fmt.Sprintf("waspvet:guardedby on %s names unknown guard field %q "+
@@ -326,10 +310,11 @@ func (g *CallGraph) collectGuarded(pass *Pass) {
 				gs.names = append(gs.names, guardName)
 			}
 			if len(gs.guards) > 0 {
-				g.guarded[v] = gs
+				guarded[v] = gs
 			}
 		}
 	})
+	return guarded, errs
 }
 
 // forEachStructField visits every named struct type's fields in a pass.
@@ -385,31 +370,6 @@ func hasAnnotation(doc *ast.CommentGroup, tag string) bool {
 		}
 	}
 	return false
-}
-
-// lineKey addresses one source line for waiver lookups.
-type lineKey struct {
-	file string
-	line int
-}
-
-// waivedLines indexes the pass's waiver comments by covered line (the
-// waiver's own line and the one below), mirroring Apply's semantics, so
-// the graph builder can exclude waived hazard sites from propagation.
-func waivedLines(pass *Pass) map[lineKey]map[string]bool {
-	ws, _ := parseWaivers(pass, All())
-	out := map[lineKey]map[string]bool{}
-	add := func(k lineKey, tag string) {
-		if out[k] == nil {
-			out[k] = map[string]bool{}
-		}
-		out[k][tag] = true
-	}
-	for _, w := range ws {
-		add(lineKey{w.file, w.line}, w.tag)
-		add(lineKey{w.file, w.line + 1}, w.tag)
-	}
-	return out
 }
 
 // calleeOf resolves a call expression to the statically-known callee

@@ -7,17 +7,15 @@ import (
 	"strings"
 )
 
-func init() {
-	Register(&Analyzer{
-		Name: "genbump",
-		Doc: "enforces cache-invalidation contracts: every write of a struct " +
-			"field annotated //waspvet:guardedby <genField> must be paired, in " +
-			"the same function or a transitive callee, with a write of each " +
-			"guard field (generation counter, epoch, or dirty flag) — so a " +
-			"mutator can never leave a derived columnar cache stale; waive a " +
-			"deliberately unguarded write with //waspvet:genbump <reason>",
-		Run: runGenbump,
-	})
+var genbump = &Analyzer{
+	Name: "genbump",
+	Doc: "enforces cache-invalidation contracts: every write of a struct " +
+		"field annotated //waspvet:guardedby <genField> must be paired, in " +
+		"the same function or a transitive callee, with a write of each " +
+		"guard field (generation counter, epoch, or dirty flag) — so a " +
+		"mutator can never leave a derived columnar cache stale; waive a " +
+		"deliberately unguarded write with //waspvet:genbump <reason>",
+	Run: runGenbump,
 }
 
 // runGenbump reports guarded-field writes whose containing function does
@@ -28,10 +26,7 @@ func init() {
 // catches the "forgot to invalidate at all" class, not reordering bugs.
 func runGenbump(pass *Pass) []Diagnostic {
 	g := pass.Graph
-	if g == nil || pass.Info == nil {
-		return nil
-	}
-	diags := append([]Diagnostic(nil), g.annotErrs[pass.PkgPath]...)
+	_, diags := guardSpecs(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

@@ -7,25 +7,20 @@ import (
 	"go/types"
 )
 
-func init() {
-	Register(&Analyzer{
-		Name: "hotalloc",
-		Doc: "audits functions annotated //waspvet:hotpath for allocation-" +
-			"inducing constructs: make/new, heap composite literals, appends to " +
-			"non-reused slices, closures, interface boxing, string concat, fmt " +
-			"calls, variadic argument packing, dynamic calls, and calls into " +
-			"non-hotpath module functions — source-level provenance for the " +
-			"runtime allocs-per-tick ceilings; waive an amortized or cold-branch " +
-			"site with //waspvet:hotalloc <reason>",
-		Run: runHotalloc,
-	})
+var hotalloc = &Analyzer{
+	Name: "hotalloc",
+	Doc: "audits functions annotated //waspvet:hotpath for allocation-" +
+		"inducing constructs: make/new, heap composite literals, appends to " +
+		"non-reused slices, closures, interface boxing, string concat, fmt " +
+		"calls, variadic argument packing, dynamic calls, and calls into " +
+		"non-hotpath module functions — source-level provenance for the " +
+		"runtime allocs-per-tick ceilings; waive an amortized or cold-branch " +
+		"site with //waspvet:hotalloc <reason>",
+	Run: runHotalloc,
 }
 
 func runHotalloc(pass *Pass) []Diagnostic {
 	g := pass.Graph
-	if g == nil || pass.Info == nil {
-		return nil
-	}
 	var diags []Diagnostic
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {

@@ -13,22 +13,18 @@ import (
 	"strings"
 )
 
-// A Package is one loaded (parsed + best-effort type-checked) package
-// directory, ready to run analyzers over.
+// A Package is one parsed and type-checked package directory, ready to
+// run analyzers over.
 type Package struct {
-	PkgPath string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
-	// TypeErrors collects type-checking problems. Analysis proceeds on
-	// partial information; callers may surface these as warnings.
-	TypeErrors []error
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // Pass converts the loaded package into an analyzer pass.
 func (p *Package) Pass() *Pass {
-	return &Pass{Fset: p.Fset, Files: p.Files, PkgPath: p.PkgPath, Info: p.Info}
+	return &Pass{Fset: p.Fset, Files: p.Files, Info: p.Info}
 }
 
 // A Loader parses and type-checks packages of a single module without
@@ -173,24 +169,20 @@ func (l *Loader) load(dir, pkgPath string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 
-	pkg := &Package{PkgPath: pkgPath, Fset: l.Fset, Files: files}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-	}
+	// A type error fails the load: every check reads the type
+	// information, and a package the compiler rejects has nothing to lint.
+	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(pkgPath, l.Fset, files, info)
-	if err != nil && tpkg == nil {
-		// Catastrophic failure: run checks without type info.
-		return pkg, nil
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s: %w", pkgPath, err)
 	}
-	pkg.Types = tpkg
-	pkg.Info = info
+	pkg := &Package{Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 	l.typed[pkgPath] = tpkg
 	l.pkgs[pkgPath] = pkg
 	return pkg, nil

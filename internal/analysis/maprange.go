@@ -9,19 +9,17 @@ import (
 	"strings"
 )
 
-func init() {
-	Register(&Analyzer{
-		Name:   "maprange",
-		Waiver: "unordered",
-		Doc: "flags `for range` over a map whose body has an order-sensitive " +
-			"effect (appends to an outer slice, accumulates floats, writes " +
-			"fields/slice elements of outer values, sends on a channel, " +
-			"calls statement-level mutators on engine/adapt/state/obs/netsim " +
-			"values, or returns a result built from the range key or value); " +
-			"iterate detutil.SortedKeys instead, or waive a genuinely " +
-			"order-insensitive body with //waspvet:unordered <reason>",
-		Run: runMaprange,
-	})
+var maprange = &Analyzer{
+	Name:   "maprange",
+	Waiver: "unordered",
+	Doc: "flags `for range` over a map whose body has an order-sensitive " +
+		"effect (appends to an outer slice, accumulates floats, writes " +
+		"fields/slice elements of outer values, sends on a channel, " +
+		"calls statement-level mutators on engine/adapt/state/obs/netsim " +
+		"values, or returns a result built from the range key or value); " +
+		"iterate detutil.SortedKeys instead, or waive a genuinely " +
+		"order-insensitive body with //waspvet:unordered <reason>",
+	Run: runMaprange,
 }
 
 // maprangeMutatorPkgs are package-path fragments whose types hold
@@ -34,9 +32,6 @@ var maprangeMutatorPkgs = []string{
 }
 
 func runMaprange(pass *Pass) []Diagnostic {
-	if pass.Info == nil {
-		return nil // cannot tell maps from slices without types
-	}
 	var diags []Diagnostic
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {

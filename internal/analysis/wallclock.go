@@ -15,16 +15,14 @@ var wallclockFuncs = map[string]bool{
 	"NewTimer": true, "After": true, "AfterFunc": true,
 }
 
-func init() {
-	Register(&Analyzer{
-		Name: "wallclock",
-		Doc: "flags wall-clock reads (time.Now/Since/Sleep/Ticker/...) in every " +
-			"package, both direct calls and calls to module functions that " +
-			"transitively reach one (call-graph closure); simulator code " +
-			"must use the virtual clock, and a deliberate wall-clock site " +
-			"(the benchmark harness) carries a //waspvet:wallclock <reason> waiver",
-		Run: runWallclock,
-	})
+var wallclock = &Analyzer{
+	Name: "wallclock",
+	Doc: "flags wall-clock reads (time.Now/Since/Sleep/Ticker/...) in every " +
+		"package, both direct calls and calls to module functions that " +
+		"transitively reach one (call-graph closure); simulator code " +
+		"must use the virtual clock, and a deliberate wall-clock site " +
+		"(the benchmark harness) carries a //waspvet:wallclock <reason> waiver",
+	Run: runWallclock,
 }
 
 func runWallclock(pass *Pass) []Diagnostic {
@@ -47,7 +45,7 @@ func runWallclock(pass *Pass) []Diagnostic {
 			if !ok || !wallclockFuncs[sel.Sel.Name] {
 				return true
 			}
-			if !importedPkg(pass, file, ident, "time") {
+			if !importedPkg(pass, ident, "time") {
 				return true
 			}
 			diags = append(diags, Diagnostic{
@@ -67,9 +65,6 @@ func runWallclock(pass *Pass) []Diagnostic {
 // contains a non-waived wall-clock read is itself a diagnostic, reported at
 // the laundering call site with the offending chain.
 func transitiveWallclock(pass *Pass, call *ast.CallExpr) (Diagnostic, bool) {
-	if pass.Graph == nil || pass.Info == nil {
-		return Diagnostic{}, false
-	}
 	callee := calleeOf(pass.Info, call)
 	if callee == nil || pass.Graph.Node(callee) == nil {
 		return Diagnostic{}, false
