@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode"
 
 	"github.com/wasp-stream/wasp/internal/analysis"
 )
@@ -282,20 +283,20 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 // it stays: each is a capability DESIGN.md lists, or a reading a test
 // compares against its reference, that only tests exercise today.
 var reachExemptions = map[string]string{
-	"stream.WindowJoin":                 "record-mode windowed join, DESIGN.md §2 row 9",
-	"stream.SlidingCount":               "record-mode sliding windows (a WindowAggregate with Slide set), which no query builds yet; DESIGN.md §2 row 9",
-	"stream.KeyBy":                      "record-mode re-keying, DESIGN.md §2 row 9",
-	"stream.FlatMap":                    "record-mode flat map, DESIGN.md §2 row 9",
-	"stream.WindowAggregate.SplitByKey": "record-mode rescale, DESIGN.md §2 row 10; ROADMAP's record-vs-tick check rescales through it",
-	"stream.WindowAggregate.Merge":      "record-mode rescale, DESIGN.md §2 row 10; ROADMAP's record-vs-tick check rescales through it",
-	"stream.WindowTopK.SplitByKey":      "record-mode rescale, DESIGN.md §2 row 10; ROADMAP's record-vs-tick check rescales through it",
-	"stream.WindowTopK.Merge":           "record-mode rescale, DESIGN.md §2 row 10; ROADMAP's record-vs-tick check rescales through it",
+	"stream.WindowJoin":                 "record-mode windowed join, DESIGN.md §7",
+	"stream.SlidingCount":               "record-mode sliding windows (a WindowAggregate with Slide set), which no query builds yet; DESIGN.md §7",
+	"stream.KeyBy":                      "record-mode re-keying, DESIGN.md §7",
+	"stream.FlatMap":                    "record-mode flat map, DESIGN.md §7",
+	"stream.WindowAggregate.SplitByKey": "record-mode rescale, DESIGN.md §7; ROADMAP's record-vs-tick check rescales through it",
+	"stream.WindowAggregate.Merge":      "record-mode rescale, DESIGN.md §7; ROADMAP's record-vs-tick check rescales through it",
+	"stream.WindowTopK.SplitByKey":      "record-mode rescale, DESIGN.md §7; ROADMAP's record-vs-tick check rescales through it",
+	"stream.WindowTopK.Merge":           "record-mode rescale, DESIGN.md §7; ROADMAP's record-vs-tick check rescales through it",
 	"stream.WindowTopK.StateSize":       "TestWindowStoreMatchesReference compares it against the reference after every step",
 	"stream.WindowJoin.StateSize":       "TestWindowStoreMatchesReference compares it against the reference after every step",
-	"queries.BuildEOIRecord":            "the EoI record-mode pipeline, DESIGN.md §2 row 15",
-	"plan.PushDownFilters":              "filter push-down, DESIGN.md §2 row 5",
-	"experiment.RunRecovery":            "the §8.6 recovery sweep; DESIGN.md §8 and README cite its table",
-	"experiment.FormatRecovery":         "prints the §8.6 recovery sweep's table that DESIGN.md §8 and README cite",
+	"queries.BuildEOIRecord":            "the EoI record-mode pipeline, DESIGN.md §7",
+	"plan.PushDownFilters":              "filter push-down, DESIGN.md §3",
+	"experiment.RunRecovery":            "the §8.6 recovery sweep; DESIGN.md §5 and README cite it",
+	"experiment.FormatRecovery":         "prints the table of the §8.6 recovery sweep that DESIGN.md §5 and README cite",
 }
 
 // TestUnreachedDeclarationIsReported runs the walk over a fixture with one
@@ -701,7 +702,7 @@ var stdInterfaces = [][2]string{
 // the reader to the wrong page. Every such reference (or "DESIGN §n") in
 // README.md, EXPERIMENTS.md, DESIGN.md itself and the comments of every Go
 // file outside benchmark/ must name a "## n." heading of DESIGN.md, and a
-// quoted title right after it — README's §10 "Record-mode dispatch" — must
+// quoted title right after it — README's §7 "Record-mode dispatch" — must
 // begin a "###" heading inside that section. CHANGES.md is history and is
 // not read.
 func TestDesignReferencesResolve(t *testing.T) {
@@ -797,6 +798,291 @@ func staleDesignRefs(design string, texts map[string]string) (refs int, stale []
 		}
 	}
 	return refs, stale
+}
+
+// TestDocNamesResolve: a code name in the docs that the code no longer has
+// sends the reader looking for nothing. README.md, DESIGN.md and
+// EXPERIMENTS.md are held to the type-checked module by the rules of
+// staleDocNames. ROADMAP.md is not read: it names code that does not exist
+// yet.
+func TestDocNamesResolve(t *testing.T) {
+	root := filepath.Join("..", "..")
+	texts := map[string]string{}
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[name] = string(b)
+	}
+	resolved, stale := staleDocNames(modulePackages(t), root, texts)
+	if resolved == 0 {
+		t.Fatal("resolved no names; the patterns match nothing")
+	}
+	t.Logf("%d names resolve", resolved)
+	for _, s := range stale {
+		t.Error(s)
+	}
+}
+
+// TestStaleDocNameIsReported runs the audit over a fixture text and the
+// knobs and caller fixture packages, with testdata as the repository: a
+// missing function, a missing method, a missing test, a missing path, a
+// path with a line number and the unnamed caller directory are reported; a
+// stdlib name and a receiver variable's method are not.
+func TestStaleDocNameIsReported(t *testing.T) {
+	pkgs, err := loadTargets([]string{"testdata/internal/knobs", "testdata/internal/caller"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := "`knobs.Default` fills `knobs.Config.ViaCtor`, `Config.Literal` is set by `caller.Use()`.\n" +
+		"`knobs.Nope` and `Config.Frobnicate` are gone, and so is TestNoSuchThing.\n" +
+		"`internal/knobs/knobs.go` is in `internal/knobs`; `internal/knobs/gone.go` is not, and\n" +
+		"`internal/knobs/knobs.go:12` names a line. `sync.Mutex` and `eng.SnapshotGroup` are not ours.\n"
+	resolved, stale := staleDocNames(pkgs, "testdata", map[string]string{"DESIGN.md": design})
+	want := []string{
+		"DESIGN.md: TestNoSuchThing: no _test.go file declares it",
+		"DESIGN.md: `Config.Frobnicate`: Config has no field or method Frobnicate",
+		"DESIGN.md: `internal/knobs/gone.go`: no such file or directory",
+		"DESIGN.md: `internal/knobs/knobs.go:12`: a path carries no :line suffix",
+		"DESIGN.md: `knobs.Nope`: package knobs declares no Nope",
+		"DESIGN.md: names no internal/caller, a directory of non-test Go",
+	}
+	if resolved != 7 || !slices.Equal(stale, want) {
+		t.Fatalf("staleDocNames(fixture) = %d, %q; want 7, %q", resolved, stale, want)
+	}
+}
+
+var (
+	// backticked is one backticked span of a line.
+	backticked = regexp.MustCompile("`([^`\n]+)`")
+	// dottedName is pkg.Name, pkg.Type.Member or Type.Member, with an
+	// optional call's parentheses.
+	dottedName = regexp.MustCompile(`^[*&]?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*){1,2})(?:\(.*\))?$`)
+	// testName is a test, fuzz target or benchmark name anywhere in a text.
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	// testDecl is the declaration of one in a _test.go file.
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	// lineSuffix is a path's :line or :line-line suffix.
+	lineSuffix = regexp.MustCompile(`:\d+(?:[-–]\d+)?$`)
+)
+
+// staleDocNames checks texts (keyed by file name) against pkgs, with root
+// as the repository, and returns how many names resolve and, sorted, one
+// message for each that does not:
+//   - a backticked pkg.Name or pkg.Type.Member whose pkg is the name of a
+//     package in pkgs must be declared there, or be an event or span name
+//     the packages emit (engine.reconfigure);
+//   - a backticked Type.Member whose Type no package in pkgs declares is
+//     left alone when it begins in lower case (a variable, a stdlib
+//     package) and is stale when it begins in upper case; otherwise some
+//     declaration of Type must have the field or method;
+//   - every Test, Fuzz or Benchmark name must be declared in a _test.go
+//     file under root;
+//   - a backticked path whose first element is an entry of root must exist
+//     and carry no :line suffix;
+//   - DESIGN.md must name the directory, relative to root, of every
+//     package in pkgs under internal/, cmd/ or examples/.
+//
+// Fenced code blocks are not searched for backticked spans.
+func staleDocNames(pkgs []*analysis.Package, root string, texts map[string]string) (resolved int, stale []string) {
+	byName := map[string][]*types.Package{}
+	typesByName := map[string][]*types.TypeName{}
+	var dirs []string
+	absRoot, _ := filepath.Abs(root)
+	for _, pkg := range pkgs {
+		tp := pkg.Types
+		byName[tp.Name()] = append(byName[tp.Name()], tp)
+		for _, name := range tp.Scope().Names() {
+			if tn, ok := tp.Scope().Lookup(name).(*types.TypeName); ok {
+				typesByName[name] = append(typesByName[name], tn)
+			}
+		}
+		dir, _ := filepath.Rel(absRoot, filepath.Dir(pkg.Fset.Position(pkg.Files[0].Package).Filename))
+		dir = filepath.ToSlash(dir)
+		if strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/") {
+			dirs = append(dirs, dir)
+		}
+	}
+	emitted, _ := eventNames(pkgs)
+	tests := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, "_test.go") {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range testDecl.FindAllStringSubmatch(string(src), -1) {
+				tests[m[1]] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		stale = append(stale, err.Error())
+	}
+
+	// hasMember reports whether some declaration in tns has the field or
+	// method.
+	hasMember := func(tns []*types.TypeName, member string) bool {
+		for _, tn := range tns {
+			if obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), member); obj != nil {
+				return true
+			}
+		}
+		return false
+	}
+	// checkName reports whether a dotted name resolves and, when it does
+	// not and is ours to check, what is missing.
+	checkName := func(span string, segs []string) (ok bool, missing string) {
+		if emitted[span] {
+			return true, ""
+		}
+		if pkgs := byName[segs[0]]; len(pkgs) > 0 {
+			var objs []types.Object
+			for _, p := range pkgs {
+				if obj := p.Scope().Lookup(segs[1]); obj != nil {
+					objs = append(objs, obj)
+				}
+			}
+			if len(objs) == 0 {
+				return false, fmt.Sprintf("package %s declares no %s", segs[0], segs[1])
+			}
+			if len(segs) == 2 {
+				return true, ""
+			}
+			for _, obj := range objs {
+				if _, isFunc := obj.(*types.Func); isFunc {
+					continue
+				}
+				if m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, obj.Pkg(), segs[2]); m != nil {
+					return true, ""
+				}
+			}
+			return false, fmt.Sprintf("%s.%s has no field or method %s", segs[0], segs[1], segs[2])
+		}
+		if len(segs) != 2 {
+			return false, ""
+		}
+		tns := typesByName[segs[0]]
+		switch {
+		case len(tns) == 0 && unicode.IsUpper(rune(segs[0][0])):
+			return false, "no module package declares type " + segs[0]
+		case len(tns) == 0:
+			return false, ""
+		case !hasMember(tns, segs[1]):
+			return false, fmt.Sprintf("%s has no field or method %s", segs[0], segs[1])
+		}
+		return true, ""
+	}
+
+	names := make([]string, 0, len(texts))
+	for name := range texts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, file := range names {
+		text := texts[file]
+		seen := map[string]bool{}
+		for _, name := range testName.FindAllString(text, -1) {
+			switch {
+			case seen[name]:
+			case tests[name]:
+				resolved++
+			default:
+				stale = append(stale, fmt.Sprintf("%s: %s: no _test.go file declares it", file, name))
+			}
+			seen[name] = true
+		}
+		for _, span := range docSpans(text) {
+			if seen[span] {
+				continue
+			}
+			seen[span] = true
+			msg := ""
+			switch first, _, _ := strings.Cut(strings.TrimPrefix(span, "./"), "/"); {
+			case strings.ContainsAny(span, " \t{*<"):
+			case first != "" && fileExists(filepath.Join(root, first)):
+				path := strings.TrimSuffix(strings.TrimPrefix(span, "./"), "/...")
+				switch {
+				case lineSuffix.MatchString(path):
+					msg = "a path carries no :line suffix"
+				case !fileExists(filepath.Join(root, filepath.FromSlash(path))):
+					msg = "no such file or directory"
+				default:
+					resolved++
+				}
+			case hasFileExt(span):
+			default:
+				m := dottedName.FindStringSubmatch(span)
+				if m == nil || testName.MatchString(m[1][strings.LastIndex(m[1], ".")+1:]) {
+					break // a qualified test name was checked above
+				}
+				if ok, missing := checkName(m[1], strings.Split(m[1], ".")); ok {
+					resolved++
+				} else {
+					msg = missing
+				}
+			}
+			if msg != "" {
+				stale = append(stale, fmt.Sprintf("%s: `%s`: %s", file, span, msg))
+			}
+		}
+	}
+	if design, ok := texts["DESIGN.md"]; ok {
+		for _, dir := range dirs {
+			named := regexp.MustCompile(regexp.QuoteMeta(dir) + `(?:[^\w-]|$)`)
+			if named.MatchString(design) {
+				resolved++
+			} else {
+				stale = append(stale, fmt.Sprintf("DESIGN.md: names no %s, a directory of non-test Go", dir))
+			}
+		}
+	}
+	sort.Strings(stale)
+	return resolved, stale
+}
+
+// docSpans returns the backticked spans of a markdown text outside its
+// fenced code blocks, in order.
+func docSpans(text string) []string {
+	var spans []string
+	fenced := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			continue
+		}
+		for _, m := range backticked.FindAllStringSubmatch(line, -1) {
+			spans = append(spans, m[1])
+		}
+	}
+	return spans
+}
+
+// fileExists reports whether path names a file or directory.
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// hasFileExt reports whether a span ends in the extension of a file the
+// repository keeps or writes, so that run.jsonl is not read as a name.
+func hasFileExt(span string) bool {
+	switch filepath.Ext(span) {
+	case ".go", ".md", ".json", ".jsonl", ".txt", ".yml", ".sh", ".mod":
+		return true
+	}
+	return false
 }
 
 // goComments returns the text of a Go file's comments, one comment per

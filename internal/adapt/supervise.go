@@ -24,7 +24,7 @@ import (
 
 // The hold-downs of that runtime. They are properties of the mechanism, not
 // of the policy a caller chooses, and are sized against the 40 s
-// monitoring round and the 30 s t_max (DESIGN.md §11 has the arithmetic).
+// monitoring round and the 30 s t_max (DESIGN.md §5 has the arithmetic).
 const (
 	// stallAfter is the no-progress deadline for in-flight adaptations: a
 	// reconfiguration whose transfers moved no bytes — or a re-plan whose

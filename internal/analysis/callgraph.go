@@ -15,7 +15,7 @@ import (
 // reaches" check, and what gives genbump and hotalloc their "in this
 // function or a transitive callee" semantics.
 //
-// Soundness stance (see DESIGN.md §9): the graph resolves static calls
+// Soundness stance (see DESIGN.md §10): the graph resolves static calls
 // only — named functions, methods with a statically known receiver type,
 // and generic instantiations (normalized to their origin declaration).
 // Dynamic dispatch (interface methods, stored func values) produces no
