@@ -35,8 +35,9 @@
 // A flag value that is not a run (an unknown policy or query, a rate or
 // factor that is not a finite positive number, a duration shorter than
 // one engine tick, a negative checkpoint interval, a fault script that
-// does not parse, half a -scale-* pair) exits 2 naming the flag, before
-// anything runs; a run failure or a chaos violation exits 1.
+// does not parse, half a -scale-* pair, more than 2^53 events from one
+// source) exits 2 naming the flag, before anything runs; a run failure or
+// a chaos violation exits 1.
 //
 // -fault injects failures from a semicolon-separated script (see the
 // faults package for the DSL): site crash+restart (crash), link blackout
@@ -62,6 +63,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -203,6 +205,11 @@ func run(opt options) error {
 	bFactors, err := parseFactorList("-bandwidth", opt.bandwidth)
 	if err != nil {
 		return badValue{err}
+	}
+	// Past 2^53 a float64 count no longer moves by one event, so no
+	// source may generate more than that in the run.
+	if events := opt.rate * slices.Max(wFactors) * opt.duration.Seconds(); events > 1<<53 {
+		return badValue{fmt.Errorf("-rate × -workload × -duration: up to %.3g events per source, over the 2^53 a float64 counts exactly", events)}
 	}
 	fs, err := faults.Parse(opt.faults)
 	if err != nil {

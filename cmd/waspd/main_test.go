@@ -255,6 +255,8 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 		{"-query", "nope"},
 		{"-rate", "NaN"},
 		{"-rate", "0"},
+		{"-rate", "1e300"},
+		{"-workload", "1e300"},
 		{"-duration", "0s"},
 		{"-checkpoint-every", "-1s"},
 		{"-workload", "1,x"},

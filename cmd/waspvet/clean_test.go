@@ -316,25 +316,17 @@ func TestUnreachedDeclarationIsReported(t *testing.T) {
 
 // TestNoOpIDKeyedMaps: per-operator data has one representation, a slice
 // indexed by plan.OpID, as the logical plan, the physical stages, the
-// re-plan carry, the rate estimates and the controller's ledger hold it. A
-// map keyed by OpID brings sorted-key walks and presence checks back, so
-// non-test root-module code declares none outside opIDMapExemptions.
+// re-plan carry, the rate estimates, the merged snapshot and the
+// controller's ledger hold it. A map keyed by OpID brings sorted-key walks
+// and presence checks back, so non-test root-module code declares none.
 func TestNoOpIDKeyedMaps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
 	pkgs := modulePackages(t)
 	for _, m := range opIDMaps(pkgs) {
-		if opIDMapExemptions[m.typ] == "" {
-			t.Errorf("%s: %s; index a slice by plan.OpID instead", m.pos, m.typ)
-		}
+		t.Errorf("%s: %s; index a slice by plan.OpID instead", m.pos, m.typ)
 	}
-}
-
-// opIDMapExemptions maps a map type opIDMaps reports to the reason it
-// stays a map.
-var opIDMapExemptions = map[string]string{
-	"map[plan.OpID]metrics.OperatorSample": "metrics.Snapshot.Ops: the report merger never learns the graph's ID bound, and a WAN snapshot can lack operators",
 }
 
 // TestOpIDKeyedMapIsReported runs the audit over a fixture with two maps
@@ -385,6 +377,158 @@ func opIDMaps(pkgs []*analysis.Package) []opIDMap {
 				}
 				return true
 			})
+		}
+	}
+	return out
+}
+
+// TestControllerReadsRuntimeThroughBelief: the controller decides from
+// one belief (DESIGN.md §5, "The belief"). Non-test internal/adapt code
+// calls a method of *engine.Engine or *netsim.Network only to actuate
+// (runtimeActuations) or in the functions that build the belief
+// (beliefReaders); beliefExemptions names the rest, each with the methods
+// it covers and its reason, and an exempted method never called fails too.
+func TestControllerReadsRuntimeThroughBelief(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module load in -short mode")
+	}
+	var adapt []*analysis.Package
+	for _, pkg := range modulePackages(t) {
+		if strings.HasSuffix(pkg.Types.Path(), "/internal/adapt") {
+			adapt = append(adapt, pkg)
+		}
+	}
+	if len(adapt) != 1 {
+		t.Fatalf("found %d internal/adapt packages, want 1", len(adapt))
+	}
+	used := map[string]bool{}
+	for _, q := range runtimeQueries(adapt) {
+		if slices.Contains(beliefExemptions[q.fn].methods, q.method) {
+			used[q.fn+" "+q.method] = true
+			continue
+		}
+		t.Errorf("%s: %s reads %s outside the belief; read it in Controller.observe", q.pos, q.fn, q.method)
+	}
+	for fn, ex := range beliefExemptions {
+		for _, m := range ex.methods {
+			if !used[fn+" "+m] {
+				t.Errorf("%s: exempted for %s (%s) but never calls it; drop it from the exemption", fn, m, ex.reason)
+			}
+		}
+	}
+}
+
+// beliefReaders are the functions that may query the runtime: observe
+// builds the belief, and the link view reads the network on demand.
+var beliefReaders = map[string]bool{
+	"Controller.observe": true,
+	"links.bandwidth":    true,
+	"links.transferTime": true,
+}
+
+// runtimeActuations are the engine methods the controller calls to act
+// or to export telemetry, which read nothing a decision uses.
+var runtimeActuations = map[string]bool{
+	"Reconfigure":          true,
+	"AbortReconfigure":     true,
+	"BeginReplan":          true,
+	"AbortReplan":          true,
+	"RestoreOperatorState": true,
+	"RecordTelemetry":      true,
+}
+
+// beliefExemptions maps a function runtimeQueries reports to the runtime
+// methods it may call directly, and why.
+var beliefExemptions = map[string]struct {
+	methods []string
+	reason  string
+}{
+	"RecoveryManager.CheckpointRound": {
+		methods: []string{"engine.Engine.Plan", "engine.Engine.SiteDown", "engine.Engine.SnapshotGroup"},
+		reason:  "checkpoints the deployed groups on a timer of its own and decides nothing",
+	},
+}
+
+// TestDirectRuntimeQueryIsReported runs the audit over a fixture with a
+// belief builder, a link method, an actuation, a method of another type
+// and three direct queries (a call, a call in a closure and a method
+// value): exactly the three queries are reported.
+func TestDirectRuntimeQueryIsReported(t *testing.T) {
+	pkgs, err := loadTargets([]string{"testdata/internal/belief"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, q := range runtimeQueries(pkgs) {
+		got = append(got, fmt.Sprintf("%d: %s %s", q.pos.Line, q.fn, q.method))
+	}
+	want := []string{
+		"39: Controller.decide engine.Engine.DownSites",
+		"42: Controller.decide netsim.Network.EstimateTransferTime",
+		"49: Controller.bandwidthFunc netsim.Network.Capacity",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("runtimeQueries(fixture) = %q, want %q", got, want)
+	}
+}
+
+// runtimeQuery is one use of an engine or network method outside the
+// belief's readers.
+type runtimeQuery struct {
+	pos    token.Position
+	fn     string // the enclosing declaration: Type.method or func
+	method string // engine.Engine.Plan
+}
+
+// runtimeQueries returns, in source order, every selection of a method of
+// *engine.Engine or *netsim.Network — a call or a method value — in a
+// non-test file of pkgs, outside beliefReaders and runtimeActuations.
+// Closures belong to their enclosing declaration.
+func runtimeQueries(pkgs []*analysis.Package) []runtimeQuery {
+	var out []runtimeQuery
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn := fd.Name.Name
+				if fd.Recv != nil {
+					if tn := recvTypeName(pkg.Info.TypeOf(fd.Recv.List[0].Type)); tn != nil {
+						fn = tn.Name() + "." + fn
+					}
+				}
+				if beliefReaders[fn] {
+					continue
+				}
+				ast.Inspect(fd, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					s := pkg.Info.Selections[sel]
+					if s == nil || s.Kind() != types.MethodVal || runtimeActuations[sel.Sel.Name] {
+						return true
+					}
+					tn := recvTypeName(s.Recv())
+					if tn == nil || tn.Pkg() == nil {
+						return true
+					}
+					if path := tn.Pkg().Path(); !strings.HasSuffix(path, "/internal/engine") && !strings.HasSuffix(path, "/internal/netsim") {
+						return true
+					}
+					if tn.Name() != "Engine" && tn.Name() != "Network" {
+						return true
+					}
+					out = append(out, runtimeQuery{
+						pos:    pkg.Fset.Position(sel.Pos()),
+						fn:     fn,
+						method: tn.Pkg().Name() + "." + tn.Name() + "." + sel.Sel.Name,
+					})
+					return true
+				})
+			}
 		}
 	}
 	return out

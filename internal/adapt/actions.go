@@ -18,85 +18,49 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
-// bandwidthNow returns the current from→to capacity in bytes/s.
-func (c *Controller) bandwidthNow(from, to topology.SiteID) float64 {
-	return c.net.Capacity(from, to, c.sched.Now())
-}
-
-// scheduleConfig builds the physical-layer config with live bandwidth and
-// the measured workload factor.
-func (c *Controller) scheduleConfig() physical.ScheduleConfig {
+// scheduleConfig builds the physical-layer config with the belief's
+// bandwidth and the measured workload factor.
+func (c *Controller) scheduleConfig(b *belief) physical.ScheduleConfig {
 	return physical.ScheduleConfig{
 		Alpha:              c.cfg.Alpha,
 		DefaultParallelism: 1,
 		RateFactor:         c.lastRateFactor,
-		Bandwidth:          c.bandwidthNow,
+		Bandwidth:          b.links.bandwidth,
 		Workspace:          &c.ws,
 	}
-}
-
-// measuredRateFactor estimates the current workload as a multiple of the
-// modelled source rates.
-func (c *Controller) measuredRateFactor(snap *metrics.Snapshot) float64 {
-	g := c.eng.Plan().Graph
-	var measured, model float64
-	for _, id := range g.Sources() {
-		measured += snap.Ops[id].SourceRate
-		model += g.Operator(id).SourceRate
-	}
-	if model <= 0 || measured <= 0 {
-		return 1
-	}
-	return measured / model
-}
-
-// freeSlotsPlusOwn returns free slots per site counting the operator's own
-// tasks as available (they may be re-placed).
-func (c *Controller) freeSlotsPlusOwn(id plan.OpID) []int {
-	free := c.freeSlots()
-	for _, site := range c.eng.Plan().Stages[id].Sites {
-		free[site]++
-	}
-	return free
 }
 
 // placeTasks solves the both-sided placement program (Eq. 1–5) for n tasks
 // of a running stage that carry share of its streams (physical.PlaceTasks)
 // in the free slots; re-placing the whole stage at parallelism n is share
-// 1, with free counting the stage's own slots as available. The chosen
-// sites are copied out of the solver's workspace at once, so the result
-// stays valid across later solves.
-func (c *Controller) placeTasks(id plan.OpID, n int, share float64, free []int) ([]topology.SiteID, error) {
-	pl, err := physical.PlaceTasks(c.eng.Plan(), id, n, share, c.top, c.scheduleConfig(), free)
+// 1, with free counting the stage's own slots as available, and n tasks
+// added to a stage ending at p′ carry n/p′. The chosen sites are copied
+// out of the solver's workspace at once, so the result stays valid across
+// later solves.
+func (c *Controller) placeTasks(b *belief, id plan.OpID, n int, share float64, free []int) ([]topology.SiteID, error) {
+	pl, err := physical.PlaceTasks(b.plan, id, n, share, c.top, c.scheduleConfig(b), free)
 	if err != nil {
 		return nil, err
 	}
 	return placementSites(pl), nil
 }
 
-// placeAdditional places need extra tasks of a stage that will end at
-// parallelism pPrime, each new task carrying a 1/pPrime share of the
-// streams.
-func (c *Controller) placeAdditional(id plan.OpID, need, pPrime int, free []int) ([]topology.SiteID, error) {
-	return c.placeTasks(id, need, float64(need)/float64(pPrime), free)
-}
-
 // previewReassign solves the re-assignment program for a stage at its
 // current parallelism and estimates the migration overhead
 // t_adapt = max |state|/B (§6.2), without executing anything.
-func (c *Controller) previewReassign(id plan.OpID) (newSites []topology.SiteID, overhead vclock.Time, err error) {
-	newSites, err = c.placeTasks(id, c.eng.Parallelism(id), 1, c.freeSlotsPlusOwn(id))
+func (c *Controller) previewReassign(b *belief, id plan.OpID) (newSites []topology.SiteID, overhead vclock.Time, err error) {
+	newSites, err = c.placeTasks(b, id, b.plan.Stage(id).Parallelism(), 1, b.freeSlotsPlusOwn(id))
 	if err != nil {
 		return nil, 0, err
 	}
-	_, overhead = c.buildMigrations(id, newSites)
+	_, overhead = b.buildMigrations(id, newSites)
 	return newSites, overhead, nil
 }
 
 // tryReassign executes a previewed task re-assignment if it differs from
 // the current placement.
-func (c *Controller) tryReassign(id plan.OpID, newSites []topology.SiteID) bool {
-	if sameSites(newSites, c.eng.Plan().Stages[id].Sites) {
+func (c *Controller) tryReassign(b *belief, id plan.OpID, newSites []topology.SiteID) bool {
+	if sameSites(newSites, b.plan.Stages[id].Sites) {
 		c.reject("re-assign", "solver kept the current placement")
 		return false
 	}
@@ -106,8 +70,8 @@ func (c *Controller) tryReassign(id plan.OpID, newSites []topology.SiteID) bool 
 			obs.Int("op", int(id)))
 		return false
 	}
-	migs, bottleneck := c.buildMigrations(id, newSites)
-	return c.commit(ActionReassign, "re-assign", id, newSites, migs,
+	migs, bottleneck := b.buildMigrations(id, newSites)
+	return c.commit(b, ActionReassign, "re-assign", id, newSites, migs,
 		fmt.Sprintf("to %v, est transition %v", newSites, bottleneck), nil)
 }
 
@@ -118,59 +82,53 @@ const drainTargetSec = 60
 // scaleForCompute scales UP a compute-bound operator: p′ = ⌈λ̂I/λP·p⌉
 // (sized to also drain accumulated backlog within the drain target),
 // preferring free slots at the operator's current sites.
-func (c *Controller) scaleForCompute(id plan.OpID, snap *metrics.Snapshot, expectedIn []float64) bool {
-	s := snap.Ops[id]
-	p := c.eng.Parallelism(id)
-	perTask := c.capacityOf(id, 1)
+func (c *Controller) scaleForCompute(b *belief, id plan.OpID) bool {
+	s := b.snap.Op(id)
+	p := b.plan.Stage(id).Parallelism()
+	perTask := b.capacity(id, 1)
 
-	want := expectedIn[id]
+	want := b.lambdaIn[id]
 	if s.InputQueueLen > 0 {
 		want += s.InputQueueLen / drainTargetSec
 	}
 	pPrime := metrics.ScaleFactor(want, s.ProcessingRate, p)
-	if needed := int(math.Ceil(want / perTask)); needed > pPrime {
-		pPrime = needed
-	}
-	if pPrime > c.cfg.PMax {
-		pPrime = c.cfg.PMax
-	}
+	pPrime = min(max(pPrime, int(math.Ceil(want/perTask))), c.cfg.PMax)
 	if pPrime <= p {
 		// Already at the cap (p′ > p_max): re-planning is the remaining
 		// lever (Fig 6) — for a policy that may pull it.
 		c.reject("scale-up", fmt.Sprintf("p′ %d ≤ p %d (p_max %d)", pPrime, p, c.cfg.PMax),
 			obs.Int("p_prime", pPrime), obs.Int("p", p), obs.Int("p_max", c.cfg.PMax))
 		if c.policy.replan {
-			return c.tryReplan(id, "compute-bound at p_max")
+			return c.tryReplan(b, id, "compute-bound at p_max")
 		}
 		return false
 	}
-	if !c.eng.Plan().Graph.Operator(id).Splittable {
+	if !b.plan.Graph.Operator(id).Splittable {
 		c.reject("scale-up", "operator cannot be split")
 		if c.policy.replan {
-			return c.tryReplan(id, "compute-bound unsplittable operator")
+			return c.tryReplan(b, id, "compute-bound unsplittable operator")
 		}
 		return false
 	}
-	newSites, ok := c.placeScaleUp(id, pPrime)
+	newSites, ok := c.placeScaleUp(b, id, pPrime)
 	if !ok {
 		c.reject("scale-up", fmt.Sprintf("no placement for p′ %d", pPrime),
 			obs.Int("p_prime", pPrime))
 		return false
 	}
-	migs, bottleneck := c.buildMigrations(id, newSites)
-	return c.commit(ActionScaleUp, "scale-up", id, newSites, migs,
+	migs, bottleneck := b.buildMigrations(id, newSites)
+	return c.commit(b, ActionScaleUp, "scale-up", id, newSites, migs,
 		fmt.Sprintf("p %d→%d at %v, est transition %v", p, pPrime, newSites, bottleneck), nil)
 }
 
 // placeScaleUp chooses sites for a scale-up to pPrime tasks: keep every
 // existing task, fill free slots at current sites first (§6.2: local
 // first), then place the remainder with the placement program.
-func (c *Controller) placeScaleUp(id plan.OpID, pPrime int) ([]topology.SiteID, bool) {
-	st := c.eng.Plan().Stages[id]
+func (c *Controller) placeScaleUp(b *belief, id plan.OpID, pPrime int) ([]topology.SiteID, bool) {
+	st := b.plan.Stages[id]
 	newSites := append([]topology.SiteID(nil), st.Sites...)
 	need := pPrime - len(newSites)
-	free := c.freeSlots()
-
+	free := slices.Clone(b.free())
 	for _, site := range physical.DistinctSites(st.Sites) {
 		for need > 0 && free[site] > 0 {
 			newSites = append(newSites, site)
@@ -184,7 +142,7 @@ func (c *Controller) placeScaleUp(id plan.OpID, pPrime int) ([]topology.SiteID, 
 	}
 	// Place the remainder anywhere feasible, sized by the share of the
 	// stream the new tasks will carry.
-	added, err := c.placeAdditional(id, need, pPrime, free)
+	added, err := c.placeTasks(b, id, need, float64(need)/float64(pPrime), free)
 	if err != nil {
 		return nil, false
 	}
@@ -199,28 +157,27 @@ func (c *Controller) placeScaleUp(id plan.OpID, pPrime int) ([]topology.SiteID, 
 // kept in place (they continue processing while the new tasks receive
 // their state partitions); only if no additive placement exists does the
 // whole stage get re-placed at the higher parallelism.
-func (c *Controller) scaleForNetwork(id plan.OpID, expectedIn []float64) bool {
-	p := c.eng.Parallelism(id)
-	if !c.eng.Plan().Graph.Operator(id).Splittable {
+func (c *Controller) scaleForNetwork(b *belief, id plan.OpID) bool {
+	p := b.plan.Stage(id).Parallelism()
+	if !b.plan.Graph.Operator(id).Splittable {
 		c.reject("scale-out", "operator cannot be split")
 		return false
 	}
-	cur := c.eng.Plan().Stages[id].Sites
-	free := c.freeSlots()
+	cur := b.plan.Stages[id].Sites
 	for pPrime := p + 1; pPrime <= c.cfg.PMax; pPrime++ {
 		// Additive: keep the current tasks, place the extra ones.
-		if added, err := c.placeAdditional(id, pPrime-p, pPrime, free); err == nil {
+		if added, err := c.placeTasks(b, id, pPrime-p, float64(pPrime-p)/float64(pPrime), b.free()); err == nil {
 			newSites := append(append([]topology.SiteID(nil), cur...), added...)
 			slices.Sort(newSites)
-			return c.commitScaleOut(id, p, newSites)
+			return c.commitScaleOut(b, id, p, newSites)
 		}
 	}
 	// No additive placement: re-place the whole stage at higher
 	// parallelism (may migrate existing tasks).
-	freeOwn := c.freeSlotsPlusOwn(id)
+	freeOwn := b.freeSlotsPlusOwn(id)
 	for pPrime := p + 1; pPrime <= c.cfg.PMax; pPrime++ {
-		if newSites, err := c.placeTasks(id, pPrime, 1, freeOwn); err == nil {
-			return c.commitScaleOut(id, p, newSites)
+		if newSites, err := c.placeTasks(b, id, pPrime, 1, freeOwn); err == nil {
+			return c.commitScaleOut(b, id, p, newSites)
 		}
 	}
 	c.reject("scale-out", fmt.Sprintf("no feasible placement for any p′ ≤ p_max %d (p′ > p_max or no slots)", c.cfg.PMax),
@@ -229,9 +186,9 @@ func (c *Controller) scaleForNetwork(id plan.OpID, expectedIn []float64) bool {
 }
 
 // commitScaleOut executes a scale-out from p tasks to newSites.
-func (c *Controller) commitScaleOut(id plan.OpID, p int, newSites []topology.SiteID) bool {
-	migs, bottleneck := c.buildMigrations(id, newSites)
-	return c.commit(ActionScaleOut, "scale-out", id, newSites, migs,
+func (c *Controller) commitScaleOut(b *belief, id plan.OpID, p int, newSites []topology.SiteID) bool {
+	migs, bottleneck := b.buildMigrations(id, newSites)
+	return c.commit(b, ActionScaleOut, "scale-out", id, newSites, migs,
 		fmt.Sprintf("p %d→%d at %v, est transition %v", p, len(newSites), newSites, bottleneck), nil)
 }
 
@@ -242,14 +199,11 @@ const scaleDownUtil = 0.5
 // maybeScaleDown reclaims over-provisioned resources: one task per round,
 // only after two quiet rounds, only when the remaining tasks can absorb
 // the stream with headroom (§4.2).
-func (c *Controller) maybeScaleDown(now vclock.Time, snap *metrics.Snapshot, expectedIn []float64) {
-	if !c.policy.scale {
+func (c *Controller) maybeScaleDown(b *belief) {
+	if !c.policy.scale || c.quietRounds < 2 {
 		return
 	}
-	if c.quietRounds < 2 {
-		return
-	}
-	g := c.eng.Plan().Graph
+	g := b.plan.Graph
 	order, err := g.TopoOrder()
 	if err != nil {
 		return
@@ -259,31 +213,29 @@ func (c *Controller) maybeScaleDown(now vclock.Time, snap *metrics.Snapshot, exp
 		if op.Kind == plan.KindSource || op.Kind == plan.KindSink {
 			continue
 		}
-		p := c.eng.Parallelism(id)
+		p := b.plan.Stage(id).Parallelism()
 		if p <= 1 {
 			continue
 		}
-		s := snap.Ops[id]
-		capacityMinusOne := c.capacityOf(id, p-1)
-		if expectedIn[id] >= scaleDownUtil*capacityMinusOne {
+		if b.lambdaIn[id] >= scaleDownUtil*b.capacity(id, p-1) {
 			continue
 		}
-		if s.InputQueueLen > c.capacityOf(id, p)*1.0 {
+		if b.snap.Op(id).InputQueueLen > b.capacity(id, p)*1.0 {
 			continue // still draining
 		}
-		if _, _, held := c.heldDown(id, now); held {
+		if _, _, held := c.heldDown(b, id); held {
 			// Backing off, cooling down, or seen through stale or
 			// quarantined evidence: reclaim next round.
 			continue
 		}
-		newSites, ok := c.chooseScaleDown(id)
+		newSites, ok := c.chooseScaleDown(b, id)
 		if !ok {
 			continue
 		}
-		migs, _ := c.buildMigrations(id, newSites)
+		migs, _ := b.buildMigrations(id, newSites)
 		c.beginDecision(id, "over-provisioned",
-			obs.F64("lambda_in_hat", expectedIn[id]), obs.Int("p", p))
-		acted := c.commit(ActionScaleDown, "scale-down", id, newSites, migs,
+			obs.F64("lambda_in_hat", b.lambdaIn[id]), obs.Int("p", p))
+		acted := c.commit(b, ActionScaleDown, "scale-down", id, newSites, migs,
 			fmt.Sprintf("p %d→%d at %v", p, p-1, newSites), nil)
 		c.endDecision(acted)
 		if acted {
@@ -297,12 +249,12 @@ func (c *Controller) maybeScaleDown(now vclock.Time, snap *metrics.Snapshot, exp
 // with upstream/downstream tasks), after verifying that one task fewer
 // still satisfies the bandwidth bounds at the current workload: the
 // placement program must have a solution at p−1.
-func (c *Controller) chooseScaleDown(id plan.OpID) ([]topology.SiteID, bool) {
-	pp := c.eng.Plan()
+func (c *Controller) chooseScaleDown(b *belief, id plan.OpID) ([]topology.SiteID, bool) {
+	pp := b.plan
 	st := pp.Stages[id]
 	g := pp.Graph
 
-	if _, err := c.placeTasks(id, len(st.Sites)-1, 1, c.freeSlotsPlusOwn(id)); err != nil {
+	if _, err := c.placeTasks(b, id, len(st.Sites)-1, 1, b.freeSlotsPlusOwn(id)); err != nil {
 		return nil, false
 	}
 
@@ -340,8 +292,8 @@ func (c *Controller) chooseScaleDown(id plan.OpID) ([]topology.SiteID, bool) {
 // |state|/p′ after the move (balanced keyed state, §6.2); the
 // removed→added mapping is network-aware (§5): it minimizes the slowest
 // transfer.
-func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID) ([]engine.Migration, vclock.Time) {
-	st := c.eng.Plan().Stages[id]
+func (b *belief) buildMigrations(id plan.OpID, newSites []topology.SiteID) ([]engine.Migration, vclock.Time) {
+	st := b.plan.Stages[id]
 	totalState := st.Op.StateBytes
 	if totalState <= 0 {
 		return nil, 0
@@ -356,14 +308,14 @@ func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID) (
 	var migs []engine.Migration
 	switch {
 	case len(removed) >= len(added):
-		migs = c.mapMigrations(removed, added, bytesPerTask)
+		migs = b.links.mapMigrations(removed, added, bytesPerTask)
 	default:
 		// Scale-out: moved tasks map one-to-one; extra tasks pull their
 		// partition from the old site with the most bandwidth to them.
-		migs = c.mapMigrations(removed, added[:len(removed)], bytesPerTask)
+		migs = b.links.mapMigrations(removed, added[:len(removed)], bytesPerTask)
 		donors := physical.DistinctSites(oldSites)
 		for _, dst := range added[len(removed):] {
-			src, ok := c.pickDonor(donors, dst)
+			src, ok := b.links.pickDonor(donors, dst)
 			if !ok {
 				continue
 			}
@@ -373,7 +325,7 @@ func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID) (
 
 	var bottleneck vclock.Time
 	for _, m := range migs {
-		t := c.net.EstimateTransferTime(m.FromSite, m.ToSite, m.Bytes, c.sched.Now())
+		t := b.links.transferTime(m.FromSite, m.ToSite, m.Bytes)
 		if vclock.Time(t) > bottleneck {
 			bottleneck = vclock.Time(t)
 		}
@@ -384,16 +336,16 @@ func (c *Controller) buildMigrations(id plan.OpID, newSites []topology.SiteID) (
 // mapMigrations maps removed task sites to added task sites. When
 // |removed| > |added|, the surplus removed tasks merge into the added
 // site they reach fastest.
-func (c *Controller) mapMigrations(removed, added []topology.SiteID, bytes float64) []engine.Migration {
+func (l links) mapMigrations(removed, added []topology.SiteID, bytes float64) []engine.Migration {
 	var migs []engine.Migration
 	n := min(len(removed), len(added))
 	if n > 0 {
-		migs = c.pairSites(removed[:n], added[:n], bytes)
+		migs = l.pairSites(removed[:n], added[:n], bytes)
 	}
 	if len(removed) > len(added) {
 		receivers := physical.DistinctSites(added)
 		for _, src := range removed[len(added):] {
-			dst, ok := c.pickReceiver(receivers, src)
+			dst, ok := l.pickReceiver(receivers, src)
 			if !ok {
 				continue
 			}
@@ -405,13 +357,12 @@ func (c *Controller) mapMigrations(removed, added []topology.SiteID, bytes float
 
 // pairSites assigns each removed site to one added site by solving the
 // minmax bottleneck assignment over estimated transfer times (§5).
-func (c *Controller) pairSites(removed, added []topology.SiteID, bytes float64) []engine.Migration {
-	now := c.sched.Now()
+func (l links) pairSites(removed, added []topology.SiteID, bytes float64) []engine.Migration {
 	cost := make([][]float64, len(removed))
 	for i, src := range removed {
 		cost[i] = make([]float64, len(added))
 		for j, dst := range added {
-			cost[i][j] = c.net.EstimateTransferTime(src, dst, bytes, now).Seconds()
+			cost[i][j] = l.transferTime(src, dst, bytes).Seconds()
 		}
 	}
 	assign, _, err := matching.MinMax(cost)
@@ -430,14 +381,14 @@ func (c *Controller) pairSites(removed, added []topology.SiteID, bytes float64) 
 
 // pickDonor selects the source site for a new task's state partition: the
 // donor with the most bandwidth to dst.
-func (c *Controller) pickDonor(donors []topology.SiteID, dst topology.SiteID) (topology.SiteID, bool) {
-	return widest(donors, func(s topology.SiteID) float64 { return c.bandwidthNow(s, dst) })
+func (l links) pickDonor(donors []topology.SiteID, dst topology.SiteID) (topology.SiteID, bool) {
+	return widest(donors, func(s topology.SiteID) float64 { return l.bandwidth(s, dst) })
 }
 
 // pickReceiver selects the destination for a merged (scaled-down) or
 // restored state partition: the receiver with the most bandwidth from src.
-func (c *Controller) pickReceiver(receivers []topology.SiteID, src topology.SiteID) (topology.SiteID, bool) {
-	return widest(receivers, func(s topology.SiteID) float64 { return c.bandwidthNow(src, s) })
+func (l links) pickReceiver(receivers []topology.SiteID, src topology.SiteID) (topology.SiteID, bool) {
+	return widest(receivers, func(s topology.SiteID) float64 { return l.bandwidth(src, s) })
 }
 
 // widest returns the site with the highest bw; the first wins ties.
@@ -492,14 +443,6 @@ func sameSites(a, b []topology.SiteID) bool {
 }
 
 func removeOneTask(sites []topology.SiteID, victim topology.SiteID) []topology.SiteID {
-	out := make([]topology.SiteID, 0, len(sites)-1)
-	removed := false
-	for _, s := range sites {
-		if !removed && s == victim {
-			removed = true
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
+	i := slices.Index(sites, victim)
+	return slices.Delete(slices.Clone(sites), i, i+1)
 }

@@ -33,7 +33,7 @@
 //
 // The policy's other thresholds and the mechanism's hold-downs are
 // constants next to the code that reads them, and the per-slot capacity is
-// read from the engine the controller drives.
+// part of the belief (belief.go) every decision reads the runtime through.
 package adapt
 
 import (
@@ -259,9 +259,11 @@ type Controller struct {
 
 	ledger []opState // indexed by plan.OpID, grown when written (op)
 
-	// plane carries telemetry in and commands out (ctrl.go): the local
-	// plane NewController builds, or the WAN plane AttachControlPlane
-	// swaps in.
+	// plane carries telemetry in and commands out, whatever its
+	// transport: the local plane NewController builds pulls reports each
+	// round and applies commands inline, so no staleness gate fires; the
+	// WAN plane AttachControlPlane swaps in delivers reports late, partly
+	// or not at all, and stale or quarantined evidence becomes a reject.
 	plane *ctrlplane.Plane
 
 	obs      *obs.Observer
@@ -317,14 +319,15 @@ func (c *Controller) opAt(id plan.OpID) opState {
 func NewController(cfg Config, eng *engine.Engine, top *topology.Topology, net *netsim.Network, sched *vclock.Scheduler, replan *ReplanSpec) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{
-		cfg:    cfg,
-		policy: cfg.Policy.row(),
-		eng:    eng,
-		top:    top,
-		net:    net,
-		sched:  sched,
-		replan: replan,
-		plane:  ctrlplane.NewLocal(eng),
+		cfg:       cfg,
+		policy:    cfg.Policy.row(),
+		eng:       eng,
+		top:       top,
+		net:       net,
+		sched:     sched,
+		replan:    replan,
+		plane:     ctrlplane.NewLocal(eng),
+		crashedAt: make(map[topology.SiteID]vclock.Time),
 		// A crash before the first monitoring round plans at the
 		// configured rates.
 		lastRateFactor: 1,
@@ -332,6 +335,11 @@ func NewController(cfg Config, eng *engine.Engine, top *topology.Topology, net *
 	c.SetObserver(obs.New(sched.Now))
 	return c
 }
+
+// AttachControlPlane swaps the controller's local plane for a WAN one.
+// Must be called before Start; the plane's report ticker is managed by
+// the caller (experiment runner), not the controller.
+func (c *Controller) AttachControlPlane(p *ctrlplane.Plane) { c.plane = p }
 
 // Start begins periodic monitoring (and, if configured, the long-term
 // background re-planning loop).
@@ -368,26 +376,27 @@ func (c *Controller) LongTermRound(now vclock.Time) {
 	}
 	sp := c.obs.StartSpan("controller.longterm", obs.String("policy", c.cfg.Policy.String()))
 	defer sp.Finish()
-	if c.settling(sp) {
+	b := c.observe(nil)
+	if c.settling(b, sp) {
 		return
 	}
-	c.tryReplan(wholePlan, "long-term background re-evaluation")
+	c.tryReplan(b, wholePlan, "long-term background re-evaluation")
 }
 
 // settling reports whether a round must defer to in-flight work — a plan
 // switch, a failure outage, a reconfiguration, or a command still
 // traveling the control plane — and records which as a skip event on sp.
-func (c *Controller) settling(sp *obs.Span) bool {
-	if c.eng.Replanning() || c.eng.Failed() {
+func (c *Controller) settling(b *belief, sp *obs.Span) bool {
+	if b.replanning || b.failed {
 		reason := "plan switch in progress"
-		if c.eng.Failed() {
+		if b.failed {
 			reason = "failure outage in progress"
 		}
 		sp.Event("skip", obs.String("reason", reason))
 		return true
 	}
-	for _, id := range c.eng.Plan().Graph.OperatorIDs() {
-		if c.eng.Reconfiguring(id) {
+	for _, id := range b.plan.Graph.OperatorIDs() {
+		if b.reconfiguring(id) {
 			sp.Event("skip", obs.String("reason", "reconfiguration in flight"), obs.Int("op", int(id)))
 			return true
 		}
@@ -416,44 +425,51 @@ func (c *Controller) record(kind ActionKind, op plan.OpID, detail string) {
 // Round runs one monitoring + adaptation round (normally driven by the
 // internal ticker; exported for tests and manual stepping).
 func (c *Controller) Round(now vclock.Time) {
-	snap := c.sampleSnapshot(now)
+	// Every policy samples and records the per-operator registry series.
+	c.plane.UpdateQuarantine(now)
+	snap := c.plane.Snapshot(now)
+	c.eng.RecordTelemetry()
 	if !c.policy.adapts() {
 		return
 	}
 	c.roundCount++
 	round := c.obs.StartSpan("controller.round", obs.String("policy", c.cfg.Policy.String()))
 	c.obs.Registry().Counter("wasp_controller_rounds_total").Inc()
+	b := c.observe(snap)
 	// Supervise in-flight adaptations first: a doomed or stalled
 	// reconfiguration must be aborted before recovery or diagnosis can
 	// touch its stage (both skip reconfiguring operators).
-	c.superviseInFlight(now)
+	if c.superviseInFlight(b) {
+		b = c.observe(snap)
+	}
 	// Failure recovery next: dead tasks outrank slow ones. This is also
 	// the backstop detector — degraded stages retry here every round.
-	c.RecoverDownSites()
+	if c.recoverDownSites(b) {
+		b = c.observe(snap)
+	}
 	defer round.Finish()
 	// Let in-flight adaptations and failure outages settle first.
-	if c.settling(round) {
+	if c.settling(b, round) {
 		return
 	}
-	expectedIn, _, err := metrics.EstimateActual(c.eng.Plan().Graph, snap)
-	if err != nil {
-		round.Event("skip", obs.String("reason", "workload estimate failed: "+err.Error()))
+	if b.estErr != nil {
+		round.Event("skip", obs.String("reason", "workload estimate failed: "+b.estErr.Error()))
 		return
 	}
-	c.lastRateFactor = c.measuredRateFactor(snap)
+	c.lastRateFactor = b.rateFactor()
 	round.SetAttrs(obs.F64("rate_factor", c.lastRateFactor))
 
-	if c.adaptBottleneck(now, snap, expectedIn) {
+	if c.adaptBottleneck(b) {
 		return
 	}
 	c.quietRounds++
-	c.maybeScaleDown(now, snap, expectedIn)
+	c.maybeScaleDown(b)
 }
 
 // adaptBottleneck finds the first unhealthy operator in topological order
 // and applies the policy's action. It reports whether an action was taken.
-func (c *Controller) adaptBottleneck(now vclock.Time, snap *metrics.Snapshot, expectedIn []float64) bool {
-	g := c.eng.Plan().Graph
+func (c *Controller) adaptBottleneck(b *belief) bool {
+	g := b.plan.Graph
 	order, err := g.TopoOrder()
 	if err != nil {
 		return false
@@ -463,18 +479,27 @@ func (c *Controller) adaptBottleneck(now vclock.Time, snap *metrics.Snapshot, ex
 		if op.Kind == plan.KindSource || op.Kind == plan.KindSink {
 			continue
 		}
-		cond := c.diagnose(id, snap, expectedIn)
-		c.emitDiagnosis(id, cond, snap.Ops[id], expectedIn[id])
+		cond := b.diagnose(id)
+		c.emitDiagnosis(id, cond, b.snap.Op(id), b.lambdaIn[id])
 		if cond == metrics.Healthy {
-			c.noteHealthy(id, now)
+			c.noteHealthy(id, b.now)
 			continue
 		}
-		c.noteDetect(id, now)
-		if branch, reason, held := c.heldDown(id, now); held {
+		c.noteDetect(id, b.now)
+		if branch, reason, held := c.heldDown(b, id); held {
 			c.reject(branch, reason, obs.Int("op", int(id)))
 			continue
 		}
-		return c.act(now, id, cond, snap, expectedIn)
+		// The decision span: everything the policy does — actions taken,
+		// branches rejected, the migrations and plan switches started —
+		// nests under it in the audit trail.
+		c.beginDecision(id, cond.String(),
+			obs.Bool("stateful", op.Stateful),
+			obs.Bool("splittable", op.Splittable),
+			obs.F64("lambda_in_hat", b.lambdaIn[id]))
+		taken := c.dispatch(b, id, cond, op)
+		c.endDecision(taken)
+		return taken
 	}
 	return false
 }
@@ -486,14 +511,14 @@ func (c *Controller) adaptBottleneck(now vclock.Time, snap *metrics.Snapshot, ex
 // operator whose *send* queues are backed up is not itself the bottleneck
 // — the constrained link manifests at its downstream consumer, which this
 // round flags as network-constrained instead.
-func (c *Controller) diagnose(id plan.OpID, snap *metrics.Snapshot, expectedIn []float64) metrics.Condition {
-	s := snap.Ops[id]
-	capacity := c.capacityOf(id, s.Tasks)
+func (b *belief) diagnose(id plan.OpID) metrics.Condition {
+	s := b.snap.Op(id)
+	capacity := b.capacity(id, s.Tasks)
 	sendHeavy := s.SendQueueLen > 2*max(s.OutputRate, 1)
 	if !sendHeavy && s.InputQueueLen > capacity*queueAlarmSec {
 		return metrics.ComputeConstrained
 	}
-	want := expectedIn[id]
+	want := b.lambdaIn[id]
 	if s.ProcessingRate >= want*(1-tolerance) {
 		return metrics.Healthy
 	}
@@ -508,41 +533,15 @@ func (c *Controller) diagnose(id plan.OpID, snap *metrics.Snapshot, expectedIn [
 	return metrics.NetworkConstrained
 }
 
-// capacityOf returns an operator's aggregate processing capacity in
-// events/s at the given parallelism.
-func (c *Controller) capacityOf(id plan.OpID, tasks int) float64 {
-	op := c.eng.Plan().Graph.Operator(id)
-	cost := op.CostPerEvent
-	if cost <= 0 {
-		cost = 1
-	}
-	return float64(tasks) * c.eng.SlotRate() / cost
-}
-
-// act opens the decision span for one bottleneck operator and dispatches
-// the policy decision (Fig 6). Everything the policy does — actions taken,
-// branches rejected, the migrations and plan switches started — nests
-// under this span in the audit trail.
-func (c *Controller) act(now vclock.Time, id plan.OpID, cond metrics.Condition, snap *metrics.Snapshot, expectedIn []float64) bool {
-	op := c.eng.Plan().Graph.Operator(id)
-	c.beginDecision(id, cond.String(),
-		obs.Bool("stateful", op.Stateful),
-		obs.Bool("splittable", op.Splittable),
-		obs.F64("lambda_in_hat", expectedIn[id]))
-	taken := c.dispatch(now, id, cond, op, snap, expectedIn)
-	c.endDecision(taken)
-	return taken
-}
-
 // dispatch runs the policy's decision tree for one bottleneck operator.
-func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condition, op *plan.Operator, snap *metrics.Snapshot, expectedIn []float64) bool {
+func (c *Controller) dispatch(b *belief, id plan.OpID, cond metrics.Condition, op *plan.Operator) bool {
 	switch c.cfg.Policy {
 	case PolicyReassign:
 		// Re-assignment only, still subject to the §6.2 overhead check:
 		// a placement whose state migration would exceed t_max is not an
 		// acceptable solution, and this arm then simply does not adapt —
 		// the paper's t=600 behaviour.
-		newSites, overhead, err := c.previewReassign(id)
+		newSites, overhead, err := c.previewReassign(b, id)
 		if err != nil {
 			c.reject("re-assign", "no placement found at current parallelism")
 			return false
@@ -551,23 +550,23 @@ func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condit
 			c.rejectOverhead(overhead)
 			return false
 		}
-		return c.tryReassign(id, newSites)
+		return c.tryReassign(b, id, newSites)
 	case PolicyReplan:
-		return c.tryReplan(id, "bottleneck "+cond.String())
+		return c.tryReplan(b, id, "bottleneck "+cond.String())
 	case PolicyScale:
 		// §8.5's Scale arm: re-assign first, but fall back to operator
 		// scaling when no placement exists at the current parallelism or
 		// the migration overhead exceeds t_max (§6.2).
 		if cond == metrics.ComputeConstrained {
-			return c.scaleForCompute(id, snap, expectedIn)
+			return c.scaleForCompute(b, id)
 		}
-		newSites, overhead, err := c.previewReassign(id)
+		newSites, overhead, err := c.previewReassign(b, id)
 		if err == nil && overhead <= vclock.Time(tMax) {
-			if c.tryReassign(id, newSites) {
+			if c.tryReassign(b, id, newSites) {
 				return true
 			}
 		}
-		if c.scaleForNetwork(id, expectedIn) {
+		if c.scaleForNetwork(b, id) {
 			return true
 		}
 		// Scaling failed too: this arm has no re-plan to fall back on, so
@@ -576,32 +575,32 @@ func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condit
 			c.reject("re-assign", "no placement found: "+err.Error())
 			return false
 		}
-		return c.tryReassign(id, newSites)
+		return c.tryReassign(b, id, newSites)
 	case PolicyWASP:
 		// Figure 6.
 		if cond == metrics.ComputeConstrained {
-			return c.scaleForCompute(id, snap, expectedIn)
+			return c.scaleForCompute(b, id)
 		}
 		// Network-constrained.
 		if !op.Stateful {
-			if c.tryReplan(id, "network-bound stateless pipeline") {
+			if c.tryReplan(b, id, "network-bound stateless pipeline") {
 				return true
 			}
 			// No alternative plan: fall through to physical adaptation.
 		}
 		if !op.Splittable {
 			c.reject("scale-out", "operator cannot be split")
-			return c.tryReplan(id, "operator cannot be split")
+			return c.tryReplan(b, id, "operator cannot be split")
 		}
-		newSites, overhead, err := c.previewReassign(id)
+		newSites, overhead, err := c.previewReassign(b, id)
 		if err != nil {
 			// No placement at the current parallelism: scale out, and
 			// re-plan if even that fails (p′ > p_max or no slots).
 			c.reject("re-assign", "no placement found at current parallelism")
-			if c.scaleForNetwork(id, expectedIn) {
+			if c.scaleForNetwork(b, id) {
 				return true
 			}
-			return c.tryReplan(id, "scale-out infeasible")
+			return c.tryReplan(b, id, "scale-out infeasible")
 		}
 		if overhead > vclock.Time(tMax) {
 			// Migration too expensive: scale out to partition state; if
@@ -609,12 +608,12 @@ func (c *Controller) dispatch(now vclock.Time, id plan.OpID, cond metrics.Condit
 			// the over-budget migration is never an option — suspending
 			// the stage longer than t_max costs more than it fixes.
 			c.rejectOverhead(overhead)
-			if c.scaleForNetwork(id, expectedIn) {
+			if c.scaleForNetwork(b, id) {
 				return true
 			}
-			return c.tryReplan(id, "migration over t_max and p at p_max")
+			return c.tryReplan(b, id, "migration over t_max and p at p_max")
 		}
-		return c.tryReassign(id, newSites)
+		return c.tryReassign(b, id, newSites)
 	default:
 		return false
 	}

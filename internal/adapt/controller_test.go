@@ -106,7 +106,7 @@ func TestWASPScalesUpComputeBottleneck(t *testing.T) {
 	if !slices.Contains(actions, ActionScaleUp) {
 		t.Fatalf("no scale-up; actions = %v", actions)
 	}
-	if got := tb.eng.Parallelism(tb.ids[1]); got < 2 {
+	if got := tb.eng.Plan().Stage(tb.ids[1]).Parallelism(); got < 2 {
 		t.Fatalf("map parallelism = %d, want >= 2", got)
 	}
 	// After stabilizing, the map keeps up with the stream. Sample at a
@@ -180,7 +180,7 @@ func TestScaleOutWhenEveryLinkConstrained(t *testing.T) {
 	if !slices.Contains(actions, ActionScaleOut) {
 		t.Fatalf("no scale-out; actions = %v", actions)
 	}
-	if got := tb.eng.Parallelism(tb.ids[1]); got < 2 {
+	if got := tb.eng.Plan().Stage(tb.ids[1]).Parallelism(); got < 2 {
 		t.Fatalf("map parallelism = %d, want >= 2", got)
 	}
 	distinct := physical.DistinctSites(tb.eng.Plan().Stages[tb.ids[1]].Sites)
@@ -194,14 +194,14 @@ func TestScaleDownAfterLoadDrops(t *testing.T) {
 	// High load for 400 s (forces scale-up), then 10% load.
 	tb.eng.SetWorkloadFactor(trace.Steps(400*time.Second, 1, 0.1))
 	tb.run(t, 400*time.Second)
-	if got := tb.eng.Parallelism(tb.ids[1]); got < 2 {
+	if got := tb.eng.Plan().Stage(tb.ids[1]).Parallelism(); got < 2 {
 		t.Fatalf("setup failed: map parallelism = %d, want >= 2", got)
 	}
 	tb.run(t, 900*time.Second)
 	if !slices.Contains(tb.ctl.Actions(), ActionScaleDown) {
 		t.Fatalf("no scale-down; actions = %v", tb.ctl.Actions())
 	}
-	if got := tb.eng.Parallelism(tb.ids[1]); got != 1 {
+	if got := tb.eng.Plan().Stage(tb.ids[1]).Parallelism(); got != 1 {
 		t.Fatalf("map parallelism = %d, want 1 after scale-down", got)
 	}
 }
@@ -220,7 +220,7 @@ func TestMigrationStrategiesOrdering(t *testing.T) {
 	tb.run(t, 20*time.Second)
 	tb.net.SetLinkFactor(1, 2, trace.Constant(0.1)) // 16 Mbps = 2 MB/s
 
-	migs, bottleneck := tb.ctl.buildMigrations(tb.ids[1], sites(2, 3))
+	migs, bottleneck := tb.ctl.observe(nil).buildMigrations(tb.ids[1], sites(2, 3))
 	if len(migs) != 2 {
 		t.Fatalf("migrations = %v, want 2", migs)
 	}
@@ -240,7 +240,7 @@ func TestMigrationStrategiesOrdering(t *testing.T) {
 func TestBuildMigrationsScaleOutPartitionsState(t *testing.T) {
 	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP}, 1000, 1, 90e6)
 	// Scale out 1 → {1,2,3}: two new tasks each pull |state|/3 = 30 MB.
-	migs, _ := tb.ctl.buildMigrations(tb.ids[1], sites(1, 2, 3))
+	migs, _ := tb.ctl.observe(nil).buildMigrations(tb.ids[1], sites(1, 2, 3))
 	if len(migs) != 2 {
 		t.Fatalf("migrations = %v, want 2", migs)
 	}
@@ -289,19 +289,12 @@ func TestDiagnoseSendHeavySkipsUpstreamOp(t *testing.T) {
 	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyNone}, 10000, 1, 0)
 	tb.net.SetLinkFactor(1, 3, trace.Constant(0.01)) // map -> sink starves
 	tb.run(t, 200*time.Second)
-	snap := tb.eng.Sample()
-	in, _, err := metricsEstimate(tb, snap)
-	if err != nil {
-		t.Fatal(err)
+	b := tb.ctl.observe(tb.eng.Sample())
+	if b.estErr != nil {
+		t.Fatal(b.estErr)
 	}
-	cond := tb.ctl.diagnose(tb.ids[1], snap, in)
-	if cond == metrics.ComputeConstrained {
+	if cond := b.diagnose(tb.ids[1]); cond == metrics.ComputeConstrained {
 		t.Fatalf("send-blocked map misdiagnosed as compute-constrained (sendQ=%v)",
-			snap.Ops[tb.ids[1]].SendQueueLen)
+			b.snap.Op(tb.ids[1]).SendQueueLen)
 	}
-}
-
-func metricsEstimate(tb *testbed, snap *metrics.Snapshot) ([]float64, []float64, error) {
-	in, out, err := metrics.EstimateActual(tb.eng.Plan().Graph, snap)
-	return in, out, err
 }

@@ -112,9 +112,21 @@ func (rm *RecoveryManager) CheckpointRound(now vclock.Time) {
 		rm.sites = append(rm.sites[:0], pp.Stages[id].Sites...)
 		slices.Sort(rm.sites)
 		for _, site := range slices.Compact(rm.sites) {
-			if !rm.eng.SiteDown(site) {
-				rm.targets++
-				rm.checkpoint(id, site)
+			if rm.eng.SiteDown(site) {
+				continue
+			}
+			rm.targets++
+			// One copy at the site and one at its replica, sharing bytes.
+			ref := state.Ref{Job: rm.job, Operator: rm.opNames[id], Task: int(site), Epoch: rm.epoch, Site: site}
+			data, err := rm.eng.SnapshotGroup(id, site)
+			if err != nil {
+				rm.onCheckpointError(fmt.Errorf("checkpoint %s/%s/%d epoch %d: %w", ref.Job, ref.Operator, ref.Task, rm.epoch, err))
+				continue
+			}
+			rm.put(ref, data)
+			if r := rm.replicas[site]; r != site {
+				ref.Site = r
+				rm.put(ref, data)
 			}
 		}
 	}
@@ -123,22 +135,6 @@ func (rm *RecoveryManager) CheckpointRound(now vclock.Time) {
 			obs.I64("epoch", rm.epoch),
 			obs.Int("targets", rm.targets))
 		rm.obs.Registry().Counter("wasp_checkpoints_total").Inc()
-	}
-}
-
-// checkpoint snapshots one task group into the store at its site and at
-// the site's replica; both copies share the snapshot's bytes.
-func (rm *RecoveryManager) checkpoint(id plan.OpID, site topology.SiteID) {
-	ref := state.Ref{Job: rm.job, Operator: rm.opNames[id], Task: int(site), Epoch: rm.epoch, Site: site}
-	data, err := rm.eng.SnapshotGroup(id, site)
-	if err != nil {
-		rm.onCheckpointError(fmt.Errorf("checkpoint %s/%s/%d epoch %d: %w", ref.Job, ref.Operator, ref.Task, rm.epoch, err))
-		return
-	}
-	rm.put(ref, data)
-	if r := rm.replicas[site]; r != site {
-		ref.Site = r
-		rm.put(ref, data)
 	}
 }
 
@@ -209,43 +205,36 @@ func (c *Controller) AttachRecovery(rm *RecoveryManager) {
 // OnSiteCrash implements faults.Recoverer: immediate failure detection.
 // The engine has already torn the site down; this starts recovery.
 func (c *Controller) OnSiteCrash(site topology.SiteID) {
-	now := c.sched.Now()
-	if c.crashedAt == nil {
-		c.crashedAt = make(map[topology.SiteID]vclock.Time)
-	}
-	c.crashedAt[site] = now
+	b := c.observe(nil)
+	c.crashedAt[site] = b.now
 	c.obs.Emit("recovery.detected", obs.Int("site", int(site)))
-	c.RecoverDownSites()
+	c.recoverDownSites(b)
 }
 
-// RecoverDownSites walks every stage with tasks on a down site and runs the
+// recoverDownSites walks every stage with tasks on a down site and runs the
 // recovery ladder for it. Also called from Round as a backstop, so stages
 // that found no placement at crash time (degraded) retry once slots free
-// up, and crashes detected without an injector wire-up still recover.
-func (c *Controller) RecoverDownSites() {
-	down := c.eng.DownSites()
-	if len(down) == 0 {
+// up, and crashes detected without an injector wire-up still recover. It
+// reports whether any stage committed a new placement.
+func (c *Controller) recoverDownSites(b *belief) (committed bool) {
+	if len(b.down) == 0 {
 		for i := range c.ledger {
 			c.ledger[i].degraded = false
 		}
-		return
+		return false
 	}
 	if !c.policy.adapts() {
-		return // a policy without levers never re-places; the engine drops/stalls
+		return false // a policy without levers never re-places; the engine drops/stalls
 	}
-	downSet := make(map[topology.SiteID]bool, len(down))
-	for _, s := range down {
-		downSet[s] = true
-	}
-	pp := c.eng.Plan()
+	pp := b.plan
 	order, err := pp.Graph.TopoOrder()
 	if err != nil {
-		return
+		return false
 	}
 	for _, id := range order {
 		hit := 0
 		for _, s := range pp.Stages[id].Sites {
-			if downSet[s] {
+			if slices.Contains(b.down, s) {
 				hit++
 			}
 		}
@@ -253,13 +242,10 @@ func (c *Controller) RecoverDownSites() {
 			c.op(id).degraded = false
 			continue
 		}
-		if c.eng.Reconfiguring(id) {
+		if b.reconfiguring(id) || c.plane.CommandInFlight(id) {
 			continue // recovery (or another adaptation) already in flight
 		}
-		if c.plane.CommandInFlight(id) {
-			continue // an actuation command is still traveling the control plane
-		}
-		if until := c.opAt(id).nextTryAt; c.sched.Now() < until {
+		if until := c.opAt(id).nextTryAt; b.now < until {
 			// Aborted recovery attempts back off exponentially; the Round
 			// backstop re-enters here once the ledger clears. Cooldown does
 			// not apply — dead tasks outrank anti-flap.
@@ -268,8 +254,9 @@ func (c *Controller) RecoverDownSites() {
 				obs.Int("op", int(id)))
 			continue
 		}
-		c.recoverStage(id, hit, down, downSet)
+		committed = c.recoverStage(b, id, hit) || committed
 	}
+	return committed
 }
 
 // recoverStage runs the Figure-6-shaped recovery ladder for one stage with
@@ -278,14 +265,14 @@ func (c *Controller) RecoverDownSites() {
 // degrade only when nothing survives and nothing can be placed. Restored
 // state comes from the freshest checkpoint not stored on a down site, and
 // its transfer to the new site is paid through the network simulator.
-func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID, downSet map[topology.SiteID]bool) bool {
-	pp := c.eng.Plan()
+func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
+	pp := b.plan
 	st := pp.Stages[id]
 	op := pp.Graph.Operator(id)
 
 	var survivors, deadSites []topology.SiteID
 	for _, s := range st.Sites {
-		if downSet[s] {
+		if slices.Contains(b.down, s) {
 			deadSites = append(deadSites, s)
 		} else {
 			survivors = append(survivors, s)
@@ -294,13 +281,11 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 
 	c.beginDecision(id, "site-failure",
 		obs.Int("lost_tasks", lost),
-		obs.String("down_sites", fmt.Sprint(down)),
+		obs.String("down_sites", fmt.Sprint(b.down)),
 		obs.Int("survivors", len(survivors)))
 
 	if op.PinnedSite != plan.NoSite || op.Kind == plan.KindSource || op.Kind == plan.KindSink {
-		c.degradeStage(id, "pinned", "pinned to the failed site; only a site restart heals it")
-		c.endDecision(false)
-		return false
+		return c.degradeStage(id, "pinned", "pinned to the failed site; only a site restart heals it")
 	}
 
 	// A stage whose entire upstream sits on down sites has no input to
@@ -310,15 +295,13 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 		allDead := true
 		for _, u := range ups {
 			for _, s := range pp.Stages[u].Sites {
-				if !downSet[s] {
+				if !slices.Contains(b.down, s) {
 					allDead = false
 				}
 			}
 		}
 		if allDead {
-			c.degradeStage(id, "upstream-down", "all upstream tasks on failed sites; no input until restart")
-			c.endDecision(false)
-			return false
+			return c.degradeStage(id, "upstream-down", "all upstream tasks on failed sites; no input until restart")
 		}
 	}
 
@@ -327,10 +310,8 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	// picture of the region. Defer — the Round backstop re-enters this
 	// ladder every round and proceeds once the region is re-admitted.
 	if r, q := c.plane.QuarantinedRegionOf(physical.DistinctSites(st.Sites)); q {
-		c.degradeStage(id, "quarantine-deferred",
+		return c.degradeStage(id, "quarantine-deferred",
 			fmt.Sprintf("region %d quarantined; recovery deferred until re-admission", r))
-		c.endDecision(false)
-		return false
 	}
 
 	// Rung 1: replace the lost tasks on live sites — all of them if slots
@@ -339,7 +320,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	var newSites []topology.SiteID
 	placed := 0
 	for k := lost; k >= 1; k-- {
-		added, err := c.placeAdditional(id, k, len(survivors)+k, c.freeSlots())
+		added, err := c.placeTasks(b, id, k, float64(k)/float64(len(survivors)+k), b.free())
 		if err != nil {
 			c.reject("re-assign", fmt.Sprintf("no placement for %d replacement tasks: %v", k, err))
 			continue
@@ -353,9 +334,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 		if len(survivors) == 0 {
 			// Rung 3: nothing survives and nothing can be placed. Degrade
 			// until a site returns or slots free up (retried every Round).
-			c.degradeStage(id, "no-placement", "no surviving tasks and no feasible placement")
-			c.endDecision(false)
-			return false
+			return c.degradeStage(id, "no-placement", "no surviving tasks and no feasible placement")
 		}
 		c.reject("scale-out", "no slots for replacement tasks; shrinking to survivors")
 		newSites = append([]topology.SiteID(nil), survivors...)
@@ -371,7 +350,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	if c.recovery != nil && stateful(op) {
 		perTask := st.Op.StateBytes / float64(max(len(newSites), 1))
 		for _, ds := range physical.DistinctSites(deadSites) {
-			ref, data, ok := c.recovery.Latest(id, int(ds), down)
+			ref, data, ok := c.recovery.Latest(id, int(ds), b.down)
 			if !ok {
 				c.obs.Emit("recovery.no_checkpoint",
 					obs.Int("op", int(id)), obs.Int("dead_site", int(ds)))
@@ -379,7 +358,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 			}
 			blobs = append(blobs, data)
 			restoreFrom = append(restoreFrom, ref.Site)
-			dst, ok := c.pickReceiver(physical.DistinctSites(newSites), ref.Site)
+			dst, ok := b.links.pickReceiver(physical.DistinctSites(newSites), ref.Site)
 			if !ok {
 				continue
 			}
@@ -391,7 +370,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 		}
 	}
 
-	crashAt := c.sched.Now()
+	crashAt := b.now
 	for _, ds := range physical.DistinctSites(deadSites) {
 		if at, ok := c.crashedAt[ds]; ok && at < crashAt {
 			crashAt = at
@@ -419,7 +398,7 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	}
 	detail := fmt.Sprintf("lost %d task(s) at %v; new placement %v, %d checkpoint(s) from %v",
 		lost, physical.DistinctSites(deadSites), newSites, len(blobs), restoreFrom)
-	acted := c.commit(ActionRecover, "re-assign", id, newSites, migs, detail, onDone)
+	acted := c.commit(b, ActionRecover, "re-assign", id, newSites, migs, detail, onDone)
 	if acted {
 		c.op(id).degraded = false
 	}
@@ -427,18 +406,18 @@ func (c *Controller) recoverStage(id plan.OpID, lost int, down []topology.SiteID
 	return acted
 }
 
-// degradeStage records (once per outage) that a stage runs degraded: its
-// dead tasks stay dead until the ladder finds a placement or the site
-// restarts. rung classifies why: "pinned" (task cannot move),
-// "upstream-down" (nothing to process), or "no-placement" (genuinely no
-// feasible placement for live work).
-func (c *Controller) degradeStage(id plan.OpID, rung, reason string) {
+// degradeStage records (once per outage) that a stage runs degraded, and
+// closes the decision unacted: its dead tasks stay dead until the ladder
+// finds a placement or the site restarts. rung classifies why: "pinned"
+// (task cannot move), "upstream-down" (nothing to process), or
+// "no-placement" (genuinely no feasible placement for live work).
+func (c *Controller) degradeStage(id plan.OpID, rung, reason string) bool {
 	c.reject("re-assign", reason)
-	o := c.op(id)
-	if o.degraded {
-		return
+	if o := c.op(id); !o.degraded {
+		o.degraded = true
+		c.obs.Emit("recovery.degraded",
+			obs.Int("op", int(id)), obs.String("rung", rung), obs.String("reason", reason))
 	}
-	o.degraded = true
-	c.obs.Emit("recovery.degraded",
-		obs.Int("op", int(id)), obs.String("rung", rung), obs.String("reason", reason))
+	c.endDecision(false)
+	return false
 }

@@ -204,18 +204,20 @@ func TestCheckpointSnapshotErrorSkipsTarget(t *testing.T) {
 	tb.run(t, 30*time.Second)
 	rm.CheckpointRound(tb.sched.Now())
 
-	// A round of two targets: the aggregate has no group at site 2, and
-	// its group at site 1 follows.
-	rm.epoch++
-	rm.checkpoint(agg, 2)
-	rm.checkpoint(agg, 1)
+	// A round of two targets: the plan names a site 0 where the aggregate
+	// has no group, and its group at site 1 follows.
+	st := tb.eng.Plan().Stages[agg]
+	deployed := st.Sites
+	st.Sites = []topology.SiteID{0, 1}
+	rm.CheckpointRound(tb.sched.Now())
+	st.Sites = deployed
 
 	errs := tb.ctl.obs.Events("checkpoint.error")
-	want := "checkpoint q/op1/2 epoch 2: engine: no group for op 1 at site 2"
+	want := "checkpoint q/op1/0 epoch 2: engine: no group for op 1 at site 0"
 	if len(errs) != 1 || errs[0].Get("error").Str() != want {
 		t.Fatalf("checkpoint.error events = %v; want one with %q", errs, want)
 	}
-	if ref, _, ok := rm.store.LatestExcluding("q", opName(agg), 2); ok {
+	if ref, _, ok := rm.store.LatestExcluding("q", opName(agg), 0); ok {
 		t.Fatalf("the failed snapshot stored %+v", ref)
 	}
 	for _, site := range []topology.SiteID{1, 0} {

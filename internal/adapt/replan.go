@@ -21,7 +21,7 @@ const wholePlan plan.OpID = -1
 // (and queued backlog) of surviving operators carries over. It reports
 // whether a plan switch was initiated. id is the bottleneck that triggered
 // it, or wholePlan.
-func (c *Controller) tryReplan(id plan.OpID, reason string) bool {
+func (c *Controller) tryReplan(b *belief, id plan.OpID, reason string) bool {
 	if c.replan == nil || c.replan.Spec == nil || c.replan.Current == nil {
 		c.reject("re-plan", "no re-plan spec (no re-orderable combine group)")
 		return false
@@ -46,7 +46,7 @@ func (c *Controller) tryReplan(id plan.OpID, reason string) bool {
 		cur := c.replan.Current
 		admit = func(v *plan.Variant) bool { return v.AdmissibleFrom(cur) }
 	}
-	cfg := physical.PlannerConfig{ScheduleConfig: c.scheduleConfig()}
+	cfg := physical.PlannerConfig{ScheduleConfig: c.scheduleConfig(b)}
 	best, _, err := c.planSession.Plan(c.top, cfg, admit)
 	if err != nil {
 		c.reject("re-plan", "planner: "+err.Error())

@@ -80,7 +80,7 @@ func TestTryReplanSwitchesToBetterVariant(t *testing.T) {
 	tb.run(t, 30*time.Second)
 	tb.ctl.lastRateFactor = 1
 
-	if !tb.ctl.tryReplan(0, "test") {
+	if !tb.ctl.tryReplan(tb.ctl.observe(nil), 0, "test") {
 		t.Fatal("tryReplan refused to switch off the worst candidate")
 	}
 	if !slices.Contains(tb.ctl.Actions(), ActionReplan) {
@@ -113,13 +113,13 @@ func TestTryReplanNoOpWhenAlreadyBest(t *testing.T) {
 	tb.run(t, 30*time.Second)
 	tb.ctl.lastRateFactor = 1
 	// Switch once to the best plan...
-	if !tb.ctl.tryReplan(0, "first") {
+	if !tb.ctl.tryReplan(tb.ctl.observe(nil), 0, "first") {
 		t.Fatal("first re-plan refused")
 	}
 	tb.run(t, 150*time.Second)
 	// ...then a second attempt must be a no-op (already running the best
 	// schedulable variant).
-	if tb.ctl.tryReplan(0, "second") {
+	if tb.ctl.tryReplan(tb.ctl.observe(nil), 0, "second") {
 		t.Fatalf("re-planned away from the best variant %v", rs.Current.Tree)
 	}
 }
@@ -206,7 +206,7 @@ func TestSameTree(t *testing.T) {
 func TestPolicyWASPReplansUnsplittableOperator(t *testing.T) {
 	// A network-bound operator that cannot be split must route to
 	// re-planning under the full policy (Fig 6). Build the combine bed
-	// with an unsplittable template and verify act() chooses re-plan.
+	// with an unsplittable template and verify dispatch chooses re-plan.
 	tb, rs, _ := replanBed(t, PolicyWASP)
 	// Mark every deployed combine node unsplittable.
 	for _, id := range tb.eng.Plan().Graph.OperatorIDs() {
@@ -220,7 +220,8 @@ func TestPolicyWASPReplansUnsplittableOperator(t *testing.T) {
 	tb.ctl.lastRateFactor = 1
 
 	ups := tb.eng.Plan().Graph.Upstream(rs.Spec.Output)
-	acted := tb.ctl.act(tb.sched.Now(), ups[0], metrics.NetworkConstrained, nil, make([]float64, tb.eng.Plan().Graph.IDBound()))
+	b := tb.ctl.observe(nil)
+	acted := tb.ctl.dispatch(b, ups[0], metrics.NetworkConstrained, b.plan.Graph.Operator(ups[0]))
 	if !acted {
 		t.Fatal("unsplittable network-bound op: no action")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
@@ -54,21 +55,21 @@ const (
 // superviseInFlight aborts doomed and stalled in-flight adaptations and
 // advances their retry ledgers. Runs at the top of every Round, before
 // recovery and diagnosis (both of which skip reconfiguring operators and
-// would otherwise wait on a transfer that can never finish).
-func (c *Controller) superviseInFlight(now vclock.Time) {
+// would otherwise wait on a transfer that can never finish). It reports
+// whether it aborted a change the belief still shows.
+func (c *Controller) superviseInFlight(b *belief) (aborted bool) {
 	// Command-channel supervision first: a command the plane just gave up
 	// on frees its operator for this round's recovery or diagnosis pass,
 	// and joins the abort/retry ledger engine-side aborts use, so backoff
 	// and rollback semantics are shared.
-	for _, ab := range c.plane.Supervise(now) {
+	for _, ab := range c.plane.Supervise(b.now) {
 		reason := "command lost in the control plane before reaching its target"
 		if ab.Applied {
 			reason = "command applied but its ack never returned"
 		}
-		c.noteAborted(ab.Op, "command-timeout", reason, now)
+		c.noteAborted(ab.Op, "command-timeout", reason, b.now)
 	}
-	stall := vclock.Time(stallAfter)
-	for _, st := range c.eng.ReconfigStatuses(stall) {
+	for _, st := range b.reconfigs {
 		if !st.Doomed && !st.Stalled {
 			continue
 		}
@@ -79,10 +80,12 @@ func (c *Controller) superviseInFlight(now vclock.Time) {
 		if err := c.eng.AbortReconfigure(st.Op); err != nil {
 			continue // finalized between the survey and the abort
 		}
-		c.noteAborted(st.Op, verdict, st.Reason, now)
+		aborted = true
+		c.noteAborted(st.Op, verdict, st.Reason, b.now)
 	}
-	if c.eng.Replanning() && c.eng.ReplanStalled(stall) {
+	if b.replanStalled {
 		if err := c.eng.AbortReplan(); err == nil {
+			aborted = true
 			c.obs.Emit("adapt.abort",
 				obs.String("what", "re-plan"),
 				obs.String("verdict", "stalled"),
@@ -90,6 +93,7 @@ func (c *Controller) superviseInFlight(now vclock.Time) {
 			c.obs.Registry().Counter("wasp_adapt_aborts_total", "what", "re-plan").Inc()
 		}
 	}
+	return aborted
 }
 
 // noteAborted records one aborted reconfiguration against the operator's
@@ -129,45 +133,55 @@ func (c *Controller) noteAborted(id plan.OpID, verdict, reason string, now vcloc
 // completed action's cooldown has not passed, or the control plane cannot
 // vouch for its sites (ctrlGated). Crash recovery is exempt from the
 // cooldown (dead tasks outrank anti-flap) but still honours the backoff.
-func (c *Controller) heldDown(id plan.OpID, now vclock.Time) (branch, reason string, held bool) {
+func (c *Controller) heldDown(b *belief, id plan.OpID) (branch, reason string, held bool) {
 	o := c.opAt(id)
-	if now < o.nextTryAt {
+	if b.now < o.nextTryAt {
 		return "retry-backoff", fmt.Sprintf("backing off until %v after aborted attempts", time.Duration(o.nextTryAt)), true
 	}
-	if o.completed && now < o.cooldownUntil {
+	if o.completed && b.now < o.cooldownUntil {
 		return "cooldown", fmt.Sprintf("action cooldown until %v", time.Duration(o.cooldownUntil)), true
 	}
-	return c.ctrlGated(id, now)
+	return c.ctrlGated(b, id)
 }
 
-// reconfigure routes a committed placement change through the engine
-// while stamping the hysteresis bookkeeping at completion:
-// the cooldown expiry, the placement the action replaced (for the
-// reversal guard), the round it landed, and a cleared retry ledger.
-//
-// The actuation is a command to the new placement's coordination site.
-// A local plane applies it inline and returns the engine's error; on a
-// WAN plane nil only means "launched" — application happens at delivery
-// (if ever), and the ack timeout path feeds noteAborted.
-func (c *Controller) reconfigure(id plan.OpID, newSites []topology.SiteID, migs []engine.Migration, onDone func(now vclock.Time)) error {
-	oldSites := append([]topology.SiteID(nil), c.eng.Plan().Stages[id].Sites...)
-	wrapped := func(doneAt vclock.Time) {
+// ctrlGated is the control-plane half of heldDown: visibility forbids
+// acting on the operator this round when its region is quarantined, or
+// the evidence about any of its sites is older than the staleness bound.
+// Both are recorded as obs reject branches so the decision trail shows
+// *why* the controller sat on its hands.
+func (c *Controller) ctrlGated(b *belief, id plan.OpID) (branch, reason string, gated bool) {
+	sites := physical.DistinctSites(b.plan.Stages[id].Sites)
+	if r, q := c.plane.QuarantinedRegionOf(sites); q {
+		return "quarantine",
+			fmt.Sprintf("region %d quarantined: no adaptation on its operators until re-admission", r), true
+	}
+	if age := c.plane.StalestOf(sites, b.now); age > ctrlplane.MaxStaleness {
+		return "stale-telemetry",
+			fmt.Sprintf("stalest site evidence is %v old, over the %v staleness bound", age, ctrlplane.MaxStaleness), true
+	}
+	return "", "", false
+}
+
+// commit is the controller's one way to move an operator, whatever the
+// reason — re-assignment, scaling in either direction, or crash recovery.
+// It sends the new placement and its state transfers as a command to the
+// placement's coordination site, then logs the action or rejects the
+// branch with the engine's reason. A local plane applies the command
+// inline; on a WAN plane success only means "launched" — application
+// happens at delivery (if ever), and the ack timeout feeds noteAborted.
+// Completion stamps the hysteresis bookkeeping (noteCompleted) with the
+// placement the action replaced.
+func (c *Controller) commit(b *belief, kind ActionKind, branch string, id plan.OpID, newSites []topology.SiteID, migs []engine.Migration, detail string, onDone func(now vclock.Time)) bool {
+	oldSites := append([]topology.SiteID(nil), b.plan.Stages[id].Sites...)
+	done := func(doneAt vclock.Time) {
 		c.noteCompleted(id, oldSites, doneAt)
 		if onDone != nil {
 			onDone(doneAt)
 		}
 	}
-	return c.plane.SendCommand(id, "reconfigure", physical.DistinctSites(newSites), func() error {
-		return c.eng.Reconfigure(id, newSites, migs, wrapped)
-	})
-}
-
-// commit is the controller's one way to move an operator, whatever the
-// reason — re-assignment, scaling in either direction, or crash recovery:
-// it hands the new placement and its state transfers to reconfigure and
-// either logs the action or rejects the branch with the engine's reason.
-func (c *Controller) commit(kind ActionKind, branch string, id plan.OpID, newSites []topology.SiteID, migs []engine.Migration, detail string, onDone func(now vclock.Time)) bool {
-	if err := c.reconfigure(id, newSites, migs, onDone); err != nil {
+	if err := c.plane.SendCommand(id, "reconfigure", physical.DistinctSites(newSites), func() error {
+		return c.eng.Reconfigure(id, newSites, migs, done)
+	}); err != nil {
 		c.reject(branch, "engine: "+err.Error())
 		return false
 	}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/obs"
+	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -32,9 +33,9 @@ func TestDoomedReconfigurationAbortsAndStageResumes(t *testing.T) {
 	tb.run(t, 50*time.Second)
 
 	// Move the stateful map 1→2: 60 MB over 20 MB/s ≈ 3 s mid-flight.
-	if err := tb.ctl.reconfigure(tb.ids[1], sites(2),
-		[]engine.Migration{{FromSite: 1, ToSite: 2, Bytes: 60e6}}, nil); err != nil {
-		t.Fatal(err)
+	if !tb.ctl.commit(tb.ctl.observe(nil), ActionReassign, "re-assign", tb.ids[1], sites(2),
+		[]engine.Migration{{FromSite: 1, ToSite: 2, Bytes: 60e6}}, "test", nil) {
+		t.Fatal("commit refused the move")
 	}
 	tb.run(t, 51*time.Second) // mid-transfer
 	if !tb.eng.Reconfiguring(tb.ids[1]) {
@@ -108,6 +109,14 @@ func TestStalledReplanAborts(t *testing.T) {
 	}
 }
 
+// heldDownAt asks heldDown about an operator with the belief's clock at
+// the given time.
+func heldDownAt(tb *testbed, id plan.OpID, at vclock.Time) (branch, reason string, held bool) {
+	b := tb.ctl.observe(nil)
+	b.now = at
+	return tb.ctl.heldDown(b, id)
+}
+
 func TestRetryBackoffEscalatesToRollback(t *testing.T) {
 	tb := newTestbed(t, engine.Config{}, Config{Policy: PolicyWASP}, 1000, 1, 0)
 	mp := tb.ids[1]
@@ -117,22 +126,22 @@ func TestRetryBackoffEscalatesToRollback(t *testing.T) {
 	// retryBudget 3, retryBackoff 20 s: the first abort retries
 	// immediately, later ones back off exponentially, the fourth rolls back.
 	tb.ctl.noteAborted(mp, "doomed", "test", now)
-	if _, _, held := tb.ctl.heldDown(mp, now); held {
+	if _, _, held := heldDownAt(tb, mp, now); held {
 		t.Fatal("first abort must retry immediately")
 	}
 	tb.ctl.noteAborted(mp, "doomed", "test", now)
-	branch, reason, held := tb.ctl.heldDown(mp, now)
+	branch, reason, held := heldDownAt(tb, mp, now)
 	if !held || branch != "retry-backoff" {
 		t.Fatalf("second abort heldDown = (%q, %q, %v), want retry-backoff", branch, reason, held)
 	}
-	if _, _, held := tb.ctl.heldDown(mp, now+vclock.Time(19*time.Second)); !held {
+	if _, _, held := heldDownAt(tb, mp, now+vclock.Time(19*time.Second)); !held {
 		t.Fatal("backoff cleared before the base period")
 	}
-	if _, _, held := tb.ctl.heldDown(mp, now+vclock.Time(20*time.Second)); held {
+	if _, _, held := heldDownAt(tb, mp, now+vclock.Time(20*time.Second)); held {
 		t.Fatal("second abort backed off longer than retryBackoff")
 	}
 	tb.ctl.noteAborted(mp, "stalled", "test", now)
-	if _, _, held := tb.ctl.heldDown(mp, now+vclock.Time(39*time.Second)); !held {
+	if _, _, held := heldDownAt(tb, mp, now+vclock.Time(39*time.Second)); !held {
 		t.Fatal("third abort did not double the backoff")
 	}
 	if len(o.Events("adapt.rollback")) != 0 {
@@ -161,15 +170,15 @@ func TestCooldownHoldsAfterCompletedAction(t *testing.T) {
 	tb.ctl.noteCompleted(mp, sites(1), done)
 
 	// Default ActionCooldown 10 s.
-	branch, _, held := tb.ctl.heldDown(mp, done+vclock.Time(5*time.Second))
+	branch, _, held := heldDownAt(tb, mp, done+vclock.Time(5*time.Second))
 	if !held || branch != "cooldown" {
 		t.Fatalf("heldDown inside cooldown = (%q, %v), want cooldown", branch, held)
 	}
-	if _, _, held := tb.ctl.heldDown(mp, done+vclock.Time(10*time.Second)); held {
+	if _, _, held := heldDownAt(tb, mp, done+vclock.Time(10*time.Second)); held {
 		t.Fatal("cooldown persisted past its expiry")
 	}
 	// Other operators are unaffected.
-	if _, _, held := tb.ctl.heldDown(tb.ids[0], done+1); held {
+	if _, _, held := heldDownAt(tb, tb.ids[0], done+1); held {
 		t.Fatal("cooldown leaked to another operator")
 	}
 }

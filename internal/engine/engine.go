@@ -34,18 +34,13 @@ type Config struct {
 	// operator with CostPerEvent 1 (default 25000).
 	SlotRate float64
 	// DropLate enables the Degrade baseline: events whose accumulated
-	// delay exceeds SLO are dropped instead of processed.
+	// delay exceeds dropLateSLO are dropped instead of processed.
 	DropLate bool
-	// SLO is the Degrade latency objective (default 10 s, §8.4).
-	SLO time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.SlotRate == 0 {
 		c.SlotRate = 25000
-	}
-	if c.SLO == 0 {
-		c.SLO = 10 * time.Second
 	}
 	return c
 }
@@ -58,6 +53,8 @@ const (
 	// the consumer's capacity; full queues throttle upstream senders and
 	// producers.
 	backpressureSec = 4
+	// dropLateSLO is the Degrade baseline's latency objective (§8.4).
+	dropLateSLO = 10 * time.Second
 )
 
 // groupKey identifies a task group: all tasks of one operator at one site.
@@ -679,7 +676,7 @@ func (e *Engine) processGroup(g *group, now vclock.Time, dtSec float64, failed b
 	if e.cfg.DropLate {
 		for {
 			born, ok := g.inQ.oldestBorn()
-			if !ok || now-born <= vclock.Time(e.cfg.SLO) {
+			if !ok || now-born <= vclock.Time(dropLateSLO) {
 				break
 			}
 			if !g.inQ.items[g.inQ.head].raw {

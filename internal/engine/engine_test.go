@@ -208,7 +208,7 @@ func TestComputeBottleneck(t *testing.T) {
 }
 
 func TestDegradeBoundsDelayByDroppingEvents(t *testing.T) {
-	r := pipelineRig(t, Config{DropLate: true, SLO: 10 * time.Second}, 8, 40000)
+	r := pipelineRig(t, Config{DropLate: true}, 8, 40000)
 	r.run(t, 300*time.Second)
 	ds := r.eng.TakeDeliveries()
 	late := meanDelayAfter(ds[len(ds)*3/4:], 0)
@@ -326,7 +326,7 @@ func TestReconfigureScaleOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.run(t, 20*time.Second)
-	if got := r.eng.Parallelism(r.ids[1]); got != 2 {
+	if got := r.eng.Plan().Stage(r.ids[1]).Parallelism(); got != 2 {
 		t.Fatalf("parallelism = %d, want 2", got)
 	}
 	// Both sites now receive half the stream each.

@@ -45,7 +45,7 @@ func aggPipeline(t *testing.T, linkMbps topology.Mbps, dropLate bool) *aggRig {
 	top := threeSites(t, linkMbps)
 	net := netsim.New(top)
 	sched := vclock.NewScheduler(nil)
-	eng := New(Config{DropLate: dropLate, SLO: 10 * time.Second}, top, net, sched)
+	eng := New(Config{DropLate: dropLate}, top, net, sched)
 	pp, err := physical.FromLogical(g)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestScaleOutKeepsExistingTasksRunning(t *testing.T) {
 	if r.eng.Reconfiguring(r.agg) {
 		t.Fatal("reconfiguration never completed")
 	}
-	if got := r.eng.Parallelism(r.agg); got != 2 {
+	if got := r.eng.Plan().Stage(r.agg).Parallelism(); got != 2 {
 		t.Fatalf("parallelism = %d", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/obs"
-	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 )
 
@@ -132,11 +131,6 @@ func (e *Engine) Goodput() (generated, processed, dropped float64) {
 		processed = 0
 	}
 	return e.totalGenerated, processed, e.droppedSrcEquiv
-}
-
-// Parallelism returns the current parallelism of an operator.
-func (e *Engine) Parallelism(op plan.OpID) int {
-	return e.plan.Stage(op).Parallelism()
 }
 
 // FreeSlots reports slots still available per site. Crashed sites offer

@@ -22,7 +22,6 @@ func EngineConfig(policy adapt.Policy) engine.Config {
 	return engine.Config{
 		SlotRate: ExperimentSlotRate,
 		DropLate: policy == adapt.PolicyDegrade,
-		SLO:      10 * time.Second,
 	}
 }
 

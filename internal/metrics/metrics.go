@@ -52,8 +52,19 @@ func (s OperatorSample) Selectivity(fallback float64) float64 {
 
 // Snapshot is one monitoring round across all operators of a job.
 type Snapshot struct {
-	At  vclock.Time
-	Ops map[plan.OpID]OperatorSample
+	At vclock.Time
+	// Ops is indexed by OpID and ends after the highest operator a report
+	// named; read it through Op.
+	Ops []OperatorSample
+}
+
+// Op returns the operator's sample: the zero sample for an operator no
+// report named, past the end of Ops included.
+func (s *Snapshot) Op(id plan.OpID) OperatorSample {
+	if id < 0 || int(id) >= len(s.Ops) {
+		return OperatorSample{}
+	}
+	return s.Ops[id]
 }
 
 // Condition classifies an operator's execution health (§3.2).
@@ -124,7 +135,7 @@ func EstimateActual(g *plan.Graph, snap *Snapshot) (inRate, outRate []float64, e
 	outRate = make([]float64, g.IDBound())
 	for _, id := range order {
 		op := g.Operator(id)
-		sample := snap.Ops[id]
+		sample := snap.Op(id)
 		var in float64
 		if op.Kind == plan.KindSource {
 			in = sample.SourceRate

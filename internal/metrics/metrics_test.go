@@ -128,10 +128,9 @@ func TestEstimateActualSeesThroughBackpressure(t *testing.T) {
 	// Observed rates are suppressed by backpressure: the filter only
 	// processed 400 ev/s with measured σ=0.3, but the source actually
 	// generates 2000 ev/s.
-	snap := &Snapshot{Ops: map[plan.OpID]OperatorSample{
-		ids[0]: {SourceRate: 2000, OutputRate: 400},
-		ids[1]: {ProcessingRate: 400, OutputRate: 120, ArrivalRate: 400},
-	}}
+	snap := &Snapshot{Ops: make([]OperatorSample, g.IDBound())}
+	snap.Ops[ids[0]] = OperatorSample{SourceRate: 2000, OutputRate: 400}
+	snap.Ops[ids[1]] = OperatorSample{ProcessingRate: 400, OutputRate: 120, ArrivalRate: 400}
 	in, out, err := EstimateActual(g, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -150,10 +149,10 @@ func TestEstimateActualSeesThroughBackpressure(t *testing.T) {
 
 func TestEstimateActualFallsBackToModelSelectivity(t *testing.T) {
 	g, ids := chain(t)
-	snap := &Snapshot{Ops: map[plan.OpID]OperatorSample{
-		ids[0]: {SourceRate: 1000},
-		// filter has no sample (idle): model σ=0.5 applies.
-	}}
+	// The filter has no sample (idle, and past the end of Ops): model
+	// σ=0.5 applies.
+	snap := &Snapshot{Ops: make([]OperatorSample, ids[0]+1)}
+	snap.Ops[ids[0]] = OperatorSample{SourceRate: 1000}
 	_, out, err := EstimateActual(g, snap)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/plan"
@@ -53,7 +54,7 @@ type siteHistory struct {
 // per-operator rates from cumulative-counter deltas between them.
 type ReportMerger struct {
 	sites []siteHistory
-	ops   int // operators in the last snapshot: the next one's size hint
+	ops   int // the last snapshot's length: the next one's size hint
 }
 
 // NewReportMerger returns an empty merger: every site starts unheard-from.
@@ -99,7 +100,7 @@ func (m *ReportMerger) Age(site topology.SiteID, now vclock.Time) (time.Duration
 // run start for a site's first report). An operator the previous report
 // lacks, or reported under another incarnation, counts from zero.
 func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
-	snap := &Snapshot{At: now, Ops: make(map[plan.OpID]OperatorSample, m.ops)}
+	snap := &Snapshot{At: now, Ops: make([]OperatorSample, 0, m.ops)}
 	for i := range m.sites {
 		h := &m.sites[i]
 		if len(h.last.Ops) == 0 {
@@ -121,7 +122,11 @@ func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
 			if j < len(prev) && prev[j].Op == oc.Op && prev[j].Incarnation == oc.Incarnation {
 				base = prev[j]
 			}
-			s := snap.Ops[oc.Op]
+			if n := int(oc.Op) + 1; n > len(snap.Ops) {
+				// Past the old length the backing array is still zero.
+				snap.Ops = slices.Grow(snap.Ops, n-len(snap.Ops))[:n]
+			}
+			s := &snap.Ops[oc.Op]
 			if interval > 0 {
 				s.ArrivalRate += (oc.Arrived - base.Arrived) / interval
 				s.ProcessingRate += (oc.Processed - base.Processed) / interval
@@ -132,7 +137,6 @@ func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
 			s.SendQueueLen += oc.SendQueueLen
 			s.Tasks += oc.Tasks
 			s.Backpressure = s.Backpressure || oc.Backpressure
-			snap.Ops[oc.Op] = s
 		}
 	}
 	m.ops = len(snap.Ops)

@@ -58,10 +58,10 @@ func TestMergerEmptyFirstReport(t *testing.T) {
 		{Op: plan.OpID(1), Arrived: 400, Processed: 400, Tasks: 2},
 	}})
 	snap = m.Snapshot(secs(30))
-	s, ok := snap.Ops[plan.OpID(1)]
-	if !ok {
-		t.Fatal("op 1 missing from snapshot after real report")
+	if len(snap.Ops) != 2 {
+		t.Fatalf("snapshot has %d operator slots after a report naming op 1; want 2", len(snap.Ops))
 	}
+	s := snap.Op(1)
 	// 400 events over the 20s heartbeat→report window.
 	if s.ArrivalRate != 20 {
 		t.Errorf("ArrivalRate = %v; want 20", s.ArrivalRate)
@@ -186,8 +186,15 @@ func (m *refMerger) Age(site topology.SiteID, now vclock.Time) (time.Duration, b
 	return time.Duration(now - h.last.At), true
 }
 
-func (m *refMerger) Snapshot(now vclock.Time) *Snapshot {
-	snap := &Snapshot{At: now, Ops: make(map[plan.OpID]OperatorSample)}
+// refSnapshot is the reference's snapshot: a sample per reported
+// operator, in a map keyed by OpID.
+type refSnapshot struct {
+	At  vclock.Time
+	Ops map[plan.OpID]OperatorSample
+}
+
+func (m *refMerger) Snapshot(now vclock.Time) *refSnapshot {
+	snap := &refSnapshot{At: now, Ops: make(map[plan.OpID]OperatorSample)}
 	for _, site := range detutil.SortedKeys(m.sites) {
 		h := m.sites[site]
 		interval := h.last.At.Seconds()
@@ -218,6 +225,25 @@ func (m *refMerger) Snapshot(now vclock.Time) *Snapshot {
 		}
 	}
 	return snap
+}
+
+// sameSnapshot reports whether the dense snapshot holds exactly the
+// reference's samples: each reported operator's at its id, the zero sample
+// at every other id, and no slot past the highest reported id.
+func sameSnapshot(got *Snapshot, want *refSnapshot) bool {
+	if got.At != want.At {
+		return false
+	}
+	ids := detutil.SortedKeys(want.Ops)
+	if n := len(ids); n > 0 && len(got.Ops) != int(ids[n-1])+1 || n == 0 && len(got.Ops) != 0 {
+		return false
+	}
+	for id := range got.Ops {
+		if got.Op(plan.OpID(id)) != want.Ops[plan.OpID(id)] {
+			return false
+		}
+	}
+	return true
 }
 
 // reportsFromBytes decodes a fuzz input into a report sequence. Each
@@ -278,7 +304,7 @@ func FuzzMergerMatchesReference(f *testing.F) {
 			got.Absorb(rep)
 			want.Absorb(rep)
 			now = max(now, rep.At) + vclock.Time(time.Second)
-			if g, w := got.Snapshot(now), want.Snapshot(now); !reflect.DeepEqual(g, w) {
+			if g, w := got.Snapshot(now), want.Snapshot(now); !sameSnapshot(g, w) {
 				t.Fatalf("after report %d: snapshot\n got %+v\nwant %+v", i, g, w)
 			}
 			for s := topology.SiteID(-1); s <= 64; s++ {
