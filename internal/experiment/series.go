@@ -8,7 +8,7 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -36,7 +36,17 @@ func Percentile(samples []WeightedDelay, p float64) float64 {
 	}
 	sorted := make([]WeightedDelay, len(samples))
 	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Delay < sorted[j].Delay })
+	slices.SortFunc(sorted, func(a, b WeightedDelay) int {
+		// The strict less-than of the sort.Slice this replaced: NaNs and
+		// ties land where they did.
+		switch {
+		case a.Delay < b.Delay:
+			return -1
+		case b.Delay < a.Delay:
+			return 1
+		}
+		return 0
+	})
 	var total float64
 	for _, s := range sorted {
 		total += s.Weight

@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +33,40 @@ func TestPercentile(t *testing.T) {
 	weighted := []WeightedDelay{wd(0, 1, 10), wd(0, 100, 1)}
 	if got := Percentile(weighted, 0.5); got != 1 {
 		t.Fatalf("weighted p50 = %v, want 1", got)
+	}
+}
+
+// TestPercentileOrdersAsSortSlice holds Percentile's sort to the
+// sort.Slice it replaced, on tie-heavy delays with NaNs and weights whose
+// float sum depends on the order: both sorts are the same pdqsort driven
+// by the same strict less-than, so they must agree bit for bit.
+func TestPercentileOrdersAsSortSlice(t *testing.T) {
+	ref := func(samples []WeightedDelay, p float64) float64 {
+		sorted := slices.Clone(samples)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Delay < sorted[j].Delay })
+		var total, cum float64
+		for _, s := range sorted {
+			total += s.Weight
+		}
+		for _, s := range sorted {
+			if cum += s.Weight; cum >= p*total {
+				return s.Delay
+			}
+		}
+		return sorted[len(sorted)-1].Delay
+	}
+	delays := []float64{math.NaN(), 0, 1, 1, 2, 3, math.Inf(1), -1}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		samples := make([]WeightedDelay, 1+rng.Intn(80))
+		for i := range samples {
+			samples[i] = wd(0, delays[rng.Intn(len(delays))], rng.Float64()*math.Pow(10, float64(rng.Intn(12))))
+		}
+		for _, p := range []float64{0, 0.1, 0.5, 0.9, 0.95, 0.99, 1} {
+			if got, want := Percentile(samples, p), ref(samples, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d p%v: Percentile %v, sort.Slice order %v", trial, p, got, want)
+			}
+		}
 	}
 }
 

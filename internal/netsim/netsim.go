@@ -160,6 +160,12 @@ type Network struct {
 	// SetLinkFactor installed them: the only links Step checks for
 	// trace-driven capacity movement.
 	traced []*linkState
+	// tracedAt is the step start at which Step last read every traced
+	// cursor, and tracedNext the earliest end of the pieces those reads
+	// landed in. No traced factor moves for a start in [tracedAt,
+	// tracedNext), so Step skips the traced links there. SetLinkFactor
+	// resets tracedNext so that the next Step reads them again.
+	tracedAt, tracedNext vclock.Time
 	// transferList holds the in-flight transfers ascending by id — the
 	// deterministic progression order — without re-sorting map keys.
 	transferList []*Transfer
@@ -294,6 +300,7 @@ func (n *Network) SetLinkFactor(from, to topology.SiteID, tr *trace.Trace) {
 		n.traced = slices.DeleteFunc(n.traced, func(t *linkState) bool { return t == l })
 	}
 	l.factor = trace.NewCursor(tr)
+	n.tracedNext = math.MinInt64
 	n.markDirty(l)
 }
 
@@ -521,7 +528,10 @@ type claimant struct {
 // last solved with, or the global bandwidth factor moved (all active
 // links). Skipping the rest is exact, not approximate: the allocation is a
 // pure function of capacity, demands, and claimant order, so unchanged
-// inputs reproduce the stored outputs bit-for-bit.
+// inputs reproduce the stored outputs bit-for-bit. The traced links are
+// read only when the step start leaves the trace pieces their last read
+// landed in: no factor moves inside a piece, and a link that gains a
+// claimant meanwhile is already dirty.
 //
 //waspvet:hotpath
 func (n *Network) Step(now vclock.Time, dt time.Duration) {
@@ -535,7 +545,8 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 	// Capacity-driven invalidation. The global factor applies to every
 	// link; a per-link trace moves one link's capacity, so a traced link
 	// with claimants re-solves when its factor left the value it was last
-	// solved with.
+	// solved with. Every traced cursor is read, loaded or not, so that
+	// tracedNext bounds them all.
 	g := n.globalFactor.At(start)
 	if !n.globalInit || g != n.globalLast {
 		n.globalInit = true
@@ -546,9 +557,14 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 			}
 		}
 	}
-	for _, l := range n.traced {
-		if l.claimantCount() > 0 && l.factor.At(start) != l.solvedFactor {
-			n.markDirty(l)
+	if start < n.tracedAt || start >= n.tracedNext {
+		n.tracedAt, n.tracedNext = start, math.MaxInt64
+		for _, l := range n.traced {
+			f := l.factor.At(start)
+			n.tracedNext = min(n.tracedNext, l.factor.Until())
+			if l.claimantCount() > 0 && f != l.solvedFactor {
+				n.markDirty(l)
+			}
 		}
 	}
 	// Transfers demand remaining/dt: the demand changes as they progress

@@ -124,6 +124,22 @@ func TestTracedLinkResolvedOnlyWhenFactorMoves(t *testing.T) {
 	}
 }
 
+// TestTracedLinkStepBack: Step skips its traced-link check only while the
+// step start stays inside the pieces the cursors last read, so a Step
+// that starts earlier than the previous one re-reads the trace.
+func TestTracedLinkStepBack(t *testing.T) {
+	n := New(twoSite(t))
+	f := n.AddFlow(0, 1)
+	f.SetDemand(30e6)
+	n.SetLinkFactor(0, 1, trace.Steps(time.Minute, 1, 0.5))
+	for _, now := range []vclock.Time{2 * time.Minute, 30 * time.Second, 2 * time.Minute} {
+		step(n, now)
+		if got, want := f.Allocated(), n.Capacity(0, 1, now-time.Second); got != want {
+			t.Fatalf("step from %v: Allocated %v, want the capacity %v", now-time.Second, got, want)
+		}
+	}
+}
+
 func TestSingleFlowGetsItsDemand(t *testing.T) {
 	n := New(twoSite(t))
 	f := n.AddFlow(0, 1)

@@ -216,7 +216,7 @@ func (s *opStream) factorTrace() *trace.Trace {
 }
 
 var (
-	refPieces    = []time.Duration{time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond, time.Second, 1500 * time.Millisecond, time.Minute}
+	refPieces    = []time.Duration{time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond, time.Second, 1500 * time.Millisecond, time.Minute, 370 * time.Millisecond}
 	refProbes    = []time.Duration{-time.Hour, -time.Minute, -750 * time.Millisecond, -1, 0, 1, 250 * time.Millisecond, time.Minute, time.Hour}
 	refDemands   = []float64{-5, 0, 1, 1e3, 1e5, 1e6, 2.5e6, 5e6, 1e7, 3e7}
 	refPayloads  = []float64{0, 1e-7, 1, 1e4, 1e6, 5e6, 1e8, 1e12}
@@ -239,6 +239,27 @@ func FuzzStepMatchesReference(f *testing.F) {
 	// Capacity probes before, between and after Steps over 1 ms pieces.
 	f.Add([]byte{0, 0, 1, 2, 0, 8, 0, 8, 0x0d, 2, 5, 4, 0, 7, 0, 1, 0x0d, 3, 0, 5, 1,
 		10, 0, 0, 9, 1, 10, 5, 1, 0, 1, 10, 2, 0, 9, 2, 10, 7, 0, 10, 3, 1, 1, 0})
+	// Step reads the traced cursors only when its start leaves the pieces
+	// they last read. The seeds below hold that skip to the reference.
+	// Pieces of 370 ms under 250 ms steps, beside a link with 1-minute
+	// pieces, so piece ends fall between step starts.
+	f.Add([]byte{0, 0, 1, 2, 0, 9, 0, 7, 1, 2, 0x65, 3, 4, 7, 0, 1, 0x7d, 3, 2, 5, 1,
+		9, 0, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0})
+	// A trace installed, replaced and cleared mid-piece on a loaded link,
+	// while the other traced link's piece runs for a minute.
+	f.Add([]byte{0, 0, 1, 2, 0, 9, 0, 7, 1, 2, 0x65, 3, 4, 9, 0,
+		7, 0, 1, 0x29, 3, 2, 5, 9, 0, 9, 0,
+		7, 0, 1, 0x49, 5, 1, 2, 9, 0, 9, 1, 9, 0,
+		7, 0, 1, 0, 9, 0, 9, 2})
+	// A traced link whose factor moves while it has no claimants, then
+	// gains its first flow mid-piece.
+	f.Add([]byte{7, 0, 1, 0x4d, 3, 1, 5, 2, 7, 1, 2, 0x65, 3, 4, 9, 3, 9, 3, 9, 0,
+		0, 0, 1, 2, 0, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0})
+	// Capacity probes an hour back, an hour and a minute ahead and 750 ms
+	// back between Steps over 370 ms pieces: each moves the cursor out of
+	// the piece the skip relies on.
+	f.Add([]byte{0, 0, 1, 2, 0, 9, 0, 7, 0, 1, 0x7d, 3, 2, 5, 1, 9, 0,
+		10, 8, 0, 9, 0, 10, 0, 0, 9, 1, 10, 7, 1, 0, 1, 9, 0, 10, 2, 0, 9, 0, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		top := refTopology(t)
 		net, ref := New(top), newRefNet(top)

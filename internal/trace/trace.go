@@ -9,8 +9,6 @@ package trace
 
 import (
 	"math"
-	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -113,6 +111,13 @@ func (c *Cursor) At(t vclock.Time) float64 {
 	return c.v
 }
 
+// Until returns the end of the piece holding the value At last returned:
+// the trace holds that value at every time from the At query up to, not
+// including, Until (math.MaxInt64 for the last piece). Call it after At.
+//
+//waspvet:hotpath
+func (c *Cursor) Until() vclock.Time { return c.until }
+
 // Points returns a copy of the trace's sample points.
 func (tr *Trace) Points() []Point {
 	out := make([]Point, len(tr.points))
@@ -174,28 +179,20 @@ type walkConfig struct {
 	Duration time.Duration // total trace length
 }
 
-// walkRNGs recycles randomWalk's generators. A source's state is 607
-// words, and a live-variation run draws a walk per link and per source:
-// re-seeding a pooled generator re-initialises that state in place instead
-// of allocating it again.
-var walkRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
 // randomWalk generates a bounded random-walk factor trace. It panics on an
 // invalid configuration (zero interval, inverted bounds), since
 // configurations are compile-time constants in experiments. The trace is
-// a pure function of cfg: its generator is re-seeded with cfg.Seed, which
-// leaves it in the state a fresh rand.NewSource(cfg.Seed) starts in.
+// a pure function of cfg: it draws the stream a fresh
+// rand.New(rand.NewSource(cfg.Seed)) yields, through a walkSource that
+// pays only for the draws the walk makes.
 func randomWalk(cfg walkConfig) *Trace {
-	rng := walkRNGs.Get().(*rand.Rand)
-	defer walkRNGs.Put(rng)
-	rng.Seed(cfg.Seed)
-	return randomWalkWith(rng, cfg)
+	src := walkSource{x0: lcgSeed(cfg.Seed)}
+	return walk(cfg, src.Float64)
 }
 
-// randomWalkWith is randomWalk drawing from the caller's rng — for
-// callers that thread one seeded source through several generators.
-// cfg.Seed is ignored.
-func randomWalkWith(rng *rand.Rand, cfg walkConfig) *Trace {
+// walk is the random walk over uniform draws in [0, 1) from next. cfg.Seed
+// is not read: next is already seeded.
+func walk(cfg walkConfig, next func() float64) *Trace {
 	if cfg.Interval <= 0 {
 		panic("trace: randomWalk requires a positive interval")
 	}
@@ -207,7 +204,7 @@ func randomWalkWith(rng *rand.Rand, cfg walkConfig) *Trace {
 	pts := make([]Point, 0, max(cfg.Duration/cfg.Interval+1, 0))
 	for t := vclock.Time(0); t <= cfg.Duration; t += cfg.Interval {
 		pts = append(pts, Point{T: t, V: v})
-		step := (rng.Float64()*2 - 1) * cfg.MaxStep * span
+		step := (next()*2 - 1) * cfg.MaxStep * span
 		v = reflect(v+step, cfg.Min, cfg.Max)
 	}
 	return &Trace{points: pts, Default: cfg.Start}

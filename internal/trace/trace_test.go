@@ -266,7 +266,13 @@ func TestPooledWalkMatchesFreshSource(t *testing.T) {
 	wg.Wait()
 }
 
-// freshWalk is randomWalk as it was before pooling: a new source per walk.
+// freshWalk is randomWalk over math/rand itself: a new source per walk.
 func freshWalk(cfg walkConfig) *Trace {
 	return randomWalkWith(rand.New(rand.NewSource(cfg.Seed)), cfg)
+}
+
+// randomWalkWith is randomWalk drawing from the caller's math/rand
+// generator, the oracle walkSource is held to. cfg.Seed is ignored.
+func randomWalkWith(rng *rand.Rand, cfg walkConfig) *Trace {
+	return walk(cfg, rng.Float64)
 }
