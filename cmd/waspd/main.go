@@ -206,6 +206,12 @@ func run(opt options) error {
 	if err != nil {
 		return badValue{err}
 	}
+	// One 0 phase among others is an outage; 0 in every phase is a network
+	// that carries nothing, and the run would still report the events
+	// processed at the sources as a share of those generated.
+	if slices.Max(bFactors) == 0 {
+		return badValue{fmt.Errorf("-bandwidth: %q is 0 in every phase: no run can deliver anything (a single 0 phase among others is an outage)", opt.bandwidth)}
+	}
 	// Past 2^53 a float64 count no longer moves by one event, so no
 	// source may generate more than that in the run.
 	if events := opt.rate * slices.Max(wFactors) * opt.duration.Seconds(); events > 1<<53 {

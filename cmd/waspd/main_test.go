@@ -261,6 +261,8 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 		{"-checkpoint-every", "-1s"},
 		{"-workload", "1,x"},
 		{"-bandwidth", "1,-1"},
+		{"-bandwidth", "0"},
+		{"-bandwidth", "0,0"},
 		{"-fault", "crash@5m:site=3,for=2m,bogus=1"},
 		{"-scale-regions", "3"},
 		{"-scale-edges", "-1"},

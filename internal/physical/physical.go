@@ -57,14 +57,28 @@ func FromLogical(g *plan.Graph) (*Plan, error) {
 
 // newPlan lays out one stage per operator of g in one block, copying each
 // stage's sites from the same operator's stage in from when from is
-// non-nil.
+// non-nil. The stages' site lists share one block too, each with room for
+// exactly its own sites: the copied ones, or for a fresh plan the one task
+// Schedule gives a stage by default. A list that outgrows its room
+// reallocates instead of writing into its neighbour's.
 func newPlan(g *plan.Graph, from *Plan) *Plan {
 	p := &Plan{Graph: g, Stages: make([]*Stage, g.IDBound())}
 	stages := make([]Stage, g.Len())
-	for i, id := range g.OperatorIDs() {
+	ids := g.OperatorIDs()
+	n := len(ids)
+	if from != nil {
+		n = 0
+		for _, id := range ids {
+			n += len(from.Stages[id].Sites)
+		}
+	}
+	block := make([]topology.SiteID, n)
+	for i, id := range ids {
 		stages[i].Op = g.Operator(id)
-		if from != nil {
-			stages[i].Sites = append([]topology.SiteID(nil), from.Stages[id].Sites...)
+		if from == nil {
+			stages[i].Sites, block = block[:0:1], block[1:]
+		} else if k := copy(block, from.Stages[id].Sites); k > 0 {
+			stages[i].Sites, block = block[:k:k], block[k:]
 		}
 		p.Stages[id] = &stages[i]
 	}
@@ -146,8 +160,11 @@ func (p *Plan) Clone() *Plan { return newPlan(p.Graph.Clone(), p) }
 // planner calls this per stage pair per variant per round; the scratch
 // keeps it allocation-free at steady state.
 func (s *Stage) AppendEndpoints(dst []placement.Endpoint, tmp []topology.SiteID) ([]placement.Endpoint, []topology.SiteID) {
-	if len(s.Sites) == 0 {
+	switch len(s.Sites) {
+	case 0:
 		return dst, tmp
+	case 1: // the default parallelism: nothing to sort or count
+		return append(dst, placement.Endpoint{Site: s.Sites[0], Weight: 1}), tmp
 	}
 	tmp = append(tmp[:0], s.Sites...)
 	slices.Sort(tmp)

@@ -5,7 +5,8 @@
 // reaches, the premise of Benoit et al. (Resource Allocation Strategies
 // for In-Network Stream Processing). They differ in how they find the
 // next-cheapest site: the exact solver in placement.go computes every
-// site's cost and heapifies every site with a free slot,
+// site's cost, scans for the cheapest site with a free slot and heapifies
+// the others only when that site falls short of the tasks;
 // SolveHierarchicalInto plans at two levels and never looks at a site
 // outside a region it opens. A coarse level ranks the regions by a lower
 // bound on their members' per-task costs, read from cached per-region

@@ -64,16 +64,18 @@ type Problem struct {
 	Latency   func(from, to topology.SiteID) time.Duration
 	Bandwidth func(from, to topology.SiteID) float64
 	// LatencyRows, when non-nil, is the topology whose Latency method the
-	// Latency hook is: the solvers then read its cached
-	// latency-in-seconds rows instead of calling the hook per (endpoint,
-	// site) pair, and the hierarchical solver caches its region minima of
-	// those rows across solves. Optional; the answer is bit-identical
-	// either way. Ignored unless it has exactly Sites sites, and below
-	// DefaultHierarchicalThreshold sites: on a testbed-sized topology
-	// nearly every site hosts an endpoint sooner or later, so the rows
-	// double the topology's footprint (+8–17 % peak RSS on a benchmark
-	// that keeps 800 testbeds resident), where at planet scale a handful
-	// of rows serve a thousand sites.
+	// Latency hook is, and the solvers read latencies from it instead of
+	// calling the hook per (endpoint, site) pair. From
+	// DefaultHierarchicalThreshold sites up they read its cached
+	// latency-in-seconds rows, and the hierarchical solver caches its
+	// region minima of those rows across solves. Below that they read
+	// LatencyRows.Latency(a, b).Seconds() per term, and cache nothing: on
+	// a testbed-sized topology nearly every site hosts an endpoint sooner
+	// or later, so the rows would double the topology's footprint (+8–17 %
+	// peak RSS on a benchmark that keeps 800 testbeds resident), where at
+	// planet scale a handful of rows serve a thousand sites. Optional, and
+	// ignored unless it has exactly Sites sites; the answer is
+	// bit-identical either way.
 	LatencyRows *topology.Topology
 	// Conservative selects the literal reading of constraints (2)–(3):
 	// each link must carry the site's whole input/output share, i.e.
@@ -236,7 +238,18 @@ func (pr *Problem) CostPerTask(s topology.SiteID) float64 {
 //
 //waspvet:hotpath
 func (pr *Problem) rowsView() *topology.Topology {
-	if rows := pr.LatencyRows; rows != nil && rows.N() == pr.Sites && pr.Sites >= DefaultHierarchicalThreshold {
+	if rows := pr.latencyTopology(); rows != nil && pr.Sites >= DefaultHierarchicalThreshold {
+		return rows
+	}
+	return nil
+}
+
+// latencyTopology returns LatencyRows when it has exactly Sites sites: the
+// topology whose Latency method the Latency hook is.
+//
+//waspvet:hotpath
+func (pr *Problem) latencyTopology() *topology.Topology {
+	if rows := pr.LatencyRows; rows != nil && rows.N() == pr.Sites {
 		return rows
 	}
 	return nil
@@ -245,31 +258,44 @@ func (pr *Problem) rowsView() *topology.Topology {
 // costsInto sets dst[i] to the per-task cost of site first+i, the sum of
 // Weight × latency-in-seconds over the upstream endpoints in slice order
 // and then the downstream ones. It runs one sweep per endpoint: with the
-// rows view in effect a sweep is a multiply-add over a cached float row,
-// without it (small or hand-built problems) each term goes through the
-// Latency hook. Both add the same terms in the same order, so the costs —
-// and with them every placement — are bit-identical either way.
+// rows view in effect a sweep is a multiply-add over a cached float row;
+// below the rows threshold a topology-backed problem reads each latency
+// from the topology directly, and only a hand-built problem without
+// LatencyRows calls the Latency hook per term. All three add the same
+// terms in the same order, so the costs — and with them every placement —
+// are bit-identical whichever way they are read.
 //
 //waspvet:hotpath
 func (pr *Problem) costsInto(dst []float64, first topology.SiteID) {
 	clear(dst)
+	top := pr.latencyTopology()
 	rows := pr.rowsView()
 	for _, u := range pr.Upstream {
-		if rows != nil {
+		switch {
+		case rows != nil:
 			addScaled(dst, u.Weight, rows.LatencySecondsFrom(u.Site)[first:])
-			continue
-		}
-		for i := range dst {
-			dst[i] += u.Weight * pr.hookSeconds(u.Site, first+topology.SiteID(i))
+		case top != nil:
+			for i := range dst {
+				dst[i] += u.Weight * top.Latency(u.Site, first+topology.SiteID(i)).Seconds()
+			}
+		default:
+			for i := range dst {
+				dst[i] += u.Weight * pr.hookSeconds(u.Site, first+topology.SiteID(i))
+			}
 		}
 	}
 	for _, d := range pr.Downstream {
-		if rows != nil {
+		switch {
+		case rows != nil:
 			addScaled(dst, d.Weight, rows.LatencySecondsTo(d.Site)[first:])
-			continue
-		}
-		for i := range dst {
-			dst[i] += d.Weight * pr.hookSeconds(first+topology.SiteID(i), d.Site)
+		case top != nil:
+			for i := range dst {
+				dst[i] += d.Weight * top.Latency(first+topology.SiteID(i), d.Site).Seconds()
+			}
+		default:
+			for i := range dst {
+				dst[i] += d.Weight * pr.hookSeconds(first+topology.SiteID(i), d.Site)
+			}
 		}
 	}
 }
@@ -348,10 +374,13 @@ type Scratch struct {
 // controller solves ~10^3 placement programs per round, so the hot path
 // reuses one scratch across all of them.
 //
-// Sites are taken in ascending (cost, site) order from a heap rather than
-// a full sort, and a site's bandwidth bound is evaluated only when the
-// fill reaches it: a solve costs O(m·E) float adds for the costs, O(m) for
-// the heap and O(log m + E) per visited site — O(E) in all when pinned.
+// Sites are taken in ascending (cost, site) order, and a site's bandwidth
+// bound is evaluated only when the fill reaches it. Most stages fit on
+// their cheapest site, so one scan finds that site first and a heap over
+// the other sites is built only when it falls short: a solve costs O(m·E)
+// float adds for the costs and O(m) for the scan, then, past the cheapest
+// site, O(m) for the heap and O(log m + E) per visited site — O(E) in all
+// when pinned.
 func (pr *Problem) SolveInto(sc *Scratch) (*Placement, error) {
 	if err := pr.validate(); err != nil {
 		return nil, err
@@ -373,9 +402,24 @@ func (pr *Problem) SolveInto(sc *Scratch) (*Placement, error) {
 	cost := sc.cost[:pr.Sites]
 	pr.costsInto(cost, 0)
 	// A site without a free slot has bound 0 whatever its links allow.
+	best := -1
+	for s, c := range cost {
+		if pr.AvailableSlots[s] > 0 && (best < 0 || c < cost[best]) {
+			best = s
+		}
+	}
+	if best < 0 {
+		return nil, pr.errUnplaced(pr.Parallelism)
+	}
+	p := float64(pr.Parallelism)
+	remaining := pr.fill(result, siteCost{site: topology.SiteID(best), cost: cost[best]}, pr.Parallelism, p)
+	if remaining == 0 {
+		return result, nil
+	}
+
 	h := sc.heap[:0]
 	for s, c := range cost {
-		if pr.AvailableSlots[s] > 0 {
+		if s != best && pr.AvailableSlots[s] > 0 {
 			h = append(h, siteCost{site: topology.SiteID(s), cost: c})
 		}
 	}
@@ -383,26 +427,31 @@ func (pr *Problem) SolveInto(sc *Scratch) (*Placement, error) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i)
 	}
-
-	p := float64(pr.Parallelism)
-	remaining := pr.Parallelism
 	for remaining > 0 && len(h) > 0 {
 		cand := h[0]
 		h[0] = h[len(h)-1]
 		h = h[:len(h)-1]
 		siftDown(h, 0)
-		n := min(remaining, pr.siteBound(cand.site, p))
-		if n <= 0 {
-			continue
-		}
-		result.TasksPerSite[cand.site] = n
-		result.Cost += float64(n) * cand.cost
-		remaining -= n
+		remaining = pr.fill(result, cand, remaining, p)
 	}
 	if remaining > 0 {
 		return nil, pr.errUnplaced(remaining)
 	}
 	return result, nil
+}
+
+// fill places as many of the remaining tasks at cand's site as its bound
+// allows and returns how many are still to place.
+//
+//waspvet:hotpath
+func (pr *Problem) fill(result *Placement, cand siteCost, remaining int, p float64) int {
+	n := min(remaining, pr.siteBound(cand.site, p))
+	if n <= 0 {
+		return remaining
+	}
+	result.TasksPerSite[cand.site] = n
+	result.Cost += float64(n) * cand.cost
+	return remaining - n
 }
 
 // errUnplaced is the verdict of a fill that ran out of sites.

@@ -473,3 +473,59 @@ func total(pl *Placement) int {
 	}
 	return n
 }
+
+// TestTestbedWarmSolveAllocs: a warm SolveInto on a testbed-sized
+// topology, below the rows threshold so that the costs are read from the
+// topology directly, allocates nothing, whether the cheapest site takes
+// every task or a heap over the other sites serves the rest.
+func TestTestbedWarmSolveAllocs(t *testing.T) {
+	top := topology.Generate(topology.DefaultGenConfig(1))
+	slots := make([]int, top.N())
+	for s := range slots {
+		slots[s] = top.Slots(topology.SiteID(s))
+	}
+	pr := &Problem{
+		Sites:             top.N(),
+		AvailableSlots:    slots,
+		Upstream:          []Endpoint{{Site: 8, Weight: 0.5}, {Site: 9, Weight: 0.5}},
+		Downstream:        []Endpoint{{Site: 0, Weight: 1}},
+		InputBytesPerSec:  1e5,
+		OutputBytesPerSec: 1e4,
+		Alpha:             0.8,
+		Latency:           top.Latency,
+		LatencyRows:       top,
+		Bandwidth: func(from, to topology.SiteID) float64 {
+			return top.BaseBandwidth(from, to).BytesPerSec()
+		},
+		Pinned: -1,
+	}
+	sc := &Scratch{}
+	for _, c := range []struct {
+		name        string
+		parallelism int
+		multiSite   bool
+	}{{"cheapest site takes every task", 1, false}, {"heap serves the rest", top.TotalSlots() / 2, true}} {
+		pr.Parallelism = c.parallelism
+		pl, err := pr.SolveInto(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		used := 0
+		for _, n := range pl.TasksPerSite {
+			if n > 0 {
+				used++
+			}
+		}
+		if (used > 1) != c.multiSite {
+			t.Fatalf("%s: placement %v uses %d sites", c.name, pl, used)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := pr.SolveInto(sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: warm SolveInto allocates %.1f times, want 0", c.name, allocs)
+		}
+	}
+}

@@ -304,7 +304,7 @@ func seedBytes(seed int64) []byte {
 func TestSolveMatchesReference(t *testing.T) {
 	const instances = 4000
 	sc, hs := &Scratch{}, &HierScratch{}
-	var infeasible, pinned, pinnedShort, tieBroken, deadCheapest, downstream, conservative, overCommitted, rejected int
+	var infeasible, pinned, pinnedShort, tieBroken, deadCheapest, takesAll, heapFill, downstream, conservative, overCommitted, rejected int
 	for seed := int64(0); seed < instances; seed++ {
 		in := genInstance(&entropy{data: seedBytes(seed)})
 		if err := checkInstance(in, sc, hs); err != nil {
@@ -351,6 +351,19 @@ func TestSolveMatchesReference(t *testing.T) {
 			if dead {
 				deadCheapest++
 			}
+			// SolveInto's scan visits the cheapest site with a free slot
+			// first; the heap serves the rest only when it falls short.
+			first := -1
+			for s := 0; s < pr.Sites; s++ {
+				if pr.AvailableSlots[s] > 0 && (first < 0 || pr.CostPerTask(topology.SiteID(s)) < pr.CostPerTask(topology.SiteID(first))) {
+					first = s
+				}
+			}
+			if ub[first] >= pr.Parallelism {
+				takesAll++
+			} else {
+				heapFill++
+			}
 		}
 		if len(pr.Downstream) > 0 {
 			downstream++
@@ -362,6 +375,7 @@ func TestSolveMatchesReference(t *testing.T) {
 	for name, n := range map[string]int{
 		"infeasible": infeasible, "pinned": pinned, "pinned short of slots": pinnedShort,
 		"cost ties at the cheapest site": tieBroken, "cheapest site with a zero bound": deadCheapest,
+		"cheapest site takes every task": takesAll, "cheapest site short of the tasks": heapFill,
 		"downstream side": downstream, "conservative": conservative,
 		"a site with negative free slots": overCommitted, "a weight or rate validate refuses": rejected,
 	} {

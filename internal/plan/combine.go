@@ -19,6 +19,18 @@ func (s LeafSet) Count() int { return bits.OnesCount64(uint64(s)) }
 // String renders the set as e.g. "{0,2,3}".
 func (s LeafSet) String() string { return string(s.appendTo(nil)) }
 
+// textLen is the length of the String form.
+func (s LeafSet) textLen() int {
+	n := 2 + max(s.Count()-1, 0) // braces and commas
+	for rest := s; rest != 0; rest &= rest - 1 {
+		n++
+		if bits.TrailingZeros64(uint64(rest)) >= 10 {
+			n++
+		}
+	}
+	return n
+}
+
 // appendTo appends the String form to b.
 func (s LeafSet) appendTo(b []byte) []byte {
 	b = append(b, '{')
@@ -52,12 +64,6 @@ func (t *Tree) appendTo(b []byte) []byte {
 	b = t.R.appendTo(append(b, '+'))
 	return append(b, ')')
 }
-
-// leaf returns a leaf node for index i.
-func leaf(i int) *Tree { return &Tree{Leaf: i, Set: 1 << uint(i)} }
-
-// combine returns an internal node joining l and r.
-func combine(l, r *Tree) *Tree { return &Tree{Leaf: -1, L: l, R: r, Set: l.Set | r.Set} }
 
 // EnumerateTrees returns structurally distinct unordered binary trees
 // over k labeled leaves — the alternative pairwise combine orders of a
@@ -97,6 +103,18 @@ type treeEnum struct {
 	// memo holds, per LeafSet, the longest prefix built so far; complete
 	// enumerations of small subsets are shared across splits.
 	memo map[LeafSet][]*Tree
+	// slab is the block the next nodes are cut from. A full one stays with
+	// the trees that point into it and gives way to one twice its size.
+	slab []Tree
+}
+
+// node returns a copy of t cut from the slab.
+func (e *treeEnum) node(t Tree) *Tree {
+	if len(e.slab) == cap(e.slab) {
+		e.slab = make([]Tree, 0, min(max(2*cap(e.slab), 16), 1024))
+	}
+	e.slab = append(e.slab, t)
+	return &e.slab[len(e.slab)-1]
 }
 
 // build returns the first limit trees over s in canonical order. Because
@@ -112,7 +130,7 @@ func (e *treeEnum) build(s LeafSet, limit int64) []*Tree {
 		return ts[:limit]
 	}
 	if s.Count() == 1 {
-		ts := []*Tree{leaf(bits.TrailingZeros64(uint64(s)))}
+		ts := []*Tree{e.node(Tree{Leaf: bits.TrailingZeros64(uint64(s)), Set: s})}
 		e.memo[s] = ts
 		return ts
 	}
@@ -137,7 +155,7 @@ func (e *treeEnum) build(s LeafSet, limit int64) []*Tree {
 		product:
 			for _, lt := range lts {
 				for _, rt := range rts {
-					ts = append(ts, combine(lt, rt))
+					ts = append(ts, e.node(Tree{Leaf: -1, L: lt, R: rt, Set: lt.Set | rt.Set}))
 					if int64(len(ts)) == limit {
 						break product
 					}
@@ -184,60 +202,176 @@ type Variant struct {
 // Expand instantiates the combine tree into a copy of the base graph,
 // wiring spec.Inputs through fresh binary combine operators into
 // spec.Output. The base graph must contain no edge into spec.Output from
-// the combine group (Expand adds it).
+// the combine group (Expand adds it). The tree must use every input
+// exactly once.
+//
+// The variant is the graph that Clone, then AddOperator and Connect per
+// combine node in post-order, would build: the same ids, names, fields,
+// edge order and errors. It is laid out the way Clone lays out a graph,
+// because a planning session expands ~10^2 variants cold: the k−1 combine
+// operators join the copied operators' block, every edge list, the new
+// ones included, is carved from one pool with its final length as its
+// capacity (so a later Connect reallocates a list instead of writing into
+// its neighbour's), and the node names are substrings of one string.
 func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
-	if len(spec.Inputs) < 2 {
-		return nil, fmt.Errorf("plan: combine spec needs >= 2 inputs, got %d", len(spec.Inputs))
+	k := len(spec.Inputs)
+	if k < 2 {
+		return nil, fmt.Errorf("plan: combine spec needs >= 2 inputs, got %d", k)
 	}
-	if tree.Set != LeafSet(1<<uint(len(spec.Inputs)))-1 {
-		return nil, fmt.Errorf("plan: tree covers %v, want all %d inputs", tree.Set, len(spec.Inputs))
+	if k > 64 {
+		return nil, fmt.Errorf("plan: combine spec has %d inputs, more than a LeafSet holds", k)
 	}
-	g := base.Clone()
-	v := &Variant{Graph: g, Tree: tree, CombineNodes: make([]LeafSet, g.IDBound(), g.IDBound()+len(spec.Inputs)-1)}
-	// Node names reach the action log and the benchmark's digests: they are
-	// the bytes fmt.Sprintf("%s%s", Template.Name, set) gives, built in name.
-	name := append(make([]byte, 0, len(spec.Template.Name)+2+3*len(spec.Inputs)), spec.Template.Name...)
-
-	var build func(t *Tree) (OpID, error)
-	build = func(t *Tree) (OpID, error) {
-		if t.IsLeaf() {
-			if t.Leaf < 0 || t.Leaf >= len(spec.Inputs) {
-				return 0, fmt.Errorf("plan: leaf index %d out of range", t.Leaf)
-			}
-			return spec.Inputs[t.Leaf], nil
-		}
-		lid, err := build(t.L)
-		if err != nil {
-			return 0, err
-		}
-		rid, err := build(t.R)
-		if err != nil {
-			return 0, err
-		}
-		node := spec.Template
-		node.Name = string(t.Set.appendTo(name))
-		// A combine node's state covers only its subtree's share of the
-		// keyed aggregation state.
-		node.StateBytes = spec.Template.StateBytes * float64(t.Set.Count()) / float64(len(spec.Inputs))
-		id := g.AddOperator(node)
-		v.CombineNodes = append(v.CombineNodes, t.Set) // at index id: Expand adds no other operator
-		if err := g.Connect(lid, id); err != nil {
-			return 0, err
-		}
-		if err := g.Connect(rid, id); err != nil {
-			return 0, err
-		}
-		return id, nil
+	full := LeafSet(1<<uint(k)) - 1
+	if tree.Set != full {
+		return nil, fmt.Errorf("plan: tree covers %v, want all %d inputs", tree.Set, k)
 	}
-
-	root, err := build(tree)
+	first := OpID(base.IDBound())
+	x := &expansion{spec: spec, base: base, next: first}
+	root, err := x.check(tree)
 	if err != nil {
 		return nil, err
 	}
-	if err := g.Connect(root, spec.Output); err != nil {
-		return nil, err
+	if x.leaves != full {
+		return nil, fmt.Errorf("plan: tree's leaves cover %v, want all %d inputs", x.leaves, k)
 	}
+	if base.Operator(spec.Output) == nil {
+		return nil, fmt.Errorf("plan: connect %d->%d: unknown operator", root, spec.Output)
+	}
+
+	// k−1 nodes, each with two edges in; one more edge, root to Output.
+	// Every edge takes a slot in a down list and one in an up list.
+	nodes := k - 1
+	g, block, pool := base.cloneRoom(nodes, 2*(2*nodes+1))
+	for i, in := range spec.Inputs {
+		if g.down[in] != nil {
+			continue // an input listed twice, carved at its first listing
+		}
+		uses := 0
+		for _, other := range spec.Inputs[i:] {
+			if other == in {
+				uses++
+			}
+		}
+		g.down[in], pool = carve(pool, base.down[in], uses)
+	}
+	g.up[spec.Output], pool = carve(pool, base.up[spec.Output], 1)
+	pool = g.carveRest(base, pool)
+	g.live += nodes
+
+	v := &Variant{Graph: g, Tree: tree, CombineNodes: make([]LeafSet, int(first)+nodes)}
+	x.next, x.v, x.block, x.pool = first, v, block, pool
+	x.build(tree)
+	g.down[root] = append(g.down[root], spec.Output)
+	g.up[spec.Output] = append(g.up[spec.Output], root)
+	x.name(v.CombineNodes[first:], g.ops[first:])
 	return v, nil
+}
+
+// expansion is one Expand call's state. Its walks visit the tree in build
+// order — children before their node, left before right — so the combine
+// nodes take consecutive ids from next in post-order.
+type expansion struct {
+	spec   *CombineSpec
+	base   *Graph
+	next   OpID    // the id of the next combine node
+	leaves LeafSet // the leaves check has visited
+
+	v     *Variant
+	block []Operator // the copy's operator block, with room for the nodes
+	pool  []OpID     // the edge pool still to carve
+}
+
+// check walks t as build will, assigning the same ids, and returns the
+// error that Connect would meet first — an input that is not a base
+// operator, or a node whose children are one operator — or a leaf out of
+// range or seen twice. It returns t's operator.
+func (x *expansion) check(t *Tree) (OpID, error) {
+	if t.IsLeaf() {
+		if t.Leaf < 0 || t.Leaf >= len(x.spec.Inputs) {
+			return 0, fmt.Errorf("plan: leaf index %d out of range", t.Leaf)
+		}
+		bit := LeafSet(1) << uint(t.Leaf)
+		if x.leaves&bit != 0 {
+			return 0, fmt.Errorf("plan: leaf index %d appears twice", t.Leaf)
+		}
+		x.leaves |= bit
+		return x.spec.Inputs[t.Leaf], nil
+	}
+	l, err := x.check(t.L)
+	if err != nil {
+		return 0, err
+	}
+	r, err := x.check(t.R)
+	if err != nil {
+		return 0, err
+	}
+	id := x.next
+	x.next++
+	for _, c := range [...]*Tree{t.L, t.R} {
+		if c.IsLeaf() && x.base.Operator(x.spec.Inputs[c.Leaf]) == nil {
+			return 0, fmt.Errorf("plan: connect %d->%d: unknown operator", x.spec.Inputs[c.Leaf], id)
+		}
+	}
+	if l == r {
+		return 0, fmt.Errorf("plan: duplicate edge %d->%d", r, id)
+	}
+	return id, nil
+}
+
+// build adds t's combine nodes to the variant, as check numbered them,
+// and returns t's operator. Each node's edge lists are carved with room
+// for exactly its two inputs and its one output.
+func (x *expansion) build(t *Tree) OpID {
+	if t.IsLeaf() {
+		return x.spec.Inputs[t.Leaf]
+	}
+	l := x.build(t.L)
+	r := x.build(t.R)
+	id := x.next
+	x.next++
+	g := x.v.Graph
+	x.block = append(x.block, x.spec.Template)
+	op := &x.block[len(x.block)-1]
+	op.ID = id
+	if op.Kind != KindSource && op.Kind != KindSink {
+		op.PinnedSite = NoSite
+	}
+	// A combine node's state covers only its subtree's share of the keyed
+	// aggregation state.
+	op.StateBytes = x.spec.Template.StateBytes * float64(t.Set.Count()) / float64(len(x.spec.Inputs))
+	g.ops[id] = op
+	g.up[id], x.pool = carve(x.pool, nil, 2)
+	g.down[id], x.pool = carve(x.pool, nil, 1)
+	for _, from := range [2]OpID{l, r} {
+		g.down[from] = append(g.down[from], id)
+		g.up[id] = append(g.up[id], from)
+	}
+	x.v.CombineNodes[id] = t.Set
+	return id
+}
+
+// name gives each combine operator its name, the bytes
+// fmt.Sprintf("%s%s", Template.Name, set) gives — they reach the action
+// log and the benchmark's digests — as substrings of one string.
+func (x *expansion) name(sets []LeafSet, ops []*Operator) {
+	prefix := x.spec.Template.Name
+	size := 0
+	for _, set := range sets {
+		size += len(prefix) + set.textLen()
+	}
+	var stack [512]byte
+	buf := stack[:0]
+	if size > len(stack) {
+		buf = make([]byte, 0, size)
+	}
+	for _, set := range sets {
+		buf = set.appendTo(append(buf, prefix...))
+	}
+	names := string(buf)
+	for i, set := range sets {
+		n := len(prefix) + set.textLen()
+		ops[i].Name, names = names[:n], names[n:]
+	}
 }
 
 // StatefulLeafSets returns the LeafSets of the variant's stateful combine

@@ -177,6 +177,12 @@ func leftDeep(order ...int) *Tree {
 	return t
 }
 
+// leaf returns a leaf node for index i.
+func leaf(i int) *Tree { return &Tree{Leaf: i, Set: 1 << uint(i)} }
+
+// combine returns an internal node joining l and r.
+func combine(l, r *Tree) *Tree { return &Tree{Leaf: -1, L: l, R: r, Set: l.Set | r.Set} }
+
 // balanced builds a balanced tree over leaves 0..k-1.
 func balanced(k int) *Tree {
 	var build func(lo, hi int) *Tree

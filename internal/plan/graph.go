@@ -227,15 +227,20 @@ func (g *Graph) IDBound() int { return len(g.ops) }
 // slice is cached; callers must not modify it.
 func (g *Graph) OperatorIDs() []OpID {
 	if !g.idsValid {
-		ids := make([]OpID, 0, g.live)
-		for id, op := range g.ops {
-			if op != nil {
-				ids = append(ids, OpID(id))
-			}
-		}
-		g.idsCache, g.idsValid = ids, true
+		g.fillIDs(make([]OpID, 0, g.live))
 	}
 	return g.idsCache
+}
+
+// fillIDs makes ids, empty with room for every live operator, the ids
+// cache.
+func (g *Graph) fillIDs(ids []OpID) {
+	for id, op := range g.ops {
+		if op != nil {
+			ids = append(ids, OpID(id))
+		}
+	}
+	g.idsCache, g.idsValid = ids, true
 }
 
 // Sources returns the IDs of all KindSource operators, ascending.
@@ -266,9 +271,24 @@ func (g *Graph) TopoOrder() ([]OpID, error) {
 // buffer holds both lists: buf[:done] is the order so far and buf[done:]
 // the ready operators, ascending — so taking the smallest ready operator
 // is done++ and an unlocked one is inserted in place behind it.
+//
+// A planning session runs it once per fresh variant, so it allocates once:
+// the in-degrees of a plan-sized graph live on the stack, and when the ids
+// cache is stale too it is filled from the same block as the order.
 func (g *Graph) computeTopo() ([]OpID, error) {
-	indeg := make([]int32, len(g.ops))
-	buf := make([]OpID, 0, g.live)
+	var small [128]int32
+	indeg := small[:]
+	if len(g.ops) > len(indeg) {
+		indeg = make([]int32, len(g.ops))
+	}
+	var buf []OpID
+	if g.idsValid {
+		buf = make([]OpID, 0, g.live)
+	} else {
+		block := make([]OpID, 2*g.live)
+		g.fillIDs(block[:0:g.live])
+		buf = block[g.live:g.live]
+	}
 	for id, op := range g.ops {
 		if op == nil {
 			continue
@@ -347,9 +367,20 @@ func (g *Graph) Validate() error {
 // list is capacity-limited to its own length, so an append to one (a
 // Connect on the clone) reallocates it instead of writing into the next.
 func (g *Graph) Clone() *Graph {
-	n := len(g.ops)
-	c := &Graph{ops: make([]*Operator, n), live: g.live}
-	block := make([]Operator, 0, g.live) // never grows: pointers into it stay valid
+	c, _, pool := g.cloneRoom(0, 0)
+	c.carveRest(g, pool)
+	return c
+}
+
+// cloneRoom is the first half of Clone, with room for extra operators
+// past g's last id: it copies g's operators into one block of capacity
+// g.Len()+extra and sizes the pointer and adjacency tables for the extra
+// ids. Every edge list of the copy is still nil; the returned pool holds
+// g's edges plus edgeRoom more ids, for the caller to carve them from.
+func (g *Graph) cloneRoom(extra, edgeRoom int) (c *Graph, block []Operator, pool []OpID) {
+	n := len(g.ops) + extra
+	c = &Graph{ops: make([]*Operator, n), live: g.live}
+	block = make([]Operator, 0, g.live+extra) // never grows: pointers into it stay valid
 	edges := 0
 	for id, op := range g.ops {
 		if op != nil {
@@ -360,22 +391,33 @@ func (g *Graph) Clone() *Graph {
 	}
 	adj := make([][]OpID, 2*n)
 	c.down, c.up = adj[:n:n], adj[n:]
-	pool := make([]OpID, edges)
-	for id := range g.ops {
-		c.down[id], pool = carve(pool, g.down[id])
-		c.up[id], pool = carve(pool, g.up[id])
-	}
-	return c
+	return c, block, make([]OpID, edges+edgeRoom)
 }
 
-// carve copies ids into the front of pool and returns that copy, capacity-
-// limited to its length, and the rest of the pool. No ids gives nil.
-func carve(pool, ids []OpID) (copied, rest []OpID) {
-	if len(ids) == 0 {
+// carveRest gives each of g's edge lists that is still nil a copy of
+// from's, capacity-limited to its length, from the front of pool, and
+// returns the rest of the pool.
+func (g *Graph) carveRest(from *Graph, pool []OpID) []OpID {
+	for id := range from.ops {
+		if g.down[id] == nil {
+			g.down[id], pool = carve(pool, from.down[id], 0)
+		}
+		if g.up[id] == nil {
+			g.up[id], pool = carve(pool, from.up[id], 0)
+		}
+	}
+	return pool
+}
+
+// carve copies ids into the front of pool and returns that copy, with
+// room for spare more ids and no further, and the rest of the pool. No ids
+// and no spare gives nil.
+func carve(pool, ids []OpID, spare int) (copied, rest []OpID) {
+	if len(ids)+spare == 0 {
 		return nil, pool
 	}
 	n := copy(pool, ids)
-	return pool[:n:n], pool[n:]
+	return pool[: n : n+spare], pool[n+spare:]
 }
 
 // RemoveEdge deletes the from→to edge if present.

@@ -27,10 +27,11 @@ const (
 	covCloneAfterSource
 	covEmptied
 	covPushedDown
+	covExpanded
 	covStates
 )
 
-var covNames = [covStates]string{"hole below next id", "cycle", "clone mutated after its source", "emptied graph", "a filter pushed down"}
+var covNames = [covStates]string{"hole below next id", "cycle", "clone mutated after its source", "emptied graph", "a filter pushed down", "a combine group expanded"}
 
 type seqCoverage [covStates]bool
 
@@ -136,8 +137,8 @@ func runGraphSequence(data []byte) (seqCoverage, error) {
 			}
 			return OpID(b%(len(p.g.ops)+9) - 1)
 		}
-		what := ""
-		switch op % 16 {
+		what, written := "", true
+		switch op % 17 {
 		case 0, 1, 2, 3, 4:
 			b := max(next(), 0)
 			kind := seqKinds[b%len(seqKinds)]
@@ -183,7 +184,7 @@ func runGraphSequence(data []byte) (seqCoverage, error) {
 			} else {
 				pairs[1+step%3] = c
 			}
-			what = "Clone"
+			what, written = "Clone", false
 		case 14:
 			// x → union-or-commuting-map → filter: a fragment the rewrite
 			// can work on whenever x is live and the graph is acyclic.
@@ -200,15 +201,53 @@ func runGraphSequence(data []byte) (seqCoverage, error) {
 				errText(p.g.Connect(gm, gf)) != errText(p.r.Connect(rm, rf)) {
 				return cov, fmt.Errorf("step %d: %s: the stores disagree", step, what)
 			}
-		default:
+		case 15:
 			gn, rn := PushDownFilters(p.g), refPushDownFilters(p.r)
 			what = fmt.Sprintf("PushDownFilters = %d", gn)
 			if gn != rn {
 				return cov, fmt.Errorf("step %d: %s, reference %d", step, what, rn)
 			}
 			cov[covPushedDown] = cov[covPushedDown] || gn > 0
+		default:
+			// Inputs and output from -1 to the last id, holes included, so
+			// unknown and repeated inputs are ordinary; the variant joins
+			// the sequence, and later steps mutate it.
+			known := func() OpID { return OpID(max(next(), 0)%(len(p.g.ops)+1) - 1) }
+			spec := &CombineSpec{Inputs: make([]OpID, 2+max(next(), 0)%3), Template: Operator{
+				Name: "comb", Kind: KindAggregate, Stateful: true, Selectivity: 0.5, OutEventBytes: 20, StateBytes: 3e3,
+			}}
+			for i := range spec.Inputs {
+				spec.Inputs[i] = known()
+			}
+			spec.Output = known()
+			trees := EnumerateTrees(len(spec.Inputs), 8)
+			tree := trees[max(next(), 0)%len(trees)]
+			what = fmt.Sprintf("Expand(%v, %v->%d)", tree, spec.Inputs, spec.Output)
+			v, gErr := spec.Expand(p.g, tree)
+			r, nodes, rErr := refExpand(spec, p.r, tree)
+			if errText(gErr) != errText(rErr) {
+				return cov, fmt.Errorf("step %d: %s = %q, reference %q", step, what, errText(gErr), errText(rErr))
+			}
+			if gErr == nil {
+				cov[covExpanded] = true
+				want := make([]LeafSet, r.nextID)
+				for id, set := range nodes {
+					want[id] = set
+				}
+				if !slices.Equal(v.CombineNodes, want) {
+					return cov, fmt.Errorf("step %d: %s: CombineNodes = %v, reference %v", step, what, v.CombineNodes, want)
+				}
+				c := &storePair{g: v.Graph, r: r}
+				p.clones = append(p.clones, c)
+				if len(pairs) < 4 {
+					pairs = append(pairs, c)
+				} else {
+					pairs[1+step%3] = c
+				}
+			}
+			written = false
 		}
-		if what != "Clone" && p.markMutated() {
+		if written && p.markMutated() {
 			cov[covCloneAfterSource] = true
 		}
 		for i, q := range pairs {
