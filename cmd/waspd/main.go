@@ -33,11 +33,12 @@
 // writes the artifact to wasp-run.jsonl.
 //
 // A flag value that is not a run (an unknown policy or query, a rate or
-// factor that is not a finite positive number, a duration shorter than
-// one engine tick, a negative checkpoint interval, a fault script that
-// does not parse, half a -scale-* pair, more than 2^53 events from one
-// source) exits 2 naming the flag, before anything runs; a run failure or
-// a chaos violation exits 1.
+// factor that is not a finite positive number, a -workload or -bandwidth
+// list that is 0 in every phase, a duration shorter than one engine tick,
+// a negative checkpoint interval, a fault script that does not parse,
+// half a -scale-* pair or a shape of more than 10,000 sites, more than
+// 2^53 events from one source) exits 2 naming the flag, before anything
+// runs; a run failure or a chaos violation exits 1.
 //
 // -fault injects failures from a semicolon-separated script (see the
 // faults package for the DSL): site crash+restart (crash), link blackout
@@ -206,9 +207,13 @@ func run(opt options) error {
 	if err != nil {
 		return badValue{err}
 	}
-	// One 0 phase among others is an outage; 0 in every phase is a network
-	// that carries nothing, and the run would still report the events
-	// processed at the sources as a share of those generated.
+	// One 0 phase among others is an outage (bandwidth) or a lull
+	// (workload); 0 in every phase is a network that carries nothing or
+	// sources that generate nothing, and the run would still report a
+	// share of events processed.
+	if slices.Max(wFactors) == 0 {
+		return badValue{fmt.Errorf("-workload: %q is 0 in every phase: no source generates anything (a single 0 phase among others is a lull)", opt.workload)}
+	}
 	if slices.Max(bFactors) == 0 {
 		return badValue{fmt.Errorf("-bandwidth: %q is 0 in every phase: no run can deliver anything (a single 0 phase among others is an outage)", opt.bandwidth)}
 	}
@@ -245,9 +250,11 @@ func run(opt options) error {
 		Obs:           obs.New(nil),
 	}
 	if opt.scaleReg > 0 {
+		// GenerateScale refuses a shape past its site ceiling before it
+		// allocates the matrices.
 		top, err := topology.GenerateScale(topology.DefaultScaleConfig(opt.seed, opt.scaleReg, opt.scaleEdges))
 		if err != nil {
-			return err
+			return badValue{fmt.Errorf("-scale-regions × -scale-edges: %w", err)}
 		}
 		// Region-fronting ingest sites with user-population-derived rates;
 		// above the hierarchical threshold the scheduler and controller

@@ -66,6 +66,13 @@ func TestRunShortScenario(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
+	// A 0 phase among others is a lull or an outage, and runs.
+	lull := shortOpts()
+	lull.workload, lull.bandwidth = "0,1", "1,0"
+	if err := run(lull); err != nil {
+		t.Fatalf("-workload 0,1 -bandwidth 1,0: %v", err)
+	}
+
 	bad := shortOpts()
 	bad.query = "nope"
 	if err := run(bad); err == nil {
@@ -263,9 +270,13 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 		{"-bandwidth", "1,-1"},
 		{"-bandwidth", "0"},
 		{"-bandwidth", "0,0"},
+		{"-workload", "0"},
+		{"-workload", "0,0"},
 		{"-fault", "crash@5m:site=3,for=2m,bogus=1"},
 		{"-scale-regions", "3"},
 		{"-scale-edges", "-1"},
+		{"-scale-regions", "101", "-scale-edges", "99"},
+		{"-scale-regions", "4611686018427387904", "-scale-edges", "3"},
 		{"-obs-format", "prom"},
 		{"-flight-dump", "f.dump"},
 		{"-v"},

@@ -1,14 +1,15 @@
 // Package chaos generates randomized fault schedules and checks run-end
 // invariants — the harness that proves the adaptation runtime tolerates
 // faults landing at arbitrary points, including mid-reconfiguration. A
-// seed fully determines the schedule (explicit rand.Source, never the
-// global generator), so every chaos scenario is replayable byte-for-byte.
+// seed fully determines the schedule (a detutil.Source drawing math/rand's
+// stream for that seed, never the global generator), so every chaos
+// scenario is replayable byte-for-byte.
 package chaos
 
 import (
-	"math/rand"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/faults"
 	"github.com/wasp-stream/wasp/internal/topology"
 )
@@ -39,11 +40,11 @@ const minFaults, maxFaults = 3, 6
 // minFaults. Every generated fault heals, so a correct runtime ends the
 // run fully recovered.
 func Generate(seed int64, cfg Config) []faults.Fault {
-	rng := rand.New(rand.NewSource(seed))
+	rng := detutil.NewSource(seed)
 	want := minFaults + rng.Intn(maxFaults-minFaults+1)
 	var out []faults.Fault
 	for attempts := 0; len(out) < want && attempts < 10*want; attempts++ {
-		f := randomFault(rng, cfg)
+		f := randomFault(&rng, cfg)
 		if faults.ValidateSchedule(append(append([]faults.Fault(nil), out...), f)) != nil {
 			continue
 		}
@@ -55,7 +56,7 @@ func Generate(seed int64, cfg Config) []faults.Fault {
 // randomFault draws one candidate fault. Times are truncated to the
 // schedule's grain and factors to two decimals so rendered schedules stay
 // short and byte-stable.
-func randomFault(rng *rand.Rand, cfg Config) faults.Fault {
+func randomFault(rng *detutil.Source, cfg Config) faults.Fault {
 	d := cfg.Duration
 	g := grain(d)
 	at := d/10 + time.Duration(rng.Int63n(int64(d/2-d/10)+1))
@@ -123,12 +124,12 @@ func grain(d time.Duration) time.Duration {
 }
 
 // randomFactor draws a degradation factor in [0.2, 0.8], two decimals.
-func randomFactor(rng *rand.Rand) float64 {
+func randomFactor(rng *detutil.Source) float64 {
 	return float64(20+rng.Intn(61)) / 100
 }
 
 // randomLink draws a directed link between two distinct sites.
-func randomLink(rng *rand.Rand, sites int) (topology.SiteID, topology.SiteID) {
+func randomLink(rng *detutil.Source, sites int) (topology.SiteID, topology.SiteID) {
 	from := rng.Intn(sites)
 	to := rng.Intn(sites - 1)
 	if to >= from {

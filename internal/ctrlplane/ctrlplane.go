@@ -12,9 +12,9 @@
 package ctrlplane
 
 import (
-	"math/rand"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -74,7 +74,7 @@ type Plane struct {
 	net     Network
 	sched   *vclock.Scheduler
 	obs     *obs.Observer
-	rng     *rand.Rand
+	rng     *detutil.Source // telemetry loss draws; nil on a local plane
 
 	// Quarantine domains: topology regions when labeled, deterministic
 	// latency clusters otherwise.
@@ -128,13 +128,14 @@ func NewLocal(sampler Sampler) *Plane {
 // New builds a WAN plane over the run's topology, network and scheduler.
 // The observer may be nil (events and counters become no-ops).
 func New(cfg Config, sampler Sampler, net Network, top *topology.Topology, sched *vclock.Scheduler, o *obs.Observer) *Plane {
+	rng := detutil.NewSource(cfg.Seed)
 	p := &Plane{
 		cfg:     cfg,
 		sampler: sampler,
 		net:     net,
 		sched:   sched,
 		obs:     o,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     &rng,
 		merger:  metrics.NewReportMerger(),
 	}
 	p.regions = Domains(top, cfg)

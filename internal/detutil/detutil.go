@@ -1,13 +1,21 @@
-// Package detutil provides deterministic iteration helpers.
+// Package detutil provides the determinism helpers the simulator's
+// same-seed/byte-identical guarantee rests on: sorted map iteration and
+// one seeded random source.
 //
 // Go map iteration order is randomised per run; any map range whose body
 // has an order-sensitive effect (appending to a slice, accumulating
-// floats, writing a timeline or exporter) silently breaks the
-// same-seed/byte-identical guarantee the simulator is built on. This
-// package is the sanctioned way to walk a map: take the keys, sort them,
-// iterate the sorted slice. The `waspvet` maprange check (see
-// internal/analysis) flags raw order-sensitive map ranges and points
-// here.
+// floats, writing a timeline or exporter) silently breaks that guarantee.
+// SortedKeys and SortedKeysFunc are the sanctioned way to walk a map: take
+// the keys, sort them, iterate the sorted slice. The `waspvet` maprange
+// check (see internal/analysis) flags raw order-sensitive map ranges and
+// points here.
+//
+// Source is the seeded generator behind the topology, chaos, control-plane
+// loss and trace-walk generators: it draws exactly the stream of
+// rand.New(rand.NewSource(seed)) (FuzzSourceMatchesMathRand holds every
+// method to math/rand bit for bit), so recorded topologies, schedules and
+// figures stay as they were, but it allocates nothing, dispatches no
+// interface call and seeds only the register words a short stream reads.
 package detutil
 
 import (

@@ -3,8 +3,9 @@ package topology
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
+
+	"github.com/wasp-stream/wasp/internal/detutil"
 )
 
 // ScaleConfig shapes GenerateScale, the planet-scale topology generator: R
@@ -48,15 +49,30 @@ const (
 	interLatMin, interLatMax          = 40 * time.Millisecond, 280 * time.Millisecond
 )
 
-// validate rejects degenerate shapes. The shape is often computed (sweeps,
-// waspd's -scale-regions/-scale-edges), so GenerateScale returns errors
-// instead of panicking.
+// reverseBand is how many rows GenerateScale draws before it writes their
+// reverse-direction entries into the lower triangle.
+const reverseBand = 64
+
+// maxScaleSites is the most sites GenerateScale builds: the latency and
+// bandwidth matrices of n sites hold 16·n² bytes, 1.6 GB at this ceiling,
+// ten times the sites of the 1000-site runs.
+const maxScaleSites = 10000
+
+// validate rejects degenerate and oversized shapes before anything is
+// allocated. The shape is often computed (sweeps, waspd's
+// -scale-regions/-scale-edges), so GenerateScale returns errors instead
+// of panicking.
 func (cfg *ScaleConfig) validate() error {
 	if cfg.Regions < 1 {
 		return fmt.Errorf("topology: scale config needs >= 1 region, have %d", cfg.Regions)
 	}
 	if cfg.EdgePerRegion < 0 {
 		return fmt.Errorf("topology: negative edge sites per region (%d)", cfg.EdgePerRegion)
+	}
+	// Divide instead of multiplying: Regions·(EdgePerRegion+1) may
+	// overflow an int.
+	if cfg.EdgePerRegion >= maxScaleSites || cfg.Regions > maxScaleSites/(cfg.EdgePerRegion+1) {
+		return fmt.Errorf("topology: %d regions × (1 hub + %d edge sites) is more than %d sites", cfg.Regions, cfg.EdgePerRegion, maxScaleSites)
 	}
 	if n := cfg.Regions * (cfg.EdgePerRegion + 1); n < 2 {
 		return fmt.Errorf("topology: scale config yields %d site(s), need >= 2", n)
@@ -72,7 +88,7 @@ func GenerateScale(cfg ScaleConfig) (*Topology, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := detutil.NewSource(cfg.Seed)
 	R, S := cfg.Regions, cfg.EdgePerRegion
 	n := R * (S + 1)
 
@@ -98,12 +114,7 @@ func GenerateScale(cfg ScaleConfig) (*Topology, error) {
 		}
 	}
 
-	lat := make([][]time.Duration, n)
-	bw := make([][]Mbps, n)
-	for i := range lat {
-		lat[i] = make([]time.Duration, n)
-		bw[i] = make([]Mbps, n)
-	}
+	lat, bw := newLinkMatrices(n)
 	uniformDur := func(lo, hi time.Duration) time.Duration {
 		return lo + time.Duration(rng.Int63n(int64(hi-lo)))
 	}
@@ -111,38 +122,53 @@ func GenerateScale(cfg ScaleConfig) (*Topology, error) {
 		return lo + Mbps(rng.Float64())*(hi-lo)
 	}
 	maxHop := max(1, R/2)
-	for i := 0; i < n; i++ {
-		lat[i][i] = intraSiteLat
-		bw[i][i] = intraSiteBW
-		for j := i + 1; j < n; j++ {
-			ri, rj := regionOf[i], regionOf[j]
-			var b Mbps
-			var l time.Duration
-			if ri == rj {
-				b = uniformBW(regionBWMin, regionBWMax)
-				l = uniformDur(regionLatMin, regionLatMax)
-			} else {
-				if sites[i].Kind == Edge || sites[j].Kind == Edge {
-					b = uniformBW(longHaulBWMin, longHaulBWMax)
+	// Rows are drawn in bands of reverseBand. The reverse bandwidths of a
+	// band's rows (bw[j][i], j > i) wait in rev, rev[j*reverseBand+i-i0],
+	// and each lower-triangle row then takes the band's run in one copy,
+	// as it takes the mirrored latencies, instead of one row-strided
+	// write per link.
+	rev := make([]Mbps, n*reverseBand)
+	for i0 := 0; i0 < n; i0 += reverseBand {
+		i1 := min(i0+reverseBand, n)
+		for i := i0; i < i1; i++ {
+			lat[i][i] = intraSiteLat
+			bw[i][i] = intraSiteBW
+			for j := i + 1; j < n; j++ {
+				ri, rj := regionOf[i], regionOf[j]
+				var b Mbps
+				var l time.Duration
+				if ri == rj {
+					b = uniformBW(regionBWMin, regionBWMax)
+					l = uniformDur(regionLatMin, regionLatMax)
 				} else {
-					b = uniformBW(hubBWMin, hubBWMax)
+					if sites[i].Kind == Edge || sites[j].Kind == Edge {
+						b = uniformBW(longHaulBWMin, longHaulBWMax)
+					} else {
+						b = uniformBW(hubBWMin, hubBWMax)
+					}
+					hop := int(ri) - int(rj)
+					if hop < 0 {
+						hop = -hop
+					}
+					hop = min(hop, R-hop)
+					base := interLatMin +
+						time.Duration(float64(interLatMax-interLatMin)*float64(hop)/float64(maxHop))
+					jitter := 0.9 + 0.2*rng.Float64()
+					l = time.Duration(float64(base) * jitter)
 				}
-				hop := int(ri) - int(rj)
-				if hop < 0 {
-					hop = -hop
-				}
-				hop = min(hop, R-hop)
-				base := interLatMin +
-					time.Duration(float64(interLatMax-interLatMin)*float64(hop)/float64(maxHop))
-				jitter := 0.9 + 0.2*rng.Float64()
-				l = time.Duration(float64(base) * jitter)
+				bw[i][j] = b
+				lat[i][j] = l
+				// Reverse direction: correlated but asymmetric
+				// bandwidth; propagation delay is symmetric.
+				rev[j*reverseBand+i-i0] = max(0.1, Mbps(float64(b)*(1+(rng.Float64()*2-1)*asymmetryMax)))
 			}
-			bw[i][j] = b
-			lat[i][j] = l
-			// Reverse direction: correlated but asymmetric bandwidth;
-			// propagation delay is symmetric.
-			bw[j][i] = max(0.1, Mbps(float64(b)*(1+(rng.Float64()*2-1)*asymmetryMax)))
-			lat[j][i] = l
+		}
+		for j := i0 + 1; j < n; j++ {
+			k := min(j, i1) - i0
+			copy(bw[j][i0:i0+k], rev[j*reverseBand:j*reverseBand+k])
+			for i := i0; i < i0+k; i++ {
+				lat[j][i] = lat[i][j]
+			}
 		}
 	}
 	return NewRegioned(sites, lat, bw, regionOf)

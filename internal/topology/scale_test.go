@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -134,6 +135,38 @@ func TestGenerateScaleDegenerateShapes(t *testing.T) {
 	}
 }
 
+// TestScaleShapeCeiling: validate refuses a shape whose site count
+// overflows an int or passes maxScaleSites, before GenerateScale allocates
+// anything, and accepts the ceiling itself. Only validate runs here: an
+// oversized shape must never reach the generator.
+func TestScaleShapeCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		regions, edges int
+		ok             bool
+	}{
+		{"product overflows", math.MaxInt, 1, false},
+		{"product wraps to zero", 1 << 62, 3, false},
+		{"edges overflow", 2, math.MaxInt, false},
+		{"one over the ceiling", maxScaleSites + 1, 0, false},
+		{"101 × 100 sites", 101, 99, false},
+		{"one region over the ceiling", 1, maxScaleSites, false},
+		{"the ceiling", 100, 99, true},
+		{"the ceiling, one region", 1, maxScaleSites - 1, true},
+		{"the ceiling, hubs only", maxScaleSites, 0, true},
+		{"1000 sites", 50, 19, true},
+	} {
+		cfg := DefaultScaleConfig(1, tc.regions, tc.edges)
+		err := cfg.validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s (%d × %d): %v", tc.name, tc.regions, tc.edges, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "more than 10000 sites")) {
+			t.Errorf("%s (%d × %d): err %v, want the %d-site ceiling", tc.name, tc.regions, tc.edges, err, maxScaleSites)
+		}
+	}
+}
+
 // dumpHash fingerprints everything a generator produces.
 func dumpHash(top *Topology) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%v\n%v\n%v\n%v\n", top.sites, top.lat, top.bw, regionIDs(top))))
@@ -257,5 +290,17 @@ func TestClusterRegions(t *testing.T) {
 	}
 	if got := ClusterRegions(top, top.N()+5); len(got) != top.N() {
 		t.Fatalf("k>n: got %d clusters, want %d", len(got), top.N())
+	}
+}
+
+// BenchmarkGenerateScale builds the 1000-site planet (50 regions × 19 edge
+// sites) the scale runs start from.
+func BenchmarkGenerateScale(b *testing.B) {
+	cfg := DefaultScaleConfig(1, 50, 19)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateScale(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

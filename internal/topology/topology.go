@@ -12,10 +12,11 @@ package topology
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"github.com/wasp-stream/wasp/internal/detutil"
 )
 
 // Mbps is a network bandwidth in megabits per second.
@@ -98,7 +99,8 @@ func New(sites []Site, lat [][]time.Duration, bw [][]Mbps) (*Topology, error) {
 		return nil, fmt.Errorf("topology: matrix size mismatch (n=%d, lat=%d, bw=%d)", n, len(lat), len(bw))
 	}
 	for i := 0; i < n; i++ {
-		if len(lat[i]) != n || len(bw[i]) != n {
+		latRow, bwRow := lat[i], bw[i]
+		if len(latRow) != n || len(bwRow) != n {
 			return nil, fmt.Errorf("topology: row %d size mismatch", i)
 		}
 		if sites[i].ID != SiteID(i) {
@@ -107,8 +109,9 @@ func New(sites []Site, lat [][]time.Duration, bw [][]Mbps) (*Topology, error) {
 		if sites[i].Slots < 0 {
 			return nil, fmt.Errorf("topology: site %d has negative slots", i)
 		}
-		for j := 0; j < n; j++ {
-			if bw[i][j] < 0 || lat[i][j] < 0 {
+		latRow = latRow[:len(bwRow)]
+		for j, b := range bwRow {
+			if b < 0 || latRow[j] < 0 {
 				return nil, fmt.Errorf("topology: negative link property %d->%d", i, j)
 			}
 		}
@@ -337,15 +340,10 @@ const (
 )
 
 // Generate builds the seeded random §8.2 testbed. The topology is a pure
-// function of cfg (randomness comes from a fresh source seeded with
-// cfg.Seed).
+// function of cfg: it draws the stream of
+// rand.New(rand.NewSource(cfg.Seed)) through a detutil.Source.
 func Generate(cfg GenConfig) *Topology {
-	return GenerateWith(rand.New(rand.NewSource(cfg.Seed)))
-}
-
-// GenerateWith is Generate drawing from the caller's rng — for callers
-// that thread one seeded source through several generators.
-func GenerateWith(rng *rand.Rand) *Topology {
+	rng := detutil.NewSource(cfg.Seed)
 	n := len(dcNames) + edgeSites
 	sites := make([]Site, 0, n)
 	for _, name := range dcNames {
@@ -365,12 +363,7 @@ func GenerateWith(rng *rand.Rand) *Topology {
 		})
 	}
 
-	lat := make([][]time.Duration, n)
-	bw := make([][]Mbps, n)
-	for i := range lat {
-		lat[i] = make([]time.Duration, n)
-		bw[i] = make([]Mbps, n)
-	}
+	lat, bw := newLinkMatrices(n)
 	uniformDur := func(lo, hi time.Duration) time.Duration {
 		return lo + time.Duration(rng.Int63n(int64(hi-lo)))
 	}
@@ -404,4 +397,17 @@ func GenerateWith(rng *rand.Rand) *Topology {
 		panic(fmt.Sprintf("topology: generator produced invalid topology: %v", err))
 	}
 	return t
+}
+
+// newLinkMatrices returns zeroed n×n latency and bandwidth matrices, each
+// one block with its rows carved from it (capacity = length, so no row can
+// grow into the next).
+func newLinkMatrices(n int) ([][]time.Duration, [][]Mbps) {
+	latBlock, bwBlock := make([]time.Duration, n*n), make([]Mbps, n*n)
+	lat, bw := make([][]time.Duration, n), make([][]Mbps, n)
+	for i := range lat {
+		lat[i] = latBlock[i*n : (i+1)*n : (i+1)*n]
+		bw[i] = bwBlock[i*n : (i+1)*n : (i+1)*n]
+	}
+	return lat, bw
 }

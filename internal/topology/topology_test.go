@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -166,26 +165,6 @@ func TestSiteKindString(t *testing.T) {
 	}
 	if got := SiteKind(9).String(); got != "SiteKind(9)" {
 		t.Fatalf("unknown kind String = %q", got)
-	}
-}
-
-func TestGenerateWithMatchesWrapper(t *testing.T) {
-	a := Generate(DefaultGenConfig(9))
-	b := GenerateWith(rand.New(rand.NewSource(9)))
-	if a.N() != b.N() {
-		t.Fatalf("site count mismatch: %d vs %d", a.N(), b.N())
-	}
-	for i := 0; i < a.N(); i++ {
-		if a.Site(SiteID(i)) != b.Site(SiteID(i)) {
-			t.Fatalf("site %d differs", i)
-		}
-		for j := 0; j < a.N(); j++ {
-			from, to := SiteID(i), SiteID(j)
-			if a.BaseBandwidth(from, to) != b.BaseBandwidth(from, to) ||
-				a.Latency(from, to) != b.Latency(from, to) {
-				t.Fatalf("link %d->%d differs", i, j)
-			}
-		}
 	}
 }
 

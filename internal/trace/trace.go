@@ -11,6 +11,7 @@ import (
 	"math"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -183,10 +184,10 @@ type walkConfig struct {
 // invalid configuration (zero interval, inverted bounds), since
 // configurations are compile-time constants in experiments. The trace is
 // a pure function of cfg: it draws the stream a fresh
-// rand.New(rand.NewSource(cfg.Seed)) yields, through a walkSource that
+// rand.New(rand.NewSource(cfg.Seed)) yields, through a detutil.Source that
 // pays only for the draws the walk makes.
 func randomWalk(cfg walkConfig) *Trace {
-	src := walkSource{x0: lcgSeed(cfg.Seed)}
+	src := detutil.NewSource(cfg.Seed)
 	return walk(cfg, src.Float64)
 }
 

@@ -272,7 +272,7 @@ func freshWalk(cfg walkConfig) *Trace {
 }
 
 // randomWalkWith is randomWalk drawing from the caller's math/rand
-// generator, the oracle walkSource is held to. cfg.Seed is ignored.
+// generator, the oracle randomWalk is held to. cfg.Seed is ignored.
 func randomWalkWith(rng *rand.Rand, cfg walkConfig) *Trace {
 	return walk(cfg, rng.Float64)
 }

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"math"
-	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
+
+// lcgMod is the modulus of math/rand's seeding LCG, 2³¹−1.
+const lcgMod = 1<<31 - 1
 
 // walkSeeds are the seeds math/rand's seeding treats specially: zero (which
 // it replaces with 89482311), ±1, multiples of the LCG modulus 2³¹−1
@@ -17,22 +20,25 @@ var walkSeeds = []int64{
 	7919, 61 * 1000, 1<<40 + 3,
 }
 
-// walkDraws are draw counts around the point where walkSource stops reading
-// seeded words and builds the register (rngTap), the Fig2Bandwidth walk
-// (one draw per 5-minute point of a day, 289), a three-hour and a 33-hour
-// live walk, and the longest the fuzz target draws.
-var walkDraws = []int{0, 1, 26, rngTap - 1, rngTap, rngTap + 1, 289, 334, rngLen, rngLen + 1, 181, 1981, 2000}
+// walkDraws are walk lengths around draw 273, where detutil.Source stops
+// reading seeded words and builds math/rand's register, the Fig2Bandwidth
+// walk (one draw per 5-minute point of a day, 289), a three-hour and a
+// 33-hour live walk, the register length 607, and the longest the fuzz
+// target draws.
+var walkDraws = []int{0, 1, 26, 272, 273, 274, 289, 334, 607, 608, 181, 1981, 2000}
 
-// checkWalkSource requires walkSource to reproduce math/rand's Float64
-// stream for seed, draw for draw.
+// checkWalkSource requires randomWalk, which draws from a detutil.Source,
+// to reproduce the walk over math/rand's own generator point for point,
+// for a walk of the given number of draws.
 func checkWalkSource(t *testing.T, seed int64, draws int) {
 	t.Helper()
-	want := rand.New(rand.NewSource(seed))
-	got := walkSource{x0: lcgSeed(seed)}
-	for n := 0; n < draws; n++ {
-		if g, w := got.Float64(), want.Float64(); math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("seed %d draw %d: walkSource %v, math/rand %v", seed, n, g, w)
-		}
+	cfg := walkConfig{
+		Seed: seed, Start: 1, Min: 0.5, Max: 2, MaxStep: 0.3,
+		Interval: 5 * time.Minute, Duration: time.Duration(draws-1) * 5 * time.Minute,
+	}
+	got, want := randomWalk(cfg), freshWalk(cfg)
+	if got.Len() != draws || !slices.Equal(got.Points(), want.Points()) {
+		t.Fatalf("seed %d, %d draws: walk differs from math/rand's (%d vs %d points)", seed, draws, got.Len(), want.Len())
 	}
 }
 
