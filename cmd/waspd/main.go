@@ -35,10 +35,12 @@
 // A flag value that is not a run (an unknown policy or query, a rate or
 // factor that is not a finite positive number, a -workload or -bandwidth
 // list that is 0 in every phase, a duration shorter than one engine tick,
-// a negative checkpoint interval, a fault script that does not parse,
-// half a -scale-* pair or a shape of more than 10,000 sites, more than
-// 2^53 events from one source) exits 2 naming the flag, before anything
-// runs; a run failure or a chaos violation exits 1.
+// a checkpoint interval that is negative or shorter than one tick, a
+// fault script that does not parse or names a site the topology lacks,
+// half a -scale-* pair, a shape of more than 10,000 sites or one with too
+// few regions for the query to combine, more than 2^53 events from one
+// source) exits 2 naming the flag, before anything runs; a run failure or
+// a chaos violation exits 1.
 //
 // -fault injects failures from a semicolon-separated script (see the
 // faults package for the DSL): site crash+restart (crash), link blackout
@@ -77,6 +79,7 @@ import (
 	"github.com/wasp-stream/wasp/internal/faults"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
+	"github.com/wasp-stream/wasp/internal/queries"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/trace"
 )
@@ -197,6 +200,11 @@ func run(opt options) error {
 	if opt.ckptEvery < 0 {
 		return badValue{fmt.Errorf("-checkpoint-every: %v must not be negative (0 = no checkpointing)", opt.ckptEvery)}
 	}
+	if opt.ckptEvery > 0 && opt.ckptEvery < engine.TickEvery {
+		// State changes once a tick: a shorter interval would only take
+		// the same checkpoint again, up to millions of times a run.
+		return badValue{fmt.Errorf("-checkpoint-every: %v is shorter than one engine tick (%v) (0 = no checkpointing)", opt.ckptEvery, engine.TickEvery)}
+	}
 	// Validate both factor lists before anything runs (even in -live mode,
 	// where they are unused: a typo should not pass silently).
 	wFactors, err := parseFactorList("-workload", opt.workload)
@@ -260,11 +268,20 @@ func run(opt options) error {
 		// above the hierarchical threshold the scheduler and controller
 		// automatically take the two-level placement path.
 		ingest, rate := experiment.IngestPlan(top)
+		if spec := builder(queries.Config{SourceSites: ingest}).Spec; spec != nil && len(spec.Inputs) < 2 {
+			return badValue{fmt.Errorf("-scale-regions %d × -scale-edges %d: %d ingest site(s), and -query %s combines at least 2 sources (one per region, up to 8)",
+				opt.scaleReg, opt.scaleEdges, len(ingest), opt.query)}
+		}
 		sc.Topology = top
 		sc.SourceSites = ingest
 		sc.RateForSite = func(s topology.SiteID) float64 { return rate[s] }
 		fmt.Printf("waspd: planet-scale topology: %d sites (%d regions x %d edges), %d simulated users\n",
 			top.N(), opt.scaleReg, opt.scaleEdges, top.TotalUsers())
+	} else {
+		sc.Topology = topology.Generate(topology.DefaultGenConfig(opt.seed))
+	}
+	if err := faults.SitesWithin(fs, sc.Topology.N()); err != nil {
+		return badValue{fmt.Errorf("-fault: %w", err)}
 	}
 	if opt.live {
 		sc.PerLinkBandwidth = true

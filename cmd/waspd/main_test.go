@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/obs"
 )
 
@@ -71,6 +72,13 @@ func TestRunShortScenario(t *testing.T) {
 	lull.workload, lull.bandwidth = "0,1", "1,0"
 	if err := run(lull); err != nil {
 		t.Fatalf("-workload 0,1 -bandwidth 1,0: %v", err)
+	}
+
+	// A checkpoint every engine tick is the shortest interval that runs.
+	ckpt := shortOpts()
+	ckpt.ckptEvery = engine.TickEvery
+	if err := run(ckpt); err != nil {
+		t.Fatalf("-checkpoint-every %v: %v", engine.TickEvery, err)
 	}
 
 	bad := shortOpts()
@@ -266,6 +274,8 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 		{"-workload", "1e300"},
 		{"-duration", "0s"},
 		{"-checkpoint-every", "-1s"},
+		{"-checkpoint-every", "1ns"},
+		{"-checkpoint-every", "249ms"},
 		{"-workload", "1,x"},
 		{"-bandwidth", "1,-1"},
 		{"-bandwidth", "0"},
@@ -273,10 +283,12 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 		{"-workload", "0"},
 		{"-workload", "0,0"},
 		{"-fault", "crash@5m:site=3,for=2m,bogus=1"},
+		{"-fault", "crash@1m:site=99", "-duration", "2m"},
 		{"-scale-regions", "3"},
 		{"-scale-edges", "-1"},
 		{"-scale-regions", "101", "-scale-edges", "99"},
 		{"-scale-regions", "4611686018427387904", "-scale-edges", "3"},
+		{"-scale-regions", "1", "-scale-edges", "1", "-query", "ysb", "-duration", "1m"},
 		{"-obs-format", "prom"},
 		{"-flight-dump", "f.dump"},
 		{"-v"},
@@ -287,6 +299,29 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), args[0]) {
 			t.Errorf("%v: stderr %q does not name the flag", args, stderr.String())
+		}
+	}
+}
+
+// TestRefusalsSayWhy: a refusal that depends on more than one flag's text
+// names what it was checked against — the topology's sites, the scale
+// shape and the query, the engine tick.
+func TestRefusalsSayWhy(t *testing.T) {
+	for _, c := range []struct {
+		args, want []string
+	}{
+		{[]string{"-fault", "crash@1m:site=99", "-duration", "2m"}, []string{"-fault", "site 99", "[0,16)"}},
+		{[]string{"-scale-regions", "1", "-scale-edges", "1", "-query", "ysb", "-duration", "1m"}, []string{"-scale-regions 1", "-scale-edges 1", "-query ysb"}},
+		{[]string{"-checkpoint-every", "249ms"}, []string{"-checkpoint-every", "249ms", "250ms"}},
+	} {
+		var stderr bytes.Buffer
+		if code := runMain(c.args, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", c.args, code)
+		}
+		for _, sub := range c.want {
+			if !strings.Contains(stderr.String(), sub) {
+				t.Errorf("%v: stderr %q does not contain %q", c.args, stderr.String(), sub)
+			}
 		}
 	}
 }

@@ -402,8 +402,8 @@ func (in *Injector) Schedule(sched *vclock.Scheduler, fs []Fault) error {
 		for _, p := range row.params {
 			switch x := p.at(&f).(type) {
 			case *topology.SiteID:
-				if n := in.net.Topology().N(); *x < 0 || int(*x) >= n {
-					return fmt.Errorf("faults: %s: %s %d outside the topology [0,%d)", f.Kind, p.key, int(*x), n)
+				if err := p.siteWithin(f, *x, in.net.Topology().N()); err != nil {
+					return err
 				}
 			case *plan.OpID:
 				if in.eng.Plan().Stage(*x) == nil {
@@ -422,6 +422,34 @@ func (in *Injector) Schedule(sched *vclock.Scheduler, fs []Fault) error {
 		if f.For > 0 {
 			sched.At(vclock.Time(f.At+f.For), func(vclock.Time) { in.strike("fault.heal", f, kinds[f.Kind].heal) })
 		}
+	}
+	return nil
+}
+
+// SitesWithin returns the error Schedule gives the first site parameter,
+// in list order, that names no site of an n-site topology, or nil: the
+// check a front end can make before anything is deployed.
+func SitesWithin(fs []Fault, n int) error {
+	for _, f := range fs {
+		if !f.Kind.known() {
+			continue
+		}
+		for _, p := range kinds[f.Kind].params {
+			if x, ok := p.at(&f).(*topology.SiteID); ok {
+				if err := p.siteWithin(f, *x, n); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// siteWithin is the error of site, f's value of site parameter p, when it
+// is outside an n-site topology.
+func (p param) siteWithin(f Fault, site topology.SiteID, n int) error {
+	if site < 0 || int(site) >= n {
+		return fmt.Errorf("faults: %s: %s %d outside the topology [0,%d)", f.Kind, p.key, int(site), n)
 	}
 	return nil
 }

@@ -47,37 +47,67 @@ type Plan struct {
 }
 
 // FromLogical creates an unplaced physical plan: one stage per logical
-// operator, all with empty placements. Use Schedule to place tasks.
+// operator, all with empty placements. Use Schedule to place tasks. It is
+// stagePlans' one-graph case.
 func FromLogical(g *plan.Graph) (*Plan, error) {
-	if err := g.Validate(); err != nil {
+	ps, _, err := stagePlans([]*plan.Graph{g})
+	if err != nil {
 		return nil, err
 	}
-	return newPlan(g, nil), nil
+	return &ps[0], nil
 }
 
-// newPlan lays out one stage per operator of g in one block, copying each
-// stage's sites from the same operator's stage in from when from is
-// non-nil. The stages' site lists share one block too, each with room for
-// exactly its own sites: the copied ones, or for a fresh plan the one task
-// Schedule gives a stage by default. A list that outgrows its room
+// stagePlans validates each of graphs and lays out an unplaced plan for
+// each: one stage per operator, with room for the one
+// task Schedule gives a stage by default. The plans, their stage tables,
+// their stages and their site lists are one block each, and a site list
+// that outgrows its room reallocates instead of writing into its
+// neighbour's. On an invalid graph it returns that graph's index and
+// Validate's error.
+func stagePlans(graphs []*plan.Graph) (ps []Plan, bad int, err error) {
+	ids, live := 0, 0
+	for i, g := range graphs {
+		if err := g.Validate(); err != nil {
+			return nil, i, err
+		}
+		ids += g.IDBound()
+		live += g.Len()
+	}
+	ps = make([]Plan, len(graphs))
+	table := make([]*Stage, ids)
+	stages := make([]Stage, live)
+	sites := make([]topology.SiteID, live)
+	for i, g := range graphs {
+		p := &ps[i]
+		p.Graph = g
+		p.Stages, table = table[:g.IDBound():g.IDBound()], table[g.IDBound():]
+		for _, id := range g.OperatorIDs() {
+			st := &stages[0]
+			st.Op = g.Operator(id)
+			st.Sites = sites[:0:1]
+			p.Stages[id] = st
+			stages, sites = stages[1:], sites[1:]
+		}
+	}
+	return ps, 0, nil
+}
+
+// clonePlan lays out a copy of from's stages over g, a clone of its
+// graph: the stages are one block and their site lists another, each with
+// room for exactly its own sites. A list that outgrows its room
 // reallocates instead of writing into its neighbour's.
-func newPlan(g *plan.Graph, from *Plan) *Plan {
+func clonePlan(g *plan.Graph, from *Plan) *Plan {
 	p := &Plan{Graph: g, Stages: make([]*Stage, g.IDBound())}
 	stages := make([]Stage, g.Len())
 	ids := g.OperatorIDs()
-	n := len(ids)
-	if from != nil {
-		n = 0
-		for _, id := range ids {
-			n += len(from.Stages[id].Sites)
-		}
+	n := 0
+	for _, id := range ids {
+		n += len(from.Stages[id].Sites)
 	}
 	block := make([]topology.SiteID, n)
 	for i, id := range ids {
 		stages[i].Op = g.Operator(id)
-		if from == nil {
-			stages[i].Sites, block = block[:0:1], block[1:]
-		} else if k := copy(block, from.Stages[id].Sites); k > 0 {
+		if k := copy(block, from.Stages[id].Sites); k > 0 {
 			stages[i].Sites, block = block[:k:k], block[k:]
 		}
 		p.Stages[id] = &stages[i]
@@ -151,7 +181,7 @@ func (p *Plan) Validate(top *topology.Topology) error {
 
 // Clone deep-copies the plan (sharing the logical graph's operator structs
 // via a cloned graph).
-func (p *Plan) Clone() *Plan { return newPlan(p.Graph.Clone(), p) }
+func (p *Plan) Clone() *Plan { return clonePlan(p.Graph.Clone(), p) }
 
 // AppendEndpoints summarises a stage's placement as weighted per-site
 // endpoints, weighting each site by its share of the stage's tasks (even

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/wasp-stream/wasp/internal/placement"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 )
@@ -102,26 +101,33 @@ type sessionEntry struct {
 // NewSession expands the query's combine-order search space once. The
 // base graph should already be logically optimized (PushDownFilters).
 // maxVariants of 0 means DefaultMaxVariants.
+//
+// The variants are built as one batch (plan.CombineSpec.ExpandAll) and
+// staged as one (stagePlans): a session is the same few dozen
+// allocations whether it holds 12 variants or 105, and its variants share
+// one copy of the base operators.
 func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Session, error) {
 	if maxVariants == 0 {
 		maxVariants = DefaultMaxVariants
 	}
 	trees := plan.EnumerateTrees(len(spec.Inputs), maxVariants)
-	s := &Session{entries: make([]sessionEntry, 0, len(trees))}
+	variants, err := spec.ExpandAll(base, trees)
+	if err != nil {
+		return nil, err
+	}
+	graphs := make([]*plan.Graph, len(variants))
+	for i := range variants {
+		graphs[i] = variants[i].Graph
+	}
+	plans, bad, err := stagePlans(graphs)
+	if err != nil {
+		return nil, fmt.Errorf("variant %v: %w", trees[bad], err)
+	}
+	s := &Session{entries: make([]sessionEntry, len(variants))}
 	var first []plan.OpID
-	for _, tree := range trees {
-		v, err := spec.Expand(base, tree)
-		if err != nil {
-			return nil, fmt.Errorf("expand %v: %w", tree, err)
-		}
-		p, err := FromLogical(v.Graph)
-		if err != nil {
-			return nil, fmt.Errorf("variant %v: %w", tree, err)
-		}
-		order, err := p.StageIDs()
-		if err != nil {
-			return nil, fmt.Errorf("variant %v: %w", tree, err)
-		}
+	for i := range variants {
+		v, p := &variants[i], &plans[i]
+		order, _ := p.StageIDs() // cached by ExpandAll, and Validate passed it
 		if first == nil {
 			first, s.prefix = order, len(order)
 		}
@@ -133,7 +139,7 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 			n++
 		}
 		s.prefix = n
-		s.entries = append(s.entries, sessionEntry{variant: v, plan: p})
+		s.entries[i] = sessionEntry{variant: v, plan: p}
 	}
 	return s, nil
 }
@@ -142,7 +148,8 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 // prefix once, then schedule each admissible variant's suffix against the
 // current topology/bandwidth, estimate its cost, and rank. The returned
 // candidates (and their Plans) are owned by the session and valid until
-// the next Plan call; Clone any plan that outlives the round.
+// the next Plan call; Clone any plan that outlives the round. A variant
+// that no placement fits is passed over without building an error.
 func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool) (*Candidate, []Candidate, error) {
 	sc := cfg.ScheduleConfig.withDefaults(top)
 	if sc.Workspace == nil {
@@ -163,11 +170,12 @@ func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*pl
 			if err := beginSchedule(e.plan, order, top, sc); err != nil {
 				return nil, nil, err
 			}
-			if err := placeStages(e.plan, order[:s.prefix], top, sc); err != nil {
-				if errors.Is(err, placement.ErrInfeasible) {
-					break // every variant shares the prefix: none is schedulable
-				}
+			placed, err := placeStages(e.plan, order[:s.prefix], top, sc)
+			if err != nil {
 				return nil, nil, err
+			}
+			if placed < s.prefix {
+				break // every variant shares the prefix: none is schedulable
 			}
 			first = e.plan
 			s.prefixAvail = append(s.prefixAvail[:0], ws.avail...)
@@ -181,11 +189,13 @@ func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*pl
 			}
 			ws.avail = append(ws.avail[:0], s.prefixAvail...)
 		}
-		if err := placeStages(e.plan, order[s.prefix:], top, sc); err != nil {
-			if errors.Is(err, placement.ErrInfeasible) {
-				continue // variant not schedulable under current bandwidth
-			}
+		suffix := order[s.prefix:]
+		placed, err := placeStages(e.plan, suffix, top, sc)
+		if err != nil {
 			return nil, nil, err
+		}
+		if placed < len(suffix) {
+			continue // variant not schedulable under current bandwidth
 		}
 		delayVol, wan := estimateCost(e.plan, top, ws.rates.Bytes, ws)
 		candidates = append(candidates, Candidate{

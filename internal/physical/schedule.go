@@ -79,7 +79,15 @@ func Schedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) error {
 	if err := beginSchedule(p, order, top, c); err != nil {
 		return err
 	}
-	return placeStages(p, order, top, c)
+	placed, err := placeStages(p, order, top, c)
+	if err != nil || placed == len(order) {
+		return err
+	}
+	// The stage no placement fits: its problem is still the workspace's,
+	// and solving it again through the solver that words its verdict
+	// gives the error.
+	_, err = c.Workspace.SolvePlacement(&c.Workspace.pr, top, c.HierarchicalSites)
+	return fmt.Errorf("schedule stage %q: %w", p.Stages[order[placed]].Op.Name, err)
 }
 
 // beginSchedule readies the workspace to place p's stages: ws.rates holds
@@ -113,32 +121,36 @@ func beginSchedule(p *Plan, order []plan.OpID, top *topology.Topology, c Schedul
 
 // placeStages places the given stages of p in order against the
 // workspace's rates and free slots (see beginSchedule), taking each
-// placement's slots out of ws.avail.
-func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleConfig) error {
+// placement's slots out of ws.avail. It stops at the first stage no
+// placement fits and returns how many it placed, len(ids) when all of
+// them; that verdict allocates nothing. Its error is for a stage no
+// bandwidth or slot count could place.
+func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleConfig) (placed int, err error) {
 	ws := c.Workspace
-	for _, id := range ids {
+	for i, id := range ids {
 		st := p.Stages[id]
 		par := c.parallelismFor(st.Op)
 		if par < 1 {
-			return fmt.Errorf("physical: stage %q parallelism %d < 1", st.Op.Name, par)
+			return i, fmt.Errorf("physical: stage %q parallelism %d < 1", st.Op.Name, par)
 		}
 		if st.Op.PinnedSite != plan.NoSite {
 			ws.avail[st.Op.PinnedSite] += par // release this stage's own reservation
 		}
-		pl, err := solveStage(p, id, par, 1, ws.avail, top, c, ws.rates.Bytes, ws.rates.Bytes[id], nil)
+		pr := stageProblem(p, id, par, 1, ws.avail, top, c, ws.rates.Bytes, ws.rates.Bytes[id], nil)
+		pl, unplaced, err := ws.place(pr, top, c.HierarchicalSites)
 		if err != nil {
-			return fmt.Errorf("schedule stage %q: %w", st.Op.Name, err)
+			return i, fmt.Errorf("schedule stage %q: %w", st.Op.Name, err)
+		}
+		if unplaced > 0 {
+			return i, nil
 		}
 		st.Sites = takePlacement(st.Sites[:0], pl, ws.avail)
 	}
-	return nil
+	return len(ids), nil
 }
 
 // solveStage builds and solves the placement problem for parallelism
-// tasks of one stage, carrying share of its input stream, given the
-// current deployments of its upstream neighbours. downs supplies the
-// downstream endpoints (PlaceTasks considers both sides); during initial
-// scheduling downstream stages are not yet placed and the side is empty.
+// tasks of one stage (see stageProblem).
 func solveStage(
 	p *Plan,
 	id plan.OpID,
@@ -151,6 +163,28 @@ func solveStage(
 	outputBytes float64,
 	downs []placement.Endpoint,
 ) (*placement.Placement, error) {
+	pr := stageProblem(p, id, parallelism, share, avail, top, cfg, outBytes, outputBytes, downs)
+	return cfg.Workspace.SolvePlacement(pr, top, cfg.HierarchicalSites)
+}
+
+// stageProblem builds, in the workspace, the placement problem for
+// parallelism tasks of one stage, carrying share of its input stream,
+// given the current deployments of its upstream neighbours. downs
+// supplies the downstream endpoints (PlaceTasks considers both sides);
+// during initial scheduling downstream stages are not yet placed and the
+// side is empty.
+func stageProblem(
+	p *Plan,
+	id plan.OpID,
+	parallelism int,
+	share float64,
+	avail []int,
+	top *topology.Topology,
+	cfg ScheduleConfig,
+	outBytes []float64,
+	outputBytes float64,
+	downs []placement.Endpoint,
+) *placement.Problem {
 	st := p.Stages[id]
 	ws := cfg.Workspace
 
@@ -193,7 +227,7 @@ func solveStage(
 		Conservative:      cfg.Conservative,
 		Pinned:            pinned,
 	}
-	return ws.SolvePlacement(&ws.pr, top, cfg.HierarchicalSites)
+	return &ws.pr
 }
 
 // takePlacement converts p[s] counts into a site list appended to dst,

@@ -1,8 +1,13 @@
 package physical
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"github.com/wasp-stream/wasp/internal/placement"
+	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/queries"
 	"github.com/wasp-stream/wasp/internal/topology"
 )
@@ -78,19 +83,230 @@ func BenchmarkPlanQuery(b *testing.B) {
 }
 
 // TestNewSessionAllocs holds session construction — 40 variant graphs,
-// each expanded in one block, validated and staged — under a ceiling about
-// a fifth above what it measures (565; Clone, AddOperator and Connect per
-// variant measured 2,699, and the map store with fmt-built names 8,852).
+// expanded and staged in session-wide blocks — under a ceiling about a
+// fifth above what it measures (60, of which EnumerateTrees is 43; one
+// block per variant measured 565, Clone, AddOperator and Connect per
+// variant 2,699, and the map store with fmt-built names 8,852). Outside
+// EnumerateTrees a session is the same allocations at 105 variants as at
+// 40.
 func TestNewSessionAllocs(t *testing.T) {
 	q := ysb8()
+	session := func(maxVariants int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			s, err := NewSession(q.Graph, q.Spec, maxVariants)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessionSink = s
+		})
+	}
+	got := session(paperVariants)
+	if ceiling := 72.0; got > ceiling {
+		t.Fatalf("NewSession allocates %v times, ceiling %v", got, ceiling)
+	}
+	beyondTrees := func(maxVariants int) float64 {
+		trees := testing.AllocsPerRun(20, func() { treesSink = plan.EnumerateTrees(len(q.Spec.Inputs), maxVariants) })
+		return session(maxVariants) - trees
+	}
+	if at40, at105 := beyondTrees(paperVariants), beyondTrees(DefaultMaxVariants); at105 > at40 {
+		t.Fatalf("NewSession allocates %v times beyond EnumerateTrees at %d variants and %v at %d", at40, paperVariants, at105, DefaultMaxVariants)
+	}
+}
+
+var treesSink []*plan.Tree
+
+// TestPlanQueryAllocs holds a cold request — ysb8's 40 variants
+// enumerated, expanded, staged and planned on a 16-site testbed — under a
+// ceiling about a fifth above what it measures (91; 596 with one block
+// per variant).
+func TestPlanQueryAllocs(t *testing.T) {
+	q := ysb8()
+	top := topology.Generate(topology.DefaultGenConfig(1))
+	cfg := PlannerConfig{MaxVariants: paperVariants}
 	got := testing.AllocsPerRun(20, func() {
-		s, err := NewSession(q.Graph, q.Spec, paperVariants)
+		best, _, err := PlanQuery(q.Graph, q.Spec, top, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sessionSink = s
+		candidateSink = best
 	})
-	if ceiling := 680.0; got > ceiling {
-		t.Fatalf("NewSession allocates %v times, ceiling %v", got, ceiling)
+	if ceiling := 108.0; got > ceiling {
+		t.Fatalf("PlanQuery allocates %v times, ceiling %v", got, ceiling)
+	}
+}
+
+// TestSessionMatchesFreshExpand holds every variant of a session to the
+// same tree expanded alone by CombineSpec.Expand and staged by
+// FromLogical: operator values and names, edge lists in order,
+// CombineNodes, stage order and validity. It then grows every variant's
+// edge lists and site lists past their room, and requires each variant
+// to hold exactly what was added to it: no list of one variant may share
+// room with another's.
+func TestSessionMatchesFreshExpand(t *testing.T) {
+	type setup struct {
+		name        string
+		q           *queries.Query
+		maxVariants int
+	}
+	var setups []setup
+	for qi := range paperQueries {
+		for _, v := range []int{paperVariants, DefaultMaxVariants} {
+			setups = append(setups, setup{fmt.Sprintf("q%d, 8 sources, %d variants", qi, v), testbedQuery(qi, 8), v})
+		}
+	}
+	setups = append(setups, setup{"top-k, 1000 sites, 12 variants", planetQuery(planetTopology(t), 1), 12})
+	for _, c := range setups {
+		s := mustSession(t, c.q, c.maxVariants)
+		if len(s.entries) != c.maxVariants {
+			t.Fatalf("%s: %d variants", c.name, len(s.entries))
+		}
+		fresh := make([]*Plan, len(s.entries))
+		for i, e := range s.entries {
+			v, err := c.q.Spec.Expand(c.q.Graph, e.variant.Tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh[i], err = FromLogical(v.Graph); err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("%s, variant %d %v", c.name, i, e.variant.Tree)
+			if !slices.Equal(e.variant.CombineNodes, v.CombineNodes) {
+				t.Fatalf("%s: CombineNodes %v, fresh %v", where, e.variant.CombineNodes, v.CombineNodes)
+			}
+			if err := samePlan(e.plan, fresh[i], false, 0); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+		}
+		// Grow every list of every variant, each by its variant's own
+		// marks: a probe operator wired both ways to every operator, and
+		// two tasks on every stage.
+		for i, e := range s.entries {
+			g := e.variant.Graph
+			probe := g.AddOperator(plan.Operator{Name: "probe", Kind: plan.KindMap})
+			for _, id := range fresh[i].Graph.OperatorIDs() {
+				g.MustConnect(id, probe)
+				g.MustConnect(probe, id)
+				st := e.plan.Stages[id]
+				st.Sites = append(st.Sites, topology.SiteID(i), topology.SiteID(i))
+			}
+		}
+		for i, e := range s.entries {
+			if err := samePlan(e.plan, fresh[i], true, topology.SiteID(i)); err != nil {
+				t.Fatalf("%s, variant %d %v, after growing every variant's lists: %v", c.name, i, e.variant.Tree, err)
+			}
+		}
+	}
+}
+
+// samePlan reports how got, a session plan, differs from want, the same
+// tree expanded and staged alone. grown means got's graph has since gained
+// a probe operator wired both ways to every operator, and every stage two
+// tasks at site mark.
+func samePlan(got, want *Plan, grown bool, mark topology.SiteID) error {
+	g, w := got.Graph, want.Graph
+	if !grown {
+		if g.IDBound() != w.IDBound() || g.Len() != w.Len() || !slices.Equal(g.OperatorIDs(), w.OperatorIDs()) {
+			return fmt.Errorf("%d ids, %d operators %v; fresh %d, %d %v", g.IDBound(), g.Len(), g.OperatorIDs(), w.IDBound(), w.Len(), w.OperatorIDs())
+		}
+		gotOrder, gotErr := got.StageIDs()
+		wantOrder, wantErr := want.StageIDs()
+		if !slices.Equal(gotOrder, wantOrder) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			return fmt.Errorf("stage order %v (%v), fresh %v (%v)", gotOrder, gotErr, wantOrder, wantErr)
+		}
+		if gotErr, wantErr := g.Validate(), w.Validate(); fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			return fmt.Errorf("Validate: %v, fresh %v", gotErr, wantErr)
+		}
+	}
+	probe := plan.OpID(w.IDBound())
+	for _, id := range w.OperatorIDs() {
+		a, b := g.Operator(id), w.Operator(id)
+		if *a != *b {
+			return fmt.Errorf("operator %d is %+v, fresh %+v", id, *a, *b)
+		}
+		wantDown, wantUp, wantSites := w.DownstreamView(id), w.UpstreamView(id), []topology.SiteID(nil)
+		if grown {
+			wantDown = append(slices.Clone(wantDown), probe)
+			wantUp = append(slices.Clone(wantUp), probe)
+			wantSites = []topology.SiteID{mark, mark}
+		}
+		if !slices.Equal(g.DownstreamView(id), wantDown) || !slices.Equal(g.UpstreamView(id), wantUp) {
+			return fmt.Errorf("operator %d has down %v up %v, want %v and %v", id, g.DownstreamView(id), g.UpstreamView(id), wantDown, wantUp)
+		}
+		if st := got.Stages[id]; st.Op != a || !slices.Equal(st.Sites, wantSites) {
+			return fmt.Errorf("stage %d is %+v, want operator %p at %v", id, *st, a, wantSites)
+		}
+	}
+	return nil
+}
+
+// TestSessionPlanInfeasibleAllocs: a warm round that passes over variants
+// no placement fits allocates no more than a round that ranks them all.
+// The in-round verdict on a stage or a variant builds no error.
+func TestSessionPlanInfeasibleAllocs(t *testing.T) {
+	s := mustSession(t, ysb8(), paperVariants)
+	top := topology.Generate(topology.DefaultGenConfig(1))
+	round := func(cfg PlannerConfig) (ranked int, allocs float64) {
+		_, all, err := s.Plan(top, cfg, nil)
+		if err != nil && !errors.Is(err, ErrNoCandidate) {
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(20, func() { _, candidatesSink, _ = s.Plan(top, cfg, nil) })
+		return len(all), allocs
+	}
+	open := PlannerConfig{ScheduleConfig: ScheduleConfig{Bandwidth: perturbed(top, 0, 1, 1)}}
+	ranked, base := round(open)
+	if ranked != len(s.entries) {
+		t.Fatalf("the unsqueezed round ranks %d of %d variants", ranked, len(s.entries))
+	}
+	squeezed := open
+	squeezed.Bandwidth = perturbed(top, 0, 0.1, 1) // leaves 25 of the 40
+	ranked, allocs := round(squeezed)
+	if ranked == 0 || ranked == len(s.entries) {
+		t.Fatalf("the squeezed round ranks %d of %d variants, want some and not all", ranked, len(s.entries))
+	}
+	if allocs > base {
+		t.Fatalf("a round that passes over %d of %d variants allocates %v times, one that ranks them all %v", len(s.entries)-ranked, len(s.entries), allocs, base)
+	}
+}
+
+// TestScheduleInfeasibleErrors pins the error Schedule returns for a stage
+// no placement fits, from either solver, whether the links or the slots
+// fall short: the text, and that it wraps placement.ErrInfeasible.
+func TestScheduleInfeasibleErrors(t *testing.T) {
+	g, spec := fig5Query(t)
+	top := fig5Topology(t)
+	tree := plan.EnumerateTrees(len(spec.Inputs), 1)[0]
+	trickle := func(from, to topology.SiteID) float64 {
+		if from == to {
+			return 1e12
+		}
+		return 1
+	}
+	for _, c := range []struct {
+		name string
+		cfg  ScheduleConfig
+		want string
+	}{
+		{"links, exact", ScheduleConfig{Bandwidth: trickle, HierarchicalSites: -1},
+			`schedule stage "join{2,3}": placement: no feasible placement: 1 of 1 tasks unplaced`},
+		{"links, hierarchical", ScheduleConfig{Bandwidth: trickle, HierarchicalSites: 1},
+			`schedule stage "join{2,3}": placement: no feasible placement: 1 of 1 tasks unplaced`},
+		{"slots, exact", ScheduleConfig{DefaultParallelism: 40, HierarchicalSites: -1},
+			`schedule stage "join{2,3}": placement: no feasible placement: 13 of 40 tasks unplaced`},
+		{"slots, hierarchical", ScheduleConfig{DefaultParallelism: 40, HierarchicalSites: 1},
+			`schedule stage "join{2,3}": placement: no feasible placement: 27 slots for 40 tasks`},
+	} {
+		v, err := spec.Expand(g, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := FromLogical(v.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = Schedule(p, top, c.cfg)
+		if err == nil || err.Error() != c.want || !errors.Is(err, placement.ErrInfeasible) {
+			t.Errorf("%s: Schedule error %q (ErrInfeasible: %v), want %q wrapping it", c.name, err, errors.Is(err, placement.ErrInfeasible), c.want)
+		}
 	}
 }

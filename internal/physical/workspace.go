@@ -69,12 +69,32 @@ func (ws *Workspace) regionsFor(top *topology.Topology) [][]topology.SiteID {
 // solver). The returned Placement aliases workspace buffers and is valid
 // only until the next solve through the same workspace.
 func (ws *Workspace) SolvePlacement(pr *placement.Problem, top *topology.Topology, hierSites int) (*placement.Placement, error) {
+	if regions := ws.hierRegions(pr, top, hierSites); regions != nil {
+		return pr.SolveHierarchicalInto(regions, &ws.hier)
+	}
+	return pr.SolveInto(&ws.sol)
+}
+
+// place is SolvePlacement with the infeasible verdict as a count of the
+// tasks no site could take, not an error (placement.Problem.PlaceInto).
+func (ws *Workspace) place(pr *placement.Problem, top *topology.Topology, hierSites int) (*placement.Placement, int, error) {
+	if regions := ws.hierRegions(pr, top, hierSites); regions != nil {
+		return pr.PlaceHierarchicalInto(regions, &ws.hier)
+	}
+	return pr.PlaceInto(&ws.sol)
+}
+
+// hierRegions returns the region partition pr is solved over, or nil when
+// the exact solver takes it: below hierSites sites (0 selects
+// placement.DefaultHierarchicalThreshold, negative means never), or
+// without a topology of pr's size.
+func (ws *Workspace) hierRegions(pr *placement.Problem, top *topology.Topology, hierSites int) [][]topology.SiteID {
 	threshold := hierSites
 	if threshold == 0 {
 		threshold = placement.DefaultHierarchicalThreshold
 	}
 	if threshold < 0 || top == nil || pr.Sites < threshold || pr.Sites != top.N() {
-		return pr.SolveInto(&ws.sol)
+		return nil
 	}
-	return pr.SolveHierarchicalInto(ws.regionsFor(top), &ws.hier)
+	return ws.regionsFor(top)
 }

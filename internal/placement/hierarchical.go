@@ -253,12 +253,24 @@ func (pr *Problem) regionBounds(regions [][]topology.SiteID, hs *HierScratch) []
 //
 //waspvet:hotpath
 func (pr *Problem) SolveHierarchicalInto(regions [][]topology.SiteID, hs *HierScratch) (*Placement, error) {
+	pl, unplaced, err := pr.PlaceHierarchicalInto(regions, hs)
+	if unplaced > 0 {
+		return nil, pr.errShort(unplaced) //waspvet:hotalloc error path ends the solve
+	}
+	return pl, err
+}
+
+// PlaceHierarchicalInto is SolveHierarchicalInto with the infeasible
+// verdict as a count instead of an error, as PlaceInto is SolveInto's.
+//
+//waspvet:hotpath
+func (pr *Problem) PlaceHierarchicalInto(regions [][]topology.SiteID, hs *HierScratch) (pl *Placement, unplaced int, err error) {
 	if err := pr.validate(); err != nil { //waspvet:hotalloc O(E) field checks; the error path ends the solve
-		return nil, err
+		return nil, 0, err
 	}
 	if len(regions) == 0 || hs.regionsID != &regions[0] || hs.regionsLen != len(regions) || hs.nSites != pr.Sites {
 		if err := hs.rebuildRegions(regions, pr.Sites); err != nil { //waspvet:hotalloc cold branch: partition lookup rebuilt once per topology change
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	if cap(hs.tasks) < pr.Sites {
@@ -334,15 +346,19 @@ func (pr *Problem) SolveHierarchicalInto(regions [][]topology.SiteID, hs *HierSc
 	}
 	hs.heap, hs.order, hs.opened = heap, order, opened
 	if remaining > 0 {
-		return nil, pr.errShort(remaining) //waspvet:hotalloc error path ends the solve
+		return nil, remaining, nil
 	}
-	return result, nil
+	return result, 0, nil
 }
 
-// errShort is the verdict of a hierarchical fill that ran out of sites:
-// too few free slots in aggregate (a site over-committed by pinned
-// reservations counts as none), or else the flat solver's verdict.
+// errShort is the error SolveHierarchicalInto makes of an infeasible
+// verdict: for a free stage with too few free slots in aggregate (a site
+// over-committed by pinned reservations counts as none) it says so, and
+// otherwise it is the flat solver's error.
 func (pr *Problem) errShort(remaining int) error {
+	if pr.Pinned >= 0 {
+		return pr.errUnplaced(remaining)
+	}
 	total := 0
 	for _, a := range pr.AvailableSlots {
 		total += max(a, 0)

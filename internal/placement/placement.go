@@ -382,11 +382,26 @@ type Scratch struct {
 // site, O(m) for the heap and O(log m + E) per visited site — O(E) in all
 // when pinned.
 func (pr *Problem) SolveInto(sc *Scratch) (*Placement, error) {
-	if err := pr.validate(); err != nil {
-		return nil, err
+	pl, unplaced, err := pr.PlaceInto(sc)
+	if unplaced > 0 {
+		return nil, pr.errUnplaced(unplaced)
+	}
+	return pl, err
+}
+
+// PlaceInto is SolveInto with the infeasible verdict as a count instead of
+// an error: it returns the placement, or nil and how many of the tasks no
+// site could take. Its error is for a malformed problem alone. A planning
+// round passes over every stage no placement fits, so the verdict
+// allocates nothing.
+//
+//waspvet:hotpath
+func (pr *Problem) PlaceInto(sc *Scratch) (pl *Placement, unplaced int, err error) {
+	if err := pr.validate(); err != nil { //waspvet:hotalloc O(E) field checks; the error path ends the solve
+		return nil, 0, err
 	}
 	if cap(sc.tasks) < pr.Sites {
-		sc.tasks = make([]int, pr.Sites)
+		sc.tasks = make([]int, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
 	}
 	tasks := sc.tasks[:pr.Sites]
 	clear(tasks)
@@ -397,7 +412,7 @@ func (pr *Problem) SolveInto(sc *Scratch) (*Placement, error) {
 	}
 
 	if cap(sc.cost) < pr.Sites {
-		sc.cost = make([]float64, pr.Sites)
+		sc.cost = make([]float64, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
 	}
 	cost := sc.cost[:pr.Sites]
 	pr.costsInto(cost, 0)
@@ -409,18 +424,18 @@ func (pr *Problem) SolveInto(sc *Scratch) (*Placement, error) {
 		}
 	}
 	if best < 0 {
-		return nil, pr.errUnplaced(pr.Parallelism)
+		return nil, pr.Parallelism, nil
 	}
 	p := float64(pr.Parallelism)
 	remaining := pr.fill(result, siteCost{site: topology.SiteID(best), cost: cost[best]}, pr.Parallelism, p)
 	if remaining == 0 {
-		return result, nil
+		return result, 0, nil
 	}
 
 	h := sc.heap[:0]
 	for s, c := range cost {
 		if s != best && pr.AvailableSlots[s] > 0 {
-			h = append(h, siteCost{site: topology.SiteID(s), cost: c})
+			h = append(h, siteCost{site: topology.SiteID(s), cost: c}) //waspvet:hotalloc grows once to the site count, then reused
 		}
 	}
 	sc.heap = h
@@ -435,9 +450,9 @@ func (pr *Problem) SolveInto(sc *Scratch) (*Placement, error) {
 		remaining = pr.fill(result, cand, remaining, p)
 	}
 	if remaining > 0 {
-		return nil, pr.errUnplaced(remaining)
+		return nil, remaining, nil
 	}
-	return result, nil
+	return result, 0, nil
 }
 
 // fill places as many of the remaining tasks at cand's site as its bound
@@ -454,27 +469,26 @@ func (pr *Problem) fill(result *Placement, cand siteCost, remaining int, p float
 	return remaining - n
 }
 
-// errUnplaced is the verdict of a fill that ran out of sites.
-//
-//waspvet:hotpath
+// errUnplaced is the error SolveInto makes of an infeasible verdict.
 func (pr *Problem) errUnplaced(remaining int) error {
-	return fmt.Errorf("%w: %d of %d tasks unplaced", ErrInfeasible, remaining, pr.Parallelism) //waspvet:hotalloc error path ends the solve
+	return fmt.Errorf("%w: %d of %d tasks unplaced", ErrInfeasible, remaining, pr.Parallelism)
 }
 
 // fillPinned places a pinned stage into result (zeroed, pr.Sites long):
 // the pinned site is the only candidate, so its bound and cost are the
-// only ones evaluated.
+// only ones evaluated. It returns result, or nil and how many tasks the
+// site cannot take.
 //
 //waspvet:hotpath
-func (pr *Problem) fillPinned(result *Placement) (*Placement, error) {
+func (pr *Problem) fillPinned(result *Placement) (*Placement, int, error) {
 	n := 0
 	if int(pr.Pinned) < pr.Sites {
 		n = min(pr.Parallelism, pr.siteBound(pr.Pinned, float64(pr.Parallelism)))
 	}
 	if n < pr.Parallelism {
-		return nil, pr.errUnplaced(pr.Parallelism - n)
+		return nil, pr.Parallelism - n, nil
 	}
 	result.TasksPerSite[pr.Pinned] = n
 	result.Cost += float64(n) * pr.CostPerTask(pr.Pinned)
-	return result, nil
+	return result, 0, nil
 }

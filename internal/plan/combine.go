@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // LeafSet is a bitmask over the input indices of a CombineSpec. Each
@@ -207,69 +209,121 @@ type Variant struct {
 //
 // The variant is the graph that Clone, then AddOperator and Connect per
 // combine node in post-order, would build: the same ids, names, fields,
-// edge order and errors. It is laid out the way Clone lays out a graph,
-// because a planning session expands ~10^2 variants cold: the k−1 combine
-// operators join the copied operators' block, every edge list, the new
-// ones included, is carved from one pool with its final length as its
-// capacity (so a later Connect reallocates a list instead of writing into
-// its neighbour's), and the node names are substrings of one string.
+// edge order and errors. It is ExpandAll's one-tree case.
 func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
-	k := len(spec.Inputs)
-	if k < 2 {
-		return nil, fmt.Errorf("plan: combine spec needs >= 2 inputs, got %d", k)
-	}
-	if k > 64 {
-		return nil, fmt.Errorf("plan: combine spec has %d inputs, more than a LeafSet holds", k)
-	}
-	full := LeafSet(1<<uint(k)) - 1
-	if tree.Set != full {
-		return nil, fmt.Errorf("plan: tree covers %v, want all %d inputs", tree.Set, k)
-	}
-	first := OpID(base.IDBound())
-	x := &expansion{spec: spec, base: base, next: first}
-	root, err := x.check(tree)
+	vs, _, err := spec.expandAll(base, []*Tree{tree})
 	if err != nil {
 		return nil, err
 	}
-	if x.leaves != full {
-		return nil, fmt.Errorf("plan: tree's leaves cover %v, want all %d inputs", x.leaves, k)
-	}
-	if base.Operator(spec.Output) == nil {
-		return nil, fmt.Errorf("plan: connect %d->%d: unknown operator", root, spec.Output)
-	}
-
-	// k−1 nodes, each with two edges in; one more edge, root to Output.
-	// Every edge takes a slot in a down list and one in an up list.
-	nodes := k - 1
-	g, block, pool := base.cloneRoom(nodes, 2*(2*nodes+1))
-	for i, in := range spec.Inputs {
-		if g.down[in] != nil {
-			continue // an input listed twice, carved at its first listing
-		}
-		uses := 0
-		for _, other := range spec.Inputs[i:] {
-			if other == in {
-				uses++
-			}
-		}
-		g.down[in], pool = carve(pool, base.down[in], uses)
-	}
-	g.up[spec.Output], pool = carve(pool, base.up[spec.Output], 1)
-	pool = g.carveRest(base, pool)
-	g.live += nodes
-
-	v := &Variant{Graph: g, Tree: tree, CombineNodes: make([]LeafSet, int(first)+nodes)}
-	x.next, x.v, x.block, x.pool = first, v, block, pool
-	x.build(tree)
-	g.down[root] = append(g.down[root], spec.Output)
-	g.up[spec.Output] = append(g.up[spec.Output], root)
-	x.name(v.CombineNodes[first:], g.ops[first:])
-	return v, nil
+	return &vs[0], nil
 }
 
-// expansion is one Expand call's state. Its walks visit the tree in build
-// order — children before their node, left before right — so the combine
-// nodes take consecutive ids from next in post-order.
+// ExpandAll expands each tree as Expand would, as one batch: a planning
+// session expands ~10^2 variants cold. The batch copies the base
+// operators once and every variant points at that one copy, so an
+// operator must not change once it is in a graph (Clone gives a graph
+// operators of its own). Every other part of a variant — its
+// operator-pointer table, its edge lists, its combine operators, its
+// CombineNodes and its cached topological order — is carved from one
+// block per kind for the whole batch, each list with its final length as
+// its capacity, so that a later AddOperator or Connect on one variant
+// reallocates its list instead of writing into its neighbour's. Each
+// distinct combine LeafSet's name is built once, and the names are
+// substrings of one string.
+//
+// An error names the first tree Expand refuses and wraps Expand's error
+// for it.
+func (spec *CombineSpec) ExpandAll(base *Graph, trees []*Tree) ([]Variant, error) {
+	vs, bad, err := spec.expandAll(base, trees)
+	if err != nil {
+		return nil, fmt.Errorf("expand %v: %w", trees[bad], err)
+	}
+	return vs, nil
+}
+
+// expandAll is ExpandAll returning the index of the tree Expand refuses
+// and Expand's own error for it. It checks every tree before it builds
+// any, and a batch is a fixed number of allocations whatever its size.
+func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, bad int, err error) {
+	if len(trees) == 0 {
+		return nil, 0, nil
+	}
+	k := len(spec.Inputs)
+	if k < 2 {
+		return nil, 0, fmt.Errorf("plan: combine spec needs >= 2 inputs, got %d", k)
+	}
+	if k > 64 {
+		return nil, 0, fmt.Errorf("plan: combine spec has %d inputs, more than a LeafSet holds", k)
+	}
+	first := OpID(base.IDBound())
+	x := expansion{spec: spec, base: base}
+	for i, tree := range trees {
+		if err := x.refuse(tree, first); err != nil {
+			return nil, i, err
+		}
+	}
+
+	// Per variant: n ids, live operators, and an edge pool of the base's
+	// edges plus the new ones: two into each of the k−1 nodes and one
+	// from the root to Output, each in a down list and in an up list.
+	nodes := k - 1
+	n, live := int(first)+nodes, base.live+nodes
+	edges := base.edgeSlots() + 2*(2*nodes+1)
+	ops := make([]Operator, base.live+len(trees)*nodes) // never grows: pointers into it stay valid
+	table := make([]*Operator, len(trees)*n)
+	adj := make([][]OpID, 2*len(trees)*n)
+	pool := make([]OpID, len(trees)*edges)
+	sets := make([]LeafSet, len(trees)*n)
+	order := make([]OpID, (len(trees)+1)*live) // the ids all variants share, then each one's order
+	graphs := make([]Graph, len(trees))
+	vs = make([]Variant, len(trees))
+
+	shared := table[:first] // the base part of every variant's table
+	j := 0
+	for id, op := range base.ops {
+		if op != nil {
+			ops[j] = *op
+			shared[id], order[j] = &ops[j], OpID(id)
+			j++
+		}
+	}
+	ids := order[:live:live]
+	for i := range nodes {
+		ids[base.live+i] = first + OpID(i)
+	}
+	var small [128]int32
+	indeg := small[:]
+	if n > len(indeg) {
+		indeg = make([]int32, n)
+	}
+
+	combine := ops[base.live:]
+	for i, tree := range trees {
+		g := &graphs[i]
+		g.ops = table[i*n : (i+1)*n : (i+1)*n]
+		copy(g.ops, shared)
+		a := adj[2*i*n : 2*(i+1)*n : 2*(i+1)*n]
+		g.down, g.up, g.live = a[:n:n], a[n:], live
+		v := &vs[i]
+		v.Graph, v.Tree, v.CombineNodes = g, tree, sets[i*n:(i+1)*n:(i+1)*n]
+		x.next, x.v = first, v
+		x.block = combine[i*nodes : i*nodes : (i+1)*nodes]
+		x.pool = x.carveBase(g, pool[i*edges:(i+1)*edges])
+		root := x.build(tree)
+		g.down[root] = append(g.down[root], spec.Output)
+		g.up[spec.Output] = append(g.up[spec.Output], root)
+		at := (i + 1) * live
+		g.idsCache, g.idsValid = ids, true
+		g.topoCache, g.topoErr = g.topoInto(order[at:at:at+live], indeg)
+		g.topoValid = true
+	}
+	spec.name(vs, first, combine)
+	return vs, 0, nil
+}
+
+// expansion is one batch's state. Its walks visit a tree in build order —
+// children before their node, left before right — so the combine nodes
+// take consecutive ids from next in post-order.
 type expansion struct {
 	spec   *CombineSpec
 	base   *Graph
@@ -277,8 +331,32 @@ type expansion struct {
 	leaves LeafSet // the leaves check has visited
 
 	v     *Variant
-	block []Operator // the copy's operator block, with room for the nodes
-	pool  []OpID     // the edge pool still to carve
+	block []Operator // the variant's combine operators, empty with room for all
+	pool  []OpID     // the variant's edge pool still to carve
+}
+
+// refuse returns the error Expand meets first on tree, or nil: a tree
+// that does not cover every input, one check refuses, leaves that do not
+// cover every input, or an Output that is no base operator. combine nodes
+// are numbered from first.
+func (x *expansion) refuse(tree *Tree, first OpID) error {
+	k := len(x.spec.Inputs)
+	full := LeafSet(1<<uint(k)) - 1
+	if tree.Set != full {
+		return fmt.Errorf("plan: tree covers %v, want all %d inputs", tree.Set, k)
+	}
+	x.next, x.leaves = first, 0
+	root, err := x.check(tree)
+	if err != nil {
+		return err
+	}
+	if x.leaves != full {
+		return fmt.Errorf("plan: tree's leaves cover %v, want all %d inputs", x.leaves, k)
+	}
+	if x.base.Operator(x.spec.Output) == nil {
+		return fmt.Errorf("plan: connect %d->%d: unknown operator", root, x.spec.Output)
+	}
+	return nil
 }
 
 // check walks t as build will, assigning the same ids, and returns the
@@ -318,6 +396,29 @@ func (x *expansion) check(t *Tree) (OpID, error) {
 	return id, nil
 }
 
+// carveBase gives g, a variant whose edge lists are all nil, a copy of
+// every base edge list from the front of pool, with room for the edges
+// the combine nodes add: one per listing of an input, one into Output. It
+// returns the rest of the pool.
+func (x *expansion) carveBase(g *Graph, pool []OpID) []OpID {
+	inputs := x.spec.Inputs
+	for i, in := range inputs {
+		if g.down[in] != nil {
+			continue // an input listed twice, carved at its first listing
+		}
+		uses := 0
+		for _, other := range inputs[i:] {
+			if other == in {
+				uses++
+			}
+		}
+		g.down[in], pool = carve(pool, x.base.down[in], uses)
+	}
+	out := x.spec.Output
+	g.up[out], pool = carve(pool, x.base.up[out], 1)
+	return g.carveRest(x.base, pool)
+}
+
 // build adds t's combine nodes to the variant, as check numbered them,
 // and returns t's operator. Each node's edge lists are carved with room
 // for exactly its two inputs and its one output.
@@ -352,25 +453,41 @@ func (x *expansion) build(t *Tree) OpID {
 
 // name gives each combine operator its name, the bytes
 // fmt.Sprintf("%s%s", Template.Name, set) gives — they reach the action
-// log and the benchmark's digests — as substrings of one string.
-func (x *expansion) name(sets []LeafSet, ops []*Operator) {
-	prefix := x.spec.Template.Name
+// log and the benchmark's digests. combine holds each variant's combine
+// operators in turn, ids from first up. Each distinct set's name is built
+// once, as a substring of one string.
+func (spec *CombineSpec) name(vs []Variant, first OpID, combine []Operator) {
+	type named struct {
+		set      LeafSet
+		from, to int // the name's bytes in the string
+	}
+	nodes := len(combine) / len(vs)
+	setOf := func(i int) LeafSet { return vs[i/nodes].CombineNodes[int(first)+i%nodes] }
+	distinct := make([]named, len(combine))
+	for i := range distinct {
+		distinct[i].set = setOf(i)
+	}
+	slices.SortFunc(distinct, func(a, b named) int { return cmp.Compare(a.set, b.set) })
+	distinct = slices.CompactFunc(distinct, func(a, b named) bool { return a.set == b.set })
+	prefix := spec.Template.Name
 	size := 0
-	for _, set := range sets {
-		size += len(prefix) + set.textLen()
+	for i := range distinct {
+		d := &distinct[i]
+		d.from = size
+		size += len(prefix) + d.set.textLen()
+		d.to = size
 	}
-	var stack [512]byte
-	buf := stack[:0]
-	if size > len(stack) {
-		buf = make([]byte, 0, size)
+	var b strings.Builder
+	b.Grow(size)
+	var text [256]byte // room for the longest set, 64 leaves in 183 bytes
+	for _, d := range distinct {
+		b.WriteString(prefix)
+		b.Write(d.set.appendTo(text[:0]))
 	}
-	for _, set := range sets {
-		buf = set.appendTo(append(buf, prefix...))
-	}
-	names := string(buf)
-	for i, set := range sets {
-		n := len(prefix) + set.textLen()
-		ops[i].Name, names = names[:n], names[n:]
+	names := b.String()
+	for i := range combine {
+		at, _ := slices.BinarySearchFunc(distinct, setOf(i), func(d named, set LeafSet) int { return cmp.Compare(d.set, set) })
+		combine[i].Name = names[distinct[at].from:distinct[at].to]
 	}
 }
 

@@ -267,14 +267,9 @@ func (g *Graph) TopoOrder() ([]OpID, error) {
 	return g.topoCache, g.topoErr
 }
 
-// computeTopo is Kahn's algorithm always taking the smallest ready ID. One
-// buffer holds both lists: buf[:done] is the order so far and buf[done:]
-// the ready operators, ascending — so taking the smallest ready operator
-// is done++ and an unlocked one is inserted in place behind it.
-//
-// A planning session runs it once per fresh variant, so it allocates once:
-// the in-degrees of a plan-sized graph live on the stack, and when the ids
-// cache is stale too it is filled from the same block as the order.
+// computeTopo is topoInto with its own buffers: it allocates once, as
+// the in-degrees of a plan-sized graph live on the stack, and when the
+// ids cache is stale too it is filled from the same block as the order.
 func (g *Graph) computeTopo() ([]OpID, error) {
 	var small [128]int32
 	indeg := small[:]
@@ -289,6 +284,17 @@ func (g *Graph) computeTopo() ([]OpID, error) {
 		g.fillIDs(block[:0:g.live])
 		buf = block[g.live:g.live]
 	}
+	return g.topoInto(buf, indeg)
+}
+
+// topoInto is Kahn's algorithm always taking the smallest ready ID, into
+// buf, which is empty with room for every live operator, with indeg, at
+// least IDBound long, as scratch. The one buffer holds both lists:
+// buf[:done] is the order so far and buf[done:] the ready operators,
+// ascending — so taking the smallest ready operator is done++ and an
+// unlocked one is inserted in place behind it. It allocates only the
+// error of a cycle.
+func (g *Graph) topoInto(buf []OpID, indeg []int32) ([]OpID, error) {
 	for id, op := range g.ops {
 		if op == nil {
 			continue
@@ -367,31 +373,29 @@ func (g *Graph) Validate() error {
 // list is capacity-limited to its own length, so an append to one (a
 // Connect on the clone) reallocates it instead of writing into the next.
 func (g *Graph) Clone() *Graph {
-	c, _, pool := g.cloneRoom(0, 0)
-	c.carveRest(g, pool)
-	return c
-}
-
-// cloneRoom is the first half of Clone, with room for extra operators
-// past g's last id: it copies g's operators into one block of capacity
-// g.Len()+extra and sizes the pointer and adjacency tables for the extra
-// ids. Every edge list of the copy is still nil; the returned pool holds
-// g's edges plus edgeRoom more ids, for the caller to carve them from.
-func (g *Graph) cloneRoom(extra, edgeRoom int) (c *Graph, block []Operator, pool []OpID) {
-	n := len(g.ops) + extra
-	c = &Graph{ops: make([]*Operator, n), live: g.live}
-	block = make([]Operator, 0, g.live+extra) // never grows: pointers into it stay valid
-	edges := 0
+	n := len(g.ops)
+	c := &Graph{ops: make([]*Operator, n), live: g.live}
+	block := make([]Operator, 0, g.live) // never grows: pointers into it stay valid
 	for id, op := range g.ops {
 		if op != nil {
 			block = append(block, *op)
 			c.ops[id] = &block[len(block)-1]
-			edges += len(g.down[id]) + len(g.up[id])
 		}
 	}
 	adj := make([][]OpID, 2*n)
 	c.down, c.up = adj[:n:n], adj[n:]
-	return c, block, make([]OpID, edges+edgeRoom)
+	c.carveRest(g, make([]OpID, g.edgeSlots()))
+	return c
+}
+
+// edgeSlots is how many ids g's edge lists hold: every edge twice, once
+// in a down list and once in an up list.
+func (g *Graph) edgeSlots() int {
+	n := 0
+	for id := range g.ops {
+		n += len(g.down[id]) + len(g.up[id])
+	}
+	return n
 }
 
 // carveRest gives each of g's edge lists that is still nil a copy of

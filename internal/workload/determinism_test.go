@@ -1,15 +1,13 @@
 package workload
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 )
 
 // Same seed, same stream — the property every experiment replay depends
-// on. The *With variants must agree with the seeding wrappers, and two
-// identically-seeded sources must produce identical traces.
+// on: two identically-seeded generators must produce identical traces.
 
 func TestGenerateYSBSameSeed(t *testing.T) {
 	cfg := YSBConfig{Seed: 42, Rate: 500, Duration: 2 * time.Second}
@@ -17,10 +15,6 @@ func TestGenerateYSBSameSeed(t *testing.T) {
 	b := GenerateYSB(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("GenerateYSB not reproducible for the same seed")
-	}
-	c := GenerateYSBWith(rand.New(rand.NewSource(42)), cfg)
-	if !reflect.DeepEqual(a, c) {
-		t.Fatal("GenerateYSBWith(seeded rng) differs from GenerateYSB")
 	}
 }
 
@@ -31,10 +25,6 @@ func TestGenerateTweetsSameSeed(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("GenerateTweets not reproducible for the same seed")
 	}
-	c := GenerateTweetsWith(rand.New(rand.NewSource(7)), cfg)
-	if !reflect.DeepEqual(a, c) {
-		t.Fatal("GenerateTweetsWith(seeded rng) differs from GenerateTweets")
-	}
 }
 
 func TestGenerateDifferentSeedsDiffer(t *testing.T) {
@@ -42,21 +32,5 @@ func TestGenerateDifferentSeedsDiffer(t *testing.T) {
 	b := GenerateYSB(YSBConfig{Seed: 2, Rate: 500, Duration: time.Second})
 	if reflect.DeepEqual(a, b) {
 		t.Fatal("different seeds produced identical YSB streams")
-	}
-}
-
-// Threading one rng through several generators must stay reproducible:
-// the combined sequence is a pure function of the initial seed.
-func TestSharedRNGSequenceReproducible(t *testing.T) {
-	gen := func() ([]AdEvent, []Tweet) {
-		rng := rand.New(rand.NewSource(99))
-		ysb := GenerateYSBWith(rng, YSBConfig{Rate: 200, Duration: time.Second})
-		tw := GenerateTweetsWith(rng, TwitterConfig{Rate: 200, Duration: time.Second})
-		return ysb, tw
-	}
-	y1, t1 := gen()
-	y2, t2 := gen()
-	if !reflect.DeepEqual(y1, y2) || !reflect.DeepEqual(t1, t2) {
-		t.Fatal("shared-rng generator sequence not reproducible")
 	}
 }

@@ -80,13 +80,7 @@ func (c TwitterConfig) withDefaults() TwitterConfig {
 // is a pure function of cfg (randomness comes from a fresh source seeded
 // with cfg.Seed).
 func GenerateTweets(cfg TwitterConfig) []Tweet {
-	return GenerateTweetsWith(rand.New(rand.NewSource(cfg.Seed)), cfg)
-}
-
-// GenerateTweetsWith is GenerateTweets drawing from the caller's rng —
-// for callers that thread one seeded source through several generators.
-// cfg.Seed is ignored.
-func GenerateTweetsWith(rng *rand.Rand, cfg TwitterConfig) []Tweet {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := cfg.withDefaults()
 	zipf := rand.NewZipf(rng, zipfS, 1, uint64(c.Topics-1))
 	topics := newKeyTable("t%04d")

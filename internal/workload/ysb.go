@@ -81,13 +81,7 @@ var adTypes = []string{"banner", "modal", "sponsored-search", "mail", "mobile"}
 // selectivity 1/3, as in the benchmark). The stream is a pure function of
 // cfg (randomness comes from a fresh source seeded with cfg.Seed).
 func GenerateYSB(cfg YSBConfig) []AdEvent {
-	return GenerateYSBWith(rand.New(rand.NewSource(cfg.Seed)), cfg)
-}
-
-// GenerateYSBWith is GenerateYSB drawing from the caller's rng — for
-// callers that thread one seeded source through several generators.
-// cfg.Seed is ignored.
-func GenerateYSBWith(rng *rand.Rand, cfg YSBConfig) []AdEvent {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := cfg.withDefaults()
 	n := int(c.Rate * c.Duration.Seconds())
 	events := make([]AdEvent, 0, n)
