@@ -294,7 +294,6 @@ var reachExemptions = map[string]string{
 	"stream.WindowTopK.StateSize":       "TestWindowStoreMatchesReference compares it against the reference after every step",
 	"stream.WindowJoin.StateSize":       "TestWindowStoreMatchesReference compares it against the reference after every step",
 	"queries.BuildEOIRecord":            "the EoI record-mode pipeline, DESIGN.md §7",
-	"plan.PushDownFilters":              "filter push-down, DESIGN.md §3",
 	"experiment.RunRecovery":            "the §8.6 recovery sweep; DESIGN.md §5 and README cite it",
 	"experiment.FormatRecovery":         "prints the table of the §8.6 recovery sweep that DESIGN.md §5 and README cite",
 }

@@ -21,9 +21,9 @@ func diagnosisBelief(t *testing.T, s metrics.OperatorSample, lambdaIn, slotRate 
 	snk := g.AddOperator(plan.Operator{Name: "sink", Kind: plan.KindSink, PinnedSite: 0})
 	g.MustConnect(src, mp)
 	g.MustConnect(mp, snk)
-	snap := &metrics.Snapshot{Ops: make([]metrics.OperatorSample, g.IDBound())}
+	snap := &metrics.Snapshot{Ops: make([]metrics.OperatorSample, g.Len())}
 	snap.Ops[mp] = s
-	lambda := make([]float64, g.IDBound())
+	lambda := make([]float64, g.Len())
 	lambda[mp] = lambdaIn
 	return &belief{snap: snap, lambdaIn: lambda, plan: &physical.Plan{Graph: g}, slotRate: slotRate}, mp
 }

@@ -90,7 +90,7 @@ func (c *Controller) carryMap(cur, next *plan.Variant) []plan.OpID {
 			if i := slices.Index(next.CombineNodes, set); i >= 0 {
 				carry[old] = plan.OpID(i)
 			}
-		} else if cur.Graph.Operator(id) != nil && next.Graph.Operator(id) != nil {
+		} else if next.Graph.Operator(id) != nil {
 			carry[old] = id
 		}
 	}

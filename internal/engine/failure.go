@@ -322,7 +322,7 @@ func (e *Engine) worthRange(op plan.OpID) (lo, hi float64) {
 	}
 	// A reached op's hi is positive: the zero span marks one no path reaches.
 	type span struct{ lo, hi float64 }
-	reach := make([]span, g.IDBound())
+	reach := make([]span, g.Len())
 	for _, id := range order {
 		o := g.Operator(id)
 		switch {

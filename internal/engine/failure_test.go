@@ -417,8 +417,8 @@ func TestRestoreBoundsFollowThePlan(t *testing.T) {
 }
 
 // TestWorthRangeSkipsUnreachedPaths: a path through an operator with σ = 0
-// carries no events, so an operator it alone feeds, an ID past the graph,
-// a negative one and a removed one all get the empty range (+Inf, 0), and
+// carries no events, so an operator it alone feeds, an ID past the graph
+// and a negative one all get the empty range (+Inf, 0), and
 // a join fed by a reached and an unreached branch takes the reached one's
 // range alone.
 func TestWorthRangeSkipsUnreachedPaths(t *testing.T) {
@@ -427,22 +427,20 @@ func TestWorthRangeSkipsUnreachedPaths(t *testing.T) {
 	half := g.AddOperator(plan.Operator{Name: "half", Kind: plan.KindFilter, Selectivity: 0.5})
 	dead := g.AddOperator(plan.Operator{Name: "dead", Kind: plan.KindFilter, Selectivity: 0})
 	after := g.AddOperator(plan.Operator{Name: "after", Kind: plan.KindMap, Selectivity: 1})
-	removed := g.AddOperator(plan.Operator{Name: "removed", Kind: plan.KindMap, Selectivity: 1})
 	join := g.AddOperator(plan.Operator{Name: "join", Kind: plan.KindMap, Selectivity: 1})
 	g.MustConnect(src, half)
 	g.MustConnect(src, dead)
 	g.MustConnect(dead, after)
 	g.MustConnect(half, join)
 	g.MustConnect(after, join)
-	g.RemoveOperator(removed)
 	e := &Engine{plan: &physical.Plan{Graph: g}}
 	for _, c := range []struct {
 		op     plan.OpID
 		lo, hi float64
 	}{
 		{src, 1, 1}, {half, 2, 2}, {join, 2, 2},
-		{dead, math.Inf(1), 0}, {after, math.Inf(1), 0}, {removed, math.Inf(1), 0},
-		{-1, math.Inf(1), 0}, {plan.OpID(g.IDBound()), math.Inf(1), 0},
+		{dead, math.Inf(1), 0}, {after, math.Inf(1), 0},
+		{-1, math.Inf(1), 0}, {plan.OpID(g.Len()), math.Inf(1), 0},
 	} {
 		if lo, hi := e.worthRange(c.op); lo != c.lo || hi != c.hi {
 			t.Errorf("worthRange(%d) = [%v, %v], want [%v, %v]", c.op, lo, hi, c.lo, c.hi)

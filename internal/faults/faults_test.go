@@ -399,8 +399,8 @@ func TestScheduleRejectsSitesOutsideTopology(t *testing.T) {
 }
 
 // TestScheduleRejectsOpsOutsideThePlan: an op= that names no stage of the
-// deployed plan — negative, past the end of its stages, or the ID of the
-// filter PushDownFilters removed — is refused, and always with one text.
+// deployed plan — negative or past the end of its stages — is refused,
+// and always with one text.
 func TestScheduleRejectsOpsOutsideThePlan(t *testing.T) {
 	g := plan.NewGraph()
 	src := g.AddOperator(plan.Operator{
@@ -408,17 +408,12 @@ func TestScheduleRejectsOpsOutsideThePlan(t *testing.T) {
 		Selectivity: 1, OutEventBytes: 100, SourceRate: 1000,
 	})
 	un := g.AddOperator(plan.Operator{Name: "union", Kind: plan.KindUnion, Selectivity: 1, OutEventBytes: 100})
-	removed := g.AddOperator(plan.Operator{Name: "filter", Kind: plan.KindFilter, Selectivity: 0.5, OutEventBytes: 100})
 	snk := g.AddOperator(plan.Operator{Name: "sink", Kind: plan.KindSink, PinnedSite: 1})
 	g.MustConnect(src, un)
-	g.MustConnect(un, removed)
-	g.MustConnect(removed, snk)
-	if plan.PushDownFilters(g) == 0 || g.Operator(removed) != nil {
-		t.Fatal("the filter was not pushed below the union")
-	}
+	g.MustConnect(un, snk)
 	eng, net, sched := deployGraph(t, g)
 	inj := NewInjector(eng, net, nil)
-	for _, op := range []plan.OpID{-1, plan.OpID(g.IDBound()), removed} {
+	for _, op := range []plan.OpID{-1, plan.OpID(g.Len()), plan.OpID(g.Len() + 7)} {
 		f := Fault{Kind: OpSlow, At: time.Second, For: time.Second, Op: op, Site: 1, Factor: 0.5}
 		want := fmt.Sprintf("faults: %s: op %d is not a stage of the deployed plan", f.Kind, op)
 		if err := inj.Schedule(sched, []Fault{f}); err == nil || err.Error() != want {

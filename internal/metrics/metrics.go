@@ -131,8 +131,8 @@ func EstimateActual(g *plan.Graph, snap *Snapshot) (inRate, outRate []float64, e
 	if err != nil {
 		return nil, nil, err
 	}
-	inRate = make([]float64, g.IDBound())
-	outRate = make([]float64, g.IDBound())
+	inRate = make([]float64, g.Len())
+	outRate = make([]float64, g.Len())
 	for _, id := range order {
 		op := g.Operator(id)
 		sample := snap.Op(id)

@@ -128,7 +128,7 @@ func TestEstimateActualSeesThroughBackpressure(t *testing.T) {
 	// Observed rates are suppressed by backpressure: the filter only
 	// processed 400 ev/s with measured σ=0.3, but the source actually
 	// generates 2000 ev/s.
-	snap := &Snapshot{Ops: make([]OperatorSample, g.IDBound())}
+	snap := &Snapshot{Ops: make([]OperatorSample, g.Len())}
 	snap.Ops[ids[0]] = OperatorSample{SourceRate: 2000, OutputRate: 400}
 	snap.Ops[ids[1]] = OperatorSample{ProcessingRate: 400, OutputRate: 120, ArrivalRate: 400}
 	in, out, err := EstimateActual(g, snap)

@@ -23,7 +23,8 @@ type Stage struct {
 	Sites []topology.SiteID
 }
 
-// Parallelism returns the stage's task count, 0 for a nil stage.
+// Parallelism returns the stage's task count, 0 for a nil stage (what
+// Plan.Stage gives an ID that names none).
 func (s *Stage) Parallelism() int {
 	if s == nil {
 		return 0
@@ -41,8 +42,8 @@ func DistinctSites(sites []topology.SiteID) []topology.SiteID {
 // Plan is a physical plan over a logical graph.
 type Plan struct {
 	Graph *plan.Graph
-	// Stages is indexed by OpID, nil at an ID with no operator (a hole
-	// PushDownFilters left).
+	// Stages is indexed by OpID and holds one stage per operator of
+	// Graph: it is Graph.Len() long.
 	Stages []*Stage
 }
 
@@ -65,29 +66,28 @@ func FromLogical(g *plan.Graph) (*Plan, error) {
 // neighbour's. On an invalid graph it returns that graph's index and
 // Validate's error.
 func stagePlans(graphs []*plan.Graph) (ps []Plan, bad int, err error) {
-	ids, live := 0, 0
+	n := 0
 	for i, g := range graphs {
 		if err := g.Validate(); err != nil {
 			return nil, i, err
 		}
-		ids += g.IDBound()
-		live += g.Len()
+		n += g.Len()
 	}
 	ps = make([]Plan, len(graphs))
-	table := make([]*Stage, ids)
-	stages := make([]Stage, live)
-	sites := make([]topology.SiteID, live)
+	table := make([]*Stage, n)
+	stages := make([]Stage, n)
+	sites := make([]topology.SiteID, n)
 	for i, g := range graphs {
 		p := &ps[i]
 		p.Graph = g
-		p.Stages, table = table[:g.IDBound():g.IDBound()], table[g.IDBound():]
-		for _, id := range g.OperatorIDs() {
-			st := &stages[0]
-			st.Op = g.Operator(id)
-			st.Sites = sites[:0:1]
+		p.Stages, table = table[:g.Len():g.Len()], table[g.Len():]
+		for id := range p.Stages {
+			st := &stages[id]
+			st.Op = g.Operator(plan.OpID(id))
+			st.Sites = sites[id : id : id+1]
 			p.Stages[id] = st
-			stages, sites = stages[1:], sites[1:]
 		}
+		stages, sites = stages[g.Len():], sites[g.Len():]
 	}
 	return ps, 0, nil
 }
@@ -97,20 +97,15 @@ func stagePlans(graphs []*plan.Graph) (ps []Plan, bad int, err error) {
 // room for exactly its own sites. A list that outgrows its room
 // reallocates instead of writing into its neighbour's.
 func clonePlan(g *plan.Graph, from *Plan) *Plan {
-	p := &Plan{Graph: g, Stages: make([]*Stage, g.IDBound())}
+	p := &Plan{Graph: g, Stages: make([]*Stage, g.Len())}
 	stages := make([]Stage, g.Len())
-	ids := g.OperatorIDs()
-	n := 0
-	for _, id := range ids {
-		n += len(from.Stages[id].Sites)
-	}
-	block := make([]topology.SiteID, n)
-	for i, id := range ids {
-		stages[i].Op = g.Operator(id)
-		if k := copy(block, from.Stages[id].Sites); k > 0 {
-			stages[i].Sites, block = block[:k:k], block[k:]
+	block := make([]topology.SiteID, from.TotalTasks())
+	for id, st := range from.Stages {
+		stages[id].Op = g.Operator(plan.OpID(id))
+		if k := copy(block, st.Sites); k > 0 {
+			stages[id].Sites, block = block[:k:k], block[k:]
 		}
-		p.Stages[id] = &stages[i]
+		p.Stages[id] = &stages[id]
 	}
 	return p
 }
@@ -142,7 +137,7 @@ func (p *Plan) SlotsUsed(numSites int) []int {
 func (p *Plan) TotalTasks() int {
 	total := 0
 	for _, st := range p.Stages {
-		total += st.Parallelism()
+		total += len(st.Sites)
 	}
 	return total
 }

@@ -205,77 +205,6 @@ func TestPlanClone(t *testing.T) {
 	}
 }
 
-// TestPlanWithAHole: PushDownFilters removes the filter below a union, so
-// the plan's Stages holds nil at its ID. Stage answers nil there and for
-// IDs outside the slice, and the whole-plan helpers skip the hole.
-func TestPlanWithAHole(t *testing.T) {
-	top := testTopology(t, 4)
-	g := plan.NewGraph()
-	var srcs [2]plan.OpID
-	for i := range srcs {
-		srcs[i] = g.AddOperator(plan.Operator{
-			Name: "src", Kind: plan.KindSource, PinnedSite: topology.SiteID(i),
-			Selectivity: 1, OutEventBytes: 100, SourceRate: 1000,
-		})
-	}
-	un := g.AddOperator(plan.Operator{Name: "union", Kind: plan.KindUnion, Selectivity: 1, OutEventBytes: 100, Splittable: true})
-	hole := g.AddOperator(plan.Operator{Name: "filter", Kind: plan.KindFilter, Selectivity: 0.5, OutEventBytes: 100, Splittable: true})
-	snk := g.AddOperator(plan.Operator{Name: "sink", Kind: plan.KindSink, PinnedSite: 3})
-	g.MustConnect(srcs[0], un)
-	g.MustConnect(srcs[1], un)
-	g.MustConnect(un, hole)
-	g.MustConnect(hole, snk)
-	if plan.PushDownFilters(g) == 0 || g.Operator(hole) != nil {
-		t.Fatal("the filter was not pushed below the union")
-	}
-	p, err := FromLogical(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Schedule(p, top, ScheduleConfig{DefaultParallelism: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Stages) != g.IDBound() || p.Stages[hole] != nil {
-		t.Fatalf("Stages has %d entries, %v at the hole; want %d and nil", len(p.Stages), p.Stages[hole], g.IDBound())
-	}
-	for _, id := range []plan.OpID{hole, -1, plan.OpID(len(p.Stages)), plan.OpID(len(p.Stages) + 7)} {
-		if st := p.Stage(id); st != nil {
-			t.Fatalf("Stage(%d) = %v, want nil", id, st)
-		}
-	}
-	used, tasks := make([]int, top.N()), 0
-	for _, id := range g.OperatorIDs() {
-		if p.Stage(id) != p.Stages[id] || p.Stage(id).Op != g.Operator(id) {
-			t.Fatalf("Stage(%d) is not operator %d's stage", id, id)
-		}
-		for _, site := range p.Stages[id].Sites {
-			used[site]++
-			tasks++
-		}
-	}
-	if got := p.SlotsUsed(top.N()); !slices.Equal(got, used) {
-		t.Fatalf("SlotsUsed = %v, want %v", got, used)
-	}
-	if got := p.TotalTasks(); got != tasks {
-		t.Fatalf("TotalTasks = %d, want %d", got, tasks)
-	}
-	if err := p.Validate(top); err != nil {
-		t.Fatal(err)
-	}
-	c := p.Clone()
-	if len(c.Stages) != len(p.Stages) || c.Stages[hole] != nil || c.TotalTasks() != tasks {
-		t.Fatalf("Clone: %d stages, %v at the hole, %d tasks", len(c.Stages), c.Stages[hole], c.TotalTasks())
-	}
-	for _, id := range g.OperatorIDs() {
-		if !slices.Equal(c.Stages[id].Sites, p.Stages[id].Sites) || c.Stages[id].Op != c.Graph.Operator(id) {
-			t.Fatalf("cloned stage %d: sites %v (want %v), or not bound to the cloned graph", id, c.Stages[id].Sites, p.Stages[id].Sites)
-		}
-	}
-	if err := c.Validate(top); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReassignStageUsesDownstream(t *testing.T) {
 	top := testTopology(t, 4)
 	g := pipelineGraph(t)

@@ -51,8 +51,7 @@ type Candidate struct {
 // PlanQuery jointly optimizes the combine order and task placement for a
 // query whose base graph and re-orderable combine group are given. It
 // returns the best candidate and all evaluated (feasible) candidates
-// sorted by cost. The base graph should already be logically optimized
-// (plan.PushDownFilters).
+// sorted by cost.
 func PlanQuery(base *plan.Graph, spec *plan.CombineSpec, top *topology.Topology, cfg PlannerConfig) (*Candidate, []Candidate, error) {
 	s, err := NewSession(base, spec, cfg.MaxVariants)
 	if err != nil {
@@ -98,8 +97,7 @@ type sessionEntry struct {
 	plan    *Plan
 }
 
-// NewSession expands the query's combine-order search space once. The
-// base graph should already be logically optimized (PushDownFilters).
+// NewSession expands the query's combine-order search space once.
 // maxVariants of 0 means DefaultMaxVariants.
 //
 // The variants are built as one batch (plan.CombineSpec.ExpandAll) and
@@ -151,10 +149,10 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 // the next Plan call; Clone any plan that outlives the round. A variant
 // that no placement fits is passed over without building an error.
 func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool) (*Candidate, []Candidate, error) {
-	sc := cfg.ScheduleConfig.withDefaults(top)
-	if sc.Workspace == nil {
-		sc.Workspace = &s.ws
+	if cfg.Workspace == nil {
+		cfg.Workspace = &s.ws
 	}
+	sc := cfg.ScheduleConfig.withDefaults(top)
 	ws := sc.Workspace
 	candidates := s.cands[:0]
 	var first *Plan // the admissible variant the prefix was placed on

@@ -24,10 +24,6 @@ import (
 func refSchedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) (int, error) {
 	c := cfg.withDefaults(top)
 	ws := c.Workspace
-	if ws == nil {
-		ws = &Workspace{}
-		c.Workspace = ws
-	}
 	order, err := p.StageIDs()
 	if err != nil {
 		return -1, err

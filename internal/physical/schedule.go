@@ -26,7 +26,7 @@ type ScheduleConfig struct {
 	Conservative bool
 	// Workspace, when non-nil, supplies reusable scratch buffers for the
 	// scheduler's per-stage placement programs. Nil means
-	// allocate-per-call.
+	// allocate-per-call (a Session uses its own).
 	Workspace *Workspace
 	// HierarchicalSites is the topology size at which per-stage placement
 	// switches from the exact solver to the hierarchical two-level
@@ -36,6 +36,9 @@ type ScheduleConfig struct {
 	HierarchicalSites int
 }
 
+// withDefaults fills cfg's zero fields: α 0.8, parallelism 1, rate
+// factor 1, a fresh Workspace, and the topology's base bandwidth through
+// the workspace's cached hook.
 func (cfg *ScheduleConfig) withDefaults(top *topology.Topology) ScheduleConfig {
 	out := *cfg
 	if out.Alpha == 0 {
@@ -47,10 +50,11 @@ func (cfg *ScheduleConfig) withDefaults(top *topology.Topology) ScheduleConfig {
 	if out.RateFactor == 0 {
 		out.RateFactor = 1
 	}
+	if out.Workspace == nil {
+		out.Workspace = &Workspace{}
+	}
 	if out.Bandwidth == nil {
-		out.Bandwidth = func(from, to topology.SiteID) float64 {
-			return top.BaseBandwidth(from, to).BytesPerSec()
-		}
+		out.Bandwidth = out.Workspace.baseBandwidthFn(top)
 	}
 	return out
 }
@@ -69,9 +73,6 @@ func (cfg *ScheduleConfig) parallelismFor(op *plan.Operator) int {
 // (wrapping placement.ErrInfeasible) if any stage cannot be placed.
 func Schedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) error {
 	c := cfg.withDefaults(top)
-	if c.Workspace == nil {
-		c.Workspace = &Workspace{}
-	}
 	order, err := p.StageIDs()
 	if err != nil {
 		return err
@@ -278,10 +279,6 @@ func PlaceTasks(
 ) (*placement.Placement, error) {
 	c := cfg.withDefaults(top)
 	ws := c.Workspace
-	if ws == nil {
-		ws = &Workspace{}
-		c.Workspace = ws
-	}
 	if err := p.Graph.ExpectedRatesBuf(c.RateFactor, &ws.rates); err != nil {
 		return nil, err
 	}

@@ -138,7 +138,8 @@ func TestPlanQueryAllocs(t *testing.T) {
 // TestSessionMatchesFreshExpand holds every variant of a session to the
 // same tree expanded alone by CombineSpec.Expand and staged by
 // FromLogical: operator values and names, edge lists in order,
-// CombineNodes, stage order and validity. It then grows every variant's
+// CombineNodes, stage order and validity, and one stage per operator with
+// Plan.Stage answering nil past either end. It then grows every variant's
 // edge lists and site lists past their room, and requires each variant
 // to hold exactly what was added to it: no list of one variant may share
 // room with another's.
@@ -176,6 +177,11 @@ func TestSessionMatchesFreshExpand(t *testing.T) {
 			if err := samePlan(e.plan, fresh[i], false, 0); err != nil {
 				t.Fatalf("%s: %v", where, err)
 			}
+			for _, p := range []*Plan{e.plan, fresh[i]} {
+				if err := denseStages(p); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+			}
 		}
 		// Grow every list of every variant, each by its variant's own
 		// marks: a probe operator wired both ways to every operator, and
@@ -198,6 +204,25 @@ func TestSessionMatchesFreshExpand(t *testing.T) {
 	}
 }
 
+// denseStages reports a plan whose Stages is not one stage per operator
+// of its graph, or whose Stage lookup answers an id outside them.
+func denseStages(p *Plan) error {
+	if len(p.Stages) != p.Graph.Len() {
+		return fmt.Errorf("%d stages for %d operators", len(p.Stages), p.Graph.Len())
+	}
+	for id, st := range p.Stages {
+		if st == nil || st.Op != p.Graph.Operator(plan.OpID(id)) {
+			return fmt.Errorf("stage %d is %v, not operator %d's", id, st, id)
+		}
+	}
+	for _, id := range []plan.OpID{-1, plan.OpID(len(p.Stages)), plan.OpID(len(p.Stages) + 7)} {
+		if st := p.Stage(id); st != nil {
+			return fmt.Errorf("Stage(%d) = %v, want nil", id, st)
+		}
+	}
+	return nil
+}
+
 // samePlan reports how got, a session plan, differs from want, the same
 // tree expanded and staged alone. grown means got's graph has since gained
 // a probe operator wired both ways to every operator, and every stage two
@@ -205,8 +230,8 @@ func TestSessionMatchesFreshExpand(t *testing.T) {
 func samePlan(got, want *Plan, grown bool, mark topology.SiteID) error {
 	g, w := got.Graph, want.Graph
 	if !grown {
-		if g.IDBound() != w.IDBound() || g.Len() != w.Len() || !slices.Equal(g.OperatorIDs(), w.OperatorIDs()) {
-			return fmt.Errorf("%d ids, %d operators %v; fresh %d, %d %v", g.IDBound(), g.Len(), g.OperatorIDs(), w.IDBound(), w.Len(), w.OperatorIDs())
+		if g.Len() != w.Len() || !slices.Equal(g.OperatorIDs(), w.OperatorIDs()) {
+			return fmt.Errorf("%d operators %v; fresh %d %v", g.Len(), g.OperatorIDs(), w.Len(), w.OperatorIDs())
 		}
 		gotOrder, gotErr := got.StageIDs()
 		wantOrder, wantErr := want.StageIDs()
@@ -217,7 +242,7 @@ func samePlan(got, want *Plan, grown bool, mark topology.SiteID) error {
 			return fmt.Errorf("Validate: %v, fresh %v", gotErr, wantErr)
 		}
 	}
-	probe := plan.OpID(w.IDBound())
+	probe := plan.OpID(w.Len())
 	for _, id := range w.OperatorIDs() {
 		a, b := g.Operator(id), w.Operator(id)
 		if *a != *b {
@@ -266,6 +291,27 @@ func TestSessionPlanInfeasibleAllocs(t *testing.T) {
 	}
 	if allocs > base {
 		t.Fatalf("a round that passes over %d of %d variants allocates %v times, one that ranks them all %v", len(s.entries)-ranked, len(s.entries), allocs, base)
+	}
+}
+
+// TestSessionPlanDefaultBandwidthAllocs: a warm ysb8 round that leaves
+// Bandwidth nil allocates no more than one given a Bandwidth hook: the
+// default hook, the topology's base bandwidth, is built once per
+// topology, not once per round.
+func TestSessionPlanDefaultBandwidthAllocs(t *testing.T) {
+	s := mustSession(t, ysb8(), paperVariants)
+	top := topology.Generate(topology.DefaultGenConfig(1))
+	round := func(cfg PlannerConfig) float64 {
+		if _, _, err := s.Plan(top, cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { _, candidatesSink, _ = s.Plan(top, cfg, nil) })
+	}
+	given := round(PlannerConfig{ScheduleConfig: ScheduleConfig{Bandwidth: perturbed(top, 0, 1, 1)}})
+	def := round(PlannerConfig{})
+	t.Logf("a warm round allocates %v times with the default Bandwidth, %v given a hook", def, given)
+	if def > given {
+		t.Fatalf("a warm round with the default Bandwidth allocates %v times, one given a hook %v", def, given)
 	}
 }
 

@@ -34,6 +34,12 @@ type Workspace struct {
 	//waspvet:guardedby latTop
 	lat    func(from, to topology.SiteID) time.Duration
 	latTop *topology.Topology
+	// bw caches the default Bandwidth hook, the topology's base
+	// bandwidth, so a round that leaves ScheduleConfig.Bandwidth nil
+	// does not allocate a fresh closure.
+	//waspvet:guardedby bwTop
+	bw    func(from, to topology.SiteID) float64
+	bwTop *topology.Topology
 
 	// hier and the cached region partition serve SolvePlacement's
 	// hierarchical path on planet-scale topologies.
@@ -50,6 +56,16 @@ func (ws *Workspace) latencyFn(top *topology.Topology) func(from, to topology.Si
 		ws.lat = top.Latency
 	}
 	return ws.lat
+}
+
+// baseBandwidthFn returns a cached hook reading top's base bandwidth in
+// bytes/s.
+func (ws *Workspace) baseBandwidthFn(top *topology.Topology) func(from, to topology.SiteID) float64 {
+	if ws.bwTop != top {
+		ws.bwTop = top
+		ws.bw = func(from, to topology.SiteID) float64 { return top.BaseBandwidth(from, to).BytesPerSec() }
+	}
+	return ws.bw
 }
 
 // regionsFor returns the topology's region partition (topology.Domains),

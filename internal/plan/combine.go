@@ -255,7 +255,7 @@ func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, ba
 	if k > 64 {
 		return nil, 0, fmt.Errorf("plan: combine spec has %d inputs, more than a LeafSet holds", k)
 	}
-	first := OpID(base.IDBound())
+	first := OpID(base.Len())
 	x := expansion{spec: spec, base: base}
 	for i, tree := range trees {
 		if err := x.refuse(tree, first); err != nil {
@@ -263,33 +263,29 @@ func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, ba
 		}
 	}
 
-	// Per variant: n ids, live operators, and an edge pool of the base's
-	// edges plus the new ones: two into each of the k−1 nodes and one
-	// from the root to Output, each in a down list and in an up list.
+	// Per variant: n operators, and an edge pool of the base's edges plus
+	// the new ones: two into each of the k−1 nodes and one from the root
+	// to Output, each in a down list and in an up list.
 	nodes := k - 1
-	n, live := int(first)+nodes, base.live+nodes
+	n := int(first) + nodes
 	edges := base.edgeSlots() + 2*(2*nodes+1)
-	ops := make([]Operator, base.live+len(trees)*nodes) // never grows: pointers into it stay valid
+	ops := make([]Operator, int(first)+len(trees)*nodes) // never grows: pointers into it stay valid
 	table := make([]*Operator, len(trees)*n)
 	adj := make([][]OpID, 2*len(trees)*n)
 	pool := make([]OpID, len(trees)*edges)
 	sets := make([]LeafSet, len(trees)*n)
-	order := make([]OpID, (len(trees)+1)*live) // the ids all variants share, then each one's order
+	order := make([]OpID, (len(trees)+1)*n) // the ids all variants share, then each one's order
 	graphs := make([]Graph, len(trees))
 	vs = make([]Variant, len(trees))
 
 	shared := table[:first] // the base part of every variant's table
-	j := 0
 	for id, op := range base.ops {
-		if op != nil {
-			ops[j] = *op
-			shared[id], order[j] = &ops[j], OpID(id)
-			j++
-		}
+		ops[id] = *op
+		shared[id] = &ops[id]
 	}
-	ids := order[:live:live]
-	for i := range nodes {
-		ids[base.live+i] = first + OpID(i)
+	ids := order[:n:n]
+	for i := range ids {
+		ids[i] = OpID(i)
 	}
 	var small [128]int32
 	indeg := small[:]
@@ -297,13 +293,13 @@ func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, ba
 		indeg = make([]int32, n)
 	}
 
-	combine := ops[base.live:]
+	combine := ops[first:]
 	for i, tree := range trees {
 		g := &graphs[i]
 		g.ops = table[i*n : (i+1)*n : (i+1)*n]
 		copy(g.ops, shared)
 		a := adj[2*i*n : 2*(i+1)*n : 2*(i+1)*n]
-		g.down, g.up, g.live = a[:n:n], a[n:], live
+		g.down, g.up = a[:n:n], a[n:]
 		v := &vs[i]
 		v.Graph, v.Tree, v.CombineNodes = g, tree, sets[i*n:(i+1)*n:(i+1)*n]
 		x.next, x.v = first, v
@@ -312,9 +308,9 @@ func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, ba
 		root := x.build(tree)
 		g.down[root] = append(g.down[root], spec.Output)
 		g.up[spec.Output] = append(g.up[spec.Output], root)
-		at := (i + 1) * live
+		at := (i + 1) * n
 		g.idsCache, g.idsValid = ids, true
-		g.topoCache, g.topoErr = g.topoInto(order[at:at:at+live], indeg)
+		g.topoCache, g.topoErr = g.topoInto(order[at:at:at+n], indeg)
 		g.topoValid = true
 	}
 	spec.name(vs, first, combine)

@@ -16,7 +16,7 @@ import (
 // Expand's one-block layout.
 func connectBuild(spec *plan.CombineSpec, base *plan.Graph, tree *plan.Tree) (*plan.Graph, []plan.LeafSet, error) {
 	g := base.Clone()
-	nodes := make([]plan.LeafSet, base.IDBound())
+	nodes := make([]plan.LeafSet, base.Len())
 	var build func(t *plan.Tree) (plan.OpID, error)
 	build = func(t *plan.Tree) (plan.OpID, error) {
 		if t.IsLeaf() {
@@ -52,22 +52,16 @@ func connectBuild(spec *plan.CombineSpec, base *plan.Graph, tree *plan.Tree) (*p
 
 // graphState is everything a caller can read of a graph, copied.
 type graphState struct {
-	idBound  int
-	ops      []*plan.Operator // nil at a hole
+	ops      []plan.Operator
 	down, up [][]plan.OpID
 	topo     []plan.OpID
 	topoErr  string
 }
 
 func stateOf(g *plan.Graph) graphState {
-	s := graphState{idBound: g.IDBound()}
-	for id := plan.OpID(0); int(id) < g.IDBound(); id++ {
-		var op *plan.Operator
-		if o := g.Operator(id); o != nil {
-			cp := *o
-			op = &cp
-		}
-		s.ops = append(s.ops, op)
+	var s graphState
+	for id := plan.OpID(0); int(id) < g.Len(); id++ {
+		s.ops = append(s.ops, *g.Operator(id))
 		s.down = append(s.down, g.Downstream(id))
 		s.up = append(s.up, g.Upstream(id))
 	}
@@ -80,17 +74,16 @@ func stateOf(g *plan.Graph) graphState {
 }
 
 // diff names the first thing that tells s and t apart: every Operator
-// field (Name byte for byte, floats by bits), IDBound, the up and down
-// lists in order, and the topological order.
+// field (Name byte for byte, floats by bits), Len, the up and down lists
+// in order, and the topological order.
 func (s graphState) diff(t graphState) error {
-	if s.idBound != t.idBound {
-		return fmt.Errorf("IDBound %d, want %d", s.idBound, t.idBound)
+	if len(s.ops) != len(t.ops) {
+		return fmt.Errorf("Len %d, want %d", len(s.ops), len(t.ops))
 	}
 	for id := range s.ops {
 		a, b := s.ops[id], t.ops[id]
-		if (a == nil) != (b == nil) || (a != nil && (*a != *b ||
-			math.Float64bits(a.StateBytes) != math.Float64bits(b.StateBytes) ||
-			math.Float64bits(a.Selectivity) != math.Float64bits(b.Selectivity))) {
+		if a != b || math.Float64bits(a.StateBytes) != math.Float64bits(b.StateBytes) ||
+			math.Float64bits(a.Selectivity) != math.Float64bits(b.Selectivity) {
 			return fmt.Errorf("operator %d is %+v, want %+v", id, a, b)
 		}
 		if !slices.Equal(s.down[id], t.down[id]) || !slices.Equal(s.up[id], t.up[id]) {
@@ -129,7 +122,7 @@ func checkExpand(t *testing.T, where string, spec *plan.CombineSpec, base *plan.
 	if g.Len() != want.Len() || !slices.Equal(v.CombineNodes, wantNodes) {
 		t.Fatalf("%s, tree %v: Len %d, CombineNodes %v; want %d, %v", where, tree, g.Len(), v.CombineNodes, want.Len(), wantNodes)
 	}
-	for id := plan.OpID(0); int(id) < g.IDBound(); id++ {
+	for id := plan.OpID(0); int(id) < g.Len(); id++ {
 		if d, u := g.DownstreamView(id), g.UpstreamView(id); cap(d) != len(d) || cap(u) != len(u) {
 			t.Fatalf("%s, tree %v: operator %d's lists have capacity %d and %d for %d and %d ids", where, tree, id, cap(d), cap(u), len(d), len(u))
 		}
@@ -139,8 +132,7 @@ func checkExpand(t *testing.T, where string, spec *plan.CombineSpec, base *plan.
 		added := g.AddOperator(plan.Operator{Name: "probe", Kind: plan.KindMap})
 		g.MustConnect(id, added)
 		g.MustConnect(added, id)
-		expect.idBound++
-		expect.ops = append(expect.ops, g.Operator(added))
+		expect.ops = append(expect.ops, *g.Operator(added))
 		expect.down = append(expect.down, []plan.OpID{id})
 		expect.up = append(expect.up, []plan.OpID{id})
 		expect.down[id] = append(slices.Clone(expect.down[id]), added)
@@ -177,14 +169,11 @@ func TestExpandMatchesConnectBuild(t *testing.T) {
 
 // TestExpandOddSpecs holds Expand to the Connect build on specs no query
 // builds: an input listed twice (apart in the tree, which is legal, and
-// as siblings, a duplicate edge), an input or output that names a hole or
-// no operator, and a leaf out of range.
+// as siblings, a duplicate edge), an input or output that names no
+// operator, and a leaf out of range.
 func TestExpandOddSpecs(t *testing.T) {
 	sites := []topology.SiteID{8, 9, 10}
 	q := queries.YSBCampaign(queries.Config{SourceSites: sites})
-	base := q.Graph.Clone()
-	hole := base.AddOperator(plan.Operator{Name: "gone", Kind: plan.KindMap})
-	base.RemoveOperator(hole)
 	in := q.Spec.Inputs
 	leaf := func(i int) *plan.Tree { return &plan.Tree{Leaf: i, Set: 1 << uint(i)} }
 	node := func(l, r *plan.Tree) *plan.Tree { return &plan.Tree{Leaf: -1, L: l, R: r, Set: l.Set | r.Set} }
@@ -198,15 +187,14 @@ func TestExpandOddSpecs(t *testing.T) {
 	}{
 		{"input twice, apart", []plan.OpID{in[0], in[1], in[0]}, q.Spec.Output, apart},
 		{"input twice, siblings", []plan.OpID{in[0], in[1], in[0]}, q.Spec.Output, siblings},
-		{"input a hole", []plan.OpID{in[0], hole, in[2]}, q.Spec.Output, apart},
 		{"input past the last id", []plan.OpID{in[0], in[1], 999}, q.Spec.Output, siblings},
 		{"input -1", []plan.OpID{-1, in[1], in[2]}, q.Spec.Output, apart},
-		{"output a hole", in, hole, apart},
+		{"output -1", in, -1, apart},
 		{"output past the last id", in, 999, apart},
 		{"leaf out of range", in, q.Spec.Output, &plan.Tree{Leaf: -1, L: node(leaf(0), leaf(1)), R: leaf(3), Set: 0b111}},
 	} {
 		spec := *q.Spec
 		spec.Inputs, spec.Output = c.inputs, c.output
-		checkExpand(t, c.name, &spec, base, c.tree)
+		checkExpand(t, c.name, &spec, q.Graph, c.tree)
 	}
 }

@@ -1,8 +1,8 @@
 // Package plan models logical query plans for WASP: directed acyclic
-// graphs of stream operators, plus the logical optimizations the paper's
-// Query Planner applies — environment-independent rewrites such as filter
-// push-down (§2.1) and the enumeration of alternative aggregation/join
-// orders used by query re-planning (§4.3).
+// graphs of stream operators, plus the enumeration of alternative
+// aggregation/join orders that query re-planning searches (§4.3). The
+// paper's planner also pushes filters down (§2.1); the query builders put
+// every filter directly after its source, so there is nothing to rewrite.
 package plan
 
 import (
@@ -74,10 +74,6 @@ type Operator struct {
 	// without changing the query plan. Counters and sinks are not
 	// splittable without adding a combiner (§6.2).
 	Splittable bool
-	// CommutesWithFilter marks stateless element-wise operators that a
-	// downstream filter can be pushed above (e.g. a map that preserves
-	// the filtered attributes).
-	CommutesWithFilter bool
 
 	// Selectivity σ is output events per input event (§3.2).
 	Selectivity float64
@@ -107,17 +103,15 @@ type Operator struct {
 // Graph is a logical plan: a DAG of operators. The zero value is empty and
 // ready to use via AddOperator/Connect.
 //
-// The store is three slices indexed by OpID. IDs are handed out densely
-// and never reused, so len(ops) is the next ID; a removed operator leaves
-// a nil hole in ops (and nil edge lists) and live counts what is left.
+// The store is three slices indexed by OpID. Operators are never removed,
+// so the IDs are exactly 0..Len−1 and len(ops) is the next ID.
 type Graph struct {
 	ops  []*Operator
 	down [][]OpID
 	up   [][]OpID
-	live int
 
 	// Structure-derived caches, invalidated by every structural mutation
-	// (AddOperator/Connect/RemoveEdge/RemoveOperator). The planner asks
+	// (AddOperator/Connect). The planner asks
 	// for the topological order many times per plan evaluation — per
 	// Validate, per Schedule, per cost estimate — on graphs that never
 	// change between those calls. Cached slices are returned directly;
@@ -149,7 +143,6 @@ func (g *Graph) AddOperator(op Operator) OpID {
 	g.ops = append(g.ops, &op)
 	g.down = append(g.down, nil)
 	g.up = append(g.up, nil)
-	g.live++
 	g.mutated()
 	return id
 }
@@ -216,29 +209,23 @@ func (g *Graph) UpstreamView(id OpID) []OpID {
 	return g.up[id]
 }
 
-// Len returns the number of operators.
-func (g *Graph) Len() int { return g.live }
+// Len returns the number of operators. The IDs are 0..Len−1, and Len is
+// the next ID AddOperator hands out, so it sizes a slice indexed by OpID.
+func (g *Graph) Len() int { return len(g.ops) }
 
-// IDBound returns the next ID AddOperator would hand out: every ID the
-// graph ever used is below it, so it sizes a slice indexed by OpID.
-func (g *Graph) IDBound() int { return len(g.ops) }
-
-// OperatorIDs returns all operator IDs in ascending order. The returned
-// slice is cached; callers must not modify it.
+// OperatorIDs returns all operator IDs, 0..Len−1. The returned slice is
+// cached; callers must not modify it.
 func (g *Graph) OperatorIDs() []OpID {
 	if !g.idsValid {
-		g.fillIDs(make([]OpID, 0, g.live))
+		g.fillIDs(make([]OpID, 0, len(g.ops)))
 	}
 	return g.idsCache
 }
 
-// fillIDs makes ids, empty with room for every live operator, the ids
-// cache.
+// fillIDs makes ids, empty with room for every operator, the ids cache.
 func (g *Graph) fillIDs(ids []OpID) {
-	for id, op := range g.ops {
-		if op != nil {
-			ids = append(ids, OpID(id))
-		}
+	for id := range g.ops {
+		ids = append(ids, OpID(id))
 	}
 	g.idsCache, g.idsValid = ids, true
 }
@@ -247,7 +234,7 @@ func (g *Graph) fillIDs(ids []OpID) {
 func (g *Graph) Sources() []OpID {
 	var out []OpID
 	for id, op := range g.ops {
-		if op != nil && op.Kind == KindSource {
+		if op.Kind == KindSource {
 			out = append(out, OpID(id))
 		}
 	}
@@ -276,29 +263,27 @@ func (g *Graph) computeTopo() ([]OpID, error) {
 	if len(g.ops) > len(indeg) {
 		indeg = make([]int32, len(g.ops))
 	}
+	n := len(g.ops)
 	var buf []OpID
 	if g.idsValid {
-		buf = make([]OpID, 0, g.live)
+		buf = make([]OpID, 0, n)
 	} else {
-		block := make([]OpID, 2*g.live)
-		g.fillIDs(block[:0:g.live])
-		buf = block[g.live:g.live]
+		block := make([]OpID, 2*n)
+		g.fillIDs(block[:0:n])
+		buf = block[n:n]
 	}
 	return g.topoInto(buf, indeg)
 }
 
 // topoInto is Kahn's algorithm always taking the smallest ready ID, into
-// buf, which is empty with room for every live operator, with indeg, at
-// least IDBound long, as scratch. The one buffer holds both lists:
+// buf, which is empty with room for every operator, with indeg, at least
+// Len long, as scratch. The one buffer holds both lists:
 // buf[:done] is the order so far and buf[done:] the ready operators,
 // ascending — so taking the smallest ready operator is done++ and an
 // unlocked one is inserted in place behind it. It allocates only the
 // error of a cycle.
 func (g *Graph) topoInto(buf []OpID, indeg []int32) ([]OpID, error) {
-	for id, op := range g.ops {
-		if op == nil {
-			continue
-		}
+	for id := range g.ops {
 		if indeg[id] = int32(len(g.up[id])); indeg[id] == 0 {
 			buf = append(buf, OpID(id))
 		}
@@ -312,8 +297,8 @@ func (g *Graph) topoInto(buf []OpID, indeg []int32) ([]OpID, error) {
 			}
 		}
 	}
-	if done != g.live {
-		return nil, fmt.Errorf("plan: graph has a cycle (%d of %d ordered)", done, g.live)
+	if done != len(g.ops) {
+		return nil, fmt.Errorf("plan: graph has a cycle (%d of %d ordered)", done, len(g.ops))
 	}
 	return buf, nil
 }
@@ -323,16 +308,13 @@ func (g *Graph) topoInto(buf []OpID, indeg []int32) ([]OpID, error) {
 // every other operator has at least one input and one output; sources are
 // pinned to a site; selectivities and sizes are non-negative.
 func (g *Graph) Validate() error {
-	if g.live == 0 {
+	if len(g.ops) == 0 {
 		return fmt.Errorf("plan: empty graph")
 	}
 	if _, err := g.TopoOrder(); err != nil {
 		return err
 	}
 	for id, op := range g.ops {
-		if op == nil {
-			continue
-		}
 		nUp, nDown := len(g.up[id]), len(g.down[id])
 		switch op.Kind {
 		case KindSource:
@@ -374,13 +356,11 @@ func (g *Graph) Validate() error {
 // Connect on the clone) reallocates it instead of writing into the next.
 func (g *Graph) Clone() *Graph {
 	n := len(g.ops)
-	c := &Graph{ops: make([]*Operator, n), live: g.live}
-	block := make([]Operator, 0, g.live) // never grows: pointers into it stay valid
+	c := &Graph{ops: make([]*Operator, n)}
+	block := make([]Operator, n)
 	for id, op := range g.ops {
-		if op != nil {
-			block = append(block, *op)
-			c.ops[id] = &block[len(block)-1]
-		}
+		block[id] = *op
+		c.ops[id] = &block[id]
 	}
 	adj := make([][]OpID, 2*n)
 	c.down, c.up = adj[:n:n], adj[n:]
@@ -424,47 +404,11 @@ func carve(pool, ids []OpID, spare int) (copied, rest []OpID) {
 	return pool[: n : n+spare], pool[n+spare:]
 }
 
-// RemoveEdge deletes the from→to edge if present.
-func (g *Graph) RemoveEdge(from, to OpID) {
-	if g.Operator(from) == nil || g.Operator(to) == nil {
-		return
-	}
-	g.down[from] = removeID(g.down[from], to)
-	g.up[to] = removeID(g.up[to], from)
-	g.mutated()
-}
-
-// RemoveOperator deletes an operator and all its edges.
-func (g *Graph) RemoveOperator(id OpID) {
-	if g.Operator(id) == nil {
-		return
-	}
-	for _, d := range g.down[id] {
-		g.up[d] = removeID(g.up[d], id)
-	}
-	for _, u := range g.up[id] {
-		g.down[u] = removeID(g.down[u], id)
-	}
-	g.ops[id], g.down[id], g.up[id] = nil, nil, nil
-	g.live--
-	g.mutated()
-}
-
-func removeID(ids []OpID, id OpID) []OpID {
-	out := ids[:0]
-	for _, x := range ids {
-		if x != id {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // StatefulOperators returns the IDs of all stateful operators, ascending.
 func (g *Graph) StatefulOperators() []OpID {
 	var out []OpID
 	for id, op := range g.ops {
-		if op != nil && op.Stateful {
+		if op.Stateful {
 			out = append(out, OpID(id))
 		}
 	}
@@ -480,8 +424,7 @@ func (g *Graph) ExpectedRates(rateFactor float64) (inRate, outRate, outBytes []f
 }
 
 // RateBuf holds reusable output buffers for ExpectedRatesBuf. The slices
-// are indexed by OpID (the graph's ID space is dense, so IDs of removed
-// operators simply leave zero entries).
+// are indexed by OpID and Len long.
 type RateBuf struct {
 	In, Out, Bytes []float64
 }

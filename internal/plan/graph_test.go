@@ -194,7 +194,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if g.Operator(ids[1]).Selectivity != 0.5 {
 		t.Fatal("Clone shares operator structs")
 	}
-	c.RemoveEdge(ids[0], ids[1])
+	c.MustConnect(ids[0], ids[2])
 	if len(g.Downstream(ids[0])) != 1 {
 		t.Fatal("Clone shares adjacency slices")
 	}
@@ -202,20 +202,6 @@ func TestCloneIsDeep(t *testing.T) {
 	nid := c.AddOperator(Operator{Name: "x", Kind: KindMap})
 	if g.Operator(nid) != nil {
 		t.Fatal("clone reused an original ID")
-	}
-}
-
-func TestRemoveOperator(t *testing.T) {
-	g, ids := linearGraph(t)
-	g.RemoveOperator(ids[1]) // remove the filter
-	if g.Operator(ids[1]) != nil {
-		t.Fatal("operator still present after removal")
-	}
-	if len(g.Downstream(ids[0])) != 0 {
-		t.Fatal("source still has downstream after removal")
-	}
-	if len(g.Upstream(ids[2])) != 0 {
-		t.Fatal("map still has upstream after removal")
 	}
 }
 

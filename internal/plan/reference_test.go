@@ -68,12 +68,6 @@ func (g *refGraph) Connect(from, to OpID) error {
 	return nil
 }
 
-func (g *refGraph) MustConnect(from, to OpID) {
-	if err := g.Connect(from, to); err != nil {
-		panic(err)
-	}
-}
-
 func (g *refGraph) Downstream(id OpID) []OpID { return append([]OpID(nil), g.down[id]...) }
 func (g *refGraph) Upstream(id OpID) []OpID   { return append([]OpID(nil), g.up[id]...) }
 func (g *refGraph) Len() int                  { return len(g.ops) }
@@ -170,23 +164,6 @@ func (g *refGraph) Clone() *refGraph {
 	return c
 }
 
-func (g *refGraph) RemoveEdge(from, to OpID) {
-	g.down[from] = removeID(g.down[from], to)
-	g.up[to] = removeID(g.up[to], from)
-}
-
-func (g *refGraph) RemoveOperator(id OpID) {
-	for _, d := range append([]OpID(nil), g.down[id]...) {
-		g.RemoveEdge(id, d)
-	}
-	for _, u := range append([]OpID(nil), g.up[id]...) {
-		g.RemoveEdge(u, id)
-	}
-	delete(g.ops, id)
-	delete(g.down, id)
-	delete(g.up, id)
-}
-
 func (g *refGraph) StatefulOperators() []OpID {
 	var out []OpID
 	for _, id := range g.OperatorIDs() {
@@ -226,69 +203,6 @@ func (g *refGraph) ExpectedRatesBuf(rateFactor float64, buf *RateBuf) error {
 		buf.Bytes[id] = buf.Out[id] * op.OutEventBytes
 	}
 	return nil
-}
-
-// refPushDownFilters is optimize.go's rewrite over the reference store.
-func refPushDownFilters(g *refGraph) int {
-	total := 0
-	for {
-		n := refPushDownOnce(g)
-		if n == 0 {
-			return total
-		}
-		total += n
-	}
-}
-
-func refPushDownOnce(g *refGraph) int {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0
-	}
-	for _, id := range order {
-		op := g.Operator(id)
-		if op == nil || op.Kind != KindFilter {
-			continue
-		}
-		ups := g.Upstream(id)
-		if len(ups) != 1 {
-			continue
-		}
-		up := g.Operator(ups[0])
-		switch {
-		case up.Kind == KindUnion && len(g.Downstream(up.ID)) == 1:
-			filter := *g.Operator(id)
-			downs := g.Downstream(id)
-			inputs := g.Upstream(up.ID)
-			g.RemoveOperator(id)
-			for _, d := range downs {
-				g.MustConnect(up.ID, d)
-			}
-			for _, in := range inputs {
-				g.RemoveEdge(in, up.ID)
-				cpID := g.AddOperator(filter)
-				g.MustConnect(in, cpID)
-				g.MustConnect(cpID, up.ID)
-			}
-			return 1
-		case up.Kind != KindSource && len(g.Downstream(up.ID)) == 1 &&
-			len(g.Upstream(up.ID)) == 1 && up.CommutesWithFilter:
-			grandUps := g.Upstream(up.ID)
-			downs := g.Downstream(id)
-			g.RemoveEdge(grandUps[0], up.ID)
-			g.RemoveEdge(up.ID, id)
-			for _, d := range downs {
-				g.RemoveEdge(id, d)
-			}
-			g.MustConnect(grandUps[0], id)
-			g.MustConnect(id, up.ID)
-			for _, d := range downs {
-				g.MustConnect(up.ID, d)
-			}
-			return 1
-		}
-	}
-	return 0
 }
 
 // refExpand is CombineSpec.Expand as it was: a map-store clone, fmt-built

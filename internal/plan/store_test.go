@@ -22,16 +22,13 @@ type storePair struct {
 // The states that tell the two layouts apart; seqCoverage records which of
 // them a sequence reached.
 const (
-	covHole = iota
-	covCycle
+	covCycle = iota
 	covCloneAfterSource
-	covEmptied
-	covPushedDown
 	covExpanded
 	covStates
 )
 
-var covNames = [covStates]string{"hole below next id", "cycle", "clone mutated after its source", "emptied graph", "a filter pushed down", "a combine group expanded"}
+var covNames = [covStates]string{"cycle", "clone mutated after its source", "a combine group expanded"}
 
 type seqCoverage [covStates]bool
 
@@ -44,17 +41,24 @@ func errText(err error) string {
 }
 
 // compare holds the slice store to the reference on everything a caller
-// can observe, for every id from -1 to two past the next id.
+// can observe, for every id from -1 to two past the next id, and holds
+// the ids to exactly 0..Len−1.
 func (p *storePair) compare(where string) error {
 	g, r := p.g, p.r
-	if g.Len() != r.Len() {
-		return fmt.Errorf("%s: Len = %d, reference %d", where, g.Len(), r.Len())
+	if g.Len() != r.Len() || g.Len() != int(r.nextID) {
+		return fmt.Errorf("%s: Len = %d, reference %d with next id %d", where, g.Len(), r.Len(), r.nextID)
 	}
-	if g.IDBound() != int(r.nextID) {
-		return fmt.Errorf("%s: next id = %d, reference %d", where, g.IDBound(), r.nextID)
+	ids := g.OperatorIDs()
+	if len(ids) != g.Len() {
+		return fmt.Errorf("%s: OperatorIDs = %v, want 0..%d", where, ids, g.Len()-1)
 	}
-	if !slices.Equal(g.OperatorIDs(), r.OperatorIDs()) {
-		return fmt.Errorf("%s: OperatorIDs = %v, reference %v", where, g.OperatorIDs(), r.OperatorIDs())
+	for i, id := range ids {
+		if id != OpID(i) {
+			return fmt.Errorf("%s: OperatorIDs = %v, want 0..%d", where, ids, g.Len()-1)
+		}
+	}
+	if !slices.Equal(ids, r.OperatorIDs()) {
+		return fmt.Errorf("%s: OperatorIDs = %v, reference %v", where, ids, r.OperatorIDs())
 	}
 	for id := OpID(-1); id <= r.nextID+1; id++ {
 		gop, rop := g.Operator(id), r.Operator(id)
@@ -105,14 +109,12 @@ func (p *storePair) markMutated() bool {
 	return p.srcMutated
 }
 
-// seqKinds are the kinds a sequence draws operators from: enough filters,
-// unions and commuting maps that PushDownFilters has work.
+// seqKinds are the kinds a sequence draws operators from.
 var seqKinds = []Kind{KindSource, KindFilter, KindMap, KindFilter, KindUnion, KindFilter, KindAggregate, KindMap, KindSink}
 
 // runGraphSequence interprets data as a mutation sequence applied to both
-// stores, comparing every live pair after every step. Ids are drawn from
-// -1 to seven past the next id, so unknown, negative and removed ids are
-// ordinary inputs.
+// stores, comparing every pair after every step. Ids are drawn from -1 to
+// seven past the next id, so unknown and negative ids are ordinary inputs.
 func runGraphSequence(data []byte) (seqCoverage, error) {
 	var cov seqCoverage
 	pairs := []*storePair{{g: NewGraph(), r: newRefGraph()}}
@@ -138,14 +140,13 @@ func runGraphSequence(data []byte) (seqCoverage, error) {
 			return OpID(b%(len(p.g.ops)+9) - 1)
 		}
 		what, written := "", true
-		switch op % 17 {
+		switch op % 12 {
 		case 0, 1, 2, 3, 4:
 			b := max(next(), 0)
 			kind := seqKinds[b%len(seqKinds)]
 			o := Operator{
 				Name: fmt.Sprintf("op%d", step), Kind: kind, Stateful: b&8 != 0, Splittable: b&16 != 0,
-				CommutesWithFilter: kind == KindMap && b&96 != 0,
-				Selectivity:        float64(b%7) / 3, OutEventBytes: float64(b%5) * 10.1, CostPerEvent: 1,
+				Selectivity: float64(b%7) / 3, OutEventBytes: float64(b%5) * 10.1, CostPerEvent: 1,
 				StateBytes: float64(b) * 1e3, PinnedSite: topology.SiteID(b % 4), SourceRate: float64(b) * 3.3,
 			}
 			if b%11 == 0 {
@@ -164,19 +165,6 @@ func runGraphSequence(data []byte) (seqCoverage, error) {
 				return cov, fmt.Errorf("step %d: %s = %q, reference %q", step, what, ge, re)
 			}
 		case 10:
-			from, to := id(), id()
-			p.g.RemoveEdge(from, to)
-			p.r.RemoveEdge(from, to)
-			what = fmt.Sprintf("RemoveEdge(%d,%d)", from, to)
-		case 11, 12:
-			x := id()
-			if ids := p.r.OperatorIDs(); op%16 == 12 && len(ids) > 0 {
-				x = ids[int(x+1)%len(ids)] // a live one, so that graphs also shrink to nothing
-			}
-			p.g.RemoveOperator(x)
-			p.r.RemoveOperator(x)
-			what = fmt.Sprintf("RemoveOperator(%d)", x)
-		case 13:
 			c := &storePair{g: p.g.Clone(), r: p.r.Clone()}
 			p.clones = append(p.clones, c)
 			if len(pairs) < 4 {
@@ -185,33 +173,10 @@ func runGraphSequence(data []byte) (seqCoverage, error) {
 				pairs[1+step%3] = c
 			}
 			what, written = "Clone", false
-		case 14:
-			// x → union-or-commuting-map → filter: a fragment the rewrite
-			// can work on whenever x is live and the graph is acyclic.
-			x, b := id(), max(next(), 0)
-			mid := Operator{Name: "mid", Kind: KindUnion, Selectivity: 1, OutEventBytes: 8}
-			if b&1 != 0 {
-				mid.Kind, mid.CommutesWithFilter = KindMap, true
-			}
-			fil := Operator{Name: "fil", Kind: KindFilter, Selectivity: 0.25, OutEventBytes: 8}
-			gm, rm := p.g.AddOperator(mid), p.r.AddOperator(mid)
-			gf, rf := p.g.AddOperator(fil), p.r.AddOperator(fil)
-			what = fmt.Sprintf("fragment below %d", x)
-			if gm != rm || gf != rf || errText(p.g.Connect(x, gm)) != errText(p.r.Connect(x, rm)) ||
-				errText(p.g.Connect(gm, gf)) != errText(p.r.Connect(rm, rf)) {
-				return cov, fmt.Errorf("step %d: %s: the stores disagree", step, what)
-			}
-		case 15:
-			gn, rn := PushDownFilters(p.g), refPushDownFilters(p.r)
-			what = fmt.Sprintf("PushDownFilters = %d", gn)
-			if gn != rn {
-				return cov, fmt.Errorf("step %d: %s, reference %d", step, what, rn)
-			}
-			cov[covPushedDown] = cov[covPushedDown] || gn > 0
 		default:
-			// Inputs and output from -1 to the last id, holes included, so
-			// unknown and repeated inputs are ordinary; the variant joins
-			// the sequence, and later steps mutate it.
+			// Inputs and output from -1 to the last id, so unknown and
+			// repeated inputs are ordinary; the variant joins the
+			// sequence, and later steps mutate it.
 			known := func() OpID { return OpID(max(next(), 0)%(len(p.g.ops)+1) - 1) }
 			spec := &CombineSpec{Inputs: make([]OpID, 2+max(next(), 0)%3), Template: Operator{
 				Name: "comb", Kind: KindAggregate, Stateful: true, Selectivity: 0.5, OutEventBytes: 20, StateBytes: 3e3,
@@ -257,12 +222,6 @@ func runGraphSequence(data []byte) (seqCoverage, error) {
 		}
 		if _, err := p.g.TopoOrder(); err != nil {
 			cov[covCycle] = true
-		}
-		if p.g.Len() < len(p.g.ops) && p.g.Len() > 0 {
-			cov[covHole] = true
-		}
-		if p.g.Len() == 0 && len(p.g.ops) > 0 {
-			cov[covEmptied] = true
 		}
 	}
 	return cov, nil
@@ -311,26 +270,19 @@ func FuzzGraphMatchesReference(f *testing.F) {
 	})
 }
 
-// TestUnknownIDs pins what the store does with an id it never handed out,
-// a negative one and a removed one: reads give nil, removals do nothing,
-// Connect refuses.
+// TestUnknownIDs pins what the store does with an id it never handed out
+// and a negative one: reads give nil, and Connect refuses.
 func TestUnknownIDs(t *testing.T) {
 	g, ids := linearGraph(t)
-	extra := g.AddOperator(Operator{Name: "gone", Kind: KindMap})
-	g.RemoveOperator(extra)
-	next := OpID(len(g.ops))
+	next := OpID(g.Len())
 	wantIDs := slices.Clone(g.OperatorIDs())
 	wantTopo, _ := g.TopoOrder()
 	wantTopo = slices.Clone(wantTopo)
-	for _, id := range []OpID{-1, next, next + 7, extra} {
+	for _, id := range []OpID{-1, next, next + 7} {
 		if g.Operator(id) != nil || g.UpstreamView(id) != nil || g.DownstreamView(id) != nil ||
 			g.Upstream(id) != nil || g.Downstream(id) != nil {
 			t.Errorf("id %d: a read is not nil", id)
 		}
-		g.RemoveEdge(id, ids[1])
-		g.RemoveEdge(ids[1], id)
-		g.RemoveEdge(id, id)
-		g.RemoveOperator(id)
 		for _, pair := range [][2]OpID{{id, ids[1]}, {ids[1], id}} {
 			want := fmt.Sprintf("plan: connect %d->%d: unknown operator", pair[0], pair[1])
 			if err := g.Connect(pair[0], pair[1]); err == nil || err.Error() != want {
@@ -338,7 +290,7 @@ func TestUnknownIDs(t *testing.T) {
 			}
 		}
 		topo, err := g.TopoOrder()
-		if g.Len() != 4 || OpID(len(g.ops)) != next || !slices.Equal(g.OperatorIDs(), wantIDs) ||
+		if g.Len() != 4 || OpID(g.Len()) != next || !slices.Equal(g.OperatorIDs(), wantIDs) ||
 			err != nil || !slices.Equal(topo, wantTopo) {
 			t.Fatalf("id %d changed the graph: Len %d, ids %v, topo %v (%v)", id, g.Len(), g.OperatorIDs(), topo, err)
 		}
