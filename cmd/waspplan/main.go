@@ -90,7 +90,7 @@ func run(query string, seed int64, top, maxVariants int, rate float64) error {
 	fmt.Printf("  sources: %d (at the edge sites)   stateful: %v   state: %s\n",
 		len(q.SourceOps), q.Stateful, q.StateDesc)
 
-	best, all, err := physical.PlanQuery(q.Graph, q.Spec, topo, physical.PlannerConfig{
+	best, all, err := physical.RankQuery(q.Graph, q.Spec, topo, physical.PlannerConfig{
 		ScheduleConfig: physical.ScheduleConfig{Alpha: 0.8, DefaultParallelism: 1},
 		MaxVariants:    maxVariants,
 	})
@@ -119,7 +119,7 @@ func run(query string, seed int64, top, maxVariants int, rate float64) error {
 	fmt.Printf("\nChosen plan %v — task placement:\n", best.Variant.Tree)
 	g := best.Plan.Graph
 	var prows [][]string
-	for _, id := range g.OperatorIDs() {
+	for id := range g.Len() {
 		st := best.Plan.Stages[id]
 		sites := ""
 		for i, s := range st.Sites {

@@ -395,7 +395,7 @@ func (c *Controller) settling(b *belief, sp *obs.Span) bool {
 		sp.Event("skip", obs.String("reason", reason))
 		return true
 	}
-	for _, id := range b.plan.Graph.OperatorIDs() {
+	for id := range plan.OpID(b.plan.Graph.Len()) {
 		if b.reconfiguring(id) {
 			sp.Event("skip", obs.String("reason", "reconfiguration in flight"), obs.Int("op", int(id)))
 			return true

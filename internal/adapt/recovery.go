@@ -104,7 +104,7 @@ func (rm *RecoveryManager) CheckpointRound(now vclock.Time) {
 	}
 	rm.epoch++
 	rm.targets = 0
-	for _, id := range pp.Graph.OperatorIDs() {
+	for id := range plan.OpID(pp.Graph.Len()) {
 		if !stateful(pp.Graph.Operator(id)) {
 			continue
 		}

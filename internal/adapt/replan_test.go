@@ -53,7 +53,7 @@ func replanBed(t *testing.T, policy Policy) (*testbed, *ReplanSpec, *physical.Ca
 	cfg := physical.PlannerConfig{
 		ScheduleConfig: physical.ScheduleConfig{Alpha: 0.8, DefaultParallelism: 1},
 	}
-	best, all, err := physical.PlanQuery(g, spec, top, cfg)
+	best, all, err := physical.RankQuery(g, spec, top, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestLongTermBackgroundReplan(t *testing.T) {
 	net := netsim.New(top)
 	sched := vclock.NewScheduler(nil)
 	g, spec := combineQuery(t)
-	_, all, err := physical.PlanQuery(g, spec, top, physical.PlannerConfig{
+	_, all, err := physical.RankQuery(g, spec, top, physical.PlannerConfig{
 		ScheduleConfig: physical.ScheduleConfig{Alpha: 0.8, DefaultParallelism: 1},
 	})
 	if err != nil {

@@ -470,7 +470,7 @@ func (e *Engine) Stop() {
 // buildGroups constructs task groups for the current plan, preserving
 // nothing (fresh deployment: setPlan emptied the store).
 func (e *Engine) buildGroups() {
-	for _, id := range e.plan.Graph.OperatorIDs() {
+	for id := range plan.OpID(e.plan.Graph.Len()) {
 		e.placeOp(id, e.plan.Stages[id].Sites)
 	}
 }

@@ -30,7 +30,7 @@ func (e *Engine) rebuildFlows() {
 	// flows are added in this order, before any old one is released: that
 	// sequence fixes netsim's claimant order.
 	var lattice []*edgeFlow
-	for _, from := range e.plan.Graph.OperatorIDs() {
+	for from := range plan.OpID(e.plan.Graph.Len()) {
 		for _, to := range e.plan.Graph.DownstreamView(from) {
 			for _, src := range e.opGroups(from) {
 				for _, dst := range e.opGroups(to) {

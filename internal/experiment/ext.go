@@ -158,7 +158,7 @@ func RunConstraintAblation(seed int64) ([]AblationRow, error) {
 			SinkSite:    top.SitesOfKind(topology.DataCenter)[0],
 		}
 		q := queries.TopKTopics(qcfg)
-		_, all, err := physical.PlanQuery(q.Graph, q.Spec, top, physical.PlannerConfig{
+		_, all, err := physical.RankQuery(q.Graph, q.Spec, top, physical.PlannerConfig{
 			ScheduleConfig: physical.ScheduleConfig{
 				Alpha: 0.8, DefaultParallelism: 1, Conservative: conservative,
 			},

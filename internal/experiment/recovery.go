@@ -54,7 +54,7 @@ func hottestMovable(pp *physical.Plan) (plan.OpID, float64) {
 		return -1, 0
 	}
 	bestID := plan.OpID(-1)
-	for _, id := range pp.Graph.OperatorIDs() {
+	for id := range plan.OpID(pp.Graph.Len()) {
 		op := pp.Graph.Operator(id)
 		if op.Kind == plan.KindSource || op.Kind == plan.KindSink || op.PinnedSite != plan.NoSite {
 			continue

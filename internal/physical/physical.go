@@ -125,8 +125,8 @@ func (p *Plan) StageIDs() ([]plan.OpID, error) { return p.Graph.TopoOrder() }
 // stages.
 func (p *Plan) SlotsUsed(numSites int) []int {
 	used := make([]int, numSites)
-	for _, id := range p.Graph.OperatorIDs() {
-		for _, site := range p.Stages[id].Sites {
+	for _, st := range p.Stages {
+		for _, site := range st.Sites {
 			used[site]++
 		}
 	}
@@ -147,8 +147,7 @@ func (p *Plan) TotalTasks() int {
 // checked in ascending operator ID, so a plan with several violations
 // always reports the same one.
 func (p *Plan) Validate(top *topology.Topology) error {
-	for _, id := range p.Graph.OperatorIDs() {
-		st := p.Stages[id]
+	for id, st := range p.Stages {
 		if len(st.Sites) == 0 {
 			return fmt.Errorf("physical: stage %q (op %d) not placed", st.Op.Name, id)
 		}

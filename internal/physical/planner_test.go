@@ -63,12 +63,21 @@ func fig5Query(t *testing.T) (*plan.Graph, *plan.CombineSpec) {
 	return g, spec
 }
 
+// TestPlanQueryFindsFeasibleBest ranks every variant through RankQuery,
+// and PlanQuery must name its first.
 func TestPlanQueryFindsFeasibleBest(t *testing.T) {
 	top := fig5Topology(t)
 	g, spec := fig5Query(t)
-	best, all, err := PlanQuery(g, spec, top, PlannerConfig{})
+	best, all, err := RankQuery(g, spec, top, PlannerConfig{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	pruned, _, err := PlanQuery(g, spec, top, PlannerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameCandidate(pruned, &all[0], 1); err != nil {
+		t.Fatalf("PlanQuery's best is not RankQuery's first: %v", err)
 	}
 	if len(all) == 0 || best == nil {
 		t.Fatal("no candidates")
@@ -135,7 +144,11 @@ func TestPlanQueryAvoidsConstrainedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, all, err := PlanQuery(g, spec, constrained, PlannerConfig{})
+	best, _, err := PlanQuery(g, spec, constrained, PlannerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, all, err := RankQuery(g, spec, constrained, PlannerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +203,7 @@ func TestReplanQueryAdmissibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, all, err := s.Plan(top, PlannerConfig{}, func(v *plan.Variant) bool { return v.AdmissibleFrom(current) })
+	best, all, err := s.Rank(top, PlannerConfig{}, func(v *plan.Variant) bool { return v.AdmissibleFrom(current) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +221,7 @@ func TestReplanQueryAdmissibility(t *testing.T) {
 	}
 	// Non-admissible mode returns strictly more candidates.
 	restricted := len(all)
-	_, allFree, err := s.Plan(top, PlannerConfig{}, nil)
+	_, allFree, err := s.Rank(top, PlannerConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,19 +265,24 @@ func TestEstimateCostCountsOnlyCrossSite(t *testing.T) {
 	}
 }
 
-// TestPlanCandidatesMatchEstimateCost: Session.Plan prices each variant
-// from the rates Schedule left in the workspace; the result must be what
-// EstimateCost computes from scratch at the same rate factor.
+// TestPlanCandidatesMatchEstimateCost: a session round prices each
+// variant from the rates Schedule left in the workspace; the result must
+// be what EstimateCost computes from scratch at the same rate factor, for
+// every candidate PlanQuery lists and every one RankQuery does.
 func TestPlanCandidatesMatchEstimateCost(t *testing.T) {
 	top := fig5Topology(t)
 	g, spec := fig5Query(t)
 	for _, rateFactor := range []float64{0, 0.5, 1.7} {
 		cfg := PlannerConfig{ScheduleConfig: ScheduleConfig{RateFactor: rateFactor}}
-		_, all, err := PlanQuery(g, spec, top, cfg)
+		_, pruned, err := PlanQuery(g, spec, top, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range all {
+		_, ranked, err := RankQuery(g, spec, top, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range append(pruned, ranked...) {
 			delayVol, wan, err := EstimateCost(c.Plan, top, rateFactor)
 			if err != nil {
 				t.Fatal(err)

@@ -86,7 +86,7 @@ func refPlan(s *Session, top *topology.Topology, cfg PlannerConfig, admit func(*
 	}
 	var round refRound
 	var candidates []Candidate
-	for _, e := range s.entries {
+	for i, e := range s.entries {
 		if admit != nil && !admit(e.variant) {
 			continue
 		}
@@ -110,6 +110,7 @@ func refPlan(s *Session, top *topology.Topology, cfg PlannerConfig, admit func(*
 			DelayVolume:    delayVol,
 			WANBytesPerSec: wan,
 			Cost:           delayVol + wanWeight*wan,
+			index:          i,
 		})
 	}
 	if round.ranked = len(candidates); round.ranked == 0 {
@@ -120,8 +121,7 @@ func refPlan(s *Session, top *topology.Topology, cfg PlannerConfig, admit func(*
 }
 
 // sameCandidates reports how one round's ranked candidates differ from
-// want's: in order, tree, every stage's sites, and the bits of every cost
-// scaled by scale (1 when the two rounds saw the same inputs).
+// want's: in order, each as sameCandidate judges it.
 func sameCandidates(got []Candidate, gotErr error, want []Candidate, wantErr error, scale float64) error {
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
@@ -133,34 +133,75 @@ func sameCandidates(got []Candidate, gotErr error, want []Candidate, wantErr err
 		return fmt.Errorf("%d candidates, want %d", len(got), len(want))
 	}
 	for i := range got {
-		g, w := &got[i], &want[i]
-		if gt, wt := g.Variant.Tree.String(), w.Variant.Tree.String(); gt != wt {
-			return fmt.Errorf("rank %d: tree %s, want %s", i, gt, wt)
+		if err := sameCandidate(&got[i], &want[i], scale); err != nil {
+			return fmt.Errorf("rank %d: %w", i, err)
 		}
-		for _, id := range w.Plan.Graph.OperatorIDs() {
-			if gs, ws := g.Plan.Stages[id].Sites, w.Plan.Stages[id].Sites; !slices.Equal(gs, ws) {
-				return fmt.Errorf("rank %d (%s): stage %d at %v, want %v", i, w.Variant.Tree, id, gs, ws)
-			}
+	}
+	return nil
+}
+
+// sameCandidate reports how g differs from w: in variant, tree, every
+// stage's sites, and the bits of every cost scaled by scale (1 when the
+// two rounds saw the same inputs).
+func sameCandidate(g, w *Candidate, scale float64) error {
+	if g.index != w.index {
+		return fmt.Errorf("variant %d, want %d", g.index, w.index)
+	}
+	if gt, wt := g.Variant.Tree.String(), w.Variant.Tree.String(); gt != wt {
+		return fmt.Errorf("tree %s, want %s", gt, wt)
+	}
+	for id := range w.Plan.Graph.Len() {
+		if gs, ws := g.Plan.Stages[id].Sites, w.Plan.Stages[id].Sites; !slices.Equal(gs, ws) {
+			return fmt.Errorf("%s: stage %d at %v, want %v", w.Variant.Tree, id, gs, ws)
 		}
-		for _, f := range [...]struct {
-			name string
-			g, w float64
-		}{
-			{"Cost", g.Cost, w.Cost},
-			{"DelayVolume", g.DelayVolume, w.DelayVolume},
-			{"WANBytesPerSec", g.WANBytesPerSec, w.WANBytesPerSec},
-		} {
-			if math.Float64bits(f.g) != math.Float64bits(f.w*scale) {
-				return fmt.Errorf("rank %d (%s): %s %v, want %v", i, w.Variant.Tree, f.name, f.g, f.w*scale)
-			}
+	}
+	for _, f := range [...]struct {
+		name string
+		g, w float64
+	}{
+		{"Cost", g.Cost, w.Cost},
+		{"DelayVolume", g.DelayVolume, w.DelayVolume},
+		{"WANBytesPerSec", g.WANBytesPerSec, w.WANBytesPerSec},
+	} {
+		if math.Float64bits(f.g) != math.Float64bits(f.w*scale) {
+			return fmt.Errorf("%s: %s %v, want %v", w.Variant.Tree, f.name, f.g, f.w*scale)
+		}
+	}
+	return nil
+}
+
+// prunedCandidates reports how a pruning round's best and candidates
+// differ from want, the full ranking: the best must be want's first, and
+// the candidates want's in the same order, some of them left out.
+func prunedCandidates(best *Candidate, got []Candidate, gotErr error, want []Candidate, wantErr error) error {
+	if gotErr != nil || wantErr != nil {
+		return sameCandidates(got, gotErr, want, wantErr, 1)
+	}
+	if err := sameCandidate(best, &want[0], 1); err != nil {
+		return fmt.Errorf("best: %w", err)
+	}
+	if best.Plan != got[0].Plan {
+		return errors.New("best is not the first candidate")
+	}
+	w := 0
+	for i := range got {
+		for w < len(want) && want[w].index != got[i].index {
+			w++
+		}
+		if w == len(want) {
+			return fmt.Errorf("rank %d: variant %d out of the full ranking's order, or not in it", i, got[i].index)
+		}
+		if err := sameCandidate(&got[i], &want[w], 1); err != nil {
+			return fmt.Errorf("rank %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
 // planPair holds two sessions over one query: s is planned by
-// Session.Plan, ref by refPlan. Both live across rounds, so that what a
-// round leaves behind in a session is under test too.
+// Session.Plan and then by Session.Rank, ref by refPlan. Both live across
+// rounds, so that what a round leaves behind in a session — the winner it
+// evaluates first next round among it — is under test too.
 type planPair struct{ s, ref *Session }
 
 func newPlanPair(tb testing.TB, q *queries.Query, maxVariants int) planPair {
@@ -178,22 +219,30 @@ func mustSession(tb testing.TB, q *queries.Query, maxVariants int) *Session {
 
 // round plans once each way, admitting only the variants that can take
 // over from variant admitFrom of the session when admitFrom >= 0, and
-// reports how the two differ.
-func (pp planPair) round(top *topology.Topology, cfg PlannerConfig, admitFrom int) (refRound, error) {
+// reports how they differ: Plan's best must be the reference's first
+// candidate and each candidate it lists the reference's for the same
+// variant, and Rank's list must be the reference's. It also returns how
+// many candidates Plan listed.
+func (pp planPair) round(top *topology.Topology, cfg PlannerConfig, admitFrom int) (refRound, int, error) {
 	var admit func(*plan.Variant) bool
 	if admitFrom >= 0 {
 		cur := pp.ref.entries[admitFrom%len(pp.ref.entries)].variant
 		admit = func(v *plan.Variant) bool { return v.AdmissibleFrom(cur) }
 	}
-	best, got, gotErr := pp.s.Plan(top, cfg, admit)
 	want, r, wantErr := refPlan(pp.ref, top, cfg, admit)
+	best, pruned, prunedErr := pp.s.Plan(top, cfg, admit)
+	if err := prunedCandidates(best, pruned, prunedErr, want, wantErr); err != nil {
+		return r, 0, fmt.Errorf("Plan: %w", err)
+	}
+	listed := len(pruned)
+	best, got, gotErr := pp.s.Rank(top, cfg, admit)
 	if err := sameCandidates(got, gotErr, want, wantErr, 1); err != nil {
-		return r, err
+		return r, listed, fmt.Errorf("Rank: %w", err)
 	}
 	if gotErr == nil && best.Plan != got[0].Plan {
-		return r, errors.New("best is not the first candidate")
+		return r, listed, errors.New("Rank: best is not the first candidate")
 	}
-	return r, nil
+	return r, listed, nil
 }
 
 // perturbed is base bandwidth with every directed link scaled by its own
@@ -249,23 +298,30 @@ func planetQuery(top *topology.Topology, qi int) *queries.Query {
 }
 
 // TestSessionPlanMatchesReference: a round that places the shared prefix
-// once must rank the same candidates, place every stage on the same sites
-// and price each to the same bits as scheduling every variant from
-// scratch. The sweep covers the three queries on 16-site testbeds and a
+// once, evaluates last round's winner first and, in Plan, stops the
+// variants that cannot win, must name the same best, and Rank must rank
+// the same candidates, place every stage on the same sites and price each
+// to the same bits as scheduling every variant from scratch. Every
+// candidate Plan lists must be the reference's for its variant. The sweep
+// covers the three queries on 16-site testbeds and a
 // 1000-site planet, per-link bandwidth ×0.2–2.4, with and without an
 // admissibility filter, every solver dispatch, and enough load that some
 // rounds lose only some variants to an infeasible suffix and others lose
-// all of them to an infeasible prefix.
+// all of them to an infeasible prefix; Plan must stop some variant in
+// some round.
 func TestSessionPlanMatchesReference(t *testing.T) {
-	var rounds, partial, prefixFails int
+	var rounds, partial, prefixFails, cut int
 	ranked := map[string]int{} // rounds with a candidate, per topology kind
 	check := func(kind, name string, pp planPair, top *topology.Topology, cfg PlannerConfig, admitFrom int) {
 		t.Helper()
-		r, err := pp.round(top, cfg, admitFrom)
+		r, listed, err := pp.round(top, cfg, admitFrom)
 		if err != nil {
 			t.Fatalf("%s %s: %v", kind, name, err)
 		}
 		rounds++
+		if listed < r.ranked {
+			cut++
+		}
 		if r.ranked > 0 {
 			ranked[kind]++
 		}
@@ -321,10 +377,10 @@ func TestSessionPlanMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d rounds: %v with a candidate, %d of them short of some variants' suffixes, %d lost every variant to the prefix",
-		rounds, ranked, partial, prefixFails)
-	if partial == 0 || prefixFails == 0 || ranked["testbed"] == 0 || ranked["planet"] == 0 {
-		t.Fatal("the sweep must reach rounds with candidates on both kinds of topology, partly infeasible suffixes and infeasible prefixes")
+	t.Logf("%d rounds: %v with a candidate, %d of them short of some variants' suffixes, %d lost every variant to the prefix, %d where Plan stopped a variant",
+		rounds, ranked, partial, prefixFails, cut)
+	if partial == 0 || prefixFails == 0 || ranked["testbed"] == 0 || ranked["planet"] == 0 || cut == 0 {
+		t.Fatal("the sweep must reach rounds with candidates on both kinds of topology, partly infeasible suffixes, infeasible prefixes and stopped variants")
 	}
 }
 
@@ -469,7 +525,8 @@ func TestScheduleRejectsPinOutsideTopology(t *testing.T) {
 // the fuzzer's bytes: the query, 2–8 sources, the variant cap, the rate
 // factor, parallelism, a bandwidth seed and range, an optional variant to
 // admit from, the testbed and the solver dispatch. Each input runs two
-// rounds on the same sessions, the second at twice the rate.
+// rounds on the same sessions, the second at twice the rate, so that the
+// second evaluates the first's winner first.
 func FuzzSessionPlanMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 6, 39, 48, 0, 1, 2, 3, 4, 5, 6, 7, 8, 40, 200, 18, 1})
 	f.Add([]byte{1, 6, 39, 100, 1, 9, 9, 9, 9, 9, 9, 9, 9, 0, 255, 0, 2})
@@ -507,7 +564,7 @@ func FuzzSessionPlanMatchesReference(f *testing.F) {
 			HierarchicalSites:  hier,
 		}}
 		for range 2 {
-			if _, err := pp.round(top, cfg, admitFrom); err != nil {
+			if _, _, err := pp.round(top, cfg, admitFrom); err != nil {
 				t.Fatal(err)
 			}
 			cfg.RateFactor *= 2

@@ -80,7 +80,7 @@ func Schedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) error {
 	if err := beginSchedule(p, order, top, c); err != nil {
 		return err
 	}
-	placed, err := placeStages(p, order, top, c)
+	placed, err := placeStages(p, order, top, c, nil)
 	if err != nil || placed == len(order) {
 		return err
 	}
@@ -123,10 +123,11 @@ func beginSchedule(p *Plan, order []plan.OpID, top *topology.Topology, c Schedul
 // placeStages places the given stages of p in order against the
 // workspace's rates and free slots (see beginSchedule), taking each
 // placement's slots out of ws.avail. It stops at the first stage no
-// placement fits and returns how many it placed, len(ids) when all of
-// them; that verdict allocates nothing. Its error is for a stage no
-// bandwidth or slot count could place.
-func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleConfig) (placed int, err error) {
+// placement fits, or, given a bound, at the first whose in-edges take the
+// bound's running cost past its limit, and returns that stage's position,
+// len(ids) when it stopped at none; that verdict allocates nothing. Its
+// error is for a stage no bandwidth or slot count could place.
+func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleConfig, b *bound) (placed int, err error) {
 	ws := c.Workspace
 	for i, id := range ids {
 		st := p.Stages[id]
@@ -146,6 +147,9 @@ func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleCon
 			return i, nil
 		}
 		st.Sites = takePlacement(st.Sites[:0], pl, ws.avail)
+		if b != nil && b.exceeded(p, id, top, ws) {
+			return i, nil
+		}
 	}
 	return len(ids), nil
 }

@@ -274,7 +274,7 @@ func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, ba
 	adj := make([][]OpID, 2*len(trees)*n)
 	pool := make([]OpID, len(trees)*edges)
 	sets := make([]LeafSet, len(trees)*n)
-	order := make([]OpID, (len(trees)+1)*n) // the ids all variants share, then each one's order
+	order := make([]OpID, len(trees)*n)
 	graphs := make([]Graph, len(trees))
 	vs = make([]Variant, len(trees))
 
@@ -282,10 +282,6 @@ func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, ba
 	for id, op := range base.ops {
 		ops[id] = *op
 		shared[id] = &ops[id]
-	}
-	ids := order[:n:n]
-	for i := range ids {
-		ids[i] = OpID(i)
 	}
 	var small [128]int32
 	indeg := small[:]
@@ -308,8 +304,7 @@ func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, ba
 		root := x.build(tree)
 		g.down[root] = append(g.down[root], spec.Output)
 		g.up[spec.Output] = append(g.up[spec.Output], root)
-		at := (i + 1) * n
-		g.idsCache, g.idsValid = ids, true
+		at := i * n
 		g.topoCache, g.topoErr = g.topoInto(order[at:at:at+n], indeg)
 		g.topoValid = true
 	}

@@ -119,14 +119,11 @@ type Graph struct {
 	topoValid bool
 	topoCache []OpID
 	topoErr   error
-	idsValid  bool
-	idsCache  []OpID
 }
 
 // mutated drops the structure-derived caches.
 func (g *Graph) mutated() {
 	g.topoValid = false
-	g.idsValid = false
 }
 
 // NewGraph returns an empty logical plan.
@@ -213,21 +210,14 @@ func (g *Graph) UpstreamView(id OpID) []OpID {
 // the next ID AddOperator hands out, so it sizes a slice indexed by OpID.
 func (g *Graph) Len() int { return len(g.ops) }
 
-// OperatorIDs returns all operator IDs, 0..Len−1. The returned slice is
-// cached; callers must not modify it.
+// OperatorIDs returns a fresh slice of all operator IDs, 0..Len−1. A loop
+// over the operators ranges over Len instead.
 func (g *Graph) OperatorIDs() []OpID {
-	if !g.idsValid {
-		g.fillIDs(make([]OpID, 0, len(g.ops)))
+	ids := make([]OpID, len(g.ops))
+	for id := range ids {
+		ids[id] = OpID(id)
 	}
-	return g.idsCache
-}
-
-// fillIDs makes ids, empty with room for every operator, the ids cache.
-func (g *Graph) fillIDs(ids []OpID) {
-	for id := range g.ops {
-		ids = append(ids, OpID(id))
-	}
-	g.idsCache, g.idsValid = ids, true
+	return ids
 }
 
 // Sources returns the IDs of all KindSource operators, ascending.
@@ -255,24 +245,14 @@ func (g *Graph) TopoOrder() ([]OpID, error) {
 }
 
 // computeTopo is topoInto with its own buffers: it allocates once, as
-// the in-degrees of a plan-sized graph live on the stack, and when the
-// ids cache is stale too it is filled from the same block as the order.
+// the in-degrees of a plan-sized graph live on the stack.
 func (g *Graph) computeTopo() ([]OpID, error) {
 	var small [128]int32
 	indeg := small[:]
 	if len(g.ops) > len(indeg) {
 		indeg = make([]int32, len(g.ops))
 	}
-	n := len(g.ops)
-	var buf []OpID
-	if g.idsValid {
-		buf = make([]OpID, 0, n)
-	} else {
-		block := make([]OpID, 2*n)
-		g.fillIDs(block[:0:n])
-		buf = block[n:n]
-	}
-	return g.topoInto(buf, indeg)
+	return g.topoInto(make([]OpID, 0, len(g.ops)), indeg)
 }
 
 // topoInto is Kahn's algorithm always taking the smallest ready ID, into
