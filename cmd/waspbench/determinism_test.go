@@ -11,14 +11,24 @@ import (
 )
 
 // captureRun executes run() with the experiment pool at the given width
-// and returns everything it printed. Stdout is drained concurrently: the
-// full -experiment all transcript is far larger than a pipe buffer.
+// and returns everything it printed.
 func captureRun(t *testing.T, name string, workers int, duration time.Duration) string {
 	t.Helper()
 	old := experiment.Parallelism()
 	defer experiment.SetParallelism(old)
 	experiment.SetParallelism(workers)
+	out, err := captureStdout(t, func() error { return run(name, 1, duration) })
+	if err != nil {
+		t.Fatalf("run(%q, -j %d): %v", name, workers, err)
+	}
+	return out
+}
 
+// captureStdout calls fn and returns everything it printed and its error.
+// Stdout is drained concurrently: the full -experiment all transcript is
+// far larger than a pipe buffer.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
 	saved := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -31,16 +41,13 @@ func captureRun(t *testing.T, name string, workers int, duration time.Duration) 
 		_, err := io.Copy(&buf, r)
 		done <- err
 	}()
-	runErr := run(name, 1, duration)
+	fnErr := fn()
 	w.Close()
 	os.Stdout = saved
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if runErr != nil {
-		t.Fatalf("run(%q, -j %d): %v", name, workers, runErr)
-	}
-	return buf.String()
+	return buf.String(), fnErr
 }
 
 // TestAllExperimentsByteIdenticalAcrossWorkers is the whole-suite

@@ -7,9 +7,11 @@
 //	waspbench -experiment fig8 -seed 3
 //	waspbench -experiment fig11 -duration 30m
 //	waspbench -experiment all -j 4
+//	waspbench -experiment recovery -seed 3
 //
 // The experiments table below is the list of experiments, in the order
-// "all" runs them; -h prints its ids. Figures 8/9 and 11/12 share
+// "all" runs them; -h prints its ids and those of the standalone table,
+// whose experiments run only when named. Figures 8/9 and 11/12 share
 // underlying runs; requesting either member executes the runs once and
 // prints the requested panels. adaptlat sweeps the adaptation cycle's
 // per-phase latency (detect/plan/halt/transfer/resume) across the three
@@ -20,7 +22,9 @@
 // simulated users, hierarchical two-level placement, and a mid-run
 // straggler. "ctrlchaos" degrades the control plane instead of the data
 // plane — a telemetry-loss × partition grid plus randomized mixed
-// data+control schedules, judged by the extended invariant set. Every
+// data+control schedules, judged by the extended invariant set.
+// "recovery", a standalone experiment, is the §8.6 failure-recovery sweep:
+// a site crash and restart under five checkpoint intervals. Every
 // experiment's output is byte-identical for the same seed.
 //
 // -j sets the experiment worker-pool width (default GOMAXPROCS): the
@@ -172,6 +176,12 @@ var experiments = []entry{
 	}},
 }
 
+// standalone lists the experiments "all" does not run, so that adding one
+// leaves the "all" transcript as it is.
+var standalone = []entry{
+	{[]string{"recovery"}, seeded(experiment.RunRecovery, experiment.FormatRecovery)},
+}
+
 // seeded is the run function of an experiment that depends on the seed
 // only: it has one duration, the paper's, and one panel.
 func seeded[T any](sweep func(seed int64) (T, error), format func(T) string) func(string, int64, time.Duration) (string, error) {
@@ -216,24 +226,27 @@ func ctrlChaosViolation(res experiment.CtrlChaosResult) error {
 	return nil
 }
 
-// experimentIDs returns every id in table order.
+// experimentIDs returns every id in table order, the standalone table's
+// last.
 func experimentIDs() []string {
 	var ids []string
-	for _, e := range experiments {
+	for _, e := range slices.Concat(experiments, standalone) {
 		ids = append(ids, e.ids...)
 	}
 	return ids
 }
 
-// selected returns the entries name asks for: all of them for "all", the
-// one listing the id otherwise, none for an unknown name.
+// selected returns the entries name asks for: the experiments table for
+// "all", the one entry listing the id otherwise, none for an unknown name.
 func selected(name string) []entry {
 	if name == "all" {
 		return experiments
 	}
-	for i, e := range experiments {
-		if slices.Contains(e.ids, name) {
-			return experiments[i : i+1]
+	for _, table := range [][]entry{experiments, standalone} {
+		for i, e := range table {
+			if slices.Contains(e.ids, name) {
+				return table[i : i+1]
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -90,5 +91,31 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 func TestRunShortenedDynamicExperiment(t *testing.T) {
 	if err := run("fig9", 1, 250*time.Second); err != nil {
 		t.Fatalf("run(fig9): %v", err)
+	}
+}
+
+// TestRecoveryRunsStandalone: the §8.6 recovery sweep runs when named,
+// exits 0 and prints its table, and "all" leaves it out, so the golden
+// transcript of "all" does not hold it.
+func TestRecoveryRunsStandalone(t *testing.T) {
+	var stderr bytes.Buffer
+	var code int
+	out, _ := captureStdout(t, func() error {
+		code = runMain([]string{"-experiment", "recovery", "-seed", "3"}, &stderr)
+		return nil
+	})
+	if code != 0 {
+		t.Errorf("-experiment recovery -seed 3: exit %d (%s), want 0", code, stderr.String())
+	}
+	if !strings.HasPrefix(out, "Failure recovery (§8.6-style)") {
+		t.Errorf("-experiment recovery -seed 3 printed %q, want the recovery table", out)
+	}
+	for _, e := range selected("all") {
+		if slices.Contains(e.ids, "recovery") {
+			t.Error(`selected("all") holds the recovery entry`)
+		}
+	}
+	if got := selected("recovery"); len(got) != 1 || &got[0] != &standalone[0] {
+		t.Error(`selected("recovery") does not resolve to the standalone entry`)
 	}
 }

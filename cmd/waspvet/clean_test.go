@@ -283,19 +283,12 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 // it stays: each is a capability DESIGN.md lists, or a reading a test
 // compares against its reference, that only tests exercise today.
 var reachExemptions = map[string]string{
-	"stream.WindowJoin":                 "record-mode windowed join, DESIGN.md §7",
-	"stream.SlidingCount":               "record-mode sliding windows (a WindowAggregate with Slide set), which no query builds yet; DESIGN.md §7",
-	"stream.KeyBy":                      "record-mode re-keying, DESIGN.md §7",
-	"stream.FlatMap":                    "record-mode flat map, DESIGN.md §7",
 	"stream.WindowAggregate.SplitByKey": "record-mode rescale, DESIGN.md §7; ROADMAP's record-vs-tick check rescales through it",
 	"stream.WindowAggregate.Merge":      "record-mode rescale, DESIGN.md §7; ROADMAP's record-vs-tick check rescales through it",
 	"stream.WindowTopK.SplitByKey":      "record-mode rescale, DESIGN.md §7; ROADMAP's record-vs-tick check rescales through it",
 	"stream.WindowTopK.Merge":           "record-mode rescale, DESIGN.md §7; ROADMAP's record-vs-tick check rescales through it",
 	"stream.WindowTopK.StateSize":       "TestWindowStoreMatchesReference compares it against the reference after every step",
-	"stream.WindowJoin.StateSize":       "TestWindowStoreMatchesReference compares it against the reference after every step",
 	"queries.BuildEOIRecord":            "the EoI record-mode pipeline, DESIGN.md §7",
-	"experiment.RunRecovery":            "the §8.6 recovery sweep; DESIGN.md §5 and README cite it",
-	"experiment.FormatRecovery":         "prints the table of the §8.6 recovery sweep that DESIGN.md §5 and README cite",
 }
 
 // TestUnreachedDeclarationIsReported runs the walk over a fixture with one

@@ -30,9 +30,9 @@ func run() error {
 	})
 	cnt := p.AddNode("count10s", stream.Count(10*time.Second))
 	sink := p.AddSink("out")
-	p.MustConnect(src, fil, 0)
-	p.MustConnect(fil, cnt, 0)
-	p.MustConnect(cnt, sink, 0)
+	p.MustConnect(src, fil)
+	p.MustConnect(fil, cnt)
+	p.MustConnect(cnt, sink)
 
 	// Synthesize 30 seconds of input: one event per 100 ms, keyed by
 	// parity-of-hundreds, valued 0..299.

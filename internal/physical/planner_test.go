@@ -56,7 +56,7 @@ func fig5Query(t *testing.T) (*plan.Graph, *plan.CombineSpec) {
 		Inputs: inputs,
 		Output: sink,
 		Template: plan.Operator{
-			Name: "join", Kind: plan.KindJoin, Stateful: true, Splittable: true,
+			Name: "join", Kind: plan.KindAggregate, Stateful: true, Splittable: true,
 			Selectivity: 0.1, OutEventBytes: 1000, CostPerEvent: 2, StateBytes: 60e6,
 		},
 	}

@@ -215,7 +215,7 @@ func fig5Base(t *testing.T) (*Graph, *CombineSpec) {
 		Inputs: inputs,
 		Output: sink,
 		Template: Operator{
-			Name: "join", Kind: KindJoin, Stateful: true, Splittable: true,
+			Name: "join", Kind: KindAggregate, Stateful: true, Splittable: true,
 			Selectivity: 0.5, OutEventBytes: 150, CostPerEvent: 2, StateBytes: 50e6,
 		},
 	}

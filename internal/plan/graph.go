@@ -27,12 +27,8 @@ const (
 	KindSource Kind = iota + 1
 	KindFilter
 	KindMap
-	KindFlatMap
-	KindProject
 	KindUnion
-	KindWindow
 	KindAggregate
-	KindJoin
 	KindTopK
 	KindSink
 )
@@ -41,12 +37,8 @@ var kindNames = map[Kind]string{
 	KindSource:    "source",
 	KindFilter:    "filter",
 	KindMap:       "map",
-	KindFlatMap:   "flatmap",
-	KindProject:   "project",
 	KindUnion:     "union",
-	KindWindow:    "window",
 	KindAggregate: "aggregate",
-	KindJoin:      "join",
 	KindTopK:      "topk",
 	KindSink:      "sink",
 }
@@ -86,8 +78,8 @@ type Operator struct {
 	// (summed across its tasks).
 	StateBytes float64
 
-	// Window is the window length for KindWindow/KindAggregate/KindTopK
-	// operators with tumbling-window semantics; zero means no windowing.
+	// Window is the tumbling-window length of a KindAggregate or KindTopK
+	// operator; zero means no windowing.
 	Window time.Duration
 
 	// PinnedSite fixes the operator at one site. Only sources and sinks

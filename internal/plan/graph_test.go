@@ -255,7 +255,7 @@ func TestExpectedRates(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindSource.String() != "source" || KindJoin.String() != "join" {
+	if KindSource.String() != "source" || KindTopK.String() != "topk" {
 		t.Fatal("Kind.String mismatch")
 	}
 	if got := Kind(99).String(); got != "Kind(99)" {

@@ -54,15 +54,15 @@ func BuildYSBRecord(nSources int, window time.Duration) *RecordPipeline {
 				panic(fmt.Sprintf("queries: YSB input value is %T, not workload.AdEvent", e.Value))
 			},
 		})
-		p.MustConnect(src, fil, 0)
-		p.MustConnect(fil, join, 0)
-		p.MustConnect(join, union, 0)
+		p.MustConnect(src, fil)
+		p.MustConnect(fil, join)
+		p.MustConnect(join, union)
 		srcs = append(srcs, src)
 	}
 	cnt := p.AddNode("count10s", stream.Count(window))
 	sink := p.AddSink("ysb-sink")
-	p.MustConnect(union, cnt, 0)
-	p.MustConnect(cnt, sink, 0)
+	p.MustConnect(union, cnt)
+	p.MustConnect(cnt, sink)
 	return &RecordPipeline{Pipeline: p, Sources: srcs, Sink: sink}
 }
 
@@ -85,8 +85,8 @@ func BuildTopKRecord(nSources, k int, window time.Duration) *RecordPipeline {
 		fil := p.AddNode("filter-geo", &stream.Filter{
 			Pred: func(e stream.Event) bool { return e.Key != "" },
 		})
-		p.MustConnect(src, fil, 0)
-		p.MustConnect(fil, union, 0)
+		p.MustConnect(src, fil)
+		p.MustConnect(fil, union)
 		srcs = append(srcs, src)
 	}
 	topk := p.AddNode("topk", &stream.WindowTopK{
@@ -103,8 +103,8 @@ func BuildTopKRecord(nSources, k int, window time.Duration) *RecordPipeline {
 		},
 	})
 	sink := p.AddSink("topk-sink")
-	p.MustConnect(union, topk, 0)
-	p.MustConnect(topk, sink, 0)
+	p.MustConnect(union, topk)
+	p.MustConnect(topk, sink)
 	return &RecordPipeline{Pipeline: p, Sources: srcs, Sink: sink}
 }
 
@@ -125,8 +125,8 @@ func BuildEOIRecord(nSources int, lang string, topicPrefix string) *RecordPipeli
 				return topicPrefix == "" || strings.HasPrefix(tw.Topic, topicPrefix)
 			},
 		})
-		p.MustConnect(src, fil, 0)
-		p.MustConnect(fil, union, 0)
+		p.MustConnect(src, fil)
+		p.MustConnect(fil, union)
 		srcs = append(srcs, src)
 	}
 	proj := p.AddNode("project", &stream.Map{
@@ -136,7 +136,7 @@ func BuildEOIRecord(nSources int, lang string, topicPrefix string) *RecordPipeli
 		},
 	})
 	sink := p.AddSink("eoi-sink")
-	p.MustConnect(union, proj, 0)
-	p.MustConnect(proj, sink, 0)
+	p.MustConnect(union, proj)
+	p.MustConnect(proj, sink)
 	return &RecordPipeline{Pipeline: p, Sources: srcs, Sink: sink}
 }

@@ -1,7 +1,9 @@
 // Package stream is WASP's record-at-a-time streaming engine: typed
 // events flowing through a DAG of operators with event-time semantics,
-// watermarks, keyed windows, joins, and snapshot/restore support for
-// stateful operators.
+// watermarks, keyed tumbling windows (a per-key count and a per-group
+// top-k), and snapshot/restore support for stateful operators. The
+// operators are what the paper's three queries (Table 3) need: Filter, Map,
+// Union, Count and WindowTopK.
 //
 // This is the record-mode execution layer (see DESIGN.md): it provides the
 // exact operator semantics that the flow-mode wide-area emulation models
@@ -29,12 +31,11 @@ type Event struct {
 	// sees one id with two different keys panics rather than count them
 	// together, so the sources feeding one operator must share an id space.
 	// Ids are dense: one at or past MaxKeyID is ignored. An id goes where its
-	// key goes: Filter, Map and Union pass both on, KeyBy — which changes the
-	// key — drops the id, and the events a windowed operator or a join emits
-	// carry none.
+	// key goes: Filter, Map and Union pass both on (a Map whose Fn changes
+	// the key must change or clear the id), and the events a windowed
+	// operator emits carry none.
 	KeyID uint32
-	// Value is the payload. Stateful operators that snapshot their state
-	// with gob require concrete Value types to be gob-registered.
+	// Value is the payload.
 	Value any
 }
 
@@ -46,11 +47,11 @@ func (e Event) String() string {
 // Emit passes an event downstream.
 type Emit func(Event)
 
-// Handler is a stream operator's event-processing interface. Operators
-// with one input always observe port 0; two-input operators (joins)
-// observe ports 0 and 1.
+// Handler is a stream operator's event-processing interface.
 type Handler interface {
 	// OnEvent processes one input event, emitting zero or more outputs.
+	// port is the input port the event arrived on; a Pipeline always
+	// delivers 0.
 	OnEvent(port int, e Event, emit Emit)
 	// OnWatermark observes the event-time watermark advancing to wm:
 	// all future events have Time >= wm. Windowed operators flush

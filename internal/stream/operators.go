@@ -37,37 +37,6 @@ func (m *Map) OnEvent(_ int, e Event, emit Emit) { emit(m.Fn(e)) }
 // OnWatermark implements Handler.
 func (m *Map) OnWatermark(vclock.Time, Emit) {}
 
-// FlatMap transforms each event into zero or more events. Stateless. What Map
-// says of Key and KeyID holds for every event Fn emits.
-type FlatMap struct {
-	Fn func(Event, Emit)
-}
-
-var _ Handler = (*FlatMap)(nil)
-
-// OnEvent implements Handler.
-func (f *FlatMap) OnEvent(_ int, e Event, emit Emit) { f.Fn(e, emit) }
-
-// OnWatermark implements Handler.
-func (f *FlatMap) OnWatermark(vclock.Time, Emit) {}
-
-// KeyBy re-keys the stream. Stateless. The events it emits carry no KeyID: the
-// id they arrived with named the key they arrived with.
-type KeyBy struct {
-	KeyFn func(Event) string
-}
-
-var _ Handler = (*KeyBy)(nil)
-
-// OnEvent implements Handler.
-func (k *KeyBy) OnEvent(_ int, e Event, emit Emit) {
-	e.Key, e.KeyID = k.KeyFn(e), 0
-	emit(e)
-}
-
-// OnWatermark implements Handler.
-func (k *KeyBy) OnWatermark(vclock.Time, Emit) {}
-
 // Union forwards all inputs unchanged. Stateless; any number of inputs.
 type Union struct{}
 

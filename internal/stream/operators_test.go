@@ -48,26 +48,6 @@ func TestMap(t *testing.T) {
 	}
 }
 
-func TestFlatMap(t *testing.T) {
-	f := &FlatMap{Fn: func(e Event, emit Emit) {
-		for i := 0; i < e.Value.(int); i++ {
-			emit(Event{Time: e.Time, Key: e.Key, Value: i})
-		}
-	}}
-	out := collect(f, 0, ev(0, "a", 3))
-	if len(out) != 3 {
-		t.Fatalf("flatmap out = %v", out)
-	}
-}
-
-func TestKeyBy(t *testing.T) {
-	k := &KeyBy{KeyFn: func(e Event) string { return e.Value.(string) }}
-	out := collect(k, 0, ev(0, "", "france"))
-	if len(out) != 1 || out[0].Key != "france" {
-		t.Fatalf("keyby out = %v", out)
-	}
-}
-
 func TestUnion(t *testing.T) {
 	u := &Union{}
 	out := collect(u, 0, ev(0, "a", 1))

@@ -31,7 +31,6 @@ const (
 // event is delivered through after the guard.
 type edge struct {
 	to    *pipelineNode
-	port  int
 	guard *Filter
 	fn    *Map
 }
@@ -98,9 +97,8 @@ func (p *Pipeline) add(name string, kind nodeKind, h Handler) NodeID {
 
 func (p *Pipeline) known(id NodeID) bool { return id >= 0 && int(id) < len(p.nodes) }
 
-// Connect wires from→to delivering into the given input port of `to`
-// (port 0 for single-input operators; joins use ports 0 and 1).
-func (p *Pipeline) Connect(from, to NodeID, port int) error {
+// Connect wires from→to: every event from emits is delivered to `to`.
+func (p *Pipeline) Connect(from, to NodeID) error {
 	if !p.known(from) || !p.known(to) {
 		return fmt.Errorf("stream: connect %d->%d: unknown node", from, to)
 	}
@@ -110,14 +108,14 @@ func (p *Pipeline) Connect(from, to NodeID, port int) error {
 	if p.nodes[from].kind == nodeSink {
 		return fmt.Errorf("stream: node %q is a sink and cannot produce output", p.nodes[from].name)
 	}
-	p.nodes[from].edges = append(p.nodes[from].edges, edge{to: p.nodes[to], port: port})
+	p.nodes[from].edges = append(p.nodes[from].edges, edge{to: p.nodes[to]})
 	p.topo = nil
 	return nil
 }
 
 // MustConnect is Connect that panics on error.
-func (p *Pipeline) MustConnect(from, to NodeID, port int) {
-	if err := p.Connect(from, to, port); err != nil {
+func (p *Pipeline) MustConnect(from, to NodeID) {
+	if err := p.Connect(from, to); err != nil {
 		panic(err)
 	}
 }
@@ -140,7 +138,7 @@ func (n *pipelineNode) forward(e Event) {
 		if to := ed.to; to.kind == nodeSink {
 			to.collected = append(to.collected, out)
 		} else {
-			to.handler.OnEvent(ed.port, out, to.emit)
+			to.handler.OnEvent(0, out, to.emit)
 		}
 	}
 }

@@ -15,9 +15,9 @@ func TestPipelineLinear(t *testing.T) {
 	f := p.AddNode("filter", &Filter{Pred: func(e Event) bool { return e.Value.(int)%2 == 0 }})
 	m := p.AddNode("double", &Map{Fn: func(e Event) Event { e.Value = e.Value.(int) * 2; return e }})
 	snk := p.AddSink("out")
-	p.MustConnect(src, f, 0)
-	p.MustConnect(f, m, 0)
-	p.MustConnect(m, snk, 0)
+	p.MustConnect(src, f)
+	p.MustConnect(f, m)
+	p.MustConnect(m, snk)
 
 	var in []Event
 	for i := 0; i < 6; i++ {
@@ -43,8 +43,8 @@ func TestPipelineWindowedCountEndToEnd(t *testing.T) {
 	src := p.AddSource("src")
 	cnt := p.AddNode("count", Count(10*time.Second))
 	snk := p.AddSink("out")
-	p.MustConnect(src, cnt, 0)
-	p.MustConnect(cnt, snk, 0)
+	p.MustConnect(src, cnt)
+	p.MustConnect(cnt, snk)
 
 	var in []Event
 	for i := 0; i < 25; i++ {
@@ -72,9 +72,9 @@ func TestPipelineTwoSourcesMergeOrder(t *testing.T) {
 	s2 := p.AddSource("s2")
 	u := p.AddNode("union", &Union{})
 	snk := p.AddSink("out")
-	p.MustConnect(s1, u, 0)
-	p.MustConnect(s2, u, 0)
-	p.MustConnect(u, snk, 0)
+	p.MustConnect(s1, u)
+	p.MustConnect(s2, u)
+	p.MustConnect(u, snk)
 
 	in1 := []Event{ev(1*time.Second, "a", 1), ev(3*time.Second, "a", 3)}
 	in2 := []Event{ev(2*time.Second, "b", 2), ev(4*time.Second, "b", 4)}
@@ -92,39 +92,18 @@ func TestPipelineTwoSourcesMergeOrder(t *testing.T) {
 	}
 }
 
-func TestPipelineJoin(t *testing.T) {
-	p := NewPipeline()
-	l := p.AddSource("left")
-	r := p.AddSource("right")
-	j := p.AddNode("join", &WindowJoin{Size: 10 * time.Second})
-	snk := p.AddSink("out")
-	p.MustConnect(l, j, 0)
-	p.MustConnect(r, j, 1)
-	p.MustConnect(j, snk, 0)
-
-	inL := []Event{ev(1*time.Second, "k", "L")}
-	inR := []Event{ev(2*time.Second, "k", "R")}
-	if err := p.Run(Inputs{l: inL, r: inR}, RunConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	out := p.SinkEvents(snk)
-	if len(out) != 1 {
-		t.Fatalf("join out = %v", out)
-	}
-}
-
 func TestPipelineConnectValidation(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
 	snk := p.AddSink("k")
-	if err := p.Connect(snk, src, 0); err == nil {
+	if err := p.Connect(snk, src); err == nil {
 		t.Fatal("sink->source edge accepted")
 	}
-	if err := p.Connect(src, 99, 0); err == nil {
+	if err := p.Connect(src, 99); err == nil {
 		t.Fatal("edge to unknown node accepted")
 	}
 	op := p.AddNode("f", &Union{})
-	if err := p.Connect(op, src, 0); err == nil {
+	if err := p.Connect(op, src); err == nil {
 		t.Fatal("edge into source accepted")
 	}
 }
@@ -133,7 +112,7 @@ func TestPipelineRejectsUnorderedInput(t *testing.T) {
 	p := NewPipeline()
 	src := p.AddSource("s")
 	snk := p.AddSink("k")
-	p.MustConnect(src, snk, 0)
+	p.MustConnect(src, snk)
 	in := []Event{ev(2*time.Second, "a", 1), ev(1*time.Second, "a", 2)}
 	if err := p.Run(Inputs{src: in}, RunConfig{}); err == nil {
 		t.Fatal("unordered input accepted")
@@ -154,8 +133,8 @@ func TestPipelineCycleDetected(t *testing.T) {
 	p := NewPipeline()
 	a := p.AddNode("a", &Union{})
 	b := p.AddNode("b", &Union{})
-	p.MustConnect(a, b, 0)
-	p.MustConnect(b, a, 0)
+	p.MustConnect(a, b)
+	p.MustConnect(b, a)
 	if err := p.Run(Inputs{}, RunConfig{}); err == nil {
 		t.Fatal("cycle not detected")
 	}
@@ -170,8 +149,8 @@ func TestPipelineDeterministicReplay(t *testing.T) {
 			TopicFn: func(e Event) string { return e.Value.(string) },
 		})
 		snk := p.AddSink("out")
-		p.MustConnect(src, tk, 0)
-		p.MustConnect(tk, snk, 0)
+		p.MustConnect(src, tk)
+		p.MustConnect(tk, snk)
 		return p, src, snk
 	}
 	in := []Event{
@@ -204,30 +183,30 @@ func TestConnectAfterRunTakesEffect(t *testing.T) {
 	src := p.AddSource("s")
 	m := p.AddNode("inc", &Map{Fn: func(e Event) Event { e.Value = e.Value.(int) + 1; return e }})
 	first := p.AddSink("first")
-	p.MustConnect(src, m, 0)
-	p.MustConnect(m, first, 0)
+	p.MustConnect(src, m)
+	p.MustConnect(m, first)
 	if err := p.Run(Inputs{src: {ev(time.Second, "k", 1)}}, RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
 
 	late := p.AddSink("late")
-	p.MustConnect(m, late, 0)
+	p.MustConnect(m, late)
 	cnt := p.AddNode("count", Count(10*time.Second))
 	counted := p.AddSink("counted")
-	p.MustConnect(m, cnt, 0)
-	p.MustConnect(cnt, counted, 0)
+	p.MustConnect(m, cnt)
+	p.MustConnect(cnt, counted)
 	double := &Map{Fn: func(e Event) Event { e.Value = e.Value.(int) * 2; return e }}
 	dm := p.AddNode("double", double)
 	doubled := p.AddSink("doubled")
-	p.MustConnect(m, dm, 0)
-	p.MustConnect(dm, doubled, 0)
+	p.MustConnect(m, dm)
+	p.MustConnect(dm, doubled)
 	odd := &Filter{Pred: func(e Event) bool { return e.Value.(int)%2 == 1 }}
 	f := p.AddNode("odd", odd)
 	u := p.AddNode("union", &Union{})
 	filtered := p.AddSink("filtered")
-	p.MustConnect(m, f, 0)
-	p.MustConnect(f, u, 0)
-	p.MustConnect(u, filtered, 0)
+	p.MustConnect(m, f)
+	p.MustConnect(f, u)
+	p.MustConnect(u, filtered)
 	if err := p.Run(Inputs{src: {ev(3*time.Second, "k", 10)}}, RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +262,10 @@ func TestRunWatermarkEveryNearMaxTime(t *testing.T) {
 	cnt := p.AddNode("count", Count(10*time.Second))
 	raw := p.AddSink("raw")
 	counted := p.AddSink("counted")
-	p.MustConnect(src, w, 0)
-	p.MustConnect(w, raw, 0)
-	p.MustConnect(w, cnt, 0)
-	p.MustConnect(cnt, counted, 0)
+	p.MustConnect(src, w)
+	p.MustConnect(w, raw)
+	p.MustConnect(w, cnt)
+	p.MustConnect(cnt, counted)
 	at := vclock.Time(math.MaxInt64 - 10)
 	if err := p.Run(Inputs{src: {{Time: at, Key: "k"}}}, RunConfig{WatermarkEvery: time.Hour}); err != nil {
 		t.Fatal(err)
@@ -326,11 +305,11 @@ func TestEmitTwiceKeepsDepthFirstOrder(t *testing.T) {
 	left := p.AddNode("left", tag("L:"))
 	right := p.AddNode("right", tag("R:"))
 	out := p.AddSink("out")
-	p.MustConnect(src, h, 0)
-	p.MustConnect(h, left, 0)
-	p.MustConnect(h, right, 0)
-	p.MustConnect(left, out, 0)
-	p.MustConnect(right, out, 0)
+	p.MustConnect(src, h)
+	p.MustConnect(h, left)
+	p.MustConnect(h, right)
+	p.MustConnect(left, out)
+	p.MustConnect(right, out)
 	if err := p.Run(Inputs{src: {ev(time.Second, "first", 1)}}, RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -351,8 +330,8 @@ func TestRunRejectsUnknownNode(t *testing.T) {
 	src := p.AddSource("s")
 	other := p.AddSource("other")
 	snk := p.AddSink("k")
-	p.MustConnect(src, snk, 0)
-	p.MustConnect(other, snk, 0)
+	p.MustConnect(src, snk)
+	p.MustConnect(other, snk)
 	ok := []Event{ev(time.Second, "a", 1)}
 	for _, id := range []NodeID{99, -1} {
 		if err := p.Run(Inputs{src: ok, id: ok}, RunConfig{}); err == nil {
@@ -373,9 +352,9 @@ func TestRunRejectsCycle(t *testing.T) {
 	src := p.AddSource("s")
 	a := p.AddNode("a", &Union{})
 	b := p.AddNode("b", &Union{})
-	p.MustConnect(src, a, 0)
-	p.MustConnect(a, b, 0)
-	p.MustConnect(b, a, 0)
+	p.MustConnect(src, a)
+	p.MustConnect(a, b)
+	p.MustConnect(b, a)
 	if err := p.Run(Inputs{src: {ev(0, "k", 1)}}, RunConfig{}); err == nil {
 		t.Fatal("Run over a cyclic pipeline accepted")
 	}
@@ -403,10 +382,10 @@ func TestDispatchAllocs(t *testing.T) {
 	u := p.AddNode("union", &Union{})
 	end := &discard{}
 	d := p.AddNode("discard", end)
-	p.MustConnect(src, f, 0)
-	p.MustConnect(f, m, 0)
-	p.MustConnect(m, u, 0)
-	p.MustConnect(u, d, 0)
+	p.MustConnect(src, f)
+	p.MustConnect(f, m)
+	p.MustConnect(m, u)
+	p.MustConnect(u, d)
 	// Watermark compiles the dispatch, as Run does before its first event.
 	if err := p.Watermark(0); err != nil {
 		t.Fatal(err)

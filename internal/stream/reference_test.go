@@ -30,17 +30,17 @@ type refDispatch struct {
 
 func (r *refDispatch) forward(n *pipelineNode, e Event) {
 	for _, ed := range n.edges {
-		r.deliver(ed.to.id, ed.port, e)
+		r.deliver(ed.to.id, e)
 	}
 }
 
-func (r *refDispatch) deliver(id NodeID, port int, e Event) {
+func (r *refDispatch) deliver(id NodeID, e Event) {
 	n := r.p.nodes[id]
 	switch n.kind {
 	case nodeSink:
 		r.sinks[id] = append(r.sinks[id], e)
 	case nodeOperator:
-		n.handler.OnEvent(port, e, func(out Event) { r.forward(n, out) })
+		n.handler.OnEvent(0, e, func(out Event) { r.forward(n, out) })
 	case nodeSource:
 		panic("stream: event delivered to a source")
 	}
@@ -140,13 +140,10 @@ func seedBytes(seed int64) []byte {
 const (
 	opFilter = iota
 	opMap
-	opFlatMap
-	opKeyBy
+	opSpread
 	opUnion
 	opCount
-	opSliding
 	opTopK
-	opJoin
 	opTwice
 	opPulse
 	opKinds
@@ -170,17 +167,20 @@ type dagSpec struct {
 }
 
 // maxEvents bounds what any generated node can emit over a run, so a fuzz
-// input cannot stack joins and flat-maps into an exponential run.
+// input cannot stack the operators that emit several events per input into
+// an exponential run.
 const maxEvents = 4000
 
 // genDAG draws a DAG of up to four sources and eight operators whose inputs
-// are earlier nodes, so fan-out (a node chosen twice), two-port joins
-// (self-joins included), unions of up to three, window→window chains and
-// operators that emit from OnWatermark all occur. Filters, Maps and Unions,
-// the operators Pipeline compiles out of its dispatch, are drawn twice as
-// often as the rest, and an input is the node just before its operator two
-// times in three, so chains of them (union into union, filter into filter or
-// map, map into map or union, any of them into a join) occur too. Inputs have
+// are earlier nodes, so fan-out (a node chosen twice), operators with two
+// inputs that are not Unions (pulse, both inputs one node included), unions
+// of up to three, window→window chains, operators that emit zero to three
+// events per input and operators that emit from OnWatermark all occur.
+// Filters, Maps and Unions, the operators Pipeline compiles out of its
+// dispatch, are drawn twice as often as the rest, and an input is the node
+// just before its operator two times in three, so chains of them (union into
+// union, filter into filter or map, map into map or union, any of them into a
+// two-input pulse) occur too. Inputs have
 // time ties across and within sources and, sometimes, negative event times.
 // Every other source's events carry their key's id, so each operator meets
 // events with an id and, downstream of a union, both kinds: one that passes
@@ -205,7 +205,7 @@ func genDAG(e *entropy) dagSpec {
 		}
 		fanIn := 1
 		switch op.kind {
-		case opJoin:
+		case opPulse:
 			fanIn = 2
 		case opUnion:
 			fanIn = 1 + e.intn(3)
@@ -221,14 +221,10 @@ func genDAG(e *entropy) dagSpec {
 		}
 		out := in
 		switch op.kind {
-		case opFlatMap:
+		case opSpread:
 			out = 3 * in
 		case opTwice, opPulse:
 			out = 2 * in
-		case opSliding:
-			out = 4 * in
-		case opJoin:
-			out = bound[op.inputs[0]] * bound[op.inputs[1]]
 		}
 		if out > maxEvents {
 			op.kind, out = opMap, in
@@ -270,8 +266,6 @@ func intOf(v any) int {
 			n += int(tc.Count)
 		}
 		return n
-	case [2]any:
-		return intOf(v[0]) + intOf(v[1])
 	}
 	return 0
 }
@@ -287,8 +281,20 @@ func (twice) OnEvent(_ int, e Event, emit Emit) {
 }
 func (twice) OnWatermark(vclock.Time, Emit) {}
 
+// spread emits zero to three events per input, as many as its value modulo
+// four: an operator that drops some inputs and multiplies others.
+type spread struct{}
+
+func (spread) OnEvent(_ int, e Event, emit Emit) {
+	v := intOf(e.Value)
+	for i := 0; i < v%4; i++ {
+		emit(Event{Time: e.Time, Key: e.Key, Value: v + i})
+	}
+}
+func (spread) OnWatermark(vclock.Time, Emit) {}
+
 // pulse passes events through and emits, from OnWatermark, how many it saw
-// since the last watermark.
+// since the last watermark. genDAG gives it two inputs.
 type pulse struct {
 	seen int
 	last vclock.Time
@@ -314,25 +320,14 @@ func (op opSpec) handler() Handler {
 		return &Filter{Pred: func(e Event) bool { return intOf(e.Value)%(op.param+2) != 0 }}
 	case opMap:
 		return &Map{Fn: func(e Event) Event { e.Value = intOf(e.Value) + 1; return e }}
-	case opFlatMap:
-		return &FlatMap{Fn: func(e Event, emit Emit) {
-			v := intOf(e.Value)
-			for i := 0; i < v%4; i++ {
-				emit(Event{Time: e.Time, Key: e.Key, Value: v + i})
-			}
-		}}
-	case opKeyBy:
-		return &KeyBy{KeyFn: func(e Event) string { return fmt.Sprint("k", intOf(e.Value)%3) }}
+	case opSpread:
+		return spread{}
 	case opUnion:
 		return &Union{}
 	case opCount:
 		return Count(size)
-	case opSliding:
-		return SlidingCount(size, time.Second)
 	case opTopK:
 		return &WindowTopK{Size: size, K: 2, TopicFn: func(e Event) string { return fmt.Sprint(intOf(e.Value) % 5) }}
-	case opJoin:
-		return &WindowJoin{Size: size}
 	case opTwice:
 		return twice{}
 	case opPulse:
@@ -355,11 +350,8 @@ func (d dagSpec) build() (*Pipeline, Inputs, []NodeID) {
 	consumed := make([]bool, d.sources+len(d.ops))
 	for i, op := range d.ops {
 		id := p.AddNode(fmt.Sprint("op", i), op.handler())
-		for port, from := range op.inputs {
-			if op.kind != opJoin {
-				port = 0
-			}
-			p.MustConnect(nodes[from], id, port)
+		for _, from := range op.inputs {
+			p.MustConnect(nodes[from], id)
 			consumed[from] = true
 		}
 		nodes = append(nodes, id)
@@ -368,7 +360,7 @@ func (d dagSpec) build() (*Pipeline, Inputs, []NodeID) {
 	for i, id := range nodes {
 		if !consumed[i] || (i >= d.sources && d.ops[i-d.sources].tap) {
 			sink := p.AddSink(fmt.Sprint("sink", i))
-			p.MustConnect(id, sink, 0)
+			p.MustConnect(id, sink)
 			sinks = append(sinks, sink)
 		}
 	}
@@ -400,10 +392,11 @@ func checkDAG(d dagSpec) error {
 // built for.
 func TestPipelineMatchesReference(t *testing.T) {
 	const instances = 3000
-	shapes := []string{"fan-out", "two-port join", "union of three", "window→window chain",
-		"flat-map", "two emits per input", "emit from OnWatermark", "negative event times",
+	shapes := []string{"fan-out", "two inputs into a pulse", "one node twice into a pulse",
+		"union of three", "window→window chain", "zero to three emits per input",
+		"two emits per input", "emit from OnWatermark", "negative event times",
 		"union into union", "filter into filter", "filter with two consumers",
-		"filter or union into a join", "union into a sink", "filter into map", "map into map",
+		"filter or union into a pulse", "union into a sink", "filter into map", "map into map",
 		"map with two consumers", "map into a union", "map into a sink"}
 	cover := map[string]int{}
 	for seed := int64(0); seed < instances; seed++ {
@@ -420,7 +413,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 		}
 		windowed := func(node int) bool {
 			k := kind(node)
-			return k == opCount || k == opSliding || k == opTopK
+			return k == opCount || k == opTopK
 		}
 		seen := map[string]bool{}
 		for i, op := range d.ops {
@@ -434,8 +427,8 @@ func TestPipelineMatchesReference(t *testing.T) {
 					seen["union into union"] = true
 				case kind(from) == opFilter && op.kind == opFilter:
 					seen["filter into filter"] = true
-				case (kind(from) == opFilter || kind(from) == opUnion) && op.kind == opJoin:
-					seen["filter or union into a join"] = true
+				case (kind(from) == opFilter || kind(from) == opUnion) && op.kind == opPulse:
+					seen["filter or union into a pulse"] = true
 				case kind(from) == opFilter && op.kind == opMap:
 					seen["filter into map"] = true
 				case kind(from) == opMap && op.kind == opMap:
@@ -448,16 +441,18 @@ func TestPipelineMatchesReference(t *testing.T) {
 				consumers[d.sources+i]++
 			}
 			switch {
-			case op.kind == opJoin:
-				seen["two-port join"] = true
 			case op.kind == opUnion && len(op.inputs) == 3:
 				seen["union of three"] = true
-			case op.kind == opFlatMap:
-				seen["flat-map"] = true
+			case op.kind == opSpread:
+				seen["zero to three emits per input"] = true
 			case op.kind == opTwice:
 				seen["two emits per input"] = true
 			case op.kind == opPulse:
 				seen["emit from OnWatermark"] = true
+				seen["two inputs into a pulse"] = true
+				if op.inputs[0] == op.inputs[1] {
+					seen["one node twice into a pulse"] = true
+				}
 			}
 		}
 		for node, n := range consumers {
@@ -510,10 +505,10 @@ func FuzzPipelineMatchesReference(f *testing.F) {
 	})
 }
 
-// The four keyed window operators as they were before their state moved to
-// the slot-indexed store: string-keyed maps per window. They are the oracle
-// the store is held to. Their snapshots sort the maps into the operators'
-// wire form, so that each side restores the other's bytes.
+// The keyed window operators as they were before their state moved to the
+// slot-indexed store: string-keyed maps per window. They are the oracle the
+// store is held to. Their snapshots sort the maps into the operators' wire
+// form, so that each side restores the other's bytes.
 
 // refWindowEnd is where the window starting at start ends: start+size or,
 // where that sum wraps, the end of the time axis.
@@ -524,10 +519,10 @@ func refWindowEnd(start vclock.Time, size time.Duration) vclock.Time {
 	return math.MaxInt64
 }
 
-// refWindow is one window of a WindowAggregate.
+// refWindow is one window of a WindowAggregate: Counts maps key → count.
 type refWindow struct {
 	MaxTime vclock.Time
-	Accs    map[string]any
+	Counts  map[string]int64
 }
 
 type refWindows map[vclock.Time]*refWindow
@@ -535,7 +530,7 @@ type refWindows map[vclock.Time]*refWindow
 func (ws refWindows) at(start, t vclock.Time) *refWindow {
 	w := ws[start]
 	if w == nil {
-		w = &refWindow{MaxTime: t, Accs: make(map[string]any)}
+		w = &refWindow{MaxTime: t, Counts: make(map[string]int64)}
 		ws[start] = w
 	}
 	if t > w.MaxTime {
@@ -544,116 +539,80 @@ func (ws refWindows) at(start, t vclock.Time) *refWindow {
 	return w
 }
 
-func (ws refWindows) fold(start vclock.Time, e Event, init func() any, add func(any, Event) any) {
-	w := ws.at(start, e.Time)
-	acc, ok := w.Accs[e.Key]
-	if !ok {
-		acc = init()
-	}
-	w.Accs[e.Key] = add(acc, e)
-}
-
-func (ws refWindows) flush(wm vclock.Time, size time.Duration, result func(string, any) any, emit Emit) {
-	for _, start := range detutil.SortedKeys(ws) {
-		if refWindowEnd(start, size) > wm {
-			continue
-		}
-		w := ws[start]
-		for _, k := range detutil.SortedKeys(w.Accs) {
-			v := w.Accs[k]
-			if result != nil {
-				v = result(k, v)
-			}
-			emit(Event{Time: w.MaxTime, Key: k, Value: v})
-		}
-		delete(ws, start)
-	}
-}
-
-func (ws refWindows) size() int {
-	total := 0
-	for _, w := range ws {
-		total += len(w.Accs)
-	}
-	return total
-}
-
 func gobBytes(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(v)
 	return buf.Bytes(), err
 }
 
-func (ws refWindows) snapshot() ([]byte, error) {
-	out := make([]wireWindow[any], 0, len(ws))
-	for _, start := range detutil.SortedKeys(ws) {
-		w := wireWindow[any]{Start: start, MaxTime: ws[start].MaxTime}
-		for _, k := range detutil.SortedKeys(ws[start].Accs) {
-			w.Keys, w.Vals = append(w.Keys, k), append(w.Vals, ws[start].Accs[k])
-		}
-		out = append(out, w)
-	}
-	return gobBytes(out)
-}
-
-func (ws *refWindows) restore(data []byte) error {
-	var in []wireWindow[any]
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
-		return err
-	}
-	windows := refWindows{}
-	for _, w := range in {
-		rw := windows.at(w.Start, w.MaxTime)
-		for i, key := range w.Keys {
-			rw.Accs[key] = w.Vals[i]
-		}
-	}
-	*ws = windows
-	return nil
-}
-
 type refWindowAggregate struct {
-	Size, Slide time.Duration
-	Init        func() any
-	Add         func(acc any, e Event) any
-	Result      func(key string, acc any) any
-	windows     refWindows
+	Size    time.Duration
+	windows refWindows
 }
 
 func (w *refWindowAggregate) OnEvent(_ int, e Event, _ Emit) {
 	if w.windows == nil {
 		w.windows = refWindows{}
 	}
-	if w.Slide == 0 {
-		w.windows.fold(windowStart(e.Time, w.Size), e, w.Init, w.Add)
-		return
-	}
-	// Window i back starts i slides before the latest, unless that is before
-	// the start of the time axis.
-	latest := windowStart(e.Time, w.Slide)
-	for i := range uint64(w.Size / w.Slide) {
-		if uint64(latest-math.MinInt64) < i*uint64(w.Slide) {
-			break
-		}
-		w.windows.fold(latest-vclock.Time(i)*vclock.Time(w.Slide), e, w.Init, w.Add)
-	}
+	w.windows.at(windowStart(e.Time, w.Size), e.Time).Counts[e.Key]++
 }
 
 func (w *refWindowAggregate) OnWatermark(wm vclock.Time, emit Emit) {
-	w.windows.flush(wm, w.Size, w.Result, emit)
+	for _, start := range detutil.SortedKeys(w.windows) {
+		if refWindowEnd(start, w.Size) > wm {
+			continue
+		}
+		win := w.windows[start]
+		for _, k := range detutil.SortedKeys(win.Counts) {
+			emit(Event{Time: win.MaxTime, Key: k, Value: win.Counts[k]})
+		}
+		delete(w.windows, start)
+	}
 }
-func (w *refWindowAggregate) StateSize() int                 { return w.windows.size() }
-func (w *refWindowAggregate) SnapshotState() ([]byte, error) { return w.windows.snapshot() }
-func (w *refWindowAggregate) RestoreState(data []byte) error { return w.windows.restore(data) }
+
+func (w *refWindowAggregate) StateSize() int {
+	total := 0
+	for _, win := range w.windows {
+		total += len(win.Counts)
+	}
+	return total
+}
+
+func (w *refWindowAggregate) SnapshotState() ([]byte, error) {
+	out := make([]wireWindow[int64], 0, len(w.windows))
+	for _, start := range detutil.SortedKeys(w.windows) {
+		ww := wireWindow[int64]{Start: start, MaxTime: w.windows[start].MaxTime}
+		for _, k := range detutil.SortedKeys(w.windows[start].Counts) {
+			ww.Keys, ww.Vals = append(ww.Keys, k), append(ww.Vals, w.windows[start].Counts[k])
+		}
+		out = append(out, ww)
+	}
+	return gobBytes(out)
+}
+
+func (w *refWindowAggregate) RestoreState(data []byte) error {
+	var in []wireWindow[int64]
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
+		return err
+	}
+	w.windows = refWindows{}
+	for _, ww := range in {
+		win := w.windows.at(ww.Start, ww.MaxTime)
+		for i, key := range ww.Keys {
+			win.Counts[key] = ww.Vals[i]
+		}
+	}
+	return nil
+}
 
 func (w *refWindowAggregate) SplitByKey(n int) []*refWindowAggregate {
 	parts := make([]*refWindowAggregate, n)
 	for i := range parts {
-		parts[i] = &refWindowAggregate{Size: w.Size, Slide: w.Slide, Init: w.Init, Add: w.Add, Result: w.Result, windows: refWindows{}}
+		parts[i] = &refWindowAggregate{Size: w.Size, windows: refWindows{}}
 	}
-	for start, ws := range w.windows {
-		for key, acc := range ws.Accs {
-			parts[state.PartitionKey(key, n)].windows.at(start, ws.MaxTime).Accs[key] = acc
+	for start, win := range w.windows {
+		for key, c := range win.Counts {
+			parts[state.PartitionKey(key, n)].windows.at(start, win.MaxTime).Counts[key] = c
 		}
 	}
 	w.windows = refWindows{}
@@ -664,13 +623,13 @@ func (w *refWindowAggregate) Merge(other *refWindowAggregate) error {
 	if w.windows == nil {
 		w.windows = refWindows{}
 	}
-	for start, ows := range other.windows {
-		ws := w.windows.at(start, ows.MaxTime)
-		for key, acc := range ows.Accs {
-			if _, exists := ws.Accs[key]; exists {
+	for start, owin := range other.windows {
+		win := w.windows.at(start, owin.MaxTime)
+		for key, c := range owin.Counts {
+			if _, exists := win.Counts[key]; exists {
 				return fmt.Errorf("stream: merge collision on key %q in window %v", key, start)
 			}
-			ws.Accs[key] = acc
+			win.Counts[key] = c
 		}
 	}
 	other.windows = refWindows{}
@@ -827,100 +786,6 @@ func (t *refWindowTopK) Merge(other *refWindowTopK) {
 	other.windows = refTopKWindows{}
 }
 
-// refJoinWindow is one window of a WindowJoin: Sides[port] maps key → the
-// events that came in on the port.
-type refJoinWindow struct {
-	MaxTime vclock.Time
-	Sides   [2]map[string][]Event
-}
-
-type refWindowJoin struct {
-	Size    time.Duration
-	windows map[vclock.Time]*refJoinWindow
-}
-
-func (j *refWindowJoin) at(start, t vclock.Time) *refJoinWindow {
-	if j.windows == nil {
-		j.windows = make(map[vclock.Time]*refJoinWindow)
-	}
-	w := j.windows[start]
-	if w == nil {
-		w = &refJoinWindow{MaxTime: t, Sides: [2]map[string][]Event{{}, {}}}
-		j.windows[start] = w
-	}
-	if t > w.MaxTime {
-		w.MaxTime = t
-	}
-	return w
-}
-
-func (j *refWindowJoin) OnEvent(port int, e Event, emit Emit) {
-	w := j.at(windowStart(e.Time, j.Size), e.Time)
-	for _, o := range w.Sides[1-port][e.Key] {
-		l, r := e, o
-		if port == 1 {
-			l, r = o, e
-		}
-		t := l.Time
-		if r.Time > t {
-			t = r.Time
-		}
-		emit(Event{Time: t, Key: e.Key, Value: [2]any{l.Value, r.Value}})
-	}
-	w.Sides[port][e.Key] = append(w.Sides[port][e.Key], e)
-}
-
-func (j *refWindowJoin) OnWatermark(wm vclock.Time, _ Emit) {
-	for _, start := range detutil.SortedKeys(j.windows) {
-		if refWindowEnd(start, j.Size) <= wm {
-			delete(j.windows, start)
-		}
-	}
-}
-
-func (j *refWindowJoin) StateSize() int {
-	total := 0
-	for _, w := range j.windows {
-		for side := range w.Sides {
-			for _, evs := range w.Sides[side] {
-				total += len(evs)
-			}
-		}
-	}
-	return total
-}
-
-func (j *refWindowJoin) SnapshotState() ([]byte, error) {
-	out := make([]wireWindow[[2][]Event], 0, len(j.windows))
-	for _, start := range detutil.SortedKeys(j.windows) {
-		sides := j.windows[start].Sides
-		keys := append(detutil.SortedKeys(sides[0]), detutil.SortedKeys(sides[1])...)
-		slices.Sort(keys)
-		keys = slices.Compact(keys)
-		w := wireWindow[[2][]Event]{Start: start, MaxTime: j.windows[start].MaxTime, Keys: keys, Vals: make([][2][]Event, len(keys))}
-		for i, key := range keys {
-			w.Vals[i] = [2][]Event{sides[0][key], sides[1][key]}
-		}
-		out = append(out, w)
-	}
-	return gobBytes(out)
-}
-
-func (j *refWindowJoin) RestoreState(data []byte) error {
-	var in []wireWindow[[2][]Event]
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
-		return err
-	}
-	j.windows = nil
-	for _, ww := range in {
-		w := j.at(ww.Start, ww.MaxTime)
-		for i, key := range ww.Keys {
-			w.Sides[0][key], w.Sides[1][key] = ww.Vals[i][0], ww.Vals[i][1]
-		}
-	}
-	return nil
-}
-
 // windowed is what the differential run needs of an operator, reference or
 // production.
 type windowed interface {
@@ -933,25 +798,10 @@ type windowed interface {
 // production operator and its reference, and how to rescale a pair.
 type storeKind struct {
 	name  string
-	ports int // the input ports events arrive on
 	fresh func(size time.Duration) (got, want windowed)
 	// rescale splits both operators n ways and merges the parts, taken from
-	// part `first` round, into fresh ones; nil where the operator has no
-	// SplitByKey.
+	// part `first` round, into fresh ones.
 	rescale func(got, want windowed, size time.Duration, n, first int) (windowed, windowed, error)
-}
-
-func countFns() (func() any, func(any, Event) any) {
-	return func() any { return int64(0) }, func(acc any, _ Event) any { return acc.(int64) + 1 }
-}
-
-// journalFns folds an event into a string that spells out the values seen,
-// in order: an accumulator that is not a number, and a fold that is not
-// commutative.
-func journalFns() (func() any, func(any, Event) any, func(string, any) any) {
-	return func() any { return "" },
-		func(acc any, e Event) any { return fmt.Sprint(acc, intOf(e.Value), ",") },
-		func(key string, acc any) any { return key + "=" + acc.(string) }
 }
 
 func rescaleAggregates(mk func(time.Duration) (windowed, windowed)) func(windowed, windowed, time.Duration, int, int) (windowed, windowed, error) {
@@ -988,13 +838,11 @@ var (
 )
 
 // storeEventValue carries a topic (its index in storeTopics) and whether the
-// accessor may return its id. A join snapshots it.
+// accessor may return its id.
 type storeEventValue struct {
 	Topic  int
 	WithID bool
 }
-
-func init() { gob.Register(storeEventValue{}) }
 
 // storeKey and storeTopic name key and topic i and give their ids: the few
 // above, which recur, and past them as many as a sequence cares to meet once.
@@ -1014,17 +862,7 @@ func storeTopic(i int) (string, uint32) {
 
 func storeKinds() []storeKind {
 	count := func(size time.Duration) (windowed, windowed) {
-		init, add := countFns()
-		return Count(size), &refWindowAggregate{Size: size, Init: init, Add: add}
-	}
-	journal := func(size time.Duration) (windowed, windowed) {
-		init, add, result := journalFns()
-		return &WindowAggregate{Size: size, Init: init, Add: add, Result: result},
-			&refWindowAggregate{Size: size, Init: init, Add: add, Result: result}
-	}
-	structs := func(size time.Duration) (windowed, windowed) {
-		zero, grow := structFns()
-		return &WindowAggregate{Size: size, Init: zero, Add: grow}, &refWindowAggregate{Size: size, Init: zero, Add: grow}
+		return Count(size), &refWindowAggregate{Size: size}
 	}
 	topic := func(e Event) string {
 		name, _ := storeTopic(e.Value.(storeEventValue).Topic)
@@ -1065,27 +903,10 @@ func storeKinds() []storeKind {
 			return g, w, nil
 		}
 	}
-	slidingCount := func(size time.Duration) (windowed, windowed) {
-		init, add := countFns()
-		return SlidingCount(size, time.Second), &refWindowAggregate{Size: size, Slide: time.Second, Init: init, Add: add}
-	}
-	slidingJournal := func(size time.Duration) (windowed, windowed) {
-		init, add, result := journalFns()
-		return &WindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result},
-			&refWindowAggregate{Size: size, Slide: size / 2, Init: init, Add: add, Result: result}
-	}
-	join := func(size time.Duration) (windowed, windowed) {
-		return &WindowJoin{Size: size}, &refWindowJoin{Size: size}
-	}
 	return []storeKind{
-		{"count", 1, count, rescaleAggregates(count)},
-		{"journal", 1, journal, rescaleAggregates(journal)},
-		{"struct accumulators", 1, structs, rescaleAggregates(structs)},
-		{"sliding count", 1, slidingCount, rescaleAggregates(slidingCount)},
-		{"sliding journal", 1, slidingJournal, rescaleAggregates(slidingJournal)},
-		{"topk by TopicFn", 1, topk(false), rescaleTopK(topk(false))},
-		{"topk by TopicRef", 1, topk(true), rescaleTopK(topk(true))},
-		{"join", 2, join, nil},
+		{"count", count, rescaleAggregates(count)},
+		{"topk by TopicFn", topk(false), rescaleTopK(topk(false))},
+		{"topk by TopicRef", topk(true), rescaleTopK(topk(true))},
 	}
 }
 
@@ -1093,8 +914,7 @@ func storeKinds() []storeKind {
 var storeShapes = []string{"event with id", "event without id", "ids mixed within a run", "watermark",
 	"snapshot into a fresh operator", "snapshots exchanged with the reference", "split and merge",
 	"negative event times", "late event into a flushed window", "keys forgotten",
-	"event into a live window before the last", "window at the start of the axis", "window at the end of the axis",
-	"event emitted by OnEvent"}
+	"event into a live window before the last", "window at the start of the axis", "window at the end of the axis"}
 
 // churnBatch is how many keys and topics met once arrive with every event of
 // a sequence drawn to churn: enough that the tables outgrow the live windows
@@ -1188,7 +1008,6 @@ func checkStore(e *entropy, seen map[string]bool) error {
 			if e.intn(6) == 0 {
 				t = earlier(t, vclock.Time(e.intn(9))*vclock.Time(time.Second))
 			}
-			port := e.intn(kind.ports)
 			keys, topics := []int{e.intn(len(storeKeys))}, []int{e.intn(len(storeTopics))}
 			withID := idMode == 0 || (idMode == 2 && e.intn(2) == 0)
 			if churn {
@@ -1229,13 +1048,8 @@ func checkStore(e *entropy, seen map[string]bool) error {
 				if !withID {
 					ev.KeyID = 0
 				}
-				// The reference reads no id, but gets it: a join holds the
-				// events themselves.
-				got.OnEvent(port, ev, func(out Event) { g = append(g, out) })
-				want.OnEvent(port, ev, func(out Event) { w = append(w, out) })
-			}
-			if len(g) > 0 {
-				seen["event emitted by OnEvent"] = true
+				got.OnEvent(0, ev, func(out Event) { g = append(g, out) })
+				want.OnEvent(0, ev, func(out Event) { w = append(w, out) })
 			}
 			if !reflect.DeepEqual(g, w) {
 				return fmt.Errorf("%s: %s: %d events at %v emitted\n%v\nreference\n%v", kind.name, step, len(keys), t, g, w)
@@ -1284,7 +1098,7 @@ func checkStore(e *entropy, seen map[string]bool) error {
 			if err := same(step + " restored"); err != nil {
 				return err
 			}
-		case kind.rescale != nil:
+		default:
 			n := 1 + e.intn(5)
 			var err error
 			if got, want, err = kind.rescale(got, want, size, n, e.intn(n)); err != nil {
@@ -1309,14 +1123,7 @@ func intoEarlierWindow(op windowed, t vclock.Time, size time.Duration) bool {
 	var starts []vclock.Time
 	switch op := op.(type) {
 	case *WindowAggregate:
-		if op.Slide != 0 {
-			return false
-		}
 		for _, w := range op.state.windows {
-			starts = append(starts, w.start)
-		}
-	case *WindowJoin:
-		for _, w := range op.buffers.windows {
 			starts = append(starts, w.start)
 		}
 	case *WindowTopK:

@@ -22,10 +22,7 @@ func (w *WindowAggregate) SplitByKey(n int) []*WindowAggregate {
 	}
 	parts := make([]*WindowAggregate, n)
 	for i, st := range w.state.split(n) {
-		parts[i] = &WindowAggregate{
-			Size: w.Size, Slide: w.Slide, Init: w.Init, Add: w.Add, Result: w.Result,
-			state: aggregate{store: st, counting: w.state.counting},
-		}
+		parts[i] = &WindowAggregate{Size: w.Size, state: st}
 	}
 	return parts
 }
@@ -35,13 +32,11 @@ func (w *WindowAggregate) SplitByKey(n int) []*WindowAggregate {
 // partitioning guarantees; a collision returns an error and leaves the
 // receiver partially merged.
 func (w *WindowAggregate) Merge(other *WindowAggregate) error {
-	return w.state.merge(&other.state.store, func(dst *aggAcc, had bool, src *aggAcc, key string, start vclock.Time) error {
+	return w.state.merge(&other.state, func(dst *int64, had bool, src *int64, key string, start vclock.Time) error {
 		if had {
 			return fmt.Errorf("stream: merge collision on key %q in window %v", key, start)
 		}
-		if err := w.state.put(dst, other.state.value(src)); err != nil {
-			return fmt.Errorf("stream: merge key %q in window %v: %w", key, start, err)
-		}
+		*dst = *src
 		return nil
 	})
 }

@@ -201,8 +201,8 @@ func (w *window[A]) claim(c *cell[A]) bool {
 }
 
 // store is the keyed window state of one operator: the symbol table and the
-// live windows in ascending start order. Few windows are live at once (one
-// per Size/Slide, plus late ones), and a record nearly always belongs to the
+// live windows in ascending start order. Few windows are live at once (the
+// current one, plus late ones), and a record nearly always belongs to the
 // last, so the slice is searched from the back.
 type store[A any] struct {
 	keys    symtab

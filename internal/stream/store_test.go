@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"strings"
@@ -30,10 +29,8 @@ func mustPanic(t *testing.T, fn func()) string {
 // topic ids of WindowTopK.TopicRef too.
 func TestKeyIDNamingTwoKeysPanics(t *testing.T) {
 	ops := map[string]Handler{
-		"count":   Count(time.Second),
-		"sliding": SlidingCount(2*time.Second, time.Second),
-		"topk":    &WindowTopK{Size: time.Second, K: 1},
-		"join":    &WindowJoin{Size: time.Second},
+		"count": Count(time.Second),
+		"topk":  &WindowTopK{Size: time.Second, K: 1},
 	}
 	for name, op := range ops {
 		op.OnEvent(0, Event{Key: "us", KeyID: 3}, nil)
@@ -51,37 +48,6 @@ func TestKeyIDNamingTwoKeysPanics(t *testing.T) {
 	msg := mustPanic(t, func() { topics.OnEvent(0, Event{Key: "us", Value: "zig"}, nil) })
 	if !strings.Contains(msg, `"go"`) || !strings.Contains(msg, `"zig"`) {
 		t.Errorf("topic id: panic %q does not name both topics", msg)
-	}
-}
-
-// TestKeyByDropsTheKeyID: events that carry the id of the key they arrive
-// with (a country) and are re-keyed (to a topic) reach the keyed operators
-// without it — with it, the second topic of a country is one id naming two
-// keys — and count as they do in the reference, which never sees an id.
-func TestKeyByDropsTheKeyID(t *testing.T) {
-	countries, topics := []string{"us", "jp", "br"}, []string{"go", "zig", "c", "ml"}
-	var in []Event
-	for i := 0; i < 60; i++ {
-		in = append(in, Event{Time: vclock.Time(i) * vclock.Time(300*time.Millisecond),
-			Key: countries[i%3], KeyID: uint32(i%3 + 1), Value: topics[(i*7)%4]})
-	}
-	init, add := countFns()
-	for name, p := range map[string][2]windowed{
-		"count":   {Count(4 * time.Second), &refWindowAggregate{Size: 4 * time.Second, Init: init, Add: add}},
-		"sliding": {SlidingCount(4*time.Second, 2*time.Second), &refWindowAggregate{Size: 4 * time.Second, Slide: 2 * time.Second, Init: init, Add: add}},
-		"topk":    {&WindowTopK{Size: 4 * time.Second, K: 2}, &refWindowTopK{Size: 4 * time.Second, K: 2}},
-	} {
-		rekeyed := collect(&KeyBy{KeyFn: func(e Event) string { return e.Value.(string) }}, 0, in...)
-		for i, e := range rekeyed {
-			if e.KeyID != 0 || e.Key != in[i].Value {
-				t.Fatalf("KeyBy emitted %v with id %d", e, e.KeyID)
-			}
-			p[0].OnEvent(0, e, nil)
-			p[1].OnEvent(0, e, nil)
-		}
-		if got, want := flush(p[0], MaxWatermark), flush(p[1], MaxWatermark); len(got) == 0 || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s after KeyBy: got\n%v\nreference\n%v", name, got, want)
-		}
 	}
 }
 
@@ -107,8 +73,6 @@ func tables(op windowed) []*symtab {
 	switch op := op.(type) {
 	case *WindowAggregate:
 		return []*symtab{&op.state.keys}
-	case *WindowJoin:
-		return []*symtab{&op.buffers.keys}
 	case *WindowTopK:
 		return []*symtab{&op.groups.keys, &op.topics}
 	}
@@ -121,10 +85,6 @@ func widest(op windowed) int {
 	switch op := op.(type) {
 	case *WindowAggregate:
 		for _, w := range op.state.windows {
-			n = max(n, len(w.cells))
-		}
-	case *WindowJoin:
-		for _, w := range op.buffers.windows {
 			n = max(n, len(w.cells))
 		}
 	case *WindowTopK:
@@ -147,27 +107,20 @@ func widest(op windowed) int {
 // checked.
 func TestStoreFollowsLiveKeys(t *testing.T) {
 	const windows, perWindow = 40, 100
-	init, add := countFns()
-	jInit, jAdd, jResult := journalFns()
 	topic := func(e Event) string { return e.Value.(string) }
-	for name, c := range map[string]struct {
-		got, want windowed
-		live      int // windows an event is live in
-	}{
-		"count":   {Count(time.Second), &refWindowAggregate{Size: time.Second, Init: init, Add: add}, 1},
-		"journal": {&WindowAggregate{Size: time.Second, Init: jInit, Add: jAdd, Result: jResult}, &refWindowAggregate{Size: time.Second, Init: jInit, Add: jAdd, Result: jResult}, 1},
-		"sliding": {SlidingCount(4*time.Second, time.Second), &refWindowAggregate{Size: 4 * time.Second, Slide: time.Second, Init: init, Add: add}, 4},
-		"topk":    {&WindowTopK{Size: time.Second, K: 2, TopicFn: topic}, &refWindowTopK{Size: time.Second, K: 2, TopicFn: topic}, 1},
+	for name, c := range map[string]struct{ got, want windowed }{
+		"count": {Count(time.Second), &refWindowAggregate{Size: time.Second}},
+		"topk":  {&WindowTopK{Size: time.Second, K: 2, TopicFn: topic}, &refWindowTopK{Size: time.Second, K: 2, TopicFn: topic}},
 		"topk by id": {&WindowTopK{Size: time.Second, K: 2, TopicRef: func(e Event) (string, uint32) {
 			var id uint32
 			fmt.Sscan(e.Value.(string)[1:], &id)
 			return e.Value.(string), id + 1
-		}}, &refWindowTopK{Size: time.Second, K: 2, TopicFn: topic}, 1},
+		}}, &refWindowTopK{Size: time.Second, K: 2, TopicFn: topic}},
 	} {
 		got, want := c.got, c.want
 		// The most keys the live windows can hold: every window's own and the
-		// recurring three, in each window an event is live in.
-		bound := max(forgetMin, 4*c.live*(perWindow+3)) + perWindow + 3
+		// recurring three, in the one window an event is live in.
+		bound := max(forgetMin, 4*(perWindow+3)) + perWindow + 3
 		forgot := false
 		for w := 0; w < windows; w++ {
 			for i := 0; i < perWindow+3; i++ {
@@ -248,16 +201,15 @@ func TestStoreFollowsLiveKeys(t *testing.T) {
 
 // fiftyKeys fills the operators with one state each: several windows, fifty
 // keys, five topics.
-func fiftyKeys() (*WindowAggregate, *WindowAggregate, *WindowTopK) {
-	c, s, k := Count(10*time.Second), SlidingCount(20*time.Second, 10*time.Second), &WindowTopK{Size: 10 * time.Second, K: 3}
+func fiftyKeys() (*WindowAggregate, *WindowTopK) {
+	c, k := Count(10*time.Second), &WindowTopK{Size: 10 * time.Second, K: 3}
 	for i := 0; i < 400; i++ {
 		// Keys arrive in an order that is not their sorted one.
 		e := Event{Time: vclock.Time(i%4) * vclock.Time(7*time.Second), Key: fmt.Sprint("c", (i*37)%50), Value: i % 5}
 		c.OnEvent(0, e, nil)
-		s.OnEvent(0, e, nil)
 		k.OnEvent(0, e, nil)
 	}
-	return c, s, k
+	return c, k
 }
 
 // TestSnapshotBytesDeterministic: the same state gives the same bytes — from
@@ -271,12 +223,12 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 		}
 		return data
 	}
-	c, s, k := fiftyKeys()
-	c2, s2, k2 := fiftyKeys()
+	c, k := fiftyKeys()
+	c2, k2 := fiftyKeys()
 	for _, p := range []struct {
 		name string
 		a, b Snapshotter
-	}{{"count", c, c2}, {"sliding", s, s2}, {"topk", k, k2}} {
+	}{{"count", c, c2}, {"topk", k, k2}} {
 		first := snap(p.a)
 		for i := 0; i < 20; i++ {
 			if !bytes.Equal(snap(p.a), first) {
@@ -307,88 +259,35 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	}
 }
 
-// snapAcc is an accumulator that is a struct: in a snapshot, a message of its
-// own inside an interface, its fields by delta, one of them a slice.
-type snapAcc struct {
-	N     int64
-	Name  string
-	Parts []float64
-}
-
-// nestAcc is an accumulator that holds another in an interface.
-type nestAcc struct{ V any }
-
-func init() {
-	gob.Register(snapAcc{})
-	gob.Register(nestAcc{})
-}
-
-// structFns folds events into a snapAcc.
-func structFns() (func() any, func(any, Event) any) {
-	return func() any { return snapAcc{} }, func(acc any, e Event) any {
-		a := acc.(snapAcc)
-		a.N, a.Name = a.N+1, e.Key
-		a.Parts = append(a.Parts[:len(a.Parts):len(a.Parts)], float64(a.N)/3)
-		return a
-	}
-}
-
-// TestSnapshotRoundTripsStructInInterface: an accumulator holding in an
-// interface a struct, which the stock encoder defines in the middle of the
-// value, snapshots and restores, and the restored operator flushes what the
-// original does.
-func TestSnapshotRoundTripsStructInInterface(t *testing.T) {
-	hold := func(v any) *WindowAggregate {
-		w := &WindowAggregate{Size: time.Second, Init: func() any { return nestAcc{} }, Add: func(any, Event) any { return nestAcc{V: v} }}
-		w.OnEvent(0, Event{Key: "a"}, nil)
-		w.OnEvent(0, Event{Key: "b"}, nil)
-		return w
-	}
-	for _, v := range []any{snapAcc{N: 1, Name: "x", Parts: []float64{0.5}}, int64(7)} {
-		orig := hold(v)
-		data, err := orig.SnapshotState()
-		if err != nil {
-			t.Fatalf("%T: %v", v, err)
-		}
-		back := &WindowAggregate{Size: time.Second}
-		if err := back.RestoreState(data); err != nil {
-			t.Fatalf("%T: %v", v, err)
-		}
-		want := []Event{{Key: "a", Value: nestAcc{V: v}}, {Key: "b", Value: nestAcc{V: v}}}
-		if got := flush(back, MaxWatermark); !reflect.DeepEqual(got, want) {
-			t.Errorf("%T: restored %v, want %v", v, got, want)
-		}
-		if got := flush(orig, MaxWatermark); !reflect.DeepEqual(got, want) {
-			t.Errorf("%T: original %v, want %v", v, got, want)
-		}
-	}
-}
-
 // FuzzSnapshotRestore feeds arbitrary bytes to the restore of every
 // Snapshotter. A restore never panics, and whatever one accepts, the
 // operator snapshots to bytes that restore and snapshot to themselves.
 func FuzzSnapshotRestore(f *testing.F) {
-	zero, grow := structFns()
 	ops := []struct {
 		name  string
 		fresh func() Snapshotter
 	}{
 		{"count", func() Snapshotter { return Count(time.Second) }},
-		{"aggregate", func() Snapshotter { return &WindowAggregate{Size: time.Second, Init: zero, Add: grow} }},
-		{"sliding count", func() Snapshotter { return SlidingCount(2*time.Second, time.Second) }},
 		{"topk", func() Snapshotter { return &WindowTopK{Size: time.Second, K: 2} }},
-		{"join", func() Snapshotter { return &WindowJoin{Size: time.Second} }},
 	}
+	// Each operator seeds the corpus three times: empty, holding twelve
+	// events across four windows, and with its first two windows flushed.
 	for _, op := range ops {
-		s := op.fresh()
-		for i := 0; i < 12; i++ {
-			s.(Handler).OnEvent(i%2, ev(time.Duration(i)*300*time.Millisecond, fmt.Sprint("k", i%3), fmt.Sprint("t", i%4)), func(Event) {})
+		for _, fill := range []struct {
+			events int
+			wm     vclock.Time
+		}{{0, 0}, {12, 0}, {12, vclock.Time(2 * time.Second)}} {
+			s := op.fresh()
+			for i := 0; i < fill.events; i++ {
+				s.(Handler).OnEvent(0, ev(time.Duration(i)*300*time.Millisecond, fmt.Sprint("k", i%3), fmt.Sprint("t", i%4)), func(Event) {})
+			}
+			s.(Handler).OnWatermark(fill.wm, func(Event) {})
+			data, err := s.SnapshotState()
+			if err != nil {
+				f.Fatalf("%s: %v", op.name, err)
+			}
+			f.Add(data)
 		}
-		data, err := s.SnapshotState()
-		if err != nil {
-			f.Fatalf("%s: %v", op.name, err)
-		}
-		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, op := range ops {
@@ -428,14 +327,11 @@ func TestRestoreRejectsMalformedWindows(t *testing.T) {
 		twice, short []byte
 	}{
 		"count": {Count(time.Second),
-			wire([]wireWindow[any]{{Keys: two, Vals: []any{int64(1), int64(2)}}}),
-			wire([]wireWindow[any]{{Keys: two, Vals: []any{int64(1)}}})},
+			wire([]wireWindow[int64]{{Keys: two, Vals: []int64{1, 2}}}),
+			wire([]wireWindow[int64]{{Keys: two, Vals: []int64{1}}})},
 		"topk": {&WindowTopK{Size: time.Second, K: 1},
 			wire([]wireWindow[wireTopics]{{Keys: two, Vals: make([]wireTopics, 2)}}),
 			wire([]wireWindow[wireTopics]{{Keys: one, Vals: []wireTopics{{Topics: one}}}})},
-		"join": {&WindowJoin{Size: time.Second},
-			wire([]wireWindow[[2][]Event]{{Keys: one, Vals: make([][2][]Event, 1)}, {Keys: one, Vals: make([][2][]Event, 1)}}),
-			wire([]wireWindow[[2][]Event]{{Keys: two}})},
 	} {
 		c.op.OnEvent(0, Event{Key: "b"}, nil)
 		for what, data := range map[string][]byte{"key listed twice": c.twice, "keys without values": c.short} {
@@ -446,63 +342,5 @@ func TestRestoreRejectsMalformedWindows(t *testing.T) {
 				t.Errorf("%s: a failed restore (%s) left %d state entries, want 1", name, what, n)
 			}
 		}
-	}
-}
-
-// TestCountMovesToAnEquivalentAggregate: Count keeps its counts unboxed, an
-// aggregate built by hand from the same Init and Add keeps them in
-// interfaces; state moves between the two by Merge and by snapshot, and a
-// float accumulator offered to a Count is an error, not a later panic.
-func TestCountMovesToAnEquivalentAggregate(t *testing.T) {
-	init, add := countFns()
-	byHand := func() *WindowAggregate { return &WindowAggregate{Size: time.Second, Init: init, Add: add} }
-	want := []Event{{Key: "a", Value: int64(300)}, {Key: "b", Value: int64(1)}}
-	fill := func(w *WindowAggregate) *WindowAggregate {
-		for i := 0; i < 300; i++ {
-			w.OnEvent(0, Event{Key: "a"}, nil)
-		}
-		w.OnEvent(0, Event{Key: "b"}, nil)
-		return w
-	}
-	for name, c := range map[string]struct{ from, to *WindowAggregate }{
-		"count into by-hand": {fill(Count(time.Second)), byHand()},
-		"by-hand into count": {fill(byHand()), Count(time.Second)},
-	} {
-		snap, err := c.from.SnapshotState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.to.Merge(c.from); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		c.to.OnEvent(0, Event{Key: "a"}, nil)
-		if err := c.from.RestoreState(snap); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, w := range []*WindowAggregate{c.from, c.to} {
-			out := flush(w, MaxWatermark)
-			if w == c.to {
-				out[0].Value = out[0].Value.(int64) - 1
-			}
-			if !reflect.DeepEqual(out, want) {
-				t.Errorf("%s: got %v, want %v", name, out, want)
-			}
-		}
-	}
-	sum := &WindowAggregate{
-		Size: time.Second,
-		Init: func() any { return float64(0) },
-		Add:  func(acc any, _ Event) any { return acc.(float64) + 1 },
-	}
-	sum.OnEvent(0, Event{Key: "a"}, nil)
-	snap, err := sum.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Count(time.Second).RestoreState(snap); err == nil {
-		t.Error("a Count restored float accumulators")
-	}
-	if err := Count(time.Second).Merge(sum); err == nil {
-		t.Error("a Count merged float accumulators")
 	}
 }

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/big"
 	"reflect"
@@ -67,7 +69,7 @@ func TestWindowStart(t *testing.T) {
 				lasts = append(lasts, []vclock.Time{want, want + vclock.Time(size)})
 			}
 			for _, starts := range lasts {
-				var s store[aggAcc]
+				var s store[int64]
 				for _, start := range starts {
 					s.window(start, start)
 				}
@@ -80,7 +82,7 @@ func TestWindowStart(t *testing.T) {
 			if !end.IsInt64() {
 				end.SetInt64(math.MaxInt64)
 			}
-			var s store[aggAcc]
+			var s store[int64]
 			s.tumbling(at, size)
 			if got := windowEnd(want, size); got != vclock.Time(end.Int64()) {
 				t.Errorf("windowEnd(%d, %d) = %d, want %d", want, size, got, end)
@@ -98,12 +100,11 @@ func TestWindowStart(t *testing.T) {
 func TestWindowAtTheEndsOfTheAxis(t *testing.T) {
 	const first, last = vclock.Time(math.MinInt64), vclock.Time(math.MaxInt64)
 	type step struct {
-		port int
-		e    Event
-		wm   bool // a watermark at e.Time instead of an event
+		e  Event
+		wm bool // a watermark at e.Time instead of an event
 	}
-	in := func(port int, at vclock.Time, key string, v any) step {
-		return step{port: port, e: Event{Time: at, Key: key, Value: v}}
+	in := func(at vclock.Time, key string, v any) step {
+		return step{e: Event{Time: at, Key: key, Value: v}}
 	}
 	wm := func(at vclock.Time) step { return step{e: Event{Time: at}, wm: true} }
 	topic := func(e Event) string { return e.Value.(string) }
@@ -114,16 +115,13 @@ func TestWindowAtTheEndsOfTheAxis(t *testing.T) {
 		want  []Event
 	}{
 		{"Count", Count(10 * time.Second),
-			[]step{in(0, last-5, "k", nil), wm(last - 5), in(0, last-4, "k", nil), wm(last - 1), wm(MaxWatermark)},
+			[]step{in(last-5, "k", nil), wm(last - 5), in(last-4, "k", nil), wm(last - 1), wm(MaxWatermark)},
 			[]Event{{Time: last - 4, Key: "k", Value: int64(2)}}},
-		{"SlidingCount", SlidingCount(10*time.Second, 5*time.Second),
-			[]step{in(0, first+3, "k", nil), wm(first + 3), wm(MaxWatermark)},
+		{"Count at the start", Count(10 * time.Second),
+			[]step{in(first+3, "k", nil), wm(first + 3), wm(MaxWatermark)},
 			[]Event{{Time: first + 3, Key: "k", Value: int64(1)}}},
-		{"WindowJoin", &WindowJoin{Size: 10 * time.Second},
-			[]step{in(0, last-5, "k", "L"), wm(last - 5), in(1, last-4, "k", "R"), wm(last - 1), wm(MaxWatermark)},
-			[]Event{{Time: last - 4, Key: "k", Value: [2]any{"L", "R"}}}},
 		{"WindowTopK", &WindowTopK{Size: 10 * time.Second, K: 1, TopicFn: topic},
-			[]step{in(0, last-5, "us", "go"), wm(last - 5), in(0, last-4, "us", "go"), wm(last - 1), wm(MaxWatermark)},
+			[]step{in(last-5, "us", "go"), wm(last - 5), in(last-4, "us", "go"), wm(last - 1), wm(MaxWatermark)},
 			[]Event{{Time: last - 4, Key: "us", Value: []TopicCount{{Topic: "go", Count: 2}}}}},
 	} {
 		var out []Event
@@ -136,7 +134,7 @@ func TestWindowAtTheEndsOfTheAxis(t *testing.T) {
 				}
 				continue
 			}
-			c.op.OnEvent(s.port, s.e, emit)
+			c.op.OnEvent(0, s.e, emit)
 			if i == 0 && c.op.StateSize() != 1 {
 				t.Errorf("%s: an event at %d left %d state entries, want 1", c.name, s.e.Time, c.op.StateSize())
 			}
@@ -184,31 +182,59 @@ func TestCountAggregates(t *testing.T) {
 	}
 }
 
-// A WindowAggregate literal sums a field per key per window.
-func TestSumBy(t *testing.T) {
-	s := &WindowAggregate{
-		Size: 10 * time.Second,
-		Init: func() any { return float64(0) },
-		Add:  func(acc any, e Event) any { return acc.(float64) + float64(e.Value.(int)) },
+// TestZeroValueAggregateCounts: a WindowAggregate literal with only Size set
+// is the counter Count builds. It emits what Count emits, snapshots to the
+// same bytes, and its state moves to and from a Count by snapshot and by
+// SplitByKey and Merge.
+func TestZeroValueAggregateCounts(t *testing.T) {
+	const size = 10 * time.Second
+	var events []Event
+	for i := 0; i < 300; i++ {
+		k := (i * 7) % 11
+		events = append(events, Event{Time: vclock.Time(i%37) * vclock.Time(time.Second), Key: fmt.Sprint("k", k), KeyID: uint32(k + 1)})
 	}
-	collect(s, 0, ev(1*time.Second, "x", 2), ev(2*time.Second, "x", 3))
-	out := flush(s, MaxWatermark)
-	if len(out) != 1 || out[0].Value.(float64) != 5 {
-		t.Fatalf("sum = %v", out)
+	fill := func(w *WindowAggregate) *WindowAggregate {
+		collect(w, 0, events...)
+		return w
 	}
-}
-
-func TestWindowAggregateResultFn(t *testing.T) {
-	w := &WindowAggregate{
-		Size:   time.Second,
-		Init:   func() any { return int64(0) },
-		Add:    func(acc any, _ Event) any { return acc.(int64) + 1 },
-		Result: func(key string, acc any) any { return key + "!" },
+	snap := func(w *WindowAggregate) []byte {
+		data, err := w.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	collect(w, 0, ev(0, "a", nil))
-	out := flush(w, MaxWatermark)
-	if len(out) != 1 || out[0].Value != "a!" {
-		t.Fatalf("result fn out = %v", out)
+	restored := func(into *WindowAggregate, from *WindowAggregate) *WindowAggregate {
+		if err := into.RestoreState(snap(from)); err != nil {
+			t.Fatal(err)
+		}
+		return into
+	}
+	rescaled := func(into *WindowAggregate, from *WindowAggregate) *WindowAggregate {
+		for _, p := range from.SplitByKey(3) {
+			if err := into.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return into
+	}
+	want := fill(Count(size))
+	wantSnap := snap(want)
+	wantOut := flush(want, MaxWatermark)
+	for name, w := range map[string]*WindowAggregate{
+		"literal":                          fill(&WindowAggregate{Size: size}),
+		"literal restored from a Count":    restored(&WindowAggregate{Size: size}, fill(Count(size))),
+		"Count restored from a literal":    restored(Count(size), fill(&WindowAggregate{Size: size})),
+		"literal split, merged into Count": rescaled(Count(size), fill(&WindowAggregate{Size: size})),
+		"Count split, merged into literal": rescaled(&WindowAggregate{Size: size}, fill(Count(size))),
+		"literal split, one part":          fill(&WindowAggregate{Size: size}).SplitByKey(1)[0],
+	} {
+		if got := snap(w); !bytes.Equal(got, wantSnap) {
+			t.Errorf("%s: snapshot differs from Count's", name)
+		}
+		if got := flush(w, MaxWatermark); !reflect.DeepEqual(got, wantOut) {
+			t.Errorf("%s: emitted\n%v\nCount emitted\n%v", name, got, wantOut)
+		}
 	}
 }
 
@@ -326,8 +352,6 @@ func TestWindowMaxTimeNegativeEventTimes(t *testing.T) {
 		collect(w, 0, events...)
 		return w
 	}
-	sliding := SlidingCount(10*time.Second, 5*time.Second)
-	collect(sliding, 0, events...)
 	mergedCount, mergedTopK := Count(10*time.Second), &WindowTopK{Size: 10 * time.Second, K: 1}
 	if err := mergedCount.Merge(count()); err != nil {
 		t.Fatal(err)
@@ -338,7 +362,7 @@ func TestWindowMaxTimeNegativeEventTimes(t *testing.T) {
 		name string
 		h    Handler
 	}{
-		{"Count", count()}, {"SlidingCount", sliding}, {"WindowTopK", topk()},
+		{"Count", count()}, {"WindowTopK", topk()},
 		{"Count.Merge", mergedCount}, {"WindowTopK.Merge", mergedTopK},
 		{"Count.SplitByKey", count().SplitByKey(1)[0]}, {"WindowTopK.SplitByKey", topk().SplitByKey(1)[0]},
 	} {
