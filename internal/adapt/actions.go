@@ -408,9 +408,9 @@ func widest(sites []topology.SiteID, bw func(topology.SiteID) float64) (topology
 // placementSites converts a solved placement into an ascending site list.
 func placementSites(pl *placement.Placement) []topology.SiteID {
 	var sites []topology.SiteID
-	for s, n := range pl.TasksPerSite {
-		for i := 0; i < n; i++ {
-			sites = append(sites, topology.SiteID(s))
+	for _, s := range pl.Sites {
+		for i := 0; i < pl.TasksPerSite[s]; i++ {
+			sites = append(sites, s)
 		}
 	}
 	return sites

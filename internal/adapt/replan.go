@@ -41,10 +41,10 @@ func (c *Controller) tryReplan(b *belief, id plan.OpID, reason string) bool {
 		}
 		c.planSession = s
 	}
-	var admit func(v *plan.Variant) bool
+	var admit func(t *plan.Tree) bool
 	if requireAdmissible {
 		cur := c.replan.Current
-		admit = func(v *plan.Variant) bool { return v.AdmissibleFrom(cur) }
+		admit = func(t *plan.Tree) bool { return t.AdmissibleFrom(cur) }
 	}
 	cfg := physical.PlannerConfig{ScheduleConfig: c.scheduleConfig(b)}
 	best, _, err := c.planSession.Plan(c.top, cfg, admit)

@@ -3,7 +3,11 @@
 // to one computing slot at one site. The package also provides WASP's
 // WAN-aware initial scheduler (one stage at a time in topological order,
 // §4.1) and the joint logical/physical planner used by query re-planning
-// (§4.3).
+// (§4.3). The planner's Session schedules each combine order straight
+// from its tree and builds a variant's graph and plan only once a round
+// completes it; Schedule, PlaceTasks, EstimateCost and the session place
+// and price stages through one implementation over a graph view and a
+// sites table.
 package physical
 
 import (
@@ -177,20 +181,20 @@ func (p *Plan) Validate(top *topology.Topology) error {
 // via a cloned graph).
 func (p *Plan) Clone() *Plan { return clonePlan(p.Graph.Clone(), p) }
 
-// AppendEndpoints summarises a stage's placement as weighted per-site
-// endpoints, weighting each site by its share of the stage's tasks (even
-// event partitioning, §7). Endpoints are appended to dst and the
-// site-sorting buffer is grown from tmp; both are returned for reuse. The
-// planner calls this per stage pair per variant per round; the scratch
-// keeps it allocation-free at steady state.
-func (s *Stage) AppendEndpoints(dst []placement.Endpoint, tmp []topology.SiteID) ([]placement.Endpoint, []topology.SiteID) {
-	switch len(s.Sites) {
+// appendEndpoints summarises the placement of a stage whose tasks run at
+// sites as weighted per-site endpoints, weighting each site by its share
+// of the stage's tasks (even event partitioning, §7). Endpoints are
+// appended to dst and the site-sorting buffer is grown from tmp; both are
+// returned for reuse. The planner calls this per stage pair per variant
+// per round; the scratch keeps it allocation-free at steady state.
+func appendEndpoints(dst []placement.Endpoint, tmp, sites []topology.SiteID) ([]placement.Endpoint, []topology.SiteID) {
+	switch len(sites) {
 	case 0:
 		return dst, tmp
 	case 1: // the default parallelism: nothing to sort or count
-		return append(dst, placement.Endpoint{Site: s.Sites[0], Weight: 1}), tmp
+		return append(dst, placement.Endpoint{Site: sites[0], Weight: 1}), tmp
 	}
-	tmp = append(tmp[:0], s.Sites...)
+	tmp = append(tmp[:0], sites...)
 	slices.Sort(tmp)
 	total := float64(len(tmp))
 	for i := 0; i < len(tmp); {

@@ -177,9 +177,9 @@ func TestStageHelpers(t *testing.T) {
 	if ds := DistinctSites(in); !slices.Equal(ds, []topology.SiteID{1, 2, 3}) || !slices.Equal(in, []topology.SiteID{3, 1, 3, 2, 1}) {
 		t.Fatalf("DistinctSites = %v, input now %v", ds, in)
 	}
-	eps, _ := st.AppendEndpoints(nil, nil)
+	eps, _ := appendEndpoints(nil, nil, st.Sites)
 	if len(eps) != 2 || eps[0].Weight != 1.0/3 || eps[1].Weight != 2.0/3 {
-		t.Fatalf("AppendEndpoints = %v", eps)
+		t.Fatalf("appendEndpoints = %v", eps)
 	}
 }
 

@@ -75,37 +75,64 @@ func RankQuery(base *plan.Graph, spec *plan.CombineSpec, top *topology.Topology,
 	return s.Rank(top, cfg, nil)
 }
 
-// Session caches everything about one query's plan search space that does
-// not change between planning rounds: the enumerated combine trees, each
-// tree's expanded logical variant, and each variant's physical plan
-// skeleton (built and validated once). Per round only the placements and
-// cost estimates are recomputed — the controller re-plans against live
-// bandwidth and workload dozens of times per run, and re-expanding ~10^2
-// variant graphs each round dominated its allocation profile.
+// Session holds one query's plan search space between planning rounds:
+// the enumerated combine trees, and the variant and plan of each tree that
+// a round has completed. A round schedules each variant straight from its
+// tree, through a view of the base graph with the tree's combine edges
+// written in (variantView), into a sites table the session owns. A
+// variant's plan.Variant and Plan are built only the first time it
+// completes, and then kept: a pruning round completes only a few of its
+// variants, so expanding every variant up front was most of a cold
+// request.
 //
 // Every variant is the base graph plus combine nodes whose ids follow
 // every base id, and the topological order takes the smallest ready id, so
-// the stages no combine node feeds lead every variant's order, in the same
-// order, and solve the same placement programs. A round places that shared
-// prefix once and schedules only each variant's combine suffix.
+// every variant's order is the same: the stages no combine node feeds,
+// then the combine nodes in id order (the tree's post-order), then the
+// query's Output and its descendants. A round places that shared prefix
+// once, on rates computed once over the base graph, and schedules only
+// each variant's suffix, each suffix stage's rate summed from its
+// upstream stages' (plan.Operator.ExpectedRates). Variants whose combine
+// stages begin with the same inputs share those stages too: a round
+// places each such run once (see step).
 //
 // A round evaluates last round's winner first, and Plan stops scheduling
 // a variant once the in-edges of its placed stages cost more than the
 // best candidate so far (see bound).
 //
-// The cached plans are REUSED across Plan calls: each round overwrites
-// their stage placements in place. A caller that adopts a candidate's Plan
-// beyond the current round (e.g. deploying it to the engine) must Clone it
-// first, or the next round will mutate the adopted plan under the engine's
-// feet.
+// A candidate's Variant and Plan are the session's, the same pointers in
+// every round that lists the variant, and each such round overwrites the
+// plan's stage placements in place. A caller that adopts a candidate's
+// Plan beyond the current round (e.g. deploying it to the engine) must
+// Clone it first, or a later round will mutate the adopted plan under the
+// engine's feet.
 type Session struct {
-	entries []sessionEntry
-	// prefix is how many leading stages every variant's topological order
-	// shares, none of them a combine node.
+	// built holds each tree's variant and plan once a round has completed
+	// it, and nils before. spare is the first tree's, built by NewSession
+	// to validate it, until a round completes that tree.
+	built []variantPlan
+	spare variantPlan
+	// order is every variant's topological order, and its first prefix
+	// stages are the ones no combine node feeds.
+	order  []plan.OpID
 	prefix int
+	view   variantView // reads the base graph, the spec and the trees
+	// sites holds the task sites of every stage of the variant being
+	// scheduled, and rates every operator's λ̂, both indexed by OpID.
+	sites [][]topology.SiteID
+	rates plan.RateBuf
 	// prefixAvail is the free slots left once a round has placed the
 	// prefix: each variant's suffix starts from a copy.
 	prefixAvail []int
+	// steps holds the combine stages the round has placed, and stepSites
+	// their sites (see step).
+	steps     []step
+	stepSites []topology.SiteID
+	firstRoot int32 // the first step with no parent, -1 before any
+	// done holds the suffix sites of the variants the round completed, in
+	// completion order, and fresh the indices of those not yet built.
+	done  []topology.SiteID
+	fresh []int
 	// hint is the index of the last round's winner, the variant a round
 	// evaluates first.
 	hint  int
@@ -113,74 +140,90 @@ type Session struct {
 	ws    Workspace   // scratch shared by every round's scheduling
 }
 
-// sessionEntry is one cached (variant, plan skeleton) pair.
-type sessionEntry struct {
+// variantPlan is one built variant and its plan skeleton.
+type variantPlan struct {
 	variant *plan.Variant
 	plan    *Plan
 }
 
-// NewSession expands the query's combine-order search space once.
-// maxVariants of 0 means DefaultMaxVariants.
+// NewSession enumerates the query's combine orders once. maxVariants of
+// 0 means DefaultMaxVariants.
 //
-// The variants are built as one batch (plan.CombineSpec.ExpandAll) and
-// staged as one (stagePlans): a session is the same few dozen
-// allocations whether it holds 12 variants or 105, and its variants share
-// one copy of the base operators.
+// It checks every tree and returns the error that expanding and staging
+// every variant would meet first, but expands and stages only the first
+// variant: staging validates it, which validates them all, as a variant's
+// structure differs from another's only in how its combine nodes are
+// wired among themselves, and its topological order is every variant's.
+// It keeps that variant and plan for the round that completes the first
+// tree.
+//
+// The session reads base and spec in every round, to schedule variants and
+// to build them: neither may change while the session is in use.
 func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Session, error) {
 	if maxVariants == 0 {
 		maxVariants = DefaultMaxVariants
 	}
 	trees := plan.EnumerateTrees(len(spec.Inputs), maxVariants)
-	variants, err := spec.ExpandAll(base, trees)
+	if err := spec.Check(base, trees); err != nil {
+		return nil, err
+	}
+	first, err := spec.Expand(base, trees[0])
 	if err != nil {
 		return nil, err
 	}
-	graphs := make([]*plan.Graph, len(variants))
-	for i := range variants {
-		graphs[i] = variants[i].Graph
-	}
-	plans, bad, err := stagePlans(graphs)
+	plans, _, err := stagePlans([]*plan.Graph{first.Graph})
 	if err != nil {
-		return nil, fmt.Errorf("variant %v: %w", trees[bad], err)
+		return nil, fmt.Errorf("variant %v: %w", trees[0], err)
 	}
-	s := &Session{entries: make([]sessionEntry, len(variants))}
-	var first []plan.OpID
-	for i := range variants {
-		v, p := &variants[i], &plans[i]
-		order, _ := p.StageIDs() // cached by ExpandAll, and Validate passed it
-		if first == nil {
-			first, s.prefix = order, len(order)
-		}
-		n := 0
-		for n < s.prefix && order[n] == first[n] {
-			if v.CombineNodes[order[n]] != 0 {
-				break
-			}
-			n++
-		}
-		s.prefix = n
-		s.entries[i] = sessionEntry{variant: v, plan: p}
+	order, _ := first.Graph.TopoOrder() // stagePlans validated it
+	n := len(order)
+	s := &Session{
+		built: make([]variantPlan, len(trees)),
+		spare: variantPlan{variant: first, plan: &plans[0]},
+		order: order,
+		// The first stage a combine node feeds is a combine node.
+		prefix: slices.IndexFunc(order, func(id plan.OpID) bool { return first.CombineNodes[id] != 0 }),
+		view:   newVariantView(base, spec, trees),
+		sites:  make([][]topology.SiteID, n),
+		fresh:  make([]int, 0, len(trees)),
+		cands:  make([]Candidate, 0, len(trees)),
 	}
+	// One block holds each stage's room for the one task it runs by
+	// default, then room for the suffix sites of every variant and for
+	// the sites of every combine stage of every variant, the most a
+	// round completes and places.
+	nodes := len(spec.Inputs) - 1
+	done := n + (n-s.prefix)*len(trees)
+	block := make([]topology.SiteID, done+nodes*len(trees))
+	for id := range s.sites {
+		s.sites[id] = block[id : id : id+1]
+	}
+	s.done, s.stepSites = block[n:n:done], block[done:done]
+	// ExpectedRatesBuf over the base keeps buffers with room, so the
+	// combine nodes' rates follow the base operators'.
+	rates := make([]float64, 3*n)
+	s.rates = plan.RateBuf{In: rates[:n:n], Out: rates[n : 2*n : 2*n], Bytes: rates[2*n:]}
 	return s, nil
 }
 
-// Plan runs one planning round over the cached variants: place the shared
-// prefix once, then schedule each admissible variant's suffix against the
-// current topology/bandwidth, estimate its cost, and rank. It returns the
-// best candidate and the candidates this round completed, ranked by
-// (Cost, variant index): a variant that cannot beat the best one is
-// stopped part-way and not listed, so only the best is the same as
-// Rank's. The returned candidates (and their Plans) are owned by the
-// session and valid until the next round; Clone any plan that outlives
-// the round. A variant that no placement fits is passed over without
-// building an error.
-func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool) (*Candidate, []Candidate, error) {
+// Plan runs one planning round: place the shared prefix once, then
+// schedule each admissible variant's suffix against the current
+// topology/bandwidth, estimate its cost, and rank. It returns the best
+// candidate and the candidates this round completed, ranked by (Cost,
+// variant index): a variant that cannot beat the best one is stopped
+// part-way and not listed, so only the best is the same as Rank's. The
+// returned candidates are owned by the session and valid until the next
+// round, and their Plans hold this round's placements until a round lists
+// them again; Clone any plan that outlives the round. A variant that no
+// placement fits is passed over without building an error. admit, when
+// not nil, says which trees' variants may be considered.
+func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Tree) bool) (*Candidate, []Candidate, error) {
 	return s.round(top, cfg, admit, true)
 }
 
 // Rank is Plan without stopping any variant: it returns every schedulable
 // admissible variant, ranked by (Cost, variant index).
-func (s *Session) Rank(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool) (*Candidate, []Candidate, error) {
+func (s *Session) Rank(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Tree) bool) (*Candidate, []Candidate, error) {
 	return s.round(top, cfg, admit, false)
 }
 
@@ -191,72 +234,74 @@ func (s *Session) Rank(top *topology.Topology, cfg PlannerConfig, admit func(*pl
 const boundMargin = 1e-9
 
 // round is Plan when prune is set and Rank when it is not.
-func (s *Session) round(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool, prune bool) (*Candidate, []Candidate, error) {
+func (s *Session) round(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Tree) bool, prune bool) (*Candidate, []Candidate, error) {
 	if cfg.Workspace == nil {
 		cfg.Workspace = &s.ws
 	}
 	sc := cfg.ScheduleConfig.withDefaults(top)
 	ws := sc.Workspace
+	v, suffix := &s.view, s.order[s.prefix:]
+	tail := suffix[len(v.downs):] // Output and its descendants
 	candidates := s.cands[:0]
-	var first *Plan // the admissible variant the prefix was placed on
+	s.steps, s.stepSites, s.firstRoot = s.steps[:0], s.stepSites[:0], -1
+	s.done, s.fresh = s.done[:0], s.fresh[:0]
+	placedPrefix := false
 	// pre holds the prefix's in-edges, and cut one variant's running cost
 	// from there.
 	pre, cut := bound{limit: math.Inf(1)}, bound{}
 	best := math.Inf(1)
 	// Last round's winner first, then every other variant in index order.
-	for k := -1; k < len(s.entries); k++ {
+	for k := -1; k < len(s.view.trees); k++ {
 		i := k
 		if k < 0 {
 			i = s.hint
 		} else if k == s.hint {
 			continue
 		}
-		e := s.entries[i]
-		if admit != nil && !admit(e.variant) {
+		if admit != nil && !admit(s.view.trees[i]) {
 			continue
 		}
-		order, err := e.plan.StageIDs()
-		if err != nil {
-			return nil, nil, err
-		}
-		if first == nil {
-			if err := beginSchedule(e.plan, order, top, sc); err != nil {
-				return nil, nil, err
-			}
-			placed, err := placeStages(e.plan, order[:s.prefix], top, sc, &pre)
+		if !placedPrefix {
+			ok, err := s.placePrefix(top, sc, &pre)
 			if err != nil {
 				return nil, nil, err
 			}
-			if placed < s.prefix {
+			if !ok {
 				break // every variant shares the prefix: none is schedulable
 			}
-			first = e.plan
-			s.prefixAvail = append(s.prefixAvail[:0], ws.avail...)
-		} else {
-			if err := e.plan.Graph.ExpectedRatesBuf(sc.RateFactor, &ws.rates); err != nil {
-				return nil, nil, err
-			}
-			for _, id := range order[:s.prefix] {
-				st := e.plan.Stages[id]
-				st.Sites = append(st.Sites[:0], first.Stages[id].Sites...)
-			}
-			ws.avail = append(ws.avail[:0], s.prefixAvail...)
+			placedPrefix = true
 		}
 		if cut = pre; prune {
 			cut.limit = best * (1 + boundMargin)
 		}
-		suffix := order[s.prefix:]
-		placed, err := placeStages(e.plan, suffix, top, sc, &cut)
+		at, n, ok := s.resume(i, &cut, ws.avail)
+		if !ok {
+			continue // a stage it shares found no placement, or cannot win
+		}
+		v.setTree(i)
+		s.suffixRates(sc.RateFactor)
+		ok, err := s.placeCombine(at, n, top, sc, &cut)
 		if err != nil {
 			return nil, nil, err
 		}
-		if placed < len(suffix) {
+		if !ok {
 			continue // not schedulable under current bandwidth, or cannot win
 		}
-		delayVol, wan := estimateCost(e.plan, top, ws.rates.Bytes, ws)
+		placed, err := placeStages(v, s.sites, tail, top, sc, s.rates.Bytes, &cut)
+		if err != nil {
+			return nil, nil, err
+		}
+		if placed < len(tail) {
+			continue
+		}
+		delayVol, wan := estimateCost(v, s.sites, top, s.rates.Bytes, ws)
+		for _, id := range suffix {
+			s.done = append(s.done, s.sites[id]...)
+		}
+		if s.built[i].plan == nil {
+			s.fresh = append(s.fresh, i)
+		}
 		c := Candidate{
-			Variant:        e.variant,
-			Plan:           e.plan,
 			DelayVolume:    delayVol,
 			WANBytesPerSec: wan,
 			Cost:           delayVol + wanWeight*wan,
@@ -269,12 +314,415 @@ func (s *Session) round(top *topology.Topology, cfg PlannerConfig, admit func(*p
 	if len(candidates) == 0 {
 		return nil, nil, ErrNoCandidate
 	}
+	if err := s.build(s.fresh); err != nil {
+		return nil, nil, err
+	}
+	s.adopt(candidates, sc)
 	slices.SortFunc(candidates, func(a, b Candidate) int {
 		return cmp.Or(cmp.Compare(a.Cost, b.Cost), cmp.Compare(a.index, b.index))
 	})
 	s.hint = candidates[0].index
 	winner := candidates[0]
 	return &winner, candidates, nil
+}
+
+// placePrefix computes every base operator's rates, reserves the pinned
+// stages' slots, and places the stages every variant shares, adding their
+// in-edges to pre. It reports whether every one of them found a
+// placement, and keeps the free slots they leave.
+func (s *Session) placePrefix(top *topology.Topology, sc ScheduleConfig, pre *bound) (bool, error) {
+	if err := s.view.base.ExpectedRatesBuf(sc.RateFactor, &s.rates); err != nil {
+		return false, err
+	}
+	n := len(s.order)
+	s.rates.Out, s.rates.Bytes = s.rates.Out[:n], s.rates.Bytes[:n]
+	if err := reserveSlots(&s.view, s.order, top, sc); err != nil {
+		return false, err
+	}
+	placed, err := placeStages(&s.view, s.sites, s.order[:s.prefix], top, sc, s.rates.Bytes, pre)
+	if err != nil || placed < s.prefix {
+		return false, err
+	}
+	s.prefixAvail = append(s.prefixAvail[:0], sc.Workspace.avail...)
+	return true, nil
+}
+
+// step is one combine stage a round has placed, after the steps its
+// parent chain names. A combine stage's placement program is fixed by its
+// two inputs and by the stages placed before it, so every variant whose
+// combine stages begin with the same inputs in the same order solves the
+// same programs and reaches the same free slots and running cost: a round
+// places each such run of stages once, and a variant resumes from the
+// deepest step it shares.
+type step struct {
+	l, r plan.OpID // the stage's two inputs
+	// parent is the step placed before this one, and child and sibling
+	// link the steps placed after it; -1 means none.
+	parent, child, sibling int32
+	// The stage placed its tasks at stepSites[from:to], and from is -1
+	// when no placement fit it.
+	from, to int32
+	// delayVolume and wanBytesPerSec are the running cost once the
+	// stage's in-edges are added.
+	delayVolume, wanBytesPerSec float64
+}
+
+// resume restores the deepest state the round has already reached of
+// tree i's combine stages: the sites of the steps it shares, the free
+// slots they leave and the running cost after them, into cut. It returns
+// the last shared step (-1 for none) and how many stages it shares, and
+// false when the variant cannot complete: a shared step found no
+// placement, or the running cost already exceeds cut's limit.
+func (s *Session) resume(i int, cut *bound, avail []int) (at int32, n int, ok bool) {
+	wiring := s.view.wiringOf(i)
+	at = -1
+	for ; n < len(wiring)/2; n++ {
+		l, r := wiring[2*n], wiring[2*n+1]
+		c := s.firstStep(at)
+		for c >= 0 && (s.steps[c].l != l || s.steps[c].r != r) {
+			c = s.steps[c].sibling
+		}
+		if c < 0 {
+			break
+		}
+		at = c
+	}
+	copy(avail, s.prefixAvail)
+	if at < 0 {
+		return at, n, true
+	}
+	if s.steps[at].from < 0 {
+		return at, n, false
+	}
+	cut.delayVolume, cut.wanBytesPerSec = s.steps[at].delayVolume, s.steps[at].wanBytesPerSec
+	for k, id := at, s.view.first+plan.OpID(n-1); k >= 0; k, id = s.steps[k].parent, id-1 {
+		st := &s.steps[k]
+		sites := s.stepSites[st.from:st.to]
+		s.sites[id] = append(s.sites[id][:0], sites...)
+		for _, site := range sites {
+			avail[site]--
+		}
+	}
+	return at, n, cut.delayVolume+wanWeight*cut.wanBytesPerSec <= cut.limit
+}
+
+// placeCombine places the current variant's combine stages from the n-th
+// on, after step at (see resume), into the sites table, one step each,
+// and adds their in-edges to cut. It reports whether they all found a
+// placement within cut's limit.
+func (s *Session) placeCombine(at int32, n int, top *topology.Topology, sc ScheduleConfig, cut *bound) (bool, error) {
+	combine := s.order[s.prefix : s.prefix+len(s.view.downs)]
+	for ; n < len(combine); n++ {
+		id := combine[n]
+		placed, err := placeStages(&s.view, s.sites, combine[n:n+1], top, sc, s.rates.Bytes, nil)
+		if err != nil {
+			return false, err
+		}
+		stop := placed == 0 || // no placement fits the stage
+			cut.exceeded(&s.view, s.sites, id, top, s.rates.Bytes, sc.Workspace)
+		at = s.keep(at, id, placed == 1, cut)
+		if stop {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// keep records combine stage id, placed or not, as the step after step
+// at, with the running cost cut has reached, and returns its index.
+func (s *Session) keep(at int32, id plan.OpID, placed bool, cut *bound) int32 {
+	if s.steps == nil {
+		s.steps = make([]step, 0, len(s.view.downs)*len(s.view.trees))
+	}
+	up := s.view.UpstreamView(id)
+	st := step{l: up[0], r: up[1], parent: at, child: -1, sibling: s.firstStep(at), from: -1}
+	if placed {
+		st.from = int32(len(s.stepSites))
+		s.stepSites = append(s.stepSites, s.sites[id]...)
+		st.to = int32(len(s.stepSites))
+		st.delayVolume, st.wanBytesPerSec = cut.delayVolume, cut.wanBytesPerSec
+	}
+	s.steps = append(s.steps, st)
+	at = int32(len(s.steps) - 1)
+	if st.parent >= 0 {
+		s.steps[st.parent].child = at
+	} else {
+		s.firstRoot = at
+	}
+	return at
+}
+
+// firstStep returns the first of the steps placed after step at (at -1:
+// the steps with no parent), or -1 when there are none.
+func (s *Session) firstStep(at int32) int32 {
+	if at < 0 {
+		return s.firstRoot
+	}
+	return s.steps[at].child
+}
+
+// suffixRates computes the rates of the current variant's suffix stages,
+// in order, each from its upstream stages' output rates summed in
+// upstream order, as ExpectedRatesBuf would over the variant's graph.
+func (s *Session) suffixRates(rateFactor float64) {
+	for _, id := range s.order[s.prefix:] {
+		var upOut float64
+		for _, u := range s.view.UpstreamView(id) {
+			upOut += s.rates.Out[u]
+		}
+		_, s.rates.Out[id], s.rates.Bytes[id] = s.view.Operator(id).ExpectedRates(upOut, rateFactor)
+	}
+}
+
+// build expands and stages the variants at the given indices that are not
+// built yet as one batch (plan.CombineSpec.ExpandAll and stagePlans), and
+// keeps them; the first tree's is the spare.
+func (s *Session) build(indices []int) error {
+	trees := make([]*plan.Tree, 0, len(indices))
+	for _, i := range indices {
+		switch {
+		case s.built[i].plan != nil:
+		case i == 0 && s.spare.plan != nil:
+			s.built[0], s.spare = s.spare, variantPlan{}
+		default:
+			trees = append(trees, s.view.trees[i])
+		}
+	}
+	if len(trees) == 0 {
+		return nil
+	}
+	variants, err := s.view.spec.ExpandAll(s.view.base, trees)
+	if err != nil {
+		return err
+	}
+	graphs := make([]*plan.Graph, len(variants))
+	for j := range variants {
+		graphs[j] = variants[j].Graph
+	}
+	plans, bad, err := stagePlans(graphs)
+	if err != nil {
+		return fmt.Errorf("variant %v: %w", trees[bad], err)
+	}
+	for _, i := range indices {
+		if s.built[i].plan == nil {
+			s.built[i] = variantPlan{variant: &variants[0], plan: &plans[0]}
+			variants, plans = variants[1:], plans[1:]
+		}
+	}
+	return nil
+}
+
+// adopt gives each of the round's candidates, in completion order, its
+// variant and plan, and writes its placement into the plan: the shared
+// prefix's sites, and its own suffix's from s.done, where each suffix
+// stage holds one site per task.
+func (s *Session) adopt(candidates []Candidate, sc ScheduleConfig) {
+	done := s.done
+	for j := range candidates {
+		c := &candidates[j]
+		b := s.built[c.index]
+		c.Variant, c.Plan = b.variant, b.plan
+		for _, id := range s.order[:s.prefix] {
+			st := b.plan.Stages[id]
+			st.Sites = append(st.Sites[:0], s.sites[id]...)
+		}
+		for _, id := range s.order[s.prefix:] {
+			st := b.plan.Stages[id]
+			n := sc.parallelismFor(st.Op)
+			st.Sites, done = append(st.Sites[:0], done[:n]...), done[n:]
+		}
+	}
+}
+
+// variantView is one variant's graph as a Session schedules it, without
+// building it: the base graph's operators and edge lists, with the edges
+// Expand adds written in per tree — each combine node's two in-edges and
+// one out-edge, the inputs' edges into combine nodes and the root's edge
+// into Output, in the order Expand adds them. Every combine node reads as
+// one operator, the spec's template with its pin as Expand sets it;
+// stageName names a combine node as Expand would.
+type variantView struct {
+	base    *plan.Graph
+	spec    *plan.CombineSpec
+	first   plan.OpID // the first combine node's id, base.Len()
+	combine plan.Operator
+	// The lists below are the view's own. ups holds each combine node's
+	// two inputs and downs its one consumer, from id first up; inDown is
+	// each input's down list, in spec.Inputs order (an input listed twice
+	// has its first listing's), and outUp Output's up list, each with room
+	// for the edges every tree adds.
+	ups, downs []plan.OpID
+	inDown     [][]plan.OpID
+	outUp      []plan.OpID
+	// inSlot holds, for each base operator, its list's index in inDown,
+	// or -1 for an operator that is no input.
+	inSlot []int32
+	// trees are the session's trees, and wiring holds, per tree, the two
+	// inputs of each of its combine nodes in id order: 2(k−1) ids a tree.
+	trees  []*plan.Tree
+	wiring []plan.OpID
+	tree   int // the tree setTree wrote last
+}
+
+// newVariantView lays out the view of base's variants under spec, one per
+// tree of trees, which spec.Check has accepted.
+func newVariantView(base *plan.Graph, spec *plan.CombineSpec, trees []*plan.Tree) variantView {
+	k := len(spec.Inputs)
+	v := variantView{base: base, spec: spec, first: plan.OpID(base.Len()), combine: spec.Template, trees: trees}
+	if kind := v.combine.Kind; kind != plan.KindSource && kind != plan.KindSink {
+		v.combine.PinnedSite = plan.NoSite
+	}
+	v.inDown = make([][]plan.OpID, k)
+	// Room: one more down edge per listing of an input, one more up edge
+	// on Output, one consumer per combine node, and each tree's wiring.
+	size := len(base.UpstreamView(spec.Output)) + 1 + (k - 1) + 2*(k-1)*len(trees)
+	for _, in := range spec.Inputs {
+		size += len(base.DownstreamView(in)) + 1
+	}
+	pool := make([]plan.OpID, size)
+	v.inSlot = make([]int32, v.first)
+	for id := range v.inSlot {
+		v.inSlot[id] = -1
+	}
+	for i, in := range spec.Inputs {
+		if v.inSlot[in] < 0 { // an input listed twice has its first listing's list
+			v.inSlot[in] = int32(i)
+			v.inDown[i], pool = carve(pool, base.DownstreamView(in), uses(spec.Inputs, in))
+		}
+	}
+	v.outUp, pool = carve(pool, base.UpstreamView(spec.Output), 1)
+	v.downs, pool = pool[:k-1:k-1], pool[k-1:]
+	v.wiring = pool[:0]
+	for _, t := range trees {
+		v.wire(t, len(v.wiring))
+	}
+	return v
+}
+
+// wire appends t's combine nodes' inputs to the wiring in post-order, the
+// order Expand gives the nodes their ids, and returns t's operator. at is
+// where the wiring of t's whole tree starts.
+func (v *variantView) wire(t *plan.Tree, at int) plan.OpID {
+	if t.IsLeaf() {
+		return v.spec.Inputs[t.Leaf]
+	}
+	l := v.wire(t.L, at)
+	r := v.wire(t.R, at)
+	v.wiring = append(v.wiring, l, r)
+	return v.first + plan.OpID((len(v.wiring)-at)/2-1)
+}
+
+// uses counts the listings of id in ids.
+func uses(ids []plan.OpID, id plan.OpID) int {
+	n := 0
+	for _, x := range ids {
+		if x == id {
+			n++
+		}
+	}
+	return n
+}
+
+// carve copies ids into the front of pool and returns that copy, with
+// room for spare more ids and no further, and the rest of the pool.
+func carve(pool, ids []plan.OpID, spare int) (copied, rest []plan.OpID) {
+	n := copy(pool, ids)
+	return pool[: n : n+spare], pool[n+spare:]
+}
+
+// Operator returns the base operator id, or the combine template for a
+// combine node.
+func (v *variantView) Operator(id plan.OpID) *plan.Operator {
+	if id >= v.first {
+		return &v.combine
+	}
+	return v.base.Operator(id)
+}
+
+// UpstreamView returns id's upstream operators in the current variant.
+func (v *variantView) UpstreamView(id plan.OpID) []plan.OpID {
+	switch {
+	case id >= v.first:
+		c := int(id - v.first)
+		return v.ups[2*c : 2*c+2 : 2*c+2]
+	case id == v.spec.Output:
+		return v.outUp
+	}
+	return v.base.UpstreamView(id)
+}
+
+// DownstreamView returns id's downstream operators in the current
+// variant.
+func (v *variantView) DownstreamView(id plan.OpID) []plan.OpID {
+	if id >= v.first {
+		c := int(id - v.first)
+		return v.downs[c : c+1 : c+1]
+	}
+	if i := v.inSlot[id]; i >= 0 {
+		return v.inDown[i]
+	}
+	return v.base.DownstreamView(id)
+}
+
+// setTree writes tree i's combine edges into the view, as Expand adds
+// them: each combine node's inputs are the tree's wiring.
+func (v *variantView) setTree(i int) {
+	for j, in := range v.spec.Inputs {
+		if v.inSlot[in] == int32(j) {
+			v.inDown[j] = v.inDown[j][:len(v.base.DownstreamView(in))]
+		}
+	}
+	v.tree = i
+	v.ups = v.wiringOf(i)
+	for c := range v.downs {
+		id := v.first + plan.OpID(c)
+		for _, from := range v.ups[2*c : 2*c+2] {
+			if from >= v.first {
+				v.downs[from-v.first] = id
+			} else {
+				slot := v.inSlot[from]
+				v.inDown[slot] = append(v.inDown[slot], id)
+			}
+		}
+	}
+	root := v.first + plan.OpID(len(v.downs)-1)
+	v.downs[len(v.downs)-1] = v.spec.Output
+	v.outUp = append(v.outUp[:len(v.base.UpstreamView(v.spec.Output))], root)
+}
+
+// wiringOf returns tree i's wiring: the two inputs of each combine node,
+// in id order.
+func (v *variantView) wiringOf(i int) []plan.OpID {
+	n := 2 * len(v.downs)
+	return v.wiring[n*i : n*(i+1) : n*(i+1)]
+}
+
+// setOf returns the LeafSet of the current tree's combine node id.
+func (v *variantView) setOf(id plan.OpID) plan.LeafSet {
+	next, set := v.first, plan.LeafSet(0)
+	var walk func(t *plan.Tree)
+	walk = func(t *plan.Tree) {
+		if t.IsLeaf() {
+			return
+		}
+		walk(t.L)
+		walk(t.R)
+		if next == id {
+			set = t.Set
+		}
+		next++
+	}
+	walk(v.trees[v.tree])
+	return set
+}
+
+// stageName is the name of v's operator id, a combine node's as Expand
+// names it in the current variant.
+func stageName(v graphView, id plan.OpID) string {
+	if vv, ok := v.(*variantView); ok && id >= vv.first {
+		return vv.spec.Template.Name + vv.setOf(id).String()
+	}
+	return v.Operator(id).Name
 }
 
 // bound is the running cost of the stages a round has placed of one
@@ -286,14 +734,14 @@ type bound struct {
 	limit                       float64
 }
 
-// exceeded adds the in-edges of p's stage id, whose upstream stages are
-// all placed, to the running cost, priced term by term as estimateCost
-// prices them, and reports whether the cost now exceeds the limit.
-func (b *bound) exceeded(p *Plan, id plan.OpID, top *topology.Topology, ws *Workspace) bool {
-	ws.toEPs, ws.tmp = p.Stages[id].AppendEndpoints(ws.toEPs[:0], ws.tmp)
-	for _, u := range p.Graph.UpstreamView(id) {
-		ws.fromEPs, ws.tmp = p.Stages[u].AppendEndpoints(ws.fromEPs[:0], ws.tmp)
-		b.delayVolume, b.wanBytesPerSec = addEdgeCost(b.delayVolume, b.wanBytesPerSec, ws.fromEPs, ws.toEPs, ws.rates.Bytes[u], top)
+// exceeded adds the in-edges of stage id, whose upstream stages are all
+// placed, to the running cost, priced term by term as estimateCost prices
+// them, and reports whether the cost now exceeds the limit.
+func (b *bound) exceeded(v graphView, sites [][]topology.SiteID, id plan.OpID, top *topology.Topology, outBytes []float64, ws *Workspace) bool {
+	ws.toEPs, ws.tmp = appendEndpoints(ws.toEPs[:0], ws.tmp, sites[id])
+	for _, u := range v.UpstreamView(id) {
+		ws.fromEPs, ws.tmp = appendEndpoints(ws.fromEPs[:0], ws.tmp, sites[u])
+		b.delayVolume, b.wanBytesPerSec = addEdgeCost(b.delayVolume, b.wanBytesPerSec, ws.fromEPs, ws.toEPs, outBytes[u], top)
 	}
 	return b.delayVolume+wanWeight*b.wanBytesPerSec > b.limit
 }
@@ -309,17 +757,19 @@ func EstimateCost(p *Plan, top *topology.Topology, rateFactor float64) (delayVol
 	if err := p.Graph.ExpectedRatesBuf(rateFactor, &ws.rates); err != nil {
 		return 0, 0, err
 	}
-	delayVolume, wanBytesPerSec = estimateCost(p, top, ws.rates.Bytes, ws)
+	delayVolume, wanBytesPerSec = estimateCost(p.Graph, ws.sitesOf(p), top, ws.rates.Bytes, ws)
 	return delayVolume, wanBytesPerSec, nil
 }
 
-// estimateCost is EstimateCost given the plan's expected per-operator
-// output rates (bytes/s), with caller-owned scratch.
-func estimateCost(p *Plan, top *topology.Topology, outBytes []float64, ws *Workspace) (delayVolume, wanBytesPerSec float64) {
-	for from := range p.Graph.Len() {
-		ws.fromEPs, ws.tmp = p.Stages[from].AppendEndpoints(ws.fromEPs[:0], ws.tmp)
-		for _, to := range p.Graph.DownstreamView(plan.OpID(from)) {
-			ws.toEPs, ws.tmp = p.Stages[to].AppendEndpoints(ws.toEPs[:0], ws.tmp)
+// estimateCost is EstimateCost over a graph view and its stages' sites,
+// given every operator's expected output rate (bytes/s), with
+// caller-owned scratch. It sums the edges in ascending producer id, each
+// producer's in its downstream order.
+func estimateCost(v graphView, sites [][]topology.SiteID, top *topology.Topology, outBytes []float64, ws *Workspace) (delayVolume, wanBytesPerSec float64) {
+	for from := range sites {
+		ws.fromEPs, ws.tmp = appendEndpoints(ws.fromEPs[:0], ws.tmp, sites[from])
+		for _, to := range v.DownstreamView(plan.OpID(from)) {
+			ws.toEPs, ws.tmp = appendEndpoints(ws.toEPs[:0], ws.tmp, sites[to])
 			delayVolume, wanBytesPerSec = addEdgeCost(delayVolume, wanBytesPerSec, ws.fromEPs, ws.toEPs, outBytes[from], top)
 		}
 	}

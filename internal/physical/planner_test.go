@@ -203,7 +203,7 @@ func TestReplanQueryAdmissibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, all, err := s.Rank(top, PlannerConfig{}, func(v *plan.Variant) bool { return v.AdmissibleFrom(current) })
+	best, all, err := s.Rank(top, PlannerConfig{}, func(t *plan.Tree) bool { return t.AdmissibleFrom(current) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestReplanQueryAdmissibility(t *testing.T) {
 	// our canonical enumeration... both child orders count once) — the
 	// enumeration yields exactly the trees containing both sub-plans.
 	for _, c := range all {
-		if !c.Variant.AdmissibleFrom(current) {
+		if !c.Variant.Tree.AdmissibleFrom(current) {
 			t.Fatal("inadmissible candidate returned")
 		}
 	}

@@ -53,7 +53,7 @@ func refSchedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) (int, erro
 		if st.Op.PinnedSite != plan.NoSite {
 			avail[st.Op.PinnedSite] += par
 		}
-		pl, err := solveStage(p, id, par, 1, avail, top, c, outBytes, outBytes[id], nil)
+		pl, err := solveStage(p.Graph, ws.sitesOf(p), id, par, 1, avail, top, c, outBytes, outBytes[id], nil)
 		if err != nil {
 			return i, fmt.Errorf("schedule stage %q: %w", st.Op.Name, err)
 		}
@@ -77,36 +77,49 @@ type refRound struct {
 	admitted, prefixInfeasible, suffixInfeasible, ranked int
 }
 
-// refPlan is Session.Plan as it stood before the shared prefix: every
-// admissible variant scheduled from scratch by refSchedule.
-func refPlan(s *Session, top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool) ([]Candidate, refRound, error) {
+// refPlan is Session.Plan as it stood before the shared prefix and the
+// session's variant view: every admissible variant of q's trees expanded
+// on its own by CombineSpec.Expand, staged by FromLogical and scheduled
+// from scratch by refSchedule.
+func refPlan(q *queries.Query, trees []*plan.Tree, top *topology.Topology, cfg PlannerConfig, admit func(*plan.Tree) bool) ([]Candidate, refRound, error) {
 	sc := cfg.ScheduleConfig
 	if sc.Workspace == nil {
 		sc.Workspace = &Workspace{}
 	}
 	var round refRound
 	var candidates []Candidate
-	for i, e := range s.entries {
-		if admit != nil && !admit(e.variant) {
+	for i, tree := range trees {
+		if admit != nil && !admit(tree) {
 			continue
 		}
 		round.admitted++
-		failed, err := refSchedule(e.plan, top, sc)
+		v, err := q.Spec.Expand(q.Graph, tree)
+		if err != nil {
+			return nil, round, err
+		}
+		p, err := FromLogical(v.Graph)
+		if err != nil {
+			return nil, round, err
+		}
+		failed, err := refSchedule(p, top, sc)
 		if err != nil {
 			if !errors.Is(err, placement.ErrInfeasible) {
 				return nil, round, err
 			}
-			if failed < s.prefix {
+			// The stages before the first combine node are the prefix
+			// every variant shares.
+			order, _ := p.StageIDs()
+			if failed < slices.IndexFunc(order, func(id plan.OpID) bool { return v.CombineNodes[id] != 0 }) {
 				round.prefixInfeasible++
 			} else {
 				round.suffixInfeasible++
 			}
 			continue
 		}
-		delayVol, wan := estimateCost(e.plan, top, sc.Workspace.rates.Bytes, sc.Workspace)
+		delayVol, wan := estimateCost(p.Graph, sc.Workspace.sitesOf(p), top, sc.Workspace.rates.Bytes, sc.Workspace)
 		candidates = append(candidates, Candidate{
-			Variant:        e.variant,
-			Plan:           e.plan,
+			Variant:        v,
+			Plan:           p,
 			DelayVolume:    delayVol,
 			WANBytesPerSec: wan,
 			Cost:           delayVol + wanWeight*wan,
@@ -198,14 +211,18 @@ func prunedCandidates(best *Candidate, got []Candidate, gotErr error, want []Can
 	return nil
 }
 
-// planPair holds two sessions over one query: s is planned by
-// Session.Plan and then by Session.Rank, ref by refPlan. Both live across
-// rounds, so that what a round leaves behind in a session — the winner it
-// evaluates first next round among it — is under test too.
-type planPair struct{ s, ref *Session }
+// planPair holds a session over a query, planned by Session.Plan and then
+// by Session.Rank, and the query itself, planned by refPlan over the
+// session's trees. The session lives across rounds, so that what a round
+// leaves behind in it — the winner it evaluates first next round, the
+// variants it has built — is under test too.
+type planPair struct {
+	s *Session
+	q *queries.Query
+}
 
 func newPlanPair(tb testing.TB, q *queries.Query, maxVariants int) planPair {
-	return planPair{mustSession(tb, q, maxVariants), mustSession(tb, q, maxVariants)}
+	return planPair{mustSession(tb, q, maxVariants), q}
 }
 
 func mustSession(tb testing.TB, q *queries.Query, maxVariants int) *Session {
@@ -224,12 +241,15 @@ func mustSession(tb testing.TB, q *queries.Query, maxVariants int) *Session {
 // variant, and Rank's list must be the reference's. It also returns how
 // many candidates Plan listed.
 func (pp planPair) round(top *topology.Topology, cfg PlannerConfig, admitFrom int) (refRound, int, error) {
-	var admit func(*plan.Variant) bool
+	var admit func(*plan.Tree) bool
 	if admitFrom >= 0 {
-		cur := pp.ref.entries[admitFrom%len(pp.ref.entries)].variant
-		admit = func(v *plan.Variant) bool { return v.AdmissibleFrom(cur) }
+		cur, err := pp.q.Spec.Expand(pp.q.Graph, pp.s.view.trees[admitFrom%len(pp.s.view.trees)])
+		if err != nil {
+			return refRound{}, 0, err
+		}
+		admit = func(t *plan.Tree) bool { return t.AdmissibleFrom(cur) }
 	}
-	want, r, wantErr := refPlan(pp.ref, top, cfg, admit)
+	want, r, wantErr := refPlan(pp.q, pp.s.view.trees, top, cfg, admit)
 	best, pruned, prunedErr := pp.s.Plan(top, cfg, admit)
 	if err := prunedCandidates(best, pruned, prunedErr, want, wantErr); err != nil {
 		return r, 0, fmt.Errorf("Plan: %w", err)
@@ -384,12 +404,15 @@ func TestSessionPlanMatchesReference(t *testing.T) {
 	}
 }
 
-// TestVariantsShareTheBasePrefix pins why the prefix is shared. Expand adds
-// combine nodes after every base operator, so every combine id exceeds
-// every base id; TopoOrder takes the smallest ready id, so every stage
-// that no combine node feeds comes before the first one that is, in the
-// same order in every variant; only sources and sinks are pinned. The
-// session's prefix is exactly those stages.
+// TestVariantsShareTheBasePrefix pins why the prefix is shared and why a
+// session can schedule every variant in one order without building it.
+// Expand adds combine nodes after every base operator, so every combine id
+// exceeds every base id; TopoOrder takes the smallest ready id, so every
+// stage that no combine node feeds comes before the first one that is, in
+// the same order in every variant; only sources and sinks are pinned. The
+// session's prefix is exactly those stages, and every variant's whole
+// order is the session's: the prefix, the combine nodes in id order, then
+// the same Output and descendants.
 func TestVariantsShareTheBasePrefix(t *testing.T) {
 	for qi := range paperQueries {
 		for n := 2; n <= 8; n++ {
@@ -397,8 +420,11 @@ func TestVariantsShareTheBasePrefix(t *testing.T) {
 				q := testbedQuery(qi, n)
 				s := mustSession(t, q, maxVariants)
 				name := fmt.Sprintf("q%d, %d sources, %d variants", qi, n, maxVariants)
+				if err := s.build(allIndices(s)); err != nil {
+					t.Fatal(err)
+				}
 				var first []plan.OpID
-				for _, e := range s.entries {
+				for _, e := range s.built {
 					g := e.variant.Graph
 					for id, set := range e.variant.CombineNodes {
 						if set != 0 && id < q.Graph.Len() {
@@ -408,6 +434,9 @@ func TestVariantsShareTheBasePrefix(t *testing.T) {
 					order, err := e.plan.StageIDs()
 					if err != nil {
 						t.Fatal(err)
+					}
+					if !slices.Equal(order, s.order) {
+						t.Fatalf("%s, %s: stage order %v, session's %v", name, e.variant.Tree, order, s.order)
 					}
 					// fed marks the stages with a combine node in their
 					// upstream cone (themselves included).

@@ -66,6 +66,17 @@ func (cfg *ScheduleConfig) parallelismFor(op *plan.Operator) int {
 	return cfg.DefaultParallelism
 }
 
+// graphView is what placing and pricing a plan read of its logical
+// graph: each operator, and each one's upstream and downstream ids. A
+// *plan.Graph is one; a Session schedules each variant through its
+// variantView, without building the variant's graph. The stages' task
+// sites are a table beside it, indexed by OpID.
+type graphView interface {
+	Operator(plan.OpID) *plan.Operator
+	UpstreamView(plan.OpID) []plan.OpID
+	DownstreamView(plan.OpID) []plan.OpID
+}
+
 // Schedule places every stage of the plan, one stage at a time in
 // topological order using the upstream deployments (the initial-placement
 // strategy of prior WAN-aware schedulers that §4.1 builds on), solving the
@@ -73,42 +84,46 @@ func (cfg *ScheduleConfig) parallelismFor(op *plan.Operator) int {
 // (wrapping placement.ErrInfeasible) if any stage cannot be placed.
 func Schedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) error {
 	c := cfg.withDefaults(top)
+	ws := c.Workspace
 	order, err := p.StageIDs()
 	if err != nil {
 		return err
 	}
-	if err := beginSchedule(p, order, top, c); err != nil {
+	if err := p.Graph.ExpectedRatesBuf(c.RateFactor, &ws.rates); err != nil {
 		return err
 	}
-	placed, err := placeStages(p, order, top, c, nil)
+	if err := reserveSlots(p.Graph, order, top, c); err != nil {
+		return err
+	}
+	sites := ws.sitesOf(p)
+	placed, err := placeStages(p.Graph, sites, order, top, c, ws.rates.Bytes, nil)
+	for _, id := range order[:placed] {
+		p.Stages[id].Sites = sites[id]
+	}
 	if err != nil || placed == len(order) {
 		return err
 	}
 	// The stage no placement fits: its problem is still the workspace's,
 	// and solving it again through the solver that words its verdict
 	// gives the error.
-	_, err = c.Workspace.SolvePlacement(&c.Workspace.pr, top, c.HierarchicalSites)
+	_, err = ws.SolvePlacement(&ws.pr, top, c.HierarchicalSites)
 	return fmt.Errorf("schedule stage %q: %w", p.Stages[order[placed]].Op.Name, err)
 }
 
-// beginSchedule readies the workspace to place p's stages: ws.rates holds
-// p's expected rates and ws.avail every site's slots, less the slots that
-// p's pinned stages reserve so that free stages placed earlier in
-// topological order cannot exhaust them. A pin outside the topology is an
-// error naming the stage, not a wrapped placement.ErrInfeasible: no
+// reserveSlots sets ws.avail to every site's slots, less the slots that
+// the pinned stages among ids reserve, so that free stages placed earlier
+// in topological order cannot exhaust them. A pin outside the topology is
+// an error naming the stage, not a wrapped placement.ErrInfeasible: no
 // bandwidth or slot count can make such a plan schedulable.
-func beginSchedule(p *Plan, order []plan.OpID, top *topology.Topology, c ScheduleConfig) error {
+func reserveSlots(v graphView, ids []plan.OpID, top *topology.Topology, c ScheduleConfig) error {
 	ws := c.Workspace
-	if err := p.Graph.ExpectedRatesBuf(c.RateFactor, &ws.rates); err != nil {
-		return err
-	}
 	avail := ws.avail[:0]
 	for s := 0; s < top.N(); s++ {
 		avail = append(avail, top.Slots(topology.SiteID(s)))
 	}
 	ws.avail = avail
-	for _, id := range order {
-		op := p.Stages[id].Op
+	for _, id := range ids {
+		op := v.Operator(id)
 		if op.PinnedSite == plan.NoSite {
 			continue
 		}
@@ -120,34 +135,35 @@ func beginSchedule(p *Plan, order []plan.OpID, top *topology.Topology, c Schedul
 	return nil
 }
 
-// placeStages places the given stages of p in order against the
-// workspace's rates and free slots (see beginSchedule), taking each
-// placement's slots out of ws.avail. It stops at the first stage no
+// placeStages places the given stages in order against outBytes, every
+// operator's expected output byte rate, and the free slots in ws.avail
+// (see reserveSlots), writing each stage's task sites into sites and
+// taking its slots out of ws.avail. It stops at the first stage no
 // placement fits, or, given a bound, at the first whose in-edges take the
 // bound's running cost past its limit, and returns that stage's position,
 // len(ids) when it stopped at none; that verdict allocates nothing. Its
 // error is for a stage no bandwidth or slot count could place.
-func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleConfig, b *bound) (placed int, err error) {
+func placeStages(v graphView, sites [][]topology.SiteID, ids []plan.OpID, top *topology.Topology, c ScheduleConfig, outBytes []float64, b *bound) (placed int, err error) {
 	ws := c.Workspace
 	for i, id := range ids {
-		st := p.Stages[id]
-		par := c.parallelismFor(st.Op)
+		op := v.Operator(id)
+		par := c.parallelismFor(op)
 		if par < 1 {
-			return i, fmt.Errorf("physical: stage %q parallelism %d < 1", st.Op.Name, par)
+			return i, fmt.Errorf("physical: stage %q parallelism %d < 1", stageName(v, id), par)
 		}
-		if st.Op.PinnedSite != plan.NoSite {
-			ws.avail[st.Op.PinnedSite] += par // release this stage's own reservation
+		if op.PinnedSite != plan.NoSite {
+			ws.avail[op.PinnedSite] += par // release this stage's own reservation
 		}
-		pr := stageProblem(p, id, par, 1, ws.avail, top, c, ws.rates.Bytes, ws.rates.Bytes[id], nil)
+		pr := stageProblem(v, sites, id, par, 1, ws.avail, top, c, outBytes, outBytes[id], nil)
 		pl, unplaced, err := ws.place(pr, top, c.HierarchicalSites)
 		if err != nil {
-			return i, fmt.Errorf("schedule stage %q: %w", st.Op.Name, err)
+			return i, fmt.Errorf("schedule stage %q: %w", stageName(v, id), err)
 		}
 		if unplaced > 0 {
 			return i, nil
 		}
-		st.Sites = takePlacement(st.Sites[:0], pl, ws.avail)
-		if b != nil && b.exceeded(p, id, top, ws) {
+		sites[id] = takePlacement(sites[id][:0], pl, ws.avail)
+		if b != nil && b.exceeded(v, sites, id, top, outBytes, ws) {
 			return i, nil
 		}
 	}
@@ -157,7 +173,8 @@ func placeStages(p *Plan, ids []plan.OpID, top *topology.Topology, c ScheduleCon
 // solveStage builds and solves the placement problem for parallelism
 // tasks of one stage (see stageProblem).
 func solveStage(
-	p *Plan,
+	v graphView,
+	sites [][]topology.SiteID,
 	id plan.OpID,
 	parallelism int,
 	share float64,
@@ -168,7 +185,7 @@ func solveStage(
 	outputBytes float64,
 	downs []placement.Endpoint,
 ) (*placement.Placement, error) {
-	pr := stageProblem(p, id, parallelism, share, avail, top, cfg, outBytes, outputBytes, downs)
+	pr := stageProblem(v, sites, id, parallelism, share, avail, top, cfg, outBytes, outputBytes, downs)
 	return cfg.Workspace.SolvePlacement(pr, top, cfg.HierarchicalSites)
 }
 
@@ -179,7 +196,8 @@ func solveStage(
 // during initial scheduling downstream stages are not yet placed and the
 // side is empty.
 func stageProblem(
-	p *Plan,
+	v graphView,
+	sites [][]topology.SiteID,
 	id plan.OpID,
 	parallelism int,
 	share float64,
@@ -190,16 +208,14 @@ func stageProblem(
 	outputBytes float64,
 	downs []placement.Endpoint,
 ) *placement.Problem {
-	st := p.Stages[id]
 	ws := cfg.Workspace
 
 	ups := ws.ups[:0]
 	var inBytes float64
-	for _, u := range p.Graph.UpstreamView(id) {
-		uStage := p.Stages[u]
+	for _, u := range v.UpstreamView(id) {
 		rate := outBytes[u]
 		inBytes += rate
-		ws.eps, ws.tmp = uStage.AppendEndpoints(ws.eps[:0], ws.tmp)
+		ws.eps, ws.tmp = appendEndpoints(ws.eps[:0], ws.tmp, sites[u])
 		for _, ep := range ws.eps {
 			ups = append(ups, placement.Endpoint{Site: ep.Site, Weight: ep.Weight * rate})
 		}
@@ -210,11 +226,6 @@ func stageProblem(
 		for i := range ups {
 			ups[i].Weight /= inBytes
 		}
-	}
-
-	pinned := plan.NoSite
-	if st.Op.PinnedSite != plan.NoSite {
-		pinned = st.Op.PinnedSite
 	}
 
 	ws.pr = placement.Problem{
@@ -230,22 +241,20 @@ func stageProblem(
 		LatencyRows:       top,
 		Bandwidth:         cfg.Bandwidth,
 		Conservative:      cfg.Conservative,
-		Pinned:            pinned,
+		Pinned:            v.Operator(id).PinnedSite,
 	}
 	return &ws.pr
 }
 
 // takePlacement converts p[s] counts into a site list appended to dst,
 // ascending by site, deterministic, and takes the tasks' slots out of
-// avail in the same walk over the sites.
+// avail in the same walk over the placement's sites.
 func takePlacement(dst []topology.SiteID, pl *placement.Placement, avail []int) []topology.SiteID {
-	for s, n := range pl.TasksPerSite {
-		if n == 0 {
-			continue
-		}
+	for _, s := range pl.Sites {
+		n := pl.TasksPerSite[s]
 		avail[s] -= n
 		for i := 0; i < n; i++ {
-			dst = append(dst, topology.SiteID(s))
+			dst = append(dst, s)
 		}
 	}
 	return dst
@@ -287,6 +296,7 @@ func PlaceTasks(
 		return nil, err
 	}
 	outBytes := ws.rates.Bytes
+	sites := ws.sitesOf(p)
 
 	// Downstream endpoints weighted by each consumer's share of this
 	// stage's total outbound traffic. Every consumer receives the full
@@ -296,7 +306,7 @@ func PlaceTasks(
 	downs := ws.toEPs[:0]
 	consumers := p.Graph.DownstreamView(id)
 	for _, d := range consumers {
-		ws.eps, ws.tmp = p.Stages[d].AppendEndpoints(ws.eps[:0], ws.tmp)
+		ws.eps, ws.tmp = appendEndpoints(ws.eps[:0], ws.tmp, sites[d])
 		for _, ep := range ws.eps {
 			downs = append(downs, placement.Endpoint{
 				Site:   ep.Site,
@@ -307,5 +317,5 @@ func PlaceTasks(
 	ws.toEPs = downs
 	outputBytes := outBytes[id] * float64(len(consumers)) * share
 
-	return solveStage(p, id, n, share, freeSlots, top, c, outBytes, outputBytes, downs)
+	return solveStage(p.Graph, sites, id, n, share, freeSlots, top, c, outBytes, outputBytes, downs)
 }

@@ -25,6 +25,7 @@ type Workspace struct {
 	fromEPs []placement.Endpoint
 	toEPs   []placement.Endpoint
 	tmp     []topology.SiteID
+	sites   [][]topology.SiteID
 	rates   plan.RateBuf
 	pr      placement.Problem
 	sol     placement.Scratch
@@ -47,6 +48,17 @@ type Workspace struct {
 	//waspvet:guardedby regionsTop
 	regions    [][]topology.SiteID
 	regionsTop *topology.Topology
+}
+
+// sitesOf loads the task sites of p's stages into the workspace's sites
+// table, indexed by OpID, and returns the table.
+func (ws *Workspace) sitesOf(p *Plan) [][]topology.SiteID {
+	sites := ws.sites[:0]
+	for _, st := range p.Stages {
+		sites = append(sites, st.Sites)
+	}
+	ws.sites = sites
+	return sites
 }
 
 // latencyFn returns a cached top.Latency method value.

@@ -78,7 +78,6 @@ type HierScratch struct {
 	cost   []float64  // member costs of the region being opened
 	order  []siteCost // opened regions' members with a free slot
 	opened []openSeg  // level-2 merge state over opened, unexhausted regions
-	tasks  []int
 	place  Placement
 }
 
@@ -273,13 +272,7 @@ func (pr *Problem) PlaceHierarchicalInto(regions [][]topology.SiteID, hs *HierSc
 			return nil, 0, err
 		}
 	}
-	if cap(hs.tasks) < pr.Sites {
-		hs.tasks = make([]int, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
-	}
-	tasks := hs.tasks[:pr.Sites]
-	clear(tasks)
-	hs.place = Placement{TasksPerSite: tasks}
-	result := &hs.place
+	result := hs.place.reuse(pr.Sites)
 	if pr.Pinned >= 0 {
 		// Pinned stages (sources, sinks) admit a single site: O(E), no
 		// region machinery.
@@ -336,19 +329,13 @@ func (pr *Problem) PlaceHierarchicalInto(regions [][]topology.SiteID, hs *HierSc
 			opened[best] = opened[len(opened)-1]
 			opened = opened[:len(opened)-1]
 		}
-		n := min(remaining, pr.siteBound(cand.site, p))
-		if n <= 0 {
-			continue
-		}
-		tasks[cand.site] = n
-		result.Cost += float64(n) * cand.cost
-		remaining -= n
+		remaining = pr.fill(result, cand, remaining, p)
 	}
 	hs.heap, hs.order, hs.opened = heap, order, opened
 	if remaining > 0 {
 		return nil, remaining, nil
 	}
-	return result, 0, nil
+	return result.placed(), 0, nil
 }
 
 // errShort is the error SolveHierarchicalInto makes of an infeasible

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -92,6 +93,10 @@ type Problem struct {
 type Placement struct {
 	// TasksPerSite is p[s] for every site.
 	TasksPerSite []int
+	// Sites lists the sites with a task, ascending: a stage spans a few
+	// of a planet's sites, and a caller walks these instead of every
+	// entry of TasksPerSite.
+	Sites []topology.SiteID
 	// Cost is the objective value: Σ_s p[s]·(weighted up/down latency),
 	// in seconds.
 	Cost float64
@@ -363,7 +368,6 @@ func siftDown(h []siteCost, i int) {
 type Scratch struct {
 	cost  []float64
 	heap  []siteCost
-	tasks []int
 	place Placement
 }
 
@@ -400,13 +404,7 @@ func (pr *Problem) PlaceInto(sc *Scratch) (pl *Placement, unplaced int, err erro
 	if err := pr.validate(); err != nil { //waspvet:hotalloc O(E) field checks; the error path ends the solve
 		return nil, 0, err
 	}
-	if cap(sc.tasks) < pr.Sites {
-		sc.tasks = make([]int, pr.Sites) //waspvet:hotalloc cold branch: sized once per site count
-	}
-	tasks := sc.tasks[:pr.Sites]
-	clear(tasks)
-	sc.place = Placement{TasksPerSite: tasks}
-	result := &sc.place
+	result := sc.place.reuse(pr.Sites)
 	if pr.Pinned >= 0 {
 		return pr.fillPinned(result)
 	}
@@ -429,7 +427,7 @@ func (pr *Problem) PlaceInto(sc *Scratch) (pl *Placement, unplaced int, err erro
 	p := float64(pr.Parallelism)
 	remaining := pr.fill(result, siteCost{site: topology.SiteID(best), cost: cost[best]}, pr.Parallelism, p)
 	if remaining == 0 {
-		return result, 0, nil
+		return result.placed(), 0, nil
 	}
 
 	h := sc.heap[:0]
@@ -452,7 +450,45 @@ func (pr *Problem) PlaceInto(sc *Scratch) (pl *Placement, unplaced int, err erro
 	if remaining > 0 {
 		return nil, remaining, nil
 	}
-	return result, 0, nil
+	return result.placed(), 0, nil
+}
+
+// reuse readies p, a scratch's placement whose TasksPerSite and Sites
+// buffers last across solves, for a solve over n sites, and returns it
+// empty. It zeroes only the entries of TasksPerSite the last solve wrote,
+// which Sites lists, so a solve touches the sites it fills and not every
+// site.
+//
+//waspvet:hotpath
+func (p *Placement) reuse(n int) *Placement {
+	for _, s := range p.Sites {
+		p.TasksPerSite[s] = 0
+	}
+	if cap(p.TasksPerSite) < n {
+		p.TasksPerSite = make([]int, n) //waspvet:hotalloc cold branch: sized once per site count
+	} else {
+		p.TasksPerSite = p.TasksPerSite[:n]
+	}
+	p.Sites = p.Sites[:0]
+	p.Cost = 0
+	return p
+}
+
+// put gives site n tasks. A solve puts each site once, in its fill order;
+// placed sorts them.
+//
+//waspvet:hotpath
+func (p *Placement) put(site topology.SiteID, n int) {
+	p.TasksPerSite[site] = n
+	p.Sites = append(p.Sites, site) //waspvet:hotalloc grows once to the most sites a stage spans, then reused
+}
+
+// placed returns p as a solve's answer, its Sites ascending.
+//
+//waspvet:hotpath
+func (p *Placement) placed() *Placement {
+	slices.Sort(p.Sites)
+	return p
 }
 
 // fill places as many of the remaining tasks at cand's site as its bound
@@ -464,7 +500,7 @@ func (pr *Problem) fill(result *Placement, cand siteCost, remaining int, p float
 	if n <= 0 {
 		return remaining
 	}
-	result.TasksPerSite[cand.site] = n
+	result.put(cand.site, n)
 	result.Cost += float64(n) * cand.cost
 	return remaining - n
 }
@@ -488,7 +524,7 @@ func (pr *Problem) fillPinned(result *Placement) (*Placement, int, error) {
 	if n < pr.Parallelism {
 		return nil, pr.Parallelism - n, nil
 	}
-	result.TasksPerSite[pr.Pinned] = n
+	result.put(pr.Pinned, n)
 	result.Cost += float64(n) * pr.CostPerTask(pr.Pinned)
 	return result, 0, nil
 }

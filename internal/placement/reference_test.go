@@ -217,7 +217,8 @@ func genInstance(e *entropy) instance {
 }
 
 // sameAnswer reports how got differs from the reference answer: task
-// counts, the cost's bit pattern, and the error's class and text.
+// counts, the sites it lists as filled, the cost's bit pattern, and the
+// error's class and text.
 func sameAnswer(want *Placement, wantErr error, got *Placement, gotErr error) error {
 	if (wantErr == nil) != (gotErr == nil) {
 		return fmt.Errorf("error %v, reference %v", gotErr, wantErr)
@@ -230,6 +231,15 @@ func sameAnswer(want *Placement, wantErr error, got *Placement, gotErr error) er
 	}
 	if !slices.Equal(got.TasksPerSite, want.TasksPerSite) {
 		return fmt.Errorf("tasks %v, reference %v", got.TasksPerSite, want.TasksPerSite)
+	}
+	var filled []topology.SiteID
+	for s, n := range want.TasksPerSite {
+		if n > 0 {
+			filled = append(filled, topology.SiteID(s))
+		}
+	}
+	if !slices.Equal(got.Sites, filled) {
+		return fmt.Errorf("sites %v, reference fills %v", got.Sites, filled)
 	}
 	if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
 		return fmt.Errorf("cost %v (%#x), reference %v (%#x)", got.Cost, math.Float64bits(got.Cost), want.Cost, math.Float64bits(want.Cost))

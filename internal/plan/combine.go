@@ -83,7 +83,8 @@ func EnumerateTrees(k, max int) []*Tree {
 	if max > 0 && int64(max) < want {
 		want = int64(max)
 	}
-	e := &treeEnum{memo: make(map[LeafSet][]*Tree)}
+	// Building a few trees memoizes about two subsets per leaf.
+	e := &treeEnum{memo: make(map[LeafSet][]*Tree, 2*k)}
 	return e.build(full, want)
 }
 
@@ -108,6 +109,19 @@ type treeEnum struct {
 	// slab is the block the next nodes are cut from. A full one stays with
 	// the trees that point into it and gives way to one twice its size.
 	slab []Tree
+	// lists is the block the next tree lists are cut from, in the same way.
+	lists []*Tree
+}
+
+// list returns an empty tree list with room for exactly n trees, cut from
+// the lists block.
+func (e *treeEnum) list(n int) []*Tree {
+	if cap(e.lists)-len(e.lists) < n {
+		e.lists = make([]*Tree, 0, max(n, min(max(2*cap(e.lists), 16), 1024)))
+	}
+	at := len(e.lists)
+	e.lists = e.lists[:at+n]
+	return e.lists[at : at : at+n]
 }
 
 // node returns a copy of t cut from the slab.
@@ -132,11 +146,11 @@ func (e *treeEnum) build(s LeafSet, limit int64) []*Tree {
 		return ts[:limit]
 	}
 	if s.Count() == 1 {
-		ts := []*Tree{e.node(Tree{Leaf: bits.TrailingZeros64(uint64(s)), Set: s})}
+		ts := append(e.list(1), e.node(Tree{Leaf: bits.TrailingZeros64(uint64(s)), Set: s}))
 		e.memo[s] = ts
 		return ts
 	}
-	ts := make([]*Tree, 0, limit)
+	ts := e.list(int(limit))
 	// Canonical split: the left part always contains the lowest leaf of s,
 	// so each unordered split is produced exactly once.
 	low := LeafSet(1) << uint(bits.TrailingZeros64(uint64(s)))
@@ -211,11 +225,11 @@ type Variant struct {
 // combine node in post-order, would build: the same ids, names, fields,
 // edge order and errors. It is ExpandAll's one-tree case.
 func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
-	vs, _, err := spec.expandAll(base, []*Tree{tree})
-	if err != nil {
+	trees := []*Tree{tree}
+	if _, err := spec.refuseAll(base, trees); err != nil {
 		return nil, err
 	}
-	return &vs[0], nil
+	return &spec.expandAll(base, trees)[0], nil
 }
 
 // ExpandAll expands each tree as Expand would, as one batch: a planning
@@ -234,34 +248,53 @@ func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
 // An error names the first tree Expand refuses and wraps Expand's error
 // for it.
 func (spec *CombineSpec) ExpandAll(base *Graph, trees []*Tree) ([]Variant, error) {
-	vs, bad, err := spec.expandAll(base, trees)
-	if err != nil {
-		return nil, fmt.Errorf("expand %v: %w", trees[bad], err)
+	if err := spec.Check(base, trees); err != nil {
+		return nil, err
 	}
-	return vs, nil
+	return spec.expandAll(base, trees), nil
 }
 
-// expandAll is ExpandAll returning the index of the tree Expand refuses
-// and Expand's own error for it. It checks every tree before it builds
-// any, and a batch is a fixed number of allocations whatever its size.
-func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, bad int, err error) {
+// Check returns the error ExpandAll would return for trees, building
+// nothing and allocating only the error: a planning session checks every
+// tree once and expands only the ones it needs.
+func (spec *CombineSpec) Check(base *Graph, trees []*Tree) error {
+	if bad, err := spec.refuseAll(base, trees); err != nil {
+		return fmt.Errorf("expand %v: %w", trees[bad], err)
+	}
+	return nil
+}
+
+// refuseAll returns the index of the first tree Expand refuses and
+// Expand's own error for it.
+func (spec *CombineSpec) refuseAll(base *Graph, trees []*Tree) (bad int, err error) {
 	if len(trees) == 0 {
-		return nil, 0, nil
+		return 0, nil
 	}
 	k := len(spec.Inputs)
 	if k < 2 {
-		return nil, 0, fmt.Errorf("plan: combine spec needs >= 2 inputs, got %d", k)
+		return 0, fmt.Errorf("plan: combine spec needs >= 2 inputs, got %d", k)
 	}
 	if k > 64 {
-		return nil, 0, fmt.Errorf("plan: combine spec has %d inputs, more than a LeafSet holds", k)
+		return 0, fmt.Errorf("plan: combine spec has %d inputs, more than a LeafSet holds", k)
 	}
-	first := OpID(base.Len())
 	x := expansion{spec: spec, base: base}
 	for i, tree := range trees {
-		if err := x.refuse(tree, first); err != nil {
-			return nil, i, err
+		if err := x.refuse(tree, OpID(base.Len())); err != nil {
+			return i, err
 		}
 	}
+	return 0, nil
+}
+
+// expandAll builds the variants of trees that refuseAll accepts, as a
+// fixed number of allocations whatever the batch's size.
+func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) []Variant {
+	if len(trees) == 0 {
+		return nil
+	}
+	k := len(spec.Inputs)
+	first := OpID(base.Len())
+	x := expansion{spec: spec, base: base}
 
 	// Per variant: n operators, and an edge pool of the base's edges plus
 	// the new ones: two into each of the k−1 nodes and one from the root
@@ -276,7 +309,7 @@ func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, ba
 	sets := make([]LeafSet, len(trees)*n)
 	order := make([]OpID, len(trees)*n)
 	graphs := make([]Graph, len(trees))
-	vs = make([]Variant, len(trees))
+	vs := make([]Variant, len(trees))
 
 	shared := table[:first] // the base part of every variant's table
 	for id, op := range base.ops {
@@ -309,7 +342,7 @@ func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) (vs []Variant, ba
 		g.topoValid = true
 	}
 	spec.name(vs, first, combine)
-	return vs, 0, nil
+	return vs
 }
 
 // expansion is one batch's state. Its walks visit a tree in build order —
@@ -494,15 +527,22 @@ func (v *Variant) StatefulLeafSets() []LeafSet {
 	return out
 }
 
-// AdmissibleFrom reports whether switching from the current variant to v
-// preserves all stateful combine state: every stateful combine node of cur
-// must appear, with the same LeafSet, in v (§4.3 — "only consider plans
-// that comprise common sub-plans covering the stateful operators").
-func (v *Variant) AdmissibleFrom(cur *Variant) bool {
+// AdmissibleFrom reports whether switching from the current variant to
+// the variant of tree t preserves all stateful combine state: every
+// stateful combine node of cur must appear, with the same LeafSet, among
+// t's combine nodes (§4.3 — "only consider plans that comprise common
+// sub-plans covering the stateful operators"). It reads only LeafSets, so
+// a planning session asks it before it builds the variant.
+func (t *Tree) AdmissibleFrom(cur *Variant) bool {
 	for _, need := range cur.StatefulLeafSets() {
-		if !slices.Contains(v.CombineNodes, need) {
+		if !t.covers(need) {
 			return false
 		}
 	}
 	return true
+}
+
+// covers reports whether one of t's combine nodes covers exactly set.
+func (t *Tree) covers(set LeafSet) bool {
+	return !t.IsLeaf() && (t.Set == set || t.L.covers(set) || t.R.covers(set))
 }

@@ -282,7 +282,7 @@ func TestAdmissibleFromStatefulSubplans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p3.AdmissibleFrom(p1) {
+	if p3.Tree.AdmissibleFrom(p1) {
 		t.Fatal("plan without common stateful sub-plans judged admissible")
 	}
 	// ((C+D)+(A+B)) is the same set structure as plan 1: admissible.
@@ -291,7 +291,7 @@ func TestAdmissibleFromStatefulSubplans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p4.AdmissibleFrom(p1) {
+	if !p4.Tree.AdmissibleFrom(p1) {
 		t.Fatal("structurally identical plan judged inadmissible")
 	}
 	// With a stateless template every plan is admissible.
@@ -305,7 +305,7 @@ func TestAdmissibleFromStatefulSubplans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q2.AdmissibleFrom(q1) {
+	if !q2.Tree.AdmissibleFrom(q1) {
 		t.Fatal("stateless re-plan judged inadmissible")
 	}
 }

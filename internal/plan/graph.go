@@ -417,24 +417,27 @@ func (g *Graph) ExpectedRatesBuf(rateFactor float64, buf *RateBuf) error {
 	buf.Out = growZero(buf.Out, n)
 	buf.Bytes = growZero(buf.Bytes, n)
 	for _, id := range order {
-		op := g.ops[id]
-		var in float64
-		if op.Kind == KindSource {
-			in = op.SourceRate * rateFactor
-		} else {
-			for _, u := range g.up[id] {
-				in += buf.Out[u]
-			}
+		var upOut float64
+		for _, u := range g.up[id] {
+			upOut += buf.Out[u]
 		}
-		buf.In[id] = in
-		sigma := op.Selectivity
-		if op.Kind == KindSource {
-			sigma = 1
-		}
-		buf.Out[id] = in * sigma
-		buf.Bytes[id] = buf.Out[id] * op.OutEventBytes
+		buf.In[id], buf.Out[id], buf.Bytes[id] = g.ops[id].ExpectedRates(upOut, rateFactor)
 	}
 	return nil
+}
+
+// ExpectedRates is the λ̂ model of §3.3 for one operator: given upOut,
+// the sum of its upstream operators' output event rates in upstream
+// order, it returns the operator's input event rate, output event rate
+// and output byte rate. A source ignores upOut and emits its SourceRate
+// scaled by rateFactor.
+func (op *Operator) ExpectedRates(upOut, rateFactor float64) (in, out, outBytes float64) {
+	in, sigma := upOut, op.Selectivity
+	if op.Kind == KindSource {
+		in, sigma = op.SourceRate*rateFactor, 1
+	}
+	out = in * sigma
+	return in, out, out * op.OutEventBytes
 }
 
 // growZero returns s resized to length n with every element zeroed.

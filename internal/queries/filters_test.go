@@ -1,7 +1,6 @@
 package queries
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -11,11 +10,11 @@ import (
 )
 
 // TestBuildersPutFiltersFirst: every filter the query builders make reads
-// its source directly, in the base graph and in every variant a planning
-// session holds. This is why the planner has no filter push-down (§2.1):
-// there is no filter to move nearer its source.
+// its source directly, in the base graph and in every variant of the
+// combine orders a planning session enumerates. This is why the planner
+// has no filter push-down (§2.1): there is no filter to move nearer its
+// source.
 func TestBuildersPutFiltersFirst(t *testing.T) {
-	top := topology.Generate(topology.DefaultGenConfig(1))
 	filters := 0
 	check := func(where string, g *plan.Graph) {
 		for _, id := range g.OperatorIDs() {
@@ -38,18 +37,12 @@ func TestBuildersPutFiltersFirst(t *testing.T) {
 		for _, q := range []*Query{YSBCampaign(cfg), TopKTopics(cfg), EventsOfInterest(cfg)} {
 			where := fmt.Sprintf("%s, %d sources", q.Name, k)
 			check(where, q.Graph)
-			s, err := physical.NewSession(q.Graph, q.Spec, 0)
-			if err != nil {
-				t.Fatalf("%s: %v", where, err)
+			variants, err := q.Spec.ExpandAll(q.Graph, plan.EnumerateTrees(k, physical.DefaultMaxVariants))
+			if err != nil || len(variants) == 0 {
+				t.Fatalf("%s: %d variants (%v)", where, len(variants), err)
 			}
-			variants := 0
-			_, _, err = s.Plan(top, physical.PlannerConfig{}, func(v *plan.Variant) bool {
-				variants++
+			for _, v := range variants {
 				check(fmt.Sprintf("%s, variant %v", where, v.Tree), v.Graph)
-				return false
-			})
-			if !errors.Is(err, physical.ErrNoCandidate) || variants == 0 {
-				t.Fatalf("%s: the session visited %d variants (%v)", where, variants, err)
 			}
 		}
 	}
