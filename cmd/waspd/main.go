@@ -36,11 +36,12 @@
 // factor that is not a finite positive number, a -workload or -bandwidth
 // list that is 0 in every phase, a duration shorter than one engine tick,
 // a checkpoint interval that is negative or shorter than one tick, a
-// fault script that does not parse or names a site the topology lacks,
-// half a -scale-* pair, a shape of more than 10,000 sites or one with too
-// few regions for the query to combine, more than 2^53 events from one
-// source) exits 2 naming the flag, before anything runs; a run failure or
-// a chaos violation exits 1.
+// fault script that does not parse, names a site the topology lacks or
+// heals a fault sooner than one tick after it strikes, half a -scale-*
+// pair, a shape of more than 10,000 sites or one with too few regions for
+// the query to combine, more than 2^53 events from one source or less
+// than one) exits 2 naming the flag, before anything runs; a run failure
+// or a chaos violation exits 1.
 //
 // -fault injects failures from a semicolon-separated script (see the
 // faults package for the DSL): site crash+restart (crash), link blackout
@@ -227,12 +228,26 @@ func run(opt options) error {
 	}
 	// Past 2^53 a float64 count no longer moves by one event, so no
 	// source may generate more than that in the run.
-	if events := opt.rate * slices.Max(wFactors) * opt.duration.Seconds(); events > 1<<53 {
+	// Under one event, a factor is positive and still no source generates
+	// anything, and the run would report every event it never had
+	// processed.
+	events := opt.rate * slices.Max(wFactors) * opt.duration.Seconds()
+	if events > 1<<53 {
 		return badValue{fmt.Errorf("-rate × -workload × -duration: up to %.3g events per source, over the 2^53 a float64 counts exactly", events)}
+	}
+	if events < 1 {
+		return badValue{fmt.Errorf("-workload: %q at -rate %v for %v: at most %.3g events per source, so no source generates even one", opt.workload, opt.rate, opt.duration, events)}
 	}
 	fs, err := faults.Parse(opt.faults)
 	if err != nil {
 		return badValue{fmt.Errorf("-fault: %w", err)}
+	}
+	// A fault window shorter than one engine tick can strike and heal
+	// between two ticks, and the run would log a fault that never acted.
+	for _, f := range fs {
+		if f.For > 0 && f.For < engine.TickEvery {
+			return badValue{fmt.Errorf("-fault: %v heals after %v, shorter than one engine tick (%v)", f, f.For, engine.TickEvery)}
+		}
 	}
 	if (opt.scaleReg != 0 || opt.scaleEdges != 0) && (opt.scaleReg <= 0 || opt.scaleEdges <= 0) {
 		return badValue{fmt.Errorf("-scale-regions and -scale-edges must both be positive (got %d, %d)", opt.scaleReg, opt.scaleEdges)}

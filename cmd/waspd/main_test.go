@@ -282,7 +282,9 @@ func TestRejectsValuesThatAreNotRuns(t *testing.T) {
 		{"-bandwidth", "0,0"},
 		{"-workload", "0"},
 		{"-workload", "0,0"},
+		{"-workload", "1e-300"},
 		{"-fault", "crash@5m:site=3,for=2m,bogus=1"},
+		{"-fault", "crash@0s:site=3,for=1ns", "-duration", "1m"},
 		{"-fault", "crash@1m:site=99", "-duration", "2m"},
 		{"-scale-regions", "3"},
 		{"-scale-edges", "-1"},
@@ -313,6 +315,8 @@ func TestRefusalsSayWhy(t *testing.T) {
 		{[]string{"-fault", "crash@1m:site=99", "-duration", "2m"}, []string{"-fault", "site 99", "[0,16)"}},
 		{[]string{"-scale-regions", "1", "-scale-edges", "1", "-query", "ysb", "-duration", "1m"}, []string{"-scale-regions 1", "-scale-edges 1", "-query ysb"}},
 		{[]string{"-checkpoint-every", "249ms"}, []string{"-checkpoint-every", "249ms", "250ms"}},
+		{[]string{"-fault", "crash@0s:site=3,for=1ns", "-duration", "1m"}, []string{"-fault", "crash@0s:site=3,for=1ns", "1ns", "250ms"}},
+		{[]string{"-workload", "1e-300", "-duration", "1m"}, []string{"-workload", "1e-300", "1m0s"}},
 	} {
 		var stderr bytes.Buffer
 		if code := runMain(c.args, &stderr); code != 2 {

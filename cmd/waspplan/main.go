@@ -108,7 +108,7 @@ func run(query string, seed int64, top, maxVariants int, rate float64) error {
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", i+1),
-			c.Variant.Tree.String(),
+			c.Tree.String(),
 			experiment.Fmt(c.DelayVolume),
 			experiment.Fmt(c.WANBytesPerSec / 1e6),
 			experiment.Fmt(c.Cost),

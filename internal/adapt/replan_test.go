@@ -41,6 +41,33 @@ func combineQuery(t *testing.T) (*plan.Graph, *plan.CombineSpec) {
 	return g, spec
 }
 
+// worstCandidate ranks the combine query's schedulable variants on top
+// and returns the worst, built through a round that admits only its tree:
+// only a round's best carries its variant and plan.
+func worstCandidate(t *testing.T, g *plan.Graph, spec *plan.CombineSpec, top *topology.Topology) *physical.Candidate {
+	t.Helper()
+	cfg := physical.PlannerConfig{
+		ScheduleConfig: physical.ScheduleConfig{Alpha: 0.8, DefaultParallelism: 1},
+	}
+	s, err := physical.NewSession(g, spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, all, err := s.Rank(top, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) < 2 {
+		t.Fatal("need at least two candidates")
+	}
+	tree := all[len(all)-1].Tree
+	worst, _, err := s.Rank(top, cfg, func(t *plan.Tree) bool { return t == tree })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return worst
+}
+
 // replanBed deploys the WORST schedulable candidate of the combine query
 // so that a re-plan has a strictly better variant available.
 func replanBed(t *testing.T, policy Policy) (*testbed, *ReplanSpec, *physical.Candidate) {
@@ -49,18 +76,7 @@ func replanBed(t *testing.T, policy Policy) (*testbed, *ReplanSpec, *physical.Ca
 	net := netsim.New(top)
 	sched := vclock.NewScheduler(nil)
 	g, spec := combineQuery(t)
-
-	cfg := physical.PlannerConfig{
-		ScheduleConfig: physical.ScheduleConfig{Alpha: 0.8, DefaultParallelism: 1},
-	}
-	best, all, err := physical.RankQuery(g, spec, top, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) < 2 {
-		t.Fatal("need at least two candidates")
-	}
-	worst := all[len(all)-1]
+	worst := worstCandidate(t, g, spec, top)
 
 	eng := engine.New(engine.Config{}, top, net, sched)
 	if err := eng.Deploy(worst.Plan); err != nil {
@@ -71,8 +87,7 @@ func replanBed(t *testing.T, policy Policy) (*testbed, *ReplanSpec, *physical.Ca
 	ctl := NewController(Config{Policy: policy}, eng, top, net, sched, rs)
 	ctl.Start()
 	tb := &testbed{top: top, net: net, sched: sched, eng: eng, ctl: ctl}
-	_ = best
-	return tb, rs, &worst
+	return tb, rs, worst
 }
 
 func TestTryReplanSwitchesToBetterVariant(t *testing.T) {
@@ -238,13 +253,7 @@ func TestLongTermBackgroundReplan(t *testing.T) {
 	net := netsim.New(top)
 	sched := vclock.NewScheduler(nil)
 	g, spec := combineQuery(t)
-	_, all, err := physical.RankQuery(g, spec, top, physical.PlannerConfig{
-		ScheduleConfig: physical.ScheduleConfig{Alpha: 0.8, DefaultParallelism: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := all[len(all)-1]
+	worst := worstCandidate(t, g, spec, top)
 	eng := engine.New(engine.Config{}, top, net, sched)
 	if err := eng.Deploy(worst.Plan); err != nil {
 		t.Fatal(err)

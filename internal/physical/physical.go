@@ -4,10 +4,10 @@
 // WAN-aware initial scheduler (one stage at a time in topological order,
 // §4.1) and the joint logical/physical planner used by query re-planning
 // (§4.3). The planner's Session schedules each combine order straight
-// from its tree and builds a variant's graph and plan only once a round
-// completes it; Schedule, PlaceTasks, EstimateCost and the session place
-// and price stages through one implementation over a graph view and a
-// sites table.
+// from its tree, keeps each candidate as its tree and its costs, and
+// builds a variant's graph and plan only for a round's winner; Schedule,
+// PlaceTasks, EstimateCost and the session place and price stages through
+// one implementation over a graph view and a sites table.
 package physical
 
 import (
@@ -51,49 +51,25 @@ type Plan struct {
 	Stages []*Stage
 }
 
-// FromLogical creates an unplaced physical plan: one stage per logical
-// operator, all with empty placements. Use Schedule to place tasks. It is
-// stagePlans' one-graph case.
+// FromLogical validates g and lays out an unplaced physical plan over it:
+// one stage per logical operator, each with room for the one task
+// Schedule gives a stage by default. Use Schedule to place tasks. The
+// stages are one block and their site lists another, and a site list that
+// outgrows its room reallocates instead of writing into its neighbour's.
 func FromLogical(g *plan.Graph) (*Plan, error) {
-	ps, _, err := stagePlans([]*plan.Graph{g})
-	if err != nil {
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return &ps[0], nil
-}
-
-// stagePlans validates each of graphs and lays out an unplaced plan for
-// each: one stage per operator, with room for the one
-// task Schedule gives a stage by default. The plans, their stage tables,
-// their stages and their site lists are one block each, and a site list
-// that outgrows its room reallocates instead of writing into its
-// neighbour's. On an invalid graph it returns that graph's index and
-// Validate's error.
-func stagePlans(graphs []*plan.Graph) (ps []Plan, bad int, err error) {
-	n := 0
-	for i, g := range graphs {
-		if err := g.Validate(); err != nil {
-			return nil, i, err
-		}
-		n += g.Len()
+	p := &Plan{Graph: g, Stages: make([]*Stage, g.Len())}
+	stages := make([]Stage, g.Len())
+	sites := make([]topology.SiteID, g.Len())
+	for id := range p.Stages {
+		st := &stages[id]
+		st.Op = g.Operator(plan.OpID(id))
+		st.Sites = sites[id : id : id+1]
+		p.Stages[id] = st
 	}
-	ps = make([]Plan, len(graphs))
-	table := make([]*Stage, n)
-	stages := make([]Stage, n)
-	sites := make([]topology.SiteID, n)
-	for i, g := range graphs {
-		p := &ps[i]
-		p.Graph = g
-		p.Stages, table = table[:g.Len():g.Len()], table[g.Len():]
-		for id := range p.Stages {
-			st := &stages[id]
-			st.Op = g.Operator(plan.OpID(id))
-			st.Sites = sites[id : id : id+1]
-			p.Stages[id] = st
-		}
-		stages, sites = stages[g.Len():], sites[g.Len():]
-	}
-	return ps, 0, nil
+	return p, nil
 }
 
 // clonePlan lays out a copy of from's stages over g, a clone of its

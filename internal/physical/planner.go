@@ -37,8 +37,11 @@ const DefaultMaxVariants = 105
 // behaviour).
 const wanWeight = 10e-9
 
-// Candidate is one evaluated (logical variant, placement) pair.
+// Candidate is one evaluated combine order: its tree and its costs. A
+// round's best candidate, which is also the first it lists, carries its
+// variant and placed plan too; every other candidate's are nil.
 type Candidate struct {
+	Tree    *plan.Tree
 	Variant *plan.Variant
 	Plan    *Plan
 	// DelayVolume is Σ over cross-site flows of bytes/s × latency — the
@@ -77,13 +80,13 @@ func RankQuery(base *plan.Graph, spec *plan.CombineSpec, top *topology.Topology,
 
 // Session holds one query's plan search space between planning rounds:
 // the enumerated combine trees, and the variant and plan of each tree that
-// a round has completed. A round schedules each variant straight from its
+// a round has chosen. A round schedules each variant straight from its
 // tree, through a view of the base graph with the tree's combine edges
-// written in (variantView), into a sites table the session owns. A
-// variant's plan.Variant and Plan are built only the first time it
-// completes, and then kept: a pruning round completes only a few of its
-// variants, so expanding every variant up front was most of a cold
-// request.
+// written in (variantView), into a sites table the session owns, and
+// keeps only its costs and, for the best so far, its suffix's sites. A
+// variant's plan.Variant and Plan are built only the first time a round
+// chooses it, and then kept: outside the session only the winner's are
+// read, and a warm round's winner is most often last round's.
 //
 // Every variant is the base graph plus combine nodes whose ids follow
 // every base id, and the topological order takes the smallest ready id, so
@@ -100,18 +103,16 @@ func RankQuery(base *plan.Graph, spec *plan.CombineSpec, top *topology.Topology,
 // a variant once the in-edges of its placed stages cost more than the
 // best candidate so far (see bound).
 //
-// A candidate's Variant and Plan are the session's, the same pointers in
-// every round that lists the variant, and each such round overwrites the
-// plan's stage placements in place. A caller that adopts a candidate's
-// Plan beyond the current round (e.g. deploying it to the engine) must
-// Clone it first, or a later round will mutate the adopted plan under the
-// engine's feet.
+// The best candidate's Variant and Plan are the session's, the same
+// pointers in every round that chooses the variant, and each such round
+// overwrites the plan's stage placements in place. A caller that adopts
+// the Plan beyond the current round (e.g. deploying it to the engine)
+// must Clone it first, or a later round will mutate the adopted plan
+// under the engine's feet.
 type Session struct {
-	// built holds each tree's variant and plan once a round has completed
-	// it, and nils before. spare is the first tree's, built by NewSession
-	// to validate it, until a round completes that tree.
+	// built holds each tree's variant and plan once a round has chosen it,
+	// and nils before; NewSession builds the first tree's to validate it.
 	built []variantPlan
-	spare variantPlan
 	// order is every variant's topological order, and its first prefix
 	// stages are the ones no combine node feeds.
 	order  []plan.OpID
@@ -129,10 +130,9 @@ type Session struct {
 	steps     []step
 	stepSites []topology.SiteID
 	firstRoot int32 // the first step with no parent, -1 before any
-	// done holds the suffix sites of the variants the round completed, in
-	// completion order, and fresh the indices of those not yet built.
-	done  []topology.SiteID
-	fresh []int
+	// done holds the suffix sites of the best variant the round has
+	// completed so far.
+	done []topology.SiteID
 	// hint is the index of the last round's winner, the variant a round
 	// evaluates first.
 	hint  int
@@ -154,8 +154,7 @@ type variantPlan struct {
 // variant: staging validates it, which validates them all, as a variant's
 // structure differs from another's only in how its combine nodes are
 // wired among themselves, and its topological order is every variant's.
-// It keeps that variant and plan for the round that completes the first
-// tree.
+// It keeps that variant and plan for a round that chooses the first tree.
 //
 // The session reads base and spec in every round, to schedule variants and
 // to build them: neither may change while the session is in use.
@@ -171,29 +170,27 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 	if err != nil {
 		return nil, err
 	}
-	plans, _, err := stagePlans([]*plan.Graph{first.Graph})
+	p, err := FromLogical(first.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("variant %v: %w", trees[0], err)
 	}
-	order, _ := first.Graph.TopoOrder() // stagePlans validated it
+	order, _ := first.Graph.TopoOrder() // FromLogical validated it
 	n := len(order)
 	s := &Session{
 		built: make([]variantPlan, len(trees)),
-		spare: variantPlan{variant: first, plan: &plans[0]},
 		order: order,
 		// The first stage a combine node feeds is a combine node.
 		prefix: slices.IndexFunc(order, func(id plan.OpID) bool { return first.CombineNodes[id] != 0 }),
 		view:   newVariantView(base, spec, trees),
 		sites:  make([][]topology.SiteID, n),
-		fresh:  make([]int, 0, len(trees)),
 		cands:  make([]Candidate, 0, len(trees)),
 	}
+	s.built[0] = variantPlan{variant: first, plan: p}
 	// One block holds each stage's room for the one task it runs by
-	// default, then room for the suffix sites of every variant and for
-	// the sites of every combine stage of every variant, the most a
-	// round completes and places.
+	// default, then room for one variant's suffix sites and for the sites
+	// of every combine stage of every variant, the most a round places.
 	nodes := len(spec.Inputs) - 1
-	done := n + (n-s.prefix)*len(trees)
+	done := 2*n - s.prefix
 	block := make([]topology.SiteID, done+nodes*len(trees))
 	for id := range s.sites {
 		s.sites[id] = block[id : id : id+1]
@@ -211,12 +208,13 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 // topology/bandwidth, estimate its cost, and rank. It returns the best
 // candidate and the candidates this round completed, ranked by (Cost,
 // variant index): a variant that cannot beat the best one is stopped
-// part-way and not listed, so only the best is the same as Rank's. The
-// returned candidates are owned by the session and valid until the next
-// round, and their Plans hold this round's placements until a round lists
-// them again; Clone any plan that outlives the round. A variant that no
-// placement fits is passed over without building an error. admit, when
-// not nil, says which trees' variants may be considered.
+// part-way and not listed, so only the best is the same as Rank's. Only
+// the best, which is also the first listed, carries its Variant and Plan.
+// The returned candidates are owned by the session and valid until the
+// next round, and the best's Plan holds this round's placement until a
+// round chooses it again; Clone a plan that outlives the round. A variant
+// that no placement fits is passed over without building an error. admit,
+// when not nil, says which trees' variants may be considered.
 func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Tree) bool) (*Candidate, []Candidate, error) {
 	return s.round(top, cfg, admit, true)
 }
@@ -244,12 +242,11 @@ func (s *Session) round(top *topology.Topology, cfg PlannerConfig, admit func(*p
 	tail := suffix[len(v.downs):] // Output and its descendants
 	candidates := s.cands[:0]
 	s.steps, s.stepSites, s.firstRoot = s.steps[:0], s.stepSites[:0], -1
-	s.done, s.fresh = s.done[:0], s.fresh[:0]
 	placedPrefix := false
 	// pre holds the prefix's in-edges, and cut one variant's running cost
 	// from there.
 	pre, cut := bound{limit: math.Inf(1)}, bound{}
-	best := math.Inf(1)
+	best := Candidate{Cost: math.Inf(1), index: math.MaxInt} // any candidate ranks first
 	// Last round's winner first, then every other variant in index order.
 	for k := -1; k < len(s.view.trees); k++ {
 		i := k
@@ -272,7 +269,7 @@ func (s *Session) round(top *topology.Topology, cfg PlannerConfig, admit func(*p
 			placedPrefix = true
 		}
 		if cut = pre; prune {
-			cut.limit = best * (1 + boundMargin)
+			cut.limit = best.Cost * (1 + boundMargin)
 		}
 		at, n, ok := s.resume(i, &cut, ws.avail)
 		if !ok {
@@ -295,35 +292,41 @@ func (s *Session) round(top *topology.Topology, cfg PlannerConfig, admit func(*p
 			continue
 		}
 		delayVol, wan := estimateCost(v, s.sites, top, s.rates.Bytes, ws)
-		for _, id := range suffix {
-			s.done = append(s.done, s.sites[id]...)
-		}
-		if s.built[i].plan == nil {
-			s.fresh = append(s.fresh, i)
-		}
 		c := Candidate{
+			Tree:           v.trees[i],
 			DelayVolume:    delayVol,
 			WANBytesPerSec: wan,
 			Cost:           delayVol + wanWeight*wan,
 			index:          i,
 		}
-		best = min(best, c.Cost)
 		candidates = append(candidates, c)
+		if rank(c, best) < 0 {
+			best = c
+			s.done = s.done[:0]
+			for _, id := range suffix {
+				s.done = append(s.done, s.sites[id]...)
+			}
+		}
 	}
 	s.cands = candidates
 	if len(candidates) == 0 {
 		return nil, nil, ErrNoCandidate
 	}
-	if err := s.build(s.fresh); err != nil {
+	b, err := s.build(best.index)
+	if err != nil {
 		return nil, nil, err
 	}
-	s.adopt(candidates, sc)
-	slices.SortFunc(candidates, func(a, b Candidate) int {
-		return cmp.Or(cmp.Compare(a.Cost, b.Cost), cmp.Compare(a.index, b.index))
-	})
-	s.hint = candidates[0].index
+	s.adopt(b.plan, sc)
+	slices.SortFunc(candidates, rank)
+	candidates[0].Variant, candidates[0].Plan = b.variant, b.plan
+	s.hint = best.index
 	winner := candidates[0]
 	return &winner, candidates, nil
+}
+
+// rank orders candidates by Cost, then by variant index.
+func rank(a, b Candidate) int {
+	return cmp.Or(cmp.Compare(a.Cost, b.Cost), cmp.Compare(a.index, b.index))
 }
 
 // placePrefix computes every base operator's rates, reserves the pinned
@@ -474,63 +477,37 @@ func (s *Session) suffixRates(rateFactor float64) {
 	}
 }
 
-// build expands and stages the variants at the given indices that are not
-// built yet as one batch (plan.CombineSpec.ExpandAll and stagePlans), and
-// keeps them; the first tree's is the spare.
-func (s *Session) build(indices []int) error {
-	trees := make([]*plan.Tree, 0, len(indices))
-	for _, i := range indices {
-		switch {
-		case s.built[i].plan != nil:
-		case i == 0 && s.spare.plan != nil:
-			s.built[0], s.spare = s.spare, variantPlan{}
-		default:
-			trees = append(trees, s.view.trees[i])
+// build returns tree i's variant and plan, expanding and staging them the
+// first time a round chooses the tree, and keeps them.
+func (s *Session) build(i int) (variantPlan, error) {
+	if s.built[i].plan == nil {
+		tree := s.view.trees[i]
+		v, err := s.view.spec.Expand(s.view.base, tree)
+		if err != nil {
+			return variantPlan{}, err
 		}
-	}
-	if len(trees) == 0 {
-		return nil
-	}
-	variants, err := s.view.spec.ExpandAll(s.view.base, trees)
-	if err != nil {
-		return err
-	}
-	graphs := make([]*plan.Graph, len(variants))
-	for j := range variants {
-		graphs[j] = variants[j].Graph
-	}
-	plans, bad, err := stagePlans(graphs)
-	if err != nil {
-		return fmt.Errorf("variant %v: %w", trees[bad], err)
-	}
-	for _, i := range indices {
-		if s.built[i].plan == nil {
-			s.built[i] = variantPlan{variant: &variants[0], plan: &plans[0]}
-			variants, plans = variants[1:], plans[1:]
+		p, err := FromLogical(v.Graph)
+		if err != nil {
+			return variantPlan{}, fmt.Errorf("variant %v: %w", tree, err)
 		}
+		s.built[i] = variantPlan{variant: v, plan: p}
 	}
-	return nil
+	return s.built[i], nil
 }
 
-// adopt gives each of the round's candidates, in completion order, its
-// variant and plan, and writes its placement into the plan: the shared
-// prefix's sites, and its own suffix's from s.done, where each suffix
-// stage holds one site per task.
-func (s *Session) adopt(candidates []Candidate, sc ScheduleConfig) {
+// adopt writes the round's placement of its best variant into that
+// variant's plan p: the shared prefix's sites, and its own suffix's from
+// s.done, where each suffix stage holds one site per task.
+func (s *Session) adopt(p *Plan, sc ScheduleConfig) {
+	for _, id := range s.order[:s.prefix] {
+		st := p.Stages[id]
+		st.Sites = append(st.Sites[:0], s.sites[id]...)
+	}
 	done := s.done
-	for j := range candidates {
-		c := &candidates[j]
-		b := s.built[c.index]
-		c.Variant, c.Plan = b.variant, b.plan
-		for _, id := range s.order[:s.prefix] {
-			st := b.plan.Stages[id]
-			st.Sites = append(st.Sites[:0], s.sites[id]...)
-		}
-		for _, id := range s.order[s.prefix:] {
-			st := b.plan.Stages[id]
-			n := sc.parallelismFor(st.Op)
-			st.Sites, done = append(st.Sites[:0], done[:n]...), done[n:]
-		}
+	for _, id := range s.order[s.prefix:] {
+		st := p.Stages[id]
+		n := sc.parallelismFor(st.Op)
+		st.Sites, done = append(st.Sites[:0], done[:n]...), done[n:]
 	}
 }
 

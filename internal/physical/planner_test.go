@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -148,15 +149,24 @@ func TestPlanQueryAvoidsConstrainedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, all, err := RankQuery(g, spec, constrained, PlannerConfig{})
+	s, err := NewSession(g, spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, all, err := s.Rank(constrained, PlannerConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The joint planner compensates for the constrained link: in every
-	// schedulable candidate, the combine consuming C's raw stream runs
-	// at site 2, so only the reduced (post-combine) stream crosses C's
-	// constrained outbound links.
-	for _, c := range all {
+	// schedulable candidate, each built through a round that admits only
+	// its tree, the combine consuming C's raw stream runs at site 2, so
+	// only the reduced (post-combine) stream crosses C's constrained
+	// outbound links.
+	for _, c := range slices.Clone(all) {
+		c, err := only(s, c.index, constrained, PlannerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		joinWithC := findCombineConsuming(c.Variant, 2)
 		st := c.Plan.Stages[joinWithC]
 		for _, site := range st.Sites {
@@ -212,7 +222,7 @@ func TestReplanQueryAdmissibility(t *testing.T) {
 	// our canonical enumeration... both child orders count once) — the
 	// enumeration yields exactly the trees containing both sub-plans.
 	for _, c := range all {
-		if !c.Variant.Tree.AdmissibleFrom(current) {
+		if !c.Tree.AdmissibleFrom(current) {
 			t.Fatal("inadmissible candidate returned")
 		}
 	}
@@ -268,28 +278,49 @@ func TestEstimateCostCountsOnlyCrossSite(t *testing.T) {
 // TestPlanCandidatesMatchEstimateCost: a session round prices each
 // variant from the rates Schedule left in the workspace; the result must
 // be what EstimateCost computes from scratch at the same rate factor, for
-// every candidate PlanQuery lists and every one RankQuery does.
+// the best candidate PlanQuery and RankQuery return, and for every
+// candidate RankQuery lists, each built through a round that admits only
+// its tree.
 func TestPlanCandidatesMatchEstimateCost(t *testing.T) {
 	top := fig5Topology(t)
 	g, spec := fig5Query(t)
 	for _, rateFactor := range []float64{0, 0.5, 1.7} {
 		cfg := PlannerConfig{ScheduleConfig: ScheduleConfig{RateFactor: rateFactor}}
-		_, pruned, err := PlanQuery(g, spec, top, cfg)
+		planned, _, err := PlanQuery(g, spec, top, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ranked, err := RankQuery(g, spec, top, cfg)
+		ranked, _, err := RankQuery(g, spec, top, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range append(pruned, ranked...) {
+		s, err := NewSession(g, spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, all, err := s.Rank(top, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := []*Candidate{planned, ranked}
+		for _, c := range slices.Clone(all) {
+			alone, err := only(s, c.index, top, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alone.Cost != c.Cost || alone.DelayVolume != c.DelayVolume || alone.WANBytesPerSec != c.WANBytesPerSec {
+				t.Fatalf("rate ×%v, %v: costs %v alone, %v in the round", rateFactor, c.Tree, *alone, c)
+			}
+			checked = append(checked, alone)
+		}
+		for _, c := range checked {
 			delayVol, wan, err := EstimateCost(c.Plan, top, rateFactor)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if c.DelayVolume != delayVol || c.WANBytesPerSec != wan {
 				t.Fatalf("rate ×%v, %v: planned (%v, %v), EstimateCost (%v, %v)",
-					rateFactor, c.Variant.Tree, c.DelayVolume, c.WANBytesPerSec, delayVol, wan)
+					rateFactor, c.Tree, c.DelayVolume, c.WANBytesPerSec, delayVol, wan)
 			}
 		}
 	}

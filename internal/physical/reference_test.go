@@ -118,6 +118,7 @@ func refPlan(q *queries.Query, trees []*plan.Tree, top *topology.Topology, cfg P
 		}
 		delayVol, wan := estimateCost(p.Graph, sc.Workspace.sitesOf(p), top, sc.Workspace.rates.Bytes, sc.Workspace)
 		candidates = append(candidates, Candidate{
+			Tree:           tree,
 			Variant:        v,
 			Plan:           p,
 			DelayVolume:    delayVol,
@@ -133,8 +134,9 @@ func refPlan(q *queries.Query, trees []*plan.Tree, top *topology.Topology, cfg P
 	return candidates, round, nil
 }
 
-// sameCandidates reports how one round's ranked candidates differ from
-// want's: in order, each as sameCandidate judges it.
+// sameCandidates reports how one session round's ranked candidates
+// differ from want's: in order, each as sameCandidate judges it, and only
+// the first carrying a variant and a plan.
 func sameCandidates(got []Candidate, gotErr error, want []Candidate, wantErr error, scale float64) error {
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
@@ -150,22 +152,38 @@ func sameCandidates(got []Candidate, gotErr error, want []Candidate, wantErr err
 			return fmt.Errorf("rank %d: %w", i, err)
 		}
 	}
+	return onlyBestBuilt(got)
+}
+
+// onlyBestBuilt reports a session round's candidates of which any but the
+// first carries a variant or a plan, or the first does not carry both.
+func onlyBestBuilt(got []Candidate) error {
+	for i, c := range got {
+		if built := c.Variant != nil && c.Plan != nil; built != (i == 0) || (c.Variant == nil) != (c.Plan == nil) {
+			return fmt.Errorf("rank %d, %v: variant %p, plan %p; only the best carries them", i, c.Tree, c.Variant, c.Plan)
+		}
+	}
 	return nil
 }
 
-// sameCandidate reports how g differs from w: in variant, tree, every
-// stage's sites, and the bits of every cost scaled by scale (1 when the
-// two rounds saw the same inputs).
+// sameCandidate reports how g differs from w: in variant index, tree, the
+// bits of every cost scaled by scale (1 when the two rounds saw the same
+// inputs), and, when both carry a plan, every stage's sites.
 func sameCandidate(g, w *Candidate, scale float64) error {
 	if g.index != w.index {
 		return fmt.Errorf("variant %d, want %d", g.index, w.index)
 	}
-	if gt, wt := g.Variant.Tree.String(), w.Variant.Tree.String(); gt != wt {
+	if gt, wt := g.Tree.String(), w.Tree.String(); gt != wt {
 		return fmt.Errorf("tree %s, want %s", gt, wt)
 	}
-	for id := range w.Plan.Graph.Len() {
-		if gs, ws := g.Plan.Stages[id].Sites, w.Plan.Stages[id].Sites; !slices.Equal(gs, ws) {
-			return fmt.Errorf("%s: stage %d at %v, want %v", w.Variant.Tree, id, gs, ws)
+	if g.Variant != nil && g.Variant.Tree != g.Tree {
+		return fmt.Errorf("%s: variant of tree %s", g.Tree, g.Variant.Tree)
+	}
+	if g.Plan != nil && w.Plan != nil {
+		for id := range w.Plan.Graph.Len() {
+			if gs, ws := g.Plan.Stages[id].Sites, w.Plan.Stages[id].Sites; !slices.Equal(gs, ws) {
+				return fmt.Errorf("%s: stage %d at %v, want %v", w.Tree, id, gs, ws)
+			}
 		}
 	}
 	for _, f := range [...]struct {
@@ -177,7 +195,7 @@ func sameCandidate(g, w *Candidate, scale float64) error {
 		{"WANBytesPerSec", g.WANBytesPerSec, w.WANBytesPerSec},
 	} {
 		if math.Float64bits(f.g) != math.Float64bits(f.w*scale) {
-			return fmt.Errorf("%s: %s %v, want %v", w.Variant.Tree, f.name, f.g, f.w*scale)
+			return fmt.Errorf("%s: %s %v, want %v", w.Tree, f.name, f.g, f.w*scale)
 		}
 	}
 	return nil
@@ -208,21 +226,33 @@ func prunedCandidates(best *Candidate, got []Candidate, gotErr error, want []Can
 			return fmt.Errorf("rank %d: %w", i, err)
 		}
 	}
-	return nil
+	return onlyBestBuilt(got)
 }
 
 // planPair holds a session over a query, planned by Session.Plan and then
 // by Session.Rank, and the query itself, planned by refPlan over the
 // session's trees. The session lives across rounds, so that what a round
 // leaves behind in it — the winner it evaluates first next round, the
-// variants it has built — is under test too.
+// variants it has built — is under test too. A second session, one, builds
+// the candidates the first lists without a plan, each through a round
+// that admits only its tree: a variant's placement does not depend on
+// which other trees a round admits.
 type planPair struct {
-	s *Session
-	q *queries.Query
+	s, one *Session
+	q      *queries.Query
 }
 
 func newPlanPair(tb testing.TB, q *queries.Query, maxVariants int) planPair {
-	return planPair{mustSession(tb, q, maxVariants), q}
+	return planPair{mustSession(tb, q, maxVariants), mustSession(tb, q, maxVariants), q}
+}
+
+// only plans variant i of s through a round that admits only its tree,
+// and returns the round's one candidate, which carries its variant and
+// plan.
+func only(s *Session, i int, top *topology.Topology, cfg PlannerConfig) (*Candidate, error) {
+	tree := s.view.trees[i]
+	best, _, err := s.Rank(top, cfg, func(t *plan.Tree) bool { return t == tree })
+	return best, err
 }
 
 func mustSession(tb testing.TB, q *queries.Query, maxVariants int) *Session {
@@ -238,9 +268,11 @@ func mustSession(tb testing.TB, q *queries.Query, maxVariants int) *Session {
 // over from variant admitFrom of the session when admitFrom >= 0, and
 // reports how they differ: Plan's best must be the reference's first
 // candidate and each candidate it lists the reference's for the same
-// variant, and Rank's list must be the reference's. It also returns how
-// many candidates Plan listed.
-func (pp planPair) round(top *topology.Topology, cfg PlannerConfig, admitFrom int) (refRound, int, error) {
+// variant, and Rank's list must be the reference's. Each of Rank's
+// candidates that build picks is then built alone by pp.one and held to
+// the reference's, its placement included. It also returns how many
+// candidates Plan listed.
+func (pp planPair) round(top *topology.Topology, cfg PlannerConfig, admitFrom int, build func(ranked int) []int) (refRound, int, error) {
 	var admit func(*plan.Tree) bool
 	if admitFrom >= 0 {
 		cur, err := pp.q.Spec.Expand(pp.q.Graph, pp.s.view.trees[admitFrom%len(pp.s.view.trees)])
@@ -259,10 +291,31 @@ func (pp planPair) round(top *topology.Topology, cfg PlannerConfig, admitFrom in
 	if err := sameCandidates(got, gotErr, want, wantErr, 1); err != nil {
 		return r, listed, fmt.Errorf("Rank: %w", err)
 	}
-	if gotErr == nil && best.Plan != got[0].Plan {
+	if gotErr != nil {
+		return r, listed, nil
+	}
+	if best.Plan != got[0].Plan {
 		return r, listed, errors.New("Rank: best is not the first candidate")
 	}
+	for _, i := range build(len(got)) {
+		alone, err := only(pp.one, got[i].index, top, cfg)
+		if err != nil {
+			return r, listed, fmt.Errorf("rank %d built alone: %w", i, err)
+		}
+		if err := sameCandidate(alone, &want[i], 1); err != nil {
+			return r, listed, fmt.Errorf("rank %d built alone: %w", i, err)
+		}
+	}
 	return r, listed, nil
+}
+
+// everyRank builds every candidate a round ranks.
+func everyRank(ranked int) []int {
+	all := make([]int, ranked)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // perturbed is base bandwidth with every directed link scaled by its own
@@ -320,9 +373,11 @@ func planetQuery(top *topology.Topology, qi int) *queries.Query {
 // TestSessionPlanMatchesReference: a round that places the shared prefix
 // once, evaluates last round's winner first and, in Plan, stops the
 // variants that cannot win, must name the same best, and Rank must rank
-// the same candidates, place every stage on the same sites and price each
-// to the same bits as scheduling every variant from scratch. Every
-// candidate Plan lists must be the reference's for its variant. The sweep
+// the same candidates and price each to the same bits as scheduling every
+// variant from scratch. Every candidate Plan lists must be the
+// reference's for its variant. Only the best carries a plan; every ranked
+// candidate, built alone by a round that admits only its tree, must place
+// every stage on the reference's sites. The sweep
 // covers the three queries on 16-site testbeds and a
 // 1000-site planet, per-link bandwidth ×0.2–2.4, with and without an
 // admissibility filter, every solver dispatch, and enough load that some
@@ -334,7 +389,7 @@ func TestSessionPlanMatchesReference(t *testing.T) {
 	ranked := map[string]int{} // rounds with a candidate, per topology kind
 	check := func(kind, name string, pp planPair, top *topology.Topology, cfg PlannerConfig, admitFrom int) {
 		t.Helper()
-		r, listed, err := pp.round(top, cfg, admitFrom)
+		r, listed, err := pp.round(top, cfg, admitFrom, everyRank)
 		if err != nil {
 			t.Fatalf("%s %s: %v", kind, name, err)
 		}
@@ -420,11 +475,12 @@ func TestVariantsShareTheBasePrefix(t *testing.T) {
 				q := testbedQuery(qi, n)
 				s := mustSession(t, q, maxVariants)
 				name := fmt.Sprintf("q%d, %d sources, %d variants", qi, n, maxVariants)
-				if err := s.build(allIndices(s)); err != nil {
-					t.Fatal(err)
-				}
 				var first []plan.OpID
-				for _, e := range s.built {
+				for i := range s.view.trees {
+					e, err := s.build(i)
+					if err != nil {
+						t.Fatal(err)
+					}
 					g := e.variant.Graph
 					for id, set := range e.variant.CombineNodes {
 						if set != 0 && id < q.Graph.Len() {
@@ -553,9 +609,10 @@ func TestScheduleRejectsPinOutsideTopology(t *testing.T) {
 // FuzzSessionPlanMatchesReference is TestSessionPlanMatchesReference on
 // the fuzzer's bytes: the query, 2–8 sources, the variant cap, the rate
 // factor, parallelism, a bandwidth seed and range, an optional variant to
-// admit from, the testbed and the solver dispatch. Each input runs two
-// rounds on the same sessions, the second at twice the rate, so that the
-// second evaluates the first's winner first.
+// admit from, the testbed, the solver dispatch and which losing candidate
+// to build alone besides the best. Each input runs two rounds on the same
+// sessions, the second at twice the rate, so that the second evaluates
+// the first's winner first.
 func FuzzSessionPlanMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 6, 39, 48, 0, 1, 2, 3, 4, 5, 6, 7, 8, 40, 200, 18, 1})
 	f.Add([]byte{1, 6, 39, 100, 1, 9, 9, 9, 9, 9, 9, 9, 9, 0, 255, 0, 2})
@@ -584,6 +641,8 @@ func FuzzSessionPlanMatchesReference(f *testing.F) {
 		b := next()
 		top := topology.Generate(topology.DefaultGenConfig(int64(b % 8)))
 		hier := int(b>>3)%3 - 1
+		loser := int(next())
+		build := func(ranked int) []int { return []int{0, loser % ranked} }
 
 		pp := newPlanPair(t, testbedQuery(qi, n), maxVariants)
 		cfg := PlannerConfig{ScheduleConfig: ScheduleConfig{
@@ -593,7 +652,7 @@ func FuzzSessionPlanMatchesReference(f *testing.F) {
 			HierarchicalSites:  hier,
 		}}
 		for range 2 {
-			if _, _, err := pp.round(top, cfg, admitFrom); err != nil {
+			if _, _, err := pp.round(top, cfg, admitFrom, build); err != nil {
 				t.Fatal(err)
 			}
 			cfg.RateFactor *= 2

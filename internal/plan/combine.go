@@ -1,10 +1,8 @@
 package plan
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -223,129 +221,93 @@ type Variant struct {
 //
 // The variant is the graph that Clone, then AddOperator and Connect per
 // combine node in post-order, would build: the same ids, names, fields,
-// edge order and errors. It is ExpandAll's one-tree case.
+// edge order and errors. It is a fixed number of allocations up to 128
+// operators: the Graph and the Variant, one block each for its operators,
+// its operator-pointer table, its edge-list table, its edge lists, its
+// CombineNodes and its cached topological order, and one string for its
+// combine operators' names.
+// Each edge list has its final length as its capacity, so that a later
+// AddOperator or Connect reallocates it instead of writing into its
+// neighbour's.
 func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
-	trees := []*Tree{tree}
-	if _, err := spec.refuseAll(base, trees); err != nil {
+	if err := spec.refuse(base, tree); err != nil {
 		return nil, err
 	}
-	return &spec.expandAll(base, trees)[0], nil
-}
-
-// ExpandAll expands each tree as Expand would, as one batch: a planning
-// session expands ~10^2 variants cold. The batch copies the base
-// operators once and every variant points at that one copy, so an
-// operator must not change once it is in a graph (Clone gives a graph
-// operators of its own). Every other part of a variant — its
-// operator-pointer table, its edge lists, its combine operators, its
-// CombineNodes and its cached topological order — is carved from one
-// block per kind for the whole batch, each list with its final length as
-// its capacity, so that a later AddOperator or Connect on one variant
-// reallocates its list instead of writing into its neighbour's. Each
-// distinct combine LeafSet's name is built once, and the names are
-// substrings of one string.
-//
-// An error names the first tree Expand refuses and wraps Expand's error
-// for it.
-func (spec *CombineSpec) ExpandAll(base *Graph, trees []*Tree) ([]Variant, error) {
-	if err := spec.Check(base, trees); err != nil {
-		return nil, err
-	}
-	return spec.expandAll(base, trees), nil
-}
-
-// Check returns the error ExpandAll would return for trees, building
-// nothing and allocating only the error: a planning session checks every
-// tree once and expands only the ones it needs.
-func (spec *CombineSpec) Check(base *Graph, trees []*Tree) error {
-	if bad, err := spec.refuseAll(base, trees); err != nil {
-		return fmt.Errorf("expand %v: %w", trees[bad], err)
-	}
-	return nil
-}
-
-// refuseAll returns the index of the first tree Expand refuses and
-// Expand's own error for it.
-func (spec *CombineSpec) refuseAll(base *Graph, trees []*Tree) (bad int, err error) {
-	if len(trees) == 0 {
-		return 0, nil
-	}
-	k := len(spec.Inputs)
-	if k < 2 {
-		return 0, fmt.Errorf("plan: combine spec needs >= 2 inputs, got %d", k)
-	}
-	if k > 64 {
-		return 0, fmt.Errorf("plan: combine spec has %d inputs, more than a LeafSet holds", k)
-	}
-	x := expansion{spec: spec, base: base}
-	for i, tree := range trees {
-		if err := x.refuse(tree, OpID(base.Len())); err != nil {
-			return i, err
-		}
-	}
-	return 0, nil
-}
-
-// expandAll builds the variants of trees that refuseAll accepts, as a
-// fixed number of allocations whatever the batch's size.
-func (spec *CombineSpec) expandAll(base *Graph, trees []*Tree) []Variant {
-	if len(trees) == 0 {
-		return nil
-	}
-	k := len(spec.Inputs)
+	// n operators, and an edge pool of the base's edges plus the new ones:
+	// two into each of the k−1 nodes and one from the root to Output, each
+	// in a down list and in an up list.
 	first := OpID(base.Len())
-	x := expansion{spec: spec, base: base}
-
-	// Per variant: n operators, and an edge pool of the base's edges plus
-	// the new ones: two into each of the k−1 nodes and one from the root
-	// to Output, each in a down list and in an up list.
-	nodes := k - 1
+	nodes := len(spec.Inputs) - 1
 	n := int(first) + nodes
-	edges := base.edgeSlots() + 2*(2*nodes+1)
-	ops := make([]Operator, int(first)+len(trees)*nodes) // never grows: pointers into it stay valid
-	table := make([]*Operator, len(trees)*n)
-	adj := make([][]OpID, 2*len(trees)*n)
-	pool := make([]OpID, len(trees)*edges)
-	sets := make([]LeafSet, len(trees)*n)
-	order := make([]OpID, len(trees)*n)
-	graphs := make([]Graph, len(trees))
-	vs := make([]Variant, len(trees))
-
-	shared := table[:first] // the base part of every variant's table
+	ops := make([]Operator, n) // never grows: pointers into it stay valid
+	g := &Graph{ops: make([]*Operator, n)}
 	for id, op := range base.ops {
 		ops[id] = *op
-		shared[id] = &ops[id]
+		g.ops[id] = &ops[id]
 	}
+	adj := make([][]OpID, 2*n)
+	g.down, g.up = adj[:n:n], adj[n:]
+	v := &Variant{Graph: g, Tree: tree, CombineNodes: make([]LeafSet, n)}
+	x := expansion{spec: spec, base: base, next: first, v: v, block: ops[first:first]}
+	x.pool = x.carveBase(g, make([]OpID, base.edgeSlots()+2*(2*nodes+1)))
+	root := x.build(tree)
+	g.down[root] = append(g.down[root], spec.Output)
+	g.up[spec.Output] = append(g.up[spec.Output], root)
 	var small [128]int32
 	indeg := small[:]
 	if n > len(indeg) {
 		indeg = make([]int32, n)
 	}
-
-	combine := ops[first:]
-	for i, tree := range trees {
-		g := &graphs[i]
-		g.ops = table[i*n : (i+1)*n : (i+1)*n]
-		copy(g.ops, shared)
-		a := adj[2*i*n : 2*(i+1)*n : 2*(i+1)*n]
-		g.down, g.up = a[:n:n], a[n:]
-		v := &vs[i]
-		v.Graph, v.Tree, v.CombineNodes = g, tree, sets[i*n:(i+1)*n:(i+1)*n]
-		x.next, x.v = first, v
-		x.block = combine[i*nodes : i*nodes : (i+1)*nodes]
-		x.pool = x.carveBase(g, pool[i*edges:(i+1)*edges])
-		root := x.build(tree)
-		g.down[root] = append(g.down[root], spec.Output)
-		g.up[spec.Output] = append(g.up[spec.Output], root)
-		at := i * n
-		g.topoCache, g.topoErr = g.topoInto(order[at:at:at+n], indeg)
-		g.topoValid = true
-	}
-	spec.name(vs, first, combine)
-	return vs
+	g.topoCache, g.topoErr = g.topoInto(make([]OpID, 0, n), indeg)
+	g.topoValid = true
+	spec.name(ops[first:], v.CombineNodes[first:])
+	return v, nil
 }
 
-// expansion is one batch's state. Its walks visit a tree in build order —
+// Check returns the error Expand would return for the first of trees it
+// refuses, naming that tree, building nothing and allocating only the
+// error: a planning session checks every tree once and expands only the
+// ones it needs.
+func (spec *CombineSpec) Check(base *Graph, trees []*Tree) error {
+	for _, tree := range trees {
+		if err := spec.refuse(base, tree); err != nil {
+			return fmt.Errorf("expand %v: %w", tree, err)
+		}
+	}
+	return nil
+}
+
+// refuse returns the error Expand meets first on tree, or nil: a spec
+// whose inputs no LeafSet can cover, a tree that does not cover every
+// input, one check refuses, leaves that do not cover every input, or an
+// Output that is no base operator.
+func (spec *CombineSpec) refuse(base *Graph, tree *Tree) error {
+	k := len(spec.Inputs)
+	if k < 2 {
+		return fmt.Errorf("plan: combine spec needs >= 2 inputs, got %d", k)
+	}
+	if k > 64 {
+		return fmt.Errorf("plan: combine spec has %d inputs, more than a LeafSet holds", k)
+	}
+	full := LeafSet(1<<uint(k)) - 1
+	if tree.Set != full {
+		return fmt.Errorf("plan: tree covers %v, want all %d inputs", tree.Set, k)
+	}
+	x := expansion{spec: spec, base: base, next: OpID(base.Len())}
+	root, err := x.check(tree)
+	if err != nil {
+		return err
+	}
+	if x.leaves != full {
+		return fmt.Errorf("plan: tree's leaves cover %v, want all %d inputs", x.leaves, k)
+	}
+	if base.Operator(spec.Output) == nil {
+		return fmt.Errorf("plan: connect %d->%d: unknown operator", root, spec.Output)
+	}
+	return nil
+}
+
+// expansion is one tree's walk. It visits the tree in build order —
 // children before their node, left before right — so the combine nodes
 // take consecutive ids from next in post-order.
 type expansion struct {
@@ -357,30 +319,6 @@ type expansion struct {
 	v     *Variant
 	block []Operator // the variant's combine operators, empty with room for all
 	pool  []OpID     // the variant's edge pool still to carve
-}
-
-// refuse returns the error Expand meets first on tree, or nil: a tree
-// that does not cover every input, one check refuses, leaves that do not
-// cover every input, or an Output that is no base operator. combine nodes
-// are numbered from first.
-func (x *expansion) refuse(tree *Tree, first OpID) error {
-	k := len(x.spec.Inputs)
-	full := LeafSet(1<<uint(k)) - 1
-	if tree.Set != full {
-		return fmt.Errorf("plan: tree covers %v, want all %d inputs", tree.Set, k)
-	}
-	x.next, x.leaves = first, 0
-	root, err := x.check(tree)
-	if err != nil {
-		return err
-	}
-	if x.leaves != full {
-		return fmt.Errorf("plan: tree's leaves cover %v, want all %d inputs", x.leaves, k)
-	}
-	if x.base.Operator(x.spec.Output) == nil {
-		return fmt.Errorf("plan: connect %d->%d: unknown operator", root, x.spec.Output)
-	}
-	return nil
 }
 
 // check walks t as build will, assigning the same ids, and returns the
@@ -477,41 +415,23 @@ func (x *expansion) build(t *Tree) OpID {
 
 // name gives each combine operator its name, the bytes
 // fmt.Sprintf("%s%s", Template.Name, set) gives — they reach the action
-// log and the benchmark's digests. combine holds each variant's combine
-// operators in turn, ids from first up. Each distinct set's name is built
-// once, as a substring of one string.
-func (spec *CombineSpec) name(vs []Variant, first OpID, combine []Operator) {
-	type named struct {
-		set      LeafSet
-		from, to int // the name's bytes in the string
-	}
-	nodes := len(combine) / len(vs)
-	setOf := func(i int) LeafSet { return vs[i/nodes].CombineNodes[int(first)+i%nodes] }
-	distinct := make([]named, len(combine))
-	for i := range distinct {
-		distinct[i].set = setOf(i)
-	}
-	slices.SortFunc(distinct, func(a, b named) int { return cmp.Compare(a.set, b.set) })
-	distinct = slices.CompactFunc(distinct, func(a, b named) bool { return a.set == b.set })
+// log and the benchmark's digests. combine holds the variant's combine
+// operators, and sets their LeafSets, in id order. The names are
+// substrings of one string, written in one pass.
+func (spec *CombineSpec) name(combine []Operator, sets []LeafSet) {
 	prefix := spec.Template.Name
 	size := 0
-	for i := range distinct {
-		d := &distinct[i]
-		d.from = size
-		size += len(prefix) + d.set.textLen()
-		d.to = size
+	for _, set := range sets {
+		size += len(prefix) + set.textLen()
 	}
 	var b strings.Builder
-	b.Grow(size)
+	b.Grow(size)       // one allocation: every name is a substring of it
 	var text [256]byte // room for the longest set, 64 leaves in 183 bytes
-	for _, d := range distinct {
+	for i, set := range sets {
+		from := b.Len()
 		b.WriteString(prefix)
-		b.Write(d.set.appendTo(text[:0]))
-	}
-	names := b.String()
-	for i := range combine {
-		at, _ := slices.BinarySearchFunc(distinct, setOf(i), func(d named, set LeafSet) int { return cmp.Compare(d.set, set) })
-		combine[i].Name = names[distinct[at].from:distinct[at].to]
+		b.Write(set.appendTo(text[:0]))
+		combine[i].Name = b.String()[from:]
 	}
 }
 

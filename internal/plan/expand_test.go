@@ -198,3 +198,30 @@ func TestExpandOddSpecs(t *testing.T) {
 		checkExpand(t, c.name, &spec, q.Graph, c.tree)
 	}
 }
+
+var variantSink *plan.Variant
+
+// TestExpandAllocs pins one 8-input Expand at what it measures: 9
+// allocations whatever the variant's size — its operators, its
+// operator-pointer table, its edge-list table, its edge lists, its
+// CombineNodes, its topological order, its names, its Graph and its
+// Variant (10 when Expand was a batch of one; a Clone, then AddOperator
+// and Connect per combine node, builds the same variant in 67).
+func TestExpandAllocs(t *testing.T) {
+	sites := make([]topology.SiteID, 8)
+	for i := range sites {
+		sites[i] = topology.SiteID(i + 8)
+	}
+	q := queries.YSBCampaign(queries.Config{SourceSites: sites})
+	tree := plan.EnumerateTrees(len(sites), 1)[0]
+	got := testing.AllocsPerRun(20, func() {
+		v, err := q.Spec.Expand(q.Graph, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		variantSink = v
+	})
+	if ceiling := 9.0; got > ceiling {
+		t.Fatalf("Expand allocates %v times, ceiling %v", got, ceiling)
+	}
+}

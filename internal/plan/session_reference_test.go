@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/wasp-stream/wasp/internal/physical"
@@ -41,5 +42,57 @@ func TestSessionMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSessionLeavesItsInputsAlone: a planning session reads its base graph
+// and combine spec in every round, to schedule variants and to build
+// winners, and must change neither. Plan and Rank rounds over ysb8, at
+// several rates, with no admit, one admitting every tree and one
+// admitting the trees that can take over from a variant, leave the base
+// graph and the spec equal to copies taken before NewSession.
+func TestSessionLeavesItsInputsAlone(t *testing.T) {
+	sites := make([]topology.SiteID, 8)
+	for i := range sites {
+		sites[i] = topology.SiteID(i + 8)
+	}
+	q := queries.YSBCampaign(queries.Config{SourceSites: sites})
+	graphBefore, specBefore := stateOf(q.Graph), *q.Spec
+	specBefore.Inputs = slices.Clone(q.Spec.Inputs)
+	s, err := physical.NewSession(q.Graph, q.Spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := q.Spec.Expand(q.Graph, plan.EnumerateTrees(len(sites), 18)[17])
+	if err != nil {
+		t.Fatal(err)
+	}
+	admits := []func(*plan.Tree) bool{
+		nil,
+		func(*plan.Tree) bool { return true },
+		func(t *plan.Tree) bool { return t.AdmissibleFrom(cur) },
+	}
+	top := topology.Generate(topology.DefaultGenConfig(1))
+	winners := map[string]bool{}
+	for _, rateFactor := range []float64{0.3, 0.6, 1} {
+		cfg := physical.PlannerConfig{ScheduleConfig: physical.ScheduleConfig{RateFactor: rateFactor}}
+		for a, admit := range admits {
+			for _, round := range []func(*topology.Topology, physical.PlannerConfig, func(*plan.Tree) bool) (*physical.Candidate, []physical.Candidate, error){s.Plan, s.Rank} {
+				best, _, err := round(top, cfg, admit)
+				if err != nil {
+					t.Fatalf("rate ×%v, admit %d: %v", rateFactor, a, err)
+				}
+				winners[best.Tree.String()] = true
+			}
+		}
+	}
+	if len(winners) < 2 {
+		t.Fatalf("every round chose %v: the session built one winner", winners)
+	}
+	if diff := stateOf(q.Graph).diff(graphBefore); diff != nil {
+		t.Fatalf("after %d winners, the base graph changed: %v", len(winners), diff)
+	}
+	if !slices.Equal(q.Spec.Inputs, specBefore.Inputs) || q.Spec.Output != specBefore.Output || q.Spec.Template != specBefore.Template {
+		t.Fatalf("after %d winners, the spec is %+v, was %+v", len(winners), *q.Spec, specBefore)
 	}
 }
