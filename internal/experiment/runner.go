@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
@@ -154,6 +153,11 @@ type Result struct {
 	Final *chaos.RunStats
 }
 
+// deliveryHook, when non-nil, sees every batch of sink deliveries a Run
+// collects, with the run's name, before the batch becomes samples. Only
+// tests set it, to rebuild the samples from the same deliveries.
+var deliveryHook func(run string, ds []engine.SinkDelivery)
+
 // tickHook, when non-nil, runs after every engine tick of every Run with
 // the run's name and engine. Only tests set it, to check conservation at
 // every tick; when it is nil Run schedules nothing extra.
@@ -276,18 +280,22 @@ func Run(s Scenario) (*Result, error) {
 
 	res := &Result{Name: sc.Name, InitialTasks: best.Plan.TotalTasks()}
 	var lastGen, lastProcessed float64
+	// chunks holds the delay samples, one chunk per batch of deliveries,
+	// each made at its batch's length and never regrown; the run's end
+	// copies them into Samples once.
+	var chunks [][]WeightedDelay
 
 	collect := func(now vclock.Time) {
 		ds := eng.TakeDeliveries()
-		if len(res.Samples)+len(ds) > cap(res.Samples) {
-			// At least double, where append grows a long slice by a
-			// quarter: every regrowth copies all the samples so far.
-			res.Samples = slices.Grow(res.Samples, cap(res.Samples)+len(ds))
+		if deliveryHook != nil {
+			deliveryHook(sc.Name, ds)
 		}
-		for _, d := range ds {
-			res.Samples = append(res.Samples, WeightedDelay{
-				At: d.At, Delay: d.Delay.Seconds(), Weight: d.Count,
-			})
+		if len(ds) > 0 {
+			chunk := make([]WeightedDelay, len(ds))
+			for i, d := range ds {
+				chunk[i] = WeightedDelay{At: d.At, Delay: d.Delay.Seconds(), Weight: d.Count}
+			}
+			chunks = append(chunks, chunk)
 		}
 		gen, processed, _ := eng.Goodput()
 		dg, dp := gen-lastGen, processed-lastProcessed
@@ -324,6 +332,7 @@ func Run(s Scenario) (*Result, error) {
 	ctl.Stop()
 	eng.Stop()
 	collect(sched.Now())
+	res.Samples = concat(chunks)
 
 	res.Generated, res.Delivered, res.Dropped = eng.Totals()
 	_, processed, _ := eng.Goodput()
@@ -343,6 +352,23 @@ func Run(s Scenario) (*Result, error) {
 		res.Final.WrongActions = plane.WrongActions()
 	}
 	return res, nil
+}
+
+// concat returns the chunks' samples in order in one slice whose length
+// is its capacity, or nil when there are none.
+func concat(chunks [][]WeightedDelay) []WeightedDelay {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]WeightedDelay, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // finalState captures the end-of-run invariant state for chaos checking.
@@ -365,7 +391,7 @@ func finalState(eng *engine.Engine, net *netsim.Network, o *obs.Observer) *chaos
 
 // MeanDelayBetween averages the run's delay samples within [from, to).
 func (r *Result) MeanDelayBetween(from, to time.Duration) float64 {
-	return Mean(Window(r.Samples, vclock.Time(from), vclock.Time(to)))
+	return meanWithin(r.Samples, vclock.Time(from), vclock.Time(to))
 }
 
 // DelayPercentile returns the p-quantile of all delay samples.

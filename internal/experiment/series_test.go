@@ -38,8 +38,10 @@ func TestPercentile(t *testing.T) {
 
 // TestPercentileOrdersAsSortSlice holds Percentile's sort to the
 // sort.Slice it replaced, on tie-heavy delays with NaNs and weights whose
-// float sum depends on the order: both sorts are the same pdqsort driven
-// by the same strict less-than, so they must agree bit for bit.
+// float sum depends on the order, in sets from one sample to tens of
+// thousands: both sorts are the same pdqsort driven by the same strict
+// less-than, Percentile's over the samples' indices, so they must agree
+// bit for bit.
 func TestPercentileOrdersAsSortSlice(t *testing.T) {
 	ref := func(samples []WeightedDelay, p float64) float64 {
 		sorted := slices.Clone(samples)
@@ -58,7 +60,11 @@ func TestPercentileOrdersAsSortSlice(t *testing.T) {
 	delays := []float64{math.NaN(), 0, 1, 1, 2, 3, math.Inf(1), -1}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 3000; trial++ {
-		samples := make([]WeightedDelay, 1+rng.Intn(80))
+		n := 1 + rng.Intn(80)
+		if trial%500 == 0 {
+			n = 10000 + rng.Intn(20000)
+		}
+		samples := make([]WeightedDelay, n)
 		for i := range samples {
 			samples[i] = wd(0, delays[rng.Intn(len(delays))], rng.Float64()*math.Pow(10, float64(rng.Intn(12))))
 		}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -24,14 +25,13 @@ const (
 )
 
 // Val is an attribute value: string, float64, int64, bool, or duration.
-// The concrete representation avoids interface boxing so building
-// attributes does not allocate per value.
+// A number, integer, bool or duration is one 64-bit word beside the
+// string, so a Val is 32 bytes and a KV 48, and building attributes boxes
+// nothing.
 type Val struct {
-	kind valKind
 	str  string
-	num  float64
-	i    int64
-	b    bool
+	bits uint64 // by kind: the float's bits, the int64, 1 for true, or nanoseconds
+	kind valKind
 }
 
 // String makes a string attribute.
@@ -40,35 +40,49 @@ func String(k, v string) KV { return KV{Key: k, Val: Val{kind: kindString, str: 
 // F64 makes a float attribute.
 //
 //waspvet:hotpath
-func F64(k string, v float64) KV { return KV{Key: k, Val: Val{kind: kindFloat, num: v}} }
+func F64(k string, v float64) KV {
+	return KV{Key: k, Val: Val{kind: kindFloat, bits: math.Float64bits(v)}}
+}
 
 // Int makes an integer attribute.
 //
 //waspvet:hotpath
-func Int(k string, v int) KV { return KV{Key: k, Val: Val{kind: kindInt, i: int64(v)}} }
+func Int(k string, v int) KV { return KV{Key: k, Val: Val{kind: kindInt, bits: uint64(v)}} }
 
 // I64 makes an int64 attribute.
-func I64(k string, v int64) KV { return KV{Key: k, Val: Val{kind: kindInt, i: v}} }
+func I64(k string, v int64) KV { return KV{Key: k, Val: Val{kind: kindInt, bits: uint64(v)}} }
 
 // Bool makes a boolean attribute.
-func Bool(k string, v bool) KV { return KV{Key: k, Val: Val{kind: kindBool, b: v}} }
+func Bool(k string, v bool) KV {
+	var bits uint64
+	if v {
+		bits = 1
+	}
+	return KV{Key: k, Val: Val{kind: kindBool, bits: bits}}
+}
 
 // Dur makes a duration attribute. It is exported to JSON as seconds and
 // rendered human-readably ("12.5s") in the audit.
-func Dur(k string, v time.Duration) KV { return KV{Key: k, Val: Val{kind: kindDur, i: int64(v)}} }
+func Dur(k string, v time.Duration) KV { return KV{Key: k, Val: Val{kind: kindDur, bits: uint64(v)}} }
 
 // Str returns the string value ("" for other kinds).
 func (v Val) Str() string { return v.str }
 
-// Int64 returns the integer value (0 for other kinds).
-func (v Val) Int64() int64 { return v.i }
+// Int64 returns the integer value, or a duration's nanoseconds (0 for
+// other kinds).
+func (v Val) Int64() int64 {
+	if v.kind != kindInt && v.kind != kindDur {
+		return 0
+	}
+	return int64(v.bits)
+}
 
 // Duration returns the duration value (0 for other kinds).
 func (v Val) Duration() time.Duration {
 	if v.kind != kindDur {
 		return 0
 	}
-	return time.Duration(v.i)
+	return time.Duration(v.bits)
 }
 
 // Num returns a numeric value, a duration in seconds, and whether the
@@ -76,11 +90,11 @@ func (v Val) Duration() time.Duration {
 func (v Val) Num() (float64, bool) {
 	switch v.kind {
 	case kindFloat:
-		return v.num, true
+		return math.Float64frombits(v.bits), true
 	case kindInt:
-		return float64(v.i), true
+		return float64(int64(v.bits)), true
 	case kindDur:
-		return time.Duration(v.i).Seconds(), true
+		return time.Duration(v.bits).Seconds(), true
 	}
 	return 0, false
 }
@@ -91,13 +105,13 @@ func (v Val) Text() string {
 	case kindString:
 		return v.str
 	case kindFloat:
-		return formatFloat(v.num)
+		return formatFloat(math.Float64frombits(v.bits))
 	case kindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.bits), 10)
 	case kindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.bits != 0)
 	case kindDur:
-		return time.Duration(v.i).String()
+		return time.Duration(v.bits).String()
 	default:
 		return ""
 	}
@@ -109,13 +123,13 @@ func (v Val) appendJSON(b []byte) []byte {
 	case kindString:
 		return appendJSONString(b, v.str)
 	case kindFloat:
-		return appendJSONFloat(b, v.num)
+		return appendJSONFloat(b, math.Float64frombits(v.bits))
 	case kindInt:
-		return strconv.AppendInt(b, v.i, 10)
+		return strconv.AppendInt(b, int64(v.bits), 10)
 	case kindBool:
-		return strconv.AppendBool(b, v.b)
+		return strconv.AppendBool(b, v.bits != 0)
 	case kindDur:
-		return appendJSONFloat(b, time.Duration(v.i).Seconds())
+		return appendJSONFloat(b, time.Duration(v.bits).Seconds())
 	default:
 		return append(b, "null"...)
 	}

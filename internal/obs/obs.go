@@ -29,6 +29,47 @@ type Observer struct {
 	nextID   uint64
 	cur      *Span // innermost active span, if any
 	timeline []entry
+	// free is the unused rest of the block the observer copies recorded
+	// attributes into, and block that block's length.
+	free  []KV
+	block int
+}
+
+// The attribute blocks start at minAttrBlock attributes and double up to
+// maxAttrBlock: an observer that records little allocates little, and
+// one that records much refills once per maxAttrBlock attributes.
+const (
+	minAttrBlock = 16
+	maxAttrBlock = 512
+)
+
+// keep copies attrs into the observer's current attribute block and
+// returns the copy, whose length is its capacity, so that a consumer's
+// append copies it; nil for no attributes. The caller's slice is not
+// retained.
+//
+//waspvet:hotpath
+func (o *Observer) keep(attrs []KV) []KV {
+	out := o.take(len(attrs))
+	copy(out, attrs)
+	return out
+}
+
+// take returns n unused attributes of the current block, with length and
+// capacity n, starting a new block when the current one has fewer left.
+//
+//waspvet:hotpath
+func (o *Observer) take(n int) []KV {
+	if n == 0 {
+		return nil
+	}
+	if n > len(o.free) {
+		o.block = max(n, minAttrBlock, min(2*o.block, maxAttrBlock))
+		o.free = make([]KV, o.block) //waspvet:hotalloc a new block once per block of recorded attributes
+	}
+	out := o.free[:n:n]
+	o.free = o.free[n:]
+	return out
 }
 
 // entry is one timeline slot: either a top-level event or a span (listed
@@ -56,11 +97,13 @@ func (o *Observer) Bind(now func() vclock.Time) {
 }
 
 // Now returns the observer's current virtual timestamp.
+//
+//waspvet:hotpath
 func (o *Observer) Now() vclock.Time {
 	if o == nil || o.now == nil {
 		return 0
 	}
-	return o.now()
+	return o.now() //waspvet:hotalloc the bound clock is the scheduler's Now, which reads a field
 }
 
 // Registry returns the telemetry registry (nil for a nil Observer; the
@@ -74,12 +117,12 @@ func (o *Observer) Registry() *Registry {
 
 // Emit records a point-in-time event. If a span is active (its StartSpan
 // has not ended), the event attaches to it; otherwise it lands at the top
-// level of the timeline.
+// level of the timeline. The attributes are copied.
 func (o *Observer) Emit(name string, attrs ...KV) {
 	if o == nil {
 		return
 	}
-	ev := Event{At: o.Now(), Name: name, Attrs: attrs}
+	ev := Event{At: o.Now(), Name: name, Attrs: o.keep(attrs)}
 	if o.cur != nil {
 		o.cur.Events = append(o.cur.Events, ev)
 		return
@@ -90,7 +133,7 @@ func (o *Observer) Emit(name string, attrs ...KV) {
 
 // StartSpan opens a span and makes it the active one: subsequent Emit and
 // StartSpan calls nest under it until End. The span's parent is whatever
-// span was active at the call.
+// span was active at the call. The attributes are copied.
 func (o *Observer) StartSpan(name string, attrs ...KV) *Span {
 	sp := o.newSpan(name, attrs)
 	if sp != nil {
@@ -116,7 +159,7 @@ func (o *Observer) newSpan(name string, attrs []KV) *Span {
 		ID:     o.nextID,
 		Name:   name,
 		Start:  o.Now(),
-		Attrs:  attrs,
+		Attrs:  o.keep(attrs),
 		parent: o.cur,
 	}
 	if o.cur != nil {
@@ -209,12 +252,14 @@ func (s *Span) SetAttrs(attrs ...KV) {
 }
 
 // Event records a point event inside the span (regardless of whether the
-// span is the active one).
+// span is the active one). The attributes are copied.
+//
+//waspvet:hotpath
 func (s *Span) Event(name string, attrs ...KV) {
 	if s == nil {
 		return
 	}
-	s.Events = append(s.Events, Event{At: s.o.Now(), Name: name, Attrs: attrs})
+	s.Events = append(s.Events, Event{At: s.o.Now(), Name: name, Attrs: s.o.keep(attrs)})
 }
 
 // Reject records a considered-but-rejected Figure-6 branch and why — the
@@ -223,9 +268,9 @@ func (s *Span) Reject(branch, reason string, attrs ...KV) {
 	if s == nil {
 		return
 	}
-	kvs := make([]KV, 0, len(attrs)+2)
-	kvs = append(kvs, String("branch", branch), String("reason", reason))
-	kvs = append(kvs, attrs...)
+	kvs := s.o.take(len(attrs) + 2)
+	kvs[0], kvs[1] = String("branch", branch), String("reason", reason)
+	copy(kvs[2:], attrs)
 	s.Events = append(s.Events, Event{At: s.o.Now(), Name: "reject", Attrs: kvs})
 }
 

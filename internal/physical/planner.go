@@ -111,11 +111,10 @@ func RankQuery(base *plan.Graph, spec *plan.CombineSpec, top *topology.Topology,
 // under the engine's feet.
 type Session struct {
 	// built holds each tree's variant and plan once a round has chosen it,
-	// and nils before; NewSession builds the first tree's to validate it.
+	// and nils before.
 	built []variantPlan
-	// order is every variant's topological order, and its first prefix
-	// stages are the ones no combine node feeds.
-	order  []plan.OpID
+	// The first prefix stages of every variant's topological order
+	// (view.order) are the ones no combine node feeds.
 	prefix int
 	view   variantView // reads the base graph, the spec and the trees
 	// sites holds the task sites of every stage of the variant being
@@ -150,11 +149,12 @@ type variantPlan struct {
 // 0 means DefaultMaxVariants.
 //
 // It checks every tree and returns the error that expanding and staging
-// every variant would meet first, but expands and stages only the first
-// variant: staging validates it, which validates them all, as a variant's
-// structure differs from another's only in how its combine nodes are
-// wired among themselves, and its topological order is every variant's.
-// It keeps that variant and plan for a round that chooses the first tree.
+// every variant would meet first, but expands and stages none: it
+// validates the first variant through the session's view of it, as
+// FromLogical would validate the built variant, and that validates them
+// all, as a variant's structure differs from another's only in how its
+// combine nodes are wired among themselves, and its topological order is
+// every variant's.
 //
 // The session reads base and spec in every round, to schedule variants and
 // to build them: neither may change while the session is in use.
@@ -166,26 +166,17 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 	if err := spec.Check(base, trees); err != nil {
 		return nil, err
 	}
-	first, err := spec.Expand(base, trees[0])
-	if err != nil {
-		return nil, err
-	}
-	p, err := FromLogical(first.Graph)
-	if err != nil {
+	s := &Session{view: newVariantView(base, spec, trees)}
+	if err := s.view.validate(); err != nil {
 		return nil, fmt.Errorf("variant %v: %w", trees[0], err)
 	}
-	order, _ := first.Graph.TopoOrder() // FromLogical validated it
+	order := s.view.order
 	n := len(order)
-	s := &Session{
-		built: make([]variantPlan, len(trees)),
-		order: order,
-		// The first stage a combine node feeds is a combine node.
-		prefix: slices.IndexFunc(order, func(id plan.OpID) bool { return first.CombineNodes[id] != 0 }),
-		view:   newVariantView(base, spec, trees),
-		sites:  make([][]topology.SiteID, n),
-		cands:  make([]Candidate, 0, len(trees)),
-	}
-	s.built[0] = variantPlan{variant: first, plan: p}
+	s.built = make([]variantPlan, len(trees))
+	// The first stage a combine node feeds is a combine node.
+	s.prefix = slices.IndexFunc(order, func(id plan.OpID) bool { return id >= s.view.first })
+	s.sites = make([][]topology.SiteID, n)
+	s.cands = make([]Candidate, 0, len(trees))
 	// One block holds each stage's room for the one task it runs by
 	// default, then room for one variant's suffix sites and for the sites
 	// of every combine stage of every variant, the most a round places.
@@ -238,7 +229,7 @@ func (s *Session) round(top *topology.Topology, cfg PlannerConfig, admit func(*p
 	}
 	sc := cfg.ScheduleConfig.withDefaults(top)
 	ws := sc.Workspace
-	v, suffix := &s.view, s.order[s.prefix:]
+	v, suffix := &s.view, s.view.order[s.prefix:]
 	tail := suffix[len(v.downs):] // Output and its descendants
 	candidates := s.cands[:0]
 	s.steps, s.stepSites, s.firstRoot = s.steps[:0], s.stepSites[:0], -1
@@ -337,12 +328,12 @@ func (s *Session) placePrefix(top *topology.Topology, sc ScheduleConfig, pre *bo
 	if err := s.view.base.ExpectedRatesBuf(sc.RateFactor, &s.rates); err != nil {
 		return false, err
 	}
-	n := len(s.order)
+	n := len(s.view.order)
 	s.rates.Out, s.rates.Bytes = s.rates.Out[:n], s.rates.Bytes[:n]
-	if err := reserveSlots(&s.view, s.order, top, sc); err != nil {
+	if err := reserveSlots(&s.view, s.view.order, top, sc); err != nil {
 		return false, err
 	}
-	placed, err := placeStages(&s.view, s.sites, s.order[:s.prefix], top, sc, s.rates.Bytes, pre)
+	placed, err := placeStages(&s.view, s.sites, s.view.order[:s.prefix], top, sc, s.rates.Bytes, pre)
 	if err != nil || placed < s.prefix {
 		return false, err
 	}
@@ -414,7 +405,7 @@ func (s *Session) resume(i int, cut *bound, avail []int) (at int32, n int, ok bo
 // and adds their in-edges to cut. It reports whether they all found a
 // placement within cut's limit.
 func (s *Session) placeCombine(at int32, n int, top *topology.Topology, sc ScheduleConfig, cut *bound) (bool, error) {
-	combine := s.order[s.prefix : s.prefix+len(s.view.downs)]
+	combine := s.view.order[s.prefix : s.prefix+len(s.view.downs)]
 	for ; n < len(combine); n++ {
 		id := combine[n]
 		placed, err := placeStages(&s.view, s.sites, combine[n:n+1], top, sc, s.rates.Bytes, nil)
@@ -468,7 +459,7 @@ func (s *Session) firstStep(at int32) int32 {
 // in order, each from its upstream stages' output rates summed in
 // upstream order, as ExpectedRatesBuf would over the variant's graph.
 func (s *Session) suffixRates(rateFactor float64) {
-	for _, id := range s.order[s.prefix:] {
+	for _, id := range s.view.order[s.prefix:] {
 		var upOut float64
 		for _, u := range s.view.UpstreamView(id) {
 			upOut += s.rates.Out[u]
@@ -499,12 +490,12 @@ func (s *Session) build(i int) (variantPlan, error) {
 // variant's plan p: the shared prefix's sites, and its own suffix's from
 // s.done, where each suffix stage holds one site per task.
 func (s *Session) adopt(p *Plan, sc ScheduleConfig) {
-	for _, id := range s.order[:s.prefix] {
+	for _, id := range s.view.order[:s.prefix] {
 		st := p.Stages[id]
 		st.Sites = append(st.Sites[:0], s.sites[id]...)
 	}
 	done := s.done
-	for _, id := range s.order[s.prefix:] {
+	for _, id := range s.view.order[s.prefix:] {
 		st := p.Stages[id]
 		n := sc.parallelismFor(st.Op)
 		st.Sites, done = append(st.Sites[:0], done[:n]...), done[n:]
@@ -539,6 +530,9 @@ type variantView struct {
 	trees  []*plan.Tree
 	wiring []plan.OpID
 	tree   int // the tree setTree wrote last
+	// order is every variant's topological order, once validate has
+	// written it.
+	order []plan.OpID
 }
 
 // newVariantView lays out the view of base's variants under spec, one per
@@ -551,8 +545,10 @@ func newVariantView(base *plan.Graph, spec *plan.CombineSpec, trees []*plan.Tree
 	}
 	v.inDown = make([][]plan.OpID, k)
 	// Room: one more down edge per listing of an input, one more up edge
-	// on Output, one consumer per combine node, and each tree's wiring.
-	size := len(base.UpstreamView(spec.Output)) + 1 + (k - 1) + 2*(k-1)*len(trees)
+	// on Output, one consumer per combine node, each tree's wiring, and
+	// the order.
+	n := int(v.first) + k - 1
+	size := len(base.UpstreamView(spec.Output)) + 1 + (k - 1) + 2*(k-1)*len(trees) + n
 	for _, in := range spec.Inputs {
 		size += len(base.DownstreamView(in)) + 1
 	}
@@ -569,6 +565,7 @@ func newVariantView(base *plan.Graph, spec *plan.CombineSpec, trees []*plan.Tree
 	}
 	v.outUp, pool = carve(pool, base.UpstreamView(spec.Output), 1)
 	v.downs, pool = pool[:k-1:k-1], pool[k-1:]
+	v.order, pool = pool[:0:n], pool[n:]
 	v.wiring = pool[:0]
 	for _, t := range trees {
 		v.wire(t, len(v.wiring))
@@ -639,6 +636,35 @@ func (v *variantView) DownstreamView(id plan.OpID) []plan.OpID {
 		return v.inDown[i]
 	}
 	return v.base.DownstreamView(id)
+}
+
+// Len is the number of operators of every variant: the base's, then the
+// combine nodes.
+func (v *variantView) Len() int { return int(v.first) + len(v.downs) }
+
+// validate writes the first tree into the view and its variant's
+// topological order into order, or returns the error FromLogical would
+// return on that variant built: plan.Graph.Validate's, over the view.
+func (v *variantView) validate() error {
+	v.setTree(0)
+	order, err := plan.TopoOrderOf(v, v.order)
+	if err != nil {
+		return err
+	}
+	v.order = order
+	for id := range v.first {
+		if err := plan.CheckOperator(v.base.Operator(id), len(v.UpstreamView(id)), len(v.DownstreamView(id))); err != nil {
+			return err
+		}
+	}
+	// Every combine node is the template with two inputs and one
+	// consumer, so the first one's error is the first.
+	if err := plan.CheckOperator(&v.combine, 2, 1); err != nil {
+		named := v.combine
+		named.Name = stageName(v, v.first)
+		return plan.CheckOperator(&named, 2, 1)
+	}
+	return nil
 }
 
 // setTree writes tree i's combine edges into the view, as Expand adds

@@ -491,8 +491,8 @@ func TestVariantsShareTheBasePrefix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !slices.Equal(order, s.order) {
-						t.Fatalf("%s, %s: stage order %v, session's %v", name, e.variant.Tree, order, s.order)
+					if !slices.Equal(order, s.view.order) {
+						t.Fatalf("%s, %s: stage order %v, session's %v", name, e.variant.Tree, order, s.view.order)
 					}
 					// fed marks the stages with a combine node in their
 					// upstream cone (themselves included).

@@ -258,7 +258,7 @@ func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
 	if n > len(indeg) {
 		indeg = make([]int32, n)
 	}
-	g.topoCache, g.topoErr = g.topoInto(make([]OpID, 0, n), indeg)
+	g.topoCache, g.topoErr = topoInto(g, make([]OpID, 0, n), indeg)
 	g.topoValid = true
 	spec.name(ops[first:], v.CombineNodes[first:])
 	return v, nil

@@ -230,21 +230,35 @@ func (g *Graph) Sources() []OpID {
 //waspvet:hotpath
 func (g *Graph) TopoOrder() ([]OpID, error) {
 	if !g.topoValid {
-		g.topoCache, g.topoErr = g.computeTopo() //waspvet:hotalloc cold branch: once per structural mutation
+		g.topoCache, g.topoErr = TopoOrderOf(g, nil) //waspvet:hotalloc cold branch: once per structural mutation
 		g.topoValid = true
 	}
 	return g.topoCache, g.topoErr
 }
 
-// computeTopo is topoInto with its own buffers: it allocates once, as
-// the in-degrees of a plan-sized graph live on the stack.
-func (g *Graph) computeTopo() ([]OpID, error) {
+// Edges is a graph read through its edge lists: a Graph, or a variant a
+// planner schedules without building it.
+type Edges interface {
+	Len() int
+	UpstreamView(OpID) []OpID
+	DownstreamView(OpID) []OpID
+}
+
+// TopoOrderOf computes the topological order of e's edge lists afresh,
+// into buf when it has room for every operator: the order, and the error,
+// that TopoOrder returns on a Graph with those edge lists. It allocates
+// only the order when buf is too short, as the in-degrees of a plan-sized
+// graph live on the stack.
+func TopoOrderOf(e Edges, buf []OpID) ([]OpID, error) {
 	var small [128]int32
 	indeg := small[:]
-	if len(g.ops) > len(indeg) {
-		indeg = make([]int32, len(g.ops))
+	if e.Len() > len(indeg) {
+		indeg = make([]int32, e.Len())
 	}
-	return g.topoInto(make([]OpID, 0, len(g.ops)), indeg)
+	if cap(buf) < e.Len() {
+		buf = make([]OpID, 0, e.Len())
+	}
+	return topoInto(e, buf[:0], indeg)
 }
 
 // topoInto is Kahn's algorithm always taking the smallest ready ID, into
@@ -254,23 +268,24 @@ func (g *Graph) computeTopo() ([]OpID, error) {
 // ascending — so taking the smallest ready operator is done++ and an
 // unlocked one is inserted in place behind it. It allocates only the
 // error of a cycle.
-func (g *Graph) topoInto(buf []OpID, indeg []int32) ([]OpID, error) {
-	for id := range g.ops {
-		if indeg[id] = int32(len(g.up[id])); indeg[id] == 0 {
+func topoInto(e Edges, buf []OpID, indeg []int32) ([]OpID, error) {
+	n := e.Len()
+	for id := range n {
+		if indeg[id] = int32(len(e.UpstreamView(OpID(id)))); indeg[id] == 0 {
 			buf = append(buf, OpID(id))
 		}
 	}
 	done := 0
 	for ; done < len(buf); done++ {
-		for _, d := range g.down[buf[done]] {
+		for _, d := range e.DownstreamView(buf[done]) {
 			if indeg[d]--; indeg[d] == 0 {
 				at, _ := slices.BinarySearch(buf[done+1:], d)
 				buf = slices.Insert(buf, done+1+at, d)
 			}
 		}
 	}
-	if done != len(g.ops) {
-		return nil, fmt.Errorf("plan: graph has a cycle (%d of %d ordered)", done, len(g.ops))
+	if done != n {
+		return nil, fmt.Errorf("plan: graph has a cycle (%d of %d ordered)", done, n)
 	}
 	return buf, nil
 }
@@ -287,36 +302,44 @@ func (g *Graph) Validate() error {
 		return err
 	}
 	for id, op := range g.ops {
-		nUp, nDown := len(g.up[id]), len(g.down[id])
-		switch op.Kind {
-		case KindSource:
-			if nUp != 0 {
-				return fmt.Errorf("plan: source %q has inputs", op.Name)
-			}
-			if nDown == 0 {
-				return fmt.Errorf("plan: source %q has no outputs", op.Name)
-			}
-			if op.PinnedSite == NoSite {
-				return fmt.Errorf("plan: source %q not pinned to a site", op.Name)
-			}
-			if op.SourceRate < 0 {
-				return fmt.Errorf("plan: source %q has negative rate", op.Name)
-			}
-		case KindSink:
-			if nDown != 0 {
-				return fmt.Errorf("plan: sink %q has outputs", op.Name)
-			}
-			if nUp == 0 {
-				return fmt.Errorf("plan: sink %q has no inputs", op.Name)
-			}
-		default:
-			if nUp == 0 || nDown == 0 {
-				return fmt.Errorf("plan: operator %q (%v) is dangling", op.Name, op.Kind)
-			}
+		if err := CheckOperator(op, len(g.up[id]), len(g.down[id])); err != nil {
+			return err
 		}
-		if op.Selectivity < 0 || op.OutEventBytes < 0 || op.CostPerEvent < 0 || op.StateBytes < 0 {
-			return fmt.Errorf("plan: operator %q has negative model parameters", op.Name)
+	}
+	return nil
+}
+
+// CheckOperator returns the error Validate reports for op when op has nUp
+// inputs and nDown outputs, or nil.
+func CheckOperator(op *Operator, nUp, nDown int) error {
+	switch op.Kind {
+	case KindSource:
+		if nUp != 0 {
+			return fmt.Errorf("plan: source %q has inputs", op.Name)
 		}
+		if nDown == 0 {
+			return fmt.Errorf("plan: source %q has no outputs", op.Name)
+		}
+		if op.PinnedSite == NoSite {
+			return fmt.Errorf("plan: source %q not pinned to a site", op.Name)
+		}
+		if op.SourceRate < 0 {
+			return fmt.Errorf("plan: source %q has negative rate", op.Name)
+		}
+	case KindSink:
+		if nDown != 0 {
+			return fmt.Errorf("plan: sink %q has outputs", op.Name)
+		}
+		if nUp == 0 {
+			return fmt.Errorf("plan: sink %q has no inputs", op.Name)
+		}
+	default:
+		if nUp == 0 || nDown == 0 {
+			return fmt.Errorf("plan: operator %q (%v) is dangling", op.Name, op.Kind)
+		}
+	}
+	if op.Selectivity < 0 || op.OutEventBytes < 0 || op.CostPerEvent < 0 || op.StateBytes < 0 {
+		return fmt.Errorf("plan: operator %q has negative model parameters", op.Name)
 	}
 	return nil
 }
