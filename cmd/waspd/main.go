@@ -358,10 +358,9 @@ func run(opt options) error {
 		fmt.Printf("Crash loss: lost=%.0f restored=%.0f net=%.0f (source-equivalent events)\n",
 			res.Lost, res.Restored, res.Lost-res.Restored)
 	}
+	q := experiment.Percentiles(res.Samples, 0.50, 0.95, 0.99)
 	fmt.Printf("Delay percentiles (s): p50=%s p95=%s p99=%s\n",
-		experiment.Fmt(res.DelayPercentile(0.50)),
-		experiment.Fmt(res.DelayPercentile(0.95)),
-		experiment.Fmt(res.DelayPercentile(0.99)))
+		experiment.Fmt(q[0]), experiment.Fmt(q[1]), experiment.Fmt(q[2]))
 
 	// The chaos verdict is computed before the artifact is written but
 	// returned last, so a violated run still writes its artifact — with

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -194,7 +195,7 @@ func TestTimelineFlightSummary(t *testing.T) {
 func TestLatencyReport(t *testing.T) {
 	path := fixtureJSONL(t)
 	out := capture(t, func() error { return cmdLatency([]string{path}) })
-	for _, phase := range adaptPhases {
+	for _, phase := range obs.AdaptPhases {
 		if !strings.Contains(out, phase) {
 			t.Errorf("latency report missing phase %q:\n%s", phase, out)
 		}
@@ -350,18 +351,22 @@ func TestSubcommandsWantOneArtifact(t *testing.T) {
 	}
 }
 
+// TestQuantileEdges checks the quantile edges of a latency row: an empty
+// set, a single sample, interpolation between ranks, and the max at q=1.
 func TestQuantileEdges(t *testing.T) {
-	if got := quantile(nil, 0.5); got != 0 {
-		t.Errorf("quantile(nil) = %v; want 0", got)
+	cases := []struct {
+		samples []float64
+		want    []string
+	}{
+		{nil, []string{"x", "0", "-", "-", "-", "-", "-"}},
+		{[]float64{7}, []string{"x", "1", "7s", "7s", "7s", "7s", "7s"}},
+		{[]float64{0, 10}, []string{"x", "2", "0s", "5s", "9.5s", "9.9s", "10s"}},
+		{[]float64{1, 2, 3}, []string{"x", "3", "1s", "2s", "2.9s", "2.98s", "3s"}},
 	}
-	if got := quantile([]float64{7}, 0.99); got != 7 {
-		t.Errorf("quantile(single, .99) = %v; want 7", got)
-	}
-	if got := quantile([]float64{0, 10}, 0.5); got != 5 {
-		t.Errorf("quantile interpolation = %v; want 5", got)
-	}
-	if got := quantile([]float64{1, 2, 3}, 1); got != 3 {
-		t.Errorf("quantile(q=1) = %v; want 3", got)
+	for _, c := range cases {
+		if got := latencyRow("x", c.samples); !slices.Equal(got, c.want) {
+			t.Errorf("latencyRow(%v) = %v; want %v", c.samples, got, c.want)
+		}
 	}
 }
 

@@ -376,10 +376,11 @@ func opIDMaps(pkgs []*analysis.Package) []opIDMap {
 
 // TestControllerReadsRuntimeThroughBelief: the controller decides from
 // one belief (DESIGN.md §5, "The belief"). Non-test internal/adapt code
-// calls a method of *engine.Engine or *netsim.Network only to actuate
-// (runtimeActuations) or in the functions that build the belief
-// (beliefReaders); beliefExemptions names the rest, each with the methods
-// it covers and its reason, and an exempted method never called fails too.
+// calls a method of *engine.Engine, *netsim.Network or *ctrlplane.Plane
+// only to actuate (runtimeActuations) or in the functions that build the
+// belief (beliefReaders); beliefExemptions names the rest, each with the
+// methods it covers and its reason, and an exempted method never called
+// fails too.
 func TestControllerReadsRuntimeThroughBelief(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
@@ -411,22 +412,33 @@ func TestControllerReadsRuntimeThroughBelief(t *testing.T) {
 }
 
 // beliefReaders are the functions that may query the runtime: observe
-// builds the belief, and the link view reads the network on demand.
+// builds the belief, and the link and control-plane views read the
+// network and the plane on demand.
 var beliefReaders = map[string]bool{
-	"Controller.observe": true,
-	"links.bandwidth":    true,
-	"links.transferTime": true,
+	"Controller.observe":       true,
+	"links.bandwidth":          true,
+	"links.transferTime":       true,
+	"ctrl.commandInFlight":     true,
+	"ctrl.quarantinedRegionOf": true,
+	"ctrl.stalestOf":           true,
 }
 
-// runtimeActuations are the engine methods the controller calls to act
-// or to export telemetry, which read nothing a decision uses.
+// runtimeActuations are the engine and control-plane methods the
+// controller calls to act or to export telemetry, which read nothing a
+// decision uses but what the belief is then built from: a round updates
+// the quarantine and takes the plane's snapshot before it observes, and
+// Supervise reports the commands it aborted.
 var runtimeActuations = map[string]bool{
-	"Reconfigure":          true,
-	"AbortReconfigure":     true,
-	"BeginReplan":          true,
-	"AbortReplan":          true,
-	"RestoreOperatorState": true,
-	"RecordTelemetry":      true,
+	"engine.Engine.Reconfigure":          true,
+	"engine.Engine.AbortReconfigure":     true,
+	"engine.Engine.BeginReplan":          true,
+	"engine.Engine.AbortReplan":          true,
+	"engine.Engine.RestoreOperatorState": true,
+	"engine.Engine.RecordTelemetry":      true,
+	"ctrlplane.Plane.SendCommand":        true,
+	"ctrlplane.Plane.Supervise":          true,
+	"ctrlplane.Plane.UpdateQuarantine":   true,
+	"ctrlplane.Plane.Snapshot":           true,
 }
 
 // beliefExemptions maps a function runtimeQueries reports to the runtime
@@ -442,9 +454,9 @@ var beliefExemptions = map[string]struct {
 }
 
 // TestDirectRuntimeQueryIsReported runs the audit over a fixture with a
-// belief builder, a link method, an actuation, a method of another type
-// and three direct queries (a call, a call in a closure and a method
-// value): exactly the three queries are reported.
+// belief builder, a link method, two actuations, a method of another
+// type and four direct queries (a call, a call in a closure, a method
+// value and a control-plane call): exactly the four queries are reported.
 func TestDirectRuntimeQueryIsReported(t *testing.T) {
 	pkgs, err := loadTargets([]string{"testdata/internal/belief"})
 	if err != nil {
@@ -455,17 +467,18 @@ func TestDirectRuntimeQueryIsReported(t *testing.T) {
 		got = append(got, fmt.Sprintf("%d: %s %s", q.pos.Line, q.fn, q.method))
 	}
 	want := []string{
-		"39: Controller.decide engine.Engine.DownSites",
-		"42: Controller.decide netsim.Network.EstimateTransferTime",
-		"49: Controller.bandwidthFunc netsim.Network.Capacity",
+		"41: Controller.decide engine.Engine.DownSites",
+		"44: Controller.decide netsim.Network.EstimateTransferTime",
+		"51: Controller.bandwidthFunc netsim.Network.Capacity",
+		"56: Controller.gated ctrlplane.Plane.QuarantinedRegionOf",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("runtimeQueries(fixture) = %q, want %q", got, want)
 	}
 }
 
-// runtimeQuery is one use of an engine or network method outside the
-// belief's readers.
+// runtimeQuery is one use of an engine, network or control-plane method
+// outside the belief's readers.
 type runtimeQuery struct {
 	pos    token.Position
 	fn     string // the enclosing declaration: Type.method or func
@@ -473,8 +486,9 @@ type runtimeQuery struct {
 }
 
 // runtimeQueries returns, in source order, every selection of a method of
-// *engine.Engine or *netsim.Network — a call or a method value — in a
-// non-test file of pkgs, outside beliefReaders and runtimeActuations.
+// *engine.Engine, *netsim.Network or *ctrlplane.Plane — a call or a
+// method value — in a non-test file of pkgs, outside beliefReaders and
+// runtimeActuations.
 // Closures belong to their enclosing declaration.
 func runtimeQueries(pkgs []*analysis.Package) []runtimeQuery {
 	var out []runtimeQuery
@@ -500,24 +514,25 @@ func runtimeQueries(pkgs []*analysis.Package) []runtimeQuery {
 						return true
 					}
 					s := pkg.Info.Selections[sel]
-					if s == nil || s.Kind() != types.MethodVal || runtimeActuations[sel.Sel.Name] {
+					if s == nil || s.Kind() != types.MethodVal {
 						return true
 					}
 					tn := recvTypeName(s.Recv())
 					if tn == nil || tn.Pkg() == nil {
 						return true
 					}
-					if path := tn.Pkg().Path(); !strings.HasSuffix(path, "/internal/engine") && !strings.HasSuffix(path, "/internal/netsim") {
+					switch path := tn.Pkg().Path(); {
+					case strings.HasSuffix(path, "/internal/engine") && tn.Name() == "Engine",
+						strings.HasSuffix(path, "/internal/netsim") && tn.Name() == "Network",
+						strings.HasSuffix(path, "/internal/ctrlplane") && tn.Name() == "Plane":
+					default:
 						return true
 					}
-					if tn.Name() != "Engine" && tn.Name() != "Network" {
+					method := tn.Pkg().Name() + "." + tn.Name() + "." + sel.Sel.Name
+					if runtimeActuations[method] {
 						return true
 					}
-					out = append(out, runtimeQuery{
-						pos:    pkg.Fset.Position(sel.Pos()),
-						fn:     fn,
-						method: tn.Pkg().Name() + "." + tn.Name() + "." + sel.Sel.Name,
-					})
+					out = append(out, runtimeQuery{pos: pkg.Fset.Position(sel.Pos()), fn: fn, method: method})
 					return true
 				})
 			}
@@ -711,9 +726,10 @@ func TestEveryConsumedEventIsEmitted(t *testing.T) {
 // emits, and, sorted, the names it looks up. A name is emitted when it is
 // the constant first argument of an obs Emit, StartSpan, StartAsync or
 // Span.Event call, or of a call to a function that passes that parameter
-// on as such an argument (faults' strike). A name is looked up when it is
-// the constant argument of an Observer.Events call, or a key of
-// wasptrace's timelineLanes or detailNames table.
+// on as such an argument (faults' strike); an Observer.Reject call emits
+// "reject". A name is looked up when it is the constant argument of an
+// Observer.Events call, or a key of wasptrace's timelineLanes or
+// detailNames table.
 func eventNames(pkgs []*analysis.Package) (emitted map[string]bool, consumed []string) {
 	emitted = map[string]bool{}
 	lookups := map[string]bool{}
@@ -760,6 +776,8 @@ func eventNames(pkgs []*analysis.Package) (emitted map[string]bool, consumed []s
 								}
 							}
 						}
+					case "Reject":
+						emitted["reject"] = true
 					case "Events":
 						if s, ok := name(pkg, call.Args[0]); ok {
 							lookups[s] = true

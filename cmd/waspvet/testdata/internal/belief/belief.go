@@ -1,12 +1,14 @@
 // Package belief is the belief-audit fixture: a controller that reads the
 // engine and the network only in its belief builder and link method,
-// actuates through an allowed engine method, calls a same-named method of
-// another type, and queries the runtime directly three times.
+// actuates through an allowed engine method and an allowed control-plane
+// method, calls a same-named method of another type, and queries the
+// runtime directly four times, once through the control plane.
 package belief
 
 import (
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/netsim"
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -47,4 +49,11 @@ func (c *Controller) decide(o other) time.Duration {
 // bandwidthFunc hands out a method value of the network.
 func (c *Controller) bandwidthFunc() func(from, to topology.SiteID, now vclock.Time) float64 {
 	return c.net.Capacity
+}
+
+// gated asks the control plane directly, beside an actuation of it.
+func (c *Controller) gated(p *ctrlplane.Plane) bool {
+	_, q := p.QuarantinedRegionOf(nil)
+	p.UpdateQuarantine(0)
+	return q
 }

@@ -400,7 +400,7 @@ func (c *Controller) settling(b *belief, sp *obs.Span) bool {
 			sp.Event("skip", obs.String("reason", "reconfiguration in flight"), obs.Int("op", int(id)))
 			return true
 		}
-		if c.plane.CommandInFlight(id) {
+		if b.ctrl.commandInFlight(id) {
 			sp.Event("skip", obs.String("reason", "command in flight"), obs.Int("op", int(id)))
 			return true
 		}

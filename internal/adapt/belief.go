@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/netsim"
@@ -16,7 +17,7 @@ import (
 // belief is what the controller knows of the runtime at one instant: the
 // Global Metric Monitor's state that diagnosis, the Figure-6 policy,
 // supervision and the recovery ladder decide from (§6.2). observe builds
-// it; nothing else in the decision code queries the engine or the network.
+// it; nothing else in the decision code queries the runtime.
 type belief struct {
 	now      vclock.Time
 	snap     *metrics.Snapshot // the plane's merged snapshot; nil outside a round
@@ -31,6 +32,7 @@ type belief struct {
 	replanning, replanStalled, failed bool
 	reconfigs                         []engine.ReconfigStatus
 	links                             links
+	ctrl                              ctrl
 }
 
 // links is the belief's view of the WAN, read lazily: a decision consults
@@ -46,6 +48,26 @@ func (l links) bandwidth(from, to topology.SiteID) float64 { return l.net.Capaci
 // transferTime estimates moving bytes from→to at the current capacity.
 func (l links) transferTime(from, to topology.SiteID, bytes float64) time.Duration {
 	return l.net.EstimateTransferTime(from, to, bytes, l.now)
+}
+
+// ctrl is the belief's view of the control plane, read lazily like links:
+// a step's own commands change what it reads.
+type ctrl struct {
+	plane *ctrlplane.Plane
+	now   vclock.Time
+}
+
+// commandInFlight reports whether op has an unresolved command.
+func (v ctrl) commandInFlight(op plan.OpID) bool { return v.plane.CommandInFlight(op) }
+
+// quarantinedRegionOf returns a quarantined region among sites', if any.
+func (v ctrl) quarantinedRegionOf(sites []topology.SiteID) (int, bool) {
+	return v.plane.QuarantinedRegionOf(sites)
+}
+
+// stalestOf is the age of the oldest evidence about any of sites.
+func (v ctrl) stalestOf(sites []topology.SiteID) time.Duration {
+	return v.plane.StalestOf(sites, v.now)
 }
 
 // observe reads the runtime into a belief. snap is the round's merged
@@ -76,6 +98,7 @@ func (c *Controller) observe(snap *metrics.Snapshot) *belief {
 		failed:        c.eng.Failed(),
 		reconfigs:     c.eng.ReconfigStatuses(stall),
 		links:         links{net: c.net, now: now},
+		ctrl:          ctrl{plane: c.plane, now: now},
 	}
 	if snap != nil {
 		b.lambdaIn, _, b.estErr = metrics.EstimateActual(b.plan.Graph, snap)

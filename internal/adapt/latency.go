@@ -1,17 +1,15 @@
 package adapt
 
 import (
-	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 // Adaptation-latency phase instrumentation. Every controller action is
 // decomposed into the paper's detect→plan→halt→transfer→resume cycle and
-// each phase's virtual-clock duration lands in the per-phase
-// wasp_adapt_latency_seconds histogram plus an adapt.latency timeline
-// event, both through engine.EmitAdaptPhase, which the engine also feeds
-// halt/transfer into from finalizeReconfig/progressReplan:
+// each phase's virtual-clock duration is recorded through
+// obs.Observer.EmitAdaptPhase, which the engine also feeds halt/transfer
+// into from finalizeReconfig/progressReplan:
 //
 //   - detect: first unhealthy diagnosis of the operator (or the crash
 //     instant, for recovery) → the action being recorded. Monitoring is
@@ -42,7 +40,7 @@ func (c *Controller) noteDetect(id plan.OpID, at vclock.Time) {
 func (c *Controller) noteHealthy(id plan.OpID, now vclock.Time) {
 	o := c.op(id)
 	if o.resuming {
-		engine.EmitAdaptPhase(c.obs, "resume", "reconfigure", id, now-o.resumeFrom)
+		c.obs.EmitAdaptPhase("resume", "reconfigure", int(id), now-o.resumeFrom)
 		o.resuming = false
 	}
 	o.detecting = false
@@ -53,8 +51,8 @@ func (c *Controller) noteHealthy(id plan.OpID, now vclock.Time) {
 // to now; plan is instantaneous on the virtual clock.
 func (c *Controller) notePhasesForAction(kind ActionKind, op plan.OpID, now vclock.Time) {
 	if o := c.opAt(op); o.detecting {
-		engine.EmitAdaptPhase(c.obs, "detect", kind.String(), op, now-o.detectAt)
+		c.obs.EmitAdaptPhase("detect", kind.String(), int(op), now-o.detectAt)
 		c.op(op).detecting = false
 	}
-	engine.EmitAdaptPhase(c.obs, "plan", kind.String(), op, 0)
+	c.obs.EmitAdaptPhase("plan", kind.String(), int(op), 0)
 }

@@ -242,7 +242,7 @@ func (c *Controller) recoverDownSites(b *belief) (committed bool) {
 			c.op(id).degraded = false
 			continue
 		}
-		if b.reconfiguring(id) || c.plane.CommandInFlight(id) {
+		if b.reconfiguring(id) || b.ctrl.commandInFlight(id) {
 			continue // recovery (or another adaptation) already in flight
 		}
 		if until := c.opAt(id).nextTryAt; b.now < until {
@@ -309,7 +309,7 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 	// controller can neither command the survivors there nor trust its
 	// picture of the region. Defer — the Round backstop re-enters this
 	// ladder every round and proceeds once the region is re-admitted.
-	if r, q := c.plane.QuarantinedRegionOf(physical.DistinctSites(st.Sites)); q {
+	if r, q := b.ctrl.quarantinedRegionOf(physical.DistinctSites(st.Sites)); q {
 		return c.degradeStage(id, "quarantine-deferred",
 			fmt.Sprintf("region %d quarantined; recovery deferred until re-admission", r))
 	}

@@ -151,11 +151,11 @@ func (c *Controller) heldDown(b *belief, id plan.OpID) (branch, reason string, h
 // *why* the controller sat on its hands.
 func (c *Controller) ctrlGated(b *belief, id plan.OpID) (branch, reason string, gated bool) {
 	sites := physical.DistinctSites(b.plan.Stages[id].Sites)
-	if r, q := c.plane.QuarantinedRegionOf(sites); q {
+	if r, q := b.ctrl.quarantinedRegionOf(sites); q {
 		return "quarantine",
 			fmt.Sprintf("region %d quarantined: no adaptation on its operators until re-admission", r), true
 	}
-	if age := c.plane.StalestOf(sites, b.now); age > ctrlplane.MaxStaleness {
+	if age := b.ctrl.stalestOf(sites); age > ctrlplane.MaxStaleness {
 		return "stale-telemetry",
 			fmt.Sprintf("stalest site evidence is %v old, over the %v staleness bound", age, ctrlplane.MaxStaleness), true
 	}

@@ -31,12 +31,12 @@ func (c *Controller) describeMetrics() {
 	r.Describe("wasp_adapt_rollbacks_total", "Operators rolled back after exhausting the retry budget.")
 }
 
-// beginDecision opens the decision span for one bottleneck operator. All
-// action and reject events until endDecision nest under it, as do the
-// engine's reconfigure/replan spans started from within.
+// beginDecision opens the decision span (op, cond, then attrs) for one
+// bottleneck operator. All action and reject events until endDecision nest
+// under it, as do the engine's reconfigure/replan spans started from within.
 func (c *Controller) beginDecision(id plan.OpID, cond string, attrs ...obs.KV) {
-	kvs := append([]obs.KV{obs.Int("op", int(id)), obs.String("cond", cond)}, attrs...)
-	c.decision = c.obs.StartSpan("decision", kvs...)
+	c.decision = c.obs.StartSpan("decision", obs.Int("op", int(id)), obs.String("cond", cond))
+	c.decision.SetAttrs(attrs...)
 }
 
 // endDecision closes the current decision span, recording whether any
@@ -48,17 +48,12 @@ func (c *Controller) endDecision(acted bool) {
 }
 
 // reject records one considered-and-rejected Figure-6 branch with the
-// reason it was not taken — the "why not" half of the decision audit.
+// reason it was not taken — the "why not" half of the decision audit. The
+// event attaches to the active span: the open decision, else the round or
+// long-term span, else the top level.
 func (c *Controller) reject(branch, reason string, attrs ...obs.KV) {
 	c.obs.Registry().Counter("wasp_controller_rejects_total", "branch", branch).Inc()
-	if c.decision != nil {
-		c.decision.Reject(branch, reason, attrs...)
-		return
-	}
-	// No decision span open (e.g. the long-term re-plan loop): the event
-	// attaches to whichever span is active, or the top level.
-	kvs := append([]obs.KV{obs.String("branch", branch), obs.String("reason", reason)}, attrs...)
-	c.obs.Emit("reject", kvs...)
+	c.obs.Reject(branch, reason, attrs...)
 }
 
 // emitDiagnosis records the snapshot evidence behind one operator's §3.3

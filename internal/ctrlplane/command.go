@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/obs"
@@ -27,8 +28,7 @@ type Command struct {
 	sentAt   vclock.Time
 	attempts int
 	applied  bool
-	acked    bool
-	done     bool
+	done     bool // acked, fenced, failed or aborted
 }
 
 // Aborted describes a command the supervisor gave up on: Applied tells
@@ -66,7 +66,7 @@ func (p *Plane) SendCommand(op plan.OpID, kind string, sites []topology.SiteID, 
 	}
 	now := p.sched.Now()
 	cmd := &Command{
-		ID:       len(p.cmds),
+		ID:       p.issued,
 		Op:       op,
 		Target:   target,
 		Sites:    append([]topology.SiteID(nil), sites...),
@@ -74,9 +74,8 @@ func (p *Plane) SendCommand(op plan.OpID, kind string, sites []topology.SiteID, 
 		apply:    apply,
 		issuedAt: now,
 	}
+	p.issued++
 	p.cmds = append(p.cmds, cmd)
-	p.latest = append(p.latest, make([]*Command, max(0, int(op)+1-len(p.latest)))...)
-	p.latest[op] = cmd
 	for _, s := range cmd.Sites {
 		if r := p.RegionOfSite(s); r >= 0 && p.ctrlDown[r] {
 			p.wrongActions++
@@ -145,7 +144,7 @@ func (p *Plane) deliverCommand(cmd *Command, now vclock.Time) {
 				obs.Int("epoch", cmd.Epoch),
 				obs.Int("current_epoch", p.epochOfSite(cmd.Target)))
 		}
-		cmd.done = true
+		p.resolve(cmd)
 		return
 	}
 	if !cmd.applied {
@@ -157,7 +156,7 @@ func (p *Plane) deliverCommand(cmd *Command, now vclock.Time) {
 					obs.Int("op", int(cmd.Op)),
 					obs.String("err", err.Error()))
 			}
-			cmd.done = true
+			p.resolve(cmd)
 			return
 		}
 	}
@@ -172,26 +171,29 @@ func (p *Plane) deliverCommand(cmd *Command, now vclock.Time) {
 // back leaves the command pending; the supervisor re-sends and the
 // idempotent arrival path re-acks without re-applying.
 func (p *Plane) deliverAck(cmd *Command, now vclock.Time) {
-	if cmd.done || cmd.acked {
+	if cmd.done || p.blocked(cmd.Target, cmd.Target, p.cfg.ControllerSite, now) {
 		return
 	}
-	if p.blocked(cmd.Target, cmd.Target, p.cfg.ControllerSite, now) {
-		return
-	}
-	cmd.acked = true
 	if p.obs != nil {
 		p.obs.Emit("ctrl.command_acked",
 			obs.Int("cmd", cmd.ID),
 			obs.Int("op", int(cmd.Op)),
 			obs.Dur("rtt", time.Duration(now-cmd.issuedAt)))
 	}
-	cmd.done = true
+	p.resolve(cmd)
 }
 
-// inFlight returns op's un-resolved command, or nil.
+// resolve marks an acked, fenced or failed command done and drops it from
+// the unresolved ones.
+func (p *Plane) resolve(cmd *Command) {
+	cmd.done = true
+	p.cmds = slices.DeleteFunc(p.cmds, func(c *Command) bool { return c == cmd })
+}
+
+// inFlight returns op's unresolved command, or nil.
 func (p *Plane) inFlight(op plan.OpID) *Command {
-	if uint(op) < uint(len(p.latest)) && p.latest[op] != nil && !p.latest[op].done {
-		return p.latest[op]
+	if i := slices.IndexFunc(p.cmds, func(c *Command) bool { return c.Op == op }); i >= 0 {
+		return p.cmds[i]
 	}
 	return nil
 }
@@ -201,11 +203,10 @@ func (p *Plane) inFlight(op plan.OpID) *Command {
 // retry/rollback ledger. Commands are visited in issue order.
 func (p *Plane) Supervise(now vclock.Time) []Aborted {
 	var aborted []Aborted
+	live := p.cmds[:0]
 	for _, cmd := range p.cmds {
-		if cmd.done || cmd.acked {
-			continue
-		}
 		if time.Duration(now-cmd.sentAt) < commandTimeout {
+			live = append(live, cmd)
 			continue
 		}
 		cmd.attempts++
@@ -229,7 +230,10 @@ func (p *Plane) Supervise(now vclock.Time) []Aborted {
 				obs.Int("attempt", cmd.attempts))
 		}
 		p.send(cmd, now)
+		live = append(live, cmd)
 	}
+	clear(p.cmds[len(live):])
+	p.cmds = live
 	return aborted
 }
 
@@ -242,12 +246,4 @@ func (p *Plane) CommandInFlight(op plan.OpID) bool {
 // UnackedCommands counts commands still awaiting an ack (aborted ones are
 // resolved). The chaos invariant "no un-acked command at run end" checks
 // this is zero after the supervisor has drained.
-func (p *Plane) UnackedCommands() int {
-	n := 0
-	for _, cmd := range p.cmds {
-		if !cmd.done && !cmd.acked {
-			n++
-		}
-	}
-	return n
-}
+func (p *Plane) UnackedCommands() int { return len(p.cmds) }

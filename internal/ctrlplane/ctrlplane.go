@@ -92,8 +92,10 @@ type Plane struct {
 	quarantinedAt []vclock.Time
 	epoch         []int
 
+	// cmds holds the unresolved commands in issue order, and issued
+	// counts every command sent: the next one's ID.
 	cmds   []*Command
-	latest []*Command // by OpID: each operator's latest command
+	issued int
 
 	// free holds the in-flight report slots not on the wire.
 	free []*inflight

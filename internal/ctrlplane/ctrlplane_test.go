@@ -490,3 +490,47 @@ func TestMaskUnreachable(t *testing.T) {
 		t.Fatalf("free = %v; quarantined sites not masked", free)
 	}
 }
+
+// The plane keeps only the commands still awaiting an ack, in issue
+// order: an acked, a failed and an aborted command leave, and the next
+// command's ID still counts every command sent.
+func TestPlaneKeepsOnlyUnresolvedCommands(t *testing.T) {
+	p, _, sched := rig(t)
+	p.SetRegionPartition(1, true)
+	send := func(op plan.OpID, site topology.SiteID, apply func() error) {
+		t.Helper()
+		if err := p.SendCommand(op, "reassign", []topology.SiteID{site}, apply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func(what string, ops ...plan.OpID) {
+		t.Helper()
+		var got []plan.OpID
+		for _, c := range p.cmds {
+			got = append(got, c.Op)
+		}
+		if !slices.Equal(got, ops) || p.UnackedCommands() != len(ops) {
+			t.Fatalf("%s: plane holds commands for ops %v (%d unacked), want %v", what, got, p.UnackedCommands(), ops)
+		}
+	}
+	send(1, 1, func() error { return nil })                    // acked
+	send(2, 2, func() error { return nil })                    // partitioned: aborted
+	send(3, 1, func() error { return errors.New("no slots") }) // failed
+	held("sent", 1, 2, 3)
+	if err := sched.RunUntil(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	held("after an ack and a failure", 2)
+	for i := 0; i <= commandRetries; i++ {
+		if err := sched.RunUntil(sched.Now() + commandTimeout); err != nil {
+			t.Fatal(err)
+		}
+		p.Supervise(sched.Now())
+	}
+	held("after the abort")
+	send(1, 1, func() error { return nil })
+	held("sent again", 1)
+	if id := p.cmds[0].ID; id != 3 {
+		t.Fatalf("fourth command has ID %d, want 3", id)
+	}
+}

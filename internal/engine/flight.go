@@ -2,10 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/wasp-stream/wasp/internal/obs"
-	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
@@ -125,31 +123,4 @@ func (e *Engine) rebuildFlightCols() {
 
 	fc.suspended = e.flight.Column("suspended_ops")
 	fc.transfers = e.flight.Column("inflight_transfers")
-}
-
-// adaptLatencyBuckets are the bucket bounds (virtual seconds) of the
-// wasp_adapt_latency_seconds histograms. The low end resolves sub-tick
-// phases (the plan phase is instantaneous on the virtual clock); the top
-// covers a recovery that waits out a multi-minute backoff.
-var adaptLatencyBuckets = []float64{0.25, 0.5, 1, 2, 5, 10, 20, 40, 80, 160, 320, 640}
-
-// EmitAdaptPhase records one phase of an adaptation's latency on o: an
-// adapt.latency timeline event plus an observation in the per-phase
-// wasp_adapt_latency_seconds histogram. The engine records the halt and
-// transfer phases through it, the controller detect, plan and resume.
-// kind names the mechanism ("reconfigure", "replan", or the controller's
-// action); op is -1 for whole-plan operations.
-func EmitAdaptPhase(o *obs.Observer, phase, kind string, op plan.OpID, d vclock.Time) {
-	if o == nil {
-		return
-	}
-	d = max(d, 0)
-	o.Emit("adapt.latency",
-		obs.String("phase", phase),
-		obs.String("kind", kind),
-		obs.Int("op", int(op)),
-		obs.Dur("dur", time.Duration(d)))
-	r := o.Registry()
-	r.Describe("wasp_adapt_latency_seconds", "Virtual-clock duration of one adaptation phase (detect/plan/halt/transfer/resume), by phase.")
-	r.Histogram("wasp_adapt_latency_seconds", adaptLatencyBuckets, "phase", phase).Observe(d.Seconds())
 }

@@ -371,8 +371,8 @@ func (e *Engine) finalizeReconfig(rc *reconfiguration, now vclock.Time) {
 	if haltEnd == 0 {
 		haltEnd = now
 	}
-	EmitAdaptPhase(e.obs, "halt", "reconfigure", rc.op, haltEnd-rc.startedAt)
-	EmitAdaptPhase(e.obs, "transfer", "reconfigure", rc.op, now-haltEnd)
+	e.obs.EmitAdaptPhase("halt", "reconfigure", int(rc.op), haltEnd-rc.startedAt)
+	e.obs.EmitAdaptPhase("transfer", "reconfigure", int(rc.op), now-haltEnd)
 	if rc.finished != nil {
 		rc.finished(now)
 	}
@@ -519,7 +519,7 @@ func (e *Engine) progressReplan(now vclock.Time) {
 	// The whole drain-then-switch is one halt phase: sources stay suspended
 	// until the old pipeline empties, and the swap itself is instantaneous
 	// on the virtual clock — no transfer phase. op -1 = whole-plan action.
-	EmitAdaptPhase(e.obs, "halt", "replan", -1, now-rp.started)
+	e.obs.EmitAdaptPhase("halt", "replan", -1, now-rp.started)
 	if rp.finished != nil {
 		rp.finished(now)
 	}

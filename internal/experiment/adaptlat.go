@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
@@ -14,9 +13,8 @@ import (
 )
 
 // AdaptPhases is the canonical order of the adaptation cycle's phases in
-// every report: the §6.2 loop as instrumented by the adapt and engine
-// layers (adapt.latency events, wasp_adapt_latency_seconds).
-var AdaptPhases = []string{"detect", "plan", "halt", "transfer", "resume"}
+// every report: obs.AdaptPhases.
+var AdaptPhases = obs.AdaptPhases
 
 // AdaptLatRun is one query's arm of the adaptation-latency experiment:
 // the full WASP policy under the fig8 dynamics plus a mid-run site crash,
@@ -67,45 +65,9 @@ func RunAdaptLat(seed int64, duration time.Duration) ([]AdaptLatRun, error) {
 		if err != nil {
 			return AdaptLatRun{}, fmt.Errorf("adaptlat %s: %w", qname, err)
 		}
-		return AdaptLatRun{Query: qname, Durations: phaseSeconds(o)}, nil
+		byPhase, _ := o.AdaptLatency()
+		return AdaptLatRun{Query: qname, Durations: byPhase}, nil
 	})
-}
-
-// phaseSeconds extracts every adapt.latency event's duration, grouped by
-// phase, in emission order.
-func phaseSeconds(o *obs.Observer) map[string][]float64 {
-	out := make(map[string][]float64)
-	for _, ev := range o.Events("adapt.latency") {
-		phase := ev.Get("phase").Str()
-		if phase == "" {
-			continue
-		}
-		out[phase] = append(out[phase], ev.Get("dur").Duration().Seconds())
-	}
-	return out
-}
-
-// exactQuantile returns the q-quantile of raw samples (nearest-rank with
-// linear interpolation), NaN-free: zero samples yield 0.
-func exactQuantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo] + (s[lo+1]-s[lo])*frac
 }
 
 // FormatAdaptLat renders the per-phase latency breakdown: one row per
@@ -119,22 +81,18 @@ func FormatAdaptLat(runs []AdaptLatRun) string {
 		for _, phase := range AdaptPhases {
 			ds := run.Durations[phase]
 			pooled[phase] = append(pooled[phase], ds...)
-			rows = append(rows, []string{
-				run.Query, phase, fmt.Sprintf("%d", len(ds)),
-				Fmt(exactQuantile(ds, 0.50)),
-				Fmt(exactQuantile(ds, 0.95)),
-				Fmt(exactQuantile(ds, 0.99)),
-			})
+			rows = append(rows, adaptLatRow(run.Query, phase, ds))
 		}
 	}
 	for _, phase := range AdaptPhases {
-		ds := pooled[phase]
-		rows = append(rows, []string{
-			"all", phase, fmt.Sprintf("%d", len(ds)),
-			Fmt(exactQuantile(ds, 0.50)),
-			Fmt(exactQuantile(ds, 0.95)),
-			Fmt(exactQuantile(ds, 0.99)),
-		})
+		rows = append(rows, adaptLatRow("all", phase, pooled[phase]))
 	}
 	return out + Table([]string{"query", "phase", "n", "p50", "p95", "p99"}, rows)
+}
+
+// adaptLatRow is one (query, phase) row: the count and exact p50, p95 and
+// p99 of the durations.
+func adaptLatRow(query, phase string, ds []float64) []string {
+	q := obs.Quantiles(ds, 0.50, 0.95, 0.99)
+	return []string{query, phase, fmt.Sprintf("%d", len(ds)), Fmt(q[0]), Fmt(q[1]), Fmt(q[2])}
 }

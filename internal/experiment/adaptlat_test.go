@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"bytes"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,19 +18,19 @@ import (
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
+// TestExactQuantile checks the exact quantiles of an adaptation-latency
+// row: an empty set reads zero, and unsorted durations interpolate
+// between ranks without being reordered.
 func TestExactQuantile(t *testing.T) {
-	if got := exactQuantile(nil, 0.5); got != 0 {
-		t.Errorf("empty = %v, want 0", got)
+	if got, want := adaptLatRow("all", "plan", nil), []string{"all", "plan", "0", "0.00", "0.00", "0.00"}; !slices.Equal(got, want) {
+		t.Errorf("empty row = %v, want %v", got, want)
 	}
 	s := []float64{4, 1, 3, 2}
-	if got := exactQuantile(s, 0); got != 1 {
-		t.Errorf("q0 = %v, want 1", got)
+	if got, want := adaptLatRow("q", "plan", s), []string{"q", "plan", "4", "2.50", "3.85", "3.97"}; !slices.Equal(got, want) {
+		t.Errorf("row = %v, want %v", got, want)
 	}
-	if got := exactQuantile(s, 1); got != 4 {
-		t.Errorf("q1 = %v, want 4", got)
-	}
-	if got := exactQuantile(s, 0.5); math.Abs(got-2.5) > 1e-9 {
-		t.Errorf("q0.5 = %v, want 2.5", got)
+	if !slices.Equal(s, []float64{4, 1, 3, 2}) {
+		t.Errorf("adaptLatRow reordered its durations: %v", s)
 	}
 }
 
@@ -111,5 +114,46 @@ func TestAdaptLatSweepCoversEveryPhase(t *testing.T) {
 		if n == 0 {
 			t.Errorf("phase %s: no observation in any query:\n%s", phase, FormatAdaptLat(runs))
 		}
+	}
+}
+
+// TestAdaptLatencyReadsEveryPhaseEvent holds the adapt.latency reader to
+// runAdaptLatScenario's events: every event with a phase lands, in
+// emission order, under its phase and under its phase/kind, as its
+// duration in seconds; and the run's artifact, read back as wasptrace
+// reads it, yields the same samples bit for bit.
+func TestAdaptLatencyReadsEveryPhaseEvent(t *testing.T) {
+	o := runAdaptLatScenario(t)
+	byPhase, byKind := o.AdaptLatency()
+	wantPhase, wantKind := map[string][]float64{}, map[string][]float64{}
+	for _, ev := range o.Events("adapt.latency") {
+		phase, key := ev.Get("phase").Str(), ev.Get("phase").Str()+"/"+ev.Get("kind").Str()
+		d := ev.Get("dur").Duration().Seconds()
+		wantPhase[phase] = append(wantPhase[phase], d)
+		wantKind[key] = append(wantKind[key], d)
+	}
+	for _, phase := range []string{"detect", "plan", "halt", "transfer"} {
+		if len(wantPhase[phase]) == 0 {
+			t.Fatalf("scenario recorded no %s phase", phase)
+		}
+	}
+	same := func(a, b map[string][]float64) bool {
+		return maps.EqualFunc(a, b, func(x, y []float64) bool {
+			return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+		})
+	}
+	if !same(byPhase, wantPhase) || !same(byKind, wantKind) {
+		t.Fatalf("AdaptLatency = %v, %v; events %v, %v", byPhase, byKind, wantPhase, wantKind)
+	}
+	var artifact bytes.Buffer
+	if err := obs.WriteRun(&artifact, o, nil); err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := obs.ReadRun(&artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, k := back.AdaptLatency(); !same(p, byPhase) || !same(k, byKind) {
+		t.Fatalf("read back: %v, %v; live %v, %v", p, k, byPhase, byKind)
 	}
 }

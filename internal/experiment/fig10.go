@@ -57,15 +57,11 @@ func FormatFig10(runs []PolicyRun, duration time.Duration) string {
 	header := []string{"policy", "p50", "p75", "p90", "p93", "p99", "mean"}
 	var rows [][]string
 	for _, run := range runs {
-		rows = append(rows, []string{
-			run.Policy.String(),
-			Fmt(run.Result.DelayPercentile(0.50)),
-			Fmt(run.Result.DelayPercentile(0.75)),
-			Fmt(run.Result.DelayPercentile(0.90)),
-			Fmt(run.Result.DelayPercentile(0.93)),
-			Fmt(run.Result.DelayPercentile(0.99)),
-			Fmt(Mean(run.Result.Samples)),
-		})
+		row := []string{run.Policy.String()}
+		for _, q := range Percentiles(run.Result.Samples, 0.50, 0.75, 0.90, 0.93, 0.99) {
+			row = append(row, Fmt(q))
+		}
+		rows = append(rows, append(row, Fmt(Mean(run.Result.Samples))))
 	}
 	out += Table(header, rows)
 

@@ -114,14 +114,11 @@ func FormatFig12(runs []PolicyRun) string {
 	out += "\nFigure 12(b): delay distribution (s)\n"
 	rows = nil
 	for _, run := range runs {
-		rows = append(rows, []string{
-			run.Policy.String(),
-			Fmt(run.Result.DelayPercentile(0.25)),
-			Fmt(run.Result.DelayPercentile(0.50)),
-			Fmt(run.Result.DelayPercentile(0.75)),
-			Fmt(run.Result.DelayPercentile(0.95)),
-			Fmt(run.Result.DelayPercentile(0.99)),
-		})
+		row := []string{run.Policy.String()}
+		for _, q := range Percentiles(run.Result.Samples, 0.25, 0.50, 0.75, 0.95, 0.99) {
+			row = append(row, Fmt(q))
+		}
+		rows = append(rows, row)
 	}
 	out += Table([]string{"policy", "p25", "p50", "p75", "p95", "p99"}, rows)
 	return out

@@ -130,7 +130,7 @@ func FormatFig13(runs []Fig13Run) string {
 	for _, run := range runs {
 		row := []string{strategyName(run.Strategy)}
 		for i := 0; i+1 < len(buckets); i++ {
-			row = append(row, Fmt(meanWithin(run.Samples, vclock.Time(buckets[i]), vclock.Time(buckets[i+1]))))
+			row = append(row, Fmt(Mean(Window(run.Samples, vclock.Time(buckets[i]), vclock.Time(buckets[i+1])))))
 		}
 		rows = append(rows, row)
 	}

@@ -79,9 +79,7 @@ func (b *migBench) runUntil(t time.Duration) error {
 	if err := b.sched.RunUntil(vclock.Time(t)); err != nil {
 		return err
 	}
-	for _, d := range b.eng.TakeDeliveries() {
-		b.samples = append(b.samples, WeightedDelay{At: d.At, Delay: d.Delay.Seconds(), Weight: d.Count})
-	}
+	b.samples = appendDelays(b.samples, b.eng.TakeDeliveries())
 	return nil
 }
 

@@ -291,11 +291,7 @@ func Run(s Scenario) (*Result, error) {
 			deliveryHook(sc.Name, ds)
 		}
 		if len(ds) > 0 {
-			chunk := make([]WeightedDelay, len(ds))
-			for i, d := range ds {
-				chunk[i] = WeightedDelay{At: d.At, Delay: d.Delay.Seconds(), Weight: d.Count}
-			}
-			chunks = append(chunks, chunk)
+			chunks = append(chunks, appendDelays(make([]WeightedDelay, 0, len(ds)), ds))
 		}
 		gen, processed, _ := eng.Goodput()
 		dg, dp := gen-lastGen, processed-lastProcessed
@@ -354,6 +350,14 @@ func Run(s Scenario) (*Result, error) {
 	return res, nil
 }
 
+// appendDelays appends one delay sample per sink delivery to samples.
+func appendDelays(samples []WeightedDelay, ds []engine.SinkDelivery) []WeightedDelay {
+	for _, d := range ds {
+		samples = append(samples, WeightedDelay{At: d.At, Delay: d.Delay.Seconds(), Weight: d.Count})
+	}
+	return samples
+}
+
 // concat returns the chunks' samples in order in one slice whose length
 // is its capacity, or nil when there are none.
 func concat(chunks [][]WeightedDelay) []WeightedDelay {
@@ -391,10 +395,11 @@ func finalState(eng *engine.Engine, net *netsim.Network, o *obs.Observer) *chaos
 
 // MeanDelayBetween averages the run's delay samples within [from, to).
 func (r *Result) MeanDelayBetween(from, to time.Duration) float64 {
-	return meanWithin(r.Samples, vclock.Time(from), vclock.Time(to))
+	return Mean(Window(r.Samples, vclock.Time(from), vclock.Time(to)))
 }
 
-// DelayPercentile returns the p-quantile of all delay samples.
+// DelayPercentile returns the p-quantile of all delay samples: Percentile
+// of Samples.
 func (r *Result) DelayPercentile(p float64) float64 {
 	return Percentile(r.Samples, p)
 }

@@ -143,7 +143,7 @@ func runScaleCell(seed int64, duration time.Duration, sh ScaleShape) (ScaleCell,
 		Ticks:        res.Ticks,
 		Actions:      len(res.Actions),
 		ProcessedPct: res.ProcessedPct,
-		AdaptP50:     exactQuantile(cycleSeconds(o), 0.50),
+		AdaptP50:     obs.Quantiles(cycleSeconds(o), 0.50)[0],
 	}, nil
 }
 
@@ -152,7 +152,7 @@ func runScaleCell(seed int64, duration time.Duration, sh ScaleShape) (ScaleCell,
 // per phase in order, so the i-th sample of each phase belongs to the
 // i-th cycle.
 func cycleSeconds(o *obs.Observer) []float64 {
-	ps := phaseSeconds(o)
+	ps, _ := o.AdaptLatency()
 	n := -1
 	for _, phase := range AdaptPhases {
 		if n < 0 || len(ps[phase]) < n {

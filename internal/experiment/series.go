@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -29,12 +30,31 @@ type WeightedDelay struct {
 }
 
 // Percentile returns the weighted p-quantile (p ∈ [0,1]) of the delay
-// samples. It returns NaN for an empty set. It sorts the samples' indices,
-// a sixth of the samples' bytes (a run holds far fewer than 2^31), and
-// reads the samples through them.
+// samples: Percentiles for one p, without its result slice.
 func Percentile(samples []WeightedDelay, p float64) float64 {
+	var q [1]float64
+	percentilesInto(q[:], samples, []float64{p})
+	return q[0]
+}
+
+// Percentiles returns the weighted ps-quantiles of the delay samples,
+// each bit for bit Percentile's, from one sort: NaN for an empty set. It
+// sorts the samples' indices, a sixth of the samples' bytes (a run holds
+// far fewer than 2^31), and reads the samples through them; ascending ps
+// share one cumulative walk.
+func Percentiles(samples []WeightedDelay, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
+	percentilesInto(out, samples, ps)
+	return out
+}
+
+// percentilesInto is Percentiles into out, which has len(ps) entries.
+func percentilesInto(out []float64, samples []WeightedDelay, ps []float64) {
 	if len(samples) == 0 {
-		return math.NaN()
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return
 	}
 	order := make([]int32, len(samples))
 	for i := range order {
@@ -56,15 +76,26 @@ func Percentile(samples []WeightedDelay, p float64) float64 {
 	for _, i := range order {
 		total += samples[i].Weight
 	}
-	target := p * total
-	var cum float64
-	for _, i := range order {
-		cum += samples[i].Weight
-		if cum >= target {
-			return samples[i].Delay
+	// The answer to p is the first sample whose running weight reaches
+	// p·total. A target no lower than the last one resumes the walk where
+	// that one stopped, as every sample before it fell short of both.
+	k, cum, last := 0, 0.0, math.Inf(-1)
+	for j, p := range ps {
+		target := p * total
+		if !(target >= last) {
+			k, cum = 0, 0
+		}
+		last = target
+		out[j] = samples[order[len(order)-1]].Delay
+		for ; k < len(order); k++ {
+			s := &samples[order[k]]
+			if cum+s.Weight >= target {
+				out[j] = s.Delay
+				break
+			}
+			cum += s.Weight
 		}
 	}
-	return samples[order[len(order)-1]].Delay
 }
 
 // Mean returns the weighted mean delay, or NaN for an empty set.
@@ -80,32 +111,15 @@ func Mean(samples []WeightedDelay) float64 {
 	return sum / w
 }
 
-// meanWithin is Mean of Window(samples, from, to) in one pass: it sums
-// the same samples in the same order, so the result is bit for bit the
-// same.
-func meanWithin(samples []WeightedDelay, from, to vclock.Time) float64 {
-	var sum, w float64
-	for _, s := range samples {
-		if s.At >= from && s.At < to {
-			sum += s.Delay * s.Weight
-			w += s.Weight
-		}
-	}
-	if w == 0 {
-		return math.NaN()
-	}
-	return sum / w
-}
-
-// Window filters samples to [from, to).
+// Window returns the samples with At in [from, to) of a set ascending by
+// At, as a view into it found by binary search: no copy, and no spare
+// capacity, so an append to the view cannot overwrite the samples after
+// it.
 func Window(samples []WeightedDelay, from, to vclock.Time) []WeightedDelay {
-	var out []WeightedDelay
-	for _, s := range samples {
-		if s.At >= from && s.At < to {
-			out = append(out, s)
-		}
-	}
-	return out
+	at := func(s WeightedDelay, t vclock.Time) int { return cmp.Compare(s.At, t) }
+	lo, _ := slices.BinarySearchFunc(samples, from, at)
+	hi, _ := slices.BinarySearchFunc(samples[lo:], to, at)
+	return samples[lo : lo+hi : lo+hi]
 }
 
 // SeriesValueAt returns the last series value at or before t (or def).

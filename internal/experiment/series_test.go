@@ -41,7 +41,8 @@ func TestPercentile(t *testing.T) {
 // float sum depends on the order, in sets from one sample to tens of
 // thousands: both sorts are the same pdqsort driven by the same strict
 // less-than, Percentile's over the samples' indices, so they must agree
-// bit for bit.
+// bit for bit. Percentiles over every p at once, ascending or not, must
+// give each p's Percentile bit for bit.
 func TestPercentileOrdersAsSortSlice(t *testing.T) {
 	ref := func(samples []WeightedDelay, p float64) float64 {
 		sorted := slices.Clone(samples)
@@ -73,6 +74,14 @@ func TestPercentileOrdersAsSortSlice(t *testing.T) {
 				t.Fatalf("trial %d p%v: Percentile %v, sort.Slice order %v", trial, p, got, want)
 			}
 		}
+		for _, ps := range [][]float64{{0, 0.1, 0.5, 0.9, 0.95, 0.99, 1}, {0.9, math.NaN(), 0.5, 0.5, 1, 0}} {
+			all := Percentiles(samples, ps...)
+			for j, p := range ps {
+				if got := Percentile(samples, p); math.Float64bits(all[j]) != math.Float64bits(got) {
+					t.Fatalf("trial %d: Percentiles(%v)[%d] = %v, Percentile %v", trial, ps, j, all[j], got)
+				}
+			}
+		}
 	}
 }
 
@@ -87,6 +96,60 @@ func TestMeanAndWindow(t *testing.T) {
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Fatal("empty Mean not NaN")
+	}
+}
+
+// TestWindowIsTheFilteredView holds Window, on random sets ascending by
+// At with runs of equal times and bounds on, between and outside them, to
+// the copy that filters [from, to): the same samples, as a view into the
+// set with no spare capacity, so that appending to it leaves the samples
+// after it as they were.
+func TestWindowIsTheFilteredView(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		samples := make([]WeightedDelay, rng.Intn(40))
+		at := vclock.Time(0)
+		for i := range samples {
+			at += vclock.Time(rng.Intn(3)) // ties: a third of the steps are 0
+			samples[i] = WeightedDelay{At: at, Delay: float64(i), Weight: 1}
+		}
+		from, to := vclock.Time(rng.Intn(int(at)+3)-1), vclock.Time(rng.Intn(int(at)+3)-1)
+		var want []WeightedDelay
+		for _, s := range samples {
+			if s.At >= from && s.At < to {
+				want = append(want, s)
+			}
+		}
+		got := Window(samples, from, to)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Window(%v, %d, %d) = %v, filtered %v", trial, samples, from, to, got, want)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("trial %d: Window has len %d, cap %d", trial, len(got), cap(got))
+		}
+		if len(got) > 0 && &got[0] != &samples[slices.Index(samples, got[0])] {
+			t.Fatalf("trial %d: Window copied its samples", trial)
+		}
+		before := slices.Clone(samples)
+		_ = append(got, WeightedDelay{At: -1, Delay: -1})
+		if !slices.Equal(samples, before) {
+			t.Fatalf("trial %d: appending to Window overwrote the set", trial)
+		}
+	}
+}
+
+// TestStatisticsAllocs: Window allocates nothing, and Percentile only its
+// index slice.
+func TestStatisticsAllocs(t *testing.T) {
+	samples := make([]WeightedDelay, 1000)
+	for i := range samples {
+		samples[i] = wd(time.Duration(i)*time.Second, float64(i%7), 1)
+	}
+	if n := testing.AllocsPerRun(100, func() { Window(samples, vclock.Time(10*time.Second), vclock.Time(500*time.Second)) }); n != 0 {
+		t.Errorf("Window allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Percentile(samples, 0.95) }); n != 1 {
+		t.Errorf("Percentile allocates %v times per call, want 1", n)
 	}
 }
 

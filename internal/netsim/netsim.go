@@ -31,9 +31,9 @@ type linkKey struct {
 }
 
 // linkState is the dense per-link record: its capacity inputs, its
-// claimants in fair-share order (flows ascending by registration id, then
-// transfers ascending by id — the tie-break order the allocation is
-// deterministic under) and the dirty flag that schedules a re-solve.
+// claimants in fair-share order (flows in registration order, then
+// transfers in registration order — the tie-break order the allocation
+// is deterministic under) and the dirty flag that schedules a re-solve.
 type linkState struct {
 	id  int
 	key linkKey
@@ -72,7 +72,6 @@ func (l *linkState) claimantCount() int { return len(l.flows) + len(l.transfers)
 // the engine each step; Allocated reports the rate granted by the link's
 // fair-share allocation at the most recent Step.
 type Flow struct {
-	id       int
 	From, To topology.SiteID
 	//waspvet:guardedby linkState.dirty
 	demand    float64 // bytes/s requested
@@ -118,7 +117,6 @@ func (f *Flow) Latency() time.Duration { return f.link.latency }
 // Transfer is a bulk state-migration transfer. It consumes all bandwidth
 // the fair-share allocation grants it until its payload is delivered.
 type Transfer struct {
-	id        int
 	From, To  topology.SiteID
 	total     float64 // bytes
 	remaining float64 // bytes
@@ -143,9 +141,8 @@ type Network struct {
 	top *topology.Topology
 	//waspvet:guardedby globalInit
 	globalFactor trace.Cursor
-	flows        map[int]*Flow
-	transfers    map[int]*Transfer
-	nextID       int
+	// flows counts the registered flows.
+	flows int
 
 	// Dense link registry. linkIdx is consulted only on cold paths
 	// (flow/transfer attach, fault and trace installation, the pair-keyed
@@ -166,8 +163,8 @@ type Network struct {
 	// tracedNext), so Step skips the traced links there. SetLinkFactor
 	// resets tracedNext so that the next Step reads them again.
 	tracedAt, tracedNext vclock.Time
-	// transferList holds the in-flight transfers ascending by id — the
-	// deterministic progression order — without re-sorting map keys.
+	// transferList holds the in-flight transfers in registration order,
+	// the deterministic progression order.
 	transferList []*Transfer
 	// activeSorted caches the links with at least one claimant, sorted by
 	// (from, to), for telemetry's deterministic float accumulation. Rebuilt
@@ -207,8 +204,6 @@ func New(top *topology.Topology) *Network {
 	return &Network{
 		top:          top,
 		globalFactor: trace.NewCursor(trace.Constant(1)),
-		flows:        make(map[int]*Flow),
-		transfers:    make(map[int]*Transfer),
 		linkIdx:      make(map[linkKey]int),
 	}
 }
@@ -404,11 +399,10 @@ func (n *Network) Latency(from, to topology.SiteID) time.Duration {
 // initial demand.
 func (n *Network) AddFlow(from, to topology.SiteID) *Flow {
 	l := n.link(from, to)
-	f := &Flow{id: n.nextID, From: from, To: to, net: n, link: l}
-	n.nextID++
-	n.flows[f.id] = f
-	// Registration ids are monotonic, so appending keeps the claimant
-	// list in ascending-id (fair-share tie-break) order.
+	f := &Flow{From: from, To: to, net: n, link: l}
+	n.flows++
+	// Appending keeps the claimant list in registration (fair-share
+	// tie-break) order.
 	l.flows = append(l.flows, f)
 	n.markDirty(l)
 	n.activeDirty = true
@@ -422,7 +416,7 @@ func (n *Network) RemoveFlow(f *Flow) {
 	}
 	f.removed = true
 	f.allocated = 0
-	delete(n.flows, f.id)
+	n.flows--
 	if l := f.link; l != nil {
 		if i := slices.Index(l.flows, f); i >= 0 {
 			l.flows = append(l.flows[:i], l.flows[i+1:]...)
@@ -437,15 +431,12 @@ func (n *Network) RemoveFlow(f *Flow) {
 func (n *Network) StartTransfer(from, to topology.SiteID, bytes float64) *Transfer {
 	l := n.link(from, to)
 	t := &Transfer{
-		id:        n.nextID,
 		From:      from,
 		To:        to,
 		total:     math.Max(bytes, 0),
 		remaining: math.Max(bytes, 0),
 		link:      l,
 	}
-	n.nextID++
-	n.transfers[t.id] = t
 	l.transfers = append(l.transfers, t)
 	n.transferList = append(n.transferList, t)
 	n.markDirty(l)
@@ -465,6 +456,9 @@ func (n *Network) CancelTransfer(t *Transfer) {
 	t.canceled = true
 	t.allocated = 0
 	n.detachTransfer(t)
+	if i := slices.Index(n.transferList, t); i >= 0 {
+		n.transferList = append(n.transferList[:i], n.transferList[i+1:]...)
+	}
 	if n.obs != nil {
 		n.obs.Emit("transfer.canceled",
 			obs.Int("from", int(t.From)), obs.Int("to", int(t.To)),
@@ -472,19 +466,16 @@ func (n *Network) CancelTransfer(t *Transfer) {
 	}
 }
 
-// detachTransfer removes a transfer from the network's books (completion
-// or cancellation): the id map, its link's claimant list, and the global
-// progression list.
+// detachTransfer removes a completed or canceled transfer from its link's
+// claimant list; the caller takes it off the progression list.
+//
+//waspvet:hotpath
 func (n *Network) detachTransfer(t *Transfer) {
-	delete(n.transfers, t.id)
 	if l := t.link; l != nil {
 		if i := slices.Index(l.transfers, t); i >= 0 {
 			l.transfers = append(l.transfers[:i], l.transfers[i+1:]...)
 		}
 		n.markDirty(l)
-	}
-	if i := slices.Index(n.transferList, t); i >= 0 {
-		n.transferList = append(n.transferList[:i], n.transferList[i+1:]...)
 	}
 	n.activeDirty = true
 }
@@ -492,7 +483,7 @@ func (n *Network) detachTransfer(t *Transfer) {
 // ActiveTransfers reports the number of in-flight bulk transfers still
 // attached to the network (the orphan-transfer invariant checks it is zero
 // at end of run).
-func (n *Network) ActiveTransfers() int { return len(n.transfers) }
+func (n *Network) ActiveTransfers() int { return len(n.transferList) }
 
 // EstimateTransferTime predicts how long a transfer of `bytes` over
 // from→to would take at the link's current capacity, ignoring contention —
@@ -582,8 +573,8 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 		n.recordStepTelemetry(start, dtSec) //waspvet:hotalloc observer-gated; returns immediately when telemetry is off
 	}
 
-	// Progress transfers ascending by id (deterministic completion order).
-	// Completed ones are detached in place.
+	// Progress transfers in registration order (deterministic completion
+	// order). Completed ones are detached in place.
 	live := n.transferList[:0]
 	for _, t := range n.transferList {
 		moved := t.allocated * dtSec
@@ -596,14 +587,7 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 			t.remaining = 0
 			t.done = true
 			t.allocated = 0
-			delete(n.transfers, t.id)
-			if l := t.link; l != nil {
-				if i := slices.Index(l.transfers, t); i >= 0 {
-					l.transfers = append(l.transfers[:i], l.transfers[i+1:]...)
-				}
-				n.markDirty(l)
-			}
-			n.activeDirty = true
+			n.detachTransfer(t)
 			continue
 		}
 		live = append(live, t)
@@ -620,8 +604,8 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 const transferEps = 1e-9
 
 // solveLink recomputes one link's fair-share allocation. Claimants are
-// gathered flows-first then transfers, each ascending by registration id —
-// the deterministic tie-break order.
+// gathered flows-first then transfers, each in registration order — the
+// deterministic tie-break order.
 //
 //waspvet:hotpath
 func (n *Network) solveLink(l *linkState, start vclock.Time, dtSec float64) {
@@ -700,8 +684,8 @@ func (n *Network) recordStepTelemetry(start vclock.Time, dtSec float64) {
 	}
 	n.telWanBytes.Add(granted)
 	n.telBacklog.Add(unmet)
-	n.telFlows.Set(float64(len(n.flows)))
-	n.telTransfers.Set(float64(len(n.transfers)))
+	n.telFlows.Set(float64(n.flows))
+	n.telTransfers.Set(float64(len(n.transferList)))
 }
 
 // fairShareInto computes the max-min fair allocation of `capacity` among
@@ -709,8 +693,8 @@ func (n *Network) recordStepTelemetry(start vclock.Time, dtSec float64) {
 // equal share keep their demand; the remainder is split among the rest,
 // iteratively (progressive filling). The returned slice is the Network's
 // retained scratch, valid until the next call. Ties in demand are broken
-// by claimant position (ascending registration ID, since callers gather
-// claimants in sorted-ID order), keeping the allocation deterministic.
+// by claimant position (registration order, in which callers gather
+// claimants), keeping the allocation deterministic.
 //
 //waspvet:hotpath
 func (n *Network) fairShareInto(capacity float64, cs []claimant) []float64 {

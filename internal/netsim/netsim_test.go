@@ -1,12 +1,15 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/trace"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -336,4 +339,50 @@ func TestMaxMinFairShareProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCountsFollowLiveClaimants holds the flow and transfer counts —
+// ActiveTransfers and the wasp_wan_flows and wasp_wan_transfers gauges —
+// to the live claimants through adds, a double remove, a completion, a
+// cancel and a cancel of a completed transfer.
+func TestCountsFollowLiveClaimants(t *testing.T) {
+	n := New(twoSite(t))
+	o := obs.New(nil)
+	n.SetObserver(o)
+	now := vclock.Time(0)
+	// The gauges are set as a step starts, before it progresses the
+	// transfers.
+	check := func(what string, flows, transfers int) {
+		t.Helper()
+		if got := n.ActiveTransfers(); got != transfers {
+			t.Errorf("%s: ActiveTransfers = %d, want %d", what, got, transfers)
+		}
+		now += vclock.Time(time.Second)
+		step(n, now)
+		var b strings.Builder
+		if err := o.WriteProm(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{fmt.Sprintf("\nwasp_wan_flows %d\n", flows), fmt.Sprintf("\nwasp_wan_transfers %d\n", transfers)} {
+			if !strings.Contains(b.String(), want) {
+				t.Errorf("%s: gauges lack %q:\n%s", what, strings.TrimSpace(want), b.String())
+			}
+		}
+	}
+	f1, f2 := n.AddFlow(0, 1), n.AddFlow(1, 0)
+	small, big := n.StartTransfer(0, 1, 1e3), n.StartTransfer(1, 0, 1e12)
+	lasting := n.StartTransfer(0, 1, 1e12)
+	check("registered", 2, 3)
+	if !small.Done() {
+		t.Fatal("small transfer not done after one step")
+	}
+	n.RemoveFlow(f1)
+	n.RemoveFlow(f1)
+	check("after a completion and removing one flow twice", 1, 2)
+	n.CancelTransfer(big)
+	n.CancelTransfer(small)
+	check("after canceling one live and one completed transfer", 1, 1)
+	n.RemoveFlow(f2)
+	n.CancelTransfer(lasting)
+	check("after removing everything", 0, 0)
 }

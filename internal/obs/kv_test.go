@@ -145,7 +145,9 @@ func TestRecordedAttrsAreCopies(t *testing.T) {
 	sp := o.StartSpan("round", buf...)
 	o.Emit("inner", buf...)
 	sp.Event("event", buf...)
-	sp.Reject("re-assign", "no site", buf...)
+	o.Reject("re-assign", "no site", buf...)
+	set := o.StartAsync("set")
+	set.SetAttrs(buf...)
 	buf[0], buf[1] = Int("op", 99), String("kind", "overwritten")
 
 	check := func(what string, attrs []KV, skip int) {
@@ -162,7 +164,8 @@ func TestRecordedAttrsAreCopies(t *testing.T) {
 	check("StartSpan", sp.Attrs, 0)
 	check("Emit in a span", sp.Events[0].Attrs, 0)
 	check("Span.Event", sp.Events[1].Attrs, 0)
-	check("Span.Reject", sp.Events[2].Attrs, 2)
+	check("Reject", sp.Events[2].Attrs, 2)
+	check("Span.SetAttrs", set.Attrs, 0)
 
 	grown := append(sp.Attrs, Bool("extra", true))
 	grown[0] = Int("op", 7)

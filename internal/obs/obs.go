@@ -122,7 +122,24 @@ func (o *Observer) Emit(name string, attrs ...KV) {
 	if o == nil {
 		return
 	}
-	ev := Event{At: o.Now(), Name: name, Attrs: o.keep(attrs)}
+	o.record(Event{At: o.Now(), Name: name, Attrs: o.keep(attrs)})
+}
+
+// Reject records a considered-but-rejected Figure-6 branch and why — the
+// half of the decision trace a plain action log cannot show — as an Emit
+// of a "reject" event whose first attributes are branch and reason.
+func (o *Observer) Reject(branch, reason string, attrs ...KV) {
+	if o == nil {
+		return
+	}
+	kvs := o.take(len(attrs) + 2)
+	kvs[0], kvs[1] = String("branch", branch), String("reason", reason)
+	copy(kvs[2:], attrs)
+	o.record(Event{At: o.Now(), Name: "reject", Attrs: kvs})
+}
+
+// record attaches ev to the active span, or else to the top level.
+func (o *Observer) record(ev Event) {
 	if o.cur != nil {
 		o.cur.Events = append(o.cur.Events, ev)
 		return
@@ -243,12 +260,15 @@ type Span struct {
 	parent *Span
 }
 
-// SetAttrs appends attributes to the span.
+// SetAttrs appends attributes to the span, copied with its own into the
+// observer's attribute block.
 func (s *Span) SetAttrs(attrs ...KV) {
-	if s == nil {
+	if s == nil || len(attrs) == 0 {
 		return
 	}
-	s.Attrs = append(s.Attrs, attrs...)
+	kvs := s.o.take(len(s.Attrs) + len(attrs))
+	copy(kvs[copy(kvs, s.Attrs):], attrs)
+	s.Attrs = kvs
 }
 
 // Event records a point event inside the span (regardless of whether the
@@ -260,18 +280,6 @@ func (s *Span) Event(name string, attrs ...KV) {
 		return
 	}
 	s.Events = append(s.Events, Event{At: s.o.Now(), Name: name, Attrs: s.o.keep(attrs)})
-}
-
-// Reject records a considered-but-rejected Figure-6 branch and why — the
-// half of the decision trace a plain action log cannot show.
-func (s *Span) Reject(branch, reason string, attrs ...KV) {
-	if s == nil {
-		return
-	}
-	kvs := s.o.take(len(attrs) + 2)
-	kvs[0], kvs[1] = String("branch", branch), String("reason", reason)
-	copy(kvs[2:], attrs)
-	s.Events = append(s.Events, Event{At: s.o.Now(), Name: "reject", Attrs: kvs})
 }
 
 // Finish closes the span at the current virtual time. If the span is the

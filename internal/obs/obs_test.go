@@ -17,7 +17,7 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	o.Emit("event", F64("x", 1))
 	sp := o.StartSpan("span")
 	sp.Event("e")
-	sp.Reject("re-assign", "because")
+	o.Reject("re-assign", "because")
 	sp.SetAttrs(Int("p", 3))
 	sp.Finish()
 	async := o.StartAsync("migration")
@@ -48,7 +48,7 @@ func TestSpanNestingAndParents(t *testing.T) {
 	round := o.StartSpan("controller.round", String("policy", "wasp"))
 	o.Emit("diagnose", Int("op", 3)) // attaches to active round span
 	decision := o.StartSpan("decision", Int("op", 3))
-	decision.Reject("re-assign", "no placement found")
+	o.Reject("re-assign", "no placement found") // attaches to the active decision span
 	mig := o.StartAsync("engine.reconfigure", Int("op", 3))
 	o.Emit("action", String("kind", "scale-out"), I64("op", 3), String("detail", "p 1→2"))
 	decision.Finish()
@@ -99,7 +99,7 @@ func TestWriteJSONLDeterministicAndWellFormed(t *testing.T) {
 		o := New(testClock(&now))
 		now = 10 * time.Second
 		sp := o.StartSpan("controller.round", String("policy", "wasp"), F64("rate-factor", 1.5))
-		sp.Reject("re-plan", `overhead "big" > t_max`, Dur("overhead", 45*time.Second))
+		o.Reject("re-plan", `overhead "big" > t_max`, Dur("overhead", 45*time.Second))
 		o.Emit("action", String("kind", "scale-up"), I64("op", 2), String("detail", "p 1→2"))
 		sp.Finish()
 		now = 20 * time.Second
@@ -218,7 +218,7 @@ func TestWriteAuditAndActionLog(t *testing.T) {
 	round := o.StartSpan("controller.round", String("policy", "wasp"))
 	o.Emit("diagnose", Int("op", 3), String("cond", "network-constrained"), F64("lambda_in_hat", 45000))
 	d := o.StartSpan("decision", Int("op", 3))
-	d.Reject("re-assign", "overhead 45s > t_max 30s")
+	o.Reject("re-assign", "overhead 45s > t_max 30s")
 	mig := o.StartAsync("engine.reconfigure", Int("op", 3), F64("bytes", 1e7))
 	o.Emit("action", String("kind", "scale-out"), I64("op", 3), String("detail", "p 1→2 at [2 4]"))
 	d.Finish()

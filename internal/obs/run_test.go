@@ -22,7 +22,7 @@ func runFixture() (*Observer, *FlightRecorder) {
 	round := o.StartSpan("controller.round", String("policy", "wasp"), F64("rate_factor", 2))
 	o.Emit("diagnose", Int("op", 3), F64("lambda_in_hat", 18275.5), F64("sigma", 0), Bool("backpressure", true))
 	d := o.StartSpan("decision", Int("op", 3))
-	d.Reject("re-assign", `overhead "big" > t_max`, Dur("overhead", 3*time.Minute), Dur("t_max", 30*time.Second))
+	o.Reject("re-assign", `overhead "big" > t_max`, Dur("overhead", 3*time.Minute), Dur("t_max", 30*time.Second))
 	mig := o.StartAsync("engine.reconfigure", Int("op", 3), F64("bytes", 4.375e7))
 	o.Emit("action", String("kind", "scale-out"), I64("op", 3), String("detail", "p 1→2\tat [7 15]\n"))
 	d.Finish()
