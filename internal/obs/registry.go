@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Registry holds a run's telemetry instruments, keyed by metric name plus
 // label set. Instruments are created on first use and survive for the
@@ -12,11 +9,15 @@ import (
 // All methods are nil-safe: a nil *Registry returns nil instruments, and
 // nil instruments' Add/Set/Observe are no-ops, so call sites need no
 // guards when observability is disabled.
+//
+// A lookup builds the series key in a buffer the registry owns, so a
+// registry belongs to one goroutine, as its run does.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	help     map[string]string
+	key      []byte // the last series key built
 }
 
 // NewRegistry creates an empty registry.
@@ -38,26 +39,27 @@ func (r *Registry) Describe(name, help string) {
 	r.help[name] = help
 }
 
-// seriesKey builds the identity of one series: name plus label pairs in
-// the given (caller-stable) order.
-func seriesKey(name string, labels []string) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i := 0; i+1 < len(labels); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
+// seriesKey builds the identity of one series, name plus label pairs in
+// the given (caller-stable) order, into r.key. Looking it up as
+// m[string(key)] allocates nothing; only a new series' insertion copies it
+// into a string.
+func (r *Registry) seriesKey(name string, labels []string) []byte {
+	b := append(r.key[:0], name...)
+	if len(labels) > 0 {
+		b = append(b, '{')
+		for i := 0; i+1 < len(labels); i += 2 {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, labels[i]...)
+			b = append(b, `="`...)
+			b = append(b, labels[i+1]...)
+			b = append(b, '"')
 		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(labels[i+1])
-		b.WriteByte('"')
+		b = append(b, '}')
 	}
-	b.WriteByte('}')
-	return b.String()
+	r.key = b
+	return b
 }
 
 // Counter is a monotone accumulator. The zero value of the pointer (nil)
@@ -73,11 +75,11 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := seriesKey(name, labels)
-	c, ok := r.counters[key]
+	key := r.seriesKey(name, labels)
+	c, ok := r.counters[string(key)]
 	if !ok {
 		c = &Counter{name: name}
-		r.counters[key] = c
+		r.counters[string(key)] = c
 	}
 	return c
 }
@@ -118,11 +120,11 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	key := seriesKey(name, labels)
-	g, ok := r.gauges[key]
+	key := r.seriesKey(name, labels)
+	g, ok := r.gauges[string(key)]
 	if !ok {
 		g = &Gauge{name: name}
-		r.gauges[key] = g
+		r.gauges[string(key)] = g
 	}
 	return g
 }
@@ -156,13 +158,13 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	if r == nil {
 		return nil
 	}
-	key := seriesKey(name, labels)
-	h, ok := r.hists[key]
+	key := r.seriesKey(name, labels)
+	h, ok := r.hists[string(key)]
 	if !ok {
 		bs := append([]float64(nil), bounds...)
 		sort.Float64s(bs)
-		h = &Histogram{name: name, series: key, bounds: bs, counts: make([]uint64, len(bs)+1)}
-		r.hists[key] = h
+		h = &Histogram{name: name, series: string(key), bounds: bs, counts: make([]uint64, len(bs)+1)}
+		r.hists[h.series] = h
 	}
 	return h
 }

@@ -72,3 +72,28 @@ func TestHistogramLabelSeriesSeparation(t *testing.T) {
 		t.Errorf("series b buckets = %v, want %v", got, want)
 	}
 }
+
+// TestRegistryLookupAllocs: looking up a series that exists builds its key
+// in the registry's buffer and allocates nothing; only a new series pays
+// for its key string.
+func TestRegistryLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("wasp_controller_rejects_total", "branch", "re-assign", "reason", "no placement").Inc()
+	r.Gauge("wasp_operator_tasks", "op", "3", "site", "7").Set(2)
+	r.Histogram("wasp_adapt_latency_seconds", []float64{0.1, 1}, "phase", "detect", "kind", "crash").Observe(0.5)
+	avg := testing.AllocsPerRun(1000, func() {
+		r.Counter("wasp_controller_rejects_total", "branch", "re-assign", "reason", "no placement").Inc()
+		r.Gauge("wasp_operator_tasks", "op", "3", "site", "7").Set(3)
+		r.Histogram("wasp_adapt_latency_seconds", nil, "phase", "detect", "kind", "crash").Observe(0.2)
+	})
+	if avg != 0 {
+		t.Errorf("looking up three existing series allocates %.3f objects, want 0", avg)
+	}
+	// AllocsPerRun calls the function once more to warm up: 1 + 1001 increments.
+	if got := r.Counter("wasp_controller_rejects_total", "branch", "re-assign", "reason", "no placement").Value(); got != 1002 {
+		t.Errorf("counter = %v after 1002 increments, want 1002", got)
+	}
+	if len(r.counters) != 1 || len(r.gauges) != 1 || len(r.hists) != 1 {
+		t.Errorf("series = %d counters, %d gauges, %d histograms, want one each", len(r.counters), len(r.gauges), len(r.hists))
+	}
+}

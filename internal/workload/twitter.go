@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -83,59 +84,79 @@ func GenerateTweets(cfg TwitterConfig) []Tweet {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := cfg.withDefaults()
 	zipf := rand.NewZipf(rng, zipfS, 1, uint64(c.Topics-1))
-	topics := newKeyTable("t%04d")
-
-	var totalWeight float64
-	for _, country := range countries {
-		totalWeight += country.Weight
-	}
+	// Zipf draws topic ids in [0, Topics): each id's key is formatted on
+	// its first draw.
+	topics := make([]string, max(c.Topics, 0))
+	picker := diurnalPicker{cell: -1}
 
 	n := int(c.Rate * c.Duration.Seconds())
-	tweets := make([]Tweet, 0, n)
+	tweets := make([]Tweet, n)
 	interval := vclock.Time(float64(time.Second) / c.Rate)
 	var at vclock.Time
 	for i := 0; i < n; i++ {
-		ci := pickCountry(rng, totalWeight, at, c.Diurnal)
-		// The rng order is the order below: the user id is drawn before the
-		// topic.
+		// The rng order is the order below: the country is drawn before the
+		// user id, and the user id before the topic.
+		var ci int
+		if u := rng.Float64(); c.Diurnal {
+			ci = picker.pick(u, at)
+		} else {
+			ci = pickCountry(u, at, false)
+		}
 		userID := rng.Int63n(1 << 20)
 		topic := int64(zipf.Uint64())
-		tweets = append(tweets, Tweet{
+		tweets[i] = Tweet{
 			ID:        int64(i),
 			UserID:    userID,
 			Country:   countries[ci].Code,
 			Lang:      countries[ci].Lang,
-			Topic:     topics.key(topic),
+			Topic:     topicKey(topics, topic),
 			Time:      at,
 			CountryID: keyID(int64(ci)),
 			TopicID:   keyID(topic),
-		})
+		}
 		at += interval
 	}
 	return tweets
 }
 
-// pickCountry samples a country (its index in countries) by weight,
-// modulated by each country's local diurnal factor when enabled (day hours
-// carry 2× the night volume).
-func pickCountry(rng *rand.Rand, totalWeight float64, at vclock.Time, diurnal bool) int {
-	if !diurnal {
-		x := rng.Float64() * totalWeight
-		for i, c := range countries {
-			x -= c.Weight
-			if x <= 0 {
-				return i
-			}
-		}
-		return len(countries) - 1
+// topicKey returns topic id's key, formatting it into keys on first use.
+// Only a negative Topics, which Zipf reads as a vocabulary of 2^64, draws
+// ids past keys; those are formatted on every draw.
+func topicKey(keys []string, id int64) string {
+	if id < 0 || id >= int64(len(keys)) {
+		return fmt.Sprintf("t%04d", id)
 	}
-	var weights [len(countries)]float64
-	var sum float64
+	if keys[id] == "" {
+		keys[id] = fmt.Sprintf("t%04d", id)
+	}
+	return keys[id]
+}
+
+// countryWeights are the countries' base weights, in order.
+var countryWeights = func() (w [len(countries)]float64) {
 	for i, c := range countries {
-		weights[i] = c.Weight * diurnalFactor(at, c.UTCOffset)
-		sum += weights[i]
+		w[i] = c.Weight
 	}
-	x := rng.Float64() * sum
+	return w
+}()
+
+// pickCountry is the exact draw of a country (its index in countries) for
+// u = rng.Float64(): the first country at which u times the weights' sum,
+// less the weights up to it, is <= 0. The weights are the base weights,
+// each times its country's diurnal factor at `at` when diurnal is set (day
+// hours carry 2× the night volume).
+func pickCountry(u float64, at vclock.Time, diurnal bool) int {
+	weights := countryWeights
+	if diurnal {
+		for i, c := range countries {
+			weights[i] *= diurnalFactor(at, c.UTCOffset)
+		}
+	}
+	var sum float64
+	for _, w := range weights {
+		sum += w
+	}
+	x := u * sum
 	for i, w := range weights {
 		x -= w
 		if x <= 0 {
@@ -143,6 +164,80 @@ func pickCountry(rng *rand.Rand, totalWeight float64, at vclock.Time, diurnal bo
 		}
 	}
 	return len(countries) - 1
+}
+
+// bandDelta bounds how far diurnalFactor moves within one second of event
+// time: amplitude 1/3 times the phase's 2π per day, plus 1e-9 for the
+// rounding of the cosine and its phase.
+const bandDelta = 2*math.Pi/3/(24*60*60) + 1e-9
+
+// diurnalPicker returns pickCountry's diurnal draw without its eight
+// cosines per tweet. For the one-second cell of event time that holds the
+// tweet, starting at t0, country i's weight lies in the band
+// W_i·(f_i(t0) ± bandDelta). pickCountry's x after its (k+1)-th
+// subtraction is, in real arithmetic, u·R_k − (1−u)·C_k, where C_k sums
+// the weights up to k and R_k those after it; the band bounds it from
+// both sides. A draw returns at once when those bounds settle each of the
+// loop's comparisons by more than 1e-9 of the weights' sum, far beyond the
+// loop's own rounding; any other draw, about 120 in a million, runs
+// pickCountry on the same u.
+type diurnalPicker struct {
+	// cell is the start of the cell the bounds below hold; -1, no cell's
+	// start, before the first draw.
+	cell vclock.Time
+	// cLo[k], cHi[k] bound C_k and rLo[k], rHi[k] bound R_k.
+	cLo, cHi, rLo, rHi [len(countries) - 1]float64
+	margin             float64
+}
+
+func (p *diurnalPicker) pick(u float64, at vclock.Time) int {
+	if i, ok := p.settle(u, at); ok {
+		return i
+	}
+	return pickCountry(u, at, true)
+}
+
+// settle returns pickCountry's diurnal draw for u at `at`, and false when
+// the cell's bounds leave one of its comparisons open.
+func (p *diurnalPicker) settle(u float64, at vclock.Time) (int, bool) {
+	if cell := at - at%vclock.Time(time.Second); cell != p.cell {
+		p.fill(cell)
+	}
+	v := 1 - u
+	for k := range p.cLo {
+		if u*p.rLo[k]-v*p.cHi[k] > p.margin {
+			continue // x > 0 for every weight in the band: the loop goes on
+		}
+		if u*p.rHi[k]-v*p.cLo[k] < -p.margin {
+			return k, true // x <= 0 for every weight in the band
+		}
+		return 0, false
+	}
+	return len(countries) - 1, true
+}
+
+// weightBand returns the band of every country's diurnal weight over the
+// cell starting at t0.
+func weightBand(t0 vclock.Time) (lo, hi [len(countries)]float64) {
+	for i, c := range countries {
+		f := diurnalFactor(t0, c.UTCOffset)
+		lo[i], hi[i] = c.Weight*(f-bandDelta), c.Weight*(f+bandDelta)
+	}
+	return lo, hi
+}
+
+// fill computes the bounds for the cell starting at t0.
+func (p *diurnalPicker) fill(t0 vclock.Time) {
+	lo, hi := weightBand(t0)
+	var cLo, cHi, rLo, rHi float64
+	for k := range p.cLo {
+		cLo, cHi = cLo+lo[k], cHi+hi[k]
+		p.cLo[k], p.cHi[k] = cLo, cHi
+		j := len(countries) - 1 - k
+		rLo, rHi = rLo+lo[j], rHi+hi[j]
+		p.rLo[j-1], p.rHi[j-1] = rLo, rHi
+	}
+	p.cell, p.margin = t0, 1e-9*(cLo+lo[len(countries)-1])
 }
 
 // diurnalFactor returns the 2×-day/1×-night raised-cosine factor for a
