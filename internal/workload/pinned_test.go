@@ -7,6 +7,8 @@ import (
 	"hash"
 	"testing"
 	"time"
+
+	"github.com/wasp-stream/wasp/internal/stream"
 )
 
 // digestWriter hashes a trace field by field: integers as 8 little-endian
@@ -59,11 +61,24 @@ func ysbDigest(events []AdEvent) string {
 	return d.sum()
 }
 
+// streamDigest hashes the Key, KeyID and Time of every stream event.
+func streamDigest(events []stream.Event) string {
+	d := &digestWriter{h: sha256.New()}
+	d.int(int64(len(events)))
+	for _, e := range events {
+		d.str(e.Key)
+		d.int(int64(e.KeyID))
+		d.int(int64(e.Time))
+	}
+	return d.sum()
+}
+
 // TestGeneratedTracesPinned holds the generators' output, every field of
 // every event, to digests taken from the straightforward generator (one
 // cosine per country per tweet). Any faster generator must reproduce these
 // traces byte for byte: the record-mode oracles, the examples and the
-// benchmark's output digest all replay them.
+// benchmark's output digest all replay them. The YSB traces' stream form
+// (YSBStream: each event's Key, KeyID and Time) is pinned beside them.
 func TestGeneratedTracesPinned(t *testing.T) {
 	tweetCases := []struct {
 		name string
@@ -92,18 +107,24 @@ func TestGeneratedTracesPinned(t *testing.T) {
 	}
 
 	ysbCases := []struct {
-		name string
-		cfg  YSBConfig
-		want string
+		name         string
+		cfg          YSBConfig
+		want, stream string
 	}{
 		{"seed 1", YSBConfig{Seed: 1, Duration: 5 * time.Second},
-			"2b068ce0a67af3c9a1b51f8b7b5729966aa008ec17f8b32297e35af8ae31ada7"},
+			"2b068ce0a67af3c9a1b51f8b7b5729966aa008ec17f8b32297e35af8ae31ada7",
+			"6f0e51069773428747639b9b514c97b21f65a52fdb74ef147b615603bff90c85"},
 		{"seed 42", YSBConfig{Seed: 42, Campaigns: 50, Rate: 8000, Duration: 5 * time.Second},
-			"ea8c8ac19fd5607b1cc0cc21a5a9ca5ca6b792dee3e6925127ff508ff3308e9e"},
+			"ea8c8ac19fd5607b1cc0cc21a5a9ca5ca6b792dee3e6925127ff508ff3308e9e",
+			"31e5bf46fc678f045b374ca3194b14703caa90276a4d9a466c6c35e6a5de7280"},
 	}
 	for _, tc := range ysbCases {
-		if got := ysbDigest(GenerateYSB(tc.cfg)); got != tc.want {
+		events := GenerateYSB(tc.cfg)
+		if got := ysbDigest(events); got != tc.want {
 			t.Errorf("GenerateYSB %s: digest %s, want %s", tc.name, got, tc.want)
+		}
+		if got := streamDigest(YSBStream(events)); got != tc.stream {
+			t.Errorf("YSBStream %s: digest %s, want %s", tc.name, got, tc.stream)
 		}
 	}
 }
