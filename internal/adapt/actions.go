@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/matching"
 	"github.com/wasp-stream/wasp/internal/metrics"
@@ -128,7 +126,7 @@ func (c *Controller) placeScaleUp(b *belief, id plan.OpID, pPrime int) ([]topolo
 	st := b.plan.Stages[id]
 	newSites := append([]topology.SiteID(nil), st.Sites...)
 	need := pPrime - len(newSites)
-	free := slices.Clone(b.free())
+	free := b.freeCopy()
 	for _, site := range physical.DistinctSites(st.Sites) {
 		for need > 0 && free[site] > 0 {
 			newSites = append(newSites, site)
@@ -166,7 +164,7 @@ func (c *Controller) scaleForNetwork(b *belief, id plan.OpID) bool {
 	cur := b.plan.Stages[id].Sites
 	for pPrime := p + 1; pPrime <= c.cfg.PMax; pPrime++ {
 		// Additive: keep the current tasks, place the extra ones.
-		if added, err := c.placeTasks(b, id, pPrime-p, float64(pPrime-p)/float64(pPrime), b.free()); err == nil {
+		if added, err := c.placeTasks(b, id, pPrime-p, float64(pPrime-p)/float64(pPrime), b.free); err == nil {
 			newSites := append(append([]topology.SiteID(nil), cur...), added...)
 			slices.Sort(newSites)
 			return c.commitScaleOut(b, id, p, newSites)
@@ -258,32 +256,30 @@ func (c *Controller) chooseScaleDown(b *belief, id plan.OpID) ([]topology.SiteID
 		return nil, false
 	}
 
-	neighbour := make(map[topology.SiteID]bool)
-	for _, u := range g.Upstream(id) {
-		for _, site := range pp.Stages[u].Sites {
-			neighbour[site] = true
+	// The victim's site: non-co-located first, then the largest group, then
+	// the lowest site.
+	rank := func(s topology.SiteID) (neighbour bool, tasks int) {
+		for _, ids := range [2][]plan.OpID{g.UpstreamView(id), g.DownstreamView(id)} {
+			for _, u := range ids {
+				neighbour = neighbour || slices.Contains(pp.Stages[u].Sites, s)
+			}
+		}
+		for _, t := range st.Sites {
+			if t == s {
+				tasks++
+			}
+		}
+		return neighbour, tasks
+	}
+	victim := st.Sites[0]
+	for _, s := range st.Sites[1:] {
+		ns, ts := rank(s)
+		nv, tv := rank(victim)
+		if ns != nv && !ns || ns == nv && (ts > tv || ts == tv && s < victim) {
+			victim = s
 		}
 	}
-	for _, d := range g.Downstream(id) {
-		for _, site := range pp.Stages[d].Sites {
-			neighbour[site] = true
-		}
-	}
-
-	// The victim's site: non-co-located first, then the largest group.
-	distinct := physical.DistinctSites(st.Sites)
-	tasks := make(map[topology.SiteID]int, len(distinct))
-	for _, site := range st.Sites {
-		tasks[site]++
-	}
-	sort.Slice(distinct, func(i, j int) bool {
-		ni, nj := neighbour[distinct[i]], neighbour[distinct[j]]
-		if ni != nj {
-			return !ni // non-co-located first
-		}
-		return tasks[distinct[i]] > tasks[distinct[j]]
-	})
-	return removeOneTask(st.Sites, distinct[0]), true
+	return removeOneTask(st.Sites, victim), true
 }
 
 // buildMigrations computes the state transfers implied by moving the
@@ -419,19 +415,20 @@ func placementSites(pl *placement.Placement) []topology.SiteID {
 // placementDiff returns the per-task removed and added site lists between
 // two placements (multiset difference).
 func placementDiff(oldSites, newSites []topology.SiteID) (removed, added []topology.SiteID) {
-	counts := make(map[topology.SiteID]int)
-	for _, s := range oldSites {
-		counts[s]++
-	}
-	for _, s := range newSites {
-		counts[s]--
-	}
-	for _, s := range detutil.SortedKeys(counts) {
-		for i := 0; i < counts[s]; i++ {
-			removed = append(removed, s)
-		}
-		for i := 0; i < -counts[s]; i++ {
-			added = append(added, s)
+	// Both sorted in copies on the stack (a stage has a handful of tasks),
+	// then merged.
+	var ob, nb [16]topology.SiteID
+	o, n := append(ob[:0], oldSites...), append(nb[:0], newSites...)
+	slices.Sort(o)
+	slices.Sort(n)
+	for len(o) > 0 || len(n) > 0 {
+		switch {
+		case len(n) == 0 || len(o) > 0 && o[0] < n[0]:
+			removed, o = append(removed, o[0]), o[1:]
+		case len(o) == 0 || n[0] < o[0]:
+			added, n = append(added, n[0]), n[1:]
+		default:
+			o, n = o[1:], n[1:]
 		}
 	}
 	return removed, added

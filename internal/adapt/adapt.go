@@ -268,6 +268,7 @@ type Controller struct {
 
 	obs      *obs.Observer
 	decision *obs.Span
+	belief   belief // what observe last read (belief.go)
 }
 
 // opState is the controller's memory of one operator; the zero value is

@@ -17,14 +17,16 @@ import (
 // belief is what the controller knows of the runtime at one instant: the
 // Global Metric Monitor's state that diagnosis, the Figure-6 policy,
 // supervision and the recovery ladder decide from (§6.2). observe builds
-// it; nothing else in the decision code queries the runtime.
+// it; nothing else in the decision code queries the runtime. A controller
+// has one belief, refilled by each observe in buffers it keeps: one
+// observe's belief is valid until the next.
 type belief struct {
 	now      vclock.Time
 	snap     *metrics.Snapshot // the plane's merged snapshot; nil outside a round
-	lambdaIn []float64         // λ̂I by OpID (§3.3); nil without snap or with estErr
+	lambdaIn []float64         // λ̂I by OpID (§3.3); empty without snap or with estErr
 	estErr   error
 	plan     *physical.Plan    // the deployed plan; parallelism is its stages'
-	free     func() []int      // free slots per site, masked by the plane
+	free     []int             // free slots per site, masked by the plane
 	down     []topology.SiteID // crashed sites, ascending
 	slotRate float64
 	// In-flight changes: a plan switch and whether its drain stalled, a
@@ -33,6 +35,8 @@ type belief struct {
 	reconfigs                         []engine.ReconfigStatus
 	links                             links
 	ctrl                              ctrl
+	lambdaOut                         []float64 // λ̂O, EstimateActualInto's other buffer
+	spare                             []int     // a copy of free that one placement preview edits
 }
 
 // links is the belief's view of the WAN, read lazily: a decision consults
@@ -70,38 +74,24 @@ func (v ctrl) stalestOf(sites []topology.SiteID) time.Duration {
 	return v.plane.StalestOf(sites, v.now)
 }
 
-// observe reads the runtime into a belief. snap is the round's merged
-// snapshot, nil for a step that diagnoses nothing (crash recovery, the
-// long-term re-plan). A step observes again only after an actuation whose
-// effect its next step reads. The free slots are read once, on first use:
-// most steps place nothing, and the read allocates two slices of sites.
+// observe reads the runtime into the controller's belief. snap is the
+// round's merged snapshot, nil for a step that diagnoses nothing (crash
+// recovery, the long-term re-plan). A step observes again only after an
+// actuation whose effect its next step reads.
 func (c *Controller) observe(snap *metrics.Snapshot) *belief {
-	now := c.sched.Now()
-	stall := vclock.Time(stallAfter)
-	var free []int
-	b := &belief{
-		now:  now,
-		snap: snap,
-		plan: c.eng.Plan(),
-		free: func() []int {
-			if free == nil {
-				free = c.eng.FreeSlots()
-				// A site the plane cannot vouch for is not a migration target.
-				c.plane.MaskUnreachable(free, now)
-			}
-			return free
-		},
-		down:          c.eng.DownSites(),
-		slotRate:      c.eng.SlotRate(),
-		replanning:    c.eng.Replanning(),
-		replanStalled: c.eng.ReplanStalled(stall),
-		failed:        c.eng.Failed(),
-		reconfigs:     c.eng.ReconfigStatuses(stall),
-		links:         links{net: c.net, now: now},
-		ctrl:          ctrl{plane: c.plane, now: now},
-	}
+	b, stall := &c.belief, vclock.Time(stallAfter)
+	b.now, b.snap, b.plan = c.sched.Now(), snap, c.eng.Plan()
+	b.free = c.eng.FreeSlotsInto(b.free)
+	// A site the plane cannot vouch for is not a migration target.
+	c.plane.MaskUnreachable(b.free, b.now)
+	b.down = c.eng.AppendDownSites(b.down[:0])
+	b.slotRate = c.eng.SlotRate()
+	b.replanning, b.replanStalled, b.failed = c.eng.Replanning(), c.eng.ReplanStalled(stall), c.eng.Failed()
+	b.reconfigs = c.eng.AppendReconfigStatuses(b.reconfigs[:0], stall)
+	b.links, b.ctrl = links{net: c.net, now: b.now}, ctrl{plane: c.plane, now: b.now}
+	b.lambdaIn, b.estErr = b.lambdaIn[:0], nil
 	if snap != nil {
-		b.lambdaIn, _, b.estErr = metrics.EstimateActual(b.plan.Graph, snap)
+		b.lambdaIn, b.lambdaOut, b.estErr = metrics.EstimateActualInto(b.plan.Graph, snap, b.lambdaIn, b.lambdaOut)
 	}
 	return b
 }
@@ -122,13 +112,19 @@ func (b *belief) capacity(id plan.OpID, tasks int) float64 {
 }
 
 // freeSlotsPlusOwn counts the operator's own tasks as free too (they may
-// be re-placed), in a copy.
+// be re-placed), in the spare copy.
 func (b *belief) freeSlotsPlusOwn(id plan.OpID) []int {
-	free := slices.Clone(b.free())
+	free := b.freeCopy()
 	for _, site := range b.plan.Stages[id].Sites {
 		free[site]++
 	}
 	return free
+}
+
+// freeCopy copies free into spare, valid until the next freeCopy.
+func (b *belief) freeCopy() []int {
+	b.spare = append(b.spare[:0], b.free...)
+	return b.spare
 }
 
 // rateFactor estimates the current workload as a multiple of the modelled
@@ -136,9 +132,11 @@ func (b *belief) freeSlotsPlusOwn(id plan.OpID) []int {
 func (b *belief) rateFactor() float64 {
 	g := b.plan.Graph
 	var measured, model float64
-	for _, id := range g.Sources() {
-		measured += b.snap.Op(id).SourceRate
-		model += g.Operator(id).SourceRate
+	for id := range plan.OpID(g.Len()) {
+		if op := g.Operator(id); op.Kind == plan.KindSource {
+			measured += b.snap.Op(id).SourceRate
+			model += op.SourceRate
+		}
 	}
 	if model <= 0 || measured <= 0 {
 		return 1

@@ -320,7 +320,7 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 	var newSites []topology.SiteID
 	placed := 0
 	for k := lost; k >= 1; k-- {
-		added, err := c.placeTasks(b, id, k, float64(k)/float64(len(survivors)+k), b.free())
+		added, err := c.placeTasks(b, id, k, float64(k)/float64(len(survivors)+k), b.free)
 		if err != nil {
 			c.reject("re-assign", fmt.Sprintf("no placement for %d replacement tasks: %v", k, err))
 			continue

@@ -10,9 +10,9 @@ import (
 
 // TestDecisionTraceAllocs holds tracing one decision inside a round — its
 // span with three attributes, one rejected branch and the acted flag — to
-// 2 allocations: the span and its event list. The rejects counter's series
-// key is built in the registry's buffer, and every attribute list is
-// copied into the observer's blocks; none is built on the heap.
+// 1 allocation: the span. The rejects counter's series key is built in the
+// registry's buffer, and every attribute list and event list lives in the
+// observer's blocks; none is built on the heap.
 func TestDecisionTraceAllocs(t *testing.T) {
 	now := vclock.Time(0)
 	c := &Controller{obs: obs.New(func() vclock.Time { return now })}
@@ -25,8 +25,8 @@ func TestDecisionTraceAllocs(t *testing.T) {
 		c.reject("re-assign", "no placement found at current parallelism", obs.Int("op", 3))
 		c.endDecision(true)
 	})
-	if avg > 2 {
-		t.Errorf("a traced decision allocates %.3f objects, want at most 2", avg)
+	if avg > 1 {
+		t.Errorf("a traced decision allocates %.3f objects, want at most 1", avg)
 	}
 	var last *obs.Span
 	c.obs.Walk(func(_ *obs.Event, sp *obs.Span) { last = sp })

@@ -87,7 +87,9 @@ type Plane struct {
 	lossRate   float64
 	extraDelay time.Duration
 
-	merger        *metrics.ReportMerger
+	merger *metrics.ReportMerger
+	// snap is the merged snapshot Snapshot refills and returns.
+	snap          metrics.Snapshot
 	quarantined   []bool
 	quarantinedAt []vclock.Time
 	epoch         []int
@@ -362,14 +364,16 @@ func (p *Plane) StalestOf(sites []topology.SiteID, now vclock.Time) time.Duratio
 // Snapshot merges the freshest reports per site into the controller's
 // view of the job: a local plane first pulls a report from every site (so
 // its rates run from the previous Snapshot), a WAN plane merges whatever
-// its ticker delivered.
+// its ticker delivered. The snapshot is the plane's own, refilled by each
+// call: it is valid until the next Snapshot.
 func (p *Plane) Snapshot(now vclock.Time) *metrics.Snapshot {
 	if p.local {
 		for _, rep := range p.sampler.SampleSites() {
 			p.merger.Absorb(rep)
 		}
 	}
-	return p.merger.Snapshot(now)
+	p.merger.SnapshotInto(&p.snap, now)
+	return &p.snap
 }
 
 // QuarantinedRegionOf returns the first quarantined region among the

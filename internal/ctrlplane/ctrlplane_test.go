@@ -202,7 +202,10 @@ func TestInFlightReportsOwnTheirOps(t *testing.T) {
 			if err := sched.RunUntil(at); err != nil {
 				t.Fatal(err)
 			}
-			snaps = append(snaps, p.Snapshot(sched.Now()))
+			// The plane refills one snapshot: keep a copy of each.
+			snap := *p.Snapshot(sched.Now())
+			snap.Ops = slices.Clone(snap.Ops)
+			snaps = append(snaps, &snap)
 		}
 		return snaps
 	}

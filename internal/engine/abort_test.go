@@ -54,7 +54,7 @@ func TestReconfigStatusesDetectsDoom(t *testing.T) {
 	}
 	r.run(t, 12*time.Second)
 
-	sts := r.eng.ReconfigStatuses(0)
+	sts := r.eng.AppendReconfigStatuses(nil, 0)
 	if len(sts) != 1 {
 		t.Fatalf("got %d statuses, want 1", len(sts))
 	}
@@ -67,7 +67,7 @@ func TestReconfigStatusesDetectsDoom(t *testing.T) {
 
 	// Blacking out the carrying link dooms the transfer.
 	r.net.SetLinkFault(1, 2, 0)
-	sts = r.eng.ReconfigStatuses(0)
+	sts = r.eng.AppendReconfigStatuses(nil, 0)
 	if !sts[0].Doomed || !strings.Contains(sts[0].Reason, "blacked out") {
 		t.Fatalf("blackout not detected: %+v", sts[0])
 	}
@@ -75,7 +75,7 @@ func TestReconfigStatusesDetectsDoom(t *testing.T) {
 
 	// A crashed destination dooms it too (the crash cancels the transfer).
 	r.eng.CrashSite(2)
-	sts = r.eng.ReconfigStatuses(0)
+	sts = r.eng.AppendReconfigStatuses(nil, 0)
 	if !sts[0].Doomed || sts[0].Reason == "" {
 		t.Fatalf("destination crash not detected: %+v", sts[0])
 	}
@@ -91,18 +91,18 @@ func TestReconfigStatusesDetectsStall(t *testing.T) {
 	r.run(t, 12*time.Second)
 
 	// The transfer is moving: no stall even with a tight deadline.
-	if sts := r.eng.ReconfigStatuses(vclock.Time(time.Second)); sts[0].Stalled {
+	if sts := r.eng.AppendReconfigStatuses(nil, vclock.Time(time.Second)); sts[0].Stalled {
 		t.Fatalf("progressing transfer judged stalled: %+v", sts[0])
 	}
 	// Rewind the progress stamp to simulate a dead transfer the doom cases
 	// miss; the stall verdict is pure no-progress arithmetic.
 	r.eng.reconfigs[0].lastProgressAt = 0
-	sts := r.eng.ReconfigStatuses(vclock.Time(10 * time.Second))
+	sts := r.eng.AppendReconfigStatuses(nil, vclock.Time(10*time.Second))
 	if !sts[0].Stalled || !strings.Contains(sts[0].Reason, "no transfer progress") {
 		t.Fatalf("stall not detected: %+v", sts[0])
 	}
 	// stallAfter <= 0 disables stall detection entirely.
-	if sts := r.eng.ReconfigStatuses(0); sts[0].Stalled {
+	if sts := r.eng.AppendReconfigStatuses(nil, 0); sts[0].Stalled {
 		t.Fatalf("stall reported with detection disabled: %+v", sts[0])
 	}
 }

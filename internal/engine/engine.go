@@ -14,7 +14,7 @@ package engine
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -896,8 +896,9 @@ func (e *Engine) updateBackpressure() {
 	}
 }
 
-// opLabel renders an operator ID as a metric label value.
-func opLabel(id plan.OpID) string { return fmt.Sprintf("%d", int(id)) }
+// opLabel renders an operator ID as a metric label value; ids below 100,
+// every query's, need no allocation.
+func opLabel(id plan.OpID) string { return strconv.Itoa(int(id)) }
 
 func countSites(sites []topology.SiteID, s topology.SiteID) int {
 	n := 0

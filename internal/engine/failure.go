@@ -131,14 +131,16 @@ func (e *Engine) RestoreSite(site topology.SiteID) {
 func (e *Engine) SiteDown(site topology.SiteID) bool { return e.siteDown[site] }
 
 // DownSites returns the crashed sites in ascending order.
-func (e *Engine) DownSites() []topology.SiteID {
-	var out []topology.SiteID
+func (e *Engine) DownSites() []topology.SiteID { return e.AppendDownSites(nil) }
+
+// AppendDownSites appends the crashed sites, ascending, to dst.
+func (e *Engine) AppendDownSites(dst []topology.SiteID) []topology.SiteID {
 	for s, down := range e.siteDown {
 		if down {
-			out = append(out, topology.SiteID(s))
+			dst = append(dst, topology.SiteID(s))
 		}
 	}
-	return out
+	return dst
 }
 
 // SetSiteStraggler degrades the processing capacity of every task group

@@ -150,7 +150,7 @@ func (e *Engine) Reconfiguring(op plan.OpID) bool {
 
 // progressReconfigs finalizes reconfigurations whose transfers completed
 // and advances the per-reconfiguration progress tracking that stall
-// detection (ReconfigStatuses) reads. Finished reconfigurations leave the
+// detection (AppendReconfigStatuses) reads. Finished reconfigurations leave the
 // pending list before any of them is finalized, so an onDone callback sees
 // a consistent list: it may reconfigure its own operator again, and a
 // Reconfigure of another operator is appended and kept.
@@ -196,16 +196,12 @@ type ReconfigStatus struct {
 	Reason  string // why it is doomed/stalled ("" when healthy)
 }
 
-// ReconfigStatuses surveys every pending reconfiguration. stallAfter is
-// the no-progress deadline for the stall verdict (≤ 0 disables stall
-// detection; doom detection always runs). Statuses come back in the
-// order the reconfigurations were started.
-func (e *Engine) ReconfigStatuses(stallAfter vclock.Time) []ReconfigStatus {
-	if len(e.reconfigs) == 0 {
-		return nil
-	}
+// AppendReconfigStatuses surveys every pending reconfiguration and
+// appends their statuses to dst, in the order the reconfigurations were
+// started. stallAfter is the no-progress deadline for the stall verdict
+// (≤ 0 disables stall detection; doom detection always runs).
+func (e *Engine) AppendReconfigStatuses(dst []ReconfigStatus, stallAfter vclock.Time) []ReconfigStatus {
 	now := e.sched.Now()
-	out := make([]ReconfigStatus, 0, len(e.reconfigs))
 	for _, rc := range e.reconfigs {
 		st := ReconfigStatus{Op: rc.op}
 		for _, tr := range rc.transfers {
@@ -234,9 +230,9 @@ func (e *Engine) ReconfigStatuses(stallAfter vclock.Time) []ReconfigStatus {
 			st.Stalled = true
 			st.Reason = fmt.Sprintf("no transfer progress for %v", time.Duration(now-rc.lastProgressAt))
 		}
-		out = append(out, st)
+		dst = append(dst, st)
 	}
-	return out
+	return dst
 }
 
 // AbortReconfigure cancels the stage's in-flight reconfiguration and

@@ -135,12 +135,23 @@ func (e *Engine) Goodput() (generated, processed, dropped float64) {
 
 // FreeSlots reports slots still available per site. Crashed sites offer
 // none: placement (and therefore recovery) must route around them.
-func (e *Engine) FreeSlots() []int {
-	used := e.plan.SlotsUsed(e.top.N())
-	free := make([]int, e.top.N())
+func (e *Engine) FreeSlots() []int { return e.FreeSlotsInto(nil) }
+
+// FreeSlotsInto is FreeSlots in free's storage, grown to the site count
+// if it is shorter.
+func (e *Engine) FreeSlotsInto(free []int) []int {
+	free = slices.Grow(free[:0], e.top.N())[:e.top.N()]
 	for s := range free {
-		if !e.siteDown[s] {
-			free[s] = e.top.Slots(topology.SiteID(s)) - used[s]
+		free[s] = e.top.Slots(topology.SiteID(s))
+	}
+	for _, st := range e.plan.Stages {
+		for _, site := range st.Sites {
+			free[site]--
+		}
+	}
+	for s, down := range e.siteDown {
+		if down {
+			free[s] = 0
 		}
 	}
 	return free

@@ -163,6 +163,19 @@ var deliveryHook func(run string, ds []engine.SinkDelivery)
 // every tick; when it is nil Run schedules nothing extra.
 var tickHook func(run string, eng *engine.Engine, now vclock.Time)
 
+// liveLinkFactors returns each directed pair's §8.6 live-variation walk
+// over n sites, seeded seed·1000 + pair, where pair numbers the pairs with
+// from ≠ to row by row from 1: 0→1 is 1, 0→(n−1) is n−1, 1→0 is n.
+func liveLinkFactors(seed int64, n int, d time.Duration) func(from, to topology.SiteID) *trace.Trace {
+	return func(from, to topology.SiteID) *trace.Trace {
+		pair := int64(from)*int64(n-1) + int64(to) + 1
+		if to > from {
+			pair--
+		}
+		return trace.LiveBandwidthFactor(seed*1000+pair, d)
+	}
+}
+
 // Run executes one scenario and collects its result.
 func Run(s Scenario) (*Result, error) {
 	sc := s.withDefaults()
@@ -182,17 +195,7 @@ func Run(s Scenario) (*Result, error) {
 		net.SetGlobalFactor(sc.Bandwidth)
 	}
 	if sc.PerLinkBandwidth {
-		pair := int64(0)
-		for from := 0; from < top.N(); from++ {
-			for to := 0; to < top.N(); to++ {
-				if from == to {
-					continue
-				}
-				pair++
-				net.SetLinkFactor(topology.SiteID(from), topology.SiteID(to),
-					trace.LiveBandwidthFactor(sc.Seed*1000+pair, sc.Duration))
-			}
-		}
+		net.SetLinkFactors(liveLinkFactors(sc.Seed, top.N(), sc.Duration))
 	}
 
 	srcSites := sc.SourceSites

@@ -2,12 +2,14 @@ package experiment
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/adapt"
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/queries"
+	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/trace"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
@@ -64,6 +66,26 @@ func TestSamplesMatchAppendedDeliveries(t *testing.T) {
 		want := Mean(Window(got, vclock.Time(w[0]), vclock.Time(w[1])))
 		if math.Float64bits(mean) != math.Float64bits(want) {
 			t.Fatalf("MeanDelayBetween(%v, %v) = %v, Mean over Window %v", w[0], w[1], mean, want)
+		}
+	}
+}
+
+// TestLiveLinkFactorsNumberPairsRowByRow holds the lazily built per-link
+// walks of a -live run to the seeds the run once installed up front, one
+// pair at a time, counting the pairs with from ≠ to row by row from 1.
+func TestLiveLinkFactorsNumberPairsRowByRow(t *testing.T) {
+	const n, seed, d = 6, 7, 3 * time.Minute
+	factor := liveLinkFactors(seed, n, d)
+	pair := int64(0)
+	for from := range topology.SiteID(n) {
+		for to := range topology.SiteID(n) {
+			if from == to {
+				continue
+			}
+			pair++
+			if !reflect.DeepEqual(factor(from, to), trace.LiveBandwidthFactor(seed*1000+pair, d)) {
+				t.Fatalf("link %d→%d: walk differs from pair %d's", from, to, pair)
+			}
 		}
 	}
 }

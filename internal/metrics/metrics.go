@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -127,12 +128,19 @@ func Diagnose(s OperatorSample, upstreamOut float64, tol float64) Condition {
 // instead of backpressure-distorted observed rates. The rates are indexed
 // by OpID.
 func EstimateActual(g *plan.Graph, snap *Snapshot) (inRate, outRate []float64, err error) {
+	return EstimateActualInto(g, snap, nil, nil)
+}
+
+// EstimateActualInto is EstimateActual in the storage of inRate and
+// outRate, grown to the graph's length if they are shorter; with an error
+// both come back empty.
+func EstimateActualInto(g *plan.Graph, snap *Snapshot, inRate, outRate []float64) ([]float64, []float64, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
-		return nil, nil, err
+		return inRate[:0], outRate[:0], err
 	}
-	inRate = make([]float64, g.Len())
-	outRate = make([]float64, g.Len())
+	inRate = slices.Grow(inRate[:0], g.Len())[:g.Len()]
+	outRate = slices.Grow(outRate[:0], g.Len())[:g.Len()]
 	for _, id := range order {
 		op := g.Operator(id)
 		sample := snap.Op(id)

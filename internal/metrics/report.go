@@ -79,6 +79,11 @@ func (m *ReportMerger) Absorb(rep SiteReport) {
 		return
 	}
 	h.last.Site, h.last.At = rep.Site, rep.At
+	if cap(h.last.Ops) < len(rep.Ops) {
+		// A site reports each operator at most once: room for every
+		// operator the last snapshot saw sizes the buffer once.
+		h.last.Ops = make([]OpCounters, 0, max(len(rep.Ops), m.ops))
+	}
 	h.last.Ops = append(h.last.Ops[:0], rep.Ops...)
 }
 
@@ -100,7 +105,14 @@ func (m *ReportMerger) Age(site topology.SiteID, now vclock.Time) (time.Duration
 // run start for a site's first report). An operator the previous report
 // lacks, or reported under another incarnation, counts from zero.
 func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
-	snap := &Snapshot{At: now, Ops: make([]OperatorSample, 0, m.ops)}
+	snap := &Snapshot{Ops: make([]OperatorSample, 0, m.ops)}
+	m.SnapshotInto(snap, now)
+	return snap
+}
+
+// SnapshotInto is Snapshot refilling snap in its own Ops storage.
+func (m *ReportMerger) SnapshotInto(snap *Snapshot, now vclock.Time) {
+	snap.At, snap.Ops = now, snap.Ops[:0]
 	for i := range m.sites {
 		h := &m.sites[i]
 		if len(h.last.Ops) == 0 {
@@ -122,9 +134,9 @@ func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
 			if j < len(prev) && prev[j].Op == oc.Op && prev[j].Incarnation == oc.Incarnation {
 				base = prev[j]
 			}
-			if n := int(oc.Op) + 1; n > len(snap.Ops) {
-				// Past the old length the backing array is still zero.
-				snap.Ops = slices.Grow(snap.Ops, n-len(snap.Ops))[:n]
+			if n, old := int(oc.Op)+1, len(snap.Ops); n > old {
+				snap.Ops = slices.Grow(snap.Ops, n-old)[:n]
+				clear(snap.Ops[old:])
 			}
 			s := &snap.Ops[oc.Op]
 			if interval > 0 {
@@ -140,5 +152,4 @@ func (m *ReportMerger) Snapshot(now vclock.Time) *Snapshot {
 		}
 	}
 	m.ops = len(snap.Ops)
-	return snap
 }

@@ -292,7 +292,9 @@ func reportsFromBytes(data []byte) []SiteReport {
 // FuzzMergerMatchesReference holds the dense merger to the map-based
 // reference: after every absorbed report, the snapshot and every site's
 // age agree exactly, including out-of-order At, idle-site heartbeats,
-// restarts under a new incarnation and sparse site ids.
+// restarts under a new incarnation and sparse site ids. One snapshot
+// refilled by SnapshotInto after every report, over whatever the last
+// refill left in its storage, agrees as well.
 func FuzzMergerMatchesReference(f *testing.F) {
 	f.Add([]byte{3, 10, 0, 3, 30, 1, 0, 2, 40, 40, 0, 0, 0, 0})
 	f.Add([]byte{0, 10, 1, 0, 1, 200, 180, 3, 0, 5, 2, 0, 20, 1, 0, 2, 100, 90, 1, 0, 1, 1})
@@ -300,12 +302,16 @@ func FuzzMergerMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, want := NewReportMerger(), newRefMerger()
 		var now vclock.Time
+		var refilled Snapshot
 		for i, rep := range reportsFromBytes(data) {
 			got.Absorb(rep)
 			want.Absorb(rep)
 			now = max(now, rep.At) + vclock.Time(time.Second)
 			if g, w := got.Snapshot(now), want.Snapshot(now); !sameSnapshot(g, w) {
 				t.Fatalf("after report %d: snapshot\n got %+v\nwant %+v", i, g, w)
+			}
+			if got.SnapshotInto(&refilled, now); !sameSnapshot(&refilled, want.Snapshot(now)) {
+				t.Fatalf("after report %d: refilled snapshot\n got %+v\nwant %+v", i, refilled, want.Snapshot(now))
 			}
 			for s := topology.SiteID(-1); s <= 64; s++ {
 				ga, gok := got.Age(s, now)

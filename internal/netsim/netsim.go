@@ -157,6 +157,9 @@ type Network struct {
 	// SetLinkFactor installed them: the only links Step checks for
 	// trace-driven capacity movement.
 	traced []*linkState
+	// linkFactors, when set, builds a pair's per-link trace the first time
+	// the network creates the pair's link (SetLinkFactors).
+	linkFactors func(from, to topology.SiteID) *trace.Trace
 	// tracedAt is the step start at which Step last read every traced
 	// cursor, and tracedNext the earliest end of the pieces those reads
 	// landed in. No traced factor moves for a start in [tracedAt,
@@ -226,6 +229,9 @@ func (n *Network) link(from, to topology.SiteID) *linkState {
 	}
 	n.linkIdx[k] = l.id
 	n.links = append(n.links, l)
+	if n.linkFactors != nil && from != to {
+		n.setFactor(l, n.linkFactors(from, to))
+	}
 	return l
 }
 
@@ -287,7 +293,21 @@ func (n *Network) SetGlobalFactor(tr *trace.Trace) {
 // SetLinkFactor installs a per-link factor trace for from→to, multiplied
 // with the global factor. A nil trace clears it.
 func (n *Network) SetLinkFactor(from, to topology.SiteID, tr *trace.Trace) {
-	l := n.link(from, to)
+	n.setFactor(n.link(from, to), tr)
+}
+
+// SetLinkFactors gives every inter-site pair the per-link factor trace
+// factor(from, to) returns (nil for none), as SetLinkFactor would, but
+// builds it only when the pair's link is first created: by a flow, a
+// transfer, a fault or a trace, or by a Capacity read. A run over n sites
+// then builds the traces of the pairs it uses, not n² of them. Links that
+// exist already keep their traces.
+func (n *Network) SetLinkFactors(factor func(from, to topology.SiteID) *trace.Trace) {
+	n.linkFactors = factor
+}
+
+// setFactor installs a per-link factor trace on l; nil clears it.
+func (n *Network) setFactor(l *linkState, tr *trace.Trace) {
 	switch was := l.factor.Trace() != nil; {
 	case tr != nil && !was:
 		n.traced = append(n.traced, l)
@@ -350,6 +370,9 @@ func (n *Network) setFault(l *linkState, fault float64, faulted bool) {
 func (n *Network) Capacity(from, to topology.SiteID, now vclock.Time) float64 {
 	if l := n.lookup(from, to); l != nil {
 		return n.capacity(l, now)
+	}
+	if n.linkFactors != nil {
+		return n.capacity(n.link(from, to), now) // builds the pair's trace
 	}
 	// A pair that never carried a claimant, a fault or a trace.
 	idle := linkState{key: linkKey{from, to}, base: n.top.BaseBandwidth(from, to).BytesPerSec()}
@@ -593,6 +616,8 @@ func (n *Network) Step(now vclock.Time, dt time.Duration) {
 		live = append(live, t)
 	}
 	n.transferList = live
+	// The gauge counts what is still in flight once the step is done.
+	n.telTransfers.Set(float64(len(live)))
 }
 
 // transferEps is the relative completion epsilon: a transfer is complete
@@ -685,7 +710,6 @@ func (n *Network) recordStepTelemetry(start vclock.Time, dtSec float64) {
 	n.telWanBytes.Add(granted)
 	n.telBacklog.Add(unmet)
 	n.telFlows.Set(float64(n.flows))
-	n.telTransfers.Set(float64(len(n.transferList)))
 }
 
 // fairShareInto computes the max-min fair allocation of `capacity` among

@@ -350,15 +350,15 @@ func TestCountsFollowLiveClaimants(t *testing.T) {
 	o := obs.New(nil)
 	n.SetObserver(o)
 	now := vclock.Time(0)
-	// The gauges are set as a step starts, before it progresses the
-	// transfers.
+	// The gauges read what a step leaves: a transfer that completes in the
+	// step is no longer counted.
 	check := func(what string, flows, transfers int) {
 		t.Helper()
+		now += vclock.Time(time.Second)
+		step(n, now)
 		if got := n.ActiveTransfers(); got != transfers {
 			t.Errorf("%s: ActiveTransfers = %d, want %d", what, got, transfers)
 		}
-		now += vclock.Time(time.Second)
-		step(n, now)
 		var b strings.Builder
 		if err := o.WriteProm(&b); err != nil {
 			t.Fatal(err)
@@ -372,17 +372,97 @@ func TestCountsFollowLiveClaimants(t *testing.T) {
 	f1, f2 := n.AddFlow(0, 1), n.AddFlow(1, 0)
 	small, big := n.StartTransfer(0, 1, 1e3), n.StartTransfer(1, 0, 1e12)
 	lasting := n.StartTransfer(0, 1, 1e12)
-	check("registered", 2, 3)
+	check("registered, the small transfer completing in the step", 2, 2)
 	if !small.Done() {
 		t.Fatal("small transfer not done after one step")
 	}
 	n.RemoveFlow(f1)
 	n.RemoveFlow(f1)
-	check("after a completion and removing one flow twice", 1, 2)
+	check("after removing one flow twice", 1, 2)
 	n.CancelTransfer(big)
 	n.CancelTransfer(small)
 	check("after canceling one live and one completed transfer", 1, 1)
 	n.RemoveFlow(f2)
 	n.CancelTransfer(lasting)
 	check("after removing everything", 0, 0)
+}
+
+// TestLazyLinkFactorsMatchEager: SetLinkFactors, which builds a pair's
+// trace when the pair's link is first created or its capacity first read,
+// leaves every allocation, transfer and capacity bit-identical to
+// installing the same traces on every pair up front with SetLinkFactor.
+// The lazy network creates links only for the pairs the run touches.
+func TestLazyLinkFactorsMatchEager(t *testing.T) {
+	top, err := topology.GenerateScale(topology.DefaultScaleConfig(3, 4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const d = 20 * time.Minute
+	factor := func(from, to topology.SiteID) *trace.Trace {
+		return trace.LiveBandwidthFactor(int64(from)*100+int64(to), d)
+	}
+	eager, lazy := New(top), New(top)
+	for from := range topology.SiteID(top.N()) {
+		for to := range topology.SiteID(top.N()) {
+			if from != to {
+				eager.SetLinkFactor(from, to, factor(from, to))
+			}
+		}
+	}
+	lazy.SetLinkFactors(factor)
+
+	type pair struct{ from, to topology.SiteID }
+	var flows [2][]*Flow
+	var transfers [2][]*Transfer
+	for i, n := range []*Network{eager, lazy} {
+		for _, p := range []pair{{0, 1}, {1, 0}, {2, 5}, {5, 2}, {2, 5}} {
+			f := n.AddFlow(p.from, p.to)
+			f.SetDemand(4e6)
+			flows[i] = append(flows[i], f)
+		}
+		transfers[i] = append(transfers[i], n.StartTransfer(3, 7, 5e8))
+	}
+	for k := 1; k <= 2400; k++ {
+		now := vclock.Time(k) * vclock.Time(500*time.Millisecond)
+		if k == 900 {
+			for i, n := range []*Network{eager, lazy} {
+				transfers[i] = append(transfers[i], n.StartTransfer(7, 3, 1e9))
+				n.RemoveFlow(flows[i][2])
+			}
+		}
+		for _, n := range []*Network{eager, lazy} {
+			n.Step(now, 500*time.Millisecond)
+		}
+		for j := range flows[0] {
+			if g, w := flows[1][j].Allocated(), flows[0][j].Allocated(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("step %d: flow %d allocated %v lazily, %v eagerly", k, j, g, w)
+			}
+		}
+		for j := range transfers[0] {
+			if g, w := transfers[1][j].Remaining(), transfers[0][j].Remaining(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("step %d: transfer %d has %v left lazily, %v eagerly", k, j, g, w)
+			}
+		}
+		// Read a few pairs' capacities as the controller does, one of them
+		// a pair no claimant ever uses.
+		if k%97 == 0 {
+			from, to := topology.SiteID(k%top.N()), topology.SiteID((k/7)%top.N())
+			if g, w := lazy.Capacity(from, to, now), eager.Capacity(from, to, now); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("step %d: Capacity(%d, %d) = %v lazily, %v eagerly", k, from, to, g, w)
+			}
+		}
+	}
+	if got, all := len(lazy.traced), top.N()*(top.N()-1); got >= all {
+		t.Fatalf("the lazy network traces %d of %d links before reading them all", got, all)
+	}
+	for from := range topology.SiteID(top.N()) {
+		for to := range topology.SiteID(top.N()) {
+			if g, w := lazy.Capacity(from, to, 7*vclock.Time(time.Minute)), eager.Capacity(from, to, 7*vclock.Time(time.Minute)); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("Capacity(%d, %d) = %v lazily, %v eagerly", from, to, g, w)
+			}
+		}
+	}
+	if got, all := len(lazy.traced), top.N()*(top.N()-1); got != all {
+		t.Fatalf("after reading every pair the lazy network traces %d links, want %d", got, all)
+	}
 }

@@ -194,3 +194,34 @@ func TestEmitAttrsAllocs(t *testing.T) {
 		t.Errorf("a 10-attribute Emit in a span allocates %.3f objects, want < 0.2", avg)
 	}
 }
+
+// TestSpanEventListsAreTheirOwn interleaves events on two spans, as a
+// round and an engine span do, so that both lists grow in the same event
+// blocks: each keeps its own events in order, and a consumer's append to
+// one list never writes over the other's.
+func TestSpanEventListsAreTheirOwn(t *testing.T) {
+	now := vclock.Time(0)
+	o := New(testClock(&now))
+	round := o.StartSpan("controller.round")
+	async := o.StartAsync("engine.reconfigure")
+	const n = 300
+	for i := range n {
+		now += vclock.Time(time.Second)
+		o.Emit("diagnose", Int("i", i))
+		async.Event("progress", Int("i", i))
+		if i%7 == 0 {
+			_ = append(round.Events, Event{Name: "consumer"})
+			_ = append(async.Events, Event{Name: "consumer"})
+		}
+	}
+	for _, sp := range []*Span{round, async} {
+		if len(sp.Events) != n {
+			t.Fatalf("%s: %d events, want %d", sp.Name, len(sp.Events), n)
+		}
+		for i, ev := range sp.Events {
+			if ev.Name == "consumer" || ev.Get("i").Int64() != int64(i) || ev.At != vclock.Time(i+1)*vclock.Time(time.Second) {
+				t.Fatalf("%s: event %d is %s %v at %v", sp.Name, i, ev.Name, ev.Attrs, ev.At)
+			}
+		}
+	}
+}

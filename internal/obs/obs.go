@@ -33,14 +33,23 @@ type Observer struct {
 	// attributes into, and block that block's length.
 	free  []KV
 	block int
+	// freeEvents and eventBlock are the same for the blocks span event
+	// lists grow in.
+	freeEvents []Event
+	eventBlock int
 }
 
 // The attribute blocks start at minAttrBlock attributes and double up to
 // maxAttrBlock: an observer that records little allocates little, and
-// one that records much refills once per maxAttrBlock attributes.
+// one that records much refills once per maxAttrBlock attributes. Event
+// blocks do the same between minEventBlock and maxEventBlock events, and
+// a span's event list grows in them by doubling from minEventList.
 const (
-	minAttrBlock = 16
-	maxAttrBlock = 512
+	minAttrBlock  = 16
+	maxAttrBlock  = 512
+	minEventBlock = 8
+	maxEventBlock = 256
+	minEventList  = 4
 )
 
 // keep copies attrs into the observer's current attribute block and
@@ -70,6 +79,27 @@ func (o *Observer) take(n int) []KV {
 	out := o.free[:n:n]
 	o.free = o.free[n:]
 	return out
+}
+
+// appendEvent appends ev to a span's event list. A full list moves to
+// twice its length in the observer's current event block, starting a new
+// block when that one has too little left; the room past a list's length
+// is its own, so later appends fill it in place.
+//
+//waspvet:hotpath
+func (o *Observer) appendEvent(evs []Event, ev Event) []Event {
+	if len(evs) == cap(evs) {
+		n := max(2*len(evs), minEventList)
+		if n > len(o.freeEvents) {
+			o.eventBlock = max(n, minEventBlock, min(2*o.eventBlock, maxEventBlock))
+			o.freeEvents = make([]Event, o.eventBlock) //waspvet:hotalloc a new block once per block of recorded events
+		}
+		grown := o.freeEvents[:len(evs):n]
+		o.freeEvents = o.freeEvents[n:]
+		copy(grown, evs)
+		evs = grown
+	}
+	return append(evs, ev)
 }
 
 // entry is one timeline slot: either a top-level event or a span (listed
@@ -141,7 +171,7 @@ func (o *Observer) Reject(branch, reason string, attrs ...KV) {
 // record attaches ev to the active span, or else to the top level.
 func (o *Observer) record(ev Event) {
 	if o.cur != nil {
-		o.cur.Events = append(o.cur.Events, ev)
+		o.cur.Events = o.appendEvent(o.cur.Events, ev)
 		return
 	}
 	e := ev
@@ -279,7 +309,7 @@ func (s *Span) Event(name string, attrs ...KV) {
 	if s == nil {
 		return
 	}
-	s.Events = append(s.Events, Event{At: s.o.Now(), Name: name, Attrs: s.o.keep(attrs)})
+	s.Events = s.o.appendEvent(s.Events, Event{At: s.o.Now(), Name: name, Attrs: s.o.keep(attrs)})
 }
 
 // Finish closes the span at the current virtual time. If the span is the

@@ -109,7 +109,7 @@ func GenerateTweets(cfg TwitterConfig) []Tweet {
 			UserID:    userID,
 			Country:   countries[ci].Code,
 			Lang:      countries[ci].Lang,
-			Topic:     topicKey(topics, topic),
+			Topic:     denseKey(topics, "t%04d", topic),
 			Time:      at,
 			CountryID: keyID(int64(ci)),
 			TopicID:   keyID(topic),
@@ -119,15 +119,15 @@ func GenerateTweets(cfg TwitterConfig) []Tweet {
 	return tweets
 }
 
-// topicKey returns topic id's key, formatting it into keys on first use.
-// Only a negative Topics, which Zipf reads as a vocabulary of 2^64, draws
-// ids past keys; those are formatted on every draw.
-func topicKey(keys []string, id int64) string {
+// denseKey returns id's key in format, formatting it into keys on first
+// use. An id outside keys is formatted on every call: for topics, only a
+// negative Topics, which Zipf reads as a vocabulary of 2^64, draws one.
+func denseKey(keys []string, format string, id int64) string {
 	if id < 0 || id >= int64(len(keys)) {
-		return fmt.Sprintf("t%04d", id)
+		return fmt.Sprintf(format, id)
 	}
 	if keys[id] == "" {
-		keys[id] = fmt.Sprintf("t%04d", id)
+		keys[id] = fmt.Sprintf(format, id)
 	}
 	return keys[id]
 }

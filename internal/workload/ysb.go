@@ -103,27 +103,7 @@ func GenerateYSB(cfg YSBConfig) []AdEvent {
 	return events
 }
 
-// keyTable formats each distinct id once: a batch is millions of events over
-// a few hundred keys, and every event of a key shares the one string.
-type keyTable struct {
-	format string
-	keys   map[int64]string
-}
-
-func newKeyTable(format string) keyTable {
-	return keyTable{format: format, keys: make(map[int64]string)}
-}
-
-func (t keyTable) key(id int64) string {
-	k, ok := t.keys[id]
-	if !ok {
-		k = fmt.Sprintf(t.format, id)
-		t.keys[id] = k
-	}
-	return k
-}
-
-// keyID is the stream key id of the key a table formats raw as: raw+1. The
+// keyID is the stream key id of the key formatted from raw: raw+1. The
 // generators number campaigns, countries and topics from zero without gaps,
 // so the ids are dense; and because the id is a function of the key alone,
 // streams made from different batches (other seeds, other calls) agree on
@@ -137,13 +117,20 @@ func keyID(raw int64) uint32 {
 }
 
 // YSBStream converts YSB events into stream events keyed by campaign.
+// Campaign ids are dense from zero, so each id's key is formatted once, on
+// first use, into a slice indexed by id; every event of a campaign shares
+// the one string.
 func YSBStream(events []AdEvent) []stream.Event {
-	campaigns := newKeyTable("c%d")
+	var n int64
+	for _, e := range events {
+		n = max(n, e.CampaignID+1)
+	}
+	campaigns := make([]string, min(n, stream.MaxKeyID))
 	out := make([]stream.Event, len(events))
 	for i, e := range events {
 		out[i] = stream.Event{
 			Time:  e.Time,
-			Key:   campaigns.key(e.CampaignID),
+			Key:   denseKey(campaigns, "c%d", e.CampaignID),
 			KeyID: keyID(e.CampaignID),
 			Value: e,
 		}
