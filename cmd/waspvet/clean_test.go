@@ -375,12 +375,13 @@ func opIDMaps(pkgs []*analysis.Package) []opIDMap {
 }
 
 // TestControllerReadsRuntimeThroughBelief: the controller decides from
-// one belief (DESIGN.md §5, "The belief"). Non-test internal/adapt code
-// calls a method of *engine.Engine, *netsim.Network or *ctrlplane.Plane
-// only to actuate (runtimeActuations) or in the functions that build the
-// belief (beliefReaders); beliefExemptions names the rest, each with the
-// methods it covers and its reason, and an exempted method never called
-// fails too.
+// one belief (DESIGN.md §5, "The belief") and changes the runtime in one
+// place. Non-test internal/adapt code calls a method of *engine.Engine,
+// *netsim.Network or *ctrlplane.Plane only to actuate (runtimeActuations)
+// or in the functions that build the belief (beliefReaders), and only
+// Controller.apply starts a change (Reconfigure, BeginReplan,
+// SendCommand); beliefExemptions names the rest, each with the methods it
+// covers and its reason, and an exempted method never called fails too.
 func TestControllerReadsRuntimeThroughBelief(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
@@ -398,6 +399,10 @@ func TestControllerReadsRuntimeThroughBelief(t *testing.T) {
 	for _, q := range runtimeQueries(adapt) {
 		if slices.Contains(beliefExemptions[q.fn].methods, q.method) {
 			used[q.fn+" "+q.method] = true
+			continue
+		}
+		if only := runtimeActuations[q.method]; only != "" {
+			t.Errorf("%s: %s calls %s; only %s may", q.pos, q.fn, q.method, only)
 			continue
 		}
 		t.Errorf("%s: %s reads %s outside the belief; read it in Controller.observe", q.pos, q.fn, q.method)
@@ -427,18 +432,20 @@ var beliefReaders = map[string]bool{
 // controller calls to act or to export telemetry, which read nothing a
 // decision uses but what the belief is then built from: a round updates
 // the quarantine and takes the plane's snapshot before it observes, and
-// Supervise reports the commands it aborted.
-var runtimeActuations = map[string]bool{
-	"engine.Engine.Reconfigure":          true,
-	"engine.Engine.AbortReconfigure":     true,
-	"engine.Engine.BeginReplan":          true,
-	"engine.Engine.AbortReplan":          true,
-	"engine.Engine.RestoreOperatorState": true,
-	"engine.Engine.RecordTelemetry":      true,
-	"ctrlplane.Plane.SendCommand":        true,
-	"ctrlplane.Plane.Supervise":          true,
-	"ctrlplane.Plane.UpdateQuarantine":   true,
-	"ctrlplane.Plane.Snapshot":           true,
+// Supervise reports the commands it aborted. Each maps to the one
+// function that may call it, or to "" for any: a placement change or a
+// plan switch starts only in Controller.apply.
+var runtimeActuations = map[string]string{
+	"engine.Engine.Reconfigure":          "Controller.apply",
+	"engine.Engine.AbortReconfigure":     "",
+	"engine.Engine.BeginReplan":          "Controller.apply",
+	"engine.Engine.AbortReplan":          "",
+	"engine.Engine.RestoreOperatorState": "",
+	"engine.Engine.RecordTelemetry":      "",
+	"ctrlplane.Plane.SendCommand":        "Controller.apply",
+	"ctrlplane.Plane.Supervise":          "",
+	"ctrlplane.Plane.UpdateQuarantine":   "",
+	"ctrlplane.Plane.Snapshot":           "",
 }
 
 // beliefExemptions maps a function runtimeQueries reports to the runtime
@@ -455,8 +462,10 @@ var beliefExemptions = map[string]struct {
 
 // TestDirectRuntimeQueryIsReported runs the audit over a fixture with a
 // belief builder, a link method, two actuations, a method of another
-// type and four direct queries (a call, a call in a closure, a method
-// value and a control-plane call): exactly the four queries are reported.
+// type, four direct queries (a call, a call in a closure, a method value
+// and a control-plane call), and Reconfigure called in apply's closure and
+// again in a second function: exactly the four queries and the second
+// actuation site are reported.
 func TestDirectRuntimeQueryIsReported(t *testing.T) {
 	pkgs, err := loadTargets([]string{"testdata/internal/belief"})
 	if err != nil {
@@ -471,6 +480,7 @@ func TestDirectRuntimeQueryIsReported(t *testing.T) {
 		"44: Controller.decide netsim.Network.EstimateTransferTime",
 		"51: Controller.bandwidthFunc netsim.Network.Capacity",
 		"56: Controller.gated ctrlplane.Plane.QuarantinedRegionOf",
+		"69: Controller.shortcut engine.Engine.Reconfigure",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("runtimeQueries(fixture) = %q, want %q", got, want)
@@ -487,8 +497,8 @@ type runtimeQuery struct {
 
 // runtimeQueries returns, in source order, every selection of a method of
 // *engine.Engine, *netsim.Network or *ctrlplane.Plane — a call or a
-// method value — in a non-test file of pkgs, outside beliefReaders and
-// runtimeActuations.
+// method value — in a non-test file of pkgs, outside beliefReaders, and
+// that is not an actuation runtimeActuations allows the function.
 // Closures belong to their enclosing declaration.
 func runtimeQueries(pkgs []*analysis.Package) []runtimeQuery {
 	var out []runtimeQuery
@@ -529,7 +539,7 @@ func runtimeQueries(pkgs []*analysis.Package) []runtimeQuery {
 						return true
 					}
 					method := tn.Pkg().Name() + "." + tn.Name() + "." + sel.Sel.Name
-					if runtimeActuations[method] {
+					if only, ok := runtimeActuations[method]; ok && (only == "" || only == fn) {
 						return true
 					}
 					out = append(out, runtimeQuery{pos: pkg.Fset.Position(sel.Pos()), fn: fn, method: method})

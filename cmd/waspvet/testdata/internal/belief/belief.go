@@ -1,8 +1,8 @@
 // Package belief is the belief-audit fixture: a controller that reads the
 // engine and the network only in its belief builder and link method,
-// actuates through an allowed engine method and an allowed control-plane
-// method, calls a same-named method of another type, and queries the
-// runtime directly four times, once through the control plane.
+// actuates through allowed engine and control-plane methods, calls a
+// same-named method of another type, queries the runtime directly four
+// times (once via the plane), and reconfigures in apply and elsewhere.
 package belief
 
 import (
@@ -57,3 +57,13 @@ func (c *Controller) gated(p *ctrlplane.Plane) bool {
 	p.UpdateQuarantine(0)
 	return q
 }
+
+// apply is the one function that may reconfigure: its closure's call is
+// not reported.
+func (c *Controller) apply() error {
+	send := func() error { return c.eng.Reconfigure(0, nil, nil, nil) }
+	return send()
+}
+
+// shortcut reconfigures beside apply: a second actuation site.
+func (c *Controller) shortcut() error { return c.eng.Reconfigure(0, nil, nil, nil) }

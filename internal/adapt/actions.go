@@ -10,7 +10,6 @@ import (
 	"github.com/wasp-stream/wasp/internal/metrics"
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
-	"github.com/wasp-stream/wasp/internal/placement"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -18,12 +17,17 @@ import (
 
 // scheduleConfig builds the physical-layer config with the belief's
 // bandwidth and the measured workload factor.
-func (c *Controller) scheduleConfig(b *belief) physical.ScheduleConfig {
+func (c *Controller) scheduleConfig() physical.ScheduleConfig {
+	if c.bandwidth == nil {
+		// Bound once: it reads the links of whatever belief observe last
+		// filled.
+		c.bandwidth = func(from, to topology.SiteID) float64 { return c.belief.links.bandwidth(from, to) }
+	}
 	return physical.ScheduleConfig{
 		Alpha:              c.cfg.Alpha,
 		DefaultParallelism: 1,
 		RateFactor:         c.lastRateFactor,
-		Bandwidth:          b.links.bandwidth,
+		Bandwidth:          c.bandwidth,
 		Workspace:          &c.ws,
 	}
 }
@@ -32,91 +36,88 @@ func (c *Controller) scheduleConfig(b *belief) physical.ScheduleConfig {
 // of a running stage that carry share of its streams (physical.PlaceTasks)
 // in the free slots; re-placing the whole stage at parallelism n is share
 // 1, with free counting the stage's own slots as available, and n tasks
-// added to a stage ending at p′ carry n/p′. The chosen sites are copied
-// out of the solver's workspace at once, so the result stays valid across
-// later solves.
+// added to a stage ending at p′ carry n/p′. The chosen sites, ascending,
+// are copied out of the solver's workspace at once, so the result stays
+// valid across later solves.
 func (c *Controller) placeTasks(b *belief, id plan.OpID, n int, share float64, free []int) ([]topology.SiteID, error) {
-	pl, err := physical.PlaceTasks(b.plan, id, n, share, c.top, c.scheduleConfig(b), free)
+	pl, err := physical.PlaceTasks(b.plan, id, n, share, c.top, c.scheduleConfig(), free)
 	if err != nil {
 		return nil, err
 	}
-	return placementSites(pl), nil
+	sites := make([]topology.SiteID, 0, n)
+	for _, s := range pl.Sites {
+		for range pl.TasksPerSite[s] {
+			sites = append(sites, s)
+		}
+	}
+	return sites, nil
+}
+
+// moveTo is the move of the operator to sites, priced: the state
+// migrations it implies and their estimated bottleneck transfer.
+func (b *belief) moveTo(kind ActionKind, id plan.OpID, sites []topology.SiteID) move {
+	migs, est := b.buildMigrations(id, sites)
+	return move{kind: kind, op: id, sites: sites, migs: migs, est: est}
 }
 
 // previewReassign solves the re-assignment program for a stage at its
-// current parallelism and estimates the migration overhead
-// t_adapt = max |state|/B (§6.2), without executing anything.
-func (c *Controller) previewReassign(b *belief, id plan.OpID) (newSites []topology.SiteID, overhead vclock.Time, err error) {
-	newSites, err = c.placeTasks(b, id, b.plan.Stage(id).Parallelism(), 1, b.freeSlotsPlusOwn(id))
+// current parallelism and prices the migration overhead
+// t_adapt = max |state|/B (§6.2) into the move's estimate.
+func (c *Controller) previewReassign(b *belief, id plan.OpID) (move, error) {
+	sites, err := c.placeTasks(b, id, b.plan.Stage(id).Parallelism(), 1, b.freeSlotsPlusOwn(id))
 	if err != nil {
-		return nil, 0, err
+		return move{}, err
 	}
-	_, overhead = b.buildMigrations(id, newSites)
-	return newSites, overhead, nil
+	return b.moveTo(ActionReassign, id, sites), nil
 }
 
-// tryReassign executes a previewed task re-assignment if it differs from
-// the current placement.
-func (c *Controller) tryReassign(b *belief, id plan.OpID, newSites []topology.SiteID) bool {
-	if sameSites(newSites, b.plan.Stages[id].Sites) {
+// proposeReassign offers a previewed re-assignment unless it keeps the
+// current placement or undoes a fresh one.
+func (c *Controller) proposeReassign(b *belief, m move) (move, bool) {
+	if sameSites(m.sites, b.plan.Stages[m.op].Sites) {
 		c.reject("re-assign", "solver kept the current placement")
-		return false
+		return move{}, false
 	}
-	if c.reversalGuarded(id, newSites) {
+	if c.reversalGuarded(m.op, m.sites) {
 		c.reject("reversal-guard",
 			fmt.Sprintf("would undo a placement younger than %d rounds", reversalGuardRounds),
-			obs.Int("op", int(id)))
-		return false
+			obs.Int("op", int(m.op)))
+		return move{}, false
 	}
-	migs, bottleneck := b.buildMigrations(id, newSites)
-	return c.commit(b, ActionReassign, "re-assign", id, newSites, migs,
-		fmt.Sprintf("to %v, est transition %v", newSites, bottleneck), nil)
+	m.detail = fmt.Sprintf("to %v, est transition %v", m.sites, m.est)
+	return m, true
 }
 
 // drainTargetSec sizes post-backlog scale-ups so queues drain within
 // this horizon.
 const drainTargetSec = 60
 
-// scaleForCompute scales UP a compute-bound operator: p′ = ⌈λ̂I/λP·p⌉
-// (sized to also drain accumulated backlog within the drain target),
-// preferring free slots at the operator's current sites.
-func (c *Controller) scaleForCompute(b *belief, id plan.OpID) bool {
+// scaleUpTarget is a compute-bound operator's parallelism p and its
+// scale-up target p′ = ⌈λ̂I/λP·p⌉, sized to also drain accumulated backlog
+// within the drain target, and capped at p_max.
+func (c *Controller) scaleUpTarget(b *belief, id plan.OpID) (p, pPrime int) {
 	s := b.snap.Op(id)
-	p := b.plan.Stage(id).Parallelism()
-	perTask := b.capacity(id, 1)
-
+	p = b.plan.Stage(id).Parallelism()
 	want := b.lambdaIn[id]
 	if s.InputQueueLen > 0 {
 		want += s.InputQueueLen / drainTargetSec
 	}
-	pPrime := metrics.ScaleFactor(want, s.ProcessingRate, p)
-	pPrime = min(max(pPrime, int(math.Ceil(want/perTask))), c.cfg.PMax)
-	if pPrime <= p {
-		// Already at the cap (p′ > p_max): re-planning is the remaining
-		// lever (Fig 6) — for a policy that may pull it.
-		c.reject("scale-up", fmt.Sprintf("p′ %d ≤ p %d (p_max %d)", pPrime, p, c.cfg.PMax),
-			obs.Int("p_prime", pPrime), obs.Int("p", p), obs.Int("p_max", c.cfg.PMax))
-		if c.policy.replan {
-			return c.tryReplan(b, id, "compute-bound at p_max")
-		}
-		return false
-	}
-	if !b.plan.Graph.Operator(id).Splittable {
-		c.reject("scale-up", "operator cannot be split")
-		if c.policy.replan {
-			return c.tryReplan(b, id, "compute-bound unsplittable operator")
-		}
-		return false
-	}
-	newSites, ok := c.placeScaleUp(b, id, pPrime)
+	pPrime = metrics.ScaleFactor(want, s.ProcessingRate, p)
+	return p, min(max(pPrime, int(math.Ceil(want/b.capacity(id, 1)))), c.cfg.PMax)
+}
+
+// proposeScaleUp offers scaling a compute-bound operator UP from p to
+// pPrime tasks, preferring free slots at its current sites.
+func (c *Controller) proposeScaleUp(b *belief, id plan.OpID, p, pPrime int) (move, bool) {
+	sites, ok := c.placeScaleUp(b, id, pPrime)
 	if !ok {
 		c.reject("scale-up", fmt.Sprintf("no placement for p′ %d", pPrime),
 			obs.Int("p_prime", pPrime))
-		return false
+		return move{}, false
 	}
-	migs, bottleneck := b.buildMigrations(id, newSites)
-	return c.commit(b, ActionScaleUp, "scale-up", id, newSites, migs,
-		fmt.Sprintf("p %d→%d at %v, est transition %v", p, pPrime, newSites, bottleneck), nil)
+	m := b.moveTo(ActionScaleUp, id, sites)
+	m.detail = fmt.Sprintf("p %d→%d at %v, est transition %v", p, pPrime, sites, m.est)
+	return m, true
 }
 
 // placeScaleUp chooses sites for a scale-up to pPrime tasks: keep every
@@ -134,60 +135,52 @@ func (c *Controller) placeScaleUp(b *belief, id plan.OpID, pPrime int) ([]topolo
 			need--
 		}
 	}
-	if need == 0 {
-		slices.Sort(newSites)
-		return newSites, true
+	if need > 0 {
+		// Place the remainder anywhere feasible, sized by the share of the
+		// stream the new tasks will carry.
+		added, err := c.placeTasks(b, id, need, float64(need)/float64(pPrime), free)
+		if err != nil {
+			return nil, false
+		}
+		newSites = append(newSites, added...)
 	}
-	// Place the remainder anywhere feasible, sized by the share of the
-	// stream the new tasks will carry.
-	added, err := c.placeTasks(b, id, need, float64(need)/float64(pPrime), free)
-	if err != nil {
-		return nil, false
-	}
-	newSites = append(newSites, added...)
 	slices.Sort(newSites)
 	return newSites, true
 }
 
-// scaleForNetwork scales OUT a network-bound operator: find the smallest
-// p′ ∈ (p, p_max] at which additional tasks on other sites can absorb the
-// stream, distributing it across more links (§4.2). Existing tasks are
-// kept in place (they continue processing while the new tasks receive
-// their state partitions); only if no additive placement exists does the
-// whole stage get re-placed at the higher parallelism.
-func (c *Controller) scaleForNetwork(b *belief, id plan.OpID) bool {
-	p := b.plan.Stage(id).Parallelism()
-	if !b.plan.Graph.Operator(id).Splittable {
-		c.reject("scale-out", "operator cannot be split")
-		return false
-	}
+// proposeScaleOut offers scaling OUT a network-bound operator: the
+// smallest p′ ∈ (p, p_max] at which additional tasks on other sites can
+// absorb the stream, distributing it across more links (§4.2). Existing
+// tasks are kept in place (they continue processing while the new tasks
+// receive their state partitions); only if no additive placement exists
+// does the whole stage get re-placed at the higher parallelism.
+func (c *Controller) proposeScaleOut(b *belief, id plan.OpID) (move, bool) {
 	cur := b.plan.Stages[id].Sites
-	for pPrime := p + 1; pPrime <= c.cfg.PMax; pPrime++ {
+	p := len(cur)
+	var sites []topology.SiteID
+	for pPrime := p + 1; pPrime <= c.cfg.PMax && sites == nil; pPrime++ {
 		// Additive: keep the current tasks, place the extra ones.
 		if added, err := c.placeTasks(b, id, pPrime-p, float64(pPrime-p)/float64(pPrime), b.free); err == nil {
-			newSites := append(append([]topology.SiteID(nil), cur...), added...)
-			slices.Sort(newSites)
-			return c.commitScaleOut(b, id, p, newSites)
+			sites = append(slices.Clone(cur), added...)
+			slices.Sort(sites)
 		}
 	}
 	// No additive placement: re-place the whole stage at higher
 	// parallelism (may migrate existing tasks).
-	freeOwn := b.freeSlotsPlusOwn(id)
-	for pPrime := p + 1; pPrime <= c.cfg.PMax; pPrime++ {
-		if newSites, err := c.placeTasks(b, id, pPrime, 1, freeOwn); err == nil {
-			return c.commitScaleOut(b, id, p, newSites)
+	if sites == nil {
+		freeOwn := b.freeSlotsPlusOwn(id)
+		for pPrime := p + 1; pPrime <= c.cfg.PMax && sites == nil; pPrime++ {
+			sites, _ = c.placeTasks(b, id, pPrime, 1, freeOwn)
 		}
 	}
-	c.reject("scale-out", fmt.Sprintf("no feasible placement for any p′ ≤ p_max %d (p′ > p_max or no slots)", c.cfg.PMax),
-		obs.Int("p", p), obs.Int("p_max", c.cfg.PMax))
-	return false
-}
-
-// commitScaleOut executes a scale-out from p tasks to newSites.
-func (c *Controller) commitScaleOut(b *belief, id plan.OpID, p int, newSites []topology.SiteID) bool {
-	migs, bottleneck := b.buildMigrations(id, newSites)
-	return c.commit(b, ActionScaleOut, "scale-out", id, newSites, migs,
-		fmt.Sprintf("p %d→%d at %v, est transition %v", p, len(newSites), newSites, bottleneck), nil)
+	if sites == nil {
+		c.reject("scale-out", fmt.Sprintf("no feasible placement for any p′ ≤ p_max %d (p′ > p_max or no slots)", c.cfg.PMax),
+			obs.Int("p", p), obs.Int("p_max", c.cfg.PMax))
+		return move{}, false
+	}
+	m := b.moveTo(ActionScaleOut, id, sites)
+	m.detail = fmt.Sprintf("p %d→%d at %v, est transition %v", p, len(sites), sites, m.est)
+	return m, true
 }
 
 // scaleDownUtil triggers scale-down when the expected input would still
@@ -226,15 +219,13 @@ func (c *Controller) maybeScaleDown(b *belief) {
 			// quarantined evidence: reclaim next round.
 			continue
 		}
-		newSites, ok := c.chooseScaleDown(b, id)
+		m, ok := c.chooseScaleDown(b, id)
 		if !ok {
 			continue
 		}
-		migs, _ := b.buildMigrations(id, newSites)
 		c.beginDecision(id, "over-provisioned",
 			obs.F64("lambda_in_hat", b.lambdaIn[id]), obs.Int("p", p))
-		acted := c.commit(b, ActionScaleDown, "scale-down", id, newSites, migs,
-			fmt.Sprintf("p %d→%d at %v", p, p-1, newSites), nil)
+		acted := c.apply(b, m)
 		c.endDecision(acted)
 		if acted {
 			return
@@ -242,18 +233,19 @@ func (c *Controller) maybeScaleDown(b *belief) {
 	}
 }
 
-// chooseScaleDown removes the task least co-located with the stage's
-// neighbours (§4.2: prioritize scaling down tasks that are not co-located
-// with upstream/downstream tasks), after verifying that one task fewer
-// still satisfies the bandwidth bounds at the current workload: the
-// placement program must have a solution at p−1.
-func (c *Controller) chooseScaleDown(b *belief, id plan.OpID) ([]topology.SiteID, bool) {
+// chooseScaleDown proposes removing the task least co-located with the
+// stage's neighbours (§4.2: prioritize scaling down tasks that are not
+// co-located with upstream/downstream tasks), after verifying that one
+// task fewer still satisfies the bandwidth bounds at the current workload:
+// the placement program must have a solution at p−1.
+func (c *Controller) chooseScaleDown(b *belief, id plan.OpID) (move, bool) {
 	pp := b.plan
 	st := pp.Stages[id]
 	g := pp.Graph
+	p := len(st.Sites)
 
-	if _, err := c.placeTasks(b, id, len(st.Sites)-1, 1, b.freeSlotsPlusOwn(id)); err != nil {
-		return nil, false
+	if _, err := physical.PlaceTasks(pp, id, p-1, 1, c.top, c.scheduleConfig(), b.freeSlotsPlusOwn(id)); err != nil {
+		return move{}, false
 	}
 
 	// The victim's site: non-co-located first, then the largest group, then
@@ -279,7 +271,10 @@ func (c *Controller) chooseScaleDown(b *belief, id plan.OpID) ([]topology.SiteID
 			victim = s
 		}
 	}
-	return removeOneTask(st.Sites, victim), true
+	sites := removeOneTask(st.Sites, victim)
+	m := b.moveTo(ActionScaleDown, id, sites)
+	m.detail = fmt.Sprintf("p %d→%d at %v", p, p-1, sites)
+	return m, true
 }
 
 // buildMigrations computes the state transfers implied by moving the
@@ -301,21 +296,29 @@ func (b *belief) buildMigrations(id plan.OpID, newSites []topology.SiteID) ([]en
 	}
 	bytesPerTask := totalState / float64(len(newSites))
 
+	// Moved tasks map one-to-one; the surplus of a scale-down merges into
+	// the added site each reaches fastest, and a scale-out's extra tasks
+	// pull their partition from the old site with the most bandwidth to
+	// them.
+	n := min(len(removed), len(added))
 	var migs []engine.Migration
-	switch {
-	case len(removed) >= len(added):
-		migs = b.links.mapMigrations(removed, added, bytesPerTask)
-	default:
-		// Scale-out: moved tasks map one-to-one; extra tasks pull their
-		// partition from the old site with the most bandwidth to them.
-		migs = b.links.mapMigrations(removed, added[:len(removed)], bytesPerTask)
-		donors := physical.DistinctSites(oldSites)
-		for _, dst := range added[len(removed):] {
-			src, ok := b.links.pickDonor(donors, dst)
-			if !ok {
-				continue
+	if n > 0 {
+		migs = b.links.pairSites(removed[:n], added[:n], bytesPerTask)
+	}
+	if len(removed) > n {
+		receivers := physical.DistinctSites(added)
+		for _, src := range removed[n:] {
+			if dst, ok := b.links.pickReceiver(receivers, src); ok {
+				migs = append(migs, engine.Migration{FromSite: src, ToSite: dst, Bytes: bytesPerTask})
 			}
-			migs = append(migs, engine.Migration{FromSite: src, ToSite: dst, Bytes: bytesPerTask})
+		}
+	}
+	if len(added) > n {
+		donors := physical.DistinctSites(oldSites)
+		for _, dst := range added[n:] {
+			if src, ok := widest(donors, func(s topology.SiteID) float64 { return b.links.bandwidth(s, dst) }); ok {
+				migs = append(migs, engine.Migration{FromSite: src, ToSite: dst, Bytes: bytesPerTask})
+			}
 		}
 	}
 
@@ -327,28 +330,6 @@ func (b *belief) buildMigrations(id plan.OpID, newSites []topology.SiteID) ([]en
 		}
 	}
 	return migs, bottleneck
-}
-
-// mapMigrations maps removed task sites to added task sites. When
-// |removed| > |added|, the surplus removed tasks merge into the added
-// site they reach fastest.
-func (l links) mapMigrations(removed, added []topology.SiteID, bytes float64) []engine.Migration {
-	var migs []engine.Migration
-	n := min(len(removed), len(added))
-	if n > 0 {
-		migs = l.pairSites(removed[:n], added[:n], bytes)
-	}
-	if len(removed) > len(added) {
-		receivers := physical.DistinctSites(added)
-		for _, src := range removed[len(added):] {
-			dst, ok := l.pickReceiver(receivers, src)
-			if !ok {
-				continue
-			}
-			migs = append(migs, engine.Migration{FromSite: src, ToSite: dst, Bytes: bytes})
-		}
-	}
-	return migs
 }
 
 // pairSites assigns each removed site to one added site by solving the
@@ -375,12 +356,6 @@ func (l links) pairSites(removed, added []topology.SiteID, bytes float64) []engi
 	return migs
 }
 
-// pickDonor selects the source site for a new task's state partition: the
-// donor with the most bandwidth to dst.
-func (l links) pickDonor(donors []topology.SiteID, dst topology.SiteID) (topology.SiteID, bool) {
-	return widest(donors, func(s topology.SiteID) float64 { return l.bandwidth(s, dst) })
-}
-
 // pickReceiver selects the destination for a merged (scaled-down) or
 // restored state partition: the receiver with the most bandwidth from src.
 func (l links) pickReceiver(receivers []topology.SiteID, src topology.SiteID) (topology.SiteID, bool) {
@@ -399,17 +374,6 @@ func widest(sites []topology.SiteID, bw func(topology.SiteID) float64) (topology
 		}
 	}
 	return best, true
-}
-
-// placementSites converts a solved placement into an ascending site list.
-func placementSites(pl *placement.Placement) []topology.SiteID {
-	var sites []topology.SiteID
-	for _, s := range pl.Sites {
-		for i := 0; i < pl.TasksPerSite[s]; i++ {
-			sites = append(sites, s)
-		}
-	}
-	return sites
 }
 
 // placementDiff returns the per-task removed and added site lists between

@@ -18,10 +18,11 @@
 //     minimizes the slowest transfer (§5).
 //
 // Each policy, a §8.5 comparison arm, is a row of policyTable: its names and
-// the levers (re-assign, scale, re-plan) it may pull; dispatch's switch
-// orders the levers per arm. What the controller remembers of an operator
-// (cooldown, replaced placement, retry attempts, latency windows, the
-// degraded flag) is one opState in a ledger indexed by operator id.
+// the levers (re-assign, scale, re-plan) it may pull; decide orders the
+// levers per arm and proposes one move, and apply carries it out. What the
+// controller remembers of an operator (cooldown, replaced placement, retry
+// attempts, latency windows, the degraded flag) is one opState in a ledger
+// indexed by operator id.
 //
 // What a caller can vary is the policy, not the mechanism (Config):
 //
@@ -88,7 +89,7 @@ type policyRow struct {
 func (r policyRow) adapts() bool { return r.reassign || r.scale || r.replan }
 
 // policyTable has one row per Policy. Which lever a bottleneck gets first
-// is dispatch's switch.
+// is decide's order.
 var policyTable = [...]policyRow{
 	PolicyNone:     {names: []string{"no-adapt", "none"}},
 	PolicyDegrade:  {names: []string{"degrade"}},
@@ -269,6 +270,9 @@ type Controller struct {
 	obs      *obs.Observer
 	decision *obs.Span
 	belief   belief // what observe last read (belief.go)
+
+	bandwidth func(from, to topology.SiteID) float64 // belief's links, bound once (scheduleConfig)
+	targets   []topology.SiteID                      // apply's buffer: a command's distinct sites
 }
 
 // opState is the controller's memory of one operator; the zero value is
@@ -381,7 +385,9 @@ func (c *Controller) LongTermRound(now vclock.Time) {
 	if c.settling(b, sp) {
 		return
 	}
-	c.tryReplan(b, wholePlan, "long-term background re-evaluation")
+	if m, ok := c.proposeReplan(wholePlan, "long-term background re-evaluation"); ok {
+		c.apply(b, m)
+	}
 }
 
 // settling reports whether a round must defer to in-flight work — a plan
@@ -498,7 +504,8 @@ func (c *Controller) adaptBottleneck(b *belief) bool {
 			obs.Bool("stateful", op.Stateful),
 			obs.Bool("splittable", op.Splittable),
 			obs.F64("lambda_in_hat", b.lambdaIn[id]))
-		taken := c.dispatch(b, id, cond, op)
+		m, ok := c.decide(b, id, cond)
+		taken := ok && c.apply(b, m)
 		c.endDecision(taken)
 		return taken
 	}
@@ -534,90 +541,124 @@ func (b *belief) diagnose(id plan.OpID) metrics.Condition {
 	return metrics.NetworkConstrained
 }
 
-// dispatch runs the policy's decision tree for one bottleneck operator.
-func (c *Controller) dispatch(b *belief, id plan.OpID, cond metrics.Condition, op *plan.Operator) bool {
-	switch c.cfg.Policy {
-	case PolicyReassign:
-		// Re-assignment only, still subject to the §6.2 overhead check:
-		// a placement whose state migration would exceed t_max is not an
-		// acceptable solution, and this arm then simply does not adapt —
-		// the paper's t=600 behaviour.
-		newSites, overhead, err := c.previewReassign(b, id)
-		if err != nil {
-			c.reject("re-assign", "no placement found at current parallelism")
-			return false
+// move is one adaptation as a value, what decide proposes and apply
+// carries out: the action, its operator (wholePlan for the long-term
+// re-plan) and the detail its action event records. A placement change
+// holds the new sites, ascending, the state migrations its preview priced
+// and their estimated bottleneck transfer; a re-plan holds the winning
+// candidate, valid until the session's next round, and its carry map.
+// onDone, when set, runs as the change completes.
+type move struct {
+	kind   ActionKind
+	op     plan.OpID
+	detail string
+	sites  []topology.SiteID
+	migs   []engine.Migration
+	est    vclock.Time
+	winner *physical.Candidate
+	carry  []plan.OpID
+	onDone func(doneAt vclock.Time)
+}
+
+// decide runs the policy's Figure-6 decision for one bottleneck operator
+// from the belief alone: it tries the arm's levers in order, records a
+// reject for each one it passes over, and returns the first viable move.
+// It commits nothing; apply does.
+func (c *Controller) decide(b *belief, id plan.OpID, cond metrics.Condition) (move, bool) {
+	op := b.plan.Graph.Operator(id)
+	switch {
+	case !c.policy.adapts():
+		return move{}, false
+	case c.cfg.Policy == PolicyReplan:
+		return c.proposeReplan(id, "bottleneck "+cond.String())
+	case cond == metrics.ComputeConstrained && c.policy.scale:
+		// Scale up; at p_max (p′ > p_max) or unsplittable, re-planning is
+		// the remaining lever (Fig 6) — for an arm that may pull it.
+		p, pPrime := c.scaleUpTarget(b, id)
+		var why string
+		switch {
+		case pPrime <= p:
+			c.reject("scale-up", fmt.Sprintf("p′ %d ≤ p %d (p_max %d)", pPrime, p, c.cfg.PMax),
+				obs.Int("p_prime", pPrime), obs.Int("p", p), obs.Int("p_max", c.cfg.PMax))
+			why = "compute-bound at p_max"
+		case !c.splittable(op, "scale-up"):
+			why = "compute-bound unsplittable operator"
+		default:
+			return c.proposeScaleUp(b, id, p, pPrime)
 		}
-		if overhead > vclock.Time(tMax) {
-			c.rejectOverhead(overhead)
-			return false
+		if !c.policy.replan {
+			return move{}, false
 		}
-		return c.tryReassign(b, id, newSites)
-	case PolicyReplan:
-		return c.tryReplan(b, id, "bottleneck "+cond.String())
-	case PolicyScale:
+		return c.proposeReplan(id, why)
+	case c.cfg.Policy == PolicyScale:
 		// §8.5's Scale arm: re-assign first, but fall back to operator
 		// scaling when no placement exists at the current parallelism or
 		// the migration overhead exceeds t_max (§6.2).
-		if cond == metrics.ComputeConstrained {
-			return c.scaleForCompute(b, id)
-		}
-		newSites, overhead, err := c.previewReassign(b, id)
-		if err == nil && overhead <= vclock.Time(tMax) {
-			if c.tryReassign(b, id, newSites) {
-				return true
+		m, err := c.previewReassign(b, id)
+		if err == nil && m.est <= vclock.Time(tMax) {
+			if m, ok := c.proposeReassign(b, m); ok {
+				return m, true
 			}
 		}
-		if c.scaleForNetwork(b, id) {
-			return true
+		if c.splittable(op, "scale-out") {
+			if m, ok := c.proposeScaleOut(b, id); ok {
+				return m, true
+			}
 		}
 		// Scaling failed too: this arm has no re-plan to fall back on, so
 		// it takes the re-assignment whatever its migration costs.
 		if err != nil {
 			c.reject("re-assign", "no placement found: "+err.Error())
-			return false
+			return move{}, false
 		}
-		return c.tryReassign(b, id, newSites)
-	case PolicyWASP:
-		// Figure 6.
-		if cond == metrics.ComputeConstrained {
-			return c.scaleForCompute(b, id)
-		}
-		// Network-constrained.
-		if !op.Stateful {
-			if c.tryReplan(b, id, "network-bound stateless pipeline") {
-				return true
-			}
-			// No alternative plan: fall through to physical adaptation.
-		}
-		if !op.Splittable {
-			c.reject("scale-out", "operator cannot be split")
-			return c.tryReplan(b, id, "operator cannot be split")
-		}
-		newSites, overhead, err := c.previewReassign(b, id)
-		if err != nil {
-			// No placement at the current parallelism: scale out, and
-			// re-plan if even that fails (p′ > p_max or no slots).
-			c.reject("re-assign", "no placement found at current parallelism")
-			if c.scaleForNetwork(b, id) {
-				return true
-			}
-			return c.tryReplan(b, id, "scale-out infeasible")
-		}
-		if overhead > vclock.Time(tMax) {
-			// Migration too expensive: scale out to partition state; if
-			// the parallelism cap blocks that, re-plan (Fig 6). Executing
-			// the over-budget migration is never an option — suspending
-			// the stage longer than t_max costs more than it fixes.
-			c.rejectOverhead(overhead)
-			if c.scaleForNetwork(b, id) {
-				return true
-			}
-			return c.tryReplan(b, id, "migration over t_max and p at p_max")
-		}
-		return c.tryReassign(b, id, newSites)
-	default:
-		return false
+		return c.proposeReassign(b, m)
 	}
+	// Figure 6's network-constrained branch; the Re-assign arm, which has
+	// neither the scale nor the re-plan lever, takes it for any bottleneck.
+	if c.policy.replan && !op.Stateful {
+		if m, ok := c.proposeReplan(id, "network-bound stateless pipeline"); ok {
+			return m, true
+		}
+		// No alternative plan: fall through to physical adaptation.
+	}
+	if c.policy.replan && !c.splittable(op, "scale-out") {
+		return c.proposeReplan(id, "operator cannot be split")
+	}
+	m, err := c.previewReassign(b, id)
+	var why string
+	switch {
+	case err != nil:
+		// No placement at the current parallelism: scale out, and re-plan
+		// if even that fails (p′ > p_max or no slots).
+		c.reject("re-assign", "no placement found at current parallelism")
+		why = "scale-out infeasible"
+	case m.est > vclock.Time(tMax):
+		// Migration too expensive: scale out to partition state; if the
+		// parallelism cap blocks that, re-plan (Fig 6). Executing the
+		// over-budget migration is never an option — suspending the stage
+		// longer than t_max costs more than it fixes, and an arm without
+		// those levers does not adapt (the paper's t=600 behaviour).
+		c.rejectOverhead(m.est)
+		why = "migration over t_max and p at p_max"
+	default:
+		return c.proposeReassign(b, m)
+	}
+	if !c.policy.scale {
+		return move{}, false
+	}
+	if m, ok := c.proposeScaleOut(b, id); ok {
+		return m, true
+	}
+	return c.proposeReplan(id, why)
+}
+
+// splittable reports whether the operator may change its parallelism, and
+// rejects branch when it may not.
+func (c *Controller) splittable(op *plan.Operator, branch string) bool {
+	if !op.Splittable {
+		c.reject(branch, "operator cannot be split")
+	}
+	return op.Splittable
 }
 
 // rejectOverhead records the §6.2 t_max rejection of a re-assignment.

@@ -291,25 +291,17 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 	// A stage whose entire upstream sits on down sites has no input to
 	// process; re-placing it cannot help (ingest stages typically cannot
 	// leave their source's site anyway). It heals when the site restarts.
-	if ups := pp.Graph.Upstream(id); len(ups) > 0 {
-		allDead := true
-		for _, u := range ups {
-			for _, s := range pp.Stages[u].Sites {
-				if !slices.Contains(b.down, s) {
-					allDead = false
-				}
-			}
-		}
-		if allDead {
-			return c.degradeStage(id, "upstream-down", "all upstream tasks on failed sites; no input until restart")
-		}
+	live := func(s topology.SiteID) bool { return !slices.Contains(b.down, s) }
+	ups := pp.Graph.Upstream(id)
+	if len(ups) > 0 && !slices.ContainsFunc(ups, func(u plan.OpID) bool { return slices.ContainsFunc(pp.Stages[u].Sites, live) }) {
+		return c.degradeStage(id, "upstream-down", "all upstream tasks on failed sites; no input until restart")
 	}
 
 	// A crash inside a quarantined region cannot be recovered yet: the
 	// controller can neither command the survivors there nor trust its
 	// picture of the region. Defer — the Round backstop re-enters this
 	// ladder every round and proceeds once the region is re-admitted.
-	if r, q := b.ctrl.quarantinedRegionOf(physical.DistinctSites(st.Sites)); q {
+	if r, q := b.ctrl.quarantinedRegionOf(st.Sites); q {
 		return c.degradeStage(id, "quarantine-deferred",
 			fmt.Sprintf("region %d quarantined; recovery deferred until re-admission", r))
 	}
@@ -317,17 +309,14 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 	// Rung 1: replace the lost tasks on live sites — all of them if slots
 	// allow, otherwise as many as fit. FreeSlots already reports zero for
 	// down sites, so the placement program cannot pick them.
-	var newSites []topology.SiteID
-	placed := 0
-	for k := lost; k >= 1; k-- {
+	newSites, placed := slices.Clone(survivors), 0
+	for k := lost; k >= 1 && placed == 0; k-- {
 		added, err := c.placeTasks(b, id, k, float64(k)/float64(len(survivors)+k), b.free)
 		if err != nil {
 			c.reject("re-assign", fmt.Sprintf("no placement for %d replacement tasks: %v", k, err))
 			continue
 		}
-		newSites = append(append([]topology.SiteID(nil), survivors...), added...)
-		placed = k
-		break
+		newSites, placed = append(newSites, added...), k
 	}
 	// Rung 2: no replacement placeable — run on the survivors alone.
 	if placed == 0 {
@@ -337,7 +326,6 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 			return c.degradeStage(id, "no-placement", "no surviving tasks and no feasible placement")
 		}
 		c.reject("scale-out", "no slots for replacement tasks; shrinking to survivors")
-		newSites = append([]topology.SiteID(nil), survivors...)
 	}
 	slices.Sort(newSites)
 
@@ -358,15 +346,13 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 			}
 			blobs = append(blobs, data)
 			restoreFrom = append(restoreFrom, ref.Site)
-			dst, ok := b.links.pickReceiver(physical.DistinctSites(newSites), ref.Site)
-			if !ok {
-				continue
-			}
 			bytes := perTask
 			if bytes <= 0 {
 				bytes = float64(len(data))
 			}
-			migs = append(migs, engine.Migration{FromSite: ref.Site, ToSite: dst, Bytes: bytes})
+			if dst, ok := b.links.pickReceiver(physical.DistinctSites(newSites), ref.Site); ok {
+				migs = append(migs, engine.Migration{FromSite: ref.Site, ToSite: dst, Bytes: bytes})
+			}
 		}
 	}
 
@@ -398,7 +384,7 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 	}
 	detail := fmt.Sprintf("lost %d task(s) at %v; new placement %v, %d checkpoint(s) from %v",
 		lost, physical.DistinctSites(deadSites), newSites, len(blobs), restoreFrom)
-	acted := c.commit(b, ActionRecover, "re-assign", id, newSites, migs, detail, onDone)
+	acted := c.apply(b, move{kind: ActionRecover, op: id, detail: detail, sites: newSites, migs: migs, onDone: onDone})
 	if acted {
 		c.op(id).degraded = false
 	}

@@ -7,7 +7,6 @@ import (
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
-	"github.com/wasp-stream/wasp/internal/vclock"
 )
 
 // wholePlan is the operator id of an action on the whole plan rather than
@@ -15,16 +14,16 @@ import (
 // phase also names it. The ledger keeps no entry for it.
 const wholePlan plan.OpID = -1
 
-// tryReplan re-evaluates the logical + physical plan jointly (§4.3). For
-// executions with stateful combine operators, only variants containing
-// common sub-plans over the stateful operators are admissible; the state
-// (and queued backlog) of surviving operators carries over. It reports
-// whether a plan switch was initiated. id is the bottleneck that triggered
+// proposeReplan re-evaluates the logical + physical plan jointly (§4.3)
+// and proposes switching to the winner. For executions with stateful
+// combine operators, only variants containing common sub-plans over the
+// stateful operators are admissible; the state (and queued backlog) of
+// surviving operators carries over. id is the bottleneck that triggered
 // it, or wholePlan.
-func (c *Controller) tryReplan(b *belief, id plan.OpID, reason string) bool {
+func (c *Controller) proposeReplan(id plan.OpID, reason string) (move, bool) {
 	if c.replan == nil || c.replan.Spec == nil || c.replan.Current == nil {
 		c.reject("re-plan", "no re-plan spec (no re-orderable combine group)")
-		return false
+		return move{}, false
 	}
 	statefulTemplate := c.replan.Spec.Template.Stateful
 	// Tumbling-window combine state can switch plans at window
@@ -37,7 +36,7 @@ func (c *Controller) tryReplan(b *belief, id plan.OpID, reason string) bool {
 		s, err := physical.NewSession(c.replan.Base, c.replan.Spec, c.replan.MaxVariants)
 		if err != nil {
 			c.reject("re-plan", "planner: "+err.Error())
-			return false
+			return move{}, false
 		}
 		c.planSession = s
 	}
@@ -46,34 +45,18 @@ func (c *Controller) tryReplan(b *belief, id plan.OpID, reason string) bool {
 		cur := c.replan.Current
 		admit = func(t *plan.Tree) bool { return t.AdmissibleFrom(cur) }
 	}
-	cfg := physical.PlannerConfig{ScheduleConfig: c.scheduleConfig(b)}
+	cfg := physical.PlannerConfig{ScheduleConfig: c.scheduleConfig()}
 	best, _, err := c.planSession.Plan(c.top, cfg, admit)
 	if err != nil {
 		c.reject("re-plan", "planner: "+err.Error())
-		return false
+		return move{}, false
 	}
 	if sameTree(best.Variant, c.replan.Current) {
 		c.reject("re-plan", "already running the best plan")
-		return false
+		return move{}, false
 	}
-
-	carry := c.carryMap(c.replan.Current, best.Variant)
-	newVariant := best.Variant
-	// The session owns best.Plan and will re-Schedule it next round; the
-	// engine needs a stable copy to deploy and mutate.
-	if err := c.eng.BeginReplan(best.Plan.Clone(), carry, func(doneAt vclock.Time) {
-		c.replan.Current = newVariant
-		// Stamp the anti-flap cooldown on the operator that triggered the
-		// switch so the next round does not immediately re-adapt it.
-		if id != wholePlan {
-			c.noteCompleted(id, nil, doneAt)
-		}
-	}); err != nil {
-		c.reject("re-plan", "engine: "+err.Error())
-		return false
-	}
-	c.record(ActionReplan, id, fmt.Sprintf("%s: switch to %v", reason, best.Variant.Tree))
-	return true
+	return move{kind: ActionReplan, op: id, winner: best, carry: c.carryMap(c.replan.Current, best.Variant),
+		detail: fmt.Sprintf("%s: switch to %v", reason, best.Variant.Tree)}, true
 }
 
 // carryMap gives, indexed by old operator ID, the new ID of every

@@ -90,13 +90,21 @@ func replanBed(t *testing.T, policy Policy) (*testbed, *ReplanSpec, *physical.Ca
 	return tb, rs, worst
 }
 
+// replanNow observes, proposes a re-plan for id and applies it, reporting
+// whether a plan switch began.
+func (c *Controller) replanNow(id plan.OpID, reason string) bool {
+	b := c.observe(nil)
+	m, ok := c.proposeReplan(id, reason)
+	return ok && c.apply(b, m)
+}
+
 func TestTryReplanSwitchesToBetterVariant(t *testing.T) {
 	tb, rs, worst := replanBed(t, PolicyReplan)
 	tb.run(t, 30*time.Second)
 	tb.ctl.lastRateFactor = 1
 
-	if !tb.ctl.tryReplan(tb.ctl.observe(nil), 0, "test") {
-		t.Fatal("tryReplan refused to switch off the worst candidate")
+	if !tb.ctl.replanNow(0, "test") {
+		t.Fatal("re-plan refused to switch off the worst candidate")
 	}
 	if !slices.Contains(tb.ctl.Actions(), ActionReplan) {
 		t.Fatal("no re-plan action recorded")
@@ -128,13 +136,13 @@ func TestTryReplanNoOpWhenAlreadyBest(t *testing.T) {
 	tb.run(t, 30*time.Second)
 	tb.ctl.lastRateFactor = 1
 	// Switch once to the best plan...
-	if !tb.ctl.tryReplan(tb.ctl.observe(nil), 0, "first") {
+	if !tb.ctl.replanNow(0, "first") {
 		t.Fatal("first re-plan refused")
 	}
 	tb.run(t, 150*time.Second)
 	// ...then a second attempt must be a no-op (already running the best
 	// schedulable variant).
-	if tb.ctl.tryReplan(tb.ctl.observe(nil), 0, "second") {
+	if tb.ctl.replanNow(0, "second") {
 		t.Fatalf("re-planned away from the best variant %v", rs.Current.Tree)
 	}
 }
@@ -221,7 +229,7 @@ func TestSameTree(t *testing.T) {
 func TestPolicyWASPReplansUnsplittableOperator(t *testing.T) {
 	// A network-bound operator that cannot be split must route to
 	// re-planning under the full policy (Fig 6). Build the combine bed
-	// with an unsplittable template and verify dispatch chooses re-plan.
+	// with an unsplittable template and verify decide chooses re-plan.
 	tb, rs, _ := replanBed(t, PolicyWASP)
 	// Mark every deployed combine node unsplittable.
 	for _, id := range tb.eng.Plan().Graph.OperatorIDs() {
@@ -236,8 +244,8 @@ func TestPolicyWASPReplansUnsplittableOperator(t *testing.T) {
 
 	ups := tb.eng.Plan().Graph.Upstream(rs.Spec.Output)
 	b := tb.ctl.observe(nil)
-	acted := tb.ctl.dispatch(b, ups[0], metrics.NetworkConstrained, b.plan.Graph.Operator(ups[0]))
-	if !acted {
+	m, ok := tb.ctl.decide(b, ups[0], metrics.NetworkConstrained)
+	if !ok || !tb.ctl.apply(b, m) {
 		t.Fatal("unsplittable network-bound op: no action")
 	}
 	if !slices.Contains(tb.ctl.Actions(), ActionReplan) {

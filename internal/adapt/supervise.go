@@ -2,12 +2,11 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/wasp-stream/wasp/internal/ctrlplane"
-	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/obs"
-	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
@@ -150,7 +149,9 @@ func (c *Controller) heldDown(b *belief, id plan.OpID) (branch, reason string, h
 // Both are recorded as obs reject branches so the decision trail shows
 // *why* the controller sat on its hands.
 func (c *Controller) ctrlGated(b *belief, id plan.OpID) (branch, reason string, gated bool) {
-	sites := physical.DistinctSites(b.plan.Stages[id].Sites)
+	// The stage's sites are ascending, so the first quarantined one is the
+	// lowest, as in its distinct list.
+	sites := b.plan.Stages[id].Sites
 	if r, q := b.ctrl.quarantinedRegionOf(sites); q {
 		return "quarantine",
 			fmt.Sprintf("region %d quarantined: no adaptation on its operators until re-admission", r), true
@@ -162,30 +163,54 @@ func (c *Controller) ctrlGated(b *belief, id plan.OpID) (branch, reason string, 
 	return "", "", false
 }
 
-// commit is the controller's one way to move an operator, whatever the
-// reason — re-assignment, scaling in either direction, or crash recovery.
-// It sends the new placement and its state transfers as a command to the
-// placement's coordination site, then logs the action or rejects the
-// branch with the engine's reason. A local plane applies the command
-// inline; on a WAN plane success only means "launched" — application
-// happens at delivery (if ever), and the ack timeout feeds noteAborted.
-// Completion stamps the hysteresis bookkeeping (noteCompleted) with the
-// placement the action replaced.
-func (c *Controller) commit(b *belief, kind ActionKind, branch string, id plan.OpID, newSites []topology.SiteID, migs []engine.Migration, detail string, onDone func(now vclock.Time)) bool {
-	oldSites := append([]topology.SiteID(nil), b.plan.Stages[id].Sites...)
-	done := func(doneAt vclock.Time) {
-		c.noteCompleted(id, oldSites, doneAt)
-		if onDone != nil {
-			onDone(doneAt)
+// apply carries out a move, whoever proposed it — the Figure-6 decision,
+// scale-down, the long-term re-plan or the recovery ladder — and is the
+// controller's one actuation of a change. A placement change goes as a
+// command, with its state transfers, to the placement's coordination
+// site: a local plane applies it inline; on a WAN plane success only
+// means "launched" — application happens at delivery (if ever), and the
+// ack timeout feeds noteAborted. A re-plan starts the engine's
+// drain-then-switch. apply then logs the action, or rejects the action's
+// branch with the engine's reason. Completion stamps the hysteresis
+// bookkeeping (noteCompleted) with the placement the action replaced.
+func (c *Controller) apply(b *belief, m move) bool {
+	// The closures take the fields they need, not the whole move.
+	id, sites, migs, onDone := m.op, m.sites, m.migs, m.onDone
+	var err error
+	if m.kind == ActionReplan {
+		// The session owns the winner's plan and will re-Schedule it next
+		// round; the engine needs a stable copy to deploy and mutate.
+		next := m.winner.Variant
+		err = c.eng.BeginReplan(m.winner.Plan.Clone(), m.carry, func(doneAt vclock.Time) {
+			c.replan.Current = next
+			// Stamp the anti-flap cooldown on the operator that triggered
+			// the switch so the next round does not immediately re-adapt it.
+			if id != wholePlan {
+				c.noteCompleted(id, nil, doneAt)
+			}
+		})
+	} else {
+		oldSites := slices.Clone(b.plan.Stages[id].Sites)
+		done := func(doneAt vclock.Time) {
+			c.noteCompleted(id, oldSites, doneAt)
+			if onDone != nil {
+				onDone(doneAt)
+			}
 		}
+		c.targets = append(c.targets[:0], sites...)
+		slices.Sort(c.targets)
+		err = c.plane.SendCommand(id, "reconfigure", slices.Compact(c.targets), func() error {
+			return c.eng.Reconfigure(id, sites, migs, done)
+		})
 	}
-	if err := c.plane.SendCommand(id, "reconfigure", physical.DistinctSites(newSites), func() error {
-		return c.eng.Reconfigure(id, newSites, migs, done)
-	}); err != nil {
+	if branch := m.kind.String(); err != nil {
+		if m.kind == ActionRecover {
+			branch = "re-assign" // recovery re-assigns the lost tasks
+		}
 		c.reject(branch, "engine: "+err.Error())
 		return false
 	}
-	c.record(kind, id, detail)
+	c.record(m.kind, id, m.detail)
 	return true
 }
 

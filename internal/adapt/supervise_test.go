@@ -33,9 +33,9 @@ func TestDoomedReconfigurationAbortsAndStageResumes(t *testing.T) {
 	tb.run(t, 50*time.Second)
 
 	// Move the stateful map 1→2: 60 MB over 20 MB/s ≈ 3 s mid-flight.
-	if !tb.ctl.commit(tb.ctl.observe(nil), ActionReassign, "re-assign", tb.ids[1], sites(2),
-		[]engine.Migration{{FromSite: 1, ToSite: 2, Bytes: 60e6}}, "test", nil) {
-		t.Fatal("commit refused the move")
+	if !tb.ctl.apply(tb.ctl.observe(nil), move{kind: ActionReassign, op: tb.ids[1], detail: "test", sites: sites(2),
+		migs: []engine.Migration{{FromSite: 1, ToSite: 2, Bytes: 60e6}}}) {
+		t.Fatal("apply refused the move")
 	}
 	tb.run(t, 51*time.Second) // mid-transfer
 	if !tb.eng.Reconfiguring(tb.ids[1]) {
