@@ -455,7 +455,7 @@ var beliefExemptions = map[string]struct {
 	reason  string
 }{
 	"RecoveryManager.CheckpointRound": {
-		methods: []string{"engine.Engine.Plan", "engine.Engine.SiteDown", "engine.Engine.SnapshotGroup"},
+		methods: []string{"engine.Engine.Plan", "engine.Engine.SiteDown", "engine.Engine.AppendSnapshot"},
 		reason:  "checkpoints the deployed groups on a timer of its own and decides nothing",
 	},
 }

@@ -99,9 +99,7 @@ func (rm *RecoveryManager) Stop() {
 // Targets are visited by ascending OpID, then ascending site.
 func (rm *RecoveryManager) CheckpointRound(now vclock.Time) {
 	pp := rm.eng.Plan()
-	for len(rm.opNames) < len(pp.Stages) {
-		rm.opNames = append(rm.opNames, opName(plan.OpID(len(rm.opNames))))
-	}
+	names := rm.names(len(pp.Stages))
 	rm.epoch++
 	rm.targets = 0
 	for id := range plan.OpID(pp.Graph.Len()) {
@@ -116,9 +114,10 @@ func (rm *RecoveryManager) CheckpointRound(now vclock.Time) {
 				continue
 			}
 			rm.targets++
-			// One copy at the site and one at its replica, sharing bytes.
-			ref := state.Ref{Job: rm.job, Operator: rm.opNames[id], Task: int(site), Epoch: rm.epoch, Site: site}
-			data, err := rm.eng.SnapshotGroup(id, site)
+			// One copy at the site and one at its replica, sharing bytes:
+			// the snapshot goes into a buffer the store no longer needs.
+			ref := state.Ref{Job: rm.job, Operator: names[id], Task: int(site), Epoch: rm.epoch, Site: site}
+			data, err := rm.eng.AppendSnapshot(rm.store.Spare(), id, site)
 			if err != nil {
 				rm.onCheckpointError(fmt.Errorf("checkpoint %s/%s/%d epoch %d: %w", ref.Job, ref.Operator, ref.Task, rm.epoch, err))
 				continue
@@ -154,6 +153,15 @@ func (rm *RecoveryManager) onCheckpointError(err error) {
 // lifetime of a deployed graph.
 func opName(id plan.OpID) string { return fmt.Sprintf("op%d", int(id)) }
 
+// names returns the opName of every OpID below at least n, grown from the
+// cache as deployed graphs grow.
+func (rm *RecoveryManager) names(n int) []string {
+	for len(rm.opNames) < n {
+		rm.opNames = append(rm.opNames, opName(plan.OpID(len(rm.opNames))))
+	}
+	return rm.opNames
+}
+
 // stateful reports whether an operator carries recoverable state worth
 // checkpointing (window accumulators).
 func stateful(op *plan.Operator) bool {
@@ -187,7 +195,7 @@ func replicaSites(top *topology.Topology) []topology.SiteID {
 // Latest finds the freshest checkpoint for one task group that is NOT
 // stored on any excluded (down) site.
 func (rm *RecoveryManager) Latest(id plan.OpID, task int, excluded []topology.SiteID) (state.Ref, []byte, bool) {
-	return rm.store.LatestExcluding(rm.job, opName(id), task, excluded...)
+	return rm.store.LatestExcluding(rm.job, rm.names(int(id) + 1)[id], task, excluded...)
 }
 
 // AttachRecovery gives the controller a checkpoint source for site-failure

@@ -9,6 +9,7 @@ import (
 	"github.com/wasp-stream/wasp/internal/ctrlplane"
 	"github.com/wasp-stream/wasp/internal/engine"
 	"github.com/wasp-stream/wasp/internal/netsim"
+	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
 	"github.com/wasp-stream/wasp/internal/topology"
@@ -266,5 +267,105 @@ func TestRecoveryDefersInQuarantinedRegionThenProceeds(t *testing.T) {
 	}
 	if n := plane.UnackedCommands(); n != 0 {
 		t.Fatalf("UnackedCommands() = %d at end; want 0", n)
+	}
+}
+
+// TestCheckpointRoundAllocs holds a warm checkpoint round over two targets
+// to the allocations of the checkpoint.round event it records: the
+// snapshots go into buffers the store hands back, and the store's copies
+// replace the ones they supersede. Before the store handed buffers back,
+// this round allocated 3 objects against the event's 1: a snapshot per
+// target.
+func TestCheckpointRoundAllocs(t *testing.T) {
+	tb, rm := recoveryBed(t, 8, time.Hour)
+	agg := tb.ids[1]
+	if err := tb.eng.Reconfigure(agg, []topology.SiteID{1, 2}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	tb.run(t, 60*time.Second)
+	for range 3 {
+		rm.CheckpointRound(tb.sched.Now())
+	}
+	if rm.targets != 2 {
+		t.Fatalf("a round visits %d targets; want 2", rm.targets)
+	}
+	o := tb.ctl.Observer()
+	event := testing.AllocsPerRun(100, func() {
+		o.Emit("checkpoint.round", obs.I64("epoch", rm.epoch), obs.Int("targets", rm.targets))
+		o.Registry().Counter("wasp_checkpoints_total").Inc()
+	})
+	avg := testing.AllocsPerRun(100, func() { rm.CheckpointRound(tb.sched.Now()) })
+	if avg > event {
+		t.Errorf("a warm checkpoint round allocates %.3f objects; its event alone %.3f", avg, event)
+	}
+	if ref, data, ok := rm.Latest(agg, 2, []topology.SiteID{2}); !ok || ref.Epoch != rm.epoch || len(data) != int(ref.Size) {
+		t.Fatalf("latest replica of the site-2 task = (%+v, %d bytes, %v); want epoch %d", ref, len(data), ok, rm.epoch)
+	}
+}
+
+// TestCheckpointStoreStaysBounded runs the recovery bed for two simulated
+// hours with a checkpoint every second and finds at most one copy per
+// (task, site): every site's stored bytes are exactly the sizes of the
+// newest copies there (a copy is at least 13 bytes, so an older one would
+// show). On the way, a crash with no free slot leaves the aggregate
+// degraded on its dead site for ten minutes, and the rounds that skip it
+// must keep its last copy; a second crash moves it for good.
+func TestCheckpointStoreStaysBounded(t *testing.T) {
+	tb, rm := recoveryBed(t, 1, time.Second)
+	agg := tb.ids[1]
+	var crashEpoch int64
+	tb.sched.At(vclock.Time(30*time.Minute), func(vclock.Time) {
+		crashEpoch = rm.epoch
+		for _, site := range []topology.SiteID{2, 1} {
+			tb.eng.CrashSite(site)
+			tb.ctl.OnSiteCrash(site)
+		}
+	})
+	tb.sched.At(vclock.Time(39*time.Minute), func(vclock.Time) {
+		ref, _, ok := rm.Latest(agg, 1, []topology.SiteID{1, 2})
+		if !ok || ref.Epoch != crashEpoch || ref.Site != 0 || rm.epoch < crashEpoch+500 {
+			t.Errorf("nine minutes into the crash, the surviving copy is (%+v, %v); want epoch %d at site 0", ref, ok, crashEpoch)
+		}
+		tb.eng.RestoreSite(1)
+		tb.eng.RestoreSite(2)
+	})
+	tb.sched.At(vclock.Time(70*time.Minute), func(vclock.Time) {
+		tb.eng.CrashSite(1)
+		tb.ctl.OnSiteCrash(1)
+	})
+	tb.run(t, 2*time.Hour)
+	if rm.epoch < 7000 {
+		t.Fatalf("%d checkpoint rounds in two hours; want one a second", rm.epoch)
+	}
+	if got := tb.eng.Plan().Stages[agg].Sites; len(got) != 1 || got[0] != 2 {
+		t.Fatalf("aggregate at %v after the second crash; want site 2", got)
+	}
+	n := tb.top.N()
+	newest := make([]int64, n)
+	copies := 0
+	for id := range tb.ids {
+		for task := range n {
+			for site := range topology.SiteID(n) {
+				var others []topology.SiteID
+				for s := range topology.SiteID(n) {
+					if s != site {
+						others = append(others, s)
+					}
+				}
+				if ref, _, ok := rm.Latest(plan.OpID(id), task, others); ok {
+					newest[site] += ref.Size
+					copies++
+				}
+			}
+		}
+	}
+	// The aggregate's tasks 1 and 2, each at its site and at site 0.
+	if copies != 4 {
+		t.Fatalf("the store holds %d newest copies; want 4", copies)
+	}
+	for site := range topology.SiteID(n) {
+		if got := rm.Store().BytesAt(site); got != newest[site] {
+			t.Errorf("site %d stores %d bytes; its newest copies hold %d", site, got, newest[site])
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/plan"
@@ -179,17 +180,24 @@ const snapshotVersion = 1
 // reconfigurations scale both by a task share.
 const worthSlack = 1e-6
 
-// SnapshotGroup captures the state of one task group for checkpointing.
-// Stateless groups produce a snapshot holding only the frontier.
+// SnapshotGroup captures the state of one task group for checkpointing:
+// AppendSnapshot into a new buffer.
 func (e *Engine) SnapshotGroup(op plan.OpID, site topology.SiteID) ([]byte, error) {
+	return e.AppendSnapshot(nil, op, site)
+}
+
+// AppendSnapshot appends the snapshot of one task group to buf and returns
+// the extended buffer; on an error buf comes back unchanged. Stateless
+// groups produce a snapshot holding only the frontier.
+func (e *Engine) AppendSnapshot(buf []byte, op plan.OpID, site topology.SiteID) ([]byte, error) {
 	g := e.group(op, site)
 	if g == nil {
-		return nil, fmt.Errorf("engine: no group for op %d at site %d", op, site)
+		return buf, fmt.Errorf("engine: no group for op %d at site %d", op, site)
 	}
 	if e.siteDown[site] {
-		return nil, fmt.Errorf("engine: site %d is down", site)
+		return buf, fmt.Errorf("engine: site %d is down", site)
 	}
-	buf := make([]byte, 0, 1+8+4+len(g.windows)*32)
+	buf = slices.Grow(buf, 1+8+4+len(g.windows)*32)
 	buf = append(buf, snapshotVersion)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(g.maxProcessedBorn))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(g.windows)))

@@ -180,6 +180,15 @@ func TestSnapshotGroupDeterministicRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("same state snapshotted to different bytes")
 	}
+	// AppendSnapshot writes the same bytes after what the buffer holds,
+	// into its spare capacity without allocating.
+	buf := append(make([]byte, 0, 2*len(a)+2), "ab"...)
+	if allocs := testing.AllocsPerRun(10, func() { buf, err = r.eng.AppendSnapshot(buf[:2], agg, 1) }); err != nil || allocs != 0 {
+		t.Fatalf("AppendSnapshot into room for it: %v allocations, error %v", allocs, err)
+	}
+	if string(buf[:2]) != "ab" || !bytes.Equal(buf[2:], a) {
+		t.Fatalf("AppendSnapshot = %x; want 6162 then %x", buf, a)
+	}
 	wins, frontier, err := decodeSnapshot(a)
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +204,9 @@ func TestSnapshotGroupDeterministicRoundTrip(t *testing.T) {
 	r.eng.CrashSite(1)
 	if _, err := r.eng.SnapshotGroup(agg, 1); err == nil {
 		t.Fatal("SnapshotGroup succeeded on a crashed site")
+	}
+	if out, err := r.eng.AppendSnapshot(buf[:2], agg, 1); err == nil || string(out) != "ab" {
+		t.Fatalf("AppendSnapshot on a crashed site = %q, %v; want the buffer unchanged and an error", out, err)
 	}
 
 	// The crash counted the window state as lost; restoring the snapshot

@@ -29,7 +29,6 @@ package faults
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -149,21 +148,44 @@ var (
 
 // parse stores the value's text form into the fault.
 func (p param) parse(f *Fault, val string) (err error) {
+	var n int
 	switch x := p.at(f).(type) {
 	case *float64:
 		*x, err = strconv.ParseFloat(val, 64)
 	case *time.Duration:
 		*x, err = time.ParseDuration(val)
-	default: // the integer-valued fields: a site, an operator, a region
-		var n int
+	case *topology.SiteID:
 		n, err = strconv.Atoi(val)
-		reflect.ValueOf(x).Elem().SetInt(int64(n))
+		*x = topology.SiteID(n)
+	case *plan.OpID:
+		n, err = strconv.Atoi(val)
+		*x = plan.OpID(n)
+	case *int:
+		*x, err = strconv.Atoi(val)
 	}
 	return err
 }
 
-// render is the inverse of parse.
-func (p param) render(f Fault) string { return fmt.Sprint(reflect.ValueOf(p.at(&f)).Elem()) }
+// appendValue is the inverse of parse: it appends the text form of the
+// value f holds for the parameter.
+func (p param) appendValue(b []byte, f *Fault) []byte {
+	switch x := p.at(f).(type) {
+	case *float64:
+		return strconv.AppendFloat(b, *x, 'g', -1, 64)
+	case *time.Duration:
+		return append(b, x.String()...)
+	case *topology.SiteID:
+		return strconv.AppendInt(b, int64(*x), 10)
+	case *plan.OpID:
+		return strconv.AppendInt(b, int64(*x), 10)
+	case *int:
+		return strconv.AppendInt(b, int64(*x), 10)
+	}
+	return b
+}
+
+// render is appendValue as a string.
+func (p param) render(f Fault) string { return string(p.appendValue(nil, &f)) }
 
 // kindRow is everything one fault kind is.
 type kindRow struct {
@@ -267,14 +289,27 @@ var kinds = [...]kindRow{
 
 // String renders the fault in the DSL syntax it parses from.
 func (f Fault) String() string {
-	var kv []string
-	for _, p := range kinds[f.Kind].params {
-		kv = append(kv, p.key+"="+p.render(f))
+	var buf [64]byte
+	b := append(buf[:0], f.Kind.String()...)
+	b = append(b, '@')
+	b = append(b, f.At.String()...)
+	b = append(b, ':')
+	for i, p := range kinds[f.Kind].params {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, p.key...)
+		b = append(b, '=')
+		b = p.appendValue(b, &f)
 	}
 	if f.For > 0 {
-		kv = append(kv, "for="+f.For.String())
+		if len(kinds[f.Kind].params) > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "for="...)
+		b = append(b, f.For.String()...)
 	}
-	return fmt.Sprintf("%s@%s:%s", f.Kind, f.At, strings.Join(kv, ","))
+	return string(b)
 }
 
 // Validate checks the fault's parameters.

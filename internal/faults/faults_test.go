@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -429,18 +431,84 @@ func TestScheduleRejectsOpsOutsideThePlan(t *testing.T) {
 // No input panics the parser, and every script it accepts means what its
 // rendering means: re-parsing the rendered schedule gives the same faults.
 func FuzzParse(f *testing.F) {
-	for _, s := range append(docExamples(f), badScripts...) {
+	for _, s := range parseSeeds(f) {
 		f.Add(s)
 	}
-	f.Add("crash@10s:site=1,for=20s; SLOW @ 30s : Site = 1 , factor=5e-1 ;; blackout@0:from=2,to=0")
 	f.Fuzz(func(t *testing.T, script string) {
 		fs, err := Parse(script)
 		if err != nil {
 			return
+		}
+		for _, x := range fs {
+			if got, want := x.String(), fmtString(x); got != want {
+				t.Fatalf("Parse(%q): fault renders %q; the fmt renderer gives %q", script, got, want)
+			}
 		}
 		again, err := Parse(joined(fs))
 		if err != nil || !slices.Equal(fs, again) {
 			t.Fatalf("Parse(%q) = %+v, but its rendering %q parses to %+v, %v", script, fs, joined(fs), again, err)
 		}
 	})
+}
+
+// parseSeeds is FuzzParse's seed corpus: every kind's example, the bad
+// scripts, and one script of aliases, odd spacing and an empty clause.
+func parseSeeds(t testing.TB) []string {
+	return append(append(docExamples(t), badScripts...),
+		"crash@10s:site=1,for=20s; SLOW @ 30s : Site = 1 , factor=5e-1 ;; blackout@0:from=2,to=0")
+}
+
+// fmtString is Fault.String as reflection and fmt.Sprint rendered it
+// before String appended each field itself.
+func fmtString(f Fault) string {
+	var kv []string
+	for _, p := range kinds[f.Kind].params {
+		kv = append(kv, p.key+"="+fmt.Sprint(reflect.ValueOf(p.at(&f)).Elem()))
+	}
+	if f.For > 0 {
+		kv = append(kv, "for="+f.For.String())
+	}
+	return fmt.Sprintf("%s@%s:%s", f.Kind, f.At, strings.Join(kv, ","))
+}
+
+// String, and each parameter's render, write byte for byte what the fmt
+// renderer wrote: for every kind over a table of values, out-of-range and
+// non-finite ones included, and for every fault FuzzParse's seeds parse to.
+func TestStringMatchesFmtRenderer(t *testing.T) {
+	check := func(f Fault) {
+		t.Helper()
+		if got, want := f.String(), fmtString(f); got != want {
+			t.Errorf("%+v renders %q; the fmt renderer gives %q", f, got, want)
+		}
+		for _, p := range kinds[f.Kind].params {
+			if got, want := p.render(f), fmt.Sprint(reflect.ValueOf(p.at(&f)).Elem()); got != want {
+				t.Errorf("%+v: %s renders %q; the fmt renderer gives %q", f, p.key, got, want)
+			}
+		}
+	}
+	durs := []time.Duration{0, time.Nanosecond, 1500 * time.Millisecond, 90 * time.Minute, -time.Second, math.MaxInt64, math.MinInt64}
+	sites := []topology.SiteID{0, 3, -1, 1 << 40, math.MinInt}
+	floats := []float64{0.5, 0.25, 1e-300, 5e-324, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1.2345678901234569e+23, 1e21, 1e-5, 3}
+	ints := []int{0, 7, -2, math.MaxInt}
+	for k := range kinds {
+		for i := range 24 {
+			check(Fault{
+				Kind: Kind(k), At: durs[i%len(durs)], For: durs[(i+3)%len(durs)],
+				Site: sites[i%len(sites)], From: sites[(i+1)%len(sites)], To: sites[(i+2)%len(sites)],
+				Factor: floats[i%len(floats)], Rate: floats[(i+5)%len(floats)],
+				Region: ints[i%len(ints)], Delay: durs[(i+1)%len(durs)], Op: plan.OpID(ints[(i+1)%len(ints)]),
+			})
+		}
+	}
+	for _, script := range parseSeeds(t) {
+		fs, err := Parse(script)
+		if err != nil {
+			continue
+		}
+		for _, f := range fs {
+			check(f)
+			f.For = 0
+			check(f)
+		}
+	}
 }

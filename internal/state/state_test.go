@@ -129,12 +129,18 @@ func TestStoreLatestAtSite(t *testing.T) {
 	}
 }
 
+// Prune drops a task's copies older than an epoch whatever their site. A
+// put already drops the older copy at its own site, so the task's copies
+// here are one per site, epochs 3 to 5.
 func TestStorePrune(t *testing.T) {
 	s := NewStore()
 	for e := int64(1); e <= 5; e++ {
-		if err := s.Put(Ref{Job: "j", Operator: "op", Epoch: e}, []byte{byte(e)}); err != nil {
+		if err := s.Put(Ref{Job: "j", Operator: "op", Epoch: e, Site: topoSite(int(e+1) % 3)}, []byte{byte(e)}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if refs := storedRefs(s); len(refs) != 3 || refs[0].Epoch != 3 || refs[1].Epoch != 4 || refs[2].Epoch != 5 {
+		t.Fatalf("before prune refs = %v", refs)
 	}
 	s.Prune("j", "op", 0, 4)
 	refs := storedRefs(s)
@@ -144,6 +150,36 @@ func TestStorePrune(t *testing.T) {
 	s.Prune("j", "op", 0, 100)
 	if len(storedRefs(s)) != 0 {
 		t.Fatal("prune-all left snapshots")
+	}
+}
+
+// A put keeps the task's newest copy per site: five rounds at a site and
+// its replica leave two copies, and the bytes a round's two copies share
+// come back as a spare only once neither copy is kept.
+func TestStoreKeepsNewestCopyPerSite(t *testing.T) {
+	s := NewStore()
+	bufs := make([][]byte, 6)
+	for e := int64(1); e <= 5; e++ {
+		bufs[e] = []byte{byte(e), 0, 0}
+		for _, site := range []int{2, 0} {
+			if err := s.PutOwned(Ref{Job: "j", Operator: "op", Epoch: e, Site: topoSite(site)}, bufs[e]); err != nil {
+				t.Fatal(err)
+			}
+			if sp := s.Spare(); e > 1 && site == 0 {
+				if len(sp) != 0 || cap(sp) != 3 || &sp[:1][0] != &bufs[e-1][0] {
+					t.Fatalf("epoch %d: spare %v (cap %d) is not epoch %d's bytes", e, sp, cap(sp), e-1)
+				}
+			} else if sp != nil {
+				t.Fatalf("epoch %d site %d: spare %v while a kept copy holds it", e, site, sp)
+			}
+		}
+	}
+	refs := storedRefs(s)
+	if len(refs) != 2 || refs[0] != (Ref{Job: "j", Operator: "op", Epoch: 5, Site: 2, Size: 3}) || refs[1].Site != 0 || refs[1].Epoch != 5 {
+		t.Fatalf("refs = %v; want epoch 5 at sites 2 and 0", refs)
+	}
+	if n := s.BytesAt(2) + s.BytesAt(0); n != 6 {
+		t.Fatalf("%d bytes stored; want 6", n)
 	}
 }
 

@@ -9,6 +9,7 @@ package state
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -44,12 +45,20 @@ func (k taskKey) String() string {
 	return k.job + "/" + k.operator + "/" + strconv.Itoa(k.task)
 }
 
-// Store is an in-memory, site-aware checkpoint store. It retains every
-// epoch until pruned. Store is safe for concurrent use.
+// Store is an in-memory, site-aware checkpoint store. It keeps, per task,
+// only the newest copy at each site: those are the only copies
+// LatestExcluding can return, since an older copy at a site is excluded
+// whenever the newer one beside it is. A round that skips a site leaves
+// that site's older copy in place, so a task's copies may span epochs.
+// Store is safe for concurrent use.
 type Store struct {
 	mu sync.Mutex
-	// snaps maps task key → epoch-ascending snapshots.
+	// snaps maps task key → its copies, at most one per site, in the
+	// order they were put (so epochs never decrease along a slice).
 	snaps map[taskKey][]entry
+	// spare holds buffers of dropped copies that no kept copy shares,
+	// for Spare to hand back; at most one per task key.
+	spare [][]byte
 }
 
 // entry is one stored copy. Copies of the same round at different sites
@@ -67,35 +76,73 @@ func NewStore() *Store {
 // Put stores a copy of a snapshot. Epochs for a task must be
 // non-decreasing; a repeat of the current epoch is allowed only at a site
 // that does not already hold it (checkpoint replication writes the same
-// round to the task's own site and to replica sites).
+// round to the task's own site and to replica sites). The copy replaces
+// the task's older copy at the same site.
 func (s *Store) Put(ref Ref, data []byte) error {
-	return s.PutOwned(ref, append([]byte(nil), data...))
+	return s.PutOwned(ref, append(s.Spare(), data...))
 }
 
 // PutOwned is Put taking ownership of data: the store keeps the slice
 // itself, so the caller must not write to it again. A checkpoint round
-// stores one snapshot at the task's site and at its replica this way.
+// stores one snapshot at the task's site and at its replica this way; data
+// may be shared only between copies of the same task. A replaced copy
+// whose bytes no kept copy shares becomes a spare buffer.
 func (s *Store) PutOwned(ref Ref, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := ref.taskKey()
 	es := s.snaps[key]
-	if len(es) > 0 {
-		last := es[len(es)-1].ref
-		if ref.Epoch < last.Epoch {
-			return fmt.Errorf("state: epoch %d not after %d for %s", ref.Epoch, last.Epoch, key)
-		}
-		if ref.Epoch == last.Epoch {
-			for i := len(es) - 1; i >= 0 && es[i].ref.Epoch == ref.Epoch; i-- {
-				if es[i].ref.Site == ref.Site {
-					return fmt.Errorf("state: duplicate epoch %d at site %d for %s", ref.Epoch, ref.Site, key)
-				}
-			}
+	at := -1
+	for i := range es {
+		if es[i].ref.Site == ref.Site {
+			at = i
+			break
 		}
 	}
+	if n := len(es); n > 0 && ref.Epoch < es[n-1].ref.Epoch {
+		return fmt.Errorf("state: epoch %d not after %d for %s", ref.Epoch, es[n-1].ref.Epoch, key)
+	}
+	if at >= 0 && es[at].ref.Epoch == ref.Epoch {
+		return fmt.Errorf("state: duplicate epoch %d at site %d for %s", ref.Epoch, ref.Site, key)
+	}
 	ref.Size = int64(len(data))
-	s.snaps[key] = append(es, entry{ref: ref, data: data})
+	if at < 0 {
+		s.snaps[key] = append(es, entry{ref: ref, data: data})
+		return nil
+	}
+	old := es[at].data
+	copy(es[at:], es[at+1:])
+	es[len(es)-1] = entry{ref: ref, data: data}
+	for _, e := range es {
+		if sameBytes(e.data, old) {
+			return nil
+		}
+	}
+	if cap(old) > 0 && len(s.spare) < len(s.snaps) {
+		s.spare = append(s.spare, old[:0])
+	}
 	return nil
+}
+
+// sameBytes reports whether a and b start at the same byte of memory.
+func sameBytes(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
+// Spare returns an empty buffer whose bytes no stored copy holds any
+// longer, for the caller to fill and hand to PutOwned, or nil when there
+// is none.
+func (s *Store) Spare() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.spare)
+	if n == 0 {
+		return nil
+	}
+	buf := s.spare[n-1]
+	s.spare[n-1] = nil
+	s.spare = s.spare[:n-1]
+	return buf
 }
 
 // LatestExcluding returns the most recent snapshot for a task that is
@@ -103,22 +150,16 @@ func (s *Store) PutOwned(ref Ref, data []byte) error {
 // recent snapshot). Recovery after a site crash excludes the dead site,
 // whose bytes are gone with it. ok=false means every surviving copy (if
 // any) was on an excluded site — the task's state is lost and it must
-// restart empty.
+// restart empty. The returned bytes are the caller's own.
 func (s *Store) LatestExcluding(job, operator string, task int, excluded ...topology.SiteID) (Ref, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := Ref{Job: job, Operator: operator, Task: task}.taskKey()
 	es := s.snaps[key]
-scan:
 	for i := len(es) - 1; i >= 0; i-- {
-		for _, x := range excluded {
-			if es[i].ref.Site == x {
-				continue scan
-			}
+		if !slices.Contains(excluded, es[i].ref.Site) {
+			return es[i].ref, slices.Clone(es[i].data), true
 		}
-		out := make([]byte, len(es[i].data))
-		copy(out, es[i].data)
-		return es[i].ref, out, true
 	}
 	return Ref{}, nil, false
 }
