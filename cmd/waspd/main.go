@@ -50,7 +50,10 @@
 // resource for a while (outage). -checkpoint-every enables periodic
 // localized checkpointing with replication; on a site crash the controller
 // re-places the dead tasks and restores their state from the freshest
-// surviving replica, so at most one checkpoint interval of state is lost.
+// surviving replica. That bounds no loss yet: in the recovery sweep
+// (waspbench -experiment recovery) every interval loses the same events,
+// at least 51 % of them are never restored, and 10 s checkpoints restore
+// less than longer ones (ROADMAP.md, the crash-recovery item).
 //
 // -ctrl routes site telemetry and controller commands over the simulated
 // WAN instead of the local in-process plane: reports age by link

@@ -376,12 +376,12 @@ func opIDMaps(pkgs []*analysis.Package) []opIDMap {
 
 // TestControllerReadsRuntimeThroughBelief: the controller decides from
 // one belief (DESIGN.md §5, "The belief") and changes the runtime in one
-// place. Non-test internal/adapt code calls a method of *engine.Engine,
-// *netsim.Network or *ctrlplane.Plane only to actuate (runtimeActuations)
-// or in the functions that build the belief (beliefReaders), and only
-// Controller.apply starts a change (Reconfigure, BeginReplan,
-// SendCommand); beliefExemptions names the rest, each with the methods it
-// covers and its reason, and an exempted method never called fails too.
+// place per actuation. Non-test internal/adapt code calls a method of
+// *engine.Engine, *netsim.Network or *ctrlplane.Plane only in the
+// functions that build the belief (beliefReaders), or to actuate in the
+// one function runtimeActuations names for the method; beliefExemptions
+// names the rest, each with the methods it covers and its reason, and an
+// exempted method never called fails too.
 func TestControllerReadsRuntimeThroughBelief(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
@@ -401,7 +401,7 @@ func TestControllerReadsRuntimeThroughBelief(t *testing.T) {
 			used[q.fn+" "+q.method] = true
 			continue
 		}
-		if only := runtimeActuations[q.method]; only != "" {
+		if only, ok := runtimeActuations[q.method]; ok {
 			t.Errorf("%s: %s calls %s; only %s may", q.pos, q.fn, q.method, only)
 			continue
 		}
@@ -433,19 +433,21 @@ var beliefReaders = map[string]bool{
 // decision uses but what the belief is then built from: a round updates
 // the quarantine and takes the plane's snapshot before it observes, and
 // Supervise reports the commands it aborted. Each maps to the one
-// function that may call it, or to "" for any: a placement change or a
-// plan switch starts only in Controller.apply.
+// function that may call it: a round's telemetry in Controller.Round, the
+// aborts in supervision, a placement change or a plan switch in
+// Controller.apply, and a recovery's restore in the helper apply calls as
+// the recovery completes.
 var runtimeActuations = map[string]string{
 	"engine.Engine.Reconfigure":          "Controller.apply",
-	"engine.Engine.AbortReconfigure":     "",
+	"engine.Engine.AbortReconfigure":     "Controller.superviseInFlight",
 	"engine.Engine.BeginReplan":          "Controller.apply",
-	"engine.Engine.AbortReplan":          "",
-	"engine.Engine.RestoreOperatorState": "",
-	"engine.Engine.RecordTelemetry":      "",
+	"engine.Engine.AbortReplan":          "Controller.superviseInFlight",
+	"engine.Engine.RestoreOperatorState": "Controller.completeRecovery",
+	"engine.Engine.RecordTelemetry":      "Controller.Round",
 	"ctrlplane.Plane.SendCommand":        "Controller.apply",
-	"ctrlplane.Plane.Supervise":          "",
-	"ctrlplane.Plane.UpdateQuarantine":   "",
-	"ctrlplane.Plane.Snapshot":           "",
+	"ctrlplane.Plane.Supervise":          "Controller.superviseInFlight",
+	"ctrlplane.Plane.UpdateQuarantine":   "Controller.Round",
+	"ctrlplane.Plane.Snapshot":           "Controller.Round",
 }
 
 // beliefExemptions maps a function runtimeQueries reports to the runtime
@@ -461,11 +463,13 @@ var beliefExemptions = map[string]struct {
 }
 
 // TestDirectRuntimeQueryIsReported runs the audit over a fixture with a
-// belief builder, a link method, two actuations, a method of another
-// type, four direct queries (a call, a call in a closure, a method value
-// and a control-plane call), and Reconfigure called in apply's closure and
-// again in a second function: exactly the four queries and the second
-// actuation site are reported.
+// belief builder, a link method, a method of another type, four direct
+// queries (a call, a call in a closure, a method value and a
+// control-plane call), Reconfigure called in apply's closure and again in
+// a second function, and AbortReplan, UpdateQuarantine and
+// RestoreOperatorState each called outside the one function it belongs
+// to: exactly the four queries and the four misplaced actuations are
+// reported.
 func TestDirectRuntimeQueryIsReported(t *testing.T) {
 	pkgs, err := loadTargets([]string{"testdata/internal/belief"})
 	if err != nil {
@@ -476,11 +480,14 @@ func TestDirectRuntimeQueryIsReported(t *testing.T) {
 		got = append(got, fmt.Sprintf("%d: %s %s", q.pos.Line, q.fn, q.method))
 	}
 	want := []string{
-		"41: Controller.decide engine.Engine.DownSites",
-		"44: Controller.decide netsim.Network.EstimateTransferTime",
-		"51: Controller.bandwidthFunc netsim.Network.Capacity",
-		"56: Controller.gated ctrlplane.Plane.QuarantinedRegionOf",
-		"69: Controller.shortcut engine.Engine.Reconfigure",
+		"43: Controller.decide engine.Engine.DownSites",
+		"44: Controller.decide engine.Engine.AbortReplan",
+		"46: Controller.decide netsim.Network.EstimateTransferTime",
+		"53: Controller.bandwidthFunc netsim.Network.Capacity",
+		"59: Controller.gated ctrlplane.Plane.QuarantinedRegionOf",
+		"60: Controller.gated ctrlplane.Plane.UpdateQuarantine",
+		"72: Controller.shortcut engine.Engine.Reconfigure",
+		"75: Controller.restore engine.Engine.RestoreOperatorState",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("runtimeQueries(fixture) = %q, want %q", got, want)
@@ -539,7 +546,7 @@ func runtimeQueries(pkgs []*analysis.Package) []runtimeQuery {
 						return true
 					}
 					method := tn.Pkg().Name() + "." + tn.Name() + "." + sel.Sel.Name
-					if only, ok := runtimeActuations[method]; ok && (only == "" || only == fn) {
+					if runtimeActuations[method] == fn {
 						return true
 					}
 					out = append(out, runtimeQuery{pos: pkg.Fset.Position(sel.Pos()), fn: fn, method: method})

@@ -1,8 +1,9 @@
 // Package belief is the belief-audit fixture: a controller that reads the
 // engine and the network only in its belief builder and link method,
-// actuates through allowed engine and control-plane methods, calls a
-// same-named method of another type, queries the runtime directly four
-// times (once via the plane), and reconfigures in apply and elsewhere.
+// calls a same-named method of another type, queries the runtime directly
+// four times (once via the plane), reconfigures in apply and elsewhere,
+// and calls three more actuations outside the one function each belongs
+// to.
 package belief
 
 import (
@@ -35,7 +36,8 @@ type other struct{}
 func (other) DownSites() []topology.SiteID { return nil }
 
 // decide queries the engine in its body and the network in a closure,
-// beside a call of other's DownSites and an actuation.
+// beside a call of other's DownSites and an actuation that belongs to
+// supervision.
 func (c *Controller) decide(o other) time.Duration {
 	_ = o.DownSites()
 	_ = c.eng.DownSites()
@@ -51,7 +53,8 @@ func (c *Controller) bandwidthFunc() func(from, to topology.SiteID, now vclock.T
 	return c.net.Capacity
 }
 
-// gated asks the control plane directly, beside an actuation of it.
+// gated asks the control plane directly, beside an actuation of it that
+// belongs to a round.
 func (c *Controller) gated(p *ctrlplane.Plane) bool {
 	_, q := p.QuarantinedRegionOf(nil)
 	p.UpdateQuarantine(0)
@@ -67,3 +70,6 @@ func (c *Controller) apply() error {
 
 // shortcut reconfigures beside apply: a second actuation site.
 func (c *Controller) shortcut() error { return c.eng.Reconfigure(0, nil, nil, nil) }
+
+// restore restores operator state outside the recovery's completion.
+func (c *Controller) restore(data []byte) error { return c.eng.RestoreOperatorState(0, data) }

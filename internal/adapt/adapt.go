@@ -541,23 +541,26 @@ func (b *belief) diagnose(id plan.OpID) metrics.Condition {
 	return metrics.NetworkConstrained
 }
 
-// move is one adaptation as a value, what decide proposes and apply
-// carries out: the action, its operator (wholePlan for the long-term
-// re-plan) and the detail its action event records. A placement change
-// holds the new sites, ascending, the state migrations its preview priced
-// and their estimated bottleneck transfer; a re-plan holds the winning
-// candidate, valid until the session's next round, and its carry map.
-// onDone, when set, runs as the change completes.
+// move is one adaptation as plain data, what decide and the recovery
+// ladder propose and apply carries out: the action, its operator
+// (wholePlan for the long-term re-plan) and the detail its action event
+// records. A placement change holds the new sites, ascending, the state
+// migrations its preview priced and their estimated bottleneck transfer; a
+// re-plan holds the winning candidate, valid until the session's next
+// round, and its carry map. A recovery adds the checkpoints it restores on
+// completion, the crash instant and how many tasks it replaced.
 type move struct {
-	kind   ActionKind
-	op     plan.OpID
-	detail string
-	sites  []topology.SiteID
-	migs   []engine.Migration
-	est    vclock.Time
-	winner *physical.Candidate
-	carry  []plan.OpID
-	onDone func(doneAt vclock.Time)
+	kind     ActionKind
+	op       plan.OpID
+	detail   string
+	sites    []topology.SiteID
+	migs     []engine.Migration
+	est      vclock.Time
+	winner   *physical.Candidate
+	carry    []plan.OpID
+	restore  [][]byte
+	crashAt  vclock.Time
+	replaced int
 }
 
 // decide runs the policy's Figure-6 decision for one bottleneck operator

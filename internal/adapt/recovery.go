@@ -219,11 +219,11 @@ func (c *Controller) OnSiteCrash(site topology.SiteID) {
 	c.recoverDownSites(b)
 }
 
-// recoverDownSites walks every stage with tasks on a down site and runs the
-// recovery ladder for it. Also called from Round as a backstop, so stages
-// that found no placement at crash time (degraded) retry once slots free
-// up, and crashes detected without an injector wire-up still recover. It
-// reports whether any stage committed a new placement.
+// recoverDownSites decides, as adaptBottleneck does, for every stage with
+// tasks on a down site: it opens a decision, proposes the ladder's move,
+// applies it and closes the decision. Round calls it too, as a backstop:
+// degraded stages retry once slots free up, and crashes detected without an
+// injector still recover. It reports whether any stage committed a move.
 func (c *Controller) recoverDownSites(b *belief) (committed bool) {
 	if len(b.down) == 0 {
 		for i := range c.ledger {
@@ -262,36 +262,34 @@ func (c *Controller) recoverDownSites(b *belief) (committed bool) {
 				obs.Int("op", int(id)))
 			continue
 		}
-		committed = c.recoverStage(b, id, hit) || committed
+		c.beginDecision(id, "site-failure",
+			obs.Int("lost_tasks", hit),
+			obs.String("down_sites", fmt.Sprint(b.down)),
+			obs.Int("survivors", len(pp.Stages[id].Sites)-hit))
+		m, ok := c.proposeRecovery(b, id, hit)
+		if ok {
+			c.noteDetect(id, m.crashAt) // a recovery's detect phase starts at the crash
+		}
+		acted := ok && c.apply(b, m)
+		if acted {
+			c.op(id).degraded = false
+		}
+		c.endDecision(acted)
+		committed = acted || committed
 	}
 	return committed
 }
 
-// recoverStage runs the Figure-6-shaped recovery ladder for one stage with
-// dead tasks: re-place the lost tasks on live sites (full replacement
-// first, then fewer), shrink to the survivors if no placement exists, and
-// degrade only when nothing survives and nothing can be placed. Restored
-// state comes from the freshest checkpoint not stored on a down site, and
-// its transfer to the new site is paid through the network simulator.
-func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
+// proposeRecovery runs the recovery ladder for one stage with lost dead
+// tasks, from the belief, the ledger and the checkpoint store: re-place
+// the lost tasks on live sites (all, then fewer), else shrink to the
+// survivors, else degrade. The move restores each dead group's freshest
+// checkpoint not stored on a down site, its transfer paid through the
+// network simulator. It commits nothing; apply does.
+func (c *Controller) proposeRecovery(b *belief, id plan.OpID, lost int) (move, bool) {
 	pp := b.plan
 	st := pp.Stages[id]
 	op := pp.Graph.Operator(id)
-
-	var survivors, deadSites []topology.SiteID
-	for _, s := range st.Sites {
-		if slices.Contains(b.down, s) {
-			deadSites = append(deadSites, s)
-		} else {
-			survivors = append(survivors, s)
-		}
-	}
-
-	c.beginDecision(id, "site-failure",
-		obs.Int("lost_tasks", lost),
-		obs.String("down_sites", fmt.Sprint(b.down)),
-		obs.Int("survivors", len(survivors)))
-
 	if op.PinnedSite != plan.NoSite || op.Kind == plan.KindSource || op.Kind == plan.KindSink {
 		return c.degradeStage(id, "pinned", "pinned to the failed site; only a site restart heals it")
 	}
@@ -317,9 +315,10 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 	// Rung 1: replace the lost tasks on live sites — all of them if slots
 	// allow, otherwise as many as fit. FreeSlots already reports zero for
 	// down sites, so the placement program cannot pick them.
-	newSites, placed := slices.Clone(survivors), 0
+	newSites := slices.DeleteFunc(slices.Clone(st.Sites), func(s topology.SiteID) bool { return !live(s) })
+	survivors, placed := len(newSites), 0
 	for k := lost; k >= 1 && placed == 0; k-- {
-		added, err := c.placeTasks(b, id, k, float64(k)/float64(len(survivors)+k), b.free)
+		added, err := c.placeTasks(b, id, k, float64(k)/float64(survivors+k), b.free)
 		if err != nil {
 			c.reject("re-assign", fmt.Sprintf("no placement for %d replacement tasks: %v", k, err))
 			continue
@@ -328,7 +327,7 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 	}
 	// Rung 2: no replacement placeable — run on the survivors alone.
 	if placed == 0 {
-		if len(survivors) == 0 {
+		if survivors == 0 {
 			// Rung 3: nothing survives and nothing can be placed. Degrade
 			// until a site returns or slots free up (retried every Round).
 			return c.degradeStage(id, "no-placement", "no surviving tasks and no feasible placement")
@@ -339,79 +338,72 @@ func (c *Controller) recoverStage(b *belief, id plan.OpID, lost int) bool {
 
 	// State: freshest checkpoint per dead group, never from a down site.
 	// The restore bytes cross the WAN as a tracked transfer, so recovery
-	// time includes the state-transfer cost.
-	var migs []engine.Migration
-	var blobs [][]byte
+	// time includes the state-transfer cost. Recovery time counts from the
+	// earliest crash among the dead sites.
+	m := move{kind: ActionRecover, op: id, sites: newSites, crashAt: b.now, replaced: placed}
+	dead := physical.DistinctSites(slices.DeleteFunc(slices.Clone(st.Sites), live))
 	var restoreFrom []topology.SiteID
 	if c.recovery != nil && stateful(op) {
 		perTask := st.Op.StateBytes / float64(max(len(newSites), 1))
-		for _, ds := range physical.DistinctSites(deadSites) {
+		receivers := physical.DistinctSites(newSites)
+		for _, ds := range dead {
 			ref, data, ok := c.recovery.Latest(id, int(ds), b.down)
 			if !ok {
 				c.obs.Emit("recovery.no_checkpoint",
 					obs.Int("op", int(id)), obs.Int("dead_site", int(ds)))
 				continue
 			}
-			blobs = append(blobs, data)
+			m.restore = append(m.restore, data)
 			restoreFrom = append(restoreFrom, ref.Site)
 			bytes := perTask
 			if bytes <= 0 {
 				bytes = float64(len(data))
 			}
-			if dst, ok := b.links.pickReceiver(physical.DistinctSites(newSites), ref.Site); ok {
-				migs = append(migs, engine.Migration{FromSite: ref.Site, ToSite: dst, Bytes: bytes})
+			if dst, ok := b.links.pickReceiver(receivers, ref.Site); ok {
+				m.migs = append(m.migs, engine.Migration{FromSite: ref.Site, ToSite: dst, Bytes: bytes})
 			}
 		}
 	}
-
-	crashAt := b.now
-	for _, ds := range physical.DistinctSites(deadSites) {
-		if at, ok := c.crashedAt[ds]; ok && at < crashAt {
-			crashAt = at
+	for _, ds := range dead {
+		if at, ok := c.crashedAt[ds]; ok && at < m.crashAt {
+			m.crashAt = at
 		}
 	}
-	// For recovery the detect phase starts at the crash, not at the first
-	// unhealthy diagnosis — failure detection is part of recovery latency.
-	c.noteDetect(id, crashAt)
-	onDone := func(doneAt vclock.Time) {
-		restored := 0.0
-		for _, b := range blobs {
-			if err := c.eng.RestoreOperatorState(id, b); err != nil {
-				c.obs.Emit("recovery.restore_error",
-					obs.Int("op", int(id)), obs.String("error", err.Error()))
-				continue
-			}
-			restored++
-		}
-		c.obs.Emit("recovery.complete",
-			obs.Int("op", int(id)),
-			obs.Int("tasks_replaced", placed),
-			obs.Int("checkpoints_restored", int(restored)),
-			obs.Dur("recovery_time", time.Duration(doneAt-crashAt)))
-		c.obs.Registry().Counter("wasp_recoveries_total").Inc()
-	}
-	detail := fmt.Sprintf("lost %d task(s) at %v; new placement %v, %d checkpoint(s) from %v",
-		lost, physical.DistinctSites(deadSites), newSites, len(blobs), restoreFrom)
-	acted := c.apply(b, move{kind: ActionRecover, op: id, detail: detail, sites: newSites, migs: migs, onDone: onDone})
-	if acted {
-		c.op(id).degraded = false
-	}
-	c.endDecision(acted)
-	return acted
+	m.detail = fmt.Sprintf("lost %d task(s) at %v; new placement %v, %d checkpoint(s) from %v",
+		lost, dead, newSites, len(m.restore), restoreFrom)
+	return m, true
 }
 
-// degradeStage records (once per outage) that a stage runs degraded, and
-// closes the decision unacted: its dead tasks stay dead until the ladder
-// finds a placement or the site restarts. rung classifies why: "pinned"
-// (task cannot move), "upstream-down" (nothing to process), or
-// "no-placement" (genuinely no feasible placement for live work).
-func (c *Controller) degradeStage(id plan.OpID, rung, reason string) bool {
+// completeRecovery finishes a recovery move as its reconfiguration
+// completes: it restores the move's checkpoints into the operator and
+// records the recovery, timed from the crash.
+func (c *Controller) completeRecovery(id plan.OpID, blobs [][]byte, replaced int, took vclock.Time) {
+	restored := 0
+	for _, data := range blobs {
+		if err := c.eng.RestoreOperatorState(id, data); err != nil {
+			c.obs.Emit("recovery.restore_error",
+				obs.Int("op", int(id)), obs.String("error", err.Error()))
+			continue
+		}
+		restored++
+	}
+	c.obs.Emit("recovery.complete",
+		obs.Int("op", int(id)),
+		obs.Int("tasks_replaced", replaced),
+		obs.Int("checkpoints_restored", restored),
+		obs.Dur("recovery_time", time.Duration(took)))
+	c.obs.Registry().Counter("wasp_recoveries_total").Inc()
+}
+
+// degradeStage rejects the ladder and records, once per outage, that the
+// stage runs degraded until a placement or its site returns; rung says why:
+// "pinned", "upstream-down", "quarantine-deferred" or "no-placement".
+func (c *Controller) degradeStage(id plan.OpID, rung, reason string) (move, bool) {
 	c.reject("re-assign", reason)
 	if o := c.op(id); !o.degraded {
 		o.degraded = true
 		c.obs.Emit("recovery.degraded",
 			obs.Int("op", int(id)), obs.String("rung", rung), obs.String("reason", reason))
 	}
-	c.endDecision(false)
-	return false
+	return move{}, false
 }

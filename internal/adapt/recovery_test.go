@@ -12,6 +12,7 @@ import (
 	"github.com/wasp-stream/wasp/internal/obs"
 	"github.com/wasp-stream/wasp/internal/physical"
 	"github.com/wasp-stream/wasp/internal/plan"
+	"github.com/wasp-stream/wasp/internal/state"
 	"github.com/wasp-stream/wasp/internal/topology"
 	"github.com/wasp-stream/wasp/internal/vclock"
 )
@@ -366,6 +367,141 @@ func TestCheckpointStoreStaysBounded(t *testing.T) {
 	for site := range topology.SiteID(n) {
 		if got := rm.Store().BytesAt(site); got != newest[site] {
 			t.Errorf("site %d stores %d bytes; its newest copies hold %d", site, got, newest[site])
+		}
+	}
+}
+
+// ladderCell is one situation of the recovery ladder on figure6Controller's
+// pipeline, src(site 0) → map → sink(site 3): the stage that lost tasks,
+// where the map runs, the sites that are down, the free slots of each site
+// (a down site has none), and for a stateful map the sites that hold a
+// copy of the checkpoint of its task on site 1, one epoch after another.
+type ladderCell struct {
+	name       string
+	sink       bool // the pinned sink lost its task, not the map
+	stateful   bool
+	sites      []int
+	down       []int
+	free       []int
+	quarantine bool // every control-plane region quarantined
+	copies     []int
+	want       ladderOutcome
+}
+
+// ladderOutcome is what proposeRecovery returns for one cell: the move's
+// sites (nil for none), how many tasks it replaced, how many checkpoints it
+// restores and the endpoints of their transfers; the branches it rejected,
+// in order; and the rung a degraded stage records.
+type ladderOutcome struct {
+	sites    []int
+	replaced int
+	restored int
+	migs     [][2]int
+	rejects  []string
+	rung     string
+}
+
+var ladderCells = []ladderCell{
+	{name: "pinned", sink: true, sites: []int{1}, down: []int{3}, free: []int{8, 7, 8, 0},
+		want: ladderOutcome{rejects: []string{"re-assign"}, rung: "pinned"}},
+	{name: "upstream down", sites: []int{1}, down: []int{0, 1}, free: []int{0, 0, 8, 7},
+		want: ladderOutcome{rejects: []string{"re-assign"}, rung: "upstream-down"}},
+	{name: "quarantine deferred", sites: []int{1}, down: []int{1}, free: []int{7, 0, 8, 7}, quarantine: true,
+		want: ladderOutcome{rejects: []string{"re-assign"}, rung: "quarantine-deferred"}},
+	{name: "all lost tasks replaced", sites: []int{1, 2}, down: []int{1, 2}, free: []int{7, 0, 0, 7},
+		want: ladderOutcome{sites: []int{0, 0}, replaced: 2}},
+	{name: "fewer replaced", sites: []int{1, 2}, down: []int{1, 2}, free: []int{1, 0, 0, 0},
+		want: ladderOutcome{sites: []int{0}, replaced: 1, rejects: []string{"re-assign"}}},
+	{name: "survivors only", sites: []int{1, 2}, down: []int{1}, free: []int{0, 0, 0, 0},
+		want: ladderOutcome{sites: []int{2}, rejects: []string{"re-assign", "scale-out"}}},
+	{name: "no placement", sites: []int{1}, down: []int{1}, free: []int{0, 0, 0, 0},
+		want: ladderOutcome{rejects: []string{"re-assign", "re-assign"}, rung: "no-placement"}},
+	{name: "checkpoint survives", stateful: true, sites: []int{1}, down: []int{1}, free: []int{7, 0, 8, 7},
+		copies: []int{2, 1}, // the fresher copy is on the down site
+		want:   ladderOutcome{sites: []int{0}, replaced: 1, restored: 1, migs: [][2]int{{2, 0}}}},
+	{name: "no surviving checkpoint", stateful: true, sites: []int{1}, down: []int{1}, free: []int{7, 0, 8, 7},
+		copies: []int{1},
+		want:   ladderOutcome{sites: []int{0}, replaced: 1}},
+}
+
+// TestRecoveryLadderTable drives proposeRecovery from hand-built beliefs,
+// with no engine and no control plane to call: for every rung, the move it
+// proposes, the branches it rejects on the way, in order, and the rung a
+// degraded stage records. The proposer opens no span, records no action,
+// and leaves the belief's placement as it was.
+func TestRecoveryLadderTable(t *testing.T) {
+	for _, cell := range ladderCells {
+		c, mp := figure6Controller(t, PolicyWASP, figure6Cell{stateful: cell.stateful, split: true,
+			state: 1e6, sites: cell.sites, rate: 1000, pMax: 3})
+		b := &c.belief
+		b.now = vclock.Time(100 * time.Second)
+		b.down = sites(cell.down...)
+		b.free = cell.free
+		b.ctrl = ctrl{plane: ctrlplane.NewLocal(nil), now: b.now}
+		if cell.quarantine {
+			plane := ctrlplane.New(ctrlplane.Config{}, nil, b.links.net, c.top, vclock.NewScheduler(nil), nil)
+			plane.UpdateQuarantine(b.now) // no site ever reported
+			b.ctrl.plane = plane
+		}
+		c.crashedAt = map[topology.SiteID]vclock.Time{}
+		for _, s := range b.down {
+			c.crashedAt[s] = vclock.Time(90 * time.Second)
+		}
+		store := state.NewStore()
+		for epoch, site := range cell.copies {
+			ref := state.Ref{Job: "q", Operator: opName(mp), Task: 1, Epoch: int64(epoch + 1), Site: topology.SiteID(site)}
+			if err := store.Put(ref, []byte{byte(epoch)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.recovery = &RecoveryManager{job: "q", store: store}
+		id := mp
+		if cell.sink {
+			id = b.plan.Graph.Downstream(mp)[0]
+		}
+		lost := 0
+		for _, s := range b.plan.Stages[id].Sites {
+			if slices.Contains(b.down, s) {
+				lost++
+			}
+		}
+
+		m, ok := c.proposeRecovery(b, id, lost)
+		got := ladderOutcome{replaced: m.replaced, restored: len(m.restore)}
+		for _, s := range m.sites {
+			got.sites = append(got.sites, int(s))
+		}
+		for _, mg := range m.migs {
+			got.migs = append(got.migs, [2]int{int(mg.FromSite), int(mg.ToSite)})
+		}
+		for _, ev := range c.obs.Events("reject") {
+			got.rejects = append(got.rejects, ev.Get("branch").Str())
+		}
+		for _, ev := range c.obs.Events("recovery.degraded") {
+			got.rung = ev.Get("rung").Str()
+		}
+		want := cell.want
+		if !slices.Equal(got.sites, want.sites) || got.replaced != want.replaced || got.restored != want.restored ||
+			!slices.Equal(got.migs, want.migs) || !slices.Equal(got.rejects, want.rejects) || got.rung != want.rung {
+			t.Errorf("%s: proposeRecovery = %+v (%s), want %+v", cell.name, got, rejectReasons(c.obs), want)
+		}
+		if ok != (want.sites != nil) || ok && (m.kind != ActionRecover || m.op != id || m.detail == "" ||
+			m.crashAt != vclock.Time(90*time.Second)) {
+			t.Errorf("%s: move %+v, ok %v", cell.name, m, ok)
+		}
+		if n := len(c.obs.Events("recovery.no_checkpoint")); cell.stateful && n != 1-len(m.restore) {
+			t.Errorf("%s: %d recovery.no_checkpoint events for %d restores", cell.name, n, len(m.restore))
+		}
+		c.obs.Walk(func(_ *obs.Event, sp *obs.Span) {
+			if sp != nil {
+				t.Errorf("%s: proposeRecovery opened span %q", cell.name, sp.Name)
+			}
+		})
+		if n := len(c.obs.Events("action")); n != 0 {
+			t.Errorf("%s: proposeRecovery recorded %d actions", cell.name, n)
+		}
+		if !slices.Equal(b.plan.Stages[mp].Sites, sites(cell.sites...)) {
+			t.Errorf("%s: proposeRecovery changed the belief's placement to %v", cell.name, b.plan.Stages[mp].Sites)
 		}
 	}
 }

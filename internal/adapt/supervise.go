@@ -172,10 +172,11 @@ func (c *Controller) ctrlGated(b *belief, id plan.OpID) (branch, reason string, 
 // ack timeout feeds noteAborted. A re-plan starts the engine's
 // drain-then-switch. apply then logs the action, or rejects the action's
 // branch with the engine's reason. Completion stamps the hysteresis
-// bookkeeping (noteCompleted) with the placement the action replaced.
+// bookkeeping (noteCompleted) with the placement the action replaced, and
+// completes a recovery (completeRecovery).
 func (c *Controller) apply(b *belief, m move) bool {
 	// The closures take the fields they need, not the whole move.
-	id, sites, migs, onDone := m.op, m.sites, m.migs, m.onDone
+	id, sites, migs := m.op, m.sites, m.migs
 	var err error
 	if m.kind == ActionReplan {
 		// The session owns the winner's plan and will re-Schedule it next
@@ -191,10 +192,11 @@ func (c *Controller) apply(b *belief, m move) bool {
 		})
 	} else {
 		oldSites := slices.Clone(b.plan.Stages[id].Sites)
+		recovery, restore, crashAt, replaced := m.kind == ActionRecover, m.restore, m.crashAt, m.replaced
 		done := func(doneAt vclock.Time) {
 			c.noteCompleted(id, oldSites, doneAt)
-			if onDone != nil {
-				onDone(doneAt)
+			if recovery {
+				c.completeRecovery(id, restore, replaced, doneAt-crashAt)
 			}
 		}
 		c.targets = append(c.targets[:0], sites...)
